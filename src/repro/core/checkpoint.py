@@ -17,7 +17,13 @@ that lives *outside* the tables —
   sequence the uninterrupted crawl would have seen;
 * the incremental distiller's LINK high-water mark and pending weight
   updates (the cached adjacency itself is rebuilt from the recovered
-  heap).
+  heap) — for the serial loop as for the batched one, since both distil
+  through it.  A checkpoint without them (``delta_cache`` is ``None``:
+  a serial crawl saved before the loops shared the distiller) resumes
+  with an empty cache, whose first refresh reads LINK from page 0;
+* the last distillation's scores, always as the two score dicts: the
+  numpy backend's array-backed result pickles in that shape, so the
+  snapshot's bytes do not depend on the backing.
 
 Because the blob is stored by :meth:`repro.minidb.Database.checkpoint`
 in the same atomically renamed snapshot record as the page directory, a

@@ -7,9 +7,9 @@ of :class:`~repro.crawler.focused.FocusedCrawler` (now a thin driver)
 into a :class:`CrawlEngine` with two interchangeable execution modes:
 
 * **serial** — the reference loop: one URL checked out, fetched,
-  classified and recorded at a time, with full-table distillation.  This
-  reproduces the seed crawler's behaviour operation for operation and is
-  the baseline every optimisation is benchmarked against.
+  classified and recorded at a time.  This reproduces the seed crawler's
+  behaviour operation for operation and is the baseline every
+  optimisation is benchmarked against.
 * **batched** — the scaled pipeline, one *round* at a time:
 
   1. *checkout*: the top-K frontier URLs in a single heap drain
@@ -31,7 +31,9 @@ into a :class:`CrawlEngine` with two interchangeable execution modes:
   5. *distill*: when due, the incremental distiller folds only the link
      rows recorded since the last run into cached adjacency
      (:class:`~repro.distiller.db_distiller.IncrementalDistiller`)
-     instead of re-scanning the whole LINK table.
+     instead of re-scanning the whole LINK table.  Both modes distil
+     this way: the serial loop reports the rows its ``wgt_fwd`` refresh
+     touched just as a batched round's flush does.
 
 With ``batch_size=1`` the batched mode visits pages in exactly the same
 order as the serial mode and records bit-for-bit identical relevance
@@ -53,11 +55,9 @@ from repro.classifier.compiled import CompiledHierarchicalModel
 from repro.classifier.model import BatchClassification, HierarchicalModel
 from repro.classifier.tokenizer import TermFrequencies, term_frequencies
 from repro.core.caching import LRUCache
-from repro.distiller.compiled import compile_links, compiled_weighted_hits
 from repro.distiller.db_distiller import IncrementalDistiller
-from repro.distiller.hits import DistillationResult, weighted_hits
+from repro.distiller.hits import DistillationResult
 from repro.distiller.score_store import ScoreTableStore
-from repro.distiller.weights import Link
 from repro.minidb import Database, StorageConfig
 from repro.minidb.pages import RecordId
 from repro.minidb.table import Table
@@ -576,26 +576,11 @@ class CrawlEngine:
     def run_distillation(self) -> DistillationResult:
         """Re-score hubs/authorities over the current crawl graph and boost frontier URLs."""
         started = time.perf_counter()
-        # The live map is safe to hand over: distillation only reads it.
-        relevance = self._relevance
-        if self.batched:
-            result = self._incremental_distiller().run(
-                relevance, max_iterations=self.config.distill_iterations
-            )
-        elif self.config.score_backend == "numpy":
-            result = compiled_weighted_hits(
-                compile_links(self.links_from_table()),
-                relevance=relevance,
-                rho=self.config.rho,
-                max_iterations=self.config.distill_iterations,
-            )
-        else:
-            result = weighted_hits(
-                self.links_from_table(),
-                relevance=relevance,
-                rho=self.config.rho,
-                max_iterations=self.config.distill_iterations,
-            )
+        # The live map is safe to hand over: distillation only reads it
+        # (and the numpy backend relies on seeing the same dict grow).
+        result = self._incremental_distiller().run(
+            self._relevance, max_iterations=self.config.distill_iterations
+        )
         self._store_scores(result)
         self._boost_hub_neighbours(result)
         self.trace.distillations += 1
@@ -603,25 +588,6 @@ class CrawlEngine:
         self._since_distillation = 0
         self.stage_timings["distill"] += time.perf_counter() - started
         return result
-
-    def links_from_table(self) -> list[Link]:
-        """Materialise the full LINK table (the serial distillation feed)."""
-        table = self.database.table("LINK")
-        schema = table.schema
-        links = []
-        for row in table.rows():
-            mapping = schema.row_to_mapping(row)
-            links.append(
-                Link(
-                    oid_src=mapping["oid_src"],
-                    sid_src=mapping["sid_src"],
-                    oid_dst=mapping["oid_dst"],
-                    sid_dst=mapping["sid_dst"],
-                    wgt_fwd=mapping["wgt_fwd"],
-                    wgt_rev=mapping["wgt_rev"],
-                )
-            )
-        return links
 
     def relevance_map(self) -> Dict[int, float]:
         """oid -> R(page) of every visited page, in visit order."""
@@ -687,6 +653,8 @@ class CrawlEngine:
         # The score-table rid cache is soft state; rebuild it from the
         # replayed tables rather than trusting pre-crash record ids.
         self._score_store.invalidate()
+        # None: a serial crawl checkpointed before the serial loop fed the
+        # delta cache.  A fresh cache reads LINK from page 0 on first use.
         if state["delta_cache"] is not None:
             self._incremental_distiller().cache.restore_state(state["delta_cache"])
         # The trace object is shared with the driving crawler; refill it in
@@ -780,8 +748,11 @@ class CrawlEngine:
         if rows:
             link_table.insert_many(rows)
         # Refresh E_F of edges that point at the page we just classified.
-        for rid in link_table.lookup_rids("link_dst", (source_entry.oid,)):
+        refreshed = link_table.lookup_rids("link_dst", (source_entry.oid,))
+        for rid in refreshed:
             link_table.update_row(rid, {"wgt_fwd": relevance})
+        if refreshed:
+            self._incremental_distiller().note_updated(refreshed)
         return expansion
 
     # -- batched mode ----------------------------------------------------------------
@@ -1379,22 +1350,28 @@ class CrawlEngine:
     def _store_scores(self, result: DistillationResult) -> None:
         # Delta writes: only scores that changed since the last
         # distillation touch the heap (see ScoreTableStore).
-        self._score_store.store("HUBS", result.hub_scores)
-        self._score_store.store("AUTH", result.authority_scores)
+        if result.dense is not None:
+            oids, hubs, authorities = result.dense
+            self._score_store.store_dense("HUBS", oids, hubs)
+            self._score_store.store_dense("AUTH", oids, authorities)
+        else:
+            self._score_store.store("HUBS", result.hub_scores)
+            self._score_store.store("AUTH", result.authority_scores)
 
     def _boost_hub_neighbours(self, result: DistillationResult) -> None:
         """Raise frontier priority of unvisited pages cited by the best hubs (§3.7)."""
-        if not result.hub_scores or self.config.hub_boost_top_k <= 0:
+        if self.config.hub_boost_top_k <= 0:
             return
         top_hubs = {oid for oid, _ in result.top_hubs(self.config.hub_boost_top_k)}
         link_table = self.database.table("LINK")
-        schema = link_table.schema
         for hub_oid in top_hubs:
-            for row in link_table.lookup("link_src", (hub_oid,)):
-                mapping = schema.row_to_mapping(row)
-                if mapping["sid_src"] == mapping["sid_dst"]:
+            # Rows in the LINK schema order pinned by __init__.
+            for _src, sid_src, oid_dst, sid_dst, _fwd, _rev in link_table.lookup(
+                "link_src", (hub_oid,)
+            ):
+                if sid_src == sid_dst:
                     continue
-                target_url = self.frontier.url_of_oid(mapping["oid_dst"])
+                target_url = self.frontier.url_of_oid(oid_dst)
                 if target_url is None:
                     continue
                 self.frontier.boost(target_url, self.config.hub_boost_priority)

@@ -103,7 +103,8 @@ class FocusedCrawler:
 
     # -- views used by benchmarks and experiments --------------------------------------
     def _links_from_table(self) -> list[Link]:
-        return self.engine.links_from_table()
+        """The whole LINK table as ``Link`` objects, in heap order."""
+        return [Link(*row) for row in self.database.table("LINK").rows()]
 
     def _relevance_map(self) -> Dict[int, float]:
         return self.engine.relevance_map()

@@ -21,6 +21,7 @@ deterministic functions of the edge list in append order.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
@@ -33,6 +34,13 @@ from .weights import Link
 _NO_WEIGHT = math.nan
 
 
+def _grown(buffer: np.ndarray, used: int) -> np.ndarray:
+    """A buffer of twice the capacity holding the first *used* entries."""
+    bigger = np.zeros(2 * len(buffer), dtype=buffer.dtype)
+    bigger[:used] = buffer[:used]
+    return bigger
+
+
 class CompiledLinkGraph:
     """Columnar adjacency over the non-nepotistic crawl edges.
 
@@ -42,20 +50,39 @@ class CompiledLinkGraph:
     the dense index is append-stable, making compiled scores a pure
     function of the edge list regardless of when the graph was built
     (checkpoint resume rebuilds it from the recovered heap).
+
+    The columns live in capacity-doubling NumPy buffers that ``add`` and
+    ``update`` write in place, so a distillation pays for the edges that
+    arrived or changed since the last one, never for the ones already
+    compiled.  What HITS needs per *node* is kept the same way: which
+    nodes are link sources (the uniform hub initialisation) and the
+    dense relevance vector (:meth:`relevance_vector`).
     """
 
+    _INITIAL_CAPACITY = 256
+
     def __init__(self) -> None:
-        self._src: List[int] = []
-        self._dst: List[int] = []
-        self._fwd: List[float] = []
-        self._rev: List[float] = []
+        capacity = self._INITIAL_CAPACITY
+        self._edges = 0
+        self._src = np.zeros(capacity, dtype=np.int64)
+        self._dst = np.zeros(capacity, dtype=np.int64)
+        self._fwd = np.zeros(capacity, dtype=np.float64)
+        self._rev = np.zeros(capacity, dtype=np.float64)
         self._index_of_oid: Dict[int, int] = {}
+        #: Append-only; results of :func:`compiled_weighted_hits` share it.
         self._oids: List[int] = []
         self._position: Dict[object, int] = {}
-        self._arrays: Optional[tuple] = None
+        self._is_source = np.zeros(capacity, dtype=np.bool_)
+        self._source_count = 0
+        self._rel = np.zeros(capacity, dtype=np.float64)
+        #: Dense indexes below this hold the relevance of their oid as of
+        #: the first ``_rel_seen`` entries of ``_rel_map``.
+        self._rel_nodes = 0
+        self._rel_seen = 0
+        self._rel_map: Optional[Mapping[int, float]] = None
 
     def __len__(self) -> int:
-        return len(self._src)
+        return self._edges
 
     def _densify(self, oid: int) -> int:
         index = self._index_of_oid.get(oid)
@@ -63,7 +90,43 @@ class CompiledLinkGraph:
             index = len(self._oids)
             self._index_of_oid[oid] = index
             self._oids.append(oid)
+            if index == len(self._is_source):
+                self._is_source = _grown(self._is_source, index)
+                self._rel = _grown(self._rel, index)
         return index
+
+    def _append(
+        self,
+        oid_src: int,
+        oid_dst: int,
+        wgt_fwd: Optional[float],
+        wgt_rev: Optional[float],
+        key: object,
+    ) -> None:
+        position = self._edges
+        if position == len(self._src):
+            self._src = _grown(self._src, position)
+            self._dst = _grown(self._dst, position)
+            self._fwd = _grown(self._fwd, position)
+            self._rev = _grown(self._rev, position)
+        if key is not None:
+            self._position[key] = position
+        source = self._densify(oid_src)
+        if not self._is_source[source]:
+            self._is_source[source] = True
+            self._source_count += 1
+        self._src[position] = source
+        self._dst[position] = self._densify(oid_dst)
+        self._fwd[position] = _NO_WEIGHT if wgt_fwd is None else wgt_fwd
+        self._rev[position] = _NO_WEIGHT if wgt_rev is None else wgt_rev
+        self._edges = position + 1
+
+    def _patch(self, key: object, wgt_fwd: Optional[float], wgt_rev: Optional[float]) -> None:
+        position = self._position.get(key)
+        if position is None:  # nepotistic (or never compiled) edge: no-op
+            return
+        self._fwd[position] = _NO_WEIGHT if wgt_fwd is None else wgt_fwd
+        self._rev[position] = _NO_WEIGHT if wgt_rev is None else wgt_rev
 
     def add(self, link: Link, key: object = None) -> None:
         """Append one edge; nepotistic edges are dropped (never contribute).
@@ -71,24 +134,12 @@ class CompiledLinkGraph:
         *key* (e.g. a heap record id) registers the edge for later
         in-place weight updates via :meth:`update`.
         """
-        if link.is_nepotistic:
-            return
-        if key is not None:
-            self._position[key] = len(self._src)
-        self._src.append(self._densify(link.oid_src))
-        self._dst.append(self._densify(link.oid_dst))
-        self._fwd.append(_NO_WEIGHT if link.wgt_fwd is None else link.wgt_fwd)
-        self._rev.append(_NO_WEIGHT if link.wgt_rev is None else link.wgt_rev)
-        self._arrays = None
+        if not link.is_nepotistic:
+            self._append(link.oid_src, link.oid_dst, link.wgt_fwd, link.wgt_rev, key)
 
     def update(self, key: object, link: Link) -> None:
         """Patch the weights of a previously added edge in place."""
-        position = self._position.get(key)
-        if position is None:  # nepotistic (or never compiled) edge: no-op
-            return
-        self._fwd[position] = _NO_WEIGHT if link.wgt_fwd is None else link.wgt_fwd
-        self._rev[position] = _NO_WEIGHT if link.wgt_rev is None else link.wgt_rev
-        self._arrays = None
+        self._patch(key, link.wgt_fwd, link.wgt_rev)
 
     # -- raw LINK-row fast path (delta cache feed) -------------------------
     def add_row(self, row: tuple, key: object) -> None:
@@ -98,48 +149,77 @@ class CompiledLinkGraph:
         the delta cache fold rows without materialising ``Link`` objects.
         """
         oid_src, sid_src, oid_dst, sid_dst, wgt_fwd, wgt_rev = row
-        if sid_src == sid_dst:
-            return
-        self._position[key] = len(self._src)
-        self._src.append(self._densify(oid_src))
-        self._dst.append(self._densify(oid_dst))
-        self._fwd.append(_NO_WEIGHT if wgt_fwd is None else wgt_fwd)
-        self._rev.append(_NO_WEIGHT if wgt_rev is None else wgt_rev)
-        self._arrays = None
+        if sid_src != sid_dst:
+            self._append(oid_src, oid_dst, wgt_fwd, wgt_rev, key)
 
     def update_row(self, key: object, row: tuple) -> None:
-        position = self._position.get(key)
-        if position is None:
-            return
-        wgt_fwd, wgt_rev = row[4], row[5]
-        self._fwd[position] = _NO_WEIGHT if wgt_fwd is None else wgt_fwd
-        self._rev[position] = _NO_WEIGHT if wgt_rev is None else wgt_rev
-        self._arrays = None
+        self._patch(key, row[4], row[5])
 
     def extend(self, links: Iterable[Link]) -> None:
         for link in links:
             self.add(link)
 
     def arrays(self):
-        """The (src, dst, fwd, rev, oids) columns, rebuilt only when dirty.
+        """The (src, dst, fwd, rev, oids) columns: views of the live buffers.
 
-        ``oids`` stays a Python list: page oids are unsigned 64-bit URL
-        hashes that can overflow a C long, and the kernels only ever use
-        them to translate dense indexes back to dictionary keys.
+        Valid until the next mutation.  ``oids`` stays a Python list: page
+        oids are unsigned 64-bit URL hashes that can overflow a C long,
+        and the kernels only ever use them to translate dense indexes
+        back to dictionary keys.
         """
-        if self._arrays is None:
-            self._arrays = (
-                np.asarray(self._src, dtype=np.int64),
-                np.asarray(self._dst, dtype=np.int64),
-                np.asarray(self._fwd, dtype=np.float64),
-                np.asarray(self._rev, dtype=np.float64),
-                self._oids,
-            )
-        return self._arrays
+        edges = self._edges
+        return (
+            self._src[:edges],
+            self._dst[:edges],
+            self._fwd[:edges],
+            self._rev[:edges],
+            self._oids,
+        )
+
+    def uniform_hubs(self) -> np.ndarray:
+        """HITS' start vector: 1/|sources| on every link source, else zero."""
+        hubs = np.zeros(len(self._oids), dtype=np.float64)
+        hubs[self._is_source[: len(self._oids)]] = 1.0 / self._source_count
+        return hubs
+
+    def relevance_vector(self, relevance: Mapping[int, float]) -> np.ndarray:
+        """``relevance.get(oid, 0.0)`` per dense node, maintained incrementally.
+
+        Handed the same ``dict`` as last time, only the nodes densified
+        and the keys inserted since then are looked up — the crawl's
+        relevance map grows by one key per visited page and a page is
+        classified once, so a key's value is final.  Any other mapping
+        (or a dict that shrank) is gathered in full.
+        """
+        nodes = len(self._oids)
+        rel = self._rel
+        first_unfilled = 0
+        if (
+            relevance is self._rel_map
+            and type(relevance) is dict
+            and len(relevance) >= self._rel_seen
+        ):
+            first_unfilled = self._rel_nodes
+            # dicts iterate in insertion order: reversed, the new keys lead.
+            index_of = self._index_of_oid.get
+            fresh = len(relevance) - self._rel_seen
+            for oid, value in islice(reversed(relevance.items()), fresh):
+                index = index_of(oid)
+                if index is not None:
+                    rel[index] = value
+        else:
+            self._rel_map = relevance
+        lookup = relevance.get
+        oids = self._oids
+        for index in range(first_unfilled, nodes):
+            rel[index] = lookup(oids[index], 0.0)
+        self._rel_nodes = nodes
+        self._rel_seen = len(relevance)
+        return rel[:nodes]
 
 
 def compile_links(links: Iterable[Link]) -> CompiledLinkGraph:
-    """Compile a full edge list (the serial, full-table distillation feed)."""
+    """Compile a full edge list in one go (what a delta-folded graph must equal)."""
     graph = CompiledLinkGraph()
     graph.extend(links)
     return graph
@@ -164,20 +244,19 @@ def compiled_weighted_hits(
         return DistillationResult(iterations=0)
     src, dst, fwd, rev, oids = graph.arrays()
     n = len(oids)
-    rel = np.fromiter((relevance.get(oid, 0.0) for oid in oids), np.float64, n)
-
-    hubs = np.zeros(n, dtype=np.float64)
-    sources = np.unique(src)
-    hubs[sources] = 1.0 / len(sources)
+    rel = graph.relevance_vector(relevance)
+    hubs = graph.uniform_hubs()
     authorities = np.zeros(n, dtype=np.float64)
 
     # Forward edges: filtered once (the relevance threshold and weights do
     # not change across iterations), exactly as the reference pre-resolves.
-    forward = rel[dst] > rho
+    rel_dst = rel[dst]
+    forward = rel_dst > rho
     f_src = src[forward]
     f_dst = dst[forward]
     if use_relevance_weights:
-        f_wgt = np.where(np.isnan(fwd[forward]), rel[dst][forward], fwd[forward])
+        f_fwd = fwd[forward]
+        f_wgt = np.where(np.isnan(f_fwd), rel_dst[forward], f_fwd)
         r_wgt = np.where(np.isnan(rev), rel[src], rev)
     else:
         f_wgt = np.ones(len(f_src), dtype=np.float64)
@@ -199,10 +278,4 @@ def compiled_weighted_hits(
         if delta < tolerance:
             break
 
-    return DistillationResult(
-        hub_scores={oid: float(s) for oid, s in zip(oids, hubs) if s != 0.0},
-        authority_scores={
-            oid: float(s) for oid, s in zip(oids, authorities) if s != 0.0
-        },
-        iterations=iterations_run,
-    )
+    return DistillationResult.from_dense(oids, hubs, authorities, iterations_run)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.minidb import Database
 from repro.minidb.pages import PageId, RecordId
@@ -261,7 +261,7 @@ class IndexLookupDistiller(_BaseDbDistiller):
 
 
 class LinkDeltaCache:
-    """Cached LINK adjacency refreshed by delta scans (the engine's distill feed).
+    """Cached LINK adjacency refreshed by delta scans (every crawl loop's distill feed).
 
     Re-reading the whole LINK table before every distillation is an O(E)
     sequential scan that grows with the crawl; since the crawler only ever
@@ -281,9 +281,12 @@ class LinkDeltaCache:
 
     def __init__(self, table: Table, compiled: bool = False) -> None:
         self.table = table
-        #: rid -> cached Link (python mode; compiled mode keeps edge data
-        #: in the columnar graph and leaves this empty).
-        self._links: Dict[RecordId, Link] = {}
+        #: Python mode: the cached Links of heap page p, by slot, at index p
+        #: (None marks an empty slot).  Positional, not keyed by record id:
+        #: the cache outlives every distillation, and a RecordId key would
+        #: cost twice what the Link it maps to does.  Compiled mode keeps
+        #: edge data in the columnar graph and leaves this empty.
+        self._pages: List[List[Optional[Link]]] = []
         self._watermark_page = 0
         #: Compiled mode: (page_no, slot) of the last folded row — valid
         #: because LINK is append-only, so heap scan order is fold order.
@@ -292,13 +295,12 @@ class LinkDeltaCache:
         self._updated_rids: set[RecordId] = set()
         #: Columnar mirror of the cached adjacency (numpy distillation
         #: backend); deltas are folded into it edge by edge, never rebuilt.
-        self.graph: Optional[CompiledLinkGraph] = None
-        if compiled:
-            columns = tuple(table.schema.column_names)
-            expected = ("oid_src", "sid_src", "oid_dst", "sid_dst", "wgt_fwd", "wgt_rev")
-            if columns != expected:
-                raise ValueError(f"LINK schema order {columns} != {expected}")
-            self.graph = CompiledLinkGraph()
+        self.graph: Optional[CompiledLinkGraph] = CompiledLinkGraph() if compiled else None
+        # Rows are read positionally (Link(*row), graph.add_row): pin the order.
+        columns = tuple(table.schema.column_names)
+        expected = ("oid_src", "sid_src", "oid_dst", "sid_dst", "wgt_fwd", "wgt_rev")
+        if columns != expected:
+            raise ValueError(f"LINK schema order {columns} != {expected}")
 
     def note_updated(self, rids: Iterable[RecordId]) -> None:
         """Record in-place updates to already-cached rows (e.g. weight refreshes)."""
@@ -313,49 +315,56 @@ class LinkDeltaCache:
         """
         heap = self.table.heap
         rescanned_from = self._watermark_page
+        self._fold_pages(rescanned_from, None)
+        self._watermark_page = max(heap.page_count - 1, 0)
         if self.graph is not None:
-            # LINK is append-only, so rows past the fold watermark are new
-            # edges; rows at or before it can only have changed through
-            # in-place weight updates, which note_updated tracked.
-            graph = self.graph
+            for rid in self._updated_rids:
+                self.graph.update_row((rid.page_id.page_no, rid.slot), heap.read(rid))
+            self._updated_rids.clear()
+            return []
+        for rid in self._updated_rids:
+            page_no = rid.page_id.page_no
+            if page_no < rescanned_from:  # later pages were just re-read whole
+                self._pages[page_no][rid.slot] = Link(*heap.read(rid))
+        self._updated_rids.clear()
+        return [link for page in self._pages for link in page if link is not None]
+
+    def _fold_pages(self, start_page: int, stop_page: Optional[int]) -> None:
+        """Read heap pages ``[start_page, stop_page)`` into the cache.
+
+        Compiled mode appends the rows past the fold watermark to the
+        graph, keyed by ``(page_no, slot)``: LINK is append-only, so rows
+        at or before the watermark can only have changed through in-place
+        weight updates, which :meth:`note_updated` tracks.  Python mode
+        replaces the cached pages from *start_page* on.
+        """
+        scan = self.table.heap.scan_from(start_page, stop_page)
+        if self.graph is not None:
+            add_row = self.graph.add_row
             folded_through = self._folded_through
-            for rid, row in heap.scan_from(rescanned_from):
+            for rid, row in scan:
                 position = (rid.page_id.page_no, rid.slot)
                 if position > folded_through:
-                    graph.add_row(row, key=rid)
+                    add_row(row, position)
                     folded_through = position
                     self._folded_count += 1
             self._folded_through = folded_through
-            self._watermark_page = max(heap.page_count - 1, 0)
-            for rid in self._updated_rids:
-                graph.update_row(rid, heap.read(rid))
-            self._updated_rids.clear()
-            return []
-        for rid, row in heap.scan_from(rescanned_from):
-            self._links[rid] = self._to_link(row)
-        self._watermark_page = max(heap.page_count - 1, 0)
-        for rid in self._updated_rids:
-            if rid.page_id.page_no >= rescanned_from:
-                continue  # already re-read by the page rescan
-            self._links[rid] = self._to_link(heap.read(rid))
-        self._updated_rids.clear()
-        return list(self._links.values())
-
-    def _to_link(self, row: tuple) -> Link:
-        mapping = self.table.schema.row_to_mapping(row)
-        return Link(
-            oid_src=mapping["oid_src"],
-            sid_src=mapping["sid_src"],
-            oid_dst=mapping["oid_dst"],
-            sid_dst=mapping["sid_dst"],
-            wgt_fwd=mapping["wgt_fwd"],
-            wgt_rev=mapping["wgt_rev"],
-        )
+            return
+        pages = self._pages
+        del pages[start_page:]
+        for rid, row in scan:
+            page_no = rid.page_id.page_no
+            while len(pages) <= page_no:
+                pages.append([])
+            links = pages[page_no]
+            if rid.slot > len(links):  # slots emptied by deletes
+                links.extend([None] * (rid.slot - len(links)))
+            links.append(Link(*row))  # fields are in the pinned schema order
 
     def __len__(self) -> int:
         if self.graph is not None:
             return self._folded_count
-        return len(self._links)
+        return sum(link is not None for page in self._pages for link in page)
 
     # -- checkpointing ------------------------------------------------------
     def state_snapshot(self) -> dict:
@@ -382,9 +391,8 @@ class LinkDeltaCache:
         ascending ``(page, slot)`` either way, so the refreshed edge list
         — and therefore HITS' float summation order — is unchanged.
         """
-        heap = self.table.heap
         watermark = state["watermark"]
-        self._links = {}
+        self._pages = []
         if self.graph is not None:
             # The compiled mirror is a pure function of the edge list in
             # heap order; rebuilding from the recovered heap reproduces the
@@ -392,14 +400,7 @@ class LinkDeltaCache:
             self.graph = CompiledLinkGraph()
             self._folded_through = (-1, -1)
             self._folded_count = 0
-            if heap.page_count:
-                for rid, row in heap.scan_from(0, watermark + 1):
-                    self.graph.add_row(row, key=rid)
-                    self._folded_through = (rid.page_id.page_no, rid.slot)
-                    self._folded_count += 1
-        elif heap.page_count:
-            for rid, row in heap.scan_from(0, watermark + 1):
-                self._links[rid] = self._to_link(row)
+        self._fold_pages(0, watermark + 1)
         self._watermark_page = watermark
         self._updated_rids = {
             RecordId(PageId(file_id, page_no), slot)
@@ -410,16 +411,17 @@ class LinkDeltaCache:
 class IncrementalDistiller:
     """Delta-mode distillation: cached adjacency + in-memory weighted HITS.
 
-    Folds only the links recorded (or re-weighted) since the previous
-    distillation into a :class:`LinkDeltaCache`, then scores the cached
-    adjacency — with the reference
-    :func:`~repro.distiller.hits.weighted_hits` edge walk
+    The one distill stage of every in-process crawl loop.  Folds only the
+    links recorded (or re-weighted) since the previous distillation into
+    a :class:`LinkDeltaCache`, then scores the cached adjacency — with
+    the reference :func:`~repro.distiller.hits.weighted_hits` edge walk
     (``backend="python"``, bit-for-bit the seed numbers) or with the
     columnar matvec kernels of :mod:`repro.distiller.compiled`
-    (``backend="numpy"``, 1e-9-equivalent, deltas folded into the
-    compiled arrays instead of rebuilding them).  Either way it produces
-    the same scores as a full LINK-table recomputation (tests enforce
-    agreement to 1e-9) without the per-distillation table scan.
+    (``backend="numpy"``, 1e-9-equivalent; edges, relevance and scores
+    stay in arrays from the LINK append to the HUBS/AUTH write).  The
+    cache iterates in heap order, so either backend's scores are bit for
+    bit those of a recomputation over a full LINK scan (tests enforce
+    this at every distillation of a crawl).
     """
 
     def __init__(

@@ -13,24 +13,94 @@ scores cheaply; the DB-backed distillers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from functools import cached_property
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .weights import Link
 
 
-@dataclass
 class DistillationResult:
-    """Hub and authority scores keyed by page oid."""
+    """Hub and authority scores keyed by page oid.
 
-    hub_scores: Dict[int, float] = field(default_factory=dict)
-    authority_scores: Dict[int, float] = field(default_factory=dict)
-    iterations: int = 0
+    Two backings, one interface.  The python kernel hands over the score
+    dicts it computed.  The numpy kernel hands over its dense vectors
+    (:meth:`from_dense`) and the dicts are only built if someone reads
+    them: the crawl loop stores and ranks straight from the arrays.
+
+    Pickles as the three public fields whatever the backing, so a result
+    inside a crawl checkpoint reads the same from either backend and
+    from checkpoints written before the dense form existed.
+    """
+
+    #: ``(oids, hubs, authorities)`` of a dense result: ``hubs[i]`` and
+    #: ``authorities[i]`` score ``oids[i]``; zero means "no score".  *oids*
+    #: is the graph's append-only node list and may be longer than the
+    #: vectors (nodes densified after this run).
+    dense: Optional[Tuple[Sequence[int], np.ndarray, np.ndarray]] = None
+
+    def __init__(
+        self,
+        hub_scores: Optional[Dict[int, float]] = None,
+        authority_scores: Optional[Dict[int, float]] = None,
+        iterations: int = 0,
+    ) -> None:
+        self.hub_scores = {} if hub_scores is None else hub_scores
+        self.authority_scores = {} if authority_scores is None else authority_scores
+        self.iterations = iterations
+
+    @classmethod
+    def from_dense(
+        cls,
+        oids: Sequence[int],
+        hubs: np.ndarray,
+        authorities: np.ndarray,
+        iterations: int,
+    ) -> "DistillationResult":
+        result = cls.__new__(cls)
+        result.dense = (oids, hubs, authorities)
+        result.iterations = iterations
+        return result
+
+    # cached_property is a non-data descriptor: dict-backed results (and
+    # unpickled ones) carry the dicts in __dict__ and never reach these.
+    @cached_property
+    def hub_scores(self) -> Dict[int, float]:
+        oids, hubs, _authorities = self.dense
+        return _nonzero_scores(oids, hubs)
+
+    @cached_property
+    def authority_scores(self) -> Dict[int, float]:
+        oids, _hubs, authorities = self.dense
+        return _nonzero_scores(oids, authorities)
+
+    def __getstate__(self) -> dict:
+        return {
+            "hub_scores": self.hub_scores,
+            "authority_scores": self.authority_scores,
+            "iterations": self.iterations,
+        }
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DistillationResult):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __repr__(self) -> str:
+        return (
+            f"DistillationResult(hubs={len(self.hub_scores)}, "
+            f"authorities={len(self.authority_scores)}, iterations={self.iterations})"
+        )
 
     def top_hubs(self, k: int = 10) -> list[tuple[int, float]]:
+        if self.dense is not None:
+            return _top_dense(self.dense[0], self.dense[1], k)
         return sorted(self.hub_scores.items(), key=lambda kv: -kv[1])[:k]
 
     def top_authorities(self, k: int = 10) -> list[tuple[int, float]]:
+        if self.dense is not None:
+            return _top_dense(self.dense[0], self.dense[2], k)
         return sorted(self.authority_scores.items(), key=lambda kv: -kv[1])[:k]
 
     def hub_threshold(self, percentile: float = 0.9) -> float:
@@ -40,6 +110,22 @@ class DistillationResult:
         values = sorted(self.hub_scores.values())
         index = min(int(percentile * len(values)), len(values) - 1)
         return values[index]
+
+
+def _nonzero_scores(oids: Sequence[int], scores: np.ndarray) -> Dict[int, float]:
+    return {oid: score for oid, score in zip(oids, scores.tolist()) if score != 0.0}
+
+
+def _top_dense(oids: Sequence[int], scores: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """The k best non-zero scores, ties in dense order.
+
+    A stable descending sort over the non-zero entries: exactly the order
+    ``sorted(scores_dict.items(), key=lambda kv: -kv[1])[:k]`` gives, the
+    dict being the non-zero entries in dense order.
+    """
+    nonzero = np.flatnonzero(scores)
+    best = nonzero[np.argsort(-scores[nonzero], kind="stable")[:k]]
+    return [(oids[index], score) for index, score in zip(best.tolist(), scores[best].tolist())]
 
 
 def _normalize(scores: Dict[int, float]) -> None:

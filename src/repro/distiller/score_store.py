@@ -18,6 +18,11 @@ last stored value per oid and writes only the difference:
   a cache rebuilt after a checkpoint resume issues the identical
   mutation sequence an uninterrupted run would).
 
+The numpy distillation backend hands its scores over as a dense vector
+(:meth:`ScoreTableStore.store_dense`); the delta is then computed by
+vector compares against the last stored vector instead of a dict walk,
+and the mutations issued are the same ones, in the same order.
+
 The cache is soft state: :meth:`invalidate` drops it and the next
 :meth:`store` rebuilds it with one table scan — which is how a resumed
 crawl re-synchronises with the replayed database.
@@ -25,13 +30,42 @@ crawl re-synchronises with the replayed database.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 __all__ = ["ScoreTableStore"]
 
 
+class _DenseState:
+    """What a table holds, aligned to a graph's dense node index."""
+
+    __slots__ = ("oids", "rids", "stored", "has_row")
+
+    def __init__(self, oids: Sequence[int]) -> None:
+        #: The (append-only) node list the alignment is against.
+        self.oids = oids
+        #: Dense index -> record id of that node's row (None: no row).
+        self.rids: List[Optional[object]] = []
+        self.stored = np.zeros(0, dtype=np.float64)
+        self.has_row = np.zeros(0, dtype=np.bool_)
+
+    def grow(self, nodes: int) -> None:
+        extra = nodes - len(self.rids)
+        if extra > 0:
+            self.rids.extend([None] * extra)
+            self.stored = np.concatenate([self.stored, np.zeros(extra)])
+            self.has_row = np.concatenate([self.has_row, np.zeros(extra, dtype=np.bool_)])
+
+
 class ScoreTableStore:
-    """Write distillation scores into their table as a minimal delta."""
+    """Write distillation scores into their table as a minimal delta.
+
+    :meth:`store` takes the scores as a dict, :meth:`store_dense` as a
+    vector over a graph's dense node list; both issue the same mutation
+    sequence for the same scores.  A table is written through one form
+    or the other: switching forms rebuilds the cache from a table scan.
+    """
 
     def __init__(self, database) -> None:
         self.database = database
@@ -39,6 +73,8 @@ class ScoreTableStore:
         self._rids: Dict[str, Dict[int, object]] = {}
         #: table name -> oid -> last stored score.
         self._values: Dict[str, Dict[int, float]] = {}
+        #: table name -> the same two facts in dense form (store_dense).
+        self._dense: Dict[str, _DenseState] = {}
         #: Rows touched (updated + inserted + deleted) since construction.
         self.rows_written = 0
         #: Rows skipped because their stored score was already current.
@@ -48,10 +84,12 @@ class ScoreTableStore:
         """Drop the caches (after a resume); the next store rescans."""
         self._rids.clear()
         self._values.clear()
+        self._dense.clear()
 
     def store(self, name: str, scores: Mapping[int, float]) -> None:
         """Make table *name* hold exactly *scores*, writing only the delta."""
         table = self.database.table(name)
+        self._dense.pop(name, None)
         rids = self._rids.get(name)
         if rids is None:
             rids = {}
@@ -75,14 +113,74 @@ class ScoreTableStore:
                 self.rows_skipped += 1
         removed = sorted(oid for oid in rids if oid not in scores)
 
-        if changed:
-            table.update_column("score", changed)
+        new_rids = self._write(table, changed, [rids.pop(oid) for oid in removed], inserts)
         for oid in removed:
-            table.delete_row(rids.pop(oid))
             del values[oid]
-        if inserts:
-            for (oid, _score), rid in zip(inserts, table.insert_many(inserts)):
-                rids[oid] = rid
+        for (oid, _score), rid in zip(inserts, new_rids):
+            rids[oid] = rid
         for oid, score in scores.items():
             values[oid] = score
-        self.rows_written += len(changed) + len(inserts) + len(removed)
+
+    def store_dense(self, name: str, oids: Sequence[int], scores: np.ndarray) -> None:
+        """:meth:`store` of ``{oids[i]: scores[i]}`` over the non-zero scores.
+
+        *oids* is a graph's append-only node list: an index means the
+        same node on every call, so what the table holds is kept as a
+        vector beside *scores* and the delta is three vector compares.
+        """
+        table = self.database.table(name)
+        nodes = len(scores)
+        state = self._dense.get(name)
+        rebuild = state is None or state.oids is not oids
+        if rebuild:
+            self._rids.pop(name, None)
+            self._values.pop(name, None)
+            state = self._dense[name] = _DenseState(oids)
+        state.grow(nodes)
+        rids = state.rids
+        #: (oid, rid) of rows for oids outside the node list: to be deleted.
+        foreign: List[tuple] = []
+        if rebuild:
+            index_of = {oid: index for index, oid in enumerate(oids[:nodes])}
+            for rid, row in table.scan():
+                index = index_of.get(row[0])
+                if index is None:
+                    foreign.append((row[0], rid))
+                else:
+                    rids[index] = rid
+                    state.stored[index] = row[1]
+                    state.has_row[index] = True
+        scored = scores != 0.0
+        has_row = state.has_row
+        kept = has_row & scored
+        current = kept & (state.stored == scores)
+        changed_at = np.flatnonzero(kept & ~current)
+        insert_at = np.flatnonzero(scored & ~has_row).tolist()
+        removed_at = np.flatnonzero(has_row & ~scored).tolist()
+        self.rows_skipped += int(np.count_nonzero(current))
+
+        changed = [
+            (rids[index], score)
+            for index, score in zip(changed_at.tolist(), scores[changed_at].tolist())
+        ]
+        inserts = [(oids[index], score) for index, score in zip(insert_at, scores[insert_at].tolist())]
+        removed = sorted(
+            [(oids[index], rids[index]) for index in removed_at] + foreign,
+            key=lambda pair: pair[0],
+        )
+        new_rids = self._write(table, changed, [rid for _oid, rid in removed], inserts)
+        for index in removed_at:
+            rids[index] = None
+        for index, rid in zip(insert_at, new_rids):
+            rids[index] = rid
+        state.has_row = scored
+        state.stored = scores.copy()
+
+    def _write(self, table, changed: list, removed_rids: list, inserts: list) -> list:
+        """Update, delete, insert — in that order; returns the inserted rows' rids."""
+        if changed:
+            table.update_column("score", changed)
+        for rid in removed_rids:
+            table.delete_row(rid)
+        self.rows_written += len(changed) + len(removed_rids) + len(inserts)
+        return table.insert_many(inserts) if inserts else []

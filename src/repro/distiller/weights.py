@@ -18,9 +18,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
-    """One hyperlink in the crawl graph, as stored in the LINK table."""
+    """One hyperlink in the crawl graph, as stored in the LINK table.
+
+    Fields are in LINK schema order, so ``Link(*row)`` builds one from a
+    heap row; slotted because the delta cache keeps one per stored edge.
+    """
 
     oid_src: int
     sid_src: int

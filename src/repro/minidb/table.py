@@ -234,7 +234,9 @@ class Table:
         record); the fast path engages only for an unindexed non-key
         column, where per-row change dicts and per-change column
         resolution are pure overhead — the crawl engine's ``wgt_fwd``
-        refresh is the canonical caller.  Indexed or primary-key columns
+        refresh and the HUBS/AUTH score rewrite are the callers, and
+        both hand over long runs of rows on one page, so the fast path
+        resolves a page once per run.  Indexed or primary-key columns
         delegate to :meth:`update_rows`.
         """
         if not updates:
@@ -250,9 +252,20 @@ class Table:
         heap = self.heap
         get_page = heap.buffer_pool.get_page
         new_rows: list[Row] = []
+        # Consecutive updates to one page share its ownership check and
+        # its pin: nothing else touches the pool inside a run, so the
+        # page object cannot be evicted under it.  Rows are still read,
+        # validated and written one at a time, in order — a bad value
+        # leaves exactly the rows before it written.  A run is told by
+        # identity: record ids of one page share its PageId object
+        # (heap inserts and scans hand them out that way), and an equal
+        # but distinct one merely re-resolves the page.
+        page_id = page = None
         for rid, value in updates:
-            heap.check_rid(rid)
-            page = get_page(rid.page_id)
+            if rid.page_id is not page_id:
+                heap.check_rid(rid)
+                page_id = rid.page_id
+                page = get_page(page_id)
             old = page.read(rid.slot)
             coerced = validate(value)
             new = old[:position] + (coerced,) + old[position + 1 :]

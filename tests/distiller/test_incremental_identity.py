@@ -1,0 +1,492 @@
+"""One distill stage, bit for bit: the incremental feed against a full scan.
+
+Every in-process crawl loop distils through ``IncrementalDistiller``
+fed by ``LinkDeltaCache``, and the numpy backend stays in arrays from
+the LINK append to the HUBS/AUTH write.  The feed this replaced —
+materialise the whole LINK table, score it from scratch, walk a score
+dict into the table — lives on here as the oracle:
+
+(a) at every distillation of a serial crawl, on both backends, the
+    stored HUBS/AUTH rows and ``trace.last_distillation`` equal a
+    recompute over a full LINK scan;
+(b) a ``CompiledLinkGraph`` grown by interleaved ``add_row`` /
+    ``update_row`` / ``arrays()`` equals ``compile_links`` of the final
+    edge list, across several capacity doublings;
+(c) ``ScoreTableStore.store_dense`` issues the mutations ``store``
+    issues: same rows, same record ids, same journal records;
+(d) ``Table.update_column``'s page-grouped fast path equals
+    ``update_rows`` and, on a bad value mid-batch, a row-at-a-time loop;
+(e) a serial crawl killed and resumed — also from a checkpoint shaped
+    like the ones written before the serial loop fed the cache — is the
+    uninterrupted crawl.
+"""
+
+import pickle
+import random
+
+import numpy as np
+import pytest
+
+from repro.classifier.training import ModelInstaller
+from repro.core.config import FocusConfig
+from repro.core.schema import create_focus_database
+from repro.core.system import FocusSystem
+from repro.crawler.engine import CrawlEngine, CrawlerConfig
+from repro.crawler.focused import FocusedCrawler
+from repro.distiller.compiled import CompiledLinkGraph, compile_links, compiled_weighted_hits
+from repro.distiller.hits import DistillationResult, weighted_hits
+from repro.distiller.score_store import ScoreTableStore
+from repro.distiller.weights import Link
+from repro.minidb import FLOAT, INTEGER, TEXT, Database, make_schema
+from repro.minidb.errors import SchemaError, StorageError
+from repro.minidb.pages import PageId, RecordId
+from repro.webgraph.fetch import Fetcher
+
+GOOD = "recreation/cycling"
+
+
+# -- the deleted feed, kept as the oracle ---------------------------------------------
+def full_scan_links(database):
+    """Materialise the whole LINK table, the way the serial loop used to."""
+    table = database.table("LINK")
+    schema = table.schema
+    links = []
+    for row in table.rows():
+        mapping = schema.row_to_mapping(row)
+        links.append(
+            Link(
+                oid_src=mapping["oid_src"],
+                sid_src=mapping["sid_src"],
+                oid_dst=mapping["oid_dst"],
+                sid_dst=mapping["sid_dst"],
+                wgt_fwd=mapping["wgt_fwd"],
+                wgt_rev=mapping["wgt_rev"],
+            )
+        )
+    return links
+
+
+def from_scratch(database, relevance, config):
+    links = full_scan_links(database)
+    if config.score_backend == "numpy":
+        return compiled_weighted_hits(
+            compile_links(links),
+            relevance=dict(relevance),
+            rho=config.rho,
+            max_iterations=config.distill_iterations,
+        )
+    return weighted_hits(
+        links, relevance=dict(relevance), rho=config.rho, max_iterations=config.distill_iterations
+    )
+
+
+def score_rows(database, name):
+    return {row[0]: row[1] for row in database.table(name).rows()}
+
+
+def assert_same_result(result, oracle):
+    # Item lists, not dicts: key order is part of the contract (it is the
+    # order ScoreTableStore inserts rows in and the tie-break of top_hubs).
+    assert list(result.hub_scores.items()) == list(oracle.hub_scores.items())
+    assert list(result.authority_scores.items()) == list(oracle.authority_scores.items())
+    assert result.iterations == oracle.iterations
+    for k in (1, 10, 10_000):
+        assert result.top_hubs(k) == oracle.top_hubs(k)
+        assert result.top_authorities(k) == oracle.top_authorities(k)
+
+
+# -- (a) every distillation of a serial crawl -----------------------------------------
+@pytest.fixture(scope="module")
+def crawl_seeds(small_web):
+    return small_web.keyword_seed_pages(GOOD, count=8)
+
+
+class TestSerialCrawlDistillsLikeAFullScan:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_every_distillation_equals_a_from_scratch_recompute(
+        self, small_web, trained_model, taxonomy, crawl_seeds, backend
+    ):
+        database = create_focus_database(buffer_pool_pages=512)
+        ModelInstaller(database).install(trained_model)
+        small_web.servers.reseed(0)
+        config = CrawlerConfig(
+            max_pages=150, distill_every=25, engine="serial", score_backend=backend
+        )
+        crawler = FocusedCrawler(
+            Fetcher(small_web, failure_seed=0), trained_model, taxonomy, database, config
+        )
+        crawler.add_seeds(crawl_seeds)
+        engine = crawler.engine
+        checked = []
+        incremental = engine.run_distillation
+
+        def distil_and_compare():
+            # The oracle first: the boost that follows a distillation does
+            # not touch LINK or the relevance map, but keep the order honest.
+            oracle = from_scratch(database, engine.relevance_map(), config)
+            result = incremental()
+            assert_same_result(result, oracle)
+            assert crawler.trace.last_distillation is result
+            assert score_rows(database, "HUBS") == oracle.hub_scores
+            assert score_rows(database, "AUTH") == oracle.authority_scores
+            checked.append(len(oracle.hub_scores))
+            return result
+
+        engine.run_distillation = distil_and_compare
+        trace = crawler.crawl()
+        assert trace.distillations == len(checked) >= 5
+        assert checked[-1] > checked[0] > 0  # the graph grew between runs
+
+    def test_numpy_result_is_array_backed_and_pickles_as_dicts(self):
+        links = [Link(1, 10, 2, 20, 0.9, 0.8), Link(3, 30, 2, 20, 0.7, 0.6), Link(2, 20, 4, 40)]
+        relevance = {1: 0.9, 2: 0.8, 3: 0.7, 4: 0.6}
+        result = compiled_weighted_hits(compile_links(links), relevance)
+        assert result.dense is not None
+        assert "hub_scores" not in vars(result)  # not built until read
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone.dense is None
+        assert clone == result
+        assert list(clone.hub_scores.items()) == list(result.hub_scores.items())
+        # What a checkpoint written before the dense form holds: the three
+        # fields as the instance dict.  It must load as a dict-backed result.
+        old = DistillationResult.__new__(DistillationResult)
+        old.__dict__.update(
+            hub_scores=dict(result.hub_scores),
+            authority_scores=dict(result.authority_scores),
+            iterations=result.iterations,
+        )
+        assert pickle.dumps(old) == pickle.dumps(result)
+        assert old.top_hubs(2) == result.top_hubs(2)
+
+    def test_dense_ranking_breaks_ties_like_the_dict_sort(self):
+        oids = [50, 40, 30, 20, 10, 60]
+        hubs = np.array([0.2, 0.0, 0.2, 0.4, 0.2, 0.0])
+        auth = np.array([0.0, 0.5, 0.0, 0.5, 0.0, 0.0])
+        dense = DistillationResult.from_dense(oids, hubs, auth, 3)
+        plain = DistillationResult(
+            {50: 0.2, 30: 0.2, 20: 0.4, 10: 0.2}, {40: 0.5, 20: 0.5}, iterations=3
+        )
+        assert dense == plain
+        for k in range(6):
+            assert dense.top_hubs(k) == plain.top_hubs(k)
+            assert dense.top_authorities(k) == plain.top_authorities(k)
+        assert dense.hub_threshold(0.9) == plain.hub_threshold(0.9)
+
+
+# -- (b) the growable compiled graph --------------------------------------------------
+def random_row(rng, nodes):
+    src, dst = rng.randrange(nodes), rng.randrange(nodes)
+    # A fifth of the edges are nepotistic (same server): never compiled.
+    sid_dst = src % 7 if rng.random() < 0.2 else 100 + dst % 7
+    # None: "no stored weight", scored from the endpoint's relevance.
+    weights = [rng.choice([None, rng.random()]) for _ in range(2)]
+    return (src, src % 7, dst, sid_dst, *weights)
+
+
+class TestGrowableCompiledGraph:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interleaved_mutations_equal_a_one_shot_compile(self, seed):
+        rng = random.Random(seed)
+        graph = CompiledLinkGraph()
+        capacity = len(graph.arrays()[0].base)
+        rows = []
+        relevance = {}
+        doublings = 0
+        # 3000 edges over 1500 nodes: edge buffers double 256 -> 4096 and
+        # node buffers 256 -> 2048 on the way.
+        for step in range(3000):
+            choice = rng.random()
+            if choice < 0.75 or not rows:
+                rows.append(random_row(rng, 1500))
+                graph.add_row(rows[-1], key=len(rows) - 1)
+            elif choice < 0.95:
+                position = rng.randrange(len(rows))
+                patched = rows[position][:4] + (rng.random(), rng.choice([None, rng.random()]))
+                rows[position] = patched
+                graph.update_row(position, patched)
+            else:
+                # The crawl's map: only ever gains keys between runs.
+                for _ in range(rng.randrange(1, 30)):
+                    relevance.setdefault(rng.randrange(1500), rng.random())
+                self.assert_equals_one_shot(graph, rows, relevance)
+            if len(graph.arrays()[0].base) != capacity:
+                capacity = len(graph.arrays()[0].base)
+                doublings += 1
+        assert doublings >= 3
+        self.assert_equals_one_shot(graph, rows, relevance)
+        # A different map (and a shrunken one) is gathered afresh.
+        self.assert_equals_one_shot(graph, rows, {oid: 0.5 for oid in range(0, 1500, 2)})
+        relevance.pop(next(iter(relevance)))
+        self.assert_equals_one_shot(graph, rows, relevance)
+
+    @staticmethod
+    def assert_equals_one_shot(graph, rows, relevance):
+        oracle_graph = compile_links(Link(*row) for row in rows)
+        assert len(graph) == len(oracle_graph)
+        for column, oracle_column in zip(graph.arrays()[:4], oracle_graph.arrays()[:4]):
+            np.testing.assert_array_equal(column, oracle_column)  # NaN == NaN here
+        assert graph.arrays()[4] == oracle_graph.arrays()[4]
+        # The same dict object each time: exercises the incremental gather.
+        result = compiled_weighted_hits(graph, relevance)
+        oracle = compiled_weighted_hits(oracle_graph, dict(relevance))
+        if len(graph):
+            np.testing.assert_array_equal(result.dense[1], oracle.dense[1])
+            np.testing.assert_array_equal(result.dense[2], oracle.dense[2])
+        assert_same_result(result, oracle)
+
+    def test_views_handed_out_survive_growth(self):
+        graph = CompiledLinkGraph()
+        graph.add_row((1, 1, 2, 2, 0.5, 0.25), key=0)
+        src, _dst, fwd, _rev, _oids = graph.arrays()
+        for index in range(1, 600):
+            graph.add_row((index, 1, index + 1, 2, 0.5, 0.25), key=index)
+        graph.update_row(0, (1, 1, 2, 2, 0.75, 0.25))
+        assert len(src) == 1 and fwd[0] == 0.5  # a snapshot of its moment
+        assert graph.arrays()[2][0] == 0.75
+
+
+# -- (c) the score store: dense path vs dict path -------------------------------------
+def journalled_score_database():
+    database = create_focus_database(buffer_pool_pages=64)
+    journal = []
+    database.table("HUBS").set_journal(journal.append)
+    return database, journal
+
+
+def rows_with_rids(database, name):
+    return [
+        ((rid.page_id.page_no, rid.slot), row) for rid, row in database.table(name).scan()
+    ]
+
+
+class TestDenseScoreStore:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_dense_path_issues_the_dict_paths_mutations(self, seed):
+        rng = random.Random(seed)
+        dict_db, dict_journal = journalled_score_database()
+        dense_db, dense_journal = journalled_score_database()
+        # Rows some earlier writer left behind, two of them for oids the
+        # graph never densifies: both paths must delete those.
+        leftovers = [(oid, rng.random()) for oid in (3, 5, 9000, 9001)]
+        for database in (dict_db, dense_db):
+            database.table("HUBS").insert_many(leftovers)
+        dict_store, dense_store = ScoreTableStore(dict_db), ScoreTableStore(dense_db)
+
+        oids = []  # append-only, as a graph's node list
+        scores = np.zeros(0)
+        for step in range(12):
+            oids.extend(range(len(oids), len(oids) + rng.randrange(0, 25)))
+            scores = np.concatenate([scores, np.zeros(len(oids) - len(scores))])
+            for index in rng.sample(range(len(oids)), len(oids) // 3):
+                scores[index] = rng.choice([0.0, rng.random()])  # appear, drift, vanish
+            if step == 7:  # the resume path: both caches rebuilt from the table
+                dict_store.invalidate()
+                dense_store.invalidate()
+            as_dict = {oid: score for oid, score in zip(oids, scores.tolist()) if score != 0.0}
+            dict_store.store("HUBS", as_dict)
+            dense_store.store_dense("HUBS", oids, scores.copy())
+            assert rows_with_rids(dense_db, "HUBS") == rows_with_rids(dict_db, "HUBS")
+            assert dense_journal == dict_journal
+            assert score_rows(dense_db, "HUBS") == as_dict
+        assert dense_store.rows_written == dict_store.rows_written > 0
+        assert dense_store.rows_skipped == dict_store.rows_skipped > 0
+        # Journal payloads are what a WAL would pickle: plain floats.
+        assert all(
+            type(value) is float
+            for record in dense_journal
+            if record[0] == "update"
+            for _rid, changes in record[2]
+            for value in changes.values()
+        )
+
+    def test_switching_forms_resynchronises_from_the_table(self):
+        database, _journal = journalled_score_database()
+        store = ScoreTableStore(database)
+        oids = [7, 8, 9]
+        store.store_dense("HUBS", oids, np.array([0.5, 0.0, 0.25]))
+        store.store("HUBS", {8: 0.1, 9: 0.25})
+        assert score_rows(database, "HUBS") == {8: 0.1, 9: 0.25}
+        store.store_dense("HUBS", oids, np.array([0.5, 0.1, 0.0]))
+        assert score_rows(database, "HUBS") == {7: 0.5, 8: 0.1}
+
+
+# -- (d) update_column's page-grouped fast path ---------------------------------------
+def paged_table():
+    """A table of 90 rows over several 512-byte pages, with a journal and a listener."""
+    database = Database(buffer_pool_pages=4, page_size=512)
+    table = database.create_table(
+        "T", make_schema(("k", INTEGER, False), ("v", FLOAT), ("note", TEXT), primary_key=["k"])
+    )
+    rids = table.insert_many([(k, float(k), f"row{k}") for k in range(90)])
+    assert table.page_count >= 4
+    journal, notified = [], []
+    table.set_journal(journal.append)
+    table.add_mutation_listener(lambda event, _table, rows: notified.append((event, list(rows))))
+    return table, rids, journal, notified
+
+
+class TestPageGroupedUpdateColumn:
+    @pytest.mark.parametrize("order", ["ascending", "shuffled", "page-hopping"])
+    def test_equals_update_rows(self, order):
+        fast, rids, fast_journal, fast_notified = paged_table()
+        slow, slow_rids, slow_journal, slow_notified = paged_table()
+        assert rids == slow_rids
+        picks = list(range(0, 90, 2))
+        if order == "shuffled":
+            random.Random(5).shuffle(picks)
+        elif order == "page-hopping":  # slot-major: consecutive rows on different pages
+            picks = sorted(picks, key=lambda k: (rids[k].slot, rids[k].page_id.page_no))
+        # Fresh, equal-but-not-identical ids, as an index lookup hands out.
+        updates = [
+            (RecordId(PageId(rids[k].page_id.file_id, rids[k].page_id.page_no), rids[k].slot), k / 7)
+            for k in picks
+        ]
+        assert fast.update_column("v", updates) == len(picks)
+        assert slow.update_rows([(rid, {"v": value}) for rid, value in updates]) == len(picks)
+        assert list(fast.scan()) == list(slow.scan())
+        assert fast_journal == slow_journal
+        assert fast_notified == slow_notified
+
+    @pytest.mark.parametrize(
+        "bad_update, error",
+        [
+            (lambda rids: (rids[40], "not a float"), SchemaError),
+            (lambda rids: (RecordId(PageId(rids[0].page_id.file_id, 999), 0), 1.0), StorageError),
+            (lambda rids: (RecordId(rids[40].page_id, 999), 1.0), StorageError),
+        ],
+    )
+    def test_a_bad_update_mid_batch_leaves_the_rows_before_it_written(self, bad_update, error):
+        fast, rids, fast_journal, fast_notified = paged_table()
+        slow, _rids, slow_journal, slow_notified = paged_table()
+        updates = [(rids[k], -1.0 - k) for k in range(30, 50)]
+        updates[10] = bad_update(rids)
+        with pytest.raises(error) as fast_error:
+            fast.update_column("v", updates)
+        # Row at a time: the fast path's contract before pages were grouped.
+        with pytest.raises(error) as slow_error:
+            for update in updates:
+                slow.update_column("v", [update])
+        assert str(fast_error.value) == str(slow_error.value)
+        assert list(fast.scan()) == list(slow.scan())
+        written = [row for row in fast.rows() if row[1] < 0]
+        assert [row[0] for row in written] == list(range(30, 40))
+        # A batch that raised journals nothing and notifies nobody.
+        assert fast_journal == [] and fast_notified == []
+        assert len(slow_journal) == len(slow_notified) == 10
+
+
+# -- (e) kill and resume a serial crawl -----------------------------------------------
+MAX_PAGES = 120
+FETCH_FAILURE_SEED = 3
+
+
+class KillSwitch(Exception):
+    """Stands in for SIGKILL: aborts the crawl at an arbitrary fetch."""
+
+
+def serial_config(backend):
+    return CrawlerConfig(
+        max_pages=MAX_PAGES,
+        distill_every=20,
+        checkpoint_every=25,
+        engine="serial",
+        score_backend=backend,
+    )
+
+
+def crawl_facts(result):
+    database = result.database
+    last = result.trace.last_distillation
+    return {
+        "urls": list(result.trace.fetched_urls),
+        "relevance": [repr(value) for value in result.trace.relevance_series()],
+        "failed": list(result.trace.failed_urls),
+        "distillations": result.trace.distillations,
+        "tables": {name: rows_with_rids(database, name) for name in ("CRAWL", "LINK", "HUBS", "AUTH")},
+        "hubs": list(last.hub_scores.items()),
+        "authorities": list(last.authority_scores.items()),
+    }
+
+
+@pytest.fixture(scope="module")
+def resume_system(small_web):
+    config = FocusConfig(good_topics=(GOOD,), examples_per_leaf=12, seed_count=8)
+    system = FocusSystem.from_web(small_web, [GOOD], config)
+    system.train()
+    return system
+
+
+@pytest.fixture(scope="module", params=["python", "numpy"])
+def uninterrupted(request, resume_system):
+    backend = request.param
+    result = resume_system.crawl(
+        crawler_config=serial_config(backend), fetch_failure_seed=FETCH_FAILURE_SEED
+    )
+    assert result.trace.distillations >= 5
+    return backend, crawl_facts(result)
+
+
+def killed_then_resumed(system, backend, directory, monkeypatch, kill_after):
+    real_fetch = Fetcher.fetch
+    calls = {"n": 0}
+
+    def killing(self, url):
+        calls["n"] += 1
+        if calls["n"] > kill_after:
+            raise KillSwitch
+        return real_fetch(self, url)
+
+    monkeypatch.setattr(Fetcher, "fetch", killing)
+    with pytest.raises(KillSwitch):
+        system.crawl(
+            crawler_config=serial_config(backend),
+            fetch_failure_seed=FETCH_FAILURE_SEED,
+            checkpoint_dir=str(directory),
+        )
+    monkeypatch.setattr(Fetcher, "fetch", real_fetch)
+    resumed = system.crawl(resume_from=str(directory))
+    facts = crawl_facts(resumed)
+    resumed.database.close()
+    return facts
+
+
+class TestSerialKillResume:
+    # 33: after one distillation and one checkpoint; 71: two checkpoints
+    # in, the last one between distillations with weight refreshes pending.
+    @pytest.mark.parametrize("kill_after", [33, 71])
+    def test_killed_and_resumed_is_the_uninterrupted_crawl(
+        self, resume_system, uninterrupted, tmp_path, monkeypatch, kill_after
+    ):
+        backend, reference = uninterrupted
+        facts = killed_then_resumed(
+            resume_system, backend, tmp_path / "crawl", monkeypatch, kill_after
+        )
+        assert facts == reference
+
+    def test_resumes_from_a_checkpoint_without_delta_cache_state(
+        self, resume_system, uninterrupted, tmp_path, monkeypatch
+    ):
+        """The shape a serial crawl checkpointed before it fed the cache.
+
+        Its engine state has ``delta_cache=None`` (the serial loop had no
+        distiller to snapshot) and a dict-backed ``last_distillation``.
+        """
+        backend, reference = uninterrupted
+        snapshot = CrawlEngine.state_snapshot
+        shapes = []
+
+        def old_shape(engine):
+            state = snapshot(engine)
+            assert state["delta_cache"] is not None or engine.trace.pages_fetched == 0
+            state["delta_cache"] = None
+            last = state["trace"].last_distillation
+            if last is not None:
+                state["trace"].last_distillation = pickle.loads(pickle.dumps(last))
+                assert state["trace"].last_distillation.dense is None
+            shapes.append(state)
+            return state
+
+        monkeypatch.setattr(CrawlEngine, "state_snapshot", old_shape)
+        facts = killed_then_resumed(resume_system, backend, tmp_path / "crawl", monkeypatch, 71)
+        assert len(shapes) >= 3
+        assert facts == reference

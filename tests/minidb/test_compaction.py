@@ -28,7 +28,7 @@ from repro.core.config import FocusConfig
 from repro.core.schema import create_focus_database
 from repro.core.system import FocusSystem
 from repro.crawler.focused import CrawlerConfig
-from repro.minidb import Database, FLOAT, INTEGER, TEXT, make_schema
+from repro.minidb import Database, FLOAT, INTEGER, TEXT, StorageConfig, make_schema
 from repro.minidb.backend import segment_file_name
 from repro.minidb.compactor import Compactor
 from repro.minidb.errors import StorageError
@@ -66,9 +66,9 @@ def open_compacting(path, ops=None, ratio=0.05, every=1, page_size=512, pool=4):
         str(path),
         buffer_pool_pages=pool,
         page_size=page_size,
-        ops=ops,
-        compact_every=every,
-        compact_min_garbage_ratio=ratio,
+        storage=StorageConfig(
+            ops=ops, compact_every=every, compact_min_garbage_ratio=ratio
+        ),
     )
 
 
@@ -362,9 +362,11 @@ def torture_database(directory, injector):
     return create_focus_database(
         buffer_pool_pages=512,
         path=str(directory),
-        compact_every=config.compact_every,
-        compact_min_garbage_ratio=config.compact_min_garbage_ratio,
-        ops=injector,
+        storage=StorageConfig(
+            compact_every=config.compact_every,
+            compact_min_garbage_ratio=config.compact_min_garbage_ratio,
+            ops=injector,
+        ),
     )
 
 
@@ -482,8 +484,6 @@ class TestBackgroundCompactionCrawl:
     """Background (off-pause) compaction under a real durable crawl."""
 
     def background_config(self):
-        from repro.minidb import StorageConfig
-
         config = crawl_config()
         config.storage = StorageConfig(
             compact_every=1,

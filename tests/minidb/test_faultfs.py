@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro.minidb import Database, FLOAT, INTEGER, make_schema
+from repro.minidb import Database, FLOAT, INTEGER, StorageConfig, make_schema
 from repro.minidb.backend import SEGMENT_FILE, WAL_FILE
 from repro.minidb.testing import (
     FaultInjector,
@@ -39,7 +39,7 @@ class TestCounting:
 
     def test_event_paths_name_the_files(self, tmp_path):
         injector = FaultInjector()
-        db = Database.open(str(tmp_path / "db"), ops=injector)
+        db = Database.open(str(tmp_path / "db"), storage=StorageConfig(ops=injector))
         table = db.create_table("T", simple_schema())
         table.insert((1, 1.0))
         db.checkpoint()
@@ -104,7 +104,7 @@ class TestCrashing:
 
     def test_crash_inside_checkpoint_then_hard_close(self, tmp_path):
         injector = FaultInjector()
-        db = Database.open(str(tmp_path / "db"), ops=injector)
+        db = Database.open(str(tmp_path / "db"), storage=StorageConfig(ops=injector))
         table = db.create_table("T", simple_schema())
         table.insert_many([(k, float(k)) for k in range(10)])
         injector.crash_at = injector.op_count + 3

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.minidb import Database, INTEGER, TEXT, StorageError, make_schema
+from repro.minidb import Database, INTEGER, TEXT, StorageConfig, StorageError, make_schema
 from repro.minidb.backend import SEGMENT_FILE
 from repro.minidb.buffer_pool import BufferPool
 from repro.minidb.pages import Page, PageId, RecordId
@@ -118,7 +118,10 @@ class TestSegmentAccounting:
     def test_io_snapshot_reports_segment_bytes_total(self, tmp_path):
         schema = make_schema(("k", INTEGER, False), ("payload", TEXT))
         with Database.open(
-            tmp_path / "db", buffer_pool_pages=2, page_size=512, compact_every=0
+            tmp_path / "db",
+            buffer_pool_pages=2,
+            page_size=512,
+            storage=StorageConfig(compact_every=0),
         ) as db:
             table = db.create_table("T", schema)
             for i in range(200):  # spill through the 2-frame pool

@@ -185,9 +185,9 @@ class TestGroupCommit:
         reopened.close()
 
     def test_database_reports_wal_fsyncs(self, tmp_path):
-        from repro.minidb import FLOAT, INTEGER, Database, make_schema
+        from repro.minidb import FLOAT, INTEGER, Database, StorageConfig, make_schema
 
-        db = Database.open(str(tmp_path / "db"), wal_fsync_batch=2)
+        db = Database.open(str(tmp_path / "db"), storage=StorageConfig(wal_fsync_batch=2))
         table = db.create_table(
             "T", make_schema(("k", INTEGER, False), ("v", FLOAT), primary_key=["k"])
         )

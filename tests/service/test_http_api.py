@@ -132,8 +132,18 @@ class TestEndpoints:
 
     def test_cancel_over_http(self, service):
         base = service.url
+        # 120 serial fetches of 50 ms each: the sweep thread cannot finish
+        # the job in the milliseconds before the cancel arrives (it could,
+        # and sometimes did, on the instant simulated transport).
+        slow = CrawlerConfig(
+            max_pages=120,
+            distill_every=60,
+            transport="latency",
+            transport_options={"mean_latency_ms": 50.0, "jitter": 0.0},
+        )
         job_id = call(
-            f"{base}/jobs", JobSpec(max_pages=120, fetch_failure_seed=7).to_dict()
+            f"{base}/jobs",
+            JobSpec(max_pages=120, fetch_failure_seed=7, crawler=slow).to_dict(),
         )["id"]
         cancelled = call(f"{base}/jobs/{job_id}/cancel", {})
         assert cancelled["status"] == "cancelled"
