@@ -7,6 +7,18 @@ classifier's per-node term-vector cache (keyed by term id) both wrap
 ordered dicts: a hit is refreshed with a delete + reinsert (both O(1)),
 and eviction removes the first key in iteration order — the least
 recently used entry.
+
+Thread safety.  A trained model is shared by every job of one
+:class:`~repro.core.system.FocusSystem`, and the crawl service steps
+jobs on different threads, so the cache is written to be safe without
+a lock: every mutation is one atomic dict operation (``pop`` with a
+default, item assignment), and the only multi-step sequences —
+refresh-on-hit and evict-oldest — tolerate another thread getting in
+between (a concurrent ``get`` of a key being refreshed reads a miss; a
+concurrent resize makes the eviction probe retry).  That is sound only
+because every user stores values that are pure functions of their key:
+a spurious miss recomputes the identical value.  The hit/miss counters
+are plain increments and may undercount under contention.
 """
 
 from __future__ import annotations
@@ -34,14 +46,17 @@ class LRUCache:
         self._data: Dict[Any, Any] = {}
 
     def get(self, key: Any) -> Optional[Any]:
-        value = self._data.get(key, _MISSING)
+        # Refresh recency: pop + reinsert moves the key to the back of the
+        # dict's insertion order in O(1).  ``pop`` with a default cannot
+        # raise if another thread evicted the key first.
+        value = self._data.pop(key, _MISSING)
         if value is _MISSING:
             self.misses += 1
             return None
-        # Refresh recency: delete + reinsert moves the key to the back of
-        # the dict's insertion order in O(1).
-        del self._data[key]
         self._data[key] = value
+        if len(self._data) > self.capacity:
+            # A put on another thread filled the slot this refresh vacated.
+            self._evict()
         self.hits += 1
         return value
 
@@ -64,11 +79,21 @@ class LRUCache:
         if self.capacity == 0:
             return
         data = self._data
-        if key in data:
-            del data[key]
+        data.pop(key, None)
         data[key] = value
+        if len(data) > self.capacity:
+            self._evict()
+
+    def _evict(self) -> None:
+        """Drop least-recently-used entries until the cache fits its capacity."""
+        data = self._data
         while len(data) > self.capacity:
-            del data[next(iter(data))]
+            try:
+                oldest = next(iter(data))
+            except (RuntimeError, StopIteration):
+                # Another thread resized the dict between iter() and next().
+                continue
+            data.pop(oldest, None)
 
     def __len__(self) -> int:
         return len(self._data)

@@ -1,4 +1,4 @@
-"""JobManager: fair multiplexing of K crawl jobs over one fetch pipeline.
+"""JobManager: K crawl jobs stepped side by side over one fetch pipeline.
 
 This is the crawl-as-a-service core.  Each submitted
 :class:`~repro.core.config.JobSpec` becomes a
@@ -13,13 +13,41 @@ This is the crawl-as-a-service core.  Each submitted
   transport stack, so all jobs share one global in-flight/politeness
   budget (:class:`~repro.crawler.policies.FetchPolicy`).
 
-Scheduling is cooperative round-robin: each sweep of :meth:`step_once`
-gives every runnable job one quantum of ``rounds_per_step`` engine
-rounds (``CrawlEngine.run(budget, max_rounds=...)``), which keeps the
-schedule fair by construction and — because round sizing always sees the
-job's full page budget — bit-deterministic.  A background worker thread
-(:meth:`start`) drives sweeps for the HTTP service; tests and benchmarks
-call :meth:`run_until_idle` inline.
+Scheduling.  The unit of work is one *quantum* of one job:
+``rounds_per_step`` engine rounds (``CrawlEngine.run(budget,
+max_rounds=...)``) under that job's lock.  Round sizing always sees the
+job's full page budget, and a job shares no mutable crawl state with any
+other (database, frontier, server-pool clone, RNG streams and compiled
+scorer are per job; the trained model is shared read-only apart from a
+pure-function cache, see :mod:`repro.core.caching`), so *who* runs the
+quanta and *when* can change only the wall clock, never the crawl.  Two
+drivers run them:
+
+* :meth:`JobManager.start` gives every runnable job its own daemon
+  stepper thread, so one tenant's fetch wait is another tenant's
+  classify/commit.  A stepper sleeps on its job's wake event while the
+  job is paused and exits when the job is terminal or the manager stops.
+* :meth:`JobManager.step_once` / :meth:`JobManager.run_until_idle` sweep
+  the job table inline on the caller's thread, one quantum per runnable
+  job per sweep — the sequential round-robin tests and benchmarks use.
+
+Locks, from the outside in:
+
+* the *submit lock* serializes arming (training a new topic set in
+  :meth:`JobManager._system_for` and :meth:`FocusSystem.start`) against
+  other submits only — it is never taken by a read, a transition or a
+  stepper, so a submit stalls nobody else;
+* the *table lock* guards the job table, the id counter and the stepper
+  roster; it is held for dictionary operations only;
+* each :class:`JobRecord` has a :class:`FairLock` taken by its stepper
+  for one quantum at a time and by every read or transition of *that*
+  job.  A read therefore waits for at most the remainder of its own
+  job's current quantum and sees round-boundary-consistent state; the
+  lock hands off first-come-first-served, so the stepper's next quantum
+  queues behind a waiting reader instead of overtaking it.
+
+:meth:`JobManager.jobs` and :meth:`JobManager.latencies` take no job
+lock: they read single attributes that are each updated atomically.
 
 Jobs may name different good-topic sets: the manager keeps one trained
 :class:`~repro.core.system.FocusSystem` per topic set over the shared
@@ -30,8 +58,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import JobSpec
 from repro.core.system import CrawlHandle, CrawlResult, FocusSystem, TERMINAL_STATUSES
@@ -41,6 +70,47 @@ from repro.minidb import QueryError
 from repro.minidb.sql import ExplainStatement, SelectStatement, parse_sql
 
 from .pool import SharedFetchPool
+
+
+class FairLock:
+    """A mutex that hands off first-come-first-served.
+
+    ``threading.Lock`` makes no ordering promise: a thread that releases
+    and at once re-acquires (a stepper looping over quanta) usually wins
+    against one that has been blocked for a while (a reader), which can
+    starve the reader for many rounds.  Here ``release`` passes ownership
+    straight to the longest waiter, so whoever re-acquires queues behind
+    everyone already waiting.  Not reentrant.
+    """
+
+    def __init__(self) -> None:
+        self._mutex = threading.Lock()
+        self._held = False
+        self._waiters: Deque[threading.Lock] = deque()
+
+    def acquire(self) -> None:
+        with self._mutex:
+            if not self._held:
+                self._held = True
+                return
+            turn = threading.Lock()
+            turn.acquire()
+            self._waiters.append(turn)
+        turn.acquire()  # released by the previous owner: the lock is ours
+
+    def release(self) -> None:
+        with self._mutex:
+            if self._waiters:
+                self._waiters.popleft().release()  # ownership passes; stays held
+            else:
+                self._held = False
+
+    def __enter__(self) -> "FairLock":
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
 
 
 @dataclass
@@ -56,6 +126,13 @@ class JobRecord:
     #: HTTP layer never touches crawl internals after the job ends.
     summary: Optional[dict] = None
     error: Optional[str] = None
+    #: Held for one quantum at a time by whoever steps the job, and by
+    #: every read or transition of this job.
+    lock: FairLock = field(default_factory=FairLock, repr=False, compare=False)
+    #: Rouses this job's stepper from a pause (resume, cancel, stop).
+    wake: threading.Event = field(
+        default_factory=threading.Event, repr=False, compare=False
+    )
 
     @property
     def latency_s(self) -> Optional[float]:
@@ -69,10 +146,10 @@ class JobManager:
     """Multi-tenant crawl scheduler over one system/web and one fetch pool.
 
     All public methods are thread-safe: the HTTP layer calls them from
-    request threads while the worker thread sweeps jobs.  One lock
-    serializes scheduling and state transitions; observability reads
-    (progress, harvest curves, I/O counters) take the same lock, so they
-    see round-boundary-consistent state.
+    request threads while the stepper threads crawl.  Reads and
+    transitions of a job take that job's lock, so they see
+    round-boundary-consistent state and never wait for another tenant
+    (see the module docstring for the full lock order).
     """
 
     def __init__(
@@ -90,28 +167,41 @@ class JobManager:
         self._systems: Dict[Tuple[str, ...], FocusSystem] = {
             tuple(system.config.good_topics): system
         }
-        self._lock = threading.RLock()
+        self._submit_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._next_id = 1
-        self._worker: Optional[threading.Thread] = None
+        self._steppers: List[threading.Thread] = []
+        #: Set while no background steppers should run (initially, and
+        #: from :meth:`stop` on).
         self._stop = threading.Event()
+        self._stop.set()
 
     # -- submission ---------------------------------------------------------
     def submit(self, spec: JobSpec) -> str:
         """Arm *spec* as a job and return its id (crawling starts on scheduling)."""
-        with self._lock:
+        # Arming takes milliseconds and a new topic set seconds; neither
+        # holds a lock that a read, a transition or a stepper takes.
+        with self._submit_lock:
             system = self._system_for(spec.good_topics)
             handle = system.start(
                 spec, private_servers=True, transport_wrap=self.pool.wrap
             )
-            job_id = f"job-{self._next_id:04d}"
-            self._next_id += 1
-            self._jobs[job_id] = JobRecord(
-                id=job_id, spec=spec, handle=handle, submitted_s=time.perf_counter()
-            )
+            with self._lock:
+                job_id = f"job-{self._next_id:04d}"
+                self._next_id += 1
+                record = JobRecord(
+                    id=job_id, spec=spec, handle=handle, submitted_s=time.perf_counter()
+                )
+                self._jobs[job_id] = record
+                if not self._stop.is_set():
+                    self._spawn_stepper(record)
             return job_id
 
     def _system_for(self, good_topics: Optional[Tuple[str, ...]]) -> FocusSystem:
-        """The trained system for a topic set, built lazily over the shared web."""
+        """The trained system for a topic set, built lazily over the shared web.
+
+        Called with the submit lock held, which is all ``_systems`` needs.
+        """
         key = tuple(good_topics) if good_topics is not None else tuple(
             self.system.config.good_topics
         )
@@ -125,22 +215,30 @@ class JobManager:
         return system
 
     # -- scheduling ---------------------------------------------------------
+    def _quantum(self, record: JobRecord) -> bool:
+        """Step one job ``rounds_per_step`` rounds; False if it is not runnable.
+
+        The one per-job step both drivers share.  Call with the job's
+        lock held.
+        """
+        handle = record.handle
+        if handle.status not in ("pending", "running"):
+            return False
+        try:
+            handle.step(self.rounds_per_step)
+        except Exception as exc:  # handle.status is already "failed"
+            record.error = f"{type(exc).__name__}: {exc}"
+        if handle.done:
+            self._finalize(record)
+        return True
+
     def step_once(self) -> bool:
         """One fair sweep: every runnable job gets one quantum.  True if any ran."""
-        with self._lock:
-            ran = False
-            for record in list(self._jobs.values()):
-                handle = record.handle
-                if handle.status not in ("pending", "running"):
-                    continue
-                ran = True
-                try:
-                    handle.step(self.rounds_per_step)
-                except Exception as exc:  # handle.status is already "failed"
-                    record.error = f"{type(exc).__name__}: {exc}"
-                if handle.done:
-                    self._finalize(record)
-            return ran
+        ran = False
+        for record in self._records():
+            with record.lock:
+                ran = self._quantum(record) or ran
+        return ran
 
     def run_until_idle(self) -> None:
         """Drive sweeps inline until no job is runnable (tests, benchmarks)."""
@@ -148,66 +246,103 @@ class JobManager:
             pass
 
     def start(self) -> None:
-        """Launch the background worker thread that sweeps runnable jobs."""
+        """Give every runnable job (and every later submit) a stepper thread."""
         with self._lock:
-            if self._worker is not None:
+            if not self._stop.is_set():
                 return
             self._stop.clear()
-            self._worker = threading.Thread(
-                target=self._run_worker, name="crawl-jobs", daemon=True
-            )
-            self._worker.start()
+            for record in self._jobs.values():
+                if not record.handle.done:
+                    self._spawn_stepper(record)
 
     def stop(self) -> None:
-        """Stop the worker thread (jobs keep their state; resumable later)."""
-        worker = self._worker
-        if worker is None:
-            return
-        self._stop.set()
-        worker.join()
-        self._worker = None
+        """Stop and join every stepper (jobs keep their state; resumable later).
 
-    def _run_worker(self) -> None:
-        while not self._stop.is_set():
-            if not self.step_once():
-                # Idle: nothing runnable.  Wait briefly for a submit/resume.
-                self._stop.wait(0.005)
+        Each stepper finishes the quantum it is in, so every job is left
+        at a round boundary.
+        """
+        with self._lock:
+            self._stop.set()
+            steppers, self._steppers = self._steppers, []
+            for record in self._jobs.values():
+                record.wake.set()
+        for stepper in steppers:
+            stepper.join()
+
+    def _spawn_stepper(self, record: JobRecord) -> None:
+        """Start *record*'s stepper thread.  Call with the table lock held."""
+        stepper = threading.Thread(
+            target=self._run_stepper,
+            args=(record,),
+            name=f"crawl-{record.id}",
+            daemon=True,
+        )
+        self._steppers.append(stepper)
+        stepper.start()
+
+    def _run_stepper(self, record: JobRecord) -> None:
+        """Step one job quantum by quantum until it is terminal or we stop.
+
+        The wake event is cleared *before* the conditions it announces
+        are tested, so a resume/cancel/stop that lands at any point of an
+        iteration is either seen by this iteration's tests or leaves the
+        event set for the wait.
+        """
+        handle = record.handle
+        while True:
+            record.wake.clear()
+            if self._stop.is_set():
+                return
+            with record.lock:
+                ran = self._quantum(record)
+            if handle.done:
+                return
+            if not ran:
+                record.wake.wait()  # paused: sleep until resume/cancel/stop
 
     # -- job control --------------------------------------------------------
     def pause(self, job_id: str) -> None:
-        with self._lock:
-            self._record(job_id).handle.pause()
+        record = self._record(job_id)
+        with record.lock:
+            record.handle.pause()
 
     def resume(self, job_id: str) -> None:
-        with self._lock:
-            self._record(job_id).handle.resume()
+        record = self._record(job_id)
+        with record.lock:
+            record.handle.resume()
+        record.wake.set()
 
     def cancel(self, job_id: str) -> None:
-        with self._lock:
-            record = self._record(job_id)
+        record = self._record(job_id)
+        with record.lock:
             if not record.handle.done:
                 record.handle.cancel()
                 self._finalize(record)
+        record.wake.set()
 
     # -- observability ------------------------------------------------------
     def jobs(self) -> List[dict]:
-        """One summary row per job, in submission order."""
-        with self._lock:
-            return [
-                {
-                    "id": record.id,
-                    "name": record.spec.name,
-                    "status": record.handle.status,
-                    "pages_fetched": record.handle.pages_fetched,
-                    "budget": record.handle.budget,
-                    "latency_s": record.latency_s,
-                }
-                for record in self._jobs.values()
-            ]
+        """One summary row per job, in submission order.
+
+        Takes no job lock (a listing must not wait out every tenant's
+        round in turn): each field is one atomic attribute read, so a row
+        of a running job may be from mid-round.
+        """
+        return [
+            {
+                "id": record.id,
+                "name": record.spec.name,
+                "status": record.handle.status,
+                "pages_fetched": record.handle.pages_fetched,
+                "budget": record.handle.budget,
+                "latency_s": record.latency_s,
+            }
+            for record in self._records()
+        ]
 
     def progress(self, job_id: str) -> dict:
-        with self._lock:
-            record = self._record(job_id)
+        record = self._record(job_id)
+        with record.lock:
             info = record.handle.progress()
             info["id"] = record.id
             info["latency_s"] = record.latency_s
@@ -217,8 +352,9 @@ class JobManager:
 
     def harvest(self, job_id: str, window: int = 100) -> List[Tuple[int, float]]:
         """The job's live harvest curve (tick, moving-average relevance)."""
-        with self._lock:
-            return self._record(job_id).handle.harvest_series(window)
+        record = self._record(job_id)
+        with record.lock:
+            return record.handle.harvest_series(window)
 
     def stats(self, job_id: str) -> dict:
         """The job's I/O counters plus the shared pool's counters.
@@ -227,9 +363,13 @@ class JobManager:
         from the job's database through the SQL query layer — the same
         planner-driven path :meth:`query` exposes — and is omitted for
         sharded jobs, which keep one database per shard.
+        ``stage_timings`` are wall seconds on the job's own stepper;
+        tenants overlap, so summed over jobs they exceed the service's
+        wall time (as a sharded crawl's per-shard timings do).
         """
-        with self._lock:
-            handle = self._record(job_id).handle
+        record = self._record(job_id)
+        with record.lock:
+            handle = record.handle
             stats = {
                 "io": handle.io_snapshot(),
                 "stage_timings": dict(handle.crawler.engine.stage_timings),
@@ -250,8 +390,9 @@ class JobManager:
         """The harvest curve recomputed in the database (one GROUP BY query)."""
         if bucket < 1:
             raise ValueError("bucket must be >= 1")
-        with self._lock:
-            database = self._record(job_id).handle.database
+        record = self._record(job_id)
+        with record.lock:
+            database = record.handle.database
             self._require_queryable(database)
             return CrawlMonitor(database).harvest_rate_by_bucket(bucket)
 
@@ -264,8 +405,9 @@ class JobManager:
         """
         if limit < 1:
             raise ValueError("limit must be >= 1")
-        with self._lock:
-            database = self._record(job_id).handle.database
+        record = self._record(job_id)
+        with record.lock:
+            database = record.handle.database
             self._require_queryable(database)
             try:
                 statement = parse_sql(sql)
@@ -294,8 +436,8 @@ class JobManager:
 
     def result_summary(self, job_id: str) -> dict:
         """The cached JSON-safe result of a terminal job."""
-        with self._lock:
-            record = self._record(job_id)
+        record = self._record(job_id)
+        with record.lock:
             if record.summary is None:
                 raise ValueError(
                     f"job {job_id} is {record.handle.status}; result is available "
@@ -305,37 +447,43 @@ class JobManager:
 
     def result(self, job_id: str) -> CrawlResult:
         """The in-process :class:`CrawlResult` of a terminal job."""
-        with self._lock:
-            return self._record(job_id).handle.result()
+        record = self._record(job_id)
+        with record.lock:
+            return record.handle.result()
 
     def latencies(self) -> List[float]:
         """Submit-to-terminal latencies of finished jobs (bench metric)."""
-        with self._lock:
-            return [
-                record.latency_s
-                for record in self._jobs.values()
-                if record.latency_s is not None
-            ]
+        return [
+            record.latency_s
+            for record in self._records()
+            if record.latency_s is not None
+        ]
 
     # -- shutdown -----------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker and release every job's database handle.
+        """Join every stepper, then release every job's database handle.
 
         Durable jobs stay fully recoverable (their results reopen by
         checkpoint path; unfinished ones resume via
         :meth:`FocusSystem.resume`).
         """
         self.stop()
-        with self._lock:
-            for record in self._jobs.values():
+        for record in self._records():
+            with record.lock:
                 record.handle.close()
 
     # -- internals ----------------------------------------------------------
     def _record(self, job_id: str) -> JobRecord:
-        try:
-            return self._jobs[job_id]
-        except KeyError:
-            raise KeyError(f"unknown job {job_id!r}") from None
+        with self._lock:
+            record = self._jobs.get(job_id)
+        if record is None:
+            raise KeyError(f"unknown job {job_id!r}")
+        return record
+
+    def _records(self) -> List[JobRecord]:
+        """The job table in submission order, as of now."""
+        with self._lock:
+            return list(self._jobs.values())
 
     def _finalize(self, record: JobRecord) -> None:
         if record.finished_s is not None:
@@ -380,4 +528,4 @@ def build_manager(
     )
 
 
-__all__ = ["JobManager", "JobRecord", "build_manager", "TERMINAL_STATUSES"]
+__all__ = ["FairLock", "JobManager", "JobRecord", "build_manager", "TERMINAL_STATUSES"]

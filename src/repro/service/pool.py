@@ -18,8 +18,12 @@ every job stays bit-identical to the same job run alone.
 
 The gate is a plain counter under a ``threading.Lock`` rather than an
 ``asyncio`` primitive: each engine round runs in its own short-lived
-event loop (``asyncio.run`` per round), and jobs may also fetch
-synchronously, so the shared gate must work across loops and threads.
+event loop (``asyncio.run`` per round), jobs may also fetch
+synchronously, and a started :class:`~repro.service.jobs.JobManager`
+steps every job on a thread of its own — so acquirers really do arrive
+from several threads and loops at once, and ``peak_inflight`` counts
+fetches of different tenants that were outstanding together.  The lock
+is held for counter arithmetic only, never across a fetch or a sleep.
 """
 
 from __future__ import annotations

@@ -203,10 +203,13 @@ class WebGraph:
 
     def in_links(self, url: str) -> list[str]:
         if self._in_links is None:
-            self._in_links = {}
+            # Built aside and published whole: the web is shared by every
+            # job of a system, and a half-filled map must never be read.
+            in_links: Dict[str, list[str]] = {}
             for source, page in self.pages.items():
                 for target in page.out_links:
-                    self._in_links.setdefault(normalize_url(target), []).append(source)
+                    in_links.setdefault(normalize_url(target), []).append(source)
+            self._in_links = in_links
         return list(self._in_links.get(normalize_url(url), ()))
 
     def topic_of(self, url: str) -> str:

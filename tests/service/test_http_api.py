@@ -1,6 +1,9 @@
 """The crawl service's HTTP API, driven entirely over the wire."""
 
+import http.client
+import io
 import json
+import re
 import time
 import urllib.error
 import urllib.parse
@@ -12,6 +15,7 @@ from repro.core.config import FocusConfig, JobSpec
 from repro.core.system import FocusSystem
 from repro.crawler.focused import CrawlerConfig
 from repro.service import CrawlService, JobManager
+from repro.service.http import _CrawlRequestHandler
 
 GOOD = "recreation/cycling"
 TERMINAL = ("completed", "exhausted", "cancelled", "failed")
@@ -105,25 +109,33 @@ class TestEndpoints:
 
     def test_pause_resume_over_http_is_bit_identical(self, service, solo):
         base = service.url
+        # 60 serial fetches of 5 ms each: the job cannot finish between the
+        # poll that sees its first page and the pause (on the instant
+        # simulated transport it could, and in a warm process often did).
+        # Latency changes when pages arrive, never which: `solo` still holds.
+        slow = CrawlerConfig(
+            max_pages=60,
+            distill_every=60,
+            transport="latency",
+            transport_options={"mean_latency_ms": 5.0, "jitter": 0.0},
+        )
         job_id = call(
-            f"{base}/jobs", JobSpec(max_pages=60, fetch_failure_seed=3).to_dict()
+            f"{base}/jobs",
+            JobSpec(max_pages=60, fetch_failure_seed=3, crawler=slow).to_dict(),
         )["id"]
         # Pause as soon as the job has made some progress.
         deadline = time.monotonic() + 30
-        while True:
-            progress = call(f"{base}/jobs/{job_id}")
-            if progress["pages_fetched"] > 0 or progress["status"] in TERMINAL:
-                break
+        while call(f"{base}/jobs/{job_id}")["pages_fetched"] == 0:
             assert time.monotonic() < deadline
             time.sleep(0.005)
-        if progress["status"] not in TERMINAL:
-            paused = call(f"{base}/jobs/{job_id}/pause", {})
-            assert paused["status"] == "paused"
-            snapshot = call(f"{base}/jobs/{job_id}")["pages_fetched"]
-            time.sleep(0.05)  # the worker must not advance a paused job
-            assert call(f"{base}/jobs/{job_id}")["pages_fetched"] == snapshot
-            resumed = call(f"{base}/jobs/{job_id}/resume", {})
-            assert resumed["status"] in ("pending", "running", "completed")
+        paused = call(f"{base}/jobs/{job_id}/pause", {})
+        assert paused["status"] == "paused"
+        snapshot = call(f"{base}/jobs/{job_id}")["pages_fetched"]
+        assert 0 < snapshot < 60
+        time.sleep(0.05)  # the stepper must not advance a paused job
+        assert call(f"{base}/jobs/{job_id}")["pages_fetched"] == snapshot
+        resumed = call(f"{base}/jobs/{job_id}/resume", {})
+        assert resumed["status"] in ("pending", "running", "completed")
         wait_for_status(base, job_id, ("completed",))
         result = call(f"{base}/jobs/{job_id}/result")
         urls, relevance = solo
@@ -254,3 +266,116 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             call(f"{base}/jobs/{job_id}/pause", {})
         assert excinfo.value.code == 400
+
+
+class RecordingConnection:
+    """A socket stand-in for one canned request: records every write that reaches it."""
+
+    def __init__(self, request: bytes) -> None:
+        self.request = request
+        self.writes = []
+
+    def makefile(self, mode, buffering):
+        if "r" in mode:
+            return io.BytesIO(self.request)
+        connection = self
+
+        class Raw(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                connection.writes.append(bytes(data))
+                return len(data)
+
+        return io.BufferedWriter(Raw(), buffering)
+
+    def sendall(self, data):  # what an unbuffered wfile calls, once per write
+        self.writes.append(bytes(data))
+
+
+class TestOneSegmentReplies:
+    """Headers and body leave together; split, a kept-alive client waits out a delayed ACK."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, system):
+        manager = JobManager(system)
+        job_id = manager.submit(JobSpec(max_pages=60, fetch_failure_seed=3))
+        manager.run_until_idle()
+        yield manager, job_id
+        manager.close()
+
+    @staticmethod
+    def reply_writes(manager, path, wbufsize=None):
+        attrs = {"manager": manager}
+        if wbufsize is not None:
+            attrs["wbufsize"] = wbufsize
+        handler = type("Handler", (_CrawlRequestHandler,), attrs)
+        connection = RecordingConnection(
+            f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode("ascii")
+        )
+        handler(connection, ("127.0.0.1", 0), None)  # handles the request, then EOF
+        return connection.writes
+
+    @staticmethod
+    def parse(reply: bytes):
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        assert len(body) == length
+        return status, json.loads(body)
+
+    @pytest.mark.parametrize(
+        "path, status",
+        [
+            ("/jobs/{id}", 200),
+            ("/jobs/{id}/result", 200),
+            ("/jobs", 200),
+            ("/jobs/job-9999", 404),
+            ("/nowhere", 404),
+            ("/jobs/{id}/query", 400),
+        ],
+    )
+    def test_a_reply_reaches_the_socket_in_one_write(self, finished, path, status):
+        manager, job_id = finished
+        writes = self.reply_writes(manager, path.format(id=job_id))
+        assert len(writes) == 1
+        got, payload = self.parse(writes[0])
+        assert got == status
+        assert ("error" in payload) == (status != 200)
+
+    def test_a_body_larger_than_the_buffer_arrives_complete(self, finished):
+        manager, job_id = finished
+        writes = self.reply_writes(manager, f"/jobs/{job_id}/result", wbufsize=512)
+        assert len(writes) > 1
+        status, payload = self.parse(b"".join(writes))
+        assert status == 200
+        assert payload == manager.result_summary(job_id)
+
+    def test_keep_alive_replies_equal_fresh_connection_replies(self, system):
+        def get(connection, path):
+            connection.request("GET", path)
+            response = connection.getresponse()
+            return response.status, response.getheader("Content-Length"), response.read()
+
+        with CrawlService(JobManager(system)) as service:
+            job_id = call(
+                f"{service.url}/jobs", JobSpec(max_pages=60, fetch_failure_seed=3).to_dict()
+            )["id"]
+            wait_for_status(service.url, job_id, TERMINAL)
+            paths = [f"/jobs/{job_id}/result", f"/jobs/{job_id}", "/jobs", "/jobs/job-9999"] * 5
+            kept = http.client.HTTPConnection(service.host, service.port, timeout=30)
+            try:
+                on_one_connection = [get(kept, path) for path in paths]
+            finally:
+                kept.close()
+            on_fresh_connections = []
+            for path in paths:
+                fresh = http.client.HTTPConnection(service.host, service.port, timeout=30)
+                try:
+                    on_fresh_connections.append(get(fresh, path))
+                finally:
+                    fresh.close()
+        assert len(paths) == 20
+        assert on_one_connection == on_fresh_connections
+        assert {status for status, _length, _body in on_one_connection} == {200, 404}
