@@ -9,21 +9,17 @@ output of ``pytest benchmarks/ --benchmark-only --benchmark-json=...``
 doubles as the experiment record.
 
 Two engine knobs are exposed as pytest options so the crawl benchmarks
-can sweep the batched pipeline::
+can sweep the round size::
 
     pytest benchmarks/bench_fig5_harvest.py --batch 8 --workers 8
 
-Engine benchmark payloads registered through the ``bench_recorder``
-fixture are written to ``BENCH_engine.json`` (stable schema: git sha,
-config, pages/sec) at session end so CI artifacts are comparable across
-PRs.
+Throughput is not measured here: the repository benchmark is
+``BENCHMARK.json`` + ``benchmarks/suite/`` (see its README).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
 
 import pytest
 
@@ -42,19 +38,13 @@ def pytest_addoption(parser):
         "--batch",
         type=int,
         default=1,
-        help="crawl engine round size K for the crawl benchmarks (1 = serial)",
+        help="crawl engine round size K for the crawl benchmarks",
     )
     parser.addoption(
         "--workers",
         type=int,
         default=1,
         help="fetch-stage worker threads for the crawl benchmarks",
-    )
-    parser.addoption(
-        "--bench-json",
-        type=Path,
-        default=Path("BENCH_engine.json"),
-        help="where to write recorded engine benchmark payloads",
     )
 
 
@@ -79,25 +69,3 @@ def engine_crawler_config(request, crawl_workload, bench_crawl_pages) -> Crawler
         batch_size=request.config.getoption("--batch"),
         fetch_workers=request.config.getoption("--workers"),
     )
-
-
-_RECORDED: list[dict] = []
-
-
-@pytest.fixture(scope="session")
-def bench_recorder():
-    """Collects engine benchmark payloads; written as BENCH_engine.json."""
-
-    def record(payload: dict) -> None:
-        _RECORDED.append(payload)
-
-    return record
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _RECORDED:
-        return
-    output = session.config.getoption("--bench-json")
-    # One payload is the common case; several (e.g. a sweep) nest under "runs".
-    payload = _RECORDED[0] if len(_RECORDED) == 1 else {"runs": _RECORDED}
-    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -17,10 +17,10 @@ that lives *outside* the tables —
   sequence the uninterrupted crawl would have seen;
 * the incremental distiller's LINK high-water mark and pending weight
   updates (the cached adjacency itself is rebuilt from the recovered
-  heap) — for the serial loop as for the batched one, since both distil
-  through it.  A checkpoint without them (``delta_cache`` is ``None``:
-  a serial crawl saved before the loops shared the distiller) resumes
-  with an empty cache, whose first refresh reads LINK from page 0;
+  heap).  A checkpoint without them (``delta_cache`` is ``None``: saved
+  by the former serial loop, before every crawl distilled through it)
+  resumes with an empty cache, whose first refresh reads LINK from
+  page 0;
 * the last distillation's scores, always as the two score dicts: the
   numpy backend's array-backed result pickles in that shape, so the
   snapshot's bytes do not depend on the backing.

@@ -86,10 +86,6 @@ def create_focus_database(
     buffer_pool_pages: int = 2048,
     path: Optional[str] = None,
     storage: Optional[StorageConfig] = None,
-    wal_fsync_batch: Optional[int] = None,
-    compact_every: Optional[int] = None,
-    compact_min_garbage_ratio: Optional[float] = None,
-    ops=None,
 ) -> Database:
     """A database with the crawl tables created.
 
@@ -100,19 +96,9 @@ def create_focus_database(
     Durability policy comes in as one
     :class:`~repro.minidb.StorageConfig` via ``storage=`` (its
     ``buffer_pool_pages``, when set, wins over the positional default).
-    The per-knob keywords are deprecated pass-throughs resolved — and
-    warned about — by :meth:`Database.open`.
     """
     if path is not None:
-        database = Database.open(
-            path,
-            buffer_pool_pages=buffer_pool_pages,
-            storage=storage,
-            wal_fsync_batch=wal_fsync_batch,
-            compact_every=compact_every,
-            compact_min_garbage_ratio=compact_min_garbage_ratio,
-            ops=ops,
-        )
+        database = Database.open(path, buffer_pool_pages=buffer_pool_pages, storage=storage)
     else:
         pages = (storage or StorageConfig()).pool_pages(buffer_pool_pages)
         database = Database(buffer_pool_pages=pages)

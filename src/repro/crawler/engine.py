@@ -1,49 +1,52 @@
-"""The crawl engine: pluggable serial / batched execution of the crawl loop.
+"""The crawl engine: one round kernel, with K as its only shape parameter.
 
 The paper presents the crawler as a *system* — a classifier-guided
 frontier feeding a fetch/classify/record pipeline with a periodic HITS
 distiller (§2, §3.2, §3.7).  This module is that pipeline, factored out
-of :class:`~repro.crawler.focused.FocusedCrawler` (now a thin driver)
-into a :class:`CrawlEngine` with two interchangeable execution modes:
+of :class:`~repro.crawler.focused.FocusedCrawler` (a thin driver) into a
+:class:`CrawlEngine` that runs every in-process crawl one *round* at a
+time:
 
-* **serial** — the reference loop: one URL checked out, fetched,
-  classified and recorded at a time.  This reproduces the seed crawler's
-  behaviour operation for operation and is the baseline every
-  optimisation is benchmarked against.
-* **batched** — the scaled pipeline, one *round* at a time:
+1. *checkout*: the top-K frontier URLs in a single drain
+   (:meth:`Frontier.pop_batch`), deterministic under oid tie-breaking;
+2. *fetch*: the round's URLs go through the fetch stage — a thread
+   pool (``CrawlerConfig.fetch_workers``) or, with
+   ``fetch_mode="async"``, an asyncio pipeline that keeps up to
+   ``max_inflight`` fetches outstanding on the configured
+   :mod:`~repro.webgraph.transport` and hands completed pages to
+   classification while later fetches are still in flight — either
+   way results are committed in checkout order;
+3. *classify*: one :meth:`HierarchicalModel.classify_batch` pass scores
+   every fetched page — relevance and best leaf from a single posterior
+   recursion, per-term work shared across the batch — behind an LRU of
+   outcomes keyed by page oid (:class:`PageScorer`);
+4. *record*: CRAWL and LINK writes buffer across the round and flush
+   through minidb's bulk ``insert_many`` / ``update_column``, cutting
+   per-row page and index churn (:class:`BufferedLinkWriter`);
+5. *close*: the frontier and link buffers flush, and — when due — the
+   incremental distiller folds only the link rows recorded since the
+   last run into cached adjacency
+   (:class:`~repro.distiller.db_distiller.IncrementalDistiller`) and a
+   checkpoint is saved.
 
-  1. *checkout*: the top-K frontier URLs in a single heap drain
-     (:meth:`Frontier.pop_batch`), deterministic under oid tie-breaking;
-  2. *fetch*: the round's URLs go through the fetch stage — a thread
-     pool (``CrawlerConfig.fetch_workers``) or, with
-     ``fetch_mode="async"``, an asyncio pipeline that keeps up to
-     ``max_inflight`` fetches outstanding on the configured
-     :mod:`~repro.webgraph.transport` and hands completed pages to
-     classification while later fetches are still in flight — either
-     way results are committed in checkout order;
-  3. *classify*: one :meth:`HierarchicalModel.classify_batch` pass scores
-     every fetched page — relevance and best leaf from a single posterior
-     recursion, per-term work shared across the batch — behind an LRU of
-     outcomes keyed by page oid;
-  4. *record*: CRAWL and LINK writes buffer across the round and flush
-     through minidb's bulk ``insert_many`` / ``update_rows``, cutting
-     per-row page and index churn;
-  5. *distill*: when due, the incremental distiller folds only the link
-     rows recorded since the last run into cached adjacency
-     (:class:`~repro.distiller.db_distiller.IncrementalDistiller`)
-     instead of re-scanning the whole LINK table.  Both modes distil
-     this way: the serial loop reports the rows its ``wgt_fwd`` refresh
-     touched just as a batched round's flush does.
+K is ``CrawlerConfig.batch_size``, or 1 under ``engine="serial"``: the
+paper's one-URL-at-a-time loop is this kernel at round size 1, not a
+second implementation (``tests/crawler/test_golden_k1.py`` pins it to
+digests recorded from the loop it replaced).  Larger K changes the
+interleaving but, on a bounded web, converges to the same crawl set.
 
-With ``batch_size=1`` the batched mode visits pages in exactly the same
-order as the serial mode and records bit-for-bit identical relevance
-values (tests enforce this); larger K changes the interleaving but, on a
-bounded web, converges to the same crawl set.
+The stage code — :class:`PageScorer`, :func:`permanent_failure`,
+:func:`link_targets`, :func:`link_row`, :class:`BufferedLinkWriter`,
+:func:`boost_hub_neighbours`, :func:`expansion_priority`,
+:func:`checkpoint_due` — is module level because the sharded engine's
+workers and coordinator (:mod:`repro.crawler.sharded`) run the same
+stages on their slice of a round.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 import time
 from collections import OrderedDict
@@ -67,17 +70,17 @@ from repro.webgraph.cassette import transport_for_config
 from repro.webgraph.transport import FetchTransport
 from repro.webgraph.urls import host_of, normalize_url, server_sid, url_oid
 
-from .frontier import Frontier, FrontierEntry
+from .frontier import Frontier
 from .policies import CrawlOrdering, FetchPolicy
 
 #: Relevance assigned to a link target before anything is known about it
 #: when the crawl runs unfocused (ordering ignores it anyway).
 _UNFOCUSED_PRIORITY = 0.0
 
-#: Engine modes accepted by ``CrawlerConfig.engine``.  "auto" resolves to
-#: "serial"/"batched" by batch size — never to "sharded", which must be
-#: requested explicitly (it changes the process model, not just the
-#: schedule).
+#: Engine modes accepted by ``CrawlerConfig.engine``.  "auto" and
+#: "batched" run rounds of ``batch_size``; "serial" runs rounds of 1
+#: whatever the batch size.  "sharded" must be requested explicitly (it
+#: changes the process model, not just the schedule).
 ENGINE_MODES = ("auto", "serial", "batched", "sharded")
 
 #: Scoring backends accepted by ``CrawlerConfig.score_backend``.
@@ -85,7 +88,7 @@ SCORE_BACKENDS = ("python", "numpy")
 
 #: Fetch-stage modes accepted by ``CrawlerConfig.fetch_mode``.  "auto"
 #: resolves to "threaded" (the PR-1 pipeline shape); "async" switches the
-#: batched engine to the asyncio overlap pipeline.
+#: engine to the asyncio overlap pipeline.
 FETCH_MODES = ("auto", "threaded", "async")
 
 
@@ -162,9 +165,9 @@ class CrawlerConfig:
     stagnation_patience: int = 50
     #: Record the best-leaf class of every visited page (topic census support).
     record_best_leaf: bool = True
-    #: URLs checked out per engine round (the K of the batched pipeline).
+    #: URLs checked out per engine round (K; ``engine="serial"`` pins it to 1).
     batch_size: int = 1
-    #: Worker threads in the batched fetch stage (<= 1 fetches inline).
+    #: Worker threads in the threaded fetch stage (<= 1 fetches inline).
     fetch_workers: int = 1
     #: Fetch-stage mode: "auto"/"threaded" keep the PR-1 pipeline shape;
     #: "async" runs the round's fetches through an asyncio pipeline that
@@ -201,7 +204,8 @@ class CrawlerConfig:
     #: Strict replay raises CassetteMismatch on any request the cassette
     #: does not hold; non-strict degrades misses to NOT_FOUND.
     cassette_strict: bool = True
-    #: Engine mode: "auto" picks "batched" when batch_size > 1, else "serial".
+    #: Engine mode: "auto"/"batched" run rounds of ``batch_size`` URLs,
+    #: "serial" rounds of one — the same kernel either way.
     #: "sharded" partitions the crawl by host hash over N workers (see
     #: ``shards``); drive it through :meth:`FocusSystem.start`, which
     #: builds the sharded crawler in place of a :class:`CrawlEngine`.
@@ -214,7 +218,7 @@ class CrawlerConfig:
     #: process: required for fault injection / injected transports, and
     #: what the determinism tests use to control message schedules).
     shard_runner: str = "process"
-    #: Capacity of the batched path's LRU of classification outcomes (by oid).
+    #: Capacity of the LRU of classification outcomes (by oid).
     posterior_cache_size: int = 4096
     #: Save a crawl checkpoint every this many successful fetches (0 disables;
     #: requires a durable database and an attached checkpoint manager).
@@ -331,11 +335,25 @@ class CrawlTrace:
     def visited_set(self) -> set[str]:
         return set(self.fetched_urls)
 
+    def refill(self, saved: "CrawlTrace") -> None:
+        """Adopt a checkpointed trace in place.
 
+        The trace object is shared with the driving crawler; refilling
+        it instead of rebinding keeps every reference live.
+        """
+        self.visits[:] = saved.visits
+        self.fetched_urls[:] = saved.fetched_urls
+        self.failed_urls[:] = saved.failed_urls
+        self.distillations = saved.distillations
+        self.stagnated = saved.stagnated
+        self.last_distillation = saved.last_distillation
+
+
+# -- round stages, shared with the sharded engine ---------------------------------------
 class OutcomeLRU(LRUCache):
     """A small LRU of classification outcomes keyed by page oid.
 
-    Lets the batched pipeline skip re-scoring a page whose posterior was
+    Lets the classify stage skip re-scoring a page whose posterior was
     computed recently — relevant for retry storms and for the §3.2 crawl
     maintenance orderings that revisit known pages.  The eviction policy
     lives in the shared :class:`~repro.core.caching.LRUCache`; the
@@ -343,47 +361,206 @@ class OutcomeLRU(LRUCache):
     """
 
 
+class PageScorer:
+    """The classify stage: one batch per call, behind the outcome LRU.
+
+    Held by :class:`CrawlEngine` and by every sharded
+    :class:`~repro.crawler.sharded.ShardWorker`.  Outcomes are
+    grouping-invariant: how a round's pages are split into calls can
+    change only the wall clock, never a relevance float.
+    """
+
+    def __init__(
+        self, classifier: HierarchicalModel, taxonomy: TopicTaxonomy, config: CrawlerConfig
+    ) -> None:
+        self.classifier = classifier
+        self.taxonomy = taxonomy
+        self.config = config
+        self.cache = OutcomeLRU(config.posterior_cache_size)
+        #: Columnar classifier (score_backend="numpy"), compiled on first
+        #: use so the python path never pays for it.  Compiled per scorer
+        #: — i.e. per crawl run — so taxonomy re-marking between crawls is
+        #: always reflected; the arrays are a pure cache and are rebuilt
+        #: (identically) after a checkpoint resume.
+        self._compiled: Optional[CompiledHierarchicalModel] = None
+
+    def classify(self, pages: Sequence[Tuple[int, FetchResult]]) -> List[BatchClassification]:
+        """Score ``(oid, fetched page)`` pairs; outcomes come back in input order."""
+        outcomes: List[Optional[BatchClassification]] = []
+        pending: List[TermFrequencies] = []
+        positions: List[Tuple[int, int]] = []
+        for index, (oid, result) in enumerate(pages):
+            cached = self.cache.get(oid)
+            outcomes.append(cached)
+            if cached is None:
+                pending.append(term_frequencies(result.tokens))
+                positions.append((index, oid))
+        if pending:
+            model = self.classifier
+            if self.config.score_backend == "numpy":
+                if self._compiled is None:
+                    self._compiled = CompiledHierarchicalModel(self.classifier)
+                model = self._compiled
+            for (index, oid), outcome in zip(positions, model.classify_batch(pending)):
+                outcomes[index] = outcome
+                self.cache.put(oid, outcome)
+        return outcomes  # type: ignore[return-value]
+
+    def best_leaf(self, outcome: BatchClassification) -> Optional[int]:
+        """The class recorded with the visit (None when the census is off)."""
+        return outcome.best_leaf_cid if self.config.record_best_leaf else None
+
+    def hard_accepts(self, outcome: BatchClassification) -> bool:
+        """The hard focus rule: the best leaf has a good ancestor (True in other modes)."""
+        if self.config.focus_mode != "hard":
+            return True
+        return self.taxonomy.good_ancestor_of(outcome.best_leaf_cid) is not None
+
+
+def permanent_failure(status: FetchStatus) -> bool:
+    """Whether a non-OK fetch is final.
+
+    SERVER_ERROR is transient (retry in a later round); every other
+    non-OK status — NOT_FOUND, SKIPPED (robots, redirect cap/loop,
+    content gate) — is permanent.
+    """
+    return status is not FetchStatus.SERVER_ERROR
+
+
+def expansion_priority(focus_mode: str, relevance: float, hard_accepts: bool) -> Optional[float]:
+    """The focus rule: the frontier priority a page's out-links inherit.
+
+    None means the links are recorded but not enqueued (hard focus
+    rejected the citing page).
+    """
+    if focus_mode == "hard" and not hard_accepts:
+        return None
+    return relevance if focus_mode != "none" else _UNFOCUSED_PRIORITY
+
+
+def link_targets(source_oid: int, out_links: Sequence[str]) -> List[Tuple[str, int, int]]:
+    """A page's distinct non-self out-links as ``(normalized_url, oid, sid)``, in page order.
+
+    Duplicates and self-links are dropped here, once: neither can raise
+    a frontier priority or add an edge the distiller would keep.
+    """
+    targets: List[Tuple[str, int, int]] = []
+    seen: set[int] = set()
+    for target in out_links:
+        normalized = normalize_url(target)
+        target_oid = url_oid(normalized)
+        if target_oid in seen or target_oid == source_oid:
+            continue
+        seen.add(target_oid)
+        targets.append((normalized, target_oid, server_sid(normalized)))
+    return targets
+
+
+def link_row(
+    frontier: Frontier,
+    source_oid: int,
+    source_sid: int,
+    target_url: str,
+    target_oid: int,
+    target_sid: int,
+    relevance: float,
+) -> tuple:
+    """One LINK row, in schema order, for an edge out of a page of *relevance*.
+
+    ``wgt_rev`` is the source's relevance (E_B).  ``wgt_fwd`` (E_F)
+    needs the *destination's* relevance: a visited destination supplies
+    its own, any other inherits the source's until it is visited —
+    edges pointing *to* a page are refreshed at the flush of the round
+    that classifies it (:meth:`BufferedLinkWriter.refresh`).
+    *target_url* is normalised, and *frontier* must own it (sharded LINK
+    rows are routed by destination for exactly this lookup).
+    """
+    entry = frontier.get_normalized(target_url)
+    forward = entry.relevance if entry is not None and entry.status == "visited" else relevance
+    return (source_oid, source_sid, target_oid, target_sid, forward, relevance)
+
+
 class BufferedLinkWriter:
     """Round-buffered LINK writes: one bulk insert plus coalesced weight refreshes.
 
-    The serial path inserts a page's out-links and immediately walks the
-    ``link_dst`` index to refresh ``wgt_fwd`` of every edge pointing at the
-    freshly classified page, paying a full row update (with unconditional
-    index maintenance) per edge.  The buffered writer accumulates a whole
-    round, then flushes one ``insert_many`` and one ``update_rows`` —
-    ``wgt_fwd`` is unindexed, so the refresh becomes a pure heap write.
-    Refreshes are applied after the round's inserts in visit order, which
-    yields the same final table state as the serial interleaving.
+    Accumulates a whole round, then flushes one ``insert_many`` and one
+    ``update_column`` — ``wgt_fwd`` is unindexed, so the refresh of every
+    edge pointing at a freshly classified page is a pure heap write.
+    Refreshes are applied after the round's inserts, in visit order.
     """
 
     def __init__(self, table: Table) -> None:
         self.table = table
         self._rows: List[tuple] = []
         self._refresh: "OrderedDict[int, float]" = OrderedDict()
+        # Link rows are built positionally for bulk loading; pin the order.
+        expected = ("oid_src", "sid_src", "oid_dst", "sid_dst", "wgt_fwd", "wgt_rev")
+        if tuple(table.schema.column_names) != expected:
+            raise ValueError(f"LINK schema order {table.schema.column_names} != {expected}")
 
-    def record(self, rows: Sequence[tuple], source_oid: int, relevance: float) -> None:
+    def add_rows(self, rows: Sequence[tuple]) -> None:
         self._rows.extend(rows)
-        self._refresh[source_oid] = relevance
+
+    def refresh(self, visited_oid: int, relevance: float) -> None:
+        """Set ``wgt_fwd`` of every edge into *visited_oid* at the flush."""
+        self._refresh[visited_oid] = relevance
 
     def flush(self) -> List[RecordId]:
         """Write the buffered round; returns the rids whose weights changed in place."""
         if self._rows:
             self.table.insert_many(self._rows)
             self._rows = []
-        updated: List[RecordId] = []
         updates: List[Tuple[RecordId, float]] = []
         for oid, relevance in self._refresh.items():
             for rid in self.table.lookup_rids("link_dst", (oid,)):
                 updates.append((rid, relevance))
-                updated.append(rid)
         if updates:
             self.table.update_column("wgt_fwd", updates)
         self._refresh = OrderedDict()
-        return updated
+        return [rid for rid, _ in updates]
+
+
+def boost_hub_neighbours(
+    link_table: Table, frontier: Frontier, hub_oids, priority: float
+) -> None:
+    """Raise frontier priority of unvisited pages cited by the best hubs (§3.7).
+
+    Only off-server citations count (rows in the pinned LINK schema
+    order), and only targets *frontier* knows.
+    """
+    for hub_oid in hub_oids:
+        for _src, sid_src, oid_dst, sid_dst, _fwd, _rev in link_table.lookup(
+            "link_src", (hub_oid,)
+        ):
+            if sid_src == sid_dst:
+                continue
+            target_url = frontier.url_of_oid(oid_dst)
+            if target_url is not None:
+                frontier.boost(target_url, priority)
+
+
+def checkpoint_due(
+    config: CrawlerConfig, since_checkpoint: int, last_checkpoint_s: Optional[float]
+) -> bool:
+    """Whether a resume point is due at this round boundary.
+
+    Two independent triggers: every ``checkpoint_every`` successful
+    fetches, and every ``checkpoint_interval_s`` wall-clock seconds —
+    the latter bounds at-risk work when fetches are slow (real
+    networks) rather than plentiful.
+    """
+    if config.checkpoint_every and since_checkpoint >= config.checkpoint_every:
+        return True
+    interval = config.checkpoint_interval_s
+    return bool(
+        interval
+        and last_checkpoint_s is not None
+        and time.monotonic() - last_checkpoint_s >= interval
+    )
 
 
 class CrawlEngine:
-    """Executes crawl rounds against a frontier, in serial or batched mode."""
+    """Executes crawl rounds of K URLs against a frontier."""
 
     def __init__(
         self,
@@ -432,8 +609,6 @@ class CrawlEngine:
             max_inflight=config.max_inflight,
             per_server_inflight=config.per_server_inflight,
         )
-        self.classifier = classifier
-        self.taxonomy = taxonomy
         self.database = database
         self.config = config
         self.frontier = frontier
@@ -462,52 +637,39 @@ class CrawlEngine:
         self._prefetch_drained = 0
         #: oid -> measured relevance of every visited page, in visit order.
         self._relevance: Dict[int, float] = {}
-        self._outcome_cache = OutcomeLRU(config.posterior_cache_size)
+        self._scorer = PageScorer(classifier, taxonomy, config)
         self._link_writer = BufferedLinkWriter(database.table("LINK"))
         self._score_store = ScoreTableStore(database)
         self._incremental: Optional[IncrementalDistiller] = None
         self._pool: Optional[ThreadPoolExecutor] = None
-        #: Columnar scorer (score_backend="numpy"), compiled lazily so the
-        #: python path never pays for it.
-        self._compiled_model: Optional[CompiledHierarchicalModel] = None
         #: Cumulative wall-clock seconds per pipeline stage (monitoring and
-        #: the throughput bench's per-stage breakdown).
+        #: the benchmark's per-stage breakdown).
         self.stage_timings: Dict[str, float] = {
             "fetch": 0.0,
             "classify": 0.0,
             "write": 0.0,
             "distill": 0.0,
         }
-        # Link rows are built positionally for bulk loading; pin the order.
-        link_columns = tuple(database.table("LINK").schema.column_names)
-        expected = ("oid_src", "sid_src", "oid_dst", "sid_dst", "wgt_fwd", "wgt_rev")
-        if link_columns != expected:
-            raise ValueError(f"LINK schema order {link_columns} != {expected}")
 
-    # -- mode ------------------------------------------------------------------------
+    # -- shape -----------------------------------------------------------------------
     @property
-    def batched(self) -> bool:
-        if self.config.engine == "auto":
-            return self.config.batch_size > 1
-        return self.config.engine == "batched"
+    def round_size(self) -> int:
+        """K: URLs checked out per round — 1 under ``engine="serial"``."""
+        return 1 if self.config.engine == "serial" else self.config.batch_size
 
     @property
     def async_fetch(self) -> bool:
-        """True when the batched engine runs the asyncio fetch pipeline."""
+        """True when rounds fetch through the asyncio pipeline."""
         return self.config.fetch_mode == "async"
 
     @property
     def prefetch_enabled(self) -> bool:
-        """True when the batched async pipeline speculates across rounds.
+        """True when the async pipeline speculates across rounds.
 
         The ``getattr`` default keeps configs unpickled from pre-prefetch
         checkpoints (which lack the field entirely) resumable.
         """
-        return (
-            self.batched
-            and self.async_fetch
-            and bool(getattr(self.config, "prefetch", False))
-        )
+        return self.async_fetch and bool(getattr(self.config, "prefetch", False))
 
     def prefetch_stale_ratio(self) -> float:
         """Fraction of speculative prepares discarded at reconciliation."""
@@ -528,9 +690,9 @@ class CrawlEngine:
     def fetch_overlap_ratio(self) -> float:
         """Fraction of round processing that ran while fetches were in flight.
 
-        0.0 for the serial/threaded paths (they drain the fetch stage
-        before processing); approaches 1.0 when the async pipeline hides
-        nearly all classification/write work behind transport latency.
+        0.0 on the threaded path (it drains the fetch stage before
+        processing); approaches 1.0 when the async pipeline hides nearly
+        all classification/write work behind transport latency.
         """
         if self._round_process_s <= 0.0:
             return 0.0
@@ -547,14 +709,13 @@ class CrawlEngine:
 
     # -- public API ------------------------------------------------------------------
     def run(self, budget: int, max_rounds: Optional[int] = None) -> CrawlTrace:
-        """Run the crawl loop until the page budget or the frontier is exhausted.
+        """Run crawl rounds until the page budget or the frontier is exhausted.
 
-        *max_rounds* caps how many rounds this call executes (one frontier
-        checkout in serial mode, one batch in batched mode) and then
-        returns with the crawl still resumable — the cooperative-
-        scheduling hook the multi-tenant :mod:`repro.service` job manager
-        interleaves jobs with.  Crucially the *budget* stays the full
-        page budget either way: batched round sizing is a function of
+        *max_rounds* caps how many rounds (frontier checkouts) this call
+        executes and then returns with the crawl still resumable — the
+        cooperative-scheduling hook the multi-tenant :mod:`repro.service`
+        job manager interleaves jobs with.  Crucially the *budget* stays
+        the full page budget either way: round sizing is a function of
         ``budget - pages_fetched``, so slicing a crawl into stepped calls
         visits bit-for-bit the pages a single ``run(budget)`` would.
         """
@@ -564,14 +725,21 @@ class CrawlEngine:
             # The wall clock is not resumable state: the interval timer
             # starts fresh on every run (initial and resumed alike).
             self._last_checkpoint_s = time.monotonic()
+        # Create the delta cache up front so every flushed round feeds it.
+        self._incremental_distiller()
+        rounds = range(max_rounds) if max_rounds is not None else itertools.count()
         try:
-            if self.batched:
-                return self._run_batched(budget, max_rounds)
-            return self._run_serial(budget, max_rounds)
+            if self.async_fetch:
+                # One event loop for the whole run: speculative fetch
+                # tasks must survive round boundaries.
+                asyncio.run(self._run_rounds_async(budget, rounds))
+            else:
+                self._run_rounds(budget, rounds)
         finally:
             if self._pool is not None:
                 self._pool.shutdown(wait=False)
                 self._pool = None
+        return self.trace
 
     def run_distillation(self) -> DistillationResult:
         """Re-score hubs/authorities over the current crawl graph and boost frontier URLs."""
@@ -582,7 +750,13 @@ class CrawlEngine:
             self._relevance, max_iterations=self.config.distill_iterations
         )
         self._store_scores(result)
-        self._boost_hub_neighbours(result)
+        if self.config.hub_boost_top_k > 0:
+            boost_hub_neighbours(
+                self._link_writer.table,
+                self.frontier,
+                {oid for oid, _ in result.top_hubs(self.config.hub_boost_top_k)},
+                self.config.hub_boost_priority,
+            )
         self.trace.distillations += 1
         self.trace.last_distillation = result
         self._since_distillation = 0
@@ -595,11 +769,8 @@ class CrawlEngine:
 
     def cache_stats(self) -> Dict[str, int]:
         """Hit/miss counters of the classification-outcome LRU (monitoring)."""
-        return {
-            "hits": self._outcome_cache.hits,
-            "misses": self._outcome_cache.misses,
-            "entries": len(self._outcome_cache),
-        }
+        cache = self._scorer.cache
+        return {"hits": cache.hits, "misses": cache.misses, "entries": len(cache)}
 
     # -- checkpointing ----------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, object]:
@@ -617,8 +788,8 @@ class CrawlEngine:
             "stagnation_misses": self._stagnation_misses,
             "relevance": dict(self._relevance),
             "outcome_cache": {
-                "hits": self._outcome_cache.hits,
-                "misses": self._outcome_cache.misses,
+                "hits": self._scorer.cache.hits,
+                "misses": self._scorer.cache.misses,
             },
             "prefetch": {
                 "launched": self._prefetch_launched,
@@ -641,9 +812,9 @@ class CrawlEngine:
         self._since_checkpoint = state["since_checkpoint"]
         self._stagnation_misses = state["stagnation_misses"]
         self._relevance = dict(state["relevance"])
-        self._outcome_cache = OutcomeLRU(self.config.posterior_cache_size)
-        self._outcome_cache.hits = state["outcome_cache"]["hits"]
-        self._outcome_cache.misses = state["outcome_cache"]["misses"]
+        cache = self._scorer.cache = OutcomeLRU(self.config.posterior_cache_size)
+        cache.hits = state["outcome_cache"]["hits"]
+        cache.misses = state["outcome_cache"]["misses"]
         # .get defaults keep pre-prefetch checkpoints resumable.
         prefetch = state.get("prefetch") or {}
         self._prefetch_launched = prefetch.get("launched", 0)
@@ -653,151 +824,87 @@ class CrawlEngine:
         # The score-table rid cache is soft state; rebuild it from the
         # replayed tables rather than trusting pre-crash record ids.
         self._score_store.invalidate()
-        # None: a serial crawl checkpointed before the serial loop fed the
-        # delta cache.  A fresh cache reads LINK from page 0 on first use.
+        # None: a checkpoint written by the old serial loop before it fed
+        # the delta cache.  A fresh cache reads LINK from page 0 on first use.
         if state["delta_cache"] is not None:
             self._incremental_distiller().cache.restore_state(state["delta_cache"])
-        # The trace object is shared with the driving crawler; refill it in
-        # place instead of rebinding so every reference stays live.
-        saved: CrawlTrace = state["trace"]
-        self.trace.visits[:] = saved.visits
-        self.trace.fetched_urls[:] = saved.fetched_urls
-        self.trace.failed_urls[:] = saved.failed_urls
-        self.trace.distillations = saved.distillations
-        self.trace.stagnated = saved.stagnated
-        self.trace.last_distillation = saved.last_distillation
+        self.trace.refill(state["trace"])
 
-    # -- serial mode -----------------------------------------------------------------
-    def _run_serial(self, budget: int, max_rounds: Optional[int] = None) -> CrawlTrace:
-        rounds = 0
-        while self.trace.pages_fetched < budget:
-            if max_rounds is not None and rounds >= max_rounds:
-                break
-            rounds += 1
-            url = self.frontier.pop_next()
-            if url is None:
-                self.trace.stagnated = True
-                break
-            if self._visit_serial(url):
-                self._stagnation_misses = 0
-            else:
-                self._stagnation_misses += 1
-                if self._stagnation_misses >= self.config.stagnation_patience:
-                    self.trace.stagnated = True
-                    break
-            if (
-                self.config.distill_every
-                and self._since_distillation >= self.config.distill_every
-            ):
-                self.run_distillation()
-            self._maybe_checkpoint()
-        return self.trace
+    # -- the round ---------------------------------------------------------------------
+    def _checkout(self, budget: int) -> List[str]:
+        """Open a round: the best ``min(K, budget left)`` frontier URLs.
 
-    def _visit_serial(self, url: str) -> bool:
-        """Fetch, classify, persist, and expand one URL.  Returns True on success."""
-        started = time.perf_counter()
-        result = self.transport.fetch(url)
-        self.stage_timings["fetch"] += time.perf_counter() - started
-        if result.status is not FetchStatus.OK:
-            # SERVER_ERROR is transient (retry in a later round); every
-            # other non-OK status — NOT_FOUND, SKIPPED (robots, redirect
-            # cap/loop, content gate) — is permanent.
-            permanent = result.status is not FetchStatus.SERVER_ERROR
-            self.frontier.record_failure(url, self.config.max_retries, permanent=permanent)
-            self.trace.failed_urls.append(url)
-            return False
-
-        self._tick += 1
-        started = time.perf_counter()
-        frequencies = term_frequencies(result.tokens)
-        if self.config.score_backend == "numpy":
-            outcome = self._scorer().classify_batch([frequencies])[0]
-            relevance = outcome.relevance
-            best_leaf = outcome.best_leaf_cid if self.config.record_best_leaf else None
-            hard_accepts = (
-                self.taxonomy.good_ancestor_of(outcome.best_leaf_cid) is not None
-                if self.config.focus_mode == "hard"
-                else True
-            )
-        else:
-            relevance = self.classifier.relevance(frequencies)
-            best_leaf = (
-                self.classifier.best_leaf(frequencies) if self.config.record_best_leaf else None
-            )
-            hard_accepts = (
-                self.classifier.hard_focus_accepts(frequencies)
-                if self.config.focus_mode == "hard"
-                else True
-            )
-        self.stage_timings["classify"] += time.perf_counter() - started
-        entry = self.frontier.record_visit(url, relevance, self._tick, kcid=best_leaf)
-        self._relevance[entry.oid] = relevance
-        started = time.perf_counter()
-        expansion = self._record_links_serial(entry, result.out_links, relevance)
-        self.stage_timings["write"] += time.perf_counter() - started
-        self._expand(expansion, relevance, hard_accepts)
-        self._finish_visit(url, result, relevance, best_leaf)
-        return True
-
-    def _record_links_serial(
-        self, source_entry: FrontierEntry, targets: Sequence[str], relevance: float
-    ) -> List[Tuple[str, int, int]]:
-        """Insert the page's LINK rows and refresh incoming E_F weights immediately."""
-        link_table = self.database.table("LINK")
-        rows, expansion = self._link_rows(source_entry, targets, relevance)
-        if rows:
-            link_table.insert_many(rows)
-        # Refresh E_F of edges that point at the page we just classified.
-        refreshed = link_table.lookup_rids("link_dst", (source_entry.oid,))
-        for rid in refreshed:
-            link_table.update_row(rid, {"wgt_fwd": relevance})
-        if refreshed:
-            self._incremental_distiller().note_updated(refreshed)
-        return expansion
-
-    # -- batched mode ----------------------------------------------------------------
-    def _run_batched(self, budget: int, max_rounds: Optional[int] = None) -> CrawlTrace:
-        config = self.config
-        # Create the delta cache up front so every flushed round feeds it.
-        self._incremental_distiller()
-        if self.prefetch_enabled:
-            # One event loop for the whole run: speculative fetch tasks
-            # must survive round boundaries.
-            return asyncio.run(self._run_batched_prefetch(budget, max_rounds))
-        stop = False
-        rounds = 0
-        while not stop and self.trace.pages_fetched < budget:
-            if max_rounds is not None and rounds >= max_rounds:
-                break
-            rounds += 1
-            round_size = min(config.batch_size, budget - self.trace.pages_fetched)
-            urls = self.frontier.pop_batch(round_size)
-            if not urls:
-                self.trace.stagnated = True
-                break
+        Empty when the run is over — the budget is spent, or the
+        frontier is (which marks the crawl stagnated).
+        """
+        remaining = budget - self.trace.pages_fetched
+        if remaining <= 0:
+            return []
+        urls = self.frontier.pop_batch(min(self.round_size, remaining))
+        if urls:
             self.frontier.begin_batch()
-            if self.async_fetch:
-                stop = asyncio.run(self._async_round(urls))
-            else:
-                started = time.perf_counter()
-                results = self._fetch_stage(urls)
-                self.stage_timings["fetch"] += time.perf_counter() - started
-                started = time.perf_counter()
-                stop = self._process_group(list(zip(urls, results)))
-                self._round_process_s += time.perf_counter() - started
+        else:
+            self.trace.stagnated = True
+        return urls
+
+    def _close_round(self) -> None:
+        """Flush the round's writes, then distil and checkpoint when due."""
+        started = time.perf_counter()
+        self.frontier.flush_batch()
+        updated = self._link_writer.flush()
+        self.stage_timings["write"] += time.perf_counter() - started
+        if updated:
+            self._incremental_distiller().note_updated(updated)
+        if (
+            self.config.distill_every
+            and self._since_distillation >= self.config.distill_every
+        ):
+            self.run_distillation()
+        self._maybe_checkpoint()
+
+    def _run_rounds(self, budget: int, rounds) -> None:
+        """Threaded fetch: drain the whole round's fetches, then process it."""
+        for _ in rounds:
+            urls = self._checkout(budget)
+            if not urls:
+                break
             started = time.perf_counter()
-            self.frontier.flush_batch()
-            updated = self._link_writer.flush()
-            self.stage_timings["write"] += time.perf_counter() - started
-            if updated:
-                self._incremental_distiller().note_updated(updated)
-            if (
-                config.distill_every
-                and self._since_distillation >= config.distill_every
-            ):
-                self.run_distillation()
-            self._maybe_checkpoint()
-        return self.trace
+            results = self._fetch_stage(urls)
+            self.stage_timings["fetch"] += time.perf_counter() - started
+            started = time.perf_counter()
+            stop = self._process_group(list(zip(urls, results)))
+            self._round_process_s += time.perf_counter() - started
+            self._close_round()
+            if stop:
+                break
+
+    async def _run_rounds_async(self, budget: int, rounds) -> None:
+        """Async fetch: process completed prefixes while the tail is in flight.
+
+        With prefetch on, each round's checkout is also reconciled
+        against the live speculation stream, and the stream is corrected
+        at the round tail; with it off no speculation is ever launched
+        and :meth:`_reconcile_speculation` just prepares the round.
+        """
+        speculate = self.prefetch_enabled
+        self._gate = asyncio.Semaphore(self.fetch_policy.effective_inflight(self.round_size))
+        self._server_gates = {}
+        try:
+            for _ in rounds:
+                urls = self._checkout(budget)
+                if not urls:
+                    break
+                tasks = self._reconcile_speculation(urls)
+                stop = await self._drain_round(urls, tasks, speculate)
+                self._close_round()
+                if stop:
+                    break
+                if speculate and self.trace.pages_fetched < budget:
+                    self._respeculate_round_end()
+        finally:
+            # Leave the draw streams canonical (and the loop task-free)
+            # no matter how the run ends.
+            self._drain_speculation()
 
     def _fetch_stage(self, urls: Sequence[str]) -> List[FetchResult]:
         """Fetch the round's URLs, returning results in checkout order.
@@ -835,48 +942,79 @@ class CrawlEngine:
                 fetched.append((url, result))
                 self._stagnation_misses = 0
                 continue
-            permanent = result.status is not FetchStatus.SERVER_ERROR
-            self.frontier.record_failure(url, config.max_retries, permanent=permanent)
+            self.frontier.record_failure(
+                url, config.max_retries, permanent=permanent_failure(result.status)
+            )
             self.trace.failed_urls.append(url)
             self._stagnation_misses += 1
             if self._stagnation_misses >= config.stagnation_patience:
                 self.trace.stagnated = True
                 stop = True
         started = time.perf_counter()
-        outcomes = self._classify_stage(fetched)
+        outcomes = self._scorer.classify(
+            [(self.frontier.entry(url).oid, result) for url, result in fetched]
+        )
         self.stage_timings["classify"] += time.perf_counter() - started
         for (url, result), outcome in zip(fetched, outcomes):
             self._commit_visit(url, result, outcome)
         return stop
 
-    async def _async_round(self, urls: Sequence[str]) -> bool:
-        """One crawl round on the asyncio fetch pipeline.
+    def _commit_visit(self, url: str, result: FetchResult, outcome: BatchClassification) -> None:
+        """Record one classified page: frontier state, links, expansion, trace."""
+        self._tick += 1
+        relevance = outcome.relevance
+        best_leaf = self._scorer.best_leaf(outcome)
+        entry = self.frontier.record_visit(url, relevance, self._tick, kcid=best_leaf)
+        self._relevance[entry.oid] = relevance
+        targets = link_targets(entry.oid, result.out_links)
+        self._link_writer.add_rows(
+            [link_row(self.frontier, entry.oid, entry.sid, *target, relevance) for target in targets]
+        )
+        self._link_writer.refresh(entry.oid, relevance)
+        priority = expansion_priority(
+            self.config.focus_mode, relevance, self._scorer.hard_accepts(outcome)
+        )
+        if priority is not None:
+            self.frontier.add_many(targets, priority)
+        self.trace.visits.append(
+            PageVisit(
+                tick=self._tick,
+                url=url,
+                relevance=relevance,
+                server=result.server,
+                out_degree=len(result.out_links),
+                best_leaf_cid=best_leaf,
+            )
+        )
+        self.trace.fetched_urls.append(url)
+        self._since_distillation += 1
+        self._since_checkpoint += 1
 
-        Up to ``FetchPolicy.effective_inflight`` fetches stay outstanding
-        (optionally capped per server); completed pages are classified and
-        committed — in checkout order, as contiguous completed prefixes —
-        while later fetches are still in flight.  Determinism rests on the
-        transport contract: every draw happens in :meth:`prepare`, called
-        here synchronously in checkout order, and classification outcomes
-        are grouping-invariant, so completion timing can change only the
-        wall clock, never the crawl.
+    def _maybe_checkpoint(self) -> None:
+        """Save a resume point when one is due (round boundaries only).
+
+        The counter/timer reset *before* the save so the persisted
+        engine state carries zero progress-toward-next-checkpoint,
+        matching what a resumed engine starts from.
         """
-        transport = self.transport
-        started = time.perf_counter()
-        pendings = [transport.prepare(url) for url in urls]
-        self.stage_timings["fetch"] += time.perf_counter() - started
-        gate = asyncio.Semaphore(self.fetch_policy.effective_inflight(len(urls)))
-        tasks = self._spawn_wait_tasks(pendings, gate, {})
-        return await self._drain_round(urls, tasks, speculate=False)
+        if self.checkpointer is None or not checkpoint_due(
+            self.config, self._since_checkpoint, self._last_checkpoint_s
+        ):
+            return
+        # The checkpoint must capture canonical draw-stream state: any
+        # live cross-round speculation is cancelled and rewound first.
+        self._drain_speculation()
+        self._since_checkpoint = 0
+        if self.config.checkpoint_interval_s:
+            self._last_checkpoint_s = time.monotonic()
+        self.checkpointer.save()
 
-    def _spawn_wait_tasks(
-        self,
-        pendings: Sequence[object],
-        gate: asyncio.Semaphore,
-        server_gates: Dict[str, asyncio.Semaphore],
-    ) -> List["asyncio.Task"]:
+    # -- async fetch -------------------------------------------------------------------
+    def _spawn_wait_tasks(self, pendings: Sequence[object]) -> List["asyncio.Task"]:
         """Wrap prepared fetches in gated wait tasks on the running loop."""
         transport = self.transport
+        gate = self._gate
+        server_gates = self._server_gates
         per_server = self.fetch_policy.per_server_inflight
 
         async def wait_one(pending):
@@ -896,6 +1034,15 @@ class CrawlEngine:
         self, urls: Sequence[str], tasks: List["asyncio.Task"], speculate: bool
     ) -> bool:
         """Await the round's tasks in checkout order, processing done prefixes.
+
+        Up to ``FetchPolicy.effective_inflight`` fetches stay outstanding
+        (optionally capped per server); completed pages are classified and
+        committed — in checkout order, as contiguous completed prefixes —
+        while later fetches are still in flight.  Determinism rests on the
+        transport contract: every draw happens in ``prepare``, called
+        synchronously in checkout order, and classification outcomes are
+        grouping-invariant, so completion timing can change only the wall
+        clock, never the crawl.
 
         With *speculate* on, the drain also tops up the cross-round
         speculation stream between groups, and counts still-undone
@@ -945,57 +1092,6 @@ class CrawlEngine:
         return stop
 
     # -- cross-round prefetch ----------------------------------------------------------
-    async def _run_batched_prefetch(
-        self, budget: int, max_rounds: Optional[int]
-    ) -> CrawlTrace:
-        """The batched loop with cross-round speculation (async fetch mode).
-
-        Identical round boundary work to :meth:`_run_batched`; the only
-        differences are (a) one event loop spans the whole run so
-        speculative fetch tasks survive round boundaries, and (b) each
-        round's checkout is reconciled against the live speculation
-        stream before fetching (:meth:`_reconcile_speculation`).
-        """
-        config = self.config
-        self._gate = asyncio.Semaphore(
-            self.fetch_policy.effective_inflight(config.batch_size)
-        )
-        self._server_gates = {}
-        stop = False
-        rounds = 0
-        try:
-            while not stop and self.trace.pages_fetched < budget:
-                if max_rounds is not None and rounds >= max_rounds:
-                    break
-                rounds += 1
-                round_size = min(config.batch_size, budget - self.trace.pages_fetched)
-                urls = self.frontier.pop_batch(round_size)
-                if not urls:
-                    self.trace.stagnated = True
-                    break
-                tasks = self._reconcile_speculation(urls)
-                self.frontier.begin_batch()
-                stop = await self._drain_round(urls, tasks, speculate=True)
-                started = time.perf_counter()
-                self.frontier.flush_batch()
-                updated = self._link_writer.flush()
-                self.stage_timings["write"] += time.perf_counter() - started
-                if updated:
-                    self._incremental_distiller().note_updated(updated)
-                if (
-                    config.distill_every
-                    and self._since_distillation >= config.distill_every
-                ):
-                    self.run_distillation()
-                self._maybe_checkpoint()
-                if not stop and self.trace.pages_fetched < budget:
-                    self._respeculate_round_end()
-        finally:
-            # Leave the draw streams canonical (and the loop task-free)
-            # no matter how the run ends.
-            self._drain_speculation()
-        return self.trace
-
     def _draw_state_snapshot(self) -> dict:
         """Every RNG stream (and counter) a ``prepare()`` call advances.
 
@@ -1015,29 +1111,11 @@ class CrawlEngine:
         if state["servers"] is not None:
             self.fetcher.web.servers.restore_rng(state["servers"])
 
-    def _topup_speculation(self, undone_round: int) -> None:
-        """Extend the speculative stream while the pipeline has slack.
-
-        Keeps roughly one round's worth of fetches in flight: when the
-        undone round tail plus undone speculation drops below the batch
-        size, peek the frontier's projected next checkout and prepare a
-        chunk of it.  Draws happen here, synchronously — after every
-        confirmed draw so far — which is exactly their canonical position
-        if the projection holds; reconciliation rewinds them if not.
-        """
-        config = self.config
+    def _speculate(self, new_urls: Sequence[str]) -> None:
+        """Prepare *new_urls* onto the speculative stream, snapshotting after each draw."""
         spec = self._spec
-        spec_len = 0 if spec is None else len(spec.urls)
-        if spec_len >= 2 * config.batch_size:
-            return
-        if undone_round + (0 if spec is None else spec.undone()) >= config.batch_size:
-            return
-        want = min(_PREFETCH_CHUNK, 2 * config.batch_size - spec_len)
-        preview = self.frontier.peek_batch(spec_len + want)
         if spec is None:
             spec = self._spec = _Speculation(snapshots=[self._draw_state_snapshot()])
-        known = set(spec.urls)
-        new_urls = [url for url in preview if url not in known][:want]
         if not new_urls:
             return
         started = time.perf_counter()
@@ -1048,10 +1126,55 @@ class CrawlEngine:
         self.stage_timings["fetch"] += time.perf_counter() - started
         spec.urls.extend(new_urls)
         spec.pendings.extend(pendings)
-        spec.tasks.extend(
-            self._spawn_wait_tasks(pendings, self._gate, self._server_gates)
-        )
+        spec.tasks.extend(self._spawn_wait_tasks(pendings))
         self._prefetch_launched += len(new_urls)
+
+    def _speculation_prefix(self, urls: Sequence[str]) -> int:
+        """How many leading *urls* the speculative stream already holds, in order."""
+        speculated = self._spec.urls
+        limit = min(len(urls), len(speculated))
+        prefix = 0
+        while prefix < limit and urls[prefix] == speculated[prefix]:
+            prefix += 1
+        return prefix
+
+    def _trim_speculation(self, prefix: int) -> None:
+        """Discard the speculative stream past *prefix* as stale.
+
+        The tail's tasks are cancelled and the draw streams rewind to
+        the snapshot taken after the last kept prepare.
+        """
+        spec = self._spec
+        self._prefetch_stale += len(spec.urls) - prefix
+        for task in spec.tasks[prefix:]:
+            task.cancel()
+        self._draw_state_restore(spec.snapshots[prefix])
+        del spec.urls[prefix:]
+        del spec.pendings[prefix:]
+        del spec.tasks[prefix:]
+        del spec.snapshots[prefix + 1 :]
+
+    def _topup_speculation(self, undone_round: int) -> None:
+        """Extend the speculative stream while the pipeline has slack.
+
+        Keeps roughly one round's worth of fetches in flight: when the
+        undone round tail plus undone speculation drops below the round
+        size, peek the frontier's projected next checkout and prepare a
+        chunk of it.  Draws happen here, synchronously — after every
+        confirmed draw so far — which is exactly their canonical position
+        if the projection holds; reconciliation rewinds them if not.
+        """
+        round_size = self.round_size
+        spec = self._spec
+        spec_len = 0 if spec is None else len(spec.urls)
+        if spec_len >= 2 * round_size:
+            return
+        if undone_round + (0 if spec is None else spec.undone()) >= round_size:
+            return
+        want = min(_PREFETCH_CHUNK, 2 * round_size - spec_len)
+        preview = self.frontier.peek_batch(spec_len + want)
+        known = set(spec.urls) if spec is not None else ()
+        self._speculate([url for url in preview if url not in known][:want])
 
     def _respeculate_round_end(self) -> None:
         """Correct the speculative stream at the round tail, where it is cheap.
@@ -1066,39 +1189,13 @@ class CrawlEngine:
         projection, letting the next round's latency tick down through
         the boundary work.
         """
-        projection = self.frontier.peek_batch(self.config.batch_size)
-        spec = self._spec
-        if spec is not None:
-            limit = min(len(projection), len(spec.urls))
-            prefix = 0
-            while prefix < limit and projection[prefix] == spec.urls[prefix]:
-                prefix += 1
-            if prefix < len(spec.urls):
-                self._prefetch_stale += len(spec.urls) - prefix
-                for task in spec.tasks[prefix:]:
-                    task.cancel()
-                self._draw_state_restore(spec.snapshots[prefix])
-                del spec.urls[prefix:]
-                del spec.pendings[prefix:]
-                del spec.tasks[prefix:]
-                del spec.snapshots[prefix + 1 :]
-        else:
-            spec = self._spec = _Speculation(snapshots=[self._draw_state_snapshot()])
-        new_urls = projection[len(spec.urls) :]
-        if not new_urls:
-            return
-        started = time.perf_counter()
-        pendings = []
-        for url in new_urls:
-            pendings.append(self.transport.prepare(url))
-            spec.snapshots.append(self._draw_state_snapshot())
-        self.stage_timings["fetch"] += time.perf_counter() - started
-        spec.urls.extend(new_urls)
-        spec.pendings.extend(pendings)
-        spec.tasks.extend(
-            self._spawn_wait_tasks(pendings, self._gate, self._server_gates)
-        )
-        self._prefetch_launched += len(new_urls)
+        projection = self.frontier.peek_batch(self.round_size)
+        kept = 0
+        if self._spec is not None:
+            kept = self._speculation_prefix(projection)
+            if kept < len(self._spec.urls):
+                self._trim_speculation(kept)
+        self._speculate(projection[kept:])
 
     def _reconcile_speculation(self, urls: Sequence[str]) -> List["asyncio.Task"]:
         """Turn a canonical checkout into fetch tasks, reusing confirmed speculation.
@@ -1109,54 +1206,42 @@ class CrawlEngine:
         tasks are adopted as-is.  Everything past the first mismatch is
         cancelled, the draw streams rewind to the confirmed-prefix
         snapshot, and the rest of the round prepares freshly — the
-        replay leg of the confirm-or-replay contract.
+        replay leg of the confirm-or-replay contract.  With no live
+        speculation (always, when prefetch is off) the whole round
+        prepares freshly.
         """
         spec = self._spec
+        confirmed: List["asyncio.Task"] = []
         if spec is not None:
-            limit = min(len(urls), len(spec.urls))
-            prefix = 0
-            while prefix < limit and urls[prefix] == spec.urls[prefix]:
-                prefix += 1
+            prefix = self._speculation_prefix(urls)
             self._prefetch_hits += prefix
+            confirmed = spec.tasks[:prefix]
             if prefix == len(urls):
                 # Whole round served from speculation; the surviving
                 # suffix (drawn after this round's prepares — its
                 # canonical position) stays live for the next round.
-                tasks = spec.tasks[:prefix]
-                self._spec = (
-                    _Speculation(
-                        urls=spec.urls[prefix:],
-                        pendings=spec.pendings[prefix:],
-                        tasks=spec.tasks[prefix:],
-                        snapshots=spec.snapshots[prefix:],
-                    )
-                    if prefix < len(spec.urls)
-                    else None
-                )
-                return tasks
-            self._prefetch_stale += len(spec.urls) - prefix
-            for task in spec.tasks[prefix:]:
-                task.cancel()
-            self._draw_state_restore(spec.snapshots[prefix])
-            confirmed = spec.tasks[:prefix]
+                if prefix < len(spec.urls):
+                    del spec.urls[:prefix]
+                    del spec.pendings[:prefix]
+                    del spec.tasks[:prefix]
+                    del spec.snapshots[:prefix]
+                else:
+                    self._spec = None
+                return confirmed
+            self._trim_speculation(prefix)
             self._spec = None
-        else:
-            prefix = 0
-            confirmed = []
         started = time.perf_counter()
-        pendings = [self.transport.prepare(url) for url in urls[prefix:]]
+        pendings = [self.transport.prepare(url) for url in urls[len(confirmed) :]]
         self.stage_timings["fetch"] += time.perf_counter() - started
-        return confirmed + self._spawn_wait_tasks(
-            pendings, self._gate, self._server_gates
-        )
+        return confirmed + self._spawn_wait_tasks(pendings)
 
     def _drain_speculation(self) -> None:
         """Cancel all speculation and rewind the draw streams to canonical.
 
-        Runs before every checkpoint save and at prefetch-loop exit, so
-        persisted transport/server RNG state never includes speculative
-        draws — a resumed crawl replays them from the round boundary,
-        bit for bit.
+        Runs before every checkpoint save and at the async loop's exit,
+        so persisted transport/server RNG state never includes
+        speculative draws — a resumed crawl replays them from the round
+        boundary, bit for bit.
         """
         spec = self._spec
         if spec is None:
@@ -1166,175 +1251,6 @@ class CrawlEngine:
             task.cancel()
         self._draw_state_restore(spec.snapshots[0])
         self._spec = None
-
-    def _classify_stage(
-        self, fetched: Sequence[Tuple[str, FetchResult]]
-    ) -> List[BatchClassification]:
-        """Score the round's pages in one batch, behind the outcome LRU."""
-        outcomes: List[Optional[BatchClassification]] = []
-        pending: List[TermFrequencies] = []
-        positions: List[Tuple[int, int]] = []
-        for index, (url, result) in enumerate(fetched):
-            oid = self.frontier.entry(url).oid
-            cached = self._outcome_cache.get(oid)
-            outcomes.append(cached)
-            if cached is None:
-                pending.append(term_frequencies(result.tokens))
-                positions.append((index, oid))
-        if pending:
-            scorer = (
-                self._scorer()
-                if self.config.score_backend == "numpy"
-                else self.classifier
-            )
-            for (index, oid), outcome in zip(positions, scorer.classify_batch(pending)):
-                outcomes[index] = outcome
-                self._outcome_cache.put(oid, outcome)
-        return outcomes  # type: ignore[return-value]
-
-    def _commit_visit(self, url: str, result: FetchResult, outcome: BatchClassification) -> None:
-        """Record one classified page: frontier state, links, expansion, trace."""
-        self._tick += 1
-        relevance = outcome.relevance
-        best_leaf = outcome.best_leaf_cid if self.config.record_best_leaf else None
-        entry = self.frontier.record_visit(url, relevance, self._tick, kcid=best_leaf)
-        self._relevance[entry.oid] = relevance
-        rows, expansion = self._link_rows(entry, result.out_links, relevance)
-        self._link_writer.record(rows, entry.oid, relevance)
-        hard_accepts = (
-            self.taxonomy.good_ancestor_of(outcome.best_leaf_cid) is not None
-            if self.config.focus_mode == "hard"
-            else True
-        )
-        self._expand(expansion, relevance, hard_accepts)
-        self._finish_visit(url, result, relevance, best_leaf)
-
-    # -- shared steps ----------------------------------------------------------------
-    def _finish_visit(
-        self, url: str, result: FetchResult, relevance: float, best_leaf: Optional[int]
-    ) -> None:
-        self.trace.visits.append(
-            PageVisit(
-                tick=self._tick,
-                url=url,
-                relevance=relevance,
-                server=result.server,
-                out_degree=len(result.out_links),
-                best_leaf_cid=best_leaf,
-            )
-        )
-        self.trace.fetched_urls.append(url)
-        self._since_distillation += 1
-        self._since_checkpoint += 1
-
-    def _maybe_checkpoint(self) -> None:
-        """Save a resume point when one is due (round boundaries only).
-
-        Two independent triggers: every ``checkpoint_every`` successful
-        fetches, and every ``checkpoint_interval_s`` wall-clock seconds —
-        the latter bounds at-risk work when fetches are slow (real
-        networks) rather than plentiful.  The counter/timer reset
-        *before* the save so the persisted engine state carries zero
-        progress-toward-next-checkpoint, matching what a resumed engine
-        starts from.
-        """
-        if self.checkpointer is None:
-            return
-        count_due = (
-            self.config.checkpoint_every
-            and self._since_checkpoint >= self.config.checkpoint_every
-        )
-        interval = self.config.checkpoint_interval_s
-        time_due = (
-            interval
-            and self._last_checkpoint_s is not None
-            and time.monotonic() - self._last_checkpoint_s >= interval
-        )
-        if not (count_due or time_due):
-            return
-        # The checkpoint must capture canonical draw-stream state: any
-        # live cross-round speculation is cancelled and rewound first.
-        self._drain_speculation()
-        self._since_checkpoint = 0
-        if interval:
-            self._last_checkpoint_s = time.monotonic()
-        self.checkpointer.save()
-
-    def _expand(
-        self, expansion: Sequence[Tuple[str, int, int]], relevance: float, hard_accepts: bool
-    ) -> None:
-        """Apply the focus rule to decide whether/with what priority to enqueue out-links.
-
-        *expansion* is the pre-resolved ``(normalized, oid, sid)`` target
-        list built by :meth:`_link_rows`, so enqueueing never re-derives
-        URL hashes.  (It is de-duplicated and excludes self-links; both
-        were no-ops under per-target ``add_url`` — a duplicate or the
-        just-visited page can never raise its own frontier priority.)
-        """
-        mode = self.config.focus_mode
-        if mode == "hard" and not hard_accepts:
-            return
-        priority = relevance if mode != "none" else _UNFOCUSED_PRIORITY
-        self.frontier.add_many(expansion, priority)
-
-    def _link_rows(
-        self, source_entry: FrontierEntry, targets: Sequence[str], relevance: float
-    ) -> Tuple[List[tuple], List[Tuple[str, int, int]]]:
-        """LINK rows (in schema order) plus the expansion triples for a page.
-
-        ``wgt_rev`` of the new edges is the source's relevance (E_B).
-        ``wgt_fwd`` (E_F) needs the *destination's* relevance: known
-        destinations use their CRAWL relevance, unknown ones inherit the
-        source relevance until they are visited; edges pointing *to* this
-        page are refreshed once its own relevance is known (immediately in
-        serial mode, at round flush in batched mode).
-
-        The second return value carries each distinct non-self target as
-        ``(normalized_url, oid, sid)`` for :meth:`_expand`, sharing the
-        normalisation/hash work already done here.
-        """
-        rows: List[tuple] = []
-        expansion: List[Tuple[str, int, int]] = []
-        seen: set[int] = set()
-        for target in targets:
-            normalized = normalize_url(target)
-            target_oid = url_oid(normalized)
-            if target_oid in seen or target_oid == source_entry.oid:
-                continue
-            seen.add(target_oid)
-            target_entry = self.frontier.get_normalized(normalized)
-            if target_entry is not None:
-                target_sid = target_entry.sid
-                forward = (
-                    target_entry.relevance if target_entry.status == "visited" else relevance
-                )
-            else:
-                target_sid = server_sid(normalized)
-                forward = relevance
-            rows.append(
-                (
-                    source_entry.oid,
-                    source_entry.sid,
-                    target_oid,
-                    target_sid,
-                    forward,
-                    relevance,
-                )
-            )
-            expansion.append((normalized, target_oid, target_sid))
-        return rows, expansion
-
-    # -- scoring plumbing ------------------------------------------------------------
-    def _scorer(self) -> CompiledHierarchicalModel:
-        """The columnar classifier, compiled on first use (numpy backend only).
-
-        Compiled per engine — i.e. per crawl run — so taxonomy re-marking
-        between crawls is always reflected; the compiled arrays are a pure
-        cache and are rebuilt (identically) after a checkpoint resume.
-        """
-        if self._compiled_model is None:
-            self._compiled_model = CompiledHierarchicalModel(self.classifier)
-        return self._compiled_model
 
     # -- distillation plumbing -------------------------------------------------------
     def _incremental_distiller(self) -> IncrementalDistiller:
@@ -1357,21 +1273,3 @@ class CrawlEngine:
         else:
             self._score_store.store("HUBS", result.hub_scores)
             self._score_store.store("AUTH", result.authority_scores)
-
-    def _boost_hub_neighbours(self, result: DistillationResult) -> None:
-        """Raise frontier priority of unvisited pages cited by the best hubs (§3.7)."""
-        if self.config.hub_boost_top_k <= 0:
-            return
-        top_hubs = {oid for oid, _ in result.top_hubs(self.config.hub_boost_top_k)}
-        link_table = self.database.table("LINK")
-        for hub_oid in top_hubs:
-            # Rows in the LINK schema order pinned by __init__.
-            for _src, sid_src, oid_dst, sid_dst, _fwd, _rev in link_table.lookup(
-                "link_src", (hub_oid,)
-            ):
-                if sid_src == sid_dst:
-                    continue
-                target_url = self.frontier.url_of_oid(oid_dst)
-                if target_url is None:
-                    continue
-                self.frontier.boost(target_url, self.config.hub_boost_priority)

@@ -12,12 +12,13 @@ out-neighbours of the top hubs get their priority raised (the §3.7
 
 The loop itself lives in :mod:`repro.crawler.engine`;
 :class:`FocusedCrawler` is a thin driver that wires a frontier, a trace,
-and a :class:`~repro.crawler.engine.CrawlEngine` together.  Setting
-``CrawlerConfig.batch_size`` (and optionally ``fetch_workers``) switches
-the engine from the reference serial loop to the batched pipeline;
-``fetch_mode="async"`` further switches the fetch stage to the asyncio
-pipeline over the configured fetch transport (``CrawlerConfig.transport``
-/ ``transport_options`` — see :mod:`repro.webgraph.transport`).
+and a :class:`~repro.crawler.engine.CrawlEngine` together.  The engine
+runs one round kernel; ``CrawlerConfig.batch_size`` is how many URLs a
+round checks out (1 by default — the paper's loop as written), and
+``fetch_workers`` / ``fetch_mode="async"`` choose how the round's
+fetches overlap on the configured fetch transport
+(``CrawlerConfig.transport`` / ``transport_options`` — see
+:mod:`repro.webgraph.transport`).
 
 Three focus modes are supported:
 

@@ -10,7 +10,7 @@ Two interchangeable structures implement that priority order:
 
 * :class:`HeapIndex` — a single binary heap over the full ordering key,
   the reference implementation (the pre-bucketing behaviour, bit for
-  bit);
+  bit), which the property tests select with ``Frontier(index="heap")``;
 * :class:`BucketedIndex` — the default: tuples are partitioned into
   priority *bands* derived from the leading ordering columns (integer
   columns pass through losslessly; the first float column — relevance
@@ -25,10 +25,10 @@ Two interchangeable structures implement that priority order:
 
 Ties under the crawl ordering are broken by page oid, which is a stable
 function of the URL: checkout order therefore does not depend on
-insertion history, so batched crawls are reproducible under a fixed seed
+insertion history, so crawls are reproducible under a fixed seed
 regardless of how a round interleaved its ``add_url`` calls.
 
-For the batched crawl engine the frontier supports *round buffering*
+For the crawl engine's rounds the frontier supports *round buffering*
 (:meth:`begin_batch` / :meth:`flush_batch`): in-memory entries stay
 authoritative at all times, while CRAWL-table writes accumulate and are
 flushed once per round through ``insert_many`` / ``update_rows``.  The
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -68,11 +67,6 @@ FRONTIER_INDEXES = ("bucketed", "heap")
 
 #: One prioritised tuple: (ordering key, oid tie-break, url).
 _IndexItem = Tuple[tuple, int, str]
-
-
-def _default_frontier_index() -> str:
-    """Session default: ``REPRO_FRONTIER_INDEX`` env var, else ``"bucketed"``."""
-    return os.environ.get("REPRO_FRONTIER_INDEX", "bucketed")
 
 
 class HeapIndex:
@@ -244,7 +238,7 @@ class Frontier:
         self.database = database
         self.ordering = ordering or aggressive_discovery()
         self._entry_key = self.ordering.compile_entry_key()
-        self._index_name = index or _default_frontier_index()
+        self._index_name = index or "bucketed"
         if self._index_name not in FRONTIER_INDEXES:
             raise ValueError(
                 f"unknown frontier index {self._index_name!r}; "
@@ -276,7 +270,7 @@ class Frontier:
         self._heap_compactions = 0
         # A plain int (not itertools.count) so checkpoints can persist it.
         self._next_discovered = 0
-        # Round buffering (batched engine): pending CRAWL inserts/updates.
+        # Round buffering: pending CRAWL inserts/updates.
         self._buffering = False
         self._pending_new: list[FrontierEntry] = []
         self._pending_changes: Dict[str, Dict[str, Any]] = {}
@@ -631,7 +625,7 @@ class Frontier:
             changes["status"] = "frontier"
         self.database.table("CRAWL").update_row(entry.rid, changes)
 
-    # -- round buffering (batched engine) ---------------------------------------------
+    # -- round buffering ---------------------------------------------------------------
     def begin_batch(self) -> None:
         """Start buffering CRAWL-table writes for one crawl round.
 

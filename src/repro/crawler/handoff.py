@@ -73,8 +73,8 @@ class HandoffRecord:
     destination is unvisited), and the coordinator-assigned discovery
     number for the frontier insert.  ``expand`` is False when the hard
     focus rule rejected the citing page: the LINK row is still written,
-    but the target does not enter the frontier (exactly the batched
-    semantics, where ``_expand`` is skipped but ``_link_rows`` is not).
+    but the target does not enter the frontier (``expansion_priority``
+    returned None; ``link_row`` is written regardless).
     """
 
     round: int
@@ -158,7 +158,7 @@ class OutcomeRecord:
     oid: int
     sid: int
     ok: bool
-    permanent: bool = False       # NOT_FOUND vs transient SERVER_ERROR
+    permanent: bool = False       # engine.permanent_failure(status)
     server: str = ""
     relevance: float = 0.0
     best_leaf: Optional[int] = None
@@ -202,13 +202,13 @@ class ApplyRound:
        with the frontier expansions of the merged handoff records by
        global position — a page's visit commits before its own
        out-links expand, before the next page's visit, exactly the
-       batched engine's per-page walk (the lazily-snapshotted
+       in-process engine's per-page walk (the lazily-snapshotted
        ``serverload`` column is order-sensitive);
     3. link inserts — the per-source queues merged canonically; the
        destination shard resolves ``wgt_fwd`` locally (destination's
        relevance when visited, else the citing page's);
     4. ``wgt_fwd`` refresh of edges into this round's locally visited
-       pages (visit order), mirroring ``BufferedLinkWriter.flush``;
+       pages (visit order) — 3 and 4 are one ``BufferedLinkWriter.flush``;
     5. when the round distilled: HUBS/AUTH sublist replacement and §3.7
        hub-neighbour boosts over the local LINK partition.
     """

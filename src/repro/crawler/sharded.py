@@ -9,12 +9,20 @@ coordinator drives lockstep rounds; all cross-shard effects travel as
 order, so the page sequence, relevance floats, and logical table state
 are a pure function of the crawl content:
 
-* ``N=1`` is bit-identical to the batched :class:`~.engine.CrawlEngine`
-  (same server-pool stream, same heap keys, same ticks);
+* ``N=1`` is bit-identical to :class:`~.engine.CrawlEngine` at the same
+  round size (same server-pool stream, same heap keys, same ticks);
 * ``N>=2`` runs are bit-identical to *each other* for any N and any
   message-delivery timing: per-host RNG substreams make fetch outcomes
   shard-count invariant, and coordinator-assigned ticks/discovery
   numbers make ordering timing-invariant.
+
+This module holds what sharding adds — partitioning, the round
+protocol, coordinator-side tick/discovery assignment, merged-graph
+distillation, cut markers and the manifest.  The stages of a round
+themselves (classify behind the outcome LRU, out-link targets and LINK
+rows, the buffered link flush, hub boosts, the focus rule, the
+checkpoint-due test) are :mod:`~.engine`'s, called here on each shard's
+slice.
 
 One round is five hops: (1) the coordinator asks every shard for its
 best *k* frontier candidates; (2) shards check them out locally;
@@ -47,9 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.classifier.compiled import CompiledHierarchicalModel
 from repro.classifier.model import HierarchicalModel
-from repro.classifier.tokenizer import term_frequencies
 from repro.classifier.training import ModelInstaller
 from repro.core.schema import create_crawl_tables, create_focus_database
 from repro.distiller.compiled import CompiledLinkGraph, compiled_weighted_hits
@@ -62,7 +68,19 @@ from repro.webgraph.servers import ServerPool
 from repro.webgraph.transport import build_transport
 from repro.webgraph.urls import normalize_url, server_sid, url_oid
 
-from .engine import _UNFOCUSED_PRIORITY, CrawlerConfig, CrawlTrace, OutcomeLRU, PageVisit
+from .engine import (
+    BufferedLinkWriter,
+    CrawlerConfig,
+    CrawlTrace,
+    PageScorer,
+    PageVisit,
+    boost_hub_neighbours,
+    checkpoint_due,
+    expansion_priority,
+    link_row,
+    link_targets,
+    permanent_failure,
+)
 from .frontier import Frontier
 from .handoff import (
     ApplyLinks,
@@ -111,7 +129,7 @@ class ShardServerPool(ServerPool):
     depends only on the order of fetches *from that host* — which the
     coordinator fixes in global position order — never on N or on what
     other shards are doing.  Used for ``N >= 2``; ``N=1`` keeps the
-    sequential clone so it stays bit-identical to the batched engine,
+    sequential clone so it stays bit-identical to the in-process engine,
     latencies included.
     """
 
@@ -171,7 +189,7 @@ class ShardWorker:
         failure_seed: int = payload["failure_seed"]
         web = payload["web"]
         # Private fetch stream: sequential clone at N=1 (bit-identical to
-        # the batched engine), per-host substreams at N>=2 (N-invariant).
+        # the in-process engine), per-host substreams at N>=2 (N-invariant).
         if self.shards == 1:
             pool = web.servers.clone()
             pool.reseed(failure_seed)
@@ -216,9 +234,9 @@ class ShardWorker:
                 breadth_first() if self.config.focus_mode == "none" else aggressive_discovery()
             )
         self.frontier = Frontier(self.database, ordering)
-        self._link_table = self.database.table("LINK")
-        self._outcome_cache = OutcomeLRU(self.config.posterior_cache_size)
-        self._compiled_model: Optional[CompiledHierarchicalModel] = None
+        # The engine's own classify and record stages, run on this shard's slice.
+        self._scorer = PageScorer(self.classifier, self.taxonomy, self.config)
+        self._link_writer = BufferedLinkWriter(self.database.table("LINK"))
         self.timings: Dict[str, float] = {stage: 0.0 for stage in _STAGES}
         if resume is not None:
             self.frontier.restore_state(resume["frontier"])
@@ -281,33 +299,19 @@ class ShardWorker:
         ]
         self.timings["fetch"] += time.perf_counter() - started
 
-        # Classification mirrors CrawlEngine._classify_stage: one batch
-        # of cache misses, outcomes re-slotted in order.
         started = time.perf_counter()
-        ok_items = [item for item in results if item[2].status is FetchStatus.OK]
-        outcomes: List[Any] = []
-        pending = []
-        positions = []
-        for index, (pos, url, result) in enumerate(ok_items):
-            oid = self.frontier.entry(url).oid
-            cached = self._outcome_cache.get(oid)
-            outcomes.append(cached)
-            if cached is None:
-                pending.append(term_frequencies(result.tokens))
-                positions.append((index, oid))
-        if pending:
-            scorer = (
-                self._scorer()
-                if self.config.score_backend == "numpy"
-                else self.classifier
+        outcomes = iter(
+            self._scorer.classify(
+                [
+                    (self.frontier.entry(url).oid, result)
+                    for _pos, url, result in results
+                    if result.status is FetchStatus.OK
+                ]
             )
-            for (index, oid), outcome in zip(positions, scorer.classify_batch(pending)):
-                outcomes[index] = outcome
-                self._outcome_cache.put(oid, outcome)
+        )
         self.timings["classify"] += time.perf_counter() - started
 
         records: List[OutcomeRecord] = []
-        ok_cursor = 0
         for pos, url, result in results:
             entry = self.frontier.entry(url)
             if result.status is not FetchStatus.OK:
@@ -318,30 +322,11 @@ class ShardWorker:
                         oid=entry.oid,
                         sid=entry.sid,
                         ok=False,
-                        permanent=result.status is FetchStatus.NOT_FOUND,
+                        permanent=permanent_failure(result.status),
                     )
                 )
                 continue
-            outcome = outcomes[ok_cursor]
-            ok_cursor += 1
-            relevance = outcome.relevance
-            best_leaf = (
-                outcome.best_leaf_cid if self.config.record_best_leaf else None
-            )
-            hard_accepts = (
-                self.taxonomy.good_ancestor_of(outcome.best_leaf_cid) is not None
-                if self.config.focus_mode == "hard"
-                else True
-            )
-            seen: set[int] = set()
-            targets: List[Tuple[str, int, int]] = []
-            for target in result.out_links:
-                normalized = normalize_url(target)
-                target_oid = url_oid(normalized)
-                if target_oid in seen or target_oid == entry.oid:
-                    continue
-                seen.add(target_oid)
-                targets.append((normalized, target_oid, server_sid(normalized)))
+            outcome = next(outcomes)
             records.append(
                 OutcomeRecord(
                     pos=pos,
@@ -350,11 +335,11 @@ class ShardWorker:
                     sid=entry.sid,
                     ok=True,
                     server=result.server,
-                    relevance=relevance,
-                    best_leaf=best_leaf,
-                    hard_accepts=hard_accepts,
+                    relevance=outcome.relevance,
+                    best_leaf=self._scorer.best_leaf(outcome),
+                    hard_accepts=self._scorer.hard_accepts(outcome),
                     out_degree=len(result.out_links),
-                    targets=targets,
+                    targets=link_targets(entry.oid, result.out_links),
                 )
             )
         stats_after = asdict(self.fetcher.stats)
@@ -379,7 +364,7 @@ class ShardWorker:
         # Visits and expansions interleave in global position order (a
         # visit at pos sorts before its own links at (pos, 0..)): the
         # serverload snapshot a new frontier entry takes must count
-        # exactly the visits the batched engine had committed when it
+        # exactly the visits the in-process engine had committed when it
         # expanded the same link.
         ops: List[Tuple[int, int, Any]] = [
             (visit[4], -1, visit) for visit in message.visits
@@ -396,36 +381,25 @@ class ShardWorker:
                     op.priority,
                 )
 
-        rows = []
-        for record in records:
-            # wgt_fwd needs the destination's relevance; this shard owns
-            # the destination, so the lookup is local and exact.
-            entry = self.frontier.get_normalized(record.dst_url)
-            if entry is not None and entry.status == "visited":
-                forward = entry.relevance
-            else:
-                forward = record.src_relevance
-            rows.append(
-                (
+        # This shard owns every destination, so link_row's wgt_fwd lookup
+        # is local and exact; refreshes follow the inserts, in visit order.
+        self._link_writer.add_rows(
+            [
+                link_row(
+                    self.frontier,
                     record.src_oid,
                     record.src_sid,
+                    record.dst_url,
                     record.dst_oid,
                     record.dst_sid,
-                    forward,
                     record.src_relevance,
                 )
-            )
-        if rows:
-            self._link_table.insert_many(rows)
-        # Refresh E_F of edges into this round's locally visited pages
-        # (the sharded BufferedLinkWriter.flush).
-        updates = []
+                for record in records
+            ]
+        )
         for url, _tick, relevance, _leaf, _pos in message.visits:
-            oid = self.frontier.entry(url).oid
-            for rid in self._link_table.lookup_rids("link_dst", (oid,)):
-                updates.append((rid, relevance))
-        if updates:
-            self._link_table.update_column("wgt_fwd", updates)
+            self._link_writer.refresh(self.frontier.entry(url).oid, relevance)
+        self._link_writer.flush()
 
         if message.scores is not None:
             hub_items, auth_items = message.scores
@@ -435,17 +409,9 @@ class ShardWorker:
             auth.truncate()
             hubs.insert_many(hub_items)
             auth.insert_many(auth_items)
-        if message.boost_hubs:
-            schema = self._link_table.schema
-            for hub_oid in message.boost_hubs:
-                for row in self._link_table.lookup("link_src", (hub_oid,)):
-                    mapping = schema.row_to_mapping(row)
-                    if mapping["sid_src"] == mapping["sid_dst"]:
-                        continue
-                    target_url = self.frontier.url_of_oid(mapping["oid_dst"])
-                    if target_url is None:
-                        continue
-                    self.frontier.boost(target_url, message.boost_priority)
+        boost_hub_neighbours(
+            self._link_writer.table, self.frontier, message.boost_hubs, message.boost_priority
+        )
 
         self.frontier.flush_batch()
         if message.log_cut and self.durable:
@@ -465,11 +431,6 @@ class ShardWorker:
     def close(self) -> None:
         if not self.database.closed:
             self.database.close()
-
-    def _scorer(self) -> CompiledHierarchicalModel:
-        if self._compiled_model is None:
-            self._compiled_model = CompiledHierarchicalModel(self.classifier)
-        return self._compiled_model
 
 
 def _shard_worker_main(conn, payload: Dict[str, Any]) -> None:
@@ -821,9 +782,9 @@ class ShardedEngine:
             self._relevance[record.oid] = record.relevance
             self._sid_of.setdefault(record.oid, record.sid)
             self._url_of_oid.setdefault(record.oid, record.url)
-            mode = self.config.focus_mode
-            expand = not (mode == "hard" and not record.hard_accepts)
-            priority = record.relevance if mode != "none" else _UNFOCUSED_PRIORITY
+            priority = expansion_priority(
+                self.config.focus_mode, record.relevance, record.hard_accepts
+            )
             for link_idx, (target_url, target_oid, target_sid) in enumerate(
                 record.targets
             ):
@@ -842,8 +803,8 @@ class ShardedEngine:
                     dst_sid=target_sid,
                     src_relevance=record.relevance,
                     discovered=number,
-                    expand=expand,
-                    priority=priority,
+                    expand=priority is not None,
+                    priority=priority or 0.0,
                 )
                 dst_shard = shard_of_sid(target_sid, self.shards)
                 handoffs.setdefault(dst_shard, {}).setdefault(src_shard, []).append(
@@ -863,8 +824,9 @@ class ShardedEngine:
             self.trace.fetched_urls.append(record.url)
             self._since_distillation += 1
             self._since_checkpoint += 1
-        # E_F refresh of the merged graph for this round's visits (the
-        # coordinator-side mirror of BufferedLinkWriter.flush).
+        # E_F refresh of the merged graph for this round's visits, after
+        # the round's edges are appended (what each shard's link flush
+        # does to its LINK partition).
         for record in successes:
             self._patch_forward(record.oid, record.relevance)
 
@@ -979,22 +941,12 @@ class ShardedEngine:
 
     # -- checkpointing -----------------------------------------------------------
     def _maybe_checkpoint(self) -> None:
-        if self.checkpointer is None:
-            return
-        count_due = (
-            self.config.checkpoint_every
-            and self._since_checkpoint >= self.config.checkpoint_every
-        )
-        interval = self.config.checkpoint_interval_s
-        time_due = (
-            interval
-            and self._last_checkpoint_s is not None
-            and time.monotonic() - self._last_checkpoint_s >= interval
-        )
-        if not (count_due or time_due):
+        if self.checkpointer is None or not checkpoint_due(
+            self.config, self._since_checkpoint, self._last_checkpoint_s
+        ):
             return
         self._since_checkpoint = 0
-        if interval:
+        if self.config.checkpoint_interval_s:
             self._last_checkpoint_s = time.monotonic()
         self.checkpointer.save()
 
@@ -1042,13 +994,7 @@ class ShardedEngine:
             shard: dict(t) for shard, t in state["shard_timings"].items()
         }
         self._distill_s = state["distill_s"]
-        saved: CrawlTrace = state["trace"]
-        self.trace.visits[:] = saved.visits
-        self.trace.fetched_urls[:] = saved.fetched_urls
-        self.trace.failed_urls[:] = saved.failed_urls
-        self.trace.distillations = saved.distillations
-        self.trace.stagnated = saved.stagnated
-        self.trace.last_distillation = saved.last_distillation
+        self.trace.refill(state["trace"])
 
 
 class _AggregateFetcher:
@@ -1290,7 +1236,7 @@ def build_sharded_crawler(
     """
     config = replace(config)
     if not focused:
-        # Mirror UnfocusedCrawler: measure relevance, never use it.
+        # As UnfocusedCrawler does: measure relevance, never use it.
         config.focus_mode = "none"
         if config.ordering is None:
             config.ordering = breadth_first()

@@ -19,13 +19,11 @@ Both produce the same scores as the in-memory
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.minidb import Database
 from repro.minidb.pages import PageId, RecordId
-from repro.minidb.query import legacy_scan_rows
 from repro.minidb.table import Table
 
 from .compiled import CompiledLinkGraph, compiled_weighted_hits
@@ -197,14 +195,11 @@ class IndexLookupDistiller(_BaseDbDistiller):
         # ---- authority half-step ------------------------------------------------
         new_auth: Dict[int, float] = {}
         before = db.stats.copy()
-        # The naive variant *is* the paper's sequential link-table scan,
-        # so it reads LINK through the deprecated raw-scan shim (with
-        # warnings suppressed here: the deprecation targets analytics
-        # call sites that should move to Database.query(), not this
-        # deliberately-naive baseline the experiment measures).
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            link_rows = legacy_scan_rows(link_table)
+        # The naive variant *is* the paper's sequential link-table scan —
+        # the baseline the experiment measures — so it reads LINK with a
+        # raw Table.scan() rather than through Database.query().
+        link_schema = link_table.schema
+        link_rows = [link_schema.row_to_mapping(row) for _rid, row in link_table.scan()]
         self.cost.scan_cost += db.stats.diff(before).simulated_cost()
 
         before = db.stats.copy()

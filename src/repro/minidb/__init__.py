@@ -52,8 +52,8 @@ from .index import HashIndex, OrderedIndex
 from .intervals import IntervalIndex
 from .operators import Aggregate
 from .pages import DEFAULT_PAGE_SIZE, PageId, RecordId
-from .planner import ExplainResult, Plan, planner_mode
-from .query import Query, legacy_scan_rows
+from .planner import ExplainResult, Plan
+from .query import Query
 from .sql import execute_sql, parse_sql
 from .table import Table
 from .triggers import Trigger
@@ -105,11 +105,9 @@ __all__ = [
     "func",
     "in_set",
     "is_null",
-    "legacy_scan_rows",
     "lit",
     "make_schema",
     "not_",
     "or_",
     "parse_sql",
-    "planner_mode",
 ]

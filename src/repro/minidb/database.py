@@ -24,7 +24,6 @@ persisted; re-register them after reopening.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .backend import DurableBackend, MemoryBackend, StorageBackend
@@ -37,30 +36,6 @@ from .table import Table
 from .triggers import Trigger, TriggerAction, TriggerRegistry
 from .types import Schema, schema_from_spec, schema_to_spec
 from .wal import WAL_CUT_OP
-
-
-def _resolve_storage(storage: Optional[StorageConfig], legacy: dict[str, Any]) -> StorageConfig:
-    """Fold the deprecated per-knob ``Database.open`` keywords into a config.
-
-    Passing any legacy knob alongside an explicit ``storage`` is an
-    error rather than a merge: silently preferring one source would make
-    the other a no-op and mask a caller bug.
-    """
-    given = {name: value for name, value in legacy.items() if value is not None}
-    if not given:
-        return storage if storage is not None else StorageConfig()
-    if storage is not None:
-        raise ValueError(
-            f"pass storage knobs either via StorageConfig or via legacy keywords, "
-            f"not both (got storage= plus {sorted(given)})"
-        )
-    warnings.warn(
-        f"Database.open({', '.join(sorted(given))}=...) is deprecated; "
-        "pass storage=StorageConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return StorageConfig(**given)
 
 
 class Database:
@@ -99,10 +74,6 @@ class Database:
         replay_wal: bool = True,
         replay_upto_cut: Optional[int] = None,
         storage: Optional[StorageConfig] = None,
-        wal_fsync_batch: Optional[int] = None,
-        ops=None,
-        compact_every: Optional[int] = None,
-        compact_min_garbage_ratio: Optional[float] = None,
     ) -> "Database":
         """Open (or create) a durable database at directory *path*.
 
@@ -120,20 +91,9 @@ class Database:
         Durability policy — WAL group commit, segment compaction, the
         fault-injection :class:`~repro.minidb.wal.FileOps` seam, and
         optionally the buffer-pool size — comes in as one
-        :class:`StorageConfig` via ``storage=``.  The per-knob keywords
-        (``wal_fsync_batch``, ``ops``, ``compact_every``,
-        ``compact_min_garbage_ratio``) are deprecated pass-throughs with
-        unchanged semantics; passing both forms raises.
+        :class:`StorageConfig` via ``storage=`` (None means the defaults).
         """
-        config = _resolve_storage(
-            storage,
-            {
-                "wal_fsync_batch": wal_fsync_batch,
-                "ops": ops,
-                "compact_every": compact_every,
-                "compact_min_garbage_ratio": compact_min_garbage_ratio,
-            },
-        )
+        config = storage if storage is not None else StorageConfig()
         if replay_upto_cut is not None and not replay_wal:
             raise ValueError("replay_upto_cut requires replay_wal=True")
         return cls(

@@ -2,8 +2,8 @@
 
 :func:`plan_select` turns a parsed :class:`~repro.minidb.sql.SelectStatement`
 into a :class:`Plan` — an operator tree plus the metadata EXPLAIN and the
-cost-attribution layer need.  Two modes, selected per plan (or globally
-through the ``REPRO_SQL_PLANNER`` environment variable):
+cost-attribution layer need.  Two modes, selected per plan through the
+``mode`` argument of :func:`plan_select` / ``execute_select``:
 
 * ``"index"`` (the default): access paths go through indexes whenever a
   safe one exists —
@@ -33,7 +33,6 @@ an index plan differs from its scan plan only in *how rows arrive*.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
@@ -74,9 +73,6 @@ from .sql import (
     _split_where,
 )
 
-#: Environment variable selecting the session-wide planner mode.
-PLANNER_MODE_ENV = "REPRO_SQL_PLANNER"
-
 #: Valid planner modes: index-aware plans vs. the legacy scan pipeline.
 PLANNER_MODES = ("index", "scan")
 
@@ -85,17 +81,6 @@ GRAPH_FUNCS = _GRAPH_FUNCS
 
 #: Operators that constitute an index access path, for plan inspection.
 _INDEX_OPS = (IndexLookup, IndexKeysLookup, IndexRangeScan, IndexNestedLoopJoin)
-
-
-def planner_mode() -> str:
-    """The session's planner mode (``REPRO_SQL_PLANNER``, default ``index``)."""
-    mode = os.environ.get(PLANNER_MODE_ENV, "").strip().lower() or "index"
-    if mode not in PLANNER_MODES:
-        raise QueryError(
-            f"unknown planner mode {mode!r} in ${PLANNER_MODE_ENV} "
-            f"(expected one of {PLANNER_MODES})"
-        )
-    return mode
 
 
 @dataclass(frozen=True)
@@ -568,11 +553,11 @@ def plan_select(
     parameters: Mapping[str, Any],
     mode: Optional[str] = None,
 ) -> Plan:
-    """Build the plan tree for *statement* under the given (or session) mode."""
-    mode = mode or planner_mode()
+    """Build the plan tree for *statement*; *mode* defaults to ``"index"``."""
+    mode = mode or "index"
     if mode not in PLANNER_MODES:
-        raise QueryError(f"unknown planner mode {mode!r}")
-    compiler = _Compiler(database, parameters)
+        raise QueryError(f"unknown planner mode {mode!r} (expected one of {PLANNER_MODES})")
+    compiler = _Compiler(database, parameters, mode)
     aliases = [alias for _, alias in statement.tables]
     conjuncts = _split_where(statement.where)
     used: set[int] = set()

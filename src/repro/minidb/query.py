@@ -30,7 +30,6 @@ Example::
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from .errors import QueryError
@@ -294,11 +293,9 @@ class Query:
 
     def explain(self) -> "ExplainResult":  # noqa: F821
         """Render the plan tree this query would execute."""
-        from .planner import ExplainResult, planner_mode
+        from .planner import ExplainResult
 
-        return ExplainResult(
-            mode=planner_mode(), lines=tuple(explain_lines(self.plan()))
-        )
+        return ExplainResult(mode="index", lines=tuple(explain_lines(self.plan())))
 
     def scalar(self) -> Any:
         """Run and return the single value of the single row (or None when empty)."""
@@ -428,28 +425,3 @@ class Query:
                 predicate_parts.append(residual)
             return NestedLoopJoin(plan, right, And(predicate_parts))
         return HashJoin(plan, right, left_keys, right_keys, residual)
-
-
-def legacy_scan_rows(table: Table, query: Optional[Query] = None) -> list[dict]:
-    """Deprecated analytics read path: a raw ``Table.scan()`` as row dicts.
-
-    Analytics code historically read whole tables with ``Table.scan()``
-    plus ``Schema.row_to_mapping`` and joined them in Python; the
-    supported read surface is now :meth:`Database.query` /
-    :meth:`Database.sql`.  This shim keeps the old call sites working —
-    with a :class:`DeprecationWarning` — and follows the
-    ``StorageConfig`` shim pattern: naming both the legacy *table* and a
-    new-style *query* is an error, not a silent preference.
-    """
-    if query is not None:
-        raise ValueError(
-            "pass either a table to scan (legacy) or a Query to run, not both"
-        )
-    warnings.warn(
-        "direct Table.scan() for analytics is deprecated; "
-        "use Database.query()/Database.sql() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    schema = table.schema
-    return [schema.row_to_mapping(row) for _rid, row in table.scan()]

@@ -595,9 +595,16 @@ class _Compiler:
     """Compile SQL AST expressions into runtime Expressions, resolving
     parameters and (correlated-free) subqueries eagerly."""
 
-    def __init__(self, database: "Database", parameters: Mapping[str, Any]) -> None:  # noqa: F821
+    def __init__(
+        self,
+        database: "Database",  # noqa: F821
+        parameters: Mapping[str, Any],
+        mode: Optional[str] = None,
+    ) -> None:
         self.database = database
         self.parameters = parameters
+        #: Planner mode subqueries run under (the enclosing plan's).
+        self.mode = mode
         self.aggregates: list[Aggregate] = []
         self._agg_counter = 0
 
@@ -627,13 +634,13 @@ class _Compiler:
         if isinstance(node, SqlIn):
             inner = self.compile(node.inner, allow_aggregates)
             if node.subquery is not None:
-                rows = execute_select(self.database, node.subquery, self.parameters)
+                rows = execute_select(self.database, node.subquery, self.parameters, self.mode)
                 values = [next(iter(r.values())) for r in rows]
             else:
                 values = [self.compile(v).evaluate({}) for v in (node.values or [])]
             return InSet(inner, values, node.negated)
         if isinstance(node, SqlSubquery):
-            rows = execute_select(self.database, node.select, self.parameters)
+            rows = execute_select(self.database, node.select, self.parameters, self.mode)
             if not rows:
                 return Literal(None)
             if len(rows) > 1 or len(rows[0]) != 1:

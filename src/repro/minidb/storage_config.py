@@ -8,10 +8,8 @@ collapses the sprawl into a single frozen :class:`StorageConfig` that
 travels as one value — through ``Database.open(storage=...)``, through
 ``CrawlerConfig.storage``, and inside serialized
 :class:`~repro.core.config.JobSpec` payloads submitted over the crawl
-service's HTTP API.
-
-The old keywords keep working as deprecated pass-throughs (see
-:meth:`Database.open`); new code should build a ``StorageConfig``.
+service's HTTP API.  ``CrawlerConfig`` still carries the three knobs old
+checkpoints pickled; ``CrawlerConfig.resolve_storage()`` folds them in.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The engine never talks to a :class:`~repro.webgraph.fetch.Fetcher` (or a
 network) directly any more; it talks to a *transport*.  A transport
 exposes the same fetch semantics three ways:
 
-* ``fetch(url)`` — the synchronous one-shot used by the serial loop and
-  the threaded fetch stage;
+* ``fetch(url)`` — the synchronous one-shot used by the threaded fetch
+  stage and the sharded workers;
 * ``prepare(url)`` / ``await wait(pending)`` — the two-phase form used
   by the asyncio fetch stage.  **Every random draw happens inside
   ``prepare``**, synchronously, in submission order; ``wait`` only waits

@@ -308,8 +308,8 @@ class TestPrefetchCrashResume:
     """
 
     @staticmethod
-    def prefetch_config() -> CrawlerConfig:
-        config = crawl_config("batched")
+    def prefetch_config(engine: str = "batched") -> CrawlerConfig:
+        config = crawl_config(engine)
         config.fetch_mode = "async"
         config.prefetch = True
         return config
@@ -335,6 +335,26 @@ class TestPrefetchCrashResume:
         assert resumed.crawler.config.prefetch
         assert resumed.pages_fetched() == MAX_PAGES
         assert_traces_match(resumed, reference_batched)
+        resumed.database.close()
+
+    def test_k1_prefetch_killed_and_resumed_matches_uninterrupted(
+        self, checkpoint_system, reference_serial, tmp_path, monkeypatch
+    ):
+        """Rounds of one URL speculate too: the projected next checkout is
+        prepared while the current page is classified and written."""
+        kill_fetcher_after(monkeypatch, 58)
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=self.prefetch_config("serial"),
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(tmp_path / "crawl"),
+            )
+        monkeypatch.undo()
+
+        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
+        assert resumed.crawler.engine.prefetch_stats()["launched"] > 0
+        assert resumed.pages_fetched() == MAX_PAGES
+        assert_traces_match(resumed, reference_serial)
         resumed.database.close()
 
     def test_prefetch_latency_killed_and_resumed(

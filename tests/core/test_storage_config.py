@@ -1,4 +1,4 @@
-"""StorageConfig: the consolidated storage policy and its deprecation shims."""
+"""StorageConfig: the consolidated storage policy, and the CrawlerConfig knobs folded into it."""
 
 import dataclasses
 
@@ -75,42 +75,6 @@ class TestDatabaseOpenShims:
             assert database.backend.compactor.min_garbage_ratio == 0.25
         finally:
             database.close()
-
-    def test_legacy_kwargs_warn_and_pin_the_same_backend_state(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="storage=StorageConfig"):
-            legacy = Database.open(
-                str(tmp_path / "legacy"),
-                wal_fsync_batch=4,
-                compact_every=3,
-                compact_min_garbage_ratio=0.25,
-            )
-        new = Database.open(
-            str(tmp_path / "new"),
-            storage=StorageConfig(
-                wal_fsync_batch=4, compact_every=3, compact_min_garbage_ratio=0.25
-            ),
-        )
-        try:
-            assert legacy.backend.wal_fsync_batch == new.backend.wal_fsync_batch
-            assert (
-                legacy.backend.compactor.compact_every
-                == new.backend.compactor.compact_every
-            )
-            assert (
-                legacy.backend.compactor.min_garbage_ratio
-                == new.backend.compactor.min_garbage_ratio
-            )
-        finally:
-            legacy.close()
-            new.close()
-
-    def test_both_forms_together_is_an_error(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            Database.open(
-                str(tmp_path / "db"),
-                storage=StorageConfig(),
-                wal_fsync_batch=2,
-            )
 
     def test_close_marks_the_database_closed(self, tmp_path):
         database = Database.open(str(tmp_path / "db"))

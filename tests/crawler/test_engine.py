@@ -1,11 +1,14 @@
-"""Equivalence and behaviour tests for the batched crawl engine.
+"""Equivalence and behaviour tests for the crawl engine's round kernel.
 
-The batched pipeline must be a pure *execution strategy* change:
+The round size K and the fetch mode must be pure *execution strategy*
+choices:
 
-* at ``batch_size=1`` it visits the same pages in the same order with
-  bit-for-bit identical relevance values as the reference serial loop;
+* at K=1 the kernel is the paper's one-URL-at-a-time loop — pinned to
+  digests recorded from the deleted serial loop in ``test_golden_k1.py``;
 * at larger K the interleaving changes, but on a bounded web the crawl
   converges to exactly the same visited set;
+* recorded relevance is the single-document Eq. 2 reference, bit for bit;
+* threaded ≡ async ≡ async+prefetch, and stepped ≡ one run;
 * the incremental distiller must agree with a full-table recomputation.
 """
 
@@ -50,55 +53,42 @@ def crawl_seeds(small_web):
 
 
 class TestSerialBatchedEquivalence:
-    def test_k1_batched_matches_serial_bit_for_bit(
-        self, small_web, trained_model, taxonomy, crawl_seeds
-    ):
-        """batch_size=1 reproduces the serial loop exactly — URLs, relevance
-        floats, failures, and distillation cadence."""
-        kwargs = dict(max_pages=120, distill_every=50)
-        _, serial_db, serial = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds, **kwargs
-        )
-        _, batched_db, batched = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            engine="batched", batch_size=1, **kwargs,
-        )
-        assert serial.fetched_urls == batched.fetched_urls
-        assert serial.relevance_series() == batched.relevance_series()  # bitwise
-        assert serial.failed_urls == batched.failed_urls
-        assert serial.distillations == batched.distillations
-        assert len(serial_db.table("CRAWL")) == len(batched_db.table("CRAWL"))
-        assert len(serial_db.table("LINK")) == len(batched_db.table("LINK"))
-
-    def test_k1_link_table_state_identical(
-        self, small_web, trained_model, taxonomy, crawl_seeds
-    ):
-        """Buffered link writes leave the same final LINK rows as serial."""
-        kwargs = dict(max_pages=80, distill_every=0)
-        _, serial_db, _ = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds, **kwargs
-        )
-        _, batched_db, _ = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            engine="batched", batch_size=1, **kwargs,
-        )
-        serial_rows = sorted(serial_db.table("LINK").rows())
-        batched_rows = sorted(batched_db.table("LINK").rows())
-        assert serial_rows == batched_rows
-
     def test_k8_converges_to_same_crawl_set(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
-        """On a bounded web a batched crawl visits exactly the serial set."""
+        """On a bounded web a K=8 crawl visits exactly the K=1 set."""
         kwargs = dict(max_pages=10_000, distill_every=0, simulate_failures=False,
                       stagnation_patience=10_000)
-        _, _, serial = run_crawl(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
-        _, _, batched = run_crawl(
+        _, _, one = run_crawl(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
+        _, _, eight = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds,
             batch_size=8, fetch_workers=1, **kwargs,
         )
-        assert serial.stagnated and batched.stagnated  # frontier exhausted
-        assert serial.visited_set() == batched.visited_set()
+        assert one.stagnated and eight.stagnated  # frontier exhausted
+        assert one.visited_set() == eight.visited_set()
+
+    def test_k1_stepped_rounds_are_the_single_run(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        """``run(budget, max_rounds=1)`` stepped to completion is ``run(budget)``,
+        tables included, with distillations falling between the steps."""
+        kwargs = dict(max_pages=90, distill_every=40, engine="serial")
+        _, whole_db, whole = run_crawl(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
+        stepped_crawler, stepped_db, stepped = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds, **{**kwargs, "max_pages": 0}
+        )
+        assert stepped.pages_fetched == 0
+        steps = 0
+        while stepped.pages_fetched < 90:
+            stepped_crawler.engine.run(90, max_rounds=1)
+            steps += 1
+        assert steps >= 90  # one checkout per step, failures included
+        assert whole.fetched_urls == stepped.fetched_urls
+        assert whole.relevance_series() == stepped.relevance_series()  # bitwise
+        assert whole.failed_urls == stepped.failed_urls
+        assert whole.distillations == stepped.distillations
+        for table in ("CRAWL", "LINK", "HUBS", "AUTH"):
+            assert sorted(whole_db.table(table).rows()) == sorted(stepped_db.table(table).rows())
 
     def test_fetch_worker_pool_is_deterministic(
         self, small_web, trained_model, taxonomy, crawl_seeds
@@ -193,24 +183,6 @@ class TestScoreBackends:
         for oid, score in reference.authority_scores.items():
             assert outcome.authority_scores[oid] == pytest.approx(score, abs=1e-9)
 
-    def test_serial_numpy_matches_python_to_tolerance(
-        self, small_web, trained_model, taxonomy, crawl_seeds
-    ):
-        kwargs = dict(max_pages=80, distill_every=30)
-        _, _, python_trace = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            score_backend="python", **kwargs,
-        )
-        _, _, numpy_trace = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            score_backend="numpy", **kwargs,
-        )
-        assert python_trace.fetched_urls == numpy_trace.fetched_urls
-        for a, b in zip(
-            python_trace.relevance_series(), numpy_trace.relevance_series()
-        ):
-            assert b == pytest.approx(a, abs=1e-9)
-
     def test_hard_focus_numpy_matches_python(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
@@ -252,13 +224,15 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             run_crawl(small_web, trained_model, taxonomy, [], batch_size=0)
 
-    def test_auto_mode_picks_batched_for_k_greater_than_one(
+    def test_round_size_is_batch_size_except_under_serial(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
-        crawler, _, _ = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds, max_pages=10, batch_size=4
-        )
-        assert crawler.engine.batched
+        for engine, expected in (("auto", 4), ("batched", 4), ("serial", 1)):
+            crawler, _, _ = run_crawl(
+                small_web, trained_model, taxonomy, crawl_seeds,
+                max_pages=10, batch_size=4, engine=engine,
+            )
+            assert crawler.engine.round_size == expected
 
     def test_cache_stats_exposed(self, small_web, trained_model, taxonomy, crawl_seeds):
         crawler, _, _ = run_crawl(
@@ -298,19 +272,6 @@ class TestAsyncFetchPipeline:
         assert threaded.failed_urls == asynced.failed_urls
         assert threaded.distillations == asynced.distillations
         assert sorted(threaded_db.table("LINK").rows()) == sorted(async_db.table("LINK").rows())
-
-    def test_async_k1_matches_serial_bit_for_bit(
-        self, small_web, trained_model, taxonomy, crawl_seeds
-    ):
-        kwargs = dict(max_pages=80, distill_every=40)
-        _, _, serial = run_crawl(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
-        _, _, asynced = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            engine="batched", batch_size=1, fetch_mode="async", **kwargs,
-        )
-        assert serial.fetched_urls == asynced.fetched_urls
-        assert serial.relevance_series() == asynced.relevance_series()
-        assert serial.failed_urls == asynced.failed_urls
 
     def test_max_inflight_cannot_change_the_crawl(
         self, small_web, trained_model, taxonomy, crawl_seeds

@@ -1,0 +1,181 @@
+"""The K=1 crawl, frozen: digests recorded from the deleted serial loop.
+
+Until PR 14 ``CrawlEngine`` held a second, one-URL-at-a-time crawl loop
+(``_run_serial``) that every bit-identity pin compared the round kernel
+against.  That loop is gone — ``engine="serial"`` is the kernel at round
+size 1 — so its behaviour lives on here as data: for each case below the
+parent commit's serial loop (python backend) produced the digests in
+``GOLDEN``, and the kernel must reproduce them bit for bit under every
+fetch mode the session default selects (threaded, async, prefetch).
+
+A digest covers one artefact of the crawl: the fetched URL sequence, the
+``repr`` of every relevance float, the failed URLs, the distillation
+count, and the sorted rows of CRAWL, LINK, HUBS and AUTH.  The numpy
+backend is 1e-9-equivalent rather than bit-equal, so it is compared to
+the (just pinned) python run: same URLs, floats to tolerance.
+"""
+
+from hashlib import blake2b
+
+import pytest
+
+from repro.classifier.training import ModelInstaller
+from repro.core.schema import create_focus_database
+from repro.crawler.engine import CrawlerConfig
+from repro.crawler.focused import FocusedCrawler
+from repro.webgraph.fetch import Fetcher
+
+GOOD = "recreation/cycling"
+
+#: name -> (simulate_failures, CrawlerConfig keywords).  Between them:
+#: every focus mode, with and without distillation, with and without the
+#: simulated transient-failure stream.
+CASES = {
+    "soft-distill-failures": (True, dict(max_pages=120, distill_every=50)),
+    "soft-nodistill-failures": (True, dict(max_pages=80, distill_every=0)),
+    "soft-distill-clean": (False, dict(max_pages=100, distill_every=30)),
+    "hard-nodistill-clean": (False, dict(max_pages=60, distill_every=0, focus_mode="hard")),
+    "hard-distill-failures": (True, dict(max_pages=90, distill_every=40, focus_mode="hard")),
+    "none-nodistill-failures": (True, dict(max_pages=70, distill_every=0, focus_mode="none")),
+    "none-distill-clean": (False, dict(max_pages=70, distill_every=25, focus_mode="none")),
+}
+
+#: Recorded at commit 86959cd from ``CrawlEngine._run_serial``.
+GOLDEN = {
+    "soft-distill-failures": {
+        "urls": "91c5acbe252af23b",
+        "relevance": "bb045f19abeb691b",
+        "failed": "0a738dedbf9a0a16",
+        "distillations": 2,
+        "CRAWL": "5351fb57335eaa49",
+        "LINK": "42c30b12d6ae6320",
+        "HUBS": "c3358cd479d31b5b",
+        "AUTH": "30c99e91dc6c2657",
+    },
+    "soft-nodistill-failures": {
+        "urls": "3bf897bc857b1e8f",
+        "relevance": "24f5dd3cc62f3852",
+        "failed": "6fc9988d8f7495f5",
+        "distillations": 0,
+        "CRAWL": "cb0cf2808c01906b",
+        "LINK": "393c177537e06f7f",
+        "HUBS": "e4a6a0577479b2b4",
+        "AUTH": "e4a6a0577479b2b4",
+    },
+    "soft-distill-clean": {
+        "urls": "92e9b83657add946",
+        "relevance": "8b7012288a695cf1",
+        "failed": "170fd60874485927",
+        "distillations": 3,
+        "CRAWL": "c1076b1ae153ad00",
+        "LINK": "e1aa745e0cad4a93",
+        "HUBS": "5053e68e01aebba2",
+        "AUTH": "1c8bd41047ae485f",
+    },
+    "hard-nodistill-clean": {
+        "urls": "c9821c6bb4e259d0",
+        "relevance": "b6e55ee707d33f14",
+        "failed": "142794723c4c00df",
+        "distillations": 0,
+        "CRAWL": "eb55895eb265d694",
+        "LINK": "cf9153fb37007dc0",
+        "HUBS": "e4a6a0577479b2b4",
+        "AUTH": "e4a6a0577479b2b4",
+    },
+    "hard-distill-failures": {
+        "urls": "8ee4d2535cb43a34",
+        "relevance": "c506a782cb767ba3",
+        "failed": "6fc9988d8f7495f5",
+        "distillations": 2,
+        "CRAWL": "6adace9cb6302e8d",
+        "LINK": "1b95ea508091b1d9",
+        "HUBS": "5e2ffb27cbdc9b84",
+        "AUTH": "78d42da7476c6e52",
+    },
+    "none-nodistill-failures": {
+        "urls": "f9504edd4f6e0056",
+        "relevance": "5be5f8f7ba19a159",
+        "failed": "29cf32005d24261d",
+        "distillations": 0,
+        "CRAWL": "9315ebbe8abaa9ce",
+        "LINK": "176c47027d86c947",
+        "HUBS": "e4a6a0577479b2b4",
+        "AUTH": "e4a6a0577479b2b4",
+    },
+    "none-distill-clean": {
+        "urls": "f9504edd4f6e0056",
+        "relevance": "5be5f8f7ba19a159",
+        "failed": "05e24b8b4588ac55",
+        "distillations": 2,
+        "CRAWL": "db4f12b2b2c33ff0",
+        "LINK": "176c47027d86c947",
+        "HUBS": "b42d25a098dab155",
+        "AUTH": "74f3c83cb05cf8a7",
+    },
+}
+
+
+def digest(items) -> str:
+    state = blake2b(digest_size=8)
+    for item in items:
+        state.update(repr(item).encode())
+        state.update(b"\n")
+    return state.hexdigest()
+
+
+def run_case(name, small_web, trained_model, taxonomy, **overrides):
+    simulate_failures, kwargs = CASES[name]
+    database = create_focus_database(buffer_pool_pages=512)
+    ModelInstaller(database).install(trained_model)
+    small_web.servers.reseed(0)
+    fetcher = Fetcher(small_web, failure_seed=0, simulate_failures=simulate_failures)
+    config = CrawlerConfig(**{"score_backend": "python", **kwargs, **overrides})
+    crawler = FocusedCrawler(fetcher, trained_model, taxonomy, database, config)
+    crawler.add_seeds(small_web.keyword_seed_pages(GOOD, count=8))
+    trace = crawler.crawl()
+    return database, trace
+
+
+def crawl_digests(database, trace) -> dict:
+    facts = {
+        "urls": digest(trace.fetched_urls),
+        "relevance": digest(trace.relevance_series()),
+        "failed": digest(trace.failed_urls),
+        "distillations": trace.distillations,
+    }
+    for table in ("CRAWL", "LINK", "HUBS", "AUTH"):
+        facts[table] = digest(sorted(database.table(table).rows()))
+    return facts
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_k1_kernel_reproduces_the_serial_loop(name, small_web, trained_model, taxonomy):
+    database, trace = run_case(name, small_web, trained_model, taxonomy)
+    assert crawl_digests(database, trace) == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(engine="serial", batch_size=8),
+        dict(engine="batched", batch_size=1),
+        dict(engine="batched", batch_size=1, fetch_mode="async", prefetch=False),
+        dict(engine="serial", fetch_mode="async", prefetch=True),
+    ],
+    ids=["serial-ignores-batch-size", "batched-k1", "async-k1", "prefetch-k1"],
+)
+def test_every_spelling_of_k1_is_the_same_crawl(overrides, small_web, trained_model, taxonomy):
+    name = "soft-distill-failures"
+    database, trace = run_case(name, small_web, trained_model, taxonomy, **overrides)
+    assert crawl_digests(database, trace) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["soft-distill-failures", "hard-nodistill-clean"])
+def test_numpy_backend_matches_to_tolerance(name, small_web, trained_model, taxonomy):
+    _, python_trace = run_case(name, small_web, trained_model, taxonomy)
+    _, numpy_trace = run_case(name, small_web, trained_model, taxonomy, score_backend="numpy")
+    assert digest(numpy_trace.fetched_urls) == GOLDEN[name]["urls"]
+    assert numpy_trace.failed_urls == python_trace.failed_urls
+    assert numpy_trace.distillations == python_trace.distillations
+    for got, want in zip(numpy_trace.relevance_series(), python_trace.relevance_series()):
+        assert got == pytest.approx(want, abs=1e-9)

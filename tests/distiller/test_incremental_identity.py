@@ -1,12 +1,12 @@
 """One distill stage, bit for bit: the incremental feed against a full scan.
 
-Every in-process crawl loop distils through ``IncrementalDistiller``
+Every in-process crawl distils through ``IncrementalDistiller``
 fed by ``LinkDeltaCache``, and the numpy backend stays in arrays from
 the LINK append to the HUBS/AUTH write.  The feed this replaced —
 materialise the whole LINK table, score it from scratch, walk a score
 dict into the table — lives on here as the oracle:
 
-(a) at every distillation of a serial crawl, on both backends, the
+(a) at every distillation of a K=1 crawl, on both backends, the
     stored HUBS/AUTH rows and ``trace.last_distillation`` equal a
     recompute over a full LINK scan;
 (b) a ``CompiledLinkGraph`` grown by interleaved ``add_row`` /
@@ -16,8 +16,8 @@ dict into the table — lives on here as the oracle:
     issues: same rows, same record ids, same journal records;
 (d) ``Table.update_column``'s page-grouped fast path equals
     ``update_rows`` and, on a bad value mid-batch, a row-at-a-time loop;
-(e) a serial crawl killed and resumed — also from a checkpoint shaped
-    like the ones written before the serial loop fed the cache — is the
+(e) a K=1 crawl killed and resumed — also from a checkpoint shaped like
+    the ones the old serial loop wrote before it fed the cache — is the
     uninterrupted crawl.
 """
 
@@ -47,7 +47,7 @@ GOOD = "recreation/cycling"
 
 # -- the deleted feed, kept as the oracle ---------------------------------------------
 def full_scan_links(database):
-    """Materialise the whole LINK table, the way the serial loop used to."""
+    """Materialise the whole LINK table, the way distillation used to."""
     table = database.table("LINK")
     schema = table.schema
     links = []
@@ -95,7 +95,7 @@ def assert_same_result(result, oracle):
         assert result.top_authorities(k) == oracle.top_authorities(k)
 
 
-# -- (a) every distillation of a serial crawl -----------------------------------------
+# -- (a) every distillation of a K=1 crawl --------------------------------------------
 @pytest.fixture(scope="module")
 def crawl_seeds(small_web):
     return small_web.keyword_seed_pages(GOOD, count=8)
@@ -375,7 +375,7 @@ class TestPageGroupedUpdateColumn:
         assert len(slow_journal) == len(slow_notified) == 10
 
 
-# -- (e) kill and resume a serial crawl -----------------------------------------------
+# -- (e) kill and resume a K=1 crawl --------------------------------------------------
 MAX_PAGES = 120
 FETCH_FAILURE_SEED = 3
 
@@ -466,9 +466,9 @@ class TestSerialKillResume:
     def test_resumes_from_a_checkpoint_without_delta_cache_state(
         self, resume_system, uninterrupted, tmp_path, monkeypatch
     ):
-        """The shape a serial crawl checkpointed before it fed the cache.
+        """The shape the old serial loop checkpointed before it fed the cache.
 
-        Its engine state has ``delta_cache=None`` (the serial loop had no
+        Its engine state has ``delta_cache=None`` (that loop had no
         distiller to snapshot) and a dict-backed ``last_distillation``.
         """
         backend, reference = uninterrupted

@@ -12,7 +12,8 @@ from repro.minidb import (
     lit,
     make_schema,
 )
-from repro.minidb.planner import PLANNER_MODE_ENV
+from repro.minidb.planner import plan_select
+from repro.minidb.sql import execute_select, parse_sql
 
 
 @pytest.fixture()
@@ -73,6 +74,11 @@ def db():
 
 def explain_text(database, sql, params=None):
     return "\n".join(row["plan"] for row in database.sql(f"explain {sql}", params))
+
+
+def scan_rows(database, sql, params=None):
+    """The statement through the reference scan-and-filter pipeline."""
+    return execute_select(database, parse_sql(sql), params or {}, mode="scan")
 
 
 BIT_IDENTITY_QUERIES = [
@@ -160,16 +166,18 @@ class TestPlanShapes:
         plan = explain_text(db, "select oid from CRAWL where relevance > 0.5")
         assert "TableScan(CRAWL cols=[oid, relevance])" in plan
 
-    def test_scan_mode_never_touches_indexes(self, db, monkeypatch):
-        monkeypatch.setenv(PLANNER_MODE_ENV, "scan")
-        plan = explain_text(db, "select oid from CRAWL where oid = 7")
-        assert "TableScan(CRAWL" in plan
-        assert "IndexKeysLookup" not in plan
+    def test_scan_mode_never_touches_indexes(self, db):
+        statement = parse_sql("select oid from CRAWL where oid = 7")
+        plan = plan_select(db, statement, {}, mode="scan").explain()
+        assert plan.mode == "scan"
+        assert "TableScan(CRAWL" in plan.text
+        assert not plan.uses_index_path
 
-    def test_unknown_mode_rejected(self, db, monkeypatch):
-        monkeypatch.setenv(PLANNER_MODE_ENV, "oracle")
-        with pytest.raises(QueryError, match="REPRO_SQL_PLANNER"):
-            db.sql("select oid from CRAWL where oid = 7")
+    def test_unknown_mode_rejected(self, db):
+        with pytest.raises(QueryError, match="unknown planner mode"):
+            execute_select(
+                db, parse_sql("select oid from CRAWL where oid = 7"), {}, mode="oracle"
+            )
 
 
 class TestExplainStability:
@@ -205,20 +213,14 @@ class TestExplainStability:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("sql,params", BIT_IDENTITY_QUERIES)
-    def test_planner_matches_scan_path(self, db, monkeypatch, sql, params):
-        monkeypatch.setenv(PLANNER_MODE_ENV, "index")
-        indexed = db.sql(sql, params)
-        monkeypatch.setenv(PLANNER_MODE_ENV, "scan")
-        scanned = db.sql(sql, params)
-        assert indexed == scanned
+    def test_planner_matches_scan_path(self, db, sql, params):
+        assert db.sql(sql, params) == scan_rows(db, sql, params)
 
-    def test_identity_survives_deletes(self, db, monkeypatch):
+    def test_identity_survives_deletes(self, db):
         crawl = db.table("CRAWL")
         crawl.delete_where(col("oid") == lit(7))
         sql = "select oid from CRAWL where oid in (:a, :b)"
         params = {"a": 7, "b": 8}
-        monkeypatch.setenv(PLANNER_MODE_ENV, "index")
         indexed = db.sql(sql, params)
-        monkeypatch.setenv(PLANNER_MODE_ENV, "scan")
-        assert indexed == db.sql(sql, params)
+        assert indexed == scan_rows(db, sql, params)
         assert [row["oid"] for row in indexed] == [8]

@@ -3,8 +3,6 @@
 import ast
 import pathlib
 
-import pytest
-
 import repro
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
@@ -26,35 +24,6 @@ class TestPublicSurface:
     def test_query_layer_is_exported(self):
         for name in ("Query", "Plan", "ExplainResult"):
             assert name in repro.__all__
-
-
-class TestLegacyScanShim:
-    """The Table.scan() analytics shim: warn on legacy use, raise on mixed."""
-
-    @pytest.fixture()
-    def db(self):
-        from repro.minidb import Database, INTEGER, make_schema
-
-        database = repro.Database(buffer_pool_pages=16)
-        assert repro.Database is Database
-        table = database.create_table(
-            "T", make_schema(("oid", INTEGER, False), primary_key=["oid"])
-        )
-        table.insert_many([{"oid": i} for i in range(5)])
-        return database
-
-    def test_legacy_scan_emits_deprecation_warning(self, db):
-        from repro.minidb import legacy_scan_rows
-
-        with pytest.warns(DeprecationWarning, match="Table.scan"):
-            rows = legacy_scan_rows(db.table("T"))
-        assert rows == [{"oid": row["oid"]} for row in db.query("T").run()]
-
-    def test_mixed_old_and_new_usage_raises(self, db):
-        from repro.minidb import legacy_scan_rows
-
-        with pytest.raises(ValueError, match="not both"):
-            legacy_scan_rows(db.table("T"), query=db.query("T"))
 
 
 class TestExamplesImportOnlyThePublicSurface:
