@@ -4,8 +4,8 @@ The paper's systems argument is that a focused crawl is a *long-running,
 pausable* process precisely because all of its state lives in the
 database.  This module closes the loop for our engine: a
 :class:`CheckpointManager` rides the engine's round boundaries and saves,
-inside the database's own atomic snapshot, the small amount of state
-that lives *outside* the tables —
+with the database's own atomic snapshot, the state that lives *outside*
+the tables —
 
 * the engine's round counters, per-oid relevance map, and stagnation
   streak, plus the trace accumulated so far;
@@ -17,22 +17,56 @@ that lives *outside* the tables —
   sequence the uninterrupted crawl would have seen;
 * the incremental distiller's LINK high-water mark and pending weight
   updates (the cached adjacency itself is rebuilt from the recovered
-  heap).  A checkpoint without them (``delta_cache`` is ``None``: saved
-  by the former serial loop, before every crawl distilled through it)
-  resumes with an empty cache, whose first refresh reads LINK from
-  page 0;
+  heap);
 * the last distillation's scores, always as the two score dicts: the
   numpy backend's array-backed result pickles in that shape, so the
-  snapshot's bytes do not depend on the backing.
+  bytes do not depend on the backing.
 
-Because the blob is stored by :meth:`repro.minidb.Database.checkpoint`
-in the same atomically renamed snapshot record as the page directory, a
-crash can never publish crawl state and table state from different
-moments.  Resume opens the database pinned to that snapshot
-(``replay_wal=False`` discards the redo tail of work the engine will
-redo deterministically) and rebuilds the crawler around it; a resumed
-crawl then visits exactly the pages — with bit-identical relevance
-floats — that the uninterrupted crawl would have visited.
+**The frame chain.**  That state grows with the crawl (one frontier
+entry per known URL, one trace visit per page) while a checkpoint
+interval changes little of it, so it is not re-written whole.  It is a
+chain of *frames* ``[base, d1, ..., dk]``:
+
+* the **base** holds ``Frontier.state_snapshot()`` and
+  ``CrawlEngine.state_snapshot()`` in full;
+* a **delta** holds what the interval changed
+  (``Frontier.state_delta()``, ``CrawlEngine.state_delta()``): the
+  current tuple of every frontier entry that was added, re-prioritised,
+  visited, failed or re-scored; the load of the servers visited; the
+  tails of the trace's visit and failure lists and of the relevance map;
+  the last distillation if there was one; and — small, so written whole
+  — the counters, the delta cache's watermark and the RNG positions.
+
+Every frame is one positional tuple, pickled and appended to the
+database's segment file (the ``frames=`` of
+:meth:`repro.minidb.Database.checkpoint`).  The snapshot record's
+``app_state`` is only a :class:`CheckpointHeader`: format version, the
+crawl's constants, and the frame numbers of the live chain.  When the
+deltas of a chain weigh as much as its base (:data:`REBASE_RATIO`), the
+next save writes a fresh base from the live objects and drops the old
+chain.  A base can have grown by no more than its deltas carried, so
+each one is paid for twice over by the deltas it retires — frame bytes
+over a crawl stay within three times the delta bytes, where re-writing
+the state whole costs (checkpoints / 2) times the final state — and a
+recovery never folds more delta bytes than a base plus one frame.
+
+**Why the segment file and not a sidecar.**  A frame is tracked in the
+snapshot record's page directory like a page image, so it is published
+by the one commit point the database already has (the snapshot rename):
+a crash can never publish crawl state and table state from different
+moments, nor a header without its frames.  A frame a crash left
+unpublished is an unreferenced tail; a dropped one is garbage the
+segment compactor (inline or background) reclaims; live ones are copied
+by it; all of it runs through the ``FileOps`` fault seam.  A second file
+would need each of those again, with crash windows of its own.
+
+Resume opens the database pinned to its snapshot (``replay_wal=False``
+discards the redo tail of work the engine will redo deterministically),
+folds base and deltas back into the two ``state_snapshot()`` shapes, and
+rebuilds the crawler around them; a resumed crawl then visits exactly the
+pages — with bit-identical relevance floats — that the uninterrupted
+crawl would have visited, and its next checkpoint extends the chain it
+was loaded from.
 """
 
 from __future__ import annotations
@@ -42,7 +76,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.crawler.engine import CrawlEngine
 from repro.crawler.focused import CrawlerConfig, FocusedCrawler
+from repro.crawler.frontier import Frontier
 from repro.minidb import Database, FileOps
 from repro.minidb.errors import StorageError
 from repro.minidb.wal import dump_record, load_record, read_frame_at, write_frame
@@ -55,9 +91,37 @@ from repro.webgraph.transport import FetchTransport
 MANIFEST_FILE = "coordinator.manifest"
 
 
+#: Version of the header/frame layout.  Format 1 was a whole
+#: :class:`CrawlCheckpoint` pickled into the snapshot record.
+FORMAT_VERSION = 2
+
+#: A chain is replaced by a fresh base once its deltas weigh this many
+#: times its base.  At 1 the new base is at most twice the deltas it
+#: retires, and recovery reads at most about two bases' worth of bytes.
+REBASE_RATIO = 1.0
+
+#: First item of a frame's tuple.
+BASE_FRAME = "base"
+DELTA_FRAME = "delta"
+
+
+@dataclass
+class CheckpointHeader:
+    """What the snapshot record's ``app_state`` holds: constants and the chain."""
+
+    version: int
+    config: CrawlerConfig
+    focused: bool
+    seeds: List[str]
+    good_topics: List[str]
+    fetch_failure_seed: int
+    #: Frame numbers of the base, then of each delta.
+    chain: List[int]
+
+
 @dataclass
 class CrawlCheckpoint:
-    """The crawl-level state stored inside a database snapshot."""
+    """The crawl-level state of a checkpoint, folded back from its chain."""
 
     config: CrawlerConfig
     focused: bool
@@ -69,7 +133,8 @@ class CrawlCheckpoint:
     fetcher_state: Dict[str, Any]
     server_rng_state: Dict[str, Any]
     checkpoints_saved: int = 0
-    extras: Dict[str, Any] = field(default_factory=dict)
+    #: The chain the state was folded from, for the resumed manager to extend.
+    chain: List[int] = field(default_factory=list)
 
 
 @dataclass
@@ -97,7 +162,6 @@ class CoordinatorManifest:
     #: Per-shard frontier / transport / server-RNG snapshots, index-aligned.
     shard_states: List[Dict[str, Any]]
     checkpoints_saved: int = 0
-    extras: Dict[str, Any] = field(default_factory=dict)
 
 
 def write_coordinator_manifest(
@@ -174,6 +238,8 @@ class CheckpointManager:
         self.fetch_failure_seed = fetch_failure_seed
         self.focused = focused
         self.checkpoints_saved = 0
+        #: Frame numbers of the live chain, base first.
+        self.chain: List[int] = []
         #: Cumulative wall-clock seconds the crawl spent paused inside
         #: :meth:`save` — the price of durability (flush + snapshot +
         #: any segment compaction), reported by the throughput bench.
@@ -187,29 +253,68 @@ class CheckpointManager:
         """Register with the crawl engine as its checkpoint sink."""
         self.crawler.engine.checkpointer = self
 
+    def continue_from(self, checkpoint: CrawlCheckpoint) -> None:
+        """Extend the chain *checkpoint* was loaded from.
+
+        Call once the crawler holds the checkpoint's state: the next
+        save is then a delta against it.
+        """
+        self.checkpoints_saved = checkpoint.checkpoints_saved
+        self.chain = list(checkpoint.chain)
+        self._mark_saved()
+
     def save(self) -> None:
-        """Checkpoint the database with the current crawl state riding along."""
+        """Checkpoint the database, appending this interval's frame to the chain."""
         started = time.perf_counter()
         self.checkpoints_saved += 1
-        self.database.checkpoint(app_state=self._crawl_state())
+        engine = self.crawler.engine
+        frontier = self.crawler.frontier
+        database = self.database
+        sizes = [database.frame_size(frame_no) for frame_no in self.chain]
+        if not sizes or sum(sizes[1:]) >= REBASE_RATIO * sizes[0]:
+            kind, frontier_part, engine_part = (
+                BASE_FRAME, frontier.state_snapshot(), engine.state_snapshot()
+            )
+            dropped, kept = self.chain, []
+        else:
+            kind, frontier_part, engine_part = (
+                DELTA_FRAME, frontier.state_delta(), engine.state_delta()
+            )
+            dropped, kept = [], self.chain
+        # Saves are numbered from 1 and each writes one frame, so the
+        # count is the frame's number; a crash's unpublished frame has
+        # the number the resumed crawl's next save reuses.
+        frame_no = self.checkpoints_saved
+        self.chain = kept + [frame_no]
+        database.checkpoint(
+            app_state=CheckpointHeader(
+                version=FORMAT_VERSION,
+                config=self.crawler.config,
+                focused=self.focused,
+                seeds=self.seeds,
+                good_topics=self.good_topics,
+                fetch_failure_seed=self.fetch_failure_seed,
+                chain=self.chain,
+            ),
+            frames={
+                frame_no: (
+                    kind,
+                    frontier_part,
+                    engine_part,
+                    self.fetcher.state_snapshot(),
+                    self.servers.rng_state(),
+                )
+            },
+            drop_frames=dropped,
+        )
+        self._mark_saved()
         paused = time.perf_counter() - started
         self.save_seconds += paused
         self.pause_log.append(paused)
 
-    def _crawl_state(self) -> CrawlCheckpoint:
-        engine = self.crawler.engine
-        return CrawlCheckpoint(
-            config=self.crawler.config,
-            focused=self.focused,
-            seeds=self.seeds,
-            good_topics=self.good_topics,
-            fetch_failure_seed=self.fetch_failure_seed,
-            engine_state=engine.state_snapshot(),
-            frontier_state=self.crawler.frontier.state_snapshot(),
-            fetcher_state=self.fetcher.state_snapshot(),
-            server_rng_state=self.servers.rng_state(),
-            checkpoints_saved=self.checkpoints_saved,
-        )
+    def _mark_saved(self) -> None:
+        self.crawler.frontier.mark_saved()
+        self.crawler.engine.mark_saved()
 
     @staticmethod
     def load(
@@ -220,15 +325,57 @@ class CheckpointManager:
         Post-checkpoint WAL records are discarded (not replayed): the
         resumed engine re-executes that work deterministically, and
         replaying it would leave the tables ahead of the engine state.
-        *storage* (a :class:`~repro.minidb.StorageConfig`) overrides the
-        reopen's durability knobs; the checkpointed crawl config's own
-        storage policy is re-applied by the resume path either way.
+        The crawl state is the chain's base with its deltas folded in,
+        oldest first.  *storage* (a :class:`~repro.minidb.StorageConfig`)
+        overrides the reopen's durability knobs; the checkpointed crawl
+        config's own storage policy is re-applied by the resume path
+        either way.
         """
         database = Database.open(
             path, buffer_pool_pages=buffer_pool_pages, replay_wal=False, storage=storage
         )
-        state = database.app_state()
-        if not isinstance(state, CrawlCheckpoint):
+        try:
+            return database, read_checkpoint(database, path)
+        except BaseException:
             database.close()
-            raise StorageError(f"{path!r} holds no crawl checkpoint to resume from")
-        return database, state
+            raise
+
+
+def read_checkpoint(database: Database, path: str = "") -> CrawlCheckpoint:
+    """Fold the crawl checkpoint *database* was last saved with.
+
+    Raises :class:`StorageError` when the snapshot holds none, or one in
+    another format (named, with the one this build reads — a format is
+    refused whole rather than half-read).
+    """
+    header = database.app_state()
+    if isinstance(header, CheckpointHeader):
+        version = header.version
+    elif isinstance(header, CrawlCheckpoint):
+        version = 1
+    else:
+        raise StorageError(f"{path!r} holds no crawl checkpoint to resume from")
+    if version != FORMAT_VERSION:
+        raise StorageError(
+            f"{path!r} holds a crawl checkpoint in format {version}; "
+            f"this build reads format {FORMAT_VERSION}"
+        )
+    frames = [database.read_frame(frame_no) for frame_no in header.chain]
+    if [frame[0] for frame in frames] != [BASE_FRAME] + [DELTA_FRAME] * (len(frames) - 1):
+        raise StorageError(f"{path!r}: the checkpoint's frame chain is not base + deltas")
+    base, deltas = frames[0], frames[1:]
+    last = frames[-1]
+    return CrawlCheckpoint(
+        config=header.config,
+        focused=header.focused,
+        seeds=header.seeds,
+        good_topics=header.good_topics,
+        fetch_failure_seed=header.fetch_failure_seed,
+        frontier_state=Frontier.fold_state(base[1], [delta[1] for delta in deltas]),
+        engine_state=CrawlEngine.fold_state(base[2], [delta[2] for delta in deltas]),
+        fetcher_state=last[3],
+        server_rng_state=last[4],
+        # Every save writes one frame and numbers it with its count.
+        checkpoints_saved=header.chain[-1],
+        chain=list(header.chain),
+    )

@@ -30,6 +30,7 @@ from repro.crawler.focused import CrawlerConfig, CrawlTrace, FocusedCrawler
 from repro.crawler.monitor import CrawlMonitor
 from repro.crawler.unfocused import UnfocusedCrawler
 from repro.minidb import Database
+from repro.minidb.database import bulk_load
 from repro.taxonomy.examples import ExampleStore, generate_examples
 from repro.taxonomy.tree import NodeMark, TopicTaxonomy
 from repro.webgraph.fetch import Fetcher
@@ -730,8 +731,9 @@ class FocusSystem:
         # The engine rebuilt the transport stack from the checkpointed
         # config; rewind its RNG streams (fetcher included) to the save.
         crawler.engine.transport.restore_state(checkpoint.fetcher_state)
-        crawler.frontier.restore_state(checkpoint.frontier_state)
-        crawler.engine.restore_state(checkpoint.engine_state)
+        with bulk_load():
+            crawler.frontier.restore_state(checkpoint.frontier_state)
+            crawler.engine.restore_state(checkpoint.engine_state)
         manager = CheckpointManager(
             database,
             crawler,
@@ -742,12 +744,13 @@ class FocusSystem:
             fetch_failure_seed=checkpoint.fetch_failure_seed,
             focused=checkpoint.focused,
         )
-        manager.checkpoints_saved = checkpoint.checkpoints_saved
+        manager.continue_from(checkpoint)
         manager.attach()
         spec = JobSpec(
             seeds=tuple(checkpoint.seeds),
             max_pages=config.max_pages,
             focused=checkpoint.focused,
+            crawler=config,
             fetch_failure_seed=checkpoint.fetch_failure_seed,
             checkpoint_dir=path,
         )
@@ -812,6 +815,7 @@ class FocusSystem:
             seeds=tuple(manifest.seeds),
             max_pages=config.max_pages,
             focused=manifest.focused,
+            crawler=config,
             fetch_failure_seed=manifest.fetch_failure_seed,
             checkpoint_dir=path,
         )

@@ -622,6 +622,9 @@ class CrawlEngine:
         self._since_checkpoint = 0
         self._last_checkpoint_s: Optional[float] = None
         self._stagnation_misses = 0
+        #: Lengths of the trace's visit and failure lists, and its
+        #: distillation count, at the last :meth:`mark_saved`.
+        self._saved_mark: Optional[Tuple[int, int, int]] = None
         #: Wall-clock seconds of round processing (classify + commit) that
         #: ran while fetches were still in flight, and total round
         #: processing time — the async pipeline's overlap instrumentation.
@@ -782,11 +785,18 @@ class CrawlEngine:
         cache, and recomputing a posterior yields bit-identical floats.
         """
         return {
+            **self._small_state(),
+            "relevance": dict(self._relevance),
+            "trace": self.trace,
+        }
+
+    def _small_state(self) -> Dict[str, object]:
+        """The part of the state that does not grow: written whole every time."""
+        return {
             "tick": self._tick,
             "since_distillation": self._since_distillation,
             "since_checkpoint": self._since_checkpoint,
             "stagnation_misses": self._stagnation_misses,
-            "relevance": dict(self._relevance),
             "outcome_cache": {
                 "hits": self._scorer.cache.hits,
                 "misses": self._scorer.cache.misses,
@@ -802,8 +812,59 @@ class CrawlEngine:
                 if self._incremental is not None
                 else None
             ),
-            "trace": self.trace,
         }
+
+    def mark_saved(self) -> None:
+        """Start a new delta interval: the state as of now is on disk."""
+        trace = self.trace
+        self._saved_mark = (len(trace.visits), len(trace.failed_urls), trace.distillations)
+
+    def state_delta(self) -> tuple:
+        """What :meth:`state_snapshot` gained since :meth:`mark_saved`, positionally.
+
+        ``(small state, relevance tail, visits tail, failed-URL tail,
+        distillations, stagnated, last distillation)``.  The relevance
+        map, the visits and the URL lists only ever grow — one visit adds
+        one item to the map, to ``visits`` and to ``fetched_urls`` — so
+        their tails are written; the last distillation rides along only
+        if there has been one since the mark.  :meth:`fold_state` applies
+        it.
+        """
+        if self._saved_mark is None:
+            raise RuntimeError("state_delta() needs a mark_saved() to be relative to")
+        visits_mark, failed_mark, distillations_mark = self._saved_mark
+        trace = self.trace
+        visits = trace.visits[visits_mark:]
+        entry_of = self.frontier.get_normalized
+        return (
+            self._small_state(),
+            [(entry_of(visit.url).oid, visit.relevance) for visit in visits],
+            visits,
+            trace.failed_urls[failed_mark:],
+            trace.distillations,
+            trace.stagnated,
+            trace.last_distillation if trace.distillations != distillations_mark else None,
+        )
+
+    @staticmethod
+    def fold_state(state: Dict[str, object], deltas: Sequence[tuple]) -> Dict[str, object]:
+        """Apply :meth:`state_delta` tuples, oldest first, to a :meth:`state_snapshot`.
+
+        Folds in place — into a snapshot read back from disk, never into
+        a live one, whose trace is the engine's own — and returns *state*.
+        """
+        trace: CrawlTrace = state["trace"]
+        for small, relevance, visits, failed_urls, distillations, stagnated, last in deltas:
+            state.update(small)
+            state["relevance"].update(relevance)
+            trace.visits.extend(visits)
+            trace.fetched_urls.extend(visit.url for visit in visits)
+            trace.failed_urls.extend(failed_urls)
+            if distillations != trace.distillations:
+                trace.last_distillation = last
+            trace.distillations = distillations
+            trace.stagnated = stagnated
+        return state
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Adopt a checkpointed engine state (the database must already be recovered)."""

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.minidb import Database
 from repro.minidb.pages import PageId, RecordId
@@ -197,7 +197,7 @@ def _build_index(name: str, ordering: CrawlOrdering):
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class FrontierEntry:
     """In-memory mirror of one CRAWL row plus bookkeeping for ordering."""
 
@@ -224,6 +224,27 @@ class FrontierEntry:
             "hub_score": self.hub_score,
             "authority_score": self.authority_score,
         }
+
+
+#: The positional layout of one entry in :meth:`Frontier.state_snapshot`
+#: and :meth:`Frontier.state_delta`: the entry's fields in declaration
+#: order, the record id flattened to its page number and slot (the file
+#: id is the CRAWL table's and is stored once).
+ENTRY_FIELDS = (
+    "url", "oid", "sid", "relevance", "numtries", "serverload", "discovered",
+    "lastvisited", "hub_score", "authority_score", "status", "rid_page", "rid_slot",
+)
+
+
+def _entry_tuple(entry: FrontierEntry) -> tuple:
+    rid = entry.rid
+    return (
+        entry.url, entry.oid, entry.sid, entry.relevance, entry.numtries,
+        entry.serverload, entry.discovered, entry.lastvisited, entry.hub_score,
+        entry.authority_score, entry.status,
+        None if rid is None else rid.page_id.page_no,
+        None if rid is None else rid.slot,
+    )
 
 
 class Frontier:
@@ -274,6 +295,11 @@ class Frontier:
         self._buffering = False
         self._pending_new: list[FrontierEntry] = []
         self._pending_changes: Dict[str, Dict[str, Any]] = {}
+        #: URLs of the entries added or changed since :meth:`mark_saved`,
+        #: new ones in the order they joined ``_entries`` — what a delta
+        #: checkpoint writes.  None until a checkpointer first marks, so
+        #: a crawl nobody checkpoints incrementally records nothing.
+        self._touched: Optional[Dict[str, None]] = None
 
     # -- policy ------------------------------------------------------------------
     def set_ordering(self, ordering: CrawlOrdering) -> None:
@@ -395,6 +421,8 @@ class Frontier:
             self._pending_new.append(entry)
         else:
             entry.rid = self.database.table("CRAWL").insert(self._crawl_row(entry))
+            if self._touched is not None:
+                self._touched[normalized] = None
         self._entries[normalized] = entry
         self._url_of_oid[oid] = normalized
         self._push(entry)
@@ -475,6 +503,8 @@ class Frontier:
             return
         entry.hub_score = hub_score
         entry.authority_score = authority_score
+        if self._touched is not None:
+            self._touched[entry.url] = None
         if entry.status == "frontier":
             self._push(entry)
 
@@ -591,6 +621,8 @@ class Frontier:
         if entry.status == "in_flight":
             self._set_status(entry, "frontier")
             self._push(entry)
+            if self._touched is not None:
+                self._touched[entry.url] = None
 
     def current_key(self, entry: FrontierEntry) -> tuple:
         """The entry's ordering key right now (value tuple, shard-comparable).
@@ -617,6 +649,8 @@ class Frontier:
         if self._buffering:
             self._pending_changes.setdefault(entry.url, {}).update(changes)
             return
+        if self._touched is not None:
+            self._touched[entry.url] = None
         if entry.rid is None:
             return
         # ``in_flight`` is frontier-internal; the table only knows the paper's states.
@@ -638,6 +672,12 @@ class Frontier:
         """Write the round's buffered CRAWL inserts and updates in bulk."""
         crawl = self.database.table("CRAWL")
         new_entries = self._pending_new
+        if self._touched is not None:
+            # Everything a round changes on an entry goes through
+            # _sync_row or _add_entry, so the two buffers name the
+            # round's touched entries (new ones first, in entry order).
+            self._touched.update(dict.fromkeys(entry.url for entry in new_entries))
+            self._touched.update(dict.fromkeys(self._pending_changes))
         if new_entries:
             # New rows are built from the *current* entry state, so any
             # same-round boost is folded into the insert itself.
@@ -664,30 +704,71 @@ class Frontier:
     def state_snapshot(self) -> Dict[str, Any]:
         """Serialisable frontier state, captured at a round boundary.
 
-        Record ids are encoded as plain tuples; they stay valid across a
-        database recovery because the snapshot-plus-WAL scheme restores
-        heap pages (and therefore rid assignment) exactly.  Must not be
-        called while round buffering is active — buffered table writes
-        belong to an unfinished round.
+        Entries are positional: ``fields`` names the layout once
+        (:data:`ENTRY_FIELDS`) and ``entries`` holds one tuple per entry,
+        in entry order.  Record ids stay valid across a database recovery
+        because the snapshot-plus-WAL scheme restores heap pages (and
+        therefore rid assignment) exactly.  Must not be called while
+        round buffering is active — buffered table writes belong to an
+        unfinished round.
         """
-        if self._buffering or self._pending_new or self._pending_changes:
-            raise RuntimeError("cannot snapshot the frontier mid-round")
-        entry_fields = [f.name for f in fields(FrontierEntry) if f.name != "rid"]
+        self._check_round_boundary()
         return {
-            "entries": [
-                (
-                    {name: getattr(entry, name) for name in entry_fields},
-                    (
-                        (entry.rid.page_id.file_id, entry.rid.page_id.page_no, entry.rid.slot)
-                        if entry.rid is not None
-                        else None
-                    ),
-                )
-                for entry in self._entries.values()
-            ],
+            "fields": ENTRY_FIELDS,
+            "rid_file": self.database.table("CRAWL").heap.file_id,
+            "entries": [_entry_tuple(entry) for entry in self._entries.values()],
             "server_load": dict(self._server_load),
             "next_discovered": self._next_discovered,
         }
+
+    def mark_saved(self) -> None:
+        """Start a new delta interval: the state as of now is on disk."""
+        self._touched = {}
+
+    def state_delta(self) -> tuple:
+        """What :meth:`state_snapshot` gained since :meth:`mark_saved`, positionally.
+
+        ``(entries, server_load, next_discovered)``: the current tuple of
+        every entry added or changed in the interval (new ones in entry
+        order), the load of the servers those entries live on — a visit
+        is the only thing that moves a load, and it touches the entry —
+        and the discovery watermark.  :meth:`fold_state` applies it.
+        """
+        self._check_round_boundary()
+        if self._touched is None:
+            raise RuntimeError("state_delta() needs a mark_saved() to be relative to")
+        entries = self._entries
+        touched = [entries[url] for url in self._touched]
+        server_load = self._server_load
+        return (
+            [_entry_tuple(entry) for entry in touched],
+            {entry.sid: server_load[entry.sid] for entry in touched if entry.sid in server_load},
+            self._next_discovered,
+        )
+
+    @staticmethod
+    def fold_state(state: Dict[str, Any], deltas: Iterable[tuple]) -> Dict[str, Any]:
+        """Apply :meth:`state_delta` tuples, oldest first, to a :meth:`state_snapshot`.
+
+        Folds in place and returns *state*: a changed entry is replaced
+        where it stands, a new one is appended, so the result is the
+        snapshot the live frontier would have produced, order included.
+        """
+        entries: List[tuple] = state["entries"]
+        position: Optional[Dict[str, int]] = None
+        for changed, server_load, next_discovered in deltas:
+            if position is None:
+                position = {entry[0]: index for index, entry in enumerate(entries)}
+            for entry in changed:
+                index = position.get(entry[0])
+                if index is None:
+                    position[entry[0]] = len(entries)
+                    entries.append(entry)
+                else:
+                    entries[index] = entry
+            state["server_load"].update(server_load)
+            state["next_discovered"] = next_discovered
+        return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Rebuild entries, server loads, and the priority heap from a snapshot.
@@ -696,15 +777,27 @@ class Frontier:
         also have carried stale (lazily invalidated) entries, but those
         are re-keyed on pop anyway, so checkout order is unchanged.
         """
+        if tuple(state["fields"]) != ENTRY_FIELDS:
+            raise ValueError(f"frontier entry layout {state['fields']} != {ENTRY_FIELDS}")
+        file_id = state["rid_file"]
+        # Record ids of one page share their PageId object, as the ones
+        # heap inserts hand out do (bulk updates resolve a page per run).
+        page_ids: Dict[int, PageId] = {}
         self._entries = {}
         self._url_of_oid = {}
-        for field_map, rid in state["entries"]:
-            entry = FrontierEntry(**field_map)
-            if rid is not None:
-                file_id, page_no, slot = rid
-                entry.rid = RecordId(PageId(file_id, page_no), slot)
+        for *values, rid_page, rid_slot in state["entries"]:
+            entry = FrontierEntry(*values)
+            if rid_page is not None:
+                page_id = page_ids.get(rid_page)
+                if page_id is None:
+                    page_id = page_ids[rid_page] = PageId(file_id, rid_page)
+                entry.rid = RecordId(page_id, rid_slot)
             self._entries[entry.url] = entry
             self._url_of_oid[entry.oid] = entry.url
         self._server_load = dict(state["server_load"])
         self._next_discovered = state["next_discovered"]
         self._rebuild_heap()
+
+    def _check_round_boundary(self) -> None:
+        if self._buffering or self._pending_new or self._pending_changes:
+            raise RuntimeError("cannot snapshot the frontier mid-round")

@@ -25,6 +25,13 @@ rename is the commit point; stale segment files are fenced — deleted —
 on the next open).  All file mutation goes through a pluggable
 :class:`~repro.minidb.wal.FileOps` so crash-recovery tests can inject
 faults at every individual I/O point.
+
+Beside page images the segment file carries **frames**: opaque payloads
+a coordinator stores (:meth:`DurableBackend.put_frame`) and the
+directory tracks under the reserved :data:`FRAME_FILE_ID`.  They share
+the page images' whole life cycle — one commit point, compaction, the
+open-time fence, the fault seam — without a file format of their own;
+the crawl checkpoint's base-plus-delta chain is stored this way.
 """
 
 from __future__ import annotations
@@ -53,6 +60,12 @@ from .wal import (
 SEGMENT_FILE = "segments.dat"
 WAL_FILE = "wal.dat"
 SNAPSHOT_FILE = "snapshot.dat"
+
+#: Directory entries of this file id address *frames* (see
+#: :meth:`DurableBackend.put_frame`).  No table owns the id, and a frame
+#: is located, published, compacted and fenced exactly like a page image
+#: because it is one more ``PageId -> (offset, length)`` entry.
+FRAME_FILE_ID = -1
 
 #: Segment files carry the epoch of the compaction that wrote them;
 #: epoch 0 is the database's original (never-compacted) segment file.
@@ -298,6 +311,16 @@ class DurableBackend(StorageBackend):
                     entry = tuple(entry)
                 self._directory[PageId(file_id, page_no)] = entry
                 self._live_bytes += entry[1]
+        frame_sizes = [
+            entry[1]
+            for page_id, entry in self._directory.items()
+            if page_id.file_id == FRAME_FILE_ID
+        ]
+        self._frames = len(frame_sizes)
+        #: Frame bytes the directory references, and frame bytes dropped
+        #: or superseded since the segment file was last rewritten.
+        self._frame_bytes_live = sum(frame_sizes)
+        self._frame_bytes_dead = 0
 
         self._fence_stale_segments()
         self.wal = WriteAheadLog(
@@ -349,19 +372,22 @@ class DurableBackend(StorageBackend):
         self._append_image(page)
 
     def _append_image(self, page: Page) -> None:
-        payload = dump_record(page.image())
+        self._append(page.page_id, dump_record(page.image()))
+        self._pages_flushed += 1
+
+    def _append(self, page_id: PageId, payload: bytes) -> None:
+        """Append *payload* as the latest record of directory key *page_id*."""
         self._segments.seek(0, os.SEEK_END)
         offset = write_frame(self._segments, payload)
         self._segments.flush()
         frame_len = FRAME_HEADER_SIZE + len(payload)
         with self._dir_lock:
-            superseded = self._directory.get(page.page_id)
+            superseded = self._directory.get(page_id)
             if superseded is not None:
                 self._live_bytes -= superseded[1]
-            self._directory[page.page_id] = (offset, frame_len)
+            self._directory[page_id] = (offset, frame_len)
             self._live_bytes += frame_len
         self._segment_end = offset + frame_len
-        self._pages_flushed += 1
         self._poke_compaction_worker()
 
     def remove_page(self, page_id: PageId) -> None:
@@ -374,7 +400,65 @@ class DurableBackend(StorageBackend):
         return page_id in self._directory
 
     def page_count(self) -> int:
-        return len(self._directory)
+        return len(self._directory) - self._frames
+
+    # -- frames ------------------------------------------------------------
+    def put_frame(self, frame_no: int, payload: bytes) -> None:
+        """Append an opaque payload as frame *frame_no* (superseding an old one).
+
+        The frame is a CRC-framed record like a page image and is
+        tracked in the page directory under :data:`FRAME_FILE_ID`, so it
+        becomes durable with — and only with — the next checkpoint's
+        snapshot rename, is copied by inline and background compaction
+        while it is live, and is torn-tail garbage if the process dies
+        first.  It is not WAL-logged: recovery knows exactly the frames
+        the last snapshot names.
+        """
+        self.drop_frame(frame_no)
+        self._append(PageId(FRAME_FILE_ID, frame_no), payload)
+        self._frames += 1
+        self._frame_bytes_live += FRAME_HEADER_SIZE + len(payload)
+
+    def read_frame(self, frame_no: int) -> bytes:
+        """The payload of a live frame (CRC-verified)."""
+        entry = self._directory.get(PageId(FRAME_FILE_ID, frame_no))
+        if entry is None:
+            raise StorageError(f"no live frame {frame_no} in {self._segment_path}")
+        return read_frame_at(self._segments, entry[0])
+
+    def frame_size(self, frame_no: int) -> int:
+        """Bytes frame *frame_no* occupies in the segment file (0: not live)."""
+        entry = self._directory.get(PageId(FRAME_FILE_ID, frame_no))
+        return 0 if entry is None else entry[1]
+
+    def drop_frame(self, frame_no: int) -> None:
+        """Stop tracking a frame; its bytes are garbage from the next checkpoint on.
+
+        Until that checkpoint publishes, a recovery still finds the
+        frame: the old snapshot names it and the segment file is
+        append-only.
+        """
+        size = self.frame_size(frame_no)
+        if size:
+            self.remove_page(PageId(FRAME_FILE_ID, frame_no))
+            self._frames -= 1
+            self._frame_bytes_live -= size
+            self._frame_bytes_dead += size
+
+    def _page_bytes(self) -> tuple[int, int]:
+        """``(live, dead)`` bytes of page images: what the compaction policy weighs.
+
+        Frames are left out of both sides.  Counted as live they would
+        dilute ``compact_min_garbage_ratio`` — the more coordinator
+        state a store carries, the more superseded page images it would
+        tolerate — and their own garbage is bounded by their owner (a
+        dropped chain) and reclaimed by whichever rewrite the pages
+        trigger next.
+        """
+        return (
+            self._live_bytes - self._frame_bytes_live,
+            self.segment_bytes_dead - self._frame_bytes_dead,
+        )
 
     # -- durability --------------------------------------------------------
     @property
@@ -512,11 +596,10 @@ class DurableBackend(StorageBackend):
             # trigger a prepare that competes with the pause for the CPU;
             # the post-checkpoint writes re-poke the worker immediately.
             return False
-        dead = self.segment_bytes_dead
+        live, dead = self._page_bytes()
         if dead <= 0:
             return False
-        total = self.segment_bytes_total
-        if total > 0 and dead / total >= self.compactor.min_garbage_ratio:
+        if dead / (live + dead) >= self.compactor.min_garbage_ratio:
             return True
         if self.compact_wal_bytes:
             return (
@@ -699,6 +782,7 @@ class DurableBackend(StorageBackend):
             with self._dir_lock:
                 self._directory = final_directory
                 self._live_bytes = sum(e[1] for e in final_directory.values())
+            self._frame_bytes_dead = 0
             self._segment_end = end
             reclaimed = max(old_payload - (end - len(SEGMENT_MAGIC)), 0)
             return stale_segment, reclaimed
@@ -790,7 +874,7 @@ class DurableBackend(StorageBackend):
             if pending is None:
                 pending = self._adopt_prepared_compaction()
             stale_segment, reclaimed = pending
-        elif self.compactor.due(self.segment_bytes_live, self.segment_bytes_dead):
+        elif self.compactor.due(*self._page_bytes()):
             reclaimed = self.segment_bytes_dead
             stale_segment = self._segment_path
             # The segment epoch normally tracks the snapshot epoch, but a
@@ -810,6 +894,7 @@ class DurableBackend(StorageBackend):
             self._directory = new_directory
             self._segment_end = end
             self._live_bytes = end - len(SEGMENT_MAGIC)
+            self._frame_bytes_dead = 0
         meta = dict(catalog_meta)
         meta["epoch"] = new_epoch
         meta["segment_epoch"] = self._segment_epoch

@@ -24,7 +24,9 @@ persisted; re-register them after reopening.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Sequence
+import gc
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .backend import DurableBackend, MemoryBackend, StorageBackend
 from .buffer_pool import BufferPool, IOStats
@@ -35,7 +37,37 @@ from .storage_config import StorageConfig
 from .table import Table
 from .triggers import Trigger, TriggerAction, TriggerRegistry
 from .types import Schema, schema_from_spec, schema_to_spec
-from .wal import WAL_CUT_OP
+from .wal import WAL_CUT_OP, dump_record, load_record
+
+
+@contextmanager
+def bulk_load() -> Iterator[None]:
+    """Hold the cyclic collector off while a load allocates long-lived objects.
+
+    Restoring a snapshot allocates a row tuple, a record id and a
+    bucket entry per stored row — hundreds of thousands of containers,
+    none of them garbage, none part of a cycle.  Every allocation
+    threshold they cross would trigger a collection that walks them
+    (and, a few thresholds later, the whole process heap) to free
+    nothing: half the load time on a crawl-sized store.  Nested uses
+    and processes that run without a collector are left alone.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        # Left in the youngest generation, everything just loaded would be
+        # walked by the first collection after this, and twice more on its
+        # way to the oldest one.  freeze + unfreeze splices all tracked
+        # objects into the oldest generation without visiting them.  Not
+        # when the host keeps objects frozen: unfreeze would thaw those.
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
+        gc.enable()
 
 
 class Database:
@@ -63,7 +95,8 @@ class Database:
         self._next_file_id = 0
         self._replaying = False
         if self.backend.persistent:
-            self._recover(replay_wal, replay_upto_cut)
+            with bulk_load():
+                self._recover(replay_wal, replay_upto_cut)
 
     @classmethod
     def open(
@@ -200,7 +233,12 @@ class Database:
         return plan.explain()
 
     # -- durability -------------------------------------------------------------------
-    def checkpoint(self, app_state: Any = None) -> None:
+    def checkpoint(
+        self,
+        app_state: Any = None,
+        frames: Optional[Mapping[int, Any]] = None,
+        drop_frames: Iterable[int] = (),
+    ) -> None:
         """Flush every dirty page and publish an atomic snapshot + fresh WAL.
 
         After a checkpoint the write-ahead log is empty; recovery cost is
@@ -212,6 +250,16 @@ class Database:
         state (e.g. a crawl engine's round state) consistent with the
         database ride it here: a crash either publishes both or neither,
         so there is no window where they disagree.
+
+        It is re-pickled into every snapshot record, so state that grows
+        should ride as *frames* instead: *frames* maps caller-chosen
+        frame numbers to picklable values that are appended to the
+        segment file, tracked in the snapshot's page directory beside
+        the page images, and published by this checkpoint's rename with
+        everything else (``app_state`` then only needs to name them).
+        A frame stays — through segment compaction and across reopens,
+        readable with :meth:`read_frame` — until a later checkpoint
+        supersedes its number or lists it in *drop_frames*.
         """
         if not self.backend.persistent:
             raise StorageError(
@@ -222,6 +270,10 @@ class Database:
         # being flushed to the old one and re-copied by the delta fold.
         self.backend.begin_checkpoint()
         self.buffer_pool.flush_all()
+        for frame_no, value in (frames or {}).items():
+            self.backend.put_frame(frame_no, dump_record(value))
+        for frame_no in drop_frames:
+            self.backend.drop_frame(frame_no)
         meta = self._catalog_meta()
         meta["app_state"] = app_state
         self.backend.checkpoint(meta)
@@ -230,6 +282,21 @@ class Database:
         """The opaque state stored by the last :meth:`checkpoint`, or None."""
         meta = getattr(self.backend, "snapshot_meta", None)
         return meta.get("app_state") if meta else None
+
+    def read_frame(self, frame_no: int) -> Any:
+        """The value the last checkpoint holds as frame *frame_no*."""
+        return load_record(self._frame_store().read_frame(frame_no))
+
+    def frame_size(self, frame_no: int) -> int:
+        """Bytes frame *frame_no* occupies on disk (0 when there is none)."""
+        return self._frame_store().frame_size(frame_no)
+
+    def _frame_store(self) -> DurableBackend:
+        if not self.backend.persistent:
+            raise StorageError(
+                "in-memory databases keep no frames; create one with Database.open(path)"
+            )
+        return self.backend
 
     def log_cut(self, cut: int) -> None:
         """Stamp the WAL with a cut marker: unit of work *cut* is fully logged.

@@ -104,12 +104,13 @@ class Table:
         self._log(("drop_index", self.name, name))
 
     def rebuild_indexes(self) -> None:
-        """Rebuild the primary-key and all secondary indexes in one heap pass.
+        """Rebuild the primary-key and all secondary indexes in one bulk load.
 
-        Used after recovery: the heap is scanned once (sequential I/O via
-        :meth:`HeapFile.scan_from`) and the ``(row, rid)`` pairs are bulk
-        loaded into every index, instead of per-row inserts with one scan
-        per index.
+        Used after recovery: the heap is read once, a page at a time in
+        page order (sequential I/O), and the ``(row, rid)`` pairs are
+        bulk loaded into every index, instead of per-row inserts with
+        one scan per index.  The record ids of a page share its
+        ``PageId``, as the ones heap inserts hand out do.
         """
         indexes: list[Index] = list(self.indexes.values())
         if self._pk_index is not None:
@@ -118,7 +119,16 @@ class Table:
             return
         for index in indexes:
             index.clear()
-        pairs = [(row, rid) for rid, row in self.heap.scan_from(0)]
+        get_page = self.heap.buffer_pool.get_page
+        pairs: list[tuple[Row, RecordId]] = []
+        for page_id in self.heap.page_ids():
+            pairs.extend(
+                [
+                    (row, RecordId(page_id, slot))
+                    for slot, row in enumerate(get_page(page_id).slots)
+                    if row is not None
+                ]
+            )
         for index in indexes:
             index.insert_many(pairs)
 

@@ -7,14 +7,27 @@ the combined run visits the identical page sequence with identical
 relevance floats as an uninterrupted run, to 1e-9 (in fact bit for bit).
 """
 
+import dataclasses
+import os
+
 import pytest
 
-from repro.core.checkpoint import CheckpointManager
-from repro.core.config import FocusConfig
+from repro.core.checkpoint import (
+    FORMAT_VERSION,
+    CheckpointHeader,
+    CheckpointManager,
+    CrawlCheckpoint,
+    read_checkpoint,
+)
+from repro.core.config import FocusConfig, JobSpec
 from repro.core.system import FocusSystem
+from repro.crawler.engine import CrawlTrace
 from repro.crawler.focused import CrawlerConfig
-from repro.minidb import Database
+from repro.crawler.frontier import ENTRY_FIELDS
+from repro.experiments.workloads import build_crawl_workload
+from repro.minidb import Database, StorageConfig
 from repro.minidb.errors import StorageError
+from repro.minidb.wal import dump_record
 from repro.webgraph.fetch import Fetcher
 
 GOOD = "recreation/cycling"
@@ -456,6 +469,224 @@ class TestCheckpointManager:
             checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
         monkeypatch.undo()
 
+        handle = checkpoint_system.resume(str(tmp_path / "crawl"))
+        # The resumed spec describes the crawl that is running: its
+        # crawler is the checkpointed config, not "the system default".
+        assert handle.spec.crawler is handle.crawler.config
+        assert handle.spec.crawler.batch_size == 4
+        assert handle.spec.crawler.checkpoint_every == CHECKPOINT_EVERY
+        assert handle.run().pages_fetched() == MAX_PAGES
+        handle.close()
+
+    def test_load_refuses_another_format_version(self, tmp_path):
+        """A checkpoint in another format is refused whole, naming both versions."""
+        legacy = CrawlCheckpoint(
+            config=crawl_config("batched"), focused=True, seeds=[], good_topics=[],
+            fetch_failure_seed=0, engine_state={}, frontier_state={}, fetcher_state={},
+            server_rng_state={},
+        )
+        newer = CheckpointHeader(
+            version=FORMAT_VERSION + 1, config=crawl_config("batched"), focused=True,
+            seeds=[], good_topics=[], fetch_failure_seed=0, chain=[1],
+        )
+        for found, app_state in ((1, legacy), (FORMAT_VERSION + 1, newer)):
+            path = tmp_path / f"format-{found}"
+            with Database.open(path) as db:
+                db.checkpoint(app_state=app_state)
+            with pytest.raises(
+                StorageError, match=f"format {found}; this build reads format {FORMAT_VERSION}"
+            ):
+                CheckpointManager.load(str(path))
+
+
+def assert_chain_equals_snapshot(manager: CheckpointManager) -> str:
+    """``base ⊕ deltas == state_snapshot()``, field for field; returns the frame kind.
+
+    A mutation path that forgets to mark what it touched fails here, at
+    the first checkpoint after it ran and with the field's name, not as
+    a divergent crawl hundreds of pages later.
+    """
+    saved = read_checkpoint(manager.database)
+    frontier = manager.crawler.frontier.state_snapshot()
+    engine = manager.crawler.engine.state_snapshot()
+    assert saved.frontier_state.keys() == frontier.keys()
+    for got, live in zip(saved.frontier_state["entries"], frontier["entries"]):
+        for name, folded, current in zip(ENTRY_FIELDS, got, live):
+            assert folded == current, (
+                f"frontier entry {live[0]}: {name} is {folded!r} in base+deltas, {current!r} live"
+            )
+    for key, live in frontier.items():
+        assert saved.frontier_state[key] == live, f"frontier.{key}"
+    assert saved.engine_state.keys() == engine.keys()
+    for key, live in engine.items():
+        folded = saved.engine_state[key]
+        if key == "trace":
+            for field in dataclasses.fields(CrawlTrace):
+                assert getattr(folded, field.name) == getattr(live, field.name), (
+                    f"engine.trace.{field.name}"
+                )
+        elif key == "relevance":
+            assert list(folded.items()) == list(live.items()), "engine.relevance"
+        else:
+            assert folded == live, f"engine.{key}"
+    assert saved.fetcher_state == manager.fetcher.state_snapshot(), "fetcher_state"
+    assert saved.server_rng_state == manager.servers.rng_state(), "server_rng_state"
+    assert saved.checkpoints_saved == manager.checkpoints_saved
+    assert saved.chain == manager.chain
+    return "base" if len(manager.chain) == 1 else "delta"
+
+
+#: A boost priority above any relevance, so every boost raises and marks its entry.
+BOOSTED = 1.5
+
+
+def matrix_config(case: str) -> CrawlerConfig:
+    """The kill/resume matrix of this file, one crawl shape per case."""
+    config = crawl_config("serial" if case == "serial" else "batched")
+    if case == "numpy":
+        config.score_backend = "numpy"
+    elif case in ("async", "latency"):
+        config.fetch_mode = "async"
+    if case == "latency":
+        config.transport = "latency"
+        config.transport_options = {
+            "mean_latency_ms": 2.0, "timeout_rate": 0.05, "seed": 9, "time_scale": 0.0,
+        }
+    if case == "hard-focus":
+        # Rejected pages expand nothing, distillation boosts the hubs'
+        # unvisited neighbours, and the failure seed makes fetches fail
+        # transiently and get retried: every kind of entry mutation.
+        config.focus_mode = "hard"
+        config.hub_boost_top_k = 10
+        config.hub_boost_priority = BOOSTED
+        config.distill_every = 20
+        config.checkpoint_every = 15
+    return config
+
+
+class TestDeltaEqualsFull:
+    @pytest.mark.parametrize(
+        "case", ["batched", "serial", "numpy", "async", "latency", "hard-focus"]
+    )
+    def test_chain_folds_to_the_live_state_at_every_checkpoint(
+        self, checkpoint_system, tmp_path, monkeypatch, case
+    ):
+        save = CheckpointManager.save
+        kinds = []
+
+        def checked_save(manager):
+            save(manager)
+            kinds.append(assert_chain_equals_snapshot(manager))
+
+        monkeypatch.setattr(CheckpointManager, "save", checked_save)
+        real_fetch = Fetcher.fetch
+        kill_fetcher_after(monkeypatch, 75)
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=matrix_config(case),
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(tmp_path / "crawl"),
+            )
+        monkeypatch.setattr(Fetcher, "fetch", real_fetch)
+        before_kill = len(kinds)
         resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
         assert resumed.pages_fetched() == MAX_PAGES
+        # The walk saw both frame kinds, on both sides of the kill (how
+        # many saves precede it depends on the fetch mode: speculative
+        # prepares spend fetch attempts early).
+        assert "delta" in kinds and "base" in kinds[1:]
+        assert len(kinds) - 2 >= before_kill >= 1
+        if case == "hard-focus":
+            assert resumed.trace.distillations >= 3 and resumed.trace.failed_urls
+            frontier = resumed.crawler.frontier
+            assert any(
+                frontier.entry(url).relevance == BOOSTED for url in frontier.known_urls()
+            )
         resumed.database.close()
+
+
+class TestCheckpointBytes:
+    """What a checkpoint writes is a function of what changed, counted in bytes."""
+
+    PAGES = 1600
+
+    @pytest.fixture(scope="class")
+    def measured(self, tmp_path_factory):
+        """One durable 1600-page crawl, every save's crawl-state bytes logged.
+
+        Segment compaction is off so the segment file only grows, and
+        every dirty page is flushed just before a save starts: what the
+        save itself appends to the segment file is then its frame, and
+        ``snapshot.dat`` is the record it publishes.
+        """
+        system = build_crawl_workload(seed=7, scale=1.0).system
+        path = tmp_path_factory.mktemp("bytes") / "crawl"
+        config = CrawlerConfig(
+            max_pages=self.PAGES, distill_every=40, checkpoint_every=100, engine="batched",
+            batch_size=32, score_backend="numpy", fetch_mode="threaded", prefetch=False,
+            storage=StorageConfig(compact_every=0),
+        )
+        save = CheckpointManager.save
+        log = []
+
+        def measuring_save(manager):
+            database = manager.database
+            database.buffer_pool.flush_all()
+            before = database.io_snapshot()["segment_bytes_total"]
+            save(manager)
+            appended = database.io_snapshot()["segment_bytes_total"] - before
+            record = os.path.getsize(os.path.join(database.backend.path, "snapshot.dat"))
+            consolidating = len(manager.chain) == 1
+            log.append((manager.crawler.engine.trace.pages_fetched, consolidating, appended, record))
+
+        CheckpointManager.save = measuring_save
+        try:
+            handle = system.start(
+                JobSpec(
+                    seeds=tuple(system.default_seeds()),
+                    max_pages=self.PAGES,
+                    crawler=config,
+                    checkpoint_dir=str(path),
+                )
+            )
+            handle.run()
+        finally:
+            CheckpointManager.save = save
+        crawler = handle.crawler
+        final_state = len(
+            dump_record((crawler.frontier.state_snapshot(), crawler.engine.state_snapshot()))
+        )
+        segment_total = handle.database.io_snapshot()["segment_bytes_total"]
+        handle.close()
+        return log, final_state, segment_total
+
+    def test_a_late_checkpoint_writes_what_an_early_one_does(self, measured):
+        log, _final_state, _segment_total = measured
+        deltas = [
+            (pages, appended + record)
+            for pages, consolidating, appended, record in log
+            if not consolidating
+        ]
+        early = next(size for pages, size in deltas if pages >= 300)
+        late = [size for pages, size in deltas if pages <= 1500][-1]
+        assert late <= 1.5 * early, (early, late, log)
+
+    def test_total_checkpoint_bytes_are_bounded_by_state_plus_pages(self, measured):
+        log, final_state, segment_total = measured
+        state_bytes = sum(appended + record for _pages, _kind, appended, record in log)
+        page_images = segment_total - sum(appended for _pages, _kind, appended, _record in log)
+        assert state_bytes + page_images <= 2 * (final_state + page_images), (
+            state_bytes, page_images, final_state,
+        )
+        # How the bound comes about: a base is written only once the
+        # deltas since the last one weigh as much as it did, and it can
+        # have grown by no more than they carried — so every base after
+        # the first is paid for twice over by the deltas it retires.
+        retired = 0
+        for _pages, consolidating, appended, _record in log[1:]:
+            if consolidating:
+                assert appended <= 2 * retired, log
+                retired = 0
+            else:
+                retired += appended
+        assert sum(kind for _pages, kind, _appended, _record in log) >= 3  # bases, first included

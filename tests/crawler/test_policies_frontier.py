@@ -1,10 +1,13 @@
 """Tests for crawl orderings and the CRAWL-table-backed frontier."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schema import create_focus_database
-from repro.crawler.frontier import Frontier
+from repro.crawler.frontier import ENTRY_FIELDS, Frontier, FrontierEntry
 from repro.crawler.policies import (
     ORDERINGS,
     FetchPolicy,
@@ -165,6 +168,95 @@ class TestFrontier:
         frontier.add_url("http://a.example/1", relevance=0.5)
         frontier.update_scores("http://a.example/1", hub_score=0.9, authority_score=0.1)
         assert frontier.entry("http://a.example/1").hub_score == 0.9
+
+
+class TestFrontierState:
+    """The checkpointed form: positional entries, and deltas that fold back."""
+
+    def make_frontier(self):
+        database = create_focus_database(buffer_pool_pages=64)
+        return Frontier(database, aggressive_discovery())
+
+    @staticmethod
+    def url(n):
+        return f"http://s{n % 3}.example/{n}"
+
+    def drive(self, frontier, first, count):
+        """One buffered round: visit a page, expand it, fail another."""
+        frontier.begin_batch()
+        urls = frontier.pop_batch(2)
+        frontier.record_visit(urls[0], relevance=0.6, tick=first, kcid=3)
+        frontier.add_many(
+            [(self.url(n), 1000 + n, 7 + n % 3) for n in range(first, first + count)],
+            0.6,
+        )
+        if len(urls) > 1:
+            frontier.record_failure(urls[1], max_retries=2)
+        frontier.flush_batch()
+
+    def test_snapshot_is_one_header_and_one_tuple_per_entry(self):
+        frontier = self.make_frontier()
+        frontier.add_seed("http://a.example/1")
+        frontier.add_url("http://a.example/2", relevance=0.4)
+        state = frontier.state_snapshot()
+        assert state["fields"] == ENTRY_FIELDS
+        assert ENTRY_FIELDS[:11] == tuple(
+            field.name for field in dataclasses.fields(FrontierEntry) if field.name != "rid"
+        )
+        assert [len(entry) for entry in state["entries"]] == [len(ENTRY_FIELDS)] * 2
+        first = dict(zip(ENTRY_FIELDS, state["entries"][0]))
+        assert first["url"] == "http://a.example/1" and first["relevance"] == 1.0
+        assert (first["rid_page"], first["rid_slot"]) == (0, 0)
+        assert not hasattr(frontier.entry("http://a.example/1"), "__dict__")  # slots
+
+        restored = self.make_frontier()
+        restored.database.table("CRAWL").insert_many(
+            list(frontier.database.table("CRAWL").rows())
+        )
+        restored.restore_state(pickle.loads(pickle.dumps(state)))
+        assert restored.state_snapshot() == state
+        assert restored.entry("http://a.example/2").rid == frontier.entry("http://a.example/2").rid
+        assert restored.pop_batch(2) == frontier.pop_batch(2)
+
+    def test_restore_refuses_another_entry_layout(self):
+        frontier = self.make_frontier()
+        state = frontier.state_snapshot()
+        state["fields"] = ENTRY_FIELDS[:-1]
+        with pytest.raises(ValueError, match="entry layout"):
+            frontier.restore_state(state)
+
+    def test_deltas_fold_back_into_the_snapshot(self):
+        frontier = self.make_frontier()
+        for n in range(4):
+            frontier.add_seed(f"http://seed.example/{n}")
+        with pytest.raises(RuntimeError, match="mark_saved"):
+            frontier.state_delta()
+        base = pickle.loads(pickle.dumps(frontier.state_snapshot()))
+        frontier.mark_saved()
+        deltas = []
+        for interval in range(3):
+            self.drive(frontier, first=10 * interval, count=5)
+            # Unbuffered mutations between rounds are part of the interval.
+            frontier.boost(self.url(10 * interval + 1), relevance=0.9)
+            frontier.update_scores(self.url(10 * interval + 2), hub_score=0.5)
+            assert frontier.entry(self.url(10 * interval + 1)).relevance == 0.9
+            delta = frontier.state_delta()
+            assert 0 < len(delta[0]) < len(frontier.known_urls())  # only what changed
+            deltas.append(pickle.loads(pickle.dumps(delta)))
+            frontier.mark_saved()
+            assert frontier.state_delta()[0] == []  # nothing since the mark
+        folded = Frontier.fold_state(base, deltas)
+        live = frontier.state_snapshot()
+        assert folded == live
+        assert [entry[0] for entry in folded["entries"]] == frontier.known_urls()
+
+    def test_a_delta_is_not_taken_mid_round(self):
+        frontier = self.make_frontier()
+        frontier.add_seed("http://a.example/1")
+        frontier.mark_saved()
+        frontier.begin_batch()
+        with pytest.raises(RuntimeError, match="mid-round"):
+            frontier.state_delta()
 
 
 class TestHeapHygiene:

@@ -466,13 +466,17 @@ class TestSerialKillResume:
     def test_resumes_from_a_checkpoint_without_delta_cache_state(
         self, resume_system, uninterrupted, tmp_path, monkeypatch
     ):
-        """The shape the old serial loop checkpointed before it fed the cache.
+        """A checkpoint that carries no delta-cache state.
 
-        Its engine state has ``delta_cache=None`` (that loop had no
-        distiller to snapshot) and a dict-backed ``last_distillation``.
+        The shape the old serial loop saved before it fed the cache (that
+        loop had no distiller to snapshot), and still the shape of a
+        crawl's initial checkpoint: ``delta_cache=None`` — whichever
+        frame, base or delta, said so last — and a dict-backed
+        ``last_distillation``.
         """
         backend, reference = uninterrupted
         snapshot = CrawlEngine.state_snapshot
+        delta = CrawlEngine.state_delta
         shapes = []
 
         def old_shape(engine):
@@ -486,7 +490,15 @@ class TestSerialKillResume:
             shapes.append(state)
             return state
 
+        def old_delta(engine):
+            small, *tails = delta(engine)
+            assert small["delta_cache"] is not None
+            small["delta_cache"] = None
+            shapes.append(small)
+            return (small, *tails)
+
         monkeypatch.setattr(CrawlEngine, "state_snapshot", old_shape)
+        monkeypatch.setattr(CrawlEngine, "state_delta", old_delta)
         facts = killed_then_resumed(resume_system, backend, tmp_path / "crawl", monkeypatch, 71)
         assert len(shapes) >= 3
         assert facts == reference

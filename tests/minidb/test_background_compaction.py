@@ -77,6 +77,17 @@ def open_background(path, ops=None, ratio=1.0, wal_bytes=0, pool=4):
     )
 
 
+def frames_state(database):
+    """The frame chain the header names, as a coordinator would read it back."""
+    chain = database.app_state()
+    return chain, [database.read_frame(frame_no) for frame_no in chain]
+
+
+#: The chain before and after the adopting checkpoint of the crash walk.
+OLD_CHAIN = ([1], [("base", list(range(200)))])
+NEW_CHAIN = ([1, 2], [("base", list(range(200))), ("delta", "appended")])
+
+
 def fill_with_garbage(db, rewrites=3):
     table = db.create_table("T", rows_schema())
     table.insert_many([(k, float(k), f"row{k}") for k in range(120)])
@@ -290,7 +301,9 @@ class TestBackgroundCrashWalk:
         db = open_background(path, ops=injector)
         table = db.create_table("T", rows_schema())
         table.insert_many([(k, float(k), f"r{k}") for k in range(100)])
-        db.checkpoint()  # an earlier, undisturbed checkpoint generation
+        # An earlier, undisturbed checkpoint generation; its frame is
+        # live through the prepare, the refresh and the adoption.
+        db.checkpoint(app_state=OLD_CHAIN[0], frames={1: OLD_CHAIN[1][0]})
         rids = [rid for rid, _row in table.scan()]
         for rid in rng.sample(rids, 40):
             table.update_row(rid, {"score": rng.random()})
@@ -323,7 +336,8 @@ class TestBackgroundCrashWalk:
             db.buffer_pool.flush_all()
             state_full = table_state(db)
             checkpoint_offset = injector.op_count - start
-            db.checkpoint()  # the adopting checkpoint
+            # The adopting checkpoint, appending to the chain.
+            db.checkpoint(app_state=NEW_CHAIN[0], frames={2: NEW_CHAIN[1][1]})
             checkpoint_points = injector.op_count - start - checkpoint_offset
         except SimulatedCrash:
             return injector, db, None, None
@@ -344,6 +358,7 @@ class TestBackgroundCrashWalk:
         assert db.backend.compactions_run == 1
         assert db.backend.bytes_reclaimed > 0
         assert table_state(db) == state_full
+        assert frames_state(db) == NEW_CHAIN
         assert prepare_points > 5  # rewrite writes + fsync
         assert refresh_win[1] >= 2  # re-based frames + fsync
         assert checkpoint_win[1] > 5  # delta fold + snapshot + WAL + fence
@@ -355,6 +370,7 @@ class TestBackgroundCrashWalk:
             + [(refresh_win[0] + i, state_mid) for i in range(refresh_win[1])]
             + [(checkpoint_win[0] + i, state_full) for i in range(checkpoint_win[1])]
         )
+        chains = []
         for crash_offset, expected in offsets:
             path = tmp_path / f"crash-{crash_offset}"
             _, crashed_db, _, _ = self.run_workload(path, seed, crash_offset=crash_offset)
@@ -366,12 +382,24 @@ class TestBackgroundCrashWalk:
                     f"{crash_offset}"
                 )
                 assert len(segment_files(path)) == 1  # stale files fenced
+                # Header and frames are from one moment: the old chain for
+                # a crash in the prepare or the refresh (nothing was
+                # published), either chain for one in the checkpoint.
+                chain = frames_state(recovered)
+                in_checkpoint = crash_offset >= checkpoint_win[0]
+                assert chain in ((OLD_CHAIN, NEW_CHAIN) if in_checkpoint else (OLD_CHAIN,)), (
+                    f"seed {seed}: header and frames disagree after I/O point {crash_offset}"
+                )
+                chains.append(chain)
                 # The survivor is fully operational: more writes, another
-                # background compaction, and the garbage is gone again.
+                # background compaction, and the garbage is gone again —
+                # the frames, live, are not.
                 recovered.table("T").insert((900 + crash_offset, 1.0, "post"))
                 recovered.buffer_pool.flush_all()
                 recovered.backend.run_compaction_once(force=True)
-                recovered.checkpoint()
+                recovered.checkpoint(app_state=recovered.app_state())
                 assert recovered.backend.compactions_run >= 1
                 snap = recovered.io_snapshot()
                 assert snap["segment_bytes_total"] <= 1.2 * snap["segment_bytes_live"]
+                assert frames_state(recovered) == chain
+        assert chains[-1] == NEW_CHAIN  # the walk crossed the commit point

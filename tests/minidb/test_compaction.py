@@ -24,6 +24,7 @@ import random
 
 import pytest
 
+from repro.core.checkpoint import CheckpointManager
 from repro.core.config import FocusConfig
 from repro.core.schema import create_focus_database
 from repro.core.system import FocusSystem
@@ -253,8 +254,24 @@ class TestPolicy:
         assert not compactor.due(live_bytes=0, dead_bytes=0)
 
 
+def frames_state(database):
+    """The frame chain the header names, as a coordinator would read it back."""
+    chain = database.app_state()
+    return chain, [database.read_frame(frame_no) for frame_no in chain]
+
+
+#: The chain before and after the tortured checkpoint of the crash walks.
+OLD_CHAIN = ([1], [("base", list(range(200)))])
+NEW_CHAIN = ([1, 2], [("base", list(range(200))), ("delta", "appended")])
+
+
 class TestCrashWalk:
-    """Crash at *every* I/O point of a compacting checkpoint and recover."""
+    """Crash at *every* I/O point of a compacting checkpoint and recover.
+
+    The checkpoint carries a live frame (rewritten with the page images)
+    and appends another: whichever side of the snapshot rename the crash
+    falls on, the header and the frames it names are from one moment.
+    """
 
     def run_workload(self, path, seed, crash_offset=None):
         """Deterministic (per seed) dirty workload + the checkpoint under test.
@@ -269,7 +286,8 @@ class TestCrashWalk:
         db = open_compacting(path, ops=injector)
         table = db.create_table("T", rows_schema())
         table.insert_many([(k, float(k), f"r{k}") for k in range(100)])
-        db.checkpoint()  # an earlier, undisturbed checkpoint generation
+        # An earlier, undisturbed checkpoint generation.
+        db.checkpoint(app_state=OLD_CHAIN[0], frames={1: OLD_CHAIN[1][0]})
         rids = [rid for rid, _row in table.scan()]
         for rid in rng.sample(rids, 40):
             table.update_row(rid, {"score": rng.random()})
@@ -282,7 +300,8 @@ class TestCrashWalk:
             injector.crash_at = start + crash_offset
         crashed = False
         try:
-            db.checkpoint()  # the tortured (compacting) checkpoint
+            # The tortured (compacting) checkpoint.
+            db.checkpoint(app_state=NEW_CHAIN[0], frames={2: NEW_CHAIN[1][1]})
         except SimulatedCrash:
             crashed = True
         assert crashed == (crash_offset is not None)
@@ -296,9 +315,11 @@ class TestCrashWalk:
         injector, db, expected, points = self.run_workload(tmp_path / "dry", seed)
         assert db.backend.compactions_run == 1
         assert table_state(db) == expected
+        assert frames_state(db) == NEW_CHAIN
         assert points > 20  # flush + rewrite + snapshot + WAL + fence
         db.close()
 
+        chains = []
         for crash_offset in range(points):
             path = tmp_path / f"crash-{crash_offset}"
             _, crashed_db, expected, _ = self.run_workload(
@@ -312,12 +333,22 @@ class TestCrashWalk:
                     f"{crash_offset}"
                 )
                 assert len(segment_files(path)) == 1  # stale files fenced
+                chain = frames_state(recovered)
+                assert chain in (OLD_CHAIN, NEW_CHAIN), (
+                    f"seed {seed}: header and frames disagree after I/O point {crash_offset}"
+                )
+                chains.append(chain)
                 # The survivor is fully operational: more writes, another
-                # compacting checkpoint, and the garbage is gone again.
+                # compacting checkpoint, and the garbage is gone again —
+                # the frames, live, are not.
                 recovered.table("T").insert((500 + crash_offset, 1.0, "post"))
-                recovered.checkpoint()
+                recovered.checkpoint(app_state=recovered.app_state())
                 snap = recovered.io_snapshot()
                 assert snap["segment_bytes_total"] <= 1.2 * snap["segment_bytes_live"]
+                assert frames_state(recovered) == chain
+        # Old before the snapshot rename, new from it on.
+        assert chains[0] == OLD_CHAIN and chains[-1] == NEW_CHAIN
+        assert chains == sorted(chains, key=lambda chain: len(chain[0]))
 
 
 GOOD = "recreation/cycling"
@@ -326,17 +357,18 @@ CHECKPOINT_EVERY = 25
 FETCH_FAILURE_SEED = 3
 
 
-def crawl_config():
+def crawl_config(garbage_ratio=0.0):
     return CrawlerConfig(
         max_pages=MAX_PAGES,
         distill_every=30,
         checkpoint_every=CHECKPOINT_EVERY,
         engine="batched",
         batch_size=4,
-        # Compact at every checkpoint regardless of garbage: the torture
-        # wants the maximum number of compaction windows to crash inside.
+        # By default compact at every checkpoint regardless of garbage: the
+        # torture wants the maximum number of compaction windows to crash
+        # inside.
         compact_every=1,
-        compact_min_garbage_ratio=0.0,
+        compact_min_garbage_ratio=garbage_ratio,
     )
 
 
@@ -356,9 +388,9 @@ def reference_crawl(torture_system):
     )
 
 
-def torture_database(directory, injector):
+def torture_database(directory, injector, garbage_ratio=0.0):
     """A durable crawl database whose file I/O runs through *injector*."""
-    config = crawl_config()
+    config = crawl_config(garbage_ratio)
     return create_focus_database(
         buffer_pool_pages=512,
         path=str(directory),
@@ -370,10 +402,10 @@ def torture_database(directory, injector):
     )
 
 
-def durable_crawl(system, directory, database):
+def durable_crawl(system, directory, database, garbage_ratio=0.0):
     """A checkpointed crawl on an externally built (injected) database."""
     return system.crawl(
-        crawler_config=crawl_config(),
+        crawler_config=crawl_config(garbage_ratio),
         fetch_failure_seed=FETCH_FAILURE_SEED,
         database=database,
         checkpoint_dir=str(directory),
@@ -462,6 +494,82 @@ class TestCrawlTorture:
             assert len(resumed.database.table("LINK")) == len(
                 reference_crawl.database.table("LINK")
             )
+            resumed.database.close()
+
+    @pytest.mark.parametrize("seed", TORTURE_SEEDS)
+    def test_crash_inside_delta_and_consolidating_checkpoints_resumes_bit_identically(
+        self, torture_system, reference_crawl, tmp_path, monkeypatch, seed
+    ):
+        """The frame chain's three kinds of checkpoint, crashed inside.
+
+        A delta checkpoint (one frame appended), a consolidating one (a
+        fresh base, the old chain dropped) and a compacting one that
+        carries live frames into the rewritten segment file: wherever
+        the crash lands, the resume folds the previous chain or the new
+        one and the crawl it continues is the uninterrupted crawl.
+        """
+        ratio = 0.3  # some checkpoints compact, most do not
+        save = CheckpointManager.save
+        windows = []
+
+        def logging_save(manager):
+            backend = manager.database.backend
+            start, compactions = dry.op_count, backend.compactions_run
+            save(manager)
+            kind = "base" if len(manager.chain) == 1 else "delta"
+            if backend.compactions_run > compactions:
+                kind = "compacting " + kind
+            windows.append((kind, start, dry.op_count))
+
+        dry = FaultInjector()
+        database = torture_database(tmp_path / "dry", dry, ratio)
+        monkeypatch.setattr(CheckpointManager, "save", logging_save)
+        result = durable_crawl(torture_system, tmp_path / "dry", database, ratio)
+        monkeypatch.setattr(CheckpointManager, "save", save)
+        assert result.trace.fetched_urls == reference_crawl.trace.fetched_urls
+        database.close()
+
+        rng = random.Random(seed)
+        crash_points = []
+        # windows[0] is the initial base of an empty crawl: skip it.
+        for wanted in ("delta", "base", "compacting delta"):
+            start, end = next((lo, hi) for kind, lo, hi in windows[1:] if kind == wanted)
+            rename = next(
+                e.index for e in dry.events[start:end] if e.kind == "replace"
+            )
+            # Tier-1 (seed 0): the first I/O, either side of the commit
+            # point, the last I/O.  A torture seed walks every index of
+            # the two short windows and samples the long compacting one.
+            picks = {start, rename - 1, rename, end - 1}
+            if seed and wanted.startswith("compacting"):
+                picks |= set(rng.sample(range(start, end), 6))
+            elif seed:
+                picks = set(range(start, end))
+            crash_points.extend(sorted(picks))
+
+        reference_rows = {
+            name: len(reference_crawl.database.table(name))
+            for name in ("CRAWL", "LINK", "HUBS", "AUTH")
+        }
+        for crash_at in crash_points:
+            directory = tmp_path / f"crash-{crash_at}"
+            injector = FaultInjector(crash_at=crash_at)
+            doomed = torture_database(directory, injector, ratio)
+            with pytest.raises(SimulatedCrash):
+                durable_crawl(torture_system, directory, doomed, ratio)
+            hard_close(doomed)
+
+            resumed = torture_system.crawl(resume_from=str(directory))
+            assert resumed.pages_fetched() == MAX_PAGES
+            assert resumed.trace.fetched_urls == reference_crawl.trace.fetched_urls
+            assert (
+                resumed.trace.relevance_series()
+                == reference_crawl.trace.relevance_series()
+            )  # bit for bit
+            assert resumed.trace.failed_urls == reference_crawl.trace.failed_urls
+            assert {
+                name: len(resumed.database.table(name)) for name in reference_rows
+            } == reference_rows
             resumed.database.close()
 
     def test_post_compaction_segment_bound_on_a_real_crawl(

@@ -8,6 +8,7 @@ from repro.minidb import (
     Database,
     FLOAT,
     INTEGER,
+    StorageConfig,
     TEXT,
     make_schema,
 )
@@ -181,6 +182,73 @@ class TestRecovery:
 
         with Database.open(tmp_path / "db") as recovered:
             assert recovered.app_state() == {"round": 7, "note": "mid-crawl"}
+
+
+class TestFrames:
+    """Opaque payloads in the segment file, published with the checkpoint."""
+
+    def test_frames_ride_the_checkpoint_and_survive_a_reopen(self, tmp_path):
+        with Database.open(tmp_path / "db") as db:
+            fill(db.create_table("P", people_schema()), 0, 40)
+            db.checkpoint(app_state=[1], frames={1: ("base", list(range(500)))})
+            db.checkpoint(app_state=[1, 2], frames={2: ("delta", {"k": 1.5})})
+            assert db.read_frame(2) == ("delta", {"k": 1.5})
+            assert db.frame_size(1) > db.frame_size(2) > 0
+
+        with Database.open(tmp_path / "db") as recovered:
+            assert recovered.app_state() == [1, 2]
+            assert recovered.read_frame(1) == ("base", list(range(500)))
+            assert recovered.read_frame(2) == ("delta", {"k": 1.5})
+            # Frames are not pages: the pool's page accounting ignores them.
+            assert recovered.buffer_pool.total_pages() == recovered.total_pages()
+
+    def test_dropped_and_superseded_frames_are_gone(self, tmp_path):
+        with Database.open(tmp_path / "db") as db:
+            db.checkpoint(frames={1: "one", 2: "two"})
+            db.checkpoint(frames={2: "two again"}, drop_frames=[1])
+            assert db.read_frame(2) == "two again"
+            assert db.frame_size(1) == 0
+            with pytest.raises(StorageError, match="no live frame 1"):
+                db.read_frame(1)
+            db.checkpoint(drop_frames=[1])  # dropping twice is harmless
+
+        with Database.open(tmp_path / "db") as recovered:
+            assert recovered.read_frame(2) == "two again"
+            assert recovered.frame_size(1) == 0
+
+    def test_frames_survive_compaction_without_moving_its_schedule(self, tmp_path):
+        """Live frames are copied by the rewrite, dropped ones reclaimed; but
+        the garbage ratio that schedules a rewrite weighs page images only."""
+        storage = StorageConfig(compact_every=1, compact_min_garbage_ratio=0.5)
+        with Database.open(tmp_path / "db", page_size=512, storage=storage) as db:
+            table = db.create_table("P", people_schema())
+            fill(table, 0, 60)
+            big = bytes(200_000)
+            db.checkpoint(frames={1: big})
+            # A dropped frame far larger than every page together is
+            # garbage, but not garbage that asks for a rewrite ...
+            db.checkpoint(frames={2: big}, drop_frames=[1])
+            assert db.backend.compactions_run == 0
+            assert db.io_snapshot()["segment_bytes_dead"] > 200_000
+            # ... and a live one does not hide superseded page images:
+            # once those outweigh the live pages, the checkpoint compacts.
+            for round_no in range(3):
+                table.update_rows(
+                    [(rid, {"score": float(round_no)}) for rid, _row in table.scan()]
+                )
+                db.checkpoint()
+            assert db.backend.compactions_run >= 1
+            assert db.read_frame(2) == big
+            snap = db.io_snapshot()
+            assert snap["bytes_reclaimed"] > 200_000
+
+        with Database.open(tmp_path / "db", storage=storage) as recovered:
+            assert recovered.read_frame(2) == big
+            assert len(recovered.table("P")) == 60
+
+    def test_in_memory_databases_keep_no_frames(self):
+        with pytest.raises(StorageError, match="keep no frames"):
+            Database().read_frame(1)
 
 
 class TestEvictionAndCounters:

@@ -119,6 +119,82 @@ class TestCrashing:
         recovered.close()
 
 
+def pinned_state(db):
+    """What a coordinator resuming from the snapshot sees: rows, header, frames."""
+    chain = db.app_state()
+    return (
+        sorted(db.table("T").rows()),
+        chain,
+        [db.read_frame(frame_no) for frame_no in chain],
+    )
+
+
+class TestFrameCrashWalk:
+    """Crash at every I/O point of a checkpoint that carries frames.
+
+    The frames are a base-plus-delta chain the ``app_state`` names, as a
+    crawl checkpoint keeps it.  Recovery pinned to the snapshot
+    (``replay_wal=False``, how a crawl resumes) must find the previous
+    checkpoint or the new one — rows, header and every frame the header
+    names — and never a mix of the two.
+    """
+
+    def run_workload(self, path, kind, crash_offset=None):
+        """Returns ``(database, before, after, points)``; on a crash *after* is None."""
+        injector = FaultInjector()
+        db = Database.open(
+            str(path), page_size=512, storage=StorageConfig(ops=injector, compact_every=0)
+        )
+        table = db.create_table("T", simple_schema())
+        table.insert_many([(k, float(k)) for k in range(60)])
+        db.checkpoint(app_state=[1], frames={1: ("base", list(range(300)))})
+        table.update_rows(
+            [(rid, {"v": -1.0}) for rid, row in list(table.scan()) if row[0] % 3 == 0]
+        )
+        db.checkpoint(app_state=[1, 2], frames={2: ("delta", "first")})
+        before = pinned_state(db)
+        table.insert_many([(100 + k, 0.5) for k in range(20)])
+        start = injector.op_count
+        if crash_offset is not None:
+            injector.crash_at = start + crash_offset
+        try:
+            if kind == "delta":
+                db.checkpoint(app_state=[1, 2, 3], frames={3: ("delta", "second")})
+            else:  # consolidating: a fresh base replaces the chain
+                db.checkpoint(
+                    app_state=[3], frames={3: ("base", list(range(400)))}, drop_frames=[1, 2]
+                )
+        except SimulatedCrash:
+            return db, before, None, 0
+        return db, before, pinned_state(db), injector.op_count - start
+
+    @pytest.mark.parametrize("kind", ["delta", "consolidating"])
+    def test_recovery_is_the_previous_or_the_new_checkpoint(self, tmp_path, kind):
+        db, before, after, points = self.run_workload(tmp_path / "dry", kind)
+        assert before != after and points > 8  # pages + frame + snapshot + WAL
+        db.close()
+
+        seen = []
+        for crash_offset in range(points):
+            path = tmp_path / f"crash-{crash_offset}"
+            crashed, _, _, _ = self.run_workload(path, kind, crash_offset=crash_offset)
+            hard_close(crashed)
+
+            with Database.open(str(path), replay_wal=False) as recovered:
+                state = pinned_state(recovered)
+                assert state in (before, after), f"{kind}: a mix after I/O point {crash_offset}"
+                seen.append(state == after)
+                # The survivor extends whichever chain it woke up with.
+                chain = recovered.app_state() + [9]
+                recovered.checkpoint(app_state=chain, frames={9: "post"})
+            with Database.open(str(path), replay_wal=False) as reopened:
+                assert reopened.app_state() == chain
+                assert pinned_state(reopened)[2][:-1] == state[2]
+        # The walk crossed the commit point, and never went back.
+        assert seen[0] is False and seen[-1] is True
+        assert seen == sorted(seen)
+
+
 class TestConstructorCrash:
     def test_crash_during_wal_creation_is_survivable(self, tmp_path):
         """Even the very first header write is a legal kill point."""
