@@ -21,8 +21,11 @@ time:
    recursion, per-term work shared across the batch — behind an LRU of
    outcomes keyed by page oid (:class:`PageScorer`);
 4. *record*: CRAWL and LINK writes buffer across the round and flush
-   through minidb's bulk ``insert_many`` / ``update_column``, cutting
-   per-row page and index churn (:class:`BufferedLinkWriter`);
+   through minidb's column-at-a-time write path — one ``insert_many``
+   per table (the batch is transposed once; each page takes its rows as
+   column slices), one ``update_rows`` for the CRAWL rows the round
+   changed and one ``update_column`` for the refreshed ``wgt_fwd``
+   values (:class:`BufferedLinkWriter`, :meth:`Frontier.flush_batch`);
 5. *close*: the frontier and link buffers flush, and — when due — the
    incremental distiller folds only the link rows recorded since the
    last run into cached adjacency
@@ -485,8 +488,10 @@ class BufferedLinkWriter:
 
     Accumulates a whole round, then flushes one ``insert_many`` and one
     ``update_column`` — ``wgt_fwd`` is unindexed, so the refresh of every
-    edge pointing at a freshly classified page is a pure heap write.
-    Refreshes are applied after the round's inserts, in visit order.
+    edge pointing at a freshly classified page is an in-place assignment
+    into the LINK pages' ``wgt_fwd`` column chunks, no row read or
+    rebuilt.  Refreshes are applied after the round's inserts, in visit
+    order.
     """
 
     def __init__(self, table: Table) -> None:
@@ -510,14 +515,13 @@ class BufferedLinkWriter:
         if self._rows:
             self.table.insert_many(self._rows)
             self._rows = []
-        updates: List[Tuple[RecordId, float]] = []
+        updates: Dict[RecordId, float] = {}
         for oid, relevance in self._refresh.items():
-            for rid in self.table.lookup_rids("link_dst", (oid,)):
-                updates.append((rid, relevance))
+            updates.update(dict.fromkeys(self.table.lookup_rids("link_dst", (oid,)), relevance))
         if updates:
             self.table.update_column("wgt_fwd", updates)
         self._refresh = OrderedDict()
-        return [rid for rid, _ in updates]
+        return list(updates)
 
 
 def boost_hub_neighbours(

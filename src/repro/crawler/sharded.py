@@ -50,6 +50,7 @@ import traceback
 from collections import deque
 from dataclasses import asdict, replace
 from hashlib import blake2b
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -627,7 +628,9 @@ class ShardedEngine:
         self._rows: List[tuple] = []
         self._dst_positions: Dict[int, List[int]] = {}
         self._graph: Optional[CompiledLinkGraph] = None
-        self._graph_len = 0
+        #: Graph edge position of each of the first rows of ``_rows``
+        #: (-1: nepotistic, dropped) — as many as the graph has folded.
+        self._edge_of_row: List[int] = []
         #: Handoff accounting: "src->dst" -> records routed so far.
         self._handoff_watermarks: Dict[str, int] = {}
         self.fetch_stats = FetchStats()
@@ -827,8 +830,7 @@ class ShardedEngine:
         # E_F refresh of the merged graph for this round's visits, after
         # the round's edges are appended (what each shard's link flush
         # does to its LINK partition).
-        for record in successes:
-            self._patch_forward(record.oid, record.relevance)
+        self._patch_forward(successes)
 
         distilled = bool(
             self.config.distill_every
@@ -885,22 +887,30 @@ class ShardedEngine:
         self._rows.append(row)
         self._dst_positions.setdefault(record.dst_oid, []).append(position)
 
-    def _patch_forward(self, oid: int, relevance: float) -> None:
-        for position in self._dst_positions.get(oid, ()):
-            row = self._rows[position]
-            patched = row[:4] + (relevance, row[5])
-            self._rows[position] = patched
-            if self._graph is not None and position < self._graph_len:
-                # update_row no-ops for keys add_row dropped (nepotistic).
-                self._graph.update_row(position, patched)
+    def _patch_forward(self, visited: List[OutcomeRecord]) -> None:
+        edge_of_row = self._edge_of_row
+        edges: List[int] = []
+        forward: List[float] = []
+        backward: List[float] = []
+        for record in visited:
+            for position in self._dst_positions.get(record.oid, ()):
+                row = self._rows[position]
+                self._rows[position] = row[:4] + (record.relevance, row[5])
+                if position < len(edge_of_row) and edge_of_row[position] >= 0:
+                    edges.append(edge_of_row[position])
+                    forward.append(record.relevance)
+                    backward.append(row[5])
+        if edges:
+            self._graph.patch(edges, forward, backward)
 
     def _ensure_graph(self) -> CompiledLinkGraph:
         if self._graph is None:
             self._graph = CompiledLinkGraph()
-            self._graph_len = 0
-        for position in range(self._graph_len, len(self._rows)):
-            self._graph.add_row(self._rows[position], key=position)
-        self._graph_len = len(self._rows)
+            self._edge_of_row = []
+        fresh = self._rows[len(self._edge_of_row) :]
+        if fresh:
+            columns = [list(map(itemgetter(position), fresh)) for position in range(6)]
+            self._edge_of_row.extend(self._graph.add_columns(*columns))
         return self._graph
 
     def _compute_distillation(self):
@@ -987,7 +997,7 @@ class ShardedEngine:
         for position, row in enumerate(self._rows):
             self._dst_positions.setdefault(row[2], []).append(position)
         self._graph = None  # rebuilt (identically) on the next distillation
-        self._graph_len = 0
+        self._edge_of_row = []
         self._handoff_watermarks = dict(state["watermarks"])
         self.fetch_stats = FetchStats(**state["fetch_stats"])
         self._shard_timings = {

@@ -10,10 +10,11 @@ in LINK-heap append order — and runs each HITS half-step as a
     h  <-  B    (a * w_rev)
 
 :class:`CompiledLinkGraph` supports exactly the two mutations the
-crawler performs — appending new edges and patching weights in place —
-so :class:`~repro.distiller.db_distiller.LinkDeltaCache` folds its
-deltas into the compiled arrays instead of rebuilding them per
-distillation.  Scores agree with the reference implementation to 1e-9
+crawler performs — appending new edges and patching weights in place,
+each a column batch at a time — so
+:class:`~repro.distiller.db_distiller.LinkDeltaCache` folds its deltas
+into the compiled arrays instead of rebuilding them per distillation.
+Scores agree with the reference implementation to 1e-9
 (tests enforce this); within the compiled backend results are
 deterministic functions of the edge list in append order.
 """
@@ -21,8 +22,9 @@ deterministic functions of the edge list in append order.
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Dict, Iterable, List, Mapping, Optional
+from itertools import chain, compress, count, islice
+from operator import ne
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +43,13 @@ def _grown(buffer: np.ndarray, used: int) -> np.ndarray:
     return bigger
 
 
+def _weights(values: Sequence[Optional[float]]) -> np.ndarray:
+    """A weight column as floats, ``None`` ("no stored weight") as NaN."""
+    if None in values:
+        values = [_NO_WEIGHT if value is None else value for value in values]
+    return np.array(values, dtype=np.float64)
+
+
 class CompiledLinkGraph:
     """Columnar adjacency over the non-nepotistic crawl edges.
 
@@ -51,12 +60,13 @@ class CompiledLinkGraph:
     function of the edge list regardless of when the graph was built
     (checkpoint resume rebuilds it from the recovered heap).
 
-    The columns live in capacity-doubling NumPy buffers that ``add`` and
-    ``update`` write in place, so a distillation pays for the edges that
-    arrived or changed since the last one, never for the ones already
-    compiled.  What HITS needs per *node* is kept the same way: which
-    nodes are link sources (the uniform hub initialisation) and the
-    dense relevance vector (:meth:`relevance_vector`).
+    The columns live in capacity-doubling NumPy buffers that
+    ``add_columns`` and ``patch`` write in place, so a distillation
+    pays for the edges that arrived or changed since the last one,
+    never for the ones already compiled.  What HITS needs per *node* is
+    kept the same way: which nodes are link sources (the uniform hub
+    initialisation) and the dense relevance vector
+    (:meth:`relevance_vector`).
     """
 
     _INITIAL_CAPACITY = 256
@@ -71,7 +81,6 @@ class CompiledLinkGraph:
         self._index_of_oid: Dict[int, int] = {}
         #: Append-only; results of :func:`compiled_weighted_hits` share it.
         self._oids: List[int] = []
-        self._position: Dict[object, int] = {}
         self._is_source = np.zeros(capacity, dtype=np.bool_)
         self._source_count = 0
         self._rel = np.zeros(capacity, dtype=np.float64)
@@ -90,74 +99,91 @@ class CompiledLinkGraph:
             index = len(self._oids)
             self._index_of_oid[oid] = index
             self._oids.append(oid)
-            if index == len(self._is_source):
-                self._is_source = _grown(self._is_source, index)
-                self._rel = _grown(self._rel, index)
         return index
 
-    def _append(
-        self,
-        oid_src: int,
-        oid_dst: int,
-        wgt_fwd: Optional[float],
-        wgt_rev: Optional[float],
-        key: object,
-    ) -> None:
+    def _reserve(self, edges: int, nodes: int) -> None:
+        """Grow the edge buffers to hold *edges* and the node buffers *nodes*."""
+        while edges > len(self._src):
+            used = self._edges
+            self._src = _grown(self._src, used)
+            self._dst = _grown(self._dst, used)
+            self._fwd = _grown(self._fwd, used)
+            self._rev = _grown(self._rev, used)
+        while nodes > len(self._is_source):
+            used = len(self._is_source)
+            self._is_source = _grown(self._is_source, used)
+            self._rel = _grown(self._rel, used)
+
+    def add(self, link: Link) -> int:
+        """Append one edge and return its position (``-1``: dropped).
+
+        Nepotistic edges are dropped: they never contribute.  This is
+        the edge-at-a-time reference that :meth:`add_columns` must
+        agree with; the crawl feeds the graph through the latter.
+        """
+        if link.is_nepotistic:
+            return -1
         position = self._edges
-        if position == len(self._src):
-            self._src = _grown(self._src, position)
-            self._dst = _grown(self._dst, position)
-            self._fwd = _grown(self._fwd, position)
-            self._rev = _grown(self._rev, position)
-        if key is not None:
-            self._position[key] = position
-        source = self._densify(oid_src)
+        self._reserve(position + 1, len(self._oids) + 2)
+        source = self._densify(link.oid_src)
         if not self._is_source[source]:
             self._is_source[source] = True
             self._source_count += 1
         self._src[position] = source
-        self._dst[position] = self._densify(oid_dst)
-        self._fwd[position] = _NO_WEIGHT if wgt_fwd is None else wgt_fwd
-        self._rev[position] = _NO_WEIGHT if wgt_rev is None else wgt_rev
+        self._dst[position] = self._densify(link.oid_dst)
+        self._fwd[position] = _NO_WEIGHT if link.wgt_fwd is None else link.wgt_fwd
+        self._rev[position] = _NO_WEIGHT if link.wgt_rev is None else link.wgt_rev
         self._edges = position + 1
-
-    def _patch(self, key: object, wgt_fwd: Optional[float], wgt_rev: Optional[float]) -> None:
-        position = self._position.get(key)
-        if position is None:  # nepotistic (or never compiled) edge: no-op
-            return
-        self._fwd[position] = _NO_WEIGHT if wgt_fwd is None else wgt_fwd
-        self._rev[position] = _NO_WEIGHT if wgt_rev is None else wgt_rev
-
-    def add(self, link: Link, key: object = None) -> None:
-        """Append one edge; nepotistic edges are dropped (never contribute).
-
-        *key* (e.g. a heap record id) registers the edge for later
-        in-place weight updates via :meth:`update`.
-        """
-        if not link.is_nepotistic:
-            self._append(link.oid_src, link.oid_dst, link.wgt_fwd, link.wgt_rev, key)
-
-    def update(self, key: object, link: Link) -> None:
-        """Patch the weights of a previously added edge in place."""
-        self._patch(key, link.wgt_fwd, link.wgt_rev)
-
-    # -- raw LINK-row fast path (delta cache feed) -------------------------
-    def add_row(self, row: tuple, key: object) -> None:
-        """:meth:`add` taking a LINK heap row in pinned schema order.
-
-        ``(oid_src, sid_src, oid_dst, sid_dst, wgt_fwd, wgt_rev)`` — lets
-        the delta cache fold rows without materialising ``Link`` objects.
-        """
-        oid_src, sid_src, oid_dst, sid_dst, wgt_fwd, wgt_rev = row
-        if sid_src != sid_dst:
-            self._append(oid_src, oid_dst, wgt_fwd, wgt_rev, key)
-
-    def update_row(self, key: object, row: tuple) -> None:
-        self._patch(key, row[4], row[5])
+        return position
 
     def extend(self, links: Iterable[Link]) -> None:
         for link in links:
             self.add(link)
+
+    def add_columns(self, oid_src, sid_src, oid_dst, sid_dst, wgt_fwd, wgt_rev) -> List[int]:
+        """Append a batch of LINK rows given as their six columns, in schema order.
+
+        Equals :meth:`add` of each row in turn — same dropped nepotistic
+        edges, same dense numbering (source before destination, edge by
+        edge), bit-equal :meth:`arrays` — at one slice assignment per
+        buffer.  Returns each row's edge position, ``-1`` for the ones
+        dropped, for later :meth:`patch` calls.
+        """
+        keep = list(map(ne, sid_src, sid_dst))
+        kept = sum(keep)
+        if kept < len(keep):
+            oid_src, oid_dst, wgt_fwd, wgt_rev = (
+                list(compress(column, keep)) for column in (oid_src, oid_dst, wgt_fwd, wgt_rev)
+            )
+        base = self._edges
+        positions = iter(range(base, base + kept))
+        placed = [next(positions) if kept_row else -1 for kept_row in keep]
+        if not kept:
+            return placed
+        # Oids stay Python ints (unsigned 64-bit hashes overflow a C long);
+        # only their dense indexes go into arrays.
+        endpoints = list(chain.from_iterable(zip(oid_src, oid_dst)))
+        index_of = self._index_of_oid
+        fresh = [oid for oid in dict.fromkeys(endpoints) if oid not in index_of]
+        index_of.update(zip(fresh, count(len(self._oids))))
+        self._oids.extend(fresh)
+        self._reserve(base + kept, len(self._oids))
+        dense = np.array([index_of[oid] for oid in endpoints], dtype=np.int64)
+        stop = base + kept
+        src = self._src[base:stop] = dense[0::2]
+        self._dst[base:stop] = dense[1::2]
+        self._fwd[base:stop] = _weights(wgt_fwd)
+        self._rev[base:stop] = _weights(wgt_rev)
+        self._is_source[src] = True
+        self._source_count = int(np.count_nonzero(self._is_source[: len(self._oids)]))
+        self._edges = stop
+        return placed
+
+    def patch(self, positions: Sequence[int], wgt_fwd, wgt_rev) -> None:
+        """Overwrite the weights of the edges at *positions* in place."""
+        positions = np.asarray(positions, dtype=np.int64)
+        self._fwd[positions] = _weights(wgt_fwd)
+        self._rev[positions] = _weights(wgt_rev)
 
     def arrays(self):
         """The (src, dst, fwd, rev, oids) columns: views of the live buffers.

@@ -20,6 +20,7 @@ Both produce the same scores as the in-memory
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, List, Optional
 
 from repro.minidb import Database
@@ -264,10 +265,11 @@ class LinkDeltaCache:
     be cached and refreshed incrementally:
 
     * newly appended rows are picked up by rescanning from the page the
-      previous refresh stopped in (``HeapFile.scan_from``);
+      previous refresh stopped in (``HeapFile.scan_pages``), a page's
+      column chunks at a time;
     * in-place weight updates (the ``wgt_fwd`` refresh when a destination
-      page gets classified) are point-read through the record ids the
-      writer reports via :meth:`note_updated`.
+      page gets classified) are re-read — the two weight columns of the
+      slots the writer reports via :meth:`note_updated`, a page at a time.
 
     Iteration order of the cache matches a full heap scan (append order,
     with updated rows keeping their position), so scores computed over the
@@ -277,21 +279,19 @@ class LinkDeltaCache:
     def __init__(self, table: Table, compiled: bool = False) -> None:
         self.table = table
         #: Python mode: the cached Links of heap page p, by slot, at index p
-        #: (None marks an empty slot).  Positional, not keyed by record id:
-        #: the cache outlives every distillation, and a RecordId key would
-        #: cost twice what the Link it maps to does.  Compiled mode keeps
-        #: edge data in the columnar graph and leaves this empty.
-        self._pages: List[List[Optional[Link]]] = []
+        #: (None marks an empty slot).  Compiled mode: the graph edge
+        #: position of each slot folded so far (-1: an empty slot or a
+        #: nepotistic edge the graph dropped) — LINK is append-only, so a
+        #: page's list only grows.  Positional, not keyed by record id:
+        #: the cache outlives every distillation.
+        self._pages: List[list] = []
         self._watermark_page = 0
-        #: Compiled mode: (page_no, slot) of the last folded row — valid
-        #: because LINK is append-only, so heap scan order is fold order.
-        self._folded_through: tuple[int, int] = (-1, -1)
         self._folded_count = 0
         self._updated_rids: set[RecordId] = set()
         #: Columnar mirror of the cached adjacency (numpy distillation
-        #: backend); deltas are folded into it edge by edge, never rebuilt.
+        #: backend); deltas are folded into it in column batches, never rebuilt.
         self.graph: Optional[CompiledLinkGraph] = CompiledLinkGraph() if compiled else None
-        # Rows are read positionally (Link(*row), graph.add_row): pin the order.
+        # Columns are read positionally (Link(*row), graph.add_columns): pin the order.
         columns = tuple(table.schema.column_names)
         expected = ("oid_src", "sid_src", "oid_dst", "sid_dst", "wgt_fwd", "wgt_rev")
         if columns != expected:
@@ -312,49 +312,73 @@ class LinkDeltaCache:
         rescanned_from = self._watermark_page
         self._fold_pages(rescanned_from, None)
         self._watermark_page = max(heap.page_count - 1, 0)
-        if self.graph is not None:
-            for rid in self._updated_rids:
-                self.graph.update_row((rid.page_id.page_no, rid.slot), heap.read(rid))
-            self._updated_rids.clear()
-            return []
+        slots_of: Dict[int, List[int]] = {}
         for rid in self._updated_rids:
-            page_no = rid.page_id.page_no
-            if page_no < rescanned_from:  # later pages were just re-read whole
-                self._pages[page_no][rid.slot] = Link(*heap.read(rid))
+            slots_of.setdefault(rid.page_id.page_no, []).append(rid.slot)
         self._updated_rids.clear()
-        return [link for page in self._pages for link in page if link is not None]
+        get_page = heap.buffer_pool.get_page
+        pages = self._pages
+        if self.graph is not None:
+            edges: List[int] = []
+            forward: list = []
+            backward: list = []
+            for page_no, slots in slots_of.items():
+                columns = get_page(PageId(heap.file_id, page_no)).columns
+                edge_of = pages[page_no]
+                slots = [slot for slot in slots if edge_of[slot] >= 0]
+                edges.extend([edge_of[slot] for slot in slots])
+                forward.extend([columns[4][slot] for slot in slots])
+                backward.extend([columns[5][slot] for slot in slots])
+            if edges:
+                self.graph.patch(edges, forward, backward)
+            return []
+        for page_no, slots in slots_of.items():
+            if page_no < rescanned_from:  # later pages were just re-read whole
+                columns = get_page(PageId(heap.file_id, page_no)).columns
+                for slot in slots:
+                    pages[page_no][slot] = Link(*[column[slot] for column in columns])
+        return [link for page in pages for link in page if link is not None]
 
     def _fold_pages(self, start_page: int, stop_page: Optional[int]) -> None:
         """Read heap pages ``[start_page, stop_page)`` into the cache.
 
-        Compiled mode appends the rows past the fold watermark to the
-        graph, keyed by ``(page_no, slot)``: LINK is append-only, so rows
-        at or before the watermark can only have changed through in-place
-        weight updates, which :meth:`note_updated` tracks.  Python mode
-        replaces the cached pages from *start_page* on.
+        Compiled mode hands the graph the column slices past what it has
+        folded of each page: LINK is append-only, so rows folded earlier
+        can only have changed through in-place weight updates, which
+        :meth:`note_updated` tracks.  Python mode replaces the cached
+        pages from *start_page* on.
         """
-        scan = self.table.heap.scan_from(start_page, stop_page)
-        if self.graph is not None:
-            add_row = self.graph.add_row
-            folded_through = self._folded_through
-            for rid, row in scan:
-                position = (rid.page_id.page_no, rid.slot)
-                if position > folded_through:
-                    add_row(row, position)
-                    folded_through = position
-                    self._folded_count += 1
-            self._folded_through = folded_through
-            return
         pages = self._pages
-        del pages[start_page:]
-        for rid, row in scan:
-            page_no = rid.page_id.page_no
+        if self.graph is None:
+            del pages[start_page:]
+        #: Compiled mode: the new rows of every page read, as one column batch.
+        batch: List[list] = [[] for _ in range(6)]
+        counts: List[tuple[int, int]] = []
+        for page in self.table.heap.scan_pages(start_page, stop_page):
+            page_no = page.page_id.page_no
             while len(pages) <= page_no:
                 pages.append([])
-            links = pages[page_no]
-            if rid.slot > len(links):  # slots emptied by deletes
-                links.extend([None] * (rid.slot - len(links)))
-            links.append(Link(*row))  # fields are in the pinned schema order
+            known = len(pages[page_no])
+            if page.slot_count() == known:
+                continue
+            columns = [column[known:] for column in page.columns]
+            dead = [slot - known for slot in page.dead if slot >= known]
+            if self.graph is None:
+                links: list = list(map(Link, *columns))
+                for at in dead:
+                    links[at] = None
+                pages[page_no] = links
+                continue
+            for at in dead:  # the graph drops what looks nepotistic
+                columns[1][at] = columns[3][at] = None
+            for whole, part in zip(batch, columns):
+                whole.extend(part)
+            counts.append((page_no, len(columns[0])))
+            self._folded_count += len(columns[0]) - len(dead)
+        if counts:
+            edges = iter(self.graph.add_columns(*batch))
+            for page_no, count in counts:
+                pages[page_no].extend(islice(edges, count))
 
     def __len__(self) -> int:
         if self.graph is not None:
@@ -393,7 +417,6 @@ class LinkDeltaCache:
             # heap order; rebuilding from the recovered heap reproduces the
             # same append-order arrays the uninterrupted crawl had.
             self.graph = CompiledLinkGraph()
-            self._folded_through = (-1, -1)
             self._folded_count = 0
         self._fold_pages(0, watermark + 1)
         self._watermark_page = watermark

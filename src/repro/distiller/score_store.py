@@ -11,8 +11,10 @@ since the last distillation move much).
 :class:`ScoreTableStore` keeps an ``oid -> record id`` map plus the
 last stored value per oid and writes only the difference:
 
-* scores that changed go through :meth:`Table.update_column` (the
-  single-column bulk fast path — ``score`` is unindexed and non-key);
+* scores that changed go through :meth:`Table.update_column`:
+  ``score`` is unindexed and non-key, so the batch is validated as one
+  column, assigned into the pages' column chunks in place, and journaled
+  as one column-shaped record;
 * new oids are bulk-inserted;
 * oids that vanished from the result are deleted (in sorted order, so
   a cache rebuilt after a checkpoint resume issues the identical
@@ -101,14 +103,14 @@ class ScoreTableStore:
             self._values[name] = values
         values = self._values[name]
 
-        changed = []
+        changed = {}
         inserts = []
         for oid, score in scores.items():
             rid = rids.get(oid)
             if rid is None:
                 inserts.append((oid, score))
             elif values[oid] != score:
-                changed.append((rid, score))
+                changed[rid] = score
             else:
                 self.rows_skipped += 1
         removed = sorted(oid for oid in rids if oid not in scores)
@@ -159,10 +161,7 @@ class ScoreTableStore:
         removed_at = np.flatnonzero(has_row & ~scored).tolist()
         self.rows_skipped += int(np.count_nonzero(current))
 
-        changed = [
-            (rids[index], score)
-            for index, score in zip(changed_at.tolist(), scores[changed_at].tolist())
-        ]
+        changed = dict(zip(map(rids.__getitem__, changed_at.tolist()), scores[changed_at].tolist()))
         inserts = [(oids[index], score) for index, score in zip(insert_at, scores[insert_at].tolist())]
         removed = sorted(
             [(oids[index], rids[index]) for index in removed_at] + foreign,
@@ -176,8 +175,8 @@ class ScoreTableStore:
         state.has_row = scored
         state.stored = scores.copy()
 
-    def _write(self, table, changed: list, removed_rids: list, inserts: list) -> list:
-        """Update, delete, insert — in that order; returns the inserted rows' rids."""
+    def _write(self, table, changed: dict, removed_rids: list, inserts: list) -> list:
+        """Update (rid -> score), delete, insert — in that order; returns the inserted rows' rids."""
         if changed:
             table.update_column("score", changed)
         for rid in removed_rids:

@@ -44,13 +44,13 @@ from .wal import WAL_CUT_OP, dump_record, load_record
 def bulk_load() -> Iterator[None]:
     """Hold the cyclic collector off while a load allocates long-lived objects.
 
-    Restoring a snapshot allocates a row tuple, a record id and a
-    bucket entry per stored row — hundreds of thousands of containers,
-    none of them garbage, none part of a cycle.  Every allocation
-    threshold they cross would trigger a collection that walks them
-    (and, a few thresholds later, the whole process heap) to free
-    nothing: half the load time on a crawl-sized store.  Nested uses
-    and processes that run without a collector are left alone.
+    Restoring a snapshot allocates the column lists of every page and a
+    record id and a bucket entry per stored row — hundreds of thousands
+    of containers, none of them garbage, none part of a cycle.  Every
+    allocation threshold they cross would trigger a collection that
+    walks them (and, a few thresholds later, the whole process heap) to
+    free nothing: half the load time on a crawl-sized store.  Nested
+    uses and processes that run without a collector are left alone.
     """
     if not gc.isenabled():
         yield
@@ -153,7 +153,8 @@ class Database:
             raise CatalogError(f"table {name!r} already exists")
         table = Table(name, schema, self._next_file_id, self.buffer_pool, self.page_size)
         self._next_file_id += 1
-        table.add_mutation_listener(self._on_mutation)
+        if self.triggers.for_table(name):  # left by a dropped table of this name
+            table.add_mutation_listener(self._on_mutation)
         if self.backend.persistent:
             table.set_journal(self._log_table_op)
         self._tables[name] = table
@@ -191,7 +192,11 @@ class Database:
         events: Sequence[str] = ("insert", "update", "delete"),
         every_n_rows: int = 1,
     ) -> Trigger:
-        self.table(table_name)  # validate the table exists
+        table = self.table(table_name)  # validate the table exists
+        # A table listens for its own mutations from its first trigger on:
+        # one without triggers builds no row lists for nobody to read.
+        if self._on_mutation not in table.mutation_listeners:
+            table.add_mutation_listener(self._on_mutation)
         trigger = Trigger(
             name=name,
             table_name=table_name,
@@ -394,7 +399,6 @@ class Database:
                             index_spec["name"], index_spec["columns"], index_spec["kind"]
                         )
                     table.rebuild_indexes()
-                    table.add_mutation_listener(self._on_mutation)
                     table.set_journal(self._log_table_op)
                     self._tables[spec["name"]] = table
             for record in self.backend.replay_wal(
@@ -423,6 +427,12 @@ class Database:
             table.update_rows(
                 [(self._decode_rid(table, rid), changes) for rid, changes in record[2]]
             )
+        elif op == "update_column":
+            _op, name, column, page_nos, slots, values = record
+            table = self.table(name)
+            pages = {page_no: PageId(table.heap.file_id, page_no) for page_no in set(page_nos)}
+            rids = [RecordId(pages[page_no], slot) for page_no, slot in zip(page_nos, slots)]
+            table.update_column(column, list(zip(rids, values)))
         elif op == "delete":
             table = self.table(record[1])
             for rid in record[2]:

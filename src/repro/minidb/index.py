@@ -31,7 +31,8 @@ class Index:
         self.name = name
         self.schema = schema
         self.key_columns = tuple(key_columns)
-        self._positions = schema.project_positions(key_columns)
+        #: Schema positions of the key columns, in key order.
+        self.positions = schema.project_positions(key_columns)
         #: Number of key probes served, for instrumentation.
         self.probe_count = 0
         #: Number of entry deletions processed since the last clear().
@@ -42,38 +43,39 @@ class Index:
         #: produce row-for-row.  (Unique primary-key indexes are always
         #: safe regardless.)
         self.deletions = 0
-        # Short keys (every index in the system is 1-2 columns) build
-        # without a generator frame per row.
-        if len(self._positions) == 1:
-            position = self._positions[0]
-            self.key_of = lambda row: (row[position],)
-        elif len(self._positions) == 2:
-            first, second = self._positions
-            self.key_of = lambda row: (row[first], row[second])
 
     def key_of(self, row: Sequence[Any]) -> tuple:
-        return tuple(row[p] for p in self._positions)
+        """The key of one row; batches get theirs from :meth:`keys_of`."""
+        return tuple([row[p] for p in self.positions])
 
     # -- maintenance -------------------------------------------------------
     def insert(self, row: Sequence[Any], rid: RecordId) -> None:
-        raise NotImplementedError
-
-    def insert_many(self, pairs: Iterable[tuple[Sequence[Any], RecordId]]) -> None:
-        """Add many ``(row, rid)`` entries; subclasses may batch per key.
-
-        This is the bulk-load path used by index backfill and by
-        post-recovery rebuilds (one heap scan feeding every index).
-        """
-        for row, rid in pairs:
-            self.insert(row, rid)
+        self.insert_key(self.key_of(row), rid)
 
     def delete(self, row: Sequence[Any], rid: RecordId) -> None:
+        self.delete_key(self.key_of(row), rid)
+
+    def insert_key(self, key: tuple, rid: RecordId) -> None:
+        """Post *rid* under *key* (a writer that has the key needs no row)."""
+        self.insert_many((key,), (rid,))
+
+    def delete_key(self, key: tuple, rid: RecordId) -> None:
+        """Remove the posting of *rid* under *key*; raises if there is none."""
         raise NotImplementedError
 
-    def delete_many(self, pairs: Iterable[tuple[Sequence[Any], RecordId]]) -> None:
-        """Remove many ``(row, rid)`` entries; subclasses may batch per key."""
-        for row, rid in pairs:
-            self.delete(row, rid)
+    def insert_many(self, keys: Iterable[tuple], rids: Iterable[RecordId]) -> None:
+        """Add many entries: key tuple *i* posts record id *i*.
+
+        The bulk path of table inserts, index backfill and post-recovery
+        rebuilds.  Keys arrive ready-made — the caller zips them out of
+        the key columns (:meth:`keys_of`) — so no row is built or indexed
+        into per entry.
+        """
+        raise NotImplementedError
+
+    def keys_of(self, columns: Sequence[Sequence[Any]]) -> Iterator[tuple]:
+        """The key tuple of every row of a column batch (one sequence per schema column)."""
+        return zip(*[columns[position] for position in self.positions])
 
     def clear(self) -> None:
         raise NotImplementedError
@@ -112,35 +114,21 @@ class HashIndex(Index):
         self._buckets: dict[tuple, dict[RecordId, None]] = {}
         self._entries = 0
 
-    def insert(self, row: Sequence[Any], rid: RecordId) -> None:
-        bucket = self._buckets.setdefault(self.key_of(row), {})
-        if rid not in bucket:
-            bucket[rid] = None
-            self._entries += 1
-
-    def insert_many(self, pairs: Iterable[tuple[Sequence[Any], RecordId]]) -> None:
+    def insert_many(self, keys: Iterable[tuple], rids: Iterable[RecordId]) -> None:
         buckets = self._buckets
         added = 0
-        if len(self._positions) == 1:
-            # Inline the single-column key build: bulk loads pay one dict
-            # op per pair instead of an extra call per pair.
-            position = self._positions[0]
-            for row, rid in pairs:
-                bucket = buckets.setdefault((row[position],), {})
-                if rid not in bucket:
-                    bucket[rid] = None
-                    added += 1
-        else:
-            key_of = self.key_of
-            for row, rid in pairs:
-                bucket = buckets.setdefault(key_of(row), {})
-                if rid not in bucket:
-                    bucket[rid] = None
-                    added += 1
+        for key, rid in zip(keys, rids):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {rid: None}
+            elif rid not in bucket:
+                bucket[rid] = None
+            else:
+                continue
+            added += 1
         self._entries += added
 
-    def delete(self, row: Sequence[Any], rid: RecordId) -> None:
-        key = self.key_of(row)
+    def delete_key(self, key: tuple, rid: RecordId) -> None:
         bucket = self._buckets.get(key)
         if bucket is None or bucket.pop(rid, _MISSING) is _MISSING:
             raise StorageError(f"index {self.name!r}: {rid} not found under key {key!r}")
@@ -186,15 +174,14 @@ class OrderedIndex(Index):
         self._postings: dict[tuple, list[RecordId]] = {}
         self._entries = 0
 
-    def insert(self, row: Sequence[Any], rid: RecordId) -> None:
-        key = self.key_of(row)
+    def insert_key(self, key: tuple, rid: RecordId) -> None:
         if key not in self._postings:
             bisect.insort(self._keys, key)
             self._postings[key] = []
         self._postings[key].append(rid)
         self._entries += 1
 
-    def insert_many(self, pairs: Iterable[tuple[Sequence[Any], RecordId]]) -> None:
+    def insert_many(self, keys: Iterable[tuple], rids: Iterable[RecordId]) -> None:
         """Bulk load: one sort over the merged key list instead of per-row insort.
 
         Timsort is near-linear on the (typical) mostly-sorted bulk input,
@@ -202,11 +189,9 @@ class OrderedIndex(Index):
         quadratic in the worst case.
         """
         postings = self._postings
-        key_of = self.key_of
         new_keys: list[tuple] = []
         added = 0
-        for row, rid in pairs:
-            key = key_of(row)
+        for key, rid in zip(keys, rids):
             bucket = postings.get(key)
             if bucket is None:
                 postings[key] = [rid]
@@ -219,8 +204,7 @@ class OrderedIndex(Index):
             self._keys.sort()
         self._entries += added
 
-    def delete(self, row: Sequence[Any], rid: RecordId) -> None:
-        key = self.key_of(row)
+    def delete_key(self, key: tuple, rid: RecordId) -> None:
         bucket = self._postings.get(key)
         if not bucket or rid not in bucket:
             raise StorageError(f"index {self.name!r}: {rid} not found under key {key!r}")

@@ -103,27 +103,12 @@ class IntervalIndex(Index):
         self.window_shrink_skips = 0
 
     # -- maintenance -------------------------------------------------------
-    def insert(self, row: Sequence[Any], rid: RecordId) -> None:
-        key = self.key_of(row)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = {rid: None}
-            self._pending.append(key)
-        elif rid not in bucket:
-            bucket[rid] = None
-        else:
-            return
-        self._rows_by_id.setdefault(key[0], {})[rid] = None
-        self._entries += 1
-
-    def insert_many(self, pairs: Iterable[tuple[Sequence[Any], RecordId]]) -> None:
+    def insert_many(self, keys: Iterable[tuple], rids: Iterable[RecordId]) -> None:
         buckets = self._buckets
         rows_by_id = self._rows_by_id
         pending = self._pending
-        key_of = self.key_of
         added = 0
-        for row, rid in pairs:
-            key = key_of(row)
+        for key, rid in zip(keys, rids):
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = {rid: None}
@@ -132,12 +117,15 @@ class IntervalIndex(Index):
                 bucket[rid] = None
             else:
                 continue
-            rows_by_id.setdefault(key[0], {})[rid] = None
+            id_bucket = rows_by_id.get(key[0])
+            if id_bucket is None:
+                rows_by_id[key[0]] = {rid: None}
+            else:
+                id_bucket[rid] = None
             added += 1
         self._entries += added
 
-    def delete(self, row: Sequence[Any], rid: RecordId) -> None:
-        key = self.key_of(row)
+    def delete_key(self, key: tuple, rid: RecordId) -> None:
         bucket = self._buckets.get(key)
         if bucket is None or bucket.pop(rid, _MISSING) is _MISSING:
             raise StorageError(f"index {self.name!r}: {rid} not found under key {key!r}")

@@ -1,18 +1,23 @@
-"""Slotted pages and record identifiers.
+"""Column-chunk pages and record identifiers.
 
 minidb stores every table as a heap file made of fixed-capacity pages.
-A page holds a list of row slots; a slot may be emptied by a delete,
-leaving a tombstone so that record ids (:class:`RecordId`) of other rows
-remain stable.  Pages track their approximate byte usage so the storage
-layer can decide when to allocate a new page — this is what makes the
-buffer-pool experiments (paper Figure 8b) meaningful: a table's size in
-pages, not in rows, drives I/O.
+A page holds its rows as *column chunks* — one list per schema column,
+all of one length, a row being the values at one slot number — so a
+bulk writer appends or overwrites a column slice at a time and a scan
+hands whole columns to array code.  A delete leaves a tombstone so
+that record ids (:class:`RecordId`) of other rows remain stable.
+Pages track their approximate byte usage so the storage layer can
+decide when to allocate a new page — this is what makes the buffer-pool
+experiments (paper Figure 8b) meaningful: a table's size in pages, not
+in rows, drives I/O.  Placement is a function of row sizes alone, so it
+is the same whichever way the values are laid out inside the page.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from itertools import repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import StorageError
 
@@ -27,40 +32,27 @@ SLOT_OVERHEAD = 8
 PAGE_HEADER = 24
 
 
-@dataclass(frozen=True)
-class PageId:
+class PageId(NamedTuple):
     """Identifies a page: which file (table/index) and which page number within it.
 
     Page and record ids are the hottest dict keys in the engine (buffer
-    pool, index buckets, delta caches), so their hash is computed once at
-    construction instead of per lookup.
+    pool, index buckets, delta caches) and one record id is built per
+    inserted row, so both are plain tuples: built, hashed and compared
+    without entering Python code.
     """
 
     file_id: int
     page_no: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.file_id, self.page_no)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"page({self.file_id}:{self.page_no})"
 
 
-@dataclass(frozen=True)
-class RecordId:
+class RecordId(NamedTuple):
     """Identifies a row: page plus slot number within the page."""
 
     page_id: PageId
     slot: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.page_id._hash, self.slot)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"rid({self.page_id.file_id}:{self.page_id.page_no}:{self.slot})"
@@ -68,22 +60,28 @@ class RecordId:
 
 @dataclass
 class Page:
-    """An in-memory slotted page.
+    """An in-memory page of column chunks.
 
-    ``slots`` holds either a row tuple or ``None`` (a tombstone left by a
-    delete).  ``used_bytes`` approximates how full the page is; the heap
-    file uses it to decide whether another row fits.
+    ``columns[c][s]`` is the value of schema column *c* in slot *s*; the
+    lists are created by the first row stored (a page does not know its
+    table).  ``dead`` names the slots emptied by deletes — their values
+    are ``None`` placeholders, not rows.  ``used_bytes`` approximates
+    how full the page is; the heap file uses it to decide whether
+    another row fits.
     """
 
     page_id: PageId
     capacity: int = DEFAULT_PAGE_SIZE
-    slots: list[Optional[tuple]] = field(default_factory=list)
+    columns: list[list] = field(default_factory=list)
     used_bytes: int = PAGE_HEADER
     dirty: bool = False
-    #: Count of empty slots left by deletes; lets insert append without
-    #: scanning the slot directory when there is nothing to reuse (the
-    #: common case for append-only tables such as CRAWL and LINK).
-    tombstones: int = 0
+    #: Slots left empty by deletes; insert reuses the lowest one first.
+    #: Empty for append-only tables such as CRAWL and LINK.
+    dead: set[int] = field(default_factory=set)
+
+    def slot_count(self) -> int:
+        """Slots handed out so far, live or dead."""
+        return len(self.columns[0]) if self.columns else 0
 
     def free_bytes(self) -> int:
         return self.capacity - self.used_bytes
@@ -91,13 +89,19 @@ class Page:
     def fits(self, row_size: int) -> bool:
         return self.free_bytes() >= row_size + SLOT_OVERHEAD
 
-    def insert(self, row: tuple, row_size: int) -> int:
+    def _widen(self, width: int) -> list[list]:
+        """Create the column lists on first use (dead slots keep their numbers)."""
+        count = max(self.dead) + 1 if self.dead else 0
+        self.columns = [[None] * count for _ in range(width)]
+        return self.columns
+
+    def insert(self, row: Sequence, row_size: int) -> int:
         """Insert *row* into the first free slot (or a new one); return the slot number."""
         if not self.fits(row_size):
             raise StorageError(f"row of {row_size} bytes does not fit in {self.page_id}")
         return self.append_row(row, row_size)
 
-    def append_row(self, row: tuple, row_size: int) -> int:
+    def append_row(self, row: Sequence, row_size: int) -> int:
         """:meth:`insert` without the capacity re-check.
 
         Bulk loaders check :meth:`fits` once per row already; slot
@@ -105,74 +109,137 @@ class Page:
         """
         self.used_bytes += row_size + SLOT_OVERHEAD
         self.dirty = True
-        if self.tombstones:
-            for slot, existing in enumerate(self.slots):
-                if existing is None:
-                    self.slots[slot] = row
-                    self.tombstones -= 1
-                    return slot
-        self.slots.append(row)
-        return len(self.slots) - 1
+        columns = self.columns or self._widen(len(row))
+        if self.dead:
+            slot = min(self.dead)
+            self.dead.discard(slot)
+            for column, value in zip(columns, row):
+                column[slot] = value
+            return slot
+        for column, value in zip(columns, row):
+            column.append(value)
+        return len(columns[0]) - 1
+
+    def append_columns(self, columns: Sequence[Sequence], start: int, stop: int, used: int) -> int:
+        """Append rows ``[start, stop)`` of a column batch; return their first slot.
+
+        *used* is what they occupy, slot overhead included; the caller
+        has checked that it fits and that there is no tombstone to
+        reuse first.
+        """
+        own = self.columns or self._widen(len(columns))
+        first = len(own[0])
+        for mine, theirs in zip(own, columns):
+            mine.extend(theirs[start:stop])
+        self.used_bytes += used
+        self.dirty = True
+        return first
+
+    def check_live(self, slots: Sequence[int]) -> None:
+        """Raise :class:`StorageError` unless every one of *slots* holds a row."""
+        if (
+            min(slots) < 0
+            or max(slots) >= self.slot_count()
+            or (self.dead and not self.dead.isdisjoint(slots))
+        ):
+            for slot in slots:  # name the first offender
+                self.check_slot(slot)
+
+    def assign(self, position: int, slots: Sequence[int], values: Sequence, bytes_of) -> None:
+        """Overwrite column *position* at (live) *slots* with *values*.
+
+        ``bytes_of(values)`` gives what a list of values occupies.  A
+        slot named twice keeps its later value, as row-at-a-time writes
+        would leave it.
+        """
+        if len(set(slots)) != len(slots):
+            last = dict(zip(slots, values))
+            slots, values = list(last), list(last.values())
+        column = self.columns[position]
+        old = [column[slot] for slot in slots]
+        for slot, value in zip(slots, values):
+            column[slot] = value
+        self.used_bytes += bytes_of(values) - bytes_of(old)
+        self.dirty = True
+
+    def check_slot(self, slot: int) -> None:
+        if slot < 0 or slot >= self.slot_count():
+            raise StorageError(f"slot {slot} out of range for {self.page_id}")
+        if slot in self.dead:
+            raise StorageError(f"slot {slot} of {self.page_id} is empty")
 
     def read(self, slot: int) -> tuple:
-        row = self._slot(slot)
-        if row is None:
-            raise StorageError(f"slot {slot} of {self.page_id} is empty")
-        return row
+        self.check_slot(slot)
+        return tuple([column[slot] for column in self.columns])
 
-    def update(self, slot: int, row: tuple, old_size: int, new_size: int) -> None:
-        if self._slot(slot) is None:
-            raise StorageError(f"slot {slot} of {self.page_id} is empty")
+    def update(self, slot: int, row: Sequence, old_size: int, new_size: int) -> None:
+        self.check_slot(slot)
         self.used_bytes += new_size - old_size
-        self.slots[slot] = row
+        for column, value in zip(self.columns, row):
+            column[slot] = value
         self.dirty = True
 
     def delete(self, slot: int, row_size: int) -> None:
-        if self._slot(slot) is None:
-            raise StorageError(f"slot {slot} of {self.page_id} is already empty")
-        self.slots[slot] = None
-        self.tombstones += 1
+        self.check_slot(slot)
+        for column in self.columns:
+            column[slot] = None
+        self.dead.add(slot)
         self.used_bytes -= row_size + SLOT_OVERHEAD
         self.dirty = True
 
-    def _slot(self, slot: int) -> Optional[tuple]:
-        if slot < 0 or slot >= len(self.slots):
-            raise StorageError(f"slot {slot} out of range for {self.page_id}")
-        return self.slots[slot]
+    def live(self, per_slot: Iterable) -> Iterable:
+        """*per_slot* — one item per slot, in slot order — without the dead slots' items."""
+        if not self.dead:
+            return per_slot
+        dead = self.dead
+        return (item for slot, item in enumerate(per_slot) if slot not in dead)
 
-    def rows(self) -> Iterator[tuple[int, tuple]]:
-        """Yield ``(slot, row)`` for every live row on the page."""
-        for slot, row in enumerate(self.slots):
-            if row is not None:
-                yield slot, row
+    def rows(self) -> Iterable[tuple[int, tuple]]:
+        """``(slot, row)`` for every live row on the page."""
+        return self.live(enumerate(zip(*self.columns)))
+
+    def rids(self) -> Iterable[RecordId]:
+        """The record id of every live row on the page, sharing its PageId."""
+        return self.live(map(RecordId._make, zip(repeat(self.page_id), range(self.slot_count()))))
 
     # -- durable images ---------------------------------------------------
     def image(self) -> tuple:
-        """A compact, serialisable image of the page (for durable backends)."""
+        """A compact, serialisable image of the page (for durable backends).
+
+        ``(file_id, page_no, capacity, columns, used_bytes, dead slots)``.
+        """
         return (
             self.page_id.file_id,
             self.page_id.page_no,
             self.capacity,
-            list(self.slots),
+            [column[:] for column in self.columns],
             self.used_bytes,
-            self.tombstones,
+            sorted(self.dead),
         )
 
     @classmethod
     def from_image(cls, image: tuple) -> "Page":
-        """Rebuild a (clean) page from :meth:`image` output."""
-        file_id, page_no, capacity, slots, used_bytes, tombstones = image
+        """Rebuild a (clean) page from :meth:`image` output.
+
+        Also reads the row-shaped image older stores hold — a list of
+        row tuples with ``None`` for an emptied slot in place of the
+        columns, and the tombstone *count* in place of the dead slots.
+        """
+        file_id, page_no, capacity, columns, used_bytes, dead = image
+        if isinstance(dead, int):
+            rows = columns
+            dead = [slot for slot, row in enumerate(rows) if row is None]
+            width = next((len(row) for row in rows if row is not None), 0)
+            filler = (None,) * width
+            columns = [list(column) for column in zip(*[row or filler for row in rows])]
         return cls(
             page_id=PageId(file_id, page_no),
             capacity=capacity,
-            slots=list(slots),
+            columns=columns,
             used_bytes=used_bytes,
             dirty=False,
-            tombstones=tombstones,
+            dead=set(dead),
         )
 
     def live_count(self) -> int:
-        return sum(1 for row in self.slots if row is not None)
-
-    def is_empty(self) -> bool:
-        return self.live_count() == 0
+        return self.slot_count() - len(self.dead)

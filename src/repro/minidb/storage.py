@@ -1,4 +1,4 @@
-"""Heap files: unordered collections of rows stored on slotted pages.
+"""Heap files: unordered collections of rows stored on column-chunk pages.
 
 A :class:`HeapFile` owns a contiguous sequence of page numbers within one
 file id and routes every access through the shared :class:`BufferPool`,
@@ -8,6 +8,9 @@ page I/O.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import partial
+from itertools import accumulate, repeat
 from typing import Iterator, Optional, Sequence
 
 from .buffer_pool import BufferPool
@@ -46,10 +49,6 @@ class HeapFile:
     def row_count(self) -> int:
         return self._row_count
 
-    def page_ids(self) -> Iterator[PageId]:
-        for page_no in range(self._page_count):
-            yield PageId(self.file_id, page_no)
-
     # -- mutation ----------------------------------------------------------
     def insert(self, row: tuple) -> RecordId:
         """Append *row*, returning its record id."""
@@ -61,72 +60,82 @@ class HeapFile:
         self._row_count += 1
         return RecordId(page.page_id, slot)
 
-    def insert_rows(
-        self, rows: Sequence[tuple], sizes: Optional[Sequence[int]] = None
+    def append_columns(
+        self, columns: Sequence[Sequence], sizes: Sequence[int]
     ) -> list[RecordId]:
-        """Append many rows in one pass, returning their record ids.
+        """Append a batch of rows given as columns, returning their record ids.
 
-        Unlike repeated :meth:`insert`, the current fill page is pinned
-        through the buffer pool only once per page switch instead of once
-        per row, so a bulk load of N rows touches O(pages) frames rather
-        than O(N).  *sizes*, when given, carries per-row byte sizes already
-        computed (and checked) by the caller; between page switches no
-        other pool activity happens, so holding the page object is safe.
+        *columns* holds one equally long sequence per schema column and
+        *sizes* each row's byte size, already validated and checked by
+        the caller.  Rows land where repeated :meth:`insert` would put
+        them — placement is arithmetic on *sizes* — but each page is
+        pinned once and takes its rows as one slice per column, so a
+        bulk load of N rows touches O(pages) frames rather than O(N).
+        Between page switches no other pool activity happens, so holding
+        the page object is safe.
         """
-        if sizes is None:
-            sizes = [self.schema.row_size(row) for row in rows]
-            for row_size in sizes:
-                self.check_row_size(row_size)
+        n_rows = len(sizes)
+        if not n_rows:
+            return []
+        # ends[i]: bytes rows 0..i need, slot overhead included.
+        ends = list(accumulate([size + SLOT_OVERHEAD for size in sizes]))
         rids: list[RecordId] = []
-        n_rows = len(rows)
         position = 0
-        page: Optional[Page] = None
-        while position < n_rows:
-            if page is None:
-                page = self._page_with_room(sizes[position])
-            else:
-                new_id = PageId(self.file_id, self._page_count)
-                self._page_count += 1
-                self.buffer_pool.create_page(new_id, self.page_size)
-                # Re-fetch through the pool so the bulk load is charged one
-                # logical page access per page it fills (a sequential write
-                # pattern), keeping the I/O cost model meaningful.
-                page = self.buffer_pool.get_page(new_id)
+        page = self._page_with_room(sizes[0])
+        while True:
             page_id = page.page_id
-            if page.tombstones:
-                # Tombstone reuse needs the per-slot scan; take the slow,
-                # row-at-a-time path for this page.
+            if page.dead:
+                # Tombstone reuse picks a slot per row.
                 while position < n_rows and page.fits(sizes[position]):
-                    slot = page.append_row(rows[position], sizes[position])
-                    rids.append(RecordId(page_id, slot))
+                    row = [column[position] for column in columns]
+                    rids.append(RecordId(page_id, page.append_row(row, sizes[position])))
                     position += 1
             else:
-                # Pure appends: take as many rows as fit in one slice, with
-                # plain arithmetic instead of per-row method calls.
-                free = page.capacity - page.used_bytes
-                used = 0
-                chunk_end = position
-                while chunk_end < n_rows:
-                    needed = sizes[chunk_end] + SLOT_OVERHEAD
-                    if used + needed > free:
-                        break
-                    used += needed
-                    chunk_end += 1
-                if chunk_end > position:
-                    slots = page.slots
-                    first_slot = len(slots)
-                    slots.extend(rows[position:chunk_end])
-                    page.used_bytes += used
-                    page.dirty = True
-                    rids.extend(
-                        [
-                            RecordId(page_id, slot)
-                            for slot in range(first_slot, first_slot + (chunk_end - position))
-                        ]
-                    )
-                    position = chunk_end
-        self._row_count += len(rids)
+                taken = ends[position - 1] if position else 0
+                stop = bisect_right(ends, taken + page.free_bytes(), position)
+                if stop > position:
+                    first = page.append_columns(columns, position, stop, ends[stop - 1] - taken)
+                    slots = range(first, first + stop - position)
+                    rids.extend(map(RecordId._make, zip(repeat(page_id), slots)))
+                    position = stop
+            if position == n_rows:
+                break
+            new_id = PageId(self.file_id, self._page_count)
+            self._page_count += 1
+            self.buffer_pool.create_page(new_id, self.page_size)
+            # Re-fetch through the pool so the bulk load is charged one
+            # logical page access per page it fills (a sequential write
+            # pattern), keeping the I/O cost model meaningful.
+            page = self.buffer_pool.get_page(new_id)
+        self._row_count += n_rows
         return rids
+
+    def assign_column(self, position: int, rids: Sequence[RecordId], values: Sequence) -> None:
+        """Set column *position* of the rows at *rids* to (validated) *values*, in place.
+
+        All or nothing: every record id is checked (ownership, extent,
+        live slot) before the first value is written.  The rows of one
+        page are checked and written together, so a batch costs two page
+        requests per page it touches, however its rows are ordered; a
+        row named twice ends up with its later value.
+        """
+        by_page: dict[PageId, tuple[list[int], list]] = {}
+        for (page_id, slot), value in zip(rids, values):
+            group = by_page.get(page_id)
+            if group is None:
+                group = by_page[page_id] = ([], [])
+            group[0].append(slot)
+            group[1].append(value)
+        get_page = self.buffer_pool.get_page
+        for page_id, (page_slots, _values) in by_page.items():
+            self.check_page(page_id)
+            get_page(page_id).check_live(page_slots)
+        bytes_of = partial(self.schema.column_bytes, position)
+        for page_id, (page_slots, page_values) in by_page.items():
+            # Fetched again: a batch wider than the pool may have evicted
+            # the page checked above, and a write to a detached page
+            # object would be lost on a durable backend.
+            get_page(page_id).assign(position, page_slots, page_values, bytes_of)
 
     def check_row_size(self, row_size: int) -> None:
         """Reject rows too large for a page (shared by single and bulk inserts)."""
@@ -136,37 +145,23 @@ class HeapFile:
             )
 
     def read(self, rid: RecordId) -> tuple:
-        self._check_rid(rid)
+        self.check_page(rid.page_id)
         page = self.buffer_pool.get_page(rid.page_id)
         return page.read(rid.slot)
 
-    def update(self, rid: RecordId, row: tuple, size_delta: Optional[int] = None) -> None:
-        """Overwrite the row at *rid*.
-
-        ``size_delta``, when given, is the byte-count change of the
-        replacement as already computed by the caller (e.g. from the
-        changed columns alone); it skips the two full row-size
-        computations, which otherwise re-encode every TEXT column.
-        """
-        self._check_rid(rid)
+    def update(self, rid: RecordId, row: tuple) -> None:
+        """Overwrite the row at *rid*."""
+        self.check_page(rid.page_id)
         page = self.buffer_pool.get_page(rid.page_id)
-        if size_delta is not None:
-            # Slot occupancy is checked by page.update; the old row itself
-            # is only needed to compute sizes, which the caller supplied.
-            page.update(rid.slot, row, old_size=0, new_size=size_delta)
-        else:
-            old = page.read(rid.slot)
-            page.update(
-                rid.slot,
-                row,
-                old_size=self.schema.row_size(old),
-                new_size=self.schema.row_size(row),
-            )
+        old = page.read(rid.slot)
+        page.update(
+            rid.slot, row, old_size=self.schema.row_size(old), new_size=self.schema.row_size(row)
+        )
         self.buffer_pool.mark_dirty(rid.page_id)
 
     def delete(self, rid: RecordId) -> tuple:
         """Delete the row at *rid* and return it."""
-        self._check_rid(rid)
+        self.check_page(rid.page_id)
         page = self.buffer_pool.get_page(rid.page_id)
         row = page.read(rid.slot)
         page.delete(rid.slot, self.schema.row_size(row))
@@ -176,8 +171,8 @@ class HeapFile:
 
     def truncate(self) -> None:
         """Drop every page, leaving an empty heap."""
-        for page_id in self.page_ids():
-            self.buffer_pool.drop_page(page_id)
+        for page_no in range(self._page_count):
+            self.buffer_pool.drop_page(PageId(self.file_id, page_no))
         self._page_count = 0
         self._row_count = 0
 
@@ -192,28 +187,29 @@ class HeapFile:
         self._row_count = row_count
 
     # -- scans --------------------------------------------------------------
-    def scan(self) -> Iterator[tuple[RecordId, tuple]]:
-        """Yield ``(rid, row)`` for every live row, page by page (sequential I/O)."""
-        return self.scan_from(0)
+    def scan_pages(self, start_page: int = 0, stop_page: Optional[int] = None) -> Iterator[Page]:
+        """Yield the pages ``[start_page, stop_page)`` in order (sequential I/O).
 
-    def scan_from(
-        self, start_page: int, stop_page: Optional[int] = None
-    ) -> Iterator[tuple[RecordId, tuple]]:
-        """Like :meth:`scan`, but over pages ``[start_page, stop_page)``.
-
-        ``stop_page=None`` scans to the end of the heap; an explicit bound
-        supports delta scans that must stop at a recorded watermark.
+        The page-at-a-time read: a consumer takes whole column chunks
+        (``page.columns``, ``page.dead``) instead of one row per step.
+        ``stop_page=None`` scans to the end of the heap; an explicit
+        bound supports delta scans that must stop at a recorded
+        watermark.
         """
         stop = self._page_count if stop_page is None else min(stop_page, self._page_count)
+        get_page = self.buffer_pool.get_page
         for page_no in range(start_page, stop):
-            page_id = PageId(self.file_id, page_no)
-            page = self.buffer_pool.get_page(page_id)
-            for slot, row in page.rows():
-                yield RecordId(page_id, slot), row
+            yield get_page(PageId(self.file_id, page_no))
+
+    def scan(self) -> Iterator[tuple[RecordId, tuple]]:
+        """Yield ``(rid, row)`` for every live row, page by page."""
+        for page in self.scan_pages():
+            yield from zip(page.rids(), page.live(zip(*page.columns)))
 
     def scan_rows(self) -> Iterator[tuple]:
-        for _rid, row in self.scan():
-            yield row
+        """Yield every live row, zipped out of each page's columns."""
+        for page in self.scan_pages():
+            yield from page.live(zip(*page.columns))
 
     # -- internals ------------------------------------------------------------
     def _page_with_room(self, row_size: int) -> Page:
@@ -226,12 +222,9 @@ class HeapFile:
         self._page_count += 1
         return self.buffer_pool.create_page(new_id, self.page_size)
 
-    def check_rid(self, rid: RecordId) -> None:
-        """Public form of the rid ownership/extent check (bulk-update path)."""
-        self._check_rid(rid)
-
-    def _check_rid(self, rid: RecordId) -> None:
-        if rid.page_id.file_id != self.file_id:
-            raise StorageError(f"{rid} does not belong to file {self.file_id}")
-        if rid.page_id.page_no >= self._page_count:
-            raise StorageError(f"{rid} refers to a page beyond the heap")
+    def check_page(self, page_id: PageId) -> None:
+        """Raise unless *page_id* names a page of this heap (ownership and extent)."""
+        if page_id.file_id != self.file_id:
+            raise StorageError(f"{page_id} does not belong to file {self.file_id}")
+        if page_id.page_no >= self._page_count:
+            raise StorageError(f"{page_id} is beyond the heap")

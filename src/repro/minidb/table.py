@@ -9,6 +9,8 @@ owning database.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .buffer_pool import BufferPool
@@ -41,7 +43,8 @@ class Table:
                 f"{name}_pk", schema, list(schema.primary_key)
             )
         #: Hooks invoked after a mutation: callables taking (event, table, rows).
-        self._mutation_listeners: list[Callable[[str, "Table", list[Row]], None]] = []
+        #: The bulk update paths build the rows only when there is one.
+        self.mutation_listeners: list[Callable[[str, "Table", list[Row]], None]] = []
         #: Write-ahead journal sink (set by a durable Database); None keeps
         #: the in-memory fast path at a single attribute check per mutation.
         self._journal: Optional[Callable[[tuple], None]] = None
@@ -61,7 +64,7 @@ class Table:
     def add_mutation_listener(
         self, listener: Callable[[str, "Table", list[Row]], None]
     ) -> None:
-        self._mutation_listeners.append(listener)
+        self.mutation_listeners.append(listener)
 
     def set_journal(self, journal: Optional[Callable[[tuple], None]]) -> None:
         """Attach the owning database's write-ahead journal sink."""
@@ -80,7 +83,7 @@ class Table:
     def create_index(self, name: str, columns: Sequence[str], kind: str = "hash") -> Index:
         """Create and backfill a secondary index over *columns*."""
         index = self.attach_index(name, columns, kind)
-        index.insert_many((row, rid) for rid, row in self.heap.scan())
+        self._load_indexes([index])
         self._log(("create_index", self.name, name, list(columns), kind))
         return index
 
@@ -107,30 +110,33 @@ class Table:
         """Rebuild the primary-key and all secondary indexes in one bulk load.
 
         Used after recovery: the heap is read once, a page at a time in
-        page order (sequential I/O), and the ``(row, rid)`` pairs are
-        bulk loaded into every index, instead of per-row inserts with
-        one scan per index.  The record ids of a page share its
-        ``PageId``, as the ones heap inserts hand out do.
+        page order (sequential I/O), instead of per-row inserts with one
+        scan per index.
         """
         indexes: list[Index] = list(self.indexes.values())
         if self._pk_index is not None:
             indexes.append(self._pk_index)
-        if not indexes:
-            return
         for index in indexes:
             index.clear()
-        get_page = self.heap.buffer_pool.get_page
-        pairs: list[tuple[Row, RecordId]] = []
-        for page_id in self.heap.page_ids():
-            pairs.extend(
-                [
-                    (row, RecordId(page_id, slot))
-                    for slot, row in enumerate(get_page(page_id).slots)
-                    if row is not None
-                ]
-            )
-        for index in indexes:
-            index.insert_many(pairs)
+        self._load_indexes(indexes)
+
+    def _load_indexes(self, indexes: Sequence[Index]) -> None:
+        """Bulk load *indexes* from one pass over the heap's column chunks.
+
+        Each index's keys are zipped out of its key columns page by page;
+        the record ids of a page share its ``PageId``, as the ones heap
+        inserts hand out do.
+        """
+        if not indexes:
+            return
+        rids: list[RecordId] = []
+        keys: list[list[tuple]] = [[] for _ in indexes]
+        for page in self.heap.scan_pages():
+            rids.extend(page.rids())
+            for index, index_keys in zip(indexes, keys):
+                index_keys.extend(page.live(index.keys_of(page.columns)))
+        for index, index_keys in zip(indexes, keys):
+            index.insert_many(index_keys, rids)
 
     def index_on(self, columns: Sequence[str]) -> Optional[Index]:
         """Return an index whose key is exactly *columns* (order-sensitive), if any."""
@@ -164,62 +170,56 @@ class Table:
     def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[RecordId]:
         """Atomic bulk insert; returns the record ids of the inserted rows.
 
-        Every row is coerced and checked (types, sizes, primary-key
-        uniqueness — including duplicates *within* the batch) before any of
-        them touches the heap, so a constraint violation anywhere in the
-        batch leaves the table unchanged.  The heap append itself goes
-        through :meth:`HeapFile.insert_rows`, which pins each fill page
-        once per page switch rather than once per row.
+        The batch is transposed once and handled a column at a time:
+        each column is validated and coerced (:meth:`Schema.validate_column`),
+        the primary key checked (NULLs, existing keys, duplicates
+        *within* the batch) and each row sized, all before any of them
+        touches the heap, so a violation anywhere in the batch leaves
+        the table unchanged.  :meth:`HeapFile.append_columns` then
+        gives every fill page its rows as one slice per column.
         """
-        coerce = self._coerce
-        row_size = self.schema.row_size
-        check_row_size = self.heap.check_row_size
+        schema = self.schema
+        width = len(schema.columns)
+        rows = rows if type(rows) is list else list(rows)
+        if len(rows) < 2:  # nothing to transpose
+            return [self.insert(row) for row in rows]
+        if not set(map(type, rows)) <= {tuple, list}:
+            rows = [schema.positional(row) if isinstance(row, Mapping) else row for row in rows]
+        if set(map(len, rows)) != {width}:
+            bad = next(row for row in rows if len(row) != width)
+            raise SchemaError(f"row has {len(bad)} values, schema has {width} columns")
+        # One pass per column, not zip(*rows): that makes an iterator per
+        # row, a container each for the cyclic collector to count.
+        columns = [
+            schema.validate_column(position, list(map(itemgetter(position), rows)))
+            for position in range(width)
+        ]
         pk_index = self._pk_index
-        coerced: list[Row] = []
-        sizes: list[int] = []
         if pk_index is not None:
-            key_of = self.schema.key_of
-            existing_key = pk_index.contains
-            batch_keys: set[tuple] = set()
-            for values in rows:
-                row = coerce(values)
-                key = key_of(row)
-                if None in key:
-                    raise ConstraintError(
-                        f"table {self.name!r}: primary key {self.schema.primary_key} cannot be NULL"
-                    )
-                if existing_key(key):
-                    raise ConstraintError(
-                        f"table {self.name!r}: duplicate primary key {key!r}"
-                    )
-                size = row_size(row)
-                check_row_size(size)
-                if key in batch_keys:
-                    raise ConstraintError(
-                        f"table {self.name!r}: duplicate primary key {key!r} within batch"
-                    )
-                batch_keys.add(key)
-                coerced.append(row)
-                sizes.append(size)
-        else:
-            for values in rows:
-                row = coerce(values)
-                size = row_size(row)
-                check_row_size(size)
-                coerced.append(row)
-                sizes.append(size)
-        if not coerced:
-            return []
-        rids = self.heap.insert_rows(coerced, sizes)
-        # Indexes are bulk-loaded per index (hoisted locals in insert_many)
-        # instead of per row through _index_insert's double dispatch.
-        pairs = list(zip(coerced, rids))
+            if any(None in columns[position] for position in pk_index.positions):
+                raise ConstraintError(
+                    f"table {self.name!r}: primary key {schema.primary_key} cannot be NULL"
+                )
+            keys = list(pk_index.keys_of(columns))
+            for key in keys:
+                if pk_index.contains(key):
+                    raise ConstraintError(f"table {self.name!r}: duplicate primary key {key!r}")
+            if len(set(keys)) != len(keys):
+                key = next(key for key, times in Counter(keys).items() if times > 1)
+                raise ConstraintError(
+                    f"table {self.name!r}: duplicate primary key {key!r} within batch"
+                )
+        sizes = schema.row_sizes(columns)
+        self.heap.check_row_size(max(sizes))
+        rids = self.heap.append_columns(columns, sizes)
         if pk_index is not None:
-            pk_index.insert_many(pairs)
+            pk_index.insert_many(keys, rids)
         for index in self.indexes.values():
-            index.insert_many(pairs)
-        self._log(("insert", self.name, coerced))
-        self._notify("insert", coerced)
+            index.insert_many(index.keys_of(columns), rids)
+        if self._journal is not None or self.mutation_listeners:
+            stored = list(zip(*columns))
+            self._log(("insert", self.name, stored))
+            self._notify("insert", stored)
         return rids
 
     def update_row(self, rid: RecordId, changes: Mapping[str, Any]) -> Row:
@@ -237,141 +237,111 @@ class Table:
         self._notify("update", [new])
         return new
 
-    def update_column(self, column: str, updates: Sequence[tuple[RecordId, Any]]) -> int:
-        """Bulk-set one column: the single-column fast path of :meth:`update_rows`.
+    def update_column(
+        self, column: str, updates: Mapping[RecordId, Any] | Sequence[tuple[RecordId, Any]]
+    ) -> int:
+        """Bulk-set one column: :meth:`update_rows` for a batch that changes one column.
 
-        Identical semantics (validation, index maintenance, journal
-        record); the fast path engages only for an unindexed non-key
-        column, where per-row change dicts and per-change column
-        resolution are pure overhead — the crawl engine's ``wgt_fwd``
-        refresh and the HUBS/AUTH score rewrite are the callers, and
-        both hand over long runs of rows on one page, so the fast path
-        resolves a page once per run.  Indexed or primary-key columns
-        delegate to :meth:`update_rows`.
+        *updates* gives the new value per record id, as a mapping or as
+        ``(rid, value)`` pairs (a big batch is cheaper as a mapping: a
+        thousand pair tuples alive at once are a thousand containers
+        for the cyclic collector to count).
+
+        Same validation and all-or-nothing behaviour; for an unindexed
+        non-key column — the crawl engine's ``wgt_fwd`` refresh and the
+        HUBS/AUTH score rewrite — no index can move, so the values are
+        validated as one column, written into the pages' column chunks
+        in place (:meth:`HeapFile.assign_column`) and journaled as one
+        column-shaped record.  Indexed or primary-key columns delegate
+        to :meth:`update_rows`.
         """
         if not updates:
             return 0
-        indexed = (self.schema.primary_key and column in self.schema.primary_key) or any(
-            column in index.key_columns for index in self.indexes.values()
-        )
-        if indexed:
-            return self.update_rows([(rid, {column: value}) for rid, value in updates])
         position = self.schema.position(column)
-        validate = self.schema.validator(column)
-        sizeof = self.schema.sizer(column)
-        heap = self.heap
-        get_page = heap.buffer_pool.get_page
-        new_rows: list[Row] = []
-        # Consecutive updates to one page share its ownership check and
-        # its pin: nothing else touches the pool inside a run, so the
-        # page object cannot be evicted under it.  Rows are still read,
-        # validated and written one at a time, in order — a bad value
-        # leaves exactly the rows before it written.  A run is told by
-        # identity: record ids of one page share its PageId object
-        # (heap inserts and scans hand them out that way), and an equal
-        # but distinct one merely re-resolves the page.
-        page_id = page = None
-        for rid, value in updates:
-            if rid.page_id is not page_id:
-                heap.check_rid(rid)
-                page_id = rid.page_id
-                page = get_page(page_id)
-            old = page.read(rid.slot)
-            coerced = validate(value)
-            new = old[:position] + (coerced,) + old[position + 1 :]
-            page.update(
-                rid.slot, new, old_size=0, new_size=sizeof(coerced) - sizeof(old[position])
-            )
-            new_rows.append(new)
+        if isinstance(updates, Mapping):
+            rids, values = list(updates), list(updates.values())
+        else:
+            rids, values = list(map(itemgetter(0), updates)), list(map(itemgetter(1), updates))
+        if column in self.schema.primary_key or any(
+            column in index.key_columns for index in self.indexes.values()
+        ):
+            return self.update_rows([(rid, {column: value}) for rid, value in zip(rids, values)])
+        values = self.schema.validate_column(position, values)
+        self.heap.assign_column(position, rids, values)
         if self._journal is not None:
-            self._log(
-                (
-                    "update",
-                    self.name,
-                    [(self._rid_tuple(rid), {column: value}) for rid, value in updates],
-                )
-            )
-        self._notify("update", new_rows)
-        return len(new_rows)
+            page_nos = [rid.page_id.page_no for rid in rids]
+            slots = list(map(itemgetter(1), rids))
+            self._log(("update_column", self.name, column, page_nos, slots, values))
+        if self.mutation_listeners:
+            self._notify("update", [self.heap.read(rid) for rid in rids])
+        return len(rids)
 
     def update_rows(self, updates: Sequence[tuple[RecordId, Mapping[str, Any]]]) -> int:
         """Apply many per-row change sets in one batch; returns the row count.
 
-        Unlike row-at-a-time :meth:`update_row`, index maintenance is
-        limited to the indexes whose key columns actually appear in the
-        change sets (and, within those, to rows whose key value really
-        changed), and deletions against each index are grouped so a hot
-        bucket is rebuilt once instead of probed per row.  Primary-key
-        changes fall back to the checked row-at-a-time path.
+        Every value is validated and every record id resolved before
+        anything is written: a bad value or id anywhere leaves table,
+        journal and listeners untouched.  The new values are then
+        assigned into the pages' column chunks in place; no row tuple is
+        built.  For a change set that names an indexed column, the key
+        columns of that index are read, and the row moves in it only if
+        its key really changed.  A row named twice is one row whose
+        later changes win.  Primary-key changes fall back to the checked
+        row-at-a-time path.
         """
         if not updates:
             return 0
-        changed_columns: set[str] = set()
-        for _rid, changes in updates:
-            changed_columns.update(changes.keys())
-        unknown = changed_columns - set(self.schema.column_names)
-        if unknown:
-            raise SchemaError(
-                f"unknown columns {sorted(unknown)}; have {self.schema.column_names}"
-            )
-        if self.schema.primary_key and changed_columns & set(self.schema.primary_key):
-            for rid, changes in updates:
+        schema = self.schema
+        #: Per row, the {position: validated value} to write.
+        planned: dict[RecordId, dict[int, Any]] = {}
+        for rid, changes in updates:
+            writes = schema.validate_changes(changes)
+            if rid in planned:
+                planned[rid].update(writes)
+            else:
+                planned[rid] = writes
+        changed = set().union(*planned.values())
+        if not changed.isdisjoint(schema.project_positions(schema.primary_key)):
+            for rid, changes in updates:  # nothing is written yet
                 self.update_row(rid, changes)
             return len(updates)
-
-        columns = {
-            column.name: (index, self.schema.validator(column.name), self.schema.sizer(column.name))
-            for index, column in enumerate(self.schema.columns)
-        }
-        # Patch only the changed columns into the stored row: the untouched
-        # values were validated when first stored, and summing per-column
-        # size deltas avoids re-measuring (and re-encoding) the whole row.
+        affected = [
+            index for index in self.indexes.values() if not changed.isdisjoint(index.positions)
+        ]
         heap = self.heap
         get_page = heap.buffer_pool.get_page
-        items: list[tuple[RecordId, Row, Row, int]] = []
-        for rid, changes in updates:
-            heap.check_rid(rid)
-            old = get_page(rid.page_id).read(rid.slot)
-            patched = list(old)
-            size_delta = 0
-            for name, value in changes.items():
-                index, validate, sizeof = columns[name]
-                coerced = validate(value)
-                size_delta += sizeof(coerced) - sizeof(old[index])
-                patched[index] = coerced
-            items.append((rid, old, tuple(patched), size_delta))
+        #: (index, old key, new key, rid) of every key a change set moves.
+        moves: list[tuple[Index, tuple, tuple, RecordId]] = []
+        for rid, writes in planned.items():
+            heap.check_page(rid.page_id)
+            page = get_page(rid.page_id)
+            page.check_slot(rid.slot)
+            # Only the key columns of the indexes the change set names are read.
+            for index in affected:
+                if not writes.keys().isdisjoint(index.positions):
+                    positions = index.positions
+                    old_key = tuple([page.columns[p][rid.slot] for p in positions])
+                    new_key = tuple([writes.get(p, old) for p, old in zip(positions, old_key)])
+                    if old_key != new_key:
+                        moves.append((index, old_key, new_key, rid))
 
-        affected = [
-            index
-            for index in self.indexes.values()
-            if changed_columns & set(index.key_columns)
-        ]
-        # Rows whose key actually moved, computed once per index and reused
-        # for both the grouped deletes and the re-inserts.
-        moved_by_index = [
-            (
-                index,
-                [
-                    (rid, old, new)
-                    for rid, old, new, _delta in items
-                    if index.key_of(old) != index.key_of(new)
-                ],
-            )
-            for index in affected
-        ]
-        for index, moved in moved_by_index:
-            if moved:
-                index.delete_many([(old, rid) for rid, old, _new in moved])
-        for rid, _old, new, size_delta in items:
+        for index, old_key, _new_key, rid in moves:
+            index.delete_key(old_key, rid)
+        sizeof = [column.type.storage_size for column in schema.columns]
+        for rid, writes in planned.items():
             # Re-fetch through the pool per row: a page object cached from
             # the read pass may have been *evicted* by a later read in a
             # batch wider than the pool, and mutating a detached page
             # would silently lose the write on a durable backend.
-            # page.update sets the dirty flag itself.
-            get_page(rid.page_id).update(rid.slot, new, old_size=0, new_size=size_delta)
-        for index, moved in moved_by_index:
-            for rid, _old, new in moved:
-                index.insert(new, rid)
+            page = get_page(rid.page_id)
+            slot = rid.slot
+            for position, value in writes.items():
+                column = page.columns[position]
+                page.used_bytes += sizeof[position](value) - sizeof[position](column[slot])
+                column[slot] = value
+            page.dirty = True
+        for index, _old_key, new_key, rid in moves:
+            index.insert_key(new_key, rid)
         if self._journal is not None:
             self._log(
                 (
@@ -380,8 +350,9 @@ class Table:
                     [(self._rid_tuple(rid), dict(changes)) for rid, changes in updates],
                 )
             )
-        self._notify("update", [new for _rid, _old, new, _delta in items])
-        return len(items)
+        if self.mutation_listeners:
+            self._notify("update", [heap.read(rid) for rid, _changes in updates])
+        return len(updates)
 
     def update_where(
         self, predicate: Optional[Expression], changes: Mapping[str, Any]
@@ -467,15 +438,12 @@ class Table:
             ) from None
 
     def _coerce(self, values: Sequence[Any] | Mapping[str, Any]) -> Row:
-        # Exact-type checks first: bulk writers hand over plain tuples or
-        # dicts, and an isinstance against typing.Mapping costs a
-        # __subclasscheck__ per row on this hot path.
-        kind = type(values)
-        if kind is tuple or kind is list:
-            return self.schema.validate_row(values)
-        if kind is dict or isinstance(values, Mapping):
+        # Exact type first: an isinstance against typing.Mapping costs a
+        # __subclasscheck__, and single inserts mostly hand over tuples.
+        if type(values) is not tuple and isinstance(values, Mapping):
             return self.schema.row_from_mapping(values)
         return self.schema.validate_row(values)
+
 
     def _check_primary_key(self, row: Row) -> None:
         if self._pk_index is None:
@@ -503,5 +471,5 @@ class Table:
             index.delete(row, rid)
 
     def _notify(self, event: str, rows: list[Row]) -> None:
-        for listener in self._mutation_listeners:
+        for listener in self.mutation_listeners:
             listener(event, self, rows)

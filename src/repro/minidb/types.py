@@ -1,10 +1,12 @@
 """Column types, schemas, and rows for the minidb relational engine.
 
-The engine stores rows as plain tuples; a :class:`Schema` describes the
-column names, types, and nullability, and knows how to validate and
-coerce incoming values.  Types are intentionally small: the paper's
-tables (CRAWL, LINK, HUBS, AUTH, DOCUMENT, TAXONOMY, STAT, BLOB) only
-need integers, floats, strings, and raw blobs.
+The engine hands rows around as plain tuples (and stores them as column
+chunks, see :mod:`repro.minidb.pages`); a :class:`Schema` describes the
+column names, types, and nullability, and knows how to validate, coerce
+and size incoming values — a row at a time or a column batch at a time.
+Types are intentionally small: the paper's tables (CRAWL, LINK, HUBS,
+AUTH, DOCUMENT, TAXONOMY, STAT, BLOB) only need integers, floats,
+strings, and raw blobs.
 """
 
 from __future__ import annotations
@@ -62,15 +64,11 @@ class ColumnType(enum.Enum):
         """Approximate on-page size in bytes of *value*, used for page accounting."""
         if value is None:
             return 1
-        if self is ColumnType.INTEGER:
-            return 8
-        if self is ColumnType.FLOAT:
-            return 8
         if self is ColumnType.TEXT:
             return 4 + len(value.encode("utf-8"))
         if self is ColumnType.BLOB:
             return 4 + len(value)
-        return 8  # pragma: no cover
+        return 8
 
 
 INTEGER = ColumnType.INTEGER
@@ -99,72 +97,15 @@ Row = tuple
 """A stored row: a plain tuple, positionally aligned with the schema columns."""
 
 
-def _call(func, value):
-    """``map``-able application helper (avoids a per-value lambda allocation)."""
-    return func(value)
-
-
-def _specialized_validator(column: "Column"):
-    """A per-column validator with an exact-type fast path.
-
-    Bulk inserts call one validator per value; the generic
-    :meth:`Column.validate` pays an enum-identity chain per call.  The
-    specialized closure answers the overwhelmingly common case — the
-    value already has the column's exact Python type — with a single
-    ``type(value) is T`` check and defers everything else (None,
-    coercions, errors) to the generic path, so the accepted/rejected
-    value space is identical.
-    """
-    generic = column.validate
-    expected = {
-        ColumnType.INTEGER: int,
-        ColumnType.FLOAT: float,
-        ColumnType.TEXT: str,
-        ColumnType.BLOB: bytes,
-    }[column.type]
-
-    def validate(value, _expected=expected, _generic=generic):
-        if type(value) is _expected:
-            return value
-        return _generic(value)
-
-    return validate
-
-
-#: Exact Python type per column type, used by the fused row validator.
-_EXACT_TYPE_NAME = {
-    ColumnType.INTEGER: "int",
-    ColumnType.FLOAT: "float",
-    ColumnType.TEXT: "str",
-    ColumnType.BLOB: "bytes",
+#: The Python type a stored value of each column type has.  A batch whose
+#: values all have it (or are NULL in a nullable column) needs no
+#: per-value validation; anything else goes through ``Column.validate``.
+_EXACT_TYPE = {
+    ColumnType.INTEGER: int,
+    ColumnType.FLOAT: float,
+    ColumnType.TEXT: str,
+    ColumnType.BLOB: bytes,
 }
-
-
-def _fused_row_validator(columns: Sequence["Column"], validators: tuple):
-    """Compile one whole-row validator with inline exact-type checks.
-
-    Bulk inserts validate every value of every row; even a specialized
-    per-column closure costs a Python call per value.  Generating a single
-    expression — ``(r[0] if type(r[0]) is int else _v[0](r[0]), ...)`` —
-    keeps the all-fast-path row to *one* call per row, while any value
-    that fails its exact-type check falls back to the full per-column
-    validator (identical accepted/rejected semantics).
-    """
-    parts = [
-        f"(r[{i}] if type(r[{i}]) is {_EXACT_TYPE_NAME[c.type]} else _v[{i}](r[{i}]))"
-        for i, c in enumerate(columns)
-    ]
-    source = f"lambda r, _v=_v: ({', '.join(parts)}{',' if parts else ''})"
-    return eval(source, {"_v": validators, "__builtins__": {"int": int, "float": float, "str": str, "bytes": bytes, "type": type}})  # noqa: S307
-
-
-def _specialized_sizer(ctype: ColumnType):
-    """Per-column storage sizer without the enum dispatch of ``storage_size``."""
-    if ctype in (ColumnType.INTEGER, ColumnType.FLOAT):
-        return lambda value: 8 if value is not None else 1
-    if ctype is ColumnType.TEXT:
-        return lambda value: 4 + len(value.encode("utf-8")) if value is not None else 1
-    return lambda value: 4 + len(value) if value is not None else 1
 
 
 @dataclass
@@ -181,26 +122,27 @@ class Schema:
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
+        if not names:
+            raise SchemaError("a schema needs at least one column")
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names in schema: {names}")
         self._index = {c.name: i for i, c in enumerate(self.columns)}
         for key_col in self.primary_key:
             if key_col not in self._index:
                 raise SchemaError(f"primary key column {key_col!r} not in schema")
-        # Hot-path caches: row conversion runs per row on every insert/scan.
-        # Validators/sizers are exact-type-specialized closures (same
-        # semantics as Column.validate / ColumnType.storage_size).
         self._names = tuple(names)
-        self._validators = tuple(_specialized_validator(c) for c in self.columns)
-        self._fused_validator = _fused_row_validator(self.columns, self._validators)
-        self._sizers = tuple(_specialized_sizer(c.type) for c in self.columns)
+        self._exact = tuple(_EXACT_TYPE[c.type] for c in self.columns)
+        #: Per column, the type sets a batch may have and skip validation.
+        self._accepted = tuple(
+            ({exact}, {exact, type(None)}) if c.nullable else ({exact},)
+            for c, exact in zip(self.columns, self._exact)
+        )
         self._pk_positions = tuple(self._index[k] for k in self.primary_key)
-        # All-numeric schemas (LINK, HUBS, AUTH) have one possible row size
-        # unless a value is NULL; skip the per-column summation for them.
-        self._fixed_row_size = (
-            8 * len(self.columns)
-            if all(c.type in (ColumnType.INTEGER, ColumnType.FLOAT) for c in self.columns)
-            else None
+        #: Positions of the columns whose stored size depends on the value.
+        self._varying = tuple(
+            position
+            for position, c in enumerate(self.columns)
+            if c.type in (ColumnType.TEXT, ColumnType.BLOB)
         )
 
     # -- introspection -------------------------------------------------
@@ -231,22 +173,65 @@ class Schema:
             raise SchemaError(
                 f"row has {len(values)} values, schema has {len(self.columns)} columns"
             )
-        return self._fused_validator(values)
+        return tuple(
+            [
+                value if type(value) is exact else column.validate(value)
+                for value, exact, column in zip(values, self._exact, self.columns)
+            ]
+        )
 
-    def validator(self, name: str):
-        """The specialized validator of column *name* (bulk update hot path)."""
-        return self._validators[self.position(name)]
+    def validate_changes(self, changes: Mapping[str, Any]) -> dict[int, Any]:
+        """A column-name change set as validated values by column position."""
+        index, exact, columns = self._index, self._exact, self.columns
+        writes = {}
+        for name, value in changes.items():
+            position = index.get(name)
+            if position is None:
+                raise SchemaError(f"unknown column {name!r}; have {self.column_names}")
+            if type(value) is not exact[position]:
+                value = columns[position].validate(value)
+            writes[position] = value
+        return writes
 
-    def sizer(self, name: str):
-        """The specialized storage sizer of column *name* (bulk update hot path)."""
-        return self._sizers[self.position(name)]
+    def validate_column(self, position: int, values: Sequence[Any]) -> Sequence[Any]:
+        """Validate and coerce a batch of values for the column at *position*.
 
-    def row_from_mapping(self, mapping: Mapping[str, Any]) -> Row:
-        """Build a positional row from a column-name mapping (missing columns become NULL)."""
+        One set of the batch's types answers the common case — every
+        value already has the column's exact Python type, or is NULL in
+        a nullable column — and *values* is returned as it came.  Any
+        other batch goes value by value through :meth:`Column.validate`,
+        so what is accepted, coerced and rejected is the same.
+        """
+        if set(map(type, values)) in self._accepted[position]:
+            return values
+        validate = self.columns[position].validate
+        return [validate(value) for value in values]
+
+    def column_bytes(self, position: int, values: Sequence[Any]) -> int:
+        """Total stored size in bytes of a list or tuple of a column's (validated) values."""
+        if position in self._varying:
+            return sum(map(self.columns[position].type.storage_size, values))
+        return 8 * len(values) - 7 * values.count(None)
+
+    def row_sizes(self, columns: Sequence[Sequence[Any]]) -> list[int]:
+        """Stored size of each row of a (validated) column batch."""
+        sizes = [8 * len(columns)] * len(columns[0])
+        for position, values in enumerate(columns):
+            if position in self._varying or None in values:
+                sizeof = self.columns[position].type.storage_size
+                sizes = [size + sizeof(value) - 8 for size, value in zip(sizes, values)]
+        return sizes
+
+    def positional(self, mapping: Mapping[str, Any]) -> list[Any]:
+        """A column-name mapping's values in schema order (missing columns become NULL)."""
         if not self._index.keys() >= mapping.keys():
             unknown = set(mapping) - set(self._index)
             raise SchemaError(f"unknown columns {sorted(unknown)}; have {self.column_names}")
-        return self.validate_row(list(map(mapping.get, self._names)))
+        return list(map(mapping.get, self._names))
+
+    def row_from_mapping(self, mapping: Mapping[str, Any]) -> Row:
+        """Build a validated positional row from a column-name mapping."""
+        return self.validate_row(self.positional(mapping))
 
     def row_to_mapping(self, row: Sequence[Any]) -> dict[str, Any]:
         return dict(zip(self._names, row))
@@ -260,10 +245,11 @@ class Schema:
 
     def row_size(self, row: Sequence[Any]) -> int:
         """Approximate stored size of *row* in bytes."""
-        fixed = self._fixed_row_size
-        if fixed is not None and None not in row:
-            return fixed
-        return sum(map(_call, self._sizers, row))
+        size = 8 * len(row) - 7 * row.count(None)
+        for position in self._varying:
+            if row[position] is not None:
+                size += self.columns[position].type.storage_size(row[position]) - 8
+        return size
 
     def project_positions(self, names: Iterable[str]) -> list[int]:
         return [self.position(n) for n in names]

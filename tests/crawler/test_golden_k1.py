@@ -179,3 +179,58 @@ def test_numpy_backend_matches_to_tolerance(name, small_web, trained_model, taxo
     assert numpy_trace.distillations == python_trace.distillations
     for got, want in zip(numpy_trace.relevance_series(), python_trace.relevance_series()):
         assert got == pytest.approx(want, abs=1e-9)
+
+
+#: Where every row lives, recorded at commit 52d9301 (row-tuple pages):
+#: (overrides, {table: digest of (page_no, slot, key columns) in heap
+#: scan order}, {table: (page_count, row_count)}).  Pages hold column
+#: chunks since then; placement — which is arithmetic on row sizes, slot
+#: overhead and tombstone reuse — must not have noticed.
+PLACEMENT = {
+    "k1": (
+        "soft-distill-failures",
+        {},
+        {
+            "CRAWL": "8f0dc45b49b14a63",
+            "LINK": "42ce9ea720c21d27",
+            "HUBS": "711794e63ea86bcf",
+            "AUTH": "69330ca0fc034348",
+        },
+        {"CRAWL": (14, 478), "LINK": (18, 1295), "HUBS": (1, 67), "AUTH": (1, 62)},
+    ),
+    "k8": (
+        "soft-distill-failures",
+        dict(engine="batched", batch_size=8),
+        {
+            "CRAWL": "8e958256839169e3",
+            "LINK": "156fd694ca8297d8",
+            "HUBS": "56a092f18a291526",
+            "AUTH": "606cc93fb8675099",
+        },
+        {"CRAWL": (15, 486), "LINK": (19, 1313), "HUBS": (1, 69), "AUTH": (1, 61)},
+    ),
+    "k8-numpy": (
+        "hard-distill-failures",
+        dict(engine="batched", batch_size=8, score_backend="numpy"),
+        {
+            "CRAWL": "d7fab28caa59fb5c",
+            "LINK": "aae547cea9943eb6",
+            "HUBS": "ffce6bbbb4355b1f",
+            "AUTH": "30a8c19888e89b6f",
+        },
+        {"CRAWL": (7, 218), "LINK": (14, 987), "HUBS": (1, 58), "AUTH": (1, 48)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLACEMENT))
+def test_every_row_lands_on_its_recorded_page_and_slot(case, small_web, trained_model, taxonomy):
+    name, overrides, placement, extents = PLACEMENT[case]
+    database, _trace = run_case(name, small_web, trained_model, taxonomy, **overrides)
+    for table_name in ("CRAWL", "LINK", "HUBS", "AUTH"):
+        table = database.table(table_name)
+        key_width = 3 if table_name == "LINK" else 1
+        assert placement[table_name] == digest(
+            (rid.page_id.page_no, rid.slot, *row[:key_width]) for rid, row in table.scan()
+        ), table_name
+        assert (table.page_count, len(table)) == extents[table_name]

@@ -10,6 +10,7 @@ a from-scratch rebuild.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.schema import create_focus_database
@@ -88,15 +89,13 @@ class TestCompiledWeightedHits:
     def test_update_patches_weights_in_place(self):
         graph = CompiledLinkGraph()
         link = Link(oid_src=1, sid_src=1, oid_dst=2, sid_dst=2, wgt_fwd=0.2, wgt_rev=0.4)
-        graph.add(link, key="edge")
-        graph.update(
-            "edge",
-            Link(oid_src=1, sid_src=1, oid_dst=2, sid_dst=2, wgt_fwd=0.9, wgt_rev=0.4),
-        )
-        _src, _dst, fwd, _rev, _oids = graph.arrays()
-        assert fwd[0] == 0.9
-        # Unknown (e.g. nepotistic, never-compiled) keys are ignored.
-        graph.update("missing", link)
+        position = graph.add(link)
+        graph.patch([position], [0.9], [None])
+        _src, _dst, fwd, rev, _oids = graph.arrays()
+        assert fwd[0] == 0.9 and np.isnan(rev[0])  # None: "no stored weight"
+        # A nepotistic edge is never compiled: there is no position to patch.
+        assert graph.add(Link(oid_src=1, sid_src=1, oid_dst=3, sid_dst=1)) == -1
+        assert len(graph) == 1
 
 
 class TestDeltaFoldedGraph:

@@ -9,13 +9,15 @@ dict into the table — lives on here as the oracle:
 (a) at every distillation of a K=1 crawl, on both backends, the
     stored HUBS/AUTH rows and ``trace.last_distillation`` equal a
     recompute over a full LINK scan;
-(b) a ``CompiledLinkGraph`` grown by interleaved ``add_row`` /
-    ``update_row`` / ``arrays()`` equals ``compile_links`` of the final
-    edge list, across several capacity doublings;
+(b) a ``CompiledLinkGraph`` grown by interleaved ``add_columns`` /
+    ``patch`` / ``arrays()`` equals ``compile_links`` of the final edge
+    list — the graph built edge by edge — across several capacity
+    doublings;
 (c) ``ScoreTableStore.store_dense`` issues the mutations ``store``
     issues: same rows, same record ids, same journal records;
-(d) ``Table.update_column``'s page-grouped fast path equals
-    ``update_rows`` and, on a bad value mid-batch, a row-at-a-time loop;
+(d) ``Table.update_column``'s column write equals ``update_rows`` and,
+    handed a bad value or record id mid-batch, changes nothing — in
+    memory, in the journal, or in what a reopened durable store holds;
 (e) a K=1 crawl killed and resumed — also from a checkpoint shaped like
     the ones the old serial loop wrote before it fed the cache — is the
     uninterrupted crawl.
@@ -34,6 +36,7 @@ from repro.core.system import FocusSystem
 from repro.crawler.engine import CrawlEngine, CrawlerConfig
 from repro.crawler.focused import FocusedCrawler
 from repro.distiller.compiled import CompiledLinkGraph, compile_links, compiled_weighted_hits
+from repro.distiller.db_distiller import LinkDeltaCache
 from repro.distiller.hits import DistillationResult, weighted_hits
 from repro.distiller.score_store import ScoreTableStore
 from repro.distiller.weights import Link
@@ -173,6 +176,74 @@ class TestSerialCrawlDistillsLikeAFullScan:
         assert dense.hub_threshold(0.9) == plain.hub_threshold(0.9)
 
 
+# -- (a') the compiled graph of a crawl: column batches against edge by edge ------------
+def assert_same_arrays(graph, oracle):
+    assert len(graph) == len(oracle)
+    for column, oracle_column in zip(graph.arrays()[:4], oracle.arrays()[:4]):
+        np.testing.assert_array_equal(column, oracle_column)  # NaN == NaN here
+    assert graph.arrays()[4] == oracle.arrays()[4]
+    np.testing.assert_array_equal(graph.uniform_hubs(), oracle.uniform_hubs())
+
+
+class TestBatchFoldEqualsRowFold:
+    def test_a_crawls_graph_is_the_one_built_edge_by_edge(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        """At every distillation of a K=8 crawl — nepotistic edges in the
+        table, ``wgt_fwd`` refreshed between distillations — the cache's
+        graph, fed page column slices, is bit for bit ``compile_links``
+        of a full LINK scan (one ``add`` per edge, in heap order); so is
+        the graph of a cache restored from its snapshot mid-crawl, as a
+        resumed crawl's is."""
+        database = create_focus_database(buffer_pool_pages=512)
+        ModelInstaller(database).install(trained_model)
+        small_web.servers.reseed(0)
+        config = CrawlerConfig(
+            max_pages=160, distill_every=25, engine="batched", batch_size=8, score_backend="numpy"
+        )
+        crawler = FocusedCrawler(
+            Fetcher(small_web, failure_seed=0), trained_model, taxonomy, database, config
+        )
+        crawler.add_seeds(crawl_seeds)
+        engine = crawler.engine
+        link = database.table("LINK")
+        incremental = engine.run_distillation
+        seen = []
+        restored = []
+
+        def distil_and_compare():
+            result = incremental()
+            cache = engine._incremental_distiller().cache
+            links = full_scan_links(database)
+            assert_same_arrays(cache.graph, compile_links(links))
+            assert len(cache) == len(links)
+            seen.append((len(links), sum(link_.is_nepotistic for link_ in links)))
+            if len(seen) == 2:  # "killed" here: only the snapshot survives
+                restored.append(LinkDeltaCache(link, compiled=True))
+                restored[0].restore_state(cache.state_snapshot())
+            for other in restored:  # ...and keeps up by its own refreshes
+                other.note_updated(self.refreshed)
+                other.refresh()
+                assert_same_arrays(other.graph, cache.graph)
+            self.refreshed = []
+            return result
+
+        note_updated = engine._incremental_distiller().note_updated
+
+        def remember(rids):
+            rids = list(rids)
+            self.refreshed.extend(rids)
+            note_updated(rids)
+
+        self.refreshed = []
+        engine._incremental_distiller().note_updated = remember
+        engine.run_distillation = distil_and_compare
+        trace = crawler.crawl()
+        assert trace.distillations == len(seen) >= 5 and restored
+        assert seen[-1][0] > seen[0][0] and seen[-1][1] > 0  # grew; some nepotistic
+        assert link.page_count > 3
+
+
 # -- (b) the growable compiled graph --------------------------------------------------
 def random_row(rng, nodes):
     src, dst = rng.randrange(nodes), rng.randrange(nodes)
@@ -190,29 +261,44 @@ class TestGrowableCompiledGraph:
         graph = CompiledLinkGraph()
         capacity = len(graph.arrays()[0].base)
         rows = []
+        edge_of_row = []  # what add_columns said of each row folded so far
         relevance = {}
         doublings = 0
-        # 3000 edges over 1500 nodes: edge buffers double 256 -> 4096 and
-        # node buffers 256 -> 2048 on the way.
+
+        def fold():
+            fresh = rows[len(edge_of_row) :]
+            if fresh:
+                edge_of_row.extend(graph.add_columns(*zip(*fresh)))
+
+        # 3000 edges over 1500 nodes, folded in batches of 1 to ~60 rows:
+        # edge buffers double 256 -> 4096 and node buffers 256 -> 2048 on
+        # the way, some of them in the middle of a batch.
         for step in range(3000):
             choice = rng.random()
             if choice < 0.75 or not rows:
                 rows.append(random_row(rng, 1500))
-                graph.add_row(rows[-1], key=len(rows) - 1)
+                if rng.random() < 0.05:
+                    fold()
             elif choice < 0.95:
                 position = rng.randrange(len(rows))
                 patched = rows[position][:4] + (rng.random(), rng.choice([None, rng.random()]))
                 rows[position] = patched
-                graph.update_row(position, patched)
+                if position < len(edge_of_row) and edge_of_row[position] >= 0:
+                    graph.patch([edge_of_row[position]], [patched[4]], [patched[5]])
             else:
                 # The crawl's map: only ever gains keys between runs.
                 for _ in range(rng.randrange(1, 30)):
                     relevance.setdefault(rng.randrange(1500), rng.random())
+                fold()
                 self.assert_equals_one_shot(graph, rows, relevance)
             if len(graph.arrays()[0].base) != capacity:
                 capacity = len(graph.arrays()[0].base)
                 doublings += 1
         assert doublings >= 3
+        fold()
+        # Nepotistic rows got no edge; the others, consecutive ones.
+        kept = [edge for edge in edge_of_row if edge >= 0]
+        assert kept == list(range(len(graph))) and len(kept) < len(rows)
         self.assert_equals_one_shot(graph, rows, relevance)
         # A different map (and a shrunken one) is gathered afresh.
         self.assert_equals_one_shot(graph, rows, {oid: 0.5 for oid in range(0, 1500, 2)})
@@ -221,11 +307,12 @@ class TestGrowableCompiledGraph:
 
     @staticmethod
     def assert_equals_one_shot(graph, rows, relevance):
-        oracle_graph = compile_links(Link(*row) for row in rows)
+        oracle_graph = compile_links(Link(*row) for row in rows)  # edge by edge
         assert len(graph) == len(oracle_graph)
         for column, oracle_column in zip(graph.arrays()[:4], oracle_graph.arrays()[:4]):
             np.testing.assert_array_equal(column, oracle_column)  # NaN == NaN here
         assert graph.arrays()[4] == oracle_graph.arrays()[4]
+        np.testing.assert_array_equal(graph.uniform_hubs(), oracle_graph.uniform_hubs())
         # The same dict object each time: exercises the incremental gather.
         result = compiled_weighted_hits(graph, relevance)
         oracle = compiled_weighted_hits(oracle_graph, dict(relevance))
@@ -236,13 +323,18 @@ class TestGrowableCompiledGraph:
 
     def test_views_handed_out_survive_growth(self):
         graph = CompiledLinkGraph()
-        graph.add_row((1, 1, 2, 2, 0.5, 0.25), key=0)
+        assert graph.add_columns([1], [1], [2], [2], [0.5], [0.25]) == [0]
         src, _dst, fwd, _rev, _oids = graph.arrays()
-        for index in range(1, 600):
-            graph.add_row((index, 1, index + 1, 2, 0.5, 0.25), key=index)
-        graph.update_row(0, (1, 1, 2, 2, 0.75, 0.25))
+        more = [(index, 1, index + 1, 2, 0.5, 0.25) for index in range(1, 600)]
+        graph.add_columns(*zip(*more))
+        graph.patch([0], [0.75], [0.25])
         assert len(src) == 1 and fwd[0] == 0.5  # a snapshot of its moment
         assert graph.arrays()[2][0] == 0.75
+
+    def test_an_all_nepotistic_batch_adds_nothing(self):
+        graph = CompiledLinkGraph()
+        assert graph.add_columns([1, 2], [7, 8], [3, 4], [7, 8], [0.5, None], [None, 0.5]) == [-1, -1]
+        assert len(graph) == 0 and graph.arrays()[4] == []
 
 
 # -- (c) the score store: dense path vs dict path -------------------------------------
@@ -290,14 +382,14 @@ class TestDenseScoreStore:
             assert score_rows(dense_db, "HUBS") == as_dict
         assert dense_store.rows_written == dict_store.rows_written > 0
         assert dense_store.rows_skipped == dict_store.rows_skipped > 0
-        # Journal payloads are what a WAL would pickle: plain floats.
-        assert all(
-            type(value) is float
-            for record in dense_journal
-            if record[0] == "update"
-            for _rid, changes in record[2]
-            for value in changes.values()
-        )
+        # Journal payloads are what a WAL would pickle: plain floats, one
+        # column-shaped record per score rewrite.
+        rewrites = [record for record in dense_journal if record[0] == "update_column"]
+        assert rewrites and not any(record[0] == "update" for record in dense_journal)
+        for _op, table, column, page_nos, slots, values in rewrites:
+            assert (table, column) == ("HUBS", "score")
+            assert len(page_nos) == len(slots) == len(values)
+            assert all(type(value) is float for value in values)
 
     def test_switching_forms_resynchronises_from_the_table(self):
         database, _journal = journalled_score_database()
@@ -310,22 +402,33 @@ class TestDenseScoreStore:
         assert score_rows(database, "HUBS") == {7: 0.5, 8: 0.1}
 
 
-# -- (d) update_column's page-grouped fast path ---------------------------------------
-def paged_table():
-    """A table of 90 rows over several 512-byte pages, with a journal and a listener."""
-    database = Database(buffer_pool_pages=4, page_size=512)
+# -- (d) update_column's column write -------------------------------------------------
+def fill(database):
     table = database.create_table(
         "T", make_schema(("k", INTEGER, False), ("v", FLOAT), ("note", TEXT), primary_key=["k"])
     )
     rids = table.insert_many([(k, float(k), f"row{k}") for k in range(90)])
     assert table.page_count >= 4
+    return table, rids
+
+
+def paged_table():
+    """A table of 90 rows over several 512-byte pages, with a journal and a listener."""
+    table, rids = fill(Database(buffer_pool_pages=4, page_size=512))
     journal, notified = [], []
     table.set_journal(journal.append)
     table.add_mutation_listener(lambda event, _table, rows: notified.append((event, list(rows))))
     return table, rids, journal, notified
 
 
-class TestPageGroupedUpdateColumn:
+BAD_UPDATES = [
+    (lambda rids: (rids[40], "not a float"), SchemaError),
+    (lambda rids: (RecordId(PageId(rids[0].page_id.file_id, 999), 0), 1.0), StorageError),
+    (lambda rids: (RecordId(rids[40].page_id, 999), 1.0), StorageError),
+]
+
+
+class TestColumnWriteUpdateColumn:
     @pytest.mark.parametrize("order", ["ascending", "shuffled", "page-hopping"])
     def test_equals_update_rows(self, order):
         fast, rids, fast_journal, fast_notified = paged_table()
@@ -336,7 +439,7 @@ class TestPageGroupedUpdateColumn:
             random.Random(5).shuffle(picks)
         elif order == "page-hopping":  # slot-major: consecutive rows on different pages
             picks = sorted(picks, key=lambda k: (rids[k].slot, rids[k].page_id.page_no))
-        # Fresh, equal-but-not-identical ids, as an index lookup hands out.
+        # Fresh, equal-but-not-identical ids, as a WAL replay hands out.
         updates = [
             (RecordId(PageId(rids[k].page_id.file_id, rids[k].page_id.page_no), rids[k].slot), k / 7)
             for k in picks
@@ -344,35 +447,67 @@ class TestPageGroupedUpdateColumn:
         assert fast.update_column("v", updates) == len(picks)
         assert slow.update_rows([(rid, {"v": value}) for rid, value in updates]) == len(picks)
         assert list(fast.scan()) == list(slow.scan())
-        assert fast_journal == slow_journal
         assert fast_notified == slow_notified
+        assert [page.used_bytes for page in fast.heap.scan_pages()] == [
+            page.used_bytes for page in slow.heap.scan_pages()
+        ]
+        # One column-shaped record against a change dict per row.
+        (record,) = fast_journal
+        assert record == (
+            "update_column",
+            "T",
+            "v",
+            [rid.page_id.page_no for rid, _value in updates],
+            [rid.slot for rid, _value in updates],
+            [value for _rid, value in updates],
+        )
+        (row_shaped,) = slow_journal
+        assert row_shaped[0] == "update" and len(row_shaped[2]) == len(picks)
 
-    @pytest.mark.parametrize(
-        "bad_update, error",
-        [
-            (lambda rids: (rids[40], "not a float"), SchemaError),
-            (lambda rids: (RecordId(PageId(rids[0].page_id.file_id, 999), 0), 1.0), StorageError),
-            (lambda rids: (RecordId(rids[40].page_id, 999), 1.0), StorageError),
-        ],
-    )
-    def test_a_bad_update_mid_batch_leaves_the_rows_before_it_written(self, bad_update, error):
-        fast, rids, fast_journal, fast_notified = paged_table()
-        slow, _rids, slow_journal, slow_notified = paged_table()
+    def test_a_row_named_twice_keeps_its_later_value(self):
+        table, rids, _journal, _notified = paged_table()
+        before = [page.used_bytes for page in table.heap.scan_pages()]
+        table.update_column("v", [(rids[3], None), (rids[4], 1.5), (rids[3], 2.5), (rids[4], None)])
+        assert table.read(rids[3])[1] == 2.5 and table.read(rids[4])[1] is None
+        after = [page.used_bytes for page in table.heap.scan_pages()]
+        assert sum(before) - sum(after) == 7  # one FLOAT became a NULL
+
+    @pytest.mark.parametrize("bad_update, error", BAD_UPDATES)
+    def test_a_bad_update_mid_batch_changes_nothing(self, bad_update, error):
+        table, rids, journal, notified = paged_table()
+        before = list(table.scan())
+        used = [page.used_bytes for page in table.heap.scan_pages()]
         updates = [(rids[k], -1.0 - k) for k in range(30, 50)]
         updates[10] = bad_update(rids)
-        with pytest.raises(error) as fast_error:
-            fast.update_column("v", updates)
-        # Row at a time: the fast path's contract before pages were grouped.
-        with pytest.raises(error) as slow_error:
-            for update in updates:
-                slow.update_column("v", [update])
-        assert str(fast_error.value) == str(slow_error.value)
-        assert list(fast.scan()) == list(slow.scan())
-        written = [row for row in fast.rows() if row[1] < 0]
-        assert [row[0] for row in written] == list(range(30, 40))
-        # A batch that raised journals nothing and notifies nobody.
-        assert fast_journal == [] and fast_notified == []
-        assert len(slow_journal) == len(slow_notified) == 10
+        with pytest.raises(error):
+            table.update_column("v", updates)
+        with pytest.raises(error):
+            table.update_rows([(rid, {"v": value}) for rid, value in updates])
+        with pytest.raises(SchemaError):
+            table.insert_many([(100, 1.0, "ok"), (101, "not a float", "bad"), (102, 2.0, "ok")])
+        # A batch that raised wrote nothing, journals nothing and notifies nobody.
+        assert list(table.scan()) == before
+        assert [page.used_bytes for page in table.heap.scan_pages()] == used
+        assert journal == [] and notified == []
+
+    @pytest.mark.parametrize("bad_update, error", BAD_UPDATES)
+    def test_a_raising_batch_leaves_memory_and_log_agreeing(self, bad_update, error, tmp_path):
+        """Durable variant: raise mid-batch, abandon the handle, reopen."""
+        database = Database.open(str(tmp_path / "db"), buffer_pool_pages=4, page_size=512)
+        table, rids = fill(database)
+        database.checkpoint()
+        table.update_column("v", [(rids[k], 100.0 + k) for k in range(0, 90, 3)])  # logged
+        updates = [(rids[k], -1.0 - k) for k in range(30, 50)]
+        updates[10] = bad_update(rids)
+        with pytest.raises(error):
+            table.update_column("v", updates)
+        in_memory = list(table.scan())
+        assert not any(row[1] is not None and row[1] < 0 for _rid, row in in_memory)
+        database.sync_wal()
+        del database, table  # abandoned, not closed: no flush, no checkpoint
+        reopened = Database.open(str(tmp_path / "db"), buffer_pool_pages=4, page_size=512)
+        assert list(reopened.table("T").scan()) == in_memory
+        reopened.close()
 
 
 # -- (e) kill and resume a K=1 crawl --------------------------------------------------

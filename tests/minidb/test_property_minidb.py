@@ -1,11 +1,25 @@
 """Property-based tests for the minidb engine (hypothesis)."""
 
+import os
+import shutil
+import tempfile
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed as seed_hypothesis, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.minidb import Database, FLOAT, INTEGER, TEXT, col, make_schema
+from repro.minidb.errors import ConstraintError, SchemaError, StorageError
+from repro.minidb.pages import PageId, RecordId
+from repro.minidb.sql import execute_select, parse_sql
 from repro.minidb.operators import (
     Aggregate,
     GroupByAggregate,
@@ -119,3 +133,361 @@ class TestSQLProperties:
         table.insert_many({"v": v} for v in rows)
         result = db.sql("select v from T where v >= :cut order by v", {"cut": cutoff})
         assert [r["v"] for r in result] == sorted(v for v in rows if v >= cutoff)
+
+
+# -- a model-based harness for the table over column-chunk pages ----------------------
+#
+# Random operation sequences against a durable table (tiny pages, a pool
+# smaller than the table) and a plain-Python model of it: a dict of row
+# tuples by (page_no, slot), and a heap that places one row at a time by
+# the placement rules — last page if the row and its slot entry fit, else
+# a new one; lowest emptied slot first.  After every step the table, its
+# pages' byte accounting, every index kind and the planner must agree
+# with the model.  Hypothesis runs from a fixed seed (0, or each of
+# ``REPRO_TORTURE_SEEDS``), so a failure reproduces locally as it did in CI.
+
+PAGE_SIZE = 256
+PAGE_HEADER = 24
+SLOT_OVERHEAD = 8
+MODEL_SEEDS = [int(seed) for seed in os.environ.get("REPRO_TORTURE_SEEDS", "0").split(",")]
+
+#: (name, kind, nullable) — ``k`` is the primary key; ``s`` has a hash
+#: index, ``g`` an ordered one, ``(k, g)`` an interval one; ``v`` none.
+MODEL_COLUMNS = (("k", "int", False), ("v", "float", True), ("s", "text", True), ("g", "int", False))
+MODEL_NAMES = [name for name, _kind, _nullable in MODEL_COLUMNS]
+MODEL_KINDS = {name: (kind, nullable) for name, kind, nullable in MODEL_COLUMNS}
+
+def rarely(rare, usual):
+    """*usual* values, one time in eight a *rare* one (most batches should succeed)."""
+    return st.integers(0, 7).flatmap(lambda roll: rare if roll == 0 else usual)
+
+
+#: Values a writer may hand over: exact, coercible or NULL ...
+key_values = st.one_of(st.integers(0, 10**9), st.integers(0, 10**9).map(float))
+COLUMN_VALUES = {
+    "k": key_values,
+    "v": st.one_of(st.floats(0, 1, allow_nan=False), st.integers(0, 5), st.none()),
+    "s": st.one_of(st.text(max_size=24), st.text(max_size=6), st.just("é" * 20), st.none()),
+    "g": st.one_of(st.integers(0, 40), st.booleans(), st.just(3.0)),
+}
+model_rows = st.tuples(*COLUMN_VALUES.values())
+#: ... and, one to a batch at most, plainly wrong ("z" * 150: too long for half a page).
+WRONG_VALUES = {
+    "k": st.sampled_from(["x", 2.5, None]),
+    "v": st.sampled_from(["x", True]),
+    "s": st.sampled_from([7, b"raw", "z" * 150]),
+    "g": st.sampled_from(["x", 2.5, None]),
+}
+
+
+def model_coerce(kind, nullable, value):
+    """What the column stores for *value* — written apart from ``Column.validate``."""
+    if value is None:
+        if not nullable:
+            raise SchemaError("NOT NULL")
+        return None
+    if kind == "int":
+        if isinstance(value, int):
+            return int(value)
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    elif kind == "float":
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif isinstance(value, str):
+        return value
+    raise SchemaError(f"bad {kind}: {value!r}")
+
+
+def model_row(values):
+    return tuple(model_coerce(*MODEL_KINDS[name], value) for name, value in zip(MODEL_NAMES, values))
+
+
+def model_size(row):
+    return sum(
+        1 if value is None else 4 + len(value.encode("utf-8")) if isinstance(value, str) else 8
+        for value in row
+    )
+
+
+class ModelHeap:
+    """Row-at-a-time reference placement: ``pages[p] = [used_bytes, slot sizes]``."""
+
+    def __init__(self):
+        self.pages = []
+
+    def insert(self, size):
+        if not self.pages or PAGE_SIZE - self.pages[-1][0] < size + SLOT_OVERHEAD:
+            self.pages.append([PAGE_HEADER, []])
+        page = self.pages[-1]
+        page[0] += size + SLOT_OVERHEAD
+        if None in page[1]:
+            slot = page[1].index(None)
+            page[1][slot] = size
+        else:
+            slot = len(page[1])
+            page[1].append(size)
+        return len(self.pages) - 1, slot
+
+    def resize(self, key, size):
+        page = self.pages[key[0]]
+        page[0] += size - page[1][key[1]]
+        page[1][key[1]] = size
+
+    def delete(self, key):
+        page = self.pages[key[0]]
+        page[0] -= page[1][key[1]] + SLOT_OVERHEAD
+        page[1][key[1]] = None
+
+
+class TableAgainstModel(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="minidb-model-")
+        self.database = self.open()
+        table = self.database.create_table(
+            "T",
+            make_schema(
+                ("k", INTEGER, False), ("v", FLOAT), ("s", TEXT), ("g", INTEGER, False), primary_key=["k"]
+            ),
+        )
+        table.create_index("t_s", ["s"], kind="hash")
+        table.create_index("t_g", ["g"], kind="ordered")
+        table.create_index("t_tree", ["k", "g"], kind="interval")
+        self.rows = {}  # (page_no, slot) -> row
+        self.heap = ModelHeap()
+
+    def open(self):
+        return Database.open(self.directory, buffer_pool_pages=3, page_size=PAGE_SIZE)
+
+    def teardown(self):
+        self.database.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    @property
+    def table(self):
+        return self.database.table("T")
+
+    def rid(self, key):
+        return RecordId(PageId(self.table.heap.file_id, key[0]), key[1])
+
+    def expect(self, error, call):
+        """Run *call*: it must raise *error*, or — when None — return."""
+        if error is None:
+            return call()
+        with pytest.raises(error):
+            call()
+        return None
+
+    # -- inserts --------------------------------------------------------------------
+    def insert_outcome(self, batch):
+        """``(error, coerced rows)`` for inserting *batch*: types, then keys, then sizes."""
+        try:
+            rows = [model_row(values) for values in batch]
+        except SchemaError:
+            return SchemaError, None
+        keys = [row[0] for row in rows]
+        if len(set(keys)) < len(keys) or {row[0] for row in self.rows.values()} & set(keys):
+            return ConstraintError, None
+        if any(model_size(row) > PAGE_SIZE // 2 for row in rows):
+            return StorageError, None
+        return None, rows
+
+    @staticmethod
+    def shaped(values, as_mapping):
+        if not as_mapping:
+            return tuple(values)
+        # A NULL may also be said by leaving the column out.
+        return {name: value for name, value in zip(MODEL_NAMES, values) if value is not None or name == "s"}
+
+    def spoil(self, data, batch):
+        """Sometimes, give *batch* (a list of value lists) one wrong value or a taken key."""
+        if batch and data.draw(rarely(st.just(True), st.just(False))):
+            values = data.draw(st.sampled_from(batch))
+            at = data.draw(st.integers(0, len(values) - 1))
+            values[at] = data.draw(WRONG_VALUES[MODEL_NAMES[at]])
+        if batch and data.draw(rarely(st.just(True), st.just(False))):
+            taken = [row[0] for row in self.rows.values()] + [values[0] for values in batch[:-1]]
+            if taken:
+                batch[-1][0] = data.draw(st.sampled_from(taken))
+
+    @rule(data=st.data(), values=model_rows, as_mapping=st.booleans())
+    def insert(self, data, values, as_mapping):
+        values = list(values)
+        self.spoil(data, [values])
+        error, rows = self.insert_outcome([values])
+        rid = self.expect(error, lambda: self.table.insert(self.shaped(values, as_mapping)))
+        if error is None:
+            self.place(rows, [rid])
+
+    @initialize(count=st.integers(0, 60))
+    def load(self, count):
+        """Start from a table of a few pages, so the first steps already cross them."""
+        rows = [(10**7 + k, k / 8 if k % 5 else None, "s" * (k % 11), k % 9) for k in range(count)]
+        self.place(rows, self.table.insert_many(rows))
+
+    @rule(data=st.data(), count=st.integers(0, 30), lazily=st.booleans())
+    def insert_many(self, data, count, lazily):
+        batch = [list(data.draw(model_rows)) for _ in range(count)]
+        self.spoil(data, batch)
+        error, rows = self.insert_outcome(batch)
+        shaped = [self.shaped(values, data.draw(st.booleans())) for values in batch]
+        rids = self.expect(error, lambda: self.table.insert_many(iter(shaped) if lazily else shaped))
+        if error is None:
+            self.place(rows, rids)
+
+    def place(self, rows, rids):
+        assert len(rids) == len(rows)
+        for row, rid in zip(rows, rids):
+            key = self.heap.insert(model_size(row))
+            assert (rid.page_id.page_no, rid.slot) == key
+            assert key not in self.rows
+            self.rows[key] = row
+
+    # -- updates --------------------------------------------------------------------
+    def draw_targets(self, data, count):
+        """Up to *count* live rids (repeats allowed) and, sometimes, one that is not."""
+        keys = sorted(self.rows)
+        targets = [data.draw(st.sampled_from(keys)) for _ in range(count)] if keys else []
+        emptied = [
+            (page_no, slot)
+            for page_no, (_used, slots) in enumerate(self.heap.pages)
+            for slot, size in enumerate(slots)
+            if size is None
+        ]
+        strays = [(len(self.heap.pages) + 3, 0), (0, 200), *emptied[:2]]
+        stray = data.draw(rarely(st.sampled_from(strays), st.none()))
+        if stray is not None:
+            targets.insert(data.draw(st.integers(0, len(targets))), stray)
+        return targets, stray
+
+    def apply_changes(self, changes):
+        """Fold ``[(key, {name: stored value})]`` into the model, in order."""
+        for key, change in changes:
+            row = list(self.rows[key])
+            for name, value in change.items():
+                row[MODEL_NAMES.index(name)] = value
+            self.rows[key] = tuple(row)
+            self.heap.resize(key, model_size(self.rows[key]))
+
+    def draw_values(self, data, names, clean):
+        """A value for each of *names* and, unless *clean*, sometimes one wrong one among them.
+
+        Returns ``(values, stored)``: what to hand the table and what it
+        should store — ``None`` when the batch must raise ``SchemaError``.
+        """
+        wrong_at = None if clean or not names else data.draw(rarely(st.integers(0, len(names) - 1), st.none()))
+        values = [
+            data.draw((WRONG_VALUES if at == wrong_at else COLUMN_VALUES)[name])
+            for at, name in enumerate(names)
+        ]
+        try:
+            return values, [model_coerce(*MODEL_KINDS[name], value) for name, value in zip(names, values)]
+        except SchemaError:
+            return values, None
+
+    @rule(data=st.data(), column=st.sampled_from(["v", "v", "s", "g"]), count=st.integers(0, 12))
+    def update_column(self, data, column, count):
+        targets, stray = self.draw_targets(data, count)
+        # One kind of badness a batch: clean values beside a stray rid.
+        values, stored = self.draw_values(data, [column] * len(targets), clean=stray)
+        error = SchemaError if stored is None else StorageError if stray else None
+        updates = [(self.rid(key), value) for key, value in zip(targets, values)]
+        count = self.expect(error, lambda: self.table.update_column(column, updates))
+        if error is None:
+            assert count == len(updates)
+            self.apply_changes([(key, {column: value}) for key, value in zip(targets, stored)])
+
+    @rule(data=st.data(), count=st.integers(0, 8))
+    def update_rows(self, data, count):
+        targets, stray = self.draw_targets(data, count)
+        error = StorageError if stray else None
+        updates, changes = [], []
+        for key in targets:
+            names = data.draw(st.lists(st.sampled_from(["v", "s", "g"]), min_size=1, max_size=3, unique=True))
+            values, stored = self.draw_values(data, names, clean=stray)
+            if stored is None:
+                error = SchemaError
+            else:
+                changes.append((key, dict(zip(names, stored))))
+            updates.append((self.rid(key), dict(zip(names, values))))
+        count = self.expect(error, lambda: self.table.update_rows(updates))
+        if error is None:
+            assert count == len(updates)
+            self.apply_changes(changes)
+
+    @precondition(lambda self: self.rows)
+    @rule(data=st.data())
+    def delete_row(self, data):
+        key = data.draw(st.sampled_from(sorted(self.rows)))
+        assert self.table.delete_row(self.rid(key)) == self.rows.pop(key)
+        self.heap.delete(key)
+
+    # -- durability -----------------------------------------------------------------
+    @rule(checkpoint=st.booleans())
+    def reopen(self, checkpoint):
+        """Checkpoint and close — or abandon the handle with only the log synced."""
+        if checkpoint:
+            self.database.checkpoint()
+            self.database.close()
+        else:
+            self.database.sync_wal()
+            self.database.backend.wal.close()
+        self.database = self.open()
+
+    # -- what must hold after every step ----------------------------------------------
+    @invariant()
+    def table_equals_model(self):
+        table = self.table
+        scanned = [((rid.page_id.page_no, rid.slot), row) for rid, row in table.scan()]
+        assert scanned == sorted(self.rows.items())
+        assert list(table.rows()) == [row for _key, row in scanned]
+        assert len(table) == len(self.rows)
+        assert table.page_count == len(self.heap.pages)
+        pages = list(table.heap.scan_pages())
+        assert [page.used_bytes for page in pages] == [used for used, _slots in self.heap.pages]
+        assert [sorted(page.dead) for page in pages] == [
+            [slot for slot, size in enumerate(slots) if size is None] for _used, slots in self.heap.pages
+        ]
+
+    @invariant()
+    def indexes_equal_model(self):
+        table = self.table
+        by_s, by_g = defaultdict(list), defaultdict(list)
+        for key, row in sorted(self.rows.items()):
+            by_s[row[2]].append(key)
+            by_g[row[3]].append(key)
+            assert table.get_by_key((row[0],)) == row
+            assert [(r.page_id.page_no, r.slot) for r in table.lookup_rids("t_tree", (row[0], row[3]))] == [key]
+        for index in (*table.indexes.values(), table.index_on(["k"])):
+            assert len(index) == len(self.rows)
+        for value, keys in by_s.items():
+            assert sorted((r.page_id.page_no, r.slot) for r in table.lookup_rids("t_s", (value,))) == keys
+        assert table.indexes["t_s"].key_count == len(by_s)
+        assert table.indexes["t_g"].ordered_keys() == [(g,) for g in sorted(by_g)]
+        for value, keys in by_g.items():
+            assert sorted((r.page_id.page_no, r.slot) for r in table.lookup_rids("t_g", (value,))) == keys
+        assert table.get_by_key((-1,)) is None and table.lookup("t_s", ("no such",)) == []
+
+    @invariant()
+    def planner_equals_scan(self):
+        some = next(iter(self.rows.values()), (0, None, "", 0))
+        for sql, params in (
+            ("select k, v from T where s = :s order by k", {"s": some[2]}),
+            ("select k from T where g >= :lo and g < :hi order by k", {"lo": some[3], "hi": some[3] + 5}),
+            ("select k, s from T where k = :k", {"k": some[0]}),
+            ("select g, count(*) n from T group by g order by g", {}),
+        ):
+            planned = self.database.sql(sql, params)
+            assert planned == execute_select(self.database, parse_sql(sql), params, mode="scan"), sql
+        expected = sorted(row[0] for row in self.rows.values() if row[2] == some[2] and some[2] is not None)
+        assert [row["k"] for row in self.database.sql("select k from T where s = :s order by k", {"s": some[2]})] == expected
+
+
+@pytest.mark.parametrize("seed", MODEL_SEEDS)
+def test_random_operation_sequences_agree_with_the_model(seed):
+    machine = seed_hypothesis(seed)(type(f"TableAgainstModel{seed}", (TableAgainstModel,), {}))
+    run_state_machine_as_test(
+        machine,
+        settings=settings(max_examples=25, stateful_step_count=30, deadline=None, database=None),
+    )
