@@ -1,139 +1,113 @@
-"""Cross-shard handoff: the message layer of the sharded crawl engine.
+"""Cross-shard handoff: the column-batch messages of the sharded round.
 
 The sharded engine (:mod:`repro.crawler.sharded`) partitions the crawl
 by server: shard ``i`` owns every host whose ``sid % N == i``, and with
 it that host's frontier entries, CRAWL rows, fetch draws, and — because
 LINK rows are routed by *destination* — the incoming half of the link
-graph.  Out-links discovered on one shard that hash to another are not
-applied directly; they are handed off as :class:`HandoffRecord` batches
-through ordered per-``(src, dst)`` queues and applied at the round
-barrier in one canonical order.
+graph.  Everything that crosses a shard boundary is one of the messages
+below, and every message is *columns*: one list per field, never one
+object per page or per link — the store's native shape (a page is a set
+of column chunks), a handful of flat lists to pickle, and a commit that
+is arithmetic on the columns.
 
-That canonical order is the whole determinism story, so it is defined
+The canonical order is the whole determinism story, so it is defined
 here, once:
 
-* every record carries ``(round, pos, link_idx)`` — the round number,
-  the *global* position of the citing page in the round's merged
-  checkout order, and the index of the link within that page's
-  de-duplicated out-link list;
-* receivers merge the per-source queues by that key before applying
-  (:func:`merge_handoffs`), so the apply order is a pure function of
-  the crawl content — never of queue arrival timing;
-* discovery numbers are assigned by the coordinator over the same
-  canonical order, so breadth-first style orderings are shard-count
-  invariant.
+* a citing page is identified by ``pos`` — its *global* position in the
+  round's merged checkout order — and a link by ``link_idx``, its index
+  in that page's de-duplicated out-link list;
+* the coordinator numbers every out-link from one running counter in
+  ``(pos, link_idx)`` order (a page's links take ``disc_base ..
+  disc_base + links - 1``), so discovery order — what breadth-first
+  style orderings sort by — is shard-count invariant;
+* a destination shard receives its links already in that order, as
+  per-citing-page headers plus per-link columns (:class:`ApplyRound`),
+  and *verifies* it on receipt (:meth:`ApplyRound.discovery_numbers`)
+  rather than re-sorting: a batch that is out of order, short, or has a
+  hole where it must be contiguous is refused by name, never applied.
 
-Messages are plain picklable dataclasses: the same objects cross a
-``multiprocessing`` pipe to spawned workers or a :class:`MessagePipe`
-within the in-process runner (whose delivery *schedule* tests permute
-to prove timing independence).
+The same objects cross a ``multiprocessing`` pipe to spawned workers
+(pickled) or are handed over by reference within the in-process runner —
+so a receiver never mutates or keeps a received column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, repeat
+from operator import ge
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.webgraph.urls import server_sid
-
 __all__ = [
-    "ApplyLinks",
     "ApplyRound",
-    "CandidateReply",
     "CheckoutRequest",
-    "HandoffRecord",
-    "MessagePipe",
-    "OutcomeRecord",
-    "OutcomeReply",
+    "FinishRound",
+    "HandoffOrderError",
+    "OutcomeBatch",
     "SelectionMsg",
-    "merge_handoffs",
-    "shard_of_host",
-    "shard_of_sid",
+    "per_link",
+    "route_links",
 ]
 
 
-def shard_of_sid(sid: int, shards: int) -> int:
-    """The shard owning server id *sid* (blake2b-derived, process-stable)."""
-    return sid % shards
+def per_link(column: Sequence, counts: Sequence[int]) -> list:
+    """A citing-page column spread over the link columns: entry *i*, ``counts[i]`` times."""
+    return list(chain.from_iterable(map(repeat, column, counts)))
 
 
-def shard_of_host(host_or_url: str, shards: int) -> int:
-    """The shard owning *host* (or the host of a URL)."""
-    return server_sid(host_or_url) % shards
+def route_links(applies: Sequence["ApplyRound"], headers: Sequence[list], links: Sequence[list]):
+    """Deal one round's links to their destination shards (``dst_sid % N``).
+
+    *headers* are the citing pages' columns (:data:`ApplyRound.HEADERS`
+    but ``count``), *links* the per-link columns (:data:`ApplyRound.LINKS`),
+    both in canonical order; ``headers[-1]`` counts each page's links.
+    Every destination takes its slice of each column — order kept, a
+    header only where at least one of the page's links is its own.
+    """
+    shards = len(applies)
+    owner = [sid % shards for sid in links[-1]]
+    stops = list(accumulate(headers[-1]))
+    for shard, apply in enumerate(applies):
+        mine = [shard == other for other in owner]
+        count = [sum(mine[start:stop]) for start, stop in zip([0] + stops, stops)]
+        for name, column in zip(apply.HEADERS, (*headers, count)):
+            setattr(apply, name, list(compress(column, count)))
+        for name, column in zip(apply.LINKS, links):
+            setattr(apply, name, list(compress(column, mine)))
+
+
+class HandoffOrderError(ValueError):
+    """A column batch arrived out of canonical order, short, or with a hole."""
 
 
 @dataclass
-class HandoffRecord:
-    """One out-link crossing (or staying within) a shard boundary.
+class FinishRound:
+    """Coordinator -> shard: the second half of a round's commit.
 
-    Carries everything the destination shard needs to apply the edge
-    without a foreign lookup: the full LINK row identity (the source
-    shard knows both sids — ``sid`` is a pure URL hash), the citing
-    page's relevance (``wgt_rev``, and the ``wgt_fwd`` fallback when the
-    destination is unvisited), and the coordinator-assigned discovery
-    number for the frontier insert.  ``expand`` is False when the hard
-    focus rule rejected the citing page: the LINK row is still written,
-    but the target does not enter the frontier (``expansion_priority``
-    returned None; ``link_row`` is written regardless).
+    Scores (when the round distilled; written as a delta), then the §3.7
+    hub boosts over the local LINK partition, then the frontier flush,
+    then — last, so a crash before it rewinds the round — the cut marker.
+    Rides inside the :class:`ApplyRound` of a round that does not
+    distil; a distilling round's follows in the next
+    :class:`CheckoutRequest`, computed while the shards wrote the links.
     """
 
     round: int
-    pos: int          # global position of the citing page within the round
-    link_idx: int     # index within the citing page's deduped out-links
-    src_oid: int
-    src_sid: int
-    dst_url: str      # normalised
-    dst_oid: int
-    dst_sid: int
-    src_relevance: float
-    discovered: int   # coordinator-assigned discovery number
-    expand: bool = True
-    priority: float = 0.0  # frontier priority when expanding
-
-    def sort_key(self) -> Tuple[int, int, int]:
-        return (self.round, self.pos, self.link_idx)
-
-
-def merge_handoffs(
-    queues: Sequence[Sequence[HandoffRecord]],
-) -> List[HandoffRecord]:
-    """Merge per-source handoff queues into the canonical apply order.
-
-    Each queue is already internally ordered (FIFO per ``(src, dst)``
-    pair); the merge by ``(round, pos, link_idx)`` makes the combined
-    order independent of the order the queues were *delivered* in —
-    the property the determinism tests drive schedules against.
-    """
-    merged: List[HandoffRecord] = []
-    for queue in queues:
-        merged.extend(queue)
-    merged.sort(key=HandoffRecord.sort_key)
-    return merged
-
-
-# -- coordinator <-> shard round messages -------------------------------------------
+    #: Table name -> (oid column, score column): this shard's slice of the result.
+    scores: Dict[str, Tuple[List[int], List[float]]] = field(default_factory=dict)
+    boost_hubs: List[int] = field(default_factory=list)
+    boost_priority: float = 0.0
+    #: Durable shards append a WAL cut marker for this round after applying.
+    log_cut: bool = False
 
 
 @dataclass
 class CheckoutRequest:
-    """Coordinator -> shard: propose your best *k* frontier candidates."""
+    """Coordinator -> shard: close the last round if it is still open
+    (*finish*), then reply with your best *k* frontier candidates."""
 
-    round: int
     k: int
-
-
-@dataclass
-class CandidateReply:
-    """Shard -> coordinator: locally checked-out candidates, best first.
-
-    ``candidates`` are ``(key, oid, url)`` with *key* the frontier
-    ordering key at checkout time — value tuples, so the coordinator's
-    merge compares them exactly as the frontier heap would.
-    """
-
-    round: int
-    shard: int
-    candidates: List[Tuple[tuple, int, str]] = field(default_factory=list)
+    finish: Optional[FinishRound] = None
 
 
 @dataclass
@@ -144,109 +118,147 @@ class SelectionMsg:
     URLs return to the shard's frontier untouched.
     """
 
-    round: int
     selected: List[Tuple[int, str]] = field(default_factory=list)
     rejected: List[str] = field(default_factory=list)
 
 
 @dataclass
-class OutcomeRecord:
-    """One fetch outcome, reported in global position order."""
+class OutcomeBatch:
+    """Shard -> coordinator: the round's fetch/classify outcomes, as columns.
 
-    pos: int
-    url: str
-    oid: int
-    sid: int
-    ok: bool
-    permanent: bool = False       # engine.permanent_failure(status)
-    server: str = ""
-    relevance: float = 0.0
-    best_leaf: Optional[int] = None
-    hard_accepts: bool = True
-    out_degree: int = 0
-    #: De-duplicated non-self out-link targets, in out-link order:
-    #: ``(normalized_url, oid, sid)`` — resolved once, on the fetching shard.
-    targets: List[Tuple[str, int, int]] = field(default_factory=list)
+    One entry per selected page in every page column, in global position
+    order (the coordinator knows each position's URL and oid from the
+    checkout).  ``links[i]`` entries of the flat target columns belong
+    to page *i*: its de-duplicated non-self out-links in page order,
+    resolved once, on the fetching shard.
+    """
 
-
-@dataclass
-class OutcomeReply:
-    """Shard -> coordinator: the round's fetch/classify outcomes plus stats."""
-
-    round: int
-    shard: int
-    outcomes: List[OutcomeRecord] = field(default_factory=list)
+    pos: List[int] = field(default_factory=list)
+    sid: List[int] = field(default_factory=list)
+    #: None: fetched.  Else the fetch failed — permanently (True) or not.
+    failure: List[Optional[bool]] = field(default_factory=list)
+    server: List[str] = field(default_factory=list)
+    relevance: List[float] = field(default_factory=list)
+    best_leaf: List[Optional[int]] = field(default_factory=list)
+    hard_accepts: List[bool] = field(default_factory=list)
+    out_degree: List[int] = field(default_factory=list)
+    links: List[int] = field(default_factory=list)
+    dst_url: List[str] = field(default_factory=list)  # normalised
+    dst_oid: List[int] = field(default_factory=list)
+    dst_sid: List[int] = field(default_factory=list)
     #: FetchStats deltas for this round (attempts/successes/... floats/ints).
     fetch_stats: Dict[str, Any] = field(default_factory=dict)
-    #: Per-stage wall-clock seconds spent by this shard this round.
-    timings: Dict[str, float] = field(default_factory=dict)
 
-
-@dataclass
-class ApplyLinks:
-    """One per-``(src, dst)`` handoff queue batch inside an apply message."""
-
-    src_shard: int
-    records: List[HandoffRecord] = field(default_factory=list)
+    def add(
+        self, pos, sid, failure=None, server="", relevance=0.0, best_leaf=None,
+        hard_accepts=True, out_degree=0, targets=(),
+    ) -> None:
+        """One selected page: a failure, or a visit and its ``(url, oid, sid)`` targets."""
+        for column, value in zip(
+            (self.pos, self.sid, self.failure, self.server, self.relevance,
+             self.best_leaf, self.hard_accepts, self.out_degree, self.links),
+            (pos, sid, failure, server, relevance,
+             best_leaf, hard_accepts, out_degree, len(targets)),
+        ):
+            column.append(value)
+        if targets:
+            urls, oids, sids = zip(*targets)
+            self.dst_url.extend(urls)
+            self.dst_oid.extend(oids)
+            self.dst_sid.extend(sids)
 
 
 @dataclass
 class ApplyRound:
-    """Coordinator -> shard: commit your slice of the round.
+    """Coordinator -> shard: commit your slice of the round's pages and links.
 
-    Applied inside one frontier round-buffer, in this order (which the
-    receiver derives deterministically, not from field arrival):
+    Sent the moment ticks and discovery numbers are assigned.  Applied
+    inside one frontier round-buffer, in this order:
 
     1. failures (checkout order) — retry/dead bookkeeping;
-    2. visits ``(url, tick, relevance, best_leaf, pos)`` interleaved
-       with the frontier expansions of the merged handoff records by
-       global position — a page's visit commits before its own
-       out-links expand, before the next page's visit, exactly the
-       in-process engine's per-page walk (the lazily-snapshotted
-       ``serverload`` column is order-sensitive);
-    3. link inserts — the per-source queues merged canonically; the
-       destination shard resolves ``wgt_fwd`` locally (destination's
-       relevance when visited, else the citing page's);
+    2. a walk over the citing pages by global position: the visits this
+       shard fetched (``visit_*``) interleaved with the frontier
+       expansion of each citing page's links that hash here — a page's
+       visit commits before its own out-links expand, before the next
+       page's visit, exactly the in-process engine's per-page walk (the
+       lazily-snapshotted ``serverload`` column is order-sensitive);
+    3. LINK rows, built column-wise; this shard owns every destination,
+       so ``wgt_fwd`` resolves locally (the destination's relevance when
+       visited, else the citing page's);
     4. ``wgt_fwd`` refresh of edges into this round's locally visited
        pages (visit order) — 3 and 4 are one ``BufferedLinkWriter.flush``;
-    5. when the round distilled: HUBS/AUTH sublist replacement and §3.7
-       hub-neighbour boosts over the local LINK partition.
+    5. ``finish`` when it rides along (see :class:`FinishRound`).
+
+    The citing-page headers (``pos`` … ``count``) have one entry per page
+    with at least one link owned here, and ``count[i]`` entries of the
+    per-link columns belong to header *i*.  A link's discovery number is
+    ``disc_base + link_idx``; ``links`` is the page's out-link count
+    across all destinations.
     """
 
     round: int
-    failures: List[Tuple[str, bool]] = field(default_factory=list)  # (url, permanent)
-    visits: List[Tuple[str, int, float, Optional[int], int]] = field(
-        default_factory=list
-    )
-    links: List[ApplyLinks] = field(default_factory=list)
-    #: When set, replace this shard's HUBS/AUTH slices: (hub_items, auth_items).
-    scores: Optional[Tuple[List[Tuple[int, float]], List[Tuple[int, float]]]] = None
-    #: §3.7: top-hub oids to scan the local LINK partition for, plus the floor.
-    boost_hubs: List[int] = field(default_factory=list)
-    boost_priority: float = 0.0
-    #: Durable shards append a WAL cut marker for this round after applying.
-    log_cut: bool = False
+    fail_url: List[str] = field(default_factory=list)
+    fail_permanent: List[bool] = field(default_factory=list)
+    visit_pos: List[int] = field(default_factory=list)
+    visit_url: List[str] = field(default_factory=list)
+    visit_tick: List[int] = field(default_factory=list)
+    visit_relevance: List[float] = field(default_factory=list)
+    visit_leaf: List[Optional[int]] = field(default_factory=list)
+    pos: List[int] = field(default_factory=list)
+    src_oid: List[int] = field(default_factory=list)
+    src_sid: List[int] = field(default_factory=list)
+    src_relevance: List[float] = field(default_factory=list)
+    #: Frontier priority of the page's targets.  None when the hard focus
+    #: rule rejected the citing page: its LINK rows are still written, its
+    #: targets do not enter the frontier.
+    priority: List[Optional[float]] = field(default_factory=list)
+    disc_base: List[int] = field(default_factory=list)
+    links: List[int] = field(default_factory=list)
+    count: List[int] = field(default_factory=list)
+    link_idx: List[int] = field(default_factory=list)
+    dst_url: List[str] = field(default_factory=list)
+    dst_oid: List[int] = field(default_factory=list)
+    dst_sid: List[int] = field(default_factory=list)
+    finish: Optional[FinishRound] = None
 
+    #: The citing-page header columns and the per-link columns, by name.
+    HEADERS = ("pos", "src_oid", "src_sid", "src_relevance", "priority", "disc_base", "links", "count")
+    LINKS = ("link_idx", "dst_url", "dst_oid", "dst_sid")
 
-class MessagePipe:
-    """An in-process FIFO standing in for a worker's message pipe.
+    def discovery_numbers(self) -> List[int]:
+        """Every link's discovery number, after verifying the batch's order.
 
-    The in-process runner gives each shard one inbox pipe; ``send`` is
-    fire-and-forget and messages are processed only when the runner
-    *drains* the pipe — which a delivery schedule may delay arbitrarily
-    relative to other shards.  Per-pipe FIFO is the only ordering
-    guarantee, matching a ``multiprocessing`` pipe.
-    """
-
-    def __init__(self) -> None:
-        self._queue: List[Any] = []
-
-    def send(self, message: Any) -> None:
-        self._queue.append(message)
-
-    def pending(self) -> int:
-        return len(self._queue)
-
-    def drain(self) -> List[Any]:
-        messages, self._queue = self._queue, []
-        return messages
+        Discovery numbers are handed out in canonical ``(pos, link_idx)``
+        order, so the numbers of a correctly ordered batch strictly
+        increase — within a page and from one page to the next — and a
+        page's numbers lie inside ``[disc_base, disc_base + links)``.
+        Together that makes a page whose links all live here
+        (``count == links``, always so at N=1) gap-free.
+        """
+        stops = list(accumulate(self.count))
+        total = stops[-1] if stops else 0
+        if {len(self.link_idx), len(self.dst_url), len(self.dst_oid), len(self.dst_sid)} != {total}:
+            raise HandoffOrderError(
+                f"round {self.round}: the headers count {total} links, the link columns hold "
+                f"{len(self.link_idx)}/{len(self.dst_url)}/{len(self.dst_oid)}/{len(self.dst_sid)}"
+            )
+        numbers: List[int] = []
+        start = 0
+        last_number = last_pos = -1
+        for pos, base, links, stop in zip(self.pos, self.disc_base, self.links, stops):
+            page = [base + link_idx for link_idx in self.link_idx[start:stop]]
+            if (
+                pos <= last_pos
+                or not page
+                or page[0] < base
+                or page[0] <= last_number
+                or page[-1] >= base + links
+                or any(map(ge, page, page[1:]))
+            ):
+                raise HandoffOrderError(
+                    f"round {self.round}, position {pos}: links out of canonical order or "
+                    f"with a gap (link_idx {self.link_idx[start:stop]} of {links} links)"
+                )
+            numbers.extend(page)
+            start, last_number, last_pos = stop, page[-1], pos
+        return numbers

@@ -1,13 +1,12 @@
 """The sharded crawl engine: N workers, one deterministic crawl.
 
-``engine="sharded"`` partitions a crawl by server — shard ``i`` owns
-every host with ``server_sid(host) % N == i`` — across N workers, each
-holding a frontier shard, a private server-pool RNG, and its own durable
-minidb (segment + WAL) under ``<checkpoint_dir>/shard-XX``.  A
-coordinator drives lockstep rounds; all cross-shard effects travel as
-:mod:`repro.crawler.handoff` messages and are applied in one canonical
-order, so the page sequence, relevance floats, and logical table state
-are a pure function of the crawl content:
+``engine="sharded"`` partitions a crawl by server (``sid % N``) across N
+workers, each holding a frontier shard, a private server-pool RNG, and
+its own minidb under ``<checkpoint_dir>/shard-XX``.  A coordinator
+drives lockstep rounds; all cross-shard effects travel as
+:mod:`repro.crawler.handoff` column batches in one canonical order, so
+the page sequence, relevance floats, and logical table state are a pure
+function of the crawl content:
 
 * ``N=1`` is bit-identical to :class:`~.engine.CrawlEngine` at the same
   round size (same server-pool stream, same heap keys, same ticks);
@@ -16,22 +15,25 @@ are a pure function of the crawl content:
   shard-count invariant, and coordinator-assigned ticks/discovery
   numbers make ordering timing-invariant.
 
-This module holds what sharding adds — partitioning, the round
-protocol, coordinator-side tick/discovery assignment, merged-graph
-distillation, cut markers and the manifest.  The stages of a round
-themselves (classify behind the outcome LRU, out-link targets and LINK
-rows, the buffered link flush, hub boosts, the focus rule, the
-checkpoint-due test) are :mod:`~.engine`'s, called here on each shard's
-slice.
+This module holds what sharding adds — the round protocol,
+coordinator-side tick/discovery assignment, merged-graph distillation,
+cut markers and the manifest.  The stages of a round themselves
+(classify behind the outcome LRU, out-link targets, the buffered link
+flush, the score tables' delta store, hub boosts, the focus rule, the
+checkpoint-due test) are :mod:`~.engine`'s, called on each shard's slice.
 
-One round is five hops: (1) the coordinator asks every shard for its
-best *k* frontier candidates; (2) shards check them out locally;
-(3) the coordinator merges by frontier key and selects the global
-top-K; (4) shards fetch/classify their selections in global position
-order and report outcomes; (5) the coordinator assigns ticks and
-discovery numbers, routes link handoffs by destination shard, folds the
-merged edge list (distillation runs coordinator-side over the union),
-and sends each shard its :class:`~.handoff.ApplyRound` slice.
+One round is three exchanges: (1) *checkout* — every shard finishes the
+previous round if its scores were still outstanding, then proposes its
+best *k* frontier candidates; the coordinator merges by frontier key
+and selects the global top-K; (2) *fetch* — shards fetch/classify their
+selections in global position order and report outcomes as column
+batches; (3) *apply* — the coordinator assigns ticks and discovery
+numbers by arithmetic on those columns, routes links by destination
+shard and sends each shard its :class:`~.handoff.ApplyRound` at once.
+While the shards write, the coordinator folds the round's edges into
+the merged graph and, when due, runs HITS; a distilling round's scores
+and hub boosts then ride in the next checkout request, and only then
+does the shard flush its frontier and stamp the round's cut marker.
 
 Durability: shards stamp a WAL cut marker per applied round
 (:meth:`~repro.minidb.Database.log_cut`); a checkpoint is a barrier —
@@ -45,13 +47,19 @@ a crash landed.
 from __future__ import annotations
 
 import copy
+import gc
+import multiprocessing
+import pickle
 import time
 import traceback
 from collections import deque
 from dataclasses import asdict, replace
 from hashlib import blake2b
-from operator import itemgetter
+from heapq import merge
+from itertools import accumulate, compress, count, repeat
+from operator import ne
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +69,7 @@ from repro.classifier.training import ModelInstaller
 from repro.core.schema import create_crawl_tables, create_focus_database
 from repro.distiller.compiled import CompiledLinkGraph, compiled_weighted_hits
 from repro.distiller.hits import DistillationResult, weighted_hits
+from repro.distiller.score_store import ScoreTableStore
 from repro.distiller.weights import Link
 from repro.minidb import Database
 from repro.taxonomy.tree import TopicTaxonomy
@@ -78,23 +87,19 @@ from .engine import (
     boost_hub_neighbours,
     checkpoint_due,
     expansion_priority,
-    link_row,
     link_targets,
     permanent_failure,
 )
 from .frontier import Frontier
 from .handoff import (
-    ApplyLinks,
     ApplyRound,
-    CandidateReply,
     CheckoutRequest,
-    HandoffRecord,
-    MessagePipe,
-    OutcomeRecord,
-    OutcomeReply,
+    FinishRound,
+    HandoffOrderError,
+    OutcomeBatch,
     SelectionMsg,
-    merge_handoffs,
-    shard_of_sid,
+    per_link,
+    route_links,
 )
 from .policies import aggressive_discovery, breadth_first
 
@@ -112,6 +117,33 @@ __all__ = [
 
 #: Stage keys shared with :class:`~.engine.CrawlEngine.stage_timings`.
 _STAGES = ("fetch", "classify", "write")
+
+#: What a worker accumulates beside the stages (``ShardWorker.timings``):
+#: seconds blocked in receive and seconds handling, by the kind of message
+#: that ended the wait (``idle_checkout``: waiting on the coordinator's
+#: edge fold and HITS with its own apply done); un-pickling; pickling +
+#: sending; bytes.  Write-only: no decision reads them.
+_KINDS = ("checkout", "fetch", "apply", "other")
+_WORKER_PROTOCOL = (
+    *("idle_" + kind for kind in _KINDS), *("handle_" + kind for kind in _KINDS),
+    "decode", "encode", "bytes_in", "bytes_out",
+)
+
+#: The coordinator's side: seconds blocked on replies, pickling + sending, un-pickling.
+_RUNNER_PROTOCOL = ("wait", "encode", "decode", "bytes_out", "bytes_in", "messages")
+
+#: Round message type -> (the ``handle_*`` timing it counts under, its ShardWorker method).
+_ROUND_MESSAGES = {
+    CheckoutRequest: ("checkout", "checkout"),
+    SelectionMsg: ("fetch", "fetch_round"),
+    ApplyRound: ("apply", "apply_round"),
+    FinishRound: ("apply", "finish_round"),
+}
+
+#: Seconds without a reply before a worker is reported as wedged, and seconds
+#: ``stop()`` waits for the workers to close before it kills them.
+_REPLY_TIMEOUT_S = 600.0
+_STOP_TIMEOUT_S = 10.0
 
 
 def shard_db_path(checkpoint_dir: str, shard: int) -> str:
@@ -238,7 +270,8 @@ class ShardWorker:
         # The engine's own classify and record stages, run on this shard's slice.
         self._scorer = PageScorer(self.classifier, self.taxonomy, self.config)
         self._link_writer = BufferedLinkWriter(self.database.table("LINK"))
-        self.timings: Dict[str, float] = {stage: 0.0 for stage in _STAGES}
+        self._score_store = ScoreTableStore(self.database)
+        self.timings: Dict[str, float] = dict.fromkeys(_STAGES + _WORKER_PROTOCOL, 0.0)
         if resume is not None:
             self.frontier.restore_state(resume["frontier"])
             self.transport.restore_state(resume["fetcher"])
@@ -248,55 +281,61 @@ class ShardWorker:
     # -- message dispatch ---------------------------------------------------------
     def handle(self, message: Any) -> Tuple[bool, Any]:
         """Process one coordinator message; returns ``(replied, value)``."""
-        if isinstance(message, CheckoutRequest):
-            return True, self.checkout(message)
-        if isinstance(message, SelectionMsg):
-            return True, self.fetch_round(message)
-        if isinstance(message, ApplyRound):
-            self.apply_round(message)
-            return False, None
+        started = time.perf_counter()
+        kind, method = _ROUND_MESSAGES.get(type(message), ("other", "_control"))
+        try:
+            value = getattr(self, method)(message)
+        finally:
+            self.timings["handle_" + kind] += time.perf_counter() - started
+        return value is not None, value
+
+    def _control(self, message: tuple) -> Any:
+        """The tuple messages; every one but ``seeds`` is answered."""
         op = message[0]
         if op == "seeds":
             self.frontier.add_many_discovered(message[1], 1.0)
-            return False, None
-        if op == "ping":
-            return True, ("ok", self.shard)
+            return None
+        if op == "ping":  # the barrier: its reply is this shard's timings
+            return dict(self.timings)
         if op == "sync_wal":
             if self.durable:
                 self.database.sync_wal()
-            return True, ("ok", self.shard)
+            return ("ok", self.shard)
         if op == "checkpoint_db":
             if self.durable:
-                self.database.checkpoint(
-                    app_state={"shard": self.shard, "round": message[1]}
-                )
-            return True, ("ok", self.shard)
+                self.database.checkpoint(app_state={"shard": self.shard, "round": message[1]})
+            return ("ok", self.shard)
         if op == "manifest_state":
-            return True, self.manifest_state()
+            return self.manifest_state()
         if op == "io_snapshot":
-            return True, self.database.io_snapshot()
+            return {**self.database.io_snapshot(), "protocol": dict(self.timings)}
         if op == "heap_stats":
-            return True, self.frontier.heap_stats()
+            return self.frontier.heap_stats()
         raise ValueError(f"unknown shard message {message!r}")
 
     # -- round protocol -----------------------------------------------------------
-    def checkout(self, message: CheckoutRequest) -> CandidateReply:
-        """Pop this shard's best *k* candidates with their frontier keys."""
-        urls = self.frontier.pop_batch(message.k)
-        candidates = []
-        for url in urls:
-            entry = self.frontier.entry(url)
-            candidates.append((self.frontier.current_key(entry), entry.oid, url))
-        return CandidateReply(round=message.round, shard=self.shard, candidates=candidates)
+    def checkout(self, message: CheckoutRequest) -> List[Tuple[tuple, int, str]]:
+        """Close the last round if it is still open, then pop the best *k* candidates.
 
-    def fetch_round(self, message: SelectionMsg) -> OutcomeReply:
+        Returns them best first as ``(key, oid, url)``, *key* being the
+        frontier ordering key at checkout time — value tuples, so the
+        coordinator's merge compares them exactly as the heap would.
+        """
+        if message.finish is not None:
+            self.finish_round(message.finish)
+        frontier = self.frontier
+        entries = map(frontier.entry, frontier.pop_batch(message.k))
+        return [(frontier.current_key(entry), entry.oid, entry.url) for entry in entries]
+
+    def fetch_round(self, message: SelectionMsg) -> OutcomeBatch:
         """Fetch and classify the selected URLs, in global position order."""
         for url in message.rejected:
             self.frontier.requeue(url)
         stats_before = asdict(self.fetcher.stats)
         started = time.perf_counter()
         results = [
-            (pos, url, self.transport.fetch(url)) for pos, url in message.selected
+            (pos, self.frontier.entry(url), self.transport.fetch(url))
+            for pos, url in message.selected
         ]
         self.timings["fetch"] += time.perf_counter() - started
 
@@ -304,116 +343,98 @@ class ShardWorker:
         outcomes = iter(
             self._scorer.classify(
                 [
-                    (self.frontier.entry(url).oid, result)
-                    for _pos, url, result in results
+                    (entry.oid, result)
+                    for _pos, entry, result in results
                     if result.status is FetchStatus.OK
                 ]
             )
         )
         self.timings["classify"] += time.perf_counter() - started
 
-        records: List[OutcomeRecord] = []
-        for pos, url, result in results:
-            entry = self.frontier.entry(url)
+        batch = OutcomeBatch()
+        for pos, entry, result in results:
             if result.status is not FetchStatus.OK:
-                records.append(
-                    OutcomeRecord(
-                        pos=pos,
-                        url=url,
-                        oid=entry.oid,
-                        sid=entry.sid,
-                        ok=False,
-                        permanent=permanent_failure(result.status),
-                    )
-                )
+                batch.add(pos, entry.sid, failure=permanent_failure(result.status))
                 continue
             outcome = next(outcomes)
-            records.append(
-                OutcomeRecord(
-                    pos=pos,
-                    url=url,
-                    oid=entry.oid,
-                    sid=entry.sid,
-                    ok=True,
-                    server=result.server,
-                    relevance=outcome.relevance,
-                    best_leaf=self._scorer.best_leaf(outcome),
-                    hard_accepts=self._scorer.hard_accepts(outcome),
-                    out_degree=len(result.out_links),
-                    targets=link_targets(entry.oid, result.out_links),
-                )
+            batch.add(
+                pos,
+                entry.sid,
+                server=result.server,
+                relevance=outcome.relevance,
+                best_leaf=self._scorer.best_leaf(outcome),
+                hard_accepts=self._scorer.hard_accepts(outcome),
+                out_degree=len(result.out_links),
+                targets=link_targets(entry.oid, result.out_links),
             )
         stats_after = asdict(self.fetcher.stats)
-        delta = {key: stats_after[key] - stats_before[key] for key in stats_after}
-        return OutcomeReply(
-            round=message.round,
-            shard=self.shard,
-            outcomes=records,
-            fetch_stats=delta,
-            timings=dict(self.timings),
-        )
+        batch.fetch_stats = {key: stats_after[key] - stats_before[key] for key in stats_after}
+        return batch
 
     def apply_round(self, message: ApplyRound) -> None:
         """Commit this shard's slice of the round (see ApplyRound's contract)."""
         started = time.perf_counter()
-        self.frontier.begin_batch()
-        for url, permanent in message.failures:
-            self.frontier.record_failure(
-                url, self.config.max_retries, permanent=permanent
-            )
-        records = merge_handoffs([batch.records for batch in message.links])
-        # Visits and expansions interleave in global position order (a
-        # visit at pos sorts before its own links at (pos, 0..)): the
-        # serverload snapshot a new frontier entry takes must count
-        # exactly the visits the in-process engine had committed when it
-        # expanded the same link.
-        ops: List[Tuple[int, int, Any]] = [
-            (visit[4], -1, visit) for visit in message.visits
+        discovered = message.discovery_numbers()  # refuses a batch out of canonical order
+        starts = [0, *accumulate(message.count)]
+        frontier = self.frontier
+        frontier.begin_batch()
+        for url, permanent in zip(message.fail_url, message.fail_permanent):
+            frontier.record_failure(url, self.config.max_retries, permanent=permanent)
+        # Walk citing pages, not links, by global position; a page's visit
+        # (0) commits before its own links expand (1), before the next
+        # page's visit: the serverload snapshot a new frontier entry takes
+        # must count exactly the visits the in-process engine had
+        # committed when it expanded the same page.
+        for _pos, is_expansion, at in merge(
+            zip(message.visit_pos, repeat(0), count()), zip(message.pos, repeat(1), count())
+        ):
+            if not is_expansion:
+                relevance = message.visit_relevance[at]
+                entry = frontier.record_visit(
+                    message.visit_url[at], relevance, message.visit_tick[at],
+                    kcid=message.visit_leaf[at],
+                )
+                self._link_writer.refresh(entry.oid, relevance)
+            elif message.priority[at] is not None:
+                start, stop = starts[at], starts[at + 1]
+                frontier.add_many_discovered(
+                    list(zip(
+                        message.dst_url[start:stop], message.dst_oid[start:stop],
+                        message.dst_sid[start:stop], discovered[start:stop],
+                    )),
+                    message.priority[at],
+                )
+
+        # LINK rows, a column at a time.  This shard owns every destination,
+        # so wgt_fwd is local and exact (the destination's relevance once it
+        # is visited, else the citing page's): one frontier lookup per target.
+        backward = per_link(message.src_relevance, message.count)
+        entries = map(frontier.get_normalized, message.dst_url)
+        forward = [
+            entry.relevance if entry is not None and entry.status == "visited" else relevance
+            for entry, relevance in zip(entries, backward)
         ]
-        ops.extend((record.pos, record.link_idx, record) for record in records)
-        ops.sort(key=lambda op: (op[0], op[1]))
-        for _pos, link_idx, op in ops:
-            if link_idx < 0:
-                url, tick, relevance, best_leaf, _pos = op
-                self.frontier.record_visit(url, relevance, tick, kcid=best_leaf)
-            elif op.expand:
-                self.frontier.add_many_discovered(
-                    [(op.dst_url, op.dst_oid, op.dst_sid, op.discovered)],
-                    op.priority,
-                )
-
-        # This shard owns every destination, so link_row's wgt_fwd lookup
-        # is local and exact; refreshes follow the inserts, in visit order.
         self._link_writer.add_rows(
-            [
-                link_row(
-                    self.frontier,
-                    record.src_oid,
-                    record.src_sid,
-                    record.dst_url,
-                    record.dst_oid,
-                    record.dst_sid,
-                    record.src_relevance,
-                )
-                for record in records
-            ]
+            list(zip(
+                per_link(message.src_oid, message.count), per_link(message.src_sid, message.count),
+                message.dst_oid, message.dst_sid, forward, backward,
+            ))
         )
-        for url, _tick, relevance, _leaf, _pos in message.visits:
-            self._link_writer.refresh(self.frontier.entry(url).oid, relevance)
         self._link_writer.flush()
+        self.timings["write"] += time.perf_counter() - started
+        if message.finish is not None:
+            self.finish_round(message.finish)
 
-        if message.scores is not None:
-            hub_items, auth_items = message.scores
-            hubs = self.database.table("HUBS")
-            auth = self.database.table("AUTH")
-            hubs.truncate()
-            auth.truncate()
-            hubs.insert_many(hub_items)
-            auth.insert_many(auth_items)
+    def finish_round(self, message: FinishRound) -> None:
+        """Scores -> boosts -> frontier flush -> cut marker (see FinishRound)."""
+        started = time.perf_counter()
+        for table, (oids, scores) in message.scores.items():
+            # The delta path of the single engine: update_column for changed
+            # scores, inserts for new oids, sorted deletes for vanished ones.
+            self._score_store.store(table, dict(zip(oids, scores)))
         boost_hub_neighbours(
             self._link_writer.table, self.frontier, message.boost_hubs, message.boost_priority
         )
-
         self.frontier.flush_batch()
         if message.log_cut and self.durable:
             self.database.log_cut(message.round)
@@ -439,39 +460,64 @@ def _shard_worker_main(conn, payload: Dict[str, Any]) -> None:
     try:
         worker = ShardWorker(payload)
     except Exception:
-        conn.send(("__shard_error__", traceback.format_exc()))
+        conn.send_bytes(pickle.dumps(("__shard_error__", traceback.format_exc())))
         return
+    timings = worker.timings
+    # The payload (web, model, taxonomy) lives as long as this process:
+    # keep the cyclic collector from re-traversing it on every full pass.
+    gc.freeze()
     while True:
+        waiting = time.perf_counter()
         try:
-            message = conn.recv()
-        except EOFError:
-            break
-        if isinstance(message, tuple) and message and message[0] == "close":
+            data = conn.recv_bytes()
+        except EOFError:  # the coordinator is gone: stop as a kill would
+            return
+        received = time.perf_counter()
+        message = pickle.loads(data)
+        timings["idle_" + _ROUND_MESSAGES.get(type(message), ("other",))[0]] += received - waiting
+        timings["decode"] += time.perf_counter() - received
+        timings["bytes_in"] += len(data)
+        if message == ("close",):
             worker.close()
-            try:
-                conn.send(("closed", worker.shard))
-            except OSError:
-                pass
-            break
+            return
         try:
             replied, value = worker.handle(message)
         except Exception:
-            conn.send(("__shard_error__", traceback.format_exc()))
-            break
+            conn.send_bytes(pickle.dumps(("__shard_error__", traceback.format_exc())))
+            return  # mid-round state: leave the database as a kill would
         if replied:
-            conn.send(value)
+            started = time.perf_counter()
+            data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+            conn.send_bytes(data)
+            timings["encode"] += time.perf_counter() - started
+            timings["bytes_out"] += len(data)
+
+
+def _gather(self, messages: Dict[int, Any]) -> Dict[int, Any]:
+    """Send each shard its message, then collect one reply from each."""
+    for shard, message in messages.items():
+        self.send(shard, message)
+    return {shard: self._recv(shard) for shard in self._order(list(messages))}
+
+
+def _broadcast(self, message: Any) -> Dict[int, Any]:
+    return self.gather({shard: message for shard in range(self.shards)})
+
+
+def _request(self, shard: int, message: Any) -> Any:
+    return self.gather({shard: message})[shard]
 
 
 class InProcessShardRunner:
     """All shards in this process, behind per-shard FIFO message pipes.
 
-    The runner only *drains* a shard's inbox when the coordinator needs
-    something from it, so pending fire-and-forget messages (applies,
-    seeds) sit queued exactly as they would in a real pipe.  *schedule*
-    permutes the order shards are serviced in — the seam the
-    determinism tests drive random delivery orders through; correctness
-    never depends on it because per-pipe FIFO is preserved and all
-    cross-shard merges are canonical.
+    A shard's inbox is only drained when the coordinator needs a reply
+    from it, so fire-and-forget messages (applies, seeds) sit queued as
+    they would in a real pipe.  *schedule* permutes the order shards are
+    serviced in — the seam the determinism tests drive random delivery
+    orders through; correctness never depends on it because per-pipe FIFO
+    is preserved and every batch is verified against the canonical order
+    on receipt.  Messages are handed over by reference, never encoded.
     """
 
     def __init__(
@@ -480,12 +526,14 @@ class InProcessShardRunner:
         schedule: Optional[Callable[[List[int]], List[int]]] = None,
     ) -> None:
         self.workers = [ShardWorker(payload) for payload in payloads]
-        self.pipes = [MessagePipe() for _ in payloads]
+        self.shards = len(self.workers)
+        #: Per-shard FIFO inboxes standing in for the pipes.
+        self.pipes: List[List[Any]] = [[] for _ in payloads]
         self.replies: List[deque] = [deque() for _ in payloads]
         self.schedule = schedule
+        self.timings: Dict[str, float] = dict.fromkeys(_RUNNER_PROTOCOL, 0.0)
 
-    def _order(self, shards: Sequence[int]) -> List[int]:
-        shards = list(shards)
+    def _order(self, shards: List[int]) -> List[int]:
         if self.schedule is None:
             return shards
         permuted = list(self.schedule(list(shards)))
@@ -493,98 +541,106 @@ class InProcessShardRunner:
             raise ValueError("schedule must permute the shard list, not change it")
         return permuted
 
-    def _drain(self, shard: int) -> None:
-        for message in self.pipes[shard].drain():
+    def send(self, shard: int, message: Any) -> None:
+        self.pipes[shard].append(message)
+
+    def _recv(self, shard: int) -> Any:
+        messages, self.pipes[shard] = self.pipes[shard], []
+        for message in messages:
             replied, value = self.workers[shard].handle(message)
             if replied:
                 self.replies[shard].append(value)
-
-    def send(self, shard: int, message: Any) -> None:
-        self.pipes[shard].send(message)
-
-    def request(self, shard: int, message: Any) -> Any:
-        self.send(shard, message)
-        self._drain(shard)
         return self.replies[shard].popleft()
 
-    def gather(self, messages: Dict[int, Any]) -> Dict[int, Any]:
-        for shard, message in messages.items():
-            self.send(shard, message)
-        out = {}
-        for shard in self._order(list(messages)):
-            self._drain(shard)
-            out[shard] = self.replies[shard].popleft()
-        return out
+    gather, broadcast, request = _gather, _broadcast, _request
 
-    def broadcast(self, message: Any) -> Dict[int, Any]:
-        return self.gather({shard: message for shard in range(len(self.workers))})
-
-    def stop(self) -> None:
-        for shard in range(len(self.workers)):
-            self.pipes[shard].drain()  # unprocessed messages die with the runner
+    def stop(self) -> None:  # unprocessed messages die with the runner
         for worker in self.workers:
             worker.close()
 
 
 class MultiprocessShardRunner:
-    """N spawned worker processes, one duplex pipe each (the multi-core path)."""
+    """N spawned worker processes, one duplex pipe each (the multi-core path).
+
+    Speaks the in-process runner's messages, pickled.  A worker that died
+    or sent no reply within ``_REPLY_TIMEOUT_S`` fails the call with a
+    ``RuntimeError`` naming the shard (and carrying the worker's
+    traceback when it sent one); :meth:`stop` reaps every child within
+    ``_STOP_TIMEOUT_S``, terminating the ones that do not close.
+    """
 
     def __init__(self, payloads: Sequence[Dict[str, Any]]) -> None:
-        import multiprocessing
-
         ctx = multiprocessing.get_context("spawn")
+        self.shards = len(payloads)
         self.processes = []
         self.conns = []
-        for payload in payloads:
-            parent, child = ctx.Pipe()
-            process = ctx.Process(
-                target=_shard_worker_main, args=(child, payload), daemon=True
-            )
-            process.start()
-            child.close()
-            self.processes.append(process)
-            self.conns.append(parent)
+        self.timings: Dict[str, float] = dict.fromkeys(_RUNNER_PROTOCOL, 0.0)
+        try:
+            for payload in payloads:
+                parent, child = ctx.Pipe()
+                process = ctx.Process(
+                    target=_shard_worker_main, args=(child, payload), daemon=True
+                )
+                process.start()
+                child.close()
+                self.processes.append(process)
+                self.conns.append(parent)
+        except BaseException:
+            self.stop()
+            raise
+
+    def _failure(self, shard: int, what: str) -> RuntimeError:
+        code = self.processes[shard].exitcode  # None: still running
+        return RuntimeError(f"shard {shard} worker {what} (exit code {code})")
 
     def _recv(self, shard: int) -> Any:
+        conn = self.conns[shard]
+        started = time.perf_counter()
         try:
-            reply = self.conns[shard].recv()
-        except EOFError:
-            raise RuntimeError(f"shard {shard} worker process died") from None
+            if not conn.poll(_REPLY_TIMEOUT_S):
+                raise self._failure(shard, f"sent no reply in {_REPLY_TIMEOUT_S:g} s")
+            data = conn.recv_bytes()
+        except (EOFError, OSError):
+            self.processes[shard].join(timeout=1.0)
+            raise self._failure(shard, "process died") from None
+        received = time.perf_counter()
+        reply = pickle.loads(data)
+        self.timings["wait"] += received - started
+        self.timings["decode"] += time.perf_counter() - received
+        self.timings["bytes_in"] += len(data)
         if isinstance(reply, tuple) and reply and reply[0] == "__shard_error__":
             raise RuntimeError(f"shard {shard} worker failed:\n{reply[1]}")
         return reply
 
     def send(self, shard: int, message: Any) -> None:
-        self.conns[shard].send(message)
+        started = time.perf_counter()
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        try:
+            self.conns[shard].send_bytes(data)
+        except OSError:  # BrokenPipeError: the worker is gone
+            self.processes[shard].join(timeout=1.0)
+            raise self._failure(shard, "process died") from None
+        self.timings["encode"] += time.perf_counter() - started
+        self.timings["bytes_out"] += len(data)
+        self.timings["messages"] += 1
 
-    def request(self, shard: int, message: Any) -> Any:
-        self.send(shard, message)
-        return self._recv(shard)
-
-    def gather(self, messages: Dict[int, Any]) -> Dict[int, Any]:
-        for shard, message in messages.items():
-            self.send(shard, message)
-        return {shard: self._recv(shard) for shard in messages}
-
-    def broadcast(self, message: Any) -> Dict[int, Any]:
-        return self.gather({shard: message for shard in range(len(self.conns))})
+    _order = staticmethod(list)  # pipes deliver when they deliver: nothing to permute
+    gather, broadcast, request = _gather, _broadcast, _request
 
     def stop(self) -> None:
+        deadline = time.monotonic() + _STOP_TIMEOUT_S
         for conn in self.conns:
             try:
-                conn.send(("close",))
-            except (OSError, BrokenPipeError):
+                conn.send_bytes(pickle.dumps(("close",)))
+            except OSError:
                 pass
-        for shard, conn in enumerate(self.conns):
-            try:
-                conn.recv()
-            except (EOFError, OSError):
-                pass
-            conn.close()
         for process in self.processes:
-            process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
+            process.join(timeout=max(0.0, deadline - time.monotonic()))
+            if process.is_alive():  # wedged, or blocked sending a reply nobody reads
+                process.kill()
+                process.join()
+        for conn in self.conns:
+            conn.close()
 
 
 class ShardedEngine:
@@ -599,12 +655,7 @@ class ShardedEngine:
     """
 
     def __init__(
-        self,
-        runner,
-        config: CrawlerConfig,
-        trace: CrawlTrace,
-        shards: int,
-        durable: bool,
+        self, runner, config: CrawlerConfig, trace: CrawlTrace, shards: int, durable: bool
     ) -> None:
         self.runner = runner
         self.config = config
@@ -623,36 +674,50 @@ class ShardedEngine:
         self._relevance: Dict[int, float] = {}
         self._sid_of: Dict[int, int] = {}
         self._url_of_oid: Dict[int, str] = {}
-        #: The merged crawl graph in canonical append order — exactly the
-        #: LINK insert order of the equivalent single-engine crawl.
-        self._rows: List[tuple] = []
-        self._dst_positions: Dict[int, List[int]] = {}
+        #: The merged crawl graph as the six LINK columns, nepotistic edges
+        #: left out, in canonical append order — the LINK insert order of
+        #: the equivalent single-engine crawl.
+        self._edges: List[list] = [[] for _ in range(6)]
+        #: Unvisited destination oid -> positions of the edges into it: the
+        #: ones whose ``wgt_fwd`` its visit will overwrite.
+        self._edges_into: Dict[int, List[int]] = {}
+        #: The numpy backend's mirror of ``_edges``: built at the first
+        #: distillation, fed a round at a time from then on.
         self._graph: Optional[CompiledLinkGraph] = None
-        #: Graph edge position of each of the first rows of ``_rows``
-        #: (-1: nepotistic, dropped) — as many as the graph has folded.
-        self._edge_of_row: List[int] = []
-        #: Handoff accounting: "src->dst" -> records routed so far.
-        self._handoff_watermarks: Dict[str, int] = {}
+        #: A distilling round's per-shard FinishRound, not yet sent.
+        self._unfinished: Optional[List[FinishRound]] = None
         self.fetch_stats = FetchStats()
+        #: Every worker's ``timings`` as of the last barrier or checkpoint.
         self._shard_timings: Dict[int, Dict[str, float]] = {}
         self._distill_s = 0.0
+        self._commit_s = 0.0
 
     # -- public surface ----------------------------------------------------------
     @property
     def stage_timings(self) -> Dict[str, float]:
-        """Per-stage totals across shards (write lags one round per shard)."""
-        totals = {stage: 0.0 for stage in _STAGES}
-        for timings in self._shard_timings.values():
-            for stage in _STAGES:
-                totals[stage] += timings.get(stage, 0.0)
+        """Per-stage totals across shards, as of the barrier that closed the last ``run()``."""
+        shards = self._shard_timings.values()
+        totals = {stage: sum(t.get(stage, 0.0) for t in shards) for stage in _STAGES}
         totals["distill"] = self._distill_s
         return totals
 
+    def protocol_timings(self) -> Dict[str, Any]:
+        """Where a sharded round's time goes: coordinator and per-shard seconds and bytes.
+
+        Coordinator: ``wait`` (blocked on replies), ``encode``/``decode``
+        (pickling and pipe), ``commit`` (selection, ticks, routing, edge
+        fold), ``distill``.  Shards: ``ShardWorker.timings`` as of the last
+        barrier.  Observability only — nothing in the crawl reads these.
+        """
+        return {
+            "coordinator": {
+                **self.runner.timings, "commit": self._commit_s, "distill": self._distill_s
+            },
+            "shards": [dict(self._shard_timings.get(shard, {})) for shard in range(self.shards)],
+        }
+
     def fetch_overlap_ratio(self) -> float:
         return 0.0
-
-    def url_of_oid(self, oid: int) -> Optional[str]:
-        return self._url_of_oid.get(oid)
 
     def add_seeds(self, urls: Sequence[str]) -> None:
         per_shard: Dict[int, List[Tuple[str, int, int, int]]] = {}
@@ -664,12 +729,10 @@ class ShardedEngine:
             self._next_discovered += 1
             self._sid_of.setdefault(oid, sid)
             self._url_of_oid.setdefault(oid, normalized)
-            per_shard.setdefault(shard_of_sid(sid, self.shards), []).append(
-                (normalized, oid, sid, number)
-            )
+            per_shard.setdefault(sid % self.shards, []).append((normalized, oid, sid, number))
         for shard, quads in per_shard.items():
             self.runner.send(shard, ("seeds", quads))
-        self.runner.broadcast(("ping",))
+        self._barrier()
 
     def run(self, budget: int, max_rounds: Optional[int] = None) -> CrawlTrace:
         """Run lockstep rounds until the budget or every frontier is exhausted."""
@@ -687,267 +750,242 @@ class ShardedEngine:
                 self.trace.stagnated = True
                 break
             stop = self.trace.stagnated
-        # The final round's ApplyRound is fire-and-forget; barrier so the
-        # shard databases are consistent with the trace when run() returns.
-        self.runner.broadcast(("ping",))
+        # Applies are fire-and-forget; barrier so the shard databases are
+        # consistent with the trace, and the timings current, on return.
+        self._barrier()
         return self.trace
 
     def run_distillation(self) -> DistillationResult:
         """Sharded reduction outside a round (the top_hubs-on-demand path)."""
-        result, hub_parts, auth_parts, boost = self._compute_distillation()
-        for shard in range(self.shards):
-            self.runner.send(
-                shard,
-                ApplyRound(
-                    round=self._round,
-                    scores=(hub_parts[shard], auth_parts[shard]),
-                    boost_hubs=boost,
-                    boost_priority=self.config.hub_boost_priority,
-                    log_cut=False,
-                ),
-            )
-        self.runner.broadcast(("ping",))
-        return result
+        self._unfinished = self._distill(log_cut=False)
+        self._barrier()
+        return self.trace.last_distillation
+
+    def _barrier(self) -> None:
+        """Close an open round, then wait for every shard and take its timings."""
+        self._send_unfinished()
+        self._shard_timings = self.runner.broadcast(("ping",))
+
+    def _send_unfinished(self) -> None:
+        unfinished, self._unfinished = self._unfinished, None
+        for shard, finish in enumerate(unfinished or ()):
+            self.runner.send(shard, finish)
 
     # -- the round ---------------------------------------------------------------
     def _run_round(self, budget: int) -> bool:
-        """One five-hop round; returns False when every frontier came up empty."""
+        """One round; returns False when every frontier came up empty."""
         self._round += 1
         round_no = self._round
+        shards = self.shards
         k = min(self.config.batch_size, budget - self.trace.pages_fetched)
 
-        # Hops 1-2: checkout.  The global top-k is a subset of the union
-        # of per-shard top-ks (each shard returns its k best).
-        replies = self.runner.broadcast(CheckoutRequest(round=round_no, k=k))
+        # Checkout.  The global top-k is a subset of the union of per-shard
+        # top-ks (each shard returns its k best); a distilling round's
+        # scores and boosts reach the shards here, ahead of the pop.
+        unfinished, self._unfinished = self._unfinished or [None] * shards, None
+        replies = self.runner.gather(
+            {shard: CheckoutRequest(k, finish) for shard, finish in enumerate(unfinished)}
+        )
+        started = time.perf_counter()
         candidates: List[Tuple[tuple, int, str, int]] = []
-        for shard in range(self.shards):
-            for key, oid, url in replies[shard].candidates:
-                candidates.append((key, oid, url, shard))
+        for shard in range(shards):
+            candidates.extend((key, oid, url, shard) for key, oid, url in replies[shard])
         candidates.sort(key=lambda item: (item[0], item[1]))
         selected = candidates[:k]
         if not selected:
             return False
 
-        # Hop 3: selection fan-out (global positions), rejects returned.
-        selections: Dict[int, SelectionMsg] = {}
-        for shard in range(self.shards):
-            selections[shard] = SelectionMsg(round=round_no)
+        # Selection fan-out (global positions), rejects returned.
+        selections = [SelectionMsg() for _ in range(shards)]
         for pos, (_key, _oid, url, shard) in enumerate(selected):
             selections[shard].selected.append((pos, url))
         for _key, _oid, url, shard in candidates[k:]:
             selections[shard].rejected.append(url)
-        involved = {
-            shard
-            for shard, message in selections.items()
-            if message.selected or message.rejected
-        }
+        self._commit_s += time.perf_counter() - started
 
-        # Hop 4: fetch + classify, outcomes merged back in position order.
-        outcome_replies = self.runner.gather(
-            {shard: selections[shard] for shard in involved}
+        # Fetch + classify on the owning shards.
+        involved = enumerate(selections)
+        outcomes = self.runner.gather(
+            {shard: message for shard, message in involved if message.selected or message.rejected}
         )
-        outcomes: List[OutcomeRecord] = []
-        for shard, reply in outcome_replies.items():
-            self._shard_timings[shard] = reply.timings
-            for field_name, value in reply.fetch_stats.items():
-                setattr(
-                    self.fetch_stats,
-                    field_name,
-                    getattr(self.fetch_stats, field_name) + value,
-                )
-            outcomes.extend(reply.outcomes)
-        outcomes.sort(key=lambda record: record.pos)
 
-        # Global commit: stagnation scan, ticks, trace, edge folding, and
-        # handoff routing — all in checkout order, exactly the order
-        # CrawlEngine._process_group/_commit_visit would walk.
-        failures: Dict[int, List[Tuple[str, bool]]] = {}
-        visits: Dict[int, List[Tuple[str, int, float, Optional[int]]]] = {}
-        handoffs: Dict[int, Dict[int, List[HandoffRecord]]] = {}
-        successes: List[OutcomeRecord] = []
-        for record in outcomes:
-            src_shard = shard_of_sid(record.sid, self.shards)
-            if not record.ok:
-                failures.setdefault(src_shard, []).append(
-                    (record.url, record.permanent)
-                )
-                self.trace.failed_urls.append(record.url)
-                self._stagnation_misses += 1
-                if self._stagnation_misses >= self.config.stagnation_patience:
-                    self.trace.stagnated = True
-                continue
-            successes.append(record)
-            self._stagnation_misses = 0
-            self._tick += 1
-            visits.setdefault(src_shard, []).append(
-                (record.url, self._tick, record.relevance, record.best_leaf, record.pos)
-            )
-            self._relevance[record.oid] = record.relevance
-            self._sid_of.setdefault(record.oid, record.sid)
-            self._url_of_oid.setdefault(record.oid, record.url)
-            priority = expansion_priority(
-                self.config.focus_mode, record.relevance, record.hard_accepts
-            )
-            for link_idx, (target_url, target_oid, target_sid) in enumerate(
-                record.targets
-            ):
-                number = self._next_discovered
-                self._next_discovered += 1
-                self._sid_of.setdefault(target_oid, target_sid)
-                self._url_of_oid.setdefault(target_oid, target_url)
-                handoff = HandoffRecord(
-                    round=round_no,
-                    pos=record.pos,
-                    link_idx=link_idx,
-                    src_oid=record.oid,
-                    src_sid=record.sid,
-                    dst_url=target_url,
-                    dst_oid=target_oid,
-                    dst_sid=target_sid,
-                    src_relevance=record.relevance,
-                    discovered=number,
-                    expand=priority is not None,
-                    priority=priority or 0.0,
-                )
-                dst_shard = shard_of_sid(target_sid, self.shards)
-                handoffs.setdefault(dst_shard, {}).setdefault(src_shard, []).append(
-                    handoff
-                )
-                self._append_edge(handoff)
-            self.trace.visits.append(
-                PageVisit(
-                    tick=self._tick,
-                    url=record.url,
-                    relevance=record.relevance,
-                    server=record.server,
-                    out_degree=record.out_degree,
-                    best_leaf_cid=record.best_leaf,
-                )
-            )
-            self.trace.fetched_urls.append(record.url)
-            self._since_distillation += 1
-            self._since_checkpoint += 1
-        # E_F refresh of the merged graph for this round's visits, after
-        # the round's edges are appended (what each shard's link flush
-        # does to its LINK partition).
-        self._patch_forward(successes)
-
-        distilled = bool(
-            self.config.distill_every
-            and self._since_distillation >= self.config.distill_every
-        )
-        if distilled:
-            _result, hub_parts, auth_parts, boost = self._compute_distillation()
-
-        # Hop 5: per-shard apply.
-        for shard in range(self.shards):
-            links = [
-                ApplyLinks(src_shard=src, records=records)
-                for src, records in sorted(handoffs.get(shard, {}).items())
-            ]
-            for batch in links:
-                key = f"{batch.src_shard}->{shard}"
-                self._handoff_watermarks[key] = self._handoff_watermarks.get(
-                    key, 0
-                ) + len(batch.records)
-            message = ApplyRound(
-                round=round_no,
-                failures=failures.get(shard, []),
-                visits=visits.get(shard, []),
-                links=links,
-                scores=(hub_parts[shard], auth_parts[shard]) if distilled else None,
-                boost_hubs=boost if distilled else [],
-                boost_priority=self.config.hub_boost_priority,
-                log_cut=self.durable,
-            )
-            if (
-                message.failures
-                or message.visits
-                or message.links
-                or distilled
-                or self.durable
-            ):
+        # Global commit, in checkout order — the order CrawlEngine's
+        # _process_group/_commit_visit would walk — then the applies leave
+        # at once: everything after them overlaps the shards' writes.
+        started = time.perf_counter()
+        applies, visited, headers, links = self._commit(round_no, selected, outcomes)
+        every = self.config.distill_every
+        distilling = bool(every and self._since_distillation >= every)
+        self._commit_s += time.perf_counter() - started
+        for shard, message in enumerate(applies):
+            if not distilling:
+                message.finish = FinishRound(round=round_no, log_cut=self.durable)
+            work = message.fail_url or message.visit_url or message.pos
+            if work or (message.finish is not None and self.durable):
                 self.runner.send(shard, message)
+        started = time.perf_counter()
+        self._fold_edges(visited, headers, links)
+        self._commit_s += time.perf_counter() - started
+        if distilling:
+            self._unfinished = self._distill(log_cut=self.durable)
         self._maybe_checkpoint()
         return True
 
+    def _commit(self, round_no: int, selected, outcomes: Dict[int, OutcomeBatch]):
+        """Ticks, discovery numbers, trace and routing for one round's outcomes.
+
+        Returns the per-shard :class:`ApplyRound` messages, the round's
+        ``(oid, relevance)`` visits, and the round's out-links in canonical
+        order — the citing pages' header columns and the per-link columns
+        that :func:`~.handoff.route_links` dealt to the destinations.
+        """
+        shards, config, trace = self.shards, self.config, self.trace
+        applies = [ApplyRound(round=round_no) for _ in range(shards)]
+        visited: List[Tuple[int, float]] = []
+        headers: List[list] = [[] for _ in ApplyRound.HEADERS[:-1]]
+        links: List[list] = [[] for _ in ApplyRound.LINKS]
+        page_at = [0] * shards
+        link_at = [0] * shards
+        for shard, batch in outcomes.items():
+            for name, value in batch.fetch_stats.items():
+                setattr(self.fetch_stats, name, getattr(self.fetch_stats, name) + value)
+            if batch.pos != [pos for pos, item in enumerate(selected) if item[3] == shard] or (
+                sum(batch.links) != len(batch.dst_url)
+            ):
+                raise HandoffOrderError(
+                    f"round {round_no}: shard {shard}'s outcome columns (positions {batch.pos}, "
+                    f"{len(batch.dst_url)} targets) are not its selection, in order"
+                )
+            self._sid_of.update(zip(batch.dst_oid, batch.dst_sid))
+            self._url_of_oid.update(zip(batch.dst_oid, batch.dst_url))
+        for pos, (_key, oid, url, shard) in enumerate(selected):
+            batch = outcomes[shard]
+            at = page_at[shard]
+            page_at[shard] = at + 1
+            apply = applies[shard]
+            if batch.failure[at] is not None:
+                apply.fail_url.append(url)
+                apply.fail_permanent.append(batch.failure[at])
+                trace.failed_urls.append(url)
+                self._stagnation_misses += 1
+                if self._stagnation_misses >= config.stagnation_patience:
+                    trace.stagnated = True
+                continue
+            self._stagnation_misses = 0
+            self._tick += 1
+            sid, relevance = batch.sid[at], batch.relevance[at]
+            best_leaf = batch.best_leaf[at]
+            for column, value in zip(
+                (apply.visit_pos, apply.visit_url, apply.visit_tick,
+                 apply.visit_relevance, apply.visit_leaf),
+                (pos, url, self._tick, relevance, best_leaf),
+            ):
+                column.append(value)
+            self._relevance[oid] = relevance
+            self._sid_of.setdefault(oid, sid)
+            self._url_of_oid.setdefault(oid, url)
+            visited.append((oid, relevance))
+            cited = batch.links[at]
+            if cited:
+                start = link_at[shard]
+                stop = link_at[shard] = start + cited
+                priority = expansion_priority(config.focus_mode, relevance, batch.hard_accepts[at])
+                page = (pos, oid, sid, relevance, priority, self._next_discovered, cited)
+                for column, value in zip(headers, page):
+                    column.append(value)
+                self._next_discovered += cited
+                targets = (batch.dst_url[start:stop], batch.dst_oid[start:stop], batch.dst_sid[start:stop])
+                for column, more in zip(links, (range(cited), *targets)):
+                    column.extend(more)
+            trace.visits.append(
+                PageVisit(self._tick, url, relevance, batch.server[at], batch.out_degree[at], best_leaf)
+            )
+            trace.fetched_urls.append(url)
+            self._since_distillation += 1
+            self._since_checkpoint += 1
+        route_links(applies, headers, links)
+        return applies, visited, headers, links
+
     # -- merged-graph distillation -------------------------------------------------
-    def _append_edge(self, record: HandoffRecord) -> None:
-        relevance = self._relevance.get(record.dst_oid)
-        forward = relevance if relevance is not None else record.src_relevance
-        row = (
-            record.src_oid,
-            record.src_sid,
-            record.dst_oid,
-            record.dst_sid,
-            forward,
-            record.src_relevance,
-        )
-        position = len(self._rows)
-        self._rows.append(row)
-        self._dst_positions.setdefault(record.dst_oid, []).append(position)
+    def _fold_edges(self, visited: List[Tuple[int, float]], headers, links) -> None:
+        """Fold one round into the merged graph: patch, then append.
 
-    def _patch_forward(self, visited: List[OutcomeRecord]) -> None:
-        edge_of_row = self._edge_of_row
-        edges: List[int] = []
-        forward: List[float] = []
-        backward: List[float] = []
-        for record in visited:
-            for position in self._dst_positions.get(record.oid, ()):
-                row = self._rows[position]
-                self._rows[position] = row[:4] + (record.relevance, row[5])
-                if position < len(edge_of_row) and edge_of_row[position] >= 0:
-                    edges.append(edge_of_row[position])
-                    forward.append(record.relevance)
-                    backward.append(row[5])
-        if edges:
-            self._graph.patch(edges, forward, backward)
+        What each shard's link flush does to its LINK partition: edges
+        into a page visited this round take its relevance as ``wgt_fwd``
+        (the by-position patch); the round's own edges are appended with
+        ``wgt_fwd`` final — the destination's relevance if it is visited
+        by now, else the citing page's.  Nepotistic edges never score,
+        so they are not kept.
+        """
+        edges = self._edges
+        forward, backward = edges[4], edges[5]
+        patched: List[int] = []
+        for oid, relevance in visited:
+            for position in self._edges_into.pop(oid, ()):
+                forward[position] = relevance
+                patched.append(position)
+        # The round's links as LINK columns: a page's header, once per link.
+        fresh = [per_link(column, headers[-1]) for column in headers[1:4]]
+        fresh[2:2] = links[2:]
+        src_oid, src_sid, dst_oid, dst_sid, wgt_rev = fresh
+        keep = list(map(ne, src_sid, dst_sid))
+        if not all(keep):
+            src_oid, src_sid, dst_oid, dst_sid, wgt_rev = (
+                list(compress(column, keep)) for column in fresh
+            )
+        known = self._relevance
+        fresh = (src_oid, src_sid, dst_oid, dst_sid, list(map(known.get, dst_oid, wgt_rev)), wgt_rev)
+        for position, oid in enumerate(dst_oid, len(forward)):
+            if oid not in known:
+                self._edges_into.setdefault(oid, []).append(position)
+        for column, more in zip(edges, fresh):
+            column.extend(more)
+        if self.config.score_backend == "numpy" and self._graph is not None:
+            if patched:
+                self._graph.patch(
+                    patched, [forward[at] for at in patched], [backward[at] for at in patched]
+                )
+            self._graph.add_columns(*fresh)
 
-    def _ensure_graph(self) -> CompiledLinkGraph:
+    def _merged_graph(self) -> CompiledLinkGraph:
+        """The numpy backend's mirror of ``_edges`` (built whole once, then fed by the folds)."""
         if self._graph is None:
             self._graph = CompiledLinkGraph()
-            self._edge_of_row = []
-        fresh = self._rows[len(self._edge_of_row) :]
-        if fresh:
-            columns = [list(map(itemgetter(position), fresh)) for position in range(6)]
-            self._edge_of_row.extend(self._graph.add_columns(*columns))
+            self._graph.add_columns(*self._edges)
         return self._graph
 
-    def _compute_distillation(self):
+    def _distill(self, log_cut: bool) -> List[FinishRound]:
+        """HITS over the merged graph; returns every shard's scores and boosts."""
         started = time.perf_counter()
-        if self.config.score_backend == "numpy":
-            result = compiled_weighted_hits(
-                self._ensure_graph(),
-                relevance=self._relevance,
-                rho=self.config.rho,
-                max_iterations=self.config.distill_iterations,
-            )
+        config = self.config
+        options = dict(
+            relevance=self._relevance, rho=config.rho, max_iterations=config.distill_iterations
+        )
+        if config.score_backend == "numpy":
+            result = compiled_weighted_hits(self._merged_graph(), **options)
         else:
-            result = weighted_hits(
-                [Link(*row) for row in self._rows],
-                relevance=self._relevance,
-                rho=self.config.rho,
-                max_iterations=self.config.distill_iterations,
-            )
+            result = weighted_hits(map(Link, *self._edges), **options)
         self.trace.distillations += 1
         self.trace.last_distillation = result
         self._since_distillation = 0
-        hub_parts: List[List[Tuple[int, float]]] = [[] for _ in range(self.shards)]
-        auth_parts: List[List[Tuple[int, float]]] = [[] for _ in range(self.shards)]
-        for oid, score in result.hub_scores.items():
-            hub_parts[shard_of_sid(self._sid_of[oid], self.shards)].append((oid, score))
-        for oid, score in result.authority_scores.items():
-            auth_parts[shard_of_sid(self._sid_of[oid], self.shards)].append(
-                (oid, score)
+        boost: List[int] = []
+        if result.hub_scores and config.hub_boost_top_k > 0:
+            boost = [oid for oid, _ in result.top_hubs(config.hub_boost_top_k)]
+        finishes = [
+            FinishRound(
+                round=self._round, scores={"HUBS": ([], []), "AUTH": ([], [])},
+                boost_hubs=boost, boost_priority=config.hub_boost_priority, log_cut=log_cut,
             )
-        if result.hub_scores and self.config.hub_boost_top_k > 0:
-            boost = [
-                oid for oid, _ in result.top_hubs(self.config.hub_boost_top_k)
-            ]
-        else:
-            boost = []
+            for _ in range(self.shards)
+        ]
+        sid_of = self._sid_of
+        for table, scores in (("HUBS", result.hub_scores), ("AUTH", result.authority_scores)):
+            for oid, score in scores.items():
+                oids, values = finishes[sid_of[oid] % self.shards].scores[table]
+                oids.append(oid)
+                values.append(score)
         self._distill_s += time.perf_counter() - started
-        return result, hub_parts, auth_parts, boost
+        return finishes
 
     # -- checkpointing -----------------------------------------------------------
     def _maybe_checkpoint(self) -> None:
@@ -958,6 +996,7 @@ class ShardedEngine:
         self._since_checkpoint = 0
         if self.config.checkpoint_interval_s:
             self._last_checkpoint_s = time.monotonic()
+        self._send_unfinished()  # a checkpoint is a round boundary on every shard
         self.checkpointer.save()
 
     def state_snapshot(self) -> Dict[str, Any]:
@@ -972,12 +1011,9 @@ class ShardedEngine:
             "relevance": dict(self._relevance),
             "sid_of": dict(self._sid_of),
             "url_of_oid": dict(self._url_of_oid),
-            "rows": list(self._rows),
-            "watermarks": dict(self._handoff_watermarks),
+            "edges": [list(column) for column in self._edges],
             "fetch_stats": asdict(self.fetch_stats),
-            "shard_timings": {
-                shard: dict(t) for shard, t in self._shard_timings.items()
-            },
+            "shard_timings": {shard: dict(t) for shard, t in self._shard_timings.items()},
             "distill_s": self._distill_s,
             "trace": self.trace,
         }
@@ -992,30 +1028,23 @@ class ShardedEngine:
         self._relevance = dict(state["relevance"])
         self._sid_of = dict(state["sid_of"])
         self._url_of_oid = dict(state["url_of_oid"])
-        self._rows = list(state["rows"])
-        self._dst_positions = {}
-        for position, row in enumerate(self._rows):
-            self._dst_positions.setdefault(row[2], []).append(position)
-        self._graph = None  # rebuilt (identically) on the next distillation
-        self._edge_of_row = []
-        self._handoff_watermarks = dict(state["watermarks"])
-        self.fetch_stats = FetchStats(**state["fetch_stats"])
-        self._shard_timings = {
-            shard: dict(t) for shard, t in state["shard_timings"].items()
-        }
+        if "edges" in state:
+            self._edges = [list(column) for column in state["edges"]]
+        else:
+            # A manifest of the record protocol: every LINK row as a tuple,
+            # nepotistic ones included.
+            rows = [row for row in state["rows"] if row[1] != row[3]]
+            self._edges = [[row[position] for row in rows] for position in range(6)]
+        self._edges_into = {}
+        for position, oid in enumerate(self._edges[2]):
+            if oid not in self._relevance:
+                self._edges_into.setdefault(oid, []).append(position)
+        self._graph = None  # rebuilt (identically) at the next distillation
+        self._unfinished = None
+        vars(self.fetch_stats).update(state["fetch_stats"])  # in place: the crawler holds it
+        self._shard_timings = {shard: dict(t) for shard, t in state["shard_timings"].items()}
         self._distill_s = state["distill_s"]
         self.trace.refill(state["trace"])
-
-
-class _AggregateFetcher:
-    """Duck-types the ``.stats`` surface of :class:`Fetcher` for CrawlHandle."""
-
-    def __init__(self, engine: ShardedEngine) -> None:
-        self._engine = engine
-
-    @property
-    def stats(self) -> FetchStats:
-        return self._engine.fetch_stats
 
 
 class _ShardedDatabaseStub:
@@ -1066,29 +1095,24 @@ class ShardedCrawler:
         self.config = config
         self.trace = trace
         self.database = _ShardedDatabaseStub(self)
-        self.fetcher = _AggregateFetcher(engine)
+        #: The ``.stats`` surface of :class:`Fetcher`, summed over the shards.
+        self.fetcher = SimpleNamespace(stats=engine.fetch_stats)
         self._shutdown = False
 
     def add_seeds(self, urls: Sequence[str]) -> None:
         self.engine.add_seeds(urls)
 
-    def top_hubs(self, k: int = 10) -> List[Tuple[str, float]]:
+    def _ranked(self, ranking: str, k: int) -> List[Tuple[str, float]]:
         if self.trace.last_distillation is None:
             self.engine.run_distillation()
-        result = self.trace.last_distillation
-        return [
-            (self.engine.url_of_oid(oid) or str(oid), score)
-            for oid, score in result.top_hubs(k)
-        ]
+        best = getattr(self.trace.last_distillation, ranking)(k)
+        return [(self.engine._url_of_oid.get(oid) or str(oid), score) for oid, score in best]
+
+    def top_hubs(self, k: int = 10) -> List[Tuple[str, float]]:
+        return self._ranked("top_hubs", k)
 
     def top_authorities(self, k: int = 10) -> List[Tuple[str, float]]:
-        if self.trace.last_distillation is None:
-            self.engine.run_distillation()
-        result = self.trace.last_distillation
-        return [
-            (self.engine.url_of_oid(oid) or str(oid), score)
-            for oid, score in result.top_authorities(k)
-        ]
+        return self._ranked("top_authorities", k)
 
     def io_snapshot(self) -> Dict[str, Any]:
         """Aggregated I/O counters plus the per-shard breakdown."""
@@ -1123,7 +1147,7 @@ class ShardedCheckpointManager:
     ``save()`` is a barrier protocol: (1) fsync every shard WAL — each
     already carries a cut marker per applied round; (2) atomically write
     the coordinator manifest (round, engine state, per-shard frontier /
-    RNG / transport snapshots, handoff watermarks); (3) snapshot each
+    RNG / transport snapshots); (3) snapshot each
     shard database.  A crash anywhere leaves the *last committed
     manifest* authoritative, and every shard can rewind to its round via
     ``replay_upto_cut`` — shard snapshots are pure acceleration.
@@ -1141,10 +1165,6 @@ class ShardedCheckpointManager:
         ops=None,
         checkpoints_saved: int = 0,
     ) -> None:
-        from repro.core.checkpoint import CoordinatorManifest, write_coordinator_manifest
-
-        self._manifest_cls = CoordinatorManifest
-        self._write_manifest = write_coordinator_manifest
         self.crawler = crawler
         self.path = str(path)
         self.seeds = list(seeds)
@@ -1159,6 +1179,8 @@ class ShardedCheckpointManager:
         self.crawler.engine.checkpointer = self
 
     def save(self) -> None:
+        from repro.core.checkpoint import CoordinatorManifest, write_coordinator_manifest
+
         started = time.perf_counter()
         engine = self.crawler.engine
         runner = engine.runner
@@ -1167,7 +1189,7 @@ class ShardedCheckpointManager:
         shard_states = runner.broadcast(("manifest_state",))
         for shard, state in shard_states.items():
             engine._shard_timings[shard] = dict(state.get("timings", {}))
-        manifest = self._manifest_cls(
+        manifest = CoordinatorManifest(
             round=engine._round,
             shards=engine.shards,
             config=self.crawler.config,
@@ -1179,48 +1201,10 @@ class ShardedCheckpointManager:
             shard_states=[shard_states[shard] for shard in range(engine.shards)],
             checkpoints_saved=self.checkpoints_saved + 1,
         )
-        self._write_manifest(self.path, manifest, ops=self.ops)
+        write_coordinator_manifest(self.path, manifest, ops=self.ops)
         self.checkpoints_saved += 1
         runner.broadcast(("checkpoint_db", engine._round))
         self.save_seconds += time.perf_counter() - started
-
-
-def _shard_payloads(
-    web,
-    model: HierarchicalModel,
-    taxonomy: TopicTaxonomy,
-    config: CrawlerConfig,
-    *,
-    shards: int,
-    fetch_failure_seed: int,
-    buffer_pool_pages: int,
-    checkpoint_dir: Optional[str],
-    transport_wrap,
-    manifest,
-) -> List[Dict[str, Any]]:
-    payloads = []
-    for shard in range(shards):
-        resume = None
-        if manifest is not None:
-            resume = {"round": manifest.round, **manifest.shard_states[shard]}
-        payloads.append(
-            {
-                "shard": shard,
-                "shards": shards,
-                "config": config,
-                "web": web,
-                "model": model,
-                "taxonomy": taxonomy,
-                "failure_seed": fetch_failure_seed,
-                "buffer_pool_pages": buffer_pool_pages,
-                "db_path": (
-                    shard_db_path(checkpoint_dir, shard) if checkpoint_dir else None
-                ),
-                "resume": resume,
-                "transport_wrap": transport_wrap,
-            }
-        )
-    return payloads
 
 
 def build_sharded_crawler(
@@ -1276,23 +1260,27 @@ def build_sharded_crawler(
             "shard database); a single shared storage.ops instance would "
             "entangle the shards' file and fault-injection state"
         )
-    payloads = _shard_payloads(
-        web,
-        model,
-        taxonomy,
-        config,
-        shards=shards,
-        fetch_failure_seed=fetch_failure_seed,
-        buffer_pool_pages=buffer_pool_pages,
-        checkpoint_dir=checkpoint_dir,
-        transport_wrap=transport_wrap,
-        manifest=manifest,
-    )
+    payloads = [
+        {
+            "shard": shard,
+            "shards": shards,
+            "config": config,
+            "web": web,
+            "model": model,
+            "taxonomy": taxonomy,
+            "failure_seed": fetch_failure_seed,
+            "buffer_pool_pages": buffer_pool_pages,
+            "db_path": shard_db_path(checkpoint_dir, shard) if checkpoint_dir else None,
+            "resume": (
+                {"round": manifest.round, **manifest.shard_states[shard]} if manifest else None
+            ),
+            "transport_wrap": transport_wrap,
+        }
+        for shard in range(shards)
+    ]
     if runner_kind == "inprocess":
         runner = InProcessShardRunner(payloads, schedule=schedule)
     else:
-        for payload in payloads:
-            payload.pop("transport_wrap")
         runner = MultiprocessShardRunner(payloads)
     trace = CrawlTrace()
     engine = ShardedEngine(

@@ -15,6 +15,7 @@ another's I/O accounting.
 
 import pytest
 
+from repro.core.checkpoint import read_coordinator_manifest, write_coordinator_manifest
 from repro.core.config import FocusConfig, JobSpec
 from repro.core.system import FocusSystem
 from repro.crawler.focused import CrawlerConfig
@@ -199,4 +200,81 @@ class TestManifestCrashTorture:
         result = resumed.run()
         assert result.pages_fetched() == MAX_PAGES
         assert trace_key(result) == reference
+        resumed.close()
+
+
+class TestKillBetweenLinksAndScores:
+    def test_kill_between_a_distilling_rounds_two_halves_recovers(
+        self, sharded_system, reference, tmp_path
+    ):
+        """A distilling round reaches a shard in two messages: its links at
+        once, its scores and boosts with the next checkout — the cut marker
+        only after both.  Kill the fleet in between: the half-applied round
+        carries no marker, every shard rewinds to the manifest's round, and
+        the resumed crawl is the uninterrupted one."""
+        path = tmp_path / "crawl"
+        handle = start_durable(sharded_system, path)
+        worker = handle.crawler.engine.runner.workers[1]
+        finish_round = worker.finish_round
+        open_rounds = []
+
+        def die_before_the_scores(message):
+            if message.scores:
+                open_rounds.append((message.round, worker.frontier._buffering))
+                raise SimulatedCrash("between a round's links and its scores")
+            finish_round(message)
+
+        worker.finish_round = die_before_the_scores
+        with pytest.raises(SimulatedCrash):
+            handle.run()
+        # The links half was applied (the frontier's round buffer is still
+        # open) in a round past the last manifest.
+        assert open_rounds == [(open_rounds[0][0], True)]
+        assert open_rounds[0][0] > read_coordinator_manifest(str(path)).round
+        kill_fleet(handle)
+
+        resumed = sharded_system.resume(str(path))
+        result = resumed.run()
+        assert result.pages_fetched() == MAX_PAGES
+        assert trace_key(result) == reference
+        resumed.close()
+
+
+class TestRecordProtocolManifest:
+    def test_a_manifest_of_the_record_protocol_still_resumes(
+        self, sharded_system, reference, tmp_path
+    ):
+        """Before the round's messages were column batches the coordinator
+        kept — and the manifest stored — every LINK row as a tuple
+        (nepotistic ones included) plus per-pair handoff watermarks, and a
+        shard's timings had three keys.  Such a manifest must still resume."""
+        path = tmp_path / "crawl"
+        handle = start_durable(sharded_system, path)
+        handle.step(rounds=5)
+        assert handle.trace.distillations >= 1
+        nepotistic = [
+            tuple(row)
+            for worker in handle.crawler.engine.runner.workers
+            for row in worker.database.table("LINK").rows()
+            if row[1] == row[3]
+        ]
+        assert nepotistic
+        handle.crawler.shutdown()
+
+        manifest = read_coordinator_manifest(str(path))
+        state = manifest.engine_state
+        state["rows"] = nepotistic + list(zip(*state.pop("edges")))
+        state["watermarks"] = {"0->1": 7, "1->0": 5}
+        for shard_state in manifest.shard_states:
+            shard_state["timings"] = {
+                stage: shard_state["timings"][stage] for stage in ("fetch", "classify", "write")
+            }
+        write_coordinator_manifest(str(path), manifest)
+
+        resumed = sharded_system.resume(str(path))
+        result = resumed.run()
+        assert result.pages_fetched() == MAX_PAGES
+        assert trace_key(result) == reference
+        timings = resumed.crawler.engine.protocol_timings()["shards"][0]
+        assert timings["handle_apply"] > 0.0
         resumed.close()

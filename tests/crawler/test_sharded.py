@@ -11,7 +11,9 @@ the three contracts that make it one:
   runner produces (same workers, different transport).
 """
 
+import multiprocessing
 import random
+import time
 
 import pytest
 
@@ -20,10 +22,10 @@ from repro.core.schema import create_focus_database
 from repro.crawler.engine import CrawlEngine, CrawlerConfig
 from repro.crawler.focused import FocusedCrawler
 from repro.crawler.frontier import Frontier
-from repro.crawler.handoff import HandoffRecord, merge_handoffs, shard_of_host
 from repro.crawler.sharded import ShardServerPool, build_sharded_crawler
 from repro.crawler.unfocused import UnfocusedCrawler
 from repro.webgraph.fetch import Fetcher
+from repro.webgraph.urls import server_sid
 
 GOOD = "recreation/cycling"
 
@@ -85,22 +87,34 @@ def sharded_table_rows(crawler, name):
 class TestShardedMatchesBatched:
     KWARGS = dict(max_pages=100, batch_size=8, distill_every=40)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            KWARGS,
+            # distill_every not a multiple of K: distilling rounds (scores
+            # follow in the next checkout) and plain ones (the finish rides
+            # in the apply) alternate, and HUBS/AUTH are written by delta.
+            dict(max_pages=100, batch_size=8, distill_every=12),
+            dict(max_pages=160, batch_size=32, distill_every=40),
+        ],
+        ids=["K8-every40", "K8-every12", "K32-every40"],
+    )
     def test_n1_bit_identical_to_batched(
-        self, small_web, trained_model, taxonomy, crawl_seeds
+        self, small_web, trained_model, taxonomy, crawl_seeds, kwargs
     ):
         """One shard reproduces the batched engine exactly: visits, floats,
         failures, distillation cadence, and the logical table state."""
         _, ref_db, ref = run_reference(
-            small_web, trained_model, taxonomy, crawl_seeds, **self.KWARGS
+            small_web, trained_model, taxonomy, crawl_seeds, **kwargs
         )
         crawler, trace = run_sharded(
-            small_web, trained_model, taxonomy, crawl_seeds, shards=1, **self.KWARGS
+            small_web, trained_model, taxonomy, crawl_seeds, shards=1, **kwargs
         )
         try:
             assert visit_tuples(trace) == visit_tuples(ref)
             assert trace.relevance_series() == ref.relevance_series()  # bitwise
             assert trace.failed_urls == ref.failed_urls
-            assert trace.distillations == ref.distillations
+            assert trace.distillations == ref.distillations > 1
             for name in ("CRAWL", "LINK", "HUBS", "AUTH"):
                 assert sharded_table_rows(crawler, name) == table_rows(ref_db, name), name
         finally:
@@ -134,7 +148,7 @@ class TestShardedMatchesBatched:
             for shard, worker in enumerate(crawler.engine.runner.workers):
                 urls = [m["url"] for m in worker.database.table("CRAWL").rows_as_dicts()]
                 assert urls, f"shard {shard} owns no URLs"
-                assert all(shard_of_host(url, 4) == shard for url in urls)
+                assert all(server_sid(url) % 4 == shard for url in urls)
         finally:
             crawler.shutdown()
 
@@ -237,31 +251,6 @@ class TestHandoffDeterminism:
             finally:
                 crawler.shutdown()
 
-    def test_merge_handoffs_is_schedule_invariant(self):
-        records = [
-            HandoffRecord(
-                round=r, pos=p, link_idx=i, src_oid=1, src_sid=1,
-                dst_url=f"u{r}{p}{i}", dst_oid=10 * r + p, dst_sid=2,
-                src_relevance=0.5, discovered=r * 100 + p * 10 + i,
-            )
-            for r in (1, 2)
-            for p in (0, 1, 2)
-            for i in (0, 1)
-        ]
-        rng = random.Random(7)
-        reference = merge_handoffs([records])
-        for _ in range(10):
-            shuffled = records[:]
-            rng.shuffle(shuffled)
-            # Split into arbitrary per-source queues; each queue keeps the
-            # canonical internal order (FIFO per (src, dst) pair).
-            cut = rng.randrange(len(shuffled) + 1)
-            queues = [
-                sorted(shuffled[:cut], key=HandoffRecord.sort_key),
-                sorted(shuffled[cut:], key=HandoffRecord.sort_key),
-            ]
-            assert merge_handoffs(queues) == reference
-
     def test_shard_server_pool_streams_are_per_host(self):
         pool_a = ShardServerPool({}, failure_seed=3)
         pool_b = ShardServerPool({}, failure_seed=3)
@@ -290,28 +279,83 @@ class TestHandoffDeterminism:
         assert [restored.simulate_fetch("host.example.org") for _ in range(3)] == expected
 
 
+def start_process_fleet(small_web, trained_model, taxonomy, seeds, **kwargs):
+    config = CrawlerConfig(engine="sharded", shards=2, shard_runner="process", **kwargs)
+    crawler = build_sharded_crawler(
+        small_web, trained_model, taxonomy, config, fetch_failure_seed=0
+    )
+    crawler.add_seeds(seeds)
+    return crawler
+
+
 class TestMultiprocessRunner:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_pages=30, batch_size=6, distill_every=15),
+            # The in-process runner hands the column lists over by reference;
+            # pickling copies them.  A receiver that mutated or kept a
+            # received column would alias the coordinator's state in one
+            # runner and not in the other: only this pin would see it.
+            dict(max_pages=96, batch_size=32, distill_every=40),
+        ],
+        ids=["K6", "K32"],
+    )
     def test_process_runner_matches_inprocess(
-        self, small_web, trained_model, taxonomy, crawl_seeds
+        self, small_web, trained_model, taxonomy, crawl_seeds, kwargs
     ):
         """Spawned worker processes produce the identical crawl."""
-        kwargs = dict(max_pages=30, batch_size=6, distill_every=15)
-        _, in_trace = run_sharded(
+        in_crawler, in_trace = run_sharded(
             small_web, trained_model, taxonomy, crawl_seeds, shards=2, **kwargs
         )
-        config = CrawlerConfig(
-            engine="sharded", shards=2, shard_runner="process", **kwargs
-        )
-        crawler = build_sharded_crawler(
-            small_web, trained_model, taxonomy, config, fetch_failure_seed=0
-        )
+        in_hubs = in_crawler.top_hubs(5)
+        in_crawler.shutdown()
+        crawler = start_process_fleet(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
         try:
-            crawler.add_seeds(crawl_seeds)
             mp_trace = crawler.engine.run(crawler.config.max_pages)
             assert visit_tuples(mp_trace) == visit_tuples(in_trace)
             assert mp_trace.relevance_series() == in_trace.relevance_series()
+            assert mp_trace.failed_urls == in_trace.failed_urls
+            assert crawler.top_hubs(5) == in_hubs
+            coordinator = crawler.engine.protocol_timings()["coordinator"]
+            assert coordinator["bytes_out"] > 0 and coordinator["bytes_in"] > 0
         finally:
             crawler.shutdown()
+
+    def test_killed_worker_fails_the_crawl_by_name_in_bounded_time(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        """``process.kill()`` one worker mid-crawl: the next ``run()`` raises
+        naming the shard within seconds, and ``shutdown()`` reaps every child."""
+        crawler = start_process_fleet(
+            small_web, trained_model, taxonomy, crawl_seeds,
+            max_pages=60, batch_size=6, distill_every=15,
+        )
+        try:
+            crawler.engine.run(crawler.config.max_pages, max_rounds=2)
+            crawler.engine.runner.processes[1].kill()
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="shard 1 worker"):
+                crawler.engine.run(crawler.config.max_pages)
+            assert time.monotonic() - started < 10.0
+        finally:
+            started = time.monotonic()
+            crawler.shutdown()
+            assert time.monotonic() - started < 15.0
+        assert not multiprocessing.active_children()
+
+    def test_worker_error_carries_its_traceback(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        crawler = start_process_fleet(
+            small_web, trained_model, taxonomy, crawl_seeds, max_pages=10, batch_size=5
+        )
+        try:
+            with pytest.raises(RuntimeError, match="shard 0 worker failed(.|\n)*unknown shard message"):
+                crawler.engine.runner.request(0, ("no-such-op",))
+        finally:
+            crawler.shutdown()
+        assert not multiprocessing.active_children()
 
 
 class TestStatsAggregation:
@@ -349,6 +393,55 @@ class TestStatsAggregation:
             assert timings["classify"] > 0.0
             assert timings["distill"] > 0.0
             assert crawler.engine.fetch_overlap_ratio() == 0.0
+        finally:
+            crawler.shutdown()
+
+    def test_stage_timings_are_the_workers_own_after_every_run(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        """The closing barrier carries the timings: no round stale, and the
+        last apply's write is in — after a one-round quantum and after the
+        whole crawl."""
+        config = CrawlerConfig(
+            engine="sharded", shards=2, shard_runner="inprocess",
+            max_pages=30, batch_size=6, distill_every=12,
+        )
+        crawler = build_sharded_crawler(
+            small_web, trained_model, taxonomy, config, fetch_failure_seed=0
+        )
+        crawler.add_seeds(crawl_seeds)
+        try:
+            for max_rounds in (1, 1, None):
+                crawler.engine.run(config.max_pages, max_rounds=max_rounds)
+                workers = crawler.engine.runner.workers
+                timings = crawler.engine.stage_timings
+                for stage in ("fetch", "classify", "write"):
+                    assert timings[stage] == sum(worker.timings[stage] for worker in workers)
+                assert timings["write"] > 0.0
+        finally:
+            crawler.shutdown()
+
+    def test_protocol_timings_are_reported_apart_from_the_stages(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        crawler, _ = run_sharded(
+            small_web, trained_model, taxonomy, crawl_seeds, shards=2,
+            max_pages=30, batch_size=6, distill_every=12,
+        )
+        try:
+            protocol = crawler.engine.protocol_timings()
+            assert {"wait", "encode", "decode", "commit", "distill", "bytes_out", "bytes_in",
+                    "messages"} <= set(protocol["coordinator"])
+            assert protocol["coordinator"]["commit"] > 0.0
+            assert len(protocol["shards"]) == 2
+            for shard, part in enumerate(protocol["shards"]):
+                assert {"idle_checkout", "idle_fetch", "idle_apply", "decode", "handle_checkout",
+                        "handle_fetch", "handle_apply", "bytes_in", "bytes_out"} <= set(part)
+                assert part["handle_fetch"] > 0.0 and part["handle_apply"] > 0.0
+                carried = crawler.io_snapshot()["shards"][shard]["protocol"]
+                assert carried["handle_apply"] == part["handle_apply"]
+                assert carried["bytes_in"] == part["bytes_in"]
+            assert set(crawler.engine.stage_timings) == {"fetch", "classify", "write", "distill"}
         finally:
             crawler.shutdown()
 
