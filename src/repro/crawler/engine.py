@@ -65,7 +65,6 @@ from repro.distiller.db_distiller import IncrementalDistiller
 from repro.distiller.hits import DistillationResult
 from repro.distiller.score_store import ScoreTableStore
 from repro.minidb import Database, StorageConfig
-from repro.minidb.pages import RecordId
 from repro.minidb.table import Table
 from repro.taxonomy.tree import TopicTaxonomy
 from repro.webgraph.fetch import Fetcher, FetchResult, FetchStatus
@@ -510,12 +509,12 @@ class BufferedLinkWriter:
         """Set ``wgt_fwd`` of every edge into *visited_oid* at the flush."""
         self._refresh[visited_oid] = relevance
 
-    def flush(self) -> List[RecordId]:
+    def flush(self) -> List[int]:
         """Write the buffered round; returns the rids whose weights changed in place."""
         if self._rows:
             self.table.insert_many(self._rows)
             self._rows = []
-        updates: Dict[RecordId, float] = {}
+        updates: Dict[int, float] = {}
         for oid, relevance in self._refresh.items():
             updates.update(dict.fromkeys(self.table.lookup_rids("link_dst", (oid,)), relevance))
         if updates:

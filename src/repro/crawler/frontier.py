@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.minidb import Database
-from repro.minidb.pages import PageId, RecordId
+from repro.minidb.pages import rid_of
 from repro.webgraph.urls import normalize_url, server_sid, url_oid
 
 from .policies import CrawlOrdering, aggressive_discovery
@@ -212,7 +212,7 @@ class FrontierEntry:
     hub_score: float = 0.0
     authority_score: float = 0.0
     status: str = "frontier"
-    rid: Optional[RecordId] = None
+    rid: Optional[int] = None
 
     def as_record(self) -> Dict[str, Any]:
         return {
@@ -236,14 +236,13 @@ ENTRY_FIELDS = (
 )
 
 
-def _entry_tuple(entry: FrontierEntry) -> tuple:
+def _entry_tuple(entry: FrontierEntry, locate: Callable[[int], tuple]) -> tuple:
     rid = entry.rid
     return (
         entry.url, entry.oid, entry.sid, entry.relevance, entry.numtries,
         entry.serverload, entry.discovered, entry.lastvisited, entry.hub_score,
         entry.authority_score, entry.status,
-        None if rid is None else rid.page_id.page_no,
-        None if rid is None else rid.slot,
+        *((None, None) if rid is None else locate(rid)),
     )
 
 
@@ -713,10 +712,11 @@ class Frontier:
         unfinished round.
         """
         self._check_round_boundary()
+        heap = self.database.table("CRAWL").heap
         return {
             "fields": ENTRY_FIELDS,
-            "rid_file": self.database.table("CRAWL").heap.file_id,
-            "entries": [_entry_tuple(entry) for entry in self._entries.values()],
+            "rid_file": heap.file_id,
+            "entries": [_entry_tuple(entry, heap.locate) for entry in self._entries.values()],
             "server_load": dict(self._server_load),
             "next_discovered": self._next_discovered,
         }
@@ -740,8 +740,9 @@ class Frontier:
         entries = self._entries
         touched = [entries[url] for url in self._touched]
         server_load = self._server_load
+        locate = self.database.table("CRAWL").heap.locate
         return (
-            [_entry_tuple(entry) for entry in touched],
+            [_entry_tuple(entry, locate) for entry in touched],
             {entry.sid: server_load[entry.sid] for entry in touched if entry.sid in server_load},
             self._next_discovered,
         )
@@ -780,18 +781,12 @@ class Frontier:
         if tuple(state["fields"]) != ENTRY_FIELDS:
             raise ValueError(f"frontier entry layout {state['fields']} != {ENTRY_FIELDS}")
         file_id = state["rid_file"]
-        # Record ids of one page share their PageId object, as the ones
-        # heap inserts hand out do (bulk updates resolve a page per run).
-        page_ids: Dict[int, PageId] = {}
         self._entries = {}
         self._url_of_oid = {}
         for *values, rid_page, rid_slot in state["entries"]:
             entry = FrontierEntry(*values)
             if rid_page is not None:
-                page_id = page_ids.get(rid_page)
-                if page_id is None:
-                    page_id = page_ids[rid_page] = PageId(file_id, rid_page)
-                entry.rid = RecordId(page_id, rid_slot)
+                entry.rid = rid_of(file_id, rid_page, rid_slot)
             self._entries[entry.url] = entry
             self._url_of_oid[entry.oid] = entry.url
         self._server_load = dict(state["server_load"])

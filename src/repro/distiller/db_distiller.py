@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Dict, Iterable, List, Optional
 
 from repro.minidb import Database
-from repro.minidb.pages import PageId, RecordId
+from repro.minidb.pages import PageId, rid_of
 from repro.minidb.table import Table
 
 from .compiled import CompiledLinkGraph, compiled_weighted_hits
@@ -287,7 +287,7 @@ class LinkDeltaCache:
         self._pages: List[list] = []
         self._watermark_page = 0
         self._folded_count = 0
-        self._updated_rids: set[RecordId] = set()
+        self._updated_rids: set[int] = set()
         #: Columnar mirror of the cached adjacency (numpy distillation
         #: backend); deltas are folded into it in column batches, never rebuilt.
         self.graph: Optional[CompiledLinkGraph] = CompiledLinkGraph() if compiled else None
@@ -297,7 +297,7 @@ class LinkDeltaCache:
         if columns != expected:
             raise ValueError(f"LINK schema order {columns} != {expected}")
 
-    def note_updated(self, rids: Iterable[RecordId]) -> None:
+    def note_updated(self, rids: Iterable[int]) -> None:
         """Record in-place updates to already-cached rows (e.g. weight refreshes)."""
         self._updated_rids.update(rids)
 
@@ -312,9 +312,9 @@ class LinkDeltaCache:
         rescanned_from = self._watermark_page
         self._fold_pages(rescanned_from, None)
         self._watermark_page = max(heap.page_count - 1, 0)
-        slots_of: Dict[int, List[int]] = {}
-        for rid in self._updated_rids:
-            slots_of.setdefault(rid.page_id.page_no, []).append(rid.slot)
+        slots_of: Dict[PageId, List[int]] = {}
+        for page_id, slot in map(heap.page_of, self._updated_rids):
+            slots_of.setdefault(page_id, []).append(slot)
         self._updated_rids.clear()
         get_page = heap.buffer_pool.get_page
         pages = self._pages
@@ -322,9 +322,9 @@ class LinkDeltaCache:
             edges: List[int] = []
             forward: list = []
             backward: list = []
-            for page_no, slots in slots_of.items():
-                columns = get_page(PageId(heap.file_id, page_no)).columns
-                edge_of = pages[page_no]
+            for page_id, slots in slots_of.items():
+                columns = get_page(page_id).columns
+                edge_of = pages[page_id.page_no]
                 slots = [slot for slot in slots if edge_of[slot] >= 0]
                 edges.extend([edge_of[slot] for slot in slots])
                 forward.extend([columns[4][slot] for slot in slots])
@@ -332,11 +332,11 @@ class LinkDeltaCache:
             if edges:
                 self.graph.patch(edges, forward, backward)
             return []
-        for page_no, slots in slots_of.items():
-            if page_no < rescanned_from:  # later pages were just re-read whole
-                columns = get_page(PageId(heap.file_id, page_no)).columns
+        for page_id, slots in slots_of.items():
+            if page_id.page_no < rescanned_from:  # later pages were just re-read whole
+                columns = get_page(page_id).columns
                 for slot in slots:
-                    pages[page_no][slot] = Link(*[column[slot] for column in columns])
+                    pages[page_id.page_no][slot] = Link(*[column[slot] for column in columns])
         return [link for page in pages for link in page if link is not None]
 
     def _fold_pages(self, start_page: int, stop_page: Optional[int]) -> None:
@@ -393,12 +393,10 @@ class LinkDeltaCache:
         function of the (recovered) heap below the watermark, so restore
         rebuilds them with one bounded sequential scan.
         """
+        heap = self.table.heap
         return {
             "watermark": self._watermark_page,
-            "updated": [
-                (rid.page_id.file_id, rid.page_id.page_no, rid.slot)
-                for rid in self._updated_rids
-            ],
+            "updated": [(heap.file_id, *heap.locate(rid)) for rid in self._updated_rids],
         }
 
     def restore_state(self, state: dict) -> None:
@@ -420,10 +418,7 @@ class LinkDeltaCache:
             self._folded_count = 0
         self._fold_pages(0, watermark + 1)
         self._watermark_page = watermark
-        self._updated_rids = {
-            RecordId(PageId(file_id, page_no), slot)
-            for file_id, page_no, slot in state["updated"]
-        }
+        self._updated_rids = {rid_of(*place) for place in state["updated"]}
 
 
 class IncrementalDistiller:
@@ -460,7 +455,7 @@ class IncrementalDistiller:
         self.backend = backend
         self.cache = LinkDeltaCache(database.table(link_table), compiled=backend == "numpy")
 
-    def note_updated(self, rids: Iterable[RecordId]) -> None:
+    def note_updated(self, rids: Iterable[int]) -> None:
         self.cache.note_updated(rids)
 
     def run(

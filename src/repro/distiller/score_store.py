@@ -48,7 +48,7 @@ class _DenseState:
         #: The (append-only) node list the alignment is against.
         self.oids = oids
         #: Dense index -> record id of that node's row (None: no row).
-        self.rids: List[Optional[object]] = []
+        self.rids: List[Optional[int]] = []
         self.stored = np.zeros(0, dtype=np.float64)
         self.has_row = np.zeros(0, dtype=np.bool_)
 
@@ -72,7 +72,7 @@ class ScoreTableStore:
     def __init__(self, database) -> None:
         self.database = database
         #: table name -> oid -> record id of that oid's row.
-        self._rids: Dict[str, Dict[int, object]] = {}
+        self._rids: Dict[str, Dict[int, int]] = {}
         #: table name -> oid -> last stored score.
         self._values: Dict[str, Dict[int, float]] = {}
         #: table name -> the same two facts in dense form (store_dense).

@@ -30,6 +30,11 @@ from gaps (each new child takes half the space left in its parent's
 window) so a batch usually renumbers nothing; when a gap runs dry the
 whole tree is renumbered with a large stride.  Python integers are
 arbitrary-precision, so strides never overflow.
+
+Rows are posted twice — under their exact ``(id, parent)`` key and under
+their id — in the bare-int-or-ordered-set form of :mod:`~.index`: on
+LINK, a key and most ids have one row, so both maps hold plain ints the
+cyclic collector never visits.
 """
 
 from __future__ import annotations
@@ -38,16 +43,12 @@ import bisect
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .errors import StorageError
-from .index import Index
-from .pages import RecordId
+from .index import HashIndex, Posting, post, rids_of, unpost
 from .types import Schema
 
 #: Stride between consecutive pre/post numbers after a full renumber:
 #: every window keeps room for ~half a million in-place descendants.
 RENUMBER_STRIDE = 1 << 20
-
-#: Sentinel distinguishing "absent" from a stored None in bucket pops.
-_MISSING = object()
 
 
 class _Node:
@@ -65,15 +66,14 @@ class _Node:
         return f"_Node({self.id!r}, parent={self.parent!r}, window=({self.pre}, {self.post}))"
 
 
-class IntervalIndex(Index):
+class IntervalIndex(HashIndex):
     """Pre/post-order window index over an edge table.
 
-    ``key_columns`` must be exactly ``(id_col, parent_col)``.  Exposes
-    the standard :class:`Index` maintenance/search API (``search`` is an
-    exact-key probe, as for a hash index on the same two columns) plus
-    the graph queries: :meth:`window`, :meth:`descendant_ids`,
+    ``key_columns`` must be exactly ``(id_col, parent_col)``.  It is a
+    hash index on the two columns (``search`` is an exact-key probe)
+    plus the graph queries: :meth:`window`, :meth:`descendant_ids`,
     :meth:`ancestor_ids`, :meth:`reachable_ids`, :meth:`is_descendant`,
-    and the rid-level :meth:`descendant_rids` used by plan operators.
+    and the rid-level :meth:`rids_for_ids` used by plan operators.
     """
 
     def __init__(self, name: str, schema: Schema, key_columns: Sequence[str]) -> None:
@@ -83,11 +83,8 @@ class IntervalIndex(Index):
                 f"got {tuple(key_columns)!r}"
             )
         super().__init__(name, schema, key_columns)
-        # Exact-key postings, hash-index style: (id, parent) -> rid set.
-        self._buckets: dict[tuple, dict[RecordId, None]] = {}
         # Row postings per node id (all rows whose id_col equals the id).
-        self._rows_by_id: dict[Any, dict[RecordId, None]] = {}
-        self._entries = 0
+        self._rows_by_id: dict[Any, Posting] = {}
         # Structural state, rebuilt lazily from the edge log.
         self._nodes: dict[Any, _Node] = {}
         self._roots: list[Any] = []
@@ -103,74 +100,35 @@ class IntervalIndex(Index):
         self.window_shrink_skips = 0
 
     # -- maintenance -------------------------------------------------------
-    def insert_many(self, keys: Iterable[tuple], rids: Iterable[RecordId]) -> None:
+    def insert_many(self, keys: Iterable[tuple], rids: Sequence[int]) -> None:
+        self._note_order(rids)
         buckets = self._buckets
         rows_by_id = self._rows_by_id
         pending = self._pending
         added = 0
         for key, rid in zip(keys, rids):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = {rid: None}
+            if key not in buckets:
                 pending.append(key)
-            elif rid not in bucket:
-                bucket[rid] = None
-            else:
-                continue
-            id_bucket = rows_by_id.get(key[0])
-            if id_bucket is None:
-                rows_by_id[key[0]] = {rid: None}
-            else:
-                id_bucket[rid] = None
-            added += 1
+            if post(buckets, key, rid):
+                post(rows_by_id, key[0], rid)
+                added += 1
         self._entries += added
 
-    def delete_key(self, key: tuple, rid: RecordId) -> None:
-        bucket = self._buckets.get(key)
-        if bucket is None or bucket.pop(rid, _MISSING) is _MISSING:
-            raise StorageError(f"index {self.name!r}: {rid} not found under key {key!r}")
-        self._entries -= 1
-        self.deletions += 1
-        id_bucket = self._rows_by_id.get(key[0])
-        if id_bucket is not None:
-            id_bucket.pop(rid, None)
-            if not id_bucket:
-                del self._rows_by_id[key[0]]
-        if not bucket:
+    def delete_key(self, key: tuple, rid: int) -> None:
+        super().delete_key(key, rid)
+        unpost(self._rows_by_id, key[0], rid)
+        if key not in self._buckets:
             # The edge itself is gone: the tree shape may change, so the
             # next query replays the whole (surviving) edge log.
-            del self._buckets[key]
             self._rebuild_needed = True
 
     def clear(self) -> None:
-        self._buckets.clear()
-        self._rows_by_id.clear()
-        self._entries = 0
-        self._nodes.clear()
-        self._roots.clear()
-        self._extra.clear()
-        self._pres.clear()
-        self._pre_ids.clear()
-        self._pending.clear()
+        super().clear()
+        for state in (self._rows_by_id, self._nodes, self._roots, self._extra,
+                      self._pres, self._pre_ids, self._pending):
+            state.clear()
         self._pre_dirty = False
         self._rebuild_needed = False
-        self.deletions = 0
-
-    # -- exact-key lookups (standard Index API) ----------------------------
-    def search(self, key: tuple) -> list[RecordId]:
-        self.probe_count += 1
-        return list(self._buckets.get(tuple(key), ()))
-
-    def contains(self, key: tuple) -> bool:
-        self.probe_count += 1
-        return tuple(key) in self._buckets
-
-    @property
-    def key_count(self) -> int:
-        return len(self._buckets)
-
-    def __len__(self) -> int:
-        return self._entries
 
     # -- structural folding ------------------------------------------------
     def _ensure_numbered(self) -> None:
@@ -414,23 +372,11 @@ class IntervalIndex(Index):
             result.remove(node_id)
         return result
 
-    def descendant_rids(self, node_id: Any, include_self: bool = False) -> Iterator[RecordId]:
-        """Record ids of rows whose id column is a descendant of *node_id*."""
-        for child_id in self.descendant_ids(node_id, include_self=include_self):
-            bucket = self._rows_by_id.get(child_id)
-            if bucket is not None:
-                yield from bucket
-
-    def rids_for_ids(self, ids: Iterable[Any]) -> Iterator[RecordId]:
+    def rids_for_ids(self, ids: Iterable[Any]) -> Iterator[int]:
         """Record ids of rows whose id column is in *ids* (given order)."""
+        rows_by_id = self._rows_by_id
         for node_id in ids:
-            bucket = self._rows_by_id.get(node_id)
-            if bucket is not None:
-                yield from bucket
-
-    def node_count(self) -> int:
-        self._ensure_numbered()
-        return len(self._nodes)
+            yield from rids_of(rows_by_id.get(node_id))
 
     def extra_edge_count(self) -> int:
         self._ensure_numbered()

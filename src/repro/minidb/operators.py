@@ -242,11 +242,12 @@ class IndexRangeScan(Operator):
                 )
             ]
         elif self.mode == "descendants":
-            rids = list(index.descendant_rids(self.root, include_self=self.include_root))
+            ids = index.descendant_ids(self.root, include_self=self.include_root)
+            rids = list(index.rids_for_ids(ids))
         else:
             ids = index.reachable_ids(self.root, include_self=self.include_root)
             rids = list(index.rids_for_ids(ids))
-        rids.sort(key=lambda rid: (rid.page_id.page_no, rid.slot))
+        rids.sort()
         return rids
 
     def _produce(self) -> Iterator[RowDict]:
@@ -307,7 +308,7 @@ class IndexKeysLookup(Operator):
     def _produce(self) -> Iterator[RowDict]:
         index = self.table._resolve_index(self.index_name)
         rids = [rid for key in self.keys for rid in index.search(key)]
-        rids.sort(key=lambda rid: (rid.page_id.page_no, rid.slot))
+        rids.sort()
         schema = self.table.schema
         read = self.table.read
         for rid in rids:
@@ -776,8 +777,3 @@ class GroupByAggregate(Operator):
         keys = ", ".join(name for name, _ in self.group_keys)
         aggs = ", ".join(f"{a.func}->{a.output_name}" for a in self.aggregates)
         return f"GroupByAggregate(keys=[{keys}] aggs=[{aggs}])"
-
-
-def materialize(op: Operator) -> list[RowDict]:
-    """Run an operator tree to completion and return its rows."""
-    return op.to_list()

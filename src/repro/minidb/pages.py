@@ -5,18 +5,26 @@ A page holds its rows as *column chunks* — one list per schema column,
 all of one length, a row being the values at one slot number — so a
 bulk writer appends or overwrites a column slice at a time and a scan
 hands whole columns to array code.  A delete leaves a tombstone so
-that record ids (:class:`RecordId`) of other rows remain stable.
+that the record ids of other rows remain stable.
 Pages track their approximate byte usage so the storage layer can
 decide when to allocate a new page — this is what makes the buffer-pool
 experiments (paper Figure 8b) meaningful: a table's size in pages, not
 in rows, drives I/O.  Placement is a function of row sizes alone, so it
 is the same whichever way the values are laid out inside the page.
+
+A record id is one ``int``, ``((file_id << 32 | page_no) << 16) | slot``
+(:func:`rid_of`; only this module and the heap file do arithmetic on
+one), and every holder stores the int: the cyclic collector never tracks
+an int, nor a dict whose keys are all ints, while a tuple subclass such
+as a NamedTuple stays tracked for life — one per row.  Ids sort as their
+``(file_id, page_no, slot)`` tuples would.  :class:`RecordId` is a
+decoded view, never stored.  The slot bits bound the page size
+(:data:`MAX_PAGE_SIZE`), the file bits the file ids (:data:`MAX_FILE_ID`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import StorageError
@@ -31,15 +39,37 @@ SLOT_OVERHEAD = 8
 #: Fixed per-page overhead (header), in bytes.
 PAGE_HEADER = 24
 
+#: Record id layout: the low bits hold the slot, the next the page number.
+SLOT_BITS = 16
+PAGE_BITS = 32
+SLOT_MASK = (1 << SLOT_BITS) - 1
+MAX_PAGES = 1 << PAGE_BITS
+#: A slot costs at least :data:`SLOT_OVERHEAD` bytes: 512 KiB hold ``1 << SLOT_BITS``.
+MAX_PAGE_SIZE = SLOT_OVERHEAD << SLOT_BITS
+#: Fifteen file bits keep every id below ``2**63``.
+MAX_FILE_ID = (1 << 15) - 1
+
+
+def rid_of(file_id: int, page_no: int, slot: int) -> int:
+    """The record id of *slot* on page *page_no* of file *file_id*."""
+    return ((file_id << PAGE_BITS | page_no) << SLOT_BITS) | slot
+
+
+def rid_fields(rid: int) -> tuple[int, int, int]:
+    """``(file_id, page_no, slot)`` of a record id, unchecked."""
+    return rid >> (PAGE_BITS + SLOT_BITS), (rid >> SLOT_BITS) & (MAX_PAGES - 1), rid & SLOT_MASK
+
+
+def check_layout(file_id: int, page_size: int) -> None:
+    """Raise :class:`StorageError` unless every id of such a heap fits the layout."""
+    if not 0 <= file_id <= MAX_FILE_ID:
+        raise StorageError(f"file id {file_id} outside the record id layout (0..{MAX_FILE_ID})")
+    if not 0 < page_size <= MAX_PAGE_SIZE:
+        raise StorageError(f"page size {page_size} outside the record id layout (1..{MAX_PAGE_SIZE})")
+
 
 class PageId(NamedTuple):
-    """Identifies a page: which file (table/index) and which page number within it.
-
-    Page and record ids are the hottest dict keys in the engine (buffer
-    pool, index buckets, delta caches) and one record id is built per
-    inserted row, so both are plain tuples: built, hashed and compared
-    without entering Python code.
-    """
+    """Identifies a page: which file (table/index) and which page number within it."""
 
     file_id: int
     page_no: int
@@ -49,13 +79,15 @@ class PageId(NamedTuple):
 
 
 class RecordId(NamedTuple):
-    """Identifies a row: page plus slot number within the page."""
+    """A record id decoded into its parts, for reading one; never stored."""
 
-    page_id: PageId
+    file_id: int
+    page_no: int
     slot: int
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"rid({self.page_id.file_id}:{self.page_id.page_no}:{self.slot})"
+    @classmethod
+    def decode(cls, rid: int) -> "RecordId":
+        return cls(*rid_fields(rid))
 
 
 @dataclass
@@ -198,9 +230,10 @@ class Page:
         """``(slot, row)`` for every live row on the page."""
         return self.live(enumerate(zip(*self.columns)))
 
-    def rids(self) -> Iterable[RecordId]:
-        """The record id of every live row on the page, sharing its PageId."""
-        return self.live(map(RecordId._make, zip(repeat(self.page_id), range(self.slot_count()))))
+    def rids(self) -> Iterable[int]:
+        """The record id of every live row on the page."""
+        first = rid_of(*self.page_id, 0)
+        return self.live(range(first, first + self.slot_count()))
 
     # -- durable images ---------------------------------------------------
     def image(self) -> tuple:

@@ -378,15 +378,15 @@ def _inner_join_index(table, right_columns: Sequence[str]):
     """An index of *table* safe to drive an index-nested-loop join.
 
     Safe means order-identical to the hash join it replaces: the primary
-    key (unique, so per-key order is trivial) or any index that has
-    never processed a delete (postings still in heap insertion order).
+    key (unique, so per-key order is trivial) or any index whose
+    postings are still in heap order (:attr:`Index.in_heap_order`).
     """
     target = tuple(right_columns)
     pk = table.schema.primary_key
     if pk and tuple(pk) == target:
         return f"{table.name}_pk"
     for index in table.indexes.values():
-        if index.key_columns == target and getattr(index, "deletions", 1) == 0:
+        if index.key_columns == target and index.in_heap_order:
             return index.name
     return None
 

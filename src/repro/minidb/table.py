@@ -16,8 +16,8 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequenc
 from .buffer_pool import BufferPool
 from .errors import CatalogError, ConstraintError, QueryError, SchemaError
 from .expressions import Expression
-from .index import HashIndex, Index, OrderedIndex, build_index
-from .pages import DEFAULT_PAGE_SIZE, RecordId
+from .index import HashIndex, Index, build_index
+from .pages import DEFAULT_PAGE_SIZE
 from .storage import HeapFile
 from .types import Row, Schema
 
@@ -74,11 +74,6 @@ class Table:
         if self._journal is not None:
             self._journal(record)
 
-    @staticmethod
-    def _rid_tuple(rid: RecordId) -> tuple[int, int]:
-        """The journal encoding of a record id (file id is implied by the table)."""
-        return (rid.page_id.page_no, rid.slot)
-
     # -- index management ------------------------------------------------------
     def create_index(self, name: str, columns: Sequence[str], kind: str = "hash") -> Index:
         """Create and backfill a secondary index over *columns*."""
@@ -123,13 +118,12 @@ class Table:
     def _load_indexes(self, indexes: Sequence[Index]) -> None:
         """Bulk load *indexes* from one pass over the heap's column chunks.
 
-        Each index's keys are zipped out of its key columns page by page;
-        the record ids of a page share its ``PageId``, as the ones heap
-        inserts hand out do.
+        Each index's keys are zipped out of its key columns page by page,
+        beside the page's range of record ids.
         """
         if not indexes:
             return
-        rids: list[RecordId] = []
+        rids: list[int] = []
         keys: list[list[tuple]] = [[] for _ in indexes]
         for page in self.heap.scan_pages():
             rids.extend(page.rids())
@@ -148,16 +142,8 @@ class Table:
                 return index
         return None
 
-    def ordered_index_on_prefix(self, columns: Sequence[str]) -> Optional[OrderedIndex]:
-        """Return an ordered index whose key starts with *columns*, if any."""
-        target = tuple(columns)
-        for index in self.indexes.values():
-            if isinstance(index, OrderedIndex) and index.key_columns[: len(target)] == target:
-                return index
-        return None
-
     # -- mutation -----------------------------------------------------------------
-    def insert(self, values: Sequence[Any] | Mapping[str, Any]) -> RecordId:
+    def insert(self, values: Sequence[Any] | Mapping[str, Any]) -> int:
         """Insert one row (positional or mapping form); returns its record id."""
         row = self._coerce(values)
         self._check_primary_key(row)
@@ -167,7 +153,7 @@ class Table:
         self._notify("insert", [row])
         return rid
 
-    def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[RecordId]:
+    def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[int]:
         """Atomic bulk insert; returns the record ids of the inserted rows.
 
         The batch is transposed once and handled a column at a time:
@@ -222,7 +208,7 @@ class Table:
             self._notify("insert", stored)
         return rids
 
-    def update_row(self, rid: RecordId, changes: Mapping[str, Any]) -> Row:
+    def update_row(self, rid: int, changes: Mapping[str, Any]) -> Row:
         """Apply *changes* to the row at *rid*; returns the new row."""
         old = self.heap.read(rid)
         merged = self.schema.row_to_mapping(old)
@@ -233,12 +219,12 @@ class Table:
         self._index_delete(old, rid)
         self.heap.update(rid, new)
         self._index_insert(new, rid)
-        self._log(("update", self.name, [(self._rid_tuple(rid), dict(changes))]))
+        self._log(("update", self.name, [(self.heap.locate(rid), dict(changes))]))
         self._notify("update", [new])
         return new
 
     def update_column(
-        self, column: str, updates: Mapping[RecordId, Any] | Sequence[tuple[RecordId, Any]]
+        self, column: str, updates: Mapping[int, Any] | Sequence[tuple[int, Any]]
     ) -> int:
         """Bulk-set one column: :meth:`update_rows` for a batch that changes one column.
 
@@ -269,14 +255,13 @@ class Table:
         values = self.schema.validate_column(position, values)
         self.heap.assign_column(position, rids, values)
         if self._journal is not None:
-            page_nos = [rid.page_id.page_no for rid in rids]
-            slots = list(map(itemgetter(1), rids))
+            page_nos, slots = map(list, zip(*map(self.heap.locate, rids)))
             self._log(("update_column", self.name, column, page_nos, slots, values))
         if self.mutation_listeners:
             self._notify("update", [self.heap.read(rid) for rid in rids])
         return len(rids)
 
-    def update_rows(self, updates: Sequence[tuple[RecordId, Mapping[str, Any]]]) -> int:
+    def update_rows(self, updates: Sequence[tuple[int, Mapping[str, Any]]]) -> int:
         """Apply many per-row change sets in one batch; returns the row count.
 
         Every value is validated and every record id resolved before
@@ -293,7 +278,7 @@ class Table:
             return 0
         schema = self.schema
         #: Per row, the {position: validated value} to write.
-        planned: dict[RecordId, dict[int, Any]] = {}
+        planned: dict[int, dict[int, Any]] = {}
         for rid, changes in updates:
             writes = schema.validate_changes(changes)
             if rid in planned:
@@ -311,16 +296,16 @@ class Table:
         heap = self.heap
         get_page = heap.buffer_pool.get_page
         #: (index, old key, new key, rid) of every key a change set moves.
-        moves: list[tuple[Index, tuple, tuple, RecordId]] = []
-        for rid, writes in planned.items():
-            heap.check_page(rid.page_id)
-            page = get_page(rid.page_id)
-            page.check_slot(rid.slot)
+        moves: list[tuple[Index, tuple, tuple, int]] = []
+        places = list(map(heap.page_of, planned))
+        for (rid, writes), (page_id, slot) in zip(planned.items(), places):
+            page = get_page(page_id)
+            page.check_slot(slot)
             # Only the key columns of the indexes the change set names are read.
             for index in affected:
                 if not writes.keys().isdisjoint(index.positions):
                     positions = index.positions
-                    old_key = tuple([page.columns[p][rid.slot] for p in positions])
+                    old_key = tuple([page.columns[p][slot] for p in positions])
                     new_key = tuple([writes.get(p, old) for p, old in zip(positions, old_key)])
                     if old_key != new_key:
                         moves.append((index, old_key, new_key, rid))
@@ -328,13 +313,12 @@ class Table:
         for index, old_key, _new_key, rid in moves:
             index.delete_key(old_key, rid)
         sizeof = [column.type.storage_size for column in schema.columns]
-        for rid, writes in planned.items():
+        for writes, (page_id, slot) in zip(planned.values(), places):
             # Re-fetch through the pool per row: a page object cached from
             # the read pass may have been *evicted* by a later read in a
             # batch wider than the pool, and mutating a detached page
             # would silently lose the write on a durable backend.
-            page = get_page(rid.page_id)
-            slot = rid.slot
+            page = get_page(page_id)
             for position, value in writes.items():
                 column = page.columns[position]
                 page.used_bytes += sizeof[position](value) - sizeof[position](column[slot])
@@ -343,13 +327,8 @@ class Table:
         for index, _old_key, new_key, rid in moves:
             index.insert_key(new_key, rid)
         if self._journal is not None:
-            self._log(
-                (
-                    "update",
-                    self.name,
-                    [(self._rid_tuple(rid), dict(changes)) for rid, changes in updates],
-                )
-            )
+            places = [(heap.locate(rid), dict(changes)) for rid, changes in updates]
+            self._log(("update", self.name, places))
         if self.mutation_listeners:
             self._notify("update", [heap.read(rid) for rid, _changes in updates])
         return len(updates)
@@ -365,23 +344,23 @@ class Table:
                 touched += 1
         return touched
 
-    def delete_row(self, rid: RecordId) -> Row:
+    def delete_row(self, rid: int) -> Row:
         row = self.heap.delete(rid)
         self._index_delete(row, rid)
-        self._log(("delete", self.name, [self._rid_tuple(rid)]))
+        self._log(("delete", self.name, [self.heap.locate(rid)]))
         self._notify("delete", [row])
         return row
 
     def delete_where(self, predicate: Optional[Expression]) -> int:
         """Delete every row matching *predicate* (all rows when None); returns count."""
-        deleted: list[RecordId] = []
+        deleted: list[int] = []
         for rid, row in list(self.heap.scan()):
             if predicate is None or predicate.evaluate(self.schema.row_to_mapping(row)):
                 self.heap.delete(rid)
                 self._index_delete(row, rid)
                 deleted.append(rid)
         if deleted:
-            self._log(("delete", self.name, [self._rid_tuple(rid) for rid in deleted]))
+            self._log(("delete", self.name, list(map(self.heap.locate, deleted))))
             self._notify("delete", [])
         return len(deleted)
 
@@ -395,7 +374,7 @@ class Table:
         self._notify("delete", [])
 
     # -- reads ------------------------------------------------------------------------
-    def scan(self) -> Iterator[tuple[RecordId, Row]]:
+    def scan(self) -> Iterator[tuple[int, Row]]:
         return self.heap.scan()
 
     def rows(self) -> Iterator[Row]:
@@ -419,11 +398,11 @@ class Table:
         index = self._resolve_index(index_name)
         return [self.heap.read(rid) for rid in index.search(tuple(key))]
 
-    def lookup_rids(self, index_name: str, key: Sequence[Any]) -> list[RecordId]:
+    def lookup_rids(self, index_name: str, key: Sequence[Any]) -> list[int]:
         index = self._resolve_index(index_name)
         return index.search(tuple(key))
 
-    def read(self, rid: RecordId) -> Row:
+    def read(self, rid: int) -> Row:
         return self.heap.read(rid)
 
     # -- internals ----------------------------------------------------------------------
@@ -458,13 +437,13 @@ class Table:
                 f"table {self.name!r}: duplicate primary key {key!r}"
             )
 
-    def _index_insert(self, row: Row, rid: RecordId) -> None:
+    def _index_insert(self, row: Row, rid: int) -> None:
         if self._pk_index is not None:
             self._pk_index.insert(row, rid)
         for index in self.indexes.values():
             index.insert(row, rid)
 
-    def _index_delete(self, row: Row, rid: RecordId) -> None:
+    def _index_delete(self, row: Row, rid: int) -> None:
         if self._pk_index is not None:
             self._pk_index.delete(row, rid)
         for index in self.indexes.values():

@@ -252,10 +252,6 @@ class WriteAheadLog:
         self.syncs_performed += 1
         self._pending_records = 0
 
-    def append_cut(self, cut: int) -> None:
-        """Append a cut marker: every record of unit-of-work *cut* is logged."""
-        self.append((WAL_CUT_OP, int(cut)))
-
     # -- replay / truncation ---------------------------------------------
     def replay(
         self,

@@ -231,6 +231,6 @@ def test_every_row_lands_on_its_recorded_page_and_slot(case, small_web, trained_
         table = database.table(table_name)
         key_width = 3 if table_name == "LINK" else 1
         assert placement[table_name] == digest(
-            (rid.page_id.page_no, rid.slot, *row[:key_width]) for rid, row in table.scan()
+            (*table.heap.locate(rid), *row[:key_width]) for rid, row in table.scan()
         ), table_name
         assert (table.page_count, len(table)) == extents[table_name]

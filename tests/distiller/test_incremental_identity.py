@@ -42,7 +42,7 @@ from repro.distiller.score_store import ScoreTableStore
 from repro.distiller.weights import Link
 from repro.minidb import FLOAT, INTEGER, TEXT, Database, make_schema
 from repro.minidb.errors import SchemaError, StorageError
-from repro.minidb.pages import PageId, RecordId
+from repro.minidb.pages import rid_fields, rid_of
 from repro.webgraph.fetch import Fetcher
 
 GOOD = "recreation/cycling"
@@ -346,9 +346,8 @@ def journalled_score_database():
 
 
 def rows_with_rids(database, name):
-    return [
-        ((rid.page_id.page_no, rid.slot), row) for rid, row in database.table(name).scan()
-    ]
+    table = database.table(name)
+    return [(table.heap.locate(rid), row) for rid, row in table.scan()]
 
 
 class TestDenseScoreStore:
@@ -423,8 +422,8 @@ def paged_table():
 
 BAD_UPDATES = [
     (lambda rids: (rids[40], "not a float"), SchemaError),
-    (lambda rids: (RecordId(PageId(rids[0].page_id.file_id, 999), 0), 1.0), StorageError),
-    (lambda rids: (RecordId(rids[40].page_id, 999), 1.0), StorageError),
+    (lambda rids: (rid_of(rid_fields(rids[0])[0], 999, 0), 1.0), StorageError),
+    (lambda rids: (rid_of(*rid_fields(rids[40])[:2], 999), 1.0), StorageError),
 ]
 
 
@@ -438,12 +437,9 @@ class TestColumnWriteUpdateColumn:
         if order == "shuffled":
             random.Random(5).shuffle(picks)
         elif order == "page-hopping":  # slot-major: consecutive rows on different pages
-            picks = sorted(picks, key=lambda k: (rids[k].slot, rids[k].page_id.page_no))
+            picks = sorted(picks, key=lambda k: rid_fields(rids[k])[:0:-1])
         # Fresh, equal-but-not-identical ids, as a WAL replay hands out.
-        updates = [
-            (RecordId(PageId(rids[k].page_id.file_id, rids[k].page_id.page_no), rids[k].slot), k / 7)
-            for k in picks
-        ]
+        updates = [(rid_of(*rid_fields(rids[k])), k / 7) for k in picks]
         assert fast.update_column("v", updates) == len(picks)
         assert slow.update_rows([(rid, {"v": value}) for rid, value in updates]) == len(picks)
         assert list(fast.scan()) == list(slow.scan())
@@ -457,8 +453,8 @@ class TestColumnWriteUpdateColumn:
             "update_column",
             "T",
             "v",
-            [rid.page_id.page_no for rid, _value in updates],
-            [rid.slot for rid, _value in updates],
+            [rid_fields(rid)[1] for rid, _value in updates],
+            [rid_fields(rid)[2] for rid, _value in updates],
             [value for _rid, value in updates],
         )
         (row_shaped,) = slow_journal

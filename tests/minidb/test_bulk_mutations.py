@@ -109,7 +109,7 @@ class TestUpdateRows:
     def test_text_growth_updates_page_accounting(self):
         db, table = make_table()
         [rid] = table.insert_many([{"k": 1, "v": 0.0, "s": "short"}])
-        page = db.buffer_pool.get_page(rid.page_id)
+        page = db.buffer_pool.get_page(table.heap.page_of(rid)[0])
         used_before = page.used_bytes
         table.update_rows([(rid, {"s": "a much longer replacement string"})])
         grown = len("a much longer replacement string") - len("short")

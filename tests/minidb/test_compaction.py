@@ -33,6 +33,7 @@ from repro.minidb import Database, FLOAT, INTEGER, TEXT, StorageConfig, make_sch
 from repro.minidb.backend import segment_file_name
 from repro.minidb.compactor import Compactor
 from repro.minidb.errors import StorageError
+from repro.minidb.pages import rid_fields
 from repro.minidb.testing import FaultInjector, SimulatedCrash, hard_close
 
 TORTURE_SEEDS = [
@@ -52,10 +53,7 @@ def rows_schema():
 def table_state(database, name="T"):
     """Everything recovery must preserve: rids and rows, bit for bit."""
     table = database.table(name)
-    return [
-        ((rid.page_id.file_id, rid.page_id.page_no, rid.slot), row)
-        for rid, row in table.scan()
-    ]
+    return [(rid_fields(rid), row) for rid, row in table.scan()]
 
 
 def segment_files(path):

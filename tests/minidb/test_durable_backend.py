@@ -14,6 +14,7 @@ from repro.minidb import (
 )
 from repro.minidb.backend import WAL_FILE
 from repro.minidb.errors import ConstraintError, StorageError
+from repro.minidb.pages import RecordId
 from repro.minidb.testing import truncate_tail
 
 
@@ -70,15 +71,15 @@ class TestRecovery:
         """Replayed inserts land on the same pages/slots, so saved rids stay valid."""
         with Database.open(tmp_path / "db") as db:
             rids = fill(db.create_table("P", people_schema()), 0, 80)
-            saved = [(r.page_id.file_id, r.page_id.page_no, r.slot) for r in rids]
+            saved = list(map(RecordId.decode, rids))
 
         with Database.open(tmp_path / "db") as recovered:
             table = recovered.table("P")
             recovered_rids = [rid for rid, _row in table.scan()]
-            assert [(r.page_id.file_id, r.page_id.page_no, r.slot) for r in recovered_rids] == saved
+            assert list(map(RecordId.decode, recovered_rids)) == saved
             # And the heap keeps appending exactly where it left off.
             more = fill(table, 80, 1)
-            assert more[0].page_id.page_no >= recovered_rids[-1].page_id.page_no
+            assert RecordId.decode(more[0]).page_no >= RecordId.decode(recovered_rids[-1]).page_no
 
     def test_truncate_and_reinsert_replay(self, tmp_path):
         with Database.open(tmp_path / "db") as db:

@@ -15,11 +15,11 @@ from repro.minidb import (
     make_schema,
 )
 from repro.minidb.index import HashIndex, OrderedIndex, build_index
-from repro.minidb.pages import PageId, RecordId
+from repro.minidb.pages import rid_of
 
 
-def rid(n: int) -> RecordId:
-    return RecordId(PageId(0, 0), n)
+def rid(n: int) -> int:
+    return rid_of(0, 0, n)
 
 
 SCHEMA = make_schema(("oid", INTEGER, False), ("sid", INTEGER), ("score", FLOAT))

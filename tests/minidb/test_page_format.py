@@ -9,11 +9,13 @@ and :func:`row_shaped_journal` turns today's journal records into the
 ones the parent logged for the same calls.
 """
 
+import pickle
+
 import pytest
 
 from repro.minidb import Database, FLOAT, INTEGER, TEXT, make_schema
 from repro.minidb.errors import StorageError
-from repro.minidb.pages import PAGE_HEADER, SLOT_OVERHEAD, Page, PageId, RecordId
+from repro.minidb.pages import PAGE_HEADER, SLOT_OVERHEAD, Page, PageId, rid_of
 
 
 def row_shaped_image(page):
@@ -57,7 +59,7 @@ class TestColumnChunkPage:
         page.update(1, (10, "ten"), old_size=16, new_size=18)
         assert page.read(1) == (10, "ten") and page.used_bytes == PAGE_HEADER + 74
         assert list(page.rows()) == [(0, (0, "r0")), (1, (10, "ten")), (2, (2, "r2"))]
-        assert list(page.rids()) == [RecordId(page.page_id, slot) for slot in range(3)]
+        assert list(page.rids()) == [rid_of(0, 0, slot) for slot in range(3)]
         image = page.image()
         page.insert((3, "r3"), 16)
         assert image[3] == [[0, 10, 2], ["r0", "ten", "r2"]]  # a copy: it does not follow the page
@@ -135,7 +137,7 @@ def mutate(database, journal=None):
     if journal is not None:  # from here on, log what the parent would have
         table.set_journal(lambda record: journal(row_shaped_journal(record)))
     table.insert_many([(oid, None, f"late{oid}") for oid in range(300, 340)])  # reuses tombstones
-    table.update_column("score", [(rid, -1.0 - rid.slot) for rid in rids[100:220:2]])
+    table.update_column("score", [(rid, -1.0 - table.heap.locate(rid)[1]) for rid in rids[100:220:2]])
     table.update_rows([(rid, {"name": "renamed", "score": None}) for rid in rids[50:60]])
     table.delete_row(rids[70])
     table.insert({"oid": 1000, "name": "single"})
@@ -186,6 +188,28 @@ class TestOldBytesStillOpen:
             with Database.open(tmp_path / name, buffer_pool_pages=8) as again:
                 assert state(again) == after
 
+    def test_journal_records_keep_their_shapes(self):
+        """Record ids are ints in memory; on the journal they stay ``(page_no, slot)``
+        tuples and page/slot lists — the records the tuple-id commits logged."""
+        table = Database(page_size=512).create_table("P", people())
+        journal = []
+        table.set_journal(journal.append)
+        rids = table.insert_many([(oid, 0.5, "n") for oid in range(40)])  # 16 rows a page
+        table.insert((40, 1.0, "x"))
+        table.update_row(rids[3], {"score": 2.0})
+        table.update_rows([(rids[30], {"name": "y"}), (rids[4], {"score": None})])
+        table.update_column("score", [(rids[1], 3.0), (rids[35], 4.0)])
+        table.delete_row(rids[2])
+        expected = [
+            ("insert", "P", [(40, 1.0, "x")]),
+            ("update", "P", [((0, 3), {"score": 2.0})]),
+            ("update", "P", [((1, 14), {"name": "y"}), ((0, 4), {"score": None})]),
+            ("update_column", "P", "score", [0, 2], [1, 3], [3.0, 4.0]),
+            ("delete", "P", [(0, 2)]),
+        ]
+        # Equal as pickles: the same values in the same container types.
+        assert journal[1:] == expected and pickle.dumps(journal[1:]) == pickle.dumps(expected)
+
     def test_an_update_column_record_replays_with_its_checks(self, tmp_path):
         with Database.open(tmp_path / "db") as database:
             table = database.create_table("P", people())
@@ -209,8 +233,6 @@ def _wal_ops(path):
 
 def _image_shapes(path):
     """The type of the last field of every page image in the segment files."""
-    import pickle
-
     from repro.minidb.wal import SEGMENT_MAGIC, scan_frames
 
     shapes = set()

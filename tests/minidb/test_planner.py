@@ -224,3 +224,21 @@ class TestBitIdentity:
         indexed = db.sql(sql, params)
         assert indexed == scan_rows(db, sql, params)
         assert [row["oid"] for row in indexed] == [8]
+
+    def test_identity_survives_a_reused_tombstone_after_a_rebuild(self):
+        """A rebuild (what recovery does) puts postings back in heap order;
+        an insert into an older tombstone then posts a record id below
+        the rest of its key's — the index must stop driving joins."""
+        database = Database()
+        outer = database.create_table("A", make_schema(("x", INTEGER, False), primary_key=["x"]))
+        inner = database.create_table("B", make_schema(("y", INTEGER, False), ("z", INTEGER, False)))
+        inner.create_index("b_y", ["y"], kind="hash")
+        outer.insert_many([(x,) for x in range(2000)])
+        inner.insert_many([(z % 2000, z) for z in range(20000)])
+        inner.delete_row([rid for rid, _row in inner.scan()][-3])
+        inner.rebuild_indexes()
+        sql = "select A.x, B.z from A, B where A.x = B.y and A.x in (:p)"
+        assert "IndexNestedLoopJoin(B.b_y" in explain_text(database, sql, {"p": 1999})
+        inner.insert((1999, -1))  # the tombstone: between 1999's last two rows
+        assert database.sql(sql, {"p": 1999}) == scan_rows(database, sql, {"p": 1999})
+        assert [row["z"] for row in scan_rows(database, sql, {"p": 1999})][-3:] == [17999, -1, 19999]

@@ -16,9 +16,9 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.minidb import Database, FLOAT, INTEGER, TEXT, col, make_schema
+from repro.minidb import Database, FLOAT, INTEGER, TEXT, col, lit, make_schema
 from repro.minidb.errors import ConstraintError, SchemaError, StorageError
-from repro.minidb.pages import PageId, RecordId
+from repro.minidb.pages import rid_of
 from repro.minidb.sql import execute_select, parse_sql
 from repro.minidb.operators import (
     Aggregate,
@@ -254,6 +254,10 @@ class TableAgainstModel(RuleBasedStateMachine):
         table.create_index("t_s", ["s"], kind="hash")
         table.create_index("t_g", ["g"], kind="ordered")
         table.create_index("t_tree", ["k", "g"], kind="interval")
+        # A second table: its record ids are well formed but not T's.
+        self.database.create_table("U", make_schema(("u", INTEGER, False))).insert_many(
+            [(u,) for u in range(40)]
+        )
         self.rows = {}  # (page_no, slot) -> row
         self.heap = ModelHeap()
 
@@ -269,7 +273,11 @@ class TableAgainstModel(RuleBasedStateMachine):
         return self.database.table("T")
 
     def rid(self, key):
-        return RecordId(PageId(self.table.heap.file_id, key[0]), key[1])
+        return rid_of(self.table.heap.file_id, *key)
+
+    def key(self, rid):
+        """The ``(page_no, slot)`` a record id of T names."""
+        return self.table.heap.locate(rid)
 
     def expect(self, error, call):
         """Run *call*: it must raise *error*, or — when None — return."""
@@ -340,7 +348,7 @@ class TableAgainstModel(RuleBasedStateMachine):
         assert len(rids) == len(rows)
         for row, rid in zip(rows, rids):
             key = self.heap.insert(model_size(row))
-            assert (rid.page_id.page_no, rid.slot) == key
+            assert self.key(rid) == key
             assert key not in self.rows
             self.rows[key] = row
 
@@ -423,6 +431,99 @@ class TableAgainstModel(RuleBasedStateMachine):
         assert self.table.delete_row(self.rid(key)) == self.rows.pop(key)
         self.heap.delete(key)
 
+    @precondition(lambda self: self.rows)
+    @rule(data=st.data())
+    def delete_where(self, data):
+        """Empty a whole ``g`` key at once (every index loses its postings under it)."""
+        g = data.draw(st.sampled_from(sorted({row[3] for row in self.rows.values()})))
+        doomed = [key for key, row in self.rows.items() if row[3] == g]
+        assert self.table.delete_where(col("g") == lit(g)) == len(doomed)
+        for key in doomed:
+            del self.rows[key]
+            self.heap.delete(key)
+
+    @rule(data=st.data(), count=st.integers(2, 4))
+    def churn(self, data, count):
+        """Walk one fresh ``s`` key through absent → one row → several → one → absent."""
+        value = "churn"
+        while any(row[2] == value for row in self.rows.values()):
+            value += "+"
+        index = self.table.indexes["t_s"]
+        keys = []
+        first_k = max((row[0] for row in self.rows.values()), default=0) + 1
+        for k in range(first_k, first_k + count):
+            row = (k, None, value, data.draw(st.integers(0, 40)))
+            rid = self.table.insert(row)
+            self.place([row], [rid])
+            keys.append(self.key(rid))
+            assert sorted(map(self.key, index.search((value,)))) == sorted(keys)
+        for key in data.draw(st.permutations(keys)):
+            assert self.table.delete_row(self.rid(key)) == self.rows.pop(key)
+            self.heap.delete(key)
+            keys.remove(key)
+            assert sorted(map(self.key, index.search((value,)))) == sorted(keys)
+        assert not index.contains((value,)) and index.search((value,)) == []
+
+    # -- indexes ----------------------------------------------------------------------
+    @precondition(lambda self: "t_extra" not in self.table.indexes)
+    @rule(kind=st.sampled_from(["hash", "ordered", "interval"]))
+    def create_index(self, kind):
+        """An index created mid-run is backfilled from the heap and journaled."""
+        columns = ["s", "g"] if kind == "hash" else ["g", "k"]
+        self.table.create_index("t_extra", columns, kind=kind)
+
+    @precondition(lambda self: "t_extra" in self.table.indexes)
+    @rule()
+    def drop_index(self):
+        self.table.drop_index("t_extra")
+
+    @rule()
+    def rebuild_indexes(self):
+        """A bulk rebuild posts what incremental maintenance did, key for key.
+
+        Order too, while the index says its postings are in heap order
+        (what the planner's joins rely on); a rebuild restores that order.
+        """
+        table = self.table
+        indexes = [table.index_on(["k"]), *table.indexes.values()]
+        rows = [row for _key, row in sorted(self.rows.items())]
+
+        def postings(index):
+            return {key: index.search(key) for key in map(index.key_of, rows)}
+
+        before = [(postings(index), index.in_heap_order, index.key_count) for index in indexes]
+        table.rebuild_indexes()
+        for index, (old, in_order, key_count) in zip(indexes, before):
+            new = postings(index)
+            assert index.in_heap_order and index.key_count == key_count and len(index) == len(rows)
+            assert old.keys() == new.keys()
+            for key, rids in old.items():
+                assert rids == new[key] if in_order else sorted(rids) == sorted(new[key])
+
+    @rule(
+        data=st.data(),
+        op=st.sampled_from(["read", "update_row", "update_rows", "update_column", "delete_row"]),
+    )
+    def foreign_rid(self, data, op):
+        """A record id of another table is refused, and nothing is written or journaled."""
+        other = self.database.table("U")
+        other_rows = list(other.scan())
+        foreign = data.draw(st.sampled_from([rid for rid, _row in other_rows]))
+        batch = [self.rid(key) for key in sorted(self.rows)[:3]]
+        batch.insert(data.draw(st.integers(0, len(batch))), foreign)
+        calls = {
+            "read": lambda: self.table.read(foreign),
+            "update_row": lambda: self.table.update_row(foreign, {"v": 0.5}),
+            "update_rows": lambda: self.table.update_rows([(rid, {"v": 0.5}) for rid in batch]),
+            "update_column": lambda: self.table.update_column("v", [(rid, 0.5) for rid in batch]),
+            "delete_row": lambda: self.table.delete_row(foreign),
+        }
+        journaled = self.database.backend.wal_bytes_written
+        with pytest.raises(StorageError):
+            calls[op]()
+        assert self.database.backend.wal_bytes_written == journaled
+        assert list(other.scan()) == other_rows
+
     # -- durability -----------------------------------------------------------------
     @rule(checkpoint=st.booleans())
     def reopen(self, checkpoint):
@@ -439,7 +540,7 @@ class TableAgainstModel(RuleBasedStateMachine):
     @invariant()
     def table_equals_model(self):
         table = self.table
-        scanned = [((rid.page_id.page_no, rid.slot), row) for rid, row in table.scan()]
+        scanned = [(self.key(rid), row) for rid, row in table.scan()]
         assert scanned == sorted(self.rows.items())
         assert list(table.rows()) == [row for _key, row in scanned]
         assert len(table) == len(self.rows)
@@ -458,16 +559,24 @@ class TableAgainstModel(RuleBasedStateMachine):
             by_s[row[2]].append(key)
             by_g[row[3]].append(key)
             assert table.get_by_key((row[0],)) == row
-            assert [(r.page_id.page_no, r.slot) for r in table.lookup_rids("t_tree", (row[0], row[3]))] == [key]
+            assert list(map(self.key, table.lookup_rids("t_tree", (row[0], row[3])))) == [key]
         for index in (*table.indexes.values(), table.index_on(["k"])):
             assert len(index) == len(self.rows)
         for value, keys in by_s.items():
-            assert sorted((r.page_id.page_no, r.slot) for r in table.lookup_rids("t_s", (value,))) == keys
+            assert sorted(map(self.key, table.lookup_rids("t_s", (value,)))) == keys
         assert table.indexes["t_s"].key_count == len(by_s)
         assert table.indexes["t_g"].ordered_keys() == [(g,) for g in sorted(by_g)]
         for value, keys in by_g.items():
-            assert sorted((r.page_id.page_no, r.slot) for r in table.lookup_rids("t_g", (value,))) == keys
+            assert sorted(map(self.key, table.lookup_rids("t_g", (value,)))) == keys
         assert table.get_by_key((-1,)) is None and table.lookup("t_s", ("no such",)) == []
+        extra = table.indexes.get("t_extra")
+        if extra is not None:
+            by_extra = defaultdict(list)
+            for key, row in sorted(self.rows.items()):
+                by_extra[extra.key_of(row)].append(key)
+            assert len(extra) == len(self.rows) and extra.key_count == len(by_extra)
+            for value, keys in by_extra.items():
+                assert sorted(map(self.key, extra.search(value))) == keys
 
     @invariant()
     def planner_equals_scan(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.minidb import Database, INTEGER, TEXT, StorageConfig, StorageError, make_schema
 from repro.minidb.backend import SEGMENT_FILE
 from repro.minidb.buffer_pool import BufferPool
-from repro.minidb.pages import Page, PageId, RecordId
+from repro.minidb.pages import MAX_FILE_ID, MAX_PAGE_SIZE, Page, PageId, rid_fields, rid_of
 from repro.minidb.storage import HeapFile
 from repro.minidb.wal import SEGMENT_MAGIC
 
@@ -87,7 +87,7 @@ class TestHeapFile:
     def test_foreign_rid_rejected(self):
         heap, schema, _ = make_heap()
         heap.insert(schema.validate_row((1, "a")))
-        foreign = RecordId(PageId(file_id=99, page_no=0), 0)
+        foreign = rid_of(99, 0, 0)
         with pytest.raises(StorageError):
             heap.read(foreign)
 
@@ -110,6 +110,41 @@ class TestHeapFile:
         rid = heap.insert(schema.validate_row((3, "q")))
         pairs = list(heap.scan())
         assert pairs == [(rid, (3, "q"))]
+
+
+class TestRecordIdLayout:
+    """A record id is ``((file_id << 32 | page_no) << 16) | slot``: what does not fit is refused."""
+
+    def test_a_page_size_beyond_the_slot_bits_is_refused(self):
+        schema = make_schema(("k", INTEGER))
+        HeapFile(0, schema, BufferPool(4), page_size=MAX_PAGE_SIZE)
+        for size in (MAX_PAGE_SIZE + 1, 4 * MAX_PAGE_SIZE, 0):
+            with pytest.raises(StorageError, match="page size"):
+                HeapFile(0, schema, BufferPool(4), page_size=size)
+            with pytest.raises(StorageError, match="page size"):
+                Database(page_size=size)
+
+    def test_the_largest_page_gives_every_slot_its_own_id(self):
+        table = Database(page_size=MAX_PAGE_SIZE).create_table("T", make_schema(("k", INTEGER)))
+        rids = table.insert_many([(None,)] * 60_000)  # 9 bytes a row: 58 k slots on page 0
+        assert table.page_count == 2 and len(set(rids)) == len(rids)
+        first_page = [rid_fields(rid) for rid in rids if rid_fields(rid)[1] == 0]
+        assert [slot for _file, _page, slot in first_page] == list(range(len(first_page)))
+        assert len(first_page) > 1 << 15 and rid_fields(rids[-1])[1] == 1
+        assert table.read(rids[len(first_page) - 1]) == (None,)
+
+    def test_a_file_id_beyond_the_file_bits_is_refused(self):
+        schema = make_schema(("k", INTEGER))
+        heap = HeapFile(MAX_FILE_ID, schema, BufferPool(4))
+        assert rid_fields(heap.insert((7,))) == (MAX_FILE_ID, 0, 0)
+        with pytest.raises(StorageError, match="file id"):
+            HeapFile(MAX_FILE_ID + 1, schema, BufferPool(4))
+        database = Database()
+        database._next_file_id = MAX_FILE_ID  # as if that many tables had been made
+        database.create_table("last", schema)
+        with pytest.raises(StorageError, match="file id"):
+            database.create_table("one_too_many", schema)
+        assert database.table_names() == ["last"]
 
 
 class TestSegmentAccounting:
