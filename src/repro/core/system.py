@@ -333,7 +333,7 @@ class CrawlHandle:
         return info
 
     def pipeline_stats(self) -> Optional[dict]:
-        """Saturation counters (fetch overlap, prefetch, frontier buckets).
+        """Saturation counters (fetch overlap, frontier buckets).
 
         ``None`` for crawler shapes without a single engine (e.g. the
         sharded crawler, whose shards each keep their own counters).

@@ -104,16 +104,6 @@ def _default_fetch_mode() -> str:
     return os.environ.get("REPRO_FETCH_MODE", "auto")
 
 
-def _default_prefetch() -> bool:
-    """The session default: ``REPRO_PREFETCH`` env var, else off.
-
-    Mirrors ``REPRO_FETCH_MODE``: CI can run the whole suite with
-    cross-round speculation enabled without threading a flag through
-    every entry point.  Any value other than ``""``/``"0"`` enables it.
-    """
-    return os.environ.get("REPRO_PREFETCH", "").strip() not in ("", "0")
-
-
 def _default_score_backend() -> str:
     """The session default: ``REPRO_SCORE_BACKEND`` env var, else ``"python"``.
 
@@ -175,14 +165,11 @@ class CrawlerConfig:
     #: "async" runs the round's fetches through an asyncio pipeline that
     #: overlaps transport latency with classification and writes.
     fetch_mode: str = field(default_factory=_default_fetch_mode)
-    #: Cross-round prefetch (async fetch mode only): at the tail of a
-    #: round, speculatively ``prepare()``+fetch the frontier's projected
-    #: next checkout while the current round's classify/write/distill
-    #: completes.  The round boundary reconciles the speculation against
-    #: the post-commit frontier (confirm-or-replay), so pages, relevance
-    #: floats, and all table contents stay bit-identical to the
-    #: non-prefetch async path.
-    prefetch: bool = field(default_factory=_default_prefetch)
+    #: Accepted and ignored: cross-round prefetch was removed (README,
+    #: *Prefetch (removed)*).  Kept so that older configs, pickled
+    #: checkpoints and ``benchmarks/suite`` still load; ROADMAP item 1(e)
+    #: unbinds the suite from it, and then the field goes.
+    prefetch: bool = False
     #: Maximum fetches outstanding at once in async mode (0 = round size).
     max_inflight: int = 0
     #: Per-server cap on outstanding async fetches (0 = unlimited) — the
@@ -276,32 +263,6 @@ class CrawlerConfig:
         """The effective worker count for ``engine="sharded"`` (>= 1)."""
         shards = getattr(self, "shards", 0)
         return shards if shards and shards > 0 else 1
-
-
-#: Speculative prepares launched per top-up step.  Small so the draw
-#: stream stays close behind the confirmed frontier (late speculation
-#: sees more of the round's priority updates and goes stale less often).
-_PREFETCH_CHUNK = 8
-
-
-@dataclass
-class _Speculation:
-    """In-flight cross-round speculation: the projected next checkout.
-
-    ``snapshots[i]`` is the combined transport + server-pool draw state
-    *after* the first ``i`` speculative prepares (``snapshots[0]`` is the
-    pre-speculation base), so reconciliation can keep any confirmed
-    prefix of the speculative draw stream, rewind to the first mismatch,
-    and replay the rest in canonical checkout order.
-    """
-
-    urls: List[str] = field(default_factory=list)
-    pendings: List[object] = field(default_factory=list)
-    tasks: List["asyncio.Task"] = field(default_factory=list)
-    snapshots: List[dict] = field(default_factory=list)
-
-    def undone(self) -> int:
-        return sum(1 for task in self.tasks if not task.done())
 
 
 @dataclass
@@ -633,14 +594,6 @@ class CrawlEngine:
         #: processing time — the async pipeline's overlap instrumentation.
         self.fetch_overlap_s = 0.0
         self._round_process_s = 0.0
-        #: Cross-round speculation state and counters (prefetch mode).
-        self._spec: Optional[_Speculation] = None
-        self._gate: Optional[asyncio.Semaphore] = None
-        self._server_gates: Dict[str, asyncio.Semaphore] = {}
-        self._prefetch_launched = 0
-        self._prefetch_hits = 0
-        self._prefetch_stale = 0
-        self._prefetch_drained = 0
         #: oid -> measured relevance of every visited page, in visit order.
         self._relevance: Dict[int, float] = {}
         self._scorer = PageScorer(classifier, taxonomy, config)
@@ -668,30 +621,13 @@ class CrawlEngine:
         """True when rounds fetch through the asyncio pipeline."""
         return self.config.fetch_mode == "async"
 
-    @property
-    def prefetch_enabled(self) -> bool:
-        """True when the async pipeline speculates across rounds.
-
-        The ``getattr`` default keeps configs unpickled from pre-prefetch
-        checkpoints (which lack the field entirely) resumable.
-        """
-        return self.async_fetch and bool(getattr(self.config, "prefetch", False))
-
     def prefetch_stale_ratio(self) -> float:
-        """Fraction of speculative prepares discarded at reconciliation."""
-        if not self._prefetch_launched:
-            return 0.0
-        return (self._prefetch_stale + self._prefetch_drained) / self._prefetch_launched
+        """Always 0.0: cross-round prefetch was removed.
 
-    def prefetch_stats(self) -> Dict[str, float]:
-        """Speculation counters: launched/hit/stale/drained plus the ratio."""
-        return {
-            "launched": self._prefetch_launched,
-            "hits": self._prefetch_hits,
-            "stale": self._prefetch_stale,
-            "drained": self._prefetch_drained,
-            "stale_ratio": self.prefetch_stale_ratio(),
-        }
+        Kept because ``benchmarks/suite`` still reads it; ROADMAP item
+        1(e) unbinds the suite from it, and then this stub goes.
+        """
+        return 0.0
 
     def fetch_overlap_ratio(self) -> float:
         """Fraction of round processing that ran while fetches were in flight.
@@ -705,11 +641,9 @@ class CrawlEngine:
         return self.fetch_overlap_s / self._round_process_s
 
     def pipeline_stats(self) -> Dict[str, object]:
-        """Saturation counters: fetch overlap, speculation, frontier shape."""
+        """Saturation counters: fetch overlap and frontier shape."""
         return {
-            "prefetch_enabled": self.prefetch_enabled,
             "fetch_overlap_ratio": self.fetch_overlap_ratio(),
-            "prefetch": self.prefetch_stats(),
             "frontier": self.frontier.heap_stats(),
         }
 
@@ -736,8 +670,6 @@ class CrawlEngine:
         rounds = range(max_rounds) if max_rounds is not None else itertools.count()
         try:
             if self.async_fetch:
-                # One event loop for the whole run: speculative fetch
-                # tasks must survive round boundaries.
                 asyncio.run(self._run_rounds_async(budget, rounds))
             else:
                 self._run_rounds(budget, rounds)
@@ -804,12 +736,6 @@ class CrawlEngine:
                 "hits": self._scorer.cache.hits,
                 "misses": self._scorer.cache.misses,
             },
-            "prefetch": {
-                "launched": self._prefetch_launched,
-                "hits": self._prefetch_hits,
-                "stale": self._prefetch_stale,
-                "drained": self._prefetch_drained,
-            },
             "delta_cache": (
                 self._incremental.cache.state_snapshot()
                 if self._incremental is not None
@@ -870,7 +796,11 @@ class CrawlEngine:
         return state
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Adopt a checkpointed engine state (the database must already be recovered)."""
+        """Adopt a checkpointed engine state (the database must already be recovered).
+
+        A ``"prefetch"`` section, written before cross-round prefetch was
+        removed, held counters only and is ignored.
+        """
         self._tick = state["tick"]
         self._since_distillation = state["since_distillation"]
         self._since_checkpoint = state["since_checkpoint"]
@@ -879,12 +809,6 @@ class CrawlEngine:
         cache = self._scorer.cache = OutcomeLRU(self.config.posterior_cache_size)
         cache.hits = state["outcome_cache"]["hits"]
         cache.misses = state["outcome_cache"]["misses"]
-        # .get defaults keep pre-prefetch checkpoints resumable.
-        prefetch = state.get("prefetch") or {}
-        self._prefetch_launched = prefetch.get("launched", 0)
-        self._prefetch_hits = prefetch.get("hits", 0)
-        self._prefetch_stale = prefetch.get("stale", 0)
-        self._prefetch_drained = prefetch.get("drained", 0)
         # The score-table rid cache is soft state; rebuild it from the
         # replayed tables rather than trusting pre-crash record ids.
         self._score_store.invalidate()
@@ -943,32 +867,22 @@ class CrawlEngine:
                 break
 
     async def _run_rounds_async(self, budget: int, rounds) -> None:
-        """Async fetch: process completed prefixes while the tail is in flight.
-
-        With prefetch on, each round's checkout is also reconciled
-        against the live speculation stream, and the stream is corrected
-        at the round tail; with it off no speculation is ever launched
-        and :meth:`_reconcile_speculation` just prepares the round.
-        """
-        speculate = self.prefetch_enabled
-        self._gate = asyncio.Semaphore(self.fetch_policy.effective_inflight(self.round_size))
-        self._server_gates = {}
-        try:
-            for _ in rounds:
-                urls = self._checkout(budget)
-                if not urls:
-                    break
-                tasks = self._reconcile_speculation(urls)
-                stop = await self._drain_round(urls, tasks, speculate)
-                self._close_round()
-                if stop:
-                    break
-                if speculate and self.trace.pages_fetched < budget:
-                    self._respeculate_round_end()
-        finally:
-            # Leave the draw streams canonical (and the loop task-free)
-            # no matter how the run ends.
-            self._drain_speculation()
+        """Async fetch: process completed prefixes while the tail is in flight."""
+        gate = asyncio.Semaphore(self.fetch_policy.effective_inflight(self.round_size))
+        server_gates: Dict[str, asyncio.Semaphore] = {}
+        for _ in rounds:
+            urls = self._checkout(budget)
+            if not urls:
+                break
+            started = time.perf_counter()
+            pendings = [self.transport.prepare(url) for url in urls]
+            self.stage_timings["fetch"] += time.perf_counter() - started
+            stop = await self._drain_round(
+                urls, self._spawn_wait_tasks(pendings, gate, server_gates)
+            )
+            self._close_round()
+            if stop:
+                break
 
     def _fetch_stage(self, urls: Sequence[str]) -> List[FetchResult]:
         """Fetch the round's URLs, returning results in checkout order.
@@ -1065,20 +979,20 @@ class CrawlEngine:
             self.config, self._since_checkpoint, self._last_checkpoint_s
         ):
             return
-        # The checkpoint must capture canonical draw-stream state: any
-        # live cross-round speculation is cancelled and rewound first.
-        self._drain_speculation()
         self._since_checkpoint = 0
         if self.config.checkpoint_interval_s:
             self._last_checkpoint_s = time.monotonic()
         self.checkpointer.save()
 
     # -- async fetch -------------------------------------------------------------------
-    def _spawn_wait_tasks(self, pendings: Sequence[object]) -> List["asyncio.Task"]:
-        """Wrap prepared fetches in gated wait tasks on the running loop."""
+    def _spawn_wait_tasks(
+        self,
+        pendings: Sequence[object],
+        gate: asyncio.Semaphore,
+        server_gates: Dict[str, asyncio.Semaphore],
+    ) -> List["asyncio.Task"]:
+        """Wrap prepared fetches in wait tasks behind the run's in-flight gates."""
         transport = self.transport
-        gate = self._gate
-        server_gates = self._server_gates
         per_server = self.fetch_policy.per_server_inflight
 
         async def wait_one(pending):
@@ -1094,9 +1008,7 @@ class CrawlEngine:
 
         return [asyncio.create_task(wait_one(pending)) for pending in pendings]
 
-    async def _drain_round(
-        self, urls: Sequence[str], tasks: List["asyncio.Task"], speculate: bool
-    ) -> bool:
+    async def _drain_round(self, urls: Sequence[str], tasks: List["asyncio.Task"]) -> bool:
         """Await the round's tasks in checkout order, processing done prefixes.
 
         Up to ``FetchPolicy.effective_inflight`` fetches stay outstanding
@@ -1107,21 +1019,10 @@ class CrawlEngine:
         synchronously in checkout order, and classification outcomes are
         grouping-invariant, so completion timing can change only the wall
         clock, never the crawl.
-
-        With *speculate* on, the drain also tops up the cross-round
-        speculation stream between groups, and counts still-undone
-        speculative fetches toward the overlap credit — processing that
-        runs while *any* fetch is in flight is hidden latency.
         """
         stop = False
         index = 0
-
-        def undone(start: int) -> int:
-            return sum(1 for task in tasks[start:] if not task.done())
-
         try:
-            if speculate:
-                self._topup_speculation(undone(0))
             while index < len(tasks):
                 waited = time.perf_counter()
                 head = await tasks[index]
@@ -1131,16 +1032,7 @@ class CrawlEngine:
                 while index < len(tasks) and tasks[index].done():
                     group.append((urls[index], tasks[index].result()))
                     index += 1
-                if speculate:
-                    # Top up *before* processing: the slack this group's
-                    # completion just opened is exactly the window the
-                    # next round's fetches should be sleeping through.
-                    self._topup_speculation(undone(index))
-                    in_flight = undone(index)
-                    if self._spec is not None:
-                        in_flight += self._spec.undone()
-                else:
-                    in_flight = len(tasks) - index
+                in_flight = index < len(tasks)
                 started = time.perf_counter()
                 if self._process_group(group):
                     stop = True
@@ -1154,167 +1046,6 @@ class CrawlEngine:
             for task in tasks[index:]:
                 task.cancel()
         return stop
-
-    # -- cross-round prefetch ----------------------------------------------------------
-    def _draw_state_snapshot(self) -> dict:
-        """Every RNG stream (and counter) a ``prepare()`` call advances.
-
-        ``prepare`` draws from the transport stack (latency RNG, fetcher
-        RNG, fetcher stats — all inside ``transport.state_snapshot()``)
-        *and* from the shared server pool's failure/latency generator,
-        which is checkpointed separately; speculation must rewind both.
-        """
-        servers = getattr(self.fetcher.web, "servers", None)
-        return {
-            "transport": self.transport.state_snapshot(),
-            "servers": servers.rng_state() if servers is not None else None,
-        }
-
-    def _draw_state_restore(self, state: dict) -> None:
-        self.transport.restore_state(state["transport"])
-        if state["servers"] is not None:
-            self.fetcher.web.servers.restore_rng(state["servers"])
-
-    def _speculate(self, new_urls: Sequence[str]) -> None:
-        """Prepare *new_urls* onto the speculative stream, snapshotting after each draw."""
-        spec = self._spec
-        if spec is None:
-            spec = self._spec = _Speculation(snapshots=[self._draw_state_snapshot()])
-        if not new_urls:
-            return
-        started = time.perf_counter()
-        pendings = []
-        for url in new_urls:
-            pendings.append(self.transport.prepare(url))
-            spec.snapshots.append(self._draw_state_snapshot())
-        self.stage_timings["fetch"] += time.perf_counter() - started
-        spec.urls.extend(new_urls)
-        spec.pendings.extend(pendings)
-        spec.tasks.extend(self._spawn_wait_tasks(pendings))
-        self._prefetch_launched += len(new_urls)
-
-    def _speculation_prefix(self, urls: Sequence[str]) -> int:
-        """How many leading *urls* the speculative stream already holds, in order."""
-        speculated = self._spec.urls
-        limit = min(len(urls), len(speculated))
-        prefix = 0
-        while prefix < limit and urls[prefix] == speculated[prefix]:
-            prefix += 1
-        return prefix
-
-    def _trim_speculation(self, prefix: int) -> None:
-        """Discard the speculative stream past *prefix* as stale.
-
-        The tail's tasks are cancelled and the draw streams rewind to
-        the snapshot taken after the last kept prepare.
-        """
-        spec = self._spec
-        self._prefetch_stale += len(spec.urls) - prefix
-        for task in spec.tasks[prefix:]:
-            task.cancel()
-        self._draw_state_restore(spec.snapshots[prefix])
-        del spec.urls[prefix:]
-        del spec.pendings[prefix:]
-        del spec.tasks[prefix:]
-        del spec.snapshots[prefix + 1 :]
-
-    def _topup_speculation(self, undone_round: int) -> None:
-        """Extend the speculative stream while the pipeline has slack.
-
-        Keeps roughly one round's worth of fetches in flight: when the
-        undone round tail plus undone speculation drops below the round
-        size, peek the frontier's projected next checkout and prepare a
-        chunk of it.  Draws happen here, synchronously — after every
-        confirmed draw so far — which is exactly their canonical position
-        if the projection holds; reconciliation rewinds them if not.
-        """
-        round_size = self.round_size
-        spec = self._spec
-        spec_len = 0 if spec is None else len(spec.urls)
-        if spec_len >= 2 * round_size:
-            return
-        if undone_round + (0 if spec is None else spec.undone()) >= round_size:
-            return
-        want = min(_PREFETCH_CHUNK, 2 * round_size - spec_len)
-        preview = self.frontier.peek_batch(spec_len + want)
-        known = set(spec.urls) if spec is not None else ()
-        self._speculate([url for url in preview if url not in known][:want])
-
-    def _respeculate_round_end(self) -> None:
-        """Correct the speculative stream at the round tail, where it is cheap.
-
-        Every priority update this round makes (visits, expansions,
-        failures, distillation boosts) is applied by now, so a projection
-        taken here almost always survives the next round's
-        reconciliation.  Mid-round speculation, by contrast, goes stale
-        whenever a freshly discovered link outranks the queue — so trim
-        the speculative tail back to its still-confirmed prefix (rewind
-        the draws now, not at reconcile) and extend with the accurate
-        projection, letting the next round's latency tick down through
-        the boundary work.
-        """
-        projection = self.frontier.peek_batch(self.round_size)
-        kept = 0
-        if self._spec is not None:
-            kept = self._speculation_prefix(projection)
-            if kept < len(self._spec.urls):
-                self._trim_speculation(kept)
-        self._speculate(projection[kept:])
-
-    def _reconcile_speculation(self, urls: Sequence[str]) -> List["asyncio.Task"]:
-        """Turn a canonical checkout into fetch tasks, reusing confirmed speculation.
-
-        The longest common prefix of the speculative stream and the
-        canonical checkout is confirmed: those prepares drew in exactly
-        the order the non-prefetch path would have, so their in-flight
-        tasks are adopted as-is.  Everything past the first mismatch is
-        cancelled, the draw streams rewind to the confirmed-prefix
-        snapshot, and the rest of the round prepares freshly — the
-        replay leg of the confirm-or-replay contract.  With no live
-        speculation (always, when prefetch is off) the whole round
-        prepares freshly.
-        """
-        spec = self._spec
-        confirmed: List["asyncio.Task"] = []
-        if spec is not None:
-            prefix = self._speculation_prefix(urls)
-            self._prefetch_hits += prefix
-            confirmed = spec.tasks[:prefix]
-            if prefix == len(urls):
-                # Whole round served from speculation; the surviving
-                # suffix (drawn after this round's prepares — its
-                # canonical position) stays live for the next round.
-                if prefix < len(spec.urls):
-                    del spec.urls[:prefix]
-                    del spec.pendings[:prefix]
-                    del spec.tasks[:prefix]
-                    del spec.snapshots[:prefix]
-                else:
-                    self._spec = None
-                return confirmed
-            self._trim_speculation(prefix)
-            self._spec = None
-        started = time.perf_counter()
-        pendings = [self.transport.prepare(url) for url in urls[len(confirmed) :]]
-        self.stage_timings["fetch"] += time.perf_counter() - started
-        return confirmed + self._spawn_wait_tasks(pendings)
-
-    def _drain_speculation(self) -> None:
-        """Cancel all speculation and rewind the draw streams to canonical.
-
-        Runs before every checkpoint save and at the async loop's exit,
-        so persisted transport/server RNG state never includes
-        speculative draws — a resumed crawl replays them from the round
-        boundary, bit for bit.
-        """
-        spec = self._spec
-        if spec is None:
-            return
-        self._prefetch_drained += len(spec.urls)
-        for task in spec.tasks:
-            task.cancel()
-        self._draw_state_restore(spec.snapshots[0])
-        self._spec = None
 
     # -- distillation plumbing -------------------------------------------------------
     def _incremental_distiller(self) -> IncrementalDistiller:

@@ -6,22 +6,18 @@ paper).  The Frontier keeps an in-memory priority structure mirroring
 the ordering over frontier-status rows — the role an index ordering
 plays in DB2 — with lazy invalidation when priorities change.
 
-Two interchangeable structures implement that priority order:
-
-* :class:`HeapIndex` — a single binary heap over the full ordering key,
-  the reference implementation (the pre-bucketing behaviour, bit for
-  bit), which the property tests select with ``Frontier(index="heap")``;
-* :class:`BucketedIndex` — the default: tuples are partitioned into
-  priority *bands* derived from the leading ordering columns (integer
-  columns pass through losslessly; the first float column — relevance
-  under the default orderings — is quantised into
-  ``_RELEVANCE_BANDS`` bands) and each band keeps its own small heap
-  over the full key.  Because the band function is monotone in the
-  lexicographic key order, draining bands in band order yields exactly
-  the heap's total order — property tests pin the equivalence — while
-  pushes and priority reassignments pay ``O(log bucket)`` instead of
-  ``O(log everything)`` and a ``pop_batch(k)`` drain touches only the
-  leading band(s).
+That structure is a :class:`BucketedIndex`: tuples are partitioned
+into priority *bands* derived from the leading ordering columns
+(integer columns pass through losslessly; the first float column —
+relevance under the default orderings — is quantised into
+``_RELEVANCE_BANDS`` bands) and each band keeps its own small heap over
+the full key.  Because the band function is monotone in the
+lexicographic key order, draining bands in band order yields exactly
+the total order of one binary heap over the full key — the property
+tests pin the equivalence against such a heap — while pushes and
+priority reassignments pay ``O(log bucket)`` instead of
+``O(log everything)`` and a ``pop_batch(k)`` drain touches only the
+leading band(s).
 
 Ties under the crawl ordering are broken by page oid, which is a stable
 function of the URL: checkout order therefore does not depend on
@@ -31,10 +27,7 @@ regardless of how a round interleaved its ``add_url`` calls.
 For the crawl engine's rounds the frontier supports *round buffering*
 (:meth:`begin_batch` / :meth:`flush_batch`): in-memory entries stay
 authoritative at all times, while CRAWL-table writes accumulate and are
-flushed once per round through ``insert_many`` / ``update_rows``.  The
-cross-round prefetch pipeline additionally uses :meth:`peek_batch` — a
-side-effect-free preview of the next checkout — to speculate on future
-rounds without perturbing entry state.
+flushed once per round through ``insert_many`` / ``update_rows``.
 """
 
 from __future__ import annotations
@@ -62,37 +55,8 @@ _RELEVANCE_BANDS = 32
 _INT_ORDER_COLUMNS = frozenset({"numtries", "serverload", "discovered", "lastvisited"})
 _FLOAT_ORDER_COLUMNS = frozenset({"relevance", "hub_score", "authority_score"})
 
-#: Priority-index implementations accepted by ``Frontier(index=...)``.
-FRONTIER_INDEXES = ("bucketed", "heap")
-
 #: One prioritised tuple: (ordering key, oid tie-break, url).
 _IndexItem = Tuple[tuple, int, str]
-
-
-class HeapIndex:
-    """The reference priority structure: one binary heap over the full key."""
-
-    name = "heap"
-
-    def __init__(self) -> None:
-        self._heap: List[_IndexItem] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, item: _IndexItem) -> None:
-        heapq.heappush(self._heap, item)
-
-    def pop_min(self) -> Optional[_IndexItem]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
-
-    def clear(self) -> None:
-        self._heap = []
-
-    def stats(self) -> Dict[str, int]:
-        return {"buckets": 1, "largest_bucket": len(self._heap)}
 
 
 def compile_band_of(ordering: CrawlOrdering) -> Callable[[tuple], tuple]:
@@ -142,8 +106,6 @@ class BucketedIndex:
     top, so at most one live instance of each id exists.
     """
 
-    name = "bucketed"
-
     def __init__(self, band_of: Callable[[tuple], tuple]) -> None:
         self._band_of = band_of
         self._buckets: Dict[tuple, List[_IndexItem]] = {}
@@ -185,16 +147,6 @@ class BucketedIndex:
             "buckets": len(sizes),
             "largest_bucket": max(sizes, default=0),
         }
-
-
-def _build_index(name: str, ordering: CrawlOrdering):
-    if name == "heap":
-        return HeapIndex()
-    if name == "bucketed":
-        return BucketedIndex(compile_band_of(ordering))
-    raise ValueError(
-        f"unknown frontier index {name!r}; expected one of {FRONTIER_INDEXES}"
-    )
 
 
 @dataclass(slots=True)
@@ -249,21 +201,10 @@ def _entry_tuple(entry: FrontierEntry, locate: Callable[[int], tuple]) -> tuple:
 class Frontier:
     """Priority frontier backed by the CRAWL table."""
 
-    def __init__(
-        self,
-        database: Database,
-        ordering: Optional[CrawlOrdering] = None,
-        index: Optional[str] = None,
-    ) -> None:
+    def __init__(self, database: Database, ordering: Optional[CrawlOrdering] = None) -> None:
         self.database = database
         self.ordering = ordering or aggressive_discovery()
         self._entry_key = self.ordering.compile_entry_key()
-        self._index_name = index or "bucketed"
-        if self._index_name not in FRONTIER_INDEXES:
-            raise ValueError(
-                f"unknown frontier index {self._index_name!r}; "
-                f"expected one of {FRONTIER_INDEXES}"
-            )
         # CRAWL rows are built positionally for bulk loading; pin the order.
         crawl_columns = tuple(database.table("CRAWL").schema.column_names)
         expected = (
@@ -277,7 +218,7 @@ class Frontier:
         #: are keyed by oid; this avoids rebuilding the inverse per lookup).
         self._url_of_oid: Dict[int, str] = {}
         self._server_load: Dict[int, int] = {}
-        self._index = _build_index(self._index_name, self.ordering)
+        self._index = BucketedIndex(compile_band_of(self.ordering))
         # Index hygiene: the structure is lazily invalidated, so it
         # accumulates tuples for dead/visited entries and superseded
         # priorities.  A live count of frontier-status entries (maintained
@@ -305,7 +246,7 @@ class Frontier:
         """Switch crawl policy dynamically (the paper's one-line policy change)."""
         self.ordering = ordering
         self._entry_key = ordering.compile_entry_key()
-        self._index = _build_index(self._index_name, ordering)
+        self._index = BucketedIndex(compile_band_of(ordering))
         self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
@@ -337,16 +278,14 @@ class Frontier:
     def heap_stats(self) -> Dict[str, Any]:
         """Hygiene counters: index size, live entries, tuples scanned, compactions.
 
-        ``heap_size`` keeps its historical name (total prioritised tuples,
-        whatever the structure); ``index``/``buckets``/``largest_bucket``
-        describe the configured priority structure.
+        ``heap_size`` keeps its historical name (total prioritised tuples);
+        ``buckets``/``largest_bucket`` describe the bucketed index.
         """
         stats: Dict[str, Any] = {
             "heap_size": len(self._index),
             "frontier_size": self._frontier_count,
             "tuples_scanned": self._heap_tuples_scanned,
             "compactions": self._heap_compactions,
-            "index": self._index.name,
         }
         stats.update(self._index.stats())
         return stats
@@ -583,36 +522,6 @@ class Frontier:
             self._set_status(entry, "in_flight")
             checked_out.append(url)
         return checked_out
-
-    def peek_batch(self, k: int) -> list[str]:
-        """A side-effect-free preview of what :meth:`pop_batch(k)` would return.
-
-        Drains the index exactly as a checkout would — lazily re-keying
-        stale tuples, discarding dead ones — but never touches entry
-        status, and pushes the accepted tuples straight back, so a
-        subsequent :meth:`pop_batch` yields the same sequence from the
-        same state.  This is the "optimistic snapshot of the next
-        checkout" the cross-round prefetch pipeline speculates on.
-        """
-        accepted: List[_IndexItem] = []
-        taken: set[str] = set()
-        while len(accepted) < k:
-            item = self._index.pop_min()
-            if item is None:
-                break
-            key, _oid, url = item
-            entry = self._entries.get(url)
-            if entry is None or entry.status != "frontier" or url in taken:
-                continue
-            current_key = self._current_key(entry)
-            if key != current_key:
-                self._push(entry)
-                continue
-            taken.add(url)
-            accepted.append(item)
-        for item in accepted:
-            self._index.push(item)
-        return [url for _key, _oid, url in accepted]
 
     def requeue(self, url: str) -> None:
         """Return an in-flight URL to the frontier (e.g. after a transient failure)."""

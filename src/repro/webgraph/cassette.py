@@ -18,9 +18,8 @@ one cassette serves the serial, batched, and async engines and they all
 produce identical pages and relevance floats.
 
 Both wrappers participate in ``state_snapshot()`` / ``restore_state()``:
-the recorder snapshots its byte offset (restore truncates speculative or
-post-checkpoint events — this is what makes kill/resume and the
-prefetcher's confirm-or-replay rewind work mid-cassette), and the
+the recorder snapshots its byte offset (restore truncates post-checkpoint
+events — this is what makes kill/resume work mid-cassette), and the
 replayer snapshots its served counters.
 
 File format (one JSON object per line)::
@@ -104,11 +103,10 @@ class RecordingTransport:
     sequential stream (the file), so the threaded fetch stage runs it
     inline and events land in deterministic checkout order.  When the
     inner transport resolves outcomes at ``prepare`` time (the
-    deterministic transports), the event is written there too, keeping
-    byte offsets aligned with the engine's draw-state snapshots even
-    under cross-round prefetch.  For a real HTTP inner the event is
-    written at ``wait`` completion (record+prefetch+http is refused by
-    :func:`transport_for_config` for exactly this reason).
+    deterministic transports), the event is written there too: the async
+    fetch stage calls ``prepare`` in checkout order, so its recordings
+    stay in checkout order however the waits complete.  For a real HTTP
+    inner the event is written at ``wait`` completion.
     """
 
     order_sensitive = True
@@ -223,9 +221,9 @@ class RecordingTransport:
     def restore_state(self, state: dict) -> None:
         with self._lock:
             self._attempts = dict(state["attempts"])
-            # Drop events written after the snapshot (speculative prefetch
-            # rewind, or post-checkpoint work lost to a crash): the
-            # cassette rewinds in lockstep with every other draw stream.
+            # Drop events written after the snapshot (post-checkpoint work
+            # lost to a crash): the cassette rewinds in lockstep with
+            # every other draw stream.
             self._file.flush()
             self._file.truncate(state["offset"])
             self._file.seek(0, os.SEEK_END)
@@ -419,15 +417,6 @@ def transport_for_config(
     if mode != "record":
         raise ValueError(
             f"unknown cassette_mode {mode!r}; expected 'auto', 'record', or 'replay'"
-        )
-    if (
-        config.transport == "http"
-        and getattr(config, "prefetch", False)
-    ):
-        raise ValueError(
-            "cassette recording of an http crawl is incompatible with prefetch=True: "
-            "speculative fetches would land in the cassette out of checkout order; "
-            "record with prefetch=False (replay supports every mode)"
         )
     inner = build(config.transport, fetcher, config.transport_options)
     return RecordingTransport(inner, path)

@@ -306,8 +306,8 @@ class StdlibSessionBackend:
 
     One redirect-disabled ``OpenerDirector`` plays the role of the shared
     client session: it is loop-independent, so a crawl that runs one
-    asyncio loop per round (the engine's non-prefetch async mode) still
-    reuses the same opener for its whole lifetime.  Local fixture-server
+    asyncio loop per round (the async engine stepped a round at a time)
+    still reuses the same opener for its whole lifetime.  Local fixture-server
     tests and environments without ``aiohttp`` run on this backend.
     """
 
@@ -364,10 +364,10 @@ class AiohttpSessionBackend:
     The session is created lazily on first use and reused for every
     subsequent request on the same event loop — the PR-10 bugfix for the
     stub's session-per-fetch.  aiohttp sessions are bound to the loop
-    they were created on, and the engine's non-prefetch async mode runs
-    one ``asyncio.run`` per round; when the running loop changes, the
-    stale session is closed (best effort) and one new session is built
-    for the new loop — per *round*, never per fetch.
+    they were created on, and the async engine runs one ``asyncio.run``
+    per ``run()`` call — per round when it is stepped; when the running
+    loop changes, the stale session is closed (best effort) and one new
+    session is built for the new loop — per *round*, never per fetch.
     """
 
     name = "aiohttp"
@@ -754,8 +754,8 @@ class HttpTransport:
 
     def _robots_lock(self, base: str) -> asyncio.Lock:
         # asyncio.Lock binds to the loop that first acquires it, and the
-        # engine's non-prefetch async mode runs one event loop per round
-        # — a lock cached on round A's loop would raise "bound to a
+        # async engine stepped a round at a time runs one event loop per
+        # round — a lock cached on round A's loop would raise "bound to a
         # different event loop" when a robots TTL expiry re-acquires it
         # on round B's.  Scope the cache to the running loop (the same
         # trick as the aiohttp backend's _session_for_loop).

@@ -21,7 +21,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import FocusConfig, JobSpec
 from repro.core.system import FocusSystem
-from repro.crawler.engine import CrawlTrace
+from repro.crawler.engine import CrawlEngine, CrawlTrace
 from repro.crawler.focused import CrawlerConfig
 from repro.crawler.frontier import ENTRY_FIELDS
 from repro.experiments.workloads import build_crawl_workload
@@ -311,13 +311,12 @@ class TestCrashResume:
 
 
 class TestPrefetchCrashResume:
-    """Kill/resume with cross-round prefetch active.
+    """Kill/resume of a crawl whose config says ``prefetch=True``.
 
-    In-flight speculation is never checkpointed: every save drains the
-    speculative stream and rewinds the transport/server RNG draws first,
-    so a resumed prefetch crawl replays them canonically.  The combined
-    run must equal the uninterrupted *non-prefetch* reference bit for
-    bit — the strongest form of the confirm-or-replay contract.
+    The field is accepted and inert: it rides along in the pickled config
+    of every save and changes nothing the engine draws or writes.  The
+    combined run must equal the uninterrupted *non-prefetch* reference
+    bit for bit.
     """
 
     @staticmethod
@@ -327,10 +326,7 @@ class TestPrefetchCrashResume:
         config.prefetch = True
         return config
 
-    # Arbitrary kill points: mid-round, mid-speculation, straddling the
-    # checkpoint cadence — speculative prepares consume fetch attempts
-    # early, so the same counts land at different pipeline states than
-    # in the non-prefetch async test above.
+    # Arbitrary kill points: mid-round and straddling the checkpoint cadence.
     @pytest.mark.parametrize("kill_after", [12, 47, 83, 101])
     def test_prefetch_killed_and_resumed_matches_uninterrupted(
         self, checkpoint_system, reference_batched, tmp_path, monkeypatch, kill_after
@@ -353,8 +349,7 @@ class TestPrefetchCrashResume:
     def test_k1_prefetch_killed_and_resumed_matches_uninterrupted(
         self, checkpoint_system, reference_serial, tmp_path, monkeypatch
     ):
-        """Rounds of one URL speculate too: the projected next checkout is
-        prepared while the current page is classified and written."""
+        """Rounds of one URL: the flag is as inert at K=1."""
         kill_fetcher_after(monkeypatch, 58)
         with pytest.raises(KillSwitch):
             checkpoint_system.crawl(
@@ -365,7 +360,8 @@ class TestPrefetchCrashResume:
         monkeypatch.undo()
 
         resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
-        assert resumed.crawler.engine.prefetch_stats()["launched"] > 0
+        assert resumed.crawler.config.prefetch
+        assert resumed.crawler.engine.prefetch_stale_ratio() == 0.0
         assert resumed.pages_fetched() == MAX_PAGES
         assert_traces_match(resumed, reference_serial)
         resumed.database.close()
@@ -373,9 +369,8 @@ class TestPrefetchCrashResume:
     def test_prefetch_latency_killed_and_resumed(
         self, checkpoint_system, tmp_path, monkeypatch
     ):
-        """Same contract through the latency transport: its own RNG stream
-        (and the speculative draws taken from it) checkpoint canonically.
-        The reference is the *non-prefetch* latency crawl."""
+        """Same contract through the latency transport and its own RNG
+        stream.  The reference is the *non-prefetch* latency crawl."""
         def latency_config(prefetch: bool) -> CrawlerConfig:
             config = crawl_config("batched")
             config.fetch_mode = "async"
@@ -406,6 +401,43 @@ class TestPrefetchCrashResume:
         assert resumed.crawler.config.prefetch
         assert resumed.pages_fetched() == MAX_PAGES
         assert_traces_match(resumed, reference)
+        resumed.database.close()
+
+
+class TestParentCheckpointResume:
+    def test_prefetch_section_and_flag_are_ignored(
+        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
+    ):
+        """A checkpoint from before cross-round prefetch was removed: its
+        engine state carries a ``"prefetch"`` counter section and its
+        config says ``prefetch=True``.  It resumes to the uninterrupted
+        crawl, bit for bit."""
+        small_state = CrawlEngine._small_state
+
+        def parent_shaped(engine):
+            counters = {"launched": 40, "hits": 21, "stale": 12, "drained": 7}
+            return {**small_state(engine), "prefetch": counters}
+
+        monkeypatch.setattr(CrawlEngine, "_small_state", parent_shaped)
+        config = crawl_config("batched")
+        config.fetch_mode = "async"
+        config.prefetch = True
+        kill_fetcher_after(monkeypatch, 83)
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=config,
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(tmp_path / "crawl"),
+            )
+        monkeypatch.undo()
+        reopened, saved = CheckpointManager.load(str(tmp_path / "crawl"))
+        reopened.close()
+        assert saved.engine_state["prefetch"]["launched"] == 40
+        assert saved.config.prefetch
+
+        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
+        assert resumed.pages_fetched() == MAX_PAGES
+        assert_traces_match(resumed, reference_batched)
         resumed.database.close()
 
 
@@ -591,9 +623,7 @@ class TestDeltaEqualsFull:
         before_kill = len(kinds)
         resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
         assert resumed.pages_fetched() == MAX_PAGES
-        # The walk saw both frame kinds, on both sides of the kill (how
-        # many saves precede it depends on the fetch mode: speculative
-        # prepares spend fetch attempts early).
+        # The walk saw both frame kinds, on both sides of the kill.
         assert "delta" in kinds and "base" in kinds[1:]
         assert len(kinds) - 2 >= before_kill >= 1
         if case == "hard-focus":
@@ -623,7 +653,7 @@ class TestCheckpointBytes:
         path = tmp_path_factory.mktemp("bytes") / "crawl"
         config = CrawlerConfig(
             max_pages=self.PAGES, distill_every=40, checkpoint_every=100, engine="batched",
-            batch_size=32, score_backend="numpy", fetch_mode="threaded", prefetch=False,
+            batch_size=32, score_backend="numpy", fetch_mode="threaded",
             storage=StorageConfig(compact_every=0),
         )
         save = CheckpointManager.save

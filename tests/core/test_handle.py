@@ -71,14 +71,9 @@ class TestStepping:
         assert progress["budget"] == 120
         assert progress["fetch_attempts"] >= progress["pages_fetched"]
         pipeline = progress["pipeline"]
-        assert set(pipeline) == {
-            "prefetch_enabled",
-            "fetch_overlap_ratio",
-            "prefetch",
-            "frontier",
-        }
+        assert set(pipeline) == {"fetch_overlap_ratio", "frontier"}
+        assert "prefetch" not in pipeline
         assert pipeline["frontier"]["frontier_size"] >= 0
-        assert pipeline["prefetch"]["launched"] >= 0
         handle.cancel()
         assert handle.status == "cancelled"
         assert handle.result().trace is handle.trace

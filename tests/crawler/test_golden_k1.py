@@ -6,7 +6,7 @@ against.  That loop is gone — ``engine="serial"`` is the kernel at round
 size 1 — so its behaviour lives on here as data: for each case below the
 parent commit's serial loop (python backend) produced the digests in
 ``GOLDEN``, and the kernel must reproduce them bit for bit under every
-fetch mode the session default selects (threaded, async, prefetch).
+fetch mode the session default selects (threaded, async).
 
 A digest covers one artefact of the crawl: the fetched URL sequence, the
 ``repr`` of every relevance float, the failed URLs, the distillation
@@ -159,7 +159,8 @@ def test_k1_kernel_reproduces_the_serial_loop(name, small_web, trained_model, ta
     [
         dict(engine="serial", batch_size=8),
         dict(engine="batched", batch_size=1),
-        dict(engine="batched", batch_size=1, fetch_mode="async", prefetch=False),
+        dict(engine="batched", batch_size=1, fetch_mode="async"),
+        # The inert prefetch flag, as older configs still carry it.
         dict(engine="serial", fetch_mode="async", prefetch=True),
     ],
     ids=["serial-ignores-batch-size", "batched-k1", "async-k1", "prefetch-k1"],

@@ -61,7 +61,7 @@ def bare_worker(shard: int, shards: int) -> ShardWorker:
 
 
 def shard_state(frontier: Frontier, database):
-    return (
+    state = (
         [tuple(row) for row in database.table("CRAWL").rows()],
         [tuple(row) for row in database.table("LINK").rows()],
         [
@@ -69,8 +69,12 @@ def shard_state(frontier: Frontier, database):
              e.discovered, e.lastvisited, e.status)
             for e in frontier._entries.values()
         ],
-        frontier.peek_batch(64),
+        frontier.pop_batch(64),
     )
+    # The checkout order is the probe; the next round draws from the frontier.
+    for url in state[-1]:
+        frontier.requeue(url)
+    return state
 
 
 def draw_round(data, candidates, first_pos=0):

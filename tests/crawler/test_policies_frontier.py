@@ -1,6 +1,7 @@
 """Tests for crawl orderings and the CRAWL-table-backed frontier."""
 
 import dataclasses
+import heapq
 import pickle
 
 import pytest
@@ -334,6 +335,30 @@ class TestHeapHygiene:
         assert frontier.heap_stats()["compactions"] == 0
 
 
+class HeapIndex:
+    """The oracle priority structure: one binary heap over the full key.
+
+    The frontier's index before bucketing, bit for bit, with the part of
+    :class:`~repro.crawler.frontier.BucketedIndex`'s interface that the
+    equivalence histories reach (``heap_stats`` is never called).
+    """
+
+    def __init__(self) -> None:
+        self._heap = []
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, item) -> None:
+        heapq.heappush(self._heap, item)
+
+    def pop_min(self):
+        return heapq.heappop(self._heap) if self._heap else None
+
+    def clear(self) -> None:
+        self._heap = []
+
+
 class TestIndexEquivalence:
     """The bucketed index must be observationally identical to the heap.
 
@@ -348,11 +373,12 @@ class TestIndexEquivalence:
 
     @staticmethod
     def make_pair(make_ordering):
-        pair = []
-        for index in ("heap", "bucketed"):
-            database = create_focus_database(buffer_pool_pages=64)
-            pair.append(Frontier(database, make_ordering(), index=index))
-        return pair
+        heap, bucketed = (
+            Frontier(create_focus_database(buffer_pool_pages=64), make_ordering())
+            for _ in range(2)
+        )
+        heap._index = HeapIndex()  # still empty: nothing to carry over
+        return heap, bucketed
 
     @staticmethod
     def apply(frontier, op):
@@ -415,17 +441,19 @@ class TestIndexEquivalence:
         k=st.integers(1, 12),
     )
     @settings(max_examples=60, deadline=None)
-    def test_peek_batch_is_a_pop_prefix(self, relevances, k):
-        """peek_batch(k) previews pop_batch(k) exactly and changes nothing."""
+    def test_requeued_checkout_pops_again_in_order(self, relevances, k):
+        """pop_batch(k) then requeue of each URL leaves the frontier as it
+        was: the next pop_batch(k) checks out the same URLs in order."""
         database = create_focus_database(buffer_pool_pages=64)
-        frontier = Frontier(database, relevance_only(), index="bucketed")
+        frontier = Frontier(database, relevance_only())
         for i, relevance in enumerate(relevances):
             frontier.add_url(f"http://s{i % 3}.example/p{i}", relevance=relevance)
         size = len(frontier)
-        preview = frontier.peek_batch(k)
-        assert len(frontier) == size  # no status changes
-        assert frontier.peek_batch(k) == preview  # idempotent
-        assert frontier.pop_batch(k) == preview
+        checkout = frontier.pop_batch(k)
+        for url in checkout:
+            frontier.requeue(url)
+        assert len(frontier) == size
+        assert frontier.pop_batch(k) == checkout
 
     def test_band_boundaries_do_not_split_ties(self):
         """Scores straddling a 1/32 band edge still pop in exact key order."""

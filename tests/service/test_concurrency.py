@@ -45,7 +45,6 @@ def tenant_spec(tenant: int, backend: str = "python", latency_ms: float = 2.0, *
         batch_size=8,
         score_backend=backend,
         fetch_mode="async",
-        prefetch=False,
         transport="latency",
         transport_options={"mean_latency_ms": latency_ms, "seed": 0},
     )

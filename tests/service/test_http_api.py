@@ -93,7 +93,7 @@ class TestEndpoints:
         stats = call(f"{base}/jobs/{job_id}/stats")
         assert set(stats) == {"io", "stage_timings", "pipeline", "pool", "crawl"}
         assert stats["pipeline"]["frontier"]["heap_size"] >= 0
-        assert "stale_ratio" in stats["pipeline"]["prefetch"]
+        assert "prefetch" not in stats["pipeline"]
         assert stats["crawl"]["visited"] == 60
         assert stats["crawl"]["average_relevance"] > 0
 

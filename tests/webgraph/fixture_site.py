@@ -280,12 +280,7 @@ def fixture_crawler_config(
     max_pages: int = FIXTURE_MAX_PAGES,
     **overrides,
 ):
-    """The standard CrawlerConfig of a fixture-site cassette crawl.
-
-    ``prefetch`` is pinned off: recording an http crawl is incompatible
-    with speculative prefetch (and the ``REPRO_PREFETCH=1`` CI leg would
-    otherwise flip it on through the field default).
-    """
+    """The standard CrawlerConfig of a fixture-site cassette crawl."""
     from repro import CrawlerConfig
 
     return CrawlerConfig(
@@ -294,7 +289,6 @@ def fixture_crawler_config(
         batch_size=batch_size,
         engine=engine,
         fetch_mode=fetch_mode,
-        prefetch=False,
         transport="http",
         transport_options=dict(FIXTURE_TRANSPORT_OPTIONS),
         cassette_path=cassette_path,

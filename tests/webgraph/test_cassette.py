@@ -205,24 +205,24 @@ class TestSnapshotRewind:
         recorder = RecordingTransport(make_inner(small_web), path)
         committed = [recorder.fetch(url) for url in urls[:4]]
         snapshot = recorder.state_snapshot()
-        # The engine's speculation rewind also restores the server pool's
+        # A checkpoint restore also rewinds the server pool's
         # failure/latency RNG alongside the transport snapshot.
         server_rng = small_web.servers.rng_state()
         size_at_snapshot = os.path.getsize(path)
         assert snapshot["offset"] == size_at_snapshot
-        # Speculative work past the snapshot...
-        speculative = [recorder.fetch(url) for url in urls[4:8]]
+        # Work past the snapshot...
+        rewound = [recorder.fetch(url) for url in urls[4:8]]
         assert os.path.getsize(path) > size_at_snapshot
         # ...rewound: the file truncates back and the draws replay.
         recorder.restore_state(snapshot)
         small_web.servers.restore_rng(server_rng)
         assert os.path.getsize(path) == size_at_snapshot
-        replayed_speculation = [recorder.fetch(url) for url in urls[4:8]]
-        assert replayed_speculation == speculative
+        replayed = [recorder.fetch(url) for url in urls[4:8]]
+        assert replayed == rewound
         recorder.close()
 
         replay = ReplayTransport(path)
-        for url, original in zip(urls[:8], committed + speculative):
+        for url, original in zip(urls[:8], committed + rewound):
             assert replay.fetch(url) == original
         replay.assert_exhausted()
 
@@ -341,7 +341,11 @@ class TestTransportForConfig:
         replay = transport_for_config(config2, Fetcher(small_web))
         assert isinstance(replay, ReplayTransport)
 
-    def test_record_http_with_prefetch_refused(self, small_web, tmp_path):
+    def test_record_http_with_prefetch_accepted(self, small_web, tmp_path):
+        # The prefetch flag is inert, so recording an http crawl that
+        # carries it builds the plain recorder (nothing is fetched here).
+        from repro.webgraph.transport import HttpTransport
+
         config = self._config(
             cassette_path=str(tmp_path / "c.jsonl"),
             cassette_mode="record",
@@ -349,8 +353,10 @@ class TestTransportForConfig:
             prefetch=True,
             fetch_mode="async",
         )
-        with pytest.raises(ValueError, match="prefetch"):
-            transport_for_config(config, Fetcher(small_web))
+        transport = transport_for_config(config, Fetcher(small_web))
+        assert isinstance(transport, RecordingTransport)
+        assert isinstance(transport.inner, HttpTransport)
+        transport.close()
 
     def test_unknown_mode_rejected(self, small_web, tmp_path):
         config = self._config(cassette_path=str(tmp_path / "c.jsonl"))

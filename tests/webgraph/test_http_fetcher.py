@@ -91,8 +91,8 @@ class TestRobots:
             transport.close()
 
     def test_robots_ttl_expiry_across_event_loops(self, site):
-        # The engine's non-prefetch async mode runs one event loop per
-        # round; a TTL re-fetch on a later round must not re-acquire a
+        # The async engine stepped a round at a time runs one event loop
+        # per round; a TTL re-fetch on a later round must not re-acquire a
         # per-host robots lock bound to an earlier round's loop.  The
         # lock binds on its *contended* path, so each round issues two
         # concurrent same-host fetches (the engine's normal shape).
