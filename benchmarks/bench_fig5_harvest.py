@@ -5,10 +5,10 @@ full crawl; the harvest-rate series and averages are attached as
 ``extra_info`` and asserted to have the paper's shape (the focused
 crawler sustains its harvest rate, the unfocused baseline decays).
 
-The focused panel honours the ``--batch``/``--workers`` sweep options,
-so the batched engine's harvest can be compared against serial::
+The focused panel honours the ``--batch`` sweep option, so the batched
+engine's harvest can be compared against serial::
 
-    pytest benchmarks/bench_fig5_harvest.py --batch 8 --workers 8
+    pytest benchmarks/bench_fig5_harvest.py --batch 8
 """
 
 import pytest
@@ -37,7 +37,6 @@ def test_fig5_focused_crawl_harvest(
     benchmark.extra_info["tail_harvest_rate"] = round(tail, 4)
     benchmark.extra_info["ground_truth_precision"] = round(result.ground_truth_precision(), 4)
     benchmark.extra_info["batch_size"] = engine_crawler_config.batch_size
-    benchmark.extra_info["fetch_workers"] = engine_crawler_config.fetch_workers
     # Paper: "on an average, every second page is relevant" — we accept the
     # same order of magnitude at simulation scale.
     assert harvest > 0.25

@@ -8,10 +8,10 @@ attach the figure's headline numbers as ``extra_info`` so the JSON
 output of ``pytest benchmarks/ --benchmark-only --benchmark-json=...``
 doubles as the experiment record.
 
-Two engine knobs are exposed as pytest options so the crawl benchmarks
-can sweep the round size::
+The engine's round size is exposed as a pytest option so the crawl
+benchmarks can sweep it::
 
-    pytest benchmarks/bench_fig5_harvest.py --batch 8 --workers 8
+    pytest benchmarks/bench_fig5_harvest.py --batch 8
 
 Throughput is not measured here: the repository benchmark is
 ``BENCHMARK.json`` + ``benchmarks/suite/`` (see its README).
@@ -40,12 +40,6 @@ def pytest_addoption(parser):
         default=1,
         help="crawl engine round size K for the crawl benchmarks",
     )
-    parser.addoption(
-        "--workers",
-        type=int,
-        default=1,
-        help="fetch-stage worker threads for the crawl benchmarks",
-    )
 
 
 @pytest.fixture(scope="session")
@@ -62,10 +56,9 @@ def bench_crawl_pages() -> int:
 
 @pytest.fixture()
 def engine_crawler_config(request, crawl_workload, bench_crawl_pages) -> CrawlerConfig:
-    """The workload's own crawler config plus the --batch/--workers sweep."""
+    """The workload's own crawler config plus the --batch sweep."""
     return dataclasses.replace(
         crawl_workload.system.config.crawler,
         max_pages=bench_crawl_pages,
         batch_size=request.config.getoption("--batch"),
-        fetch_workers=request.config.getoption("--workers"),
     )

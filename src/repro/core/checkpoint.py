@@ -56,7 +56,7 @@ by the one commit point the database already has (the snapshot rename):
 a crash can never publish crawl state and table state from different
 moments, nor a header without its frames.  A frame a crash left
 unpublished is an unreferenced tail; a dropped one is garbage the
-segment compactor (inline or background) reclaims; live ones are copied
+segment compactor reclaims at a checkpoint; live ones are copied
 by it; all of it runs through the ``FileOps`` fault seam.  A second file
 would need each of those again, with crash windows of its own.
 

@@ -709,18 +709,15 @@ class FocusSystem:
             config.max_pages = max_pages
         # Honour the crawl's WAL group-commit and compaction policies after
         # the reopen (the checkpoint is read from the database, so open()
-        # could not know them).  resolve_storage() folds the legacy
-        # per-knob fields of pre-StorageConfig checkpoints.
+        # could not know them).  A config that names no storage — one
+        # pickled before StorageConfig existed included — resolves to the
+        # defaults plus its own wal_fsync_batch.
         storage = config.resolve_storage()
         if storage.wal_fsync_batch:
             database.backend.wal.fsync_batch = storage.wal_fsync_batch
         compactor = database.backend.compactor
         compactor.compact_every = storage.compact_every
         compactor.min_garbage_ratio = storage.compact_min_garbage_ratio
-        database.backend.configure_background_compaction(
-            getattr(storage, "background_compaction", False),
-            getattr(storage, "compact_wal_bytes", 0),
-        )
         web = self.web.with_private_servers() if private_servers else self.web
         fetcher = Fetcher(web, failure_seed=checkpoint.fetch_failure_seed)
         web.servers.restore_rng(checkpoint.server_rng_state)

@@ -9,13 +9,13 @@ time:
 
 1. *checkout*: the top-K frontier URLs in a single drain
    (:meth:`Frontier.pop_batch`), deterministic under oid tie-breaking;
-2. *fetch*: the round's URLs go through the fetch stage — a thread
-   pool (``CrawlerConfig.fetch_workers``) or, with
-   ``fetch_mode="async"``, an asyncio pipeline that keeps up to
-   ``max_inflight`` fetches outstanding on the configured
-   :mod:`~repro.webgraph.transport` and hands completed pages to
-   classification while later fetches are still in flight — either
-   way results are committed in checkout order;
+2. *fetch*: the round's URLs go through the fetch stage — one after
+   another on the calling thread or, with ``fetch_mode="async"``, an
+   asyncio pipeline that keeps up to ``max_inflight`` fetches
+   outstanding on the configured :mod:`~repro.webgraph.transport` and
+   hands completed pages to classification while later fetches are
+   still in flight — either way results are committed in checkout
+   order;
 3. *classify*: one :meth:`HierarchicalModel.classify_batch` pass scores
    every fetched page — relevance and best leaf from a single posterior
    recursion, per-term work shared across the batch — behind an LRU of
@@ -53,7 +53,6 @@ import itertools
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -89,8 +88,9 @@ ENGINE_MODES = ("auto", "serial", "batched", "sharded")
 SCORE_BACKENDS = ("python", "numpy")
 
 #: Fetch-stage modes accepted by ``CrawlerConfig.fetch_mode``.  "auto"
-#: resolves to "threaded" (the PR-1 pipeline shape); "async" switches the
-#: engine to the asyncio overlap pipeline.
+#: resolves to "threaded", which fetches the round inline, one URL after
+#: another; "async" switches the engine to the asyncio overlap pipeline,
+#: the mode for crawls of the real web.
 FETCH_MODES = ("auto", "threaded", "async")
 
 
@@ -159,11 +159,10 @@ class CrawlerConfig:
     record_best_leaf: bool = True
     #: URLs checked out per engine round (K; ``engine="serial"`` pins it to 1).
     batch_size: int = 1
-    #: Worker threads in the threaded fetch stage (<= 1 fetches inline).
-    fetch_workers: int = 1
-    #: Fetch-stage mode: "auto"/"threaded" keep the PR-1 pipeline shape;
-    #: "async" runs the round's fetches through an asyncio pipeline that
-    #: overlaps transport latency with classification and writes.
+    #: Fetch-stage mode: "auto"/"threaded" fetch the round inline, one
+    #: URL after another; "async" runs the round's fetches through an
+    #: asyncio pipeline that overlaps transport latency with
+    #: classification and writes.
     fetch_mode: str = field(default_factory=_default_fetch_mode)
     #: Accepted and ignored: cross-round prefetch was removed (README,
     #: *Prefetch (removed)*).  Kept so that older configs, pickled
@@ -225,27 +224,17 @@ class CrawlerConfig:
     #: database: 0 keeps the seed behaviour (OS flush per record, fsync
     #: only at checkpoints); N >= 1 fsyncs once per N appended records.
     #: Legacy knob — superseded by ``storage`` (see :meth:`resolve_storage`).
+    #: Kept only because ``benchmarks/suite`` sets it on ``crawl_durable``;
+    #: ROADMAP item 1(e) unbinds the suite from it, and then the field goes.
     wal_fsync_batch: int = 0
-    #: Segment-file compaction cadence of a durable crawl database:
-    #: consider compacting at every Nth checkpoint (0 disables).  Long
-    #: crawls rewrite CRAWL rows and the HUBS/AUTH tables constantly, so
-    #: without compaction the segment file grows without bound.
-    #: Legacy knob — superseded by ``storage``.
-    compact_every: int = 1
-    #: Compact only when at least this fraction of the segment file's
-    #: payload bytes is dead (superseded images); bounds the file at
-    #: roughly live/(1 - ratio) bytes between compactions.
-    #: Legacy knob — superseded by ``storage``.
-    compact_min_garbage_ratio: float = 0.5
     #: Storage policy of the crawl database as one object (WAL group
     #: commit, compaction, buffer-pool size).  When set it wins over the
-    #: three legacy knobs above; when None, :meth:`resolve_storage`
-    #: folds the legacy knobs into an equivalent StorageConfig, so old
-    #: configs (including pickled checkpoints) keep working unchanged.
+    #: legacy ``wal_fsync_batch``; when None, :meth:`resolve_storage`
+    #: folds that knob into an otherwise default StorageConfig.
     storage: Optional[StorageConfig] = None
 
     def resolve_storage(self) -> StorageConfig:
-        """The effective storage policy: ``storage`` or the folded legacy knobs.
+        """The effective storage policy: ``storage`` or the folded legacy knob.
 
         ``getattr`` defaults keep configs unpickled from pre-StorageConfig
         checkpoints (which lack the newer fields entirely) resumable.
@@ -253,11 +242,7 @@ class CrawlerConfig:
         storage = getattr(self, "storage", None)
         if storage is not None:
             return storage
-        return StorageConfig(
-            wal_fsync_batch=getattr(self, "wal_fsync_batch", 0),
-            compact_every=getattr(self, "compact_every", 1),
-            compact_min_garbage_ratio=getattr(self, "compact_min_garbage_ratio", 0.5),
-        )
+        return StorageConfig(wal_fsync_batch=getattr(self, "wal_fsync_batch", 0))
 
     def resolve_shards(self) -> int:
         """The effective worker count for ``engine="sharded"`` (>= 1)."""
@@ -600,7 +585,6 @@ class CrawlEngine:
         self._link_writer = BufferedLinkWriter(database.table("LINK"))
         self._score_store = ScoreTableStore(database)
         self._incremental: Optional[IncrementalDistiller] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
         #: Cumulative wall-clock seconds per pipeline stage (monitoring and
         #: the benchmark's per-stage breakdown).
         self.stage_timings: Dict[str, float] = {
@@ -668,15 +652,10 @@ class CrawlEngine:
         # Create the delta cache up front so every flushed round feeds it.
         self._incremental_distiller()
         rounds = range(max_rounds) if max_rounds is not None else itertools.count()
-        try:
-            if self.async_fetch:
-                asyncio.run(self._run_rounds_async(budget, rounds))
-            else:
-                self._run_rounds(budget, rounds)
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
+        if self.async_fetch:
+            asyncio.run(self._run_rounds_async(budget, rounds))
+        else:
+            self._run_rounds(budget, rounds)
         return self.trace
 
     def run_distillation(self) -> DistillationResult:
@@ -851,13 +830,13 @@ class CrawlEngine:
         self._maybe_checkpoint()
 
     def _run_rounds(self, budget: int, rounds) -> None:
-        """Threaded fetch: drain the whole round's fetches, then process it."""
+        """Threaded fetch: fetch the whole round inline, then process it."""
         for _ in rounds:
             urls = self._checkout(budget)
             if not urls:
                 break
             started = time.perf_counter()
-            results = self._fetch_stage(urls)
+            results = [self.transport.fetch(url) for url in urls]
             self.stage_timings["fetch"] += time.perf_counter() - started
             started = time.perf_counter()
             stop = self._process_group(list(zip(urls, results)))
@@ -883,25 +862,6 @@ class CrawlEngine:
             self._close_round()
             if stop:
                 break
-
-    def _fetch_stage(self, urls: Sequence[str]) -> List[FetchResult]:
-        """Fetch the round's URLs, returning results in checkout order.
-
-        The pool engages only when fetch outcomes cannot depend on shared
-        draw order: the simulated transient-failure stream is one
-        sequential generator (the "network"), and draining it from worker
-        threads would make the crawl depend on thread scheduling.  Real
-        (or failure-free simulated) transports go through the pool.
-        """
-        transport = self.transport
-        if len(urls) == 1 or self.config.fetch_workers <= 1 or transport.order_sensitive:
-            return [transport.fetch(url) for url in urls]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.fetch_workers,
-                thread_name_prefix="crawl-fetch",
-            )
-        return list(self._pool.map(transport.fetch, urls))
 
     def _process_group(self, group: Sequence[Tuple[str, FetchResult]]) -> bool:
         """Record failures, classify, and commit one contiguous result group.

@@ -15,8 +15,8 @@ The loop itself lives in :mod:`repro.crawler.engine`;
 and a :class:`~repro.crawler.engine.CrawlEngine` together.  The engine
 runs one round kernel; ``CrawlerConfig.batch_size`` is how many URLs a
 round checks out (1 by default — the paper's loop as written), and
-``fetch_workers`` / ``fetch_mode="async"`` choose how the round's
-fetches overlap on the configured fetch transport
+``fetch_mode`` chooses whether the round's fetches run inline or
+overlap in an asyncio pipeline on the configured fetch transport
 (``CrawlerConfig.transport`` / ``transport_options`` — see
 :mod:`repro.webgraph.transport`).
 

@@ -38,9 +38,7 @@ from __future__ import annotations
 
 import os
 import re
-import threading
-from dataclasses import dataclass
-from typing import Any, BinaryIO, Dict, Optional
+from typing import Any, Optional
 
 from .compactor import Compactor, SegmentEntry
 from .errors import BufferPoolError, StorageError
@@ -77,26 +75,6 @@ def segment_file_name(segment_epoch: int) -> str:
     if segment_epoch == 0:
         return SEGMENT_FILE
     return f"segments.{segment_epoch:06d}.dat"
-
-
-@dataclass
-class _PreparedCompaction:
-    """A fully rewritten (fsynced, unpublished) segment file awaiting adoption.
-
-    ``base_directory`` is the page directory snapshot the rewrite copied
-    from; at adoption time the checkpoint folds in only the pages whose
-    entry changed since, so the pause cost is proportional to the delta,
-    not the database.  ``base_segment_epoch`` fences a prepare that a
-    concurrent adoption made obsolete (it is simply discarded).
-    """
-
-    fh: BinaryIO
-    path: str
-    segment_epoch: int
-    base_segment_epoch: int
-    base_directory: Dict[PageId, SegmentEntry]
-    directory: Dict[PageId, SegmentEntry]
-    end: int
 
 
 class StorageBackend:
@@ -161,24 +139,11 @@ class StorageBackend:
         return 0
 
     @property
-    def compactions_prepared(self) -> int:
-        """Background segment rewrites prepared (adopted or not yet)."""
-        return 0
-
-    @property
-    def compactions_refreshed(self) -> int:
-        """Background re-bases of a pending prepare (delta folds off-pause)."""
-        return 0
-
-    @property
     def bytes_reclaimed(self) -> int:
         return 0
 
     def log(self, record: tuple) -> None:
         """Append one logical mutation record to the WAL (no-op in memory)."""
-
-    def begin_checkpoint(self) -> None:
-        """Hook run before the checkpoint's dirty-page flush (maintenance)."""
 
     def close(self) -> None:
         """Release any file handles."""
@@ -232,8 +197,6 @@ class DurableBackend(StorageBackend):
         ops: Optional[FileOps] = None,
         compact_every: int = 1,
         compact_min_garbage_ratio: float = 0.5,
-        background_compaction: bool = False,
-        compact_wal_bytes: int = 0,
     ) -> None:
         self.path = os.fspath(path)
         self.wal_fsync_batch = max(int(wal_fsync_batch), 0)
@@ -241,23 +204,6 @@ class DurableBackend(StorageBackend):
         self.compactor = Compactor(
             compact_every=compact_every, min_garbage_ratio=compact_min_garbage_ratio
         )
-        self.compact_wal_bytes = max(int(compact_wal_bytes), 0)
-        self._bg_enabled = bool(background_compaction)
-        #: Serialises prepare (worker) against adoption (checkpoint): a
-        #: checkpoint that finds the lock busy simply skips adoption.
-        self._compaction_lock = threading.Lock()
-        #: Guards page-directory mutation so the worker can snapshot it.
-        self._dir_lock = threading.Lock()
-        self._prepared: Optional[_PreparedCompaction] = None
-        self._pending_adoption: Optional[tuple[Optional[str], int]] = None
-        self._checkpoint_active = False
-        self._compactions_prepared = 0
-        self._compaction_refreshes = 0
-        self._wal_bytes_at_prepare = 0
-        self._compaction_wake = threading.Event()
-        self._compaction_stop = False
-        self._compaction_thread: Optional[threading.Thread] = None
-        self.compaction_error: Optional[BaseException] = None
         os.makedirs(self.path, exist_ok=True)
         self._snapshot_path = os.path.join(self.path, SNAPSHOT_FILE)
         #: page id -> (offset, frame length) of the latest image.
@@ -329,8 +275,6 @@ class DurableBackend(StorageBackend):
             ops=self.ops,
         )
         self._snapshot_epoch = epoch
-        if self._bg_enabled:
-            self._start_compaction_worker()
 
     def _fence_stale_segments(self) -> None:
         """Delete segment files from other epochs.
@@ -381,20 +325,17 @@ class DurableBackend(StorageBackend):
         offset = write_frame(self._segments, payload)
         self._segments.flush()
         frame_len = FRAME_HEADER_SIZE + len(payload)
-        with self._dir_lock:
-            superseded = self._directory.get(page_id)
-            if superseded is not None:
-                self._live_bytes -= superseded[1]
-            self._directory[page_id] = (offset, frame_len)
-            self._live_bytes += frame_len
+        superseded = self._directory.get(page_id)
+        if superseded is not None:
+            self._live_bytes -= superseded[1]
+        self._directory[page_id] = (offset, frame_len)
+        self._live_bytes += frame_len
         self._segment_end = offset + frame_len
-        self._poke_compaction_worker()
 
     def remove_page(self, page_id: PageId) -> None:
-        with self._dir_lock:
-            entry = self._directory.pop(page_id, None)
-            if entry is not None:
-                self._live_bytes -= entry[1]
+        entry = self._directory.pop(page_id, None)
+        if entry is not None:
+            self._live_bytes -= entry[1]
 
     def contains(self, page_id: PageId) -> bool:
         return page_id in self._directory
@@ -409,10 +350,10 @@ class DurableBackend(StorageBackend):
         The frame is a CRC-framed record like a page image and is
         tracked in the page directory under :data:`FRAME_FILE_ID`, so it
         becomes durable with — and only with — the next checkpoint's
-        snapshot rename, is copied by inline and background compaction
-        while it is live, and is torn-tail garbage if the process dies
-        first.  It is not WAL-logged: recovery knows exactly the frames
-        the last snapshot names.
+        snapshot rename, is copied by compaction while it is live, and
+        is torn-tail garbage if the process dies first.  It is not
+        WAL-logged: recovery knows exactly the frames the last snapshot
+        names.
         """
         self.drop_frame(frame_no)
         self._append(PageId(FRAME_FILE_ID, frame_no), payload)
@@ -490,14 +431,6 @@ class DurableBackend(StorageBackend):
         return self.compactor.compactions_run
 
     @property
-    def compactions_prepared(self) -> int:
-        return self._compactions_prepared
-
-    @property
-    def compactions_refreshed(self) -> int:
-        return self._compaction_refreshes
-
-    @property
     def bytes_reclaimed(self) -> int:
         return self.compactor.bytes_reclaimed
 
@@ -511,7 +444,6 @@ class DurableBackend(StorageBackend):
 
     def log(self, record: tuple) -> None:
         self.wal.append(record)
-        self._poke_compaction_worker()
 
     def sync_wal(self) -> None:
         """Fsync the WAL tail so everything logged so far survives a crash."""
@@ -533,306 +465,6 @@ class DurableBackend(StorageBackend):
             return []
         return self.wal.replay(expected_epoch=self._snapshot_epoch, upto_cut=upto_cut)
 
-    # -- background compaction ---------------------------------------------
-    def _start_compaction_worker(self) -> None:
-        if self._compaction_thread is not None:
-            return
-        thread = threading.Thread(
-            target=self._compaction_loop, name="minidb-compaction", daemon=True
-        )
-        self._compaction_thread = thread
-        thread.start()
-
-    def configure_background_compaction(
-        self, enabled: bool, compact_wal_bytes: int = 0
-    ) -> None:
-        """(Re-)apply the background-compaction policy after an open.
-
-        Used by crawl resume, which learns the storage policy from the
-        checkpoint *after* the database was already opened with defaults.
-        """
-        self._bg_enabled = bool(enabled)
-        self.compact_wal_bytes = max(int(compact_wal_bytes), 0)
-        if self._bg_enabled:
-            self._start_compaction_worker()
-
-    @property
-    def background_compaction(self) -> bool:
-        return self._bg_enabled
-
-    def _compaction_loop(self) -> None:
-        while True:
-            self._compaction_wake.wait()
-            self._compaction_wake.clear()
-            if self._compaction_stop:
-                return
-            try:
-                if not self.run_compaction_once():
-                    self.refresh_prepared_compaction()
-            except BaseException as exc:  # noqa: BLE001 - surfaced via attribute
-                # A failed prepare must not kill the worker (the old
-                # segment file is untouched; the next trigger retries).
-                self.compaction_error = exc
-
-    def _poke_compaction_worker(self) -> None:
-        if self._compaction_thread is None:
-            return
-        if self._background_compaction_due() or self._refresh_due():
-            self._compaction_wake.set()
-
-    def _background_compaction_due(self) -> bool:
-        """Whether a background rewrite is worth preparing right now.
-
-        Fires on the inline policy's garbage-ratio threshold, or — so a
-        checkpoint-poor write-heavy run still gets compacted — once
-        ``compact_wal_bytes`` of WAL have accumulated since the last
-        prepare.  ``compact_every=0`` disables compaction entirely, as
-        it does inline.
-        """
-        if not self._bg_enabled or not self.compactor.compact_every:
-            return False
-        if self._prepared is not None or self._checkpoint_active:
-            # While a checkpoint is flushing, its appends would otherwise
-            # trigger a prepare that competes with the pause for the CPU;
-            # the post-checkpoint writes re-poke the worker immediately.
-            return False
-        live, dead = self._page_bytes()
-        if dead <= 0:
-            return False
-        if dead / (live + dead) >= self.compactor.min_garbage_ratio:
-            return True
-        if self.compact_wal_bytes:
-            return (
-                self.wal.bytes_written - self._wal_bytes_at_prepare
-                >= self.compact_wal_bytes
-            )
-        return False
-
-    def _refresh_due(self) -> bool:
-        """Whether the pending prepare has gone stale enough to re-base.
-
-        Uses the same WAL-byte budget as the prepare trigger:
-        ``_wal_bytes_at_prepare`` marks the last prepare *or* refresh,
-        so every ``compact_wal_bytes`` of new WAL buys one background
-        fold and the checkpoint-time fold stays a small residual.
-        """
-        if self._prepared is None or not self.compact_wal_bytes:
-            return False
-        if self._checkpoint_active:
-            return False
-        return (
-            self.wal.bytes_written - self._wal_bytes_at_prepare
-            >= self.compact_wal_bytes
-        )
-
-    def run_compaction_once(self, force: bool = False) -> bool:
-        """Prepare one background rewrite synchronously; True if prepared.
-
-        This is the worker thread's unit of work, exposed so tests (and
-        the fault-injection crash walk) can drive the exact same code on
-        the calling thread, keeping every I/O point deterministic.  The
-        rewrite reads a locked snapshot of the page directory through a
-        *separate* read handle — appends to the live segment file only
-        ever add new offsets, so the snapshot's frames are stable.
-        """
-        if not self._bg_enabled or not self.compactor.compact_every:
-            return False
-        with self._compaction_lock:
-            if self._prepared is not None:
-                return False
-            if not force and not self._background_compaction_due():
-                return False
-            with self._dir_lock:
-                base_directory = dict(self._directory)
-            base_epoch = self._segment_epoch
-            # Strictly newer than both epochs: the target can never open
-            # (and "w+b"-truncate) the segment file it is reading from.
-            target_epoch = max(self._snapshot_epoch + 1, base_epoch + 1)
-            new_path = os.path.join(self.path, segment_file_name(target_epoch))
-            self._wal_bytes_at_prepare = self.wal.bytes_written
-            source = self.ops.open(self._segment_path, "rb")
-            try:
-                new_fh, new_directory, end = self.compactor.rewrite(
-                    self.ops, source, base_directory, new_path
-                )
-            finally:
-                source.close()
-            self._prepared = _PreparedCompaction(
-                fh=new_fh,
-                path=new_path,
-                segment_epoch=target_epoch,
-                base_segment_epoch=base_epoch,
-                base_directory=base_directory,
-                directory=new_directory,
-                end=end,
-            )
-            self._compactions_prepared += 1
-            return True
-
-    def refresh_prepared_compaction(self, force: bool = False) -> bool:
-        """Fold the accumulated delta into the prepared file off-pause.
-
-        With an eager trigger the worker prepares right after each
-        adoption, so by the next checkpoint the prepare snapshot is a
-        whole inter-checkpoint interval stale and the adoption fold
-        re-copies most of the live directory — nearly as slow as the
-        inline rewrite it replaces.  Re-basing the prepared file here,
-        on the worker, keeps the checkpoint-time fold proportional to
-        the writes of the last ``compact_wal_bytes`` window only.
-
-        Concurrency-safe for the same reasons the prepare is: the
-        prepared file is unpublished until the snapshot rename (a crash
-        leaves it to be fenced at the next open), the live segment is
-        append-only so the snapshot's frames sit at stable offsets and
-        are read through a private handle, and frames a later fold
-        supersedes are bounded garbage reclaimed by the next rewrite.
-        """
-        with self._compaction_lock:
-            prepared = self._prepared
-            if prepared is None or not (force or self._refresh_due()):
-                return False
-            with self._dir_lock:
-                current = dict(self._directory)
-            self._wal_bytes_at_prepare = self.wal.bytes_written
-            if current == prepared.base_directory:
-                # The WAL grew but no page image moved (the logical writes
-                # are still buffered): nothing to fold, only the budget
-                # marker needed resetting.
-                return False
-            source = self.ops.open(self._segment_path, "rb")
-            try:
-                directory, end = self._fold_delta_into(prepared, current, source)
-            finally:
-                source.close()
-            prepared.fh.flush()
-            self.ops.fsync(prepared.fh)
-            prepared.base_directory = current
-            prepared.directory = directory
-            prepared.end = end
-            self._compaction_refreshes += 1
-            return True
-
-    def begin_checkpoint(self) -> None:
-        """Adopt any pending background rewrite *before* the dirty-page flush.
-
-        Ordering is the whole point: adopting first re-points the live
-        segment at the prepared file while the since-prepare delta is
-        still the small mid-interval residual, so the flush that
-        follows appends the checkpoint's dirty pages straight into the
-        adopted file — none of them pay the fold's read-copy-write.
-        Nothing is published here: the snapshot rename in
-        :meth:`checkpoint` remains the commit point, and a crash
-        anywhere in between recovers from the old snapshot over the old
-        (still intact, not yet unlinked) segment file.
-        """
-        if self._bg_enabled:
-            self._checkpoint_active = True
-            self._pending_adoption = self._adopt_prepared_compaction()
-
-    def _adopt_prepared_compaction(self) -> tuple[Optional[str], int]:
-        """Swap in a prepared rewrite at checkpoint time, folding the delta.
-
-        Returns ``(stale_segment_path, reclaimed_bytes)`` — the same
-        contract the inline rewrite hands the checkpoint — or
-        ``(None, 0)`` when there is nothing to adopt (no prepare is
-        pending, or the worker is mid-prepare; the next checkpoint
-        picks it up).  Nothing is published here: the snapshot rename
-        that follows in :meth:`checkpoint` remains the commit point, so
-        a crash anywhere inside leaves the unpublished new file to be
-        fenced at the next open.
-        """
-        if not self._compaction_lock.acquire(blocking=False):
-            return None, 0
-        try:
-            prepared = self._prepared
-            if prepared is None:
-                return None, 0
-            self._prepared = None
-            if prepared.base_segment_epoch != self._segment_epoch:
-                # A concurrent adoption already replaced the file this
-                # prepare was based on (defensive; cannot happen while
-                # adoption itself holds the lock).
-                prepared.fh.close()
-                try:
-                    os.remove(prepared.path)
-                except OSError:  # pragma: no cover - cleanup is best-effort
-                    pass
-                return None, 0
-            old_payload = self.segment_bytes_total
-            try:
-                final_directory, end = self._fold_compaction_delta(prepared)
-                prepared.fh.flush()
-                self.ops.fsync(prepared.fh)
-            except Exception as exc:
-                # Mirror Compactor.rewrite's abort semantics: close the
-                # handle always; remove the file only on a live-process
-                # abort — an injected crash leaves it for the fence.
-                prepared.fh.close()
-                if isinstance(exc, (StorageError, OSError)):
-                    try:
-                        os.remove(prepared.path)
-                    except OSError:  # pragma: no cover - best-effort
-                        pass
-                raise
-            stale_segment = self._segment_path
-            self._segments.close()
-            self._segments = prepared.fh
-            self._segment_path = prepared.path
-            self._segment_epoch = prepared.segment_epoch
-            with self._dir_lock:
-                self._directory = final_directory
-                self._live_bytes = sum(e[1] for e in final_directory.values())
-            self._frame_bytes_dead = 0
-            self._segment_end = end
-            reclaimed = max(old_payload - (end - len(SEGMENT_MAGIC)), 0)
-            return stale_segment, reclaimed
-        finally:
-            self._compaction_lock.release()
-
-    def _fold_compaction_delta(
-        self, prepared: _PreparedCompaction
-    ) -> tuple[Dict[PageId, SegmentEntry], int]:
-        """Bring a prepared rewrite up to date with the current directory.
-
-        Pages whose entry changed since the prepare snapshot (rewritten
-        or newly created) are re-copied from the live segment file;
-        pages that disappeared are dropped.  The caller still holds all
-        dirty pages flushed, so the fold covers the full database image.
-        """
-        return self._fold_delta_into(prepared, dict(self._directory), self._segments)
-
-    def _fold_delta_into(
-        self,
-        prepared: _PreparedCompaction,
-        current: Dict[PageId, SegmentEntry],
-        source: BinaryIO,
-    ) -> tuple[Dict[PageId, SegmentEntry], int]:
-        """Append *current*'s since-prepare delta to the prepared file.
-
-        ``source`` is whichever handle on the live segment file the
-        calling thread may safely seek: the backend's own at checkpoint
-        time, a private read handle on the worker (the main thread keeps
-        appending through — and repositioning — the shared one).
-        """
-        final_directory = dict(prepared.directory)
-        changed = [
-            (page_id, entry)
-            for page_id, entry in current.items()
-            if prepared.base_directory.get(page_id) != entry
-        ]
-        prepared.fh.seek(0, os.SEEK_END)
-        end = prepared.end
-        for page_id, entry in sorted(changed, key=lambda item: item[1][0]):
-            payload = read_frame_at(source, entry[0])
-            offset = write_frame(prepared.fh, payload)
-            frame_len = FRAME_HEADER_SIZE + len(payload)
-            final_directory[page_id] = (offset, frame_len)
-            end = offset + frame_len
-        for page_id in prepared.base_directory:
-            if page_id not in current:
-                final_directory.pop(page_id, None)
-        return final_directory, end
-
     def checkpoint(self, catalog_meta: dict[str, Any]) -> None:
         """Atomically publish a snapshot of the current state, then reset the WAL.
 
@@ -850,31 +482,12 @@ class DurableBackend(StorageBackend):
         inside the snapshot).  Stale segment files are unlinked last;
         a crash before the unlink leaves them for the next open's fence.
         """
-        try:
-            self._checkpoint(catalog_meta)
-        finally:
-            # Re-arm the worker even when the publish failed but the
-            # process survives (e.g. ENOSPC): background maintenance
-            # must not stay defused.
-            self._checkpoint_active = False
-
-    def _checkpoint(self, catalog_meta: dict[str, Any]) -> None:
         self._segments.flush()
         self.ops.fsync(self._segments)
         new_epoch = self._snapshot_epoch + 1
         stale_segment: Optional[str] = None
         reclaimed = 0
-        if self._bg_enabled:
-            # Background mode: the rewrite already happened off-line and
-            # (normally) was adopted by begin_checkpoint before the
-            # dirty-page flush; publish its outcome.  A direct caller
-            # that skipped begin_checkpoint still adopts here — same
-            # result, just with the whole flush in the fold.
-            pending, self._pending_adoption = self._pending_adoption, None
-            if pending is None:
-                pending = self._adopt_prepared_compaction()
-            stale_segment, reclaimed = pending
-        elif self.compactor.due(*self._page_bytes()):
+        if self.compactor.due(*self._page_bytes()):
             reclaimed = self.segment_bytes_dead
             stale_segment = self._segment_path
             # The segment epoch normally tracks the snapshot epoch, but a
@@ -920,20 +533,6 @@ class DurableBackend(StorageBackend):
             self.ops.remove(stale_segment)
 
     def close(self) -> None:
-        if self._compaction_thread is not None:
-            self._compaction_stop = True
-            self._compaction_wake.set()
-            self._compaction_thread.join(timeout=10.0)
-            self._compaction_thread = None
-        if self._prepared is not None:
-            # An orderly close discards an unadopted prepare; a crash
-            # would instead leave the file for the open-time fence.
-            prepared, self._prepared = self._prepared, None
-            prepared.fh.close()
-            try:
-                os.remove(prepared.path)
-            except OSError:  # pragma: no cover - cleanup is best-effort
-                pass
         self.wal.close()
         if not self._segments.closed:
             self._segments.flush()

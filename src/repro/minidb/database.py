@@ -143,10 +143,6 @@ class Database:
                 ops=config.make_ops(),
                 compact_every=config.compact_every,
                 compact_min_garbage_ratio=config.compact_min_garbage_ratio,
-                # getattr: StorageConfigs unpickled from older checkpoints
-                # predate the background-compaction fields.
-                background_compaction=getattr(config, "background_compaction", False),
-                compact_wal_bytes=getattr(config, "compact_wal_bytes", 0),
             ),
             replay_wal=replay_wal,
             replay_upto_cut=replay_upto_cut,
@@ -275,10 +271,6 @@ class Database:
             raise StorageError(
                 "in-memory databases cannot checkpoint; create one with Database.open(path)"
             )
-        # Adopting a background-prepared rewrite before the flush lets the
-        # dirty pages land directly in the adopted segment file instead of
-        # being flushed to the old one and re-copied by the delta fold.
-        self.backend.begin_checkpoint()
         self.buffer_pool.flush_all()
         for frame_no, value in (frames or {}).items():
             self.backend.put_frame(frame_no, dump_record(value))
@@ -465,8 +457,6 @@ class Database:
         snapshot["segment_bytes_live"] = float(self.backend.segment_bytes_live)
         snapshot["segment_bytes_dead"] = float(self.backend.segment_bytes_dead)
         snapshot["compactions_run"] = float(self.backend.compactions_run)
-        snapshot["compactions_prepared"] = float(self.backend.compactions_prepared)
-        snapshot["compactions_refreshed"] = float(self.backend.compactions_refreshed)
         snapshot["bytes_reclaimed"] = float(self.backend.bytes_reclaimed)
         return snapshot
 

@@ -8,8 +8,9 @@ collapses the sprawl into a single frozen :class:`StorageConfig` that
 travels as one value — through ``Database.open(storage=...)``, through
 ``CrawlerConfig.storage``, and inside serialized
 :class:`~repro.core.config.JobSpec` payloads submitted over the crawl
-service's HTTP API.  ``CrawlerConfig`` still carries the three knobs old
-checkpoints pickled; ``CrawlerConfig.resolve_storage()`` folds them in.
+service's HTTP API.  Of the knobs ``CrawlerConfig`` once carried beside
+it only ``wal_fsync_batch`` is left, because the benchmark suite still
+sets it; ``CrawlerConfig.resolve_storage()`` folds it in.
 """
 
 from __future__ import annotations
@@ -39,14 +40,6 @@ class StorageConfig:
     compact_every: int = 1
     #: Compact only when at least this fraction of segment payload is dead.
     compact_min_garbage_ratio: float = 0.5
-    #: Prepare segment rewrites on a background worker and adopt them at
-    #: the next checkpoint, instead of rewriting inside the checkpoint
-    #: pause itself.  ``compact_every=0`` still disables compaction.
-    background_compaction: bool = False
-    #: Background-compaction trigger: also prepare a rewrite once this
-    #: many WAL bytes have been appended since the last prepare (0
-    #: leaves only the garbage-ratio trigger).
-    compact_wal_bytes: int = 0
     #: File-operation layer override (fault-injection tests); not serializable.
     #: A single ``ops`` instance is stateful (fault counters, crash points)
     #: and therefore **per-database**: opening several databases — e.g. N
@@ -66,8 +59,6 @@ class StorageConfig:
             raise ValueError("compact_every must be >= 0")
         if not 0.0 <= self.compact_min_garbage_ratio <= 1.0:
             raise ValueError("compact_min_garbage_ratio must be in [0, 1]")
-        if self.compact_wal_bytes < 0:
-            raise ValueError("compact_wal_bytes must be >= 0")
         if self.ops is not None and self.ops_factory is not None:
             raise ValueError("pass either ops or ops_factory, not both")
 
@@ -102,8 +93,6 @@ class StorageConfig:
             "wal_fsync_batch": self.wal_fsync_batch,
             "compact_every": self.compact_every,
             "compact_min_garbage_ratio": self.compact_min_garbage_ratio,
-            "background_compaction": self.background_compaction,
-            "compact_wal_bytes": self.compact_wal_bytes,
         }
 
     @classmethod

@@ -134,10 +134,6 @@ class PooledTransport:
         self.pool = pool
         self.inner = inner
 
-    @property
-    def order_sensitive(self) -> bool:
-        return self.inner.order_sensitive
-
     def fetch(self, url: str) -> FetchResult:
         host = host_of(normalize_url(url))
         self.pool.acquire(host)

@@ -99,17 +99,14 @@ def read_header(path: str) -> dict:
 class RecordingTransport:
     """Wrap any transport and log every fetch outcome to a JSONL cassette.
 
-    ``order_sensitive`` is True: the recorder is itself a shared
-    sequential stream (the file), so the threaded fetch stage runs it
-    inline and events land in deterministic checkout order.  When the
-    inner transport resolves outcomes at ``prepare`` time (the
-    deterministic transports), the event is written there too: the async
-    fetch stage calls ``prepare`` in checkout order, so its recordings
-    stay in checkout order however the waits complete.  For a real HTTP
-    inner the event is written at ``wait`` completion.
+    The recorder is itself a sequential stream (the file).  The threaded
+    fetch stage fetches one URL after another, so its events land in
+    checkout order.  When the inner transport resolves outcomes at
+    ``prepare`` time (the deterministic transports), the event is written
+    there too: the async fetch stage calls ``prepare`` in checkout order,
+    so its recordings stay in checkout order however the waits complete.
+    For a real HTTP inner the event is written at ``wait`` completion.
     """
-
-    order_sensitive = True
 
     def __init__(self, inner: FetchTransport, path: str, meta: Optional[dict] = None) -> None:
         self.inner = inner
@@ -248,8 +245,6 @@ class ReplayTransport:
     are reported by :meth:`leftover`, and :meth:`assert_exhausted` makes
     them loud.
     """
-
-    order_sensitive = True
 
     def __init__(self, path: str, strict: bool = True) -> None:
         self.path = path

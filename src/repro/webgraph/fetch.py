@@ -99,8 +99,10 @@ class Fetcher:
         self.stats = FetchStats()
         self._rng = np.random.default_rng(failure_seed)
         # The simulated failure/latency stream and the stats counters are
-        # shared mutable state; the batched engine fetches through a thread
-        # pool, so draws are serialised (the simulation is CPU-only anyway).
+        # shared mutable state.  The engine fetches from one thread, but a
+        # fetcher reached from several (a caller's own threads) must still
+        # draw one sequence, so draws are serialised (the simulation is
+        # CPU-only anyway).
         self._lock = threading.Lock()
 
     def fetch(self, url: str) -> FetchResult:

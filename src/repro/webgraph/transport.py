@@ -85,15 +85,6 @@ class PendingFetch:
 class FetchTransport(Protocol):
     """What the crawl engine requires of a fetch transport."""
 
-    @property
-    def order_sensitive(self) -> bool:
-        """True when fetch outcomes depend on a shared sequential draw stream.
-
-        The threaded fetch stage refuses to fan out an order-sensitive
-        transport (thread scheduling would scramble the stream); the
-        async stage is always safe because draws happen in ``prepare``.
-        """
-
     def fetch(self, url: str) -> FetchResult: ...
 
     def prepare(self, url: str) -> PendingFetch: ...
@@ -116,10 +107,6 @@ class SimulatedTransport:
 
     def __init__(self, fetcher: Fetcher) -> None:
         self.fetcher = fetcher
-
-    @property
-    def order_sensitive(self) -> bool:
-        return bool(getattr(self.fetcher, "simulate_failures", False))
 
     @property
     def stats(self) -> FetchStats:
@@ -154,10 +141,12 @@ class LatencyTransport:
 
     Determinism: every draw (latency, jitter, timeout, retry count)
     comes from this transport's own seeded generator, consumed entirely
-    inside :meth:`prepare` under a lock.  A crawl over a latency
-    transport therefore produces identical results in serial, threaded
-    (``fetch`` = resolve-then-sleep), and async execution, and its RNG
-    stream checkpoints/restores exactly like the simulated fetcher's.
+    inside :meth:`prepare` — in checkout order, and under a lock, so a
+    transport reached from more than one thread still draws one
+    sequence.  A crawl over a latency transport therefore produces
+    identical results in threaded (``fetch`` = resolve-then-sleep, one
+    URL after another) and async execution, and its RNG stream
+    checkpoints/restores exactly like the simulated fetcher's.
 
     ``per_server`` overrides the mean latency (milliseconds) for
     specific hosts; :meth:`from_server_pool` derives those overrides
@@ -205,16 +194,6 @@ class LatencyTransport:
             name: pool.latency_profile(name)[0] * scale for name in pool.names()
         }
         return cls(inner, per_server=per_server, **kwargs)
-
-    @property
-    def order_sensitive(self) -> bool:
-        # This layer always draws from its own sequential RNG stream in
-        # prepare(), so a thread pool would assign draws to URLs in
-        # scheduling order and break the determinism contract.  The
-        # threaded fetch stage therefore resolves latency fetches inline
-        # (sleep included); concurrency comes from the async pipeline,
-        # where prepare() runs in checkout order by construction.
-        return True
 
     def fetch(self, url: str) -> FetchResult:
         pending = self.prepare(url)
@@ -470,14 +449,12 @@ class HttpTransport:
       one host; in-flight caps stay with the engine's
       :class:`~repro.crawler.policies.FetchPolicy` seam (PR 4).
 
-    ``order_sensitive`` is False: real fetches carry no shared simulated
-    draw stream the thread pool could scramble (the backoff draws only
-    shape wall-clock timing, never content).  Wrap the transport in a
+    Real-web crawls run it under ``fetch_mode="async"``: the threaded
+    stage fetches one URL after another, so only the asyncio pipeline
+    overlaps their network waits.  Wrap the transport in a
     :class:`~repro.webgraph.cassette.RecordingTransport` to make a live
     crawl replayable; checkpoints carry counters plus the RNG position.
     """
-
-    order_sensitive = False
 
     def __init__(
         self,
@@ -531,11 +508,10 @@ class HttpTransport:
         self.events = None
         self.robots_fetches = 0
         self.redirects_followed = 0
-        #: Loop owned by the synchronous fetch() path, so serial crawls
+        #: Loop owned by the synchronous fetch() path, so threaded crawls
         #: reuse one session too (created lazily, released by close()).
-        #: The lock keeps the threaded fetch stage correct — concurrent
-        #: sync fetches serialise on the one loop; use the async engine
-        #: mode for real fetch concurrency.
+        #: The lock serialises sync fetches from different threads on the
+        #: one loop; use the async engine mode for fetch concurrency.
         self._own_loop: Optional[asyncio.AbstractEventLoop] = None
         self._own_loop_lock = threading.Lock()
 

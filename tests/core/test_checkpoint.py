@@ -440,6 +440,40 @@ class TestParentCheckpointResume:
         assert_traces_match(resumed, reference_batched)
         resumed.database.close()
 
+    @pytest.mark.parametrize("fetch_mode", ["threaded", "async"])
+    def test_pickled_configs_with_deleted_fields_resume(
+        self, checkpoint_system, reference_batched, tmp_path, monkeypatch, fetch_mode
+    ):
+        """A checkpoint from before the fetch pool, background compaction and
+        the crawler's own compaction knobs were deleted: its pickled
+        ``CrawlerConfig`` and ``StorageConfig`` carry those fields in their
+        ``__dict__``, as that tree pickled them.  It resumes to the
+        uninterrupted crawl, bit for bit, under either fetch mode."""
+        storage = StorageConfig()
+        storage.__dict__.update(background_compaction=True, compact_wal_bytes=32768)
+        config = crawl_config("batched")
+        config.fetch_mode = fetch_mode
+        config.storage = storage
+        config.__dict__.update(fetch_workers=8, compact_every=3, compact_min_garbage_ratio=0.2)
+        kill_fetcher_after(monkeypatch, 83)
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=config,
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(tmp_path / "crawl"),
+            )
+        monkeypatch.undo()
+        reopened, saved = CheckpointManager.load(str(tmp_path / "crawl"))
+        reopened.close()
+        assert saved.config.__dict__["fetch_workers"] == 8
+        assert saved.config.storage.__dict__["compact_wal_bytes"] == 32768
+
+        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
+        assert resumed.crawler.config.fetch_mode == fetch_mode
+        assert resumed.pages_fetched() == MAX_PAGES
+        assert_traces_match(resumed, reference_batched)
+        resumed.database.close()
+
 
 class TestCrawlArgumentGuards:
     def test_checkpoint_dir_refuses_a_directory_already_holding_a_crawl(

@@ -108,10 +108,6 @@ class TestCrawlerConfigStorage:
         assert config.resolve_storage() is storage
 
     def test_resolve_storage_folds_legacy_knobs(self):
-        config = CrawlerConfig(
-            wal_fsync_batch=5, compact_every=4, compact_min_garbage_ratio=0.1
-        )
-        resolved = config.resolve_storage()
-        assert resolved == StorageConfig(
-            wal_fsync_batch=5, compact_every=4, compact_min_garbage_ratio=0.1
-        )
+        """Only ``wal_fsync_batch`` is left to fold; compaction keeps its defaults."""
+        resolved = CrawlerConfig(wal_fsync_batch=5).resolve_storage()
+        assert resolved == StorageConfig(wal_fsync_batch=5)

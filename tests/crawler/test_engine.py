@@ -62,7 +62,7 @@ class TestSerialBatchedEquivalence:
         _, _, one = run_crawl(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
         _, _, eight = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds,
-            batch_size=8, fetch_workers=1, **kwargs,
+            batch_size=8, **kwargs,
         )
         assert one.stagnated and eight.stagnated  # frontier exhausted
         assert one.visited_set() == eight.visited_set()
@@ -89,23 +89,6 @@ class TestSerialBatchedEquivalence:
         assert whole.distillations == stepped.distillations
         for table in ("CRAWL", "LINK", "HUBS", "AUTH"):
             assert sorted(whole_db.table(table).rows()) == sorted(stepped_db.table(table).rows())
-
-    def test_fetch_worker_pool_is_deterministic(
-        self, small_web, trained_model, taxonomy, crawl_seeds
-    ):
-        """With a deterministic web, the thread-pool fetch stage returns
-        results in checkout order — worker count cannot change the crawl."""
-        kwargs = dict(max_pages=100, distill_every=40, simulate_failures=False)
-        _, _, one = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            batch_size=8, fetch_workers=1, **kwargs,
-        )
-        _, _, eight = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            batch_size=8, fetch_workers=8, **kwargs,
-        )
-        assert one.fetched_urls == eight.fetched_urls
-        assert one.relevance_series() == eight.relevance_series()
 
     def test_batched_relevance_matches_reference_classifier(
         self, small_web, trained_model, taxonomy, crawl_seeds

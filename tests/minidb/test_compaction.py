@@ -365,8 +365,7 @@ def crawl_config(garbage_ratio=0.0):
         # By default compact at every checkpoint regardless of garbage: the
         # torture wants the maximum number of compaction windows to crash
         # inside.
-        compact_every=1,
-        compact_min_garbage_ratio=garbage_ratio,
+        storage=StorageConfig(compact_every=1, compact_min_garbage_ratio=garbage_ratio),
     )
 
 
@@ -388,15 +387,10 @@ def reference_crawl(torture_system):
 
 def torture_database(directory, injector, garbage_ratio=0.0):
     """A durable crawl database whose file I/O runs through *injector*."""
-    config = crawl_config(garbage_ratio)
     return create_focus_database(
         buffer_pool_pages=512,
         path=str(directory),
-        storage=StorageConfig(
-            compact_every=config.compact_every,
-            compact_min_garbage_ratio=config.compact_min_garbage_ratio,
-            ops=injector,
-        ),
+        storage=crawl_config(garbage_ratio).storage.replace(ops=injector),
     )
 
 
@@ -585,57 +579,3 @@ class TestCrawlTorture:
         database.close()
         assert result.pages_fetched() == MAX_PAGES
 
-
-class TestBackgroundCompactionCrawl:
-    """Background (off-pause) compaction under a real durable crawl."""
-
-    def background_config(self):
-        config = crawl_config()
-        config.storage = StorageConfig(
-            compact_every=1,
-            compact_min_garbage_ratio=0.05,
-            background_compaction=True,
-            compact_wal_bytes=32 * 1024,
-        )
-        return config
-
-    def test_background_mode_is_trace_identical_and_reclaims(
-        self, torture_system, reference_crawl, tmp_path
-    ):
-        config = self.background_config()
-        database = create_focus_database(
-            buffer_pool_pages=512,
-            path=str(tmp_path / "bg"),
-            storage=config.resolve_storage(),
-        )
-        result = torture_system.crawl(
-            crawler_config=config,
-            fetch_failure_seed=FETCH_FAILURE_SEED,
-            database=database,
-            checkpoint_dir=str(tmp_path / "bg"),
-        )
-        # Moving the rewrite off the pause must not perturb the crawl.
-        assert result.trace.fetched_urls == reference_crawl.trace.fetched_urls
-        assert (
-            result.trace.relevance_series()
-            == reference_crawl.trace.relevance_series()
-        )
-        assert database.backend.compaction_error is None
-        assert database.backend.background_compaction
-        # The worker races the crawl's checkpoints; if none of them caught
-        # an adopted rewrite, drive one to prove the machinery end to end.
-        if database.backend.compactions_run == 0:
-            database.buffer_pool.flush_all()
-            assert database.backend.run_compaction_once(force=True)
-            database.checkpoint(app_state=database.app_state())
-        snap = database.io_snapshot()
-        assert snap["compactions_run"] >= 1
-        assert snap["bytes_reclaimed"] > 0
-
-        # Resuming from the checkpoint re-applies the background policy
-        # onto the freshly opened backend.
-        handle = torture_system.resume(str(tmp_path / "bg"))
-        assert handle.database.backend.background_compaction
-        assert handle.database.backend.compact_wal_bytes == 32 * 1024
-        handle.close()
-        database.close()

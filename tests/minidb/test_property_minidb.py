@@ -1,5 +1,6 @@
 """Property-based tests for the minidb engine (hypothesis)."""
 
+import glob
 import os
 import shutil
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.minidb import Database, FLOAT, INTEGER, TEXT, col, lit, make_schema
+from repro.minidb import Database, FLOAT, INTEGER, TEXT, StorageConfig, col, lit, make_schema
 from repro.minidb.errors import ConstraintError, SchemaError, StorageError
 from repro.minidb.pages import rid_of
 from repro.minidb.sql import execute_select, parse_sql
@@ -241,6 +242,9 @@ class ModelHeap:
 
 
 class TableAgainstModel(RuleBasedStateMachine):
+    #: Storage policy of the store under test (None: the defaults).
+    storage = None
+
     def __init__(self):
         super().__init__()
         self.directory = tempfile.mkdtemp(prefix="minidb-model-")
@@ -260,9 +264,13 @@ class TableAgainstModel(RuleBasedStateMachine):
         )
         self.rows = {}  # (page_no, slot) -> row
         self.heap = ModelHeap()
+        #: Set by a step that ends in a checkpoint, cleared by the invariant that reads it.
+        self.checkpointed = False
 
     def open(self):
-        return Database.open(self.directory, buffer_pool_pages=3, page_size=PAGE_SIZE)
+        return Database.open(
+            self.directory, buffer_pool_pages=3, page_size=PAGE_SIZE, storage=self.storage
+        )
 
     def teardown(self):
         self.database.close()
@@ -525,6 +533,12 @@ class TableAgainstModel(RuleBasedStateMachine):
         assert list(other.scan()) == other_rows
 
     # -- durability -----------------------------------------------------------------
+    @rule()
+    def checkpoint(self):
+        """Checkpoint and keep the handle."""
+        self.database.checkpoint()
+        self.checkpointed = True
+
     @rule(checkpoint=st.booleans())
     def reopen(self, checkpoint):
         """Checkpoint and close — or abandon the handle with only the log synced."""
@@ -535,6 +549,7 @@ class TableAgainstModel(RuleBasedStateMachine):
             self.database.sync_wal()
             self.database.backend.wal.close()
         self.database = self.open()
+        self.checkpointed = checkpoint
 
     # -- what must hold after every step ----------------------------------------------
     @invariant()
@@ -579,6 +594,17 @@ class TableAgainstModel(RuleBasedStateMachine):
                 assert sorted(map(self.key, extra.search(value))) == keys
 
     @invariant()
+    def checkpoint_left_one_live_segment(self):
+        """Right after a checkpoint of a store that compacts at every one, the
+        directory holds a single segment file and it holds no dead bytes."""
+        checkpointed, self.checkpointed = self.checkpointed, False
+        if not checkpointed or self.storage is None or self.storage.compact_min_garbage_ratio > 0:
+            return
+        segments = glob.glob(os.path.join(self.directory, "segments*.dat"))
+        assert len(segments) == 1, segments
+        assert self.database.backend.segment_bytes_dead == 0
+
+    @invariant()
     def planner_equals_scan(self):
         some = next(iter(self.rows.values()), (0, None, "", 0))
         for sql, params in (
@@ -593,10 +619,25 @@ class TableAgainstModel(RuleBasedStateMachine):
         assert [row["k"] for row in self.database.sql("select k from T where s = :s order by k", {"s": some[2]})] == expected
 
 
-@pytest.mark.parametrize("seed", MODEL_SEEDS)
-def test_random_operation_sequences_agree_with_the_model(seed):
-    machine = seed_hypothesis(seed)(type(f"TableAgainstModel{seed}", (TableAgainstModel,), {}))
+class CompactingTableAgainstModel(TableAgainstModel):
+    """The same machine over a store that compacts at every checkpoint."""
+
+    storage = StorageConfig(compact_every=1, compact_min_garbage_ratio=0.0)
+
+
+def run_model(machine_class, seed):
+    machine = seed_hypothesis(seed)(type(f"{machine_class.__name__}{seed}", (machine_class,), {}))
     run_state_machine_as_test(
         machine,
         settings=settings(max_examples=25, stateful_step_count=30, deadline=None, database=None),
     )
+
+
+@pytest.mark.parametrize("seed", MODEL_SEEDS)
+def test_random_operation_sequences_agree_with_the_model(seed):
+    run_model(TableAgainstModel, seed)
+
+
+@pytest.mark.parametrize("seed", MODEL_SEEDS)
+def test_compacting_store_agrees_with_the_model(seed):
+    run_model(CompactingTableAgainstModel, seed)

@@ -268,6 +268,37 @@ class TestErrors:
         assert excinfo.value.code == 400
 
 
+#: Config fields that were deleted, each under the job-spec section that held it.
+DELETED_FIELDS = [
+    ("crawler", "fetch_workers", 8),
+    ("crawler", "compact_every", 3),
+    ("crawler", "compact_min_garbage_ratio", 0.2),
+    ("storage", "background_compaction", True),
+    ("storage", "compact_wal_bytes", 32768),
+]
+
+
+class TestDeletedFields:
+    """A spec naming a deleted field is refused, naming it, never run without it."""
+
+    @pytest.mark.parametrize("entry", ["JobSpec.from_dict", "POST /jobs"])
+    @pytest.mark.parametrize("section,name,value", DELETED_FIELDS)
+    def test_deleted_field_is_refused_by_name(self, request, entry, section, name, value):
+        spec = JobSpec(max_pages=30).to_dict()
+        spec[section] = {name: value}
+        if entry == "JobSpec.from_dict":
+            with pytest.raises(ValueError, match=name):
+                JobSpec.from_dict(spec)
+            return
+        base = request.getfixturevalue("service").url
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call(f"{base}/jobs", spec)
+        with excinfo.value as reply:
+            assert reply.code == 400
+            assert name in json.load(reply)["error"]
+        assert call(f"{base}/jobs") == []
+
+
 class RecordingConnection:
     """A socket stand-in for one canned request: records every write that reaches it."""
 

@@ -3,9 +3,14 @@
 import ast
 import pathlib
 
+import pytest
+
 import repro
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+PACKAGE_DIR = pathlib.Path(repro.__file__).resolve().parent
+#: Modules that start threads: the storage engine and the crawl core import neither.
+THREAD_MODULES = ("threading", "concurrent.futures")
 
 
 class TestPublicSurface:
@@ -56,4 +61,26 @@ class TestExamplesImportOnlyThePublicSurface:
                     for alias in node.names:
                         if alias.name not in exported:
                             offenders.append(f"{path.name}: {alias.name}")
+        assert offenders == []
+
+
+def imported_modules(tree):
+    """Every absolute module name an AST imports, ``from a import b`` as ``a`` and ``a.b``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+class TestOneThreadOfControl:
+    @pytest.mark.parametrize("package", ["minidb", "crawler"])
+    def test_package_imports_no_thread_module(self, package):
+        offenders = []
+        for path in sorted((PACKAGE_DIR / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for name in imported_modules(tree):
+                if any(name == banned or name.startswith(banned + ".") for banned in THREAD_MODULES):
+                    offenders.append(f"{path.relative_to(PACKAGE_DIR)}: {name}")
         assert offenders == []

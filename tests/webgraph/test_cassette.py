@@ -145,11 +145,6 @@ class TestRecordThenReplay:
         assert asyncio.run(run(replay)) == originals
         replay.assert_exhausted()
 
-    def test_recording_is_order_sensitive(self, small_web, tmp_path):
-        recorder = RecordingTransport(make_inner(small_web), str(tmp_path / "c.jsonl"))
-        assert recorder.order_sensitive
-        recorder.close()
-
 
 class TestStrictness:
     def test_strict_miss_raises(self, small_web, tmp_path):

@@ -116,12 +116,6 @@ class TestSimulatedTransport:
         tail_b = [(transport.fetch(u).status, transport.fetch(u).latency_ms) for u in urls[10:20]]
         assert tail_a == tail_b
 
-    def test_order_sensitivity_tracks_failure_simulation(self, small_web):
-        assert SimulatedTransport(Fetcher(small_web)).order_sensitive
-        assert not SimulatedTransport(
-            Fetcher(small_web, simulate_failures=False)
-        ).order_sensitive
-
 
 class TestLatencyTransport:
     # time_scale=0 keeps the tests instant: delays are drawn and recorded
@@ -273,7 +267,6 @@ class TestBuildTransport:
         transport = HttpTransport()
         try:
             assert transport.backend_name in ("aiohttp", "stdlib")
-            assert not transport.order_sensitive
             pending = transport.prepare("http://example.org/")
             assert pending.result is None
             assert len(pending.backoffs) == transport.max_retries
