@@ -9,13 +9,12 @@ time:
 
 1. *checkout*: the top-K frontier URLs in a single drain
    (:meth:`Frontier.pop_batch`), deterministic under oid tie-breaking;
-2. *fetch*: the round's URLs go through the fetch stage — one after
-   another on the calling thread or, with ``fetch_mode="async"``, an
-   asyncio pipeline that keeps up to ``max_inflight`` fetches
-   outstanding on the configured :mod:`~repro.webgraph.transport` and
-   hands completed pages to classification while later fetches are
-   still in flight — either way results are committed in checkout
-   order;
+2. *fetch*: the round's URLs are prepared on the configured
+   :mod:`~repro.webgraph.transport` in checkout order.  A round whose
+   outcomes are all settled (simulated, replay) is processed inline; any
+   other drains through an asyncio pipeline that keeps up to
+   ``max_inflight`` fetches outstanding and hands completed pages on
+   while later ones are in flight — results commit in checkout order;
 3. *classify*: one :meth:`HierarchicalModel.classify_batch` pass scores
    every fetched page — relevance and best leaf from a single posterior
    recursion, per-term work shared across the batch — behind an LRU of
@@ -87,22 +86,6 @@ ENGINE_MODES = ("auto", "serial", "batched", "sharded")
 #: Scoring backends accepted by ``CrawlerConfig.score_backend``.
 SCORE_BACKENDS = ("python", "numpy")
 
-#: Fetch-stage modes accepted by ``CrawlerConfig.fetch_mode``.  "auto"
-#: resolves to "threaded", which fetches the round inline, one URL after
-#: another; "async" switches the engine to the asyncio overlap pipeline,
-#: the mode for crawls of the real web.
-FETCH_MODES = ("auto", "threaded", "async")
-
-
-def _default_fetch_mode() -> str:
-    """The session default: ``REPRO_FETCH_MODE`` env var, else ``"auto"``.
-
-    Mirrors ``REPRO_SCORE_BACKEND``: CI (and operators) can run the whole
-    system through the async fetch pipeline without threading a flag
-    through every entry point.
-    """
-    return os.environ.get("REPRO_FETCH_MODE", "auto")
-
 
 def _default_score_backend() -> str:
     """The session default: ``REPRO_SCORE_BACKEND`` env var, else ``"python"``.
@@ -118,7 +101,7 @@ def _default_shards() -> int:
     """The session default shard count: ``REPRO_ENGINE_SHARDS``, else 0.
 
     0 means "unset": an explicit ``engine="sharded"`` config then runs
-    with one shard.  Mirrors ``REPRO_FETCH_MODE`` — CI can run a whole
+    with one shard.  Mirrors ``REPRO_SCORE_BACKEND`` — CI can run a whole
     suite sharded N-wide without threading a flag through entry points.
     Setting the env var does **not** switch engines by itself; it only
     supplies N for configs that ask for sharding.
@@ -159,19 +142,17 @@ class CrawlerConfig:
     record_best_leaf: bool = True
     #: URLs checked out per engine round (K; ``engine="serial"`` pins it to 1).
     batch_size: int = 1
-    #: Fetch-stage mode: "auto"/"threaded" fetch the round inline, one
-    #: URL after another; "async" runs the round's fetches through an
-    #: asyncio pipeline that overlaps transport latency with
-    #: classification and writes.
-    fetch_mode: str = field(default_factory=_default_fetch_mode)
+    #: Accepted and ignored, and kept for the same reasons as ``prefetch``:
+    #: the transport picks each round's fetch path (see ``_run_rounds``).
+    fetch_mode: str = "auto"
     #: Accepted and ignored: cross-round prefetch was removed (README,
     #: *Prefetch (removed)*).  Kept so that older configs, pickled
     #: checkpoints and ``benchmarks/suite`` still load; ROADMAP item 1(e)
     #: unbinds the suite from it, and then the field goes.
     prefetch: bool = False
-    #: Maximum fetches outstanding at once in async mode (0 = round size).
+    #: Maximum fetches outstanding at once in a drained round (0 = round size).
     max_inflight: int = 0
-    #: Per-server cap on outstanding async fetches (0 = unlimited) — the
+    #: Per-server cap on outstanding drained fetches (0 = unlimited) — the
     #: politeness back-stop of :class:`~repro.crawler.policies.FetchPolicy`.
     per_server_inflight: int = 0
     #: Fetch transport: "simulated" (default, bit-for-bit the PR-1
@@ -508,6 +489,24 @@ def checkpoint_due(
     )
 
 
+def _close_loop(loop: asyncio.AbstractEventLoop) -> None:
+    """Tear a drain loop down as ``asyncio.run`` does (``asyncio.Runner`` needs 3.11).
+
+    A failed round's cancelled waits run to their end first, so their
+    ``finally`` blocks (a pooled fetch slot's release) execute.
+    """
+    try:
+        leftover = asyncio.all_tasks(loop)
+        for task in leftover:
+            task.cancel()
+        if leftover:
+            loop.run_until_complete(asyncio.gather(*leftover, return_exceptions=True))
+        loop.run_until_complete(loop.shutdown_asyncgens())
+        loop.run_until_complete(loop.shutdown_default_executor())
+    finally:
+        loop.close()
+
+
 class CrawlEngine:
     """Executes crawl rounds of K URLs against a frontier."""
 
@@ -538,10 +537,6 @@ class CrawlEngine:
                 f"unknown score backend {config.score_backend!r}; "
                 f"expected one of {SCORE_BACKENDS}"
             )
-        if config.fetch_mode not in FETCH_MODES:
-            raise ValueError(
-                f"unknown fetch mode {config.fetch_mode!r}; expected one of {FETCH_MODES}"
-            )
         if config.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if config.checkpoint_interval_s < 0:
@@ -553,7 +548,7 @@ class CrawlEngine:
         #: no inner transport at all.
         self.transport: FetchTransport = transport or transport_for_config(config, fetcher)
         #: Validates the inflight knobs eagerly (FetchPolicy raises on
-        #: negatives) and is reused by every async round.
+        #: negatives) and is reused by every drained round.
         self.fetch_policy = FetchPolicy(
             max_inflight=config.max_inflight,
             per_server_inflight=config.per_server_inflight,
@@ -576,7 +571,7 @@ class CrawlEngine:
         self._saved_mark: Optional[Tuple[int, int, int]] = None
         #: Wall-clock seconds of round processing (classify + commit) that
         #: ran while fetches were still in flight, and total round
-        #: processing time — the async pipeline's overlap instrumentation.
+        #: processing time — the drain's overlap instrumentation.
         self.fetch_overlap_s = 0.0
         self._round_process_s = 0.0
         #: oid -> measured relevance of every visited page, in visit order.
@@ -600,11 +595,6 @@ class CrawlEngine:
         """K: URLs checked out per round — 1 under ``engine="serial"``."""
         return 1 if self.config.engine == "serial" else self.config.batch_size
 
-    @property
-    def async_fetch(self) -> bool:
-        """True when rounds fetch through the asyncio pipeline."""
-        return self.config.fetch_mode == "async"
-
     def prefetch_stale_ratio(self) -> float:
         """Always 0.0: cross-round prefetch was removed.
 
@@ -616,8 +606,8 @@ class CrawlEngine:
     def fetch_overlap_ratio(self) -> float:
         """Fraction of round processing that ran while fetches were in flight.
 
-        0.0 on the threaded path (it drains the fetch stage before
-        processing); approaches 1.0 when the async pipeline hides nearly
+        0.0 when every round ran inline (its outcomes were settled before
+        processing began); approaches 1.0 when drained rounds hide nearly
         all classification/write work behind transport latency.
         """
         if self._round_process_s <= 0.0:
@@ -652,10 +642,7 @@ class CrawlEngine:
         # Create the delta cache up front so every flushed round feeds it.
         self._incremental_distiller()
         rounds = range(max_rounds) if max_rounds is not None else itertools.count()
-        if self.async_fetch:
-            asyncio.run(self._run_rounds_async(budget, rounds))
-        else:
-            self._run_rounds(budget, rounds)
+        self._run_rounds(budget, rounds)
         return self.trace
 
     def run_distillation(self) -> DistillationResult:
@@ -830,47 +817,43 @@ class CrawlEngine:
         self._maybe_checkpoint()
 
     def _run_rounds(self, budget: int, rounds) -> None:
-        """Threaded fetch: fetch the whole round inline, then process it."""
-        for _ in rounds:
-            urls = self._checkout(budget)
-            if not urls:
-                break
-            started = time.perf_counter()
-            results = [self.transport.fetch(url) for url in urls]
-            self.stage_timings["fetch"] += time.perf_counter() - started
-            started = time.perf_counter()
-            stop = self._process_group(list(zip(urls, results)))
-            self._round_process_s += time.perf_counter() - started
-            self._close_round()
-            if stop:
-                break
+        """Check out, fetch, process and close rounds; the transport picks the fetch path.
 
-    async def _run_rounds_async(self, budget: int, rounds) -> None:
-        """Async fetch: process completed prefixes while the tail is in flight."""
-        gate = asyncio.Semaphore(self.fetch_policy.effective_inflight(self.round_size))
-        server_gates: Dict[str, asyncio.Semaphore] = {}
-        for _ in rounds:
-            urls = self._checkout(budget)
-            if not urls:
-                break
-            started = time.perf_counter()
-            pendings = [self.transport.prepare(url) for url in urls]
-            self.stage_timings["fetch"] += time.perf_counter() - started
-            stop = await self._drain_round(
-                urls, self._spawn_wait_tasks(pendings, gate, server_gates)
-            )
-            self._close_round()
-            if stop:
-                break
+        A round whose fetches, prepared in checkout order, are all settled
+        is processed inline; any other drains on one event loop, created
+        at the first such round and torn down when this call ends.
+        """
+        loop: Optional[asyncio.AbstractEventLoop] = None
+        try:
+            for _ in rounds:
+                urls = self._checkout(budget)
+                if not urls:
+                    break
+                started = time.perf_counter()
+                pendings = [self.transport.prepare(url) for url in urls]
+                self.stage_timings["fetch"] += time.perf_counter() - started
+                if all(pending.settled for pending in pendings):
+                    started = time.perf_counter()
+                    stop = self._process_group([(url, p.result) for url, p in zip(urls, pendings)])
+                    self._round_process_s += time.perf_counter() - started
+                else:
+                    loop = loop or asyncio.new_event_loop()
+                    stop = loop.run_until_complete(self._drain_round(urls, pendings))
+                self._close_round()
+                if stop:
+                    break
+        finally:
+            if loop is not None:
+                _close_loop(loop)
 
     def _process_group(self, group: Sequence[Tuple[str, FetchResult]]) -> bool:
         """Record failures, classify, and commit one contiguous result group.
 
-        *group* is a checkout-order slice of the round.  The threaded
-        path hands the whole round over as one group; the async path
-        hands over each contiguous completed prefix as it drains, so
-        processing overlaps the still-in-flight tail.  Returns True when
-        the stagnation patience ran out (the round still finishes).
+        *group* is a checkout-order slice of the round.  An inline round
+        is one group; a drained round hands over each contiguous
+        completed prefix as it arrives, so processing overlaps the
+        still-in-flight tail.  Returns True when the stagnation patience
+        ran out (the round still finishes).
         """
         config = self.config
         stop = False
@@ -944,16 +927,16 @@ class CrawlEngine:
             self._last_checkpoint_s = time.monotonic()
         self.checkpointer.save()
 
-    # -- async fetch -------------------------------------------------------------------
-    def _spawn_wait_tasks(
-        self,
-        pendings: Sequence[object],
-        gate: asyncio.Semaphore,
-        server_gates: Dict[str, asyncio.Semaphore],
-    ) -> List["asyncio.Task"]:
-        """Wrap prepared fetches in wait tasks behind the run's in-flight gates."""
+    # -- the drain ---------------------------------------------------------------------
+    def _spawn_wait_tasks(self, pendings: Sequence[object]) -> List["asyncio.Task"]:
+        """Wrap prepared fetches in wait tasks behind the round's in-flight gates.
+
+        Gates are per round: every task of a round ends inside its drain.
+        """
         transport = self.transport
         per_server = self.fetch_policy.per_server_inflight
+        gate = asyncio.Semaphore(self.fetch_policy.effective_inflight(self.round_size))
+        server_gates: Dict[str, asyncio.Semaphore] = {}
 
         async def wait_one(pending):
             async with gate:
@@ -968,8 +951,8 @@ class CrawlEngine:
 
         return [asyncio.create_task(wait_one(pending)) for pending in pendings]
 
-    async def _drain_round(self, urls: Sequence[str], tasks: List["asyncio.Task"]) -> bool:
-        """Await the round's tasks in checkout order, processing done prefixes.
+    async def _drain_round(self, urls: Sequence[str], pendings: Sequence[object]) -> bool:
+        """Wait out the round's fetches, processing done prefixes in checkout order.
 
         Up to ``FetchPolicy.effective_inflight`` fetches stay outstanding
         (optionally capped per server); completed pages are classified and
@@ -980,6 +963,7 @@ class CrawlEngine:
         grouping-invariant, so completion timing can change only the wall
         clock, never the crawl.
         """
+        tasks = self._spawn_wait_tasks(pendings)
         stop = False
         index = 0
         try:
@@ -1001,8 +985,8 @@ class CrawlEngine:
                 if in_flight:
                     self.fetch_overlap_s += elapsed
         finally:
-            # Only reachable with pending tasks if processing raised
-            # (e.g. a test kill switch): don't leak them into the loop.
+            # Only reachable with pending tasks if a fetch or processing
+            # raised; _close_loop runs the cancelled tasks to their end.
             for task in tasks[index:]:
                 task.cancel()
         return stop

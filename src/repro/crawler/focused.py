@@ -14,11 +14,11 @@ The loop itself lives in :mod:`repro.crawler.engine`;
 :class:`FocusedCrawler` is a thin driver that wires a frontier, a trace,
 and a :class:`~repro.crawler.engine.CrawlEngine` together.  The engine
 runs one round kernel; ``CrawlerConfig.batch_size`` is how many URLs a
-round checks out (1 by default — the paper's loop as written), and
-``fetch_mode`` chooses whether the round's fetches run inline or
-overlap in an asyncio pipeline on the configured fetch transport
-(``CrawlerConfig.transport`` / ``transport_options`` — see
-:mod:`repro.webgraph.transport`).
+round checks out (1 by default — the paper's loop as written), and the
+configured fetch transport (``CrawlerConfig.transport`` /
+``transport_options`` — see :mod:`repro.webgraph.transport`) decides
+whether a round's fetches run inline (outcomes settled at once) or
+overlap in an asyncio pipeline (outcomes that owe a wait).
 
 Three focus modes are supported:
 

@@ -84,7 +84,7 @@ class CrawlOrdering:
 
 @dataclass(frozen=True)
 class FetchPolicy:
-    """Concurrency policy of the async fetch stage (how hard to hit the network).
+    """Concurrency policy of a drained round's fetches (how hard to hit the network).
 
     The crawl *ordering* decides what to fetch next; the fetch policy
     decides how many of those fetches may be in flight at once, globally

@@ -14,16 +14,18 @@ random draws happen inside ``prepare()``, synchronously in checkout
 order — so :class:`PooledTransport` gates only ``fetch``/``wait`` (the
 latency/WAIT side), never ``prepare`` (the draw side).  Throttling a
 job can therefore delay *when* a page arrives, never *what* it is, and
-every job stays bit-identical to the same job run alone.
+every job stays bit-identical to the same job run alone.  A fetch
+settled at ``prepare`` (a simulated tenant's) owes no wait: it takes no
+slot and is counted there.
 
 The gate is a plain counter under a ``threading.Lock`` rather than an
-``asyncio`` primitive: each engine round runs in its own short-lived
-event loop (``asyncio.run`` per round), jobs may also fetch
-synchronously, and a started :class:`~repro.service.jobs.JobManager`
-steps every job on a thread of its own — so acquirers really do arrive
-from several threads and loops at once, and ``peak_inflight`` counts
-fetches of different tenants that were outstanding together.  The lock
-is held for counter arithmetic only, never across a fetch or a sleep.
+``asyncio`` primitive: each engine ``run()`` call (each step of a job)
+drains on an event loop of its own, jobs may also fetch synchronously,
+and a started :class:`~repro.service.jobs.JobManager` steps every job on
+a thread of its own — so acquirers really do arrive from several threads
+and loops at once, and ``peak_inflight`` counts fetches of different
+tenants that were outstanding together.  The lock is held for counter
+arithmetic only, never across a fetch or a sleep.
 """
 
 from __future__ import annotations
@@ -103,6 +105,11 @@ class SharedFetchPool:
                 self._per_server.pop(host, None)
             self.total_fetches += 1
 
+    def count_settled(self) -> None:
+        """Count a fetch settled at ``prepare``, which never takes a slot."""
+        with self._lock:
+            self.total_fetches += 1
+
     # -- job plumbing -------------------------------------------------------
     def wrap(self, transport: FetchTransport) -> "PooledTransport":
         """The ``transport_wrap`` hook handed to :meth:`FocusSystem.start`."""
@@ -145,9 +152,14 @@ class PooledTransport:
     def prepare(self, url: str) -> PendingFetch:
         # Never gated: draws must advance in checkout order regardless of
         # what other tenants have in flight.
-        return self.inner.prepare(url)
+        pending = self.inner.prepare(url)
+        if pending.settled:
+            self.pool.count_settled()
+        return pending
 
     async def wait(self, pending: PendingFetch) -> FetchResult:
+        if pending.settled:  # counted at prepare; nothing outstanding to gate
+            return await self.inner.wait(pending)
         host = host_of(normalize_url(pending.url))
         await self.pool.acquire_async(host)
         try:

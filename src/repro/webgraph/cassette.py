@@ -12,10 +12,10 @@ server) re-runs bit-identically in CI forever.
 
 Why ``(url, attempt)`` and not sequence order: the engine may fetch one
 URL several times (SERVER_ERROR pages are retried in later rounds), and
-the batched/async modes interleave completions.  Keying by URL plus its
+a drained round interleaves completions.  Keying by URL plus its
 per-URL attempt ordinal makes replay independent of completion order, so
-one cassette serves the serial, batched, and async engines and they all
-produce identical pages and relevance floats.
+a cassette recorded through the drain replays inline (a replayed fetch
+owes no wait) and produces identical pages and relevance floats.
 
 Both wrappers participate in ``state_snapshot()`` / ``restore_state()``:
 the recorder snapshots its byte offset (restore truncates post-checkpoint
@@ -99,13 +99,12 @@ def read_header(path: str) -> dict:
 class RecordingTransport:
     """Wrap any transport and log every fetch outcome to a JSONL cassette.
 
-    The recorder is itself a sequential stream (the file).  The threaded
-    fetch stage fetches one URL after another, so its events land in
-    checkout order.  When the inner transport resolves outcomes at
-    ``prepare`` time (the deterministic transports), the event is written
-    there too: the async fetch stage calls ``prepare`` in checkout order,
-    so its recordings stay in checkout order however the waits complete.
-    For a real HTTP inner the event is written at ``wait`` completion.
+    The recorder is itself a sequential stream (the file).  When the
+    inner transport resolves outcomes at ``prepare`` time (the
+    deterministic transports), the event is written there, and the
+    engine calls ``prepare`` in checkout order: the recording is in
+    checkout order whether the round then runs inline or drains.  For a
+    real HTTP inner the event is written at ``wait`` completion.
     """
 
     def __init__(self, inner: FetchTransport, path: str, meta: Optional[dict] = None) -> None:

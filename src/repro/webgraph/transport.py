@@ -4,16 +4,16 @@ The engine never talks to a :class:`~repro.webgraph.fetch.Fetcher` (or a
 network) directly any more; it talks to a *transport*.  A transport
 exposes the same fetch semantics three ways:
 
-* ``fetch(url)`` — the synchronous one-shot used by the threaded fetch
-  stage and the sharded workers;
-* ``prepare(url)`` / ``await wait(pending)`` — the two-phase form used
-  by the asyncio fetch stage.  **Every random draw happens inside
+* ``fetch(url)`` — the synchronous one-shot used by the sharded workers;
+* ``prepare(url)`` / ``await wait(pending)`` — the two-phase form the
+  engine's round loop uses.  **Every random draw happens inside
   ``prepare``**, synchronously, in submission order; ``wait`` only waits
   out the (real or simulated) latency.  This is the determinism
   contract: the shared failure/latency RNG streams advance in checkout
   order, so the order in which concurrent fetches *complete* can never
   change the draw sequence — same seed, same failure stream, any
-  interleaving.
+  interleaving.  A round of :attr:`PendingFetch.settled` fetches runs
+  inline, without an event loop.
 * ``state_snapshot()`` / ``restore_state()`` — checkpoint/resume hooks,
   so a resumed crawl continues the exact RNG streams.
 
@@ -24,8 +24,8 @@ Three transports are provided:
 * :class:`LatencyTransport` — injects configurable real wall-clock
   latency, jitter, timeouts, and retries around an inner transport, so
   fetch/compute overlap is measurable without touching a network.  All
-  of its draws also happen at ``prepare`` time, so latency crawls are
-  reproducible across serial, threaded, and async execution.
+  of its draws also happen at ``prepare`` time, so a latency crawl is
+  the crawl of its inner transport, whatever the completion order.
 * :class:`HttpTransport` — the real-network fetcher: robots.txt
   honoring with a TTL cache, manual redirect following with hop cap and
   loop detection, content-type/size gating, retry/backoff whose jitter
@@ -79,6 +79,11 @@ class PendingFetch:
     #: Drawn inside ``prepare`` so the jitter stream advances in checkout
     #: order regardless of completion interleaving.
     backoffs: list[float] = field(default_factory=list)
+
+    @property
+    def settled(self) -> bool:
+        """The outcome is known and no wait is owed: ``wait`` would return it at once."""
+        return self.result is not None and self.delay_s == 0
 
 
 @runtime_checkable
@@ -143,9 +148,8 @@ class LatencyTransport:
     comes from this transport's own seeded generator, consumed entirely
     inside :meth:`prepare` — in checkout order, and under a lock, so a
     transport reached from more than one thread still draws one
-    sequence.  A crawl over a latency transport therefore produces
-    identical results in threaded (``fetch`` = resolve-then-sleep, one
-    URL after another) and async execution, and its RNG stream
+    sequence.  A latency crawl is therefore identical drained (delays
+    owed) and inline (``time_scale=0``: nothing owed), and its RNG stream
     checkpoints/restores exactly like the simulated fetcher's.
 
     ``per_server`` overrides the mean latency (milliseconds) for
@@ -284,9 +288,9 @@ class StdlibSessionBackend:
     """A dependency-free HTTP session over ``urllib`` in a thread executor.
 
     One redirect-disabled ``OpenerDirector`` plays the role of the shared
-    client session: it is loop-independent, so a crawl that runs one
-    asyncio loop per round (the async engine stepped a round at a time)
-    still reuses the same opener for its whole lifetime.  Local fixture-server
+    client session: it is loop-independent, so a crawl that drains on
+    one asyncio loop per ``run()`` call (per round when stepped) still
+    reuses the same opener for its whole lifetime.  Local fixture-server
     tests and environments without ``aiohttp`` run on this backend.
     """
 
@@ -343,10 +347,10 @@ class AiohttpSessionBackend:
     The session is created lazily on first use and reused for every
     subsequent request on the same event loop — the PR-10 bugfix for the
     stub's session-per-fetch.  aiohttp sessions are bound to the loop
-    they were created on, and the async engine runs one ``asyncio.run``
-    per ``run()`` call — per round when it is stepped; when the running
+    they were created on, and the engine drains on one event loop per
+    ``run()`` call — per round when it is stepped; when the running
     loop changes, the stale session is closed (best effort) and one new
-    session is built for the new loop — per *round*, never per fetch.
+    session is built for the new loop — per *run*, never per fetch.
     """
 
     name = "aiohttp"
@@ -443,15 +447,15 @@ class HttpTransport:
     * **timeout/retry/backoff**: transient errors and 5xx retry up to
       ``max_retries`` times with exponential backoff whose jitter factors
       are **drawn in** :meth:`prepare` from a seeded generator — in
-      checkout order, the determinism contract the async pipeline (and
+      checkout order, the determinism contract the engine's drain (and
       the cassette layer) rests on;
     * **per-host politeness**: ``per_host_delay_s`` spaces requests to
       one host; in-flight caps stay with the engine's
       :class:`~repro.crawler.policies.FetchPolicy` seam (PR 4).
 
-    Real-web crawls run it under ``fetch_mode="async"``: the threaded
-    stage fetches one URL after another, so only the asyncio pipeline
-    overlaps their network waits.  Wrap the transport in a
+    :meth:`prepare` resolves nothing (the I/O is in :meth:`wait`), so
+    the engine drains every round, overlapping the network waits.  Wrap
+    the transport in a
     :class:`~repro.webgraph.cassette.RecordingTransport` to make a live
     crawl replayable; checkpoints carry counters plus the RNG position.
     """
@@ -508,10 +512,10 @@ class HttpTransport:
         self.events = None
         self.robots_fetches = 0
         self.redirects_followed = 0
-        #: Loop owned by the synchronous fetch() path, so threaded crawls
+        #: Loop owned by the synchronous fetch() path, so sync callers
         #: reuse one session too (created lazily, released by close()).
         #: The lock serialises sync fetches from different threads on the
-        #: one loop; use the async engine mode for fetch concurrency.
+        #: one loop; the engine's drain is where fetches overlap.
         self._own_loop: Optional[asyncio.AbstractEventLoop] = None
         self._own_loop_lock = threading.Lock()
 
@@ -730,7 +734,7 @@ class HttpTransport:
 
     def _robots_lock(self, base: str) -> asyncio.Lock:
         # asyncio.Lock binds to the loop that first acquires it, and the
-        # async engine stepped a round at a time runs one event loop per
+        # engine stepped a round at a time drains on one event loop per
         # round — a lock cached on round A's loop would raise "bound to a
         # different event loop" when a robots TTL expiry re-acquires it
         # on round B's.  Scope the cache to the running loop (the same

@@ -11,6 +11,7 @@ import pytest
 
 from repro.classifier.training import ClassifierTrainer, ModelInstaller
 from repro.core.schema import create_focus_database
+from repro.crawler.engine import CrawlEngine
 from repro.minidb import Database
 from repro.taxonomy.examples import generate_examples
 from repro.taxonomy.tree import TopicTaxonomy
@@ -75,3 +76,21 @@ def crawl_database():
 @pytest.fixture()
 def empty_database():
     return Database(buffer_pool_pages=64)
+
+
+@pytest.fixture()
+def drained_rounds(monkeypatch):
+    """The size of every round that drained through the asyncio pipeline.
+
+    Empty when every round ran inline: the transport settled all of its
+    outcomes at ``prepare``.
+    """
+    sizes = []
+    drain = CrawlEngine._drain_round
+
+    async def counted(engine, urls, *args):
+        sizes.append(len(urls))
+        return await drain(engine, urls, *args)
+
+    monkeypatch.setattr(CrawlEngine, "_drain_round", counted)
+    return sizes

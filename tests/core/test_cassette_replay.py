@@ -4,8 +4,10 @@ at the engine level.
 One crawl of the local fixture site is recorded into a cassette; every
 replay of that cassette must reproduce the recording exactly — the same
 pages in the same order, the same relevance floats bit for bit, the same
-CRAWL/LINK table contents — across the serial, batched, and async
-engines, through a kill/resume mid-replay, and with no network stack at
+CRAWL/LINK table contents — across the serial and batched engines,
+whichever fetch path recorded it (a replayed fetch is settled at once,
+so replay always runs inline), through a kill/resume mid-replay, and
+with no network stack at
 all (the fixture server is long gone when the replays run; aiohttp is
 never required).  A committed cassette in ``tests/data/cassettes/``
 pins the whole loop in CI without a single live fetch.
@@ -13,7 +15,7 @@ pins the whole loop in CI without a single live fetch.
 
 import pytest
 
-from repro import JobSpec
+from repro import CrawlerConfig, JobSpec
 from repro.webgraph.cassette import CassetteMismatch, ReplayTransport, lint_cassette
 from tests.webgraph.fixture_site import (
     COMMITTED_CASSETTE,
@@ -129,51 +131,61 @@ class TestReplayMatchesRecording:
         finally:
             handle.close()
 
-    def test_async_fetch_replay_matches_the_serial_recording(
-        self, cassette_system, recording, serial_replay
-    ):
-        """fetch_mode="async" only changes I/O interleaving: the replayed
-        crawl still commits in checkout order and equals the threaded
-        recording bit for bit, tables included."""
-        path, reference, meta = recording
-        handle = replay_job(cassette_system, path, meta["seeds"], fetch_mode="async")
-        try:
-            assert_matches_recording(handle.trace, reference.trace)
-            for table in ("CRAWL", "LINK"):
-                assert table_rows(handle.database, table) == table_rows(
-                    serial_replay.database, table
-                )
-            handle.crawler.engine.transport.assert_exhausted()
-        finally:
-            handle.close()
-
     def test_batched_replay_is_bit_identical(self, batched_replay, batched_recording):
         _, reference, _ = batched_recording
         assert batched_replay.status == "completed"
         assert_matches_recording(batched_replay.trace, reference.trace)
         batched_replay.crawler.engine.transport.assert_exhausted()
 
-    def test_batched_async_replay_matches_the_batched_recording(
-        self, cassette_system, batched_recording, batched_replay
+    @pytest.mark.parametrize("engine, batch_size", [("serial", 1), ("batched", 4)])
+    def test_drained_recording_replays_inline_to_the_same_crawl(
+        self, cassette_system, tmp_path, drained_rounds, engine, batch_size
     ):
-        path, reference, meta = batched_recording
-        handle = replay_job(
-            cassette_system,
-            path,
-            meta["seeds"],
-            engine="batched",
-            batch_size=4,
-            fetch_mode="async",
-        )
+        """Recorded over a delayed latency transport, every round drains;
+        replayed, every fetch is settled at prepare and every round runs
+        inline.  The fetch path changes only I/O interleaving: the replay
+        commits in checkout order and equals the recording bit for bit,
+        timeouts and all four tables included."""
+        path = str(tmp_path / "latency.jsonl")
+
+        def latency_job(mode):
+            config = CrawlerConfig(
+                max_pages=40,
+                distill_every=15,
+                engine=engine,
+                batch_size=batch_size,
+                transport="latency",
+                transport_options={
+                    "mean_latency_ms": 0.5, "timeout_rate": 0.1, "timeout_ms": 1.0, "seed": 3,
+                },
+                cassette_path=path,
+                cassette_mode=mode,
+            )
+            handle = cassette_system.start(
+                JobSpec(seeds=tuple(cassette_system.default_seeds()), crawler=config)
+            )
+            handle.run()
+            return handle
+
+        recorded = latency_job("record")
+        replayed = None
         try:
-            assert_matches_recording(handle.trace, reference.trace)
-            for table in ("CRAWL", "LINK"):
-                assert table_rows(handle.database, table) == table_rows(
-                    batched_replay.database, table
+            assert recorded.trace.failed_urls  # the timeout stream was recorded
+            drained = len(drained_rounds)
+            assert drained > 0
+            replayed = latency_job("replay")
+            assert isinstance(replayed.crawler.engine.transport, ReplayTransport)
+            assert len(drained_rounds) == drained
+            assert_matches_recording(replayed.trace, recorded.trace)
+            for table in ("CRAWL", "LINK", "HUBS", "AUTH"):
+                assert table_rows(replayed.database, table) == table_rows(
+                    recorded.database, table
                 )
-            handle.crawler.engine.transport.assert_exhausted()
+            replayed.crawler.engine.transport.assert_exhausted()
         finally:
-            handle.close()
+            recorded.close()
+            if replayed is not None:
+                replayed.close()
 
 
 class TestReplayNeedsNoNetwork:

@@ -29,6 +29,7 @@ from repro.minidb import Database, StorageConfig
 from repro.minidb.errors import StorageError
 from repro.minidb.wal import dump_record
 from repro.webgraph.fetch import Fetcher
+from repro.webgraph.transport import LatencyTransport
 
 GOOD = "recreation/cycling"
 
@@ -197,26 +198,41 @@ class TestCrashResume:
         assert_traces_match(resumed, reference)
         resumed.database.close()
 
-    def test_async_fetch_killed_and_resumed_matches_uninterrupted(
-        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
+    def test_drained_fetch_killed_and_resumed_matches_uninterrupted(
+        self, checkpoint_system, reference_batched, tmp_path, drained_rounds
     ):
-        """Kill/resume under fetch_mode="async": transport draws happen at
-        prepare time in checkout order and commits in checkout order, so
-        the asyncio pipeline resumes bit-identically — and, under the
-        simulated transport, equals the threaded reference exactly."""
+        """Kill/resume through the drain: a latency transport that owes a
+        real (scaled) wait on every fetch and never times out.  Transport
+        draws happen at prepare time in checkout order and commits in
+        checkout order, so the drained crawl resumes bit-identically — and
+        equals the inline simulated reference exactly.  The kill comes out
+        of a wait, mid-drain, with the rest of the round in flight."""
         config = crawl_config("batched")
-        config.fetch_mode = "async"
-        kill_fetcher_after(monkeypatch, 47)
-        with pytest.raises(KillSwitch):
-            checkpoint_system.crawl(
-                crawler_config=config,
-                fetch_failure_seed=FETCH_FAILURE_SEED,
-                checkpoint_dir=str(tmp_path / "crawl"),
-            )
-        monkeypatch.undo()
+        config.transport = "latency"
+        config.transport_options = {"mean_latency_ms": 2.0, "seed": 9, "time_scale": 0.25}
+        waits = {"calls": 0}
+        wait = LatencyTransport.wait
+
+        async def killing_wait(transport, pending):
+            waits["calls"] += 1
+            if waits["calls"] > 47:
+                raise KillSwitch("killed at wait 47")
+            return await wait(transport, pending)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LatencyTransport, "wait", killing_wait)
+            with pytest.raises(KillSwitch):
+                checkpoint_system.crawl(
+                    crawler_config=config,
+                    fetch_failure_seed=FETCH_FAILURE_SEED,
+                    checkpoint_dir=str(tmp_path / "crawl"),
+                )
+        killed_rounds = len(drained_rounds)
+        assert killed_rounds > 0
 
         resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
-        assert resumed.crawler.config.fetch_mode == "async"
+        assert resumed.crawler.config.transport == "latency"
+        assert len(drained_rounds) > killed_rounds
         assert resumed.pages_fetched() == MAX_PAGES
         assert_traces_match(resumed, reference_batched)
         resumed.database.close()
@@ -225,10 +241,10 @@ class TestCrashResume:
         self, checkpoint_system, tmp_path, monkeypatch
     ):
         """The latency transport's own RNG stream is part of the checkpoint:
-        a resumed latency crawl continues the exact delay/timeout draws."""
+        a resumed latency crawl continues the exact delay/timeout draws.
+        At ``time_scale=0`` no fetch owes a wait, so every round runs inline."""
         def latency_config():
             config = crawl_config("batched")
-            config.fetch_mode = "async"
             config.transport = "latency"
             # time_scale=0: draws are made and checkpointed, sleeps skipped.
             config.transport_options = {
@@ -322,7 +338,6 @@ class TestPrefetchCrashResume:
     @staticmethod
     def prefetch_config(engine: str = "batched") -> CrawlerConfig:
         config = crawl_config(engine)
-        config.fetch_mode = "async"
         config.prefetch = True
         return config
 
@@ -370,10 +385,10 @@ class TestPrefetchCrashResume:
         self, checkpoint_system, tmp_path, monkeypatch
     ):
         """Same contract through the latency transport and its own RNG
-        stream.  The reference is the *non-prefetch* latency crawl."""
+        stream.  The reference is the *non-prefetch* latency crawl.  At
+        ``time_scale=0`` no fetch owes a wait, so every round runs inline."""
         def latency_config(prefetch: bool) -> CrawlerConfig:
             config = crawl_config("batched")
-            config.fetch_mode = "async"
             config.prefetch = prefetch
             config.transport = "latency"
             # time_scale=0: draws are made and checkpointed, sleeps skipped.
@@ -410,8 +425,8 @@ class TestParentCheckpointResume:
     ):
         """A checkpoint from before cross-round prefetch was removed: its
         engine state carries a ``"prefetch"`` counter section and its
-        config says ``prefetch=True``.  It resumes to the uninterrupted
-        crawl, bit for bit."""
+        config says ``prefetch=True`` and ``fetch_mode="async"``.  It
+        resumes to the uninterrupted crawl, bit for bit."""
         small_state = CrawlEngine._small_state
 
         def parent_shaped(engine):
@@ -448,7 +463,8 @@ class TestParentCheckpointResume:
         the crawler's own compaction knobs were deleted: its pickled
         ``CrawlerConfig`` and ``StorageConfig`` carry those fields in their
         ``__dict__``, as that tree pickled them.  It resumes to the
-        uninterrupted crawl, bit for bit, under either fetch mode."""
+        uninterrupted crawl, bit for bit, whichever ``fetch_mode`` it
+        carries (the field is accepted and ignored)."""
         storage = StorageConfig()
         storage.__dict__.update(background_compaction=True, compact_wal_bytes=32768)
         config = crawl_config("batched")
@@ -611,12 +627,13 @@ def matrix_config(case: str) -> CrawlerConfig:
     config = crawl_config("serial" if case == "serial" else "batched")
     if case == "numpy":
         config.score_backend = "numpy"
-    elif case in ("async", "latency"):
-        config.fetch_mode = "async"
-    if case == "latency":
+    if case in ("async", "latency"):
+        # "latency" owes no wait (time_scale=0) and runs inline; "async"
+        # owes a scaled one on every fetch, so every round drains.
         config.transport = "latency"
         config.transport_options = {
-            "mean_latency_ms": 2.0, "timeout_rate": 0.05, "seed": 9, "time_scale": 0.0,
+            "mean_latency_ms": 2.0, "timeout_rate": 0.05, "timeout_ms": 4.0, "seed": 9,
+            "time_scale": 0.25 if case == "async" else 0.0,
         }
     if case == "hard-focus":
         # Rejected pages expand nothing, distillation boosts the hubs'
@@ -687,7 +704,7 @@ class TestCheckpointBytes:
         path = tmp_path_factory.mktemp("bytes") / "crawl"
         config = CrawlerConfig(
             max_pages=self.PAGES, distill_every=40, checkpoint_every=100, engine="batched",
-            batch_size=32, score_backend="numpy", fetch_mode="threaded",
+            batch_size=32, score_backend="numpy",
             storage=StorageConfig(compact_every=0),
         )
         save = CheckpointManager.save

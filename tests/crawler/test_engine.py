@@ -1,6 +1,6 @@
 """Equivalence and behaviour tests for the crawl engine's round kernel.
 
-The round size K and the fetch mode must be pure *execution strategy*
+The round size K and the fetch path must be pure *execution strategy*
 choices:
 
 * at K=1 the kernel is the paper's one-URL-at-a-time loop — pinned to
@@ -8,13 +8,17 @@ choices:
 * at larger K the interleaving changes, but on a bounded web the crawl
   converges to exactly the same visited set;
 * recorded relevance is the single-document Eq. 2 reference, bit for bit;
-* threaded ≡ async, and stepped ≡ one run;
+* inline ≡ drain, and stepped ≡ one run;
 * the incremental distiller must agree with a full-table recomputation.
 """
+
+import asyncio
+import time
 
 import pytest
 
 from repro.classifier.tokenizer import term_frequencies
+from repro.core.config import JobSpec
 from repro.core.schema import create_focus_database
 from repro.crawler.engine import CrawlerConfig, OutcomeLRU
 from repro.crawler.focused import FocusedCrawler
@@ -227,40 +231,47 @@ class TestEngineConfig:
         assert stats["entries"] == 30
 
 
-class TestAsyncFetchPipeline:
-    """fetch_mode="async" is a pure execution-strategy change.
+#: A latency transport that owes a wait on every fetch but never times
+#: out: its crawl is the simulated crawl, fetched through the drain.
+DELAYED = dict(transport="latency", transport_options={"mean_latency_ms": 1.0, "seed": 4})
 
-    Under a deterministic transport (simulated or latency-injecting),
-    the asyncio pipeline must reproduce the threaded path bit for bit —
-    draws happen at prepare() time in checkout order and commits happen
-    in checkout order, so completion interleaving can only move wall
-    clock around.  Under the latency transport it must actually *move*
-    it: overlapping I/O with classification is the whole point.
+
+class TestAsyncFetchPipeline:
+    """The transport picks the fetch path, and the path never changes the crawl.
+
+    A round whose fetches are all settled at ``prepare`` (simulated,
+    replay, latency at ``time_scale=0``) runs inline, with no event loop;
+    any other round drains through the asyncio pipeline.  Draws happen
+    at prepare() time in checkout order and commits happen in checkout
+    order, so inline ≡ drain bit for bit, and completion interleaving can
+    only move wall clock around.  Under a delayed latency transport the
+    drain must actually *move* it: overlapping I/O with classification
+    is the whole point.
     """
 
-    def test_async_simulated_matches_threaded_bit_for_bit(
-        self, small_web, trained_model, taxonomy, crawl_seeds
+    def test_drained_latency_matches_inline_simulated_bit_for_bit(
+        self, small_web, trained_model, taxonomy, crawl_seeds, drained_rounds
     ):
         kwargs = dict(max_pages=120, distill_every=50, engine="batched", batch_size=8)
-        _, threaded_db, threaded = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            fetch_mode="threaded", **kwargs,
+        _, inline_db, inline = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds, **kwargs
         )
-        _, async_db, asynced = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            fetch_mode="async", **kwargs,
+        assert drained_rounds == []
+        _, drained_db, drained = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds, **DELAYED, **kwargs
         )
-        assert threaded.fetched_urls == asynced.fetched_urls
-        assert threaded.relevance_series() == asynced.relevance_series()  # bitwise
-        assert threaded.failed_urls == asynced.failed_urls
-        assert threaded.distillations == asynced.distillations
-        assert sorted(threaded_db.table("LINK").rows()) == sorted(async_db.table("LINK").rows())
+        assert drained_rounds and max(drained_rounds) == 8
+        assert inline.fetched_urls == drained.fetched_urls
+        assert inline.relevance_series() == drained.relevance_series()  # bitwise
+        assert inline.failed_urls == drained.failed_urls
+        assert inline.distillations == drained.distillations
+        for table in ("CRAWL", "LINK", "HUBS", "AUTH"):
+            assert sorted(inline_db.table(table).rows()) == sorted(drained_db.table(table).rows())
 
     def test_max_inflight_cannot_change_the_crawl(
-        self, small_web, trained_model, taxonomy, crawl_seeds
+        self, small_web, trained_model, taxonomy, crawl_seeds, drained_rounds
     ):
-        kwargs = dict(max_pages=80, distill_every=0, engine="batched", batch_size=8,
-                      fetch_mode="async")
+        kwargs = dict(max_pages=80, distill_every=0, engine="batched", batch_size=8, **DELAYED)
         _, _, unbounded = run_crawl(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
         _, _, narrow = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds, max_inflight=2, **kwargs
@@ -275,72 +286,119 @@ class TestAsyncFetchPipeline:
             == narrow.relevance_series()
             == polite.relevance_series()
         )
+        assert len(drained_rounds) >= 3 * 10  # every round of all three crawls
 
-    def test_latency_transport_reproducible_across_modes(
-        self, small_web, trained_model, taxonomy, crawl_seeds
+    def test_latency_transport_inline_matches_drain(
+        self, small_web, trained_model, taxonomy, crawl_seeds, drained_rounds
     ):
-        """Threaded (resolve-then-sleep) and async traces are identical."""
-        kwargs = dict(
-            max_pages=60, distill_every=0, engine="batched", batch_size=8,
-            transport="latency",
-            transport_options={"mean_latency_ms": 1.0, "seed": 4},
-        )
-        _, _, threaded = run_crawl(
+        """The latency transport's own timeout stream, walked inline
+        (``time_scale=0`` owes no wait) and through the drain, gives
+        identical traces."""
+        options = {"mean_latency_ms": 1.0, "timeout_rate": 0.1, "timeout_ms": 2.0, "seed": 4}
+        kwargs = dict(max_pages=60, distill_every=0, engine="batched", batch_size=8,
+                      transport="latency")
+        _, _, inline = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds,
-            fetch_mode="threaded", **kwargs,
+            transport_options={**options, "time_scale": 0.0}, **kwargs,
         )
-        _, _, asynced = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            fetch_mode="async", **kwargs,
+        assert drained_rounds == []
+        _, _, drained = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds, transport_options=options, **kwargs
         )
-        assert threaded.fetched_urls == asynced.fetched_urls
-        assert threaded.relevance_series() == asynced.relevance_series()
-        assert threaded.failed_urls == asynced.failed_urls
+        assert drained_rounds
+        assert inline.fetched_urls == drained.fetched_urls
+        assert inline.relevance_series() == drained.relevance_series()
+        assert inline.failed_urls == drained.failed_urls
 
-    @pytest.mark.walltime
-    def test_async_overlaps_latency_with_scoring(
-        self, small_web, trained_model, taxonomy, crawl_seeds
+    def test_simulated_and_replay_crawls_create_no_event_loop(
+        self, small_web, trained_model, taxonomy, crawl_seeds, tmp_path, monkeypatch
     ):
-        """The PR's acceptance criterion: with injected latency (5 ms
-        mean), the async pipeline is >= 2x the threaded fetch path at
-        the same configuration, because sleeps overlap each other and
-        classification.  Marked `walltime`: coverage tracing slows the
-        compute side while the sleeps stay fixed, so the coverage job
-        deselects it."""
-        import time as _time
+        """Settled outcomes never reach asyncio: recording over the
+        simulated transport and replaying the cassette both run inline."""
 
-        kwargs = dict(
-            max_pages=96, distill_every=0, engine="batched", batch_size=16,
-            transport="latency",
-            transport_options={"mean_latency_ms": 5.0, "seed": 4},
-        )
+        def refuse(*args, **kwargs):
+            raise AssertionError("an inline crawl created an event loop")
 
-        def timed(fetch_mode):
-            started = _time.perf_counter()
+        monkeypatch.setattr(asyncio, "new_event_loop", refuse)
+        monkeypatch.setattr(asyncio, "run", refuse)
+        kwargs = dict(max_pages=60, distill_every=30, engine="batched", batch_size=8)
+        _, _, plain = run_crawl(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
+        path = str(tmp_path / "crawl.jsonl")
+        traces = []
+        for mode in ("record", "replay"):
             crawler, _, trace = run_crawl(
                 small_web, trained_model, taxonomy, crawl_seeds,
-                fetch_mode=fetch_mode, **kwargs,
+                cassette_path=path, cassette_mode=mode, **kwargs,
             )
-            return crawler, trace, _time.perf_counter() - started
+            traces.append(trace)
+            if mode == "record":
+                crawler.engine.transport.close()
+            else:
+                crawler.engine.transport.assert_exhausted()
+        for trace in traces:
+            assert trace.fetched_urls == plain.fetched_urls
+            assert trace.relevance_series() == plain.relevance_series()
+            assert trace.failed_urls == plain.failed_urls
 
-        threaded_crawler, threaded_trace, threaded_s = timed("threaded")
-        async_crawler, async_trace, async_s = timed("async")
-        assert threaded_trace.fetched_urls == async_trace.fetched_urls
-        pages = len(async_trace.fetched_urls)
-        assert pages / async_s >= 2.0 * (pages / threaded_s)
-        # The overlap instrumentation sees it: processing ran while
-        # fetches were in flight only on the async path.
-        assert async_crawler.engine.fetch_overlap_ratio() > 0.0
-        assert threaded_crawler.engine.fetch_overlap_ratio() == 0.0
+    def test_delayed_latency_crawl_overlaps_fetch_with_processing(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        kwargs = dict(max_pages=48, distill_every=0, engine="batched", batch_size=8)
+        inline_crawler, _, _ = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds, **kwargs
+        )
+        drained_crawler, _, _ = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds, transport="latency",
+            transport_options={"mean_latency_ms": 5.0, "seed": 4}, **kwargs,
+        )
+        assert inline_crawler.engine.fetch_overlap_ratio() == 0.0
+        assert drained_crawler.engine.fetch_overlap_ratio() > 0.0
 
-    def test_invalid_fetch_mode_rejected(self, small_web, trained_model, taxonomy):
-        with pytest.raises(ValueError):
-            run_crawl(small_web, trained_model, taxonomy, [], fetch_mode="telepathy")
+    @pytest.mark.walltime
+    def test_drain_overlaps_latency_with_scoring(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        """With injected latency (5 ms mean) the drained crawl runs at >= 2x
+        a sequential ``LatencyTransport.fetch`` loop over the same fetches,
+        because sleeps overlap each other and classification.  That loop
+        sleeps through every injected delay one after another, so
+        ``injected_s`` (the sum of the delays, ``time_scale=1``) is a floor
+        on its wall time.  Marked `walltime`: coverage tracing slows the
+        compute side while the sleeps stay fixed, so the coverage job
+        deselects it."""
+        started = time.perf_counter()
+        crawler, _, trace = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds,
+            max_pages=96, distill_every=0, engine="batched", batch_size=16,
+            transport="latency", transport_options={"mean_latency_ms": 5.0, "seed": 4},
+        )
+        drained_s = time.perf_counter() - started
+        assert trace.pages_fetched == 96
+        sequential_floor_s = crawler.engine.transport.injected_s
+        assert drained_s <= sequential_floor_s / 2.0
+        assert crawler.engine.fetch_overlap_ratio() > 0.0
+
+    @pytest.mark.parametrize("fetch_mode", ["auto", "threaded", "async", "telepathy"])
+    def test_fetch_mode_is_accepted_and_ignored(
+        self, small_web, trained_model, taxonomy, crawl_seeds, fetch_mode
+    ):
+        kwargs = dict(max_pages=40, distill_every=20, engine="batched", batch_size=8)
+        _, base_db, base = run_crawl(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
+        _, moded_db, moded = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds, fetch_mode=fetch_mode, **kwargs
+        )
+        assert moded.fetched_urls == base.fetched_urls
+        assert moded.relevance_series() == base.relevance_series()
+        assert sorted(moded_db.table("LINK").rows()) == sorted(base_db.table("LINK").rows())
+
+    def test_job_spec_with_fetch_mode_still_loads(self):
+        spec = JobSpec.from_dict({"max_pages": 5, "crawler": {"fetch_mode": "async"}})
+        assert spec.crawler.fetch_mode == "async"
+        assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_negative_inflight_rejected(self, small_web, trained_model, taxonomy):
         with pytest.raises(ValueError):
-            run_crawl(small_web, trained_model, taxonomy, [], fetch_mode="async",
-                      max_inflight=-1)
+            run_crawl(small_web, trained_model, taxonomy, [], max_inflight=-1)
 
     def test_unknown_transport_rejected(self, small_web, trained_model, taxonomy):
         with pytest.raises(ValueError):
@@ -349,8 +407,9 @@ class TestAsyncFetchPipeline:
 
 class TestCrossRoundPrefetch:
     """``prefetch=True`` is accepted and ignored: cross-round prefetch was
-    removed, and an old config that asks for it crawls what the async
-    path crawls — URLs, relevance floats, failures, all four tables."""
+    removed, and an old config that asks for it crawls what it crawls
+    without the flag — URLs, relevance floats, failures, all four tables,
+    inline and through the drain."""
 
     def assert_same_crawl(self, a_db, a_trace, b_db, b_trace):
         assert a_trace.fetched_urls == b_trace.fetched_urls
@@ -363,8 +422,7 @@ class TestCrossRoundPrefetch:
     def test_prefetch_bit_identical_simulated(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
-        kwargs = dict(max_pages=120, distill_every=50, engine="batched",
-                      batch_size=8, fetch_mode="async")
+        kwargs = dict(max_pages=120, distill_every=50, engine="batched", batch_size=8)
         _, base_db, base = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds, prefetch=False, **kwargs
         )
@@ -376,11 +434,7 @@ class TestCrossRoundPrefetch:
     def test_prefetch_bit_identical_latency(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
-        kwargs = dict(
-            max_pages=80, distill_every=30, engine="batched", batch_size=8,
-            fetch_mode="async", transport="latency",
-            transport_options={"mean_latency_ms": 1.0, "seed": 4},
-        )
+        kwargs = dict(max_pages=80, distill_every=30, engine="batched", batch_size=8, **DELAYED)
         _, base_db, base = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds, prefetch=False, **kwargs
         )
@@ -395,7 +449,7 @@ class TestCrossRoundPrefetch:
         crawler, _, _ = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds,
             max_pages=120, distill_every=40, engine="batched", batch_size=8,
-            fetch_mode="async", prefetch=True,
+            prefetch=True, **DELAYED,
         )
         engine = crawler.engine
         # The stale-ratio stub reads zero and nothing else reports prefetch.
@@ -403,11 +457,10 @@ class TestCrossRoundPrefetch:
         assert set(engine.pipeline_stats()) == {"fetch_overlap_ratio", "frontier"}
         assert "prefetch" not in engine._small_state()
 
-    def test_prefetch_ignored_outside_async_mode(
+    def test_prefetch_ignored_at_k1(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
-        kwargs = dict(max_pages=40, distill_every=0, engine="batched",
-                      batch_size=8, fetch_mode="threaded")
+        kwargs = dict(max_pages=40, distill_every=0, engine="serial")
         _, base_db, base = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds, prefetch=False, **kwargs
         )

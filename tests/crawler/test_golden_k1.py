@@ -5,8 +5,10 @@ Until PR 14 ``CrawlEngine`` held a second, one-URL-at-a-time crawl loop
 against.  That loop is gone — ``engine="serial"`` is the kernel at round
 size 1 — so its behaviour lives on here as data: for each case below the
 parent commit's serial loop (python backend) produced the digests in
-``GOLDEN``, and the kernel must reproduce them bit for bit under every
-fetch mode the session default selects (threaded, async).
+``GOLDEN``, and the kernel must reproduce them bit for bit down either
+fetch path: inline (the simulated transport settles every outcome at
+``prepare``) and drained (a latency transport that owes a wait on every
+fetch and never times out).
 
 A digest covers one artefact of the crawl: the fetched URL sequence, the
 ``repr`` of every relevance float, the failed URLs, the distillation
@@ -154,21 +156,35 @@ def test_k1_kernel_reproduces_the_serial_loop(name, small_web, trained_model, ta
     assert crawl_digests(database, trace) == GOLDEN[name]
 
 
+#: Every fetch owes a short wait and none times out: the crawl is the
+#: simulated one, and every round drains through the asyncio pipeline.
+DRAINED = dict(
+    transport="latency",
+    transport_options={"mean_latency_ms": 0.2, "timeout_rate": 0.0, "seed": 5},
+)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
         dict(engine="serial", batch_size=8),
         dict(engine="batched", batch_size=1),
-        dict(engine="batched", batch_size=1, fetch_mode="async"),
-        # The inert prefetch flag, as older configs still carry it.
-        dict(engine="serial", fetch_mode="async", prefetch=True),
+        dict(engine="batched", batch_size=1, **DRAINED),
+        # The inert prefetch and fetch_mode flags, as older configs still carry them.
+        dict(engine="serial", fetch_mode="async", prefetch=True, **DRAINED),
     ],
     ids=["serial-ignores-batch-size", "batched-k1", "async-k1", "prefetch-k1"],
 )
-def test_every_spelling_of_k1_is_the_same_crawl(overrides, small_web, trained_model, taxonomy):
+def test_every_spelling_of_k1_is_the_same_crawl(
+    overrides, small_web, trained_model, taxonomy, drained_rounds
+):
     name = "soft-distill-failures"
     database, trace = run_case(name, small_web, trained_model, taxonomy, **overrides)
     assert crawl_digests(database, trace) == GOLDEN[name]
+    if "transport" in overrides:
+        assert drained_rounds and set(drained_rounds) == {1}
+    else:
+        assert drained_rounds == []
 
 
 @pytest.mark.parametrize("name", ["soft-distill-failures", "hard-nodistill-clean"])

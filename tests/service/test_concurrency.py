@@ -37,14 +37,13 @@ def system(small_web):
 
 
 def tenant_spec(tenant: int, backend: str = "python", latency_ms: float = 2.0, **spec) -> JobSpec:
-    """A batched async/latency job: the shape whose fetch waits can overlap."""
+    """A batched latency job: every round drains, so its fetch waits can overlap."""
     config = CrawlerConfig(
         max_pages=60,
         distill_every=30,
         engine="batched",
         batch_size=8,
         score_backend=backend,
-        fetch_mode="async",
         transport="latency",
         transport_options={"mean_latency_ms": latency_ms, "seed": 0},
     )

@@ -1,5 +1,7 @@
 """JobManager: K concurrent crawl jobs, each bit-identical to a solo run."""
 
+import asyncio
+
 import pytest
 
 from repro.core.config import FocusConfig, JobSpec
@@ -124,6 +126,78 @@ class TestLifecycle:
         latencies = manager.latencies()
         assert len(latencies) == 2
         assert all(latency > 0 for latency in latencies)
+
+
+class TestSharedPool:
+    def test_a_settled_fetch_takes_no_slot_but_is_counted(self, system):
+        """A simulated tenant's fetches owe no wait: its rounds run inline,
+        outside the gate, and the pool still counts every one."""
+        manager = JobManager(system, policy=FetchPolicy(max_inflight=1), rounds_per_step=1)
+        job_id = manager.submit(JobSpec(max_pages=30, fetch_failure_seed=1))
+        manager.run_until_idle()
+        pool = manager.pool.snapshot()
+        assert pool["total_fetches"] == manager.result_summary(job_id)["fetch_attempts"] > 0
+        assert pool["peak_inflight"] == pool["waits"] == pool["inflight"] == 0
+
+    def test_a_transport_raising_mid_drain_returns_every_slot(self, system):
+        """The first wait of a drained round raises while the rest of the
+        round holds pool slots: the job fails, and tearing its event loop
+        down runs each cancelled wait to its end — on the loop, before it
+        closes, as ``asyncio.run`` does — releasing its slot.  A cancelled
+        wait here cleans up across one more loop pass, as closing a real
+        connection does, so it is still pending when the failed round
+        returns: only the teardown can end it on the loop."""
+
+        class FailsFirstWait:
+            def __init__(self, inner):
+                self.inner = inner
+                self.waits = 0
+                self.ended_on_loop = 0
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            async def wait(self, pending):
+                self.waits += 1
+                if self.waits == 1:
+                    raise OSError("connection reset")
+                try:
+                    return await self.inner.wait(pending)
+                except asyncio.CancelledError:
+                    await asyncio.sleep(0)
+                    raise
+                finally:
+                    try:
+                        asyncio.get_running_loop()
+                        self.ended_on_loop += 1
+                    except RuntimeError:  # finalised by the collector, loop gone
+                        pass
+
+        manager = JobManager(system, rounds_per_step=1)
+        pooled = manager.pool.wrap
+        failing = []
+
+        def wrap(transport):
+            failing.append(FailsFirstWait(transport))
+            return pooled(failing[-1])
+
+        manager.pool.wrap = wrap
+        slow = CrawlerConfig(
+            max_pages=40,
+            engine="batched",
+            batch_size=8,
+            transport="latency",
+            transport_options={"mean_latency_ms": 50.0, "jitter": 0.0},
+        )
+        job_id = manager.submit(JobSpec(max_pages=40, crawler=slow))
+        manager.run_until_idle()
+        progress = manager.progress(job_id)
+        assert progress["status"] == "failed"
+        assert progress["error"] == "OSError: connection reset"
+        pool = manager.pool.snapshot()
+        assert pool["peak_inflight"] == 7  # the rest of the round was in flight
+        assert failing[0].ended_on_loop == 7
+        assert pool["inflight"] == 0
 
 
 class TestWorkerThread:

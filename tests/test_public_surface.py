@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -72,6 +73,19 @@ def imported_modules(tree):
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             yield node.module
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+class TestKnobs:
+    def test_src_reads_exactly_two_env_variables(self):
+        """Every ``REPRO_*`` name spelled as a whole string in ``src/``: the
+        fetch path is picked by the transport, not by an env default."""
+        names = set()
+        for path in sorted(PACKAGE_DIR.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value):
+                        names.add(node.value)
+        assert names == {"REPRO_SCORE_BACKEND", "REPRO_ENGINE_SHARDS"}
 
 
 class TestOneThreadOfControl:

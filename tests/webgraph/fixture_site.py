@@ -276,7 +276,6 @@ def fixture_crawler_config(
     cassette_mode: str = "auto",
     engine: str = "serial",
     batch_size: int = 1,
-    fetch_mode: str = "auto",
     max_pages: int = FIXTURE_MAX_PAGES,
     **overrides,
 ):
@@ -288,7 +287,6 @@ def fixture_crawler_config(
         distill_every=6,
         batch_size=batch_size,
         engine=engine,
-        fetch_mode=fetch_mode,
         transport="http",
         transport_options=dict(FIXTURE_TRANSPORT_OPTIONS),
         cassette_path=cassette_path,

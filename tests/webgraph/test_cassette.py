@@ -346,7 +346,6 @@ class TestTransportForConfig:
             cassette_mode="record",
             transport="http",
             prefetch=True,
-            fetch_mode="async",
         )
         transport = transport_for_config(config, Fetcher(small_web))
         assert isinstance(transport, RecordingTransport)

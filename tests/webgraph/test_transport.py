@@ -1,7 +1,7 @@
 """Fetch-transport contract tests.
 
-The transports' determinism contract is what the async fetch pipeline's
-reproducibility (and checkpoint/resume bit-identity) rests on: every
+The transports' determinism contract is what the engine's fetch paths —
+inline and drained — and their checkpoint/resume bit-identity rest on: every
 random draw happens inside ``prepare``, in submission order, so the
 order in which concurrent fetches *complete* can never change the
 failure/latency stream.
@@ -195,6 +195,16 @@ class TestLatencyTransport:
             for u in urls[10:20]
         ]
         assert tail_a == tail_b
+
+    def test_only_a_delay_unsettles_a_resolved_fetch(self, small_web):
+        """``settled`` is what the engine picks a round's fetch path from:
+        simulated and ``time_scale=0`` outcomes run inline, a delay or an
+        unresolved (HTTP) outcome drains."""
+        url = sample_urls(small_web)[0]
+        assert fresh_transport(small_web).prepare(url).settled
+        assert fresh_transport(small_web, time_scale=0.0).prepare(url).settled
+        assert not fresh_transport(small_web, mean_latency_ms=1.0).prepare(url).settled
+        assert not HttpTransport(backend="stdlib").prepare("http://example.org/").settled
 
     def test_rejects_bad_parameters(self, small_web):
         with pytest.raises(ValueError):
