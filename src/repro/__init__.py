@@ -41,7 +41,7 @@ Record a real-web crawl once, replay it deterministically forever::
     result = system.start(JobSpec(cassette_path="crawl.jsonl")).run()
 """
 
-from .core.checkpoint import CheckpointManager, CoordinatorManifest, CrawlCheckpoint
+from .core.checkpoint import CheckpointManager, CrawlCheckpoint
 from .core.config import FocusConfig, JobSpec
 from .core.schema import create_focus_database
 from .core.system import CrawlHandle, CrawlResult, FocusSystem
@@ -69,7 +69,6 @@ __all__ = [
     "CassetteError",
     "CassetteMismatch",
     "CheckpointManager",
-    "CoordinatorManifest",
     "CrawlCheckpoint",
     "CrawlHandle",
     "CrawlMonitor",

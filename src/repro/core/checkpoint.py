@@ -67,11 +67,13 @@ rebuilds the crawler around them; a resumed crawl then visits exactly the
 pages — with bit-identical relevance floats — that the uninterrupted
 crawl would have visited, and its next checkpoint extends the chain it
 was loaded from.
+
+This is the one recovery path.  A sharded crawl is not checkpointed:
+its shard databases live in memory inside the workers.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
@@ -79,17 +81,10 @@ from typing import Any, Dict, List
 from repro.crawler.engine import CrawlEngine
 from repro.crawler.focused import CrawlerConfig, FocusedCrawler
 from repro.crawler.frontier import Frontier
-from repro.minidb import Database, FileOps
+from repro.minidb import Database
 from repro.minidb.errors import StorageError
-from repro.minidb.wal import dump_record, load_record, read_frame_at, write_frame
 from repro.webgraph.servers import ServerPool
 from repro.webgraph.transport import FetchTransport
-
-#: File name of the sharded coordinator's manifest inside a checkpoint
-#: directory; its presence is how :meth:`FocusSystem.resume` tells a
-#: sharded checkpoint from a single-database one.
-MANIFEST_FILE = "coordinator.manifest"
-
 
 #: Version of the header/frame layout.  Format 1 was a whole
 #: :class:`CrawlCheckpoint` pickled into the snapshot record.
@@ -135,74 +130,6 @@ class CrawlCheckpoint:
     checkpoints_saved: int = 0
     #: The chain the state was folded from, for the resumed manager to extend.
     chain: List[int] = field(default_factory=list)
-
-
-@dataclass
-class CoordinatorManifest:
-    """The crawl-level state of a *sharded* crawl's checkpoint.
-
-    Where a single-engine checkpoint rides inside the one database's
-    atomic snapshot, a sharded crawl has N databases and one coordinator;
-    the manifest is the coordinator's atomically-replaced sidecar file in
-    the checkpoint directory.  ``round`` is the authoritative recovery
-    point: every shard database rewinds to it via its WAL cut markers
-    (``Database.open(replay_upto_cut=round)``), so the manifest and all N
-    databases always recover to one common round boundary no matter
-    where a crash landed.
-    """
-
-    round: int
-    shards: int
-    config: CrawlerConfig
-    focused: bool
-    seeds: List[str]
-    good_topics: List[str]
-    fetch_failure_seed: int
-    engine_state: Dict[str, Any]
-    #: Per-shard frontier / transport / server-RNG snapshots, index-aligned.
-    shard_states: List[Dict[str, Any]]
-    checkpoints_saved: int = 0
-
-
-def write_coordinator_manifest(
-    directory: str, manifest: CoordinatorManifest, ops: FileOps | None = None
-) -> str:
-    """Atomically publish *manifest* into the checkpoint *directory*.
-
-    Write-to-temp, fsync, rename — the manifest is either the old one or
-    the new one, never torn.  The payload is one CRC-framed pickle (the
-    WAL's frame format), so a partially written temp file can never be
-    mistaken for a manifest.  *ops* is the fault-injection seam the
-    sharded kill/resume torture tests crash inside.
-    """
-    ops = ops or FileOps()
-    os.makedirs(directory, exist_ok=True)
-    final = os.path.join(directory, MANIFEST_FILE)
-    tmp = final + ".tmp"
-    fh = ops.open(tmp, "wb")
-    try:
-        write_frame(fh, dump_record(manifest))
-        ops.fsync(fh)
-    finally:
-        fh.close()
-    ops.replace(tmp, final)
-    return final
-
-
-def read_coordinator_manifest(directory: str) -> CoordinatorManifest:
-    """Load the checkpoint *directory*'s coordinator manifest.
-
-    Reads are not routed through the fault-injection seam (the crash
-    model kills processes, not completed disk writes).
-    """
-    path = os.path.join(directory, MANIFEST_FILE)
-    if not os.path.exists(path):
-        raise StorageError(f"{directory!r} holds no coordinator manifest")
-    with open(path, "rb") as fh:
-        manifest = load_record(read_frame_at(fh, 0))
-    if not isinstance(manifest, CoordinatorManifest):
-        raise StorageError(f"{path!r} does not contain a coordinator manifest")
-    return manifest
 
 
 class CheckpointManager:

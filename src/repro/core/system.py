@@ -38,7 +38,7 @@ from repro.webgraph.graph import SyntheticWebBuilder, WebGraph
 from repro.webgraph.urls import normalize_url
 
 from . import metrics
-from .checkpoint import MANIFEST_FILE, CheckpointManager, read_coordinator_manifest
+from .checkpoint import CheckpointManager
 from .config import FocusConfig, JobSpec
 from .schema import create_focus_database
 
@@ -55,6 +55,9 @@ HANDLE_STATUSES = (
 
 #: States in which a handle will never execute another round.
 TERMINAL_STATUSES = ("completed", "exhausted", "cancelled", "failed")
+
+#: What a sharded checkpoint, before their removal, left in its directory.
+_SHARDED_MANIFEST = "coordinator.manifest"
 
 
 @dataclass
@@ -118,9 +121,8 @@ class CrawlResult:
         """
         if getattr(self.database, "sharded", False):
             raise RuntimeError(
-                "a sharded crawl keeps one database per shard; open a "
-                "CrawlMonitor over an individual shard database "
-                "(shard-XX/ under the checkpoint directory) instead"
+                "a sharded crawl keeps one database per shard, in memory "
+                "inside the shard workers; it has none to monitor here"
             )
         if self.database.closed:
             if self.checkpoint_path is None:
@@ -615,24 +617,21 @@ class FocusSystem:
 
         Builds the coordinator + N shard workers
         (:func:`repro.crawler.sharded.build_sharded_crawler`) in place of
-        a single :class:`CrawlEngine`; durable jobs get one database per
-        shard under the checkpoint directory plus the coordinator's
-        manifest, managed by a :class:`ShardedCheckpointManager`.
+        a single :class:`CrawlEngine`.  Their shard databases live in
+        memory, so a sharded job cannot be durable.
         """
         from repro.crawler.sharded import build_sharded_crawler
 
+        if spec.checkpoint_dir is not None:
+            raise ValueError(
+                "engine='sharded' cannot checkpoint: sharded checkpoints were "
+                "removed (README, *Sharded checkpoints (removed)*); drop "
+                "checkpoint_dir, or crawl durably with a single-process engine"
+            )
         if database is not None:
             raise ValueError(
                 "engine='sharded' builds one database per shard; an injected "
                 "database cannot be partitioned — drop the database argument"
-            )
-        if spec.checkpoint_dir is not None and os.path.exists(
-            os.path.join(spec.checkpoint_dir, MANIFEST_FILE)
-        ):
-            raise ValueError(
-                f"{spec.checkpoint_dir!r} already holds a sharded crawl "
-                "checkpoint; continue it with resume(...) or point "
-                "checkpoint_dir at a fresh directory"
             )
         web = self.web.with_private_servers() if private_servers else self.web
         crawler = build_sharded_crawler(
@@ -642,7 +641,6 @@ class FocusSystem:
             config,
             focused=spec.focused,
             fetch_failure_seed=spec.fetch_failure_seed,
-            checkpoint_dir=spec.checkpoint_dir,
             buffer_pool_pages=self.config.buffer_pool_pages,
             transport_wrap=transport_wrap,
             schedule=shard_schedule,
@@ -652,25 +650,7 @@ class FocusSystem:
             for u in (spec.seeds if spec.seeds is not None else self.default_seeds())
         ]
         crawler.add_seeds(seed_urls)
-        manager = None
-        if spec.checkpoint_dir is not None:
-            manager = crawler.checkpoint_manager(
-                spec.checkpoint_dir,
-                seeds=seed_urls,
-                good_topics=list(self.config.good_topics),
-                fetch_failure_seed=spec.fetch_failure_seed,
-                focused=spec.focused,
-            )
-            manager.attach()
-            manager.save()
-        return CrawlHandle(
-            system=self,
-            spec=spec,
-            crawler=crawler,
-            web=web,
-            seeds=seed_urls,
-            manager=manager,
-        )
+        return CrawlHandle(system=self, spec=spec, crawler=crawler, web=web, seeds=seed_urls)
 
     def resume(
         self,
@@ -679,7 +659,6 @@ class FocusSystem:
         *,
         private_servers: bool = False,
         transport_wrap=None,
-        shard_schedule=None,
     ) -> CrawlHandle:
         """Re-arm a checkpointed crawl at *path* as a :class:`CrawlHandle`.
 
@@ -689,16 +668,12 @@ class FocusSystem:
         ``max_pages`` may be overridden (e.g. to extend a finished
         crawl's budget); the other knobs ride inside the checkpoint.
         """
-        if os.path.exists(os.path.join(path, MANIFEST_FILE)):
-            return self._resume_sharded(
-                path,
-                max_pages,
-                private_servers=private_servers,
-                transport_wrap=transport_wrap,
-                shard_schedule=shard_schedule,
+        if os.path.exists(os.path.join(path, _SHARDED_MANIFEST)):
+            raise ValueError(
+                f"{path!r} holds a sharded crawl checkpoint; sharded checkpoints "
+                "were removed (README, *Sharded checkpoints (removed)*) and "
+                "cannot be resumed"
             )
-        if shard_schedule is not None:
-            raise ValueError("shard_schedule only applies to sharded checkpoints")
         database, checkpoint = CheckpointManager.load(
             path, buffer_pool_pages=self.config.buffer_pool_pages
         )
@@ -757,71 +732,6 @@ class FocusSystem:
             crawler=crawler,
             web=web,
             seeds=list(checkpoint.seeds),
-            manager=manager,
-        )
-
-    def _resume_sharded(
-        self,
-        path: str,
-        max_pages: Optional[int] = None,
-        *,
-        private_servers: bool = False,
-        transport_wrap=None,
-        shard_schedule=None,
-    ) -> CrawlHandle:
-        """Re-arm a sharded crawl from its coordinator manifest.
-
-        Every shard database reopens rewound to the manifest's round
-        (``replay_upto_cut``), the coordinator adopts the manifest's
-        engine state, and each worker restores its frontier / transport /
-        server-RNG snapshot — so the resumed fleet continues exactly
-        where an uninterrupted run would be.
-        """
-        from repro.crawler.sharded import build_sharded_crawler
-
-        manifest = read_coordinator_manifest(path)
-        if self.model is None:
-            self.train()
-        config = manifest.config
-        if max_pages is not None:
-            config.max_pages = max_pages
-        web = self.web.with_private_servers() if private_servers else self.web
-        crawler = build_sharded_crawler(
-            web,
-            self.model,
-            self.taxonomy,
-            config,
-            focused=manifest.focused,
-            fetch_failure_seed=manifest.fetch_failure_seed,
-            checkpoint_dir=path,
-            buffer_pool_pages=self.config.buffer_pool_pages,
-            transport_wrap=transport_wrap,
-            schedule=shard_schedule,
-            manifest=manifest,
-        )
-        manager = crawler.checkpoint_manager(
-            path,
-            seeds=list(manifest.seeds),
-            good_topics=list(manifest.good_topics),
-            fetch_failure_seed=manifest.fetch_failure_seed,
-            focused=manifest.focused,
-            checkpoints_saved=manifest.checkpoints_saved,
-        )
-        manager.attach()
-        spec = JobSpec(
-            seeds=tuple(manifest.seeds),
-            max_pages=config.max_pages,
-            focused=manifest.focused,
-            crawler=config,
-            fetch_failure_seed=manifest.fetch_failure_seed,
-            checkpoint_dir=path,
-        )
-        return CrawlHandle(
-            system=self,
-            spec=spec,
-            crawler=crawler,
-            web=web,
-            seeds=list(manifest.seeds),
             manager=manager,
         )
 

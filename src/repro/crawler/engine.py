@@ -39,10 +39,10 @@ interleaving but, on a bounded web, converges to the same crawl set.
 
 The stage code — :class:`PageScorer`, :func:`permanent_failure`,
 :func:`link_targets`, :func:`link_row`, :class:`BufferedLinkWriter`,
-:func:`boost_hub_neighbours`, :func:`expansion_priority`,
-:func:`checkpoint_due` — is module level because the sharded engine's
-workers and coordinator (:mod:`repro.crawler.sharded`) run the same
-stages on their slice of a round.
+:func:`boost_hub_neighbours`, :func:`expansion_priority` — is module
+level because the sharded engine's workers and coordinator
+(:mod:`repro.crawler.sharded`) run the same stages on their slice of a
+round.
 """
 
 from __future__ import annotations
@@ -95,24 +95,6 @@ def _default_score_backend() -> str:
     the in-repo default stays the seed-faithful ``"python"`` path.
     """
     return os.environ.get("REPRO_SCORE_BACKEND", "python")
-
-
-def _default_shards() -> int:
-    """The session default shard count: ``REPRO_ENGINE_SHARDS``, else 0.
-
-    0 means "unset": an explicit ``engine="sharded"`` config then runs
-    with one shard.  Mirrors ``REPRO_SCORE_BACKEND`` — CI can run a whole
-    suite sharded N-wide without threading a flag through entry points.
-    Setting the env var does **not** switch engines by itself; it only
-    supplies N for configs that ask for sharding.
-    """
-    raw = os.environ.get("REPRO_ENGINE_SHARDS", "").strip()
-    if not raw:
-        return 0
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"REPRO_ENGINE_SHARDS must be >= 1, got {raw!r}")
-    return count
 
 
 @dataclass
@@ -179,12 +161,11 @@ class CrawlerConfig:
     #: ``shards``); drive it through :meth:`FocusSystem.start`, which
     #: builds the sharded crawler in place of a :class:`CrawlEngine`.
     engine: str = "auto"
-    #: Worker count for ``engine="sharded"``: 0 defers to the
-    #: ``REPRO_ENGINE_SHARDS`` env var (unset env -> 1 shard).
-    shards: int = field(default_factory=_default_shards)
+    #: Worker count for ``engine="sharded"`` (>= 1).
+    shards: int = 1
     #: How sharded workers run: "process" (default — N spawned worker
     #: processes, the multi-core path) or "inprocess" (all shards in this
-    #: process: required for fault injection / injected transports, and
+    #: process: required for injected transports, and
     #: what the determinism tests use to control message schedules).
     shard_runner: str = "process"
     #: Capacity of the LRU of classification outcomes (by oid).
@@ -224,11 +205,6 @@ class CrawlerConfig:
         if storage is not None:
             return storage
         return StorageConfig(wal_fsync_batch=getattr(self, "wal_fsync_batch", 0))
-
-    def resolve_shards(self) -> int:
-        """The effective worker count for ``engine="sharded"`` (>= 1)."""
-        shards = getattr(self, "shards", 0)
-        return shards if shards and shards > 0 else 1
 
 
 @dataclass
@@ -467,26 +443,6 @@ def boost_hub_neighbours(
             target_url = frontier.url_of_oid(oid_dst)
             if target_url is not None:
                 frontier.boost(target_url, priority)
-
-
-def checkpoint_due(
-    config: CrawlerConfig, since_checkpoint: int, last_checkpoint_s: Optional[float]
-) -> bool:
-    """Whether a resume point is due at this round boundary.
-
-    Two independent triggers: every ``checkpoint_every`` successful
-    fetches, and every ``checkpoint_interval_s`` wall-clock seconds —
-    the latter bounds at-risk work when fetches are slow (real
-    networks) rather than plentiful.
-    """
-    if config.checkpoint_every and since_checkpoint >= config.checkpoint_every:
-        return True
-    interval = config.checkpoint_interval_s
-    return bool(
-        interval
-        and last_checkpoint_s is not None
-        and time.monotonic() - last_checkpoint_s >= interval
-    )
 
 
 def _close_loop(loop: asyncio.AbstractEventLoop) -> None:
@@ -914,13 +870,22 @@ class CrawlEngine:
     def _maybe_checkpoint(self) -> None:
         """Save a resume point when one is due (round boundaries only).
 
-        The counter/timer reset *before* the save so the persisted
-        engine state carries zero progress-toward-next-checkpoint,
-        matching what a resumed engine starts from.
+        Two independent triggers: every ``checkpoint_every`` successful
+        fetches, and every ``checkpoint_interval_s`` wall-clock seconds —
+        the latter bounds at-risk work when fetches are slow (real
+        networks) rather than plentiful.  The counter/timer reset
+        *before* the save so the persisted engine state carries zero
+        progress-toward-next-checkpoint, matching what a resumed engine
+        starts from.
         """
-        if self.checkpointer is None or not checkpoint_due(
-            self.config, self._since_checkpoint, self._last_checkpoint_s
-        ):
+        if self.checkpointer is None:
+            return
+        every, interval = self.config.checkpoint_every, self.config.checkpoint_interval_s
+        last = self._last_checkpoint_s
+        due = (every and self._since_checkpoint >= every) or (
+            interval and last is not None and time.monotonic() - last >= interval
+        )
+        if not due:
             return
         self._since_checkpoint = 0
         if self.config.checkpoint_interval_s:

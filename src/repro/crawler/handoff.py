@@ -85,8 +85,7 @@ class FinishRound:
     """Coordinator -> shard: the second half of a round's commit.
 
     Scores (when the round distilled; written as a delta), then the §3.7
-    hub boosts over the local LINK partition, then the frontier flush,
-    then — last, so a crash before it rewinds the round — the cut marker.
+    hub boosts over the local LINK partition, then the frontier flush.
     Rides inside the :class:`ApplyRound` of a round that does not
     distil; a distilling round's follows in the next
     :class:`CheckoutRequest`, computed while the shards wrote the links.
@@ -97,8 +96,6 @@ class FinishRound:
     scores: Dict[str, Tuple[List[int], List[float]]] = field(default_factory=dict)
     boost_hubs: List[int] = field(default_factory=list)
     boost_priority: float = 0.0
-    #: Durable shards append a WAL cut marker for this round after applying.
-    log_cut: bool = False
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 ``engine="sharded"`` partitions a crawl by server (``sid % N``) across N
 workers, each holding a frontier shard, a private server-pool RNG, and
-its own minidb under ``<checkpoint_dir>/shard-XX``.  A coordinator
+its own in-memory minidb.  A coordinator
 drives lockstep rounds; all cross-shard effects travel as
 :mod:`repro.crawler.handoff` column batches in one canonical order, so
 the page sequence, relevance floats, and logical table state are a pure
@@ -16,11 +16,11 @@ function of the crawl content:
   numbers make ordering timing-invariant.
 
 This module holds what sharding adds — the round protocol,
-coordinator-side tick/discovery assignment, merged-graph distillation,
-cut markers and the manifest.  The stages of a round themselves
-(classify behind the outcome LRU, out-link targets, the buffered link
-flush, the score tables' delta store, hub boosts, the focus rule, the
-checkpoint-due test) are :mod:`~.engine`'s, called on each shard's slice.
+coordinator-side tick/discovery assignment and merged-graph
+distillation.  The stages of a round themselves (classify behind the
+outcome LRU, out-link targets, the buffered link flush, the score
+tables' delta store, hub boosts, the focus rule) are :mod:`~.engine`'s,
+called on each shard's slice.
 
 One round is three exchanges: (1) *checkout* — every shard finishes the
 previous round if its scores were still outstanding, then proposes its
@@ -33,15 +33,11 @@ shard and sends each shard its :class:`~.handoff.ApplyRound` at once.
 While the shards write, the coordinator folds the round's edges into
 the merged graph and, when due, runs HITS; a distilling round's scores
 and hub boosts then ride in the next checkout request, and only then
-does the shard flush its frontier and stamp the round's cut marker.
+does the shard flush its frontier.
 
-Durability: shards stamp a WAL cut marker per applied round
-(:meth:`~repro.minidb.Database.log_cut`); a checkpoint is a barrier —
-sync every shard WAL, atomically write the coordinator manifest
-(:mod:`repro.core.checkpoint`), then snapshot each shard database.
-Resume reopens every shard with ``replay_upto_cut=<manifest round>``,
-rewinding all N databases to one common round boundary no matter where
-a crash landed.
+A sharded crawl is not durable: its shard databases live in memory
+inside the workers and die with them, and ``FocusSystem`` refuses a
+checkpoint directory for it.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from hashlib import blake2b
 from heapq import merge
 from itertools import accumulate, compress, count, repeat
 from operator import ne
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -66,12 +61,11 @@ import numpy as np
 
 from repro.classifier.model import HierarchicalModel
 from repro.classifier.training import ModelInstaller
-from repro.core.schema import create_crawl_tables, create_focus_database
+from repro.core.schema import create_focus_database
 from repro.distiller.compiled import CompiledLinkGraph, compiled_weighted_hits
 from repro.distiller.hits import DistillationResult, weighted_hits
 from repro.distiller.score_store import ScoreTableStore
 from repro.distiller.weights import Link
-from repro.minidb import Database
 from repro.taxonomy.tree import TopicTaxonomy
 from repro.webgraph.fetch import Fetcher, FetchStats, FetchStatus
 from repro.webgraph.servers import ServerPool
@@ -85,7 +79,6 @@ from .engine import (
     PageScorer,
     PageVisit,
     boost_hub_neighbours,
-    checkpoint_due,
     expansion_priority,
     link_targets,
     permanent_failure,
@@ -108,11 +101,9 @@ __all__ = [
     "MultiprocessShardRunner",
     "ShardServerPool",
     "ShardWorker",
-    "ShardedCheckpointManager",
     "ShardedCrawler",
     "ShardedEngine",
     "build_sharded_crawler",
-    "shard_db_path",
 ]
 
 #: Stage keys shared with :class:`~.engine.CrawlEngine.stage_timings`.
@@ -144,11 +135,6 @@ _ROUND_MESSAGES = {
 #: ``stop()`` waits for the workers to close before it kills them.
 _REPLY_TIMEOUT_S = 600.0
 _STOP_TIMEOUT_S = 10.0
-
-
-def shard_db_path(checkpoint_dir: str, shard: int) -> str:
-    """The durable database directory of one shard."""
-    return str(Path(checkpoint_dir) / f"shard-{shard:02d}")
 
 
 class ShardServerPool(ServerPool):
@@ -189,18 +175,6 @@ class ShardServerPool(ServerPool):
             return False, latency * 2.5
         return True, latency
 
-    def rng_state(self) -> dict:
-        return {
-            name: rng.bit_generator.state for name, rng in self._host_rngs.items()
-        }
-
-    def restore_rng(self, state: dict) -> None:
-        self._host_rngs = {}
-        for name, rng_state in state.items():
-            rng = np.random.default_rng(0)
-            rng.bit_generator.state = rng_state
-            self._host_rngs[name] = rng
-
 
 class ShardWorker:
     """One shard: a frontier, a database, a fetch stream, a classifier.
@@ -228,7 +202,6 @@ class ShardWorker:
             pool.reseed(failure_seed)
         else:
             pool = ShardServerPool(web.servers.profiles, failure_seed)
-        self.pool = pool
         self.web = copy.copy(web)
         self.web.servers = pool
         self.fetcher = Fetcher(self.web, failure_seed=failure_seed)
@@ -239,27 +212,8 @@ class ShardWorker:
         if wrap is not None:
             self.transport = wrap(self.transport)
 
-        db_path = payload.get("db_path")
-        resume = payload.get("resume")
-        self.durable = db_path is not None
-        pages = payload.get("buffer_pool_pages", 2048)
-        storage = self.config.resolve_storage()
-        if db_path is None:
-            self.database = create_focus_database(pages)
-        elif resume is None:
-            self.database = create_focus_database(pages, path=db_path, storage=storage)
-        else:
-            # Rewind to the manifest's round: replay the WAL only through
-            # the last cut marker <= round and truncate the rest.
-            self.database = Database.open(
-                db_path,
-                buffer_pool_pages=pages,
-                storage=storage,
-                replay_upto_cut=resume["round"],
-            )
-            create_crawl_tables(self.database)
-        if not self.database.has_table("TAXONOMY"):
-            ModelInstaller(self.database).install(self.classifier)
+        self.database = create_focus_database(payload.get("buffer_pool_pages", 2048))
+        ModelInstaller(self.database).install(self.classifier)
 
         ordering = self.config.ordering
         if ordering is None:
@@ -272,11 +226,6 @@ class ShardWorker:
         self._link_writer = BufferedLinkWriter(self.database.table("LINK"))
         self._score_store = ScoreTableStore(self.database)
         self.timings: Dict[str, float] = dict.fromkeys(_STAGES + _WORKER_PROTOCOL, 0.0)
-        if resume is not None:
-            self.frontier.restore_state(resume["frontier"])
-            self.transport.restore_state(resume["fetcher"])
-            self.pool.restore_rng(resume["server_rng"])
-            self.timings.update(resume.get("timings", {}))
 
     # -- message dispatch ---------------------------------------------------------
     def handle(self, message: Any) -> Tuple[bool, Any]:
@@ -297,16 +246,6 @@ class ShardWorker:
             return None
         if op == "ping":  # the barrier: its reply is this shard's timings
             return dict(self.timings)
-        if op == "sync_wal":
-            if self.durable:
-                self.database.sync_wal()
-            return ("ok", self.shard)
-        if op == "checkpoint_db":
-            if self.durable:
-                self.database.checkpoint(app_state={"shard": self.shard, "round": message[1]})
-            return ("ok", self.shard)
-        if op == "manifest_state":
-            return self.manifest_state()
         if op == "io_snapshot":
             return {**self.database.io_snapshot(), "protocol": dict(self.timings)}
         if op == "heap_stats":
@@ -426,7 +365,7 @@ class ShardWorker:
             self.finish_round(message.finish)
 
     def finish_round(self, message: FinishRound) -> None:
-        """Scores -> boosts -> frontier flush -> cut marker (see FinishRound)."""
+        """Scores -> boosts -> frontier flush (see FinishRound)."""
         started = time.perf_counter()
         for table, (oids, scores) in message.scores.items():
             # The delta path of the single engine: update_column for changed
@@ -436,19 +375,7 @@ class ShardWorker:
             self._link_writer.table, self.frontier, message.boost_hubs, message.boost_priority
         )
         self.frontier.flush_batch()
-        if message.log_cut and self.durable:
-            self.database.log_cut(message.round)
         self.timings["write"] += time.perf_counter() - started
-
-    # -- checkpoint support -------------------------------------------------------
-    def manifest_state(self) -> Dict[str, Any]:
-        """This shard's slice of the coordinator manifest (round boundary only)."""
-        return {
-            "frontier": self.frontier.state_snapshot(),
-            "fetcher": self.transport.state_snapshot(),
-            "server_rng": self.pool.rng_state(),
-            "timings": dict(self.timings),
-        }
 
     def close(self) -> None:
         if not self.database.closed:
@@ -651,23 +578,17 @@ class ShardedEngine:
     sharded HITS reduction runs over.  Duck-types the slice of
     :class:`~.engine.CrawlEngine` that :class:`~repro.core.system.CrawlHandle`
     and the service job manager drive: ``run(budget, max_rounds)``,
-    ``stage_timings``, ``checkpointer``, ``run_distillation``.
+    ``stage_timings``, ``run_distillation``.
     """
 
-    def __init__(
-        self, runner, config: CrawlerConfig, trace: CrawlTrace, shards: int, durable: bool
-    ) -> None:
+    def __init__(self, runner, config: CrawlerConfig, trace: CrawlTrace, shards: int) -> None:
         self.runner = runner
         self.config = config
         self.trace = trace
         self.shards = shards
-        self.durable = durable
-        self.checkpointer = None
         self._round = 0
         self._tick = 0
         self._since_distillation = 0
-        self._since_checkpoint = 0
-        self._last_checkpoint_s: Optional[float] = None
         self._stagnation_misses = 0
         self._next_discovered = 0
         #: oid -> measured relevance of every visited page, in visit order.
@@ -687,7 +608,7 @@ class ShardedEngine:
         #: A distilling round's per-shard FinishRound, not yet sent.
         self._unfinished: Optional[List[FinishRound]] = None
         self.fetch_stats = FetchStats()
-        #: Every worker's ``timings`` as of the last barrier or checkpoint.
+        #: Every worker's ``timings`` as of the last barrier.
         self._shard_timings: Dict[int, Dict[str, float]] = {}
         self._distill_s = 0.0
         self._commit_s = 0.0
@@ -738,8 +659,6 @@ class ShardedEngine:
         """Run lockstep rounds until the budget or every frontier is exhausted."""
         if max_rounds is not None and max_rounds < 1:
             raise ValueError("max_rounds must be >= 1 (or None for unlimited)")
-        if self.config.checkpoint_interval_s and self.checkpointer is not None:
-            self._last_checkpoint_s = time.monotonic()
         stop = False
         rounds = 0
         while not stop and self.trace.pages_fetched < budget:
@@ -757,7 +676,7 @@ class ShardedEngine:
 
     def run_distillation(self) -> DistillationResult:
         """Sharded reduction outside a round (the top_hubs-on-demand path)."""
-        self._unfinished = self._distill(log_cut=False)
+        self._unfinished = self._distill()
         self._barrier()
         return self.trace.last_distillation
 
@@ -819,16 +738,14 @@ class ShardedEngine:
         self._commit_s += time.perf_counter() - started
         for shard, message in enumerate(applies):
             if not distilling:
-                message.finish = FinishRound(round=round_no, log_cut=self.durable)
-            work = message.fail_url or message.visit_url or message.pos
-            if work or (message.finish is not None and self.durable):
+                message.finish = FinishRound(round=round_no)
+            if message.fail_url or message.visit_url or message.pos:
                 self.runner.send(shard, message)
         started = time.perf_counter()
         self._fold_edges(visited, headers, links)
         self._commit_s += time.perf_counter() - started
         if distilling:
-            self._unfinished = self._distill(log_cut=self.durable)
-        self._maybe_checkpoint()
+            self._unfinished = self._distill()
         return True
 
     def _commit(self, round_no: int, selected, outcomes: Dict[int, OutcomeBatch]):
@@ -902,7 +819,6 @@ class ShardedEngine:
             )
             trace.fetched_urls.append(url)
             self._since_distillation += 1
-            self._since_checkpoint += 1
         route_links(applies, headers, links)
         return applies, visited, headers, links
 
@@ -954,7 +870,7 @@ class ShardedEngine:
             self._graph.add_columns(*self._edges)
         return self._graph
 
-    def _distill(self, log_cut: bool) -> List[FinishRound]:
+    def _distill(self) -> List[FinishRound]:
         """HITS over the merged graph; returns every shard's scores and boosts."""
         started = time.perf_counter()
         config = self.config
@@ -974,7 +890,7 @@ class ShardedEngine:
         finishes = [
             FinishRound(
                 round=self._round, scores={"HUBS": ([], []), "AUTH": ([], [])},
-                boost_hubs=boost, boost_priority=config.hub_boost_priority, log_cut=log_cut,
+                boost_hubs=boost, boost_priority=config.hub_boost_priority,
             )
             for _ in range(self.shards)
         ]
@@ -987,72 +903,13 @@ class ShardedEngine:
         self._distill_s += time.perf_counter() - started
         return finishes
 
-    # -- checkpointing -----------------------------------------------------------
-    def _maybe_checkpoint(self) -> None:
-        if self.checkpointer is None or not checkpoint_due(
-            self.config, self._since_checkpoint, self._last_checkpoint_s
-        ):
-            return
-        self._since_checkpoint = 0
-        if self.config.checkpoint_interval_s:
-            self._last_checkpoint_s = time.monotonic()
-        self._send_unfinished()  # a checkpoint is a round boundary on every shard
-        self.checkpointer.save()
-
-    def state_snapshot(self) -> Dict[str, Any]:
-        """The coordinator's complete crawl state (round boundaries only)."""
-        return {
-            "round": self._round,
-            "tick": self._tick,
-            "since_distillation": self._since_distillation,
-            "since_checkpoint": self._since_checkpoint,
-            "stagnation_misses": self._stagnation_misses,
-            "next_discovered": self._next_discovered,
-            "relevance": dict(self._relevance),
-            "sid_of": dict(self._sid_of),
-            "url_of_oid": dict(self._url_of_oid),
-            "edges": [list(column) for column in self._edges],
-            "fetch_stats": asdict(self.fetch_stats),
-            "shard_timings": {shard: dict(t) for shard, t in self._shard_timings.items()},
-            "distill_s": self._distill_s,
-            "trace": self.trace,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._round = state["round"]
-        self._tick = state["tick"]
-        self._since_distillation = state["since_distillation"]
-        self._since_checkpoint = state["since_checkpoint"]
-        self._stagnation_misses = state["stagnation_misses"]
-        self._next_discovered = state["next_discovered"]
-        self._relevance = dict(state["relevance"])
-        self._sid_of = dict(state["sid_of"])
-        self._url_of_oid = dict(state["url_of_oid"])
-        if "edges" in state:
-            self._edges = [list(column) for column in state["edges"]]
-        else:
-            # A manifest of the record protocol: every LINK row as a tuple,
-            # nepotistic ones included.
-            rows = [row for row in state["rows"] if row[1] != row[3]]
-            self._edges = [[row[position] for row in rows] for position in range(6)]
-        self._edges_into = {}
-        for position, oid in enumerate(self._edges[2]):
-            if oid not in self._relevance:
-                self._edges_into.setdefault(oid, []).append(position)
-        self._graph = None  # rebuilt (identically) at the next distillation
-        self._unfinished = None
-        vars(self.fetch_stats).update(state["fetch_stats"])  # in place: the crawler holds it
-        self._shard_timings = {shard: dict(t) for shard, t in state["shard_timings"].items()}
-        self._distill_s = state["distill_s"]
-        self.trace.refill(state["trace"])
-
 
 class _ShardedDatabaseStub:
     """Stands in for ``crawler.database``: sharded crawls have N of them.
 
     Knows how to close (shut the runner down) and report aggregated I/O;
-    anything table-shaped raises with a pointer at the per-shard
-    databases under the checkpoint directory.
+    anything table-shaped raises: the shard databases live in memory
+    inside the workers, out of the coordinator's reach.
     """
 
     sharded = True
@@ -1076,9 +933,8 @@ class _ShardedDatabaseStub:
 
     def __getattr__(self, name: str):
         raise AttributeError(
-            f"sharded crawls keep one database per shard (shard-XX/ under the "
-            f"checkpoint directory); {name!r} is not available on the "
-            f"coordinator stub"
+            f"sharded crawls keep one database per shard, in memory inside the "
+            f"shard workers; {name!r} is not available on the coordinator stub"
         )
 
 
@@ -1130,81 +986,12 @@ class ShardedCrawler:
         replies = self.engine.runner.broadcast(("heap_stats",))
         return [replies[shard] for shard in range(self.engine.shards)]
 
-    def checkpoint_manager(self, path: str, **kwargs) -> "ShardedCheckpointManager":
-        return ShardedCheckpointManager(self, path, **kwargs)
-
     def shutdown(self) -> None:
         if self._shutdown:
             return
         self._shutdown = True
         self.database._closed = True
         self.engine.runner.stop()
-
-
-class ShardedCheckpointManager:
-    """Kill-safe checkpoints for a shard fleet: manifest-then-shards.
-
-    ``save()`` is a barrier protocol: (1) fsync every shard WAL — each
-    already carries a cut marker per applied round; (2) atomically write
-    the coordinator manifest (round, engine state, per-shard frontier /
-    RNG / transport snapshots); (3) snapshot each
-    shard database.  A crash anywhere leaves the *last committed
-    manifest* authoritative, and every shard can rewind to its round via
-    ``replay_upto_cut`` — shard snapshots are pure acceleration.
-    """
-
-    def __init__(
-        self,
-        crawler: ShardedCrawler,
-        path: str,
-        *,
-        seeds: Sequence[str],
-        good_topics: Sequence[str],
-        fetch_failure_seed: int = 0,
-        focused: bool = True,
-        ops=None,
-        checkpoints_saved: int = 0,
-    ) -> None:
-        self.crawler = crawler
-        self.path = str(path)
-        self.seeds = list(seeds)
-        self.good_topics = list(good_topics)
-        self.fetch_failure_seed = fetch_failure_seed
-        self.focused = focused
-        self.ops = ops
-        self.checkpoints_saved = checkpoints_saved
-        self.save_seconds = 0.0
-
-    def attach(self) -> None:
-        self.crawler.engine.checkpointer = self
-
-    def save(self) -> None:
-        from repro.core.checkpoint import CoordinatorManifest, write_coordinator_manifest
-
-        started = time.perf_counter()
-        engine = self.crawler.engine
-        runner = engine.runner
-        if engine.durable:
-            runner.broadcast(("sync_wal",))
-        shard_states = runner.broadcast(("manifest_state",))
-        for shard, state in shard_states.items():
-            engine._shard_timings[shard] = dict(state.get("timings", {}))
-        manifest = CoordinatorManifest(
-            round=engine._round,
-            shards=engine.shards,
-            config=self.crawler.config,
-            focused=self.focused,
-            seeds=self.seeds,
-            good_topics=self.good_topics,
-            fetch_failure_seed=self.fetch_failure_seed,
-            engine_state=engine.state_snapshot(),
-            shard_states=[shard_states[shard] for shard in range(engine.shards)],
-            checkpoints_saved=self.checkpoints_saved + 1,
-        )
-        write_coordinator_manifest(self.path, manifest, ops=self.ops)
-        self.checkpoints_saved += 1
-        runner.broadcast(("checkpoint_db", engine._round))
-        self.save_seconds += time.perf_counter() - started
 
 
 def build_sharded_crawler(
@@ -1215,19 +1002,11 @@ def build_sharded_crawler(
     *,
     focused: bool = True,
     fetch_failure_seed: int = 0,
-    checkpoint_dir: Optional[str] = None,
     buffer_pool_pages: int = 2048,
     transport_wrap=None,
     schedule: Optional[Callable[[List[int]], List[int]]] = None,
-    manifest=None,
 ) -> ShardedCrawler:
-    """Construct the shard fleet + coordinator for ``engine="sharded"``.
-
-    With *manifest* (a :class:`~repro.core.checkpoint.CoordinatorManifest`)
-    the fleet resumes: every shard database reopens with
-    ``replay_upto_cut=manifest.round`` and the coordinator adopts the
-    manifest's engine state.
-    """
+    """Construct the shard fleet + coordinator for ``engine="sharded"``."""
     config = replace(config)
     if not focused:
         # As UnfocusedCrawler does: measure relevance, never use it.
@@ -1235,7 +1014,9 @@ def build_sharded_crawler(
         if config.ordering is None:
             config.ordering = breadth_first()
         config.distill_every = 0
-    shards = config.resolve_shards()
+    shards = config.shards
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
     runner_kind = getattr(config, "shard_runner", "process") or "process"
     if runner_kind not in ("process", "inprocess"):
         raise ValueError(
@@ -1248,18 +1029,6 @@ def build_sharded_crawler(
         )
     if schedule is not None and runner_kind != "inprocess":
         raise ValueError("delivery schedules only apply to shard_runner='inprocess'")
-    storage = config.resolve_storage()
-    if (
-        checkpoint_dir is not None
-        and shards > 1
-        and storage.ops is not None
-        and storage.ops_factory is None
-    ):
-        raise ValueError(
-            "sharded durable crawls need storage.ops_factory (one FileOps per "
-            "shard database); a single shared storage.ops instance would "
-            "entangle the shards' file and fault-injection state"
-        )
     payloads = [
         {
             "shard": shard,
@@ -1270,10 +1039,6 @@ def build_sharded_crawler(
             "taxonomy": taxonomy,
             "failure_seed": fetch_failure_seed,
             "buffer_pool_pages": buffer_pool_pages,
-            "db_path": shard_db_path(checkpoint_dir, shard) if checkpoint_dir else None,
-            "resume": (
-                {"round": manifest.round, **manifest.shard_states[shard]} if manifest else None
-            ),
             "transport_wrap": transport_wrap,
         }
         for shard in range(shards)
@@ -1283,10 +1048,4 @@ def build_sharded_crawler(
     else:
         runner = MultiprocessShardRunner(payloads)
     trace = CrawlTrace()
-    engine = ShardedEngine(
-        runner, config, trace, shards=shards, durable=checkpoint_dir is not None
-    )
-    crawler = ShardedCrawler(engine, config, trace)
-    if manifest is not None:
-        engine.restore_state(manifest.engine_state)
-    return crawler
+    return ShardedCrawler(ShardedEngine(runner, config, trace, shards=shards), config, trace)

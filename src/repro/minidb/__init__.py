@@ -26,7 +26,7 @@ from .buffer_pool import BufferPool, IOStats
 from .compactor import Compactor
 from .database import Database
 from .storage_config import StorageConfig
-from .wal import WAL_CUT_OP, FileOps, WriteAheadLog
+from .wal import FileOps, WriteAheadLog
 from .errors import (
     BufferPoolError,
     CatalogError,
@@ -97,7 +97,6 @@ __all__ = [
     "TEXT",
     "Table",
     "Trigger",
-    "WAL_CUT_OP",
     "WriteAheadLog",
     "and_",
     "col",

@@ -449,21 +449,17 @@ class DurableBackend(StorageBackend):
         """Fsync the WAL tail so everything logged so far survives a crash."""
         self.wal.sync()
 
-    def replay_wal(
-        self, discard: bool = False, upto_cut: Optional[int] = None
-    ) -> list[tuple]:
+    def replay_wal(self, discard: bool = False) -> list[tuple]:
         """Records appended since the last checkpoint (torn tail removed).
 
         ``discard=True`` resets the log instead: used when a coordinator
         (e.g. the crawl checkpoint manager) wants the database exactly as
         of the snapshot, with post-checkpoint writes dropped.
-        ``upto_cut`` replays only through the last cut marker ``<= upto_cut``
-        (see :meth:`WriteAheadLog.replay`), truncating newer records.
         """
         if discard:
             self.wal.reset(self._snapshot_epoch)
             return []
-        return self.wal.replay(expected_epoch=self._snapshot_epoch, upto_cut=upto_cut)
+        return self.wal.replay(expected_epoch=self._snapshot_epoch)
 
     def checkpoint(self, catalog_meta: dict[str, Any]) -> None:
         """Atomically publish a snapshot of the current state, then reset the WAL.

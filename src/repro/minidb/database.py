@@ -38,7 +38,7 @@ from .storage_config import StorageConfig
 from .table import Table
 from .triggers import Trigger, TriggerAction, TriggerRegistry
 from .types import Schema, schema_from_spec, schema_to_spec
-from .wal import WAL_CUT_OP, dump_record, load_record
+from .wal import dump_record, load_record
 
 
 @contextmanager
@@ -83,7 +83,6 @@ class Database:
         page_size: int = DEFAULT_PAGE_SIZE,
         backend: Optional[StorageBackend] = None,
         replay_wal: bool = True,
-        replay_upto_cut: Optional[int] = None,
     ) -> None:
         self.stats = IOStats()
         #: The plan built for the most recent top-level SELECT (set by
@@ -101,7 +100,7 @@ class Database:
         self._replaying = False
         if self.backend.persistent:
             with bulk_load():
-                self._recover(replay_wal, replay_upto_cut)
+                self._recover(replay_wal)
 
     @classmethod
     def open(
@@ -110,7 +109,6 @@ class Database:
         buffer_pool_pages: int = 256,
         page_size: int = DEFAULT_PAGE_SIZE,
         replay_wal: bool = True,
-        replay_upto_cut: Optional[int] = None,
         storage: Optional[StorageConfig] = None,
     ) -> "Database":
         """Open (or create) a durable database at directory *path*.
@@ -121,10 +119,6 @@ class Database:
         the snapshot instead, discarding post-checkpoint writes — used by
         coordinators (e.g. the crawl checkpoint manager) that must keep
         the database consistent with externally saved state.
-        ``replay_upto_cut=n`` replays only through the last
-        :meth:`log_cut` marker ``<= n`` and truncates the rest — used by
-        the sharded crawl coordinator to rewind every shard database to
-        one common round boundary.
 
         Durability policy — WAL group commit, segment compaction, the
         fault-injection :class:`~repro.minidb.wal.FileOps` seam, and
@@ -132,20 +126,17 @@ class Database:
         :class:`StorageConfig` via ``storage=`` (None means the defaults).
         """
         config = storage if storage is not None else StorageConfig()
-        if replay_upto_cut is not None and not replay_wal:
-            raise ValueError("replay_upto_cut requires replay_wal=True")
         return cls(
             buffer_pool_pages=config.pool_pages(buffer_pool_pages),
             page_size=page_size,
             backend=DurableBackend(
                 path,
                 wal_fsync_batch=config.wal_fsync_batch,
-                ops=config.make_ops(),
+                ops=config.ops,
                 compact_every=config.compact_every,
                 compact_min_garbage_ratio=config.compact_min_garbage_ratio,
             ),
             replay_wal=replay_wal,
-            replay_upto_cut=replay_upto_cut,
         )
 
     # -- catalog -------------------------------------------------------------
@@ -300,19 +291,6 @@ class Database:
             )
         return self.backend
 
-    def log_cut(self, cut: int) -> None:
-        """Stamp the WAL with a cut marker: unit of work *cut* is fully logged.
-
-        Pair with ``Database.open(replay_upto_cut=cut)`` to reopen the
-        database at exactly this boundary.  Much cheaper than a full
-        checkpoint — one WAL append, no page flush, no snapshot.
-        """
-        if not self.backend.persistent:
-            raise StorageError(
-                "in-memory databases have no WAL to cut; create one with Database.open(path)"
-            )
-        self.backend.log((WAL_CUT_OP, int(cut)))
-
     def sync_wal(self) -> None:
         """Force-fsync the WAL tail (make everything logged so far durable)."""
         if self.backend.persistent:
@@ -374,7 +352,7 @@ class Database:
             "tables": tables,
         }
 
-    def _recover(self, replay_wal: bool, replay_upto_cut: Optional[int] = None) -> None:
+    def _recover(self, replay_wal: bool) -> None:
         """Restore the last snapshot and replay (or discard) the WAL tail."""
         meta = getattr(self.backend, "snapshot_meta", None)
         self._replaying = True
@@ -398,17 +376,13 @@ class Database:
                     table.rebuild_indexes()
                     table.set_journal(self._log_table_op)
                     self._tables[spec["name"]] = table
-            for record in self.backend.replay_wal(
-                discard=not replay_wal, upto_cut=replay_upto_cut
-            ):
+            for record in self.backend.replay_wal(discard=not replay_wal):
                 self._apply_wal_record(record)
         finally:
             self._replaying = False
 
     def _apply_wal_record(self, record: tuple) -> None:
         op = record[0]
-        if op == WAL_CUT_OP:
-            return  # round boundary marker, not a table mutation
         if op == "create_table":
             self.create_table(record[1], schema_from_spec(record[2]))
         elif op == "drop_table":

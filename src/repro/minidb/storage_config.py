@@ -16,7 +16,7 @@ sets it; ``CrawlerConfig.resolve_storage()`` folds it in.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from .wal import FileOps
 
@@ -41,14 +41,10 @@ class StorageConfig:
     #: Compact only when at least this fraction of segment payload is dead.
     compact_min_garbage_ratio: float = 0.5
     #: File-operation layer override (fault-injection tests); not serializable.
-    #: A single ``ops`` instance is stateful (fault counters, crash points)
-    #: and therefore **per-database**: opening several databases — e.g. N
-    #: crawl shards — against one instance makes their I/O share one event
-    #: index.  Use ``ops_factory`` when one config fans out to many opens.
+    #: An ``ops`` instance is stateful (fault counters, crash points), so
+    #: give each database its own: two opened against one share one event
+    #: index.
     ops: Optional[FileOps] = None
-    #: Called once per ``Database.open`` to mint that database's private
-    #: ``FileOps``; mutually exclusive with ``ops``.  Not serializable.
-    ops_factory: Optional[Callable[[], FileOps]] = None
 
     def __post_init__(self) -> None:
         if self.buffer_pool_pages is not None and self.buffer_pool_pages < 1:
@@ -59,21 +55,6 @@ class StorageConfig:
             raise ValueError("compact_every must be >= 0")
         if not 0.0 <= self.compact_min_garbage_ratio <= 1.0:
             raise ValueError("compact_min_garbage_ratio must be in [0, 1]")
-        if self.ops is not None and self.ops_factory is not None:
-            raise ValueError("pass either ops or ops_factory, not both")
-
-    def make_ops(self) -> Optional[FileOps]:
-        """The file-operation layer for one database open (None = default).
-
-        Resolves ``ops_factory`` to a fresh instance per call, so every
-        database opened from this config gets its own fault-injection /
-        I/O-counter state.
-        """
-        if self.ops is not None:
-            return self.ops
-        if self.ops_factory is not None:
-            return self.ops_factory()
-        return None
 
     def replace(self, **overrides: Any) -> "StorageConfig":
         """A copy with the given fields replaced."""
@@ -86,7 +67,7 @@ class StorageConfig:
     # -- serialization (job specs travel over HTTP as JSON) ------------------
     def to_dict(self) -> dict[str, Any]:
         """A plain-data form for JSON job specs; refuses a live ``ops`` object."""
-        if self.ops is not None or self.ops_factory is not None:
+        if self.ops is not None:
             raise ValueError("StorageConfig with a FileOps override is not serializable")
         return {
             "buffer_pool_pages": self.buffer_pool_pages,
@@ -97,7 +78,7 @@ class StorageConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StorageConfig":
-        known = {f.name for f in fields(cls)} - {"ops", "ops_factory"}
+        known = {f.name for f in fields(cls)} - {"ops"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown StorageConfig fields {unknown}; expected {sorted(known)}")

@@ -34,7 +34,7 @@ import os
 import pickle
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, BinaryIO, Optional
 
 from .errors import StorageError
@@ -77,14 +77,6 @@ class FileOps:
 WAL_MAGIC = b"MDBW\x01\x00\x00\x00"
 SEGMENT_MAGIC = b"MDBS\x01\x00\x00\x00"
 
-#: Op tag of a *cut marker* record: ``(WAL_CUT_OP, n)`` marks the point
-#: where logical unit-of-work *n* (a crawl round, for the sharded engine)
-#: is fully logged.  Cut markers are not table mutations — replay skips
-#: them — but :meth:`WriteAheadLog.replay` can truncate the log at the
-#: last cut ``<= n``, which is how a shard database rewinds to exactly
-#: the round recorded in the coordinator manifest.
-WAL_CUT_OP = "__cut__"
-
 #: The WAL header stores the epoch right after the magic, as u64.
 _EPOCH = struct.Struct("<Q")
 WAL_HEADER_SIZE = len(WAL_MAGIC) + _EPOCH.size
@@ -113,16 +105,11 @@ def read_frame_at(fh: BinaryIO, offset: int) -> bytes:
 
 @dataclass
 class TailScan:
-    """Result of scanning a framed file: payloads plus the safe end offset.
-
-    ``ends[i]`` is the file offset just past frame *i*, so a caller can
-    truncate the file immediately after any intact frame.
-    """
+    """Result of scanning a framed file: payloads plus the safe end offset."""
 
     payloads: list[bytes]
     good_end: int
     torn: bool
-    ends: list[int] = field(default_factory=list)
 
 
 def scan_frames(fh: BinaryIO, start: int) -> TailScan:
@@ -133,7 +120,6 @@ def scan_frames(fh: BinaryIO, start: int) -> TailScan:
     everything after it is unrecoverable, so the scan stops there.
     """
     payloads: list[bytes] = []
-    ends: list[int] = []
     offset = start
     fh.seek(0, io.SEEK_END)
     file_end = fh.tell()
@@ -154,9 +140,8 @@ def scan_frames(fh: BinaryIO, start: int) -> TailScan:
             torn = True
             break
         payloads.append(payload)
-        ends.append(payload_end)
         offset = payload_end
-    return TailScan(payloads=payloads, good_end=offset, torn=torn, ends=ends)
+    return TailScan(payloads=payloads, good_end=offset, torn=torn)
 
 
 class WriteAheadLog:
@@ -253,51 +238,23 @@ class WriteAheadLog:
         self._pending_records = 0
 
     # -- replay / truncation ---------------------------------------------
-    def replay(
-        self,
-        expected_epoch: Optional[int] = None,
-        upto_cut: Optional[int] = None,
-    ) -> list[tuple]:
+    def replay(self, expected_epoch: Optional[int] = None) -> list[tuple]:
         """Return every intact record, truncating any torn tail in place.
 
         When *expected_epoch* is given and disagrees with the log's own
         epoch, the log belongs to a different checkpoint generation: its
         records are already folded into (or superseded by) the snapshot,
         so it is reset instead of replayed.
-
-        When *upto_cut* is given, replay stops at (and the file is
-        truncated after) the **last cut marker whose number is <=
-        upto_cut**; records past it belong to units of work newer than
-        the caller's recovery target and are discarded.  A log with no
-        such marker replays nothing: all of its content postdates the
-        target (the snapshot alone is already at or past it).
         """
         if expected_epoch is not None and expected_epoch != self._epoch:
             self.reset(expected_epoch)
             return []
         scan = scan_frames(self._fh, WAL_HEADER_SIZE)
-        records = [pickle.loads(payload) for payload in scan.payloads]
-        if upto_cut is None:
-            if scan.torn:
-                self._fh.truncate(scan.good_end)
-                self._fh.flush()
-            self._fh.seek(0, io.SEEK_END)
-            return records
-        keep = 0
-        cut_end = WAL_HEADER_SIZE
-        for index, record in enumerate(records):
-            if (
-                isinstance(record, tuple)
-                and len(record) == 2
-                and record[0] == WAL_CUT_OP
-                and record[1] <= upto_cut
-            ):
-                keep = index + 1
-                cut_end = scan.ends[index]
-        self._fh.truncate(cut_end)
-        self._fh.flush()
+        if scan.torn:
+            self._fh.truncate(scan.good_end)
+            self._fh.flush()
         self._fh.seek(0, io.SEEK_END)
-        return records[:keep]
+        return [pickle.loads(payload) for payload in scan.payloads]
 
     def reset(self, epoch: int) -> None:
         """Discard every record and stamp the log with a new epoch."""

@@ -428,8 +428,8 @@ class JobManager:
     def _require_queryable(database) -> None:
         if getattr(database, "sharded", False):
             raise ValueError(
-                "sharded jobs keep one database per shard; open the shard "
-                "databases under the checkpoint directory instead"
+                "sharded jobs keep one database per shard, in memory inside "
+                "the shard workers; there is none here to query"
             )
         if database.closed:
             raise ValueError("this job's database handle is closed")

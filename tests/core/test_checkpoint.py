@@ -25,7 +25,7 @@ from repro.crawler.engine import CrawlEngine, CrawlTrace
 from repro.crawler.focused import CrawlerConfig
 from repro.crawler.frontier import ENTRY_FIELDS
 from repro.experiments.workloads import build_crawl_workload
-from repro.minidb import Database, StorageConfig
+from repro.minidb import INTEGER, Database, StorageConfig, make_schema
 from repro.minidb.errors import StorageError
 from repro.minidb.wal import dump_record
 from repro.webgraph.fetch import Fetcher
@@ -93,6 +93,14 @@ def reference_serial(checkpoint_system):
     return checkpoint_system.crawl(
         crawler_config=crawl_config("serial"), fetch_failure_seed=FETCH_FAILURE_SEED
     )
+
+
+def directory_bytes(path):
+    """Every entry under *path*, by relative name: file bytes, or None for a directory."""
+    return {
+        str(entry.relative_to(path)): entry.read_bytes() if entry.is_file() else None
+        for entry in sorted(path.rglob("*"))
+    }
 
 
 def assert_traces_match(resumed, reference):
@@ -459,18 +467,23 @@ class TestParentCheckpointResume:
     def test_pickled_configs_with_deleted_fields_resume(
         self, checkpoint_system, reference_batched, tmp_path, monkeypatch, fetch_mode
     ):
-        """A checkpoint from before the fetch pool, background compaction and
-        the crawler's own compaction knobs were deleted: its pickled
-        ``CrawlerConfig`` and ``StorageConfig`` carry those fields in their
-        ``__dict__``, as that tree pickled them.  It resumes to the
-        uninterrupted crawl, bit for bit, whichever ``fetch_mode`` it
-        carries (the field is accepted and ignored)."""
+        """A checkpoint from before the fetch pool, background compaction, the
+        crawler's own compaction knobs and sharded checkpoints were deleted:
+        its pickled ``CrawlerConfig`` and ``StorageConfig`` carry those
+        fields in their ``__dict__``, as that tree pickled them (``shards=0``
+        was the unset default of the removed ``REPRO_ENGINE_SHARDS``).  It
+        resumes to the uninterrupted crawl, bit for bit, whichever
+        ``fetch_mode`` it carries (the field is accepted and ignored)."""
         storage = StorageConfig()
-        storage.__dict__.update(background_compaction=True, compact_wal_bytes=32768)
+        storage.__dict__.update(
+            background_compaction=True, compact_wal_bytes=32768, ops_factory=None
+        )
         config = crawl_config("batched")
         config.fetch_mode = fetch_mode
         config.storage = storage
-        config.__dict__.update(fetch_workers=8, compact_every=3, compact_min_garbage_ratio=0.2)
+        config.__dict__.update(
+            fetch_workers=8, compact_every=3, compact_min_garbage_ratio=0.2, shards=0
+        )
         kill_fetcher_after(monkeypatch, 83)
         with pytest.raises(KillSwitch):
             checkpoint_system.crawl(
@@ -483,6 +496,8 @@ class TestParentCheckpointResume:
         reopened.close()
         assert saved.config.__dict__["fetch_workers"] == 8
         assert saved.config.storage.__dict__["compact_wal_bytes"] == 32768
+        assert "ops_factory" in saved.config.storage.__dict__
+        assert saved.config.shards == 0
 
         resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
         assert resumed.crawler.config.fetch_mode == fetch_mode
@@ -508,6 +523,41 @@ class TestCrawlArgumentGuards:
                 fetch_failure_seed=FETCH_FAILURE_SEED,
                 checkpoint_dir=str(tmp_path / "crawl"),
             )
+
+    @pytest.mark.parametrize("entry", ["start", "crawl"])
+    def test_sharded_crawl_refuses_a_checkpoint_dir(self, checkpoint_system, tmp_path, entry):
+        """Sharded checkpoints were removed: the refusal comes before any file."""
+        config = CrawlerConfig(
+            engine="sharded", shards=2, shard_runner="inprocess", max_pages=20, batch_size=4
+        )
+        path = tmp_path / "crawl"
+        with pytest.raises(ValueError, match="sharded checkpoints were removed"):
+            if entry == "start":
+                checkpoint_system.start(JobSpec(crawler=config, checkpoint_dir=str(path)))
+            else:
+                checkpoint_system.crawl(crawler_config=config, checkpoint_dir=str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("entry", ["resume", "crawl"])
+    def test_a_parent_sharded_checkpoint_is_refused_untouched(
+        self, checkpoint_system, tmp_path, entry
+    ):
+        """A directory shaped like a sharded checkpoint from before their
+        removal — a coordinator manifest beside per-shard databases — is
+        refused, and not one byte of it changes."""
+        path = tmp_path / "sharded"
+        with Database.open(str(path / "shard-00")) as shard:
+            shard.create_table("T", make_schema(("id", INTEGER, False), primary_key=["id"]))
+            shard.table("T").insert((1,))
+            shard.checkpoint(app_state={"shard": 0, "round": 3})
+        (path / "coordinator.manifest").write_bytes(b"\x00" * 64)
+        before = directory_bytes(path)
+        with pytest.raises(ValueError, match="sharded crawl checkpoint"):
+            if entry == "resume":
+                checkpoint_system.resume(str(path))
+            else:
+                checkpoint_system.crawl(resume_from=str(path))
+        assert directory_bytes(path) == before
 
     def test_resume_from_rejects_conflicting_arguments(self, checkpoint_system, tmp_path):
         with pytest.raises(ValueError, match="crawler_config"):

@@ -51,7 +51,7 @@ CONFIG = CrawlerConfig(focus_mode="hard", distill_every=0)
 def bare_worker(shard: int, shards: int) -> ShardWorker:
     """A ShardWorker with only what ``apply_round`` touches: frontier, tables, config."""
     worker = ShardWorker.__new__(ShardWorker)
-    worker.shard, worker.shards, worker.config, worker.durable = shard, shards, CONFIG, False
+    worker.shard, worker.shards, worker.config = shard, shards, CONFIG
     worker.database = create_focus_database(buffer_pool_pages=64)
     worker.frontier = Frontier(worker.database)
     worker._link_writer = BufferedLinkWriter(worker.database.table("LINK"))
@@ -106,7 +106,7 @@ def draw_round(data, candidates, first_pos=0):
 def check_rounds(data) -> None:
     shards = data.draw(st.sampled_from([1, 2, 3, 4]), label="shards")
     # The column route: the real coordinator and one bare worker per shard.
-    engine = ShardedEngine(None, CONFIG, CrawlTrace(), shards=shards, durable=False)
+    engine = ShardedEngine(None, CONFIG, CrawlTrace(), shards=shards)
     workers = [bare_worker(shard, shards) for shard in range(shards)]
     # The record route: the oracle's coordinator, a frontier + LINK writer per shard.
     oracle = RecordCoordinator(shards, CONFIG.focus_mode)
@@ -256,7 +256,7 @@ class TestVerifiedOnReceipt:
         assert len(worker.database.table("LINK")) == 0
 
     def test_outcomes_not_in_selection_order_are_refused(self):
-        engine = ShardedEngine(None, CONFIG, CrawlTrace(), shards=1, durable=False)
+        engine = ShardedEngine(None, CONFIG, CrawlTrace(), shards=1)
         (url_a, oid_a, sid_a), (url_b, oid_b, sid_b) = UNIVERSE[0], UNIVERSE[1]
         batch = OutcomeBatch()
         batch.add(1, sid_b)

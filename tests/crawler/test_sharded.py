@@ -8,7 +8,9 @@ the three contracts that make it one:
 * ``N>=2`` runs are bit-identical to *each other* for any shard count
   and any message-delivery schedule (the handoff-determinism property);
 * the multiprocessing runner produces exactly what the in-process
-  runner produces (same workers, different transport).
+  runner produces (same workers, different transport);
+* the crawl lives in the workers' memory: stepping, pausing and a
+  worker's failure are in-process events, and no file is written.
 """
 
 import multiprocessing
@@ -18,7 +20,9 @@ import time
 import pytest
 
 from repro.classifier.training import ModelInstaller
+from repro.core.config import FocusConfig, JobSpec
 from repro.core.schema import create_focus_database
+from repro.core.system import FocusSystem
 from repro.crawler.engine import CrawlEngine, CrawlerConfig
 from repro.crawler.focused import FocusedCrawler
 from repro.crawler.frontier import Frontier
@@ -267,17 +271,6 @@ class TestHandoffDeterminism:
         assert [x for tag, x in b if tag == "alpha"] == a[:4]
         assert [x for tag, x in b if tag == "beta"] == a[4:]
 
-    def test_shard_server_pool_state_roundtrip(self):
-        pool = ShardServerPool({}, failure_seed=9)
-        pool.ensure("host.example.org")
-        pool.simulate_fetch("host.example.org")
-        state = pool.rng_state()
-        expected = [pool.simulate_fetch("host.example.org") for _ in range(3)]
-        restored = ShardServerPool({}, failure_seed=9)
-        restored.ensure("host.example.org")
-        restored.restore_rng(state)
-        assert [restored.simulate_fetch("host.example.org") for _ in range(3)] == expected
-
 
 def start_process_fleet(small_web, trained_model, taxonomy, seeds, **kwargs):
     config = CrawlerConfig(engine="sharded", shards=2, shard_runner="process", **kwargs)
@@ -475,6 +468,169 @@ class TestStatsAggregation:
             crawler.shutdown()
 
 
+@pytest.fixture(scope="module")
+def sharded_system(small_web):
+    config = FocusConfig(good_topics=(GOOD,), examples_per_leaf=12, seed_count=8)
+    system = FocusSystem.from_web(small_web, [GOOD], config)
+    system.train()
+    return system
+
+
+def start_sharded_job(system, **kwargs):
+    config = CrawlerConfig(
+        engine="sharded", shards=2, shard_runner="inprocess",
+        max_pages=60, batch_size=6, distill_every=15, **kwargs,
+    )
+    return system.start(JobSpec(max_pages=60, crawler=config))
+
+
+class TestInMemoryShards:
+    """A sharded crawl lives in its workers' memory: it pauses, steps and
+    fails inside one process, and a quantum boundary is invisible to it."""
+
+    @pytest.mark.parametrize(
+        "runner, rounds", [("inprocess", 1), ("inprocess", 4), ("process", 3)],
+        ids=["inprocess-1", "inprocess-4", "process-3"],
+    )
+    def test_stepped_crawl_equals_one_run(
+        self, small_web, trained_model, taxonomy, crawl_seeds, runner, rounds
+    ):
+        """Quanta of *rounds* rounds — each closed by the barrier that flushes
+        a distilling round's scores early — give the one-call crawl."""
+        kwargs = dict(max_pages=60, batch_size=6, distill_every=15)
+        whole, whole_trace = run_sharded(
+            small_web, trained_model, taxonomy, crawl_seeds, shards=2, **kwargs
+        )
+        whole_hubs = whole.top_hubs(5)
+        whole.shutdown()
+        config = CrawlerConfig(engine="sharded", shards=2, shard_runner=runner, **kwargs)
+        crawler = build_sharded_crawler(
+            small_web, trained_model, taxonomy, config, fetch_failure_seed=0
+        )
+        crawler.add_seeds(crawl_seeds)
+        try:
+            quanta = 0
+            while crawler.engine.trace.pages_fetched < config.max_pages:
+                crawler.engine.run(config.max_pages, max_rounds=rounds)
+                quanta += 1
+            trace = crawler.engine.trace
+            assert quanta > 1
+            assert trace.distillations == whole_trace.distillations > 0
+            assert visit_tuples(trace) == visit_tuples(whole_trace)
+            assert trace.relevance_series() == whole_trace.relevance_series()
+            assert trace.failed_urls == whole_trace.failed_urls
+            assert crawler.top_hubs(5) == whole_hubs
+        finally:
+            crawler.shutdown()
+
+    def test_a_sharded_crawl_writes_no_file(
+        self, small_web, trained_model, taxonomy, crawl_seeds, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        crawler, trace = run_sharded(
+            small_web, trained_model, taxonomy, crawl_seeds, shards=2,
+            max_pages=40, batch_size=5, distill_every=15,
+        )
+        try:
+            assert trace.pages_fetched == 40
+            for worker in crawler.engine.runner.workers:
+                assert not worker.database.backend.persistent
+                assert len(worker.database.table("CRAWL")) > 0
+        finally:
+            crawler.shutdown()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_distilling_rounds_links_reach_the_shards_before_its_scores(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        """A distilling round reaches a shard in two messages: the apply (links,
+        frontier buffer left open) at once, the scores and boosts with the
+        next checkout; every other round's apply carries an empty finish."""
+        crawler = build_sharded_crawler(
+            small_web, trained_model, taxonomy,
+            CrawlerConfig(
+                engine="sharded", shards=2, shard_runner="inprocess",
+                max_pages=60, batch_size=6, distill_every=15,
+            ),
+            fetch_failure_seed=0,
+        )
+        crawler.add_seeds(crawl_seeds)
+        worker = crawler.engine.runner.workers[1]
+        apply_round, finish_round = worker.apply_round, worker.finish_round
+        events = []
+
+        def logged_apply(message):
+            events.append(("apply", message.round, message.finish is not None))
+            apply_round(message)
+
+        def logged_finish(message):
+            events.append(("finish", message.round, bool(message.scores), worker.frontier._buffering))
+            finish_round(message)
+
+        worker.apply_round, worker.finish_round = logged_apply, logged_finish
+        try:
+            trace = crawler.engine.run(60)
+        finally:
+            crawler.shutdown()
+        assert trace.distillations > 0
+        split = [event for event in events if event[0] == "apply" and not event[2]]
+        assert len(split) == trace.distillations
+        for _apply, round_no, _finish in split:
+            at = events.index(("apply", round_no, False))
+            assert events[at + 1] == ("finish", round_no, True, True)
+        assert all(
+            event[3] for event in events if event[0] == "finish"
+        ), "every finish closes an open frontier batch"
+
+    def test_a_shard_error_between_a_rounds_halves_fails_the_job(self, sharded_system):
+        """The worker dies after a distilling round's links and before its
+        scores: the job fails with that error, and a failed job stays failed."""
+        handle = start_sharded_job(sharded_system)
+        worker = handle.crawler.engine.runner.workers[1]
+        finish_round = worker.finish_round
+        crash = RuntimeError("between a round's links and its scores")
+
+        def die_before_the_scores(message):
+            if message.scores:
+                raise crash
+            finish_round(message)
+
+        worker.finish_round = die_before_the_scores
+        try:
+            with pytest.raises(RuntimeError, match="links and its scores"):
+                handle.run()
+            assert handle.status == "failed"
+            assert handle.error is crash
+            assert 0 < handle.trace.pages_fetched < 60
+            assert handle.step() == 0
+        finally:
+            handle.close()
+        assert handle.crawler.database.closed
+
+    def test_a_paused_sharded_job_resumes_to_the_uninterrupted_crawl(self, sharded_system):
+        """Pause holds the shard fleet in memory (no checkpoint is written);
+        resume continues it, bit for bit."""
+        reference = start_sharded_job(sharded_system)
+        expected = reference.run()
+        expected_visits = visit_tuples(expected.trace)
+        reference.close()
+
+        handle = start_sharded_job(sharded_system)
+        try:
+            handle.step(rounds=3)
+            fetched = handle.trace.pages_fetched
+            handle.pause()
+            assert handle.step() == 0
+            assert handle.trace.pages_fetched == fetched
+            handle.resume()
+            result = handle.run()
+            assert handle.status == "completed"
+            assert visit_tuples(result.trace) == expected_visits
+            assert result.trace.relevance_series() == expected.trace.relevance_series()
+        finally:
+            handle.close()
+
+
 class TestGuards:
     def test_crawl_engine_rejects_sharded_mode(
         self, trained_model, taxonomy, small_web, crawl_database
@@ -488,17 +644,19 @@ class TestGuards:
                 frontier, trace=None,
             )
 
-    def test_auto_never_resolves_to_sharded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_SHARDS", "4")
-        config = CrawlerConfig(engine="auto", batch_size=8)
-        assert config.resolve_shards() == 4
+    def test_auto_never_resolves_to_sharded(self):
+        config = CrawlerConfig(engine="auto", batch_size=8, shards=4)
         assert config.engine == "auto"  # sharding stays opt-in per config
 
-    def test_env_shard_count_flows_into_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_SHARDS", "3")
-        assert CrawlerConfig(engine="sharded").resolve_shards() == 3
-        monkeypatch.delenv("REPRO_ENGINE_SHARDS")
-        assert CrawlerConfig(engine="sharded").resolve_shards() == 1
+    def test_env_does_not_set_the_shard_count(self, monkeypatch):
+        """The session default ``REPRO_ENGINE_SHARDS`` was removed: N is the field's."""
+        monkeypatch.setenv("REPRO_ENGINE_SHARDS", "4")
+        assert CrawlerConfig(engine="sharded").shards == 1
+
+    def test_shard_count_below_one_refused(self, small_web, trained_model, taxonomy):
+        config = CrawlerConfig(engine="sharded", shards=0, shard_runner="inprocess")
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            build_sharded_crawler(small_web, trained_model, taxonomy, config)
 
     def test_unknown_runner_rejected(self, small_web, trained_model, taxonomy):
         config = CrawlerConfig(engine="sharded", shard_runner="threads")
@@ -522,7 +680,7 @@ class TestGuards:
         )
         try:
             assert crawler.database.sharded is True
-            with pytest.raises(AttributeError, match="per shard"):
+            with pytest.raises(AttributeError, match="in memory inside the shard workers"):
                 crawler.database.table("CRAWL")
         finally:
             crawler.shutdown()

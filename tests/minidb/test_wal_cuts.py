@@ -1,11 +1,12 @@
-"""WAL cut markers: cheap round boundaries for the sharded crawl rewind.
+"""What is left of WAL cut markers and ``StorageConfig.ops_factory``: refusals.
 
-``Database.log_cut(n)`` stamps the WAL; ``Database.open(replay_upto_cut=n)``
-replays through the last marker ``<= n`` and truncates everything after
-it.  The total rule — *no* marker at or below the target means truncate
-to the snapshot — is what makes every crash point recoverable: a torn
-round, a half-appended marker, or a WAL reset that raced a crash all
-land on a state some coordinator manifest describes.
+Durable sharded crawls once stamped a ``("__cut__", n)`` record into each
+shard database's WAL per round and reopened rewound to one, and minted a
+private ``FileOps`` per shard database from ``StorageConfig.ops_factory``.
+Both went with sharded checkpoints (README, *Sharded checkpoints
+(removed)*).  A WAL still holding a cut record is refused on open, the
+factory is not a field, and the fault seam left is ``StorageConfig(ops=...)``,
+one per database.
 """
 
 import pytest
@@ -15,157 +16,91 @@ from repro.minidb.errors import StorageError
 from repro.minidb.testing import FaultInjector, SimulatedCrash, hard_close
 
 
-def make_db(path) -> Database:
-    database = Database.open(str(path))
+def make_db(path, storage=None) -> Database:
+    database = Database.open(str(path), storage=storage)
     database.create_table(
         "T", make_schema(("id", INTEGER, False), ("val", TEXT), primary_key=["id"])
     )
     return database
-
-
-def insert_round(database: Database, round_no: int, rows: int = 3) -> None:
-    table = database.table("T")
-    table.insert_many(
-        (round_no * 100 + i, f"r{round_no}-{i}") for i in range(rows)
-    )
-    database.log_cut(round_no)
 
 
 def ids(database: Database) -> list:
     return sorted(row[0] for row in database.table("T").rows())
 
 
-class TestCutMarkers:
-    def test_replay_upto_cut_rewinds_to_the_marker(self, tmp_path):
+class TestRemovedCutMarkers:
+    def test_a_parent_written_cut_record_is_refused_on_open(self, tmp_path):
+        """The record a parent's shard database logged after each round: no
+        replay knows it, so the open fails naming it rather than skipping it."""
         database = make_db(tmp_path)
-        for round_no in (1, 2, 3):
-            insert_round(database, round_no)
-        database.close()
-
-        reopened = Database.open(str(tmp_path), replay_upto_cut=2)
-        assert ids(reopened) == [100, 101, 102, 200, 201, 202]
-        reopened.close()
-
-    def test_replay_past_last_cut_discards_the_open_round(self, tmp_path):
-        """Rows logged after the last marker (a round in flight when the
-        process died) are truncated, not replayed."""
-        database = make_db(tmp_path)
-        insert_round(database, 1)
-        database.table("T").insert((999, "uncommitted"))
-        database.close()
-
-        reopened = Database.open(str(tmp_path), replay_upto_cut=1)
-        assert ids(reopened) == [100, 101, 102]
-        # The tail was truncated: a plain reopen no longer sees it either.
-        reopened.close()
-        replayed = Database.open(str(tmp_path))
-        assert ids(replayed) == [100, 101, 102]
-        replayed.close()
-
-    def test_no_cut_at_or_below_target_truncates_to_snapshot(self, tmp_path):
-        """The total rule: target below every marker -> snapshot state."""
-        database = make_db(tmp_path)
-        database.checkpoint()  # snapshot: table exists, no rows
-        for round_no in (5, 6):
-            insert_round(database, round_no)
-        database.close()
-
-        reopened = Database.open(str(tmp_path), replay_upto_cut=4)
-        assert ids(reopened) == []
-        reopened.close()
-
-    def test_cut_markers_are_transparent_to_full_replay(self, tmp_path):
-        database = make_db(tmp_path)
-        for round_no in (1, 2):
-            insert_round(database, round_no)
-        database.close()
-
-        reopened = Database.open(str(tmp_path))
-        assert ids(reopened) == [100, 101, 102, 200, 201, 202]
-        reopened.close()
-
-    def test_in_memory_database_refuses_log_cut(self):
-        database = Database()
-        with pytest.raises(StorageError, match="in-memory"):
-            database.log_cut(1)
-
-    def test_replay_upto_cut_requires_replay_wal(self, tmp_path):
-        make_db(tmp_path).close()
-        with pytest.raises(ValueError, match="replay_upto_cut"):
-            Database.open(str(tmp_path), replay_wal=False, replay_upto_cut=1)
-
-    def test_crash_during_round_recovers_to_previous_cut(self, tmp_path):
-        """A torn WAL tail mid-round still rewinds to the last marker."""
-        injector = FaultInjector()
-        database = Database.open(str(tmp_path), storage=StorageConfig(ops=injector))
-        database.create_table(
-            "T", make_schema(("id", INTEGER, False), ("val", TEXT), primary_key=["id"])
-        )
-        insert_round(database, 1)
+        database.table("T").insert((1, "round one"))
+        database.backend.log(("__cut__", 1))
         database.sync_wal()
-        injector.crash_at = injector.op_count + 1
-        with pytest.raises(SimulatedCrash):
-            insert_round(database, 2, rows=50)
-        hard_close(database)
+        database.close()
+        with pytest.raises(StorageError, match="__cut__"):
+            Database.open(str(tmp_path))
 
-        reopened = Database.open(str(tmp_path), replay_upto_cut=1)
-        assert ids(reopened) == [100, 101, 102]
-        reopened.close()
+    def test_a_refused_open_changes_no_byte(self, tmp_path):
+        """The refusal comes from reading the log, not from repairing it: the
+        snapshot, segments and WAL a parent left are as they were."""
+        database = make_db(tmp_path)
+        database.table("T").insert((1, "snapshotted"))
+        database.checkpoint()
+        database.table("T").insert((2, "round two"))
+        database.backend.log(("__cut__", 2))
+        database.sync_wal()
+        database.close()
+        before = {entry.name: entry.read_bytes() for entry in sorted(tmp_path.iterdir())}
+        with pytest.raises(StorageError, match="__cut__"):
+            Database.open(str(tmp_path))
+        assert {entry.name: entry.read_bytes() for entry in sorted(tmp_path.iterdir())} == before
+
+    def test_a_snapshot_pinned_open_discards_a_cut_record(self, tmp_path):
+        """``replay_wal=False`` — how a crawl checkpoint reopens its database —
+        never reads the tail, so a cut record there is dropped with it."""
+        database = make_db(tmp_path)
+        database.table("T").insert((1, "snapshotted"))
+        database.checkpoint()
+        database.table("T").insert((2, "after the snapshot"))
+        database.backend.log(("__cut__", 1))
+        database.sync_wal()
+        database.close()
+        with Database.open(str(tmp_path), replay_wal=False) as pinned:
+            assert ids(pinned) == [1]
+        with Database.open(str(tmp_path)) as reopened:
+            assert ids(reopened) == [1]
+
+    def test_the_cut_api_is_gone(self, tmp_path):
+        with pytest.raises(TypeError, match="replay_upto_cut"):
+            Database.open(str(tmp_path), replay_upto_cut=1)
+        with make_db(tmp_path / "db") as database:
+            assert not hasattr(database, "log_cut")
+        assert not hasattr(Database(), "log_cut")
+
+    def test_ops_factory_is_not_a_storage_field(self):
+        with pytest.raises(TypeError, match="ops_factory"):
+            StorageConfig(ops_factory=FaultInjector)
 
 
-class TestOpsFactory:
-    """Each durable database minted from one StorageConfig gets its own
-    FileOps — shared fault-injection state across shard databases would
-    crash every shard at once (and miscount every I/O index)."""
-
-    def test_factory_mints_one_ops_per_database(self, tmp_path):
-        minted = []
-
-        def factory():
-            injector = FaultInjector()
-            minted.append(injector)
-            return injector
-
-        storage = StorageConfig(ops_factory=factory)
-        db_a = Database.open(str(tmp_path / "a"), storage=storage)
-        db_b = Database.open(str(tmp_path / "b"), storage=storage)
-        assert len(minted) == 2
-        assert minted[0] is not minted[1]
-        db_a.close()
-        db_b.close()
-
+class TestFileOpsPerDatabase:
     def test_two_databases_fault_inject_independently(self, tmp_path):
-        minted = []
-
-        def factory():
-            injector = FaultInjector()
-            minted.append(injector)
-            return injector
-
-        storage = StorageConfig(ops_factory=factory)
-        db_a = make_db_with(tmp_path / "a", storage)
-        db_b = make_db_with(tmp_path / "b", storage)
-        ops_a, ops_b = minted
+        """Each database opened with its own ``StorageConfig(ops=...)``: a crash
+        injected into one leaves the other's counter, state and writes alone."""
+        ops_a, ops_b = FaultInjector(), FaultInjector()
+        db_a = make_db(tmp_path / "a", StorageConfig(ops=ops_a))
+        db_b = make_db(tmp_path / "b", StorageConfig(ops=ops_b))
+        count_b = ops_b.op_count
 
         ops_a.crash_at = ops_a.op_count  # the very next I/O on A
         with pytest.raises(SimulatedCrash):
             db_a.table("T").insert((1, "boom"))
         hard_close(db_a)
 
-        # B is unaffected: its injector never saw A's crash, its counter
-        # kept its own sequence, and it keeps writing.
-        assert not ops_b.crashed
+        assert ops_a.crashed and not ops_b.crashed
+        assert ops_b.op_count == count_b
         db_b.table("T").insert((1, "fine"))
-        db_b.log_cut(1)
         db_b.close()
-        reopened = Database.open(str(tmp_path / "b"))
-        assert ids(reopened) == [1]
-        reopened.close()
-
-
-def make_db_with(path, storage: StorageConfig) -> Database:
-    database = Database.open(str(path), storage=storage)
-    database.create_table(
-        "T", make_schema(("id", INTEGER, False), ("val", TEXT), primary_key=["id"])
-    )
-    return database
+        with Database.open(str(tmp_path / "b")) as reopened:
+            assert ids(reopened) == [1]
+        with Database.open(str(tmp_path / "a")) as reopened:
+            assert ids(reopened) == []

@@ -248,6 +248,22 @@ class TestErrors:
             call(f"{service.url}/jobs", {"no_such_field": 1})
         assert excinfo.value.code == 400
 
+    def test_sharded_job_with_a_checkpoint_dir_is_400(self, service, tmp_path):
+        """Sharded checkpoints were removed: the spec is refused, no job is
+        created and no file is written."""
+        crawler = CrawlerConfig(
+            engine="sharded", shards=2, shard_runner="inprocess", max_pages=30, batch_size=4
+        )
+        path = tmp_path / "crawl"
+        spec = JobSpec(max_pages=30, crawler=crawler, checkpoint_dir=str(path))
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call(f"{service.url}/jobs", spec.to_dict())
+        with excinfo.value as reply:
+            assert reply.code == 400
+            assert "sharded checkpoints were removed" in json.load(reply)["error"]
+        assert call(f"{service.url}/jobs") == []
+        assert not path.exists()
+
     def test_result_of_a_running_job_is_400(self, service):
         job_id = call(
             f"{service.url}/jobs", JobSpec(max_pages=120, fetch_failure_seed=9).to_dict()

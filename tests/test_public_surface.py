@@ -76,16 +76,17 @@ def imported_modules(tree):
 
 
 class TestKnobs:
-    def test_src_reads_exactly_two_env_variables(self):
+    def test_src_reads_exactly_one_env_variable(self):
         """Every ``REPRO_*`` name spelled as a whole string in ``src/``: the
-        fetch path is picked by the transport, not by an env default."""
+        fetch path is picked by the transport and the shard count is the
+        config's own, neither by an env default."""
         names = set()
         for path in sorted(PACKAGE_DIR.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Constant) and isinstance(node.value, str):
                     if re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value):
                         names.add(node.value)
-        assert names == {"REPRO_SCORE_BACKEND", "REPRO_ENGINE_SHARDS"}
+        assert names == {"REPRO_SCORE_BACKEND"}
 
 
 class TestOneThreadOfControl:
