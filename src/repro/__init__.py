@@ -61,7 +61,7 @@ from .webgraph.cassette import (
     lint_cassette,
 )
 from .webgraph.graph import WebConfig
-from .webgraph.transport import HttpTransport, TransportUnavailable
+from .webgraph.transport import HttpTransport
 
 __version__ = "0.1.0"
 
@@ -92,7 +92,6 @@ __all__ = [
     "ShardedCrawler",
     "SharedFetchPool",
     "StorageConfig",
-    "TransportUnavailable",
     "WebConfig",
     "build_crawl_workload",
     "build_sharded_crawler",

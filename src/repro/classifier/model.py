@@ -232,10 +232,6 @@ class HierarchicalModel:
             )
         return results
 
-    def relevance_batch(self, documents: Sequence[TermFrequencies]) -> list[float]:
-        """Soft-focus relevance for a batch of documents (see :meth:`classify_batch`)."""
-        return [outcome.relevance for outcome in self.classify_batch(documents)]
-
     def relevance(self, document: TermFrequencies) -> float:
         """Soft-focus relevance R(d) = Σ_{good c} Pr[c | d] (Equation 3)."""
         good = self.taxonomy.good_nodes()

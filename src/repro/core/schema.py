@@ -67,8 +67,8 @@ def create_crawl_tables(database: Database) -> None:
         link.create_index("link_dst", ["oid_dst"], kind="hash")
         # Pre/post-order window index over the crawl graph: each row is
         # the edge oid_src -> oid_dst, keyed (id, parent).  Backs the
-        # reachable_from() SQL predicate and Query.reachable_from() with
-        # window range scans instead of per-hop hash-index BFS.
+        # reachable_from() SQL predicate with window range scans instead
+        # of per-hop hash-index BFS.
         link.create_index("link_graph", ["oid_dst", "oid_src"], kind="interval")
     for score_table in ("HUBS", "AUTH"):
         if not database.has_table(score_table):

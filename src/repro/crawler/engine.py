@@ -139,7 +139,7 @@ class CrawlerConfig:
     per_server_inflight: int = 0
     #: Fetch transport: "simulated" (default, bit-for-bit the PR-1
     #: fetcher), "latency" (wall-clock latency/jitter/timeout injection),
-    #: or "http" (real network, requires aiohttp).
+    #: or "http" (real network over the stdlib urllib session).
     transport: str = "simulated"
     #: Keyword options for the transport (see ``webgraph.transport``);
     #: plain data so the choice rides along inside crawl checkpoints.
@@ -734,8 +734,10 @@ class CrawlEngine:
         # The score-table rid cache is soft state; rebuild it from the
         # replayed tables rather than trusting pre-crash record ids.
         self._score_store.invalidate()
-        # None: a checkpoint written by the old serial loop before it fed
-        # the delta cache.  A fresh cache reads LINK from page 0 on first use.
+        # None: a checkpoint saved before this engine's first run() created
+        # the delta cache (the one FocusSystem.start writes, or a pause
+        # before the first step).  A fresh cache reads LINK from page 0
+        # on first use.
         if state["delta_cache"] is not None:
             self._incremental_distiller().cache.restore_state(state["delta_cache"])
         self.trace.refill(state["trace"])

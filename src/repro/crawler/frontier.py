@@ -166,17 +166,6 @@ class FrontierEntry:
     status: str = "frontier"
     rid: Optional[int] = None
 
-    def as_record(self) -> Dict[str, Any]:
-        return {
-            "relevance": self.relevance,
-            "numtries": self.numtries,
-            "serverload": self.serverload,
-            "discovered": self.discovered,
-            "lastvisited": self.lastvisited,
-            "hub_score": self.hub_score,
-            "authority_score": self.authority_score,
-        }
-
 
 #: The positional layout of one entry in :meth:`Frontier.state_snapshot`
 #: and :meth:`Frontier.state_delta`: the entry's fields in declaration

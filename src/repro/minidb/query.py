@@ -1,31 +1,27 @@
-"""A fluent query builder with a small rule-based planner.
+"""A fluent query builder over the operators of :mod:`repro.minidb.operators`.
 
-The builder composes the operators from :mod:`repro.minidb.operators`
-into plans; the planner applies a few simple but effective rules:
+It serves the code that composes plans in Python — the classifier's
+BulkProbe and the database-backed distillers — with two rules:
 
 * an equality predicate on an indexed column turns a table scan into an
   index lookup;
-* graph predicates (:meth:`Query.descendants_of` /
-  :meth:`Query.reachable_from`) become interval-index window range scans
-  when the base table carries the interval index, indexed id-set probes
-  when another index covers the tested column, and membership filters
-  otherwise;
-* equi-joins use a hash join by default, a sort-merge join when
+* equi-joins use a hash join by default, or a sort-merge join when
   requested (``join(..., algorithm="merge")``) — the paper's BulkProbe
-  is phrased to make sort-merge profitable — or an index-nested-loop
-  join (``algorithm="index"``) probing the inner table's index once per
-  outer row.
+  is phrased to make sort-merge profitable.  Left joins are hash-based.
+
+Graph predicates (``descendant_of``/``in_subtree``/``reachable_from``),
+index-nested-loop joins and ``EXPLAIN`` are SQL's: see
+:meth:`Database.sql() <repro.minidb.database.Database.sql>` and
+:mod:`repro.minidb.planner`.
 
 Example::
 
     rows = (Query(db, "LINK")
-            .join("CRAWL", on=[("oid_dst", "oid")], algorithm="index")
+            .join("CRAWL", on=[("oid_dst", "oid")])
             .where(col("relevance") > lit(0.5))
             .group_by("oid_dst")
             .aggregate("sum", col("wgt_fwd"), "score")
             .run())
-
-``Query.explain()`` renders the chosen plan without running it.
 """
 
 from __future__ import annotations
@@ -47,13 +43,9 @@ from .operators import (
     Filter,
     GroupByAggregate,
     HashJoin,
-    IndexKeysLookup,
     IndexLookup,
-    IndexNestedLoopJoin,
-    IndexRangeScan,
     LeftOuterJoin,
     Limit,
-    NestedLoopJoin,
     Operator,
     Project,
     RowDict,
@@ -61,7 +53,6 @@ from .operators import (
     Sort,
     SortMergeJoin,
     TableScan,
-    explain_lines,
 )
 from .table import Table
 
@@ -129,13 +120,11 @@ class Query:
         self._predicate: Optional[Expression] = None
         self._group_keys: list[tuple[str, Expression]] = []
         self._aggregates: list[Aggregate] = []
-        self._having: Optional[Expression] = None
         self._projections: Optional[list[tuple[str, Expression]]] = None
         self._order: list[tuple[Expression, bool]] = []
         self._limit: Optional[int] = None
         self._offset: int = 0
         self._distinct = False
-        self._graph: list[dict[str, Any]] = []
         if isinstance(source, str):
             self._base_table: Optional[Table] = database.table(source)
             self._base_rows: Optional[Iterable[RowDict]] = None
@@ -160,67 +149,22 @@ class Query:
         alias: Optional[str] = None,
         how: str = "inner",
         algorithm: str = "hash",
-        residual: Optional[Expression] = None,
     ) -> "Query":
         """Join with another table (by name) or a materialised row iterable.
 
         ``on`` is a list of ``(left_column, right_column)`` equality pairs.
-        ``how`` is ``"inner"`` or ``"left"``; ``algorithm`` is ``"hash"``,
-        ``"merge"``, or ``"nested"`` (ignored for left joins, which are
-        hash-based).
+        ``how`` is ``"inner"`` or ``"left"``; ``algorithm`` is ``"hash"``
+        or ``"merge"`` (ignored for left joins, which are hash-based).
         """
         if how not in ("inner", "left"):
             raise QueryError(f"unsupported join type {how!r}")
-        if algorithm not in ("hash", "merge", "nested", "index"):
-            raise QueryError(f"unsupported join algorithm {algorithm!r}")
+        if algorithm not in ("hash", "merge"):
+            raise QueryError(
+                f"unsupported join algorithm {algorithm!r}; expected 'hash' or 'merge' "
+                "(index-nested-loop joins are Database.sql()'s)"
+            )
         self._joins.append(
-            {
-                "other": other,
-                "on": list(on),
-                "alias": alias,
-                "how": how,
-                "algorithm": algorithm,
-                "residual": residual,
-            }
-        )
-        return self
-
-    def descendants_of(
-        self,
-        column: str,
-        root: Any,
-        include_self: bool = False,
-        via: Optional[str] = None,
-    ) -> "Query":
-        """Keep rows whose *column* is a tree descendant of *root*.
-
-        Answered by an interval index: *via* names it explicitly,
-        otherwise it is resolved from the column (see
-        :func:`repro.minidb.planner.resolve_interval_index`).
-        """
-        self._graph.append(
-            {
-                "kind": "descendants",
-                "column": column,
-                "root": root,
-                "include_self": include_self,
-                "via": via,
-            }
-        )
-        return self
-
-    def reachable_from(
-        self, column: str, root: Any, via: Optional[str] = None
-    ) -> "Query":
-        """Keep rows whose *column* is graph-reachable from *root* (root included)."""
-        self._graph.append(
-            {
-                "kind": "reachable",
-                "column": column,
-                "root": root,
-                "include_self": True,
-                "via": via,
-            }
+            {"other": other, "on": list(on), "alias": alias, "how": how, "algorithm": algorithm}
         )
         return self
 
@@ -235,10 +179,6 @@ class Query:
 
     def aggregate(self, func: str, arg: Optional[Expression], output_name: str) -> "Query":
         self._aggregates.append(Aggregate(func, arg, output_name))
-        return self
-
-    def having(self, predicate: Expression) -> "Query":
-        self._having = predicate
         return self
 
     def select(self, *outputs: Union[str, tuple[str, Expression]]) -> "Query":
@@ -277,7 +217,7 @@ class Query:
         if remaining_predicate is not None:
             plan = Filter(plan, remaining_predicate)
         if self._aggregates or self._group_keys:
-            plan = GroupByAggregate(plan, self._group_keys, self._aggregates, self._having)
+            plan = GroupByAggregate(plan, self._group_keys, self._aggregates)
         if self._projections is not None:
             plan = Project(plan, self._projections)
         if self._distinct:
@@ -291,12 +231,6 @@ class Query:
     def run(self) -> list[RowDict]:
         return self.plan().to_list()
 
-    def explain(self) -> "ExplainResult":  # noqa: F821
-        """Render the plan tree this query would execute."""
-        from .planner import ExplainResult
-
-        return ExplainResult(mode="index", lines=tuple(explain_lines(self.plan())))
-
     def scalar(self) -> Any:
         """Run and return the single value of the single row (or None when empty)."""
         rows = self.run()
@@ -309,12 +243,7 @@ class Query:
     # -- internals --------------------------------------------------------------------
     def _base_plan(self) -> tuple[Operator, Optional[Expression]]:
         if self._base_table is None:
-            if self._graph:
-                raise QueryError("graph predicates need a table-backed base")
-            base: Operator = RowSource(self._base_rows or [], self._base_alias)
-            return base, self._predicate
-        if self._graph:
-            return self._graph_base_plan()
+            return RowSource(self._base_rows or [], self._base_alias), self._predicate
         # Only push an index access when the whole query is a single-table
         # block (joins change which conjuncts refer to the base table).
         if not self._joins:
@@ -328,55 +257,6 @@ class Query:
                 return base, remaining
         return TableScan(self._base_table, self._base_alias), self._predicate
 
-    def _graph_base_plan(self) -> tuple[Operator, Optional[Expression]]:
-        """Access path for graph predicates: the first spec that can drive
-        the base becomes a window range scan (or an indexed id-set probe);
-        the rest degrade to membership filters."""
-        from .expressions import InSet
-        from .planner import point_index, resolve_interval_index
-
-        base: Optional[Operator] = None
-        filters: list[Expression] = []
-        for spec in self._graph:
-            table, index = resolve_interval_index(
-                self.database, spec["column"], spec["via"], label=f"{spec['kind']} query"
-            )
-            bare = spec["column"].split(".")[-1]
-            driving = (
-                base is None
-                and table.name == self._base_table.name
-                and bare == index.key_columns[0]
-            )
-            if driving:
-                base = IndexRangeScan(
-                    self._base_table,
-                    index.name,
-                    self._base_alias,
-                    mode="reachable" if spec["kind"] == "reachable" else "descendants",
-                    root=spec["root"],
-                    include_root=spec["include_self"],
-                )
-                continue
-            ids = (
-                index.reachable_ids(spec["root"])
-                if spec["kind"] == "reachable"
-                else index.descendant_ids(spec["root"], include_self=spec["include_self"])
-            )
-            if base is None and not self._joins:
-                probe_index = point_index(self._base_table, bare)
-                if probe_index is not None:
-                    base = IndexKeysLookup(
-                        self._base_table, probe_index, [(v,) for v in ids], self._base_alias
-                    )
-                    continue
-            filters.append(InSet(ColumnRef(spec["column"]), ids))
-        if base is None:
-            base = TableScan(self._base_table, self._base_alias)
-        parts = filters + ([self._predicate] if self._predicate is not None else [])
-        if not parts:
-            return base, None
-        return base, parts[0] if len(parts) == 1 else And(parts)
-
     def _apply_join(self, plan: Operator, join_spec: dict[str, Any]) -> Operator:
         other = join_spec["other"]
         alias = join_spec["alias"]
@@ -387,7 +267,6 @@ class Query:
                 f"{alias or other}.{c}" for c in table.schema.column_names
             ] + list(table.schema.column_names)
         else:
-            right = RowSource(other, alias)
             materialised = list(other)
             right = RowSource(materialised, alias)
             right_columns = sorted({k for row in materialised for k in row})
@@ -395,33 +274,8 @@ class Query:
                 right_columns = right_columns + [f"{alias}.{c}" for c in right_columns]
         left_keys = [col(l) for l, _ in join_spec["on"]]
         right_keys = [col(r) for _, r in join_spec["on"]]
-        residual = join_spec["residual"]
         if join_spec["how"] == "left":
-            return LeftOuterJoin(plan, right, left_keys, right_keys, right_columns, residual)
-        algorithm = join_spec["algorithm"]
-        if algorithm == "index":
-            if not isinstance(other, str):
-                raise QueryError("index joins need a table-backed inner side")
-            target = tuple(r.split(".")[-1] for _, r in join_spec["on"])
-            from .planner import _inner_join_index
-
-            index_name = _inner_join_index(table, target)
-            if index_name is None:
-                raise QueryError(
-                    f"no index-nested-loop-safe index on {table.name!r} "
-                    f"covering {target!r} (need the primary key or an "
-                    "append-only secondary index)"
-                )
-            return IndexNestedLoopJoin(
-                plan, table, index_name, left_keys, alias or other, residual
-            )
-        if algorithm == "merge":
-            return SortMergeJoin(plan, right, left_keys, right_keys, residual)
-        if algorithm == "nested":
-            predicate_parts: list[Expression] = [
-                Comparison("=", lk, rk) for lk, rk in zip(left_keys, right_keys)
-            ]
-            if residual is not None:
-                predicate_parts.append(residual)
-            return NestedLoopJoin(plan, right, And(predicate_parts))
-        return HashJoin(plan, right, left_keys, right_keys, residual)
+            return LeftOuterJoin(plan, right, left_keys, right_keys, right_columns)
+        if join_spec["algorithm"] == "merge":
+            return SortMergeJoin(plan, right, left_keys, right_keys)
+        return HashJoin(plan, right, left_keys, right_keys)

@@ -45,6 +45,7 @@ Errors: unknown job -> 404, bad spec/illegal transition/mutation SQL ->
 
 from __future__ import annotations
 
+import inspect
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -52,8 +53,36 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.config import JobSpec
+from repro.crawler.engine import CrawlerConfig
+from repro.webgraph.transport import HttpTransport, LatencyTransport
 
 from .jobs import JobManager
+
+
+def _non_numbers(data) -> list:
+    """Where a JSON job spec holds a non-number in place of a numeric default.
+
+    Looks at the spec's own fields, its crawler's, and the options of its
+    latency or http transport; names them as dotted paths.
+    """
+    if not isinstance(data, dict):
+        return []
+    sections = [("", JobSpec, data)]
+    crawler = data.get("crawler")
+    if isinstance(crawler, dict):
+        sections.append(("crawler.", CrawlerConfig, crawler))
+        options = crawler.get("transport_options")
+        transport = {"latency": LatencyTransport, "http": HttpTransport}.get(crawler.get("transport"))
+        if transport is not None and isinstance(options, dict):
+            sections.append(("crawler.transport_options.", transport, options))
+    return [
+        prefix + name
+        for prefix, target, values in sections
+        for name, parameter in inspect.signature(target).parameters.items()
+        if name in values
+        and isinstance(parameter.default, (int, float))
+        and not isinstance(values[name], (int, float))
+    ]
 
 
 class _CrawlRequestHandler(BaseHTTPRequestHandler):
@@ -152,8 +181,16 @@ class _CrawlRequestHandler(BaseHTTPRequestHandler):
         if parts == ["jobs"]:
 
             def submit():
-                spec = JobSpec.from_dict(self._read_json())
-                return {"id": manager.submit(spec)}
+                data = self._read_json()
+                try:
+                    return {"id": manager.submit(JobSpec.from_dict(data))}
+                except TypeError as exc:
+                    # A mistyped field or option fails while the job is
+                    # armed, before it is registered: refuse the spec.
+                    where = ", ".join(_non_numbers(data))
+                    raise ValueError(
+                        f"bad job spec{' at ' + where if where else ''}: {exc}"
+                    ) from exc
 
             self._dispatch(submit)
         elif len(parts) == 3 and parts[0] == "jobs" and parts[2] in (

@@ -28,7 +28,6 @@ from .transport import (
     LatencyTransport,
     PendingFetch,
     SimulatedTransport,
-    TransportUnavailable,
     build_transport,
 )
 from .topics import (
@@ -62,7 +61,6 @@ __all__ = [
     "TRANSPORTS",
     "TermDistribution",
     "TopicNode",
-    "TransportUnavailable",
     "Vocabulary",
     "WebConfig",
     "WebGraph",

@@ -6,9 +6,9 @@ serialises every fetch outcome — plus robots / redirect / error
 observability events when the inner transport reports them — into a
 versioned JSONL cassette keyed by ``(url, attempt)``.  A
 :class:`ReplayTransport` then plays the cassette back **without any
-inner transport at all**: replay needs no network stack (no aiohttp, no
-sockets), so a crawl recorded once against the live web (or a fixture
-server) re-runs bit-identically in CI forever.
+inner transport at all**: replay needs no network stack (no HTTP
+session, no sockets), so a crawl recorded once against the live web (or
+a fixture server) re-runs bit-identically in CI forever.
 
 Why ``(url, attempt)`` and not sequence order: the engine may fetch one
 URL several times (SERVER_ERROR pages are retried in later rounds), and

@@ -29,9 +29,8 @@ Three transports are provided:
 * :class:`HttpTransport` — the real-network fetcher: robots.txt
   honoring with a TTL cache, manual redirect following with hop cap and
   loop detection, content-type/size gating, retry/backoff whose jitter
-  is drawn in ``prepare``, and one shared client session per transport.
-  The session backend is pluggable: ``aiohttp`` when the optional
-  dependency is installed, a stdlib ``urllib`` opener otherwise.
+  is drawn in ``prepare``, and one shared client session per transport:
+  a stdlib ``urllib`` opener, so fetching needs no extra dependency.
 
 The cassette record/replay layer that makes real-network crawls
 CI-deterministic lives in :mod:`repro.webgraph.cassette` and wraps any
@@ -55,10 +54,6 @@ from .urls import host_of, normalize_url
 
 #: Transport names accepted by ``CrawlerConfig.transport``.
 TRANSPORTS = ("simulated", "latency", "http")
-
-
-class TransportUnavailable(RuntimeError):
-    """A transport's optional dependency is missing in this environment."""
 
 
 @dataclass
@@ -264,7 +259,7 @@ class LatencyTransport:
 
 @dataclass
 class HttpResponse:
-    """One raw HTTP exchange as the session backends report it.
+    """One raw HTTP exchange as the session backend reports it.
 
     ``headers`` keys are lower-cased; ``body`` is capped at the byte
     budget the caller passed (one extra byte is read so oversize bodies
@@ -285,24 +280,17 @@ class _StdlibNoRedirect(urllib.request.HTTPRedirectHandler):
 
 
 class StdlibSessionBackend:
-    """A dependency-free HTTP session over ``urllib`` in a thread executor.
+    """The HTTP session of :class:`HttpTransport`: ``urllib`` in a thread executor.
 
     One redirect-disabled ``OpenerDirector`` plays the role of the shared
     client session: it is loop-independent, so a crawl that drains on
     one asyncio loop per ``run()`` call (per round when stepped) still
-    reuses the same opener for its whole lifetime.  Local fixture-server
-    tests and environments without ``aiohttp`` run on this backend.
+    reuses the same opener for its whole lifetime.
     """
 
-    name = "stdlib"
-
     def __init__(self) -> None:
-        import urllib.error
-
         self._opener = urllib.request.build_opener(_StdlibNoRedirect())
-        self.sessions_created = 1
         self.requests = 0
-        self.error_types: tuple = (urllib.error.URLError, TimeoutError, OSError)
 
     async def get(
         self, url: str, headers: Dict[str, str], timeout_s: float, max_bytes: int
@@ -337,80 +325,8 @@ class StdlibSessionBackend:
                 url=url,
             )
 
-    async def close(self) -> None:
+    def close(self) -> None:
         self._opener.close()
-
-
-class AiohttpSessionBackend:
-    """The ``aiohttp`` session backend: one shared ``ClientSession``.
-
-    The session is created lazily on first use and reused for every
-    subsequent request on the same event loop — the PR-10 bugfix for the
-    stub's session-per-fetch.  aiohttp sessions are bound to the loop
-    they were created on, and the engine drains on one event loop per
-    ``run()`` call — per round when it is stepped; when the running
-    loop changes, the stale session is closed (best effort) and one new
-    session is built for the new loop — per *run*, never per fetch.
-    """
-
-    name = "aiohttp"
-
-    def __init__(self, aiohttp_module) -> None:
-        self._aiohttp = aiohttp_module
-        self._session = None
-        self._loop = None
-        self.sessions_created = 0
-        self.requests = 0
-        self.error_types = (aiohttp_module.ClientError, asyncio.TimeoutError, OSError)
-
-    async def _session_for_loop(self):
-        loop = asyncio.get_running_loop()
-        session = self._session
-        if session is not None and not session.closed and self._loop is loop:
-            return session
-        if session is not None and not session.closed:
-            try:
-                await session.close()
-            except Exception:  # pragma: no cover - cross-loop teardown is best effort
-                pass
-        self._session = self._aiohttp.ClientSession()
-        self._loop = loop
-        self.sessions_created += 1
-        return self._session
-
-    async def get(
-        self, url: str, headers: Dict[str, str], timeout_s: float, max_bytes: int
-    ) -> HttpResponse:
-        session = await self._session_for_loop()
-        self.requests += 1
-        timeout = self._aiohttp.ClientTimeout(total=timeout_s)
-        async with session.get(
-            url, headers=headers, timeout=timeout, allow_redirects=False
-        ) as response:
-            # StreamReader.read(n) returns as soon as ANY buffered bytes
-            # exist (up to n), not when n bytes or EOF arrived — loop to
-            # EOF or one byte past the cap (which flags oversize bodies
-            # without buffering the rest), matching the stdlib backend's
-            # blocking-read semantics.
-            chunks = []
-            remaining = max_bytes + 1
-            while remaining > 0:
-                chunk = await response.content.read(remaining)
-                if not chunk:
-                    break
-                chunks.append(bytes(chunk))
-                remaining -= len(chunk)
-            return HttpResponse(
-                status=response.status,
-                headers={k.lower(): v for k, v in response.headers.items()},
-                body=b"".join(chunks),
-                url=str(response.url),
-            )
-
-    async def close(self) -> None:
-        session, self._session = self._session, None
-        if session is not None and not session.closed:
-            await session.close()
 
 
 @dataclass
@@ -430,10 +346,8 @@ class HttpTransport:
 
     What the stub grew into (PR 10):
 
-    * **one shared session** per transport (``backend="aiohttp"`` needs
-      the optional dependency; ``backend="stdlib"`` works everywhere;
-      ``"auto"`` prefers aiohttp when importable), with an explicit
-      :meth:`close`;
+    * **one shared session** per transport (a
+      :class:`StdlibSessionBackend`), with an explicit :meth:`close`;
     * **robots.txt**: fetched once per host through the same session,
       cached with a TTL, and honoured (disallowed URLs come back
       ``SKIPPED``/``robots`` without touching the page) — re-checked at
@@ -466,7 +380,6 @@ class HttpTransport:
         max_retries: int = 1,
         user_agent: str = "repro-focused-crawler/0.2 (+research reproduction)",
         max_links: int = 500,
-        backend: str = "auto",
         max_redirects: int = 5,
         max_content_bytes: int = 2 * 1024 * 1024,
         allowed_content_types: tuple = DEFAULT_CONTENT_TYPES,
@@ -478,8 +391,6 @@ class HttpTransport:
         seed: int = 0,
         clock=None,
     ) -> None:
-        if backend not in ("auto", "aiohttp", "stdlib"):
-            raise ValueError(f"unknown http backend {backend!r}; expected auto/aiohttp/stdlib")
         if max_redirects < 0 or max_retries < 0:
             raise ValueError("max_redirects and max_retries must be >= 0")
         if timeout_s <= 0 or max_content_bytes <= 0:
@@ -497,7 +408,7 @@ class HttpTransport:
         self.retry_jitter = retry_jitter
         self.per_host_delay_s = per_host_delay_s
         self._clock = clock or time.monotonic
-        self._backend = self._build_backend(backend)
+        self._backend = StdlibSessionBackend()
         self.stats = FetchStats()
         self._stats_lock = threading.Lock()
         self._rng = np.random.default_rng(seed)
@@ -512,62 +423,33 @@ class HttpTransport:
         self.events = None
         self.robots_fetches = 0
         self.redirects_followed = 0
-        #: Loop owned by the synchronous fetch() path, so sync callers
-        #: reuse one session too (created lazily, released by close()).
-        #: The lock serialises sync fetches from different threads on the
-        #: one loop; the engine's drain is where fetches overlap.
+        #: Loop owned by the synchronous fetch() path (created lazily,
+        #: released by close()), so serial fetches share one loop and its
+        #: executor threads.  The lock serialises sync fetches from
+        #: different threads on the one loop; the engine's drain is where
+        #: fetches overlap.
         self._own_loop: Optional[asyncio.AbstractEventLoop] = None
         self._own_loop_lock = threading.Lock()
 
-    @staticmethod
-    def _build_backend(backend: str):
-        aiohttp_module = None
-        if backend in ("auto", "aiohttp"):
-            try:
-                import aiohttp as aiohttp_module
-            except ImportError as exc:
-                if backend == "aiohttp":
-                    raise TransportUnavailable(
-                        "HttpTransport(backend='aiohttp') needs the optional aiohttp "
-                        "dependency; install it with `pip install "
-                        "repro-focused-crawler[http]` or use backend='stdlib'"
-                    ) from exc
-        if aiohttp_module is not None:
-            return AiohttpSessionBackend(aiohttp_module)
-        return StdlibSessionBackend()
-
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
-
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Release the shared session/connections (idempotent, sync-only)."""
+        """Release the shared session and the sync path's loop (idempotent)."""
         backend, self._backend = self._backend, None
         loop, self._own_loop = self._own_loop, None
         if backend is not None:
-            runner = loop if loop is not None and not loop.is_closed() else None
-            if runner is not None:
-                runner.run_until_complete(backend.close())
-            else:
-                asyncio.run(backend.close())
+            backend.close()
         if loop is not None and not loop.is_closed():
             loop.close()
 
-    async def aclose(self) -> None:
-        backend, self._backend = self._backend, None
-        if backend is not None:
-            await backend.close()
-
-    def _require_backend(self):
+    def _require_backend(self) -> StdlibSessionBackend:
         if self._backend is None:
             raise RuntimeError("HttpTransport is closed")
         return self._backend
 
     # -- FetchTransport ----------------------------------------------------
     def fetch(self, url: str) -> FetchResult:
-        # One private loop for the sync path: the shared session (aiohttp
-        # binds sessions to a loop) survives across serial fetches.
+        # One private loop for the sync path, reused across serial
+        # fetches, rather than a new loop and executor per fetch.
         pending = self.prepare(url)
         with self._own_loop_lock:
             if self._own_loop is None or self._own_loop.is_closed():
@@ -679,7 +561,7 @@ class HttpTransport:
             pending.attempts = spent + 1
             try:
                 response = await backend.get(url, headers, self.timeout_s, self.max_content_bytes)
-            except backend.error_types as exc:
+            except OSError as exc:  # URLError and socket timeouts included
                 detail = "network"
                 self._emit({"kind": "error", "url": url, "error": type(exc).__name__})
                 response = None
@@ -734,11 +616,10 @@ class HttpTransport:
 
     def _robots_lock(self, base: str) -> asyncio.Lock:
         # asyncio.Lock binds to the loop that first acquires it, and the
-        # engine stepped a round at a time drains on one event loop per
-        # round — a lock cached on round A's loop would raise "bound to a
-        # different event loop" when a robots TTL expiry re-acquires it
-        # on round B's.  Scope the cache to the running loop (the same
-        # trick as the aiohttp backend's _session_for_loop).
+        # engine drains on one event loop per run() call — per round when
+        # it is stepped — so a lock cached on round A's loop would raise
+        # "bound to a different event loop" when a robots TTL expiry
+        # re-acquires it on round B's.  Scope the cache to the running loop.
         loop = asyncio.get_running_loop()
         if self._robots_locks_loop is not loop:
             self._robots_locks = {}
@@ -761,7 +642,7 @@ class HttpTransport:
             response = await backend.get(
                 robots_url, {"User-Agent": self.user_agent}, self.timeout_s, 512 * 1024
             )
-        except backend.error_types:
+        except OSError:
             self._emit({"kind": "robots", "url": robots_url, "status": "error"})
             return None
         self._emit({"kind": "robots", "url": robots_url, "status": response.status})

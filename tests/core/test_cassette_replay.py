@@ -8,8 +8,8 @@ CRAWL/LINK table contents — across the serial and batched engines,
 whichever fetch path recorded it (a replayed fetch is settled at once,
 so replay always runs inline), through a kill/resume mid-replay, and
 with no network stack at
-all (the fixture server is long gone when the replays run; aiohttp is
-never required).  A committed cassette in ``tests/data/cassettes/``
+all (the fixture server is long gone when the replays run, and no HTTP
+session is ever built).  A committed cassette in ``tests/data/cassettes/``
 pins the whole loop in CI without a single live fetch.
 """
 
@@ -193,8 +193,8 @@ class TestReplayNeedsNoNetwork:
         self, cassette_system, recording, monkeypatch
     ):
         """Replay runs from the file alone: the fixture server is gone,
-        and the transport registry (the only road to aiohttp or a
-        socket) is never consulted."""
+        and the transport registry (the only road to an HTTP session or
+        a socket) is never consulted."""
         import repro.webgraph.transport as transport_module
 
         def refuse(*args, **kwargs):

@@ -223,6 +223,13 @@ class TestQueryBuilder:
         )
         assert len(rows) == 19
 
+    def test_index_and_nested_join_algorithms_are_refused(self, db):
+        # Index-nested-loop joins are the SQL planner's; nested loops are
+        # the property tests' oracle, not a builder choice.
+        for algorithm in ("index", "nested"):
+            with pytest.raises(QueryError, match="'hash' or 'merge'"):
+                db.query("LINK").join("CRAWL", on=[("oid_dst", "oid")], algorithm=algorithm)
+
     def test_scalar_and_errors(self, db):
         assert db.query("CRAWL").aggregate("count", None, "n").scalar() == 20
         with pytest.raises(QueryError):

@@ -315,6 +315,43 @@ class TestDeletedFields:
         assert call(f"{base}/jobs") == []
 
 
+#: Crawler sections that fail with a TypeError while the job is armed,
+#: each with the name the refusal must carry.
+MISTYPED_CRAWLERS = [
+    ({"transport": "latency", "transport_options": {"bogus": 1}}, "bogus"),
+    (
+        {"transport": "latency", "transport_options": {"mean_latency_ms": "fast"}},
+        "crawler.transport_options.mean_latency_ms",
+    ),
+    ({"batch_size": "x"}, "crawler.batch_size"),
+    # The session backend option was removed with the aiohttp backend.
+    (
+        {"transport": "http", "transport_options": {"backend": "aiohttp"}},
+        "unexpected keyword argument 'backend'",
+    ),
+]
+
+
+class TestMistypedSpecs:
+    """A spec that is well-formed JSON but mistyped is a 400 naming the culprit."""
+
+    @pytest.mark.parametrize(
+        "crawler,named",
+        MISTYPED_CRAWLERS,
+        ids=["unknown-option", "mistyped-option", "mistyped-field", "removed-backend-option"],
+    )
+    def test_mistyped_spec_is_400_and_the_service_keeps_serving(self, service, crawler, named):
+        spec = JobSpec(max_pages=30).to_dict()
+        spec["crawler"] = crawler
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call(f"{service.url}/jobs", spec)
+        with excinfo.value as reply:
+            assert reply.code == 400
+            assert named in json.load(reply)["error"]
+        assert call(f"{service.url}/jobs") == []
+        assert call(f"{service.url}/health")["status"] == "ok"
+
+
 class RecordingConnection:
     """A socket stand-in for one canned request: records every write that reaches it."""
 

@@ -12,6 +12,8 @@ every hardening path of :class:`repro.webgraph.transport.HttpTransport`:
   subtree (``/redirect/private → /private/secret.html``);
 * content gates: ``/binary.png`` (image/png) and ``/big.html``
   (oversized body);
+* ``/chunked.html``: a ``Transfer-Encoding: chunked`` body of 200
+  tokens written in several small chunks (not linked from the index);
 * failure shapes: ``/missing.html`` (404), ``/gone.html`` (410),
   ``/teapot.html`` (418), ``/error.html`` (always 500), and
   ``/flaky.html`` (500 on its first request, 200 after — the
@@ -56,6 +58,10 @@ ROBOTS_TXT = """User-agent: *
 Allow: /private/allowed.html
 Disallow: /private/
 """
+
+
+#: The token body of ``/chunked.html``.
+CHUNKED_TOKENS = [f"tok{i}" for i in range(200)]
 
 
 def page_tokens(index: int) -> list:
@@ -112,6 +118,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_chunked(self, body: bytes, chunk: int) -> None:
+        self.send_response(200)
+        self.send_header("Content-Type", "text/html")
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        for start in range(0, len(body), chunk):
+            piece = body[start : start + chunk]
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(piece), piece))
+            self.wfile.flush()
+        self.wfile.write(b"0\r\n\r\n")
+
     def do_GET(self) -> None:  # noqa: C901 - a route table
         path = self.path.split("?", 1)[0]
         self.server.count(path)
@@ -119,6 +136,8 @@ class _Handler(BaseHTTPRequestHandler):
             return self._send(200, ROBOTS_TXT.encode(), "text/plain")
         if path == "/index.html" or path == "/":
             return self._send(200, _html("fixture index", ["cycling", "directory", "fixture"], INDEX_LINKS))
+        if path == "/chunked.html":
+            return self._send_chunked(_html("chunked", CHUNKED_TOKENS, []), chunk=97)
         if path.startswith("/c") and path.endswith(".html"):
             try:
                 index = int(path[2:-5])

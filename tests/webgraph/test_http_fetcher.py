@@ -1,10 +1,8 @@
 """HttpTransport hardening tests against the local fixture site.
 
 Every test talks to a real ``ThreadingHTTPServer`` on 127.0.0.1 through
-the production fetcher — no mocks of our own code, zero external
-network.  The aiohttp backend runs the same suite when the optional
-dependency is installed (the CI ``http`` job); the stdlib backend runs
-everywhere.
+the production fetcher and its stdlib urllib session — no mocks of our
+own code, zero external network.
 """
 
 import asyncio
@@ -13,22 +11,7 @@ import pytest
 
 from repro.webgraph.fetch import FetchStatus
 from repro.webgraph.transport import HttpTransport
-from tests.webgraph.fixture_site import FixtureSite
-
-try:
-    import aiohttp  # noqa: F401
-
-    HAVE_AIOHTTP = True
-except ImportError:
-    HAVE_AIOHTTP = False
-
-BACKENDS = [
-    "stdlib",
-    pytest.param(
-        "aiohttp",
-        marks=pytest.mark.skipif(not HAVE_AIOHTTP, reason="aiohttp not installed"),
-    ),
-]
+from tests.webgraph.fixture_site import CHUNKED_TOKENS, FixtureSite
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +37,8 @@ def transport():
 
 
 class TestRobots:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_disallow_and_allow_precedence(self, site, backend):
-        transport = make_transport(backend=backend)
+    def test_disallow_and_allow_precedence(self, site):
+        transport = make_transport()
         try:
             secret = transport.fetch(site.url("/private/secret.html"))
             assert secret.status is FetchStatus.SKIPPED
@@ -161,9 +143,8 @@ class TestRobots:
 
 
 class TestRedirects:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chain_followed_to_target(self, site, backend):
-        transport = make_transport(backend=backend)
+    def test_chain_followed_to_target(self, site):
+        transport = make_transport()
         try:
             result = transport.fetch(site.url("/redirect/hop1"))
             assert result.status is FetchStatus.OK
@@ -199,9 +180,8 @@ class TestRedirects:
 
 
 class TestContentGates:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_content_type_gate(self, site, backend):
-        transport = make_transport(backend=backend)
+    def test_content_type_gate(self, site):
+        transport = make_transport()
         try:
             result = transport.fetch(site.url("/binary.png"))
             assert result.status is FetchStatus.SKIPPED
@@ -365,5 +345,56 @@ class TestAsyncPipelineShape:
                 FetchStatus.NOT_FOUND,
             ]
             assert results[0].server.startswith("127.0.0.1")
+        finally:
+            transport.close()
+
+
+class TestSharedSession:
+    """One opener for the transport's lifetime, not one per fetch."""
+
+    def test_session_reused_across_fetches(self, site, monkeypatch):
+        import urllib.request
+
+        built = []
+        real_build = urllib.request.build_opener
+        monkeypatch.setattr(
+            urllib.request,
+            "build_opener",
+            lambda *handlers: built.append(handlers) or real_build(*handlers),
+        )
+        transport = make_transport(honor_robots=False)
+        try:
+            for i in range(5):
+                result = transport.fetch(site.url(f"/c{i}.html"))
+                assert result.status is FetchStatus.OK
+                assert f"page{i}" in result.tokens
+            assert len(built) == 1
+            assert transport._backend.requests == 5
+        finally:
+            transport.close()
+
+    def test_close_closes_the_session(self, site):
+        transport = make_transport(honor_robots=False)
+        assert transport.fetch(site.url("/c0.html")).status is FetchStatus.OK
+        transport.close()
+        transport.close()  # idempotent
+        with pytest.raises(RuntimeError):
+            transport.fetch(site.url("/c1.html"))
+
+
+class TestChunkedBodyRead:
+    """A body delivered over several chunks is read whole, up to the cap."""
+
+    def test_multi_chunk_body_fully_read(self, site, transport):
+        result = transport.fetch(site.url("/chunked.html"))
+        assert result.status is FetchStatus.OK
+        assert [token for token in result.tokens if token.startswith("tok")] == CHUNKED_TOKENS
+
+    def test_too_large_gate_fires_on_chunked_body(self, site):
+        transport = make_transport(max_content_bytes=64)
+        try:
+            result = transport.fetch(site.url("/chunked.html"))
+            assert result.status is FetchStatus.SKIPPED
+            assert result.detail == "too-large"
         finally:
             transport.close()

@@ -18,7 +18,6 @@ from repro.webgraph.transport import (
     HttpTransport,
     LatencyTransport,
     SimulatedTransport,
-    TransportUnavailable,
     build_transport,
 )
 
@@ -204,7 +203,7 @@ class TestLatencyTransport:
         assert fresh_transport(small_web).prepare(url).settled
         assert fresh_transport(small_web, time_scale=0.0).prepare(url).settled
         assert not fresh_transport(small_web, mean_latency_ms=1.0).prepare(url).settled
-        assert not HttpTransport(backend="stdlib").prepare("http://example.org/").settled
+        assert not HttpTransport().prepare("http://example.org/").settled
 
     def test_rejects_bad_parameters(self, small_web):
         with pytest.raises(ValueError):
@@ -260,23 +259,11 @@ class TestBuildTransport:
         with pytest.raises(ValueError):
             build_transport("carrier-pigeon", Fetcher(small_web))
 
-    def test_http_transport_aiohttp_backend_is_import_guarded(self):
-        try:
-            import aiohttp  # noqa: F401
-        except ImportError:
-            with pytest.raises(TransportUnavailable):
-                HttpTransport(backend="aiohttp")
-        else:  # pragma: no cover - depends on the environment
-            transport = HttpTransport(backend="aiohttp")
-            assert transport.backend_name == "aiohttp"
-            transport.close()
-
     def test_http_transport_default_backend_always_constructs(self):
-        # "auto" falls back to the stdlib urllib backend, so real-web
-        # fetching (and cassette recording) works without aiohttp.
+        # The stdlib urllib session needs no optional dependency, so
+        # real-web fetching (and cassette recording) works everywhere.
         transport = HttpTransport()
         try:
-            assert transport.backend_name in ("aiohttp", "stdlib")
             pending = transport.prepare("http://example.org/")
             assert pending.result is None
             assert len(pending.backoffs) == transport.max_retries
@@ -284,8 +271,10 @@ class TestBuildTransport:
             transport.close()
 
     def test_http_transport_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            HttpTransport(backend="smoke-signals")
+        # The session backend option went with the aiohttp backend.
+        for backend in ("aiohttp", "stdlib", "auto"):
+            with pytest.raises(TypeError, match="backend"):
+                HttpTransport(backend=backend)
 
 
 class TestHtmlParsing:
@@ -428,142 +417,3 @@ class TestParseHtmlFuzz:
         assert first == second
 
 
-class _FakeContent:
-    """A consuming stream with aiohttp's StreamReader semantics: read(n)
-    returns as soon as any bytes are available (at most ``chunk`` per
-    call when set, modelling a body delivered over several network
-    chunks), and b"" only at EOF."""
-
-    def __init__(self, body, chunk=None):
-        self._body = body
-        self._pos = 0
-        self._chunk = chunk
-
-    async def read(self, n=-1):
-        limit = len(self._body) - self._pos if n < 0 else n
-        if self._chunk is not None:
-            limit = min(limit, self._chunk)
-        piece = self._body[self._pos : self._pos + limit]
-        self._pos += len(piece)
-        return piece
-
-
-class _FakeAiohttpResponse:
-    def __init__(self, url, body, chunk):
-        self.status = 200
-        self.headers = {"Content-Type": "text/html; charset=utf-8"}
-        self.url = url
-        self.content = _FakeContent(body, chunk)
-
-    async def __aenter__(self):
-        return self
-
-    async def __aexit__(self, *exc):
-        return False
-
-
-class _FakeClientSession:
-    created = 0
-    response_body = b"<html><body>alpha beta</body></html>"
-    response_chunk = None
-
-    def __init__(self, *args, **kwargs):
-        type(self).created += 1
-        self.closed = False
-        self.get_calls = 0
-
-    def get(self, url, **kwargs):
-        assert kwargs.get("allow_redirects") is False
-        self.get_calls += 1
-        return _FakeAiohttpResponse(
-            url, type(self).response_body, type(self).response_chunk
-        )
-
-    async def close(self):
-        self.closed = True
-
-
-def _fake_aiohttp_module():
-    import types
-
-    module = types.ModuleType("aiohttp")
-    module.ClientSession = _FakeClientSession
-    module.ClientTimeout = lambda total=None: total
-    module.ClientError = type("ClientError", (Exception,), {})
-    return module
-
-
-class TestSharedSession:
-    """PR-10 bugfix pin: one ClientSession for the transport's lifetime,
-    not one per fetch (verified against a fake aiohttp)."""
-
-    def test_session_reused_across_fetches(self, monkeypatch):
-        import sys
-
-        _FakeClientSession.created = 0
-        monkeypatch.setitem(sys.modules, "aiohttp", _fake_aiohttp_module())
-        transport = HttpTransport(backend="aiohttp", honor_robots=False)
-        try:
-            assert transport.backend_name == "aiohttp"
-            for i in range(5):
-                result = transport.fetch(f"http://fake.example/page{i}.html")
-                assert result.status is FetchStatus.OK
-                assert result.tokens == ["alpha", "beta"]
-            assert _FakeClientSession.created == 1
-            assert transport._backend.requests == 5
-        finally:
-            transport.close()
-
-    def test_close_closes_the_session(self, monkeypatch):
-        import sys
-
-        _FakeClientSession.created = 0
-        monkeypatch.setitem(sys.modules, "aiohttp", _fake_aiohttp_module())
-        transport = HttpTransport(backend="aiohttp", honor_robots=False)
-        backend = transport._backend
-        transport.fetch("http://fake.example/")
-        session = backend._session
-        assert session is not None and not session.closed
-        transport.close()
-        assert session.closed
-        with pytest.raises(RuntimeError):
-            transport.fetch("http://fake.example/again")
-
-
-class TestChunkedBodyRead:
-    """Regression pin: aiohttp's StreamReader.read(n) returns per-chunk,
-    so the backend must loop to EOF — a single read silently truncated
-    any multi-chunk body and disarmed the too-large gate."""
-
-    def _transport(self, monkeypatch, body, chunk, **kwargs):
-        import sys
-
-        _FakeClientSession.created = 0
-        monkeypatch.setattr(_FakeClientSession, "response_body", body)
-        monkeypatch.setattr(_FakeClientSession, "response_chunk", chunk)
-        monkeypatch.setitem(sys.modules, "aiohttp", _fake_aiohttp_module())
-        return HttpTransport(backend="aiohttp", honor_robots=False, **kwargs)
-
-    def test_multi_chunk_body_fully_read(self, monkeypatch):
-        words = " ".join(f"tok{i}" for i in range(200))
-        body = f"<html><body>{words}</body></html>".encode()
-        transport = self._transport(monkeypatch, body, chunk=7)
-        try:
-            result = transport.fetch("http://fake.example/chunked.html")
-            assert result.status is FetchStatus.OK
-            assert len(result.tokens) == 200
-            assert "tok199" in result.tokens  # the tail of the body survived
-        finally:
-            transport.close()
-
-    def test_too_large_gate_fires_on_chunked_body(self, monkeypatch):
-        body = b"<html><body>" + b"x" * 500 + b"</body></html>"
-        transport = self._transport(
-            monkeypatch, body, chunk=7, max_content_bytes=64
-        )
-        try:
-            result = transport.fetch("http://fake.example/big.html")
-            assert result.status is FetchStatus.SKIPPED
-            assert result.detail == "too-large"
-        finally:
-            transport.close()
