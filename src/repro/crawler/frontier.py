@@ -300,9 +300,6 @@ class Frontier:
         """
         return self._entries.get(normalized_url)
 
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
     # -- adding and updating ----------------------------------------------------------------
     def add_url(self, url: str, relevance: float = 0.0) -> FrontierEntry:
         """Register a URL; raises its priority if it is already known and unvisited.

@@ -118,10 +118,6 @@ class VariantMeasurement:
     total_io_cost: float
     relevance_by_did: Dict[int, float] = field(repr=False, default_factory=dict)
 
-    @property
-    def cost_per_document(self) -> float:
-        return self.total_io_cost / max(self.documents, 1)
-
 
 def measure_classifier_variant(fixture: ClassifierFixture, variant: str) -> VariantMeasurement:
     """Measure one classification variant over the fixture's batch.

@@ -77,11 +77,13 @@ def run_experiments(
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    # No ``choices=``: some Python releases (3.11.7 among them) check an
+    # empty ``nargs="*"`` positional against them and refuse to run with
+    # no arguments at all.
     parser.add_argument(
         "experiments",
         nargs="*",
-        default=list(ALL_EXPERIMENTS),
-        choices=list(ALL_EXPERIMENTS),
+        metavar="{" + ",".join(ALL_EXPERIMENTS) + "}",
         help="which experiments to run (default: all)",
     )
     parser.add_argument("--seed", type=int, default=7, help="workload random seed")
@@ -92,6 +94,9 @@ def main(argv: List[str] | None = None) -> int:
         help="scale factor for the synthetic web (smaller = faster, less faithful)",
     )
     args = parser.parse_args(argv)
+    unknown = [name for name in args.experiments if name not in ALL_EXPERIMENTS]
+    if unknown:
+        parser.error(f"unknown experiment {unknown[0]!r} (choose from {', '.join(ALL_EXPERIMENTS)})")
     for line in run_experiments(args.experiments or ALL_EXPERIMENTS, args.seed, args.scale):
         print(line)
     return 0

@@ -7,8 +7,8 @@ resource discovery."  minidb is a small page-based relational engine that
 plays DB2's role here: tables on slotted pages behind an LRU buffer pool
 with full I/O accounting, hash and ordered secondary indexes, a library
 of relational operators (including sort-merge and left outer joins), a
-fluent query builder, a compact SQL dialect for ad-hoc monitoring
-queries, and statement triggers.
+fluent query builder, and a compact SQL dialect for ad-hoc monitoring
+queries.
 
 Typical use::
 
@@ -56,7 +56,6 @@ from .planner import ExplainResult, Plan
 from .query import Query
 from .sql import execute_sql, parse_sql
 from .table import Table
-from .triggers import Trigger
 from .types import BLOB, FLOAT, INTEGER, TEXT, Column, ColumnType, Schema, make_schema
 
 __all__ = [
@@ -96,7 +95,6 @@ __all__ = [
     "StorageError",
     "TEXT",
     "Table",
-    "Trigger",
     "WriteAheadLog",
     "and_",
     "col",

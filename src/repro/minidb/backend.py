@@ -438,10 +438,6 @@ class DurableBackend(StorageBackend):
     def segment_epoch(self) -> int:
         return self._segment_epoch
 
-    @property
-    def epoch(self) -> int:
-        return self._snapshot_epoch
-
     def log(self, record: tuple) -> None:
         self.wal.append(record)
 

@@ -118,19 +118,16 @@ class IOStats:
         )
 
 
-@dataclass
-class _Frame:
-    page: Page
-    pinned: int = 0
-
-
 class BufferPool:
     """A fixed-capacity, LRU-replacement page cache over a storage backend.
 
     Evicted pages are handed to a pluggable
     :class:`~repro.minidb.backend.StorageBackend` — an in-memory dict by
     default (what matters for the experiments is the *counting* of page
-    transfers, not persistence), or a durable segment file.
+    transfers, not persistence), or a durable segment file.  There is no
+    pinning: the victim is always the least recently used page, and a
+    caller that holds a page object across another pool access must
+    fetch it again before writing to it (see ``Table.update_rows``).
     """
 
     def __init__(
@@ -148,7 +145,8 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         self.stats = stats if stats is not None else IOStats()
         self.backend = backend
-        self._frames: OrderedDict[PageId, _Frame] = OrderedDict()
+        #: Resident pages, least recently used first.
+        self._frames: OrderedDict[PageId, Page] = OrderedDict()
         self._last_miss: Optional[PageId] = None
 
     # -- page lifecycle --------------------------------------------------
@@ -163,10 +161,10 @@ class BufferPool:
     def get_page(self, page_id: PageId) -> Page:
         """Fetch a page, counting a logical read and possibly a physical read."""
         self.stats.logical_reads += 1
-        frame = self._frames.get(page_id)
-        if frame is not None:
+        page = self._frames.get(page_id)
+        if page is not None:
             self._frames.move_to_end(page_id)
-            return frame.page
+            return page
         page = self.backend.load_page(page_id)
         self.stats.physical_reads += 1
         if (
@@ -180,22 +178,10 @@ class BufferPool:
         return page
 
     def mark_dirty(self, page_id: PageId) -> None:
-        frame = self._frames.get(page_id)
-        if frame is None:
+        page = self._frames.get(page_id)
+        if page is None:
             raise BufferPoolError(f"{page_id} is not resident, cannot mark dirty")
-        frame.page.dirty = True
-
-    def pin(self, page_id: PageId) -> None:
-        frame = self._frames.get(page_id)
-        if frame is None:
-            raise BufferPoolError(f"{page_id} is not resident, cannot pin")
-        frame.pinned += 1
-
-    def unpin(self, page_id: PageId) -> None:
-        frame = self._frames.get(page_id)
-        if frame is None or frame.pinned == 0:
-            raise BufferPoolError(f"{page_id} is not pinned")
-        frame.pinned -= 1
+        page.dirty = True
 
     def drop_page(self, page_id: PageId) -> None:
         """Remove a page entirely (table drop); no write-back is charged."""
@@ -204,11 +190,11 @@ class BufferPool:
 
     def flush_all(self) -> None:
         """Write back every dirty resident page without evicting it."""
-        for frame in self._frames.values():
-            if frame.page.dirty:
+        for page in self._frames.values():
+            if page.dirty:
                 self.stats.physical_writes += 1
-                self.backend.write_back(frame.page)
-                frame.page.dirty = False
+                self.backend.write_back(page)
+                page.dirty = False
 
     def resize(self, capacity_pages: int) -> None:
         """Change the pool size, evicting LRU pages if shrinking."""
@@ -251,21 +237,14 @@ class BufferPool:
     def _admit(self, page_id: PageId, page: Page) -> None:
         while len(self._frames) >= self.capacity_pages:
             self._evict_one()
-        self._frames[page_id] = _Frame(page=page)
-        self._frames.move_to_end(page_id)
+        self._frames[page_id] = page
 
     def _evict_one(self) -> None:
-        for page_id, frame in self._frames.items():
-            if frame.pinned == 0:
-                victim_id, victim = page_id, frame
-                break
-        else:
-            raise BufferPoolError("all frames are pinned; cannot evict")
-        del self._frames[victim_id]
-        if victim.page.dirty:
+        _page_id, victim = self._frames.popitem(last=False)
+        if victim.dirty:
             self.stats.physical_writes += 1
         # The backend inspects the dirty flag to decide whether a fresh
         # image must be written, so clear it only after the hand-off.
-        self.backend.store_page(victim.page)
-        victim.page.dirty = False
+        self.backend.store_page(victim)
+        victim.dirty = False
         self.stats.evictions += 1

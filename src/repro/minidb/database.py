@@ -1,4 +1,4 @@
-"""The Database: a catalog of tables sharing one buffer pool, plus triggers and SQL.
+"""The Database: a catalog of tables sharing one buffer pool, plus SQL.
 
 This is the top-level object the Focus system talks to — the stand-in
 for the paper's DB2 Universal Database instance.  It owns:
@@ -9,7 +9,6 @@ for the paper's DB2 Universal Database instance.  It owns:
   pool — in-memory by default, or a durable segment-file/WAL store
   opened with :meth:`Database.open`,
 * the table catalog (create/drop/lookup),
-* the trigger registry,
 * entry points for the fluent :class:`~repro.minidb.query.Query` builder
   and the SQL text interface.
 
@@ -18,8 +17,13 @@ log; :meth:`checkpoint` flushes all dirty pages and publishes an atomic
 snapshot, and :meth:`open` on an existing directory restores the last
 snapshot and replays the log over it — reproducing record ids exactly,
 because the log is logical and replayed against the identical heap
-state it was produced from.  Triggers are runtime objects and are *not*
-persisted; re-register them after reopening.
+state it was produced from.
+
+The paper (§3.1) re-runs relevance and centrality "when the
+neighborhood of a page changed significantly owing to continued
+crawling" through database triggers.  The crawl engine here calls the
+distiller itself every ``distill_every`` fetches, so minidb keeps no
+trigger registry.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from itertools import repeat
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .backend import DurableBackend, MemoryBackend, StorageBackend
 from .buffer_pool import BufferPool, IOStats
@@ -36,7 +40,6 @@ from .pages import DEFAULT_PAGE_SIZE, check_layout, rid_of
 from .query import Query
 from .storage_config import StorageConfig
 from .table import Table
-from .triggers import Trigger, TriggerAction, TriggerRegistry
 from .types import Schema, schema_from_spec, schema_to_spec
 from .wal import dump_record, load_record
 
@@ -93,7 +96,6 @@ class Database:
         self.backend = backend if backend is not None else MemoryBackend()
         self.buffer_pool = BufferPool(buffer_pool_pages, self.stats, self.backend)
         self.page_size = page_size
-        self.triggers = TriggerRegistry()
         self._tables: dict[str, Table] = {}
         self._next_file_id = 0
         check_layout(self._next_file_id, page_size)
@@ -145,8 +147,6 @@ class Database:
             raise CatalogError(f"table {name!r} already exists")
         table = Table(name, schema, self._next_file_id, self.buffer_pool, self.page_size)
         self._next_file_id += 1
-        if self.triggers.for_table(name):  # left by a dropped table of this name
-            table.add_mutation_listener(self._on_mutation)
         if self.backend.persistent:
             table.set_journal(self._log_table_op)
         self._tables[name] = table
@@ -174,35 +174,6 @@ class Database:
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
-
-    # -- triggers -------------------------------------------------------------
-    def create_trigger(
-        self,
-        name: str,
-        table_name: str,
-        action: TriggerAction,
-        events: Sequence[str] = ("insert", "update", "delete"),
-        every_n_rows: int = 1,
-    ) -> Trigger:
-        table = self.table(table_name)  # validate the table exists
-        # A table listens for its own mutations from its first trigger on:
-        # one without triggers builds no row lists for nobody to read.
-        if self._on_mutation not in table.mutation_listeners:
-            table.add_mutation_listener(self._on_mutation)
-        trigger = Trigger(
-            name=name,
-            table_name=table_name,
-            action=action,
-            events=tuple(events),
-            every_n_rows=every_n_rows,
-        )
-        return self.triggers.register(trigger)
-
-    def drop_trigger(self, name: str) -> None:
-        self.triggers.drop(name)
-
-    def _on_mutation(self, event: str, table: Table, rows: list) -> None:
-        self.triggers.notify(event, table.name, rows)
 
     # -- querying -----------------------------------------------------------------
     def query(self, source: str | Iterable[Mapping[str, Any]], alias: Optional[str] = None) -> Query:

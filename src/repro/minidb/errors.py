@@ -14,7 +14,7 @@ class MiniDBError(Exception):
 
 
 class CatalogError(MiniDBError):
-    """A table, index, or trigger name could not be resolved or already exists."""
+    """A table or index name could not be resolved or already exists."""
 
 
 class SchemaError(MiniDBError):
@@ -38,4 +38,4 @@ class StorageError(MiniDBError):
 
 
 class BufferPoolError(StorageError):
-    """The buffer pool was asked to do something impossible (e.g. evict a pinned page)."""
+    """The buffer pool was asked to do something impossible (e.g. load a missing page)."""

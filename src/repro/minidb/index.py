@@ -294,12 +294,6 @@ class OrderedIndex(Index):
     def ordered_keys(self) -> list[tuple]:
         return list(self._keys)
 
-    def min_key(self) -> Optional[tuple]:
-        return self._keys[0] if self._keys else None
-
-    def max_key(self) -> Optional[tuple]:
-        return self._keys[-1] if self._keys else None
-
     @property
     def key_count(self) -> int:
         return len(self._keys)

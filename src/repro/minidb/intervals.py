@@ -62,9 +62,6 @@ class _Node:
         self.children: list[Any] = []
         self.synthetic = synthetic  # first seen as a parent only
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_Node({self.id!r}, parent={self.parent!r}, window=({self.pre}, {self.post}))"
-
 
 class IntervalIndex(HashIndex):
     """Pre/post-order window index over an edge table.

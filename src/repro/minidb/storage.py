@@ -94,7 +94,7 @@ class HeapFile:
         *sizes* each row's byte size, already validated and checked by
         the caller.  Rows land where repeated :meth:`insert` would put
         them — placement is arithmetic on *sizes* — but each page is
-        pinned once and takes its rows as one slice per column, so a
+        fetched once and takes its rows as one slice per column, so a
         bulk load of N rows touches O(pages) frames rather than O(N).
         Between page switches no other pool activity happens, so holding
         the page object is safe.

@@ -3,8 +3,8 @@
 A :class:`Table` is the unit the rest of the system works with.  Its
 mutation API accepts either positional rows or column-name mappings;
 all mutations keep every secondary index and the (optional) primary-key
-index consistent, and fire any statement triggers registered on the
-owning database.
+index consistent, and a durable database's write-ahead journal sees
+each of them.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ class Table:
             self._pk_index = HashIndex(
                 f"{name}_pk", schema, list(schema.primary_key)
             )
-        #: Hooks invoked after a mutation: callables taking (event, table, rows).
-        #: The bulk update paths build the rows only when there is one.
-        self.mutation_listeners: list[Callable[[str, "Table", list[Row]], None]] = []
         #: Write-ahead journal sink (set by a durable Database); None keeps
         #: the in-memory fast path at a single attribute check per mutation.
         self._journal: Optional[Callable[[tuple], None]] = None
@@ -60,11 +57,6 @@ class Table:
 
     def __len__(self) -> int:
         return self.row_count
-
-    def add_mutation_listener(
-        self, listener: Callable[[str, "Table", list[Row]], None]
-    ) -> None:
-        self.mutation_listeners.append(listener)
 
     def set_journal(self, journal: Optional[Callable[[tuple], None]]) -> None:
         """Attach the owning database's write-ahead journal sink."""
@@ -132,16 +124,6 @@ class Table:
         for index, index_keys in zip(indexes, keys):
             index.insert_many(index_keys, rids)
 
-    def index_on(self, columns: Sequence[str]) -> Optional[Index]:
-        """Return an index whose key is exactly *columns* (order-sensitive), if any."""
-        target = tuple(columns)
-        if self._pk_index is not None and self._pk_index.key_columns == target:
-            return self._pk_index
-        for index in self.indexes.values():
-            if index.key_columns == target:
-                return index
-        return None
-
     # -- mutation -----------------------------------------------------------------
     def insert(self, values: Sequence[Any] | Mapping[str, Any]) -> int:
         """Insert one row (positional or mapping form); returns its record id."""
@@ -150,7 +132,6 @@ class Table:
         rid = self.heap.insert(row)
         self._index_insert(row, rid)
         self._log(("insert", self.name, [row]))
-        self._notify("insert", [row])
         return rid
 
     def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[int]:
@@ -202,10 +183,8 @@ class Table:
             pk_index.insert_many(keys, rids)
         for index in self.indexes.values():
             index.insert_many(index.keys_of(columns), rids)
-        if self._journal is not None or self.mutation_listeners:
-            stored = list(zip(*columns))
-            self._log(("insert", self.name, stored))
-            self._notify("insert", stored)
+        if self._journal is not None:
+            self._log(("insert", self.name, list(zip(*columns))))
         return rids
 
     def update_row(self, rid: int, changes: Mapping[str, Any]) -> Row:
@@ -220,7 +199,6 @@ class Table:
         self.heap.update(rid, new)
         self._index_insert(new, rid)
         self._log(("update", self.name, [(self.heap.locate(rid), dict(changes))]))
-        self._notify("update", [new])
         return new
 
     def update_column(
@@ -257,16 +235,14 @@ class Table:
         if self._journal is not None:
             page_nos, slots = map(list, zip(*map(self.heap.locate, rids)))
             self._log(("update_column", self.name, column, page_nos, slots, values))
-        if self.mutation_listeners:
-            self._notify("update", [self.heap.read(rid) for rid in rids])
         return len(rids)
 
     def update_rows(self, updates: Sequence[tuple[int, Mapping[str, Any]]]) -> int:
         """Apply many per-row change sets in one batch; returns the row count.
 
         Every value is validated and every record id resolved before
-        anything is written: a bad value or id anywhere leaves table,
-        journal and listeners untouched.  The new values are then
+        anything is written: a bad value or id anywhere leaves table
+        and journal untouched.  The new values are then
         assigned into the pages' column chunks in place; no row tuple is
         built.  For a change set that names an indexed column, the key
         columns of that index are read, and the row moves in it only if
@@ -329,26 +305,12 @@ class Table:
         if self._journal is not None:
             places = [(heap.locate(rid), dict(changes)) for rid, changes in updates]
             self._log(("update", self.name, places))
-        if self.mutation_listeners:
-            self._notify("update", [heap.read(rid) for rid, _changes in updates])
         return len(updates)
-
-    def update_where(
-        self, predicate: Optional[Expression], changes: Mapping[str, Any]
-    ) -> int:
-        """Update every row matching *predicate* (all rows when None); returns match count."""
-        touched = 0
-        for rid, row in list(self.heap.scan()):
-            if predicate is None or predicate.evaluate(self.schema.row_to_mapping(row)):
-                self.update_row(rid, changes)
-                touched += 1
-        return touched
 
     def delete_row(self, rid: int) -> Row:
         row = self.heap.delete(rid)
         self._index_delete(row, rid)
         self._log(("delete", self.name, [self.heap.locate(rid)]))
-        self._notify("delete", [row])
         return row
 
     def delete_where(self, predicate: Optional[Expression]) -> int:
@@ -361,7 +323,6 @@ class Table:
                 deleted.append(rid)
         if deleted:
             self._log(("delete", self.name, list(map(self.heap.locate, deleted))))
-            self._notify("delete", [])
         return len(deleted)
 
     def truncate(self) -> None:
@@ -371,7 +332,6 @@ class Table:
         for index in self.indexes.values():
             index.clear()
         self._log(("truncate", self.name))
-        self._notify("delete", [])
 
     # -- reads ------------------------------------------------------------------------
     def scan(self) -> Iterator[tuple[int, Row]]:
@@ -448,7 +408,3 @@ class Table:
             self._pk_index.delete(row, rid)
         for index in self.indexes.values():
             index.delete(row, rid)
-
-    def _notify(self, event: str, rows: list[Row]) -> None:
-        for listener in self.mutation_listeners:
-            listener(event, self, rows)

@@ -150,9 +150,6 @@ class Schema:
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    def __len__(self) -> int:
-        return len(self.columns)
-
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
@@ -162,9 +159,6 @@ class Schema:
             return self._index[name]
         except KeyError:
             raise SchemaError(f"unknown column {name!r}; have {self.column_names}") from None
-
-    def column(self, name: str) -> Column:
-        return self.columns[self.position(name)]
 
     # -- row helpers ----------------------------------------------------
     def validate_row(self, values: Sequence[Any]) -> Row:

@@ -51,8 +51,8 @@ class FileOps:
     Every *mutating* file operation — opening for write, writing,
     truncating, fsyncing, renaming, removing — goes through one of these
     objects so tests can substitute a fault-injecting implementation
-    (:class:`repro.minidb.testing.FaultInjector`) that crashes the
-    process model at an arbitrary I/O point.  Reads are not routed: a
+    (``FaultInjector`` in ``tests/minidb/fault_injection.py``) that
+    crashes the process model at an arbitrary I/O point.  Reads are not routed: a
     crash during a read leaves no durability hazard.
 
     Files are opened unbuffered: the crash model is a process kill with

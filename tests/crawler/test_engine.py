@@ -140,6 +140,31 @@ class TestIncrementalDistillation:
         for oid, score in full.authority_scores.items():
             assert incremental.authority_scores[oid] == pytest.approx(score, abs=1e-9)
 
+    def test_distiller_runs_every_distill_every_visits(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        """The engine runs the distiller on its own cadence; no write fires it."""
+        _, database, trace = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds,
+            max_pages=100, distill_every=30, engine="serial", simulate_failures=False,
+        )
+        assert len(trace.visits) >= 90
+        assert trace.distillations == len(trace.visits) // 30
+        assert len(database.table("HUBS")) > 0
+
+    def test_distill_every_zero_never_distils(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        _, database, trace = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds,
+            max_pages=60, distill_every=0, engine="serial", simulate_failures=False,
+        )
+        assert len(trace.visits) == 60
+        assert trace.distillations == 0
+        assert trace.last_distillation is None
+        assert len(database.table("HUBS")) == 0
+        assert len(database.table("AUTH")) == 0
+
 
 class TestScoreBackends:
     """The columnar numpy backend is a pure execution-strategy change."""

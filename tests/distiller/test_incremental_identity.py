@@ -412,12 +412,11 @@ def fill(database):
 
 
 def paged_table():
-    """A table of 90 rows over several 512-byte pages, with a journal and a listener."""
+    """A table of 90 rows over several 512-byte pages, with a journal."""
     table, rids = fill(Database(buffer_pool_pages=4, page_size=512))
-    journal, notified = [], []
+    journal = []
     table.set_journal(journal.append)
-    table.add_mutation_listener(lambda event, _table, rows: notified.append((event, list(rows))))
-    return table, rids, journal, notified
+    return table, rids, journal
 
 
 BAD_UPDATES = [
@@ -430,8 +429,8 @@ BAD_UPDATES = [
 class TestColumnWriteUpdateColumn:
     @pytest.mark.parametrize("order", ["ascending", "shuffled", "page-hopping"])
     def test_equals_update_rows(self, order):
-        fast, rids, fast_journal, fast_notified = paged_table()
-        slow, slow_rids, slow_journal, slow_notified = paged_table()
+        fast, rids, fast_journal = paged_table()
+        slow, slow_rids, slow_journal = paged_table()
         assert rids == slow_rids
         picks = list(range(0, 90, 2))
         if order == "shuffled":
@@ -443,7 +442,6 @@ class TestColumnWriteUpdateColumn:
         assert fast.update_column("v", updates) == len(picks)
         assert slow.update_rows([(rid, {"v": value}) for rid, value in updates]) == len(picks)
         assert list(fast.scan()) == list(slow.scan())
-        assert fast_notified == slow_notified
         assert [page.used_bytes for page in fast.heap.scan_pages()] == [
             page.used_bytes for page in slow.heap.scan_pages()
         ]
@@ -461,7 +459,7 @@ class TestColumnWriteUpdateColumn:
         assert row_shaped[0] == "update" and len(row_shaped[2]) == len(picks)
 
     def test_a_row_named_twice_keeps_its_later_value(self):
-        table, rids, _journal, _notified = paged_table()
+        table, rids, _journal = paged_table()
         before = [page.used_bytes for page in table.heap.scan_pages()]
         table.update_column("v", [(rids[3], None), (rids[4], 1.5), (rids[3], 2.5), (rids[4], None)])
         assert table.read(rids[3])[1] == 2.5 and table.read(rids[4])[1] is None
@@ -470,7 +468,7 @@ class TestColumnWriteUpdateColumn:
 
     @pytest.mark.parametrize("bad_update, error", BAD_UPDATES)
     def test_a_bad_update_mid_batch_changes_nothing(self, bad_update, error):
-        table, rids, journal, notified = paged_table()
+        table, rids, journal = paged_table()
         before = list(table.scan())
         used = [page.used_bytes for page in table.heap.scan_pages()]
         updates = [(rids[k], -1.0 - k) for k in range(30, 50)]
@@ -481,10 +479,10 @@ class TestColumnWriteUpdateColumn:
             table.update_rows([(rid, {"v": value}) for rid, value in updates])
         with pytest.raises(SchemaError):
             table.insert_many([(100, 1.0, "ok"), (101, "not a float", "bad"), (102, 2.0, "ok")])
-        # A batch that raised wrote nothing, journals nothing and notifies nobody.
+        # A batch that raised wrote nothing and journals nothing.
         assert list(table.scan()) == before
         assert [page.used_bytes for page in table.heap.scan_pages()] == used
-        assert journal == [] and notified == []
+        assert journal == []
 
     @pytest.mark.parametrize("bad_update, error", BAD_UPDATES)
     def test_a_raising_batch_leaves_memory_and_log_agreeing(self, bad_update, error, tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import fig5_harvest, fig6_coverage, fig7_distance, fig8_io, workloads
+from repro.experiments import runner
 from repro.experiments.runner import run_experiments
 
 
@@ -136,3 +137,16 @@ class TestRunner:
     def test_runner_produces_report_lines(self):
         lines = run_experiments(["stagnation"], seed=5, scale=0.2)
         assert any("stagnation" in line or "harvest" in line for line in lines)
+
+    def test_command_line_without_arguments_runs_everything(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "run_experiments", lambda *args: calls.append(args) or [])
+        assert runner.main([]) == 0
+        assert runner.main(["fig8", "--scale", "0.5"]) == 0
+        assert calls == [(runner.ALL_EXPERIMENTS, 7, 1.0), (["fig8"], 7, 0.5)]
+
+    def test_command_line_refuses_an_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["fig9"])
+        assert exit_info.value.code == 2
+        assert "unknown experiment 'fig9'" in capsys.readouterr().err

@@ -34,6 +34,10 @@ The crash model is a process kill with the operating system surviving:
 Byte-level corruption (CRC damage rather than crashes) goes through
 :func:`flip_byte` / :func:`truncate_tail`, replacing the ad-hoc
 file-poking the corruption tests used to hand-roll.
+
+Only tests drive it, so it lives beside them; the library keeps just
+the seam (``StorageConfig(ops=...)``).  Test modules in this directory
+import it by name (``from fault_injection import FaultInjector``).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import os
 from dataclasses import dataclass
 from typing import BinaryIO, List, Optional
 
-from .wal import FileOps
+from repro.minidb.wal import FileOps
 
 
 class SimulatedCrash(Exception):

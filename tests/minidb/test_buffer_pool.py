@@ -47,15 +47,31 @@ class TestBufferPool:
         assert pool.is_resident(PageId(0, 0))
         assert not pool.is_resident(PageId(0, 1))
 
-    def test_pinned_pages_are_not_evicted(self):
+    def test_a_full_pool_always_admits_a_new_page(self):
+        # Nothing holds a page resident, so a full pool never refuses one.
+        pool = BufferPool(2)
+        for i in range(20):
+            pool.create_page(PageId(0, i), 4096).insert((i, "x"), 16)
+        assert pool.resident_pages == 2
+        assert pool.stats.evictions == 18
+        assert [pool.get_page(PageId(0, i)).read(0) for i in range(20)] == [(i, "x") for i in range(20)]
+
+    def test_clean_pages_are_evicted_without_a_write(self):
         pool = BufferPool(2)
         fill(pool, 2)
-        pool.pin(PageId(0, 0))
-        pool.pin(PageId(0, 1))
-        with pytest.raises(BufferPoolError):
-            pool.create_page(PageId(0, 2), 4096)
-        pool.unpin(PageId(0, 1))
-        pool.create_page(PageId(0, 2), 4096)
+        pool.flush_all()
+        writes = pool.stats.physical_writes
+        fill(pool, 2, file_id=1)  # evicts both clean pages
+        assert pool.stats.evictions == 2
+        assert pool.stats.physical_writes == writes
+
+    def test_resize_keeps_the_most_recently_used_pages(self):
+        pool = BufferPool(4)
+        fill(pool, 4)
+        pool.get_page(PageId(0, 2))
+        pool.get_page(PageId(0, 0))
+        pool.resize(2)
+        assert [pool.is_resident(PageId(0, i)) for i in range(4)] == [True, False, True, False]
 
     def test_sequential_miss_detection(self):
         pool = BufferPool(2)

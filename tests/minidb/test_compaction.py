@@ -34,7 +34,7 @@ from repro.minidb.backend import segment_file_name
 from repro.minidb.compactor import Compactor
 from repro.minidb.errors import StorageError
 from repro.minidb.pages import rid_fields
-from repro.minidb.testing import FaultInjector, SimulatedCrash, hard_close
+from fault_injection import FaultInjector, SimulatedCrash, hard_close
 
 TORTURE_SEEDS = [
     int(seed) for seed in os.environ.get("REPRO_TORTURE_SEEDS", "0").split(",")
@@ -197,7 +197,7 @@ class TestCompaction:
     def test_damaged_live_image_aborts_cleanly(self, tmp_path):
         """A CRC-damaged live frame aborts the rewrite before anything is
         published, without leaking the half-written epoch-stamped file."""
-        from repro.minidb.testing import flip_byte
+        from fault_injection import flip_byte
 
         db = open_compacting(tmp_path / "db")
         self.fill_with_garbage(db)

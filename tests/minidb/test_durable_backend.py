@@ -15,7 +15,7 @@ from repro.minidb import (
 from repro.minidb.backend import WAL_FILE
 from repro.minidb.errors import ConstraintError, StorageError
 from repro.minidb.pages import RecordId
-from repro.minidb.testing import truncate_tail
+from fault_injection import truncate_tail
 
 
 def people_schema():

@@ -10,7 +10,7 @@ import pytest
 
 from repro.minidb import Database, FLOAT, INTEGER, StorageConfig, make_schema
 from repro.minidb.backend import SEGMENT_FILE, WAL_FILE
-from repro.minidb.testing import (
+from fault_injection import (
     FaultInjector,
     SimulatedCrash,
     flip_byte,

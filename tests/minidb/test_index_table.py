@@ -1,5 +1,7 @@
 """Unit tests for secondary indexes and the Table layer."""
 
+import importlib.util
+
 import pytest
 
 from repro.minidb import (
@@ -63,8 +65,7 @@ class TestOrderedIndex:
             index.insert((i, 0, 0.0), rid(i))
         assert len(list(index.range_search(low=(3,)))) == 2
         assert len(list(index.range_search(high=(1,)))) == 2
-        assert index.min_key() == (0,)
-        assert index.max_key() == (4,)
+        assert index.ordered_keys()[::4] == [(0,), (4,)]
 
     def test_delete_removes_key_when_empty(self):
         index = OrderedIndex("ox", SCHEMA, ["oid"])
@@ -139,15 +140,42 @@ class TestTable:
         with pytest.raises(CatalogError):
             table.drop_index("ix")
 
-    def test_update_where_and_delete_where(self):
+    def test_delete_where(self):
         table = self.make_table()
         for i in range(10):
             table.insert({"oid": i, "url": f"u{i}", "relevance": i / 10})
-        touched = table.update_where(col("relevance") > lit(0.7), {"relevance": 1.0})
-        assert touched == 2
-        deleted = table.delete_where(col("relevance") == lit(1.0))
+        deleted = table.delete_where(col("relevance") > lit(0.7))
         assert deleted == 2
         assert len(table) == 8
+
+    def test_delete_where_removes_rows_from_every_index(self):
+        table = self.make_table()
+        table.create_index("by_url", ["url"])
+        for i in range(6):
+            table.insert({"oid": i, "url": f"u{i % 2}", "relevance": i / 10})
+        assert table.delete_where(col("url") == lit("u1")) == 3
+        assert table.lookup("by_url", ("u1",)) == []
+        assert len(table.lookup("by_url", ("u0",))) == 3
+        assert table.get_by_key((1,)) is None
+        table.insert({"oid": 1, "url": "again"})  # the primary key is free again
+        assert table.lookup("by_url", ("again",)) == [(1, "again", None)]
+
+    def test_update_rows_moves_secondary_and_primary_keys(self):
+        table = self.make_table()
+        table.create_index("by_url", ["url"])
+        rids = [table.insert({"oid": i, "url": f"u{i}", "relevance": 0.0}) for i in range(3)]
+        # A change set without the primary key is written column by column.
+        assert table.update_rows([(rids[0], {"url": "moved"}), (rids[1], {"relevance": 1.0})]) == 2
+        assert table.lookup("by_url", ("u0",)) == []
+        assert table.lookup("by_url", ("moved",)) == [(0, "moved", 0.0)]
+        assert table.lookup("by_url", ("u1",)) == [(1, "u1", 1.0)]
+        # One that changes it goes through the checked row-at-a-time path.
+        assert table.update_rows([(rids[2], {"oid": 7})]) == 1
+        assert table.get_by_key((2,)) is None
+        assert table.lookup("CRAWL_pk", (7,)) == [(7, "u2", 0.0)]
+        with pytest.raises(ConstraintError):
+            table.update_rows([(rids[1], {"oid": 7})])
+        assert table.get_by_key((1,)) == (1, "u1", 1.0)
 
     def test_update_preserving_pk_and_changing_pk(self):
         table = self.make_table()
@@ -176,13 +204,6 @@ class TestTable:
         table.insert({"oid": 1, "url": "a", "relevance": 0.5})
         assert list(table.rows_as_dicts()) == [{"oid": 1, "url": "a", "relevance": 0.5}]
 
-    def test_index_on_exact_columns(self):
-        table = self.make_table()
-        table.create_index("by_url", ["url"])
-        assert table.index_on(("url",)) is not None
-        assert table.index_on(("oid",)) is not None  # primary key
-        assert table.index_on(("relevance",)) is None
-
 
 class TestDatabaseCatalog:
     def test_create_drop_and_missing_table(self):
@@ -195,6 +216,21 @@ class TestDatabaseCatalog:
         db.drop_table("T")
         with pytest.raises(CatalogError):
             db.table("T")
+
+    def test_trigger_and_listener_api_is_gone(self):
+        # The crawl engine runs the distiller itself, every distill_every
+        # fetches; nothing in minidb calls back on a write.
+        import repro.minidb as minidb
+
+        assert importlib.util.find_spec("repro.minidb.triggers") is None
+        assert importlib.util.find_spec("repro.minidb.testing") is None  # now under tests/
+        assert not hasattr(minidb, "Trigger")
+        db = Database()
+        table = db.create_table("T", make_schema(("a", INTEGER)))
+        for name in ("create_trigger", "drop_trigger", "triggers"):
+            assert not hasattr(db, name), name
+        for name in ("add_mutation_listener", "mutation_listeners"):
+            assert not hasattr(table, name), name
 
     def test_io_snapshot_and_total_pages(self):
         db = Database(buffer_pool_pages=16)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.minidb import Database, INTEGER, IntervalIndex, StorageConfig, make_schema
-from repro.minidb.testing import FaultInjector, SimulatedCrash, hard_close
+from fault_injection import FaultInjector, SimulatedCrash, hard_close
 
 
 def edge_schema():

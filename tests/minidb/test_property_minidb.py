@@ -493,7 +493,7 @@ class TableAgainstModel(RuleBasedStateMachine):
         (what the planner's joins rely on); a rebuild restores that order.
         """
         table = self.table
-        indexes = [table.index_on(["k"]), *table.indexes.values()]
+        indexes = [table._pk_index, *table.indexes.values()]
         rows = [row for _key, row in sorted(self.rows.items())]
 
         def postings(index):
@@ -575,7 +575,7 @@ class TableAgainstModel(RuleBasedStateMachine):
             by_g[row[3]].append(key)
             assert table.get_by_key((row[0],)) == row
             assert list(map(self.key, table.lookup_rids("t_tree", (row[0], row[3])))) == [key]
-        for index in (*table.indexes.values(), table.index_on(["k"])):
+        for index in (*table.indexes.values(), table._pk_index):
             assert len(index) == len(self.rows)
         for value, keys in by_s.items():
             assert sorted(map(self.key, table.lookup_rids("t_s", (value,)))) == keys

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.minidb.errors import StorageError
-from repro.minidb.testing import FaultInjector, SimulatedCrash, flip_byte, truncate_tail
+from fault_injection import FaultInjector, SimulatedCrash, flip_byte, truncate_tail
 from repro.minidb.wal import (
     WAL_HEADER_SIZE,
     WriteAheadLog,

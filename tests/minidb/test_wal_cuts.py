@@ -13,7 +13,7 @@ import pytest
 
 from repro.minidb import Database, INTEGER, TEXT, StorageConfig, make_schema
 from repro.minidb.errors import StorageError
-from repro.minidb.testing import FaultInjector, SimulatedCrash, hard_close
+from fault_injection import FaultInjector, SimulatedCrash, hard_close
 
 
 def make_db(path, storage=None) -> Database:
