@@ -6,6 +6,8 @@ crawling, measurement, report printing — is exercised in the unit-test
 suite within a few tens of seconds.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,20 +99,74 @@ class TestFig7:
         assert fig7_distance.print_report(result)
 
 
-class TestFig8:
-    @pytest.fixture(scope="class")
-    def classifier_fixture(self):
-        return fig8_io.build_classifier_fixture(n_documents=40, buffer_pool_pages=48, seed=5)
+def _cost(value):
+    """A simulated-I/O cost as pinned: whole 0.01 units, float noise dropped."""
+    return round(value, 6)
 
-    def test_bulk_probe_beats_single_probe(self, classifier_fixture):
-        comparison = fig8_io.run_classifier_comparison(fixture=classifier_fixture)
+
+def _relevance_digest(relevance_by_did):
+    """sha256 over the ``repr`` of every (did, relevance) pair, in did order."""
+    return hashlib.sha256(repr(sorted(relevance_by_did.items())).encode()).hexdigest()
+
+
+class TestFig8:
+    """Figure 8's shapes, and the simulated I/O each panel reads at these sizes.
+
+    The pins are exact: the buffer pool's cost model is deterministic, so
+    a plan change that reads pages in another order shows up here first.
+    """
+
+    @pytest.fixture(scope="class")
+    def classifier_comparison(self):
+        fixture = fig8_io.build_classifier_fixture(n_documents=40, buffer_pool_pages=48, seed=5)
+        return fig8_io.run_classifier_comparison(fixture=fixture)
+
+    @pytest.fixture(scope="class")
+    def memory_points(self):
+        return fig8_io.run_memory_scaling(pool_sizes=(16, 64, 256), n_documents=30, seed=5)
+
+    @pytest.fixture(scope="class")
+    def output_points(self):
+        return fig8_io.run_output_scaling(document_counts=(10, 30, 60), seed=5)
+
+    @pytest.fixture(scope="class")
+    def distillation_comparison(self):
+        fixture = fig8_io.build_distillation_fixture(seed=5, buffer_pool_pages=48)
+        comparison = fig8_io.run_distillation_comparison(fixture=fixture, iterations=2)
+        return fixture, comparison
+
+    def test_bulk_probe_beats_single_probe(self, classifier_comparison):
+        comparison = classifier_comparison
         assert comparison.speedup("sql", "bulk") > 1.5
         assert comparison.max_relevance_disagreement() < 1e-6
         sql = comparison.measurements["sql"]
         assert sql.probe_cost > 0 and sql.doc_scan_cost > 0
 
-    def test_memory_scaling_shape(self):
-        points = fig8_io.run_memory_scaling(pool_sizes=(16, 64, 256), n_documents=30, seed=5)
+    @pytest.mark.parametrize(
+        "variant, total, doc_scan, probe",
+        [
+            ("sql", 1091.41, 77.72, 1012.58),
+            ("blob", 190.36, 65.72, 123.53),
+            ("bulk", 60.31, 0.0, 58.19),
+        ],
+    )
+    def test_classifier_io_is_pinned(self, classifier_comparison, variant, total, doc_scan, probe):
+        measured = classifier_comparison.measurements[variant]
+        assert (
+            _cost(measured.total_io_cost),
+            _cost(measured.doc_scan_cost),
+            _cost(measured.probe_cost),
+        ) == (total, doc_scan, probe)
+
+    def test_bulk_relevances_are_pinned(self, classifier_comparison):
+        bulk = classifier_comparison.measurements["bulk"].relevance_by_did
+        assert len(bulk) == 40
+        assert _relevance_digest(bulk) == (
+            "1137c30911745b0de9bcb4a81eb7b45f120a7a31208bb4be4143dd08096f42dc"
+        )
+
+    def test_memory_scaling_shape(self, memory_points):
+        points = memory_points
         assert len(points) == 3
         single = [p.single_probe_cost for p in points]
         bulk = [p.bulk_probe_cost for p in points]
@@ -119,18 +175,48 @@ class TestFig8:
         assert bulk[0] >= bulk[-1]
         assert single[-1] > bulk[-1]
 
-    def test_output_scaling_roughly_linear(self):
-        points = fig8_io.run_output_scaling(document_counts=(10, 30, 60), seed=5)
-        assert fig8_io.output_scaling_correlation(points) > 0.6
+    def test_memory_scaling_io_is_pinned(self, memory_points):
+        assert [
+            (p.buffer_pool_pages, _cost(p.single_probe_cost), _cost(p.bulk_probe_cost))
+            for p in memory_points
+        ] == [(16, 552.64, 53.59), (64, 128.64, 22.59), (256, 124.04, 22.59)]
 
-    def test_distillation_join_beats_lookups(self):
-        fixture = fig8_io.build_distillation_fixture(seed=5, buffer_pool_pages=48)
-        comparison = fig8_io.run_distillation_comparison(fixture=fixture, iterations=2)
+    def test_output_scaling_roughly_linear(self, output_points):
+        assert fig8_io.output_scaling_correlation(output_points) > 0.6
+
+    def test_output_scaling_io_is_pinned(self, output_points):
+        assert [
+            (p.documents, p.children, p.output_size, _cost(p.bulk_cost)) for p in output_points
+        ] == [
+            (10, 7, 70, 12.36),
+            (10, 4, 40, 9.91),
+            (30, 7, 210, 15.66),
+            (30, 4, 120, 13.21),
+            (60, 7, 420, 20.72),
+            (60, 4, 240, 18.27),
+        ]
+
+    def test_distillation_join_beats_lookups(self, distillation_comparison):
+        fixture, comparison = distillation_comparison
         assert comparison.speedup() > 1.5
         assert comparison.rankings_agree(k=5)
         reference = fig8_io.reference_distillation(fixture, iterations=2)
         top_reference = {oid for oid, _ in reference.top_hubs(5)}
         assert top_reference == set(comparison.join.top_hub_oids[:5])
+
+    def test_distillation_io_is_pinned(self, distillation_comparison):
+        _fixture, comparison = distillation_comparison
+        breakdown = {
+            m.variant: tuple(
+                _cost(c)
+                for c in (m.scan_cost, m.lookup_cost, m.update_cost, m.join_cost, m.total_io_cost)
+            )
+            for m in (comparison.join, comparison.lookup)
+        }
+        assert breakdown == {
+            "join": (0.0, 1035.035795, 119.15, 678.194205, 2055.77),
+            "lookup": (489.18, 27363.26, 0.06, 0.0, 28074.05),
+        }
 
 
 class TestRunner:
