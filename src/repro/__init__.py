@@ -51,7 +51,7 @@ from .crawler.monitor import CrawlMonitor
 from .crawler.policies import CrawlOrdering, FetchPolicy
 from .crawler.sharded import ShardedCrawler, build_sharded_crawler
 from .experiments.workloads import build_crawl_workload
-from .minidb import Database, ExplainResult, Plan, Query, StorageConfig
+from .minidb import Database, ExplainResult, Plan, StorageConfig
 from .service import CrawlService, JobManager, SharedFetchPool, serve
 from .webgraph.cassette import (
     CassetteError,
@@ -86,7 +86,6 @@ __all__ = [
     "JobManager",
     "JobSpec",
     "Plan",
-    "Query",
     "RecordingTransport",
     "ReplayTransport",
     "ShardedCrawler",

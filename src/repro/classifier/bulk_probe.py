@@ -2,32 +2,57 @@
 
 This is the paper's Figure 3 access path ("CLI" in Figure 8a): instead of
 probing the statistics index once per term per document, a whole batch of
-documents is classified with
+documents is classified with three ``Database.sql()`` statements and one
+in-memory join:
 
-* one inner join ``STAT_c0 ⋈ DOCUMENT ⋈ TAXONOMY`` grouped by (did, kcid)
-  that computes ``Σ freq·(logtheta + logdenom)`` (the PARTIAL CTE),
-* a per-document feature-term length (the DOCLEN CTE),
-* a synthetic cross product of documents × children holding
-  ``−len·logdenom`` (the COMPLETE CTE), and
-* a **left outer join** of COMPLETE with PARTIAL so documents that share
-  no feature term with a child still get scored.
+* PARTIAL: one inner join ``STAT_c0 ⋈ DOCUMENT ⋈ TAXONOMY`` grouped by
+  (did, kcid) that computes ``Σ freq·(logtheta + logdenom)``,
+* DOCLEN: a per-document feature-term length, ``DOCUMENT`` filtered by
+  ``tid IN (SELECT tid FROM STAT_c0)``,
+* COMPLETE: documents × children holding ``−len·logdenom``, and
+* COMPLETE ⟕ PARTIAL on (did, kcid), so documents that share no feature
+  term with a child still get scored.  Both sides are already query
+  results in memory, so this join is a dictionary lookup and reads no
+  page.
 
-The joins run sort-merge / hash through minidb, so their I/O is sequential
-in the table sizes rather than random per term — the source of the ~10×
-speed-up reported in Figure 8(a).
+The planner runs PARTIAL as two hash joins, so its I/O is sequential in
+the table sizes rather than random per term — the source of the ~10×
+speed-up reported in Figure 8(a).  An earlier version ran the
+STAT ⋈ DOCUMENT step as a sort-merge join; that sorted both inputs in
+memory and read the same pages in a worse order, so the 40-document
+Figure 8(a) fixture (48-page pool) charged the bulk bar 60.31 simulated
+I/O units against the hash plan's 39.51, with bit-identical relevances.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional
 
-from repro.minidb import Database, col, func, lit
+from repro.minidb import Database
 from repro.taxonomy.tree import ROOT_CID, TopicTaxonomy
 
 from .model import normalize_log_scores
 from .single_probe import ClassificationResult, ProbeCost
 from .tokenizer import TermFrequencies
 from .training import stat_table_name
+
+#: The children of ``:c0`` that carry a model.
+CHILDREN_SQL = "select kcid, logdenom from TAXONOMY where pcid = :c0 and logdenom is not null"
+
+#: Figure 3's PARTIAL(did, kcid, lpr1) for the children of ``:c0``; ``{stat}`` is STAT_c0.
+PARTIAL_SQL = """
+select did, S.kcid as kcid, sum(freq * (logtheta + T.logdenom)) as lpr1
+from {stat} S, DOCUMENT D, TAXONOMY T
+where S.tid = D.tid and S.kcid = T.kcid and T.pcid = :c0
+group by did, S.kcid
+"""
+
+#: Figure 3's DOCLEN(did, len): each document's count of feature-term occurrences.
+DOCLEN_SQL = """
+select did, sum(freq) as len from DOCUMENT
+where tid in (select tid from {stat})
+group by did
+"""
 
 
 class BulkProbeClassifier:
@@ -67,63 +92,24 @@ class BulkProbeClassifier:
         stat_name = stat_table_name(c0_cid)
         before = db.stats.copy()
 
-        children = [
-            row
-            for row in db.query("TAXONOMY").where(col("pcid") == lit(c0_cid)).run()
-            if row["logdenom"] is not None
-        ]
+        children = db.sql(CHILDREN_SQL, {"c0": c0_cid})
         if not children:
             return {}
+        partial_rows = db.sql(PARTIAL_SQL.format(stat=stat_name), {"c0": c0_cid})
+        doclen_rows = db.sql(DOCLEN_SQL.format(stat=stat_name))
 
-        # PARTIAL(did, kcid, lpr1): the sort-merge inner join of Figure 3.
-        partial_rows = (
-            db.query(stat_name)
-            .join("DOCUMENT", on=[("tid", "tid")], algorithm="merge")
-            .join("TAXONOMY", on=[(f"{stat_name}.kcid", "kcid")])
-            .where(col("TAXONOMY.pcid") == lit(c0_cid))
-            .group_by(("did", col("did")), ("kcid", col(f"{stat_name}.kcid")))
-            .aggregate(
-                "sum",
-                col("freq") * (col("logtheta") + col("TAXONOMY.logdenom")),
-                "lpr1",
-            )
-            .run()
-        )
-
-        # DOCLEN(did, len): per-document count of feature-term occurrences.
-        feature_tids = db.query(stat_name).select("tid").distinct().run()
-        doclen_rows = (
-            db.query("DOCUMENT")
-            .join(feature_tids, on=[("tid", "tid")])
-            .group_by(("did", col("did")))
-            .aggregate("sum", col("freq"), "len")
-            .run()
-        )
-
-        # COMPLETE(did, kcid, lpr2): documents × children, -len * logdenom.
-        complete_rows = [
-            {
-                "did": doc_row["did"],
-                "kcid": child["kcid"],
-                "lpr2": -doc_row["len"] * child["logdenom"],
-            }
-            for doc_row in doclen_rows
+        # COMPLETE(did, kcid, lpr2) = documents x children, -len * logdenom,
+        # left outer joined with PARTIAL on (did, kcid): both sides are
+        # already in memory, so the join is a dictionary lookup.
+        lpr1 = {(row["did"], row["kcid"]): row["lpr1"] for row in partial_rows}
+        loglikes = {
+            (doc["did"], child["kcid"]): -doc["len"] * child["logdenom"]
+            + (lpr1.get((doc["did"], child["kcid"])) or 0.0)
+            for doc in doclen_rows
             for child in children
-        ]
-
-        # COMPLETE left outer join PARTIAL on (did, kcid).
-        final_rows = (
-            db.query(complete_rows, alias="C")
-            .join(partial_rows, on=[("C.did", "did"), ("C.kcid", "kcid")], how="left", alias="P")
-            .select(
-                ("did", col("C.did")),
-                ("kcid", col("C.kcid")),
-                ("lpr", col("C.lpr2") + func("coalesce", col("P.lpr1"), lit(0.0))),
-            )
-            .run()
-        )
+        }
         self.cost.join_cost += db.stats.diff(before).simulated_cost()
-        return {(row["did"], row["kcid"]): row["lpr"] for row in final_rows}
+        return loglikes
 
     # -- batch classification --------------------------------------------------------------
     def classify_batch(
@@ -137,21 +123,16 @@ class BulkProbeClassifier:
         """
         db = self.database
         if dids is None:
-            did_rows = db.query("DOCUMENT").select("did").distinct().run()
-            dids = [row["did"] for row in did_rows]
+            dids = [row["did"] for row in db.sql("select distinct did from DOCUMENT")]
         dids = list(dids)
         posteriors: Dict[int, Dict[int, float]] = {did: {ROOT_CID: 1.0} for did in dids}
 
         priors: Dict[int, float] = {}
-        for row in db.query("TAXONOMY").run():
+        for row in db.sql("select kcid, logprior from TAXONOMY"):
             priors[row["kcid"]] = row["logprior"] if row["logprior"] is not None else 0.0
 
         for node in self.taxonomy.evaluation_frontier():
-            modelled_children = [
-                row["kcid"]
-                for row in db.query("TAXONOMY").where(col("pcid") == lit(node.cid)).run()
-                if row["logdenom"] is not None
-            ]
+            modelled_children = [row["kcid"] for row in db.sql(CHILDREN_SQL, {"c0": node.cid})]
             if not modelled_children:
                 continue
             loglikes = self.bulk_conditional_log_likelihoods(node.cid)

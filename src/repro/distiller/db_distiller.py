@@ -5,8 +5,9 @@ crawl graph that lives in the database:
 
 * **Join distillation** (Figure 4): each half-iteration is one
   set-oriented INSERT ... SELECT with a GROUP BY, followed by an UPDATE
-  that normalises the scores.  The optimiser is free to use hash or
-  sort-merge joins, so the per-iteration cost is a few sequential passes.
+  that normalises the scores.  The planner runs the joins as hash joins
+  (or index probes where an index covers the key), so the per-iteration
+  cost is a few sequential passes.
 * **Index-lookup distillation** (the "earlier main-memory
   implementations" transplanted onto disk): walk the LINK table edge by
   edge, look up the endpoint scores through indexes, and update the
@@ -63,7 +64,7 @@ class _BaseDbDistiller:
         db = self.database
         db.sql("delete from HUBS")
         db.sql("delete from AUTH")
-        sources = db.query("LINK").select("oid_src").distinct().run()
+        sources = db.sql("select distinct oid_src from LINK")
         if not sources:
             return
         uniform = 1.0 / len(sources)
@@ -75,13 +76,11 @@ class _BaseDbDistiller:
     def result(self) -> DistillationResult:
         hubs = {
             row["oid"]: row["score"]
-            for row in self.database.query("HUBS").run()
-            if row["score"] is not None
+            for row in self.database.sql("select oid, score from HUBS where score is not null")
         }
         authorities = {
             row["oid"]: row["score"]
-            for row in self.database.query("AUTH").run()
-            if row["score"] is not None
+            for row in self.database.sql("select oid, score from AUTH where score is not null")
         }
         return DistillationResult(
             hub_scores=hubs,
@@ -198,7 +197,7 @@ class IndexLookupDistiller(_BaseDbDistiller):
         before = db.stats.copy()
         # The naive variant *is* the paper's sequential link-table scan —
         # the baseline the experiment measures — so it reads LINK with a
-        # raw Table.scan() rather than through Database.query().
+        # raw Table.scan() rather than through Database.sql().
         link_schema = link_table.schema
         link_rows = [link_schema.row_to_mapping(row) for _rid, row in link_table.scan()]
         self.cost.scan_cost += db.stats.diff(before).simulated_cost()

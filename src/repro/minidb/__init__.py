@@ -6,19 +6,20 @@ data repository, but takes an active role in the computations involved in
 resource discovery."  minidb is a small page-based relational engine that
 plays DB2's role here: tables on slotted pages behind an LRU buffer pool
 with full I/O accounting, hash and ordered secondary indexes, a library
-of relational operators (including sort-merge and left outer joins), a
-fluent query builder, and a compact SQL dialect for ad-hoc monitoring
-queries.
+of relational operators (hash and index-nested-loop joins, hash
+aggregation), and a compact SQL dialect — :meth:`Database.sql`, the one
+read surface — that the classifier, the distiller and ad-hoc monitoring
+queries all go through.
 
 Typical use::
 
-    from repro.minidb import Database, make_schema, INTEGER, FLOAT, col, lit
+    from repro.minidb import Database, make_schema, INTEGER, FLOAT
 
     db = Database(buffer_pool_pages=512)
     crawl = db.create_table("CRAWL", make_schema(
         ("oid", INTEGER, False), ("relevance", FLOAT), primary_key=["oid"]))
     crawl.insert({"oid": 1, "relevance": 0.9})
-    rows = db.query("CRAWL").where(col("relevance") > lit(0.5)).run()
+    rows = db.sql("select oid from CRAWL where relevance > :r", {"r": 0.5})
 """
 
 from .backend import DurableBackend, MemoryBackend, StorageBackend
@@ -37,23 +38,12 @@ from .errors import (
     SQLSyntaxError,
     StorageError,
 )
-from .expressions import (
-    Expression,
-    and_,
-    col,
-    func,
-    in_set,
-    is_null,
-    lit,
-    not_,
-    or_,
-)
+from .expressions import Expression
 from .index import HashIndex, OrderedIndex
 from .intervals import IntervalIndex
 from .operators import Aggregate
 from .pages import DEFAULT_PAGE_SIZE, PageId, RecordId
 from .planner import ExplainResult, Plan
-from .query import Query
 from .sql import execute_sql, parse_sql
 from .table import Table
 from .types import BLOB, FLOAT, INTEGER, TEXT, Column, ColumnType, Schema, make_schema
@@ -84,7 +74,6 @@ __all__ = [
     "OrderedIndex",
     "PageId",
     "Plan",
-    "Query",
     "QueryError",
     "RecordId",
     "Schema",
@@ -96,15 +85,7 @@ __all__ = [
     "TEXT",
     "Table",
     "WriteAheadLog",
-    "and_",
-    "col",
     "execute_sql",
-    "func",
-    "in_set",
-    "is_null",
-    "lit",
     "make_schema",
-    "not_",
-    "or_",
     "parse_sql",
 ]

@@ -2,7 +2,7 @@
 
 The paper's key systems argument is that writing the classifier and the
 distiller as set-oriented database programs turns a random-I/O-bound
-workload into a sequential, sort-merge-friendly one (Figure 8).  To make
+workload into a sequential, join-friendly one (Figure 8).  To make
 that argument measurable without a real disk, minidb routes every page
 access through this buffer pool and counts *logical reads*, *physical
 reads* (misses), *physical writes*, and hits.  A simulated per-page I/O
@@ -48,7 +48,7 @@ class IOStats:
     #: same file (a scan) is charged ``sequential_read_cost``; any other
     #: miss pays the full random-seek ``read_cost``.  Logical (cached)
     #: accesses are charged ``cpu_cost``.  The random/sequential asymmetry
-    #: is what makes the paper's sort-merge-vs-probe comparison meaningful.
+    #: is what makes the paper's join-vs-probe comparison meaningful.
     read_cost: float = 1.0
     sequential_read_cost: float = 0.2
     write_cost: float = 1.0

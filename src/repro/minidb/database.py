@@ -9,8 +9,7 @@ for the paper's DB2 Universal Database instance.  It owns:
   pool — in-memory by default, or a durable segment-file/WAL store
   opened with :meth:`Database.open`,
 * the table catalog (create/drop/lookup),
-* entry points for the fluent :class:`~repro.minidb.query.Query` builder
-  and the SQL text interface.
+* the SQL text interface (:meth:`Database.sql`), the one read surface.
 
 A durable database logs every table mutation (and DDL) to a write-ahead
 log; :meth:`checkpoint` flushes all dirty pages and publishes an atomic
@@ -37,7 +36,6 @@ from .backend import DurableBackend, MemoryBackend, StorageBackend
 from .buffer_pool import BufferPool, IOStats
 from .errors import CatalogError, QueryError, StorageError
 from .pages import DEFAULT_PAGE_SIZE, check_layout, rid_of
-from .query import Query
 from .storage_config import StorageConfig
 from .table import Table
 from .types import Schema, schema_from_spec, schema_to_spec
@@ -176,15 +174,19 @@ class Database:
         return sorted(self._tables)
 
     # -- querying -----------------------------------------------------------------
-    def query(self, source: str | Iterable[Mapping[str, Any]], alias: Optional[str] = None) -> Query:
-        """Start a fluent query from a table name or a materialised row iterable."""
-        return Query(self, source, alias)
-
     def sql(self, text: str, parameters: Optional[Mapping[str, Any]] = None) -> list[dict[str, Any]]:
-        """Execute a SQL statement (the compact dialect in :mod:`repro.minidb.sql`)."""
+        """Execute a SQL statement (the compact dialect in :mod:`repro.minidb.sql`).
+
+        An expression that fails on a row's values (``url + 1``,
+        ``exp(1000.0)``, ``length(oid)``) raises :class:`QueryError`, as
+        a malformed statement does.
+        """
         from .sql import execute_sql
 
-        return execute_sql(self, text, parameters or {})
+        try:
+            return execute_sql(self, text, parameters or {})
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise QueryError(f"{type(exc).__name__}: {exc}") from exc
 
     def explain(
         self, text: str, parameters: Optional[Mapping[str, Any]] = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import QueryError
 
@@ -24,57 +24,10 @@ RowContext = Mapping[str, Any]
 
 
 class Expression:
-    """Base class for all expressions."""
+    """Base class for all expressions (built by the SQL compiler)."""
 
     def evaluate(self, ctx: RowContext) -> Any:
         raise NotImplementedError
-
-    def referenced_columns(self) -> set[str]:
-        """Column names referenced anywhere in the expression."""
-        return set()
-
-    # Convenience builders so callers can write ``col("x") > lit(3)``.
-    def __eq__(self, other: object):  # type: ignore[override]
-        return Comparison("=", self, _wrap(other))
-
-    def __ne__(self, other: object):  # type: ignore[override]
-        return Comparison("<>", self, _wrap(other))
-
-    def __lt__(self, other: object):
-        return Comparison("<", self, _wrap(other))
-
-    def __le__(self, other: object):
-        return Comparison("<=", self, _wrap(other))
-
-    def __gt__(self, other: object):
-        return Comparison(">", self, _wrap(other))
-
-    def __ge__(self, other: object):
-        return Comparison(">=", self, _wrap(other))
-
-    def __add__(self, other: object):
-        return Arithmetic("+", self, _wrap(other))
-
-    def __sub__(self, other: object):
-        return Arithmetic("-", self, _wrap(other))
-
-    def __mul__(self, other: object):
-        return Arithmetic("*", self, _wrap(other))
-
-    def __truediv__(self, other: object):
-        return Arithmetic("/", self, _wrap(other))
-
-    def __neg__(self):
-        return Arithmetic("-", Literal(0), self)
-
-    def __hash__(self) -> int:  # expressions are identity-hashed
-        return id(self)
-
-
-def _wrap(value: object) -> "Expression":
-    if isinstance(value, Expression):
-        return value
-    return Literal(value)
 
 
 @dataclass(eq=False)
@@ -112,9 +65,6 @@ class ColumnRef(Expression):
                 return ctx[bare]
         raise QueryError(f"unknown column {self.name!r}; row has {sorted(ctx)}")
 
-    def referenced_columns(self) -> set[str]:
-        return {self.name}
-
     def __repr__(self) -> str:
         return f"col({self.name!r})"
 
@@ -126,8 +76,6 @@ class Comparison(Expression):
     op: str
     left: Expression
     right: Expression
-
-    _OPS: dict[str, Callable[[Any, Any], bool]] = None  # type: ignore[assignment]
 
     def evaluate(self, ctx: RowContext) -> bool:
         lhs = self.left.evaluate(ctx)
@@ -147,9 +95,6 @@ class Comparison(Expression):
         if self.op == ">=":
             return lhs >= rhs
         raise QueryError(f"unknown comparison operator {self.op!r}")
-
-    def referenced_columns(self) -> set[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -180,9 +125,6 @@ class Arithmetic(Expression):
             return lhs / rhs
         raise QueryError(f"unknown arithmetic operator {self.op!r}")
 
-    def referenced_columns(self) -> set[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
-
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -193,12 +135,6 @@ class And(Expression):
 
     def evaluate(self, ctx: RowContext) -> bool:
         return all(bool(p.evaluate(ctx)) for p in self.parts)
-
-    def referenced_columns(self) -> set[str]:
-        out: set[str] = set()
-        for p in self.parts:
-            out |= p.referenced_columns()
-        return out
 
     def __repr__(self) -> str:
         return " AND ".join(repr(p) for p in self.parts)
@@ -211,12 +147,6 @@ class Or(Expression):
     def evaluate(self, ctx: RowContext) -> bool:
         return any(bool(p.evaluate(ctx)) for p in self.parts)
 
-    def referenced_columns(self) -> set[str]:
-        out: set[str] = set()
-        for p in self.parts:
-            out |= p.referenced_columns()
-        return out
-
     def __repr__(self) -> str:
         return " OR ".join(repr(p) for p in self.parts)
 
@@ -227,9 +157,6 @@ class Not(Expression):
 
     def evaluate(self, ctx: RowContext) -> bool:
         return not bool(self.inner.evaluate(ctx))
-
-    def referenced_columns(self) -> set[str]:
-        return self.inner.referenced_columns()
 
     def __repr__(self) -> str:
         return f"NOT ({self.inner!r})"
@@ -244,28 +171,31 @@ class IsNull(Expression):
         result = self.inner.evaluate(ctx) is None
         return not result if self.negated else result
 
-    def referenced_columns(self) -> set[str]:
-        return self.inner.referenced_columns()
-
 
 @dataclass(eq=False)
 class InSet(Expression):
-    """``expr IN (v1, v2, ...)`` — values may come from a materialised subquery."""
+    """``expr IN (v1, v2, ...)`` — values may come from a materialised subquery.
+
+    The values are held as a set, so a membership test costs one hash
+    probe, and EXPLAIN prints their count rather than the values.
+    """
 
     inner: Expression
     values: Iterable[Any]
     negated: bool = False
 
+    def __post_init__(self) -> None:
+        self.values = frozenset(self.values)
+
     def evaluate(self, ctx: RowContext) -> bool:
         value = self.inner.evaluate(ctx)
         if value is None:
             return False
-        values = self.values() if callable(self.values) else self.values
-        result = value in set(values)
-        return not result if self.negated else result
+        return (value in self.values) != self.negated
 
-    def referenced_columns(self) -> set[str]:
-        return self.inner.referenced_columns()
+    def __repr__(self) -> str:
+        op = "NOT IN" if self.negated else "IN"
+        return f"{self.inner!r} {op} <{len(self.values)} values>"
 
 
 @dataclass(eq=False)
@@ -312,54 +242,3 @@ class FunctionCall(Expression):
         if name == "sqrt":
             return math.sqrt(values[0])
         raise QueryError(f"unknown function {self.name!r}")
-
-    def referenced_columns(self) -> set[str]:
-        out: set[str] = set()
-        for a in self.args:
-            out |= a.referenced_columns()
-        return out
-
-
-# -- public helpers -----------------------------------------------------------
-
-def col(name: str) -> ColumnRef:
-    """Shorthand for :class:`ColumnRef`."""
-    return ColumnRef(name)
-
-
-def lit(value: Any) -> Literal:
-    """Shorthand for :class:`Literal`."""
-    return Literal(value)
-
-
-def func(name: str, *args: Expression | Any) -> FunctionCall:
-    return FunctionCall(name, [_wrap(a) for a in args])
-
-
-def and_(*parts: Expression) -> Expression:
-    parts = tuple(p for p in parts if p is not None)
-    if not parts:
-        return Literal(True)
-    if len(parts) == 1:
-        return parts[0]
-    return And(parts)
-
-
-def or_(*parts: Expression) -> Expression:
-    if not parts:
-        return Literal(False)
-    if len(parts) == 1:
-        return parts[0]
-    return Or(parts)
-
-
-def not_(inner: Expression) -> Not:
-    return Not(inner)
-
-
-def in_set(inner: Expression, values: Iterable[Any], negated: bool = False) -> InSet:
-    return InSet(inner, values, negated)
-
-
-def is_null(inner: Expression, negated: bool = False) -> IsNull:
-    return IsNull(inner, negated)

@@ -10,8 +10,7 @@ The operator set covers what the paper's SQL needs:
 
 * table scan / index scan
 * filter, project (with computed expressions), distinct, sort, limit
-* nested-loop join, hash join, **sort-merge join**, and **left outer join**
-  (BulkProbe in Figure 3 is one inner join plus one left outer join)
+* nested-loop join, hash join and index-nested-loop join
 * group-by aggregation with ``sum``/``count``/``avg``/``min``/``max``
 
 Each operator reports how many rows it produced (``rows_out``) so query
@@ -156,34 +155,6 @@ class TableScan(Operator):
         if self.columns is not None:
             label += f" cols=[{', '.join(self.columns)}]"
         return label + ")"
-
-
-class IndexLookup(Operator):
-    """Fetch rows matching an equality key through a named index (random I/O)."""
-
-    def __init__(
-        self,
-        table: Table,
-        index_name: str,
-        key: Sequence[Any],
-        alias: Optional[str] = None,
-    ) -> None:
-        super().__init__()
-        self.table = table
-        self.index_name = index_name
-        self.key = tuple(key)
-        self.alias = alias or table.name
-
-    def _produce(self) -> Iterator[RowDict]:
-        schema = self.table.schema
-        for row in self.table.lookup(self.index_name, self.key):
-            yield _qualify(self.alias, schema.row_to_mapping(row))
-
-    def estimated_rows(self) -> Optional[int]:
-        return _index_fanout(self.table._resolve_index(self.index_name))
-
-    def describe(self) -> str:
-        return f"IndexLookup({self.alias}.{self.index_name} key={list(self.key)!r})"
 
 
 class IndexRangeScan(Operator):
@@ -374,22 +345,6 @@ class IndexNestedLoopJoin(Operator):
         return (self.left,)
 
 
-class RowSource(Operator):
-    """Adapt a plain iterable of dicts (e.g. a materialised CTE) into an operator."""
-
-    def __init__(self, rows: Iterable[RowDict], alias: Optional[str] = None) -> None:
-        super().__init__()
-        self._rows = rows
-        self.alias = alias
-
-    def _produce(self) -> Iterator[RowDict]:
-        for mapping in self._rows:
-            if self.alias is None:
-                yield dict(mapping)
-            else:
-                yield _qualify(self.alias, dict(mapping))
-
-
 class Filter(Operator):
     def __init__(self, child: Operator, predicate: Expression) -> None:
         super().__init__()
@@ -445,15 +400,6 @@ class Sort(Operator):
 
     def _produce(self) -> Iterator[RowDict]:
         rows = list(self.child)
-
-        def sort_key(ctx: RowDict):
-            parts = []
-            for expr, ascending in self.keys:
-                value = expr.evaluate(ctx)
-                null_rank = 1 if value is None else 0
-                parts.append((null_rank, value if value is not None else 0, ascending))
-            return parts
-
         # Python's sort is stable, so apply keys from least to most significant.
         for expr, ascending in reversed(self.keys):
             def key_fn(ctx: RowDict, expr=expr):
@@ -558,113 +504,6 @@ class HashJoin(Operator):
             f"{left!r}={right!r}" for left, right in zip(self.left_keys, self.right_keys)
         )
         return f"HashJoin({keys})"
-
-
-class SortMergeJoin(Operator):
-    """Equi-join by sorting both inputs on the join key and merging.
-
-    This is the access path the paper's BulkProbe exploits: both STAT and
-    DOCUMENT arrive sorted by term id, so the join is a single
-    co-sequential pass instead of one random probe per term occurrence.
-    """
-
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        left_keys: Sequence[Expression],
-        right_keys: Sequence[Expression],
-        residual: Optional[Expression] = None,
-    ) -> None:
-        super().__init__()
-        if len(left_keys) != len(right_keys):
-            raise QueryError("sort-merge join needs matching key lists")
-        self.left = left
-        self.right = right
-        self.left_keys = list(left_keys)
-        self.right_keys = list(right_keys)
-        self.residual = residual
-
-    def _produce(self) -> Iterator[RowDict]:
-        def keyed(rows: Iterable[RowDict], keys: Sequence[Expression]) -> list[tuple[tuple, RowDict]]:
-            out = []
-            for ctx in rows:
-                key = tuple(k.evaluate(ctx) for k in keys)
-                if any(part is None for part in key):
-                    continue
-                out.append((key, ctx))
-            out.sort(key=lambda pair: pair[0])
-            return out
-
-        left_sorted = keyed(self.left, self.left_keys)
-        right_sorted = keyed(self.right, self.right_keys)
-        i = j = 0
-        while i < len(left_sorted) and j < len(right_sorted):
-            lkey, lctx = left_sorted[i]
-            rkey, _ = right_sorted[j]
-            if lkey < rkey:
-                i += 1
-            elif lkey > rkey:
-                j += 1
-            else:
-                # Collect the right-side run with this key.
-                run_start = j
-                while j < len(right_sorted) and right_sorted[j][0] == lkey:
-                    j += 1
-                run = right_sorted[run_start:j]
-                while i < len(left_sorted) and left_sorted[i][0] == lkey:
-                    _, lctx = left_sorted[i]
-                    for _, rctx in run:
-                        merged = _merge(lctx, rctx)
-                        if self.residual is None or self.residual.evaluate(merged):
-                            yield merged
-                    i += 1
-
-
-class LeftOuterJoin(Operator):
-    """Hash-based left outer join.
-
-    Unmatched left rows are emitted with the right side's columns set to
-    NULL; the caller provides the right column names to null-fill (they
-    cannot be inferred when the right input is empty).
-    """
-
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        left_keys: Sequence[Expression],
-        right_keys: Sequence[Expression],
-        right_columns: Sequence[str],
-        residual: Optional[Expression] = None,
-    ) -> None:
-        super().__init__()
-        if len(left_keys) != len(right_keys):
-            raise QueryError("left outer join needs matching key lists")
-        self.left = left
-        self.right = right
-        self.left_keys = list(left_keys)
-        self.right_keys = list(right_keys)
-        self.right_columns = list(right_columns)
-        self.residual = residual
-
-    def _produce(self) -> Iterator[RowDict]:
-        buckets: dict[tuple, list[RowDict]] = {}
-        for rctx in self.right:
-            key = tuple(k.evaluate(rctx) for k in self.right_keys)
-            buckets.setdefault(key, []).append(rctx)
-        null_fill = {name: None for name in self.right_columns}
-        for lctx in self.left:
-            key = tuple(k.evaluate(lctx) for k in self.left_keys)
-            matches = buckets.get(key, []) if not any(p is None for p in key) else []
-            matched = False
-            for rctx in matches:
-                merged = _merge(lctx, rctx)
-                if self.residual is None or self.residual.evaluate(merged):
-                    matched = True
-                    yield merged
-            if not matched:
-                yield _merge(lctx, dict(null_fill))
 
 
 # -- aggregation ----------------------------------------------------------------------

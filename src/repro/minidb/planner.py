@@ -8,7 +8,8 @@ cost-attribution layer need.  Two modes, selected per plan through the
 * ``"index"`` (the default): access paths go through indexes whenever a
   safe one exists —
 
-  - equality conjuncts fully binding an index → :class:`IndexLookup`;
+  - equality conjuncts fully binding an index → :class:`IndexKeysLookup`
+    with one key;
   - range conjuncts on an ordered index's leading column →
     :class:`IndexRangeScan`;
   - ``IN``-lists on an indexed column → :class:`IndexKeysLookup`
@@ -45,7 +46,6 @@ from .operators import (
     GroupByAggregate,
     HashJoin,
     IndexKeysLookup,
-    IndexLookup,
     IndexNestedLoopJoin,
     IndexRangeScan,
     Limit,
@@ -80,7 +80,7 @@ PLANNER_MODES = ("index", "scan")
 GRAPH_FUNCS = _GRAPH_FUNCS
 
 #: Operators that constitute an index access path, for plan inspection.
-_INDEX_OPS = (IndexLookup, IndexKeysLookup, IndexRangeScan, IndexNestedLoopJoin)
+_INDEX_OPS = (IndexKeysLookup, IndexRangeScan, IndexNestedLoopJoin)
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ class ExplainResult:
     def uses_index_path(self) -> bool:
         """Whether any access path in the plan goes through an index."""
         return any(
-            line.lstrip().startswith(("IndexLookup", "IndexKeysLookup",
-                                      "IndexRangeScan", "IndexNestedLoopJoin"))
+            line.lstrip().startswith(tuple(op.__name__ for op in _INDEX_OPS))
             for line in self.lines
         )
 
@@ -609,9 +608,9 @@ def plan_select(
             )
             if match is not None:
                 index_name, key, consumed = match
-                # IndexKeysLookup (not IndexLookup) even for one key: it
-                # reads matches in heap order, so a churned index still
-                # produces the scan plan's row order bit-for-bit.
+                # IndexKeysLookup even for one key: it reads matches in
+                # heap order, so a churned index still produces the scan
+                # plan's row order bit-for-bit.
                 plan = IndexKeysLookup(base_table, index_name, [key], base_alias)
                 used |= consumed
         if plan is None:

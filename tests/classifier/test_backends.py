@@ -37,7 +37,7 @@ class TestModelInstaller:
         assert len(model_database.table("TAXONOMY")) == len(trained_model.taxonomy)
 
     def test_taxonomy_rows_carry_marks_and_priors(self, model_database, taxonomy):
-        rows = {r["kcid"]: r for r in model_database.query("TAXONOMY").run()}
+        rows = {r["kcid"]: r for r in model_database.sql("select * from TAXONOMY")}
         cycling = taxonomy.by_path("recreation/cycling")
         assert rows[cycling.cid]["type"] == "good"
         assert rows[cycling.cid]["logprior"] is not None
@@ -65,7 +65,7 @@ class TestModelInstaller:
         try:
             first_aid.mark = NodeMark.GOOD
             sync_taxonomy_marks(database, taxonomy)
-            rows = {r["kcid"]: r["type"] for r in database.query("TAXONOMY").run()}
+            rows = {r["kcid"]: r["type"] for r in database.sql("select * from TAXONOMY")}
             assert rows[first_aid.cid] == "good"
         finally:
             first_aid.mark = original_mark

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import fig5_harvest, fig6_coverage, fig7_distance, fig8_io, workloads
+from repro.classifier.bulk_probe import DOCLEN_SQL, PARTIAL_SQL
+from repro.classifier.training import stat_table_name
 from repro.experiments import runner
 from repro.experiments.runner import run_experiments
 
@@ -117,9 +119,12 @@ class TestFig8:
     """
 
     @pytest.fixture(scope="class")
-    def classifier_comparison(self):
-        fixture = fig8_io.build_classifier_fixture(n_documents=40, buffer_pool_pages=48, seed=5)
-        return fig8_io.run_classifier_comparison(fixture=fixture)
+    def classifier_fixture(self):
+        return fig8_io.build_classifier_fixture(n_documents=40, buffer_pool_pages=48, seed=5)
+
+    @pytest.fixture(scope="class")
+    def classifier_comparison(self, classifier_fixture):
+        return fig8_io.run_classifier_comparison(fixture=classifier_fixture)
 
     @pytest.fixture(scope="class")
     def memory_points(self):
@@ -147,7 +152,7 @@ class TestFig8:
         [
             ("sql", 1091.41, 77.72, 1012.58),
             ("blob", 190.36, 65.72, 123.53),
-            ("bulk", 60.31, 0.0, 58.19),
+            ("bulk", 39.51, 0.0, 37.39),
         ],
     )
     def test_classifier_io_is_pinned(self, classifier_comparison, variant, total, doc_scan, probe):
@@ -164,6 +169,33 @@ class TestFig8:
         assert _relevance_digest(bulk) == (
             "1137c30911745b0de9bcb4a81eb7b45f120a7a31208bb4be4143dd08096f42dc"
         )
+
+    def test_explain_shows_figure_3_plan(self, classifier_fixture):
+        root = classifier_fixture.taxonomy.root.cid
+        partial = PARTIAL_SQL.format(stat=stat_table_name(root))
+        plan = classifier_fixture.database.explain(partial, {"c0": root})
+        assert list(plan.lines) == [
+            "Project([did, kcid, lpr1])",
+            "  GroupByAggregate(keys=[did, kcid] aggs=[sum->__agg0])",
+            f"    Filter((col('T.pcid') = lit({root})))",
+            "      HashJoin(col('S.kcid')=col('T.kcid'))",
+            "        HashJoin(col('S.tid')=col('D.tid'))",
+            "          TableScan(S)",
+            "          TableScan(D)",
+            "        TableScan(T)",
+        ]
+
+    def test_explain_of_doclen_counts_the_subquery_values(self, classifier_fixture):
+        database = classifier_fixture.database
+        stat = stat_table_name(classifier_fixture.taxonomy.root.cid)
+        lines = [row["plan"] for row in database.sql(f"explain {DOCLEN_SQL.format(stat=stat)}")]
+        feature_tids = len(database.sql(f"select distinct tid from {stat}"))
+        assert lines == [
+            "Project([did, len])",
+            "  GroupByAggregate(keys=[did] aggs=[sum->__agg0])",
+            f"    Filter(col('tid') IN <{feature_tids} values>)",
+            "      TableScan(DOCUMENT)",
+        ]
 
     def test_memory_scaling_shape(self, memory_points):
         points = memory_points

@@ -12,10 +12,9 @@ from repro.minidb import (
     INTEGER,
     QueryError,
     TEXT,
-    col,
-    lit,
     make_schema,
 )
+from repro.minidb.expressions import ColumnRef, Comparison, Literal
 from repro.minidb.index import HashIndex, OrderedIndex, build_index
 from repro.minidb.pages import rid_of
 
@@ -144,7 +143,7 @@ class TestTable:
         table = self.make_table()
         for i in range(10):
             table.insert({"oid": i, "url": f"u{i}", "relevance": i / 10})
-        deleted = table.delete_where(col("relevance") > lit(0.7))
+        deleted = table.delete_where(Comparison(">", ColumnRef("relevance"), Literal(0.7)))
         assert deleted == 2
         assert len(table) == 8
 
@@ -153,7 +152,7 @@ class TestTable:
         table.create_index("by_url", ["url"])
         for i in range(6):
             table.insert({"oid": i, "url": f"u{i % 2}", "relevance": i / 10})
-        assert table.delete_where(col("url") == lit("u1")) == 3
+        assert table.delete_where(Comparison("=", ColumnRef("url"), Literal("u1"))) == 3
         assert table.lookup("by_url", ("u1",)) == []
         assert len(table.lookup("by_url", ("u0",))) == 3
         assert table.get_by_key((1,)) is None

@@ -1,23 +1,22 @@
-"""Unit tests for relational operators and the fluent query builder."""
+"""Unit tests for relational operators and the SQL reads built from them."""
 
 import pytest
 
-from repro.minidb import Aggregate, Database, FLOAT, INTEGER, QueryError, col, lit, make_schema
+from repro.minidb import Aggregate, Database, FLOAT, INTEGER, QueryError, make_schema
+from repro.minidb.expressions import Arithmetic, ColumnRef, Comparison, Literal
 from repro.minidb.operators import (
     Distinct,
     Filter,
     GroupByAggregate,
     HashJoin,
-    IndexLookup,
-    LeftOuterJoin,
+    IndexKeysLookup,
     Limit,
     NestedLoopJoin,
     Project,
-    RowSource,
     Sort,
-    SortMergeJoin,
     TableScan,
 )
+from row_source import RowSource
 
 
 @pytest.fixture()
@@ -52,8 +51,8 @@ class TestBasicOperators:
 
     def test_filter_and_project(self, db):
         plan = Project(
-            Filter(TableScan(db.table("CRAWL")), col("relevance") > lit(0.8)),
-            [("oid", col("oid")), ("double", col("relevance") * lit(2))],
+            Filter(TableScan(db.table("CRAWL")), Comparison(">", ColumnRef("relevance"), Literal(0.8))),
+            [("oid", ColumnRef("oid")), ("double", Arithmetic("*", ColumnRef("relevance"), Literal(2)))],
         )
         rows = plan.to_list()
         assert all(set(r) == {"oid", "double"} for r in rows)
@@ -61,7 +60,7 @@ class TestBasicOperators:
 
     def test_sort_orders_and_nulls_last(self):
         source = RowSource([{"x": 3}, {"x": None}, {"x": 1}])
-        rows = Sort(source, [(col("x"), True)]).to_list()
+        rows = Sort(source, [(ColumnRef("x"), True)]).to_list()
         assert [r["x"] for r in rows] == [1, 3, None]
 
     def test_limit_and_offset(self, db):
@@ -75,7 +74,7 @@ class TestBasicOperators:
         assert len(Distinct(source).to_list()) == 2
 
     def test_index_lookup(self, db):
-        rows = IndexLookup(db.table("CRAWL"), "CRAWL_pk", (7,)).to_list()
+        rows = IndexKeysLookup(db.table("CRAWL"), "CRAWL_pk", [(7,)]).to_list()
         assert len(rows) == 1 and rows[0]["oid"] == 7
 
     def test_rows_out_counter(self, db):
@@ -94,55 +93,32 @@ class TestJoins:
         hash_rows = HashJoin(
             TableScan(db.table("LINK"), "LINK"),
             TableScan(db.table("CRAWL"), "CRAWL"),
-            [col("oid_dst")],
-            [col("CRAWL.oid")],
+            [ColumnRef("oid_dst")],
+            [ColumnRef("CRAWL.oid")],
         ).to_list()
         nested_rows = NestedLoopJoin(
             TableScan(db.table("LINK"), "LINK"),
             TableScan(db.table("CRAWL"), "CRAWL"),
-            col("oid_dst") == col("CRAWL.oid"),
+            Comparison("=", ColumnRef("oid_dst"), ColumnRef("CRAWL.oid")),
         ).to_list()
         assert len(hash_rows) == len(nested_rows) == 19
 
-    def test_sort_merge_join_matches_hash_join(self, db):
-        merge_rows = SortMergeJoin(
-            TableScan(db.table("LINK"), "LINK"),
-            TableScan(db.table("CRAWL"), "CRAWL"),
-            [col("oid_dst")],
-            [col("CRAWL.oid")],
-        ).to_list()
-        assert len(merge_rows) == 19
-        key_pairs = {(r["oid_src"], r["CRAWL.oid"]) for r in merge_rows}
-        assert (0, 1) in key_pairs
-
-    def test_left_outer_join_null_fills_unmatched(self, db):
-        rows = LeftOuterJoin(
-            TableScan(db.table("LINK"), "LINK"),
-            TableScan(db.table("CRAWL"), "CRAWL"),
-            [col("oid_dst")],
-            [col("CRAWL.oid")],
-            right_columns=["CRAWL.relevance"],
-        ).to_list()
-        assert len(rows) == 20
-        dangling = [r for r in rows if r["oid_dst"] == 999]
-        assert dangling and dangling[0]["CRAWL.relevance"] is None
-
     def test_join_key_arity_checked(self, db):
         with pytest.raises(QueryError):
-            HashJoin(RowSource([]), RowSource([]), [col("a")], [])
+            HashJoin(RowSource([]), RowSource([]), [ColumnRef("a")], [])
 
 
 class TestAggregation:
     def test_group_by_sum_count_avg_min_max(self, db):
         plan = GroupByAggregate(
             TableScan(db.table("CRAWL")),
-            [("sid", col("sid"))],
+            [("sid", ColumnRef("sid"))],
             [
                 Aggregate("count", None, "n"),
-                Aggregate("sum", col("relevance"), "total"),
-                Aggregate("avg", col("relevance"), "mean"),
-                Aggregate("min", col("relevance"), "low"),
-                Aggregate("max", col("relevance"), "high"),
+                Aggregate("sum", ColumnRef("relevance"), "total"),
+                Aggregate("avg", ColumnRef("relevance"), "mean"),
+                Aggregate("min", ColumnRef("relevance"), "low"),
+                Aggregate("max", ColumnRef("relevance"), "high"),
             ],
         )
         rows = {r["sid"]: r for r in plan.to_list()}
@@ -158,90 +134,59 @@ class TestAggregation:
     def test_having_filters_groups(self, db):
         plan = GroupByAggregate(
             TableScan(db.table("CRAWL")),
-            [("sid", col("sid"))],
+            [("sid", ColumnRef("sid"))],
             [Aggregate("count", None, "n")],
-            having=col("sid") > lit(1),
+            having=Comparison(">", ColumnRef("sid"), Literal(1)),
         )
         assert {r["sid"] for r in plan.to_list()} == {2, 3}
 
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(QueryError):
-            Aggregate("median", col("x"), "m")
+            Aggregate("median", ColumnRef("x"), "m")
 
     def test_sum_over_empty_group_is_null(self):
-        plan = GroupByAggregate(RowSource([]), [], [Aggregate("sum", col("x"), "s")])
+        plan = GroupByAggregate(RowSource([]), [], [Aggregate("sum", ColumnRef("x"), "s")])
         assert plan.to_list() == [{"s": None}]
 
 
-class TestQueryBuilder:
+class TestSqlReads:
+    """What the classifier and the distillers ask of ``Database.sql()``."""
+
     def test_where_group_order_limit(self, db):
-        rows = (
-            db.query("CRAWL")
-            .where(col("relevance") > lit(0.2))
-            .group_by("sid")
-            .aggregate("count", None, "n")
-            .order_by(("n", False), ("sid", True))
-            .limit(2)
-            .run()
+        rows = db.sql(
+            "select sid, count(*) n from CRAWL where relevance > 0.2 "
+            "group by sid order by n desc, sid limit 2"
         )
-        assert len(rows) == 2
-        assert rows[0]["n"] >= rows[1]["n"]
+        assert rows == [{"sid": 1, "n": 4}, {"sid": 3, "n": 4}]
 
-    def test_point_query_uses_primary_key_index(self, db):
-        query = db.query("CRAWL").where(col("oid") == lit(3))
-        plan = query.plan()
-        # The base of the plan should be an IndexLookup, not a scan.
-        node = plan
-        while hasattr(node, "child"):
-            node = node.child
-        assert isinstance(node, IndexLookup)
-        assert query.run()[0]["oid"] == 3
-
-    def test_join_through_builder(self, db):
-        rows = (
-            db.query("LINK")
-            .join("CRAWL", on=[("oid_dst", "oid")])
-            .where(col("relevance") > lit(0.5))
-            .select("oid_src", "oid_dst", "relevance")
-            .run()
+    def test_join_filter_and_projection(self, db):
+        rows = db.sql(
+            "select oid_src, oid_dst, relevance from LINK, CRAWL "
+            "where oid_dst = oid and relevance > 0.5"
         )
-        assert rows and all(r["relevance"] > 0.5 for r in rows)
+        assert [(r["oid_src"], r["oid_dst"]) for r in rows] == [
+            (i - 1, i) for i in range(1, 20) if (i % 10) / 10 > 0.5
+        ]
+        assert all(set(r) == {"oid_src", "oid_dst", "relevance"} for r in rows)
 
-    def test_left_join_through_builder(self, db):
-        rows = (
-            db.query("LINK")
-            .join("CRAWL", on=[("oid_dst", "oid")], how="left")
-            .run()
+    def test_dangling_edge_has_no_join_partner(self, db):
+        rows = db.sql("select oid_dst from LINK, CRAWL where oid_dst = oid")
+        assert len(rows) == 19 and 999 not in {r["oid_dst"] for r in rows}
+
+    def test_global_aggregate_is_one_row(self, db):
+        assert db.sql("select count(*) n from CRAWL") == [{"n": 20}]
+        assert db.sql("select sum(relevance) s from CRAWL where oid > 100") == [{"s": None}]
+
+    def test_distinct_keeps_first_seen_order(self, db):
+        assert [r["oid_src"] for r in db.sql("select distinct oid_src from LINK")] == list(
+            range(19)
         )
-        assert len(rows) == 20
+        rows = db.sql("select distinct sid from CRAWL order by sid desc")
+        assert [r["sid"] for r in rows] == [3, 2, 1, 0]
 
-    def test_merge_join_algorithm(self, db):
-        rows = (
-            db.query("LINK")
-            .join("CRAWL", on=[("oid_dst", "oid")], algorithm="merge")
-            .run()
+    def test_in_subquery_filters_like_a_semi_join(self, db):
+        rows = db.sql(
+            "select sid, count(*) n from CRAWL "
+            "where oid in (select oid_dst from LINK) group by sid"
         )
-        assert len(rows) == 19
-
-    def test_index_and_nested_join_algorithms_are_refused(self, db):
-        # Index-nested-loop joins are the SQL planner's; nested loops are
-        # the property tests' oracle, not a builder choice.
-        for algorithm in ("index", "nested"):
-            with pytest.raises(QueryError, match="'hash' or 'merge'"):
-                db.query("LINK").join("CRAWL", on=[("oid_dst", "oid")], algorithm=algorithm)
-
-    def test_scalar_and_errors(self, db):
-        assert db.query("CRAWL").aggregate("count", None, "n").scalar() == 20
-        with pytest.raises(QueryError):
-            db.query("CRAWL").select("oid", "sid").scalar()
-        with pytest.raises(QueryError):
-            db.query("CRAWL").join("LINK", on=[("oid", "oid_src")], how="full")
-
-    def test_query_over_row_source(self, db):
-        rows = (
-            db.query([{"k": 1}, {"k": 2}, {"k": 2}], alias="R")
-            .distinct()
-            .order_by(("k", True))
-            .run()
-        )
-        assert [r["k"] for r in rows] == [1, 2]
+        assert {r["sid"]: r["n"] for r in rows} == {1: 5, 2: 5, 3: 5, 0: 4}

@@ -8,8 +8,6 @@ from repro.minidb import (
     INTEGER,
     QueryError,
     TEXT,
-    col,
-    lit,
     make_schema,
 )
 from repro.minidb.planner import plan_select
@@ -217,8 +215,7 @@ class TestBitIdentity:
         assert db.sql(sql, params) == scan_rows(db, sql, params)
 
     def test_identity_survives_deletes(self, db):
-        crawl = db.table("CRAWL")
-        crawl.delete_where(col("oid") == lit(7))
+        db.sql("delete from CRAWL where oid = 7")
         sql = "select oid from CRAWL where oid in (:a, :b)"
         params = {"a": 7, "b": 8}
         indexed = db.sql(sql, params)

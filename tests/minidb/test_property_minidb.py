@@ -17,18 +17,13 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.minidb import Database, FLOAT, INTEGER, TEXT, StorageConfig, col, lit, make_schema
+from repro.minidb import Database, FLOAT, INTEGER, TEXT, StorageConfig, make_schema
 from repro.minidb.errors import ConstraintError, SchemaError, StorageError
 from repro.minidb.pages import rid_of
 from repro.minidb.sql import execute_select, parse_sql
-from repro.minidb.operators import (
-    Aggregate,
-    GroupByAggregate,
-    HashJoin,
-    NestedLoopJoin,
-    RowSource,
-    SortMergeJoin,
-)
+from repro.minidb.expressions import ColumnRef, Comparison, Literal
+from repro.minidb.operators import Aggregate, GroupByAggregate, HashJoin, NestedLoopJoin
+from row_source import RowSource
 
 rows_strategy = st.lists(
     st.tuples(st.integers(0, 30), st.floats(0, 1, allow_nan=False), st.text(max_size=6)),
@@ -57,9 +52,7 @@ class TestTableProperties:
         db = Database(buffer_pool_pages=8)
         table = db.create_table("T", make_schema(("k", INTEGER), ("v", FLOAT)))
         table.insert_many({"k": k, "v": v} for k, v, _ in rows)
-        from repro.minidb import lit
-
-        deleted = table.delete_where(col("v") > lit(threshold))
+        deleted = table.delete_where(Comparison(">", ColumnRef("v"), Literal(threshold)))
         expected_remaining = [(k, v) for k, v, _ in rows if not v > threshold]
         assert deleted == len(rows) - len(expected_remaining)
         assert sorted((r["k"], r["v"]) for r in table.rows_as_dicts()) == sorted(
@@ -70,28 +63,36 @@ class TestTableProperties:
 class TestJoinProperties:
     @given(left=pairs_strategy, right=pairs_strategy)
     @settings(max_examples=40, deadline=None)
-    def test_all_join_algorithms_agree(self, left, right):
+    def test_hash_join_equals_nested_loop(self, left, right):
         left_rows = [{"lk": a, "lv": b} for a, b in left]
         right_rows = [{"rk": a, "rv": b} for a, b in right]
 
-        def run(cls):
-            result = cls(
-                RowSource(list(left_rows)),
-                RowSource(list(right_rows)),
-                [col("lk")],
-                [col("rk")],
-            ).to_list()
-            return Counter((r["lk"], r["lv"], r["rk"], r["rv"]) for r in result)
+        def joined(operator):
+            return Counter((r["lk"], r["lv"], r["rk"], r["rv"]) for r in operator.to_list())
 
-        hash_result = run(HashJoin)
-        merge_result = run(SortMergeJoin)
+        hashed = HashJoin(
+            RowSource(left_rows), RowSource(right_rows), [ColumnRef("lk")], [ColumnRef("rk")]
+        )
         nested = NestedLoopJoin(
-            RowSource(list(left_rows)),
-            RowSource(list(right_rows)),
-            col("lk") == col("rk"),
-        ).to_list()
-        nested_result = Counter((r["lk"], r["lv"], r["rk"], r["rv"]) for r in nested)
-        assert hash_result == merge_result == nested_result
+            RowSource(left_rows),
+            RowSource(right_rows),
+            Comparison("=", ColumnRef("lk"), ColumnRef("rk")),
+        )
+        assert joined(hashed) == joined(nested)
+
+    @given(left=pairs_strategy, right=pairs_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_sql_equi_join_equals_python(self, left, right):
+        db = Database(buffer_pool_pages=8)
+        db.create_table("L", make_schema(("lk", INTEGER), ("lv", INTEGER))).insert_many(
+            {"lk": a, "lv": b} for a, b in left
+        )
+        db.create_table("R", make_schema(("rk", INTEGER), ("rv", INTEGER))).insert_many(
+            {"rk": a, "rv": b} for a, b in right
+        )
+        rows = db.sql("select lk, lv, rk, rv from L, R where lk = rk")
+        expected = Counter((a, b, c, d) for a, b in left for c, d in right if a == c)
+        assert Counter((r["lk"], r["lv"], r["rk"], r["rv"]) for r in rows) == expected
 
     @given(rows=pairs_strategy)
     @settings(max_examples=40, deadline=None)
@@ -99,8 +100,8 @@ class TestJoinProperties:
         source = [{"k": a, "v": b} for a, b in rows]
         plan = GroupByAggregate(
             RowSource(source),
-            [("k", col("k"))],
-            [Aggregate("sum", col("v"), "total"), Aggregate("count", None, "n")],
+            [("k", ColumnRef("k"))],
+            [Aggregate("sum", ColumnRef("v"), "total"), Aggregate("count", None, "n")],
         )
         result = {r["k"]: (r["total"], r["n"]) for r in plan.to_list()}
         expected = defaultdict(lambda: [0, 0])
@@ -445,7 +446,7 @@ class TableAgainstModel(RuleBasedStateMachine):
         """Empty a whole ``g`` key at once (every index loses its postings under it)."""
         g = data.draw(st.sampled_from(sorted({row[3] for row in self.rows.values()})))
         doomed = [key for key, row in self.rows.items() if row[3] == g]
-        assert self.table.delete_where(col("g") == lit(g)) == len(doomed)
+        assert self.table.delete_where(Comparison("=", ColumnRef("g"), Literal(g))) == len(doomed)
         for key in doomed:
             del self.rows[key]
             self.heap.delete(key)

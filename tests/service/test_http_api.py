@@ -228,6 +228,26 @@ class TestQueryEndpoint:
             call(self.query_url(base, job_id, "select from from"))
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize(
+        "sql, error",
+        [
+            ("select exp(1000.0) x from CRAWL limit 1", "OverflowError"),
+            ("select url + 1 x from CRAWL limit 1", "TypeError"),
+            ("select oid from CRAWL where url > 3", "TypeError"),
+            ("select length(oid) n from CRAWL limit 1", "TypeError"),
+        ],
+        ids=["overflow", "text-plus-int", "text-vs-int", "length-of-int"],
+    )
+    def test_an_expression_failing_on_row_values_is_400(self, finished_job, sql, error):
+        base, job_id = finished_job
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call(self.query_url(base, job_id, sql))
+        with excinfo.value as reply:
+            assert reply.code == 400
+            assert error in json.load(reply)["error"]
+        # The connection was answered, not dropped: the service keeps serving.
+        assert call(self.query_url(base, job_id, "select count(*) n from CRAWL"))[0]["n"] > 0
+
 
 class TestErrors:
     def test_unknown_job_is_404(self, service):

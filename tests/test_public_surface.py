@@ -1,6 +1,7 @@
 """The consolidated public API surface: ``repro`` is the one import root."""
 
 import ast
+import importlib.util
 import pathlib
 import re
 
@@ -28,8 +29,19 @@ class TestPublicSurface:
             assert name in repro.__all__
 
     def test_query_layer_is_exported(self):
-        for name in ("Query", "Plan", "ExplainResult"):
+        for name in ("Database", "Plan", "ExplainResult"):
             assert name in repro.__all__
+
+    def test_sql_is_the_one_read_surface(self):
+        # The fluent Query builder and its Python expression DSL are gone:
+        # every read is a Database.sql() statement.
+        import repro.minidb as minidb
+
+        assert not hasattr(repro, "Query")
+        for name in ("Query", "col", "lit", "func", "and_", "or_", "not_", "in_set", "is_null"):
+            assert not hasattr(minidb, name), name
+        assert not hasattr(repro.Database, "query")
+        assert importlib.util.find_spec("repro.minidb.query") is None
 
 
 class TestExamplesImportOnlyThePublicSurface:
