@@ -70,6 +70,11 @@ class TestComparisonsAndArithmetic:
         with pytest.raises(QueryError):
             Arithmetic("/", A, Literal(0)).evaluate(ROW)
 
+    def test_negation_through_sql(self):
+        db = Database()
+        db.create_table("T", make_schema(("a", INTEGER))).insert({"a": 5})
+        assert db.sql("select -a x from T") == [{"x": -5}]
+
     def test_expressions_compare_by_identity(self):
         # Nodes are plain values: ``==`` is identity, never a truthy
         # Comparison node standing in for a boolean.
