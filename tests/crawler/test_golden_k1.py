@@ -5,16 +5,20 @@ Until PR 14 ``CrawlEngine`` held a second, one-URL-at-a-time crawl loop
 against.  That loop is gone — ``engine="serial"`` is the kernel at round
 size 1 — so its behaviour lives on here as data: for each case below the
 parent commit's serial loop (python backend) produced the digests in
-``GOLDEN``, and the kernel must reproduce them bit for bit down either
-fetch path: inline (the simulated transport settles every outcome at
-``prepare``) and drained (a latency transport that owes a wait on every
-fetch and never times out).
+``GOLDEN``, and the kernel must reproduce them down either fetch path:
+inline (the simulated transport settles every outcome at ``prepare``)
+and drained (a latency transport that owes a wait on every fetch and
+never times out).  ``GOLDEN_K8`` holds the same cases at round size 8.
 
 A digest covers one artefact of the crawl: the fetched URL sequence, the
-``repr`` of every relevance float, the failed URLs, the distillation
-count, and the sorted rows of CRAWL, LINK, HUBS and AUTH.  The numpy
-backend is 1e-9-equivalent rather than bit-equal, so it is compared to
-the (just pinned) python run: same URLs, floats to tolerance.
+relevance of every visit, the failed URLs, the distillation count, and
+the sorted rows of CRAWL, LINK, HUBS and AUTH.  URLs, failures and
+counts are pinned exactly.  Floats are rounded to 9 decimals before they
+are digested: two Eq. 2 or HITS kernels that sum in different orders
+differ near 1e-17, which must not move a digest, while any difference a
+reader of the crawl could see still does.  Bit-determinism of the
+floats on one host is pinned by the kill/resume and stepped-vs-run
+tests.
 """
 
 from hashlib import blake2b
@@ -42,77 +46,156 @@ CASES = {
     "none-distill-clean": (False, dict(max_pages=70, distill_every=25, focus_mode="none")),
 }
 
-#: Recorded at commit 86959cd from ``CrawlEngine._run_serial``.
+#: The URL, failure and distillation digests were recorded at commit
+#: 86959cd from ``CrawlEngine._run_serial``; the float-bearing ones
+#: (``relevance`` and the four tables) were re-recorded over 9-decimal
+#: floats at commit 99f7bd0, from the python scoring path.
 GOLDEN = {
     "soft-distill-failures": {
         "urls": "91c5acbe252af23b",
-        "relevance": "bb045f19abeb691b",
+        "relevance": "20e419afab10baac",
         "failed": "0a738dedbf9a0a16",
         "distillations": 2,
-        "CRAWL": "5351fb57335eaa49",
-        "LINK": "42c30b12d6ae6320",
-        "HUBS": "c3358cd479d31b5b",
-        "AUTH": "30c99e91dc6c2657",
+        "CRAWL": "8d8834b1fddf59fc",
+        "LINK": "8d98ce85f5970e79",
+        "HUBS": "6d9b645d275c3c8e",
+        "AUTH": "2df3e4d3b6821300",
     },
     "soft-nodistill-failures": {
         "urls": "3bf897bc857b1e8f",
-        "relevance": "24f5dd3cc62f3852",
+        "relevance": "599449d322175cd3",
         "failed": "6fc9988d8f7495f5",
         "distillations": 0,
-        "CRAWL": "cb0cf2808c01906b",
-        "LINK": "393c177537e06f7f",
+        "CRAWL": "b508e781912f9d7d",
+        "LINK": "ad1ff7901aff6e70",
         "HUBS": "e4a6a0577479b2b4",
         "AUTH": "e4a6a0577479b2b4",
     },
     "soft-distill-clean": {
         "urls": "92e9b83657add946",
-        "relevance": "8b7012288a695cf1",
+        "relevance": "656fc3e702cda115",
         "failed": "170fd60874485927",
         "distillations": 3,
-        "CRAWL": "c1076b1ae153ad00",
-        "LINK": "e1aa745e0cad4a93",
-        "HUBS": "5053e68e01aebba2",
-        "AUTH": "1c8bd41047ae485f",
+        "CRAWL": "6433d02bee5a4465",
+        "LINK": "5ecf038354664a1f",
+        "HUBS": "0a8dc68efc8f4d7c",
+        "AUTH": "a4a0fa339b26e542",
     },
     "hard-nodistill-clean": {
         "urls": "c9821c6bb4e259d0",
-        "relevance": "b6e55ee707d33f14",
+        "relevance": "6596f3dc62d08b89",
         "failed": "142794723c4c00df",
         "distillations": 0,
-        "CRAWL": "eb55895eb265d694",
-        "LINK": "cf9153fb37007dc0",
+        "CRAWL": "64e0f9b24a1db2b8",
+        "LINK": "616f8e3aa4c5f0b9",
         "HUBS": "e4a6a0577479b2b4",
         "AUTH": "e4a6a0577479b2b4",
     },
     "hard-distill-failures": {
         "urls": "8ee4d2535cb43a34",
-        "relevance": "c506a782cb767ba3",
+        "relevance": "8541dbade692868a",
         "failed": "6fc9988d8f7495f5",
         "distillations": 2,
-        "CRAWL": "6adace9cb6302e8d",
-        "LINK": "1b95ea508091b1d9",
-        "HUBS": "5e2ffb27cbdc9b84",
-        "AUTH": "78d42da7476c6e52",
+        "CRAWL": "c413cfee910a0c56",
+        "LINK": "64e4f3b8d6af3118",
+        "HUBS": "1a1211508407efb7",
+        "AUTH": "ea0a88dff5db1c12",
     },
     "none-nodistill-failures": {
         "urls": "f9504edd4f6e0056",
-        "relevance": "5be5f8f7ba19a159",
+        "relevance": "9c5e6525b4cb048c",
         "failed": "29cf32005d24261d",
         "distillations": 0,
-        "CRAWL": "9315ebbe8abaa9ce",
-        "LINK": "176c47027d86c947",
+        "CRAWL": "2a1d295e784993b7",
+        "LINK": "dee8e55cc685e4be",
         "HUBS": "e4a6a0577479b2b4",
         "AUTH": "e4a6a0577479b2b4",
     },
     "none-distill-clean": {
         "urls": "f9504edd4f6e0056",
-        "relevance": "5be5f8f7ba19a159",
+        "relevance": "9c5e6525b4cb048c",
         "failed": "05e24b8b4588ac55",
         "distillations": 2,
-        "CRAWL": "db4f12b2b2c33ff0",
-        "LINK": "176c47027d86c947",
-        "HUBS": "b42d25a098dab155",
-        "AUTH": "74f3c83cb05cf8a7",
+        "CRAWL": "30d1a94dd4d6bb6a",
+        "LINK": "dee8e55cc685e4be",
+        "HUBS": "01415021d5c6ffc4",
+        "AUTH": "5ab9fc30a64292d0",
+    },
+}
+
+
+#: The same cases at round size 8, recorded at commit 99f7bd0 (python
+#: scoring path, floats to 9 decimals).
+GOLDEN_K8 = {
+    "soft-distill-failures": {
+        "urls": "bd349f3e2fef84be",
+        "relevance": "8bc1b897219edc76",
+        "failed": "3b82c41eeab3a531",
+        "distillations": 2,
+        "CRAWL": "2993d6c22d4f25f8",
+        "LINK": "045810e966ec4526",
+        "HUBS": "21c332ff28d2604d",
+        "AUTH": "f27df8e52e19a35f",
+    },
+    "soft-nodistill-failures": {
+        "urls": "486c35c720c52cd7",
+        "relevance": "24f5cccaec8ef669",
+        "failed": "3b82c41eeab3a531",
+        "distillations": 0,
+        "CRAWL": "6b02f7fb89f89bc9",
+        "LINK": "222947cf49e703f2",
+        "HUBS": "e4a6a0577479b2b4",
+        "AUTH": "e4a6a0577479b2b4",
+    },
+    "soft-distill-clean": {
+        "urls": "70c3774794496380",
+        "relevance": "52d69a27fc0e0ee8",
+        "failed": "f56d6f3bb5470fb6",
+        "distillations": 3,
+        "CRAWL": "ea31fd9c7c7dbfc4",
+        "LINK": "b15279a8339faa40",
+        "HUBS": "580a481444fc654b",
+        "AUTH": "a3a5ac0c7f6e4787",
+    },
+    "hard-nodistill-clean": {
+        "urls": "9d53734e69dc89dd",
+        "relevance": "e12cf0d0cefc6818",
+        "failed": "142794723c4c00df",
+        "distillations": 0,
+        "CRAWL": "96893005dee5c458",
+        "LINK": "4380cfd5cc3fef30",
+        "HUBS": "e4a6a0577479b2b4",
+        "AUTH": "e4a6a0577479b2b4",
+    },
+    "hard-distill-failures": {
+        "urls": "aef3d1422bb23d32",
+        "relevance": "bd47f125dc83c91a",
+        "failed": "3b82c41eeab3a531",
+        "distillations": 2,
+        "CRAWL": "76697e693efe8559",
+        "LINK": "727ec8945e428cba",
+        "HUBS": "50618e5bb4625fa8",
+        "AUTH": "08c9d72e36b925c6",
+    },
+    "none-nodistill-failures": {
+        "urls": "5bc1ca55a69edf53",
+        "relevance": "6e268ef2ff9c06a6",
+        "failed": "dcd6288f89ead8f5",
+        "distillations": 0,
+        "CRAWL": "50d3df328f12adcb",
+        "LINK": "dee8e55cc685e4be",
+        "HUBS": "e4a6a0577479b2b4",
+        "AUTH": "e4a6a0577479b2b4",
+    },
+    "none-distill-clean": {
+        "urls": "f9504edd4f6e0056",
+        "relevance": "9c5e6525b4cb048c",
+        "failed": "05e24b8b4588ac55",
+        "distillations": 2,
+        "CRAWL": "b867291b2013df53",
+        "LINK": "dee8e55cc685e4be",
+        "HUBS": "aded2e0313cc4031",
+        "AUTH": "427fc51c283ccda4",
     },
 }
 
@@ -138,15 +221,21 @@ def run_case(name, small_web, trained_model, taxonomy, **overrides):
     return database, trace
 
 
+def rounded(value):
+    """A float as pinned: 9 decimals, so summation order below 1e-9 cannot show."""
+    return round(float(value), 9) if isinstance(value, float) else value
+
+
 def crawl_digests(database, trace) -> dict:
     facts = {
         "urls": digest(trace.fetched_urls),
-        "relevance": digest(trace.relevance_series()),
+        "relevance": digest(map(rounded, trace.relevance_series())),
         "failed": digest(trace.failed_urls),
         "distillations": trace.distillations,
     }
     for table in ("CRAWL", "LINK", "HUBS", "AUTH"):
-        facts[table] = digest(sorted(database.table(table).rows()))
+        rows = database.table(table).rows()
+        facts[table] = digest(sorted(tuple(map(rounded, row)) for row in rows))
     return facts
 
 
@@ -154,6 +243,14 @@ def crawl_digests(database, trace) -> dict:
 def test_k1_kernel_reproduces_the_serial_loop(name, small_web, trained_model, taxonomy):
     database, trace = run_case(name, small_web, trained_model, taxonomy)
     assert crawl_digests(database, trace) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_k8_kernel_reproduces_the_recorded_crawl(name, small_web, trained_model, taxonomy):
+    database, trace = run_case(
+        name, small_web, trained_model, taxonomy, engine="batched", batch_size=8
+    )
+    assert crawl_digests(database, trace) == GOLDEN_K8[name]
 
 
 #: Every fetch owes a short wait and none times out: the crawl is the
