@@ -36,11 +36,35 @@ class TestWorkloads:
         assert tiny_workload.good_topic == workloads.CYCLING
 
 
+def _nine(value):
+    """A float as pinned: 9 decimals, summation-order noise dropped."""
+    return round(float(value), 9)
+
+
+def _series_digest(points):
+    """sha256 over the ``repr`` of a series of tuples, every float to 9 decimals."""
+    rounded = [
+        tuple(_nine(value) if isinstance(value, float) else value for value in point)
+        for point in points
+    ]
+    return hashlib.sha256(repr(rounded).encode()).hexdigest()
+
+
 class TestFig5:
-    def test_harvest_experiment_shape(self, tiny_workload):
-        result = fig5_harvest.run_harvest_experiment(
+    """Figure 5's shape, and the series it reads at these sizes (pinned at commit 99f7bd0)."""
+
+    @pytest.fixture(scope="class")
+    def harvest(self, tiny_workload):
+        return fig5_harvest.run_harvest_experiment(
             workload=tiny_workload, max_pages=250, window=50
         )
+
+    @pytest.fixture(scope="class")
+    def stagnation(self):
+        return fig5_harvest.run_stagnation_experiment(seed=5, scale=0.25, max_pages=150)
+
+    def test_harvest_experiment_shape(self, harvest):
+        result = harvest
         # The focused crawler must beat the unfocused baseline overall and
         # especially over the tail of the crawl (the paper's Figure 5 claim).
         assert result.focused_average > result.unfocused_average
@@ -48,22 +72,60 @@ class TestFig5:
         report = fig5_harvest.print_report(result, every=50)
         assert any("average" in line for line in report)
 
-    def test_stagnation_experiment_improves_after_fix(self):
-        result = fig5_harvest.run_stagnation_experiment(seed=5, scale=0.25, max_pages=150)
-        assert result.improved
-        assert result.after_harvest > result.before_harvest
+    def test_harvest_series_are_pinned(self, harvest):
+        assert (len(harvest.focused_series), len(harvest.unfocused_series)) == (250, 250)
+        assert _series_digest(harvest.focused_series) == (
+            "cbd68fa7a8cfed7f9c79dd683c778071d016d55034d43af88b65095105ec7589"
+        )
+        assert _series_digest(harvest.unfocused_series) == (
+            "082dbf1ddb43632d22adba2038658600503d1288f4bb635d3adc168b2e3e236c"
+        )
+        averages = (
+            harvest.focused_average,
+            harvest.unfocused_average,
+            harvest.focused_tail_average,
+            harvest.unfocused_tail_average,
+        )
+        assert tuple(map(_nine, averages)) == (0.534614125, 0.36106629, 0.452643246, 0.192051944)
+
+    def test_stagnation_experiment_improves_after_fix(self, stagnation):
+        assert stagnation.improved
+        assert stagnation.after_harvest > stagnation.before_harvest
+
+    def test_stagnation_episode_is_pinned(self, stagnation):
+        assert (
+            _nine(stagnation.before_harvest),
+            stagnation.before_dominant_topic,
+            _nine(stagnation.after_harvest),
+        ) == (0.460541979, "mutual_funds", 0.576285625)
 
 
 class TestFig6:
-    def test_coverage_experiment_shape(self, tiny_workload):
-        result = fig6_coverage.run_coverage_experiment(
+    @pytest.fixture(scope="class")
+    def coverage(self, tiny_workload):
+        return fig6_coverage.run_coverage_experiment(
             workload=tiny_workload, reference_pages=220, test_pages=220, seed_size=10
         )
+
+    def test_coverage_experiment_shape(self, coverage):
+        result = coverage
         assert 0.3 < result.final_url_coverage <= 1.0
         assert result.final_server_coverage >= result.final_url_coverage * 0.8
         coverages = [p.url_coverage for p in result.points]
         assert coverages == sorted(coverages)
         assert fig6_coverage.print_report(result)
+
+    def test_coverage_curve_is_pinned(self, coverage):
+        """Pinned at commit 99f7bd0: counts exactly, coverages to 9 decimals."""
+        points = [(p.pages_crawled, p.url_coverage, p.server_coverage) for p in coverage.points]
+        assert (len(points), coverage.reference_relevant_urls) == (220, 114)
+        assert _series_digest(points) == (
+            "5df0964ad66d92dbfbbfcf3b9f6a1c76bcc9d0c0c9c3e191a3fc023fd62ee125"
+        )
+        assert (_nine(coverage.final_url_coverage), _nine(coverage.final_server_coverage)) == (
+            0.973684211,
+            1.0,
+        )
 
     def test_db_reference_set_equals_trace_reference_set(self, tiny_workload):
         # The experiment reads the relevant set from the CRAWL table; the
@@ -86,10 +148,14 @@ class TestFig6:
 
 
 class TestFig7:
-    def test_distance_experiment_shape(self, tiny_workload):
-        result = fig7_distance.run_distance_experiment(
+    @pytest.fixture(scope="class")
+    def distance(self, tiny_workload):
+        return fig7_distance.run_distance_experiment(
             workload=tiny_workload, max_pages=250, top_authorities=50
         )
+
+    def test_distance_experiment_shape(self, distance):
+        result = distance
         assert sum(result.histogram.values()) == 50
         # At this miniature scale the community is small, so we only check
         # that exploration went beyond the seeds themselves; the full-size
@@ -99,6 +165,11 @@ class TestFig7:
         assert result.mass_beyond_two >= 0.0
         assert result.top_hubs
         assert fig7_distance.print_report(result)
+
+    def test_distance_histogram_is_pinned(self, distance):
+        """Pinned at commit 99f7bd0: the top-50 authorities by seed distance."""
+        assert distance.histogram == {0: 9, 1: 19, 2: 6, 3: 4, 4: 1, 5: 1, 6: 9, 7: 1}
+        assert (distance.max_distance, _nine(distance.mass_beyond_two)) == (7, 0.32)
 
 
 def _cost(value):
