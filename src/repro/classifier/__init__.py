@@ -1,10 +1,13 @@
 """classifier: hierarchical naive Bayes guiding the focused crawler (paper §2.1).
 
-Three interchangeable classification backends are provided; they compute
-identical relevance numbers and differ only in how they touch storage:
+Four interchangeable classifiers are provided; they compute the same
+relevance numbers and differ only in arithmetic order and in how they
+touch storage:
 
 * :class:`~repro.classifier.model.HierarchicalModel` — in-memory reference
-  implementation (fast path used by the crawler by default).
+  implementation, one document at a time.
+* :class:`~repro.classifier.compiled.CompiledHierarchicalModel` — the
+  same model compiled into columnar NumPy kernels; what the crawler runs.
 * :class:`~repro.classifier.single_probe.SingleProbeClassifier` — the
   per-term index-probe access path of Figure 2 (modes "stat" and "blob").
 * :class:`~repro.classifier.bulk_probe.BulkProbeClassifier` — the

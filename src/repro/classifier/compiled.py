@@ -10,10 +10,10 @@ structures and scores whole batches with vectorized kernels:
   covering every child of every internal node side by side.  Entry
   ``(t, j)`` is ``logtheta(child_j, t)`` when the statistic is stored,
   the smoothed ``-logdenom(child_j)`` when term *t* is a feature of
-  child_j's node without a stored statistic — exactly the tuples the
-  reference path caches lazily in ``NodeModel._term_vectors`` — and
-  ``0.0`` when *t* is not a feature of that node (no contribution, as
-  in the reference's feature filter);
+  child_j's node without a stored statistic — exactly the values the
+  reference path looks up per (child, term) — and ``0.0`` when *t* is
+  not a feature of that node (no contribution, as in the reference's
+  feature filter);
 * a batch of documents packed once into a sparse COO doc-term batch;
   all per-(node, child) log-likelihood sums are produced by one fancy
   index plus one ``np.bincount`` scatter-add per child column (a
@@ -27,7 +27,7 @@ Numerics: the kernels perform the same operations as the reference path
 but accumulate in different association orders, so results agree to
 floating-point tolerance rather than bit-for-bit — tests enforce 1e-9 on
 posteriors, relevance, and best-leaf identity.  Within the compiled
-backend itself, scoring is deterministic and independent of batch
+model itself, scoring is deterministic and independent of batch
 packing: every accumulation (``np.bincount``) visits a document's
 entries in the document's own packing order, so a batch of one
 reproduces a batch of K bit for bit (checkpoint/resume relies on this).
@@ -206,7 +206,7 @@ class CompiledHierarchicalModel:
     def classify_batch(
         self, documents: Sequence[TermFrequencies]
     ) -> List[BatchClassification]:
-        """Drop-in for :meth:`HierarchicalModel.classify_batch` (1e-9 tolerance)."""
+        """Relevance and best leaf per document (the oracle: ``HierarchicalModel``, to 1e-9)."""
         if not documents:
             return []
         posteriors = self.posterior_matrix(documents)
@@ -219,10 +219,3 @@ class CompiledHierarchicalModel:
             BatchClassification(relevance=float(r), best_leaf_cid=int(b))
             for r, b in zip(relevance, best)
         ]
-
-    def relevance(self, document: TermFrequencies) -> float:
-        """Soft-focus relevance of one document (Equation 3)."""
-        return self.classify_batch([document])[0].relevance
-
-    def best_leaf(self, document: TermFrequencies) -> int:
-        return self.classify_batch([document])[0].best_leaf_cid

@@ -1,18 +1,15 @@
 """Small shared caching primitives used on the crawl hot paths.
 
-One LRU policy, reused everywhere a hot-path cache needs bounding: the
-engine's classification-outcome cache (keyed by page oid) and the
-classifier's per-node term-vector cache (keyed by term id) both wrap
+One LRU policy for a hot-path cache that needs bounding: the engine's
+classification-outcome cache (keyed by page oid) wraps
 :class:`LRUCache`.  The implementation leans on CPython's insertion-
 ordered dicts: a hit is refreshed with a delete + reinsert (both O(1)),
 and eviction removes the first key in iteration order — the least
 recently used entry.
 
-Thread safety.  A trained model is shared by every job of one
-:class:`~repro.core.system.FocusSystem`, and the crawl service steps
-jobs on different threads, so the cache is written to be safe without
-a lock: every mutation is one atomic dict operation (``pop`` with a
-default, item assignment), and the only multi-step sequences —
+Thread safety.  The cache is written to be safe without a lock: every
+mutation is one atomic dict operation (``pop`` with a default, item
+assignment), and the only multi-step sequences —
 refresh-on-hit and evict-oldest — tolerate another thread getting in
 between (a concurrent ``get`` of a key being refreshed reads a miss; a
 concurrent resize makes the eviction probe retry).  That is sound only
@@ -59,21 +56,6 @@ class LRUCache:
             self._evict()
         self.hits += 1
         return value
-
-    def peek(self, key: Any) -> Optional[Any]:
-        """Read without refreshing recency or touching the counters."""
-        return self._data.get(key)
-
-    @property
-    def raw(self) -> Dict[Any, Any]:
-        """The backing dict, for read-only fast paths.
-
-        While the cache is below capacity no eviction can happen, so hot
-        loops may probe this dict directly (a single C-level ``get``)
-        instead of paying the per-hit recency refresh; once full they must
-        switch back to :meth:`get` so the LRU order stays meaningful.
-        """
-        return self._data
 
     def put(self, key: Any, value: Any) -> None:
         if self.capacity == 0:

@@ -19,8 +19,8 @@ the tables —
   updates (the cached adjacency itself is rebuilt from the recovered
   heap);
 * the last distillation's scores, always as the two score dicts: the
-  numpy backend's array-backed result pickles in that shape, so the
-  bytes do not depend on the backing.
+  distillation kernel's array-backed result pickles in that shape, so
+  the bytes do not depend on the backing.
 
 **The frame chain.**  That state grows with the crawl (one frontier
 entry per known URL, one trace visit per page) while a checkpoint

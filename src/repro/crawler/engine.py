@@ -15,10 +15,11 @@ time:
    other drains through an asyncio pipeline that keeps up to
    ``max_inflight`` fetches outstanding and hands completed pages on
    while later ones are in flight — results commit in checkout order;
-3. *classify*: one :meth:`HierarchicalModel.classify_batch` pass scores
-   every fetched page — relevance and best leaf from a single posterior
-   recursion, per-term work shared across the batch — behind an LRU of
-   outcomes keyed by page oid (:class:`PageScorer`);
+3. *classify*: one :meth:`CompiledHierarchicalModel.classify_batch` pass
+   scores every fetched page — the Eq. 2 chain rule over the whole
+   round as array kernels, relevance and best leaf read off one
+   posterior matrix — behind an LRU of outcomes keyed by page oid
+   (:class:`PageScorer`);
 4. *record*: CRAWL and LINK writes buffer across the round and flush
    through minidb's column-at-a-time write path — one ``insert_many``
    per table (the batch is transposed once; each page takes its rows as
@@ -27,8 +28,8 @@ time:
    values (:class:`BufferedLinkWriter`, :meth:`Frontier.flush_batch`);
 5. *close*: the frontier and link buffers flush, and — when due — the
    incremental distiller folds only the link rows recorded since the
-   last run into cached adjacency
-   (:class:`~repro.distiller.db_distiller.IncrementalDistiller`) and a
+   last run into a columnar link graph and runs weighted HITS over it
+   (:class:`~repro.distiller.db_distiller.IncrementalDistiller`), and a
    checkpoint is saved.
 
 K is ``CrawlerConfig.batch_size``, or 1 under ``engine="serial"``: the
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -83,18 +83,8 @@ _UNFOCUSED_PRIORITY = 0.0
 #: changes the process model, not just the schedule).
 ENGINE_MODES = ("auto", "serial", "batched", "sharded")
 
-#: Scoring backends accepted by ``CrawlerConfig.score_backend``.
+#: Values ``CrawlerConfig.score_backend`` accepts (and ignores).
 SCORE_BACKENDS = ("python", "numpy")
-
-
-def _default_score_backend() -> str:
-    """The session default: ``REPRO_SCORE_BACKEND`` env var, else ``"python"``.
-
-    The env override lets CI (and operators) run the whole system on the
-    columnar backend without threading a flag through every entry point;
-    the in-repo default stays the seed-faithful ``"python"`` path.
-    """
-    return os.environ.get("REPRO_SCORE_BACKEND", "python")
 
 
 @dataclass
@@ -178,10 +168,11 @@ class CrawlerConfig:
     #: ``checkpoint_every`` for real-network crawls, where a fetch count
     #: is a poor proxy for elapsed (and therefore at-risk) work.
     checkpoint_interval_s: float = 0.0
-    #: Scoring backend: "python" is the seed-faithful reference path
-    #: (bit-for-bit); "numpy" compiles classification and distillation
-    #: into columnar array kernels (1e-9-equivalent, several times faster).
-    score_backend: str = field(default_factory=_default_score_backend)
+    #: Accepted and ignored, like ``prefetch``: every crawl scores with the
+    #: columnar kernels (README, *Scoring kernel*).  Kept so that older configs,
+    #: pickled checkpoints and ``benchmarks/suite`` still load; a value
+    #: outside :data:`SCORE_BACKENDS` is still refused.
+    score_backend: str = "numpy"
     #: Group-commit batch for the write-ahead log of a durable crawl
     #: database: 0 keeps the seed behaviour (OS flush per record, fsync
     #: only at checkpoints); N >= 1 fsyncs once per N appended records.
@@ -261,8 +252,7 @@ class OutcomeLRU(LRUCache):
     Lets the classify stage skip re-scoring a page whose posterior was
     computed recently — relevant for retry storms and for the §3.2 crawl
     maintenance orderings that revisit known pages.  The eviction policy
-    lives in the shared :class:`~repro.core.caching.LRUCache`; the
-    classifier's term-vector cache reuses the same policy.
+    lives in the shared :class:`~repro.core.caching.LRUCache`.
     """
 
 
@@ -282,11 +272,10 @@ class PageScorer:
         self.taxonomy = taxonomy
         self.config = config
         self.cache = OutcomeLRU(config.posterior_cache_size)
-        #: Columnar classifier (score_backend="numpy"), compiled on first
-        #: use so the python path never pays for it.  Compiled per scorer
-        #: — i.e. per crawl run — so taxonomy re-marking between crawls is
-        #: always reflected; the arrays are a pure cache and are rebuilt
-        #: (identically) after a checkpoint resume.
+        #: The columnar classifier, compiled on first use.  Compiled per
+        #: scorer — i.e. per crawl run — so taxonomy re-marking between
+        #: crawls is always reflected; the arrays are a pure cache and are
+        #: rebuilt (identically) after a checkpoint resume.
         self._compiled: Optional[CompiledHierarchicalModel] = None
 
     def classify(self, pages: Sequence[Tuple[int, FetchResult]]) -> List[BatchClassification]:
@@ -301,12 +290,9 @@ class PageScorer:
                 pending.append(term_frequencies(result.tokens))
                 positions.append((index, oid))
         if pending:
-            model = self.classifier
-            if self.config.score_backend == "numpy":
-                if self._compiled is None:
-                    self._compiled = CompiledHierarchicalModel(self.classifier)
-                model = self._compiled
-            for (index, oid), outcome in zip(positions, model.classify_batch(pending)):
+            if self._compiled is None:
+                self._compiled = CompiledHierarchicalModel(self.classifier)
+            for (index, oid), outcome in zip(positions, self._compiled.classify_batch(pending)):
                 outcomes[index] = outcome
                 self.cache.put(oid, outcome)
         return outcomes  # type: ignore[return-value]
@@ -605,7 +591,7 @@ class CrawlEngine:
         """Re-score hubs/authorities over the current crawl graph and boost frontier URLs."""
         started = time.perf_counter()
         # The live map is safe to hand over: distillation only reads it
-        # (and the numpy backend relies on seeing the same dict grow).
+        # (and the link graph relies on seeing the same dict grow).
         result = self._incremental_distiller().run(
             self._relevance, max_iterations=self.config.distill_iterations
         )
@@ -965,17 +951,12 @@ class CrawlEngine:
                 self.database,
                 rho=self.config.rho,
                 max_iterations=self.config.distill_iterations,
-                backend=self.config.score_backend,
             )
         return self._incremental
 
     def _store_scores(self, result: DistillationResult) -> None:
         # Delta writes: only scores that changed since the last
         # distillation touch the heap (see ScoreTableStore).
-        if result.dense is not None:
-            oids, hubs, authorities = result.dense
-            self._score_store.store_dense("HUBS", oids, hubs)
-            self._score_store.store_dense("AUTH", oids, authorities)
-        else:
-            self._score_store.store("HUBS", result.hub_scores)
-            self._score_store.store("AUTH", result.authority_scores)
+        oids, hubs, authorities = result.dense
+        self._score_store.store_dense("HUBS", oids, hubs)
+        self._score_store.store_dense("AUTH", oids, authorities)

@@ -63,9 +63,8 @@ from repro.classifier.model import HierarchicalModel
 from repro.classifier.training import ModelInstaller
 from repro.core.schema import create_focus_database
 from repro.distiller.compiled import CompiledLinkGraph, compiled_weighted_hits
-from repro.distiller.hits import DistillationResult, weighted_hits
+from repro.distiller.hits import DistillationResult
 from repro.distiller.score_store import ScoreTableStore
-from repro.distiller.weights import Link
 from repro.taxonomy.tree import TopicTaxonomy
 from repro.webgraph.fetch import Fetcher, FetchStats, FetchStatus
 from repro.webgraph.servers import ServerPool
@@ -602,7 +601,7 @@ class ShardedEngine:
         #: Unvisited destination oid -> positions of the edges into it: the
         #: ones whose ``wgt_fwd`` its visit will overwrite.
         self._edges_into: Dict[int, List[int]] = {}
-        #: The numpy backend's mirror of ``_edges``: built at the first
+        #: The columnar mirror of ``_edges``: built at the first
         #: distillation, fed a round at a time from then on.
         self._graph: Optional[CompiledLinkGraph] = None
         #: A distilling round's per-shard FinishRound, not yet sent.
@@ -856,7 +855,7 @@ class ShardedEngine:
                 self._edges_into.setdefault(oid, []).append(position)
         for column, more in zip(edges, fresh):
             column.extend(more)
-        if self.config.score_backend == "numpy" and self._graph is not None:
+        if self._graph is not None:
             if patched:
                 self._graph.patch(
                     patched, [forward[at] for at in patched], [backward[at] for at in patched]
@@ -864,7 +863,7 @@ class ShardedEngine:
             self._graph.add_columns(*fresh)
 
     def _merged_graph(self) -> CompiledLinkGraph:
-        """The numpy backend's mirror of ``_edges`` (built whole once, then fed by the folds)."""
+        """The columnar mirror of ``_edges`` (built whole once, then fed by the folds)."""
         if self._graph is None:
             self._graph = CompiledLinkGraph()
             self._graph.add_columns(*self._edges)
@@ -877,10 +876,7 @@ class ShardedEngine:
         options = dict(
             relevance=self._relevance, rho=config.rho, max_iterations=config.distill_iterations
         )
-        if config.score_backend == "numpy":
-            result = compiled_weighted_hits(self._merged_graph(), **options)
-        else:
-            result = weighted_hits(map(Link, *self._edges), **options)
+        result = compiled_weighted_hits(self._merged_graph(), **options)
         self.trace.distillations += 1
         self.trace.last_distillation = result
         self._since_distillation = 0

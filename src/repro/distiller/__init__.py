@@ -9,7 +9,6 @@ leak to off-topic pages.
 
 from .compiled import CompiledLinkGraph, compile_links, compiled_weighted_hits
 from .db_distiller import (
-    DISTILL_BACKENDS,
     DistillerCost,
     IncrementalDistiller,
     IndexLookupDistiller,
@@ -21,7 +20,6 @@ from .weights import Link, assign_weights, backward_weight, forward_weight
 
 __all__ = [
     "CompiledLinkGraph",
-    "DISTILL_BACKENDS",
     "DistillationResult",
     "DistillerCost",
     "IncrementalDistiller",

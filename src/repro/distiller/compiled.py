@@ -15,7 +15,7 @@ each a column batch at a time — so
 :class:`~repro.distiller.db_distiller.LinkDeltaCache` folds its deltas
 into the compiled arrays instead of rebuilding them per distillation.
 Scores agree with the reference implementation to 1e-9
-(tests enforce this); within the compiled backend results are
+(tests enforce this); the compiled results themselves are
 deterministic functions of the edge list in append order.
 """
 
@@ -266,9 +266,10 @@ def compiled_weighted_hits(
     per-half-step L1 normalisation, same convergence test on the hub
     vector, same relevance filter and ``None``-weight fallbacks.
     """
-    if not len(graph):
-        return DistillationResult(iterations=0)
     src, dst, fwd, rev, oids = graph.arrays()
+    if not len(src):
+        nothing = np.zeros(0, dtype=np.float64)
+        return DistillationResult.from_dense(oids, nothing, nothing, 0)
     n = len(oids)
     rel = graph.relevance_vector(relevance)
     hubs = graph.uniform_hubs()

@@ -29,11 +29,7 @@ from repro.minidb.pages import PageId, rid_of
 from repro.minidb.table import Table
 
 from .compiled import CompiledLinkGraph, compiled_weighted_hits
-from .hits import DistillationResult, _normalize, weighted_hits
-from .weights import Link
-
-#: Distillation backends accepted by :class:`IncrementalDistiller`.
-DISTILL_BACKENDS = ("python", "numpy")
+from .hits import DistillationResult, _normalize
 
 
 @dataclass
@@ -270,27 +266,26 @@ class LinkDeltaCache:
       page gets classified) are re-read — the two weight columns of the
       slots the writer reports via :meth:`note_updated`, a page at a time.
 
-    Iteration order of the cache matches a full heap scan (append order,
-    with updated rows keeping their position), so scores computed over the
-    cache agree with a from-scratch recomputation to float-sum precision.
+    The adjacency is a :class:`CompiledLinkGraph`: deltas are folded into
+    it in column batches, never rebuilt.  Its edges stay in the order of
+    a full heap scan (append order, with updated rows keeping their
+    position), so scores computed over the cache agree with a
+    from-scratch recomputation bit for bit.
     """
 
-    def __init__(self, table: Table, compiled: bool = False) -> None:
+    def __init__(self, table: Table) -> None:
         self.table = table
-        #: Python mode: the cached Links of heap page p, by slot, at index p
-        #: (None marks an empty slot).  Compiled mode: the graph edge
-        #: position of each slot folded so far (-1: an empty slot or a
-        #: nepotistic edge the graph dropped) — LINK is append-only, so a
-        #: page's list only grows.  Positional, not keyed by record id:
-        #: the cache outlives every distillation.
-        self._pages: List[list] = []
+        #: The graph edge position of each slot of heap page p folded so
+        #: far, at index p (-1: an empty slot or a nepotistic edge the
+        #: graph dropped) — LINK is append-only, so a page's list only
+        #: grows.  Positional, not keyed by record id: the cache outlives
+        #: every distillation.
+        self._pages: List[List[int]] = []
         self._watermark_page = 0
         self._folded_count = 0
         self._updated_rids: set[int] = set()
-        #: Columnar mirror of the cached adjacency (numpy distillation
-        #: backend); deltas are folded into it in column batches, never rebuilt.
-        self.graph: Optional[CompiledLinkGraph] = CompiledLinkGraph() if compiled else None
-        # Columns are read positionally (Link(*row), graph.add_columns): pin the order.
+        self.graph = CompiledLinkGraph()
+        # Columns are handed to graph.add_columns positionally: pin the order.
         columns = tuple(table.schema.column_names)
         expected = ("oid_src", "sid_src", "oid_dst", "sid_dst", "wgt_fwd", "wgt_rev")
         if columns != expected:
@@ -300,57 +295,39 @@ class LinkDeltaCache:
         """Record in-place updates to already-cached rows (e.g. weight refreshes)."""
         self._updated_rids.update(rids)
 
-    def refresh(self) -> list[Link]:
-        """Fold the delta since the last call and return the full link list.
-
-        In compiled mode the folded edges live in :attr:`graph` and the
-        returned list is empty — the caller scores the columnar arrays
-        directly instead of walking ``Link`` objects.
-        """
+    def refresh(self) -> None:
+        """Fold the appends and weight updates since the last call into :attr:`graph`."""
         heap = self.table.heap
-        rescanned_from = self._watermark_page
-        self._fold_pages(rescanned_from, None)
+        self._fold_pages(self._watermark_page, None)
         self._watermark_page = max(heap.page_count - 1, 0)
         slots_of: Dict[PageId, List[int]] = {}
         for page_id, slot in map(heap.page_of, self._updated_rids):
             slots_of.setdefault(page_id, []).append(slot)
         self._updated_rids.clear()
         get_page = heap.buffer_pool.get_page
-        pages = self._pages
-        if self.graph is not None:
-            edges: List[int] = []
-            forward: list = []
-            backward: list = []
-            for page_id, slots in slots_of.items():
-                columns = get_page(page_id).columns
-                edge_of = pages[page_id.page_no]
-                slots = [slot for slot in slots if edge_of[slot] >= 0]
-                edges.extend([edge_of[slot] for slot in slots])
-                forward.extend([columns[4][slot] for slot in slots])
-                backward.extend([columns[5][slot] for slot in slots])
-            if edges:
-                self.graph.patch(edges, forward, backward)
-            return []
+        edges: List[int] = []
+        forward: list = []
+        backward: list = []
         for page_id, slots in slots_of.items():
-            if page_id.page_no < rescanned_from:  # later pages were just re-read whole
-                columns = get_page(page_id).columns
-                for slot in slots:
-                    pages[page_id.page_no][slot] = Link(*[column[slot] for column in columns])
-        return [link for page in pages for link in page if link is not None]
+            columns = get_page(page_id).columns
+            edge_of = self._pages[page_id.page_no]
+            slots = [slot for slot in slots if edge_of[slot] >= 0]
+            edges.extend([edge_of[slot] for slot in slots])
+            forward.extend([columns[4][slot] for slot in slots])
+            backward.extend([columns[5][slot] for slot in slots])
+        if edges:
+            self.graph.patch(edges, forward, backward)
 
     def _fold_pages(self, start_page: int, stop_page: Optional[int]) -> None:
-        """Read heap pages ``[start_page, stop_page)`` into the cache.
+        """Fold heap pages ``[start_page, stop_page)`` into the graph.
 
-        Compiled mode hands the graph the column slices past what it has
-        folded of each page: LINK is append-only, so rows folded earlier
-        can only have changed through in-place weight updates, which
-        :meth:`note_updated` tracks.  Python mode replaces the cached
-        pages from *start_page* on.
+        The graph gets the column slices past what it has folded of each
+        page: LINK is append-only, so rows folded earlier can only have
+        changed through in-place weight updates, which
+        :meth:`note_updated` tracks.
         """
         pages = self._pages
-        if self.graph is None:
-            del pages[start_page:]
-        #: Compiled mode: the new rows of every page read, as one column batch.
+        #: The new rows of every page read, as one column batch.
         batch: List[list] = [[] for _ in range(6)]
         counts: List[tuple[int, int]] = []
         for page in self.table.heap.scan_pages(start_page, stop_page):
@@ -362,12 +339,6 @@ class LinkDeltaCache:
                 continue
             columns = [column[known:] for column in page.columns]
             dead = [slot - known for slot in page.dead if slot >= known]
-            if self.graph is None:
-                links: list = list(map(Link, *columns))
-                for at in dead:
-                    links[at] = None
-                pages[page_no] = links
-                continue
             for at in dead:  # the graph drops what looks nepotistic
                 columns[1][at] = columns[3][at] = None
             for whole, part in zip(batch, columns):
@@ -380,17 +351,15 @@ class LinkDeltaCache:
                 pages[page_no].extend(islice(edges, count))
 
     def __len__(self) -> int:
-        if self.graph is not None:
-            return self._folded_count
-        return sum(link is not None for page in self._pages for link in page)
+        return self._folded_count
 
     # -- checkpointing ------------------------------------------------------
     def state_snapshot(self) -> dict:
         """The cache's durable state: its high-water mark plus pending updates.
 
-        The cached links themselves are *not* serialised — they are a pure
+        The folded graph itself is *not* serialised — it is a pure
         function of the (recovered) heap below the watermark, so restore
-        rebuilds them with one bounded sequential scan.
+        rebuilds it with one bounded sequential scan.
         """
         heap = self.table.heap
         return {
@@ -408,13 +377,12 @@ class LinkDeltaCache:
         — and therefore HITS' float summation order — is unchanged.
         """
         watermark = state["watermark"]
+        # The graph is a pure function of the edge list in heap order;
+        # rebuilding from the recovered heap reproduces the same
+        # append-order arrays the uninterrupted crawl had.
         self._pages = []
-        if self.graph is not None:
-            # The compiled mirror is a pure function of the edge list in
-            # heap order; rebuilding from the recovered heap reproduces the
-            # same append-order arrays the uninterrupted crawl had.
-            self.graph = CompiledLinkGraph()
-            self._folded_count = 0
+        self.graph = CompiledLinkGraph()
+        self._folded_count = 0
         self._fold_pages(0, watermark + 1)
         self._watermark_page = watermark
         self._updated_rids = {rid_of(*place) for place in state["updated"]}
@@ -425,15 +393,13 @@ class IncrementalDistiller:
 
     The one distill stage of every in-process crawl loop.  Folds only the
     links recorded (or re-weighted) since the previous distillation into
-    a :class:`LinkDeltaCache`, then scores the cached adjacency — with
-    the reference :func:`~repro.distiller.hits.weighted_hits` edge walk
-    (``backend="python"``, bit-for-bit the seed numbers) or with the
-    columnar matvec kernels of :mod:`repro.distiller.compiled`
-    (``backend="numpy"``, 1e-9-equivalent; edges, relevance and scores
-    stay in arrays from the LINK append to the HUBS/AUTH write).  The
-    cache iterates in heap order, so either backend's scores are bit for
-    bit those of a recomputation over a full LINK scan (tests enforce
-    this at every distillation of a crawl).
+    a :class:`LinkDeltaCache`, then scores the cached graph with the
+    columnar matvec kernels of :mod:`repro.distiller.compiled` (edges,
+    relevance and scores stay in arrays from the LINK append to the
+    HUBS/AUTH write).  The graph keeps heap order, so its scores are bit
+    for bit those of a recomputation over a full LINK scan, and within
+    1e-9 of the reference :func:`~repro.distiller.hits.weighted_hits`
+    (tests enforce both at every distillation of a crawl).
     """
 
     def __init__(
@@ -442,17 +408,11 @@ class IncrementalDistiller:
         rho: float = 0.1,
         max_iterations: int = 5,
         link_table: str = "LINK",
-        backend: str = "python",
     ) -> None:
-        if backend not in DISTILL_BACKENDS:
-            raise ValueError(
-                f"unknown distillation backend {backend!r}; expected one of {DISTILL_BACKENDS}"
-            )
         self.database = database
         self.rho = rho
         self.max_iterations = max_iterations
-        self.backend = backend
-        self.cache = LinkDeltaCache(database.table(link_table), compiled=backend == "numpy")
+        self.cache = LinkDeltaCache(database.table(link_table))
 
     def note_updated(self, rids: Iterable[int]) -> None:
         self.cache.note_updated(rids)
@@ -462,17 +422,10 @@ class IncrementalDistiller:
         relevance: Dict[int, float],
         max_iterations: Optional[int] = None,
     ) -> DistillationResult:
-        links = self.cache.refresh()
+        self.cache.refresh()
         iterations = max_iterations if max_iterations is not None else self.max_iterations
-        if self.cache.graph is not None:
-            return compiled_weighted_hits(
-                self.cache.graph,
-                relevance=relevance,
-                rho=self.rho,
-                max_iterations=iterations,
-            )
-        return weighted_hits(
-            links,
+        return compiled_weighted_hits(
+            self.cache.graph,
             relevance=relevance,
             rho=self.rho,
             max_iterations=iterations,

@@ -6,8 +6,9 @@ Kleinberg's mutual recursion, specialised as in paper §2.2:
     h(u) ← Σ_{(u,v)∈E} a(v) · E_B[u,v]
 
 with L1 normalisation after each half-step and same-server ("nepotism")
-edges excluded.  The crawler uses this implementation to refresh hub
-scores cheaply; the DB-backed distillers in
+edges excluded.  This is the oracle: the crawl distils with the
+columnar kernel of :mod:`repro.distiller.compiled`, which must agree
+with it to 1e-9, and the DB-backed distillers in
 :mod:`repro.distiller.db_distiller` must converge to the same scores.
 """
 
@@ -24,14 +25,15 @@ from .weights import Link
 class DistillationResult:
     """Hub and authority scores keyed by page oid.
 
-    Two backings, one interface.  The python kernel hands over the score
-    dicts it computed.  The numpy kernel hands over its dense vectors
-    (:meth:`from_dense`) and the dicts are only built if someone reads
-    them: the crawl loop stores and ranks straight from the arrays.
+    Two backings, one interface.  :func:`weighted_hits` and the DB
+    distillers hand over the score dicts they computed.  The columnar
+    kernel hands over its dense vectors (:meth:`from_dense`) and the
+    dicts are only built if someone reads them: the crawl loop stores
+    and ranks straight from the arrays.
 
     Pickles as the three public fields whatever the backing, so a result
-    inside a crawl checkpoint reads the same from either backend and
-    from checkpoints written before the dense form existed.
+    inside a crawl checkpoint reads the same either way, and checkpoints
+    written before the dense form existed still load.
     """
 
     #: ``(oids, hubs, authorities)`` of a dense result: ``hubs[i]`` and

@@ -20,7 +20,7 @@ last stored value per oid and writes only the difference:
   a cache rebuilt after a checkpoint resume issues the identical
   mutation sequence an uninterrupted run would).
 
-The numpy distillation backend hands its scores over as a dense vector
+The crawl's distillation kernel hands its scores over as a dense vector
 (:meth:`ScoreTableStore.store_dense`); the delta is then computed by
 vector compares against the last stored vector instead of a dict walk,
 and the mutations issued are the same ones, in the same order.

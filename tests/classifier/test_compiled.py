@@ -1,10 +1,11 @@
 """Equivalence suite: the columnar NumPy scoring core vs. the reference path.
 
-The compiled backend must agree with the pure-Python hierarchical model
-to 1e-9 on posteriors and relevance and exactly on best-leaf identity —
-on the trained test model, on randomized taxonomies, and on degenerate
+The compiled model, which the crawl scores with, must agree with the
+single-document Eq. 2 reference (:class:`HierarchicalModel`) to 1e-9 on
+posteriors and relevance and exactly on best-leaf identity — on the
+trained test model, on randomized taxonomies, and on degenerate
 documents (empty, featureless, unknown terms).  Within the compiled
-backend, scoring must not depend on how documents are grouped into
+model, scoring must not depend on how documents are grouped into
 batches (checkpoint/resume relies on this).
 """
 
@@ -14,13 +15,8 @@ import random
 import pytest
 
 from repro.classifier.compiled import CompiledHierarchicalModel
-from repro.classifier.model import (
-    TERM_VECTOR_CACHE_CAPACITY,
-    HierarchicalModel,
-    NodeModel,
-)
+from repro.classifier.model import HierarchicalModel, NodeModel
 from repro.classifier.tokenizer import TermFrequencies, term_frequencies
-from repro.core.caching import LRUCache
 from repro.taxonomy.tree import TopicTaxonomy
 
 
@@ -130,38 +126,12 @@ class TestTrainedModelEquivalence:
             assert got.relevance == pytest.approx(ref.relevance, abs=1e-9)
             assert got.best_leaf_cid == ref.best_leaf_cid
 
-    def test_single_document_accessors(self, small_web, trained_model):
+    def test_a_batch_of_one_matches_the_single_document_oracle(self, small_web, trained_model):
         compiled = CompiledHierarchicalModel(trained_model)
         document = term_frequencies(small_web.page(list(small_web.pages)[0]).tokens)
-        assert compiled.relevance(document) == pytest.approx(
-            trained_model.relevance(document), abs=1e-9
-        )
-        assert compiled.best_leaf(document) == trained_model.best_leaf(document)
+        [outcome] = compiled.classify_batch([document])
+        assert outcome.relevance == pytest.approx(trained_model.relevance(document), abs=1e-9)
+        assert outcome.best_leaf_cid == trained_model.best_leaf(document)
 
     def test_empty_batch(self, trained_model):
         assert CompiledHierarchicalModel(trained_model).classify_batch([]) == []
-
-
-class TestTermVectorCacheBound:
-    def test_default_capacity_is_bounded(self, trained_model):
-        node = next(iter(trained_model.nodes.values()))
-        assert node._term_vectors.capacity == TERM_VECTOR_CACHE_CAPACITY
-
-    def test_eviction_keeps_results_bit_identical(self, seed=5):
-        rng = random.Random(seed)
-        model = random_model(rng)
-        node = next(iter(model.nodes.values()))
-        tid_pool = sorted(node.feature_tids)
-        if not tid_pool:
-            pytest.skip("random model drew an empty feature set")
-        documents = [
-            TermFrequencies({tid: rng.randint(1, 5) for tid in rng.sample(tid_pool, min(6, len(tid_pool)))})
-            for _ in range(30)
-        ]
-        unbounded = [node.conditional_posteriors(d) for d in documents]
-        # A tiny cache forces constant eviction on the shared-work path.
-        node._term_vectors = LRUCache(2)
-        shared = [node.conditional_posteriors_shared(d) for d in documents]
-        assert len(node._term_vectors) <= 2
-        for ref, got in zip(unbounded, shared):
-            assert got == ref  # bit for bit, eviction or not

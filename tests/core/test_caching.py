@@ -31,22 +31,15 @@ class TestLRUCache:
         assert cache.get("a") is None
         assert len(cache) == 0
 
-    def test_peek_does_not_refresh_or_count(self):
+    def test_membership_and_iteration_do_not_refresh_or_count(self):
         cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        assert cache.peek("a") == 1
+        assert "a" in cache and "z" not in cache
+        assert list(cache) == ["a", "b"]
         assert cache.hits == 0 and cache.misses == 0
-        cache.put("c", 3)  # "a" was not refreshed by peek -> evicted
-        assert cache.peek("a") is None
-
-    def test_raw_exposes_backing_dict_below_capacity(self):
-        cache = LRUCache(8)
-        cache.put(1, "x")
-        assert cache.raw.get(1) == "x"
-        assert cache.raw.get(2) is None
-        assert 1 in cache and 2 not in cache
-        assert list(cache) == [1]
+        cache.put("c", 3)  # "a" was not refreshed -> evicted
+        assert list(cache) == ["b", "c"]
 
     def test_clear(self):
         cache = LRUCache(4)

@@ -21,7 +21,8 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import FocusConfig, JobSpec
 from repro.core.system import FocusSystem
-from repro.crawler.engine import CrawlEngine, CrawlTrace
+from repro.classifier.tokenizer import term_frequencies
+from repro.crawler.engine import CrawlEngine, CrawlTrace, PageScorer
 from repro.crawler.focused import CrawlerConfig
 from repro.crawler.frontier import ENTRY_FIELDS
 from repro.experiments.workloads import build_crawl_workload
@@ -176,34 +177,6 @@ class TestCrashResume:
         fresh = build_system(small_web)
         resumed = fresh.crawl(resume_from=str(tmp_path / "crawl"))
         assert_traces_match(resumed, reference_batched)
-        resumed.database.close()
-
-    def test_numpy_backend_killed_and_resumed_matches_uninterrupted(
-        self, checkpoint_system, tmp_path, monkeypatch
-    ):
-        """Kill/resume under score_backend="numpy": the compiled scorer and
-        the columnar link graph are pure caches, so the resumed crawl is
-        bit-identical to an uninterrupted numpy-backend crawl."""
-        config = crawl_config("batched")
-        config.score_backend = "numpy"
-        reference = checkpoint_system.crawl(
-            crawler_config=config, fetch_failure_seed=FETCH_FAILURE_SEED
-        )
-        killed_config = crawl_config("batched")
-        killed_config.score_backend = "numpy"
-        kill_fetcher_after(monkeypatch, 63)
-        with pytest.raises(KillSwitch):
-            checkpoint_system.crawl(
-                crawler_config=killed_config,
-                fetch_failure_seed=FETCH_FAILURE_SEED,
-                checkpoint_dir=str(tmp_path / "crawl"),
-            )
-        monkeypatch.undo()
-
-        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
-        assert resumed.crawler.config.score_backend == "numpy"
-        assert resumed.pages_fetched() == MAX_PAGES
-        assert_traces_match(resumed, reference)
         resumed.database.close()
 
     def test_drained_fetch_killed_and_resumed_matches_uninterrupted(
@@ -463,6 +436,53 @@ class TestParentCheckpointResume:
         assert_traces_match(resumed, reference_batched)
         resumed.database.close()
 
+    def test_a_python_scoring_checkpoint_resumes_on_the_columnar_kernel(
+        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
+    ):
+        """A checkpoint from before the python scoring path was removed: its
+        pickled config says ``score_backend="python"``, and every relevance
+        it holds — the trace, the engine's relevance map, CRAWL rows, the
+        frontier priorities and LINK weights derived from them — came from
+        the single-document Eq. 2 path, which that path equalled bit for
+        bit.  It resumes on the columnar kernel: the URLs of the
+        uninterrupted crawl exactly, every relevance float within 1e-9."""
+
+        def python_path(scorer, pages):
+            documents = [term_frequencies(result.tokens) for _oid, result in pages]
+            return scorer.classifier.classify_batch(documents)
+
+        monkeypatch.setattr(PageScorer, "classify", python_path)
+        config = crawl_config("batched")
+        config.score_backend = "python"
+        kill_fetcher_after(monkeypatch, 115)  # after the save at 90 pages
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=config,
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(tmp_path / "crawl"),
+            )
+        monkeypatch.undo()
+        reopened, saved = CheckpointManager.load(str(tmp_path / "crawl"))
+        reopened.close()
+        assert saved.config.score_backend == "python"
+        visits = saved.engine_state["trace"].visits
+        assert len(visits) >= 90
+        model, web = checkpoint_system.model, checkpoint_system.web
+        for visit in visits:  # the python path's floats, bit for bit
+            assert visit.relevance == model.relevance(term_frequencies(web.page(visit.url).tokens))
+
+        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
+        assert resumed.crawler.config.score_backend == "python"
+        assert resumed.pages_fetched() == MAX_PAGES
+        assert resumed.trace.fetched_urls == reference_batched.trace.fetched_urls
+        assert resumed.trace.failed_urls == reference_batched.trace.failed_urls
+        assert resumed.trace.distillations == reference_batched.trace.distillations
+        for got, want in zip(
+            resumed.trace.relevance_series(), reference_batched.trace.relevance_series()
+        ):
+            assert got == pytest.approx(want, abs=1e-9)
+        resumed.database.close()
+
     @pytest.mark.parametrize("fetch_mode", ["threaded", "async"])
     def test_pickled_configs_with_deleted_fields_resume(
         self, checkpoint_system, reference_batched, tmp_path, monkeypatch, fetch_mode
@@ -675,8 +695,6 @@ BOOSTED = 1.5
 def matrix_config(case: str) -> CrawlerConfig:
     """The kill/resume matrix of this file, one crawl shape per case."""
     config = crawl_config("serial" if case == "serial" else "batched")
-    if case == "numpy":
-        config.score_backend = "numpy"
     if case in ("async", "latency"):
         # "latency" owes no wait (time_scale=0) and runs inline; "async"
         # owes a scaled one on every fetch, so every round drains.
@@ -699,7 +717,7 @@ def matrix_config(case: str) -> CrawlerConfig:
 
 class TestDeltaEqualsFull:
     @pytest.mark.parametrize(
-        "case", ["batched", "serial", "numpy", "async", "latency", "hard-focus"]
+        "case", ["batched", "serial", "async", "latency", "hard-focus"]
     )
     def test_chain_folds_to_the_live_state_at_every_checkpoint(
         self, checkpoint_system, tmp_path, monkeypatch, case

@@ -7,7 +7,9 @@ choices:
   digests recorded from the deleted serial loop in ``test_golden_k1.py``;
 * at larger K the interleaving changes, but on a bounded web the crawl
   converges to exactly the same visited set;
-* recorded relevance is the single-document Eq. 2 reference, bit for bit;
+* recorded relevance and best leaf are the single-document Eq. 2
+  reference's, relevance to 1e-9 (the crawl scores with the columnar
+  kernel, which sums in another order);
 * inline ≡ drain, and stepped ≡ one run;
 * the incremental distiller must agree with a full-table recomputation.
 """
@@ -97,20 +99,16 @@ class TestSerialBatchedEquivalence:
     def test_batched_relevance_matches_reference_classifier(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
-        """The batch classifier path records Equation-3 relevance bit for bit
-        (python backend) or to 1e-9 (numpy backend, via the env override)."""
+        """The columnar kernel records Equation-3 relevance to 1e-9 of the
+        single-document reference, and the reference's best leaf."""
         _, _, batched = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds,
             max_pages=60, distill_every=0, batch_size=8, simulate_failures=False,
         )
-        numpy_backend = CrawlerConfig().score_backend == "numpy"
-        for visit in batched.visits[:40]:
+        for visit in batched.visits:
             frequencies = term_frequencies(small_web.page(visit.url).tokens)
             reference = trained_model.relevance(frequencies)
-            if numpy_backend:
-                assert visit.relevance == pytest.approx(reference, abs=1e-9)
-            else:
-                assert visit.relevance == reference
+            assert visit.relevance == pytest.approx(reference, abs=1e-9)
             assert visit.best_leaf_cid == trained_model.best_leaf(frequencies)
 
 
@@ -166,56 +164,47 @@ class TestIncrementalDistillation:
         assert len(database.table("AUTH")) == 0
 
 
-class TestScoreBackends:
-    """The columnar numpy backend is a pure execution-strategy change."""
+class TestScoringKernel:
+    """The crawl scores with one kernel; ``score_backend`` no longer selects one."""
 
-    def test_batched_numpy_matches_python_to_tolerance(
+    def test_hard_focus_decisions_match_the_oracle(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        """Hard focus expands a page on its best leaf: the kernel must pick
+        the reference's leaf for every visit, not just agree on relevance."""
+        _, _, trace = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds,
+            max_pages=60, distill_every=0, focus_mode="hard",
+            simulate_failures=False, engine="batched", batch_size=4,
+        )
+        assert len(trace.visits) == 60
+        for visit in trace.visits:
+            frequencies = term_frequencies(small_web.page(visit.url).tokens)
+            assert visit.best_leaf_cid == trained_model.best_leaf(frequencies)
+            assert visit.relevance == pytest.approx(
+                trained_model.relevance(frequencies), abs=1e-9
+            )
+
+    def test_every_accepted_backend_name_is_the_same_crawl(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
         kwargs = dict(max_pages=120, distill_every=40, engine="batched", batch_size=8)
-        _, _, python_trace = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            score_backend="python", **kwargs,
-        )
-        _, _, numpy_trace = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            score_backend="numpy", **kwargs,
-        )
+        python_trace, numpy_trace = [
+            run_crawl(
+                small_web, trained_model, taxonomy, crawl_seeds, score_backend=name, **kwargs
+            )[2]
+            for name in ("python", "numpy")
+        ]
         assert python_trace.fetched_urls == numpy_trace.fetched_urls
-        for a, b in zip(
-            python_trace.relevance_series(), numpy_trace.relevance_series()
-        ):
-            assert b == pytest.approx(a, abs=1e-9)
-        assert python_trace.distillations == numpy_trace.distillations
-        reference = python_trace.last_distillation
-        outcome = numpy_trace.last_distillation
-        assert set(outcome.hub_scores) == set(reference.hub_scores)
-        for oid, score in reference.hub_scores.items():
-            assert outcome.hub_scores[oid] == pytest.approx(score, abs=1e-9)
-        for oid, score in reference.authority_scores.items():
-            assert outcome.authority_scores[oid] == pytest.approx(score, abs=1e-9)
-
-    def test_hard_focus_numpy_matches_python(
-        self, small_web, trained_model, taxonomy, crawl_seeds
-    ):
-        kwargs = dict(max_pages=60, distill_every=0, focus_mode="hard",
-                      simulate_failures=False, engine="batched", batch_size=4)
-        _, _, python_trace = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            score_backend="python", **kwargs,
-        )
-        _, _, numpy_trace = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            score_backend="numpy", **kwargs,
-        )
-        assert python_trace.fetched_urls == numpy_trace.fetched_urls
+        assert python_trace.relevance_series() == numpy_trace.relevance_series()  # bitwise
+        assert python_trace.last_distillation == numpy_trace.last_distillation
 
     def test_stage_timings_recorded(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
         crawler, _, _ = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds,
-            max_pages=40, distill_every=20, batch_size=8, score_backend="numpy",
+            max_pages=40, distill_every=20, batch_size=8,
         )
         timings = crawler.engine.stage_timings
         assert set(timings) == {"fetch", "classify", "write", "distill"}

@@ -34,17 +34,27 @@ def full_links(database):
     ] if table else []
 
 
+def graph_edges(cache):
+    """The cache's folded graph as ``(oid_src, oid_dst, wgt_fwd, wgt_rev)``, in edge order."""
+    src, dst, fwd, rev, oids = cache.graph.arrays()
+    return [
+        (oids[s], oids[d], float(f), float(r))
+        for s, d, f, r in zip(src.tolist(), dst.tolist(), fwd, rev)
+    ]
+
+
 class TestLinkDeltaCache:
     def test_folds_only_new_rows(self):
         database = create_focus_database(buffer_pool_pages=128)
         table = database.table("LINK")
         cache = LinkDeltaCache(table)
         table.insert_many([link_row(1, 2), link_row(2, 3)])
-        assert len(cache.refresh()) == 2
+        cache.refresh()
+        assert len(cache) == len(cache.graph) == 2
         table.insert_many([link_row(3, 4)])
-        links = cache.refresh()
-        assert len(links) == 3
-        assert {(link.oid_src, link.oid_dst) for link in links} == {(1, 2), (2, 3), (3, 4)}
+        cache.refresh()
+        assert len(cache) == 3
+        assert [edge[:2] for edge in graph_edges(cache)] == [(1, 2), (2, 3), (3, 4)]
 
     def test_notes_in_place_weight_updates(self):
         database = create_focus_database(buffer_pool_pages=128)
@@ -54,9 +64,10 @@ class TestLinkDeltaCache:
         cache.refresh()
         table.update_rows([(rids[0], {"wgt_fwd": 0.95})])
         cache.note_updated([rids[0]])
-        by_edge = {(link.oid_src, link.oid_dst): link for link in cache.refresh()}
-        assert by_edge[(1, 2)].wgt_fwd == 0.95
-        assert by_edge[(2, 3)].wgt_fwd == 0.2
+        cache.refresh()
+        by_edge = {edge[:2]: edge for edge in graph_edges(cache)}
+        assert by_edge[(1, 2)][2] == 0.95
+        assert by_edge[(2, 3)][2] == 0.2
 
     def test_cache_order_matches_table_scan_order(self):
         database = create_focus_database(buffer_pool_pages=128)
@@ -65,7 +76,8 @@ class TestLinkDeltaCache:
         for i in range(40):
             table.insert_many([link_row(i, i + 1)])
             cache.refresh()
-        cached = [(link.oid_src, link.oid_dst) for link in cache.refresh()]
+        cache.refresh()
+        cached = [edge[:2] for edge in graph_edges(cache)]
         scanned = [(link.oid_src, link.oid_dst) for link in full_links(database)]
         assert cached == scanned
 

@@ -1,14 +1,14 @@
 """One distill stage, bit for bit: the incremental feed against a full scan.
 
 Every in-process crawl distils through ``IncrementalDistiller``
-fed by ``LinkDeltaCache``, and the numpy backend stays in arrays from
-the LINK append to the HUBS/AUTH write.  The feed this replaced —
-materialise the whole LINK table, score it from scratch, walk a score
-dict into the table — lives on here as the oracle:
+fed by ``LinkDeltaCache``, and stays in arrays from the LINK append to
+the HUBS/AUTH write.  The feed this replaced — materialise the whole
+LINK table, score it from scratch, walk a score dict into the table —
+lives on here as the oracle:
 
-(a) at every distillation of a K=1 crawl, on both backends, the
-    stored HUBS/AUTH rows and ``trace.last_distillation`` equal a
-    recompute over a full LINK scan;
+(a) at every distillation of a K=1 crawl, the stored HUBS/AUTH rows
+    and ``trace.last_distillation`` equal a recompute over a full LINK
+    scan, and the reference ``weighted_hits`` edge walk to 1e-9;
 (b) a ``CompiledLinkGraph`` grown by interleaved ``add_columns`` /
     ``patch`` / ``arrays()`` equals ``compile_links`` of the final edge
     list — the graph built edge by edge — across several capacity
@@ -69,17 +69,14 @@ def full_scan_links(database):
     return links
 
 
-def from_scratch(database, relevance, config):
+def from_scratch(database, relevance, config, hits=compiled_weighted_hits):
+    """HITS over a full LINK scan: the crawl's kernel, or ``hits=weighted_hits``."""
     links = full_scan_links(database)
-    if config.score_backend == "numpy":
-        return compiled_weighted_hits(
-            compile_links(links),
-            relevance=dict(relevance),
-            rho=config.rho,
-            max_iterations=config.distill_iterations,
-        )
-    return weighted_hits(
-        links, relevance=dict(relevance), rho=config.rho, max_iterations=config.distill_iterations
+    return hits(
+        links if hits is weighted_hits else compile_links(links),
+        relevance=dict(relevance),
+        rho=config.rho,
+        max_iterations=config.distill_iterations,
     )
 
 
@@ -105,16 +102,13 @@ def crawl_seeds(small_web):
 
 
 class TestSerialCrawlDistillsLikeAFullScan:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_every_distillation_equals_a_from_scratch_recompute(
-        self, small_web, trained_model, taxonomy, crawl_seeds, backend
+        self, small_web, trained_model, taxonomy, crawl_seeds
     ):
         database = create_focus_database(buffer_pool_pages=512)
         ModelInstaller(database).install(trained_model)
         small_web.servers.reseed(0)
-        config = CrawlerConfig(
-            max_pages=150, distill_every=25, engine="serial", score_backend=backend
-        )
+        config = CrawlerConfig(max_pages=150, distill_every=25, engine="serial")
         crawler = FocusedCrawler(
             Fetcher(small_web, failure_seed=0), trained_model, taxonomy, database, config
         )
@@ -127,8 +121,15 @@ class TestSerialCrawlDistillsLikeAFullScan:
             # The oracle first: the boost that follows a distillation does
             # not touch LINK or the relevance map, but keep the order honest.
             oracle = from_scratch(database, engine.relevance_map(), config)
+            reference = from_scratch(database, engine.relevance_map(), config, weighted_hits)
             result = incremental()
             assert_same_result(result, oracle)
+            assert set(result.hub_scores) == set(reference.hub_scores)
+            assert set(result.authority_scores) == set(reference.authority_scores)
+            for oid, score in reference.hub_scores.items():
+                assert result.hub_scores[oid] == pytest.approx(score, abs=1e-9)
+            for oid, score in reference.authority_scores.items():
+                assert result.authority_scores[oid] == pytest.approx(score, abs=1e-9)
             assert crawler.trace.last_distillation is result
             assert score_rows(database, "HUBS") == oracle.hub_scores
             assert score_rows(database, "AUTH") == oracle.authority_scores
@@ -198,9 +199,7 @@ class TestBatchFoldEqualsRowFold:
         database = create_focus_database(buffer_pool_pages=512)
         ModelInstaller(database).install(trained_model)
         small_web.servers.reseed(0)
-        config = CrawlerConfig(
-            max_pages=160, distill_every=25, engine="batched", batch_size=8, score_backend="numpy"
-        )
+        config = CrawlerConfig(max_pages=160, distill_every=25, engine="batched", batch_size=8)
         crawler = FocusedCrawler(
             Fetcher(small_web, failure_seed=0), trained_model, taxonomy, database, config
         )
@@ -219,7 +218,7 @@ class TestBatchFoldEqualsRowFold:
             assert len(cache) == len(links)
             seen.append((len(links), sum(link_.is_nepotistic for link_ in links)))
             if len(seen) == 2:  # "killed" here: only the snapshot survives
-                restored.append(LinkDeltaCache(link, compiled=True))
+                restored.append(LinkDeltaCache(link))
                 restored[0].restore_state(cache.state_snapshot())
             for other in restored:  # ...and keeps up by its own refreshes
                 other.note_updated(self.refreshed)
@@ -513,13 +512,12 @@ class KillSwitch(Exception):
     """Stands in for SIGKILL: aborts the crawl at an arbitrary fetch."""
 
 
-def serial_config(backend):
+def serial_config():
     return CrawlerConfig(
         max_pages=MAX_PAGES,
         distill_every=20,
         checkpoint_every=25,
         engine="serial",
-        score_backend=backend,
     )
 
 
@@ -545,17 +543,16 @@ def resume_system(small_web):
     return system
 
 
-@pytest.fixture(scope="module", params=["python", "numpy"])
-def uninterrupted(request, resume_system):
-    backend = request.param
+@pytest.fixture(scope="module")
+def uninterrupted(resume_system):
     result = resume_system.crawl(
-        crawler_config=serial_config(backend), fetch_failure_seed=FETCH_FAILURE_SEED
+        crawler_config=serial_config(), fetch_failure_seed=FETCH_FAILURE_SEED
     )
     assert result.trace.distillations >= 5
-    return backend, crawl_facts(result)
+    return crawl_facts(result)
 
 
-def killed_then_resumed(system, backend, directory, monkeypatch, kill_after):
+def killed_then_resumed(system, directory, monkeypatch, kill_after):
     real_fetch = Fetcher.fetch
     calls = {"n": 0}
 
@@ -568,7 +565,7 @@ def killed_then_resumed(system, backend, directory, monkeypatch, kill_after):
     monkeypatch.setattr(Fetcher, "fetch", killing)
     with pytest.raises(KillSwitch):
         system.crawl(
-            crawler_config=serial_config(backend),
+            crawler_config=serial_config(),
             fetch_failure_seed=FETCH_FAILURE_SEED,
             checkpoint_dir=str(directory),
         )
@@ -586,11 +583,8 @@ class TestSerialKillResume:
     def test_killed_and_resumed_is_the_uninterrupted_crawl(
         self, resume_system, uninterrupted, tmp_path, monkeypatch, kill_after
     ):
-        backend, reference = uninterrupted
-        facts = killed_then_resumed(
-            resume_system, backend, tmp_path / "crawl", monkeypatch, kill_after
-        )
-        assert facts == reference
+        facts = killed_then_resumed(resume_system, tmp_path / "crawl", monkeypatch, kill_after)
+        assert facts == uninterrupted
 
     def test_resumes_from_a_checkpoint_without_delta_cache_state(
         self, resume_system, uninterrupted, tmp_path, monkeypatch
@@ -603,7 +597,6 @@ class TestSerialKillResume:
         frame, base or delta, said so last — and a dict-backed
         ``last_distillation``.
         """
-        backend, reference = uninterrupted
         snapshot = CrawlEngine.state_snapshot
         delta = CrawlEngine.state_delta
         shapes = []
@@ -628,6 +621,6 @@ class TestSerialKillResume:
 
         monkeypatch.setattr(CrawlEngine, "state_snapshot", old_shape)
         monkeypatch.setattr(CrawlEngine, "state_delta", old_delta)
-        facts = killed_then_resumed(resume_system, backend, tmp_path / "crawl", monkeypatch, 71)
+        facts = killed_then_resumed(resume_system, tmp_path / "crawl", monkeypatch, 71)
         assert len(shapes) >= 3
-        assert facts == reference
+        assert facts == uninterrupted

@@ -36,14 +36,13 @@ def system(small_web):
     return focus
 
 
-def tenant_spec(tenant: int, backend: str = "python", latency_ms: float = 2.0, **spec) -> JobSpec:
+def tenant_spec(tenant: int, latency_ms: float = 2.0, **spec) -> JobSpec:
     """A batched latency job: every round drains, so its fetch waits can overlap."""
     config = CrawlerConfig(
         max_pages=60,
         distill_every=30,
         engine="batched",
         batch_size=8,
-        score_backend=backend,
         transport="latency",
         transport_options={"mean_latency_ms": latency_ms, "seed": 0},
     )
@@ -156,12 +155,11 @@ def started(system):
 
 
 class TestIdentity:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize("max_inflight, start_first", [(0, True), (8, False)])
     def test_six_overlapping_tenants_equal_their_solo_runs(
-        self, system, backend, max_inflight, start_first
+        self, system, max_inflight, start_first
     ):
-        specs = [tenant_spec(tenant, backend, latency_ms=5.0) for tenant in range(6)]
+        specs = [tenant_spec(tenant, latency_ms=5.0) for tenant in range(6)]
         solo = [solo_digest(system, spec) for spec in specs]
         manager = build_manager(system, max_inflight=max_inflight)
         try:

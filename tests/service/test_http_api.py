@@ -352,6 +352,19 @@ MISTYPED_CRAWLERS = [
 ]
 
 
+class TestInertFields:
+    """``score_backend`` selects nothing any more, but a spec carrying it still runs."""
+
+    @pytest.mark.parametrize("value", ["python", "numpy"])
+    def test_score_backend_is_accepted_and_the_job_completes(self, service, value):
+        spec = JobSpec(max_pages=30, fetch_failure_seed=1).to_dict()
+        spec["crawler"] = {"score_backend": value}
+        job_id = call(f"{service.url}/jobs", spec)["id"]
+        progress = wait_for_status(service.url, job_id, TERMINAL)
+        assert progress["status"] == "completed"
+        assert progress["pages_fetched"] == 30
+
+
 class TestMistypedSpecs:
     """A spec that is well-formed JSON but mistyped is a 400 naming the culprit."""
 

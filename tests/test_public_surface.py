@@ -87,18 +87,67 @@ def imported_modules(tree):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
+def named_uses(tree, name):
+    """``(enclosing qualname, kind)`` of every ``.name`` attribute, annotated
+    ``name`` field and ``"name"`` string constant in a module's AST."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            found.append((scope, "attribute"))
+        elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == name:
+            found.append((scope, "field"))
+        elif isinstance(node, ast.Constant) and node.value == name:
+            found.append((scope, "string"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
 class TestKnobs:
-    def test_src_reads_exactly_one_env_variable(self):
+    def test_src_reads_no_env_variable(self):
         """Every ``REPRO_*`` name spelled as a whole string in ``src/``: the
-        fetch path is picked by the transport and the shard count is the
-        config's own, neither by an env default."""
+        fetch path is picked by the transport, the shard count is the
+        config's own and the crawl has one scoring kernel, none of them by
+        an env default."""
         names = set()
         for path in sorted(PACKAGE_DIR.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Constant) and isinstance(node.value, str):
                     if re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value):
                         names.add(node.value)
-        assert names == {"REPRO_SCORE_BACKEND"}
+        assert names == set()
+
+    def test_score_backend_is_only_declared_and_validated(self):
+        """The inert field cannot select a scoring path again: ``src/`` names
+        it only where ``CrawlerConfig`` declares it and where the engine
+        refuses a value that was never valid."""
+        uses = set()
+        for path in sorted(PACKAGE_DIR.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            relative = path.relative_to(PACKAGE_DIR).as_posix()
+            uses.update((relative, *use) for use in named_uses(tree, "score_backend"))
+        assert uses == {
+            ("crawler/engine.py", "CrawlerConfig", "field"),
+            ("crawler/engine.py", "CrawlEngine.__init__", "attribute"),
+        }
+
+    def test_the_use_finder_sees_every_spelling(self):
+        tree = ast.parse(
+            "class C:\n"
+            "    knob: str = 'a'\n"
+            "    def f(self):\n"
+            "        return self.knob, getattr(self, 'knob')\n"
+        )
+        assert sorted(named_uses(tree, "knob")) == [
+            ("C", "field"),
+            ("C.f", "attribute"),
+            ("C.f", "string"),
+        ]
 
 
 class TestOneThreadOfControl:
