@@ -275,14 +275,17 @@ def sync_taxonomy_marks(database: Database, taxonomy: TopicTaxonomy) -> None:
     """Push the current good/path/null marks into the TAXONOMY table.
 
     The paper fixes the mutual-funds stagnation with a single UPDATE on
-    the TAXONOMY table; keeping marks in the table lets monitoring SQL
-    join against them.
+    the TAXONOMY table, and this is one: every changed mark is written
+    by one all-or-nothing :meth:`Table.update_rows` batch.  Keeping marks
+    in the table lets monitoring SQL join against them.
     """
     if not database.has_table("TAXONOMY"):
         return
     table = database.table("TAXONOMY")
-    for rid, row in list(table.scan()):
+    updates = []
+    for rid, row in table.scan():
         mapping = table.schema.row_to_mapping(row)
-        node = taxonomy.node(mapping["kcid"])
-        if mapping["type"] != node.mark.value:
-            table.update_row(rid, {"type": node.mark.value})
+        mark = taxonomy.node(mapping["kcid"]).mark.value
+        if mapping["type"] != mark:
+            updates.append((rid, {"type": mark}))
+    table.update_rows(updates)

@@ -7,7 +7,10 @@ crawl graph that lives in the database:
   set-oriented INSERT ... SELECT with a GROUP BY, followed by an UPDATE
   that normalises the scores.  The planner runs the joins as hash joins
   (or index probes where an index covers the key), so the per-iteration
-  cost is a few sequential passes.
+  cost is a few sequential passes.  The INSERT writes its grouped rows
+  as one batch (:meth:`Table.insert_many`), which fetches each AUTH or
+  HUBS page it fills once rather than once per row; that write is
+  charged to the join and lookup columns with the SELECT it ends.
 * **Index-lookup distillation** (the "earlier main-memory
   implementations" transplanted onto disk): walk the LINK table edge by
   edge, look up the endpoint scores through indexes, and update the

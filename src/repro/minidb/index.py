@@ -104,9 +104,6 @@ class Index:
         return tuple([row[p] for p in self.positions])
 
     # -- maintenance -------------------------------------------------------
-    def insert(self, row: Sequence[Any], rid: int) -> None:
-        self.insert_key(self.key_of(row), rid)
-
     def delete(self, row: Sequence[Any], rid: int) -> None:
         self.delete_key(self.key_of(row), rid)
 

@@ -127,17 +127,13 @@ class Page:
         self.columns = [[None] * count for _ in range(width)]
         return self.columns
 
-    def insert(self, row: Sequence, row_size: int) -> int:
-        """Insert *row* into the first free slot (or a new one); return the slot number."""
-        if not self.fits(row_size):
-            raise StorageError(f"row of {row_size} bytes does not fit in {self.page_id}")
-        return self.append_row(row, row_size)
-
     def append_row(self, row: Sequence, row_size: int) -> int:
-        """:meth:`insert` without the capacity re-check.
+        """Store *row* in the lowest tombstone slot (or a new one); return the slot number.
 
-        Bulk loaders check :meth:`fits` once per row already; slot
-        assignment (tombstone reuse first, then append) is identical.
+        The caller has checked that the row :meth:`fits`.  A bulk insert
+        takes this path only on a page with tombstones to reuse; rows
+        bound for a page without any arrive as column slices
+        (:meth:`append_columns`).
         """
         self.used_bytes += row_size + SLOT_OVERHEAD
         self.dirty = True
@@ -181,8 +177,7 @@ class Page:
         """Overwrite column *position* at (live) *slots* with *values*.
 
         ``bytes_of(values)`` gives what a list of values occupies.  A
-        slot named twice keeps its later value, as row-at-a-time writes
-        would leave it.
+        slot named twice keeps its later value.
         """
         if len(set(slots)) != len(slots):
             last = dict(zip(slots, values))
@@ -203,13 +198,6 @@ class Page:
     def read(self, slot: int) -> tuple:
         self.check_slot(slot)
         return tuple([column[slot] for column in self.columns])
-
-    def update(self, slot: int, row: Sequence, old_size: int, new_size: int) -> None:
-        self.check_slot(slot)
-        self.used_bytes += new_size - old_size
-        for column, value in zip(self.columns, row):
-            column[slot] = value
-        self.dirty = True
 
     def delete(self, slot: int, row_size: int) -> None:
         self.check_slot(slot)

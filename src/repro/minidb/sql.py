@@ -744,7 +744,13 @@ def execute_sql(
     """Parse and execute one SQL statement.
 
     SELECT returns its rows; INSERT/UPDATE/DELETE return a single row
-    ``{"rowcount": n}``.
+    ``{"rowcount": n}``.  An INSERT builds all its rows (a ``SELECT``
+    runs to the end first) and an UPDATE evaluates every matching
+    row's ``SET`` against the table as it was before the statement;
+    each then writes as one batch (:meth:`Table.insert_many`,
+    :meth:`Table.update_rows`), so a statement that raises — a
+    duplicate key on its last row, a value of the wrong type — leaves
+    the table and its journal as they were.
     """
     parameters = parameters or {}
     statement = parse_sql(text)
@@ -760,24 +766,21 @@ def execute_sql(
     if isinstance(statement, InsertStatement):
         table = database.table(statement.table)
         columns = statement.columns or table.schema.column_names
-        count = 0
         if statement.values is not None:
-            for value_tuple in statement.values:
-                if len(value_tuple) != len(columns):
-                    raise QueryError("INSERT value count does not match column count")
-                values = {
+            if any(len(value_tuple) != len(columns) for value_tuple in statement.values):
+                raise QueryError("INSERT value count does not match column count")
+            rows = [
+                {
                     column: compiler.compile(expr).evaluate({})
                     for column, expr in zip(columns, value_tuple)
                 }
-                table.insert(values)
-                count += 1
+                for value_tuple in statement.values
+            ]
         else:
-            rows = execute_select(database, statement.select, parameters)
-            for row in rows:
-                values = dict(zip(columns, row.values()))
-                table.insert(values)
-                count += 1
-        return [{"rowcount": count}]
+            selected = execute_select(database, statement.select, parameters)
+            rows = [dict(zip(columns, row.values())) for row in selected]
+        table.insert_many(rows)
+        return [{"rowcount": len(rows)}]
     if isinstance(statement, UpdateStatement):
         table = database.table(statement.table)
         predicate = (
@@ -786,14 +789,13 @@ def execute_sql(
         assignments = [
             (column, compiler.compile(expr)) for column, expr in statement.assignments
         ]
-        count = 0
-        for rid, row in list(table.scan()):
+        updates = []
+        for rid, row in table.scan():
             ctx = table.schema.row_to_mapping(row)
             if predicate is None or predicate.evaluate(ctx):
-                changes = {column: expr.evaluate(ctx) for column, expr in assignments}
-                table.update_row(rid, changes)
-                count += 1
-        return [{"rowcount": count}]
+                updates.append((rid, {column: expr.evaluate(ctx) for column, expr in assignments}))
+        table.update_rows(updates)
+        return [{"rowcount": len(updates)}]
     if isinstance(statement, DeleteStatement):
         table = database.table(statement.table)
         predicate = (

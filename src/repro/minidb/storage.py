@@ -77,25 +77,17 @@ class HeapFile:
         raise StorageError(f"page({self.file_id}:{page_no}) is beyond the heap")
 
     # -- mutation ----------------------------------------------------------
-    def insert(self, row: tuple) -> int:
-        """Append *row*, returning its record id."""
-        row_size = self.schema.row_size(row)
-        self.check_row_size(row_size)
-        page = self._page_with_room(row_size)
-        slot = page.insert(row, row_size)
-        self.buffer_pool.mark_dirty(page.page_id)
-        self._row_count += 1
-        return self._first_rid + (page.page_id.page_no << SLOT_BITS) + slot
-
     def append_columns(self, columns: Sequence[Sequence], sizes: Sequence[int]) -> list[int]:
         """Append a batch of rows given as columns, returning their record ids.
 
         *columns* holds one equally long sequence per schema column and
         *sizes* each row's byte size, already validated and checked by
-        the caller.  Rows land where repeated :meth:`insert` would put
-        them — placement is arithmetic on *sizes* — but each page is
-        fetched once and takes its rows as one slice per column, so a
-        bulk load of N rows touches O(pages) frames rather than O(N).
+        the caller.  Rows land where inserting them one at a time would
+        put them — on the last page while the next row fits, else on a
+        fresh page, a page's tombstones first — and placement is
+        arithmetic on *sizes*; but each page is fetched once and takes
+        its rows as one slice per column, so a bulk load of N rows
+        touches O(pages) frames rather than O(N).
         Between page switches no other pool activity happens, so holding
         the page object is safe.
         """
@@ -163,7 +155,7 @@ class HeapFile:
             get_page(page_ids[page_no]).assign(position, page_slots, page_values, bytes_of)
 
     def check_row_size(self, row_size: int) -> None:
-        """Reject rows too large for a page (shared by single and bulk inserts)."""
+        """Reject rows too large for a page."""
         if row_size > self.page_size // 2:
             raise StorageError(
                 f"row of {row_size} bytes too large for page size {self.page_size}"
@@ -172,16 +164,6 @@ class HeapFile:
     def read(self, rid: int) -> tuple:
         page_id, slot = self.page_of(rid)
         return self.buffer_pool.get_page(page_id).read(slot)
-
-    def update(self, rid: int, row: tuple) -> None:
-        """Overwrite the row at *rid*."""
-        page_id, slot = self.page_of(rid)
-        page = self.buffer_pool.get_page(page_id)
-        old = page.read(slot)
-        page.update(
-            slot, row, old_size=self.schema.row_size(old), new_size=self.schema.row_size(row)
-        )
-        self.buffer_pool.mark_dirty(page_id)
 
     def delete(self, rid: int) -> tuple:
         """Delete the row at *rid* and return it."""

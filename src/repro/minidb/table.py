@@ -1,17 +1,23 @@
 """Tables: schema + heap file + secondary indexes + constraints.
 
 A :class:`Table` is the unit the rest of the system works with.  Its
-mutation API accepts either positional rows or column-name mappings;
-all mutations keep every secondary index and the (optional) primary-key
-index consistent, and a durable database's write-ahead journal sees
-each of them.
+mutation API accepts either positional rows or column-name mappings.
+Rows are written one way: :meth:`Table.insert_many` and
+:meth:`Table.update_rows` (and :meth:`Table.update_column`, their
+one-column form) take a batch, check all of it and then write all of
+it, so a batch that raises leaves the table and its journal untouched;
+a single-row :meth:`Table.insert` or :meth:`Table.update_row` is a
+one-row batch.  Every mutation keeps every secondary index and the
+(optional) primary-key index consistent, and a durable database's
+write-ahead journal sees each of them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import repeat
+from operator import contains, itemgetter
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .buffer_pool import BufferPool
 from .errors import CatalogError, ConstraintError, QueryError, SchemaError
@@ -126,13 +132,8 @@ class Table:
 
     # -- mutation -----------------------------------------------------------------
     def insert(self, values: Sequence[Any] | Mapping[str, Any]) -> int:
-        """Insert one row (positional or mapping form); returns its record id."""
-        row = self._coerce(values)
-        self._check_primary_key(row)
-        rid = self.heap.insert(row)
-        self._index_insert(row, rid)
-        self._log(("insert", self.name, [row]))
-        return rid
+        """Insert one row (positional or mapping form): a one-row :meth:`insert_many`."""
+        return self.insert_many([values])[0]
 
     def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[int]:
         """Atomic bulk insert; returns the record ids of the inserted rows.
@@ -148,8 +149,8 @@ class Table:
         schema = self.schema
         width = len(schema.columns)
         rows = rows if type(rows) is list else list(rows)
-        if len(rows) < 2:  # nothing to transpose
-            return [self.insert(row) for row in rows]
+        if not rows:
+            return []
         if not set(map(type, rows)) <= {tuple, list}:
             rows = [schema.positional(row) if isinstance(row, Mapping) else row for row in rows]
         if set(map(len, rows)) != {width}:
@@ -163,19 +164,8 @@ class Table:
         ]
         pk_index = self._pk_index
         if pk_index is not None:
-            if any(None in columns[position] for position in pk_index.positions):
-                raise ConstraintError(
-                    f"table {self.name!r}: primary key {schema.primary_key} cannot be NULL"
-                )
             keys = list(pk_index.keys_of(columns))
-            for key in keys:
-                if pk_index.contains(key):
-                    raise ConstraintError(f"table {self.name!r}: duplicate primary key {key!r}")
-            if len(set(keys)) != len(keys):
-                key = next(key for key, times in Counter(keys).items() if times > 1)
-                raise ConstraintError(
-                    f"table {self.name!r}: duplicate primary key {key!r} within batch"
-                )
+            self._check_new_keys(keys)
         sizes = schema.row_sizes(columns)
         self.heap.check_row_size(max(sizes))
         rids = self.heap.append_columns(columns, sizes)
@@ -188,18 +178,9 @@ class Table:
         return rids
 
     def update_row(self, rid: int, changes: Mapping[str, Any]) -> Row:
-        """Apply *changes* to the row at *rid*; returns the new row."""
-        old = self.heap.read(rid)
-        merged = self.schema.row_to_mapping(old)
-        merged.update(changes)
-        new = self.schema.row_from_mapping(merged)
-        if self.schema.primary_key and self.schema.key_of(new) != self.schema.key_of(old):
-            self._check_primary_key(new)
-        self._index_delete(old, rid)
-        self.heap.update(rid, new)
-        self._index_insert(new, rid)
-        self._log(("update", self.name, [(self.heap.locate(rid), dict(changes))]))
-        return new
+        """Apply *changes* to the row at *rid* (a one-row :meth:`update_rows`); returns the new row."""
+        self.update_rows([(rid, changes)])
+        return self.heap.read(rid)
 
     def update_column(
         self, column: str, updates: Mapping[int, Any] | Sequence[tuple[int, Any]]
@@ -240,15 +221,17 @@ class Table:
     def update_rows(self, updates: Sequence[tuple[int, Mapping[str, Any]]]) -> int:
         """Apply many per-row change sets in one batch; returns the row count.
 
-        Every value is validated and every record id resolved before
-        anything is written: a bad value or id anywhere leaves table
-        and journal untouched.  The new values are then
-        assigned into the pages' column chunks in place; no row tuple is
-        built.  For a change set that names an indexed column, the key
-        columns of that index are read, and the row moves in it only if
-        its key really changed.  A row named twice is one row whose
-        later changes win.  Primary-key changes fall back to the checked
-        row-at-a-time path.
+        Every value is validated, every record id resolved and every
+        new primary key checked before anything is written: a bad value,
+        id or key anywhere leaves table and journal untouched.  A new
+        key is checked against the keys the table holds once the whole
+        batch is applied, so one row may take a key another row of the
+        batch gives up (a swap, ``set k = k + 1``).  The new values are
+        then assigned into the pages' column chunks in place; no row
+        tuple is built.  For a change set that names an indexed column
+        (the primary key's included), the key columns of that index are
+        read, and the row moves in it only if its key really changed.
+        A row named twice is one row whose later changes win.
         """
         if not updates:
             return 0
@@ -262,13 +245,11 @@ class Table:
             else:
                 planned[rid] = writes
         changed = set().union(*planned.values())
-        if not changed.isdisjoint(schema.project_positions(schema.primary_key)):
-            for rid, changes in updates:  # nothing is written yet
-                self.update_row(rid, changes)
-            return len(updates)
-        affected = [
-            index for index in self.indexes.values() if not changed.isdisjoint(index.positions)
-        ]
+        pk_index = self._pk_index
+        indexes = list(self.indexes.values())
+        if pk_index is not None:
+            indexes.append(pk_index)
+        affected = [index for index in indexes if not changed.isdisjoint(index.positions)]
         heap = self.heap
         get_page = heap.buffer_pool.get_page
         #: (index, old key, new key, rid) of every key a change set moves.
@@ -285,6 +266,9 @@ class Table:
                     new_key = tuple([writes.get(p, old) for p, old in zip(positions, old_key)])
                     if old_key != new_key:
                         moves.append((index, old_key, new_key, rid))
+        key_moves = [(old, new) for index, old, new, _rid in moves if index is pk_index]
+        if key_moves:
+            self._check_new_keys([new for _old, new in key_moves], {old for old, _new in key_moves})
 
         for index, old_key, _new_key, rid in moves:
             index.delete_key(old_key, rid)
@@ -376,32 +360,26 @@ class Table:
                 f"no index {index_name!r} on table {self.name!r}"
             ) from None
 
-    def _coerce(self, values: Sequence[Any] | Mapping[str, Any]) -> Row:
-        # Exact type first: an isinstance against typing.Mapping costs a
-        # __subclasscheck__, and single inserts mostly hand over tuples.
-        if type(values) is not tuple and isinstance(values, Mapping):
-            return self.schema.row_from_mapping(values)
-        return self.schema.validate_row(values)
+    def _check_new_keys(self, keys: Sequence[tuple], released: Collection[tuple] = ()) -> None:
+        """Raise :class:`ConstraintError` unless a batch may give rows the primary *keys*.
 
-
-    def _check_primary_key(self, row: Row) -> None:
-        if self._pk_index is None:
-            return
-        key = self.schema.key_of(row)
-        if None in key:
+        A key is free if no row holds it or if the row holding it gives
+        it up in the same batch (*released*); no key may be NULL or be
+        given twice.
+        """
+        pk_index = self._pk_index
+        if any(map(contains, keys, repeat(None))):
             raise ConstraintError(
                 f"table {self.name!r}: primary key {self.schema.primary_key} cannot be NULL"
             )
-        if self._pk_index.contains(key):
+        for key in keys:
+            if pk_index.contains(key) and key not in released:
+                raise ConstraintError(f"table {self.name!r}: duplicate primary key {key!r}")
+        if len(set(keys)) != len(keys):
+            key = next(key for key, times in Counter(keys).items() if times > 1)
             raise ConstraintError(
-                f"table {self.name!r}: duplicate primary key {key!r}"
+                f"table {self.name!r}: duplicate primary key {key!r} within batch"
             )
-
-    def _index_insert(self, row: Row, rid: int) -> None:
-        if self._pk_index is not None:
-            self._pk_index.insert(row, rid)
-        for index in self.indexes.values():
-            index.insert(row, rid)
 
     def _index_delete(self, row: Row, rid: int) -> None:
         if self._pk_index is not None:

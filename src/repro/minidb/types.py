@@ -3,7 +3,7 @@
 The engine hands rows around as plain tuples (and stores them as column
 chunks, see :mod:`repro.minidb.pages`); a :class:`Schema` describes the
 column names, types, and nullability, and knows how to validate, coerce
-and size incoming values — a row at a time or a column batch at a time.
+and size incoming values — a column batch or a change set at a time.
 Types are intentionally small: the paper's tables (CRAWL, LINK, HUBS,
 AUTH, DOCUMENT, TAXONOMY, STAT, BLOB) only need integers, floats,
 strings, and raw blobs.
@@ -113,8 +113,11 @@ class Schema:
     """An ordered collection of :class:`Column` definitions plus an optional primary key.
 
     The schema is the single source of truth for column order.  Rows are
-    stored as tuples in schema order; :meth:`row_from_mapping` and
-    :meth:`row_to_mapping` convert between dict-like and tuple forms.
+    stored in schema order; :meth:`positional` puts a column-name
+    mapping in that order and :meth:`row_to_mapping` names a row's
+    values.  Values are checked the way the table writes them: a
+    column of a batch at a time (:meth:`validate_column`) or a row's
+    change set (:meth:`validate_changes`).
     """
 
     columns: Sequence[Column]
@@ -137,7 +140,6 @@ class Schema:
             ({exact}, {exact, type(None)}) if c.nullable else ({exact},)
             for c, exact in zip(self.columns, self._exact)
         )
-        self._pk_positions = tuple(self._index[k] for k in self.primary_key)
         #: Positions of the columns whose stored size depends on the value.
         self._varying = tuple(
             position
@@ -161,19 +163,6 @@ class Schema:
             raise SchemaError(f"unknown column {name!r}; have {self.column_names}") from None
 
     # -- row helpers ----------------------------------------------------
-    def validate_row(self, values: Sequence[Any]) -> Row:
-        """Validate and coerce a positional row."""
-        if len(values) != len(self.columns):
-            raise SchemaError(
-                f"row has {len(values)} values, schema has {len(self.columns)} columns"
-            )
-        return tuple(
-            [
-                value if type(value) is exact else column.validate(value)
-                for value, exact, column in zip(values, self._exact, self.columns)
-            ]
-        )
-
     def validate_changes(self, changes: Mapping[str, Any]) -> dict[int, Any]:
         """A column-name change set as validated values by column position."""
         index, exact, columns = self._index, self._exact, self.columns
@@ -223,19 +212,8 @@ class Schema:
             raise SchemaError(f"unknown columns {sorted(unknown)}; have {self.column_names}")
         return list(map(mapping.get, self._names))
 
-    def row_from_mapping(self, mapping: Mapping[str, Any]) -> Row:
-        """Build a validated positional row from a column-name mapping."""
-        return self.validate_row(self.positional(mapping))
-
     def row_to_mapping(self, row: Sequence[Any]) -> dict[str, Any]:
         return dict(zip(self._names, row))
-
-    def key_of(self, row: Sequence[Any]) -> tuple:
-        """Extract the primary-key tuple from a row (empty tuple if no primary key)."""
-        positions = self._pk_positions
-        if len(positions) == 1:
-            return (row[positions[0]],)
-        return tuple(row[p] for p in positions)
 
     def row_size(self, row: Sequence[Any]) -> int:
         """Approximate stored size of *row* in bytes."""

@@ -51,7 +51,7 @@ class TestBufferPool:
         # Nothing holds a page resident, so a full pool never refuses one.
         pool = BufferPool(2)
         for i in range(20):
-            pool.create_page(PageId(0, i), 4096).insert((i, "x"), 16)
+            pool.create_page(PageId(0, i), 4096).append_row((i, "x"), 16)
         assert pool.resident_pages == 2
         assert pool.stats.evictions == 18
         assert [pool.get_page(PageId(0, i)).read(0) for i in range(20)] == [(i, "x") for i in range(20)]
@@ -101,7 +101,7 @@ class TestBufferPool:
     def test_clear_cache_preserves_data(self):
         pool = BufferPool(4)
         pages = fill(pool, 3)
-        pages[0].insert((1, "x"), 16)
+        pages[0].append_row((1, "x"), 16)
         pool.mark_dirty(PageId(0, 0))
         pool.clear_cache()
         assert pool.resident_pages == 0

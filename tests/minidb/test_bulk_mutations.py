@@ -1,5 +1,7 @@
 """Tests for minidb's bulk mutation paths: atomic insert_many and update_rows."""
 
+import re
+
 import pytest
 
 from repro.minidb import Database, FLOAT, INTEGER, TEXT, make_schema
@@ -115,13 +117,40 @@ class TestUpdateRows:
         grown = len("a much longer replacement string") - len("short")
         assert page.used_bytes == used_before + grown
 
-    def test_primary_key_change_falls_back_to_checked_path(self):
+    def test_a_failing_key_move_leaves_every_row_of_the_batch_unchanged(self):
         _, table = make_table()
-        rids = table.insert_many([{"k": 1, "v": 0.0, "s": "a"}, {"k": 2, "v": 0.0, "s": "b"}])
+        rids = table.insert_many([(1, 0.0, "a"), (2, 0.0, "b"), (3, 0.0, "c")])
+        before = list(table.rows())
+        failing = {
+            "duplicate primary key (3,)": [(rids[0], {"k": 10}), (rids[1], {"k": 3})],
+            "duplicate primary key (2,)": [(rids[0], {"k": 2})],
+            "duplicate primary key (10,) within batch": [(rids[0], {"k": 10}), (rids[2], {"k": 10})],
+        }
+        for message, updates in failing.items():
+            with pytest.raises(ConstraintError, match=re.escape(message)):
+                table.update_rows(updates)
         with pytest.raises(ConstraintError):
-            table.update_rows([(rids[0], {"k": 2})])
-        table.update_rows([(rids[0], {"k": 3})])
-        assert table.get_by_key((3,)) is not None
+            table.update_row(rids[2], {"k": 1})
+        assert list(table.rows()) == before
+        assert [table.get_by_key((k,)) for k in (1, 2, 3, 10)] == [*before, None]
+
+    def test_a_null_key_is_refused_before_anything_is_written(self):
+        db = Database()
+        table = db.create_table("N", make_schema(("k", INTEGER), ("v", FLOAT), primary_key=["k"]))
+        rids = table.insert_many([(1, 0.5), (2, 0.5)])
+        with pytest.raises(ConstraintError, match="cannot be NULL"):
+            table.update_rows([(rids[0], {"v": 1.5}), (rids[1], {"k": None})])
+        with pytest.raises(ConstraintError, match="cannot be NULL"):
+            table.insert((None, 0.5))
+        assert list(table.rows()) == [(1, 0.5), (2, 0.5)]
+
+    def test_a_two_row_key_swap_succeeds(self):
+        _, table = make_table()
+        rids = table.insert_many([(1, 0.0, "a"), (2, 0.0, "b")])
+        assert table.update_rows([(rids[0], {"k": 2}), (rids[1], {"k": 1})]) == 2
+        assert table.get_by_key((1,)) == (1, 0.0, "b") and table.get_by_key((2,)) == (2, 0.0, "a")
+        assert table.update_row(rids[0], {"k": 7, "v": 0.5}) == (7, 0.5, "a")
+        assert table.get_by_key((2,)) is None and table.get_by_key((7,)) == (7, 0.5, "a")
 
     def test_wide_batch_survives_pool_eviction_on_durable_backend(self, tmp_path):
         """Updates spanning more pages than the buffer pool must not be lost.

@@ -29,9 +29,8 @@ SCHEMA = make_schema(("oid", INTEGER, False), ("sid", INTEGER), ("score", FLOAT)
 class TestHashIndex:
     def test_insert_search_delete(self):
         index = HashIndex("ix", SCHEMA, ["sid"])
-        index.insert((1, 10, 0.5), rid(0))
-        index.insert((2, 10, 0.6), rid(1))
-        index.insert((3, 20, 0.7), rid(2))
+        index.insert_key((10,), rid(0))
+        index.insert_many([(10,), (20,)], [rid(1), rid(2)])
         assert set(index.search((10,))) == {rid(0), rid(1)}
         assert index.search((99,)) == []
         index.delete((1, 10, 0.5), rid(0))
@@ -54,21 +53,20 @@ class TestOrderedIndex:
     def test_range_search_in_order(self):
         index = OrderedIndex("ox", SCHEMA, ["oid"])
         for i in (5, 1, 3, 2, 4):
-            index.insert((i, 0, 0.0), rid(i))
+            index.insert_key((i,), rid(i))
         keys = [key for key, _ in index.range_search((2,), (4,))]
         assert keys == [(2,), (3,), (4,)]
 
     def test_open_ended_ranges(self):
         index = OrderedIndex("ox", SCHEMA, ["oid"])
-        for i in range(5):
-            index.insert((i, 0, 0.0), rid(i))
+        index.insert_many([(i,) for i in range(5)], [rid(i) for i in range(5)])
         assert len(list(index.range_search(low=(3,)))) == 2
         assert len(list(index.range_search(high=(1,)))) == 2
         assert index.ordered_keys()[::4] == [(0,), (4,)]
 
     def test_delete_removes_key_when_empty(self):
         index = OrderedIndex("ox", SCHEMA, ["oid"])
-        index.insert((1, 0, 0.0), rid(0))
+        index.insert_key((1,), rid(0))
         index.delete((1, 0, 0.0), rid(0))
         assert index.ordered_keys() == []
 

@@ -10,6 +10,7 @@ ones the parent logged for the same calls.
 """
 
 import pickle
+from functools import partial
 
 import pytest
 
@@ -51,23 +52,25 @@ def facts(page):
 
 class TestColumnChunkPage:
     def test_rows_are_slots_across_the_column_lists(self):
+        schema = make_schema(("k", INTEGER), ("name", TEXT))
         page = Page(PageId(0, 0), capacity=256)
         assert page.slot_count() == 0 and list(page.rows()) == [] and page.live_count() == 0
-        assert [page.insert((k, f"r{k}"), 16) for k in range(3)] == [0, 1, 2]
+        assert [page.append_row((k, f"r{k}"), 14) for k in range(3)] == [0, 1, 2]
         assert page.columns == [[0, 1, 2], ["r0", "r1", "r2"]]
-        assert page.used_bytes == PAGE_HEADER + 3 * (16 + SLOT_OVERHEAD)
-        page.update(1, (10, "ten"), old_size=16, new_size=18)
-        assert page.read(1) == (10, "ten") and page.used_bytes == PAGE_HEADER + 74
+        assert page.used_bytes == PAGE_HEADER + 3 * (14 + SLOT_OVERHEAD)
+        for position, value in enumerate((10, "ten")):
+            page.assign(position, [1], [value], partial(schema.column_bytes, position))
+        assert page.read(1) == (10, "ten") and page.used_bytes == PAGE_HEADER + 67
         assert list(page.rows()) == [(0, (0, "r0")), (1, (10, "ten")), (2, (2, "r2"))]
         assert list(page.rids()) == [rid_of(0, 0, slot) for slot in range(3)]
         image = page.image()
-        page.insert((3, "r3"), 16)
+        page.append_row((3, "r3"), 14)
         assert image[3] == [[0, 10, 2], ["r0", "ten", "r2"]]  # a copy: it does not follow the page
 
     def test_a_delete_leaves_a_tombstone_the_lowest_of_which_is_reused_first(self):
         page = Page(PageId(0, 0))
         for k in range(5):
-            page.insert((k, float(k)), 16)
+            page.append_row((k, float(k)), 16)
         page.delete(3, 16)
         page.delete(1, 16)
         assert page.dead == {1, 3} and page.live_count() == 3
@@ -81,9 +84,9 @@ class TestColumnChunkPage:
                 page.delete(slot, 16)
         with pytest.raises(StorageError, match="out of range"):
             page.check_live([0, 7])
-        assert page.insert((11, 1.5), 16) == 1
-        assert page.insert((13, 3.5), 16) == 3
-        assert page.insert((5, 5.0), 16) == 5
+        assert page.append_row((11, 1.5), 16) == 1
+        assert page.append_row((13, 3.5), 16) == 3
+        assert page.append_row((5, 5.0), 16) == 5
         assert page.dead == set() and page.read(3) == (13, 3.5)
 
     def test_column_appends_and_assignments_account_like_row_writes(self):
@@ -91,21 +94,24 @@ class TestColumnChunkPage:
         rows = [(k, None if k % 3 == 0 else float(k)) for k in range(10)]
         sizes = [9 if row[1] is None else 16 for row in rows]
         for row, size in zip(rows, sizes):
-            by_rows.insert(row, size)
+            by_rows.append_row(row, size)
         used = sum(sizes) + len(sizes) * SLOT_OVERHEAD
         assert by_columns.append_columns(list(zip(*rows)), 0, 4, sum(sizes[:4]) + 4 * 8) == 0
         assert by_columns.append_columns(list(zip(*rows)), 4, 10, sum(sizes[4:]) + 6 * 8) == 4
         assert facts(by_columns) == facts(by_rows) and by_rows.used_bytes == PAGE_HEADER + used
-        by_columns.assign(1, [0, 5, 0], [2.5, None, 7.5], lambda values: 8 * len(values) - 7 * values.count(None))
-        by_rows.update(0, (0, 7.5), old_size=9, new_size=16)  # named twice: the later value
-        by_rows.update(5, (5, None), old_size=16, new_size=9)
+        bytes_of = lambda values: 8 * len(values) - 7 * values.count(None)  # noqa: E731
+        by_columns.assign(1, [0, 5, 0], [2.5, None, 7.5], bytes_of)
+        by_rows.assign(1, [0], [7.5], bytes_of)  # named twice: the later value
+        by_rows.assign(1, [5], [None], bytes_of)
         assert facts(by_columns) == facts(by_rows)
+        assert by_rows.columns[1][:6] == [7.5, 1.0, 2.0, None, 4.0, None]
+        assert by_rows.used_bytes == PAGE_HEADER + used
 
     @pytest.mark.parametrize("deleted", [(), (1, 3), (0, 1, 2, 3, 4)])
     def test_both_image_shapes_load_to_the_same_page(self, deleted):
         page = Page(PageId(3, 7), capacity=512)
         for k in range(5):
-            page.insert((k, float(k), f"row{k}"), 24)
+            page.append_row((k, float(k), f"row{k}"), 24)
         for slot in deleted:
             page.delete(slot, 24)
         page.dirty = False
@@ -117,7 +123,7 @@ class TestColumnChunkPage:
             assert facts(from_columns) == facts(from_rows) == facts(page)
         # The next inserts land where they would have on the original.
         for fresh in (page, from_columns, from_rows):
-            slots = [fresh.insert((9, 9.0, "new"), 24) for _ in range(3)]
+            slots = [fresh.append_row((9, 9.0, "new"), 24) for _ in range(3)]
             assert slots == (sorted(deleted) + [5, 6, 7])[:3]
         assert facts(from_columns) == facts(from_rows) == facts(page)
 

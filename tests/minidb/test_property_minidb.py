@@ -434,6 +434,48 @@ class TableAgainstModel(RuleBasedStateMachine):
             self.apply_changes(changes)
 
     @precondition(lambda self: self.rows)
+    @rule(data=st.data(), shape=st.sampled_from(["shift", "swap", "mixed"]))
+    def update_keys(self, data, shape):
+        """Move primary keys in one batch: all of it or none of it.
+
+        A shift (``set k = k + 1``) and a swap move keys onto keys the
+        batch gives up; a mixed batch also draws keys held by rows
+        outside it, fresh keys and keys it already handed out.  The
+        model's rule is the end state: the batch succeeds exactly when
+        every row's key after the whole batch is unique.
+        """
+        keys = sorted(self.rows)
+        held = {key: row[0] for key, row in self.rows.items()}
+        if shape == "swap" and len(keys) > 1:
+            first, second = data.draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True))
+            moves = [(first, held[second]), (second, held[first])]
+        else:
+            targets = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6))
+            moves = []
+            for key in targets:
+                if shape == "mixed":
+                    choices = [st.sampled_from(sorted(held.values())), st.just(held[key] + 1), key_values]
+                    choices += [st.sampled_from([new for _key, new in moves])] if moves else []
+                    moves.append((key, data.draw(st.one_of(*choices))))
+                else:
+                    moves.append((key, held[key] + 1))
+        # A row named twice is one row whose later change wins.
+        final = {**held, **{key: model_coerce("int", False, new) for key, new in moves}}
+        error = ConstraintError if len(set(final.values())) < len(final) else None
+        if len(moves) == 1 and data.draw(st.booleans()):
+            [(key, new)] = moves
+            row = self.expect(error, lambda: self.table.update_row(self.rid(key), {"k": new}))
+            if error is None:
+                assert row == (final[key], *self.rows[key][1:])
+        else:
+            updates = [(self.rid(key), {"k": new}) for key, new in moves]
+            count = self.expect(error, lambda: self.table.update_rows(updates))
+            if error is None:
+                assert count == len(updates)
+        if error is None:
+            self.apply_changes([(key, {"k": final[key]}) for key, _new in moves])
+
+    @precondition(lambda self: self.rows)
     @rule(data=st.data())
     def delete_row(self, data):
         key = data.draw(st.sampled_from(sorted(self.rows)))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.minidb import Database, FLOAT, INTEGER, SQLSyntaxError, TEXT, make_schema, parse_sql
-from repro.minidb.errors import QueryError
+from repro.minidb.errors import ConstraintError, QueryError, SchemaError
 from repro.minidb.sql import SelectStatement
 
 
@@ -208,3 +208,71 @@ class TestMutationStatements:
     def test_insert_column_count_mismatch(self, db):
         with pytest.raises(QueryError):
             db.sql("insert into HUBS(oid, score) values (1)")
+
+
+def keyed_table(database):
+    """``T(id primary key, v)`` holding ids 1, 2, 3 and 30, with a hash index on ``v``."""
+    table = database.create_table(
+        "T", make_schema(("id", INTEGER, False), ("v", INTEGER), primary_key=["id"])
+    )
+    table.create_index("t_v", ["v"])
+    table.insert_many([(1, 1), (2, 2), (3, 3), (30, 0)])
+    return table
+
+
+def contents(database):
+    """Rows in heap order, with what the primary-key and ``v`` indexes find for each."""
+    table = database.table("T")
+    rows = list(table.rows())
+    found = [
+        (table.get_by_key((k,)), sorted(table.read(rid) for rid in table.lookup_rids("t_v", (v,))))
+        for k, v in rows
+    ]
+    return rows, found
+
+
+class TestStatementsAreAtomic:
+    """An INSERT or UPDATE that raises on a later row writes none of its rows."""
+
+    FAILING = {
+        "values repeat a stored key last": "insert into T values (10, 1), (11, 2), (3, 4)",
+        "values repeat their own key": "insert into T values (10, 1), (11, 2), (10, 4)",
+        "values hold a wrong type last": "insert into T values (10, 1), ('x', 2)",
+        "select hits a stored key": "insert into T(id, v) (select id + 27, v from T where v >= 1)",
+        "update collides on a later row": "update T set id = id * 10 where v >= 1",
+        "update fails to evaluate on a later row": "update T set v = 6 / (id - 3)",
+    }
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    @pytest.mark.parametrize("statement", list(FAILING.values()), ids=list(FAILING))
+    def test_a_raising_statement_leaves_table_and_journal_unchanged(self, tmp_path, durable, statement):
+        path = str(tmp_path / "db")
+        database = Database.open(path) if durable else Database()
+        keyed_table(database)
+        before = contents(database)
+        journaled = database.backend.wal_bytes_written if durable else None
+        with pytest.raises((QueryError, ConstraintError, SchemaError)):
+            database.sql(statement)
+        assert contents(database) == before
+        if durable:
+            assert database.backend.wal_bytes_written == journaled
+            database.close()
+            database = Database.open(path)  # replays the journal
+            assert contents(database) == before
+            database.close()
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_keys_may_move_onto_keys_the_same_statement_gives_up(self, tmp_path, durable):
+        path = str(tmp_path / "db")
+        database = Database.open(path) if durable else Database()
+        keyed_table(database)
+        assert database.sql("update T set id = id + 1 where id < 30") == [{"rowcount": 3}]
+        assert database.sql("update T set id = 6 - id where id in (2, 4)") == [{"rowcount": 2}]
+        expected = [(4, 1), (3, 2), (2, 3), (30, 0)]
+        assert list(database.table("T").rows()) == expected
+        assert [database.table("T").get_by_key((k,)) for k, _v in expected] == expected
+        if durable:
+            database.close()
+            database = Database.open(path)
+            assert contents(database) == ([*expected], [(row, [row]) for row in expected])
+            database.close()

@@ -18,14 +18,24 @@ def make_heap(page_size=512, pool_pages=8):
     return HeapFile(file_id=0, schema=schema, buffer_pool=pool, page_size=page_size), schema, pool
 
 
+def append(heap, *rows):
+    """Append *rows* to *heap* as one validated column batch; returns their record ids."""
+    schema = heap.schema
+    columns = [
+        schema.validate_column(position, [row[position] for row in rows])
+        for position in range(len(schema.columns))
+    ]
+    return heap.append_columns(columns, schema.row_sizes(columns))
+
+
 class TestPage:
-    def test_insert_read_update_delete(self):
+    def test_append_read_assign_delete(self):
         page = Page(PageId(0, 0), capacity=256)
-        slot = page.insert((1, "a"), 16)
+        slot = page.append_row((1, "a"), 16)
         assert page.read(slot) == (1, "a")
-        page.update(slot, (1, "b"), old_size=16, new_size=16)
-        assert page.read(slot) == (1, "b")
-        page.delete(slot, 16)
+        page.assign(1, [slot], ["bc"], lambda values: 4 * len(values) + sum(map(len, values)))
+        assert page.read(slot) == (1, "bc") and page.used_bytes == 24 + 16 + 8 + 1
+        page.delete(slot, 17)
         with pytest.raises(StorageError):
             page.read(slot)
 
@@ -33,15 +43,13 @@ class TestPage:
         page = Page(PageId(0, 0), capacity=64)
         assert page.fits(8)
         assert not page.fits(1000)
-        with pytest.raises(StorageError):
-            page.insert((1,), 1000)
 
     def test_deleted_slot_is_reused(self):
         page = Page(PageId(0, 0), capacity=4096)
-        first = page.insert((1,), 8)
-        page.insert((2,), 8)
+        first = page.append_row((1,), 8)
+        page.append_row((2,), 8)
         page.delete(first, 8)
-        reused = page.insert((3,), 8)
+        reused = page.append_row((3,), 8)
         assert reused == first
         assert page.live_count() == 2
 
@@ -52,62 +60,80 @@ class TestPage:
 
 
 class TestHeapFile:
-    def test_insert_and_read(self):
-        heap, schema, _ = make_heap()
-        rid = heap.insert(schema.validate_row((1, "hello")))
+    def test_append_and_read(self):
+        heap, _schema, _ = make_heap()
+        [rid] = append(heap, (1, "hello"))
         assert heap.read(rid) == (1, "hello")
         assert heap.row_count == 1
 
     def test_rows_spill_to_new_pages(self):
-        heap, schema, _ = make_heap(page_size=256)
+        heap, _schema, _ = make_heap(page_size=256)
         for i in range(50):
-            heap.insert(schema.validate_row((i, "x" * 20)))
+            append(heap, (i, "x" * 20))
         assert heap.page_count > 1
         assert heap.row_count == 50
         assert sorted(row[0] for row in heap.scan_rows()) == list(range(50))
 
-    def test_update_and_delete(self):
+    def test_assign_and_delete(self):
         heap, schema, _ = make_heap()
-        rid = heap.insert(schema.validate_row((1, "a")))
-        heap.update(rid, schema.validate_row((1, "bb")))
+        [rid] = append(heap, (1, "a"))
+        heap.assign_column(1, [rid], ["bb"])
         assert heap.read(rid) == (1, "bb")
         deleted = heap.delete(rid)
         assert deleted == (1, "bb")
         assert heap.row_count == 0
         with pytest.raises(StorageError):
             heap.read(rid)
+        with pytest.raises(StorageError, match="is empty"):
+            heap.assign_column(1, [rid], ["cc"])
 
     def test_rid_stability_across_other_deletes(self):
-        heap, schema, _ = make_heap()
-        rids = [heap.insert(schema.validate_row((i, "p"))) for i in range(10)]
+        heap, _schema, _ = make_heap()
+        rids = append(heap, *[(i, "p") for i in range(10)])
         heap.delete(rids[0])
         heap.delete(rids[5])
         assert heap.read(rids[7]) == (7, "p")
 
+    def test_a_batch_refills_tombstones_lowest_first_then_appends(self):
+        heap, schema, pool = make_heap()
+        rids = append(heap, *[(i, "p") for i in range(6)])
+        for rid in (rids[4], rids[1]):
+            heap.delete(rid)
+        page = pool.get_page(heap.page_of(rids[0])[0])
+        used = page.used_bytes
+        assert append(heap, (10, "q"), (11, "q"), (12, "q")) == [rids[1], rids[4], rids[5] + 1]
+        assert page.dead == set() and page.used_bytes == used + 3 * (schema.row_size((10, "q")) + 8)
+        assert [row[0] for row in heap.scan_rows()] == [0, 10, 2, 3, 11, 5, 12]
+
     def test_foreign_rid_rejected(self):
-        heap, schema, _ = make_heap()
-        heap.insert(schema.validate_row((1, "a")))
+        heap, _schema, _ = make_heap()
+        append(heap, (1, "a"))
         foreign = rid_of(99, 0, 0)
         with pytest.raises(StorageError):
             heap.read(foreign)
+        with pytest.raises(StorageError, match="does not belong"):
+            heap.assign_column(1, [foreign], ["b"])
 
     def test_oversized_row_rejected(self):
-        heap, schema, _ = make_heap(page_size=128)
-        with pytest.raises(StorageError):
-            heap.insert(schema.validate_row((1, "y" * 500)))
+        table = Database(page_size=128).create_table("T", make_heap()[1])
+        with pytest.raises(StorageError, match="too large"):
+            table.insert_many([(1, "ok"), (2, "y" * 500)])
+        with pytest.raises(StorageError, match="too large"):
+            table.insert((3, "y" * 61))  # 8 + 65 bytes: more than half a page
+        assert len(table) == 0 and table.page_count == 0
 
     def test_truncate_clears_everything(self):
-        heap, schema, _ = make_heap()
+        heap, _schema, _ = make_heap()
         for i in range(20):
-            heap.insert(schema.validate_row((i, "z")))
+            append(heap, (i, "z"))
         heap.truncate()
         assert heap.row_count == 0
         assert heap.page_count == 0
         assert list(heap.scan()) == []
 
     def test_scan_yields_rid_row_pairs(self):
-        heap, schema, _ = make_heap()
-        rid = heap.insert(schema.validate_row((3, "q")))
+        heap, _schema, _ = make_heap()
+        [rid] = append(heap, (3, "q"))
         pairs = list(heap.scan())
         assert pairs == [(rid, (3, "q"))]
 
@@ -136,7 +162,7 @@ class TestRecordIdLayout:
     def test_a_file_id_beyond_the_file_bits_is_refused(self):
         schema = make_schema(("k", INTEGER))
         heap = HeapFile(MAX_FILE_ID, schema, BufferPool(4))
-        assert rid_fields(heap.insert((7,))) == (MAX_FILE_ID, 0, 0)
+        assert [rid_fields(rid) for rid in append(heap, (7,))] == [(MAX_FILE_ID, 0, 0)]
         with pytest.raises(StorageError, match="file id"):
             HeapFile(MAX_FILE_ID + 1, schema, BufferPool(4))
         database = Database()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.minidb import BLOB, FLOAT, INTEGER, TEXT, Column, Schema, SchemaError, make_schema
+from repro.minidb import BLOB, FLOAT, INTEGER, TEXT, Column, Database, Schema, SchemaError, make_schema
 from repro.minidb.types import ColumnType
 
 
@@ -86,30 +86,49 @@ class TestSchema:
         with pytest.raises(SchemaError):
             self.schema.position("nope")
 
-    def test_validate_row_checks_arity(self):
-        with pytest.raises(SchemaError):
-            self.schema.validate_row((1, "x"))
+    def test_insert_checks_arity(self):
+        table = Database().create_table("T", self.schema)
+        for row in ((1, "x"), (1, "x", 0.5, 2)):
+            with pytest.raises(SchemaError, match="schema has 3 columns"):
+                table.insert(row)
+        with pytest.raises(SchemaError, match="schema has 3 columns"):
+            table.insert_many([(2, "y", 0.5), (1, "x")])
+        assert len(table) == 0
 
-    def test_row_from_mapping_fills_missing_with_null(self):
-        row = self.schema.row_from_mapping({"oid": 5, "url": "http://a"})
-        assert row == (5, "http://a", None)
+    def test_positional_fills_missing_with_null(self):
+        assert self.schema.positional({"oid": 5, "url": "http://a"}) == [5, "http://a", None]
 
-    def test_row_from_mapping_rejects_unknown_columns(self):
+    def test_positional_rejects_unknown_columns(self):
         with pytest.raises(SchemaError):
-            self.schema.row_from_mapping({"oid": 5, "bogus": 1})
+            self.schema.positional({"oid": 5, "bogus": 1})
 
     def test_row_round_trip(self):
-        row = self.schema.row_from_mapping({"oid": 9, "url": "u", "relevance": 0.5})
+        row = tuple(self.schema.positional({"oid": 9, "url": "u", "relevance": 0.5}))
         assert self.schema.row_to_mapping(row) == {"oid": 9, "url": "u", "relevance": 0.5}
 
-    def test_key_of_extracts_primary_key(self):
-        row = self.schema.validate_row((7, "u", 0.1))
-        assert self.schema.key_of(row) == (7,)
+    def test_primary_key_index_extracts_the_key(self):
+        table = Database().create_table("T", self.schema)
+        rid = table.insert({"oid": 7, "url": "u", "relevance": 0.1})
+        assert table._pk_index.key_of(table.read(rid)) == (7,)
+        assert list(table._pk_index.keys_of([[7, 8], ["u", "v"], [0.1, 0.2]])) == [(7,), (8,)]
+        assert table.lookup_rids("T_pk", (7,)) == [rid]
+
+    def test_validate_column_coerces_like_column_validate(self):
+        position = self.schema.position("relevance")
+        exact = [0.5, None]
+        assert self.schema.validate_column(position, exact) is exact
+        assert self.schema.validate_column(position, [1, None, 2.5]) == [1.0, None, 2.5]
+        with pytest.raises(SchemaError):
+            self.schema.validate_column(self.schema.position("oid"), [1, None])
 
     def test_row_size_positive_and_monotone(self):
-        short = self.schema.validate_row((1, "a", 0.1))
-        long = self.schema.validate_row((1, "a" * 100, 0.1))
+        short = (1, "a", 0.1)
+        long = (1, "a" * 100, 0.1)
         assert 0 < self.schema.row_size(short) < self.schema.row_size(long)
+        assert self.schema.row_sizes([[1, 1], ["a", "a" * 100], [0.1, 0.1]]) == [
+            self.schema.row_size(short),
+            self.schema.row_size(long),
+        ]
 
     def test_bad_column_spec_rejected(self):
         with pytest.raises(SchemaError):
