@@ -14,28 +14,46 @@ structures and scores whole batches with vectorized kernels:
   reference path looks up per (child, term) — and ``0.0`` when *t* is
   not a feature of that node (no contribution, as in the reference's
   feature filter);
-* a batch of documents packed once into a sparse COO doc-term batch;
-  all per-(node, child) log-likelihood sums are produced by one fancy
-  index plus one ``np.bincount`` scatter-add per child column (a
-  CSR-style sparse × dense product without leaving NumPy);
+* a batch of documents packed once into a sparse COO doc-term batch
+  (one ``np.fromiter`` for its term ids and one for its frequencies);
 * the Equation-2 chain rule as a running ``(docs, classes)`` posterior
   matrix, from which Equation-3 relevance (sum over good classes) and
   the best leaf (argmax over leaves, first-winner tie-breaking like the
   reference ``max``) are read off with two reductions.
 
-Numerics: the kernels perform the same operations as the reference path
-but accumulate in different association orders, so results agree to
-floating-point tolerance rather than bit-for-bit — tests enforce 1e-9 on
-posteriors, relevance, and best-leaf identity.  Within the compiled
-model itself, scoring is deterministic and independent of batch
-packing: every accumulation (``np.bincount``) visits a document's
-entries in the document's own packing order, so a batch of one
+A call makes a fixed number of NumPy calls, whatever the count of child
+columns or nodes: the Python loops of :meth:`posterior_matrix` run over
+the model's distinct fan-outs and taxonomy levels only.  Its reductions:
+
+* **per-(document, child) log-likelihood sums** — one ``np.bincount``
+  over the flattened ``(document, child)`` cells.  It adds each cell's
+  entries one after another in packing order, starting from 0, as a
+  ``bincount`` per child column would;
+* **per-node peaks** — one ``np.maximum.reduceat`` over the nodes'
+  column starts (a max is exact in any order);
+* **per-node softmax totals** — one ``exp`` over the whole score matrix,
+  then, per distinct fan-out *w*, ``take(cols, axis=1).sum(axis=2)``
+  over the ``(nodes, w)`` column matrix of the nodes with *w* children:
+  a contiguous-row reduction, the one a per-node ``sum(axis=1)`` makes
+  (pairwise from w = 9 on, sequential below);
+* **chain rule** — one multiply per taxonomy level (a level's parents
+  are final before it runs; an unmodelled parent stays 0).
+
+So the posteriors equal, float for float, those of the loop form (one
+``bincount`` per child column, one softmax pass per node), and a
+document's row does not depend on the batch around it: a batch of one
 reproduces a batch of K bit for bit (checkpoint/resume relies on this).
+``np.add.reduceat`` (on either axis) and a matmul would also give the
+per-document sums in one call, but both re-associate the additions and
+so move posteriors in their last bits; they are not used.  Against the
+single-document reference, which adds in another order, the tests
+enforce 1e-9 on posteriors and relevance and identity of the best leaf.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from itertools import chain
+from typing import List, Sequence
 
 import numpy as np
 
@@ -59,7 +77,7 @@ class CompiledHierarchicalModel:
         taxonomy: TopicTaxonomy = model.taxonomy
         # Shared vocabulary: the union of every node's feature set.
         tids = sorted({tid for node in model.nodes.values() for tid in node.feature_tids})
-        self._term_row: Dict[int, int] = {tid: g for g, tid in enumerate(tids)}
+        term_row = {tid: g for g, tid in enumerate(tids)}
         #: The same mapping as a sorted array: row g holds the g-th tid, so
         #: a searchsorted position *is* the matrix row (vectorized packing).
         self._sorted_tids = np.array(tids, dtype=np.int64)
@@ -77,19 +95,17 @@ class CompiledHierarchicalModel:
         self._root_col = self._column_of_cid[ROOT_CID]
 
         # One dense matrix over (shared term row, flattened child column):
-        # each node owns a contiguous column slice [start, stop).
-        n_children_total = sum(len(node.child_cids) for node in nodes)
+        # each node owns a contiguous column slice [start, start + fan-out).
+        fanouts = np.array([len(node.child_cids) for node in nodes], dtype=np.int64)
+        starts = np.cumsum(fanouts) - fanouts
+        n_children_total = int(fanouts.sum())
         vectors = np.zeros((n_terms, n_children_total), dtype=np.float64)
         logprior = np.zeros(n_children_total, dtype=np.float64)
-        #: per node: (column slice start, stop, posterior column of the
-        #: node, posterior columns of its children).
-        self._node_plan: List[tuple] = []
-        start = 0
-        for node in nodes:
+        for node, start in zip(nodes, starts.tolist()):
             stop = start + len(node.child_cids)
             child_col = {cid: start + i for i, cid in enumerate(node.child_cids)}
             feature_rows = np.fromiter(
-                (self._term_row[tid] for tid in sorted(node.feature_tids)),
+                (term_row[tid] for tid in sorted(node.feature_tids)),
                 dtype=np.int64,
                 count=len(node.feature_tids),
             )
@@ -105,22 +121,45 @@ class CompiledHierarchicalModel:
             feature_tids = node.feature_tids
             for (cid, tid), value in node.logtheta.items():
                 if tid in feature_tids:
-                    vectors[self._term_row[tid], child_col[cid]] = value
+                    vectors[term_row[tid], child_col[cid]] = value
             logprior[start:stop] = [
                 node.logprior.get(cid, 0.0) for cid in node.child_cids
             ]
-            self._node_plan.append(
-                (
-                    start,
-                    stop,
-                    self._column_of_cid[node.cid],
-                    [self._column_of_cid[cid] for cid in node.child_cids],
-                )
-            )
-            start = stop
         self._vectors = vectors
         self._logprior = logprior
-        self._n_children_total = n_children_total
+        self._child_range = np.arange(n_children_total, dtype=np.int64)
+
+        # The softmax plan: the node of every child column, each node's
+        # first column, and per distinct fan-out w the (nodes, w) matrix
+        # of their columns.
+        self._node_starts = starts
+        self._node_of_col = np.repeat(np.arange(len(nodes), dtype=np.int64), fanouts)
+        self._fanout_groups = []
+        for width in np.unique(fanouts).tolist():
+            members = np.flatnonzero(fanouts == width)
+            self._fanout_groups.append(
+                (members, starts[members][:, None] + np.arange(width, dtype=np.int64))
+            )
+        # The chain-rule plan, one step per taxonomy depth: the child
+        # columns of the depth's nodes, the posterior column of each one's
+        # parent node, and their own posterior columns.
+        node_class_col = np.array(
+            [self._column_of_cid[node.cid] for node in nodes], dtype=np.int64
+        )
+        child_class_col = np.array(
+            [self._column_of_cid[cid] for node in nodes for cid in node.child_cids],
+            dtype=np.int64,
+        )
+        node_depth = np.array(
+            [taxonomy.node(node.cid).depth() for node in nodes], dtype=np.int64
+        )
+        col_depth = node_depth[self._node_of_col]
+        self._levels = []
+        for depth in np.unique(node_depth).tolist():
+            cols = np.flatnonzero(col_depth == depth)
+            self._levels.append(
+                (cols, node_class_col[self._node_of_col[cols]], child_class_col[cols])
+            )
 
         leaves = taxonomy.leaves()
         self._leaf_cols = np.array(
@@ -140,30 +179,23 @@ class CompiledHierarchicalModel:
         stay in its own dict-iteration order, so packing is independent of
         how documents are grouped into batches.
         """
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
+        lengths = [len(document.by_tid) for document in documents]
+        total = sum(lengths)
+        tids = np.fromiter(
+            chain.from_iterable(document.by_tid.keys() for document in documents),
+            np.int64,
+            total,
         )
+        freqs = np.fromiter(
+            chain.from_iterable(document.by_tid.values() for document in documents),
+            np.float64,
+            total,
+        )
+        doc_idx = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
         n_vocab = len(self._sorted_tids)
         if n_vocab == 0:
-            return empty
-        tid_arrays = []
-        freq_arrays = []
-        lengths = []
-        for document in documents:
-            by_tid = document.by_tid
-            count = len(by_tid)
-            lengths.append(count)
-            tid_arrays.append(np.fromiter(by_tid.keys(), np.int64, count))
-            freq_arrays.append(np.fromiter(by_tid.values(), np.float64, count))
-        if not tid_arrays:
-            return empty
-        tids = np.concatenate(tid_arrays)
-        if not len(tids):
-            return empty
-        freqs = np.concatenate(freq_arrays)
-        doc_idx = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
+            # No node has a feature: no entry survives the filter.
+            return doc_idx[:0], tids[:0], freqs[:0]
         positions = np.searchsorted(self._sorted_tids, tids)
         # Position n_vocab means "greater than every vocab tid"; clamp to a
         # safe row — the equality test below rejects it regardless.
@@ -177,30 +209,29 @@ class CompiledHierarchicalModel:
         n_docs = len(documents)
         posteriors = np.zeros((n_docs, self._n_classes), dtype=np.float64)
         posteriors[:, self._root_col] = 1.0
-        if n_docs == 0:
-            return posteriors
         doc_idx, term_row, freqs = self._pack(documents)
-        n_children = self._n_children_total
-        if len(term_row):
-            # Per-entry contributions for every child of every node at
-            # once: one fancy index plus one scatter-add per child column.
-            weighted = self._vectors[term_row] * freqs[:, None]
-            scores = np.empty((n_docs, n_children), dtype=np.float64)
-            for j in range(n_children):
-                scores[:, j] = np.bincount(
-                    doc_idx, weights=weighted[:, j], minlength=n_docs
-                )
-            scores += self._logprior
-        else:
-            scores = np.broadcast_to(self._logprior, (n_docs, n_children)).copy()
-        for start, stop, parent_col, child_cols in self._node_plan:
-            node_scores = scores[:, start:stop]
-            # Softmax with the same -700 exponent floor as the reference.
-            peak = node_scores.max(axis=1, keepdims=True)
-            exponentials = np.exp(np.maximum(node_scores - peak, _MIN_LOG))
-            conditionals = exponentials / exponentials.sum(axis=1, keepdims=True)
-            parent = posteriors[:, parent_col]
-            posteriors[:, child_cols] = parent[:, None] * conditionals
+        n_children = len(self._child_range)
+        # Every entry's contribution to every child column, scatter-added
+        # into its flattened (document, child) cell in packing order.
+        weighted = self._vectors.take(term_row, axis=0)
+        weighted *= freqs[:, None]
+        cells = doc_idx[:, None] * n_children + self._child_range
+        sums = np.bincount(
+            cells.ravel(), weights=weighted.ravel(), minlength=n_docs * n_children
+        )
+        # Not in place: with no entries, bincount returns integer zeros.
+        scores = sums.reshape(n_docs, n_children) + self._logprior
+        # Softmax per node, in place, with the reference's -700 exponent floor.
+        peaks = np.maximum.reduceat(scores, self._node_starts, axis=1)
+        scores -= peaks.take(self._node_of_col, axis=1)
+        conditionals = np.exp(np.maximum(scores, _MIN_LOG, out=scores), out=scores)
+        totals = np.empty_like(peaks)
+        for members, cols in self._fanout_groups:
+            totals[:, members] = conditionals.take(cols, axis=1).sum(axis=2)
+        conditionals /= totals.take(self._node_of_col, axis=1)
+        for cols, parent_cols, child_cols in self._levels:
+            parents = posteriors.take(parent_cols, axis=1)
+            posteriors[:, child_cols] = parents * conditionals.take(cols, axis=1)
         return posteriors
 
     def classify_batch(
