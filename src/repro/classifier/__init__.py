@@ -16,7 +16,7 @@ touch storage:
 
 from .bulk_probe import BulkProbeClassifier
 from .compiled import CompiledHierarchicalModel
-from .features import FeatureSelectionConfig, fisher_scores, select_features
+from .features import FeatureSelectionConfig, select_features
 from .model import HierarchicalModel, NodeModel, normalize_log_scores
 from .single_probe import (
     ClassificationResult,
@@ -53,7 +53,6 @@ __all__ = [
     "SingleProbeClassifier",
     "TermFrequencies",
     "TrainingConfig",
-    "fisher_scores",
     "normalize_log_scores",
     "propagate_posteriors",
     "select_features",

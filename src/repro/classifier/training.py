@@ -60,23 +60,30 @@ class ClassifierTrainer:
 
     def train(self) -> HierarchicalModel:
         """Train every internal node that has at least one child with examples."""
+        # Each example's term counts, built once and shared by every node
+        # above it.  Keyed by identity: an ExampleDocument is not hashable.
+        frequencies = {
+            id(doc): doc.term_frequencies()
+            for doc in self.examples.for_subtree(self.taxonomy, self.taxonomy.root.cid)
+        }
         nodes: Dict[int, NodeModel] = {}
         for internal in self.taxonomy.internal_nodes():
-            node_model = self._train_node(internal.cid)
+            node_model = self._train_node(internal.cid, frequencies)
             if node_model is not None:
                 nodes[internal.cid] = node_model
         return HierarchicalModel(self.taxonomy, nodes)
 
     # -- internals -----------------------------------------------------------------
-    def _train_node(self, cid: int) -> Optional[NodeModel]:
+    def _train_node(
+        self, cid: int, frequencies: Dict[int, Dict[str, int]]
+    ) -> Optional[NodeModel]:
         node = self.taxonomy.node(cid)
-        children = node.children
         # D(ci): term->count maps per document, for each child subtree.
         documents_per_child: List[List[Dict[str, int]]] = []
         modelled_children = []
-        for child in children:
+        for child in node.children:
             docs = [
-                doc.term_frequencies()
+                frequencies[id(doc)]
                 for doc in self.examples.for_subtree(self.taxonomy, child.cid)
             ]
             if docs:
@@ -85,40 +92,34 @@ class ClassifierTrainer:
         if not modelled_children:
             return None
 
-        features = select_features(documents_per_child, self.config.features)
-        feature_set = set(features)
-        feature_tids = {term_id(term) for term in features}
-
-        # Vocabulary of D(c0): distinct terms across every child's documents.
-        vocabulary: set[str] = set()
-        for docs in documents_per_child:
-            for doc in docs:
-                vocabulary.update(doc)
-        vocabulary_size = max(len(vocabulary), 1)
-
+        selection = select_features(documents_per_child, self.config.features)
+        # Smoothing over the vocabulary of D(c0).
+        vocabulary_size = max(selection.vocabulary_size, 1)
         total_documents = sum(len(docs) for docs in documents_per_child)
         logprior: Dict[int, float] = {}
         logdenom: Dict[int, float] = {}
         logtheta: Dict[tuple[int, int], float] = {}
-        for child, docs in zip(modelled_children, documents_per_child):
-            term_counts: Dict[str, int] = {}
-            total_count = 0
-            for doc in docs:
-                for term, count in doc.items():
-                    total_count += count
-                    if term in feature_set:
-                        term_counts[term] = term_counts.get(term, 0) + count
+        for child, docs, term_counts, total_count in zip(
+            modelled_children,
+            documents_per_child,
+            selection.feature_counts,
+            selection.total_counts,
+        ):
             denominator = vocabulary_size + total_count
             logdenom[child.cid] = math.log(denominator)
             logprior[child.cid] = math.log(len(docs) / total_documents)
+            # Feature terms that share a 32-bit id are one term to the
+            # classifier, which sums their counts; so does Equation 1.
+            tid_counts: Dict[int, int] = {}
             for term, count in term_counts.items():
-                logtheta[(child.cid, term_id(term))] = math.log(
-                    (1 + count) / denominator
-                )
+                tid = term_id(term)
+                tid_counts[tid] = tid_counts.get(tid, 0) + count
+            for tid, count in tid_counts.items():
+                logtheta[(child.cid, tid)] = math.log((1 + count) / denominator)
         return NodeModel(
             cid=cid,
             child_cids=[child.cid for child in modelled_children],
-            feature_tids=feature_tids,
+            feature_tids={term_id(term) for term in selection.terms},
             logprior=logprior,
             logdenom=logdenom,
             logtheta=logtheta,

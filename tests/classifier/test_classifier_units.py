@@ -1,11 +1,14 @@
 """Unit tests for the classifier building blocks: tokenizer, features, training, model."""
 
+import functools
 import math
+import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.classifier.features import FeatureSelectionConfig, fisher_scores, select_features
+from repro.classifier.features import FeatureSelectionConfig, select_features
 from repro.classifier.model import normalize_log_scores
 from repro.classifier.tokenizer import (
     STOPWORDS,
@@ -17,6 +20,25 @@ from repro.classifier.training import ClassifierTrainer, TrainingConfig
 from repro.taxonomy.examples import examples_from_documents
 from repro.taxonomy.tree import TopicTaxonomy
 from repro.webgraph.vocabulary import term_id
+from tests.classifier.fisher_oracle import fisher_scores
+
+
+@functools.cache
+def crc32_collision():
+    """Two distinct tokens that share a 32-bit term id.
+
+    CRC32 detects small structured differences by design, so search
+    random tokens (birthday bound ~80k draws over a 32-bit space).
+    """
+    rng = random.Random(0)
+    seen = {}
+    for _ in range(1 << 20):
+        token = f"{rng.getrandbits(64):016x}"
+        crc = zlib.crc32(token.encode()) & 0xFFFFFFFF
+        if crc in seen and seen[crc] != token:
+            return seen[crc], token
+        seen[crc] = token
+    raise AssertionError("no crc32 collision found in search budget")
 
 
 class TestTokenizer:
@@ -57,23 +79,7 @@ class TestTokenizer:
 
     def test_colliding_tids_sum_their_counts(self):
         """Distinct tokens sharing a 32-bit id must merge, not overwrite."""
-        import random
-        import zlib
-
-        # CRC32 detects small structured differences by design, so search
-        # random tokens (birthday bound ~80k draws over a 32-bit space).
-        rng = random.Random(0)
-        seen = {}
-        pair = None
-        for _ in range(1 << 20):
-            token = f"{rng.getrandbits(64):016x}"
-            crc = zlib.crc32(token.encode()) & 0xFFFFFFFF
-            if crc in seen and seen[crc] != token:
-                pair = (seen[crc], token)
-                break
-            seen[crc] = token
-        assert pair is not None, "no crc32 collision found in search budget"
-        a, b = pair
+        a, b = crc32_collision()
         freqs = term_frequencies([a, a, b])
         assert freqs.by_tid == {term_id(a): 3}
 
@@ -90,7 +96,7 @@ class TestFeatureSelection:
         docs_a = [{"alpha": 5, "common": 3}, {"alpha": 4, "common": 2}]
         docs_b = [{"beta": 5, "common": 3}, {"beta": 6, "common": 2}]
         config = FeatureSelectionConfig(max_features=2, min_document_frequency=2)
-        features = select_features([docs_a, docs_b], config)
+        features = select_features([docs_a, docs_b], config).terms
         assert len(features) == 2
         assert set(features) == {"alpha", "beta"}
 
@@ -98,12 +104,14 @@ class TestFeatureSelection:
         docs_a = [{"one": 1}]
         docs_b = [{"two": 1}]
         config = FeatureSelectionConfig(max_features=10, min_document_frequency=3)
-        features = select_features([docs_a, docs_b], config)
+        features = select_features([docs_a, docs_b], config).terms
         assert set(features) == {"one", "two"}
 
     def test_empty_child_contributes_zero_vectors(self):
         docs_a = [{"x": 2}, {"x": 1}]
-        features = select_features([docs_a, []], FeatureSelectionConfig(max_features=5, min_document_frequency=1))
+        features = select_features(
+            [docs_a, []], FeatureSelectionConfig(max_features=5, min_document_frequency=1)
+        ).terms
         assert "x" in features
 
 
@@ -179,6 +187,26 @@ class TestTraining:
         taxonomy, model = self.build_tiny_model()
         unknown = term_frequencies(["zzz", "qqq"])
         assert model.relevance(unknown) == pytest.approx(0.5, abs=0.05)
+
+    def test_colliding_feature_terms_sum_their_counts(self):
+        """Two feature terms sharing a 32-bit id are one term to the classifier
+        (``test_colliding_tids_sum_their_counts``), so Equation 1 counts them
+        as one: their counts add up, and neither overwrites the other."""
+        a, b = crc32_collision()
+        taxonomy = TopicTaxonomy.from_spec({"x": {}, "y": {}})
+        taxonomy.mark_good(["x"])
+        store = examples_from_documents(
+            taxonomy,
+            [("x", [a, a, b, "bike"]), ("x", [a, "bike"]), ("y", ["song"]), ("y", ["song", b])],
+        )
+        config = TrainingConfig(features=FeatureSelectionConfig(min_document_frequency=1))
+        root = ClassifierTrainer(taxonomy, store, config).train().nodes[taxonomy.root.cid]
+        x, y = taxonomy.by_path("x").cid, taxonomy.by_path("y").cid
+        tid = term_id(a)
+        assert tid == term_id(b) and tid in root.feature_tids
+        # Vocabulary {a, b, bike, song} = 4; D(x) has 6 terms, 3 of a and 1 of b.
+        assert root.logtheta[(x, tid)] == math.log((1 + 3 + 1) / (4 + 6))
+        assert root.logtheta[(y, tid)] == math.log((1 + 1) / (4 + 3))
 
     def test_nodes_without_examples_are_skipped(self):
         taxonomy = TopicTaxonomy.from_spec({"a": {"a1": {}, "a2": {}}, "b": {}})
