@@ -18,8 +18,8 @@ time:
 3. *classify*: one :meth:`CompiledHierarchicalModel.classify_batch` pass
    scores every fetched page — the Eq. 2 chain rule over the whole
    round as array kernels, relevance and best leaf read off one
-   posterior matrix — behind an LRU of outcomes keyed by page oid
-   (:class:`PageScorer`);
+   posterior matrix (:class:`PageScorer`).  A page is classified once,
+   when it is fetched: a visited URL is never checked out again;
 4. *record*: CRAWL and LINK writes buffer across the round and flush
    through minidb's column-at-a-time write path — one ``insert_many``
    per table (the batch is transposed once; each page takes its rows as
@@ -57,8 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.classifier.compiled import CompiledHierarchicalModel
 from repro.classifier.model import BatchClassification, HierarchicalModel
-from repro.classifier.tokenizer import TermFrequencies, term_frequencies
-from repro.core.caching import LRUCache
+from repro.classifier.tokenizer import term_frequencies
 from repro.distiller.db_distiller import IncrementalDistiller
 from repro.distiller.hits import DistillationResult
 from repro.distiller.score_store import ScoreTableStore
@@ -110,8 +109,6 @@ class CrawlerConfig:
     max_retries: int = 2
     #: Give up on the whole crawl after this many consecutive frontier misses.
     stagnation_patience: int = 50
-    #: Record the best-leaf class of every visited page (topic census support).
-    record_best_leaf: bool = True
     #: URLs checked out per engine round (K; ``engine="serial"`` pins it to 1).
     batch_size: int = 1
     #: Accepted and ignored, and kept for the same reasons as ``prefetch``:
@@ -158,8 +155,6 @@ class CrawlerConfig:
     #: process: required for injected transports, and
     #: what the determinism tests use to control message schedules).
     shard_runner: str = "process"
-    #: Capacity of the LRU of classification outcomes (by oid).
-    posterior_cache_size: int = 4096
     #: Save a crawl checkpoint every this many successful fetches (0 disables;
     #: requires a durable database and an attached checkpoint manager).
     checkpoint_every: int = 0
@@ -246,18 +241,8 @@ class CrawlTrace:
 
 
 # -- round stages, shared with the sharded engine ---------------------------------------
-class OutcomeLRU(LRUCache):
-    """A small LRU of classification outcomes keyed by page oid.
-
-    Lets the classify stage skip re-scoring a page whose posterior was
-    computed recently — relevant for retry storms and for the §3.2 crawl
-    maintenance orderings that revisit known pages.  The eviction policy
-    lives in the shared :class:`~repro.core.caching.LRUCache`.
-    """
-
-
 class PageScorer:
-    """The classify stage: one batch per call, behind the outcome LRU.
+    """The classify stage: one batch per call.
 
     Held by :class:`CrawlEngine` and by every sharded
     :class:`~repro.crawler.sharded.ShardWorker`.  Outcomes are
@@ -271,35 +256,20 @@ class PageScorer:
         self.classifier = classifier
         self.taxonomy = taxonomy
         self.config = config
-        self.cache = OutcomeLRU(config.posterior_cache_size)
         #: The columnar classifier, compiled on first use.  Compiled per
         #: scorer — i.e. per crawl run — so taxonomy re-marking between
         #: crawls is always reflected; the arrays are a pure cache and are
         #: rebuilt (identically) after a checkpoint resume.
         self._compiled: Optional[CompiledHierarchicalModel] = None
 
-    def classify(self, pages: Sequence[Tuple[int, FetchResult]]) -> List[BatchClassification]:
-        """Score ``(oid, fetched page)`` pairs; outcomes come back in input order."""
-        outcomes: List[Optional[BatchClassification]] = []
-        pending: List[TermFrequencies] = []
-        positions: List[Tuple[int, int]] = []
-        for index, (oid, result) in enumerate(pages):
-            cached = self.cache.get(oid)
-            outcomes.append(cached)
-            if cached is None:
-                pending.append(term_frequencies(result.tokens))
-                positions.append((index, oid))
-        if pending:
-            if self._compiled is None:
-                self._compiled = CompiledHierarchicalModel(self.classifier)
-            for (index, oid), outcome in zip(positions, self._compiled.classify_batch(pending)):
-                outcomes[index] = outcome
-                self.cache.put(oid, outcome)
-        return outcomes  # type: ignore[return-value]
-
-    def best_leaf(self, outcome: BatchClassification) -> Optional[int]:
-        """The class recorded with the visit (None when the census is off)."""
-        return outcome.best_leaf_cid if self.config.record_best_leaf else None
+    def classify(self, results: Sequence[FetchResult]) -> List[BatchClassification]:
+        """Score fetched pages; outcomes come back in input order."""
+        if not results:
+            return []
+        if self._compiled is None:
+            self._compiled = CompiledHierarchicalModel(self.classifier)
+        documents = [term_frequencies(result.tokens) for result in results]
+        return self._compiled.classify_batch(documents)
 
     def hard_accepts(self, outcome: BatchClassification) -> bool:
         """The hard focus rule: the best leaf has a good ancestor (True in other modes)."""
@@ -537,14 +507,6 @@ class CrawlEngine:
         """K: URLs checked out per round — 1 under ``engine="serial"``."""
         return 1 if self.config.engine == "serial" else self.config.batch_size
 
-    def prefetch_stale_ratio(self) -> float:
-        """Always 0.0: cross-round prefetch was removed.
-
-        Kept because ``benchmarks/suite`` still reads it; ROADMAP item
-        1(e) unbinds the suite from it, and then this stub goes.
-        """
-        return 0.0
-
     def fetch_overlap_ratio(self) -> float:
         """Fraction of round processing that ran while fetches were in flight.
 
@@ -613,19 +575,12 @@ class CrawlEngine:
         """oid -> R(page) of every visited page, in visit order."""
         return dict(self._relevance)
 
-    def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of the classification-outcome LRU (monitoring)."""
-        cache = self._scorer.cache
-        return {"hits": cache.hits, "misses": cache.misses, "entries": len(cache)}
-
     # -- checkpointing ----------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, object]:
         """Everything the engine needs to continue a crawl after a restart.
 
         Captured at a round boundary: link/CRAWL write buffers are empty,
-        so the tables plus this dict are the complete crawl state.  The
-        outcome LRU persists only its counters — its entries are a pure
-        cache, and recomputing a posterior yields bit-identical floats.
+        so the tables plus this dict are the complete crawl state.
         """
         return {
             **self._small_state(),
@@ -640,10 +595,6 @@ class CrawlEngine:
             "since_distillation": self._since_distillation,
             "since_checkpoint": self._since_checkpoint,
             "stagnation_misses": self._stagnation_misses,
-            "outcome_cache": {
-                "hits": self._scorer.cache.hits,
-                "misses": self._scorer.cache.misses,
-            },
             "delta_cache": (
                 self._incremental.cache.state_snapshot()
                 if self._incremental is not None
@@ -706,17 +657,14 @@ class CrawlEngine:
     def restore_state(self, state: Dict[str, object]) -> None:
         """Adopt a checkpointed engine state (the database must already be recovered).
 
-        A ``"prefetch"`` section, written before cross-round prefetch was
-        removed, held counters only and is ignored.
+        Sections written before cross-round prefetch and the outcome LRU
+        were removed held counters only and are ignored.
         """
         self._tick = state["tick"]
         self._since_distillation = state["since_distillation"]
         self._since_checkpoint = state["since_checkpoint"]
         self._stagnation_misses = state["stagnation_misses"]
         self._relevance = dict(state["relevance"])
-        cache = self._scorer.cache = OutcomeLRU(self.config.posterior_cache_size)
-        cache.hits = state["outcome_cache"]["hits"]
-        cache.misses = state["outcome_cache"]["misses"]
         # The score-table rid cache is soft state; rebuild it from the
         # replayed tables rather than trusting pre-crash record ids.
         self._score_store.invalidate()
@@ -816,9 +764,7 @@ class CrawlEngine:
                 self.trace.stagnated = True
                 stop = True
         started = time.perf_counter()
-        outcomes = self._scorer.classify(
-            [(self.frontier.entry(url).oid, result) for url, result in fetched]
-        )
+        outcomes = self._scorer.classify([result for _url, result in fetched])
         self.stage_timings["classify"] += time.perf_counter() - started
         for (url, result), outcome in zip(fetched, outcomes):
             self._commit_visit(url, result, outcome)
@@ -828,8 +774,7 @@ class CrawlEngine:
         """Record one classified page: frontier state, links, expansion, trace."""
         self._tick += 1
         relevance = outcome.relevance
-        best_leaf = self._scorer.best_leaf(outcome)
-        entry = self.frontier.record_visit(url, relevance, self._tick, kcid=best_leaf)
+        entry = self.frontier.record_visit(url, relevance, self._tick, kcid=outcome.best_leaf_cid)
         self._relevance[entry.oid] = relevance
         targets = link_targets(entry.oid, result.out_links)
         self._link_writer.add_rows(
@@ -848,7 +793,7 @@ class CrawlEngine:
                 relevance=relevance,
                 server=result.server,
                 out_degree=len(result.out_links),
-                best_leaf_cid=best_leaf,
+                best_leaf_cid=outcome.best_leaf_cid,
             )
         )
         self.trace.fetched_urls.append(url)

@@ -58,6 +58,20 @@ _FLOAT_ORDER_COLUMNS = frozenset({"relevance", "hub_score", "authority_score"})
 #: One prioritised tuple: (ordering key, oid tie-break, url).
 _IndexItem = Tuple[tuple, int, str]
 
+#: CRAWL's columns, in the pinned schema order its rows are built in.
+_CRAWL_COLUMNS = (
+    "oid", "url", "sid", "relevance", "numtries", "serverload", "lastvisited", "kcid", "status",
+)
+_CRAWL_POSITION = {name: position for position, name in enumerate(_CRAWL_COLUMNS)}
+
+
+def _table_changes(changes: Mapping[str, Any]) -> Mapping[str, Any]:
+    """*changes* as CRAWL sees them: ``in_flight`` is frontier-internal,
+    and the table only knows the paper's states."""
+    if changes.get("status") == "in_flight":
+        return {**changes, "status": "frontier"}
+    return changes
+
 
 def compile_band_of(ordering: CrawlOrdering) -> Callable[[tuple], tuple]:
     """The band function of *ordering*: monotone in lexicographic key order.
@@ -196,12 +210,8 @@ class Frontier:
         self._entry_key = self.ordering.compile_entry_key()
         # CRAWL rows are built positionally for bulk loading; pin the order.
         crawl_columns = tuple(database.table("CRAWL").schema.column_names)
-        expected = (
-            "oid", "url", "sid", "relevance", "numtries",
-            "serverload", "lastvisited", "kcid", "status",
-        )
-        if crawl_columns != expected:
-            raise ValueError(f"CRAWL schema order {crawl_columns} != {expected}")
+        if crawl_columns != _CRAWL_COLUMNS:
+            raise ValueError(f"CRAWL schema order {crawl_columns} != {_CRAWL_COLUMNS}")
         self._entries: Dict[str, FrontierEntry] = {}
         #: oid -> normalized URL of every known entry (distillation results
         #: are keyed by oid; this avoids rebuilding the inverse per lookup).
@@ -547,11 +557,7 @@ class Frontier:
             self._touched[entry.url] = None
         if entry.rid is None:
             return
-        # ``in_flight`` is frontier-internal; the table only knows the paper's states.
-        changes = dict(changes)
-        if changes.get("status") == "in_flight":
-            changes["status"] = "frontier"
-        self.database.table("CRAWL").update_row(entry.rid, changes)
+        self.database.table("CRAWL").update_row(entry.rid, _table_changes(changes))
 
     # -- round buffering ---------------------------------------------------------------
     def begin_batch(self) -> None:
@@ -573,21 +579,26 @@ class Frontier:
             self._touched.update(dict.fromkeys(entry.url for entry in new_entries))
             self._touched.update(dict.fromkeys(self._pending_changes))
         if new_entries:
-            # New rows are built from the *current* entry state, so any
-            # same-round boost is folded into the insert itself.
-            rids = crawl.insert_many([self._crawl_row(entry) for entry in new_entries])
-            for entry, rid in zip(new_entries, rids):
+            # A new entry's row is built from its current state with its
+            # pending changes folded in (the kcid of a same-round visit is
+            # known only there), so nothing is left to update for it.
+            rows = []
+            for entry in new_entries:
+                row = self._crawl_row(entry)
+                changes = self._pending_changes.pop(entry.url, None)
+                if changes:
+                    row = list(row)
+                    for name, value in _table_changes(changes).items():
+                        row[_CRAWL_POSITION[name]] = value
+                rows.append(row)
+            for entry, rid in zip(new_entries, crawl.insert_many(rows)):
                 entry.rid = rid
-                self._pending_changes.pop(entry.url, None)
         updates = []
         for url, changes in self._pending_changes.items():
             entry = self._entries[url]
             if entry.rid is None:
                 continue
-            if changes.get("status") == "in_flight":
-                changes = dict(changes)
-                changes["status"] = "frontier"
-            updates.append((entry.rid, changes))
+            updates.append((entry.rid, _table_changes(changes)))
         if updates:
             crawl.update_rows(updates)
         self._pending_new = []

@@ -17,10 +17,10 @@ function of the crawl content:
 
 This module holds what sharding adds — the round protocol,
 coordinator-side tick/discovery assignment and merged-graph
-distillation.  The stages of a round themselves (classify behind the
-outcome LRU, out-link targets, the buffered link flush, the score
-tables' delta store, hub boosts, the focus rule) are :mod:`~.engine`'s,
-called on each shard's slice.
+distillation.  The stages of a round themselves (classify, out-link
+targets, the buffered link flush, the score tables' delta store, hub
+boosts, the focus rule) are :mod:`~.engine`'s, called on each shard's
+slice.
 
 One round is three exchanges: (1) *checkout* — every shard finishes the
 previous round if its scores were still outstanding, then proposes its
@@ -280,11 +280,7 @@ class ShardWorker:
         started = time.perf_counter()
         outcomes = iter(
             self._scorer.classify(
-                [
-                    (entry.oid, result)
-                    for _pos, entry, result in results
-                    if result.status is FetchStatus.OK
-                ]
+                [result for _pos, _entry, result in results if result.status is FetchStatus.OK]
             )
         )
         self.timings["classify"] += time.perf_counter() - started
@@ -300,7 +296,7 @@ class ShardWorker:
                 entry.sid,
                 server=result.server,
                 relevance=outcome.relevance,
-                best_leaf=self._scorer.best_leaf(outcome),
+                best_leaf=outcome.best_leaf_cid,
                 hard_accepts=self._scorer.hard_accepts(outcome),
                 out_degree=len(result.out_links),
                 targets=link_targets(entry.oid, result.out_links),

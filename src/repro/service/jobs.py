@@ -18,10 +18,9 @@ Scheduling.  The unit of work is one *quantum* of one job:
 max_rounds=...)``) under that job's lock.  Round sizing always sees the
 job's full page budget, and a job shares no mutable crawl state with any
 other (database, frontier, server-pool clone, RNG streams and compiled
-scorer are per job; the trained model is shared read-only apart from a
-pure-function cache, see :mod:`repro.core.caching`), so *who* runs the
-quanta and *when* can change only the wall clock, never the crawl.  Two
-drivers run them:
+scorer are per job; the trained model is shared read-only), so *who*
+runs the quanta and *when* can change only the wall clock, never the
+crawl.  Two drivers run them:
 
 * :meth:`JobManager.start` gives every runnable job its own daemon
   stepper thread, so one tenant's fetch wait is another tenant's

@@ -357,7 +357,6 @@ class TestPrefetchCrashResume:
 
         resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
         assert resumed.crawler.config.prefetch
-        assert resumed.crawler.engine.prefetch_stale_ratio() == 0.0
         assert resumed.pages_fetched() == MAX_PAGES
         assert_traces_match(resumed, reference_serial)
         resumed.database.close()
@@ -436,6 +435,43 @@ class TestParentCheckpointResume:
         assert_traces_match(resumed, reference_batched)
         resumed.database.close()
 
+    def test_outcome_cache_section_and_its_knobs_are_ignored(
+        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
+    ):
+        """A checkpoint from before the outcome LRU was removed: its engine
+        state carries an ``"outcome_cache"`` counter section and its pickled
+        config carries ``posterior_cache_size`` and ``record_best_leaf``.
+        It resumes to the uninterrupted crawl, bit for bit."""
+        small_state = CrawlEngine._small_state
+
+        def parent_shaped(engine):
+            return {**small_state(engine), "outcome_cache": {"hits": 0, "misses": 83}}
+
+        monkeypatch.setattr(CrawlEngine, "_small_state", parent_shaped)
+        config = crawl_config("batched")
+        config.__dict__.update(posterior_cache_size=4096, record_best_leaf=True)
+        kill_fetcher_after(monkeypatch, 83)
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=config,
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(tmp_path / "crawl"),
+            )
+        monkeypatch.undo()
+        reopened, saved = CheckpointManager.load(str(tmp_path / "crawl"))
+        reopened.close()
+        assert saved.engine_state["outcome_cache"] == {"hits": 0, "misses": 83}
+        assert saved.config.__dict__["posterior_cache_size"] == 4096
+        assert saved.config.__dict__["record_best_leaf"] is True
+
+        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
+        assert resumed.pages_fetched() == MAX_PAGES
+        assert_traces_match(resumed, reference_batched)
+        assert [visit.best_leaf_cid for visit in resumed.trace.visits] == [
+            visit.best_leaf_cid for visit in reference_batched.trace.visits
+        ]
+        resumed.database.close()
+
     def test_a_python_scoring_checkpoint_resumes_on_the_columnar_kernel(
         self, checkpoint_system, reference_batched, tmp_path, monkeypatch
     ):
@@ -447,8 +483,8 @@ class TestParentCheckpointResume:
         bit.  It resumes on the columnar kernel: the URLs of the
         uninterrupted crawl exactly, every relevance float within 1e-9."""
 
-        def python_path(scorer, pages):
-            documents = [term_frequencies(result.tokens) for _oid, result in pages]
+        def python_path(scorer, results):
+            documents = [term_frequencies(result.tokens) for result in results]
             return scorer.classifier.classify_batch(documents)
 
         monkeypatch.setattr(PageScorer, "classify", python_path)

@@ -19,10 +19,11 @@ import time
 
 import pytest
 
+from repro.classifier.compiled import CompiledHierarchicalModel
 from repro.classifier.tokenizer import term_frequencies
 from repro.core.config import JobSpec
 from repro.core.schema import create_focus_database
-from repro.crawler.engine import CrawlerConfig, OutcomeLRU
+from repro.crawler.engine import CrawlerConfig
 from repro.crawler.focused import FocusedCrawler
 from repro.distiller.hits import weighted_hits
 from repro.webgraph.fetch import Fetcher
@@ -235,14 +236,26 @@ class TestEngineConfig:
             )
             assert crawler.engine.round_size == expected
 
-    def test_cache_stats_exposed(self, small_web, trained_model, taxonomy, crawl_seeds):
-        crawler, _, _ = run_crawl(
-            small_web, trained_model, taxonomy, crawl_seeds,
-            max_pages=30, batch_size=4, simulate_failures=False,
+    def test_every_fetched_page_is_classified_once(
+        self, small_web, trained_model, taxonomy, crawl_seeds, monkeypatch
+    ):
+        """The documents the Eq. 2 kernel scores are the pages fetched, each
+        once and in fetch order; a failed fetch is not classified."""
+        scored = []
+        classify_batch = CompiledHierarchicalModel.classify_batch
+
+        def recording(model, documents):
+            scored.extend(documents)
+            return classify_batch(model, documents)
+
+        monkeypatch.setattr(CompiledHierarchicalModel, "classify_batch", recording)
+        _, _, trace = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds, max_pages=30, batch_size=4
         )
-        stats = crawler.engine.cache_stats()
-        assert stats["misses"] == 30  # every page classified once
-        assert stats["entries"] == 30
+        assert trace.pages_fetched == 30 and trace.failed_urls
+        assert scored == [
+            term_frequencies(small_web.page(url).tokens) for url in trace.fetched_urls
+        ]
 
 
 #: A latency transport that owes a wait on every fetch but never times
@@ -466,8 +479,7 @@ class TestCrossRoundPrefetch:
             prefetch=True, **DELAYED,
         )
         engine = crawler.engine
-        # The stale-ratio stub reads zero and nothing else reports prefetch.
-        assert engine.prefetch_stale_ratio() == 0.0
+        # Nothing reports prefetch.
         assert set(engine.pipeline_stats()) == {"fetch_overlap_ratio", "frontier"}
         assert "prefetch" not in engine._small_state()
 
@@ -483,22 +495,3 @@ class TestCrossRoundPrefetch:
         )
         self.assert_same_crawl(base_db, base, pre_db, pre)
 
-
-class TestOutcomeLRU:
-    def test_put_get_and_eviction(self):
-        cache = OutcomeLRU(capacity=2)
-        cache.put(1, "a")
-        cache.put(2, "b")
-        assert cache.get(1) == "a"   # refreshes 1
-        cache.put(3, "c")            # evicts 2 (least recent)
-        assert cache.get(2) is None
-        assert cache.get(1) == "a"
-        assert cache.get(3) == "c"
-        assert len(cache) == 2
-        assert cache.hits == 3 and cache.misses == 1
-
-    def test_zero_capacity_disables_cache(self):
-        cache = OutcomeLRU(capacity=0)
-        cache.put(1, "a")
-        assert cache.get(1) is None
-        assert len(cache) == 0

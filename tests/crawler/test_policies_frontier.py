@@ -115,6 +115,21 @@ class TestFrontier:
         entry = frontier.entry("http://s.example/2")
         assert frontier._server_load[entry.sid] == 1
 
+    def test_a_page_added_and_visited_in_one_round_keeps_its_kcid(self):
+        """A new entry's buffered changes are folded into the row its flush
+        inserts: the visit's kcid is known only there."""
+        frontier, db = self.make_frontier()
+        frontier.begin_batch()
+        frontier.add_url("http://s.example/1", relevance=0.5)
+        [url] = frontier.pop_batch(1)
+        frontier.record_visit(url, relevance=0.8, tick=1, kcid=42)
+        frontier.flush_batch()
+        rows = db.sql("select url, status, relevance, kcid, numtries, lastvisited from CRAWL")
+        assert rows == [
+            {"url": url, "status": "visited", "relevance": 0.8, "kcid": 42, "numtries": 1,
+             "lastvisited": 1},
+        ]
+
     def test_record_failure_retries_then_gives_up(self):
         frontier, db = self.make_frontier()
         frontier.add_seed("http://s.example/1")

@@ -19,6 +19,8 @@ import time
 
 import pytest
 
+from repro.classifier.compiled import CompiledHierarchicalModel
+from repro.classifier.tokenizer import term_frequencies
 from repro.classifier.training import ModelInstaller
 from repro.core.config import FocusConfig, JobSpec
 from repro.core.schema import create_focus_database
@@ -220,6 +222,35 @@ class TestShardedMatchesBatched:
             auth = crawler.top_authorities(5)
             assert hubs and all(isinstance(u, str) and s >= 0 for u, s in hubs)
             assert auth
+        finally:
+            crawler.shutdown()
+
+    def test_every_fetched_page_is_classified_once(
+        self, small_web, trained_model, taxonomy, crawl_seeds, monkeypatch
+    ):
+        """Across two shards, the documents the Eq. 2 kernel scores are the
+        pages fetched, each once; a failed fetch is not classified."""
+        scored = []
+        classify_batch = CompiledHierarchicalModel.classify_batch
+
+        def recording(model, documents):
+            scored.extend(documents)
+            return classify_batch(model, documents)
+
+        monkeypatch.setattr(CompiledHierarchicalModel, "classify_batch", recording)
+        crawler, trace = run_sharded(
+            small_web, trained_model, taxonomy, crawl_seeds, shards=2,
+            max_pages=50, batch_size=8, distill_every=25,
+        )
+        try:
+            assert trace.pages_fetched == 50 and trace.failed_urls
+            assert len(scored) == 50
+
+            def key(document):
+                return sorted(document.items())
+
+            fetched = [term_frequencies(small_web.page(url).tokens) for url in trace.fetched_urls]
+            assert sorted(map(key, scored)) == sorted(map(key, fetched))
         finally:
             crawler.shutdown()
 

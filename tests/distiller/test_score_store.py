@@ -64,20 +64,25 @@ class TestEquivalence:
             resumed_store.store("AUTH", scores)
             assert table_rows(steady, "AUTH") == table_rows(resumed, "AUTH")
 
-    def test_unchanged_scores_are_skipped(self):
+    def test_unchanged_scores_are_rewritten(self):
+        """An identical result updates every kept row in place: no row is
+        inserted or deleted, and the table holds the same scores."""
         db = create_focus_database(buffer_pool_pages=64)
         store = ScoreTableStore(db)
         scores = {oid: 0.5 for oid in range(20)}
         store.store("HUBS", scores)
-        written = store.rows_written
+        assert store.rows_written == 20
+        rids = sorted(rid for rid, _row in db.table("HUBS").scan())
         store.store("HUBS", dict(scores))  # identical result
-        assert store.rows_written == written
-        assert store.rows_skipped >= 20
+        assert store.rows_written == 40
+        assert sorted(rid for rid, _row in db.table("HUBS").scan()) == rids
+        assert table_rows(db, "HUBS") == sorted(scores.items())
 
     def test_writes_less_wal_than_truncate_rewrite(self, tmp_path):
-        """On the workload the delta writer exists for — a large, mostly
-        converged score table where successive distillations move only the
-        recently crawled tail — it journals far less than a full rewrite."""
+        """Every kept row is rewritten, yet it journals less than a full
+        rewrite: the kept scores go out as one column-shaped record
+        (``update_column``), where the rewrite journals a truncate plus a
+        whole-row insert of every score."""
         rng = random.Random(11)
         scores = {oid: rng.random() for oid in range(400)}
         sequence = []

@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from repro.core.caching import LRUCache
+from repro.classifier.compiled import CompiledHierarchicalModel
+from repro.classifier.tokenizer import term_frequencies
 from repro.core.config import FocusConfig, JobSpec
 from repro.core.system import TERMINAL_STATUSES, CrawlHandle, FocusSystem
 from repro.crawler.focused import CrawlerConfig
@@ -430,41 +431,38 @@ class TestShutdown:
             assert "error" not in progress
 
 
-class TestSharedTermVectorCache:
-    def test_lru_cache_survives_four_threads_at_capacity(self):
-        capacity, threads, operations = 32, 4, 20_000
-        cache = LRUCache(capacity)
-        errors, oversize = [], []
+
+class TestSharedModel:
+    def test_four_threads_score_the_shared_model_as_one_does(self, small_web, trained_model):
+        """Jobs share the trained model read-only and compile their own
+        scorer from it: four threads compiling and classifying at once
+        get the floats one thread gets alone."""
+        documents = [
+            term_frequencies(small_web.page(url).tokens)
+            for url in sorted(small_web.pages)[:60]
+        ]
+        expected = CompiledHierarchicalModel(trained_model).classify_batch(documents)
+        threads, repeats = 4, 10
+        results, errors = [], []
         start = threading.Barrier(threads)
 
-        def hammer(offset):
+        def score():
             try:
                 start.wait(DEADLINE_S)
-                for i in range(operations):
-                    # 3x the capacity of keys, shared by all threads: hits,
-                    # misses, refreshes and evictions all collide.
-                    key = (i * 7 + offset) % (3 * capacity)
-                    value = cache.get(key)
-                    if value is None:
-                        cache.put(key, key * 2)
-                    elif value != key * 2:
-                        errors.append(f"key {key} read {value}")
-                    if len(cache) > capacity + threads:
-                        oversize.append(len(cache))
+                for _ in range(repeats):
+                    compiled = CompiledHierarchicalModel(trained_model)
+                    results.append(compiled.classify_batch(documents))
             except Exception as exc:  # the assertion below reports it
                 errors.append(repr(exc))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            workers = [in_thread(lambda offset=offset: hammer(offset)) for offset in range(threads)]
+            workers = [in_thread(score) for _ in range(threads)]
             for worker in workers:
                 finish(worker)
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
-        # Mid-flight each thread may hold one entry beyond the bound...
-        assert oversize == []
-        # ...and at rest the bound holds exactly.
-        assert len(cache) <= capacity
-        assert cache.hits + cache.misses > 0
+        assert len(results) == threads * repeats
+        assert all(result == expected for result in results)

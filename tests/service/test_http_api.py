@@ -309,6 +309,8 @@ DELETED_FIELDS = [
     ("crawler", "fetch_workers", 8),
     ("crawler", "compact_every", 3),
     ("crawler", "compact_min_garbage_ratio", 0.2),
+    ("crawler", "posterior_cache_size", 4096),
+    ("crawler", "record_best_leaf", True),
     ("storage", "background_compaction", True),
     ("storage", "compact_wal_bytes", 32768),
 ]

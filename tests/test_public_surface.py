@@ -1,6 +1,7 @@
 """The consolidated public API surface: ``repro`` is the one import root."""
 
 import ast
+import dataclasses
 import importlib.util
 import pathlib
 import re
@@ -8,6 +9,7 @@ import re
 import pytest
 
 import repro
+from repro.crawler import CrawlerConfig
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 PACKAGE_DIR = pathlib.Path(repro.__file__).resolve().parent
@@ -121,6 +123,40 @@ class TestKnobs:
                     if re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value):
                         names.add(node.value)
         assert names == set()
+
+    def test_crawler_config_fields_are_pinned(self):
+        """Every ``CrawlerConfig`` field, in declaration order: a new knob
+        is a visible diff here."""
+        assert tuple(field.name for field in dataclasses.fields(CrawlerConfig)) == (
+            "max_pages",
+            "focus_mode",
+            "ordering",
+            "distill_every",
+            "distill_iterations",
+            "rho",
+            "hub_boost_top_k",
+            "hub_boost_priority",
+            "max_retries",
+            "stagnation_patience",
+            "batch_size",
+            "fetch_mode",  # inert; goes once ROADMAP 1A unbinds the suite
+            "prefetch",  # inert; goes once ROADMAP 1A unbinds the suite
+            "max_inflight",
+            "per_server_inflight",
+            "transport",
+            "transport_options",
+            "cassette_path",
+            "cassette_mode",
+            "cassette_strict",
+            "engine",
+            "shards",  # goes with sharding (ROADMAP 2)
+            "shard_runner",  # goes with sharding (ROADMAP 2)
+            "checkpoint_every",
+            "checkpoint_interval_s",
+            "score_backend",  # inert; goes once ROADMAP 1A unbinds the suite
+            "wal_fsync_batch",  # legacy; goes once ROADMAP 1A unbinds the suite
+            "storage",
+        )
 
     def test_score_backend_is_only_declared_and_validated(self):
         """The inert field cannot select a scoring path again: ``src/`` names
