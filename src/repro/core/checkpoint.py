@@ -137,8 +137,10 @@ class CheckpointManager:
 
     Attach one to a crawl by assigning it to ``engine.checkpointer`` and
     setting ``CrawlerConfig.checkpoint_every``; the engine then calls
-    :meth:`save` after every N successful fetches, at a round boundary
-    where all write buffers are flushed.
+    :meth:`save` after every N successful fetches, at a round boundary.
+    Every save — those, interval saves, a pause's, a finished crawl's —
+    first flushes the engine's write buffers (``CrawlEngine.sync``), so
+    the tables it snapshots hold the crawl as of the save.
     """
 
     def __init__(
@@ -195,6 +197,7 @@ class CheckpointManager:
         started = time.perf_counter()
         self.checkpoints_saved += 1
         engine = self.crawler.engine
+        engine.sync()
         frontier = self.crawler.frontier
         database = self.database
         sizes = [database.frame_size(frame_no) for frame_no in self.chain]

@@ -117,7 +117,9 @@ class CrawlResult:
         Works on a completed job whose database handle was already
         closed (e.g. by :meth:`CrawlHandle.close` or the service's job
         manager): a durable crawl is reopened from ``checkpoint_path``
-        transparently, so callers never juggle reopen-by-hand.
+        transparently, so callers never juggle reopen-by-hand.  On an
+        open one, the engine's write buffers (the hub boosts of a
+        :meth:`top_hubs` that distilled) are flushed first.
         """
         if getattr(self.database, "sharded", False):
             raise RuntimeError(
@@ -131,6 +133,8 @@ class CrawlResult:
                     "checkpoint directory to reopen from"
                 )
             self.database = Database.open(self.checkpoint_path)
+        else:
+            self.crawler.engine.sync()
         return CrawlMonitor(self.database)
 
     def citation_sociology(self, relevance_threshold: float = 0.5) -> list[metrics.CoTopic]:
@@ -203,6 +207,15 @@ class CrawlHandle:
     # -- views -----------------------------------------------------------------------
     @property
     def database(self) -> Database:
+        """The job's crawl database.
+
+        The engine buffers CRAWL and LINK writes between its flush points
+        (every ``distill_every`` and ``checkpoint_every`` pages, and the
+        end of the crawl), so a direct read of those tables mid-crawl
+        lags the crawl by at most one flush interval;
+        ``crawler.engine.sync()`` closes the gap.  :meth:`monitor`, a
+        checkpoint, a finished crawl and the service's reads sync first.
+        """
         return self.crawler.database
 
     @property
@@ -365,8 +378,10 @@ class CrawlHandle:
 
         Not safe while another thread is mid-:meth:`step`; the service
         exposes it only for paused/terminal jobs and serves live stats
-        from :meth:`progress` / :meth:`io_snapshot` instead.
+        from :meth:`progress` / :meth:`io_snapshot` instead.  The
+        engine's write buffers are flushed first.
         """
+        self.crawler.engine.sync()
         return CrawlMonitor(self.database)
 
     def result(self) -> CrawlResult:
@@ -380,6 +395,8 @@ class CrawlHandle:
 
     # -- internals -------------------------------------------------------------------
     def _finish(self, status: str) -> None:
+        # The result's tables hold the whole crawl, however it ended.
+        self.crawler.engine.sync()
         if self.manager is not None:
             # Persist the final state so the checkpoint directory holds
             # the finished (or cancelled-as-of-now) crawl, and a reopened

@@ -20,17 +20,31 @@ time:
    round as array kernels, relevance and best leaf read off one
    posterior matrix (:class:`PageScorer`).  A page is classified once,
    when it is fetched: a visited URL is never checked out again;
-4. *record*: CRAWL and LINK writes buffer across the round and flush
-   through minidb's column-at-a-time write path — one ``insert_many``
-   per table (the batch is transposed once; each page takes its rows as
-   column slices), one ``update_rows`` for the CRAWL rows the round
-   changed and one ``update_column`` for the refreshed ``wgt_fwd``
-   values (:class:`BufferedLinkWriter`, :meth:`Frontier.flush_batch`);
-5. *close*: the frontier and link buffers flush, and — when due — the
-   incremental distiller folds only the link rows recorded since the
-   last run into a columnar link graph and runs weighted HITS over it
-   (:class:`~repro.distiller.db_distiller.IncrementalDistiller`), and a
-   checkpoint is saved.
+4. *record*: CRAWL and LINK writes buffer in memory, across rounds,
+   until something reads the tables (:meth:`CrawlEngine.sync`).  A
+   flush goes through minidb's column-at-a-time write path — one
+   ``insert_many`` per table (the batch is transposed once; each page
+   takes its rows as column slices), one ``update_rows`` for the CRAWL
+   rows changed since the last flush and one ``update_column`` for the
+   refreshed ``wgt_fwd`` values (:class:`BufferedLinkWriter`,
+   :meth:`Frontier.flush_batch`);
+5. *close*: when due, the buffers flush and the incremental distiller
+   folds only the link rows recorded since its last run into a columnar
+   link graph and runs weighted HITS over it
+   (:class:`~repro.distiller.db_distiller.IncrementalDistiller`); the
+   hub boosts that follow join the CRAWL buffer.  At each
+   ``checkpoint_every`` boundary the buffers flush (and a checkpoint is
+   saved, when a checkpointer is attached), and they flush once more
+   when the crawl is over.
+
+The flush points are a pure function of crawl progress — every
+``distill_every`` and ``checkpoint_every`` pages, and the end — never of
+how ``run()`` is sliced into calls or whether a checkpointer exists, so
+stepped ≡ single run and killed-and-resumed ≡ uninterrupted hold down
+to where each row lands.  A reader from outside the engine (a
+checkpoint, a monitor, a service query) calls :meth:`CrawlEngine.sync`
+first; a direct read of the tables mid-crawl lags by at most one flush
+interval.
 
 K is ``CrawlerConfig.batch_size``, or 1 under ``engine="serial"``: the
 paper's one-URL-at-a-time loop is this kernel at round size 1, not a
@@ -470,8 +484,8 @@ class CrawlEngine:
         self.frontier = frontier
         self.trace = trace
         #: Checkpoint sink (e.g. :class:`repro.core.checkpoint.CheckpointManager`);
-        #: when set and ``config.checkpoint_every`` is positive, the engine
-        #: calls ``checkpointer.save()`` at round boundaries.
+        #: when set, the engine calls ``checkpointer.save()`` at each
+        #: ``checkpoint_every`` boundary and ``checkpoint_interval_s`` tick.
         self.checkpointer = None
         self._tick = 0
         self._since_distillation = 0
@@ -536,21 +550,34 @@ class CrawlEngine:
         the full page budget either way: round sizing is a function of
         ``budget - pages_fetched``, so slicing a crawl into stepped calls
         visits bit-for-bit the pages a single ``run(budget)`` would.
+        Returning does not flush the write buffers either, so the rows
+        land where a single run puts them; the crawl's end does, and
+        :meth:`sync` does on demand.
         """
         if max_rounds is not None and max_rounds < 1:
             raise ValueError("max_rounds must be >= 1 (or None for unlimited)")
-        if self.config.checkpoint_interval_s and self.checkpointer is not None:
+        if (
+            self.config.checkpoint_interval_s
+            and self.checkpointer is not None
+            and self._last_checkpoint_s is None
+        ):
             # The wall clock is not resumable state: the interval timer
-            # starts fresh on every run (initial and resumed alike).
+            # starts at the first run after build or resume, and a crawl
+            # sliced into stepped calls keeps one timer across them.
             self._last_checkpoint_s = time.monotonic()
-        # Create the delta cache up front so every flushed round feeds it.
+        # Create the delta cache up front so every flush feeds it.
         self._incremental_distiller()
         rounds = range(max_rounds) if max_rounds is not None else itertools.count()
         self._run_rounds(budget, rounds)
         return self.trace
 
     def run_distillation(self) -> DistillationResult:
-        """Re-score hubs/authorities over the current crawl graph and boost frontier URLs."""
+        """Re-score hubs/authorities over the current crawl graph and boost frontier URLs.
+
+        The distiller reads LINK, so the buffers flush first; the boosts
+        are buffered CRAWL changes, written at the next flush.
+        """
+        self.sync()
         started = time.perf_counter()
         # The live map is safe to hand over: distillation only reads it
         # (and the link graph relies on seeing the same dict grow).
@@ -559,6 +586,7 @@ class CrawlEngine:
         )
         self._store_scores(result)
         if self.config.hub_boost_top_k > 0:
+            self.frontier.begin_batch()
             boost_hub_neighbours(
                 self._link_writer.table,
                 self.frontier,
@@ -575,12 +603,25 @@ class CrawlEngine:
         """oid -> R(page) of every visited page, in visit order."""
         return dict(self._relevance)
 
+    def sync(self) -> None:
+        """Write every buffered CRAWL and LINK change: the tables then hold the crawl as of now.
+
+        The engine calls it at its own flush points; anything that reads
+        the tables from outside the engine mid-crawl calls it first.
+        """
+        started = time.perf_counter()
+        self.frontier.flush_batch()
+        updated = self._link_writer.flush()
+        self.stage_timings["write"] += time.perf_counter() - started
+        if updated:
+            self._incremental_distiller().note_updated(updated)
+
     # -- checkpointing ----------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, object]:
         """Everything the engine needs to continue a crawl after a restart.
 
-        Captured at a round boundary: link/CRAWL write buffers are empty,
-        so the tables plus this dict are the complete crawl state.
+        Captured right after a :meth:`sync`: link/CRAWL write buffers are
+        empty, so the tables plus this dict are the complete crawl state.
         """
         return {
             **self._small_state(),
@@ -694,13 +735,10 @@ class CrawlEngine:
         return urls
 
     def _close_round(self) -> None:
-        """Flush the round's writes, then distil and checkpoint when due."""
-        started = time.perf_counter()
-        self.frontier.flush_batch()
-        updated = self._link_writer.flush()
-        self.stage_timings["write"] += time.perf_counter() - started
-        if updated:
-            self._incremental_distiller().note_updated(updated)
+        """Distil when due and take a ``checkpoint_every`` boundary; both flush the write buffers.
+
+        Otherwise the round's writes stay buffered.
+        """
         if (
             self.config.distill_every
             and self._since_distillation >= self.config.distill_every
@@ -720,6 +758,9 @@ class CrawlEngine:
             for _ in rounds:
                 urls = self._checkout(budget)
                 if not urls:
+                    # Frontier empty (or the budget was spent before this
+                    # call): the crawl is over.
+                    self.sync()
                     break
                 started = time.perf_counter()
                 pendings = [self.transport.prepare(url) for url in urls]
@@ -732,7 +773,9 @@ class CrawlEngine:
                     loop = loop or asyncio.new_event_loop()
                     stop = loop.run_until_complete(self._drain_round(urls, pendings))
                 self._close_round()
-                if stop:
+                if stop or self.trace.pages_fetched >= budget:
+                    # Stagnated or budget spent: the crawl is over.
+                    self.sync()
                     break
         finally:
             if loop is not None:
@@ -801,27 +844,31 @@ class CrawlEngine:
         self._since_checkpoint += 1
 
     def _maybe_checkpoint(self) -> None:
-        """Save a resume point when one is due (round boundaries only).
+        """Flush at a ``checkpoint_every`` boundary, and save a resume point when one is due.
 
-        Two independent triggers: every ``checkpoint_every`` successful
-        fetches, and every ``checkpoint_interval_s`` wall-clock seconds —
-        the latter bounds at-risk work when fetches are slow (real
-        networks) rather than plentiful.  The counter/timer reset
-        *before* the save so the persisted engine state carries zero
+        Two independent triggers for a save: every ``checkpoint_every``
+        successful fetches, and every ``checkpoint_interval_s``
+        wall-clock seconds — the latter bounds at-risk work when fetches
+        are slow (real networks) rather than plentiful.  The boundary
+        flushes whether or not a checkpointer is attached, so where a row
+        lands never depends on one.  The counter/timer reset *before*
+        the save so the persisted engine state carries zero
         progress-toward-next-checkpoint, matching what a resumed engine
         starts from.
         """
+        every, interval = self.config.checkpoint_every, self.config.checkpoint_interval_s
+        boundary = bool(every) and self._since_checkpoint >= every
+        if boundary:
+            self._since_checkpoint = 0
+            self.sync()
         if self.checkpointer is None:
             return
-        every, interval = self.config.checkpoint_every, self.config.checkpoint_interval_s
         last = self._last_checkpoint_s
-        due = (every and self._since_checkpoint >= every) or (
+        if not boundary and not (
             interval and last is not None and time.monotonic() - last >= interval
-        )
-        if not due:
+        ):
             return
-        self._since_checkpoint = 0
-        if self.config.checkpoint_interval_s:
+        if interval:
             self._last_checkpoint_s = time.monotonic()
         self.checkpointer.save()
 
@@ -900,8 +947,8 @@ class CrawlEngine:
         return self._incremental
 
     def _store_scores(self, result: DistillationResult) -> None:
-        # Delta writes: only scores that changed since the last
-        # distillation touch the heap (see ScoreTableStore).
+        # Three batches per table: every kept score rewritten in place,
+        # vanished oids deleted, new ones inserted (ScoreTableStore).
         oids, hubs, authorities = result.dense
         self._score_store.store_dense("HUBS", oids, hubs)
         self._score_store.store_dense("AUTH", oids, authorities)

@@ -24,10 +24,12 @@ function of the URL: checkout order therefore does not depend on
 insertion history, so crawls are reproducible under a fixed seed
 regardless of how a round interleaved its ``add_url`` calls.
 
-For the crawl engine's rounds the frontier supports *round buffering*
+For the crawl engine the frontier supports *write buffering*
 (:meth:`begin_batch` / :meth:`flush_batch`): in-memory entries stay
-authoritative at all times, while CRAWL-table writes accumulate and are
-flushed once per round through ``insert_many`` / ``update_rows``.
+authoritative at all times, while CRAWL-table writes accumulate —
+across rounds, hub boosts included — and are flushed through one
+``insert_many`` and one ``update_rows`` at the engine's flush points
+(:meth:`repro.crawler.engine.CrawlEngine.sync`).
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ class Frontier:
         self._heap_compactions = 0
         # A plain int (not itertools.count) so checkpoints can persist it.
         self._next_discovered = 0
-        # Round buffering: pending CRAWL inserts/updates.
+        # Write buffering: pending CRAWL inserts/updates.
         self._buffering = False
         self._pending_new: list[FrontierEntry] = []
         self._pending_changes: Dict[str, Dict[str, Any]] = {}
@@ -559,9 +561,9 @@ class Frontier:
             return
         self.database.table("CRAWL").update_row(entry.rid, _table_changes(changes))
 
-    # -- round buffering ---------------------------------------------------------------
+    # -- write buffering ---------------------------------------------------------------
     def begin_batch(self) -> None:
-        """Start buffering CRAWL-table writes for one crawl round.
+        """Buffer CRAWL-table writes until the next :meth:`flush_batch`.
 
         In-memory entries (the authoritative state for ordering decisions)
         keep updating immediately; only the table writes are deferred.
@@ -569,19 +571,24 @@ class Frontier:
         self._buffering = True
 
     def flush_batch(self) -> None:
-        """Write the round's buffered CRAWL inserts and updates in bulk."""
+        """Write the buffered CRAWL inserts and updates in bulk, and stop buffering.
+
+        An entry changed several times since :meth:`begin_batch` gets one
+        update carrying its last value per column.
+        """
         crawl = self.database.table("CRAWL")
         new_entries = self._pending_new
         if self._touched is not None:
-            # Everything a round changes on an entry goes through
+            # Everything a crawl changes on an entry goes through
             # _sync_row or _add_entry, so the two buffers name the
-            # round's touched entries (new ones first, in entry order).
+            # touched entries (new ones first, in entry order).
             self._touched.update(dict.fromkeys(entry.url for entry in new_entries))
             self._touched.update(dict.fromkeys(self._pending_changes))
         if new_entries:
             # A new entry's row is built from its current state with its
-            # pending changes folded in (the kcid of a same-round visit is
-            # known only there), so nothing is left to update for it.
+            # pending changes folded in (the kcid of a visit before the
+            # first flush is known only there), so nothing is left to
+            # update for it.
             rows = []
             for entry in new_entries:
                 row = self._crawl_row(entry)
@@ -607,15 +614,15 @@ class Frontier:
 
     # -- checkpointing ------------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, Any]:
-        """Serialisable frontier state, captured at a round boundary.
+        """Serialisable frontier state, captured right after a flush.
 
         Entries are positional: ``fields`` names the layout once
         (:data:`ENTRY_FIELDS`) and ``entries`` holds one tuple per entry,
         in entry order.  Record ids stay valid across a database recovery
         because the snapshot-plus-WAL scheme restores heap pages (and
         therefore rid assignment) exactly.  Must not be called while
-        round buffering is active — buffered table writes belong to an
-        unfinished round.
+        write buffering is active — buffered writes are not in the table
+        yet, and a buffered new entry has no record id.
         """
         self._check_round_boundary()
         heap = self.database.table("CRAWL").heap

@@ -573,7 +573,7 @@ class ShardedEngine:
     sharded HITS reduction runs over.  Duck-types the slice of
     :class:`~.engine.CrawlEngine` that :class:`~repro.core.system.CrawlHandle`
     and the service job manager drive: ``run(budget, max_rounds)``,
-    ``stage_timings``, ``run_distillation``.
+    ``stage_timings``, ``run_distillation``, ``sync``.
     """
 
     def __init__(self, runner, config: CrawlerConfig, trace: CrawlTrace, shards: int) -> None:
@@ -668,6 +668,9 @@ class ShardedEngine:
         # consistent with the trace, and the timings current, on return.
         self._barrier()
         return self.trace
+
+    def sync(self) -> None:
+        """Nothing to flush here: each shard flushes its own tables every round."""
 
     def run_distillation(self) -> DistillationResult:
         """Sharded reduction outside a round (the top_hubs-on-demand path)."""

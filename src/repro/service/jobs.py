@@ -359,9 +359,10 @@ class JobManager:
         """The job's I/O counters plus the shared pool's counters.
 
         The ``crawl`` section (frontier/visited/relevance census) is read
-        from the job's database through the SQL query layer — the same
-        planner-driven path :meth:`query` exposes — and is omitted for
-        sharded jobs, which keep one database per shard.
+        from the job's database, its buffered crawl writes flushed first,
+        through the SQL query layer — the same planner-driven path
+        :meth:`query` exposes — and is omitted for sharded jobs, which
+        keep one database per shard.
         ``stage_timings`` are wall seconds on the job's own stepper;
         tenants overlap, so summed over jobs they exceed the service's
         wall time (as a sharded crawl's per-shard timings do).
@@ -377,6 +378,7 @@ class JobManager:
             }
             database = handle.database
             if not getattr(database, "sharded", False) and not database.closed:
+                handle.crawler.engine.sync()
                 monitor = CrawlMonitor(database)
                 stats["crawl"] = {
                     "frontier": monitor.frontier_size(),
@@ -391,9 +393,7 @@ class JobManager:
             raise ValueError("bucket must be >= 1")
         record = self._record(job_id)
         with record.lock:
-            database = record.handle.database
-            self._require_queryable(database)
-            return CrawlMonitor(database).harvest_rate_by_bucket(bucket)
+            return CrawlMonitor(self._synced_database(record)).harvest_rate_by_bucket(bucket)
 
     def query(self, job_id: str, sql: str, limit: int = 200) -> List[dict]:
         """Run one read-only SELECT (or EXPLAIN SELECT) on the job's database.
@@ -406,8 +406,7 @@ class JobManager:
             raise ValueError("limit must be >= 1")
         record = self._record(job_id)
         with record.lock:
-            database = record.handle.database
-            self._require_queryable(database)
+            database = self._synced_database(record)
             try:
                 statement = parse_sql(sql)
             except QueryError as exc:
@@ -424,7 +423,14 @@ class JobManager:
             return rows[:limit]
 
     @staticmethod
-    def _require_queryable(database) -> None:
+    def _synced_database(record: JobRecord):
+        """The job's database with the crawl's buffered writes flushed.
+
+        Call with the job's lock held.  Refuses a sharded job and a
+        closed handle.
+        """
+        handle = record.handle
+        database = handle.database
         if getattr(database, "sharded", False):
             raise ValueError(
                 "sharded jobs keep one database per shard, in memory inside "
@@ -432,6 +438,8 @@ class JobManager:
             )
         if database.closed:
             raise ValueError("this job's database handle is closed")
+        handle.crawler.engine.sync()
+        return database
 
     def result_summary(self, job_id: str) -> dict:
         """The cached JSON-safe result of a terminal job."""

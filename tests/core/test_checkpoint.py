@@ -9,6 +9,8 @@ relevance floats as an uninterrupted run, to 1e-9 (in fact bit for bit).
 
 import dataclasses
 import os
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -665,6 +667,44 @@ class TestCheckpointManager:
         assert handle.spec.crawler.checkpoint_every == CHECKPOINT_EVERY
         assert handle.run().pages_fetched() == MAX_PAGES
         handle.close()
+
+    def test_a_stepped_crawl_takes_the_interval_saves_a_single_run_takes(
+        self, checkpoint_system, tmp_path, monkeypatch
+    ):
+        """The interval timer starts once per build or resume, not once per ``run()``.
+
+        Under a clock that advances one second per reading, a crawl run
+        to its end in one call and the same crawl stepped a round at a
+        time read the clock equally often, so they must save equally
+        often.
+        """
+        import repro.crawler.engine as engine_module
+
+        def saves(tag, rounds):
+            ticks = iter(range(10**6))
+            clock = SimpleNamespace(
+                monotonic=lambda: float(next(ticks)), perf_counter=time.perf_counter
+            )
+            monkeypatch.setattr(engine_module, "time", clock)
+            config = crawl_config("batched")
+            config.max_pages, config.checkpoint_every, config.checkpoint_interval_s = 64, 0, 2.5
+            handle = checkpoint_system.start(
+                JobSpec(
+                    crawler=config,
+                    fetch_failure_seed=FETCH_FAILURE_SEED,
+                    checkpoint_dir=str(tmp_path / tag),
+                )
+            )
+            while not handle.done:
+                handle.step(rounds)
+            saved = handle.manager.checkpoints_saved
+            handle.close()
+            return saved
+
+        single = saves("single", None)
+        # The initial and the final save, and interval saves between them.
+        assert single > 4
+        assert saves("stepped", 1) == single
 
     def test_load_refuses_another_format_version(self, tmp_path):
         """A checkpoint in another format is refused whole, naming both versions."""

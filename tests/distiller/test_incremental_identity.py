@@ -118,8 +118,11 @@ class TestSerialCrawlDistillsLikeAFullScan:
         incremental = engine.run_distillation
 
         def distil_and_compare():
-            # The oracle first: the boost that follows a distillation does
-            # not touch LINK or the relevance map, but keep the order honest.
+            # The oracle first, over the tables the distiller reads (its
+            # run starts with this flush): the boost that follows a
+            # distillation does not touch LINK or the relevance map, but
+            # keep the order honest.
+            engine.sync()
             oracle = from_scratch(database, engine.relevance_map(), config)
             reference = from_scratch(database, engine.relevance_map(), config, weighted_hits)
             result = incremental()

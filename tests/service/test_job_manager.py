@@ -128,6 +128,33 @@ class TestLifecycle:
         assert all(latency > 0 for latency in latencies)
 
 
+class TestReadsSeeASyncedTable:
+    def test_a_live_job_read_between_steps_agrees_with_its_progress(self, system):
+        """The engine buffers CRAWL writes between flush points (here every
+        60 pages); a service read flushes them first, so ``/query``, the
+        SQL harvest curve and the ``stats`` census count every page the
+        job's ``progress()`` reports, after every quantum."""
+        manager = JobManager(system, rounds_per_step=1)
+        job_id = manager.submit(JobSpec(max_pages=100, fetch_failure_seed=3))
+        visited = "select count(*) n from CRAWL where status = 'visited'"
+        reads = 0
+        while manager.step_once():
+            pages = manager.progress(job_id)["pages_fetched"]
+            assert manager.query(job_id, visited) == [{"n": pages}]
+            assert sum(row["pages"] for row in manager.harvest_sql(job_id, bucket=25)) == pages
+            assert manager.stats(job_id)["crawl"]["visited"] == pages
+            reads += 1
+        assert reads > 50
+        assert manager.result_summary(job_id)["pages_fetched"] == 100
+
+    def test_a_handle_monitor_reads_what_the_crawl_fetched(self, system):
+        handle = system.start(JobSpec(max_pages=45, fetch_failure_seed=3))
+        while not handle.done:
+            handle.step(1)
+            assert handle.monitor().visited_count() == handle.pages_fetched
+        handle.close()
+
+
 class TestSharedPool:
     def test_a_settled_fetch_takes_no_slot_but_is_counted(self, system):
         """A simulated tenant's fetches owe no wait: its rounds run inline,
