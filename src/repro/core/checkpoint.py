@@ -35,7 +35,7 @@ chain of *frames* ``[base, d1, ..., dk]``:
   visited, failed or re-scored; the load of the servers visited; the
   tails of the trace's visit and failure lists and of the relevance map;
   the last distillation if there was one; and — small, so written whole
-  — the counters, the delta cache's watermark and the RNG positions.
+  — the counters and the RNG positions.
 
 Every frame is one positional tuple, pickled and appended to the
 database's segment file (the ``frames=`` of

@@ -27,11 +27,14 @@ time:
    takes its rows as column slices), one ``update_rows`` for the CRAWL
    rows changed since the last flush and one ``update_column`` for the
    refreshed ``wgt_fwd`` values (:class:`BufferedLinkWriter`,
-   :meth:`Frontier.flush_batch`);
+   :meth:`Frontier.flush_batch`).  The LINK rows a flush inserts are
+   also appended, in insert order, to the distiller's columnar link
+   graph — the graph holds edges only; HITS reads both edge weights
+   from the relevance map;
 5. *close*: when due, the buffers flush and the incremental distiller
-   folds only the link rows recorded since its last run into a columnar
-   link graph and runs weighted HITS over it
-   (:class:`~repro.distiller.db_distiller.IncrementalDistiller`); the
+   runs weighted HITS over its link graph
+   (:class:`~repro.distiller.db_distiller.IncrementalDistiller`); no
+   distillation re-reads the LINK table.  The
    hub boosts that follow join the CRAWL buffer.  At each
    ``checkpoint_every`` boundary the buffers flush (and a checkpoint is
    saved, when a checkpointer is attached), and they flush once more
@@ -255,6 +258,18 @@ class CrawlTrace:
 
 
 # -- round stages, shared with the sharded engine ---------------------------------------
+def check_rho(rho: float) -> None:
+    """Refuse a negative relevance threshold ρ.
+
+    HITS reads an unvisited page's relevance as 0.0 and weights an edge
+    by its endpoints' relevance; with ``rho >= 0`` only edges into
+    visited pages pass the filter, so those weights are exactly the ones
+    LINK stores.
+    """
+    if rho < 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
+
+
 class PageScorer:
     """The classify stage: one batch per call.
 
@@ -345,10 +360,13 @@ def link_row(
     ``wgt_rev`` is the source's relevance (E_B).  ``wgt_fwd`` (E_F)
     needs the *destination's* relevance: a visited destination supplies
     its own, any other inherits the source's until it is visited —
-    edges pointing *to* a page are refreshed at the flush of the round
-    that classifies it (:meth:`BufferedLinkWriter.refresh`).
-    *target_url* is normalised, and *frontier* must own it (sharded LINK
-    rows are routed by destination for exactly this lookup).
+    edges pointing *to* a page are refreshed at the flush after it is
+    classified (:meth:`BufferedLinkWriter.refresh`).  The crawl's own
+    HITS does not read the stored weights (it takes R of both endpoints
+    from the relevance map, the same floats on every edge it scores);
+    Figure 4's SQL distillers and ``/query`` do.  *target_url* is
+    normalised, and *frontier* must own it (sharded LINK rows are routed
+    by destination for exactly this lookup).
     """
     entry = frontier.get_normalized(target_url)
     forward = entry.relevance if entry is not None and entry.status == "visited" else relevance
@@ -356,14 +374,15 @@ def link_row(
 
 
 class BufferedLinkWriter:
-    """Round-buffered LINK writes: one bulk insert plus coalesced weight refreshes.
+    """Buffered LINK writes: one bulk insert plus coalesced weight refreshes.
 
-    Accumulates a whole round, then flushes one ``insert_many`` and one
-    ``update_column`` — ``wgt_fwd`` is unindexed, so the refresh of every
-    edge pointing at a freshly classified page is an in-place assignment
-    into the LINK pages' ``wgt_fwd`` column chunks, no row read or
-    rebuilt.  Refreshes are applied after the round's inserts, in visit
-    order.
+    Accumulates rows until a flush, then writes one ``insert_many`` and
+    one ``update_column`` — ``wgt_fwd`` is unindexed, so the refresh of
+    every edge pointing at a freshly classified page is an in-place
+    assignment into the LINK pages' ``wgt_fwd`` column chunks, no row
+    read or rebuilt.  Refreshes are applied after the inserts, in visit
+    order.  :meth:`flush` hands back the rows it inserted, in insert
+    order, for the engine's link graph.
     """
 
     def __init__(self, table: Table) -> None:
@@ -382,18 +401,18 @@ class BufferedLinkWriter:
         """Set ``wgt_fwd`` of every edge into *visited_oid* at the flush."""
         self._refresh[visited_oid] = relevance
 
-    def flush(self) -> List[int]:
-        """Write the buffered round; returns the rids whose weights changed in place."""
-        if self._rows:
-            self.table.insert_many(self._rows)
-            self._rows = []
+    def flush(self) -> List[tuple]:
+        """Write the buffered rows and refreshes; returns the rows inserted, in order."""
+        rows, self._rows = self._rows, []
+        if rows:
+            self.table.insert_many(rows)
         updates: Dict[int, float] = {}
         for oid, relevance in self._refresh.items():
             updates.update(dict.fromkeys(self.table.lookup_rids("link_dst", (oid,)), relevance))
         if updates:
             self.table.update_column("wgt_fwd", updates)
         self._refresh = OrderedDict()
-        return list(updates)
+        return rows
 
 
 def boost_hub_neighbours(
@@ -465,6 +484,7 @@ class CrawlEngine:
             )
         if config.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        check_rho(config.rho)
         if config.checkpoint_interval_s < 0:
             raise ValueError("checkpoint_interval_s must be >= 0")
         self.fetcher = fetcher
@@ -565,7 +585,8 @@ class CrawlEngine:
             # starts at the first run after build or resume, and a crawl
             # sliced into stepped calls keeps one timer across them.
             self._last_checkpoint_s = time.monotonic()
-        # Create the delta cache up front so every flush feeds it.
+        # Build the link graph (one LINK scan) before this run's first
+        # flush, which then feeds it.
         self._incremental_distiller()
         rounds = range(max_rounds) if max_rounds is not None else itertools.count()
         self._run_rounds(budget, rounds)
@@ -607,14 +628,16 @@ class CrawlEngine:
         """Write every buffered CRAWL and LINK change: the tables then hold the crawl as of now.
 
         The engine calls it at its own flush points; anything that reads
-        the tables from outside the engine mid-crawl calls it first.
+        the tables from outside the engine mid-crawl calls it first.  The
+        LINK rows it inserts go on to the distiller's link graph, once
+        that exists (it is built from a LINK scan, which sees them).
         """
         started = time.perf_counter()
         self.frontier.flush_batch()
-        updated = self._link_writer.flush()
+        inserted = self._link_writer.flush()
         self.stage_timings["write"] += time.perf_counter() - started
-        if updated:
-            self._incremental_distiller().note_updated(updated)
+        if self._incremental is not None:
+            self._incremental.add_rows(inserted)
 
     # -- checkpointing ----------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, object]:
@@ -636,11 +659,6 @@ class CrawlEngine:
             "since_distillation": self._since_distillation,
             "since_checkpoint": self._since_checkpoint,
             "stagnation_misses": self._stagnation_misses,
-            "delta_cache": (
-                self._incremental.cache.state_snapshot()
-                if self._incremental is not None
-                else None
-            ),
         }
 
     def mark_saved(self) -> None:
@@ -699,7 +717,10 @@ class CrawlEngine:
         """Adopt a checkpointed engine state (the database must already be recovered).
 
         Sections written before cross-round prefetch and the outcome LRU
-        were removed held counters only and are ignored.
+        were removed held counters only and are ignored, as is the
+        ``delta_cache`` section of checkpoints written while the link
+        graph mirrored LINK's weights: the graph is rebuilt from the
+        recovered LINK table at the next :meth:`run`.
         """
         self._tick = state["tick"]
         self._since_distillation = state["since_distillation"]
@@ -709,12 +730,7 @@ class CrawlEngine:
         # The score-table rid cache is soft state; rebuild it from the
         # replayed tables rather than trusting pre-crash record ids.
         self._score_store.invalidate()
-        # None: a checkpoint saved before this engine's first run() created
-        # the delta cache (the one FocusSystem.start writes, or a pause
-        # before the first step).  A fresh cache reads LINK from page 0
-        # on first use.
-        if state["delta_cache"] is not None:
-            self._incremental_distiller().cache.restore_state(state["delta_cache"])
+        self._incremental = None
         self.trace.refill(state["trace"])
 
     # -- the round ---------------------------------------------------------------------

@@ -52,8 +52,7 @@ from collections import deque
 from dataclasses import asdict, replace
 from hashlib import blake2b
 from heapq import merge
-from itertools import accumulate, compress, count, repeat
-from operator import ne
+from itertools import accumulate, count, repeat
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -78,6 +77,7 @@ from .engine import (
     PageScorer,
     PageVisit,
     boost_hub_neighbours,
+    check_rho,
     expansion_priority,
     link_targets,
     permanent_failure,
@@ -577,6 +577,7 @@ class ShardedEngine:
     """
 
     def __init__(self, runner, config: CrawlerConfig, trace: CrawlTrace, shards: int) -> None:
+        check_rho(config.rho)
         self.runner = runner
         self.config = config
         self.trace = trace
@@ -590,16 +591,10 @@ class ShardedEngine:
         self._relevance: Dict[int, float] = {}
         self._sid_of: Dict[int, int] = {}
         self._url_of_oid: Dict[int, str] = {}
-        #: The merged crawl graph as the six LINK columns, nepotistic edges
-        #: left out, in canonical append order — the LINK insert order of
-        #: the equivalent single-engine crawl.
-        self._edges: List[list] = [[] for _ in range(6)]
-        #: Unvisited destination oid -> positions of the edges into it: the
-        #: ones whose ``wgt_fwd`` its visit will overwrite.
-        self._edges_into: Dict[int, List[int]] = {}
-        #: The columnar mirror of ``_edges``: built at the first
-        #: distillation, fed a round at a time from then on.
-        self._graph: Optional[CompiledLinkGraph] = None
+        #: The merged crawl graph, nepotistic edges left out, in canonical
+        #: append order — the LINK insert order of the equivalent
+        #: single-engine crawl.
+        self._graph = CompiledLinkGraph()
         #: A distilling round's per-shard FinishRound, not yet sent.
         self._unfinished: Optional[List[FinishRound]] = None
         self.fetch_stats = FetchStats()
@@ -730,7 +725,7 @@ class ShardedEngine:
         # _process_group/_commit_visit would walk — then the applies leave
         # at once: everything after them overlaps the shards' writes.
         started = time.perf_counter()
-        applies, visited, headers, links = self._commit(round_no, selected, outcomes)
+        applies, headers, links = self._commit(round_no, selected, outcomes)
         every = self.config.distill_every
         distilling = bool(every and self._since_distillation >= every)
         self._commit_s += time.perf_counter() - started
@@ -740,7 +735,7 @@ class ShardedEngine:
             if message.fail_url or message.visit_url or message.pos:
                 self.runner.send(shard, message)
         started = time.perf_counter()
-        self._fold_edges(visited, headers, links)
+        self._fold_edges(headers, links)
         self._commit_s += time.perf_counter() - started
         if distilling:
             self._unfinished = self._distill()
@@ -749,14 +744,13 @@ class ShardedEngine:
     def _commit(self, round_no: int, selected, outcomes: Dict[int, OutcomeBatch]):
         """Ticks, discovery numbers, trace and routing for one round's outcomes.
 
-        Returns the per-shard :class:`ApplyRound` messages, the round's
-        ``(oid, relevance)`` visits, and the round's out-links in canonical
-        order — the citing pages' header columns and the per-link columns
-        that :func:`~.handoff.route_links` dealt to the destinations.
+        Returns the per-shard :class:`ApplyRound` messages and the round's
+        out-links in canonical order — the citing pages' header columns
+        and the per-link columns that :func:`~.handoff.route_links` dealt
+        to the destinations.
         """
         shards, config, trace = self.shards, self.config, self.trace
         applies = [ApplyRound(round=round_no) for _ in range(shards)]
-        visited: List[Tuple[int, float]] = []
         headers: List[list] = [[] for _ in ApplyRound.HEADERS[:-1]]
         links: List[list] = [[] for _ in ApplyRound.LINKS]
         page_at = [0] * shards
@@ -799,7 +793,6 @@ class ShardedEngine:
             self._relevance[oid] = relevance
             self._sid_of.setdefault(oid, sid)
             self._url_of_oid.setdefault(oid, url)
-            visited.append((oid, relevance))
             cited = batch.links[at]
             if cited:
                 start = link_at[shard]
@@ -818,55 +811,22 @@ class ShardedEngine:
             trace.fetched_urls.append(url)
             self._since_distillation += 1
         route_links(applies, headers, links)
-        return applies, visited, headers, links
+        return applies, headers, links
 
     # -- merged-graph distillation -------------------------------------------------
-    def _fold_edges(self, visited: List[Tuple[int, float]], headers, links) -> None:
-        """Fold one round into the merged graph: patch, then append.
+    def _fold_edges(self, headers, links) -> None:
+        """Append one round's edges to the merged graph.
 
-        What each shard's link flush does to its LINK partition: edges
-        into a page visited this round take its relevance as ``wgt_fwd``
-        (the by-position patch); the round's own edges are appended with
-        ``wgt_fwd`` final — the destination's relevance if it is visited
-        by now, else the citing page's.  Nepotistic edges never score,
-        so they are not kept.
+        The round's links in canonical order — the order each shard's link
+        flush inserts them into its LINK partition — as the graph's four
+        columns, a citing page's oid and sid once per link.  The graph
+        drops the nepotistic ones and holds no weights: HITS reads both
+        from the relevance map, the floats the shards' LINK rows store.
         """
-        edges = self._edges
-        forward, backward = edges[4], edges[5]
-        patched: List[int] = []
-        for oid, relevance in visited:
-            for position in self._edges_into.pop(oid, ()):
-                forward[position] = relevance
-                patched.append(position)
-        # The round's links as LINK columns: a page's header, once per link.
-        fresh = [per_link(column, headers[-1]) for column in headers[1:4]]
-        fresh[2:2] = links[2:]
-        src_oid, src_sid, dst_oid, dst_sid, wgt_rev = fresh
-        keep = list(map(ne, src_sid, dst_sid))
-        if not all(keep):
-            src_oid, src_sid, dst_oid, dst_sid, wgt_rev = (
-                list(compress(column, keep)) for column in fresh
-            )
-        known = self._relevance
-        fresh = (src_oid, src_sid, dst_oid, dst_sid, list(map(known.get, dst_oid, wgt_rev)), wgt_rev)
-        for position, oid in enumerate(dst_oid, len(forward)):
-            if oid not in known:
-                self._edges_into.setdefault(oid, []).append(position)
-        for column, more in zip(edges, fresh):
-            column.extend(more)
-        if self._graph is not None:
-            if patched:
-                self._graph.patch(
-                    patched, [forward[at] for at in patched], [backward[at] for at in patched]
-                )
-            self._graph.add_columns(*fresh)
-
-    def _merged_graph(self) -> CompiledLinkGraph:
-        """The columnar mirror of ``_edges`` (built whole once, then fed by the folds)."""
-        if self._graph is None:
-            self._graph = CompiledLinkGraph()
-            self._graph.add_columns(*self._edges)
-        return self._graph
+        counts = headers[-1]
+        self._graph.add_columns(
+            per_link(headers[1], counts), per_link(headers[2], counts), links[2], links[3]
+        )
 
     def _distill(self) -> List[FinishRound]:
         """HITS over the merged graph; returns every shard's scores and boosts."""
@@ -875,7 +835,7 @@ class ShardedEngine:
         options = dict(
             relevance=self._relevance, rho=config.rho, max_iterations=config.distill_iterations
         )
-        result = compiled_weighted_hits(self._merged_graph(), **options)
+        result = compiled_weighted_hits(self._graph, **options)
         self.trace.distillations += 1
         self.trace.last_distillation = result
         self._since_distillation = 0
@@ -1043,4 +1003,9 @@ def build_sharded_crawler(
     else:
         runner = MultiprocessShardRunner(payloads)
     trace = CrawlTrace()
-    return ShardedCrawler(ShardedEngine(runner, config, trace, shards=shards), config, trace)
+    try:
+        engine = ShardedEngine(runner, config, trace, shards=shards)
+    except ValueError:
+        runner.stop()
+        raise
+    return ShardedCrawler(engine, config, trace)

@@ -13,7 +13,6 @@ from .db_distiller import (
     IncrementalDistiller,
     IndexLookupDistiller,
     JoinDistiller,
-    LinkDeltaCache,
 )
 from .hits import DistillationResult, weighted_hits
 from .weights import Link, assign_weights, backward_weight, forward_weight
@@ -25,7 +24,6 @@ __all__ = [
     "IncrementalDistiller",
     "IndexLookupDistiller",
     "JoinDistiller",
-    "LinkDeltaCache",
     "Link",
     "assign_weights",
     "backward_weight",

@@ -6,34 +6,33 @@ in columnar form — parallel NumPy arrays over the non-nepotistic edges,
 in LINK-heap append order — and runs each HITS half-step as a
 ``np.bincount`` scatter-add (a CSR matvec without leaving NumPy):
 
-    a  <-  F^T  (h * w_fwd)        restricted to relevance > rho
-    h  <-  B    (a * w_rev)
+    a  <-  F^T  (h * R[dst])        restricted to relevance > rho
+    h  <-  B    (a * R[src])
 
-:class:`CompiledLinkGraph` supports exactly the two mutations the
-crawler performs — appending new edges and patching weights in place,
-each a column batch at a time — so
-:class:`~repro.distiller.db_distiller.LinkDeltaCache` folds its deltas
-into the compiled arrays instead of rebuilding them per distillation.
-Scores agree with the reference implementation to 1e-9
-(tests enforce this); the compiled results themselves are
-deterministic functions of the edge list in append order.
+The edge weights are the endpoints' relevance (paper §3.7, Figure 4):
+E_F of an edge is R of the page it cites, E_B is R of the citing page.
+The kernel reads them from the relevance map, so
+:class:`CompiledLinkGraph` holds edges only and supports the one
+mutation the crawler performs — appending new edges, a column batch at
+a time.  On every edge a crawl keeps, those are the very floats LINK
+stores as ``wgt_fwd``/``wgt_rev``: an edge passes the filter only into
+a visited page, which is the one whose ``wgt_fwd`` the writer has
+refreshed (and ``rho >= 0``, so an unvisited page's 0.0 never passes).
+Scores agree with the reference implementation to 1e-9 (tests enforce
+this); the compiled results themselves are deterministic functions of
+the edge list in append order.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain, compress, count, islice
 from operator import ne
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
 from .hits import DistillationResult
 from .weights import Link
-
-#: Array slot marking "no stored weight, fall back to endpoint relevance"
-#: (the reference path's ``None`` weights).
-_NO_WEIGHT = math.nan
 
 
 def _grown(buffer: np.ndarray, used: int) -> np.ndarray:
@@ -41,13 +40,6 @@ def _grown(buffer: np.ndarray, used: int) -> np.ndarray:
     bigger = np.zeros(2 * len(buffer), dtype=buffer.dtype)
     bigger[:used] = buffer[:used]
     return bigger
-
-
-def _weights(values: Sequence[Optional[float]]) -> np.ndarray:
-    """A weight column as floats, ``None`` ("no stored weight") as NaN."""
-    if None in values:
-        values = [_NO_WEIGHT if value is None else value for value in values]
-    return np.array(values, dtype=np.float64)
 
 
 class CompiledLinkGraph:
@@ -60,13 +52,12 @@ class CompiledLinkGraph:
     function of the edge list regardless of when the graph was built
     (checkpoint resume rebuilds it from the recovered heap).
 
-    The columns live in capacity-doubling NumPy buffers that
-    ``add_columns`` and ``patch`` write in place, so a distillation
-    pays for the edges that arrived or changed since the last one,
-    never for the ones already compiled.  What HITS needs per *node* is
-    kept the same way: which nodes are link sources (the uniform hub
-    initialisation) and the dense relevance vector
-    (:meth:`relevance_vector`).
+    The two edge columns live in capacity-doubling NumPy buffers that
+    ``add_columns`` writes in place, so a distillation pays for the
+    edges that arrived since the last one, never for the ones already
+    compiled.  What HITS needs per *node* is kept the same way: which
+    nodes are link sources (the uniform hub initialisation) and the
+    dense relevance vector (:meth:`relevance_vector`).
     """
 
     _INITIAL_CAPACITY = 256
@@ -76,8 +67,6 @@ class CompiledLinkGraph:
         self._edges = 0
         self._src = np.zeros(capacity, dtype=np.int64)
         self._dst = np.zeros(capacity, dtype=np.int64)
-        self._fwd = np.zeros(capacity, dtype=np.float64)
-        self._rev = np.zeros(capacity, dtype=np.float64)
         self._index_of_oid: Dict[int, int] = {}
         #: Append-only; results of :func:`compiled_weighted_hits` share it.
         self._oids: List[int] = []
@@ -107,22 +96,20 @@ class CompiledLinkGraph:
             used = self._edges
             self._src = _grown(self._src, used)
             self._dst = _grown(self._dst, used)
-            self._fwd = _grown(self._fwd, used)
-            self._rev = _grown(self._rev, used)
         while nodes > len(self._is_source):
             used = len(self._is_source)
             self._is_source = _grown(self._is_source, used)
             self._rel = _grown(self._rel, used)
 
-    def add(self, link: Link) -> int:
-        """Append one edge and return its position (``-1``: dropped).
+    def add(self, link: Link) -> None:
+        """Append one edge; a nepotistic one is dropped (it never contributes).
 
-        Nepotistic edges are dropped: they never contribute.  This is
-        the edge-at-a-time reference that :meth:`add_columns` must
-        agree with; the crawl feeds the graph through the latter.
+        This is the edge-at-a-time reference that :meth:`add_columns`
+        must agree with; the crawl feeds the graph through the latter.
+        The link's stored weights are not read.
         """
         if link.is_nepotistic:
-            return -1
+            return
         position = self._edges
         self._reserve(position + 1, len(self._oids) + 2)
         source = self._densify(link.oid_src)
@@ -131,62 +118,44 @@ class CompiledLinkGraph:
             self._source_count += 1
         self._src[position] = source
         self._dst[position] = self._densify(link.oid_dst)
-        self._fwd[position] = _NO_WEIGHT if link.wgt_fwd is None else link.wgt_fwd
-        self._rev[position] = _NO_WEIGHT if link.wgt_rev is None else link.wgt_rev
         self._edges = position + 1
-        return position
 
     def extend(self, links: Iterable[Link]) -> None:
         for link in links:
             self.add(link)
 
-    def add_columns(self, oid_src, sid_src, oid_dst, sid_dst, wgt_fwd, wgt_rev) -> List[int]:
-        """Append a batch of LINK rows given as their six columns, in schema order.
+    def add_columns(self, oid_src, sid_src, oid_dst, sid_dst) -> None:
+        """Append a batch of LINK rows given as their first four columns.
 
         Equals :meth:`add` of each row in turn — same dropped nepotistic
         edges, same dense numbering (source before destination, edge by
         edge), bit-equal :meth:`arrays` — at one slice assignment per
-        buffer.  Returns each row's edge position, ``-1`` for the ones
-        dropped, for later :meth:`patch` calls.
+        buffer.
         """
         keep = list(map(ne, sid_src, sid_dst))
-        kept = sum(keep)
-        if kept < len(keep):
-            oid_src, oid_dst, wgt_fwd, wgt_rev = (
-                list(compress(column, keep)) for column in (oid_src, oid_dst, wgt_fwd, wgt_rev)
-            )
-        base = self._edges
-        positions = iter(range(base, base + kept))
-        placed = [next(positions) if kept_row else -1 for kept_row in keep]
-        if not kept:
-            return placed
+        if not all(keep):
+            oid_src, oid_dst = compress(oid_src, keep), compress(oid_dst, keep)
         # Oids stay Python ints (unsigned 64-bit hashes overflow a C long);
         # only their dense indexes go into arrays.
         endpoints = list(chain.from_iterable(zip(oid_src, oid_dst)))
+        if not endpoints:
+            return
         index_of = self._index_of_oid
         fresh = [oid for oid in dict.fromkeys(endpoints) if oid not in index_of]
         index_of.update(zip(fresh, count(len(self._oids))))
         self._oids.extend(fresh)
-        self._reserve(base + kept, len(self._oids))
+        base = self._edges
+        stop = base + len(endpoints) // 2
+        self._reserve(stop, len(self._oids))
         dense = np.array([index_of[oid] for oid in endpoints], dtype=np.int64)
-        stop = base + kept
         src = self._src[base:stop] = dense[0::2]
         self._dst[base:stop] = dense[1::2]
-        self._fwd[base:stop] = _weights(wgt_fwd)
-        self._rev[base:stop] = _weights(wgt_rev)
         self._is_source[src] = True
         self._source_count = int(np.count_nonzero(self._is_source[: len(self._oids)]))
         self._edges = stop
-        return placed
-
-    def patch(self, positions: Sequence[int], wgt_fwd, wgt_rev) -> None:
-        """Overwrite the weights of the edges at *positions* in place."""
-        positions = np.asarray(positions, dtype=np.int64)
-        self._fwd[positions] = _weights(wgt_fwd)
-        self._rev[positions] = _weights(wgt_rev)
 
     def arrays(self):
-        """The (src, dst, fwd, rev, oids) columns: views of the live buffers.
+        """The (src, dst, oids) columns: views of the live buffers.
 
         Valid until the next mutation.  ``oids`` stays a Python list: page
         oids are unsigned 64-bit URL hashes that can overflow a C long,
@@ -194,13 +163,7 @@ class CompiledLinkGraph:
         back to dictionary keys.
         """
         edges = self._edges
-        return (
-            self._src[:edges],
-            self._dst[:edges],
-            self._fwd[:edges],
-            self._rev[:edges],
-            self._oids,
-        )
+        return self._src[:edges], self._dst[:edges], self._oids
 
     def uniform_hubs(self) -> np.ndarray:
         """HITS' start vector: 1/|sources| on every link source, else zero."""
@@ -245,7 +208,7 @@ class CompiledLinkGraph:
 
 
 def compile_links(links: Iterable[Link]) -> CompiledLinkGraph:
-    """Compile a full edge list in one go (what a delta-folded graph must equal)."""
+    """Compile a full edge list in one go (what a row-fed graph must equal)."""
     graph = CompiledLinkGraph()
     graph.extend(links)
     return graph
@@ -257,16 +220,17 @@ def compiled_weighted_hits(
     rho: float = 0.1,
     max_iterations: int = 25,
     tolerance: float = 1e-9,
-    use_relevance_weights: bool = True,
 ) -> DistillationResult:
     """Relevance-weighted HITS over a compiled graph (reference: ``weighted_hits``).
 
     Matches :func:`repro.distiller.hits.weighted_hits` to floating-point
-    tolerance: same initialisation (uniform hubs over link sources), same
-    per-half-step L1 normalisation, same convergence test on the hub
-    vector, same relevance filter and ``None``-weight fallbacks.
+    tolerance over links whose weights follow the crawl's rule (E_F the
+    cited page's relevance, E_B the citing page's, or ``None``): same
+    initialisation (uniform hubs over link sources), same per-half-step
+    L1 normalisation, same convergence test on the hub vector, same
+    relevance filter.
     """
-    src, dst, fwd, rev, oids = graph.arrays()
+    src, dst, oids = graph.arrays()
     if not len(src):
         nothing = np.zeros(0, dtype=np.float64)
         return DistillationResult.from_dense(oids, nothing, nothing, 0)
@@ -275,19 +239,14 @@ def compiled_weighted_hits(
     hubs = graph.uniform_hubs()
     authorities = np.zeros(n, dtype=np.float64)
 
-    # Forward edges: filtered once (the relevance threshold and weights do
-    # not change across iterations), exactly as the reference pre-resolves.
+    # Forward edges: filtered once (relevance does not change across
+    # iterations), exactly as the reference pre-resolves.
     rel_dst = rel[dst]
     forward = rel_dst > rho
     f_src = src[forward]
     f_dst = dst[forward]
-    if use_relevance_weights:
-        f_fwd = fwd[forward]
-        f_wgt = np.where(np.isnan(f_fwd), rel_dst[forward], f_fwd)
-        r_wgt = np.where(np.isnan(rev), rel[src], rev)
-    else:
-        f_wgt = np.ones(len(f_src), dtype=np.float64)
-        r_wgt = np.ones(len(src), dtype=np.float64)
+    f_wgt = rel_dst[forward]
+    r_wgt = rel[src]
 
     iterations_run = 0
     for _ in range(max_iterations):

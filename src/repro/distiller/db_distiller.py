@@ -18,18 +18,21 @@ crawl graph that lives in the database:
   about 3× slower.
 
 Both produce the same scores as the in-memory
-:func:`repro.distiller.hits.weighted_hits` reference.
+:func:`repro.distiller.hits.weighted_hits` reference, and both read the
+edge weights LINK stores.
+
+A crawl distils through neither: :class:`IncrementalDistiller` keeps
+LINK's edges in a columnar graph, fed the rows each LINK flush inserts,
+and takes the weights from the crawl's relevance map — on the edges a
+crawl keeps, the same floats as the stored ``wgt_fwd``/``wgt_rev``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.minidb import Database
-from repro.minidb.pages import PageId, rid_of
-from repro.minidb.table import Table
 
 from .compiled import CompiledLinkGraph, compiled_weighted_hits
 from .hits import DistillationResult, _normalize
@@ -254,155 +257,23 @@ class IndexLookupDistiller(_BaseDbDistiller):
         self.cost.iterations += 1
 
 
-class LinkDeltaCache:
-    """Cached LINK adjacency refreshed by delta scans (every crawl loop's distill feed).
-
-    Re-reading the whole LINK table before every distillation is an O(E)
-    sequential scan that grows with the crawl; since the crawler only ever
-    *appends* link rows and *updates weights in place*, the adjacency can
-    be cached and refreshed incrementally:
-
-    * newly appended rows are picked up by rescanning from the page the
-      previous refresh stopped in (``HeapFile.scan_pages``), a page's
-      column chunks at a time;
-    * in-place weight updates (the ``wgt_fwd`` refresh when a destination
-      page gets classified) are re-read — the two weight columns of the
-      slots the writer reports via :meth:`note_updated`, a page at a time.
-
-    The adjacency is a :class:`CompiledLinkGraph`: deltas are folded into
-    it in column batches, never rebuilt.  Its edges stay in the order of
-    a full heap scan (append order, with updated rows keeping their
-    position), so scores computed over the cache agree with a
-    from-scratch recomputation bit for bit.
-    """
-
-    def __init__(self, table: Table) -> None:
-        self.table = table
-        #: The graph edge position of each slot of heap page p folded so
-        #: far, at index p (-1: an empty slot or a nepotistic edge the
-        #: graph dropped) — LINK is append-only, so a page's list only
-        #: grows.  Positional, not keyed by record id: the cache outlives
-        #: every distillation.
-        self._pages: List[List[int]] = []
-        self._watermark_page = 0
-        self._folded_count = 0
-        self._updated_rids: set[int] = set()
-        self.graph = CompiledLinkGraph()
-        # Columns are handed to graph.add_columns positionally: pin the order.
-        columns = tuple(table.schema.column_names)
-        expected = ("oid_src", "sid_src", "oid_dst", "sid_dst", "wgt_fwd", "wgt_rev")
-        if columns != expected:
-            raise ValueError(f"LINK schema order {columns} != {expected}")
-
-    def note_updated(self, rids: Iterable[int]) -> None:
-        """Record in-place updates to already-cached rows (e.g. weight refreshes)."""
-        self._updated_rids.update(rids)
-
-    def refresh(self) -> None:
-        """Fold the appends and weight updates since the last call into :attr:`graph`."""
-        heap = self.table.heap
-        self._fold_pages(self._watermark_page, None)
-        self._watermark_page = max(heap.page_count - 1, 0)
-        slots_of: Dict[PageId, List[int]] = {}
-        for page_id, slot in map(heap.page_of, self._updated_rids):
-            slots_of.setdefault(page_id, []).append(slot)
-        self._updated_rids.clear()
-        get_page = heap.buffer_pool.get_page
-        edges: List[int] = []
-        forward: list = []
-        backward: list = []
-        for page_id, slots in slots_of.items():
-            columns = get_page(page_id).columns
-            edge_of = self._pages[page_id.page_no]
-            slots = [slot for slot in slots if edge_of[slot] >= 0]
-            edges.extend([edge_of[slot] for slot in slots])
-            forward.extend([columns[4][slot] for slot in slots])
-            backward.extend([columns[5][slot] for slot in slots])
-        if edges:
-            self.graph.patch(edges, forward, backward)
-
-    def _fold_pages(self, start_page: int, stop_page: Optional[int]) -> None:
-        """Fold heap pages ``[start_page, stop_page)`` into the graph.
-
-        The graph gets the column slices past what it has folded of each
-        page: LINK is append-only, so rows folded earlier can only have
-        changed through in-place weight updates, which
-        :meth:`note_updated` tracks.
-        """
-        pages = self._pages
-        #: The new rows of every page read, as one column batch.
-        batch: List[list] = [[] for _ in range(6)]
-        counts: List[tuple[int, int]] = []
-        for page in self.table.heap.scan_pages(start_page, stop_page):
-            page_no = page.page_id.page_no
-            while len(pages) <= page_no:
-                pages.append([])
-            known = len(pages[page_no])
-            if page.slot_count() == known:
-                continue
-            columns = [column[known:] for column in page.columns]
-            dead = [slot - known for slot in page.dead if slot >= known]
-            for at in dead:  # the graph drops what looks nepotistic
-                columns[1][at] = columns[3][at] = None
-            for whole, part in zip(batch, columns):
-                whole.extend(part)
-            counts.append((page_no, len(columns[0])))
-            self._folded_count += len(columns[0]) - len(dead)
-        if counts:
-            edges = iter(self.graph.add_columns(*batch))
-            for page_no, count in counts:
-                pages[page_no].extend(islice(edges, count))
-
-    def __len__(self) -> int:
-        return self._folded_count
-
-    # -- checkpointing ------------------------------------------------------
-    def state_snapshot(self) -> dict:
-        """The cache's durable state: its high-water mark plus pending updates.
-
-        The folded graph itself is *not* serialised — it is a pure
-        function of the (recovered) heap below the watermark, so restore
-        rebuilds it with one bounded sequential scan.
-        """
-        heap = self.table.heap
-        return {
-            "watermark": self._watermark_page,
-            "updated": [(heap.file_id, *heap.locate(rid)) for rid in self._updated_rids],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild the adjacency from the heap up to the recorded watermark.
-
-        Rows touched after the watermark (or whose weights changed since
-        the last refresh) are re-read by the next :meth:`refresh`, exactly
-        as they would have been without the restart; insertion order is
-        ascending ``(page, slot)`` either way, so the refreshed edge list
-        — and therefore HITS' float summation order — is unchanged.
-        """
-        watermark = state["watermark"]
-        # The graph is a pure function of the edge list in heap order;
-        # rebuilding from the recovered heap reproduces the same
-        # append-order arrays the uninterrupted crawl had.
-        self._pages = []
-        self.graph = CompiledLinkGraph()
-        self._folded_count = 0
-        self._fold_pages(0, watermark + 1)
-        self._watermark_page = watermark
-        self._updated_rids = {rid_of(*place) for place in state["updated"]}
-
-
 class IncrementalDistiller:
-    """Delta-mode distillation: cached adjacency + in-memory weighted HITS.
+    """The crawl's distiller: a growing edge graph + in-memory weighted HITS.
 
-    The one distill stage of every in-process crawl loop.  Folds only the
-    links recorded (or re-weighted) since the previous distillation into
-    a :class:`LinkDeltaCache`, then scores the cached graph with the
-    columnar matvec kernels of :mod:`repro.distiller.compiled` (edges,
-    relevance and scores stay in arrays from the LINK append to the
-    HUBS/AUTH write).  The graph keeps heap order, so its scores are bit
-    for bit those of a recomputation over a full LINK scan, and within
-    1e-9 of the reference :func:`~repro.distiller.hits.weighted_hits`
-    (tests enforce both at every distillation of a crawl).
+    The one distill stage of every in-process crawl loop.  Its
+    :class:`CompiledLinkGraph` is built from one LINK scan when the
+    distiller is created — an empty table on a fresh crawl, the
+    recovered one on a resume — and from then on is handed the rows each
+    LINK flush inserts (:meth:`add_rows`), in insert order, which is heap
+    order: LINK is append-only and a bulk insert fills the last page
+    before it opens a new one.  So the graph's edges are always those of
+    a full LINK scan, in scan order.  The graph holds no weights: the
+    columnar kernels of :mod:`repro.distiller.compiled` read both from
+    the relevance map, and edges, relevance and scores stay in arrays
+    from the LINK append to the HUBS/AUTH write.  Scores are bit for bit
+    those of a recomputation over a full LINK scan, and within 1e-9 of
+    the reference :func:`~repro.distiller.hits.weighted_hits` over the
+    stored weights (tests enforce both at every distillation of a crawl).
     """
 
     def __init__(
@@ -415,20 +286,31 @@ class IncrementalDistiller:
         self.database = database
         self.rho = rho
         self.max_iterations = max_iterations
-        self.cache = LinkDeltaCache(database.table(link_table))
+        table = database.table(link_table)
+        # Columns are read positionally: pin the order.
+        names = tuple(table.schema.column_names[:4])
+        if names != ("oid_src", "sid_src", "oid_dst", "sid_dst"):
+            raise ValueError(f"LINK schema order {names} does not start with the four endpoints")
+        columns: List[list] = [[] for _ in range(4)]
+        for page in table.heap.scan_pages():
+            for whole, column in zip(columns, page.columns):
+                whole.extend(page.live(column))
+        self.graph = CompiledLinkGraph()
+        self.graph.add_columns(*columns)
 
-    def note_updated(self, rids: Iterable[int]) -> None:
-        self.cache.note_updated(rids)
+    def add_rows(self, rows: Sequence[tuple]) -> None:
+        """Fold LINK rows just inserted (tuples in schema order) into the graph."""
+        if rows:
+            self.graph.add_columns(*list(zip(*rows))[:4])
 
     def run(
         self,
         relevance: Dict[int, float],
         max_iterations: Optional[int] = None,
     ) -> DistillationResult:
-        self.cache.refresh()
         iterations = max_iterations if max_iterations is not None else self.max_iterations
         return compiled_weighted_hits(
-            self.cache.graph,
+            self.graph,
             relevance=relevance,
             rho=self.rho,
             max_iterations=iterations,

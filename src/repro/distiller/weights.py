@@ -23,7 +23,7 @@ class Link:
     """One hyperlink in the crawl graph, as stored in the LINK table.
 
     Fields are in LINK schema order, so ``Link(*row)`` builds one from a
-    heap row; slotted because the delta cache keeps one per stored edge.
+    heap row; slotted because a full-scan edge list holds one per row.
     """
 
     oid_src: int

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import partial
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .buffer_pool import BufferPool
 from .errors import StorageError
@@ -194,17 +194,15 @@ class HeapFile:
         self._row_count = row_count
 
     # -- scans --------------------------------------------------------------
-    def scan_pages(self, start_page: int = 0, stop_page: Optional[int] = None) -> Iterator[Page]:
-        """Yield the pages ``[start_page, stop_page)`` in order (sequential I/O).
+    def scan_pages(self) -> Iterator[Page]:
+        """Yield every page in order (sequential I/O).
 
         The page-at-a-time read: a consumer takes whole column chunks
         (``page.columns``, ``page.dead``) instead of one row per step.
-        ``stop_page=None`` scans to the end of the heap; an explicit
-        bound supports delta scans that must stop at a recorded
-        watermark.
         """
         get_page = self.buffer_pool.get_page
-        for page_id in self._page_ids[start_page:stop_page]:
+        # A copy: pages appended mid-scan are not part of it.
+        for page_id in list(self._page_ids):
             yield get_page(page_id)
 
     def scan(self) -> Iterator[tuple[int, tuple]]:

@@ -226,6 +226,11 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             run_crawl(small_web, trained_model, taxonomy, [], batch_size=0)
 
+    def test_negative_rho_rejected(self, small_web, trained_model, taxonomy):
+        """Edges into unvisited pages (relevance 0.0) would pass the filter."""
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            run_crawl(small_web, trained_model, taxonomy, [], rho=-0.01)
+
     def test_round_size_is_batch_size_except_under_serial(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):

@@ -7,8 +7,9 @@ several source shards, targets visited in an earlier round — go down
 both routes:
 
 * the *column* route is the code under test: ``ShardedEngine._commit``
-  and ``_fold_edges`` on the coordinator's side, ``ShardWorker.apply_round``
-  on each destination's, over a real frontier and real CRAWL/LINK tables;
+  and ``_fold_edges`` on the coordinator's side (the merged graph's
+  edges and node order), ``ShardWorker.apply_round`` on each
+  destination's, over a real frontier and real CRAWL/LINK tables;
 * the *record* route is ``handoff_records.py``: one ``HandoffRecord`` per
   link, per-``(src, dst)`` queues, a sort on receipt, a record-at-a-time
   apply.
@@ -145,8 +146,8 @@ def check_rounds(data) -> None:
                 out_degree=len(page.targets), targets=page.targets,
             )
         selected = [(None, page.oid, page.url, page.sid % shards) for page in pages]
-        applies, visited, headers, links = engine._commit(round_no, selected, outcomes)
-        engine._fold_edges(visited, headers, links)
+        applies, headers, links = engine._commit(round_no, selected, outcomes)
+        engine._fold_edges(headers, links)
         for shard in data.draw(st.permutations(range(shards)), label="service order"):
             applies[shard].finish = FinishRound(round=round_no)
             workers[shard].apply_round(applies[shard])
@@ -154,7 +155,12 @@ def check_rounds(data) -> None:
         assert engine._tick == oracle.tick
         assert engine._next_discovered == oracle.next_discovered
         assert engine._relevance == oracle.relevance
-        assert list(zip(*engine._edges)) == oracle.scoring_rows()
+        src, dst, oids = engine._graph.arrays()
+        rows = oracle.scoring_rows()
+        assert [(oids[s], oids[d]) for s, d in zip(src.tolist(), dst.tolist())] == [
+            (row[0], row[2]) for row in rows
+        ]
+        assert oids == list(dict.fromkeys(oid for row in rows for oid in (row[0], row[2])))
         for shard in range(shards):
             assert shard_state(workers[shard].frontier, workers[shard].database) == shard_state(
                 frontiers[shard], stores[shard]

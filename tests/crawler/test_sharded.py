@@ -25,10 +25,10 @@ from repro.classifier.training import ModelInstaller
 from repro.core.config import FocusConfig, JobSpec
 from repro.core.schema import create_focus_database
 from repro.core.system import FocusSystem
-from repro.crawler.engine import CrawlEngine, CrawlerConfig
+from repro.crawler.engine import CrawlEngine, CrawlerConfig, CrawlTrace
 from repro.crawler.focused import FocusedCrawler
 from repro.crawler.frontier import Frontier
-from repro.crawler.sharded import ShardServerPool, build_sharded_crawler
+from repro.crawler.sharded import ShardedEngine, ShardServerPool, build_sharded_crawler
 from repro.crawler.unfocused import UnfocusedCrawler
 from repro.webgraph.fetch import Fetcher
 from repro.webgraph.urls import server_sid
@@ -688,6 +688,16 @@ class TestGuards:
         config = CrawlerConfig(engine="sharded", shards=0, shard_runner="inprocess")
         with pytest.raises(ValueError, match="shards must be >= 1"):
             build_sharded_crawler(small_web, trained_model, taxonomy, config)
+
+    def test_negative_rho_refused(self, small_web, trained_model, taxonomy):
+        """Edges into unvisited pages (relevance 0.0) would pass HITS' filter."""
+        config = CrawlerConfig(engine="sharded", shards=2, shard_runner="process", rho=-0.5)
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            ShardedEngine(None, config, CrawlTrace(), shards=2)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            build_sharded_crawler(small_web, trained_model, taxonomy, config)
+        assert set(multiprocessing.active_children()) <= before  # its workers were stopped
 
     def test_unknown_runner_rejected(self, small_web, trained_model, taxonomy):
         config = CrawlerConfig(engine="sharded", shard_runner="threads")

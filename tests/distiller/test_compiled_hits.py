@@ -2,13 +2,20 @@
 
 ``compiled_weighted_hits`` over a :class:`CompiledLinkGraph` must agree
 with :func:`repro.distiller.hits.weighted_hits` to 1e-9 on hub and
-authority scores — including ``None``-weight fallbacks, nepotistic-edge
+authority scores — including ``None`` weights, nepotistic-edge
 exclusion, the relevance threshold, and the iteration count — and the
-delta-folded graph maintained by :class:`LinkDeltaCache` must agree with
-a from-scratch rebuild.
+row-fed graph of :class:`IncrementalDistiller` must agree with one
+built from a LINK scan.
+
+The kernel takes both edge weights from the relevance map, so the links
+here carry the weights a crawl writes (E_F the cited page's relevance
+if it is visited, else the citing page's; E_B the citing page's) or
+``None``; the reference's arbitrary-weight path is checked against the
+SQL distillers in ``test_distiller.py``.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,23 +26,28 @@ from repro.distiller.compiled import (
     compile_links,
     compiled_weighted_hits,
 )
-from repro.distiller.db_distiller import IncrementalDistiller, LinkDeltaCache
+from repro.distiller.db_distiller import IncrementalDistiller
 from repro.distiller.hits import weighted_hits
 from repro.distiller.weights import Link
 
 
-def random_links(rng: random.Random, n_nodes: int, n_edges: int) -> list[Link]:
+def random_links(
+    rng: random.Random, n_nodes: int, n_edges: int, relevance: dict
+) -> list[Link]:
+    """Random edges weighted by the crawl's rule over *relevance*, a tenth ``None``."""
     links = []
     for _ in range(n_edges):
         src, dst = rng.randrange(n_nodes), rng.randrange(n_nodes)
+        backward = relevance.get(src, 0.0)
+        forward = relevance.get(dst, backward)
         links.append(
             Link(
                 oid_src=src,
                 sid_src=src % 5,
                 oid_dst=dst,
                 sid_dst=dst % 5,
-                wgt_fwd=None if rng.random() < 0.1 else rng.random(),
-                wgt_rev=None if rng.random() < 0.1 else rng.random(),
+                wgt_fwd=None if rng.random() < 0.1 else forward,
+                wgt_rev=None if rng.random() < 0.1 else backward,
             )
         )
     return links
@@ -55,10 +67,10 @@ class TestCompiledWeightedHits:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_reference_on_random_graphs(self, seed):
         rng = random.Random(seed)
-        links = random_links(rng, rng.randint(2, 50), rng.randint(1, 250))
         relevance = {
             oid: rng.random() for oid in range(50) if rng.random() < 0.8
         }
+        links = random_links(rng, rng.randint(2, 50), rng.randint(1, 250), relevance)
         for iterations in (0, 1, 5, 25):
             reference = weighted_hits(
                 links, relevance, rho=0.1, max_iterations=iterations
@@ -68,16 +80,6 @@ class TestCompiledWeightedHits:
             )
             assert_results_match(reference, outcome)
 
-    def test_unweighted_ablation_mode(self):
-        rng = random.Random(99)
-        links = random_links(rng, 20, 120)
-        relevance = {oid: rng.random() for oid in range(20)}
-        reference = weighted_hits(links, relevance, use_relevance_weights=False)
-        outcome = compiled_weighted_hits(
-            compile_links(links), relevance, use_relevance_weights=False
-        )
-        assert_results_match(reference, outcome)
-
     def test_empty_and_all_nepotistic_graphs(self):
         assert compiled_weighted_hits(CompiledLinkGraph(), {}).iterations == 0
         nepotistic = [
@@ -86,89 +88,79 @@ class TestCompiledWeightedHits:
         outcome = compiled_weighted_hits(compile_links(nepotistic), {1: 1.0, 2: 1.0})
         assert outcome.hub_scores == {} and outcome.authority_scores == {}
 
-    def test_update_patches_weights_in_place(self):
-        graph = CompiledLinkGraph()
-        link = Link(oid_src=1, sid_src=1, oid_dst=2, sid_dst=2, wgt_fwd=0.2, wgt_rev=0.4)
-        position = graph.add(link)
-        graph.patch([position], [0.9], [None])
-        _src, _dst, fwd, rev, _oids = graph.arrays()
-        assert fwd[0] == 0.9 and np.isnan(rev[0])  # None: "no stored weight"
-        # A nepotistic edge is never compiled: there is no position to patch.
-        assert graph.add(Link(oid_src=1, sid_src=1, oid_dst=3, sid_dst=1)) == -1
-        assert len(graph) == 1
+    def test_the_graph_holds_edges_only(self):
+        """Stored weights are not compiled: scores follow the relevance map."""
+        rng = random.Random(5)
+        relevance = {oid: rng.random() for oid in range(20)}
+        links = random_links(rng, 20, 120, relevance)
+        stored = [replace(link, wgt_fwd=rng.random(), wgt_rev=rng.random()) for link in links]
+        graph, other = compile_links(links), compile_links(stored)
+        for column, other_column in zip(graph.arrays()[:2], other.arrays()[:2]):
+            np.testing.assert_array_equal(column, other_column)
+        assert graph.arrays()[2] == other.arrays()[2]
+        assert compiled_weighted_hits(graph, relevance) == compiled_weighted_hits(other, relevance)
+        # A nepotistic edge is never compiled.
+        single = CompiledLinkGraph()
+        single.add(Link(oid_src=1, sid_src=1, oid_dst=2, sid_dst=2, wgt_fwd=0.2, wgt_rev=0.4))
+        single.add(Link(oid_src=1, sid_src=1, oid_dst=3, sid_dst=1))
+        assert len(single) == 1 and single.arrays()[2] == [1, 2]
 
 
-class TestDeltaFoldedGraph:
+class TestRowFedGraph:
     def _crawl_tables(self):
         database = create_focus_database(buffer_pool_pages=256)
         return database, database.table("LINK")
 
-    def _insert(self, table, links):
-        return table.insert_many(
-            [
-                (
-                    link.oid_src,
-                    link.sid_src,
-                    link.oid_dst,
-                    link.sid_dst,
-                    link.wgt_fwd,
-                    link.wgt_rev,
-                )
-                for link in links
-            ]
-        )
+    @staticmethod
+    def _rows(links):
+        return [
+            (link.oid_src, link.sid_src, link.oid_dst, link.sid_dst, link.wgt_fwd, link.wgt_rev)
+            for link in links
+        ]
 
-    def test_incremental_fold_matches_full_rebuild(self):
+    def test_row_fed_graph_matches_full_rebuild(self):
         rng = random.Random(7)
         database, table = self._crawl_tables()
-        cache = LinkDeltaCache(table)
+        distiller = IncrementalDistiller(database)
         relevance = {oid: rng.random() for oid in range(40)}
         all_links = []
         for _round in range(5):
-            batch = random_links(rng, 40, rng.randint(5, 60))
-            rids = self._insert(table, batch)
-            all_links.extend(batch)
-            # Patch a few weights in place, as the crawl's E_F refresh does.
-            for rid, link in list(zip(rids, batch))[:3]:
-                table.update_column("wgt_fwd", [(rid, 0.5)])
-                cache.note_updated([rid])
-                all_links[all_links.index(link)] = Link(
-                    oid_src=link.oid_src,
-                    sid_src=link.sid_src,
-                    oid_dst=link.oid_dst,
-                    sid_dst=link.sid_dst,
-                    wgt_fwd=0.5,
-                    wgt_rev=link.wgt_rev,
-                )
-            cache.refresh()
+            rows = self._rows(random_links(rng, 40, rng.randint(5, 60), relevance))
+            table.insert_many(rows)
+            distiller.add_rows(rows)
+            all_links.extend(Link(*row) for row in rows)
             reference = compiled_weighted_hits(compile_links(all_links), relevance)
-            outcome = compiled_weighted_hits(cache.graph, relevance)
+            outcome = distiller.run(relevance, max_iterations=25)
             assert_results_match(reference, outcome)
-        assert len(cache) == len(all_links)
+            rebuilt = IncrementalDistiller(database).run(relevance, max_iterations=25)
+            assert rebuilt == outcome  # bit for bit
+        assert len(distiller.graph) == sum(not link.is_nepotistic for link in all_links)
 
-    def test_restore_rebuilds_identical_graph(self):
+    def test_a_graph_built_from_the_table_mid_way_keeps_up(self):
+        """What a resume does: build from the recovered table, then take rows."""
         rng = random.Random(11)
         database, table = self._crawl_tables()
-        cache = LinkDeltaCache(table)
-        self._insert(table, random_links(rng, 30, 80))
-        cache.refresh()
-        state = cache.state_snapshot()
         relevance = {oid: rng.random() for oid in range(30)}
-        reference = compiled_weighted_hits(cache.graph, relevance)
-
-        restored = LinkDeltaCache(table)
-        restored.restore_state(state)
-        restored.refresh()
-        outcome = compiled_weighted_hits(restored.graph, relevance)
+        fed = IncrementalDistiller(database)
+        rows = self._rows(random_links(rng, 30, 80, relevance))
+        table.insert_many(rows)
+        fed.add_rows(rows)
+        resumed = IncrementalDistiller(database)
+        rows = self._rows(random_links(rng, 30, 80, relevance))
+        table.insert_many(rows)
+        fed.add_rows(rows)
+        resumed.add_rows(rows)
+        outcome = resumed.run(relevance)
+        reference = fed.run(relevance)
         assert outcome.hub_scores == reference.hub_scores  # bit for bit
         assert outcome.authority_scores == reference.authority_scores
 
     def test_incremental_distiller_matches_the_reference_edge_walk(self):
         rng = random.Random(13)
         database, table = self._crawl_tables()
-        links = random_links(rng, 25, 120)
-        self._insert(table, links)
         relevance = {oid: rng.random() for oid in range(25)}
+        links = random_links(rng, 25, 120, relevance)
+        table.insert_many(self._rows(links))
         reference = weighted_hits(links, relevance, rho=0.1, max_iterations=5)
         assert_results_match(reference, IncrementalDistiller(database).run(relevance))
 

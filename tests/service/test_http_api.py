@@ -268,6 +268,17 @@ class TestErrors:
             call(f"{service.url}/jobs", {"no_such_field": 1})
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("engine", ["auto", "sharded"])
+    def test_negative_rho_is_400(self, service, engine):
+        spec = JobSpec(max_pages=30).to_dict()
+        spec["crawler"] = {"rho": -0.1, "engine": engine, "shards": 2, "shard_runner": "inprocess"}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call(f"{service.url}/jobs", spec)
+        with excinfo.value as reply:
+            assert reply.code == 400
+            assert "rho must be >= 0" in json.load(reply)["error"]
+        assert call(f"{service.url}/jobs") == []
+
     def test_sharded_job_with_a_checkpoint_dir_is_400(self, service, tmp_path):
         """Sharded checkpoints were removed: the spec is refused, no job is
         created and no file is written."""
