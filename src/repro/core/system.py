@@ -348,7 +348,7 @@ class CrawlHandle:
         return info
 
     def pipeline_stats(self) -> Optional[dict]:
-        """Saturation counters (fetch overlap, frontier buckets).
+        """Saturation counters (fetch overlap, frontier heap).
 
         ``None`` for crawler shapes without a single engine (e.g. the
         sharded crawler, whose shards each keep their own counters).

@@ -6,18 +6,11 @@ paper).  The Frontier keeps an in-memory priority structure mirroring
 the ordering over frontier-status rows — the role an index ordering
 plays in DB2 — with lazy invalidation when priorities change.
 
-That structure is a :class:`BucketedIndex`: tuples are partitioned
-into priority *bands* derived from the leading ordering columns
-(integer columns pass through losslessly; the first float column —
-relevance under the default orderings — is quantised into
-``_RELEVANCE_BANDS`` bands) and each band keeps its own small heap over
-the full key.  Because the band function is monotone in the
-lexicographic key order, draining bands in band order yields exactly
-the total order of one binary heap over the full key — the property
-tests pin the equivalence against such a heap — while pushes and
-priority reassignments pay ``O(log bucket)`` instead of
-``O(log everything)`` and a ``pop_batch(k)`` drain touches only the
-leading band(s).
+That structure is one binary heap (a list driven by :mod:`heapq`) of
+``(ordering key, oid, url)`` tuples.  A priority change pushes a fresh
+tuple and strands the old one; a checkout re-keys every tuple it pops
+and re-queues the stale ones, and the heap is rebuilt from the live
+entries once dead tuples outnumber them.
 
 Ties under the crawl ordering are broken by page oid, which is a stable
 function of the URL: checkout order therefore does not depend on
@@ -35,7 +28,6 @@ across rounds, hub boosts included — and are flushed through one
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -48,17 +40,8 @@ from .policies import CrawlOrdering, aggressive_discovery
 #: Below this index size, compaction is never worth the rebuild.
 _COMPACT_MIN_HEAP = 64
 
-#: Quantisation of the first float ordering column into priority bands.
-_RELEVANCE_BANDS = 32
-
-#: Ordering columns whose key values are integers (lossless band
-#: components) vs. floats (quantised; banding stops at the first one —
-#: a lossy component deeper in the band would break the total order).
-_INT_ORDER_COLUMNS = frozenset({"numtries", "serverload", "discovered", "lastvisited"})
-_FLOAT_ORDER_COLUMNS = frozenset({"relevance", "hub_score", "authority_score"})
-
 #: One prioritised tuple: (ordering key, oid tie-break, url).
-_IndexItem = Tuple[tuple, int, str]
+_HeapItem = Tuple[tuple, int, str]
 
 #: CRAWL's columns, in the pinned schema order its rows are built in.
 _CRAWL_COLUMNS = (
@@ -73,96 +56,6 @@ def _table_changes(changes: Mapping[str, Any]) -> Mapping[str, Any]:
     if changes.get("status") == "in_flight":
         return {**changes, "status": "frontier"}
     return changes
-
-
-def compile_band_of(ordering: CrawlOrdering) -> Callable[[tuple], tuple]:
-    """The band function of *ordering*: monotone in lexicographic key order.
-
-    Leading integer columns contribute their exact key value (lossless,
-    so banding may continue past them); the first float column
-    contributes ``floor(value * _RELEVANCE_BANDS)`` and terminates the
-    band — any further component would compare *within* a lossy cell,
-    where the true key order is no longer determined by the band.
-    Monotonicity argument: if ``band(a) < band(b)`` then the first
-    differing band component is either an exact key value (so the keys
-    differ the same way) or the quantised float (``floor`` is monotone,
-    so ``floor(x) < floor(y)`` implies ``x < y``); either way ``a < b``
-    lexicographically.  Keys that band equally are ordered by the
-    per-bucket heap over the full tuple.
-    """
-    plan: List[bool] = []  # per leading component: True = lossless int
-    for column, _ascending in ordering.keys:
-        if column in _INT_ORDER_COLUMNS:
-            plan.append(True)
-            continue
-        if column in _FLOAT_ORDER_COLUMNS:
-            plan.append(False)
-        break
-    depth = len(plan)
-
-    def band_of(key: tuple) -> tuple:
-        parts = []
-        for position in range(depth):
-            value = key[position]
-            if plan[position]:
-                parts.append(int(value))
-            else:
-                parts.append(math.floor(float(value) * _RELEVANCE_BANDS))
-        return tuple(parts)
-
-    return band_of
-
-
-class BucketedIndex:
-    """Relevance-banded buckets, each an independent heap over the full key.
-
-    ``_band_heap`` orders the live band ids; a band id is pushed once
-    when its bucket is created and retired when the (empty) bucket
-    reaches the top of the band heap — buckets only ever drain at the
-    top, so at most one live instance of each id exists.
-    """
-
-    def __init__(self, band_of: Callable[[tuple], tuple]) -> None:
-        self._band_of = band_of
-        self._buckets: Dict[tuple, List[_IndexItem]] = {}
-        self._band_heap: List[tuple] = []
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, item: _IndexItem) -> None:
-        band = self._band_of(item[0])
-        bucket = self._buckets.get(band)
-        if bucket is None:
-            bucket = self._buckets[band] = []
-            heapq.heappush(self._band_heap, band)
-        heapq.heappush(bucket, item)
-        self._size += 1
-
-    def pop_min(self) -> Optional[_IndexItem]:
-        while self._band_heap:
-            band = self._band_heap[0]
-            bucket = self._buckets.get(band)
-            if not bucket:
-                heapq.heappop(self._band_heap)
-                self._buckets.pop(band, None)
-                continue
-            self._size -= 1
-            return heapq.heappop(bucket)
-        return None
-
-    def clear(self) -> None:
-        self._buckets = {}
-        self._band_heap = []
-        self._size = 0
-
-    def stats(self) -> Dict[str, int]:
-        sizes = [len(bucket) for bucket in self._buckets.values() if bucket]
-        return {
-            "buckets": len(sizes),
-            "largest_bucket": max(sizes, default=0),
-        }
 
 
 @dataclass(slots=True)
@@ -219,12 +112,12 @@ class Frontier:
         #: are keyed by oid; this avoids rebuilding the inverse per lookup).
         self._url_of_oid: Dict[int, str] = {}
         self._server_load: Dict[int, int] = {}
-        self._index = BucketedIndex(compile_band_of(self.ordering))
-        # Index hygiene: the structure is lazily invalidated, so it
+        self._heap: List[_HeapItem] = []
+        # Heap hygiene: the heap is lazily invalidated, so it
         # accumulates tuples for dead/visited entries and superseded
         # priorities.  A live count of frontier-status entries (maintained
         # on every status transition) makes the dead fraction O(1) to
-        # estimate; when dead tuples outnumber live ones the index is
+        # estimate; when dead tuples outnumber live ones the heap is
         # rebuilt from scratch, so a pop_batch drain costs
         # O(k + dead-since-last-compaction), never O(total push history).
         self._frontier_count = 0
@@ -247,17 +140,17 @@ class Frontier:
         """Switch crawl policy dynamically (the paper's one-line policy change)."""
         self.ordering = ordering
         self._entry_key = ordering.compile_entry_key()
-        self._index = BucketedIndex(compile_band_of(ordering))
         self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        self._index.clear()
-        count = 0
-        for url, entry in self._entries.items():
-            if entry.status == "frontier":
-                self._push(entry)
-                count += 1
-        self._frontier_count = count
+        current_key = self.current_key
+        self._heap = [
+            (current_key(entry), entry.oid, entry.url)
+            for entry in self._entries.values()
+            if entry.status == "frontier"
+        ]
+        heapq.heapify(self._heap)
+        self._frontier_count = len(self._heap)
 
     def _set_status(self, entry: FrontierEntry, status: str) -> None:
         """Transition an entry's status, keeping the live frontier count exact."""
@@ -268,28 +161,22 @@ class Frontier:
         entry.status = status
 
     def _maybe_compact_heap(self) -> None:
-        """Rebuild the index when dead tuples outnumber live frontier entries."""
+        """Rebuild the heap when dead tuples outnumber live frontier entries."""
         if (
-            len(self._index) >= _COMPACT_MIN_HEAP
-            and len(self._index) > 2 * self._frontier_count
+            len(self._heap) >= _COMPACT_MIN_HEAP
+            and len(self._heap) > 2 * self._frontier_count
         ):
             self._rebuild_heap()
             self._heap_compactions += 1
 
     def heap_stats(self) -> Dict[str, Any]:
-        """Hygiene counters: index size, live entries, tuples scanned, compactions.
-
-        ``heap_size`` keeps its historical name (total prioritised tuples);
-        ``buckets``/``largest_bucket`` describe the bucketed index.
-        """
-        stats: Dict[str, Any] = {
-            "heap_size": len(self._index),
+        """Hygiene counters: heap size, live entries, tuples scanned, compactions."""
+        return {
+            "heap_size": len(self._heap),
             "frontier_size": self._frontier_count,
             "tuples_scanned": self._heap_tuples_scanned,
             "compactions": self._heap_compactions,
         }
-        stats.update(self._index.stats())
-        return stats
 
     # -- membership --------------------------------------------------------------------
     def __len__(self) -> int:
@@ -423,14 +310,9 @@ class Frontier:
 
     def boost(self, url: str, relevance: float) -> None:
         """Raise the priority of an unvisited URL (used by hub-neighbour boosting)."""
-        normalized = normalize_url(url)
-        entry = self._entries.get(normalized)
-        if entry is None or entry.status != "frontier":
-            return
-        if relevance > entry.relevance:
-            entry.relevance = relevance
-            self._sync_row(entry, {"relevance": relevance})
-            self._push(entry)
+        entry = self._entries.get(normalize_url(url))
+        if entry is not None:
+            self._raise_priority(entry, relevance)
 
     def update_scores(self, url: str, hub_score: float = 0.0, authority_score: float = 0.0) -> None:
         """Attach distillation scores (used by maintenance orderings)."""
@@ -500,18 +382,15 @@ class Frontier:
         (see :meth:`_push`), so a batched checkout is deterministic.
         """
         self._maybe_compact_heap()
+        heap = self._heap
         checked_out: list[str] = []
-        while len(checked_out) < k:
-            item = self._index.pop_min()
-            if item is None:
-                break
-            key, _oid, url = item
+        while heap and len(checked_out) < k:
+            key, _oid, url = heapq.heappop(heap)
             self._heap_tuples_scanned += 1
             entry = self._entries.get(url)
             if entry is None or entry.status != "frontier":
                 continue
-            current_key = self._current_key(entry)
-            if key != current_key:
+            if key != self.current_key(entry):
                 # Priority changed since this entry was pushed (e.g. the
                 # lazily-updated serverload moved): re-queue at the current
                 # priority instead of losing the URL.
@@ -538,18 +417,15 @@ class Frontier:
         single global heap would — same key function, same oid
         tie-break.
         """
-        return self._current_key(entry)
-
-    # -- internals ------------------------------------------------------------------------------
-    def _current_key(self, entry: FrontierEntry) -> tuple:
         # The crude, lazily-updated serverload of the paper: read the shared
         # per-server counter at key-construction time.
         return self._entry_key(entry, self._server_load.get(entry.sid, 0))
 
+    # -- internals ------------------------------------------------------------------------------
     def _push(self, entry: FrontierEntry) -> None:
         # Tie-break equal ordering keys by oid — a stable function of the
         # URL — so checkout order is independent of insertion history.
-        self._index.push((self._current_key(entry), entry.oid, entry.url))
+        heapq.heappush(self._heap, (self.current_key(entry), entry.oid, entry.url))
 
     def _sync_row(self, entry: FrontierEntry, changes: Mapping[str, Any]) -> None:
         if self._buffering:

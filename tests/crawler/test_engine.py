@@ -231,6 +231,19 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="rho must be >= 0"):
             run_crawl(small_web, trained_model, taxonomy, [], rho=-0.01)
 
+    @pytest.mark.parametrize("priority", [1e308, float("inf")])
+    def test_any_boost_priority_crawls_to_completion(
+        self, small_web, trained_model, taxonomy, crawl_seeds, priority
+    ):
+        """A boost priority is an ordering key like any other float."""
+        crawler, _, trace = run_crawl(
+            small_web, trained_model, taxonomy, crawl_seeds,
+            max_pages=200, distill_every=40, hub_boost_priority=priority,
+        )
+        assert trace.pages_fetched == 200 and trace.distillations >= 4
+        frontier = crawler.frontier
+        assert priority in (frontier.entry(url).relevance for url in frontier.known_urls())
+
     def test_round_size_is_batch_size_except_under_serial(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):

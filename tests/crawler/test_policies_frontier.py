@@ -1,11 +1,10 @@
 """Tests for crawl orderings and the CRAWL-table-backed frontier."""
 
 import dataclasses
-import heapq
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.schema import create_focus_database
 from repro.crawler.frontier import ENTRY_FIELDS, Frontier, FrontierEntry
@@ -350,88 +349,69 @@ class TestHeapHygiene:
         assert frontier.heap_stats()["compactions"] == 0
 
 
-class HeapIndex:
-    """The oracle priority structure: one binary heap over the full key.
+class TestCheckoutOrder:
+    """Checkout order is its definition: ``(ordering.sort_key(record), oid)``.
 
-    The frontier's index before bucketing, bit for bit, with the part of
-    :class:`~repro.crawler.frontier.BucketedIndex`'s interface that the
-    equivalence histories reach (``heap_stats`` is never called).
+    Randomised operation histories drive a frontier under every
+    registered ordering.  Every checkout must return the live frontier
+    entries in the order the ordering itself defines over their records,
+    with ``serverload`` read from the shared per-server load (the lazily
+    updated value a stale heap tuple may predate) and ties broken by oid.
     """
 
-    def __init__(self) -> None:
-        self._heap = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, item) -> None:
-        heapq.heappush(self._heap, item)
-
-    def pop_min(self):
-        return heapq.heappop(self._heap) if self._heap else None
-
-    def clear(self) -> None:
-        self._heap = []
-
-
-class TestIndexEquivalence:
-    """The bucketed index must be observationally identical to the heap.
-
-    The heap index is the reference implementation (the pre-bucketing
-    code path, bit for bit); the bucketed index reorganises storage but
-    must preserve the exact ``(priority key, oid)`` total order.  We
-    drive both through identical randomised operation histories and
-    require identical pop sequences at every step.
-    """
-
-    ORDERINGS = [aggressive_discovery, relevance_only, breadth_first, crawl_maintenance]
+    @staticmethod
+    def url(n):
+        return f"http://s{n % 4}.example/p{n}"
 
     @staticmethod
-    def make_pair(make_ordering):
-        heap, bucketed = (
-            Frontier(create_focus_database(buffer_pool_pages=64), make_ordering())
-            for _ in range(2)
-        )
-        heap._index = HeapIndex()  # still empty: nothing to carry over
-        return heap, bucketed
+    def defined_order(frontier):
+        """The live frontier's URLs, sorted by the ordering's own definition."""
+        ordering, server_load = frontier.ordering, frontier._server_load
+        live = [frontier.entry(url) for url in frontier.known_urls()]
+        live = [entry for entry in live if entry.status == "frontier"]
 
-    @staticmethod
-    def apply(frontier, op):
-        """Apply one operation; return anything observable for comparison."""
+        def record(entry):
+            return {
+                "numtries": entry.numtries,
+                "relevance": entry.relevance,
+                "serverload": server_load.get(entry.sid, 0),
+                "discovered": entry.discovered,
+                "lastvisited": entry.lastvisited,
+                "hub_score": entry.hub_score,
+                "authority_score": entry.authority_score,
+            }
+
+        live.sort(key=lambda entry: (ordering.sort_key(record(entry)), entry.oid))
+        return [entry.url for entry in live]
+
+    @classmethod
+    def apply(cls, frontier, op):
+        """Apply one operation; return the URLs it checked out, in order."""
         kind = op[0]
         if kind == "add":
-            frontier.add_url(f"http://s{op[1] % 4}.example/p{op[1]}", relevance=op[2])
-            return None
+            frontier.add_url(cls.url(op[1]), relevance=op[2])
+            return []
         if kind == "boost":
-            frontier.boost(f"http://s{op[1] % 4}.example/p{op[1]}", relevance=op[2])
-            return None
+            frontier.boost(cls.url(op[1]), relevance=op[2])
+            return []
         if kind == "scores":
-            frontier.update_scores(
-                f"http://s{op[1] % 4}.example/p{op[1]}",
-                hub_score=op[2],
-                authority_score=op[3],
-            )
-            return None
+            frontier.update_scores(cls.url(op[1]), hub_score=op[2], authority_score=op[3])
+            return []
         if kind == "pop":
             return frontier.pop_batch(op[1])
+        url = frontier.pop_next()
+        if url is None:
+            return []
         if kind == "visit":
-            url = frontier.pop_next()
-            if url is not None:
-                frontier.record_visit(url, relevance=op[1], tick=op[2])
-            return url
-        if kind == "fail":
-            url = frontier.pop_next()
-            if url is not None:
-                frontier.record_failure(url, max_retries=op[1])
-            return url
-        raise AssertionError(op)
+            frontier.record_visit(url, relevance=op[1], tick=op[2])
+        elif kind == "fail":
+            frontier.record_failure(url, max_retries=op[1])
+        else:
+            raise AssertionError(op)
+        return [url]
 
-    @staticmethod
-    def drain(frontier):
-        return frontier.pop_batch(10_000)
-
-    @pytest.mark.parametrize("make_ordering", ORDERINGS, ids=lambda o: o().name)
-    @given(ops=st.lists(
+    @pytest.mark.parametrize("name", sorted(ORDERINGS))
+    @given(start=st.lists(st.floats(0, 1, allow_nan=False), max_size=16), ops=st.lists(
         st.one_of(
             st.tuples(st.just("add"), st.integers(0, 15), st.floats(0, 1, allow_nan=False)),
             st.tuples(st.just("boost"), st.integers(0, 15), st.floats(0, 1, allow_nan=False)),
@@ -443,13 +423,26 @@ class TestIndexEquivalence:
         ),
         max_size=40,
     ))
+    # A boosted entry that fails, then a score raised and lowered: each
+    # leaves a stale tuple keyed better than its entry is now, where the
+    # orderings over numtries, hub_score and authority_score can see it.
+    @example(start=[0.0, 0.0, 0.0, 0.5], ops=[
+        ("boost", 3, 0.9), ("fail", 2), ("pop", 1),
+        ("scores", 1, 1.0, 1.0), ("scores", 2, 0.5, 0.5), ("scores", 1, 0.0, 0.0), ("pop", 1),
+    ])
     @settings(max_examples=40, deadline=None)
-    def test_identical_histories_pop_identically(self, make_ordering, ops):
-        heap, bucketed = self.make_pair(make_ordering)
+    def test_histories_check_out_in_defined_order(self, name, start, ops):
+        frontier = Frontier(create_focus_database(buffer_pool_pages=64), ORDERINGS[name])
+        # A populated start, so that checkouts choose among many entries.
+        for n, relevance in enumerate(start):
+            frontier.add_url(self.url(n), relevance=relevance)
         for op in ops:
-            assert self.apply(heap, op) == self.apply(bucketed, op), op
-        assert self.drain(heap) == self.drain(bucketed)
-        assert len(heap) == len(bucketed) == 0
+            expected = self.defined_order(frontier)
+            checkout = op[1] if op[0] == "pop" else int(op[0] in ("visit", "fail"))
+            assert self.apply(frontier, op) == expected[:checkout], op
+        expected = self.defined_order(frontier)
+        assert frontier.pop_batch(10_000) == expected
+        assert len(frontier) == 0
 
     @given(
         relevances=st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=30),
@@ -469,15 +462,3 @@ class TestIndexEquivalence:
             frontier.requeue(url)
         assert len(frontier) == size
         assert frontier.pop_batch(k) == checkout
-
-    def test_band_boundaries_do_not_split_ties(self):
-        """Scores straddling a 1/32 band edge still pop in exact key order."""
-        frontier, _ = TestFrontier().make_frontier(relevance_only())
-        edge = 5 / 32.0
-        scores = [edge - 1e-9, edge, edge + 1e-9, edge - 1e-12, edge + 0.03125]
-        for i, s in enumerate(scores):
-            frontier.add_url(f"http://b.example/p{i}", relevance=s)
-        order = sorted(range(len(scores)), key=lambda i: -scores[i])
-        assert frontier.pop_batch(len(scores)) == [
-            f"http://b.example/p{i}" for i in order
-        ]
