@@ -118,8 +118,8 @@ class CrawlResult:
         closed (e.g. by :meth:`CrawlHandle.close` or the service's job
         manager): a durable crawl is reopened from ``checkpoint_path``
         transparently, so callers never juggle reopen-by-hand.  On an
-        open one, the engine's write buffers (the hub boosts of a
-        :meth:`top_hubs` that distilled) are flushed first.
+        open one, the engine's write buffers (the hub boosts and the
+        scores of a :meth:`top_hubs` that distilled) are flushed first.
         """
         if getattr(self.database, "sharded", False):
             raise RuntimeError(
@@ -212,8 +212,9 @@ class CrawlHandle:
         The engine buffers CRAWL and LINK writes between its flush points
         (every ``distill_every`` and ``checkpoint_every`` pages, and the
         end of the crawl), so a direct read of those tables mid-crawl
-        lags the crawl by at most one flush interval;
-        ``crawler.engine.sync()`` closes the gap.  :meth:`monitor`, a
+        lags the crawl by at most one flush interval; it writes HUBS and
+        AUTH only at a sync (every ``checkpoint_every`` pages, and the
+        end).  ``crawler.engine.sync()`` closes the gap.  :meth:`monitor`, a
         checkpoint, a finished crawl and the service's reads sync first.
         """
         return self.crawler.database

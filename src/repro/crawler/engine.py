@@ -21,24 +21,27 @@ time:
    posterior matrix (:class:`PageScorer`).  A page is classified once,
    when it is fetched: a visited URL is never checked out again;
 4. *record*: CRAWL and LINK writes buffer in memory, across rounds,
-   until something reads the tables (:meth:`CrawlEngine.sync`).  A
-   flush goes through minidb's column-at-a-time write path — one
-   ``insert_many`` per table (the batch is transposed once; each page
-   takes its rows as column slices), one ``update_rows`` for the CRAWL
+   until the distiller or something outside the engine reads the
+   tables.  A flush goes through minidb's column-at-a-time write
+   path — one ``insert_many`` per table (the batch is transposed once;
+   each page takes its rows as column slices), one ``update_rows`` for the CRAWL
    rows changed since the last flush and one ``update_column`` for the
    refreshed ``wgt_fwd`` values (:class:`BufferedLinkWriter`,
    :meth:`Frontier.flush_batch`).  The LINK rows a flush inserts are
    also appended, in insert order, to the distiller's columnar link
    graph — the graph holds edges only; HITS reads both edge weights
    from the relevance map;
-5. *close*: when due, the buffers flush and the incremental distiller
-   runs weighted HITS over its link graph
+5. *close*: when due, the CRAWL and LINK buffers flush and the
+   incremental distiller runs weighted HITS over its link graph
    (:class:`~repro.distiller.db_distiller.IncrementalDistiller`); no
-   distillation re-reads the LINK table.  The
-   hub boosts that follow join the CRAWL buffer.  At each
-   ``checkpoint_every`` boundary the buffers flush (and a checkpoint is
-   saved, when a checkpointer is attached), and they flush once more
-   when the crawl is over.
+   distillation re-reads the LINK table.  The top hubs' out-links are
+   read off the same graph, and the boosts they give join the CRAWL
+   buffer.  The scores are kept, not written: nothing in the crawl
+   reads HUBS or AUTH.  At each ``checkpoint_every`` boundary
+   :meth:`CrawlEngine.sync` writes everything buffered — CRAWL, LINK,
+   and HUBS and AUTH if a distillation ran since their last write — and
+   a checkpoint is saved, when a checkpointer is attached; the crawl's
+   end syncs once more.
 
 The flush points are a pure function of crawl progress — every
 ``distill_every`` and ``checkpoint_every`` pages, and the end — never of
@@ -47,7 +50,10 @@ stepped ≡ single run and killed-and-resumed ≡ uninterrupted hold down
 to where each row lands.  A reader from outside the engine (a
 checkpoint, a monitor, a service query) calls :meth:`CrawlEngine.sync`
 first; a direct read of the tables mid-crawl lags by at most one flush
-interval.
+interval (HUBS and AUTH: one ``checkpoint_every`` interval, or the whole
+crawl without one).  A reader's sync, and a ``checkpoint_interval_s``
+save, write the scores at a point of its own: the score rows' contents
+do not depend on it, their placement does.
 
 K is ``CrawlerConfig.batch_size``, or 1 under ``engine="serial"``: the
 paper's one-URL-at-a-time loop is this kernel at round size 1, not a
@@ -57,7 +63,7 @@ interleaving but, on a bounded web, converges to the same crawl set.
 
 The stage code — :class:`PageScorer`, :func:`permanent_failure`,
 :func:`link_targets`, :func:`link_row`, :class:`BufferedLinkWriter`,
-:func:`boost_hub_neighbours`, :func:`expansion_priority` — is module
+:func:`expansion_priority` — is module
 level because the sharded engine's workers and coordinator
 (:mod:`repro.crawler.sharded`) run the same stages on their slice of a
 round.
@@ -415,25 +421,6 @@ class BufferedLinkWriter:
         return rows
 
 
-def boost_hub_neighbours(
-    link_table: Table, frontier: Frontier, hub_oids, priority: float
-) -> None:
-    """Raise frontier priority of unvisited pages cited by the best hubs (§3.7).
-
-    Only off-server citations count (rows in the pinned LINK schema
-    order), and only targets *frontier* knows.
-    """
-    for hub_oid in hub_oids:
-        for _src, sid_src, oid_dst, sid_dst, _fwd, _rev in link_table.lookup(
-            "link_src", (hub_oid,)
-        ):
-            if sid_src == sid_dst:
-                continue
-            target_url = frontier.url_of_oid(oid_dst)
-            if target_url is not None:
-                frontier.boost(target_url, priority)
-
-
 def _close_loop(loop: asyncio.AbstractEventLoop) -> None:
     """Tear a drain loop down as ``asyncio.run`` does (``asyncio.Runner`` needs 3.11).
 
@@ -525,6 +512,8 @@ class CrawlEngine:
         self._scorer = PageScorer(classifier, taxonomy, config)
         self._link_writer = BufferedLinkWriter(database.table("LINK"))
         self._score_store = ScoreTableStore(database)
+        #: The last distillation, until :meth:`sync` writes it to HUBS and AUTH.
+        self._unwritten_scores: Optional[DistillationResult] = None
         self._incremental: Optional[IncrementalDistiller] = None
         #: Cumulative wall-clock seconds per pipeline stage (monitoring and
         #: the benchmark's per-stage breakdown).
@@ -595,24 +584,25 @@ class CrawlEngine:
     def run_distillation(self) -> DistillationResult:
         """Re-score hubs/authorities over the current crawl graph and boost frontier URLs.
 
-        The distiller reads LINK, so the buffers flush first; the boosts
-        are buffered CRAWL changes, written at the next flush.
+        The CRAWL and LINK buffers flush first, so the link graph holds
+        every edge.  The scores are written to HUBS and AUTH at the next
+        :meth:`sync`; the boosts are buffered CRAWL changes, written at
+        the next flush.
         """
-        self.sync()
+        self._flush()
         started = time.perf_counter()
+        distiller = self._incremental_distiller()
         # The live map is safe to hand over: distillation only reads it
         # (and the link graph relies on seeing the same dict grow).
-        result = self._incremental_distiller().run(
-            self._relevance, max_iterations=self.config.distill_iterations
-        )
-        self._store_scores(result)
+        result = distiller.run(self._relevance, max_iterations=self.config.distill_iterations)
+        self._unwritten_scores = result
         if self.config.hub_boost_top_k > 0:
+            # The top hubs' off-server citations, read off the graph: it
+            # holds exactly LINK's non-nepotistic edges, in heap order.
             self.frontier.begin_batch()
-            boost_hub_neighbours(
-                self._link_writer.table,
-                self.frontier,
-                {oid for oid, _ in result.top_hubs(self.config.hub_boost_top_k)},
-                self.config.hub_boost_priority,
+            hubs = {oid for oid, _ in result.top_hubs(self.config.hub_boost_top_k)}
+            self.frontier.boost_oids(
+                distiller.graph.cited_by(hubs), self.config.hub_boost_priority
             )
         self.trace.distillations += 1
         self.trace.last_distillation = result
@@ -625,12 +615,29 @@ class CrawlEngine:
         return dict(self._relevance)
 
     def sync(self) -> None:
-        """Write every buffered CRAWL and LINK change: the tables then hold the crawl as of now.
+        """Write every buffered change: CRAWL, LINK, HUBS and AUTH then hold the crawl as of now.
 
-        The engine calls it at its own flush points; anything that reads
-        the tables from outside the engine mid-crawl calls it first.  The
-        LINK rows it inserts go on to the distiller's link graph, once
-        that exists (it is built from a LINK scan, which sees them).
+        The engine calls it at each ``checkpoint_every`` boundary and at
+        the crawl's end; anything that reads the tables from outside the
+        engine mid-crawl calls it first.  HUBS and AUTH get the last
+        distillation's scores, one ``store_dense`` each, and only if a
+        distillation ran since they were last written: nothing inside the
+        crawl reads them.
+        """
+        self._flush()
+        result, self._unwritten_scores = self._unwritten_scores, None
+        if result is not None:
+            started = time.perf_counter()
+            oids, hubs, authorities = result.dense
+            self._score_store.store_dense("HUBS", oids, hubs)
+            self._score_store.store_dense("AUTH", oids, authorities)
+            self.stage_timings["write"] += time.perf_counter() - started
+
+    def _flush(self) -> None:
+        """Write the buffered CRAWL and LINK changes.
+
+        The LINK rows it inserts go on to the distiller's link graph,
+        once that exists (it is built from a LINK scan, which sees them).
         """
         started = time.perf_counter()
         self.frontier.flush_batch()
@@ -730,6 +737,8 @@ class CrawlEngine:
         # The score-table rid cache is soft state; rebuild it from the
         # replayed tables rather than trusting pre-crash record ids.
         self._score_store.invalidate()
+        # A checkpoint is taken right after a sync: its scores are on disk.
+        self._unwritten_scores = None
         self._incremental = None
         self.trace.refill(state["trace"])
 
@@ -961,10 +970,3 @@ class CrawlEngine:
                 max_iterations=self.config.distill_iterations,
             )
         return self._incremental
-
-    def _store_scores(self, result: DistillationResult) -> None:
-        # Three batches per table: every kept score rewritten in place,
-        # vanished oids deleted, new ones inserted (ScoreTableStore).
-        oids, hubs, authorities = result.dense
-        self._score_store.store_dense("HUBS", oids, hubs)
-        self._score_store.store_dense("AUTH", oids, authorities)

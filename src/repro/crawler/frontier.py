@@ -314,6 +314,18 @@ class Frontier:
         if entry is not None:
             self._raise_priority(entry, relevance)
 
+    def boost_oids(self, oids: Iterable[int], relevance: float) -> None:
+        """:meth:`boost` every known URL among *oids*, in the order given.
+
+        The single engine's hub boost: it reads the cited oids off its
+        link graph, so no URL is normalised again.
+        """
+        entries, url_of_oid = self._entries, self._url_of_oid
+        for oid in oids:
+            entry = entries.get(url_of_oid.get(oid))
+            if entry is not None:
+                self._raise_priority(entry, relevance)
+
     def update_scores(self, url: str, hub_score: float = 0.0, authority_score: float = 0.0) -> None:
         """Attach distillation scores (used by maintenance orderings)."""
         entry = self._entries.get(normalize_url(url))

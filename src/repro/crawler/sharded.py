@@ -64,6 +64,7 @@ from repro.core.schema import create_focus_database
 from repro.distiller.compiled import CompiledLinkGraph, compiled_weighted_hits
 from repro.distiller.hits import DistillationResult
 from repro.distiller.score_store import ScoreTableStore
+from repro.minidb.table import Table
 from repro.taxonomy.tree import TopicTaxonomy
 from repro.webgraph.fetch import Fetcher, FetchStats, FetchStatus
 from repro.webgraph.servers import ServerPool
@@ -76,7 +77,6 @@ from .engine import (
     CrawlTrace,
     PageScorer,
     PageVisit,
-    boost_hub_neighbours,
     check_rho,
     expansion_priority,
     link_targets,
@@ -173,6 +173,27 @@ class ShardServerPool(ServerPool):
         if rng.random() < profile.failure_rate:
             return False, latency * 2.5
         return True, latency
+
+
+def boost_hub_neighbours(
+    link_table: Table, frontier: Frontier, hub_oids, priority: float
+) -> None:
+    """Raise frontier priority of unvisited pages cited by the best hubs (§3.7).
+
+    Only off-server citations count (rows in the pinned LINK schema
+    order), and only targets *frontier* knows.  A shard's LINK holds the
+    edges into its own hosts, so it walks its table; the single engine
+    reads the same edges off its distiller's link graph.
+    """
+    for hub_oid in hub_oids:
+        for _src, sid_src, oid_dst, sid_dst, _fwd, _rev in link_table.lookup(
+            "link_src", (hub_oid,)
+        ):
+            if sid_src == sid_dst:
+                continue
+            target_url = frontier.url_of_oid(oid_dst)
+            if target_url is not None:
+                frontier.boost(target_url, priority)
 
 
 class ShardWorker:

@@ -165,6 +165,26 @@ class CompiledLinkGraph:
         edges = self._edges
         return self._src[:edges], self._dst[:edges], self._oids
 
+    def cited_by(self, sources: Iterable[int]) -> List[int]:
+        """The oids cited by *sources*, one per kept edge out of them.
+
+        Grouped by source in the order given, each source's edges in
+        append order: what a ``link_src`` probe of LINK per source
+        yields once its nepotistic rows are dropped.  One mask over the
+        ``src`` column selects the edges; a stable sort groups them.
+        """
+        index_of = self._index_of_oid
+        dense = [index_of[oid] for oid in sources if oid in index_of]
+        src, dst, oids = self.arrays()
+        if not dense or not len(src):
+            return []
+        rank = np.full(len(oids), len(dense), dtype=np.int64)
+        rank[dense] = np.arange(len(dense))
+        edge_rank = rank[src]
+        picked = np.flatnonzero(edge_rank < len(dense))
+        picked = picked[np.argsort(edge_rank[picked], kind="stable")]
+        return [oids[index] for index in dst[picked].tolist()]
+
     def uniform_hubs(self) -> np.ndarray:
         """HITS' start vector: 1/|sources| on every link source, else zero."""
         hubs = np.zeros(len(self._oids), dtype=np.float64)

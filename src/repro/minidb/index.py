@@ -13,13 +13,28 @@ insertion-ordered ``{rid: None}`` set from the second row on; the key
 leaves the directory with its last row.  Neither form is a container
 the cyclic collector tracks (a dict of int keys is untracked), so the
 crawl's indexes — unique keys for the most part — cost it nothing.
+
+A secondary index is built lazily.  :meth:`Index.defer` takes a table
+batch's key columns and record ids as *pending* postings, and the index
+folds them in, in insertion order, at its next read — any lookup,
+statistic or :attr:`~Index.in_heap_order`.  The fold zips keys out of the
+kept columns, so it reads no heap page and charges no I/O.  Pending ids
+always lie above every posted one, so "is this row pending" is one
+comparison with the first pending id: an update or delete of a pending
+row records the row's new key (or its deletion) as an override that the
+fold applies, instead of unposting and posting.  A batch whose ids do
+not ascend past every id the index was given — one that reused a
+tombstone — folds what is pending and is then posted at once.  An index
+nothing reads (a crawl's ``crawl_status``, ``crawl_sid``, ``link_src``
+and ``link_graph``) so costs one list append per batch.  The primary-key
+index is never deferred: the uniqueness check reads it on every insert.
 """
 
 from __future__ import annotations
 
 import bisect
 from itertools import islice, repeat
-from operator import lt
+from operator import itemgetter, lt
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CatalogError, StorageError
@@ -82,22 +97,73 @@ class Index:
         self.positions = schema.project_positions(key_columns)
         #: Number of key probes served, for instrumentation.
         self.probe_count = 0
-        #: Whether every key's postings ascend in record-id (= heap) order,
-        #: as bulk loads, appends and deletes leave them; a posting below an
-        #: earlier one (a reused tombstone, a moved key) ends it until
-        #: :meth:`clear`.  Only such an index may drive an index-nested-loop
-        #: join: its probes then match a hash join over a scan row for row.
-        self.in_heap_order = True
-        #: The highest record id posted while :attr:`in_heap_order` held.
-        self._top = -1
+        self._in_heap_order = True
+        #: The highest record id this index was given, posted or pending.
+        self._high = -1
+        #: Deferred batches, oldest first: (key columns, record ids).
+        self._pending: list[tuple[list, Sequence[int]]] = []
+        #: The first pending record id; every id from it on is pending.
+        self._floor = 0
+        #: Pending record id -> its key now, or None once deleted.
+        self._overrides: dict[int, Optional[tuple]] = {}
 
-    def _note_order(self, rids: Sequence[int]) -> None:
-        """Keep :attr:`in_heap_order` true of postings about to be made for *rids*."""
-        if self.in_heap_order and rids:
-            if rids[0] > self._top and all(map(lt, rids, islice(rids, 1, None))):
-                self._top = rids[-1]
-            else:
-                self.in_heap_order = False
+    @property
+    def in_heap_order(self) -> bool:
+        """Whether every key's postings ascend in record-id (= heap) order.
+
+        Bulk loads, appends and deletes leave them so; a posting below
+        an earlier one (a reused tombstone, a moved key) ends it until
+        :meth:`clear`.  Only such an index may drive an index-nested-loop
+        join: its probes then match a hash join over a scan row for row.
+        """
+        if self._pending:
+            self._fold()
+        return self._in_heap_order
+
+    def _note_order(self, rids: Sequence[int]) -> bool:
+        """Record that *rids* are about to be given to the index.
+
+        True when they ascend past every record id it was given before;
+        anything else ends :attr:`in_heap_order`.
+        """
+        if rids[0] > self._high and all(map(lt, rids, islice(rids, 1, None))):
+            self._high = rids[-1]
+            return True
+        self._high = max(self._high, max(rids))
+        self._in_heap_order = False
+        return False
+
+    def _is_pending(self, rid: int) -> bool:
+        return bool(self._pending) and rid >= self._floor
+
+    def defer(self, columns: Sequence[Sequence[Any]], rids: Sequence[int]) -> None:
+        """Take a table batch's postings, to be made at the index's next read.
+
+        *columns* is the batch as one sequence per schema column; only
+        this index's key columns are kept.  A batch that reused a
+        tombstone (its ids do not ascend past every earlier one) folds
+        what is pending and is posted at once.
+        """
+        if not self._note_order(rids):
+            if self._pending:
+                self._fold()
+            self._post_many(self.keys_of(columns), rids)
+            return
+        if not self._pending:
+            self._floor = rids[0]
+        self._pending.append(([columns[position] for position in self.positions], rids))
+
+    def _fold(self) -> None:
+        """Post every pending batch, in insertion order, with its overrides applied."""
+        pending, overrides = self._pending, self._overrides
+        self._pending, self._overrides = [], {}
+        for key_columns, rids in pending:
+            keys = zip(*key_columns)
+            if overrides:
+                now = [(overrides.get(rid, key), rid) for key, rid in zip(keys, rids)]
+                kept = [pair for pair in now if pair[0] is not None]
+                keys, rids = map(itemgetter(0), kept), list(map(itemgetter(1), kept))
+            self._post_many(keys, rids)
 
     def key_of(self, row: Sequence[Any]) -> tuple:
         """The key of one row; batches get theirs from :meth:`keys_of`."""
@@ -105,24 +171,48 @@ class Index:
 
     # -- maintenance -------------------------------------------------------
     def delete(self, row: Sequence[Any], rid: int) -> None:
-        self.delete_key(self.key_of(row), rid)
+        self.drop_key(self.key_of(row), rid)
 
     def insert_key(self, key: tuple, rid: int) -> None:
-        """Post *rid* under *key* (a writer that has the key needs no row)."""
-        self.insert_many((key,), (rid,))
+        """Post *rid* under *key* (a writer that has the key needs no row).
+
+        A pending row takes *key* as its override instead.
+        """
+        if self._is_pending(rid):
+            # Posted at the fold in heap order, but flagged as an eager
+            # move would be: the planner's choices do not depend on laziness.
+            self._overrides[rid] = key
+            self._in_heap_order = False
+            return
+        self._note_order((rid,))
+        self._post_many((key,), (rid,))
+
+    def drop_key(self, key: tuple, rid: int) -> None:
+        """Remove *rid* from under *key*: :meth:`delete_key`, or a pending row's override."""
+        if self._is_pending(rid):
+            self._overrides[rid] = None
+        else:
+            self.delete_key(key, rid)
 
     def delete_key(self, key: tuple, rid: int) -> None:
         """Remove the posting of *rid* under *key*; raises if there is none."""
         raise NotImplementedError
 
     def insert_many(self, keys: Iterable[tuple], rids: Sequence[int]) -> None:
-        """Add many entries: key tuple *i* posts record id *i*.
+        """Post many entries now: key tuple *i* posts record id *i*.
 
-        The bulk path of table inserts, index backfill and post-recovery
-        rebuilds.  Keys arrive ready-made — the caller zips them out of
-        the key columns (:meth:`keys_of`) — so no row is built or indexed
-        into per entry.
+        The path of index backfill, post-recovery rebuilds and the
+        primary key.  Keys arrive ready-made — the caller zips them out
+        of the key columns (:meth:`keys_of`) — so no row is built or
+        indexed into per entry.
         """
+        if self._pending:
+            self._fold()
+        if rids:
+            self._note_order(rids)
+            self._post_many(keys, rids)
+
+    def _post_many(self, keys: Iterable[tuple], rids: Sequence[int]) -> None:
         raise NotImplementedError
 
     def keys_of(self, columns: Sequence[Sequence[Any]]) -> Iterator[tuple]:
@@ -130,7 +220,10 @@ class Index:
         return zip(*[columns[position] for position in self.positions])
 
     def clear(self) -> None:
-        raise NotImplementedError
+        """Drop every posting, pending ones included."""
+        self._pending.clear()
+        self._overrides.clear()
+        self._in_heap_order, self._high = True, -1
 
     # -- lookups ---------------------------------------------------------------
     def search(self, key: tuple) -> list[int]:
@@ -163,8 +256,7 @@ class HashIndex(Index):
         self._buckets: dict[tuple, Posting] = {}
         self._entries = 0
 
-    def insert_many(self, keys: Iterable[tuple], rids: Sequence[int]) -> None:
-        self._note_order(rids)
+    def _post_many(self, keys: Iterable[tuple], rids: Sequence[int]) -> None:
         buckets = self._buckets
         self._entries += sum(map(post, repeat(buckets), keys, rids))
 
@@ -174,23 +266,31 @@ class HashIndex(Index):
         self._entries -= 1
 
     def clear(self) -> None:
+        super().clear()
         self._buckets.clear()
         self._entries = 0
-        self.in_heap_order, self._top = True, -1
 
     def search(self, key: tuple) -> list[int]:
+        if self._pending:
+            self._fold()
         self.probe_count += 1
         return rids_of(self._buckets.get(tuple(key)))
 
     def contains(self, key: tuple) -> bool:
+        if self._pending:
+            self._fold()
         self.probe_count += 1
         return key in self._buckets
 
     @property
     def key_count(self) -> int:
+        if self._pending:
+            self._fold()
         return len(self._buckets)
 
     def __len__(self) -> int:
+        if self._pending:
+            self._fold()
         return self._entries
 
 
@@ -207,14 +307,13 @@ class OrderedIndex(Index):
         self._postings: dict[tuple, list[int]] = {}
         self._entries = 0
 
-    def insert_many(self, keys: Iterable[tuple], rids: Sequence[int]) -> None:
+    def _post_many(self, keys: Iterable[tuple], rids: Sequence[int]) -> None:
         """Bulk load: one sort over the merged key list instead of per-row insort.
 
         Timsort is near-linear on the (typical) mostly-sorted bulk input,
         where per-row ``insort`` into the middle of a large key list is
         quadratic in the worst case.
         """
-        self._note_order(rids)
         postings = self._postings
         new_keys: list[tuple] = []
         added = 0
@@ -244,12 +343,14 @@ class OrderedIndex(Index):
                 del self._keys[pos]
 
     def clear(self) -> None:
+        super().clear()
         self._keys.clear()
         self._postings.clear()
         self._entries = 0
-        self.in_heap_order, self._top = True, -1
 
     def search(self, key: tuple) -> list[int]:
+        if self._pending:
+            self._fold()
         self.probe_count += 1
         return list(self._postings.get(tuple(key), ()))
 
@@ -266,6 +367,8 @@ class OrderedIndex(Index):
         naturally through tuple comparison when the caller pads bounds
         appropriately.
         """
+        if self._pending:
+            self._fold()
         self.probe_count += 1
         if low is None:
             start = 0
@@ -289,13 +392,19 @@ class OrderedIndex(Index):
                 yield key, rid
 
     def ordered_keys(self) -> list[tuple]:
+        if self._pending:
+            self._fold()
         return list(self._keys)
 
     @property
     def key_count(self) -> int:
+        if self._pending:
+            self._fold()
         return len(self._keys)
 
     def __len__(self) -> int:
+        if self._pending:
+            self._fold()
         return self._entries
 
 

@@ -22,9 +22,11 @@ is re-parented under its first real in-edge — unless that edge's
 source is one of its own descendants (the cycle guard), in which case
 the edge stays extra.
 
-Maintenance is deliberately lazy: :meth:`insert` appends to an edge
-log in O(1) — the crawl's bulk-insert hot path must not pay numbering
-costs — and the first query after a batch folds the pending edges in
+Maintenance is deliberately lazy, in two steps.  A table batch's rows
+stay pending postings until the index is read (:meth:`Index.defer`),
+so a crawl that never queries its graph pays for neither postings nor
+numbering.  The fold posts them and appends each new edge to an edge
+log in O(1), and the first graph query numbers the logged edges in
 insertion order (*incremental renumbering*).  Windows are allocated
 from gaps (each new child takes half the space left in its parent's
 window) so a batch usually renumbers nothing; when a gap runs dry the
@@ -88,7 +90,7 @@ class IntervalIndex(HashIndex):
         self._extra: dict[Any, dict[Any, None]] = {}  # src -> {dst: None}
         self._pres: list[int] = []  # sorted pre numbers
         self._pre_ids: list[Any] = []  # ids parallel to _pres
-        self._pending: list[tuple[Any, Any]] = []  # distinct edges not yet folded
+        self._unnumbered: list[tuple[Any, Any]] = []  # distinct edges not yet numbered
         self._pre_dirty = False  # _pres/_pre_ids stale vs. _nodes
         self._rebuild_needed = False  # a delete invalidated the whole tree
         # Instrumentation.
@@ -97,15 +99,14 @@ class IntervalIndex(HashIndex):
         self.window_shrink_skips = 0
 
     # -- maintenance -------------------------------------------------------
-    def insert_many(self, keys: Iterable[tuple], rids: Sequence[int]) -> None:
-        self._note_order(rids)
+    def _post_many(self, keys: Iterable[tuple], rids: Sequence[int]) -> None:
         buckets = self._buckets
         rows_by_id = self._rows_by_id
-        pending = self._pending
+        unnumbered = self._unnumbered
         added = 0
         for key, rid in zip(keys, rids):
             if key not in buckets:
-                pending.append(key)
+                unnumbered.append(key)
             if post(buckets, key, rid):
                 post(rows_by_id, key[0], rid)
                 added += 1
@@ -122,24 +123,26 @@ class IntervalIndex(HashIndex):
     def clear(self) -> None:
         super().clear()
         for state in (self._rows_by_id, self._nodes, self._roots, self._extra,
-                      self._pres, self._pre_ids, self._pending):
+                      self._pres, self._pre_ids, self._unnumbered):
             state.clear()
         self._pre_dirty = False
         self._rebuild_needed = False
 
     # -- structural folding ------------------------------------------------
     def _ensure_numbered(self) -> None:
-        """Fold pending edges (or replay everything after a delete)."""
+        """Fold pending postings, then number new edges (or replay everything after a delete)."""
+        if self._pending:
+            self._fold()
         if self._rebuild_needed:
             self._nodes.clear()
             self._roots.clear()
             self._extra.clear()
-            self._pending = list(self._buckets)
+            self._unnumbered = list(self._buckets)
             self._rebuild_needed = False
             self._pre_dirty = True
-        if self._pending:
-            pending, self._pending = self._pending, []
-            for child, parent in pending:
+        if self._unnumbered:
+            unnumbered, self._unnumbered = self._unnumbered, []
+            for child, parent in unnumbered:
                 self._add_edge(child, parent)
             self._pre_dirty = True
         if self._pre_dirty:
@@ -371,6 +374,8 @@ class IntervalIndex(HashIndex):
 
     def rids_for_ids(self, ids: Iterable[Any]) -> Iterator[int]:
         """Record ids of rows whose id column is in *ids* (given order)."""
+        if self._pending:
+            self._fold()
         rows_by_id = self._rows_by_id
         for node_id in ids:
             yield from rids_of(rows_by_id.get(node_id))

@@ -7,9 +7,18 @@ Rows are written one way: :meth:`Table.insert_many` and
 one-column form) take a batch, check all of it and then write all of
 it, so a batch that raises leaves the table and its journal untouched;
 a single-row :meth:`Table.insert` or :meth:`Table.update_row` is a
-one-row batch.  Every mutation keeps every secondary index and the
-(optional) primary-key index consistent, and a durable database's
-write-ahead journal sees each of them.
+one-row batch.  A durable database's write-ahead journal sees each of
+them.
+
+The (optional) primary-key index is posted at once: the uniqueness
+check of the next batch reads it.  A secondary index is posted when it
+is next read (:meth:`Index.defer`): an insert hands it the batch's key
+columns and record ids, an update or delete of a row it has not posted
+yet overrides that row's key, and any lookup, statistic, plan or
+``EXPLAIN`` that reaches the index first folds what is pending, in
+insertion order, without reading a heap page.  So an index nothing reads
+costs a crawl one list append per batch, and one that is read answers
+exactly as if it had been kept up to date.
 """
 
 from __future__ import annotations
@@ -172,7 +181,7 @@ class Table:
         if pk_index is not None:
             pk_index.insert_many(keys, rids)
         for index in self.indexes.values():
-            index.insert_many(index.keys_of(columns), rids)
+            index.defer(columns, rids)
         if self._journal is not None:
             self._log(("insert", self.name, list(zip(*columns))))
         return rids
@@ -271,7 +280,7 @@ class Table:
             self._check_new_keys([new for _old, new in key_moves], {old for old, _new in key_moves})
 
         for index, old_key, _new_key, rid in moves:
-            index.delete_key(old_key, rid)
+            index.drop_key(old_key, rid)
         sizeof = [column.type.storage_size for column in schema.columns]
         for writes, (page_id, slot) in zip(planned.values(), places):
             # Re-fetch through the pool per row: a page object cached from

@@ -42,9 +42,14 @@ def spec(checkpoint_dir=None):
 
 
 def postings(table):
-    """Every posting of every index on *table*: one per key (and per id)."""
+    """Every posting of every index on *table*: one per key (and per id).
+
+    A secondary index posts its rows when it is first read; ``len`` is
+    such a read, so the pending ones are counted too.
+    """
     for index in (table._pk_index, *table.indexes.values()):
         if index is not None:
+            assert len(index) == len(table)
             yield from index._buckets.values()
             yield from getattr(index, "_rows_by_id", {}).values()
 

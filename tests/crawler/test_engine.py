@@ -15,6 +15,8 @@ choices:
 """
 
 import asyncio
+import copy
+import random
 import time
 
 import pytest
@@ -163,6 +165,70 @@ class TestIncrementalDistillation:
         assert trace.last_distillation is None
         assert len(database.table("HUBS")) == 0
         assert len(database.table("AUTH")) == 0
+
+
+class TestHubBoost:
+    """The engine reads the top hubs' citations off its link graph.
+
+    At every distillation of a generated crawl, the frontier after the
+    boost must be what the LINK table walk (``boost_hub_neighbours``, one
+    ``link_src`` probe per hub) makes of a copy of the frontier taken
+    just before it: the same ``(url, priority)`` everywhere, and the
+    boosted entries' CRAWL changes buffered in the same order.
+    """
+
+    @pytest.mark.parametrize("k, focus_mode", [(1, "soft"), (8, "soft"), (8, "hard")])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_graph_boost_equals_the_table_walk(
+        self, small_web, trained_model, taxonomy, crawl_seeds, k, focus_mode, seed
+    ):
+        from repro.classifier.training import ModelInstaller
+        from repro.crawler.sharded import boost_hub_neighbours
+
+        rng = random.Random(100 * k + seed + (50 if focus_mode == "hard" else 0))
+        database = create_focus_database(buffer_pool_pages=512)
+        ModelInstaller(database).install(trained_model)
+        small_web.servers.reseed(seed)
+        config = CrawlerConfig(
+            max_pages=rng.randrange(100, 181),
+            distill_every=rng.randrange(15, 35),
+            hub_boost_top_k=rng.choice([3, 10, 25]),
+            # Above every relevance, so that a boost always raises a priority.
+            hub_boost_priority=rng.choice([1.5, 3.0]),
+            focus_mode=focus_mode,
+            engine="serial" if k == 1 else "batched",
+            batch_size=k,
+        )
+        crawler = FocusedCrawler(
+            Fetcher(small_web, failure_seed=seed), trained_model, taxonomy, database, config
+        )
+        crawler.add_seeds(crawl_seeds)
+        engine, frontier = crawler.engine, crawler.frontier
+        distil = engine.run_distillation
+        boosted = []
+
+        def distil_and_compare():
+            engine._flush()  # what the distillation starts with: LINK holds every edge
+            walked = copy.deepcopy(frontier, {id(database): database})
+            result = distil()
+            walked.begin_batch()
+            hubs = {oid for oid, _ in result.top_hubs(config.hub_boost_top_k)}
+            boost_hub_neighbours(
+                database.table("LINK"), walked, hubs, config.hub_boost_priority
+            )
+
+            def priorities(of):
+                return {url: (entry.status, entry.relevance) for url, entry in of._entries.items()}
+
+            assert priorities(frontier) == priorities(walked)
+            assert list(frontier._pending_changes) == list(walked._pending_changes)
+            boosted.append(len(walked._pending_changes))
+            return result
+
+        engine.run_distillation = distil_and_compare
+        trace = crawler.crawl()
+        assert trace.distillations == len(boosted) >= 3
+        assert any(boosted), "no distillation boosted anything"
 
 
 class TestScoringKernel:

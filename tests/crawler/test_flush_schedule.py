@@ -1,11 +1,13 @@
-"""When a crawl writes its CRAWL and LINK rows: a function of progress alone.
+"""When a crawl writes its rows: a function of progress alone.
 
-The engine buffers both tables' writes in memory and flushes them at
+The engine buffers CRAWL and LINK writes in memory and flushes them at
 points fixed by crawl progress — before each distillation, at each
 ``checkpoint_every`` boundary, and when the crawl is over — or when a
-reader outside the engine asks (``CrawlEngine.sync``).  Where a row
-lands on its heap page follows from the flush points, so it must not
-depend on how the crawl is driven:
+reader outside the engine asks (``CrawlEngine.sync``).  It keeps the
+last distillation's scores and writes them to HUBS and AUTH at a sync
+only: a ``checkpoint_every`` boundary, the end, or such a reader.  Where
+a row of any of the four tables lands on its heap page follows from
+those points, so it must not depend on how the crawl is driven:
 
 * ``run(budget)``, one round per ``step`` and twelve rounds per ``step``;
 * a memory store and a durable one with the same ``checkpoint_every``
@@ -15,8 +17,9 @@ depend on how the crawl is driven:
 
 Each case draws its crawl shape — budget, distillation and checkpoint
 cadence, failure stream, kill point — from a seeded generator; these are
-invariants, not recorded digests.  A last test pins the K=1 write count:
-a return to one flush per round fails here, not only on the benchmark.
+invariants, not recorded digests.  A last test pins the K=1 write counts:
+a return to one flush per round, or to a score write per distillation,
+fails here, not only on the benchmark.
 """
 
 import dataclasses
@@ -63,9 +66,9 @@ def draw_case(k: int, seed: int):
 
 
 def placement(database) -> dict:
-    """CRAWL and LINK as ``(page_no, slot, key columns)`` in heap order, digested."""
+    """The four tables as ``(page_no, slot, key columns)`` in heap order, digested."""
     digests = {}
-    for name, key_width in (("CRAWL", 1), ("LINK", 3)):
+    for name, key_width in (("CRAWL", 1), ("LINK", 3), ("HUBS", 1), ("AUTH", 1)):
         table = database.table(name)
         state = blake2b(digest_size=8)
         for rid, row in table.scan():
@@ -164,6 +167,14 @@ def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(sy
         return checkout(budget)
 
     handle.crawler.engine._checkout = counted_checkout
+    store = handle.crawler.engine._score_store
+    store_dense, score_writes = store.store_dense, []
+
+    def counted_store(name, oids, scores):
+        score_writes.append((name, handle.trace.pages_fetched))
+        return store_dense(name, oids, scores)
+
+    store.store_dense = counted_store
     handle.run()
     pages = handle.trace.pages_fetched
     assert pages == 150 and not handle.trace.stagnated
@@ -176,4 +187,7 @@ def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(sy
     assert len(inserts) == len(points)
     assert len(updates) <= len(points)
     assert rounds["n"] >= pages
+    # Scores are written at the syncs that follow a distillation: the
+    # boundary at 70 (after 40) and at 140 (after 80 and 120); not at 150.
+    assert score_writes == [("HUBS", 70), ("AUTH", 70), ("HUBS", 140), ("AUTH", 140)]
     handle.close()

@@ -142,6 +142,8 @@ class TestSerialCrawlDistillsLikeAFullScan:
             for oid, score in reference.authority_scores.items():
                 assert result.authority_scores[oid] == pytest.approx(score, abs=1e-9)
             assert crawler.trace.last_distillation is result
+            # HUBS and AUTH are written at a sync, as for any outside reader.
+            engine.sync()
             assert score_rows(database, "HUBS") == oracle.hub_scores
             assert score_rows(database, "AUTH") == oracle.authority_scores
             checked.append(len(oracle.hub_scores))
