@@ -4,51 +4,50 @@ The paper's systems argument is that a focused crawl is a *long-running,
 pausable* process precisely because all of its state lives in the
 database.  This module closes the loop for our engine: a
 :class:`CheckpointManager` rides the engine's round boundaries and saves,
-with the database's own atomic snapshot, the state that lives *outside*
-the tables —
+with the database's own atomic snapshot, only the state the tables do
+not hold —
 
-* the engine's round counters, per-oid relevance map, and stagnation
-  streak, plus the trace accumulated so far;
-* the frontier's entries/priorities, per-server load, and discovery
-  watermark;
+* the engine's round counters and stagnation streak, the iteration
+  count of the last distillation, and the hub/authority scores
+  ``Frontier.update_scores`` attached (no crawl path sets any);
+* the trace's visits and failed URLs, its distillation count and its
+  stagnation flag;
 * the positions of the simulated-network RNG streams (the engine's
   fetch transport — fetcher plus any latency-injection layer — and the
   server pool), so a resumed crawl sees the identical failure/latency
-  sequence the uninterrupted crawl would have seen;
-* the incremental distiller's LINK high-water mark and pending weight
-  updates (the cached adjacency itself is rebuilt from the recovered
-  heap);
-* the last distillation's scores, always as the two score dicts: the
-  distillation kernel's array-backed result pickles in that shape, so
-  the bytes do not depend on the backing.
+  sequence the uninterrupted crawl would have seen.
 
-**The frame chain.**  That state grows with the crawl (one frontier
-entry per known URL, one trace visit per page) while a checkpoint
-interval changes little of it, so it is not re-written whole.  It is a
-chain of *frames* ``[base, d1, ..., dk]``:
+Everything else is rebuilt from the recovered tables: the frontier from
+one CRAWL scan (a row's rank in heap order is its discovery number, a
+server's load its count of visited rows), the link graph from LINK, the
+relevance map from the trace's visits, and the last distillation from
+HUBS and AUTH (the save's sync writes them) in the link graph's node
+order.
 
-* the **base** holds ``Frontier.state_snapshot()`` and
-  ``CrawlEngine.state_snapshot()`` in full;
+**The frame chain.**  That state grows with the crawl (one trace visit
+per page) while a checkpoint interval adds little to it, so it is not
+re-written whole.  It is a chain of *frames* ``[base, d1, ..., dk]``:
+
+* the **base** holds ``CrawlEngine.state_snapshot()`` in full;
 * a **delta** holds what the interval changed
-  (``Frontier.state_delta()``, ``CrawlEngine.state_delta()``): the
-  current tuple of every frontier entry that was added, re-prioritised,
-  visited, failed or re-scored; the load of the servers visited; the
-  tails of the trace's visit and failure lists and of the relevance map;
-  the last distillation if there was one; and — small, so written whole
-  — the counters and the RNG positions.
+  (``CrawlEngine.state_delta()``): the tails of the trace's visit and
+  failure lists, and — small, so written whole — the counters and the
+  RNG positions.
 
 Every frame is one positional tuple, pickled and appended to the
 database's segment file (the ``frames=`` of
 :meth:`repro.minidb.Database.checkpoint`).  The snapshot record's
 ``app_state`` is only a :class:`CheckpointHeader`: format version, the
 crawl's constants, and the frame numbers of the live chain.  When the
-deltas of a chain weigh as much as its base (:data:`REBASE_RATIO`), the
-next save writes a fresh base from the live objects and drops the old
-chain.  A base can have grown by no more than its deltas carried, so
-each one is paid for twice over by the deltas it retires — frame bytes
-over a crawl stay within three times the delta bytes, where re-writing
-the state whole costs (checkpoints / 2) times the final state — and a
-recovery never folds more delta bytes than a base plus one frame.
+deltas of a chain weigh as much as its base plus the delta the save
+would write (:data:`REBASE_RATIO`), the save writes a fresh base from
+the live objects instead and drops the old chain.  The state only
+grows by appending, so that base holds the old one, what the retired
+deltas carried and this interval — at most twice the deltas it
+retires.  Frame bytes over a crawl therefore stay within three times
+the delta bytes, where re-writing the state whole costs
+(checkpoints / 2) times the final state, and a recovery never folds
+more delta bytes than a base plus two frames.
 
 **Why the segment file and not a sidecar.**  A frame is tracked in the
 snapshot record's page directory like a page image, so it is published
@@ -62,11 +61,13 @@ would need each of those again, with crash windows of its own.
 
 Resume opens the database pinned to its snapshot (``replay_wal=False``
 discards the redo tail of work the engine will redo deterministically),
-folds base and deltas back into the two ``state_snapshot()`` shapes, and
-rebuilds the crawler around them; a resumed crawl then visits exactly the
-pages — with bit-identical relevance floats — that the uninterrupted
-crawl would have visited, and its next checkpoint extends the chain it
-was loaded from.
+folds base and deltas back into the ``state_snapshot()`` shape, and
+rebuilds the crawler around it and the tables; a resumed crawl then
+visits exactly the pages — with bit-identical relevance floats — that
+the uninterrupted crawl would have visited, and its next checkpoint
+extends the chain it was loaded from.  Frames written while a
+checkpoint also kept the frontier entries, the relevance map and the
+last distillation still resume: those sections are skipped.
 
 This is the one recovery path.  A sharded crawl is not checkpointed:
 its shard databases live in memory inside the workers.
@@ -80,9 +81,9 @@ from typing import Any, Dict, List
 
 from repro.crawler.engine import CrawlEngine
 from repro.crawler.focused import CrawlerConfig, FocusedCrawler
-from repro.crawler.frontier import Frontier
 from repro.minidb import Database
 from repro.minidb.errors import StorageError
+from repro.minidb.wal import dump_record
 from repro.webgraph.servers import ServerPool
 from repro.webgraph.transport import FetchTransport
 
@@ -91,8 +92,9 @@ from repro.webgraph.transport import FetchTransport
 FORMAT_VERSION = 2
 
 #: A chain is replaced by a fresh base once its deltas weigh this many
-#: times its base.  At 1 the new base is at most twice the deltas it
-#: retires, and recovery reads at most about two bases' worth of bytes.
+#: times its base, plus the delta the save would write.  At 1 the new
+#: base is at most twice the deltas it retires, and recovery reads at
+#: most about two bases' worth of bytes.
 REBASE_RATIO = 1.0
 
 #: First item of a frame's tuple.
@@ -124,7 +126,6 @@ class CrawlCheckpoint:
     good_topics: List[str]
     fetch_failure_seed: int
     engine_state: Dict[str, Any]
-    frontier_state: Dict[str, Any]
     fetcher_state: Dict[str, Any]
     server_rng_state: Dict[str, Any]
     checkpoints_saved: int = 0
@@ -190,7 +191,7 @@ class CheckpointManager:
         """
         self.checkpoints_saved = checkpoint.checkpoints_saved
         self.chain = list(checkpoint.chain)
-        self._mark_saved()
+        self.crawler.engine.mark_saved()
 
     def save(self) -> None:
         """Checkpoint the database, appending this interval's frame to the chain."""
@@ -198,18 +199,14 @@ class CheckpointManager:
         self.checkpoints_saved += 1
         engine = self.crawler.engine
         engine.sync()
-        frontier = self.crawler.frontier
         database = self.database
         sizes = [database.frame_size(frame_no) for frame_no in self.chain]
-        if not sizes or sum(sizes[1:]) >= REBASE_RATIO * sizes[0]:
-            kind, frontier_part, engine_part = (
-                BASE_FRAME, frontier.state_snapshot(), engine.state_snapshot()
-            )
+        transport_state = (self.fetcher.state_snapshot(), self.servers.rng_state())
+        frame = (DELTA_FRAME, engine.state_delta(), *transport_state) if sizes else None
+        if frame is None or sum(sizes[1:]) >= REBASE_RATIO * sizes[0] + len(dump_record(frame)):
+            frame = (BASE_FRAME, engine.state_snapshot(), *transport_state)
             dropped, kept = self.chain, []
         else:
-            kind, frontier_part, engine_part = (
-                DELTA_FRAME, frontier.state_delta(), engine.state_delta()
-            )
             dropped, kept = [], self.chain
         # Saves are numbered from 1 and each writes one frame, so the
         # count is the frame's number; a crash's unpublished frame has
@@ -226,25 +223,13 @@ class CheckpointManager:
                 fetch_failure_seed=self.fetch_failure_seed,
                 chain=self.chain,
             ),
-            frames={
-                frame_no: (
-                    kind,
-                    frontier_part,
-                    engine_part,
-                    self.fetcher.state_snapshot(),
-                    self.servers.rng_state(),
-                )
-            },
+            frames={frame_no: frame},
             drop_frames=dropped,
         )
-        self._mark_saved()
+        engine.mark_saved()
         paused = time.perf_counter() - started
         self.save_seconds += paused
         self.pause_log.append(paused)
-
-    def _mark_saved(self) -> None:
-        self.crawler.frontier.mark_saved()
-        self.crawler.engine.mark_saved()
 
     @staticmethod
     def load(
@@ -293,7 +278,10 @@ def read_checkpoint(database: Database, path: str = "") -> CrawlCheckpoint:
     frames = [database.read_frame(frame_no) for frame_no in header.chain]
     if [frame[0] for frame in frames] != [BASE_FRAME] + [DELTA_FRAME] * (len(frames) - 1):
         raise StorageError(f"{path!r}: the checkpoint's frame chain is not base + deltas")
-    base, deltas = frames[0], frames[1:]
+    # A frame is (kind, engine part, fetcher state, RNG state); one written
+    # while checkpoints also kept the frontier holds it second, and it is
+    # skipped: the frontier is rebuilt from CRAWL.
+    engine_parts = [frame[-3] for frame in frames]
     last = frames[-1]
     return CrawlCheckpoint(
         config=header.config,
@@ -301,10 +289,9 @@ def read_checkpoint(database: Database, path: str = "") -> CrawlCheckpoint:
         seeds=header.seeds,
         good_topics=header.good_topics,
         fetch_failure_seed=header.fetch_failure_seed,
-        frontier_state=Frontier.fold_state(base[1], [delta[1] for delta in deltas]),
-        engine_state=CrawlEngine.fold_state(base[2], [delta[2] for delta in deltas]),
-        fetcher_state=last[3],
-        server_rng_state=last[4],
+        engine_state=CrawlEngine.fold_state(engine_parts[0], engine_parts[1:]),
+        fetcher_state=last[-2],
+        server_rng_state=last[-1],
         # Every save writes one frame and numbers it with its count.
         checkpoints_saved=header.chain[-1],
         chain=list(header.chain),

@@ -93,10 +93,10 @@ class CrawlResult:
         such oracle and relies on the classifier instead (§3.4).
         """
         relevant = self.web.relevant_pages(self.good_topics)
-        if not self.trace.fetched_urls:
+        fetched = self.trace.fetched_urls
+        if not fetched:
             return 0.0
-        hits = sum(1 for url in self.trace.fetched_urls if url in relevant)
-        return hits / len(self.trace.fetched_urls)
+        return sum(1 for url in fetched if url in relevant) / len(fetched)
 
     # -- distillation views --------------------------------------------------------------
     def top_hubs(self, k: int = 10) -> list[tuple[str, float]]:
@@ -722,7 +722,6 @@ class FocusSystem:
         # config; rewind its RNG streams (fetcher included) to the save.
         crawler.engine.transport.restore_state(checkpoint.fetcher_state)
         with bulk_load():
-            crawler.frontier.restore_state(checkpoint.frontier_state)
             crawler.engine.restore_state(checkpoint.engine_state)
         manager = CheckpointManager(
             database,

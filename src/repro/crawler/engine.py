@@ -139,7 +139,7 @@ class CrawlerConfig:
     fetch_mode: str = "auto"
     #: Accepted and ignored: cross-round prefetch was removed (README,
     #: *Prefetch (removed)*).  Kept so that older configs, pickled
-    #: checkpoints and ``benchmarks/suite`` still load; ROADMAP item 1(e)
+    #: checkpoints and ``benchmarks/suite`` still load; ROADMAP item 1A
     #: unbinds the suite from it, and then the field goes.
     prefetch: bool = False
     #: Maximum fetches outstanding at once in a drained round (0 = round size).
@@ -196,7 +196,7 @@ class CrawlerConfig:
     #: only at checkpoints); N >= 1 fsyncs once per N appended records.
     #: Legacy knob — superseded by ``storage`` (see :meth:`resolve_storage`).
     #: Kept only because ``benchmarks/suite`` sets it on ``crawl_durable``;
-    #: ROADMAP item 1(e) unbinds the suite from it, and then the field goes.
+    #: ROADMAP item 1A unbinds the suite from it, and then the field goes.
     wal_fsync_batch: int = 0
     #: Storage policy of the crawl database as one object (WAL group
     #: commit, compaction, buffer-pool size).  When set it wins over the
@@ -233,7 +233,6 @@ class CrawlTrace:
     """Everything a crawl run produced, for metrics and experiments."""
 
     visits: List[PageVisit] = field(default_factory=list)
-    fetched_urls: List[str] = field(default_factory=list)
     failed_urls: List[str] = field(default_factory=list)
     distillations: int = 0
     stagnated: bool = False
@@ -243,11 +242,16 @@ class CrawlTrace:
     def pages_fetched(self) -> int:
         return len(self.visits)
 
+    @property
+    def fetched_urls(self) -> List[str]:
+        """The visited URLs, in fetch order."""
+        return [visit.url for visit in self.visits]
+
     def relevance_series(self) -> List[float]:
         return [visit.relevance for visit in self.visits]
 
     def visited_set(self) -> set[str]:
-        return set(self.fetched_urls)
+        return {visit.url for visit in self.visits}
 
     def refill(self, saved: "CrawlTrace") -> None:
         """Adopt a checkpointed trace in place.
@@ -256,7 +260,6 @@ class CrawlTrace:
         it instead of rebinding keeps every reference live.
         """
         self.visits[:] = saved.visits
-        self.fetched_urls[:] = saved.fetched_urls
         self.failed_urls[:] = saved.failed_urls
         self.distillations = saved.distillations
         self.stagnated = saved.stagnated
@@ -264,16 +267,32 @@ class CrawlTrace:
 
 
 # -- round stages, shared with the sharded engine ---------------------------------------
-def check_rho(rho: float) -> None:
-    """Refuse a negative relevance threshold ρ.
+#: Lower bounds of the crawl's counting settings: a value below its bound
+#: would run another schedule (a negative ``distill_every`` distils every
+#: round, a zero ``stagnation_patience`` stops at the first miss).
+_SETTING_MINIMA = {
+    "distill_every": 0,
+    "checkpoint_every": 0,
+    "max_retries": 0,
+    "stagnation_patience": 1,
+    "distill_iterations": 1,
+}
 
-    HITS reads an unvisited page's relevance as 0.0 and weights an edge
-    by its endpoints' relevance; with ``rho >= 0`` only edges into
-    visited pages pass the filter, so those weights are exactly the ones
-    LINK stores.
+
+def check_ranges(config: CrawlerConfig) -> None:
+    """Refuse out-of-range crawl settings (they arrive from outside, e.g. ``POST /jobs``).
+
+    ρ must not be negative either: HITS reads an unvisited page's
+    relevance as 0.0 and weights an edge by its endpoints' relevance;
+    with ``rho >= 0`` only edges into visited pages pass the filter, so
+    those weights are exactly the ones LINK stores.
     """
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    if config.rho < 0:
+        raise ValueError(f"rho must be >= 0, got {config.rho}")
+    for name, minimum in _SETTING_MINIMA.items():
+        value = getattr(config, name)
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 class PageScorer:
@@ -471,7 +490,7 @@ class CrawlEngine:
             )
         if config.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        check_rho(config.rho)
+        check_ranges(config)
         if config.checkpoint_interval_s < 0:
             raise ValueError("checkpoint_interval_s must be >= 0")
         self.fetcher = fetcher
@@ -499,9 +518,9 @@ class CrawlEngine:
         self._since_checkpoint = 0
         self._last_checkpoint_s: Optional[float] = None
         self._stagnation_misses = 0
-        #: Lengths of the trace's visit and failure lists, and its
-        #: distillation count, at the last :meth:`mark_saved`.
-        self._saved_mark: Optional[Tuple[int, int, int]] = None
+        #: Lengths of the trace's visit and failure lists at the last
+        #: :meth:`mark_saved`.
+        self._saved_mark: Optional[Tuple[int, int]] = None
         #: Wall-clock seconds of round processing (classify + commit) that
         #: ran while fetches were still in flight, and total round
         #: processing time — the drain's overlap instrumentation.
@@ -648,56 +667,57 @@ class CrawlEngine:
 
     # -- checkpointing ----------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, object]:
-        """Everything the engine needs to continue a crawl after a restart.
+        """What the engine holds that the tables do not, to continue a crawl after a restart.
 
-        Captured right after a :meth:`sync`: link/CRAWL write buffers are
-        empty, so the tables plus this dict are the complete crawl state.
+        Captured right after a :meth:`sync`: the small state and the
+        trace's visits, failures and counters.  The rest is rebuilt by
+        :meth:`restore_state` — the relevance map from the visits, the
+        frontier from CRAWL, the last distillation from HUBS and AUTH.
         """
+        trace = self.trace
         return {
             **self._small_state(),
-            "relevance": dict(self._relevance),
-            "trace": self.trace,
+            "trace": CrawlTrace(
+                visits=trace.visits,
+                failed_urls=trace.failed_urls,
+                distillations=trace.distillations,
+                stagnated=trace.stagnated,
+            ),
         }
 
     def _small_state(self) -> Dict[str, object]:
         """The part of the state that does not grow: written whole every time."""
+        last = self.trace.last_distillation
         return {
             "tick": self._tick,
             "since_distillation": self._since_distillation,
             "since_checkpoint": self._since_checkpoint,
             "stagnation_misses": self._stagnation_misses,
+            "iterations": 0 if last is None else last.iterations,
+            "attached_scores": self.frontier.attached_scores(),
         }
 
     def mark_saved(self) -> None:
         """Start a new delta interval: the state as of now is on disk."""
-        trace = self.trace
-        self._saved_mark = (len(trace.visits), len(trace.failed_urls), trace.distillations)
+        self._saved_mark = (len(self.trace.visits), len(self.trace.failed_urls))
 
     def state_delta(self) -> tuple:
         """What :meth:`state_snapshot` gained since :meth:`mark_saved`, positionally.
 
-        ``(small state, relevance tail, visits tail, failed-URL tail,
-        distillations, stagnated, last distillation)``.  The relevance
-        map, the visits and the URL lists only ever grow — one visit adds
-        one item to the map, to ``visits`` and to ``fetched_urls`` — so
-        their tails are written; the last distillation rides along only
-        if there has been one since the mark.  :meth:`fold_state` applies
-        it.
+        ``(small state, visits tail, failed-URL tail, distillations,
+        stagnated)``: the visits and the failures only ever grow, so
+        their tails are written.  :meth:`fold_state` applies it.
         """
         if self._saved_mark is None:
             raise RuntimeError("state_delta() needs a mark_saved() to be relative to")
-        visits_mark, failed_mark, distillations_mark = self._saved_mark
+        visits_mark, failed_mark = self._saved_mark
         trace = self.trace
-        visits = trace.visits[visits_mark:]
-        entry_of = self.frontier.get_normalized
         return (
             self._small_state(),
-            [(entry_of(visit.url).oid, visit.relevance) for visit in visits],
-            visits,
+            trace.visits[visits_mark:],
             trace.failed_urls[failed_mark:],
             trace.distillations,
             trace.stagnated,
-            trace.last_distillation if trace.distillations != distillations_mark else None,
         )
 
     @staticmethod
@@ -706,16 +726,26 @@ class CrawlEngine:
 
         Folds in place — into a snapshot read back from disk, never into
         a live one, whose trace is the engine's own — and returns *state*.
+        Parts written while checkpoints also kept the relevance map and
+        the last distillation (a base's ``"relevance"`` and its trace's
+        ``last_distillation``, a delta's second and last items) are read
+        for the distillation's iteration count only.
         """
         trace: CrawlTrace = state["trace"]
-        for small, relevance, visits, failed_urls, distillations, stagnated, last in deltas:
+        state.pop("relevance", None)
+        if trace.last_distillation is not None:
+            state.setdefault("iterations", trace.last_distillation.iterations)
+            trace.last_distillation = None
+        for delta in deltas:
+            if len(delta) == 7:
+                small, _relevance, visits, failed_urls, distillations, stagnated, last = delta
+                if last is not None:
+                    small = {**small, "iterations": last.iterations}
+            else:
+                small, visits, failed_urls, distillations, stagnated = delta
             state.update(small)
-            state["relevance"].update(relevance)
             trace.visits.extend(visits)
-            trace.fetched_urls.extend(visit.url for visit in visits)
             trace.failed_urls.extend(failed_urls)
-            if distillations != trace.distillations:
-                trace.last_distillation = last
             trace.distillations = distillations
             trace.stagnated = stagnated
         return state
@@ -723,24 +753,40 @@ class CrawlEngine:
     def restore_state(self, state: Dict[str, object]) -> None:
         """Adopt a checkpointed engine state (the database must already be recovered).
 
-        Sections written before cross-round prefetch and the outcome LRU
-        were removed held counters only and are ignored, as is the
-        ``delta_cache`` section of checkpoints written while the link
-        graph mirrored LINK's weights: the graph is rebuilt from the
-        recovered LINK table at the next :meth:`run`.
+        The frontier is rebuilt from CRAWL, the relevance map from the
+        visits (in visit order), and the link graph from LINK; the last
+        distillation is read back from HUBS and AUTH, which the save's
+        sync wrote, in the graph's node order — the order the live
+        result's score dicts had.  Sections written before cross-round
+        prefetch and the outcome LRU were removed held counters only and
+        are ignored, as is the ``delta_cache`` section of checkpoints
+        written while the link graph mirrored LINK's weights.
         """
         self._tick = state["tick"]
         self._since_distillation = state["since_distillation"]
         self._since_checkpoint = state["since_checkpoint"]
         self._stagnation_misses = state["stagnation_misses"]
-        self._relevance = dict(state["relevance"])
+        self.trace.refill(state["trace"])
+        self._relevance = {url_oid(visit.url): visit.relevance for visit in self.trace.visits}
+        self.frontier.restore_from_table(state.get("attached_scores"))
         # The score-table rid cache is soft state; rebuild it from the
         # replayed tables rather than trusting pre-crash record ids.
         self._score_store.invalidate()
         # A checkpoint is taken right after a sync: its scores are on disk.
         self._unwritten_scores = None
         self._incremental = None
-        self.trace.refill(state["trace"])
+        if self.trace.distillations:
+            self.trace.last_distillation = self._stored_distillation(state.get("iterations", 0))
+
+    def _stored_distillation(self, iterations: int) -> DistillationResult:
+        """The scores HUBS and AUTH hold, ordered by the link graph's nodes."""
+        _src, _dst, oids = self._incremental_distiller().graph.arrays()
+
+        def in_node_order(name: str) -> Dict[int, float]:
+            stored = dict(self.database.table(name).rows())
+            return {oid: stored[oid] for oid in oids if oid in stored}
+
+        return DistillationResult(in_node_order("HUBS"), in_node_order("AUTH"), iterations)
 
     # -- the round ---------------------------------------------------------------------
     def _checkout(self, budget: int) -> List[str]:
@@ -864,7 +910,6 @@ class CrawlEngine:
                 best_leaf_cid=outcome.best_leaf_cid,
             )
         )
-        self.trace.fetched_urls.append(url)
         self._since_distillation += 1
         self._since_checkpoint += 1
 

@@ -4,7 +4,10 @@ The authoritative record of every known URL is the CRAWL table (so ad-hoc
 SQL can inspect the frontier and so triggers/monitoring work as in the
 paper).  The Frontier keeps an in-memory priority structure mirroring
 the ordering over frontier-status rows — the role an index ordering
-plays in DB2 — with lazy invalidation when priorities change.
+plays in DB2 — with lazy invalidation when priorities change.  A
+resumed crawl rebuilds it from one CRAWL scan
+(:meth:`Frontier.restore_from_table`): a checkpoint keeps nothing of
+the frontier but the scores :meth:`Frontier.update_scores` attached.
 
 That structure is one binary heap (a list driven by :mod:`heapq`) of
 ``(ordering key, oid, url)`` tuples.  A priority change pushes a fresh
@@ -29,10 +32,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.minidb import Database
-from repro.minidb.pages import rid_of
 from repro.webgraph.urls import normalize_url, server_sid, url_oid
 
 from .policies import CrawlOrdering, aggressive_discovery
@@ -76,26 +78,6 @@ class FrontierEntry:
     rid: Optional[int] = None
 
 
-#: The positional layout of one entry in :meth:`Frontier.state_snapshot`
-#: and :meth:`Frontier.state_delta`: the entry's fields in declaration
-#: order, the record id flattened to its page number and slot (the file
-#: id is the CRAWL table's and is stored once).
-ENTRY_FIELDS = (
-    "url", "oid", "sid", "relevance", "numtries", "serverload", "discovered",
-    "lastvisited", "hub_score", "authority_score", "status", "rid_page", "rid_slot",
-)
-
-
-def _entry_tuple(entry: FrontierEntry, locate: Callable[[int], tuple]) -> tuple:
-    rid = entry.rid
-    return (
-        entry.url, entry.oid, entry.sid, entry.relevance, entry.numtries,
-        entry.serverload, entry.discovered, entry.lastvisited, entry.hub_score,
-        entry.authority_score, entry.status,
-        *((None, None) if rid is None else locate(rid)),
-    )
-
-
 class Frontier:
     """Priority frontier backed by the CRAWL table."""
 
@@ -123,17 +105,15 @@ class Frontier:
         self._frontier_count = 0
         self._heap_tuples_scanned = 0
         self._heap_compactions = 0
-        # A plain int (not itertools.count) so checkpoints can persist it.
+        # The next discovery number; a resume recounts it from CRAWL.
         self._next_discovered = 0
         # Write buffering: pending CRAWL inserts/updates.
         self._buffering = False
         self._pending_new: list[FrontierEntry] = []
         self._pending_changes: Dict[str, Dict[str, Any]] = {}
-        #: URLs of the entries added or changed since :meth:`mark_saved`,
-        #: new ones in the order they joined ``_entries`` — what a delta
-        #: checkpoint writes.  None until a checkpointer first marks, so
-        #: a crawl nobody checkpoints incrementally records nothing.
-        self._touched: Optional[Dict[str, None]] = None
+        #: oid -> (hub, authority) of every entry :meth:`update_scores`
+        #: gave a non-zero score: the one part of an entry CRAWL lacks.
+        self._attached_scores: Dict[int, Tuple[float, float]] = {}
 
     # -- policy ------------------------------------------------------------------
     def set_ordering(self, ordering: CrawlOrdering) -> None:
@@ -244,8 +224,6 @@ class Frontier:
             self._pending_new.append(entry)
         else:
             entry.rid = self.database.table("CRAWL").insert(self._crawl_row(entry))
-            if self._touched is not None:
-                self._touched[normalized] = None
         self._entries[normalized] = entry
         self._url_of_oid[oid] = normalized
         self._push(entry)
@@ -333,8 +311,10 @@ class Frontier:
             return
         entry.hub_score = hub_score
         entry.authority_score = authority_score
-        if self._touched is not None:
-            self._touched[entry.url] = None
+        if hub_score or authority_score:
+            self._attached_scores[entry.oid] = (hub_score, authority_score)
+        else:
+            self._attached_scores.pop(entry.oid, None)
         if entry.status == "frontier":
             self._push(entry)
 
@@ -418,8 +398,6 @@ class Frontier:
         if entry.status == "in_flight":
             self._set_status(entry, "frontier")
             self._push(entry)
-            if self._touched is not None:
-                self._touched[entry.url] = None
 
     def current_key(self, entry: FrontierEntry) -> tuple:
         """The entry's ordering key right now (value tuple, shard-comparable).
@@ -443,8 +421,6 @@ class Frontier:
         if self._buffering:
             self._pending_changes.setdefault(entry.url, {}).update(changes)
             return
-        if self._touched is not None:
-            self._touched[entry.url] = None
         if entry.rid is None:
             return
         self.database.table("CRAWL").update_row(entry.rid, _table_changes(changes))
@@ -466,12 +442,6 @@ class Frontier:
         """
         crawl = self.database.table("CRAWL")
         new_entries = self._pending_new
-        if self._touched is not None:
-            # Everything a crawl changes on an entry goes through
-            # _sync_row or _add_entry, so the two buffers name the
-            # touched entries (new ones first, in entry order).
-            self._touched.update(dict.fromkeys(entry.url for entry in new_entries))
-            self._touched.update(dict.fromkeys(self._pending_changes))
         if new_entries:
             # A new entry's row is built from its current state with its
             # pending changes folded in (the kcid of a visit before the
@@ -500,100 +470,49 @@ class Frontier:
         self._pending_changes = {}
         self._buffering = False
 
-    # -- checkpointing ------------------------------------------------------------------
-    def state_snapshot(self) -> Dict[str, Any]:
-        """Serialisable frontier state, captured right after a flush.
 
-        Entries are positional: ``fields`` names the layout once
-        (:data:`ENTRY_FIELDS`) and ``entries`` holds one tuple per entry,
-        in entry order.  Record ids stay valid across a database recovery
-        because the snapshot-plus-WAL scheme restores heap pages (and
-        therefore rid assignment) exactly.  Must not be called while
-        write buffering is active — buffered writes are not in the table
-        yet, and a buffered new entry has no record id.
+    # -- checkpoint resume ---------------------------------------------------------------
+    def attached_scores(self) -> Dict[int, Tuple[float, float]]:
+        """oid -> (hub, authority) of every non-zero :meth:`update_scores` attachment.
+
+        What a checkpoint keeps of the frontier: everything else is in CRAWL.
         """
-        self._check_round_boundary()
-        heap = self.database.table("CRAWL").heap
-        return {
-            "fields": ENTRY_FIELDS,
-            "rid_file": heap.file_id,
-            "entries": [_entry_tuple(entry, heap.locate) for entry in self._entries.values()],
-            "server_load": dict(self._server_load),
-            "next_discovered": self._next_discovered,
-        }
+        return dict(self._attached_scores)
 
-    def mark_saved(self) -> None:
-        """Start a new delta interval: the state as of now is on disk."""
-        self._touched = {}
+    def restore_from_table(
+        self, attached_scores: Optional[Mapping[int, Tuple[float, float]]] = None
+    ) -> None:
+        """Rebuild entries, server loads and the heap from one CRAWL scan.
 
-    def state_delta(self) -> tuple:
-        """What :meth:`state_snapshot` gained since :meth:`mark_saved`, positionally.
-
-        ``(entries, server_load, next_discovered)``: the current tuple of
-        every entry added or changed in the interval (new ones in entry
-        order), the load of the servers those entries live on — a visit
-        is the only thing that moves a load, and it touches the entry —
-        and the discovery watermark.  :meth:`fold_state` applies it.
+        CRAWL rows are inserted in entry order and never deleted, so a
+        row's rank in heap order is its entry's ``discovered`` number
+        (the single-process numbering; sharded discovery numbers are the
+        coordinator's and are not checkpointed), and a server's load is
+        its count of visited rows.  *attached_scores* is what
+        :meth:`attached_scores` returned when the table was saved.  The
+        table must be as of a round boundary — no entry in flight, no
+        write buffered — which is where every checkpoint is taken.  The
+        heap is rebuilt from current priorities; the live heap may also
+        have carried stale tuples, but those are re-keyed on pop anyway,
+        so checkout order is unchanged.
         """
-        self._check_round_boundary()
-        if self._touched is None:
-            raise RuntimeError("state_delta() needs a mark_saved() to be relative to")
-        entries = self._entries
-        touched = [entries[url] for url in self._touched]
-        server_load = self._server_load
-        locate = self.database.table("CRAWL").heap.locate
-        return (
-            [_entry_tuple(entry, locate) for entry in touched],
-            {entry.sid: server_load[entry.sid] for entry in touched if entry.sid in server_load},
-            self._next_discovered,
-        )
-
-    @staticmethod
-    def fold_state(state: Dict[str, Any], deltas: Iterable[tuple]) -> Dict[str, Any]:
-        """Apply :meth:`state_delta` tuples, oldest first, to a :meth:`state_snapshot`.
-
-        Folds in place and returns *state*: a changed entry is replaced
-        where it stands, a new one is appended, so the result is the
-        snapshot the live frontier would have produced, order included.
-        """
-        entries: List[tuple] = state["entries"]
-        position: Optional[Dict[str, int]] = None
-        for changed, server_load, next_discovered in deltas:
-            if position is None:
-                position = {entry[0]: index for index, entry in enumerate(entries)}
-            for entry in changed:
-                index = position.get(entry[0])
-                if index is None:
-                    position[entry[0]] = len(entries)
-                    entries.append(entry)
-                else:
-                    entries[index] = entry
-            state["server_load"].update(server_load)
-            state["next_discovered"] = next_discovered
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Rebuild entries, server loads, and the priority heap from a snapshot.
-
-        The heap is rebuilt from current priorities; the original heap may
-        also have carried stale (lazily invalidated) entries, but those
-        are re-keyed on pop anyway, so checkout order is unchanged.
-        """
-        if tuple(state["fields"]) != ENTRY_FIELDS:
-            raise ValueError(f"frontier entry layout {state['fields']} != {ENTRY_FIELDS}")
-        file_id = state["rid_file"]
-        self._entries = {}
-        self._url_of_oid = {}
-        for *values, rid_page, rid_slot in state["entries"]:
-            entry = FrontierEntry(*values)
-            if rid_page is not None:
-                entry.rid = rid_of(file_id, rid_page, rid_slot)
-            self._entries[entry.url] = entry
-            self._url_of_oid[entry.oid] = entry.url
-        self._server_load = dict(state["server_load"])
-        self._next_discovered = state["next_discovered"]
+        scores = dict(attached_scores or {})
+        entries: Dict[str, FrontierEntry] = {}
+        url_of_oid: Dict[int, str] = {}
+        server_load: Dict[int, int] = {}
+        for discovered, (rid, row) in enumerate(self.database.table("CRAWL").heap.scan()):
+            oid, url, sid, relevance, numtries, serverload, lastvisited, _kcid, status = row
+            hub_score, authority_score = scores.get(oid, (0.0, 0.0))
+            entries[url] = FrontierEntry(
+                url, oid, sid, relevance, numtries, serverload, discovered, lastvisited,
+                hub_score, authority_score, status, rid,
+            )
+            url_of_oid[oid] = url
+            if status == "visited":
+                server_load[sid] = server_load.get(sid, 0) + 1
+        self._entries = entries
+        self._url_of_oid = url_of_oid
+        self._server_load = server_load
+        self._attached_scores = scores
+        self._next_discovered = len(entries)
         self._rebuild_heap()
-
-    def _check_round_boundary(self) -> None:
-        if self._buffering or self._pending_new or self._pending_changes:
-            raise RuntimeError("cannot snapshot the frontier mid-round")

@@ -77,7 +77,7 @@ from .engine import (
     CrawlTrace,
     PageScorer,
     PageVisit,
-    check_rho,
+    check_ranges,
     expansion_priority,
     link_targets,
     permanent_failure,
@@ -598,7 +598,7 @@ class ShardedEngine:
     """
 
     def __init__(self, runner, config: CrawlerConfig, trace: CrawlTrace, shards: int) -> None:
-        check_rho(config.rho)
+        check_ranges(config)
         self.runner = runner
         self.config = config
         self.trace = trace
@@ -829,7 +829,6 @@ class ShardedEngine:
             trace.visits.append(
                 PageVisit(self._tick, url, relevance, batch.server[at], batch.out_degree[at], best_leaf)
             )
-            trace.fetched_urls.append(url)
             self._since_distillation += 1
         route_links(applies, headers, links)
         return applies, headers, links

@@ -31,9 +31,9 @@ class DistillationResult:
     dicts are only built if someone reads them: the crawl loop stores
     and ranks straight from the arrays.
 
-    Pickles as the three public fields whatever the backing, so a result
-    inside a crawl checkpoint reads the same either way, and checkpoints
-    written before the dense form existed still load.
+    Pickles as the three public fields whatever the backing, so a pickled
+    result reads the same either way (crawl checkpoints written while they
+    carried the last distillation included).
     """
 
     #: ``(oids, hubs, authorities)`` of a dense result: ``hubs[i]`` and

@@ -514,7 +514,7 @@ class JobManager:
             "checkpoint_dir": record.spec.checkpoint_dir,
             # The full visit record, so clients can verify determinism
             # (pages visited + relevance floats) over the wire.
-            "fetched_urls": list(trace.fetched_urls),
+            "fetched_urls": trace.fetched_urls,
             "relevance": [visit.relevance for visit in trace.visits],
         }
 

@@ -9,6 +9,7 @@ relevance floats as an uninterrupted run, to 1e-9 (in fact bit for bit).
 
 import dataclasses
 import os
+import pickle
 import time
 from types import SimpleNamespace
 
@@ -26,7 +27,8 @@ from repro.core.system import FocusSystem
 from repro.classifier.tokenizer import term_frequencies
 from repro.crawler.engine import CrawlEngine, CrawlTrace, PageScorer
 from repro.crawler.focused import CrawlerConfig
-from repro.crawler.frontier import ENTRY_FIELDS
+from repro.crawler.frontier import Frontier, FrontierEntry
+from repro.crawler.policies import recovery_ordering
 from repro.experiments.workloads import build_crawl_workload
 from repro.minidb import INTEGER, Database, StorageConfig, make_schema
 from repro.minidb.errors import StorageError
@@ -35,6 +37,12 @@ from repro.webgraph.fetch import Fetcher
 from repro.webgraph.transport import LatencyTransport
 
 GOOD = "recreation/cycling"
+
+#: The frontier entry layout of frames written while checkpoints kept the frontier.
+PARENT_ENTRY_FIELDS = (
+    "url", "oid", "sid", "relevance", "numtries", "serverload", "discovered",
+    "lastvisited", "hub_score", "authority_score", "status", "rid_page", "rid_slot",
+)
 
 #: Shared crawl shape: small enough to run four scenarios, big enough to
 #: cross several distillation and checkpoint boundaries.
@@ -563,6 +571,157 @@ class TestParentCheckpointResume:
         assert_traces_match(resumed, reference_batched)
         resumed.database.close()
 
+    def test_a_chain_that_also_kept_the_frontier_and_the_distillation_resumes(
+        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
+    ):
+        """A checkpoint written while frames also kept what the tables hold:
+        every frame carries the frontier's entries second, the base the
+        relevance map and a trace with ``fetched_urls`` and a dict-backed
+        ``last_distillation``, and each delta the relevance tail and the
+        distillation made since the save before.  Those sections are
+        skipped: the resume rebuilds the same state from the tables, and
+        the crawl it continues is the uninterrupted one."""
+        snapshot, delta = CrawlEngine.state_snapshot, CrawlEngine.state_delta
+        checkpoint = Database.checkpoint
+        written = {"frontier": None, "distillations": 0, "saved": None}
+
+        def frontier_part(frontier, base):
+            heap = frontier.database.table("CRAWL").heap
+            entries = [
+                (
+                    entry.url, entry.oid, entry.sid, entry.relevance, entry.numtries,
+                    entry.serverload, entry.discovered, entry.lastvisited, entry.hub_score,
+                    entry.authority_score, entry.status, *heap.locate(entry.rid),
+                )
+                for entry in map(frontier.entry, frontier.known_urls())
+            ]
+            loads, watermark = dict(frontier._server_load), frontier._next_discovered
+            if base:
+                return {
+                    "fields": PARENT_ENTRY_FIELDS, "rid_file": heap.file_id,
+                    "entries": entries, "server_load": loads, "next_discovered": watermark,
+                }
+            return entries, loads, watermark  # every entry: more than changed, as a fold allows
+
+        def small_part(engine, small):
+            written["saved"] = (engine.relevance_map(), engine.trace.last_distillation)
+            return {
+                key: value for key, value in small.items()
+                if key not in ("iterations", "attached_scores")
+            }
+
+        def parent_snapshot(engine):
+            state = snapshot(engine)
+            written["frontier"] = frontier_part(engine.frontier, base=True)
+            trace = state.pop("trace")
+            last = engine.trace.last_distillation
+            trace.last_distillation = None if last is None else pickle.loads(pickle.dumps(last))
+            trace.__dict__["fetched_urls"] = [visit.url for visit in trace.visits]
+            written["distillations"] = trace.distillations
+            small = small_part(engine, state)
+            return {**small, "relevance": engine.relevance_map(), "trace": trace}
+
+        def parent_delta(engine):
+            small, visits, failed_urls, distillations, stagnated = delta(engine)
+            written["frontier"] = frontier_part(engine.frontier, base=False)
+            relevance = list(engine.relevance_map().items())
+            last = engine.trace.last_distillation
+            if distillations == written["distillations"]:
+                last = None
+            written["distillations"] = distillations
+            return (
+                small_part(engine, small), relevance[len(relevance) - len(visits):], visits,
+                failed_urls, distillations, stagnated, last,
+            )
+
+        def parent_checkpoint(database, app_state=None, frames=None, drop_frames=()):
+            frames = {
+                frame_no: (kind, written["frontier"], *rest)
+                for frame_no, (kind, *rest) in (frames or {}).items()
+            }
+            return checkpoint(database, app_state=app_state, frames=frames, drop_frames=drop_frames)
+
+        monkeypatch.setattr(CrawlEngine, "state_snapshot", parent_snapshot)
+        monkeypatch.setattr(CrawlEngine, "state_delta", parent_delta)
+        monkeypatch.setattr(Database, "checkpoint", parent_checkpoint)
+        kill_fetcher_after(monkeypatch, 101)
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=crawl_config("batched"),
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(tmp_path / "crawl"),
+            )
+        monkeypatch.undo()
+        relevance, last = written["saved"]
+        reopened = Database.open(str(tmp_path / "crawl"), replay_wal=False)
+        frames = [reopened.read_frame(no) for no in reopened.app_state().chain]
+        reopened.close()
+        assert [len(frame) for frame in frames] == [5] * len(frames)
+        assert [frame[0] for frame in frames] == ["base"] + ["delta"] * (len(frames) - 1)
+        assert len(frames) >= 2
+        assert frames[0][2]["relevance"] and frames[0][2]["trace"].last_distillation
+        assert any(frame[2][6] is not None for frame in frames[1:])
+
+        handle = checkpoint_system.resume(str(tmp_path / "crawl"))
+        assert list(handle.crawler.engine.relevance_map().items()) == list(relevance.items())
+        restored = handle.trace.last_distillation
+        assert list(restored.hub_scores.items()) == list(last.hub_scores.items())
+        assert list(restored.authority_scores.items()) == list(last.authority_scores.items())
+        assert restored.iterations == last.iterations
+        resumed = handle.run()
+        assert resumed.pages_fetched() == MAX_PAGES
+        assert_traces_match(resumed, reference_batched)
+        resumed.database.close()
+
+
+class TestAttachedScores:
+    def test_scores_attached_with_update_scores_survive_a_kill_and_resume(
+        self, checkpoint_system, tmp_path
+    ):
+        """CRAWL has no hub or authority column: the scores ``update_scores``
+        attaches ride in the checkpoint.  Under an ordering that reads the
+        authority score, a crawl saved with scores attached and then
+        abandoned resumes with every score in place, and visits what the
+        same crawl run without a stop visits."""
+
+        def start(checkpoint_dir=None):
+            config = crawl_config("batched")
+            config.ordering = recovery_ordering()
+            handle = checkpoint_system.start(
+                JobSpec(
+                    crawler=config,
+                    fetch_failure_seed=FETCH_FAILURE_SEED,
+                    checkpoint_dir=checkpoint_dir,
+                )
+            )
+            handle.step(8)
+            frontier = handle.crawler.frontier
+            waiting = [
+                url for url in frontier.known_urls() if frontier.entry(url).status == "frontier"
+            ]
+            attached = {
+                url: (0.5 + n / 100, 1.0 - n / 100) for n, url in enumerate(waiting[-12:])
+            }
+            for url, (hub, authority) in attached.items():
+                frontier.update_scores(url, hub_score=hub, authority_score=authority)
+            return handle, attached
+
+        reference, attached = start()
+        reference_result = reference.run()
+        abandoned, again = start(str(tmp_path / "crawl"))
+        assert again == attached
+        abandoned.pause()  # the save; the handle is then abandoned, never closed
+
+        resumed = checkpoint_system.resume(str(tmp_path / "crawl"))
+        frontier = resumed.crawler.frontier
+        for url, scores in attached.items():
+            entry = frontier.entry(url)
+            assert (entry.hub_score, entry.authority_score) == scores, url
+        result = resumed.run()
+        assert result.pages_fetched() == MAX_PAGES
+        assert_traces_match(result, reference_result)
+        result.database.close()
+
 
 class TestCrawlArgumentGuards:
     def test_checkpoint_dir_refuses_a_directory_already_holding_a_crawl(
@@ -710,8 +869,7 @@ class TestCheckpointManager:
         """A checkpoint in another format is refused whole, naming both versions."""
         legacy = CrawlCheckpoint(
             config=crawl_config("batched"), focused=True, seeds=[], good_topics=[],
-            fetch_failure_seed=0, engine_state={}, frontier_state={}, fetcher_state={},
-            server_rng_state={},
+            fetch_failure_seed=0, engine_state={}, fetcher_state={}, server_rng_state={},
         )
         newer = CheckpointHeader(
             version=FORMAT_VERSION + 1, config=crawl_config("batched"), focused=True,
@@ -727,36 +885,65 @@ class TestCheckpointManager:
                 CheckpointManager.load(str(path))
 
 
-def assert_chain_equals_snapshot(manager: CheckpointManager) -> str:
-    """``base ⊕ deltas == state_snapshot()``, field for field; returns the frame kind.
+def assert_restored_equals_live(manager: CheckpointManager) -> str:
+    """What a resume rebuilds from the last save equals the live crawl; returns the frame kind.
 
-    A mutation path that forgets to mark what it touched fails here, at
-    the first checkpoint after it ran and with the field's name, not as
-    a divergent crawl hundreds of pages later.
+    The engine state folded from base and deltas equals
+    ``state_snapshot()`` field for field, and a twin engine restored from
+    it over the saved tables holds the live frontier (every entry's
+    fields, ``rid`` and ``discovered`` included; the server loads; the
+    discovery watermark; the checkout order), the live relevance map and
+    the live last distillation, items in order.  A mutation path that
+    changes an entry without writing CRAWL fails here, at the first
+    checkpoint after it ran and with the field's name, not as a divergent
+    crawl hundreds of pages later.
     """
     saved = read_checkpoint(manager.database)
-    frontier = manager.crawler.frontier.state_snapshot()
-    engine = manager.crawler.engine.state_snapshot()
-    assert saved.frontier_state.keys() == frontier.keys()
-    for got, live in zip(saved.frontier_state["entries"], frontier["entries"]):
-        for name, folded, current in zip(ENTRY_FIELDS, got, live):
-            assert folded == current, (
-                f"frontier entry {live[0]}: {name} is {folded!r} in base+deltas, {current!r} live"
-            )
-    for key, live in frontier.items():
-        assert saved.frontier_state[key] == live, f"frontier.{key}"
-    assert saved.engine_state.keys() == engine.keys()
-    for key, live in engine.items():
+    engine = manager.crawler.engine
+    live = engine.state_snapshot()
+    assert saved.engine_state.keys() == live.keys()
+    for key, value in live.items():
         folded = saved.engine_state[key]
         if key == "trace":
             for field in dataclasses.fields(CrawlTrace):
-                assert getattr(folded, field.name) == getattr(live, field.name), (
+                assert getattr(folded, field.name) == getattr(value, field.name), (
                     f"engine.trace.{field.name}"
                 )
-        elif key == "relevance":
-            assert list(folded.items()) == list(live.items()), "engine.relevance"
         else:
-            assert folded == live, f"engine.{key}"
+            assert folded == value, f"engine.{key}"
+
+    frontier = engine.frontier
+    twin = CrawlEngine(
+        engine.fetcher, engine._scorer.classifier, engine._scorer.taxonomy, manager.database,
+        engine.config, Frontier(manager.database, frontier.ordering), CrawlTrace(),
+        transport=engine.transport,
+    )
+    twin.restore_state(saved.engine_state)
+    rebuilt = twin.frontier
+    assert rebuilt.known_urls() == frontier.known_urls()
+    for url in frontier.known_urls():
+        for field in dataclasses.fields(FrontierEntry):
+            got = getattr(rebuilt.entry(url), field.name)
+            want = getattr(frontier.entry(url), field.name)
+            assert got == want, (
+                f"frontier entry {url}: {field.name} is {got!r} rebuilt, {want!r} live"
+            )
+    assert rebuilt._server_load == frontier._server_load, "server loads"
+    assert rebuilt._next_discovered == frontier._next_discovered, "next_discovered"
+    waiting = [frontier.entry(url) for url in frontier.known_urls()]
+    waiting = [entry for entry in waiting if entry.status == "frontier"]
+    waiting.sort(key=lambda entry: (frontier.current_key(entry), entry.oid))
+    assert rebuilt.pop_batch(len(waiting) + 1) == [entry.url for entry in waiting], "checkout order"
+    assert list(twin.relevance_map().items()) == list(engine.relevance_map().items()), "relevance"
+    last, restored = engine.trace.last_distillation, twin.trace.last_distillation
+    assert (restored is None) == (last is None), "last distillation"
+    if last is not None:
+        assert list(restored.hub_scores.items()) == list(last.hub_scores.items()), "hubs"
+        assert list(restored.authority_scores.items()) == list(last.authority_scores.items()), (
+            "authorities"
+        )
+        assert restored.iterations == last.iterations, "iterations"
+    assert twin._small_state() == engine._small_state(), "small state"
     assert saved.fetcher_state == manager.fetcher.state_snapshot(), "fetcher_state"
     assert saved.server_rng_state == manager.servers.rng_state(), "server_rng_state"
     assert saved.checkpoints_saved == manager.checkpoints_saved
@@ -803,7 +990,7 @@ class TestDeltaEqualsFull:
 
         def checked_save(manager):
             save(manager)
-            kinds.append(assert_chain_equals_snapshot(manager))
+            kinds.append(assert_restored_equals_live(manager))
 
         monkeypatch.setattr(CheckpointManager, "save", checked_save)
         real_fetch = Fetcher.fetch
@@ -878,9 +1065,7 @@ class TestCheckpointBytes:
         finally:
             CheckpointManager.save = save
         crawler = handle.crawler
-        final_state = len(
-            dump_record((crawler.frontier.state_snapshot(), crawler.engine.state_snapshot()))
-        )
+        final_state = len(dump_record(crawler.engine.state_snapshot()))
         segment_total = handle.database.io_snapshot()["segment_bytes_total"]
         handle.close()
         return log, final_state, segment_total

@@ -14,7 +14,6 @@ def make_trace(relevances, urls=None):
         trace.visits.append(
             PageVisit(tick=i + 1, url=url, relevance=relevance, server=f"s{i % 3}", out_degree=3)
         )
-        trace.fetched_urls.append(url)
     return trace
 
 
@@ -121,7 +120,6 @@ class TestCitationSociology:
                     best_leaf_cid=trained_model.best_leaf(doc),
                 )
             )
-            trace.fetched_urls.append(url)
         good_urls = set(cycling)
         exclude = {taxonomy.by_path("recreation/cycling").cid}
         names = {n.cid: n.path for n in taxonomy.nodes()}

@@ -297,6 +297,22 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="rho must be >= 0"):
             run_crawl(small_web, trained_model, taxonomy, [], rho=-0.01)
 
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("distill_every", -1),  # distilled every round
+            ("checkpoint_every", -1),  # flushed and synced every round
+            ("max_retries", -1),
+            ("stagnation_patience", 0),  # stagnated at the first miss
+            ("distill_iterations", 0),
+        ],
+    )
+    def test_out_of_range_settings_rejected(
+        self, small_web, trained_model, taxonomy, setting, value
+    ):
+        with pytest.raises(ValueError, match=f"{setting} must be >= {value + 1}"):
+            run_crawl(small_web, trained_model, taxonomy, [], **{setting: value})
+
     @pytest.mark.parametrize("priority", [1e308, float("inf")])
     def test_any_boost_priority_crawls_to_completion(
         self, small_web, trained_model, taxonomy, crawl_seeds, priority

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.schema import create_focus_database
-from repro.crawler.frontier import ENTRY_FIELDS, Frontier, FrontierEntry
+from repro.crawler.frontier import Frontier
 from repro.crawler.policies import (
     ORDERINGS,
     FetchPolicy,
@@ -185,8 +185,26 @@ class TestFrontier:
         assert frontier.entry("http://a.example/1").hub_score == 0.9
 
 
-class TestFrontierState:
-    """The checkpointed form: positional entries, and deltas that fold back."""
+def rebuilt_from_table(frontier):
+    """A fresh frontier over *frontier*'s database, rebuilt as a resume rebuilds it."""
+    twin = Frontier(frontier.database, frontier.ordering)
+    twin.restore_from_table(pickle.loads(pickle.dumps(frontier.attached_scores())))
+    return twin
+
+
+def assert_same_frontier(twin, frontier):
+    """Every entry field for field (``rid`` and ``discovered`` included), the
+    server loads and the discovery watermark."""
+    assert twin.known_urls() == frontier.known_urls()
+    for url in frontier.known_urls():
+        assert dataclasses.astuple(twin.entry(url)) == dataclasses.astuple(frontier.entry(url)), url
+    assert twin._server_load == frontier._server_load
+    assert twin._next_discovered == frontier._next_discovered
+    assert len(twin) == len(frontier)
+
+
+class TestRestoreFromTable:
+    """A resumed frontier is rebuilt from CRAWL plus the attached scores alone."""
 
     def make_frontier(self):
         database = create_focus_database(buffer_pool_pages=64)
@@ -209,69 +227,78 @@ class TestFrontierState:
             frontier.record_failure(urls[1], max_retries=2)
         frontier.flush_batch()
 
-    def test_snapshot_is_one_header_and_one_tuple_per_entry(self):
-        frontier = self.make_frontier()
-        frontier.add_seed("http://a.example/1")
-        frontier.add_url("http://a.example/2", relevance=0.4)
-        state = frontier.state_snapshot()
-        assert state["fields"] == ENTRY_FIELDS
-        assert ENTRY_FIELDS[:11] == tuple(
-            field.name for field in dataclasses.fields(FrontierEntry) if field.name != "rid"
-        )
-        assert [len(entry) for entry in state["entries"]] == [len(ENTRY_FIELDS)] * 2
-        first = dict(zip(ENTRY_FIELDS, state["entries"][0]))
-        assert first["url"] == "http://a.example/1" and first["relevance"] == 1.0
-        assert (first["rid_page"], first["rid_slot"]) == (0, 0)
-        assert not hasattr(frontier.entry("http://a.example/1"), "__dict__")  # slots
-
-        restored = self.make_frontier()
-        restored.database.table("CRAWL").insert_many(
-            list(frontier.database.table("CRAWL").rows())
-        )
-        restored.restore_state(pickle.loads(pickle.dumps(state)))
-        assert restored.state_snapshot() == state
-        assert restored.entry("http://a.example/2").rid == frontier.entry("http://a.example/2").rid
-        assert restored.pop_batch(2) == frontier.pop_batch(2)
-
-    def test_restore_refuses_another_entry_layout(self):
-        frontier = self.make_frontier()
-        state = frontier.state_snapshot()
-        state["fields"] = ENTRY_FIELDS[:-1]
-        with pytest.raises(ValueError, match="entry layout"):
-            frontier.restore_state(state)
-
-    def test_deltas_fold_back_into_the_snapshot(self):
+    def test_rounds_boosts_and_scores_rebuild_to_the_live_frontier(self):
         frontier = self.make_frontier()
         for n in range(4):
             frontier.add_seed(f"http://seed.example/{n}")
-        with pytest.raises(RuntimeError, match="mark_saved"):
-            frontier.state_delta()
-        base = pickle.loads(pickle.dumps(frontier.state_snapshot()))
-        frontier.mark_saved()
-        deltas = []
         for interval in range(3):
             self.drive(frontier, first=10 * interval, count=5)
-            # Unbuffered mutations between rounds are part of the interval.
+            # Unbuffered mutations between rounds.
             frontier.boost(self.url(10 * interval + 1), relevance=0.9)
             frontier.update_scores(self.url(10 * interval + 2), hub_score=0.5)
             assert frontier.entry(self.url(10 * interval + 1)).relevance == 0.9
-            delta = frontier.state_delta()
-            assert 0 < len(delta[0]) < len(frontier.known_urls())  # only what changed
-            deltas.append(pickle.loads(pickle.dumps(delta)))
-            frontier.mark_saved()
-            assert frontier.state_delta()[0] == []  # nothing since the mark
-        folded = Frontier.fold_state(base, deltas)
-        live = frontier.state_snapshot()
-        assert folded == live
-        assert [entry[0] for entry in folded["entries"]] == frontier.known_urls()
+            assert_same_frontier(rebuilt_from_table(frontier), frontier)
+        frontier.update_scores(self.url(2), hub_score=0.0)  # detached again
+        assert set(frontier.attached_scores()) == {
+            frontier.entry(self.url(n)).oid for n in (12, 22)
+        }
+        twin = rebuilt_from_table(frontier)
+        assert_same_frontier(twin, frontier)
+        assert not hasattr(twin.entry(self.url(1)), "__dict__")  # slots
+        assert twin.pop_batch(100) == frontier.pop_batch(100)
 
-    def test_a_delta_is_not_taken_mid_round(self):
-        frontier = self.make_frontier()
-        frontier.add_seed("http://a.example/1")
-        frontier.mark_saved()
-        frontier.begin_batch()
-        with pytest.raises(RuntimeError, match="mid-round"):
-            frontier.state_delta()
+    @pytest.mark.parametrize("name", sorted(ORDERINGS))
+    @given(start=st.lists(st.floats(0, 1, allow_nan=False), max_size=12), ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.integers(0, 15), st.floats(0, 1, allow_nan=False)),
+            st.tuples(st.just("boost"), st.integers(0, 15), st.floats(0, 1, allow_nan=False)),
+            st.tuples(st.just("scores"), st.integers(0, 15),
+                      st.sampled_from([0.0, 0.25, 1.0]), st.sampled_from([0.0, 0.5])),
+            st.tuples(st.just("pop"), st.integers(1, 4)),
+            st.tuples(st.just("visit"), st.floats(0, 1, allow_nan=False), st.integers(1, 50)),
+            st.tuples(st.just("fail"), st.integers(0, 2)),
+            st.tuples(st.just("buffer")),
+            st.tuples(st.just("save")),
+        ),
+        max_size=40,
+    ))
+    # Scores attached and then zeroed, a failure and a visit inside one
+    # buffered round, and a save between them.
+    @example(start=[0.5, 0.0, 0.25], ops=[
+        ("scores", 1, 1.0, 0.5), ("buffer",), ("fail", 2), ("visit", 0.75, 3),
+        ("add", 9, 0.5), ("save",), ("scores", 1, 0.0, 0.0), ("pop", 2), ("save",),
+    ])
+    @settings(max_examples=40, deadline=None)
+    def test_histories_rebuild_to_the_live_frontier(self, name, start, ops):
+        """At every round boundary — no entry in flight, no write buffered —
+        the frontier rebuilt from CRAWL and the attached scores equals the
+        live one, and checks out in the same order."""
+        frontier = Frontier(create_focus_database(buffer_pool_pages=64), ORDERINGS[name])
+        for n, relevance in enumerate(start):
+            frontier.add_url(TestCheckoutOrder.url(n), relevance=relevance)
+        in_flight = []
+
+        def round_boundary():
+            for url in in_flight:
+                frontier.requeue(url)
+            in_flight.clear()
+            if frontier._buffering:
+                frontier.flush_batch()
+
+        for op in ops:
+            if op[0] == "buffer":
+                frontier.begin_batch()
+            elif op[0] == "save":
+                round_boundary()
+                assert_same_frontier(rebuilt_from_table(frontier), frontier)
+            else:
+                checked_out = TestCheckoutOrder.apply(frontier, op)
+                if op[0] == "pop":
+                    in_flight.extend(checked_out)
+        round_boundary()
+        twin = rebuilt_from_table(frontier)
+        assert_same_frontier(twin, frontier)
+        assert twin.pop_batch(10_000) == frontier.pop_batch(10_000)
 
 
 class TestHeapHygiene:

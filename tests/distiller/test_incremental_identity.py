@@ -537,9 +537,9 @@ class TestSerialKillResume:
         graph mirrored LINK's weights: every frame, base or delta, carries
         a ``delta_cache`` section — a LINK page watermark and the record
         ids whose weights awaited a re-read, or ``None`` (an initial
-        checkpoint, and the serial loop before it fed the cache) — and
-        the base a dict-backed ``last_distillation``.  The section is
-        ignored: the graph is rebuilt from the recovered LINK table.
+        checkpoint, and the serial loop before it fed the cache).  The
+        section is ignored: the graph is rebuilt from the recovered LINK
+        table.
         """
         snapshot = CrawlEngine.state_snapshot
         delta = CrawlEngine.state_delta
@@ -559,10 +559,6 @@ class TestSerialKillResume:
             state = snapshot(engine)
             assert "delta_cache" not in state
             state["delta_cache"] = old_section(engine)
-            last = state["trace"].last_distillation
-            if last is not None:
-                state["trace"].last_distillation = pickle.loads(pickle.dumps(last))
-                assert state["trace"].last_distillation.dense is None
             shapes.append(state["delta_cache"])
             return state
 

@@ -500,7 +500,9 @@ class TestCrawlTorture:
         the crash lands, the resume folds the previous chain or the new
         one and the crawl it continues is the uninterrupted crawl.
         """
-        ratio = 0.3  # some checkpoints compact, most do not
+        # Some checkpoints compact, most do not: on this crawl the saves are
+        # a base, two deltas, a plain base and a compacting delta.
+        ratio = 0.4
         save = CheckpointManager.save
         windows = []
 

@@ -269,6 +269,19 @@ class TestErrors:
         assert excinfo.value.code == 400
 
     @pytest.mark.parametrize("engine", ["auto", "sharded"])
+    def test_negative_distill_every_is_400(self, service, engine):
+        spec = JobSpec(max_pages=30).to_dict()
+        spec["crawler"] = {
+            "distill_every": -1, "engine": engine, "shards": 2, "shard_runner": "inprocess"
+        }
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call(f"{service.url}/jobs", spec)
+        with excinfo.value as reply:
+            assert reply.code == 400
+            assert "distill_every must be >= 0" in json.load(reply)["error"]
+        assert call(f"{service.url}/jobs") == []
+
+    @pytest.mark.parametrize("engine", ["auto", "sharded"])
     def test_negative_rho_is_400(self, service, engine):
         spec = JobSpec(max_pages=30).to_dict()
         spec["crawler"] = {"rho": -0.1, "engine": engine, "shards": 2, "shard_runner": "inprocess"}
