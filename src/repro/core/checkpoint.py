@@ -28,36 +28,34 @@ order.
 per page) while a checkpoint interval adds little to it, so it is not
 re-written whole.  It is a chain of *frames* ``[base, d1, ..., dk]``:
 
-* the **base** holds ``CrawlEngine.state_snapshot()`` in full;
-* a **delta** holds what the interval changed
-  (``CrawlEngine.state_delta()``): the tails of the trace's visit and
-  failure lists, and — small, so written whole — the counters and the
-  RNG positions.
+* the **base**, written by a chain's first save (page 0 of the crawl),
+  holds ``CrawlEngine.state_snapshot()`` in full;
+* a **delta**, written by every later save, holds what the interval
+  changed (``CrawlEngine.state_delta()``): the tails of the trace's
+  visit and failure lists, and — small, so written whole — the counters
+  and the RNG positions.
 
 Every frame is one positional tuple, pickled and appended to the
 database's segment file (the ``frames=`` of
 :meth:`repro.minidb.Database.checkpoint`).  The snapshot record's
 ``app_state`` is only a :class:`CheckpointHeader`: format version, the
-crawl's constants, and the frame numbers of the live chain.  When the
-deltas of a chain weigh as much as its base plus the delta the save
-would write (:data:`REBASE_RATIO`), the save writes a fresh base from
-the live objects instead and drops the old chain.  The state only
-grows by appending, so that base holds the old one, what the retired
-deltas carried and this interval — at most twice the deltas it
-retires.  Frame bytes over a crawl therefore stay within three times
-the delta bytes, where re-writing the state whole costs
-(checkpoints / 2) times the final state, and a recovery never folds
-more delta bytes than a base plus two frames.
+crawl's constants, and the frame numbers of the live chain.  The state
+only grows by appending, so base and deltas together are the state:
+frame bytes over a crawl are the final state plus the small parts each
+delta repeats, where re-writing the state whole costs (checkpoints / 2)
+times the final state.  Chains written while a save could also start a
+fresh base mid-crawl, dropping the chain before it, fold the same way:
+their base is just not frame 1.
 
 **Why the segment file and not a sidecar.**  A frame is tracked in the
 snapshot record's page directory like a page image, so it is published
 by the one commit point the database already has (the snapshot rename):
 a crash can never publish crawl state and table state from different
 moments, nor a header without its frames.  A frame a crash left
-unpublished is an unreferenced tail; a dropped one is garbage the
-segment compactor reclaims at a checkpoint; live ones are copied
-by it; all of it runs through the ``FileOps`` fault seam.  A second file
-would need each of those again, with crash windows of its own.
+unpublished is an unreferenced tail the segment compactor reclaims at a
+checkpoint; live ones are copied by it; all of it runs through the
+``FileOps`` fault seam.  A second file would need each of those again,
+with crash windows of its own.
 
 Resume opens the database pinned to its snapshot (``replay_wal=False``
 discards the redo tail of work the engine will redo deterministically),
@@ -83,19 +81,12 @@ from repro.crawler.engine import CrawlEngine
 from repro.crawler.focused import CrawlerConfig, FocusedCrawler
 from repro.minidb import Database
 from repro.minidb.errors import StorageError
-from repro.minidb.wal import dump_record
 from repro.webgraph.servers import ServerPool
 from repro.webgraph.transport import FetchTransport
 
 #: Version of the header/frame layout.  Format 1 was a whole
 #: :class:`CrawlCheckpoint` pickled into the snapshot record.
 FORMAT_VERSION = 2
-
-#: A chain is replaced by a fresh base once its deltas weigh this many
-#: times its base, plus the delta the save would write.  At 1 the new
-#: base is at most twice the deltas it retires, and recovery reads at
-#: most about two bases' worth of bytes.
-REBASE_RATIO = 1.0
 
 #: First item of a frame's tuple.
 BASE_FRAME = "base"
@@ -194,26 +185,25 @@ class CheckpointManager:
         self.crawler.engine.mark_saved()
 
     def save(self) -> None:
-        """Checkpoint the database, appending this interval's frame to the chain."""
+        """Checkpoint the database, appending this interval's frame to the chain.
+
+        The chain's first save writes the base, every later one a delta.
+        """
         started = time.perf_counter()
         self.checkpoints_saved += 1
         engine = self.crawler.engine
         engine.sync()
-        database = self.database
-        sizes = [database.frame_size(frame_no) for frame_no in self.chain]
-        transport_state = (self.fetcher.state_snapshot(), self.servers.rng_state())
-        frame = (DELTA_FRAME, engine.state_delta(), *transport_state) if sizes else None
-        if frame is None or sum(sizes[1:]) >= REBASE_RATIO * sizes[0] + len(dump_record(frame)):
-            frame = (BASE_FRAME, engine.state_snapshot(), *transport_state)
-            dropped, kept = self.chain, []
+        if self.chain:
+            kind, part = DELTA_FRAME, engine.state_delta()
         else:
-            dropped, kept = [], self.chain
+            kind, part = BASE_FRAME, engine.state_snapshot()
+        frame = (kind, part, self.fetcher.state_snapshot(), self.servers.rng_state())
         # Saves are numbered from 1 and each writes one frame, so the
         # count is the frame's number; a crash's unpublished frame has
         # the number the resumed crawl's next save reuses.
         frame_no = self.checkpoints_saved
-        self.chain = kept + [frame_no]
-        database.checkpoint(
+        self.chain = self.chain + [frame_no]
+        self.database.checkpoint(
             app_state=CheckpointHeader(
                 version=FORMAT_VERSION,
                 config=self.crawler.config,
@@ -224,7 +214,6 @@ class CheckpointManager:
                 chain=self.chain,
             ),
             frames={frame_no: frame},
-            drop_frames=dropped,
         )
         engine.mark_saved()
         paused = time.perf_counter() - started

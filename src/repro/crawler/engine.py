@@ -39,9 +39,10 @@ time:
    buffer.  The scores are kept, not written: nothing in the crawl
    reads HUBS or AUTH.  At each ``checkpoint_every`` boundary
    :meth:`CrawlEngine.sync` writes everything buffered — CRAWL, LINK,
-   and HUBS and AUTH if a distillation ran since their last write — and
-   a checkpoint is saved, when a checkpointer is attached; the crawl's
-   end syncs once more.
+   and, if a distillation ran since their last write, HUBS and AUTH,
+   each rewritten whole (:func:`write_scores`) — and a checkpoint is
+   saved, when a checkpointer is attached; the crawl's end syncs once
+   more.
 
 The flush points are a pure function of crawl progress — every
 ``distill_every`` and ``checkpoint_every`` pages, and the end — never of
@@ -62,8 +63,8 @@ digests recorded from the loop it replaced).  Larger K changes the
 interleaving but, on a bounded web, converges to the same crawl set.
 
 The stage code — :class:`PageScorer`, :func:`permanent_failure`,
-:func:`link_targets`, :func:`link_row`, :class:`BufferedLinkWriter`,
-:func:`expansion_priority` — is module
+:func:`link_targets`, :func:`link_row`, :func:`write_scores`,
+:class:`BufferedLinkWriter`, :func:`expansion_priority` — is module
 level because the sharded engine's workers and coordinator
 (:mod:`repro.crawler.sharded`) run the same stages on their slice of a
 round.
@@ -83,7 +84,6 @@ from repro.classifier.model import BatchClassification, HierarchicalModel
 from repro.classifier.tokenizer import term_frequencies
 from repro.distiller.db_distiller import IncrementalDistiller
 from repro.distiller.hits import DistillationResult
-from repro.distiller.score_store import ScoreTableStore
 from repro.minidb import Database, StorageConfig
 from repro.minidb.table import Table
 from repro.taxonomy.tree import TopicTaxonomy
@@ -398,6 +398,17 @@ def link_row(
     return (source_oid, source_sid, target_oid, target_sid, forward, relevance)
 
 
+def write_scores(table: Table, oids: Sequence[int], scores: Sequence[float]) -> None:
+    """Make score *table* (HUBS or AUTH) hold ``{oids[i]: scores[i]}`` over the non-zero scores.
+
+    The table is rewritten whole: one ``truncate``, then one
+    ``insert_many`` in the order given (a crawl hands over its link
+    graph's node order).  *oids* may be longer than *scores*.
+    """
+    table.truncate()
+    table.insert_many([(oid, score) for oid, score in zip(oids, scores) if score != 0.0])
+
+
 class BufferedLinkWriter:
     """Buffered LINK writes: one bulk insert plus coalesced weight refreshes.
 
@@ -530,7 +541,6 @@ class CrawlEngine:
         self._relevance: Dict[int, float] = {}
         self._scorer = PageScorer(classifier, taxonomy, config)
         self._link_writer = BufferedLinkWriter(database.table("LINK"))
-        self._score_store = ScoreTableStore(database)
         #: The last distillation, until :meth:`sync` writes it to HUBS and AUTH.
         self._unwritten_scores: Optional[DistillationResult] = None
         self._incremental: Optional[IncrementalDistiller] = None
@@ -638,8 +648,8 @@ class CrawlEngine:
 
         The engine calls it at each ``checkpoint_every`` boundary and at
         the crawl's end; anything that reads the tables from outside the
-        engine mid-crawl calls it first.  HUBS and AUTH get the last
-        distillation's scores, one ``store_dense`` each, and only if a
+        engine mid-crawl calls it first.  HUBS and AUTH are rewritten with
+        the last distillation's scores, in graph-node order, and only if a
         distillation ran since they were last written: nothing inside the
         crawl reads them.
         """
@@ -648,8 +658,8 @@ class CrawlEngine:
         if result is not None:
             started = time.perf_counter()
             oids, hubs, authorities = result.dense
-            self._score_store.store_dense("HUBS", oids, hubs)
-            self._score_store.store_dense("AUTH", oids, authorities)
+            write_scores(self.database.table("HUBS"), oids, hubs.tolist())
+            write_scores(self.database.table("AUTH"), oids, authorities.tolist())
             self.stage_timings["write"] += time.perf_counter() - started
 
     def _flush(self) -> None:
@@ -769,9 +779,6 @@ class CrawlEngine:
         self.trace.refill(state["trace"])
         self._relevance = {url_oid(visit.url): visit.relevance for visit in self.trace.visits}
         self.frontier.restore_from_table(state.get("attached_scores"))
-        # The score-table rid cache is soft state; rebuild it from the
-        # replayed tables rather than trusting pre-crash record ids.
-        self._score_store.invalidate()
         # A checkpoint is taken right after a sync: its scores are on disk.
         self._unwritten_scores = None
         self._incremental = None

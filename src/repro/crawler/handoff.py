@@ -84,7 +84,7 @@ class HandoffOrderError(ValueError):
 class FinishRound:
     """Coordinator -> shard: the second half of a round's commit.
 
-    Scores (when the round distilled; written as a delta), then the §3.7
+    Scores (when the round distilled; each table rewritten whole), then the §3.7
     hub boosts over the local LINK partition, then the frontier flush.
     Rides inside the :class:`ApplyRound` of a round that does not
     distil; a distilling round's follows in the next

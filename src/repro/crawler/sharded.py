@@ -18,7 +18,7 @@ function of the crawl content:
 This module holds what sharding adds — the round protocol,
 coordinator-side tick/discovery assignment and merged-graph
 distillation.  The stages of a round themselves (classify, out-link
-targets, the buffered link flush, the score tables' delta store, hub
+targets, the buffered link flush, the score tables' rewrite, hub
 boosts, the focus rule) are :mod:`~.engine`'s, called on each shard's
 slice.
 
@@ -63,7 +63,6 @@ from repro.classifier.training import ModelInstaller
 from repro.core.schema import create_focus_database
 from repro.distiller.compiled import CompiledLinkGraph, compiled_weighted_hits
 from repro.distiller.hits import DistillationResult
-from repro.distiller.score_store import ScoreTableStore
 from repro.minidb.table import Table
 from repro.taxonomy.tree import TopicTaxonomy
 from repro.webgraph.fetch import Fetcher, FetchStats, FetchStatus
@@ -81,6 +80,7 @@ from .engine import (
     expansion_priority,
     link_targets,
     permanent_failure,
+    write_scores,
 )
 from .frontier import Frontier
 from .handoff import (
@@ -244,7 +244,6 @@ class ShardWorker:
         # The engine's own classify and record stages, run on this shard's slice.
         self._scorer = PageScorer(self.classifier, self.taxonomy, self.config)
         self._link_writer = BufferedLinkWriter(self.database.table("LINK"))
-        self._score_store = ScoreTableStore(self.database)
         self.timings: Dict[str, float] = dict.fromkeys(_STAGES + _WORKER_PROTOCOL, 0.0)
 
     # -- message dispatch ---------------------------------------------------------
@@ -384,9 +383,7 @@ class ShardWorker:
         """Scores -> boosts -> frontier flush (see FinishRound)."""
         started = time.perf_counter()
         for table, (oids, scores) in message.scores.items():
-            # The delta path of the single engine: update_column for changed
-            # scores, inserts for new oids, sorted deletes for vanished ones.
-            self._score_store.store(table, dict(zip(oids, scores)))
+            write_scores(self.database.table(table), oids, scores)
         boost_hub_neighbours(
             self._link_writer.table, self.frontier, message.boost_hubs, message.boost_priority
         )

@@ -30,10 +30,6 @@ class DistillationResult:
     kernel hands over its dense vectors (:meth:`from_dense`) and the
     dicts are only built if someone reads them: the crawl loop stores
     and ranks straight from the arrays.
-
-    Pickles as the three public fields whatever the backing, so a pickled
-    result reads the same either way (crawl checkpoints written while they
-    carried the last distillation included).
     """
 
     #: ``(oids, hubs, authorities)`` of a dense result: ``hubs[i]`` and
@@ -66,7 +62,8 @@ class DistillationResult:
         return result
 
     # cached_property is a non-data descriptor: dict-backed results (and
-    # unpickled ones) carry the dicts in __dict__ and never reach these.
+    # results pickled as dicts by older builds) carry the dicts in
+    # __dict__ and never reach these.
     @cached_property
     def hub_scores(self) -> Dict[int, float]:
         oids, hubs, _authorities = self.dense
@@ -77,17 +74,12 @@ class DistillationResult:
         oids, _hubs, authorities = self.dense
         return _nonzero_scores(oids, authorities)
 
-    def __getstate__(self) -> dict:
-        return {
-            "hub_scores": self.hub_scores,
-            "authority_scores": self.authority_scores,
-            "iterations": self.iterations,
-        }
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistillationResult):
             return NotImplemented
-        return self.__getstate__() == other.__getstate__()
+        return (self.hub_scores, self.authority_scores, self.iterations) == (
+            other.hub_scores, other.authority_scores, other.iterations
+        )
 
     def __repr__(self) -> str:
         return (

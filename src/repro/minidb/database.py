@@ -30,7 +30,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from itertools import repeat
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Iterator, Mapping, Optional
 
 from .backend import DurableBackend, MemoryBackend, StorageBackend
 from .buffer_pool import BufferPool, IOStats
@@ -204,10 +204,7 @@ class Database:
 
     # -- durability -------------------------------------------------------------------
     def checkpoint(
-        self,
-        app_state: Any = None,
-        frames: Optional[Mapping[int, Any]] = None,
-        drop_frames: Iterable[int] = (),
+        self, app_state: Any = None, frames: Optional[Mapping[int, Any]] = None
     ) -> None:
         """Flush every dirty page and publish an atomic snapshot + fresh WAL.
 
@@ -229,7 +226,7 @@ class Database:
         everything else (``app_state`` then only needs to name them).
         A frame stays — through segment compaction and across reopens,
         readable with :meth:`read_frame` — until a later checkpoint
-        supersedes its number or lists it in *drop_frames*.
+        supersedes its number.
         """
         if not self.backend.persistent:
             raise StorageError(
@@ -238,8 +235,6 @@ class Database:
         self.buffer_pool.flush_all()
         for frame_no, value in (frames or {}).items():
             self.backend.put_frame(frame_no, dump_record(value))
-        for frame_no in drop_frames:
-            self.backend.drop_frame(frame_no)
         meta = self._catalog_meta()
         meta["app_state"] = app_state
         self.backend.checkpoint(meta)
@@ -252,10 +247,6 @@ class Database:
     def read_frame(self, frame_no: int) -> Any:
         """The value the last checkpoint holds as frame *frame_no*."""
         return load_record(self._frame_store().read_frame(frame_no))
-
-    def frame_size(self, frame_no: int) -> int:
-        """Bytes frame *frame_no* occupies on disk (0 when there is none)."""
-        return self._frame_store().frame_size(frame_no)
 
     def _frame_store(self) -> DurableBackend:
         if not self.backend.persistent:

@@ -578,12 +578,15 @@ class TestParentCheckpointResume:
         every frame carries the frontier's entries second, the base the
         relevance map and a trace with ``fetched_urls`` and a dict-backed
         ``last_distillation``, and each delta the relevance tail and the
-        distillation made since the save before.  Those sections are
-        skipped: the resume rebuilds the same state from the tables, and
-        the crawl it continues is the uninterrupted one."""
+        distillation made since the save before.  As the parent's saves
+        did once its deltas outweighed its base, the third save writes a
+        fresh base and drops the chain before it, so the chain resumed
+        from starts mid-crawl.  The extra sections are skipped: the
+        resume rebuilds the same state from the tables, and the crawl it
+        continues is the uninterrupted one."""
         snapshot, delta = CrawlEngine.state_snapshot, CrawlEngine.state_delta
         checkpoint = Database.checkpoint
-        written = {"frontier": None, "distillations": 0, "saved": None}
+        written = {"frontier": None, "distillations": 0, "saved": None, "deltas": 0}
 
         def frontier_part(frontier, base):
             heap = frontier.database.table("CRAWL").heap
@@ -622,6 +625,9 @@ class TestParentCheckpointResume:
             return {**small, "relevance": engine.relevance_map(), "trace": trace}
 
         def parent_delta(engine):
+            written["deltas"] += 1
+            if written["deltas"] == 2:
+                return parent_snapshot(engine)  # the third save rebases
             small, visits, failed_urls, distillations, stagnated = delta(engine)
             written["frontier"] = frontier_part(engine.frontier, base=False)
             relevance = list(engine.relevance_map().items())
@@ -634,12 +640,18 @@ class TestParentCheckpointResume:
                 failed_urls, distillations, stagnated, last,
             )
 
-        def parent_checkpoint(database, app_state=None, frames=None, drop_frames=()):
-            frames = {
-                frame_no: (kind, written["frontier"], *rest)
-                for frame_no, (kind, *rest) in (frames or {}).items()
-            }
-            return checkpoint(database, app_state=app_state, frames=frames, drop_frames=drop_frames)
+        def parent_checkpoint(database, app_state=None, frames=None):
+            ((frame_no, (kind, part, *rest)),) = frames.items()
+            if kind == "delta" and isinstance(part, dict):
+                # The rebase: a base in a delta's place, the chain before it
+                # dropped.  app_state.chain is the manager's own list, so
+                # its later saves extend the new chain.
+                kind = "base"
+                for dropped in app_state.chain[:-1]:
+                    database.backend.drop_frame(dropped)
+                del app_state.chain[:-1]
+            frames = {frame_no: (kind, written["frontier"], part, *rest)}
+            return checkpoint(database, app_state=app_state, frames=frames)
 
         monkeypatch.setattr(CrawlEngine, "state_snapshot", parent_snapshot)
         monkeypatch.setattr(CrawlEngine, "state_delta", parent_delta)
@@ -654,8 +666,10 @@ class TestParentCheckpointResume:
         monkeypatch.undo()
         relevance, last = written["saved"]
         reopened = Database.open(str(tmp_path / "crawl"), replay_wal=False)
-        frames = [reopened.read_frame(no) for no in reopened.app_state().chain]
+        chain = reopened.app_state().chain
+        frames = [reopened.read_frame(no) for no in chain]
         reopened.close()
+        assert chain[0] == 3, chain
         assert [len(frame) for frame in frames] == [5] * len(frames)
         assert [frame[0] for frame in frames] == ["base"] + ["delta"] * (len(frames) - 1)
         assert len(frames) >= 2
@@ -671,6 +685,8 @@ class TestParentCheckpointResume:
         resumed = handle.run()
         assert resumed.pages_fetched() == MAX_PAGES
         assert_traces_match(resumed, reference_batched)
+        # The resumed saves extended the rebased chain: it still folds.
+        assert assert_restored_equals_live(handle.manager) == "delta"
         resumed.database.close()
 
 
@@ -1005,8 +1021,9 @@ class TestDeltaEqualsFull:
         before_kill = len(kinds)
         resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
         assert resumed.pages_fetched() == MAX_PAGES
-        # The walk saw both frame kinds, on both sides of the kill.
-        assert "delta" in kinds and "base" in kinds[1:]
+        # One base, at the first save; every later save, on both sides of
+        # the kill, appends a delta.
+        assert kinds == ["base"] + ["delta"] * (len(kinds) - 1)
         assert len(kinds) - 2 >= before_kill >= 1
         if case == "hard-focus":
             assert resumed.trace.distillations >= 3 and resumed.trace.failed_urls
@@ -1088,15 +1105,9 @@ class TestCheckpointBytes:
         assert state_bytes + page_images <= 2 * (final_state + page_images), (
             state_bytes, page_images, final_state,
         )
-        # How the bound comes about: a base is written only once the
-        # deltas since the last one weigh as much as it did, and it can
-        # have grown by no more than they carried — so every base after
-        # the first is paid for twice over by the deltas it retires.
-        retired = 0
-        for _pages, consolidating, appended, _record in log[1:]:
-            if consolidating:
-                assert appended <= 2 * retired, log
-                retired = 0
-            else:
-                retired += appended
-        assert sum(kind for _pages, kind, _appended, _record in log) >= 3  # bases, first included
+        # How the bound comes about: the state only grows by appending, so
+        # one base at the first save and a delta at every later one write
+        # it once, plus the small parts each delta repeats whole.
+        assert [kind for _pages, kind, _appended, _record in log] == [True] + [False] * (
+            len(log) - 1
+        )

@@ -17,20 +17,31 @@ those points, so it must not depend on how the crawl is driven:
 
 Each case draws its crawl shape — budget, distillation and checkpoint
 cadence, failure stream, kill point — from a seeded generator; these are
-invariants, not recorded digests.  A last test pins the K=1 write counts:
-a return to one flush per round, or to a score write per distillation,
-fails here, not only on the benchmark.
+invariants, not recorded digests.
+
+What a sync leaves in HUBS and AUTH is checked too: after every sync of
+a K=1, a K=8 and a killed-and-resumed crawl, each table holds exactly the
+last distillation's non-zero scores, one row per oid, and the union of
+the shard tables of a sharded crawl holds the coordinator's last result.
+A resume reads each score table once.  A last test pins the K=1 write
+counts: a return to one flush per round, or to a score write per
+distillation, fails here, not only on the benchmark.
 """
 
 import dataclasses
 import random
+from collections import Counter
 from hashlib import blake2b
 
 import pytest
 
+import repro.crawler.engine as engine_module
 from repro.core.config import FocusConfig, JobSpec
 from repro.core.system import FocusSystem
+from repro.crawler.engine import CrawlEngine
 from repro.crawler.focused import CrawlerConfig
+from repro.crawler.sharded import build_sharded_crawler
+from repro.minidb.table import Table
 from repro.webgraph.fetch import Fetcher
 
 GOOD = "recreation/cycling"
@@ -77,6 +88,20 @@ def placement(database) -> dict:
     return digests
 
 
+def kill_fetches_after(monkeypatch, attempts):
+    """Raise :class:`KillSwitch` out of every fetch after the first *attempts*."""
+    real_fetch = Fetcher.fetch
+    calls = {"n": 0}
+
+    def killing(self, url):
+        calls["n"] += 1
+        if calls["n"] > attempts:
+            raise KillSwitch
+        return real_fetch(self, url)
+
+    monkeypatch.setattr(Fetcher, "fetch", killing)
+
+
 def start(system, config, failure_seed, checkpoint_dir=None):
     return system.start(
         JobSpec(crawler=config, fetch_failure_seed=failure_seed, checkpoint_dir=checkpoint_dir)
@@ -120,15 +145,7 @@ def test_row_placement_does_not_depend_on_how_the_crawl_is_driven(
     assert facts(durable) == reference, "durable store"
 
     real_fetch = Fetcher.fetch
-    calls = {"n": 0}
-
-    def killing(self, url):
-        calls["n"] += 1
-        if calls["n"] > kill_after:
-            raise KillSwitch
-        return real_fetch(self, url)
-
-    monkeypatch.setattr(Fetcher, "fetch", killing)
+    kill_fetches_after(monkeypatch, kill_after)
     killed = start(system, dataclasses.replace(config), failure_seed, str(tmp_path / "killed"))
     with pytest.raises(KillSwitch):
         killed.run()
@@ -139,7 +156,9 @@ def test_row_placement_does_not_depend_on_how_the_crawl_is_driven(
     assert facts(resumed) == reference, f"killed after {kill_after} fetches and resumed"
 
 
-def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(system):
+def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(
+    system, monkeypatch
+):
     distill_every, checkpoint_every = 40, 70
     config = CrawlerConfig(
         max_pages=150, distill_every=distill_every, checkpoint_every=checkpoint_every,
@@ -167,14 +186,13 @@ def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(sy
         return checkout(budget)
 
     handle.crawler.engine._checkout = counted_checkout
-    store = handle.crawler.engine._score_store
-    store_dense, score_writes = store.store_dense, []
+    write_scores, score_writes = engine_module.write_scores, []
 
-    def counted_store(name, oids, scores):
-        score_writes.append((name, handle.trace.pages_fetched))
-        return store_dense(name, oids, scores)
+    def counted_write(table, oids, scores):
+        score_writes.append((table.name, handle.trace.pages_fetched))
+        return write_scores(table, oids, scores)
 
-    store.store_dense = counted_store
+    monkeypatch.setattr(engine_module, "write_scores", counted_write)
     handle.run()
     pages = handle.trace.pages_fetched
     assert pages == 150 and not handle.trace.stagnated
@@ -191,3 +209,134 @@ def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(sy
     # boundary at 70 (after 40) and at 140 (after 80 and 120); not at 150.
     assert score_writes == [("HUBS", 70), ("AUTH", 70), ("HUBS", 140), ("AUTH", 140)]
     handle.close()
+
+
+def assert_scores_equal(table, scores):
+    """*table* holds exactly ``scores.items()``: one row per oid, in the order given."""
+    rows = list(table.rows())
+    assert len({oid for oid, _score in rows}) == len(rows), f"{table.name}: an oid twice"
+    assert len(rows) == len(scores), table.name
+    assert rows == list(scores.items()), table.name
+
+
+def check_every_sync(monkeypatch):
+    """After every sync, HUBS and AUTH hold the last distillation; returns the checks run."""
+    sync, checks = CrawlEngine.sync, []
+
+    def checked_sync(engine):
+        sync(engine)
+        last = engine.trace.last_distillation
+        tables = engine.database.table("HUBS"), engine.database.table("AUTH")
+        if last is None:
+            assert not any(map(len, tables))
+        else:
+            assert_scores_equal(tables[0], last.hub_scores)
+            assert_scores_equal(tables[1], last.authority_scores)
+        checks.append(last is not None)
+
+    monkeypatch.setattr(CrawlEngine, "sync", checked_sync)
+    return checks
+
+
+@pytest.mark.parametrize("k", [1, 8])
+def test_after_every_sync_hubs_and_auth_hold_the_last_distillation(
+    system, tmp_path, monkeypatch, k
+):
+    config = CrawlerConfig(
+        max_pages=200, distill_every=30, checkpoint_every=45,
+        engine="serial" if k == 1 else "batched", batch_size=k,
+    )
+    checks = check_every_sync(monkeypatch)
+    single = start(system, dataclasses.replace(config), failure_seed=3)
+    single.run()
+    single.close()
+    assert sum(checks) >= 4, checks
+
+    # Killed mid-crawl and resumed: the resumed crawl's syncs are checked
+    # against the distillation it read back, then against the ones it runs.
+    real_fetch = Fetcher.fetch
+    kill_fetches_after(monkeypatch, 150)
+    killed = start(system, dataclasses.replace(config), 3, str(tmp_path / "killed"))
+    with pytest.raises(KillSwitch):
+        killed.run()
+    killed.close()
+    monkeypatch.setattr(Fetcher, "fetch", real_fetch)
+    checks.clear()
+    resumed = system.resume(str(tmp_path / "killed"))
+    resumed.run()
+    assert resumed.trace.pages_fetched == 200
+    assert sum(checks) >= 2, checks
+    resumed.close()
+
+
+def test_a_resume_reads_hubs_and_auth_once(system, tmp_path, monkeypatch):
+    """From ``resume()`` through its first sync, each score table is scanned once.
+
+    The resume rebuilds the last distillation from HUBS and AUTH; the
+    crawl then distils again before its next checkpoint boundary, whose
+    sync rewrites both tables without reading them.
+    """
+    config = CrawlerConfig(
+        max_pages=150, distill_every=30, checkpoint_every=40, engine="batched", batch_size=8
+    )
+    real_fetch = Fetcher.fetch
+    kill_fetches_after(monkeypatch, 95)
+    killed = start(system, config, 3, str(tmp_path / "killed"))
+    with pytest.raises(KillSwitch):
+        killed.run()
+    killed.close()
+    monkeypatch.setattr(Fetcher, "fetch", real_fetch)
+
+    scans, first_sync = Counter(), []
+    for method in ("scan", "rows"):
+        def counted(table, read=getattr(Table, method)):
+            scans[table.name] += 1
+            return read(table)
+
+        monkeypatch.setattr(Table, method, counted)
+    sync, write_scores = CrawlEngine.sync, engine_module.write_scores
+    written = []
+
+    def first_sync_reads(engine):
+        sync(engine)
+        if not first_sync:
+            first_sync.append((scans["HUBS"], scans["AUTH"], list(written)))
+
+    def recorded_write(table, oids, scores):
+        written.append(table.name)
+        return write_scores(table, oids, scores)
+
+    monkeypatch.setattr(CrawlEngine, "sync", first_sync_reads)
+    monkeypatch.setattr(engine_module, "write_scores", recorded_write)
+    resumed = system.resume(str(tmp_path / "killed"))
+    assert resumed.trace.distillations and resumed.trace.last_distillation.hub_scores
+    resumed.run()
+    # The first sync after the resume wrote the scores of a fresh distillation.
+    assert first_sync == [(1, 1, ["HUBS", "AUTH"])]
+    resumed.close()
+
+
+def test_the_shard_score_tables_together_hold_the_last_distillation(
+    small_web, trained_model, taxonomy
+):
+    config = CrawlerConfig(
+        max_pages=120, distill_every=25, engine="sharded", shards=2, shard_runner="inprocess",
+        batch_size=8,
+    )
+    crawler = build_sharded_crawler(
+        small_web, trained_model, taxonomy, config, fetch_failure_seed=0
+    )
+    crawler.add_seeds(small_web.keyword_seed_pages(GOOD, count=8))
+    try:
+        trace = crawler.engine.run(config.max_pages)
+        last = trace.last_distillation
+        assert trace.distillations >= 3 and last.hub_scores
+        for name, scores in (("HUBS", last.hub_scores), ("AUTH", last.authority_scores)):
+            rows = [
+                row for worker in crawler.engine.runner.workers
+                for row in worker.database.table(name).rows()
+            ]
+            assert len({oid for oid, _score in rows}) == len(rows) == len(scores), name
+            assert dict(rows) == scores, name
+    finally:
+        crawler.shutdown()

@@ -34,7 +34,6 @@ from repro.crawler.engine import BufferedLinkWriter, CrawlerConfig, CrawlTrace
 from repro.crawler.frontier import Frontier
 from repro.crawler.handoff import ApplyRound, FinishRound, HandoffOrderError, OutcomeBatch
 from repro.crawler.sharded import ShardedEngine, ShardWorker
-from repro.distiller.score_store import ScoreTableStore
 
 SEEDS = [int(seed) for seed in os.environ.get("REPRO_TORTURE_SEEDS", "0").split(",")]
 
@@ -56,7 +55,6 @@ def bare_worker(shard: int, shards: int) -> ShardWorker:
     worker.database = create_focus_database(buffer_pool_pages=64)
     worker.frontier = Frontier(worker.database)
     worker._link_writer = BufferedLinkWriter(worker.database.table("LINK"))
-    worker._score_store = ScoreTableStore(worker.database)
     worker.timings = {"write": 0.0}
     return worker
 

@@ -99,7 +99,7 @@ class TestShardedMatchesBatched:
             KWARGS,
             # distill_every not a multiple of K: distilling rounds (scores
             # follow in the next checkout) and plain ones (the finish rides
-            # in the apply) alternate, and HUBS/AUTH are written by delta.
+            # in the apply) alternate, and HUBS/AUTH are rewritten at each.
             dict(max_pages=100, batch_size=8, distill_every=12),
             dict(max_pages=160, batch_size=32, distill_every=40),
         ],

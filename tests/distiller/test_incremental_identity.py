@@ -13,15 +13,13 @@ score dict into the table — lives on here as the oracle:
 (b) a ``CompiledLinkGraph`` grown by interleaved ``add_columns`` /
     ``arrays()`` equals ``compile_links`` of the final edge list — the
     graph built edge by edge — across several capacity doublings;
-(c) ``ScoreTableStore.store_dense`` issues the mutations ``store``
-    issues: same rows, same record ids, same journal records;
-(d) ``Table.update_column``'s column write equals ``update_rows`` and,
+(c) ``Table.update_column``'s column write equals ``update_rows`` and,
     handed a bad value or record id mid-batch, changes nothing — in
     memory, in the journal, or in what a reopened durable store holds;
-(e) a K=1 crawl killed and resumed — also from a checkpoint carrying the
+(d) a K=1 crawl killed and resumed — also from a checkpoint carrying the
     ``delta_cache`` section older engines wrote — is the uninterrupted
     crawl;
-(f) the weight rule the kernel rests on holds on every LINK row at every
+(e) the weight rule the kernel rests on holds on every LINK row at every
     flush point of drawn crawls (K, focus mode, failure seed, distillation
     interval), across a kill and resume, and on each shard's LINK of a
     sharded crawl; and at every distillation the crawl's graph is
@@ -46,7 +44,6 @@ from repro.crawler.focused import FocusedCrawler
 from repro.distiller.compiled import CompiledLinkGraph, compile_links, compiled_weighted_hits
 from repro.distiller.db_distiller import IncrementalDistiller
 from repro.distiller.hits import DistillationResult, weighted_hits
-from repro.distiller.score_store import ScoreTableStore
 from repro.distiller.weights import Link
 from repro.minidb import FLOAT, INTEGER, TEXT, Database, make_schema
 from repro.minidb.errors import SchemaError, StorageError
@@ -94,7 +91,7 @@ def score_rows(database, name):
 
 def assert_same_result(result, oracle):
     # Item lists, not dicts: key order is part of the contract (it is the
-    # order ScoreTableStore inserts rows in and the tie-break of top_hubs).
+    # order a sync writes HUBS and AUTH rows in and the tie-break of top_hubs).
     assert list(result.hub_scores.items()) == list(oracle.hub_scores.items())
     assert list(result.authority_scores.items()) == list(oracle.authority_scores.items())
     assert result.iterations == oracle.iterations
@@ -154,26 +151,28 @@ class TestSerialCrawlDistillsLikeAFullScan:
         assert trace.distillations == len(checked) >= 5
         assert checked[-1] > checked[0] > 0  # the graph grew between runs
 
-    def test_numpy_result_is_array_backed_and_pickles_as_dicts(self):
+    def test_numpy_result_is_array_backed_and_a_dict_pickle_still_loads(self):
         links = [Link(1, 10, 2, 20, 0.9, 0.8), Link(3, 30, 2, 20, 0.7, 0.6), Link(2, 20, 4, 40)]
         relevance = {1: 0.9, 2: 0.8, 3: 0.7, 4: 0.6}
         result = compiled_weighted_hits(compile_links(links), relevance)
         assert result.dense is not None
         assert "hub_scores" not in vars(result)  # not built until read
         clone = pickle.loads(pickle.dumps(result))
-        assert clone.dense is None
         assert clone == result
         assert list(clone.hub_scores.items()) == list(result.hub_scores.items())
-        # What a checkpoint written before the dense form holds: the three
-        # fields as the instance dict.  It must load as a dict-backed result.
+        # What checkpoints written while they carried the last distillation
+        # hold: the three fields as the instance dict.  It must load as a
+        # dict-backed result.
         old = DistillationResult.__new__(DistillationResult)
         old.__dict__.update(
             hub_scores=dict(result.hub_scores),
             authority_scores=dict(result.authority_scores),
             iterations=result.iterations,
         )
-        assert pickle.dumps(old) == pickle.dumps(result)
-        assert old.top_hubs(2) == result.top_hubs(2)
+        loaded = pickle.loads(pickle.dumps(old))
+        assert loaded.dense is None
+        assert loaded == result
+        assert loaded.top_hubs(2) == result.top_hubs(2)
 
     def test_dense_ranking_breaks_ties_like_the_dict_sort(self):
         oids = [50, 40, 30, 20, 10, 60]
@@ -278,70 +277,7 @@ class TestGrowableCompiledGraph:
         assert len(graph) == 0 and graph.arrays()[2] == []
 
 
-# -- (c) the score store: dense path vs dict path -------------------------------------
-def journalled_score_database():
-    database = create_focus_database(buffer_pool_pages=64)
-    journal = []
-    database.table("HUBS").set_journal(journal.append)
-    return database, journal
-
-
-def rows_with_rids(database, name):
-    table = database.table(name)
-    return [(table.heap.locate(rid), row) for rid, row in table.scan()]
-
-
-class TestDenseScoreStore:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_dense_path_issues_the_dict_paths_mutations(self, seed):
-        rng = random.Random(seed)
-        dict_db, dict_journal = journalled_score_database()
-        dense_db, dense_journal = journalled_score_database()
-        # Rows some earlier writer left behind, two of them for oids the
-        # graph never densifies: both paths must delete those.
-        leftovers = [(oid, rng.random()) for oid in (3, 5, 9000, 9001)]
-        for database in (dict_db, dense_db):
-            database.table("HUBS").insert_many(leftovers)
-        dict_store, dense_store = ScoreTableStore(dict_db), ScoreTableStore(dense_db)
-
-        oids = []  # append-only, as a graph's node list
-        scores = np.zeros(0)
-        for step in range(12):
-            oids.extend(range(len(oids), len(oids) + rng.randrange(0, 25)))
-            scores = np.concatenate([scores, np.zeros(len(oids) - len(scores))])
-            for index in rng.sample(range(len(oids)), len(oids) // 3):
-                scores[index] = rng.choice([0.0, rng.random()])  # appear, drift, vanish
-            if step == 7:  # the resume path: both caches rebuilt from the table
-                dict_store.invalidate()
-                dense_store.invalidate()
-            as_dict = {oid: score for oid, score in zip(oids, scores.tolist()) if score != 0.0}
-            dict_store.store("HUBS", as_dict)
-            dense_store.store_dense("HUBS", oids, scores.copy())
-            assert rows_with_rids(dense_db, "HUBS") == rows_with_rids(dict_db, "HUBS")
-            assert dense_journal == dict_journal
-            assert score_rows(dense_db, "HUBS") == as_dict
-        assert dense_store.rows_written == dict_store.rows_written > 0
-        # Journal payloads are what a WAL would pickle: plain floats, one
-        # column-shaped record per score rewrite.
-        rewrites = [record for record in dense_journal if record[0] == "update_column"]
-        assert rewrites and not any(record[0] == "update" for record in dense_journal)
-        for _op, table, column, page_nos, slots, values in rewrites:
-            assert (table, column) == ("HUBS", "score")
-            assert len(page_nos) == len(slots) == len(values)
-            assert all(type(value) is float for value in values)
-
-    def test_switching_forms_resynchronises_from_the_table(self):
-        database, _journal = journalled_score_database()
-        store = ScoreTableStore(database)
-        oids = [7, 8, 9]
-        store.store_dense("HUBS", oids, np.array([0.5, 0.0, 0.25]))
-        store.store("HUBS", {8: 0.1, 9: 0.25})
-        assert score_rows(database, "HUBS") == {8: 0.1, 9: 0.25}
-        store.store_dense("HUBS", oids, np.array([0.5, 0.1, 0.0]))
-        assert score_rows(database, "HUBS") == {7: 0.5, 8: 0.1}
-
-
-# -- (d) update_column's column write -------------------------------------------------
+# -- (c) update_column's column write -------------------------------------------------
 def fill(database):
     table = database.create_table(
         "T", make_schema(("k", INTEGER, False), ("v", FLOAT), ("note", TEXT), primary_key=["k"])
@@ -444,7 +380,7 @@ class TestColumnWriteUpdateColumn:
         reopened.close()
 
 
-# -- (e) kill and resume a K=1 crawl --------------------------------------------------
+# -- (d) kill and resume a K=1 crawl --------------------------------------------------
 MAX_PAGES = 120
 FETCH_FAILURE_SEED = 3
 
@@ -460,6 +396,11 @@ def serial_config():
         checkpoint_every=25,
         engine="serial",
     )
+
+
+def rows_with_rids(database, name):
+    table = database.table(name)
+    return [(table.heap.locate(rid), row) for rid, row in table.scan()]
 
 
 def crawl_facts(result):
@@ -577,7 +518,7 @@ class TestSerialKillResume:
         assert facts == uninterrupted
 
 
-# -- (f) the weight rule the kernel rests on -------------------------------------------
+# -- (e) the weight rule the kernel rests on -------------------------------------------
 #: Case seeds; ``REPRO_TORTURE_SEEDS=1,2,...`` draws others.
 RULE_SEEDS = [
     int(seed) for seed in os.environ.get("REPRO_TORTURE_SEEDS", "0,1,2,3,4,5,6,7").split(",")

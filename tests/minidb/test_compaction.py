@@ -489,19 +489,18 @@ class TestCrawlTorture:
             resumed.database.close()
 
     @pytest.mark.parametrize("seed", TORTURE_SEEDS)
-    def test_crash_inside_delta_and_consolidating_checkpoints_resumes_bit_identically(
+    def test_crash_inside_delta_and_compacting_checkpoints_resumes_bit_identically(
         self, torture_system, reference_crawl, tmp_path, monkeypatch, seed
     ):
-        """The frame chain's three kinds of checkpoint, crashed inside.
+        """The frame chain's two kinds of checkpoint after the base, crashed inside.
 
-        A delta checkpoint (one frame appended), a consolidating one (a
-        fresh base, the old chain dropped) and a compacting one that
-        carries live frames into the rewritten segment file: wherever
-        the crash lands, the resume folds the previous chain or the new
+        A delta checkpoint (one frame appended) and a compacting one that
+        carries live frames into the rewritten segment file: wherever the
+        crash lands, the resume folds the previous chain or the extended
         one and the crawl it continues is the uninterrupted crawl.
         """
         # Some checkpoints compact, most do not: on this crawl the saves are
-        # a base, two deltas, a plain base and a compacting delta.
+        # a base, three deltas and a compacting delta.
         ratio = 0.4
         save = CheckpointManager.save
         windows = []
@@ -526,7 +525,7 @@ class TestCrawlTorture:
         rng = random.Random(seed)
         crash_points = []
         # windows[0] is the initial base of an empty crawl: skip it.
-        for wanted in ("delta", "base", "compacting delta"):
+        for wanted in ("delta", "compacting delta"):
             start, end = next((lo, hi) for kind, lo, hi in windows[1:] if kind == wanted)
             rename = next(
                 e.index for e in dry.events[start:end] if e.kind == "replace"

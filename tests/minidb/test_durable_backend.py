@@ -194,7 +194,7 @@ class TestFrames:
             db.checkpoint(app_state=[1], frames={1: ("base", list(range(500)))})
             db.checkpoint(app_state=[1, 2], frames={2: ("delta", {"k": 1.5})})
             assert db.read_frame(2) == ("delta", {"k": 1.5})
-            assert db.frame_size(1) > db.frame_size(2) > 0
+            assert db.backend.frame_size(1) > db.backend.frame_size(2) > 0
 
         with Database.open(tmp_path / "db") as recovered:
             assert recovered.app_state() == [1, 2]
@@ -206,16 +206,18 @@ class TestFrames:
     def test_dropped_and_superseded_frames_are_gone(self, tmp_path):
         with Database.open(tmp_path / "db") as db:
             db.checkpoint(frames={1: "one", 2: "two"})
-            db.checkpoint(frames={2: "two again"}, drop_frames=[1])
+            db.backend.drop_frame(1)
+            db.checkpoint(frames={2: "two again"})
             assert db.read_frame(2) == "two again"
-            assert db.frame_size(1) == 0
+            assert db.backend.frame_size(1) == 0
             with pytest.raises(StorageError, match="no live frame 1"):
                 db.read_frame(1)
-            db.checkpoint(drop_frames=[1])  # dropping twice is harmless
+            db.backend.drop_frame(1)  # dropping twice is harmless
+            db.checkpoint()
 
         with Database.open(tmp_path / "db") as recovered:
             assert recovered.read_frame(2) == "two again"
-            assert recovered.frame_size(1) == 0
+            assert recovered.backend.frame_size(1) == 0
 
     def test_frames_survive_compaction_without_moving_its_schedule(self, tmp_path):
         """Live frames are copied by the rewrite, dropped ones reclaimed; but
@@ -228,7 +230,8 @@ class TestFrames:
             db.checkpoint(frames={1: big})
             # A dropped frame far larger than every page together is
             # garbage, but not garbage that asks for a rewrite ...
-            db.checkpoint(frames={2: big}, drop_frames=[1])
+            db.backend.drop_frame(1)
+            db.checkpoint(frames={2: big})
             assert db.backend.compactions_run == 0
             assert db.io_snapshot()["segment_bytes_dead"] > 200_000
             # ... and a live one does not hide superseded page images:

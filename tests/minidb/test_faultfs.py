@@ -161,9 +161,9 @@ class TestFrameCrashWalk:
             if kind == "delta":
                 db.checkpoint(app_state=[1, 2, 3], frames={3: ("delta", "second")})
             else:  # consolidating: a fresh base replaces the chain
-                db.checkpoint(
-                    app_state=[3], frames={3: ("base", list(range(400)))}, drop_frames=[1, 2]
-                )
+                db.backend.drop_frame(1)
+                db.backend.drop_frame(2)
+                db.checkpoint(app_state=[3], frames={3: ("base", list(range(400)))})
         except SimulatedCrash:
             return db, before, None, 0
         return db, before, pinned_state(db), injector.op_count - start
