@@ -24,7 +24,10 @@ score dict into the table — lives on here as the oracle:
     interval), across a kill and resume, and on each shard's LINK of a
     sharded crawl; and at every distillation the crawl's graph is
     ``compile_links`` of a full LINK scan, and the graph a distiller
-    built from the table at that moment.
+    built from the table at that moment;
+(f) ``write_scores`` handed a graph's node list and dense scores issues
+    the mutations of a truncate plus a score-dict insert: same rows, same
+    record ids, same journal records.
 """
 
 import os
@@ -39,7 +42,7 @@ from repro.classifier.training import ModelInstaller
 from repro.core.config import FocusConfig, JobSpec
 from repro.core.schema import create_focus_database
 from repro.core.system import FocusSystem
-from repro.crawler.engine import CrawlEngine, CrawlerConfig
+from repro.crawler.engine import CrawlEngine, CrawlerConfig, write_scores
 from repro.crawler.focused import FocusedCrawler
 from repro.distiller.compiled import CompiledLinkGraph, compile_links, compiled_weighted_hits
 from repro.distiller.db_distiller import IncrementalDistiller
@@ -611,3 +614,70 @@ class TestWeightRule:
             assert rows > 0 and handle.trace.distillations >= 3
         finally:
             handle.close()
+
+
+# -- (f) the score tables: graph-order write vs dict write ----------------------------
+def journalled_score_database():
+    database = create_focus_database(buffer_pool_pages=64)
+    journal = []
+    database.table("HUBS").set_journal(journal.append)
+    return database, journal
+
+
+def dict_store(table, scores):
+    """The dict-path oracle: a truncate, then the score dict's items in order."""
+    table.truncate()
+    table.insert_many(scores.items())
+
+
+class TestDenseScoreStore:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_dense_path_issues_the_dict_paths_mutations(self, seed):
+        rng = random.Random(seed)
+        dict_db, dict_journal = journalled_score_database()
+        dense_db, dense_journal = journalled_score_database()
+        # Rows some earlier writer left behind, two of them for oids the
+        # graph never densifies: both paths must delete those.
+        leftovers = [(oid, rng.random()) for oid in (3, 5, 9000, 9001)]
+        for database in (dict_db, dense_db):
+            database.table("HUBS").insert_many(leftovers)
+        dict_journal.clear()
+        dense_journal.clear()
+
+        oids = []  # append-only, as a graph's node list
+        scores = np.zeros(0)
+        for step in range(12):
+            oids.extend(range(len(oids), len(oids) + rng.randrange(0, 25)))
+            scores = np.concatenate([scores, np.zeros(len(oids) - len(scores))])
+            for index in rng.sample(range(len(oids)), len(oids) // 3):
+                scores[index] = rng.choice([0.0, rng.random()])  # appear, drift, vanish
+            as_dict = {oid: score for oid, score in zip(oids, scores.tolist()) if score != 0.0}
+            dict_store(dict_db.table("HUBS"), as_dict)
+            # As a sync hands it over: the graph's node list (which may run
+            # ahead of the scores) and the dense scores as a list.
+            write_scores(dense_db.table("HUBS"), oids + [len(oids)], scores.tolist())
+            assert rows_with_rids(dense_db, "HUBS") == rows_with_rids(dict_db, "HUBS")
+            assert dense_journal == dict_journal
+            assert score_rows(dense_db, "HUBS") == as_dict
+        # Journal payloads are what a WAL would pickle: plain floats, one
+        # truncate per write and at most one whole-row insert after it (none
+        # when every score is zero).
+        kinds = "".join(record[0][0] for record in dense_journal)
+        assert kinds.count("t") == 12 and kinds.replace("ti", "t") == "t" * 12 and "i" in kinds
+        for record in dense_journal:
+            assert record[1] == "HUBS"
+            for oid, score in record[2] if record[0] == "insert" else ():
+                assert type(oid) is int and type(score) is float
+
+    def test_switching_forms_resynchronises_from_the_table(self):
+        """A shard's write (its own oids) between two graph-order writes:
+        the table holds exactly the last write, whichever form made it."""
+        database, _journal = journalled_score_database()
+        table = database.table("HUBS")
+        oids = [7, 8, 9]
+        write_scores(table, oids, np.array([0.5, 0.0, 0.25]).tolist())
+        assert score_rows(database, "HUBS") == {7: 0.5, 9: 0.25}
+        write_scores(table, [8, 9], [0.1, 0.25])
+        assert score_rows(database, "HUBS") == {8: 0.1, 9: 0.25}
+        write_scores(table, oids, np.array([0.5, 0.1, 0.0]).tolist())
+        assert score_rows(database, "HUBS") == {7: 0.5, 8: 0.1}
