@@ -50,7 +50,7 @@ def test_ablation_relevance_weighted_edges(benchmark, crawl_workload):
     result = system.crawl(max_pages=CRAWL_PAGES)
     crawler = result.crawler
     links = crawler._links_from_table()
-    relevance = crawler._relevance_map()
+    relevance = crawler.engine.relevance_map()
     popular_oids = {web.page(u).oid for u in web.urls() if web.page(u).is_popular}
 
     def run_both():

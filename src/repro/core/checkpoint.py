@@ -10,42 +10,41 @@ not hold —
 * the engine's round counters and stagnation streak, the iteration
   count of the last distillation, and the hub/authority scores
   ``Frontier.update_scores`` attached (no crawl path sets any);
-* the trace's visits and failed URLs, its distillation count and its
-  stagnation flag;
+* the trace's failed URLs, its distillation count and its stagnation
+  flag;
 * the positions of the simulated-network RNG streams (the engine's
   fetch transport — fetcher plus any latency-injection layer — and the
   server pool), so a resumed crawl sees the identical failure/latency
   sequence the uninterrupted crawl would have seen.
 
-Everything else is rebuilt from the recovered tables: the frontier from
-one CRAWL scan (a row's rank in heap order is its discovery number, a
-server's load its count of visited rows), the link graph from LINK, the
-relevance map from the trace's visits, and the last distillation from
+Everything else is rebuilt from the recovered tables: the frontier and
+the trace's visits from one CRAWL scan (a row's rank in heap order is
+its discovery number, a server's load its count of visited rows, a
+visit a visited row ordered by ``lastvisited``), the link graph from
+LINK, the relevance map from the visits, and the last distillation from
 HUBS and AUTH (the save's sync writes them) in the link graph's node
 order.
 
-**The frame chain.**  That state grows with the crawl (one trace visit
-per page) while a checkpoint interval adds little to it, so it is not
-re-written whole.  It is a chain of *frames* ``[base, d1, ..., dk]``:
+**The frame chain.**  The failed-URL list grows with the crawl, so the
+state is not re-written whole.  It is a chain of *frames*
+``[base, d1, ..., dk]``:
 
 * the **base**, written by a chain's first save (page 0 of the crawl),
   holds ``CrawlEngine.state_snapshot()`` in full;
 * a **delta**, written by every later save, holds what the interval
-  changed (``CrawlEngine.state_delta()``): the tails of the trace's
-  visit and failure lists, and — small, so written whole — the counters
-  and the RNG positions.
+  changed (``CrawlEngine.state_delta()``): the tail of the failure
+  list, and — small, so written whole — the counters and the RNG
+  positions.
 
 Every frame is one positional tuple, pickled and appended to the
 database's segment file (the ``frames=`` of
-:meth:`repro.minidb.Database.checkpoint`).  The snapshot record's
-``app_state`` is only a :class:`CheckpointHeader`: format version, the
-crawl's constants, and the frame numbers of the live chain.  The state
-only grows by appending, so base and deltas together are the state:
-frame bytes over a crawl are the final state plus the small parts each
-delta repeats, where re-writing the state whole costs (checkpoints / 2)
-times the final state.  Chains written while a save could also start a
-fresh base mid-crawl, dropping the chain before it, fold the same way:
-their base is just not frame 1.
+:meth:`repro.minidb.Database.checkpoint`), where it stays: frames are
+only appended.  The snapshot record's ``app_state`` is only a
+:class:`CheckpointHeader`: format version, the crawl's constants, and
+the frame numbers of the live chain.  A delta is a few hundred bytes
+whatever the crawl's size.  Chains written while a save could also
+start a fresh base mid-crawl fold the same way: their base is just not
+frame 1.
 
 **Why the segment file and not a sidecar.**  A frame is tracked in the
 snapshot record's page directory like a page image, so it is published
@@ -64,8 +63,9 @@ rebuilds the crawler around it and the tables; a resumed crawl then
 visits exactly the pages — with bit-identical relevance floats — that
 the uninterrupted crawl would have visited, and its next checkpoint
 extends the chain it was loaded from.  Frames written while a
-checkpoint also kept the frontier entries, the relevance map and the
-last distillation still resume: those sections are skipped.
+checkpoint also kept the visits, the frontier entries, the relevance
+map and the last distillation still resume: those sections are
+skipped.
 
 This is the one recovery path.  A sharded crawl is not checkpointed:
 its shard databases live in memory inside the workers.
@@ -161,13 +161,9 @@ class CheckpointManager:
         self.checkpoints_saved = 0
         #: Frame numbers of the live chain, base first.
         self.chain: List[int] = []
-        #: Cumulative wall-clock seconds the crawl spent paused inside
-        #: :meth:`save` — the price of durability (flush + snapshot +
-        #: any segment compaction), reported by the throughput bench.
-        self.save_seconds = 0.0
-        #: Per-checkpoint pauses (the deltas summed into save_seconds);
-        #: the bench compares pause floors checkpoint-by-checkpoint
-        #: across repeats, which a single cumulative scalar can't support.
+        #: Wall-clock seconds the crawl spent paused inside each
+        #: :meth:`save` — the price of durability (flush + snapshot + any
+        #: segment compaction), read by the benchmark.
         self.pause_log: list[float] = []
 
     def attach(self) -> None:
@@ -216,9 +212,7 @@ class CheckpointManager:
             frames={frame_no: frame},
         )
         engine.mark_saved()
-        paused = time.perf_counter() - started
-        self.save_seconds += paused
-        self.pause_log.append(paused)
+        self.pause_log.append(time.perf_counter() - started)
 
     @staticmethod
     def load(

@@ -44,7 +44,7 @@ time:
    saved, when a checkpointer is attached; the crawl's end syncs once
    more.
 
-The flush points are a pure function of crawl progress — every
+The flush points are a pure function of crawl progress — seeding, every
 ``distill_every`` and ``checkpoint_every`` pages, and the end — never of
 how ``run()`` is sliced into calls or whether a checkpointer exists, so
 stepped ≡ single run and killed-and-resumed ≡ uninterrupted hold down
@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -223,8 +224,6 @@ class PageVisit:
     tick: int
     url: str
     relevance: float
-    server: str
-    out_degree: int
     best_leaf_cid: Optional[int] = None
 
 
@@ -253,18 +252,6 @@ class CrawlTrace:
     def visited_set(self) -> set[str]:
         return {visit.url for visit in self.visits}
 
-    def refill(self, saved: "CrawlTrace") -> None:
-        """Adopt a checkpointed trace in place.
-
-        The trace object is shared with the driving crawler; refilling
-        it instead of rebinding keeps every reference live.
-        """
-        self.visits[:] = saved.visits
-        self.failed_urls[:] = saved.failed_urls
-        self.distillations = saved.distillations
-        self.stagnated = saved.stagnated
-        self.last_distillation = saved.last_distillation
-
 
 # -- round stages, shared with the sharded engine ---------------------------------------
 #: Lower bounds of the crawl's counting settings: a value below its bound
@@ -285,10 +272,12 @@ def check_ranges(config: CrawlerConfig) -> None:
     ρ must not be negative either: HITS reads an unvisited page's
     relevance as 0.0 and weights an edge by its endpoints' relevance;
     with ``rho >= 0`` only edges into visited pages pass the filter, so
-    those weights are exactly the ones LINK stores.
+    those weights are exactly the ones LINK stores.  Nor may it be NaN
+    or infinite: no edge would pass ``relevance > rho``, every authority
+    score would be 0 and no hub boost would fire.
     """
-    if config.rho < 0:
-        raise ValueError(f"rho must be >= 0, got {config.rho}")
+    if not math.isfinite(config.rho) or config.rho < 0:
+        raise ValueError(f"rho must be >= 0 and finite, got {config.rho}")
     for name, minimum in _SETTING_MINIMA.items():
         value = getattr(config, name)
         if value < minimum:
@@ -529,9 +518,8 @@ class CrawlEngine:
         self._since_checkpoint = 0
         self._last_checkpoint_s: Optional[float] = None
         self._stagnation_misses = 0
-        #: Lengths of the trace's visit and failure lists at the last
-        #: :meth:`mark_saved`.
-        self._saved_mark: Optional[Tuple[int, int]] = None
+        #: Length of the trace's failure list at the last :meth:`mark_saved`.
+        self._saved_mark: Optional[int] = None
         #: Wall-clock seconds of round processing (classify + commit) that
         #: ran while fetches were still in flight, and total round
         #: processing time — the drain's overlap instrumentation.
@@ -628,7 +616,6 @@ class CrawlEngine:
         if self.config.hub_boost_top_k > 0:
             # The top hubs' off-server citations, read off the graph: it
             # holds exactly LINK's non-nepotistic edges, in heap order.
-            self.frontier.begin_batch()
             hubs = {oid for oid, _ in result.top_hubs(self.config.hub_boost_top_k)}
             self.frontier.boost_oids(
                 distiller.graph.cited_by(hubs), self.config.hub_boost_priority
@@ -680,15 +667,15 @@ class CrawlEngine:
         """What the engine holds that the tables do not, to continue a crawl after a restart.
 
         Captured right after a :meth:`sync`: the small state and the
-        trace's visits, failures and counters.  The rest is rebuilt by
-        :meth:`restore_state` — the relevance map from the visits, the
-        frontier from CRAWL, the last distillation from HUBS and AUTH.
+        trace's failures and counters.  The rest is rebuilt by
+        :meth:`restore_state` — the visits and the frontier from CRAWL,
+        the relevance map from the visits, the last distillation from
+        HUBS and AUTH.
         """
         trace = self.trace
         return {
             **self._small_state(),
             "trace": CrawlTrace(
-                visits=trace.visits,
                 failed_urls=trace.failed_urls,
                 distillations=trace.distillations,
                 stagnated=trace.stagnated,
@@ -709,23 +696,21 @@ class CrawlEngine:
 
     def mark_saved(self) -> None:
         """Start a new delta interval: the state as of now is on disk."""
-        self._saved_mark = (len(self.trace.visits), len(self.trace.failed_urls))
+        self._saved_mark = len(self.trace.failed_urls)
 
     def state_delta(self) -> tuple:
         """What :meth:`state_snapshot` gained since :meth:`mark_saved`, positionally.
 
-        ``(small state, visits tail, failed-URL tail, distillations,
-        stagnated)``: the visits and the failures only ever grow, so
-        their tails are written.  :meth:`fold_state` applies it.
+        ``(small state, failed-URL tail, distillations, stagnated)``: the
+        failures only ever grow, so their tail is written.
+        :meth:`fold_state` applies it.
         """
         if self._saved_mark is None:
             raise RuntimeError("state_delta() needs a mark_saved() to be relative to")
-        visits_mark, failed_mark = self._saved_mark
         trace = self.trace
         return (
             self._small_state(),
-            trace.visits[visits_mark:],
-            trace.failed_urls[failed_mark:],
+            trace.failed_urls[self._saved_mark:],
             trace.distillations,
             trace.stagnated,
         )
@@ -736,25 +721,27 @@ class CrawlEngine:
 
         Folds in place — into a snapshot read back from disk, never into
         a live one, whose trace is the engine's own — and returns *state*.
-        Parts written while checkpoints also kept the relevance map and
-        the last distillation (a base's ``"relevance"`` and its trace's
-        ``last_distillation``, a delta's second and last items) are read
-        for the distillation's iteration count only.
+        Parts written while checkpoints also kept what CRAWL holds — the
+        visits (a base's trace, a 5- or 7-item delta's visit tail), the
+        relevance map and the last distillation (a base's
+        ``"relevance"`` and its trace's ``last_distillation``, a 7-item
+        delta's second and last items) — are skipped, but for the
+        distillation's iteration count.
         """
         trace: CrawlTrace = state["trace"]
+        trace.visits = []
         state.pop("relevance", None)
         if trace.last_distillation is not None:
             state.setdefault("iterations", trace.last_distillation.iterations)
             trace.last_distillation = None
         for delta in deltas:
             if len(delta) == 7:
-                small, _relevance, visits, failed_urls, distillations, stagnated, last = delta
+                small, _relevance, _visits, failed_urls, distillations, stagnated, last = delta
                 if last is not None:
                     small = {**small, "iterations": last.iterations}
             else:
-                small, visits, failed_urls, distillations, stagnated = delta
+                small, *_visits, failed_urls, distillations, stagnated = delta
             state.update(small)
-            trace.visits.extend(visits)
             trace.failed_urls.extend(failed_urls)
             trace.distillations = distillations
             trace.stagnated = stagnated
@@ -763,27 +750,35 @@ class CrawlEngine:
     def restore_state(self, state: Dict[str, object]) -> None:
         """Adopt a checkpointed engine state (the database must already be recovered).
 
-        The frontier is rebuilt from CRAWL, the relevance map from the
-        visits (in visit order), and the link graph from LINK; the last
-        distillation is read back from HUBS and AUTH, which the save's
-        sync wrote, in the graph's node order — the order the live
-        result's score dicts had.  Sections written before cross-round
-        prefetch and the outcome LRU were removed held counters only and
-        are ignored, as is the ``delta_cache`` section of checkpoints
-        written while the link graph mirrored LINK's weights.
+        The frontier and the trace's visits are rebuilt from one CRAWL
+        scan (a visit is a visited row, its tick ``lastvisited``), the
+        relevance map from the visits (in visit order), and the link
+        graph from LINK; the last distillation is read back from HUBS and
+        AUTH, which the save's sync wrote, in the graph's node order —
+        the order the live result's score dicts had.  Sections written
+        before cross-round prefetch and the outcome LRU were removed held
+        counters only and are ignored, as is the ``delta_cache`` section
+        of checkpoints written while the link graph mirrored LINK's
+        weights.
         """
         self._tick = state["tick"]
         self._since_distillation = state["since_distillation"]
         self._since_checkpoint = state["since_checkpoint"]
         self._stagnation_misses = state["stagnation_misses"]
-        self.trace.refill(state["trace"])
-        self._relevance = {url_oid(visit.url): visit.relevance for visit in self.trace.visits}
-        self.frontier.restore_from_table(state.get("attached_scores"))
+        # The trace is shared with the driving crawler: refill it in place.
+        saved, trace = state["trace"], self.trace
+        visits = self.frontier.restore_from_table(state.get("attached_scores"))
+        trace.visits[:] = [PageVisit(*visit) for visit in visits]
+        trace.failed_urls[:] = saved.failed_urls
+        trace.distillations = saved.distillations
+        trace.stagnated = saved.stagnated
+        self._relevance = {url_oid(visit.url): visit.relevance for visit in trace.visits}
         # A checkpoint is taken right after a sync: its scores are on disk.
         self._unwritten_scores = None
         self._incremental = None
-        if self.trace.distillations:
-            self.trace.last_distillation = self._stored_distillation(state.get("iterations", 0))
+        trace.last_distillation = (
+            self._stored_distillation(state.get("iterations", 0)) if trace.distillations else None
+        )
 
     def _stored_distillation(self, iterations: int) -> DistillationResult:
         """The scores HUBS and AUTH hold, ordered by the link graph's nodes."""
@@ -806,9 +801,7 @@ class CrawlEngine:
         if remaining <= 0:
             return []
         urls = self.frontier.pop_batch(min(self.round_size, remaining))
-        if urls:
-            self.frontier.begin_batch()
-        else:
+        if not urls:
             self.trace.stagnated = True
         return urls
 
@@ -907,16 +900,7 @@ class CrawlEngine:
         )
         if priority is not None:
             self.frontier.add_many(targets, priority)
-        self.trace.visits.append(
-            PageVisit(
-                tick=self._tick,
-                url=url,
-                relevance=relevance,
-                server=result.server,
-                out_degree=len(result.out_links),
-                best_leaf_cid=outcome.best_leaf_cid,
-            )
-        )
+        self.trace.visits.append(PageVisit(self._tick, url, relevance, outcome.best_leaf_cid))
         self._since_distillation += 1
         self._since_checkpoint += 1
 

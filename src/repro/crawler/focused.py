@@ -33,7 +33,7 @@ Three focus modes are supported:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.classifier.model import HierarchicalModel
 from repro.distiller.hits import DistillationResult
@@ -89,9 +89,15 @@ class FocusedCrawler:
 
     # -- public API ------------------------------------------------------------------
     def add_seeds(self, urls: Iterable[str]) -> None:
-        """Seed the crawl with the user's example URLs (the paper's D(C*))."""
+        """Seed the crawl with the user's example URLs (the paper's D(C*)).
+
+        Seeding is a flush point: the seeds' CRAWL rows are written here,
+        before round 1, so they land where they do whether or not a
+        checkpointer's first save (which syncs) follows.
+        """
         for url in urls:
             self.frontier.add_seed(url)
+        self.engine.sync()
 
     def crawl(self, max_pages: Optional[int] = None) -> CrawlTrace:
         """Run the crawl loop until the page budget or the frontier is exhausted."""
@@ -106,9 +112,6 @@ class FocusedCrawler:
     def _links_from_table(self) -> list[Link]:
         """The whole LINK table as ``Link`` objects, in heap order."""
         return [Link(*row) for row in self.database.table("LINK").rows()]
-
-    def _relevance_map(self) -> Dict[int, float]:
-        return self.engine.relevance_map()
 
     # -- convenience accessors ------------------------------------------------------------------
     def top_hubs(self, k: int = 10) -> list[tuple[str, float]]:

@@ -20,12 +20,13 @@ function of the URL: checkout order therefore does not depend on
 insertion history, so crawls are reproducible under a fixed seed
 regardless of how a round interleaved its ``add_url`` calls.
 
-For the crawl engine the frontier supports *write buffering*
-(:meth:`begin_batch` / :meth:`flush_batch`): in-memory entries stay
-authoritative at all times, while CRAWL-table writes accumulate —
-across rounds, hub boosts included — and are flushed through one
-``insert_many`` and one ``update_rows`` at the engine's flush points
-(:meth:`repro.crawler.engine.CrawlEngine.sync`).
+The frontier always buffers its CRAWL writes: in-memory entries stay
+authoritative at all times, while the table's inserts and updates
+accumulate — seeds, visits, failures and hub boosts alike — until
+:meth:`Frontier.flush_batch` writes them through one ``insert_many`` and
+one ``update_rows``.  The crawl engine flushes at its flush points
+(:meth:`repro.crawler.engine.CrawlEngine.sync`); anyone else driving a
+frontier flushes before reading CRAWL.
 """
 
 from __future__ import annotations
@@ -107,8 +108,7 @@ class Frontier:
         self._heap_compactions = 0
         # The next discovery number; a resume recounts it from CRAWL.
         self._next_discovered = 0
-        # Write buffering: pending CRAWL inserts/updates.
-        self._buffering = False
+        # CRAWL inserts and updates not yet written (see flush_batch).
         self._pending_new: list[FrontierEntry] = []
         self._pending_changes: Dict[str, Dict[str, Any]] = {}
         #: oid -> (hub, authority) of every entry :meth:`update_scores`
@@ -220,10 +220,7 @@ class Frontier:
         # strictly ahead so the two numbering sources can never collide.
         self._next_discovered = max(self._next_discovered + 1, entry.discovered + 1)
         self._frontier_count += 1
-        if self._buffering:
-            self._pending_new.append(entry)
-        else:
-            entry.rid = self.database.table("CRAWL").insert(self._crawl_row(entry))
+        self._pending_new.append(entry)
         self._entries[normalized] = entry
         self._url_of_oid[oid] = normalized
         self._push(entry)
@@ -418,26 +415,13 @@ class Frontier:
         heapq.heappush(self._heap, (self.current_key(entry), entry.oid, entry.url))
 
     def _sync_row(self, entry: FrontierEntry, changes: Mapping[str, Any]) -> None:
-        if self._buffering:
-            self._pending_changes.setdefault(entry.url, {}).update(changes)
-            return
-        if entry.rid is None:
-            return
-        self.database.table("CRAWL").update_row(entry.rid, _table_changes(changes))
+        self._pending_changes.setdefault(entry.url, {}).update(changes)
 
     # -- write buffering ---------------------------------------------------------------
-    def begin_batch(self) -> None:
-        """Buffer CRAWL-table writes until the next :meth:`flush_batch`.
-
-        In-memory entries (the authoritative state for ordering decisions)
-        keep updating immediately; only the table writes are deferred.
-        """
-        self._buffering = True
-
     def flush_batch(self) -> None:
-        """Write the buffered CRAWL inserts and updates in bulk, and stop buffering.
+        """Write the buffered CRAWL inserts and updates in bulk.
 
-        An entry changed several times since :meth:`begin_batch` gets one
+        An entry changed several times since the last flush gets one
         update carrying its last value per column.
         """
         crawl = self.database.table("CRAWL")
@@ -458,18 +442,15 @@ class Frontier:
                 rows.append(row)
             for entry, rid in zip(new_entries, crawl.insert_many(rows)):
                 entry.rid = rid
-        updates = []
-        for url, changes in self._pending_changes.items():
-            entry = self._entries[url]
-            if entry.rid is None:
-                continue
-            updates.append((entry.rid, _table_changes(changes)))
+        # Every entry left here was written by an earlier flush.
+        updates = [
+            (self._entries[url].rid, _table_changes(changes))
+            for url, changes in self._pending_changes.items()
+        ]
         if updates:
             crawl.update_rows(updates)
         self._pending_new = []
         self._pending_changes = {}
-        self._buffering = False
-
 
     # -- checkpoint resume ---------------------------------------------------------------
     def attached_scores(self) -> Dict[int, Tuple[float, float]]:
@@ -481,7 +462,7 @@ class Frontier:
 
     def restore_from_table(
         self, attached_scores: Optional[Mapping[int, Tuple[float, float]]] = None
-    ) -> None:
+    ) -> List[Tuple[int, str, float, Optional[int]]]:
         """Rebuild entries, server loads and the heap from one CRAWL scan.
 
         CRAWL rows are inserted in entry order and never deleted, so a
@@ -495,13 +476,17 @@ class Frontier:
         heap is rebuilt from current priorities; the live heap may also
         have carried stale tuples, but those are re-keyed on pop anyway,
         so checkout order is unchanged.
+
+        Returns the visited rows as ``(lastvisited, url, relevance, kcid)``
+        in visit order: the crawl's visits, which the table holds whole.
         """
         scores = dict(attached_scores or {})
+        visits = []
         entries: Dict[str, FrontierEntry] = {}
         url_of_oid: Dict[int, str] = {}
         server_load: Dict[int, int] = {}
         for discovered, (rid, row) in enumerate(self.database.table("CRAWL").heap.scan()):
-            oid, url, sid, relevance, numtries, serverload, lastvisited, _kcid, status = row
+            oid, url, sid, relevance, numtries, serverload, lastvisited, kcid, status = row
             hub_score, authority_score = scores.get(oid, (0.0, 0.0))
             entries[url] = FrontierEntry(
                 url, oid, sid, relevance, numtries, serverload, discovered, lastvisited,
@@ -510,9 +495,12 @@ class Frontier:
             url_of_oid[oid] = url
             if status == "visited":
                 server_load[sid] = server_load.get(sid, 0) + 1
+                visits.append((lastvisited, url, relevance, kcid))
         self._entries = entries
         self._url_of_oid = url_of_oid
         self._server_load = server_load
         self._attached_scores = scores
         self._next_discovered = len(entries)
         self._rebuild_heap()
+        visits.sort()
+        return visits

@@ -134,11 +134,9 @@ class OutcomeBatch:
     sid: List[int] = field(default_factory=list)
     #: None: fetched.  Else the fetch failed — permanently (True) or not.
     failure: List[Optional[bool]] = field(default_factory=list)
-    server: List[str] = field(default_factory=list)
     relevance: List[float] = field(default_factory=list)
     best_leaf: List[Optional[int]] = field(default_factory=list)
     hard_accepts: List[bool] = field(default_factory=list)
-    out_degree: List[int] = field(default_factory=list)
     links: List[int] = field(default_factory=list)
     dst_url: List[str] = field(default_factory=list)  # normalised
     dst_oid: List[int] = field(default_factory=list)
@@ -147,15 +145,14 @@ class OutcomeBatch:
     fetch_stats: Dict[str, Any] = field(default_factory=dict)
 
     def add(
-        self, pos, sid, failure=None, server="", relevance=0.0, best_leaf=None,
-        hard_accepts=True, out_degree=0, targets=(),
+        self, pos, sid, failure=None, relevance=0.0, best_leaf=None, hard_accepts=True,
+        targets=(),
     ) -> None:
         """One selected page: a failure, or a visit and its ``(url, oid, sid)`` targets."""
         for column, value in zip(
-            (self.pos, self.sid, self.failure, self.server, self.relevance,
-             self.best_leaf, self.hard_accepts, self.out_degree, self.links),
-            (pos, sid, failure, server, relevance,
-             best_leaf, hard_accepts, out_degree, len(targets)),
+            (self.pos, self.sid, self.failure, self.relevance,
+             self.best_leaf, self.hard_accepts, self.links),
+            (pos, sid, failure, relevance, best_leaf, hard_accepts, len(targets)),
         ):
             column.append(value)
         if targets:
@@ -169,8 +166,8 @@ class OutcomeBatch:
 class ApplyRound:
     """Coordinator -> shard: commit your slice of the round's pages and links.
 
-    Sent the moment ticks and discovery numbers are assigned.  Applied
-    inside one frontier round-buffer, in this order:
+    Sent the moment ticks and discovery numbers are assigned.  Applied in
+    this order (the frontier's CRAWL writes wait for ``finish``'s flush):
 
     1. failures (checkout order) — retry/dead bookkeeping;
     2. a walk over the citing pages by global position: the visits this

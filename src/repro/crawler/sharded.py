@@ -314,11 +314,9 @@ class ShardWorker:
             batch.add(
                 pos,
                 entry.sid,
-                server=result.server,
                 relevance=outcome.relevance,
                 best_leaf=outcome.best_leaf_cid,
                 hard_accepts=self._scorer.hard_accepts(outcome),
-                out_degree=len(result.out_links),
                 targets=link_targets(entry.oid, result.out_links),
             )
         stats_after = asdict(self.fetcher.stats)
@@ -331,7 +329,6 @@ class ShardWorker:
         discovered = message.discovery_numbers()  # refuses a batch out of canonical order
         starts = [0, *accumulate(message.count)]
         frontier = self.frontier
-        frontier.begin_batch()
         for url, permanent in zip(message.fail_url, message.fail_permanent):
             frontier.record_failure(url, self.config.max_retries, permanent=permanent)
         # Walk citing pages, not links, by global position; a page's visit
@@ -823,9 +820,7 @@ class ShardedEngine:
                 targets = (batch.dst_url[start:stop], batch.dst_oid[start:stop], batch.dst_sid[start:stop])
                 for column, more in zip(links, (range(cited), *targets)):
                     column.extend(more)
-            trace.visits.append(
-                PageVisit(self._tick, url, relevance, batch.server[at], batch.out_degree[at], best_leaf)
-            )
+            trace.visits.append(PageVisit(self._tick, url, relevance, best_leaf))
             self._since_distillation += 1
         route_links(applies, headers, links)
         return applies, headers, links

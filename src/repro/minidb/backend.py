@@ -29,9 +29,10 @@ faults at every individual I/O point.
 Beside page images the segment file carries **frames**: opaque payloads
 a coordinator stores (:meth:`DurableBackend.put_frame`) and the
 directory tracks under the reserved :data:`FRAME_FILE_ID`.  They share
-the page images' whole life cycle — one commit point, compaction, the
-open-time fence, the fault seam — without a file format of their own;
-the crawl checkpoint's base-plus-delta chain is stored this way.
+the page images' life cycle — one commit point, compaction, the
+open-time fence, the fault seam — without a file format of their own,
+but are written once and never superseded; the crawl checkpoint's
+base-plus-delta chain is stored this way.
 """
 
 from __future__ import annotations
@@ -257,16 +258,14 @@ class DurableBackend(StorageBackend):
                     entry = tuple(entry)
                 self._directory[PageId(file_id, page_no)] = entry
                 self._live_bytes += entry[1]
-        frame_sizes = [
+        frame_lengths = [
             entry[1]
             for page_id, entry in self._directory.items()
             if page_id.file_id == FRAME_FILE_ID
         ]
-        self._frames = len(frame_sizes)
-        #: Frame bytes the directory references, and frame bytes dropped
-        #: or superseded since the segment file was last rewritten.
-        self._frame_bytes_live = sum(frame_sizes)
-        self._frame_bytes_dead = 0
+        self._frames = len(frame_lengths)
+        #: Frame bytes the directory references.
+        self._frame_bytes_live = sum(frame_lengths)
 
         self._fence_stale_segments()
         self.wal = WriteAheadLog(
@@ -345,18 +344,21 @@ class DurableBackend(StorageBackend):
 
     # -- frames ------------------------------------------------------------
     def put_frame(self, frame_no: int, payload: bytes) -> None:
-        """Append an opaque payload as frame *frame_no* (superseding an old one).
+        """Append an opaque payload as frame *frame_no*, a number not written before.
 
         The frame is a CRC-framed record like a page image and is
         tracked in the page directory under :data:`FRAME_FILE_ID`, so it
         becomes durable with — and only with — the next checkpoint's
-        snapshot rename, is copied by compaction while it is live, and
-        is torn-tail garbage if the process dies first.  It is not
+        snapshot rename, is copied by every compaction after it, and is
+        torn-tail garbage if the process dies first.  It is not
         WAL-logged: recovery knows exactly the frames the last snapshot
-        names.
+        names.  Frames are only appended: a live frame is never
+        replaced or dropped.
         """
-        self.drop_frame(frame_no)
-        self._append(PageId(FRAME_FILE_ID, frame_no), payload)
+        page_id = PageId(FRAME_FILE_ID, frame_no)
+        if page_id in self._directory:
+            raise StorageError(f"frame {frame_no} is already written; frames are only appended")
+        self._append(page_id, payload)
         self._frames += 1
         self._frame_bytes_live += FRAME_HEADER_SIZE + len(payload)
 
@@ -367,39 +369,16 @@ class DurableBackend(StorageBackend):
             raise StorageError(f"no live frame {frame_no} in {self._segment_path}")
         return read_frame_at(self._segments, entry[0])
 
-    def frame_size(self, frame_no: int) -> int:
-        """Bytes frame *frame_no* occupies in the segment file (0: not live)."""
-        entry = self._directory.get(PageId(FRAME_FILE_ID, frame_no))
-        return 0 if entry is None else entry[1]
-
-    def drop_frame(self, frame_no: int) -> None:
-        """Stop tracking a frame; its bytes are garbage from the next checkpoint on.
-
-        Until that checkpoint publishes, a recovery still finds the
-        frame: the old snapshot names it and the segment file is
-        append-only.
-        """
-        size = self.frame_size(frame_no)
-        if size:
-            self.remove_page(PageId(FRAME_FILE_ID, frame_no))
-            self._frames -= 1
-            self._frame_bytes_live -= size
-            self._frame_bytes_dead += size
-
     def _page_bytes(self) -> tuple[int, int]:
         """``(live, dead)`` bytes of page images: what the compaction policy weighs.
 
-        Frames are left out of both sides.  Counted as live they would
-        dilute ``compact_min_garbage_ratio`` — the more coordinator
-        state a store carries, the more superseded page images it would
-        tolerate — and their own garbage is bounded by their owner (a
-        dropped chain) and reclaimed by whichever rewrite the pages
-        trigger next.
+        Live frames are left out: counted as live they would dilute
+        ``compact_min_garbage_ratio`` — the more coordinator state a
+        store carries, the more superseded page images it would
+        tolerate.  A live frame is never superseded, so every dead byte
+        is a page image's (or a crash's unpublished tail).
         """
-        return (
-            self._live_bytes - self._frame_bytes_live,
-            self.segment_bytes_dead - self._frame_bytes_dead,
-        )
+        return self._live_bytes - self._frame_bytes_live, self.segment_bytes_dead
 
     # -- durability --------------------------------------------------------
     @property
@@ -499,7 +478,6 @@ class DurableBackend(StorageBackend):
             self._directory = new_directory
             self._segment_end = end
             self._live_bytes = end - len(SEGMENT_MAGIC)
-            self._frame_bytes_dead = 0
         meta = dict(catalog_meta)
         meta["epoch"] = new_epoch
         meta["segment_epoch"] = self._segment_epoch

@@ -225,8 +225,9 @@ class Database:
         the page images, and published by this checkpoint's rename with
         everything else (``app_state`` then only needs to name them).
         A frame stays — through segment compaction and across reopens,
-        readable with :meth:`read_frame` — until a later checkpoint
-        supersedes its number.
+        readable with :meth:`read_frame` — for the life of the store:
+        frames are only appended, and a number already written is
+        refused.
         """
         if not self.backend.persistent:
             raise StorageError(

@@ -509,13 +509,14 @@ class TestParentCheckpointResume:
             )
         monkeypatch.undo()
         reopened, saved = CheckpointManager.load(str(tmp_path / "crawl"))
+        visits = reopened.sql("select url, relevance from CRAWL where status = 'visited'")
         reopened.close()
         assert saved.config.score_backend == "python"
-        visits = saved.engine_state["trace"].visits
         assert len(visits) >= 90
         model, web = checkpoint_system.model, checkpoint_system.web
         for visit in visits:  # the python path's floats, bit for bit
-            assert visit.relevance == model.relevance(term_frequencies(web.page(visit.url).tokens))
+            tokens = web.page(visit["url"]).tokens
+            assert visit["relevance"] == model.relevance(term_frequencies(tokens))
 
         resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
         assert resumed.crawler.config.score_backend == "python"
@@ -576,17 +577,19 @@ class TestParentCheckpointResume:
     ):
         """A checkpoint written while frames also kept what the tables hold:
         every frame carries the frontier's entries second, the base the
-        relevance map and a trace with ``fetched_urls`` and a dict-backed
-        ``last_distillation``, and each delta the relevance tail and the
-        distillation made since the save before.  As the parent's saves
-        did once its deltas outweighed its base, the third save writes a
-        fresh base and drops the chain before it, so the chain resumed
-        from starts mid-crawl.  The extra sections are skipped: the
-        resume rebuilds the same state from the tables, and the crawl it
-        continues is the uninterrupted one."""
+        relevance map and a trace with its visits, ``fetched_urls`` and a
+        dict-backed ``last_distillation``, and each delta the relevance
+        and visit tails and the distillation made since the save before.
+        As the parent's saves did once its deltas outweighed its base, the
+        third save writes a fresh base and starts a new chain, so the
+        chain resumed from starts mid-crawl.  The extra sections are
+        skipped: the resume rebuilds the same state from the tables, and
+        the crawl it continues is the uninterrupted one."""
         snapshot, delta = CrawlEngine.state_snapshot, CrawlEngine.state_delta
         checkpoint = Database.checkpoint
-        written = {"frontier": None, "distillations": 0, "saved": None, "deltas": 0}
+        written = {
+            "frontier": None, "distillations": 0, "saved": None, "deltas": 0, "visits": 0,
+        }
 
         def frontier_part(frontier, base):
             heap = frontier.database.table("CRAWL").heap
@@ -617,6 +620,8 @@ class TestParentCheckpointResume:
             state = snapshot(engine)
             written["frontier"] = frontier_part(engine.frontier, base=True)
             trace = state.pop("trace")
+            trace.visits = list(engine.trace.visits)
+            written["visits"] = len(trace.visits)
             last = engine.trace.last_distillation
             trace.last_distillation = None if last is None else pickle.loads(pickle.dumps(last))
             trace.__dict__["fetched_urls"] = [visit.url for visit in trace.visits]
@@ -628,7 +633,9 @@ class TestParentCheckpointResume:
             written["deltas"] += 1
             if written["deltas"] == 2:
                 return parent_snapshot(engine)  # the third save rebases
-            small, visits, failed_urls, distillations, stagnated = delta(engine)
+            small, failed_urls, distillations, stagnated = delta(engine)
+            visits = engine.trace.visits[written["visits"]:]
+            written["visits"] = len(engine.trace.visits)
             written["frontier"] = frontier_part(engine.frontier, base=False)
             relevance = list(engine.relevance_map().items())
             last = engine.trace.last_distillation
@@ -643,12 +650,10 @@ class TestParentCheckpointResume:
         def parent_checkpoint(database, app_state=None, frames=None):
             ((frame_no, (kind, part, *rest)),) = frames.items()
             if kind == "delta" and isinstance(part, dict):
-                # The rebase: a base in a delta's place, the chain before it
-                # dropped.  app_state.chain is the manager's own list, so
-                # its later saves extend the new chain.
+                # The rebase: a base in a delta's place starts the chain.
+                # app_state.chain is the manager's own list, so its later
+                # saves extend the new chain.
                 kind = "base"
-                for dropped in app_state.chain[:-1]:
-                    database.backend.drop_frame(dropped)
                 del app_state.chain[:-1]
             frames = {frame_no: (kind, written["frontier"], part, *rest)}
             return checkpoint(database, app_state=app_state, frames=frames)
@@ -674,6 +679,7 @@ class TestParentCheckpointResume:
         assert [frame[0] for frame in frames] == ["base"] + ["delta"] * (len(frames) - 1)
         assert len(frames) >= 2
         assert frames[0][2]["relevance"] and frames[0][2]["trace"].last_distillation
+        assert frames[0][2]["trace"].visits and any(frame[2][2] for frame in frames[1:])
         assert any(frame[2][6] is not None for frame in frames[1:])
 
         handle = checkpoint_system.resume(str(tmp_path / "crawl"))
@@ -686,6 +692,68 @@ class TestParentCheckpointResume:
         assert resumed.pages_fetched() == MAX_PAGES
         assert_traces_match(resumed, reference_batched)
         # The resumed saves extended the rebased chain: it still folds.
+        assert assert_restored_equals_live(handle.manager) == "delta"
+        resumed.database.close()
+
+    def test_a_chain_that_also_kept_the_visits_resumes(
+        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
+    ):
+        """A checkpoint written while frames also kept the visits CRAWL holds:
+        the base's trace carries those so far (none at page 0), and every
+        delta is the 5-tuple
+        ``(small state, visit tail, failed-URL tail, distillations,
+        stagnated)``, each visit with the ``server`` and ``out_degree``
+        fields it had then.  The visits are skipped: the resume reads
+        them back from CRAWL, the crawl it continues is the uninterrupted
+        one, and the chain its saves extend still folds."""
+        snapshot, delta = CrawlEngine.state_snapshot, CrawlEngine.state_delta
+        saved_visits = {"mark": 0}
+
+        def parent_visits(engine):
+            visits = []
+            for visit in engine.trace.visits[saved_visits["mark"]:]:
+                visit = dataclasses.replace(visit)
+                visit.__dict__.update(server=visit.url.split("/")[2], out_degree=3)
+                visits.append(visit)
+            saved_visits["mark"] = len(engine.trace.visits)
+            return visits
+
+        def parent_snapshot(engine):
+            state = snapshot(engine)
+            state["trace"].visits = parent_visits(engine)
+            return state
+
+        def parent_delta(engine):
+            small, failed_urls, distillations, stagnated = delta(engine)
+            return small, parent_visits(engine), failed_urls, distillations, stagnated
+
+        monkeypatch.setattr(CrawlEngine, "state_snapshot", parent_snapshot)
+        monkeypatch.setattr(CrawlEngine, "state_delta", parent_delta)
+        kill_fetcher_after(monkeypatch, 101)
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=crawl_config("batched"),
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(tmp_path / "crawl"),
+            )
+        monkeypatch.undo()
+        reopened = Database.open(str(tmp_path / "crawl"), replay_wal=False)
+        frames = [reopened.read_frame(no) for no in reopened.app_state().chain]
+        reopened.close()
+        assert [frame[0] for frame in frames] == ["base"] + ["delta"] * (len(frames) - 1)
+        assert len(frames) >= 3
+        assert [len(frame[1]) for frame in frames[1:]] == [5] * (len(frames) - 1)
+        written = [visit for frame in frames[1:] for visit in frame[1][1]]
+        assert len(written) >= 90 and all(visit.out_degree == 3 for visit in written)
+
+        handle = checkpoint_system.resume(str(tmp_path / "crawl"))
+        assert [
+            (visit.tick, visit.url, visit.relevance, visit.best_leaf_cid)
+            for visit in handle.trace.visits
+        ] == [(visit.tick, visit.url, visit.relevance, visit.best_leaf_cid) for visit in written]
+        resumed = handle.run()
+        assert resumed.pages_fetched() == MAX_PAGES
+        assert_traces_match(resumed, reference_batched)
         assert assert_restored_equals_live(handle.manager) == "delta"
         resumed.database.close()
 
@@ -909,7 +977,9 @@ def assert_restored_equals_live(manager: CheckpointManager) -> str:
     it over the saved tables holds the live frontier (every entry's
     fields, ``rid`` and ``discovered`` included; the server loads; the
     discovery watermark; the checkout order), the live relevance map and
-    the live last distillation, items in order.  A mutation path that
+    the live last distillation, items in order.  The restored visits are
+    the live trace's, and so are CRAWL's visited rows ordered by
+    ``lastvisited``.  A mutation path that
     changes an entry without writing CRAWL fails here, at the first
     checkpoint after it ran and with the field's name, not as a divergent
     crawl hundreds of pages later.
@@ -951,6 +1021,15 @@ def assert_restored_equals_live(manager: CheckpointManager) -> str:
     waiting.sort(key=lambda entry: (frontier.current_key(entry), entry.oid))
     assert rebuilt.pop_batch(len(waiting) + 1) == [entry.url for entry in waiting], "checkout order"
     assert list(twin.relevance_map().items()) == list(engine.relevance_map().items()), "relevance"
+    assert twin.trace.visits == engine.trace.visits, "visits"
+    visited = manager.database.sql(
+        "select lastvisited, url, relevance, kcid from CRAWL where status = 'visited'"
+    )
+    visited.sort(key=lambda row: row["lastvisited"])
+    assert [tuple(row.values()) for row in visited] == [
+        (visit.tick, visit.url, visit.relevance, visit.best_leaf_cid)
+        for visit in engine.trace.visits
+    ], "CRAWL's visited rows"
     last, restored = engine.trace.last_distillation, twin.trace.last_distillation
     assert (restored is None) == (last is None), "last distillation"
     if last is not None:
@@ -1088,15 +1167,20 @@ class TestCheckpointBytes:
         return log, final_state, segment_total
 
     def test_a_late_checkpoint_writes_what_an_early_one_does(self, measured):
+        """A delta frame holds the interval's failures and the small state,
+        so it does not grow with the crawl.  The snapshot record does: it
+        re-writes the page directory, an entry per table page, whole."""
         log, _final_state, _segment_total = measured
-        deltas = [
-            (pages, appended + record)
-            for pages, consolidating, appended, record in log
-            if not consolidating
-        ]
+        deltas = [(pages, appended) for pages, base, appended, _record in log if not base]
         early = next(size for pages, size in deltas if pages >= 300)
         late = [size for pages, size in deltas if pages <= 1500][-1]
         assert late <= 1.5 * early, (early, late, log)
+
+    def test_frames_hold_no_visit(self, measured):
+        """The visits are CRAWL's visited rows: a 1 600-page crawl's frames
+        weigh under 25 kB (211 kB while every delta carried its visits)."""
+        log, _final_state, _segment_total = measured
+        assert sum(appended for _pages, _kind, appended, _record in log) <= 25_000, log
 
     def test_total_checkpoint_bytes_are_bounded_by_state_plus_pages(self, measured):
         log, final_state, segment_total = measured

@@ -11,9 +11,7 @@ def make_trace(relevances, urls=None):
     trace = CrawlTrace()
     for i, relevance in enumerate(relevances):
         url = urls[i] if urls else f"http://s{i % 3}.example/{i}"
-        trace.visits.append(
-            PageVisit(tick=i + 1, url=url, relevance=relevance, server=f"s{i % 3}", out_degree=3)
-        )
+        trace.visits.append(PageVisit(tick=i + 1, url=url, relevance=relevance))
     return trace
 
 
@@ -115,8 +113,6 @@ class TestCitationSociology:
                     tick=i,
                     url=url,
                     relevance=trained_model.relevance(doc),
-                    server="s",
-                    out_degree=1,
                     best_leaf_cid=trained_model.best_leaf(doc),
                 )
             )

@@ -144,7 +144,6 @@ class RecordCoordinator:
 
 def apply_records(frontier, link_writer, max_retries, failures, visits, queues) -> None:
     """The shard's apply of one round, a record at a time (then the frontier flush)."""
-    frontier.begin_batch()
     for url, permanent in failures:
         frontier.record_failure(url, max_retries, permanent=permanent)
     records = merge_handoffs(queues)

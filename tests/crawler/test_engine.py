@@ -130,7 +130,7 @@ class TestIncrementalDistillation:
         incremental = crawler.run_distillation()
         full = weighted_hits(
             crawler._links_from_table(),
-            relevance=crawler._relevance_map(),
+            relevance=crawler.engine.relevance_map(),
             rho=crawler.config.rho,
             max_iterations=crawler.config.distill_iterations,
         )
@@ -211,7 +211,6 @@ class TestHubBoost:
             engine._flush()  # what the distillation starts with: LINK holds every edge
             walked = copy.deepcopy(frontier, {id(database): database})
             result = distil()
-            walked.begin_batch()
             hubs = {oid for oid, _ in result.top_hubs(config.hub_boost_top_k)}
             boost_hub_neighbours(
                 database.table("LINK"), walked, hubs, config.hub_boost_priority
@@ -292,10 +291,13 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             run_crawl(small_web, trained_model, taxonomy, [], batch_size=0)
 
-    def test_negative_rho_rejected(self, small_web, trained_model, taxonomy):
-        """Edges into unvisited pages (relevance 0.0) would pass the filter."""
-        with pytest.raises(ValueError, match="rho must be >= 0"):
-            run_crawl(small_web, trained_model, taxonomy, [], rho=-0.01)
+    @pytest.mark.parametrize("rho", [-0.01, float("nan"), float("inf")])
+    def test_negative_rho_rejected(self, small_web, trained_model, taxonomy, rho):
+        """Edges into unvisited pages (relevance 0.0) would pass the filter;
+        and under a NaN or infinite ρ no edge would: every authority score
+        0, no hub boost."""
+        with pytest.raises(ValueError, match="rho must be >= 0 and finite"):
+            run_crawl(small_web, trained_model, taxonomy, [], rho=rho)
 
     @pytest.mark.parametrize(
         "setting, value",

@@ -37,9 +37,11 @@ import pytest
 
 import repro.crawler.engine as engine_module
 from repro.core.config import FocusConfig, JobSpec
+from repro.core.schema import create_focus_database
 from repro.core.system import FocusSystem
 from repro.crawler.engine import CrawlEngine
 from repro.crawler.focused import CrawlerConfig
+from repro.crawler.frontier import Frontier
 from repro.crawler.sharded import build_sharded_crawler
 from repro.minidb.table import Table
 from repro.webgraph.fetch import Fetcher
@@ -209,6 +211,69 @@ def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(
     # boundary at 70 (after 40) and at 140 (after 80 and 120); not at 150.
     assert score_writes == [("HUBS", 70), ("AUTH", 70), ("HUBS", 140), ("AUTH", 140)]
     handle.close()
+
+
+def test_crawl_holds_no_row_before_the_first_flush(system, monkeypatch):
+    """Every CRAWL write waits in the frontier's buffer: the table is empty
+    until the crawl's first flush (seeding's), and unchanged from one
+    flush to the next."""
+    flush, seen = CrawlEngine._flush, []
+
+    def watched(engine):
+        crawl = engine.database.table("CRAWL")
+        seen.append(list(crawl.rows()))
+        flush(engine)
+        seen.append(list(crawl.rows()))
+
+    monkeypatch.setattr(CrawlEngine, "_flush", watched)
+    config = CrawlerConfig(
+        max_pages=120, distill_every=30, checkpoint_every=45, engine="batched", batch_size=8
+    )
+    handle = start(system, config, failure_seed=3)
+    assert seen[0] == [] and len(seen[1]) == len(handle.seeds)
+    handle.run()
+    assert handle.trace.distillations >= 3 and len(seen) >= 2 * 7
+    for flushed, next_seen in zip(seen[1::2], seen[2::2]):
+        assert next_seen == flushed
+    assert len(seen[-1]) == len(handle.crawler.frontier.known_urls())
+    handle.close()
+
+
+def test_a_standalone_frontier_writes_nothing_until_flush_batch():
+    """Adds, checkouts, visits, failures and boosts change the entries at
+    once and CRAWL only at ``flush_batch``, which writes each entry's
+    last state; later changes wait for the next flush."""
+    database = create_focus_database(buffer_pool_pages=64)
+    crawl = database.table("CRAWL")
+    frontier = Frontier(database)
+
+    def table_state():
+        return sorted((row[1], row[3], row[4], row[6], row[8]) for row in crawl.rows())
+
+    def entry_state():
+        return sorted(
+            (entry.url, entry.relevance, entry.numtries, entry.lastvisited,
+             "frontier" if entry.status == "in_flight" else entry.status)
+            for entry in map(frontier.entry, frontier.known_urls())
+        )
+
+    for n in range(4):
+        frontier.add_seed(f"http://s{n}.example/")
+    first, second = frontier.pop_batch(2)
+    frontier.record_visit(first, relevance=0.8, tick=1, kcid=5)
+    frontier.record_failure(second, max_retries=2)
+    frontier.add_url("http://t.example/a", relevance=0.3)
+    frontier.boost("http://t.example/a", relevance=0.6)
+    assert len(crawl) == 0
+    frontier.flush_batch()
+    assert table_state() == entry_state() and len(crawl) == 5
+    [third] = frontier.pop_batch(1)
+    frontier.record_visit(third, relevance=0.4, tick=2)
+    frontier.boost("http://t.example/a", relevance=0.9)
+    flushed = table_state()
+    assert flushed != entry_state()
+    frontier.flush_batch()
+    assert table_state() == entry_state()
 
 
 def assert_scores_equal(table, scores):

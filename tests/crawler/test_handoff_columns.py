@@ -140,8 +140,7 @@ def check_rounds(data) -> None:
         for page in pages:
             outcomes.setdefault(page.sid % shards, OutcomeBatch()).add(
                 page.pos, page.sid, failure=page.failure, relevance=page.relevance,
-                best_leaf=page.best_leaf, hard_accepts=page.hard_accepts,
-                out_degree=len(page.targets), targets=page.targets,
+                best_leaf=page.best_leaf, hard_accepts=page.hard_accepts, targets=page.targets,
             )
         selected = [(None, page.oid, page.url, page.sid % shards) for page in pages]
         applies, headers, links = engine._commit(round_no, selected, outcomes)
@@ -255,7 +254,7 @@ class TestVerifiedOnReceipt:
         apply.link_idx[0:2] = [1, 0]
         with pytest.raises(HandoffOrderError):
             worker.apply_round(apply)
-        assert not worker.frontier._buffering
+        assert not worker.frontier._pending_new and not worker.frontier._pending_changes
         assert worker.frontier.known_urls() == []
         assert len(worker.database.table("LINK")) == 0
 

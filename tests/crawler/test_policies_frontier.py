@@ -92,6 +92,7 @@ class TestFrontier:
     def test_crawl_table_mirrors_frontier(self):
         frontier, db = self.make_frontier()
         frontier.add_url("http://a.example/x", relevance=0.7)
+        frontier.flush_batch()
         rows = db.sql("select url, relevance, status from CRAWL")
         assert rows == [{"url": "http://a.example/x", "relevance": 0.7, "status": "frontier"}]
 
@@ -108,6 +109,7 @@ class TestFrontier:
         frontier.add_url("http://s.example/2", relevance=0.5)
         url = frontier.pop_next()
         frontier.record_visit(url, relevance=0.8, tick=1, kcid=42)
+        frontier.flush_batch()
         row = db.sql("select status, relevance, kcid, numtries from CRAWL where url = :u", {"u": url})[0]
         assert row == {"status": "visited", "relevance": 0.8, "kcid": 42, "numtries": 1}
         # second page on the same server sees the increased server load
@@ -118,7 +120,6 @@ class TestFrontier:
         """A new entry's buffered changes are folded into the row its flush
         inserts: the visit's kcid is known only there."""
         frontier, db = self.make_frontier()
-        frontier.begin_batch()
         frontier.add_url("http://s.example/1", relevance=0.5)
         [url] = frontier.pop_batch(1)
         frontier.record_visit(url, relevance=0.8, tick=1, kcid=42)
@@ -137,6 +138,7 @@ class TestFrontier:
         assert frontier.pop_next() == url  # retried once
         frontier.record_failure(url, max_retries=1)
         assert frontier.pop_next() is None
+        frontier.flush_batch()
         assert db.sql("select status from CRAWL")[0]["status"] == "dead"
 
     def test_permanent_failure_kills_immediately(self):
@@ -215,8 +217,7 @@ class TestRestoreFromTable:
         return f"http://s{n % 3}.example/{n}"
 
     def drive(self, frontier, first, count):
-        """One buffered round: visit a page, expand it, fail another."""
-        frontier.begin_batch()
+        """One round: visit a page, expand it, fail another, flush."""
         urls = frontier.pop_batch(2)
         frontier.record_visit(urls[0], relevance=0.6, tick=first, kcid=3)
         frontier.add_many(
@@ -233,10 +234,11 @@ class TestRestoreFromTable:
             frontier.add_seed(f"http://seed.example/{n}")
         for interval in range(3):
             self.drive(frontier, first=10 * interval, count=5)
-            # Unbuffered mutations between rounds.
+            # Mutations between rounds, flushed before the table is read.
             frontier.boost(self.url(10 * interval + 1), relevance=0.9)
             frontier.update_scores(self.url(10 * interval + 2), hub_score=0.5)
             assert frontier.entry(self.url(10 * interval + 1)).relevance == 0.9
+            frontier.flush_batch()
             assert_same_frontier(rebuilt_from_table(frontier), frontier)
         frontier.update_scores(self.url(2), hub_score=0.0)  # detached again
         assert set(frontier.attached_scores()) == {
@@ -257,15 +259,15 @@ class TestRestoreFromTable:
             st.tuples(st.just("pop"), st.integers(1, 4)),
             st.tuples(st.just("visit"), st.floats(0, 1, allow_nan=False), st.integers(1, 50)),
             st.tuples(st.just("fail"), st.integers(0, 2)),
-            st.tuples(st.just("buffer")),
+            st.tuples(st.just("flush")),
             st.tuples(st.just("save")),
         ),
         max_size=40,
     ))
-    # Scores attached and then zeroed, a failure and a visit inside one
-    # buffered round, and a save between them.
+    # Scores attached and then zeroed, a failure and a visit between two
+    # flushes, and a save between them.
     @example(start=[0.5, 0.0, 0.25], ops=[
-        ("scores", 1, 1.0, 0.5), ("buffer",), ("fail", 2), ("visit", 0.75, 3),
+        ("scores", 1, 1.0, 0.5), ("flush",), ("fail", 2), ("visit", 0.75, 3),
         ("add", 9, 0.5), ("save",), ("scores", 1, 0.0, 0.0), ("pop", 2), ("save",),
     ])
     @settings(max_examples=40, deadline=None)
@@ -282,12 +284,11 @@ class TestRestoreFromTable:
             for url in in_flight:
                 frontier.requeue(url)
             in_flight.clear()
-            if frontier._buffering:
-                frontier.flush_batch()
+            frontier.flush_batch()
 
         for op in ops:
-            if op[0] == "buffer":
-                frontier.begin_batch()
+            if op[0] == "flush":
+                frontier.flush_batch()
             elif op[0] == "save":
                 round_boundary()
                 assert_same_frontier(rebuilt_from_table(frontier), frontier)

@@ -73,7 +73,7 @@ def run_sharded(
 
 def visit_tuples(trace):
     return [
-        (v.tick, v.url, v.relevance, v.server, v.out_degree, v.best_leaf_cid)
+        (v.tick, v.url, v.relevance, v.best_leaf_cid)
         for v in trace.visits
     ]
 
@@ -575,7 +575,7 @@ class TestInMemoryShards:
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
         """A distilling round reaches a shard in two messages: the apply (links,
-        frontier buffer left open) at once, the scores and boosts with the
+        frontier writes left pending) at once, the scores and boosts with the
         next checkout; every other round's apply carries an empty finish."""
         crawler = build_sharded_crawler(
             small_web, trained_model, taxonomy,
@@ -595,8 +595,10 @@ class TestInMemoryShards:
             apply_round(message)
 
         def logged_finish(message):
-            events.append(("finish", message.round, bool(message.scores), worker.frontier._buffering))
             finish_round(message)
+            frontier = worker.frontier
+            flushed = not frontier._pending_new and not frontier._pending_changes
+            events.append(("finish", message.round, bool(message.scores), flushed))
 
         worker.apply_round, worker.finish_round = logged_apply, logged_finish
         try:
@@ -611,7 +613,7 @@ class TestInMemoryShards:
             assert events[at + 1] == ("finish", round_no, True, True)
         assert all(
             event[3] for event in events if event[0] == "finish"
-        ), "every finish closes an open frontier batch"
+        ), "every finish leaves no CRAWL write pending"
 
     def test_a_shard_error_between_a_rounds_halves_fails_the_job(self, sharded_system):
         """The worker dies after a distilling round's links and before its
@@ -689,13 +691,15 @@ class TestGuards:
         with pytest.raises(ValueError, match="shards must be >= 1"):
             build_sharded_crawler(small_web, trained_model, taxonomy, config)
 
-    def test_negative_rho_refused(self, small_web, trained_model, taxonomy):
-        """Edges into unvisited pages (relevance 0.0) would pass HITS' filter."""
-        config = CrawlerConfig(engine="sharded", shards=2, shard_runner="process", rho=-0.5)
-        with pytest.raises(ValueError, match="rho must be >= 0"):
+    @pytest.mark.parametrize("rho", [-0.5, float("nan"), float("inf")])
+    def test_negative_rho_refused(self, small_web, trained_model, taxonomy, rho):
+        """Edges into unvisited pages (relevance 0.0) would pass HITS' filter;
+        under a NaN or infinite ρ none would."""
+        config = CrawlerConfig(engine="sharded", shards=2, shard_runner="process", rho=rho)
+        with pytest.raises(ValueError, match="rho must be >= 0 and finite"):
             ShardedEngine(None, config, CrawlTrace(), shards=2)
         before = set(multiprocessing.active_children())
-        with pytest.raises(ValueError, match="rho must be >= 0"):
+        with pytest.raises(ValueError, match="rho must be >= 0 and finite"):
             build_sharded_crawler(small_web, trained_model, taxonomy, config)
         assert set(multiprocessing.active_children()) <= before  # its workers were stopped
 

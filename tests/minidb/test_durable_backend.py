@@ -15,7 +15,7 @@ from repro.minidb import (
 from repro.minidb.backend import WAL_FILE
 from repro.minidb.errors import ConstraintError, StorageError
 from repro.minidb.pages import RecordId
-from fault_injection import truncate_tail
+from fault_injection import hard_close, truncate_tail
 
 
 def people_schema():
@@ -194,7 +194,6 @@ class TestFrames:
             db.checkpoint(app_state=[1], frames={1: ("base", list(range(500)))})
             db.checkpoint(app_state=[1, 2], frames={2: ("delta", {"k": 1.5})})
             assert db.read_frame(2) == ("delta", {"k": 1.5})
-            assert db.backend.frame_size(1) > db.backend.frame_size(2) > 0
 
         with Database.open(tmp_path / "db") as recovered:
             assert recovered.app_state() == [1, 2]
@@ -203,21 +202,24 @@ class TestFrames:
             # Frames are not pages: the pool's page accounting ignores them.
             assert recovered.buffer_pool.total_pages() == recovered.total_pages()
 
-    def test_dropped_and_superseded_frames_are_gone(self, tmp_path):
-        with Database.open(tmp_path / "db") as db:
-            db.checkpoint(frames={1: "one", 2: "two"})
-            db.backend.drop_frame(1)
+    def test_frames_are_only_appended(self, tmp_path):
+        """A written frame number is refused, before or after a reopen; a
+        frame a crash left unpublished is not written."""
+        db = Database.open(tmp_path / "db")
+        db.checkpoint(frames={1: "one", 2: "two"})
+        with pytest.raises(StorageError, match="frame 2 is already written"):
             db.checkpoint(frames={2: "two again"})
-            assert db.read_frame(2) == "two again"
-            assert db.backend.frame_size(1) == 0
-            with pytest.raises(StorageError, match="no live frame 1"):
-                db.read_frame(1)
-            db.backend.drop_frame(1)  # dropping twice is harmless
-            db.checkpoint()
+        with pytest.raises(StorageError, match="no live frame 3"):
+            db.read_frame(3)
+        db.backend.put_frame(3, b"unpublished")
+        hard_close(db)
 
         with Database.open(tmp_path / "db") as recovered:
-            assert recovered.read_frame(2) == "two again"
-            assert recovered.backend.frame_size(1) == 0
+            assert [recovered.read_frame(n) for n in (1, 2)] == ["one", "two"]
+            with pytest.raises(StorageError, match="frame 1 is already written"):
+                recovered.checkpoint(frames={1: "one again"})
+            recovered.checkpoint(frames={3: "three"})
+            assert recovered.read_frame(3) == "three"
 
     def test_frames_survive_compaction_without_moving_its_schedule(self, tmp_path):
         """Live frames are copied by the rewrite, dropped ones reclaimed; but
@@ -228,26 +230,21 @@ class TestFrames:
             fill(table, 0, 60)
             big = bytes(200_000)
             db.checkpoint(frames={1: big})
-            # A dropped frame far larger than every page together is
-            # garbage, but not garbage that asks for a rewrite ...
-            db.backend.drop_frame(1)
             db.checkpoint(frames={2: big})
             assert db.backend.compactions_run == 0
-            assert db.io_snapshot()["segment_bytes_dead"] > 200_000
-            # ... and a live one does not hide superseded page images:
-            # once those outweigh the live pages, the checkpoint compacts.
+            # Live frames far larger than every page together do not hide
+            # superseded page images: once those outweigh the live pages,
+            # the checkpoint compacts.
             for round_no in range(3):
                 table.update_rows(
                     [(rid, {"score": float(round_no)}) for rid, _row in table.scan()]
                 )
                 db.checkpoint()
             assert db.backend.compactions_run >= 1
-            assert db.read_frame(2) == big
-            snap = db.io_snapshot()
-            assert snap["bytes_reclaimed"] > 200_000
+            assert db.read_frame(1) == db.read_frame(2) == big
 
         with Database.open(tmp_path / "db", storage=storage) as recovered:
-            assert recovered.read_frame(2) == big
+            assert recovered.read_frame(1) == recovered.read_frame(2) == big
             assert len(recovered.table("P")) == 60
 
     def test_in_memory_databases_keep_no_frames(self):
