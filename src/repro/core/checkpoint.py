@@ -41,8 +41,10 @@ database's segment file (the ``frames=`` of
 :meth:`repro.minidb.Database.checkpoint`), where it stays: frames are
 only appended.  The snapshot record's ``app_state`` is only a
 :class:`CheckpointHeader`: format version, the crawl's constants, and
-the frame numbers of the live chain.  A delta is a few hundred bytes
-whatever the crawl's size.  Chains written while a save could also
+the frame numbers of the live chain.  A delta is about 1 kB on the
+``crawl_durable`` shape: the interval's failed URLs plus the small state
+and RNG positions, so it grows with the interval's failures and the
+attached scores, not with the crawl's size.  Chains written while a save could also
 start a fresh base mid-crawl fold the same way: their base is just not
 frame 1.
 

@@ -262,6 +262,7 @@ class ShardWorker:
         op = message[0]
         if op == "seeds":
             self.frontier.add_many_discovered(message[1], 1.0)
+            self.frontier.flush_batch()  # seeding is a flush point, as in CrawlEngine
             return None
         if op == "ping":  # the barrier: its reply is this shard's timings
             return dict(self.timings)
@@ -680,7 +681,8 @@ class ShardedEngine:
         return self.trace
 
     def sync(self) -> None:
-        """Nothing to flush here: each shard flushes its own tables every round."""
+        """Nothing to flush here: each shard flushes its own tables at seeding
+        and every round."""
 
     def run_distillation(self) -> DistillationResult:
         """Sharded reduction outside a round (the top_hubs-on-demand path)."""

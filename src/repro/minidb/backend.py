@@ -11,7 +11,8 @@ provided:
   *segment file*; a page directory maps each page id to its latest
   image offset.  A logical :class:`~repro.minidb.wal.WriteAheadLog`
   records every table mutation, and a checkpoint writes an atomic
-  snapshot (catalog metadata + page directory + WAL epoch) so
+  snapshot (catalog metadata + page directory + WAL epoch; the
+  directory, an entry per page, zlib-compressed) so
   :meth:`repro.minidb.database.Database.open` can restore the last
   checkpoint and replay the log over it.
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import os
 import re
+import zlib
 from typing import Any, Optional
 
 from .compactor import Compactor, SegmentEntry
@@ -217,6 +219,9 @@ class DurableBackend(StorageBackend):
         if os.path.exists(self._snapshot_path):
             with open(self._snapshot_path, "rb") as fh:
                 self.snapshot_meta = load_record(read_frame_at(fh, 0))
+            directory = self.snapshot_meta["directory"]
+            if isinstance(directory, bytes):  # compressed; earlier snapshots hold the dict
+                self.snapshot_meta["directory"] = load_record(zlib.decompress(directory))
             epoch = self.snapshot_meta["epoch"]
             # Pre-compaction snapshots carry no segment epoch: their
             # directory refers to the original segments.dat.
@@ -481,10 +486,13 @@ class DurableBackend(StorageBackend):
         meta = dict(catalog_meta)
         meta["epoch"] = new_epoch
         meta["segment_epoch"] = self._segment_epoch
-        meta["directory"] = {
+        directory = {
             (page_id.file_id, page_id.page_no): entry
             for page_id, entry in self._directory.items()
         }
+        # The directory is re-written whole at every checkpoint, and it is
+        # most of the record: compressed, an entry costs ~8 bytes, not ~16.
+        meta["directory"] = zlib.compress(dump_record(directory))
         tmp_path = self._snapshot_path + ".tmp"
         fh = self.ops.open(tmp_path, "w+b")
         try:
@@ -495,6 +503,7 @@ class DurableBackend(StorageBackend):
             fh.close()
         self.ops.replace(tmp_path, self._snapshot_path)
         # -- committed: everything below is post-publish bookkeeping ------
+        meta["directory"] = directory
         self.snapshot_meta = meta
         self._snapshot_epoch = new_epoch
         self.wal.reset(new_epoch)

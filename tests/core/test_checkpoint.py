@@ -1167,11 +1167,16 @@ class TestCheckpointBytes:
         return log, final_state, segment_total
 
     def test_a_late_checkpoint_writes_what_an_early_one_does(self, measured):
-        """A delta frame holds the interval's failures and the small state,
-        so it does not grow with the crawl.  The snapshot record does: it
-        re-writes the page directory, an entry per table page, whole."""
+        """A save writes a delta frame, which holds the interval's failures
+        and the small state, and the snapshot record.  The record re-writes
+        the page directory whole, an entry per table page, so it grows with
+        the database: this bounds how fast."""
         log, _final_state, _segment_total = measured
-        deltas = [(pages, appended) for pages, base, appended, _record in log if not base]
+        deltas = [
+            (pages, appended + record)
+            for pages, consolidating, appended, record in log
+            if not consolidating
+        ]
         early = next(size for pages, size in deltas if pages >= 300)
         late = [size for pages, size in deltas if pages <= 1500][-1]
         assert late <= 1.5 * early, (early, late, log)

@@ -158,6 +158,29 @@ class TestShardedMatchesBatched:
         finally:
             crawler.shutdown()
 
+    def test_shards_write_their_seeds_at_seeding(
+        self, small_web, trained_model, taxonomy, crawl_seeds
+    ):
+        """Seeding is a flush point on a shard as in the single engine: each
+        shard's CRAWL holds its seeds before round 1."""
+        config = CrawlerConfig(
+            engine="sharded", shards=2, shard_runner="inprocess", max_pages=40, batch_size=8
+        )
+        crawler = build_sharded_crawler(
+            small_web, trained_model, taxonomy, config, fetch_failure_seed=0
+        )
+        try:
+            crawler.add_seeds(crawl_seeds)
+            written = [
+                [row["url"] for row in worker.database.table("CRAWL").rows_as_dicts()]
+                for worker in crawler.engine.runner.workers
+            ]
+            assert sum(len(urls) for urls in written) == len(set(crawl_seeds))
+            for shard, urls in enumerate(written):
+                assert all(server_sid(url) % 2 == shard for url in urls)
+        finally:
+            crawler.shutdown()
+
     def test_hard_focus_parity(self, small_web, trained_model, taxonomy, crawl_seeds):
         kwargs = dict(max_pages=60, batch_size=8, distill_every=0, focus_mode="hard")
         _, _, ref = run_reference(

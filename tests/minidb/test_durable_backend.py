@@ -1,6 +1,7 @@
 """Durable storage: snapshot + WAL recovery, eviction flushes, I/O counters."""
 
 import os
+import zlib
 
 import pytest
 
@@ -162,9 +163,8 @@ class TestRecovery:
         with open(snapshot_path, "rb") as fh:
             meta = load_record(read_frame_at(fh, 0))
         meta.pop("segment_epoch")
-        meta["directory"] = {
-            key: offset for key, (offset, _length) in meta["directory"].items()
-        }
+        directory = load_record(zlib.decompress(meta["directory"]))
+        meta["directory"] = {key: offset for key, (offset, _length) in directory.items()}
         with open(snapshot_path, "wb") as fh:
             write_frame(fh, dump_record(meta))
 
@@ -174,6 +174,30 @@ class TestRecovery:
             assert table.get_by_key((42,))[2] == "row42"
             # And the recovered sizes feed the live/dead accounting.
             assert recovered.io_snapshot()["segment_bytes_live"] > 0
+
+    def test_uncompressed_directory_still_opens(self, tmp_path):
+        """Snapshots used to hold the page directory as a plain dict of
+        ``(offset, length)`` entries; they open as they are."""
+        from repro.minidb.backend import SNAPSHOT_FILE
+        from repro.minidb.wal import dump_record, load_record, read_frame_at, write_frame
+
+        with Database.open(tmp_path / "db") as db:
+            fill(db.create_table("P", people_schema()), 0, 80)
+            db.checkpoint(app_state="kept")
+
+        snapshot_path = tmp_path / "db" / SNAPSHOT_FILE
+        with open(snapshot_path, "rb") as fh:
+            meta = load_record(read_frame_at(fh, 0))
+        meta["directory"] = load_record(zlib.decompress(meta["directory"]))
+        with open(snapshot_path, "wb") as fh:
+            write_frame(fh, dump_record(meta))
+
+        with Database.open(tmp_path / "db") as recovered:
+            assert recovered.app_state() == "kept"
+            assert recovered.table("P").get_by_key((42,))[2] == "row42"
+            recovered.checkpoint()
+        with Database.open(tmp_path / "db") as again:
+            assert len(again.table("P")) == 80
 
     def test_app_state_rides_the_snapshot(self, tmp_path):
         with Database.open(tmp_path / "db") as db:
@@ -222,8 +246,8 @@ class TestFrames:
             assert recovered.read_frame(3) == "three"
 
     def test_frames_survive_compaction_without_moving_its_schedule(self, tmp_path):
-        """Live frames are copied by the rewrite, dropped ones reclaimed; but
-        the garbage ratio that schedules a rewrite weighs page images only."""
+        """Live frames are copied by the rewrite; the garbage ratio that
+        schedules a rewrite weighs page images only."""
         storage = StorageConfig(compact_every=1, compact_min_garbage_ratio=0.5)
         with Database.open(tmp_path / "db", page_size=512, storage=storage) as db:
             table = db.create_table("P", people_schema())
