@@ -1,6 +1,7 @@
 """The interval (pre/post window) index: encoding, queries, durability."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.minidb import Database, INTEGER, IntervalIndex, StorageConfig, make_schema
 from fault_injection import FaultInjector, SimulatedCrash, hard_close
@@ -107,6 +108,109 @@ class TestGraphShapes:
         assert set(index.descendant_ids(2)) == {4}
         assert set(index.descendant_ids(3)) == set()
         assert set(index.reachable_ids(3)) == {3, 4}
+
+
+def reference_forest(edges):
+    """Tree parents and children of *edges* ((child, parent) pairs, in order).
+
+    The first in-edge is a node's tree edge.  A node first seen as a parent
+    starts as a root and moves under its first real in-edge, unless that
+    edge's source lies below it.  Self-loops add nothing.
+    """
+    parent, children, adoptable = {}, {}, set()
+
+    def below(node, ancestor):
+        while node is not None:
+            node = parent[node]
+            if node == ancestor:
+                return True
+        return False
+
+    for child, source in edges:
+        if source == child:
+            continue
+        if source is not None and source not in parent:
+            parent[source], children[source] = None, []
+            adoptable.add(source)
+        if child not in parent:
+            parent[child], children[child] = source, []
+        elif source is None or child not in adoptable or below(source, child):
+            continue
+        adoptable.discard(child)
+        parent[child] = source
+        if source is not None:
+            children[source].append(child)
+    return parent, children
+
+
+def reference_descendants(children, node):
+    """Preorder DFS below *node*, children in the order they were attached."""
+    order, stack = [], list(reversed(children.get(node, ())))
+    while stack:
+        current = stack.pop()
+        order.append(current)
+        stack.extend(reversed(children[current]))
+    return order
+
+
+def reference_reachable(edges, node):
+    """Every id a BFS over all edges reaches from *node* (itself included)."""
+    nodes = {n for c, p in edges if c != p for n in (c, p) if n is not None}
+    if node not in nodes:
+        return set()
+    seen, queue = {node}, [node]
+    for current in queue:
+        for child, source in edges:
+            if source == current and child not in seen:
+                seen.add(child)
+                queue.append(child)
+    return seen
+
+
+edge_ids = st.integers(0, 9)
+edge_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.lists(st.tuples(edge_ids, st.none() | edge_ids), min_size=1, max_size=6),
+        ),
+        st.tuples(st.just("delete"), st.integers(0, 1 << 16)),
+    ),
+    max_size=12,
+)
+
+
+class TestAgainstReference:
+    @given(ops=edge_ops)
+    @settings(max_examples=150, deadline=None, database=None)
+    def test_lazy_and_eager_indexes_match_the_reference(self, ops):
+        table = make_tree(Database(buffer_pool_pages=8), [])
+        index = table.indexes["tree"]
+        live: dict = {}  # distinct edge -> row count, in the order edges were first posted
+        for op, arg in ops:
+            if op == "insert":
+                table.insert_many([{"child": c, "parent": p} for c, p in arg])
+                for edge in arg:
+                    live[edge] = live.get(edge, 0) + 1
+            else:
+                rows = list(table.scan())
+                if not rows:
+                    continue
+                rid, row = rows[arg % len(rows)]
+                table.delete_row(rid)
+                edge = (row[0], row[1])
+                live[edge] -= 1
+                if not live[edge]:
+                    del live[edge]
+            scanned = list(table.scan())
+            eager = IntervalIndex("tree", table.schema, index.key_columns)
+            eager.insert_many([(row[0], row[1]) for _rid, row in scanned], [rid for rid, _row in scanned])
+            heap_edges = list(dict.fromkeys((row[0], row[1]) for _rid, row in scanned))
+            for built, edges in ((index, list(live)), (eager, heap_edges)):
+                _parent, children = reference_forest(edges)
+                for node in range(11):
+                    assert built.descendant_ids(node) == reference_descendants(children, node)
+                    assert set(built.reachable_ids(node)) == reference_reachable(edges, node)
 
 
 class TestMaintenance:
