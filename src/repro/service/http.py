@@ -150,12 +150,13 @@ class _CrawlRequestHandler(BaseHTTPRequestHandler):
             self._dispatch(lambda: manager.progress(parts[1]))
         elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "harvest":
             if "bucket" in query:
-                bucket = int(query["bucket"])
-                self._dispatch(lambda: manager.harvest_sql(parts[1], bucket))
+                self._dispatch(lambda: manager.harvest_sql(parts[1], int(query["bucket"])))
             else:
-                window = int(query.get("window", 100))
                 self._dispatch(
-                    lambda: [list(point) for point in manager.harvest(parts[1], window)]
+                    lambda: [
+                        list(point)
+                        for point in manager.harvest(parts[1], int(query.get("window", 100)))
+                    ]
                 )
         elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "query":
 

@@ -201,7 +201,8 @@ class TestQueryEndpoint:
         rows = call(self.query_url(base, job_id, sql))
         assert rows[0]["n"] >= 1
         plan = call(self.query_url(base, job_id, f"explain {sql}"))
-        assert any("IndexRangeScan" in row["plan"] for row in plan)
+        assert any("IndexKeysLookup(TAXONOMY.TAXONOMY_pk" in row["plan"] for row in plan)
+        assert not any("TableScan" in row["plan"] for row in plan)
 
     def test_row_limit_applies(self, finished_job):
         base, job_id = finished_job
@@ -227,6 +228,19 @@ class TestQueryEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             call(self.query_url(base, job_id, "select from from"))
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["harvest?bucket=abc", "harvest?window=abc", "query?sql=select+oid+from+CRAWL&limit=abc"],
+        ids=["bucket", "window", "limit"],
+    )
+    def test_a_malformed_integer_parameter_is_400(self, finished_job, endpoint):
+        base, job_id = finished_job
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call(f"{base}/jobs/{job_id}/{endpoint}")
+        with excinfo.value as reply:
+            assert reply.code == 400
+            assert "invalid literal for int()" in json.load(reply)["error"]
 
     @pytest.mark.parametrize(
         "sql, error",
