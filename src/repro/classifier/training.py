@@ -151,9 +151,9 @@ class ModelInstaller:
             )
             taxonomy = db.table("TAXONOMY")
             taxonomy.create_index("taxonomy_pcid", ["pcid"], kind="hash")
-            # Interval (pre/post window) index over the class tree, keyed
-            # (kcid, pcid): descendant_of()/in_subtree() predicates and
-            # subtree aggregations become single window range scans.
+            # Graph index over the class tree, keyed (kcid, pcid):
+            # descendant_of()/in_subtree() predicates and subtree
+            # aggregations read one walk of the tree.
             taxonomy.create_index("taxonomy_tree", ["kcid", "pcid"], kind="interval")
         if not db.has_table("BLOB"):
             db.create_table(

@@ -65,10 +65,10 @@ def create_crawl_tables(database: Database) -> None:
         link = database.table("LINK")
         link.create_index("link_src", ["oid_src"], kind="hash")
         link.create_index("link_dst", ["oid_dst"], kind="hash")
-        # Pre/post-order window index over the crawl graph: each row is
-        # the edge oid_src -> oid_dst, keyed (id, parent).  Backs the
-        # reachable_from() SQL predicate with window range scans instead
-        # of per-hop hash-index BFS.
+        # Graph index over the crawl graph: each row is the edge
+        # oid_src -> oid_dst, keyed (id, parent).  Backs the
+        # reachable_from() SQL predicate with a walk over its adjacency
+        # instead of per-hop hash-index probes.
         link.create_index("link_graph", ["oid_dst", "oid_src"], kind="interval")
     for score_table in ("HUBS", "AUTH"):
         if not database.has_table(score_table):

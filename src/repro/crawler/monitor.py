@@ -77,15 +77,15 @@ class CrawlMonitor:
             sql += f" limit {int(limit)}"
         return self.database.sql(sql)
 
-    # -- taxonomy subtree census (interval-index window scan) ----------------------------------
+    # -- taxonomy subtree census (graph-index subtree walk) -------------------------------------
     def subtree_census(self, root_kcid: int) -> dict:
         """Visited-page census over one whole taxonomy *subtree*.
 
         The paper's mutual-funds diagnosis needed "this class or any
         descendant of it" — an ancestor/descendant question the flat
         census can't ask.  The ``in_subtree`` predicate answers it from
-        the ``taxonomy_tree`` interval index (one pre/post window range
-        scan over the class tree) instead of a recursive parent walk.
+        the ``taxonomy_tree`` graph index (one preorder walk of the class
+        tree) instead of a recursive SQL parent walk.
         """
         row = self.database.sql(
             """

@@ -411,7 +411,11 @@ class OrderedIndex(Index):
 def build_index(
     kind: str, name: str, schema: Schema, key_columns: Iterable[str]
 ) -> Index:
-    """Factory: ``kind`` is ``"hash"``, ``"ordered"`` or ``"interval"``."""
+    """Factory: ``kind`` is ``"hash"``, ``"ordered"`` or ``"interval"``.
+
+    ``"interval"`` is the graph index of :mod:`~.intervals`, a parent-pointer
+    forest named for the pre/post windows it once kept.
+    """
     key_columns = list(key_columns)
     if kind == "hash":
         return HashIndex(name, schema, key_columns)

@@ -158,17 +158,8 @@ class TableScan(Operator):
 
 
 class IndexRangeScan(Operator):
-    """Fetch rows through an index *range* probe rather than a full scan.
-
-    Three modes, one operator:
-
-    * ``mode="range"`` — a ``low <= key <= high`` sweep over an
-      :class:`~repro.minidb.index.OrderedIndex`;
-    * ``mode="descendants"`` — the pre/post *window* range scan of an
-      :class:`~repro.minidb.intervals.IntervalIndex`: every row whose id
-      column lies in the subtree of ``root``;
-    * ``mode="reachable"`` — the window scan plus the extra-edge
-      fixpoint: every row whose id is graph-reachable from ``root``.
+    """Fetch rows through an :class:`~repro.minidb.index.OrderedIndex`
+    *range* probe (``low <= key <= high``) rather than a full scan.
 
     Matched record ids are dereferenced in heap (page, slot) order, so
     the output is byte-identical to the filter-over-scan plan this
@@ -181,75 +172,48 @@ class IndexRangeScan(Operator):
         table: Table,
         index_name: str,
         alias: Optional[str] = None,
-        mode: str = "range",
         low: Optional[Sequence[Any]] = None,
         high: Optional[Sequence[Any]] = None,
         include_low: bool = True,
         include_high: bool = True,
-        root: Any = None,
-        include_root: bool = False,
     ) -> None:
         super().__init__()
-        if mode not in ("range", "descendants", "reachable"):
-            raise QueryError(f"unknown index range-scan mode {mode!r}")
         self.table = table
         self.index_name = index_name
         self.alias = alias or table.name
-        self.mode = mode
         self.low = tuple(low) if low is not None else None
         self.high = tuple(high) if high is not None else None
         self.include_low = include_low
         self.include_high = include_high
-        self.root = root
-        self.include_root = include_root
-
-    def _rids(self) -> list[Any]:
-        index = self.table._resolve_index(self.index_name)
-        if self.mode == "range":
-            rids = [
-                rid
-                for _key, rid in index.range_search(
-                    self.low, self.high, self.include_low, self.include_high
-                )
-            ]
-        elif self.mode == "descendants":
-            ids = index.descendant_ids(self.root, include_self=self.include_root)
-            rids = list(index.rids_for_ids(ids))
-        else:
-            ids = index.reachable_ids(self.root, include_self=self.include_root)
-            rids = list(index.rids_for_ids(ids))
-        rids.sort()
-        return rids
 
     def _produce(self) -> Iterator[RowDict]:
+        index = self.table._resolve_index(self.index_name)
+        rids = sorted(
+            rid
+            for _key, rid in index.range_search(
+                self.low, self.high, self.include_low, self.include_high
+            )
+        )
         schema = self.table.schema
         read = self.table.read
-        for rid in self._rids():
+        for rid in rids:
             yield _qualify(self.alias, schema.row_to_mapping(read(rid)))
 
-    def estimated_rows(self) -> Optional[int]:
-        index = self.table._resolve_index(self.index_name)
-        if self.mode in ("descendants", "reachable"):
-            # Reachability adds extra-edge targets on top of the subtree
-            # window; the window count is a cheap, usually-tight floor.
-            return index.descendant_count(self.root, include_self=self.include_root)
-        return None
-
     def describe(self) -> str:
-        base = f"IndexRangeScan({self.alias}.{self.index_name}"
-        if self.mode == "range":
-            lo = "(" if not self.include_low else "["
-            hi = ")" if not self.include_high else "]"
-            return f"{base} {lo}{self.low!r} .. {self.high!r}{hi})"
-        return f"{base} {self.mode}-of {self.root!r})"
+        lo = "(" if not self.include_low else "["
+        hi = ")" if not self.include_high else "]"
+        return (
+            f"IndexRangeScan({self.alias}.{self.index_name} "
+            f"{lo}{self.low!r} .. {self.high!r}{hi})"
+        )
 
 
 class IndexKeysLookup(Operator):
     """Fetch rows for a *batch* of equality keys through one index.
 
     The access path behind literal ``IN (...)`` lists and graph
-    predicates whose id set was resolved on another table's interval
-    index: one index probe per distinct key instead of a full scan.
+    predicates, whose id set the graph index resolves first: one index
+    probe per distinct key instead of a full scan.
     ``None``-bearing keys are skipped (SQL ``IN`` never matches NULL),
     duplicate keys probe once, and the matched record ids are read in
     heap (page, slot) order so the output is byte-identical to the

@@ -15,7 +15,8 @@ cost-attribution layer need.  Two modes, selected per plan through the
   - ``IN``-lists on an indexed column → :class:`IndexKeysLookup`
     (one ordered probe per distinct value);
   - graph conjuncts (``descendant_of`` / ``in_subtree`` /
-    ``reachable_from``) → the interval index's window range scan;
+    ``reachable_from``) → the graph index's id set, keying
+    :class:`IndexKeysLookup` on the column's point index;
   - equi-joins whose inner key is covered by the inner table's primary
     key, or by a secondary index that has never seen a delete, →
     :class:`IndexNestedLoopJoin` (order-identical to the hash join it
@@ -220,7 +221,7 @@ def point_index(table, column: str) -> Optional[str]:
 
 
 class _GraphPredicate:
-    """A resolved graph conjunct: which interval index answers it, and how."""
+    """A resolved graph conjunct: which graph index answers it, and how."""
 
     def __init__(self, func: SqlFunction, database, compiler: _Compiler) -> None:
         if len(func.args) not in (2, 3) or not isinstance(func.args[0], SqlColumn):
@@ -236,37 +237,20 @@ class _GraphPredicate:
             if not isinstance(hint, SqlLiteral) or not isinstance(hint.value, str):
                 raise QueryError(f"{func.name}() index name must be a string literal")
             index_hint = hint.value
-        self.table, self.index = resolve_interval_index(
+        _table, self.index = resolve_interval_index(
             database, self.column, index_hint, label=f"{func.name}()"
         )
 
     def ids(self) -> list[Any]:
-        """The id set satisfying the predicate, in index discovery order."""
+        """The ids satisfying the predicate (their order reaches no output)."""
         if self.func_name == "descendant_of":
             return self.index.descendant_ids(self.root, include_self=False)
         if self.func_name == "in_subtree":
             return self.index.descendant_ids(self.root, include_self=True)
         return self.index.reachable_ids(self.root, include_self=True)
 
-    def driving_scan(self, table, alias: str) -> Optional[Operator]:
-        """An IndexRangeScan over *table* if the window scan applies directly."""
-        if table.name != self.table.name:
-            return None
-        if _bare(self.column) != self.index.key_columns[0]:
-            return None
-        mode = "reachable" if self.func_name == "reachable_from" else "descendants"
-        include_root = self.func_name != "descendant_of"
-        return IndexRangeScan(
-            table,
-            self.index.name,
-            alias,
-            mode=mode,
-            root=self.root,
-            include_root=include_root,
-        )
-
     def as_filter(self) -> Expression:
-        """InSet fallback when the predicate cannot drive the access path."""
+        """InSet fallback when no point index can take the id set."""
         from .expressions import InSet
 
         return InSet(ColumnRef(self.column), self.ids(), negated=False)
@@ -580,27 +564,22 @@ def plan_select(
     plan: Optional[Operator] = None
 
     if indexed:
-        # Graph conjuncts first: a window range scan beats everything.
+        # Graph conjuncts first: their id set keys a point-index lookup.
         for idx, conj in enumerate(conjuncts):
             if idx in used or not _is_graph_conjunct(conj):
                 continue
             predicate = _GraphPredicate(conj, database, compiler)
-            driving = predicate.driving_scan(base_table, base_alias)
-            if driving is not None:
-                plan = driving
-                used.add(idx)
-            else:
-                column = _bound_column(conj.args[0], base_table, base_alias, ambiguous)
-                if column is not None:
-                    index_name = point_index(base_table, column)
-                    if index_name is not None:
-                        plan = IndexKeysLookup(
-                            base_table,
-                            index_name,
-                            [(v,) for v in predicate.ids()],
-                            base_alias,
-                        )
-                        used.add(idx)
+            column = _bound_column(conj.args[0], base_table, base_alias, ambiguous)
+            if column is not None:
+                index_name = point_index(base_table, column)
+                if index_name is not None:
+                    plan = IndexKeysLookup(
+                        base_table,
+                        index_name,
+                        [(v,) for v in predicate.ids()],
+                        base_alias,
+                    )
+                    used.add(idx)
             break
         if plan is None:
             match = _equality_path(
@@ -631,7 +610,6 @@ def plan_select(
                     base_table,
                     index_name,
                     base_alias,
-                    mode="range",
                     low=bounds["low"],
                     high=bounds["high"],
                     include_low=bounds["include_low"],

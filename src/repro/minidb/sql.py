@@ -31,8 +31,9 @@ functions ``exp``, ``log``, ``abs``, ``coalesce``, ``length``.  Aggregates
 list and HAVING clause of grouped queries.  Three *graph predicates* —
 ``descendant_of(col, root)``, ``in_subtree(col, root)`` and
 ``reachable_from(col, root[, 'index_name'])`` — test membership against
-an interval index (:mod:`repro.minidb.intervals`) and become index range
-scans when they can drive the access path.
+the id set of a graph index (``kind="interval"``,
+:mod:`repro.minidb.intervals`), read through the column's point index
+when the table has one.
 
 Plan construction lives in :mod:`repro.minidb.planner`: comma-separated
 FROM lists join on the connecting equality conjuncts of the WHERE clause
@@ -66,7 +67,7 @@ from .operators import Aggregate, RowDict
 
 _AGGREGATE_FUNCS = {"count", "sum", "avg", "min", "max"}
 
-#: WHERE-clause predicates answered by an interval index (see planner.py).
+#: WHERE-clause predicates answered by a graph index (see planner.py).
 _GRAPH_FUNCS = ("descendant_of", "in_subtree", "reachable_from")
 
 # ---------------------------------------------------------------------------
@@ -649,9 +650,9 @@ class _Compiler:
         if isinstance(node, SqlFunction):
             if node.name in _GRAPH_FUNCS:
                 # Membership fallback: resolve the id set through the
-                # interval index.  When the predicate can drive the
-                # access path instead, the planner consumes it before
-                # it ever reaches a filter.
+                # graph index.  When a point index can take the id set
+                # instead, the planner consumes the predicate before it
+                # ever reaches a filter.
                 from .planner import compile_graph_function
 
                 return compile_graph_function(node, self.database, self)

@@ -127,8 +127,8 @@ class TestPlanShapes:
             "select kcid from TAXONOMY where descendant_of(kcid, :root)",
             {"root": 1},
         )
-        assert "IndexRangeScan(TAXONOMY.taxonomy_tree" in plan
-        assert "descendants" in plan
+        assert "IndexKeysLookup(TAXONOMY.TAXONOMY_pk" in plan
+        assert "TableScan" not in plan
 
     def test_reachability_drives_the_crawl_lookup(self, db):
         plan = explain_text(
