@@ -29,12 +29,32 @@ def db():
 
 
 class TestEncoding:
+    def test_windows_nest(self, db):
+        # Each subtree is one contiguous run of its ancestor's preorder,
+        # and sibling subtrees are disjoint runs.
+        index = make_tree(db, TAXONOMY_EDGES).indexes["tree"]
+        root = index.descendant_ids(1)
+        for child in (2, 3):
+            run = index.descendant_ids(child, include_self=True)
+            start = root.index(child)
+            assert root[start:start + len(run)] == run
+        assert not set(index.descendant_ids(2, include_self=True)) & set(
+            index.descendant_ids(3, include_self=True)
+        )
+
     def test_descendants_are_one_range_scan(self, db):
         index = make_tree(db, TAXONOMY_EDGES).indexes["tree"]
         assert set(index.descendant_ids(1)) == {2, 3, 4, 5, 6}
         assert set(index.descendant_ids(2)) == {4, 5}
         assert index.descendant_ids(2, include_self=True)[0] == 2
         assert index.descendant_ids(4) == []
+
+    def test_is_descendant(self, db):
+        index = make_tree(db, TAXONOMY_EDGES).indexes["tree"]
+        assert 4 in index.descendant_ids(1)
+        assert 4 in index.descendant_ids(2)
+        assert 4 not in index.descendant_ids(3)
+        assert 1 not in index.descendant_ids(4)
 
 
 class TestGraphShapes:
@@ -170,6 +190,27 @@ class TestAgainstReference:
 
 
 class TestMaintenance:
+    def test_incremental_batches_rarely_renumber(self, db, monkeypatch):
+        table = db.create_table("TREE", edge_schema())
+        table.create_index("tree", ["child", "parent"], kind="interval")
+        index = table.indexes["tree"]
+        folded = []
+        add_edge = index._add_edge
+        monkeypatch.setattr(index, "_add_edge", lambda c, p: (folded.append((c, p)), add_edge(c, p)))
+        table.insert({"child": 1, "parent": None})
+        assert set(index.descendant_ids(1)) == set()
+        # Folding later batches extends the forest without replaying it:
+        # each distinct edge is added once, in insertion order.
+        table.insert_many([{"child": c, "parent": 1} for c in range(2, 30)])
+        assert len(index.descendant_ids(1)) == 28
+        table.insert_many([{"child": c + 100, "parent": c} for c in range(2, 30)])
+        assert len(index.descendant_ids(1)) == 56
+        assert folded == (
+            [(1, None)]
+            + [(c, 1) for c in range(2, 30)]
+            + [(c + 100, c) for c in range(2, 30)]
+        )
+
     def test_delete_replays_surviving_edges(self, db):
         table = make_tree(db, TAXONOMY_EDGES)
         index = table.indexes["tree"]
