@@ -44,9 +44,7 @@ only appended.  The snapshot record's ``app_state`` is only a
 the frame numbers of the live chain.  A delta is about 1 kB on the
 ``crawl_durable`` shape: the interval's failed URLs plus the small state
 and RNG positions, so it grows with the interval's failures and the
-attached scores, not with the crawl's size.  Chains written while a save could also
-start a fresh base mid-crawl fold the same way: their base is just not
-frame 1.
+attached scores, not with the crawl's size.
 
 **Why the segment file and not a sidecar.**  A frame is tracked in the
 snapshot record's page directory like a page image, so it is published
@@ -64,10 +62,9 @@ folds base and deltas back into the ``state_snapshot()`` shape, and
 rebuilds the crawler around it and the tables; a resumed crawl then
 visits exactly the pages — with bit-identical relevance floats — that
 the uninterrupted crawl would have visited, and its next checkpoint
-extends the chain it was loaded from.  Frames written while a
-checkpoint also kept the visits, the frontier entries, the relevance
-map and the last distillation still resume: those sections are
-skipped.
+extends the chain it was loaded from.  A header of another format
+version is refused by name, as the database refuses a snapshot of
+another format.
 
 This is the one recovery path.  A sharded crawl is not checkpointed:
 its shard databases live in memory inside the workers.
@@ -86,9 +83,9 @@ from repro.minidb.errors import StorageError
 from repro.webgraph.servers import ServerPool
 from repro.webgraph.transport import FetchTransport
 
-#: Version of the header/frame layout.  Format 1 was a whole
-#: :class:`CrawlCheckpoint` pickled into the snapshot record.
-FORMAT_VERSION = 2
+#: Version of the header/frame layout: a frame is exactly
+#: ``(kind, engine part, fetcher state, RNG state)``.
+FORMAT_VERSION = 3
 
 #: First item of a frame's tuple.
 BASE_FRAME = "base"
@@ -249,25 +246,17 @@ def read_checkpoint(database: Database, path: str = "") -> CrawlCheckpoint:
     refused whole rather than half-read).
     """
     header = database.app_state()
-    if isinstance(header, CheckpointHeader):
-        version = header.version
-    elif isinstance(header, CrawlCheckpoint):
-        version = 1
-    else:
+    if not isinstance(header, CheckpointHeader):
         raise StorageError(f"{path!r} holds no crawl checkpoint to resume from")
-    if version != FORMAT_VERSION:
+    if header.version != FORMAT_VERSION:
         raise StorageError(
-            f"{path!r} holds a crawl checkpoint in format {version}; "
+            f"{path!r} holds a crawl checkpoint in format {header.version}; "
             f"this build reads format {FORMAT_VERSION}"
         )
     frames = [database.read_frame(frame_no) for frame_no in header.chain]
-    if [frame[0] for frame in frames] != [BASE_FRAME] + [DELTA_FRAME] * (len(frames) - 1):
+    kinds, engine_parts, fetcher_states, rng_states = zip(*frames)
+    if list(kinds) != [BASE_FRAME] + [DELTA_FRAME] * (len(frames) - 1):
         raise StorageError(f"{path!r}: the checkpoint's frame chain is not base + deltas")
-    # A frame is (kind, engine part, fetcher state, RNG state); one written
-    # while checkpoints also kept the frontier holds it second, and it is
-    # skipped: the frontier is rebuilt from CRAWL.
-    engine_parts = [frame[-3] for frame in frames]
-    last = frames[-1]
     return CrawlCheckpoint(
         config=header.config,
         focused=header.focused,
@@ -275,8 +264,8 @@ def read_checkpoint(database: Database, path: str = "") -> CrawlCheckpoint:
         good_topics=header.good_topics,
         fetch_failure_seed=header.fetch_failure_seed,
         engine_state=CrawlEngine.fold_state(engine_parts[0], engine_parts[1:]),
-        fetcher_state=last[-2],
-        server_rng_state=last[-1],
+        fetcher_state=fetcher_states[-1],
+        server_rng_state=rng_states[-1],
         # Every save writes one frame and numbers it with its count.
         checkpoints_saved=header.chain[-1],
         chain=list(header.chain),

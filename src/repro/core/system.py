@@ -702,9 +702,8 @@ class FocusSystem:
             config.max_pages = max_pages
         # Honour the crawl's WAL group-commit and compaction policies after
         # the reopen (the checkpoint is read from the database, so open()
-        # could not know them).  A config that names no storage — one
-        # pickled before StorageConfig existed included — resolves to the
-        # defaults plus its own wal_fsync_batch.
+        # could not know them).  A config that names no storage resolves
+        # to the defaults plus its own wal_fsync_batch.
         storage = config.resolve_storage()
         if storage.wal_fsync_batch:
             database.backend.wal.fsync_batch = storage.wal_fsync_batch

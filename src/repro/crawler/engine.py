@@ -139,9 +139,8 @@ class CrawlerConfig:
     #: the transport picks each round's fetch path (see ``_run_rounds``).
     fetch_mode: str = "auto"
     #: Accepted and ignored: cross-round prefetch was removed (README,
-    #: *Prefetch (removed)*).  Kept so that older configs, pickled
-    #: checkpoints and ``benchmarks/suite`` still load; ROADMAP item 1A
-    #: unbinds the suite from it, and then the field goes.
+    #: *Prefetch (removed)*).  Kept only because ``benchmarks/suite`` sets
+    #: it; ROADMAP item 1A unbinds the suite from it, and then the field goes.
     prefetch: bool = False
     #: Maximum fetches outstanding at once in a drained round (0 = round size).
     max_inflight: int = 0
@@ -188,9 +187,9 @@ class CrawlerConfig:
     #: is a poor proxy for elapsed (and therefore at-risk) work.
     checkpoint_interval_s: float = 0.0
     #: Accepted and ignored, like ``prefetch``: every crawl scores with the
-    #: columnar kernels (README, *Scoring kernel*).  Kept so that older configs,
-    #: pickled checkpoints and ``benchmarks/suite`` still load; a value
-    #: outside :data:`SCORE_BACKENDS` is still refused.
+    #: columnar kernels (README, *Scoring kernel*).  Kept only because
+    #: ``benchmarks/suite`` sets it; a value outside :data:`SCORE_BACKENDS`
+    #: is refused.
     score_backend: str = "numpy"
     #: Group-commit batch for the write-ahead log of a durable crawl
     #: database: 0 keeps the seed behaviour (OS flush per record, fsync
@@ -206,15 +205,10 @@ class CrawlerConfig:
     storage: Optional[StorageConfig] = None
 
     def resolve_storage(self) -> StorageConfig:
-        """The effective storage policy: ``storage`` or the folded legacy knob.
-
-        ``getattr`` defaults keep configs unpickled from pre-StorageConfig
-        checkpoints (which lack the newer fields entirely) resumable.
-        """
-        storage = getattr(self, "storage", None)
-        if storage is not None:
-            return storage
-        return StorageConfig(wal_fsync_batch=getattr(self, "wal_fsync_batch", 0))
+        """The effective storage policy: ``storage`` or the folded legacy knob."""
+        if self.storage is not None:
+            return self.storage
+        return StorageConfig(wal_fsync_batch=self.wal_fsync_batch)
 
 
 @dataclass
@@ -721,26 +715,9 @@ class CrawlEngine:
 
         Folds in place — into a snapshot read back from disk, never into
         a live one, whose trace is the engine's own — and returns *state*.
-        Parts written while checkpoints also kept what CRAWL holds — the
-        visits (a base's trace, a 5- or 7-item delta's visit tail), the
-        relevance map and the last distillation (a base's
-        ``"relevance"`` and its trace's ``last_distillation``, a 7-item
-        delta's second and last items) — are skipped, but for the
-        distillation's iteration count.
         """
         trace: CrawlTrace = state["trace"]
-        trace.visits = []
-        state.pop("relevance", None)
-        if trace.last_distillation is not None:
-            state.setdefault("iterations", trace.last_distillation.iterations)
-            trace.last_distillation = None
-        for delta in deltas:
-            if len(delta) == 7:
-                small, _relevance, _visits, failed_urls, distillations, stagnated, last = delta
-                if last is not None:
-                    small = {**small, "iterations": last.iterations}
-            else:
-                small, *_visits, failed_urls, distillations, stagnated = delta
+        for small, failed_urls, distillations, stagnated in deltas:
             state.update(small)
             trace.failed_urls.extend(failed_urls)
             trace.distillations = distillations
@@ -755,11 +732,7 @@ class CrawlEngine:
         relevance map from the visits (in visit order), and the link
         graph from LINK; the last distillation is read back from HUBS and
         AUTH, which the save's sync wrote, in the graph's node order —
-        the order the live result's score dicts had.  Sections written
-        before cross-round prefetch and the outcome LRU were removed held
-        counters only and are ignored, as is the ``delta_cache`` section
-        of checkpoints written while the link graph mirrored LINK's
-        weights.
+        the order the live result's score dicts had.
         """
         self._tick = state["tick"]
         self._since_distillation = state["since_distillation"]
@@ -767,7 +740,7 @@ class CrawlEngine:
         self._stagnation_misses = state["stagnation_misses"]
         # The trace is shared with the driving crawler: refill it in place.
         saved, trace = state["trace"], self.trace
-        visits = self.frontier.restore_from_table(state.get("attached_scores"))
+        visits = self.frontier.restore_from_table(state["attached_scores"])
         trace.visits[:] = [PageVisit(*visit) for visit in visits]
         trace.failed_urls[:] = saved.failed_urls
         trace.distillations = saved.distillations
@@ -777,7 +750,7 @@ class CrawlEngine:
         self._unwritten_scores = None
         self._incremental = None
         trace.last_distillation = (
-            self._stored_distillation(state.get("iterations", 0)) if trace.distillations else None
+            self._stored_distillation(state["iterations"]) if trace.distillations else None
         )
 
     def _stored_distillation(self, iterations: int) -> DistillationResult:

@@ -61,9 +61,8 @@ class DistillationResult:
         result.iterations = iterations
         return result
 
-    # cached_property is a non-data descriptor: dict-backed results (and
-    # results pickled as dicts by older builds) carry the dicts in
-    # __dict__ and never reach these.
+    # cached_property is a non-data descriptor: dict-backed results carry
+    # the dicts in __dict__ and never reach these.
     @cached_property
     def hub_scores(self) -> Dict[int, float]:
         oids, hubs, _authorities = self.dense

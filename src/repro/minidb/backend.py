@@ -11,10 +11,11 @@ provided:
   *segment file*; a page directory maps each page id to its latest
   image offset.  A logical :class:`~repro.minidb.wal.WriteAheadLog`
   records every table mutation, and a checkpoint writes an atomic
-  snapshot (catalog metadata + page directory + WAL epoch; the
-  directory, an entry per page, zlib-compressed) so
+  snapshot (format number + catalog metadata + page directory + WAL
+  epoch; the directory, an entry per page, zlib-compressed) so
   :meth:`repro.minidb.database.Database.open` can restore the last
-  checkpoint and replay the log over it.
+  checkpoint and replay the log over it.  A snapshot of any other
+  format is refused by name (:data:`SNAPSHOT_FORMAT`).
 
 The segment file is never rewritten in place — superseded page images
 simply become garbage — so a crash can at worst leave an unreferenced
@@ -61,6 +62,12 @@ from .wal import (
 SEGMENT_FILE = "segments.dat"
 WAL_FILE = "wal.dat"
 SNAPSHOT_FILE = "snapshot.dat"
+
+#: The layout of the snapshot record and of everything it references: the
+#: compressed ``(offset, length)`` directory, the segment epoch and
+#: column-chunk page images.  A snapshot without this number, or with
+#: another, is refused at open.
+SNAPSHOT_FORMAT = 1
 
 #: Directory entries of this file id address *frames* (see
 #: :meth:`DurableBackend.put_frame`).  No table owns the id, and a frame
@@ -219,13 +226,19 @@ class DurableBackend(StorageBackend):
         if os.path.exists(self._snapshot_path):
             with open(self._snapshot_path, "rb") as fh:
                 self.snapshot_meta = load_record(read_frame_at(fh, 0))
-            directory = self.snapshot_meta["directory"]
-            if isinstance(directory, bytes):  # compressed; earlier snapshots hold the dict
-                self.snapshot_meta["directory"] = load_record(zlib.decompress(directory))
+            found = self.snapshot_meta.get("format")
+            if found != SNAPSHOT_FORMAT:
+                # Refused before anything in the directory is touched.
+                named = "an unversioned" if found is None else f"a format {found}"
+                raise StorageError(
+                    f"{self._snapshot_path} holds {named} minidb snapshot; "
+                    f"this build reads format {SNAPSHOT_FORMAT}"
+                )
+            self.snapshot_meta["directory"] = load_record(
+                zlib.decompress(self.snapshot_meta["directory"])
+            )
             epoch = self.snapshot_meta["epoch"]
-            # Pre-compaction snapshots carry no segment epoch: their
-            # directory refers to the original segments.dat.
-            segment_epoch = self.snapshot_meta.get("segment_epoch", 0)
+            segment_epoch = self.snapshot_meta["segment_epoch"]
 
         self._segment_epoch = segment_epoch
         self._segment_path = os.path.join(self.path, segment_file_name(segment_epoch))
@@ -253,14 +266,6 @@ class DurableBackend(StorageBackend):
             # re-created by WAL replay), so the directory comes from the
             # snapshot alone.
             for (file_id, page_no), entry in self.snapshot_meta["directory"].items():
-                if isinstance(entry, int):
-                    # Pre-compaction snapshot: a bare offset.  Re-read the
-                    # frame (recovery-time only) to recover its length —
-                    # CRC-verified, so damage surfaces here, not later.
-                    payload = read_frame_at(self._segments, entry)
-                    entry = (entry, FRAME_HEADER_SIZE + len(payload))
-                else:
-                    entry = tuple(entry)
                 self._directory[PageId(file_id, page_no)] = entry
                 self._live_bytes += entry[1]
         frame_lengths = [
@@ -484,6 +489,7 @@ class DurableBackend(StorageBackend):
             self._segment_end = end
             self._live_bytes = end - len(SEGMENT_MAGIC)
         meta = dict(catalog_meta)
+        meta["format"] = SNAPSHOT_FORMAT
         meta["epoch"] = new_epoch
         meta["segment_epoch"] = self._segment_epoch
         directory = {

@@ -240,19 +240,8 @@ class Page:
 
     @classmethod
     def from_image(cls, image: tuple) -> "Page":
-        """Rebuild a (clean) page from :meth:`image` output.
-
-        Also reads the row-shaped image older stores hold — a list of
-        row tuples with ``None`` for an emptied slot in place of the
-        columns, and the tombstone *count* in place of the dead slots.
-        """
+        """Rebuild a (clean) page from :meth:`image` output."""
         file_id, page_no, capacity, columns, used_bytes, dead = image
-        if isinstance(dead, int):
-            rows = columns
-            dead = [slot for slot, row in enumerate(rows) if row is None]
-            width = next((len(row) for row in rows if row is not None), 0)
-            filler = (None,) * width
-            columns = [list(column) for column in zip(*[row or filler for row in rows])]
         return cls(
             page_id=PageId(file_id, page_no),
             capacity=capacity,

@@ -9,40 +9,33 @@ relevance floats as an uninterrupted run, to 1e-9 (in fact bit for bit).
 
 import dataclasses
 import os
-import pickle
 import time
 from types import SimpleNamespace
 
 import pytest
 
+import repro.core.checkpoint as checkpoint_module
 from repro.core.checkpoint import (
     FORMAT_VERSION,
     CheckpointHeader,
     CheckpointManager,
-    CrawlCheckpoint,
     read_checkpoint,
 )
 from repro.core.config import FocusConfig, JobSpec
 from repro.core.system import FocusSystem
-from repro.classifier.tokenizer import term_frequencies
-from repro.crawler.engine import CrawlEngine, CrawlTrace, PageScorer
+from repro.crawler.engine import CrawlEngine, CrawlTrace
 from repro.crawler.focused import CrawlerConfig
 from repro.crawler.frontier import Frontier, FrontierEntry
 from repro.crawler.policies import recovery_ordering
 from repro.experiments.workloads import build_crawl_workload
 from repro.minidb import INTEGER, Database, StorageConfig, make_schema
+from repro.minidb.backend import SNAPSHOT_FILE, SNAPSHOT_FORMAT
 from repro.minidb.errors import StorageError
-from repro.minidb.wal import dump_record
+from repro.minidb.wal import dump_record, load_record, read_frame_at, write_frame
 from repro.webgraph.fetch import Fetcher
 from repro.webgraph.transport import LatencyTransport
 
 GOOD = "recreation/cycling"
-
-#: The frontier entry layout of frames written while checkpoints kept the frontier.
-PARENT_ENTRY_FIELDS = (
-    "url", "oid", "sid", "relevance", "numtries", "serverload", "discovered",
-    "lastvisited", "hub_score", "authority_score", "status", "rid_page", "rid_slot",
-)
 
 #: Shared crawl shape: small enough to run four scenarios, big enough to
 #: cross several distillation and checkpoint boundaries.
@@ -409,353 +402,52 @@ class TestPrefetchCrashResume:
         resumed.database.close()
 
 
-class TestParentCheckpointResume:
-    def test_prefetch_section_and_flag_are_ignored(
-        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
-    ):
-        """A checkpoint from before cross-round prefetch was removed: its
-        engine state carries a ``"prefetch"`` counter section and its
-        config says ``prefetch=True`` and ``fetch_mode="async"``.  It
-        resumes to the uninterrupted crawl, bit for bit."""
-        small_state = CrawlEngine._small_state
+class TestRetiredFormats:
+    """A store written in an earlier format is refused by name, untouched."""
 
-        def parent_shaped(engine):
-            counters = {"launched": 40, "hits": 21, "stale": 12, "drained": 7}
-            return {**small_state(engine), "prefetch": counters}
-
-        monkeypatch.setattr(CrawlEngine, "_small_state", parent_shaped)
+    def checkpointed(self, checkpoint_system, path):
         config = crawl_config("batched")
-        config.fetch_mode = "async"
-        config.prefetch = True
-        kill_fetcher_after(monkeypatch, 83)
-        with pytest.raises(KillSwitch):
-            checkpoint_system.crawl(
-                crawler_config=config,
-                fetch_failure_seed=FETCH_FAILURE_SEED,
-                checkpoint_dir=str(tmp_path / "crawl"),
-            )
+        config.max_pages = 20
+        checkpoint_system.crawl(
+            crawler_config=config,
+            fetch_failure_seed=FETCH_FAILURE_SEED,
+            checkpoint_dir=str(path),
+        ).database.close()
+
+    def test_an_unversioned_snapshot_is_refused(self, checkpoint_system, tmp_path):
+        """Snapshots written before the minidb format was numbered (crawl
+        checkpoint formats 1 and 2 among them) carry no ``"format"``."""
+        path = tmp_path / "crawl"
+        self.checkpointed(checkpoint_system, path)
+        snapshot = path / SNAPSHOT_FILE
+        with open(snapshot, "rb") as fh:
+            meta = load_record(read_frame_at(fh, 0))
+        del meta["format"]
+        with open(snapshot, "wb") as fh:
+            write_frame(fh, dump_record(meta))
+        before = directory_bytes(path)
+        for load in (CheckpointManager.load, checkpoint_system.resume):
+            with pytest.raises(
+                StorageError,
+                match=f"an unversioned minidb snapshot; this build reads format {SNAPSHOT_FORMAT}",
+            ):
+                load(str(path))
+        assert directory_bytes(path) == before
+
+    def test_a_version_2_header_is_refused(self, checkpoint_system, tmp_path, monkeypatch):
+        """Format 2 frames could also hold the visits, the frontier, the
+        relevance map or the last distillation; under a current snapshot
+        its header is refused, not half-read."""
+        path = tmp_path / "crawl"
+        monkeypatch.setattr(checkpoint_module, "FORMAT_VERSION", 2)
+        self.checkpointed(checkpoint_system, path)
         monkeypatch.undo()
-        reopened, saved = CheckpointManager.load(str(tmp_path / "crawl"))
-        reopened.close()
-        assert saved.engine_state["prefetch"]["launched"] == 40
-        assert saved.config.prefetch
-
-        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
-        assert resumed.pages_fetched() == MAX_PAGES
-        assert_traces_match(resumed, reference_batched)
-        resumed.database.close()
-
-    def test_outcome_cache_section_and_its_knobs_are_ignored(
-        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
-    ):
-        """A checkpoint from before the outcome LRU was removed: its engine
-        state carries an ``"outcome_cache"`` counter section and its pickled
-        config carries ``posterior_cache_size`` and ``record_best_leaf``.
-        It resumes to the uninterrupted crawl, bit for bit."""
-        small_state = CrawlEngine._small_state
-
-        def parent_shaped(engine):
-            return {**small_state(engine), "outcome_cache": {"hits": 0, "misses": 83}}
-
-        monkeypatch.setattr(CrawlEngine, "_small_state", parent_shaped)
-        config = crawl_config("batched")
-        config.__dict__.update(posterior_cache_size=4096, record_best_leaf=True)
-        kill_fetcher_after(monkeypatch, 83)
-        with pytest.raises(KillSwitch):
-            checkpoint_system.crawl(
-                crawler_config=config,
-                fetch_failure_seed=FETCH_FAILURE_SEED,
-                checkpoint_dir=str(tmp_path / "crawl"),
-            )
-        monkeypatch.undo()
-        reopened, saved = CheckpointManager.load(str(tmp_path / "crawl"))
-        reopened.close()
-        assert saved.engine_state["outcome_cache"] == {"hits": 0, "misses": 83}
-        assert saved.config.__dict__["posterior_cache_size"] == 4096
-        assert saved.config.__dict__["record_best_leaf"] is True
-
-        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
-        assert resumed.pages_fetched() == MAX_PAGES
-        assert_traces_match(resumed, reference_batched)
-        assert [visit.best_leaf_cid for visit in resumed.trace.visits] == [
-            visit.best_leaf_cid for visit in reference_batched.trace.visits
-        ]
-        resumed.database.close()
-
-    def test_a_python_scoring_checkpoint_resumes_on_the_columnar_kernel(
-        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
-    ):
-        """A checkpoint from before the python scoring path was removed: its
-        pickled config says ``score_backend="python"``, and every relevance
-        it holds — the trace, the engine's relevance map, CRAWL rows, the
-        frontier priorities and LINK weights derived from them — came from
-        the single-document Eq. 2 path, which that path equalled bit for
-        bit.  It resumes on the columnar kernel: the URLs of the
-        uninterrupted crawl exactly, every relevance float within 1e-9."""
-
-        def python_path(scorer, results):
-            documents = [term_frequencies(result.tokens) for result in results]
-            return scorer.classifier.classify_batch(documents)
-
-        monkeypatch.setattr(PageScorer, "classify", python_path)
-        config = crawl_config("batched")
-        config.score_backend = "python"
-        kill_fetcher_after(monkeypatch, 115)  # after the save at 90 pages
-        with pytest.raises(KillSwitch):
-            checkpoint_system.crawl(
-                crawler_config=config,
-                fetch_failure_seed=FETCH_FAILURE_SEED,
-                checkpoint_dir=str(tmp_path / "crawl"),
-            )
-        monkeypatch.undo()
-        reopened, saved = CheckpointManager.load(str(tmp_path / "crawl"))
-        visits = reopened.sql("select url, relevance from CRAWL where status = 'visited'")
-        reopened.close()
-        assert saved.config.score_backend == "python"
-        assert len(visits) >= 90
-        model, web = checkpoint_system.model, checkpoint_system.web
-        for visit in visits:  # the python path's floats, bit for bit
-            tokens = web.page(visit["url"]).tokens
-            assert visit["relevance"] == model.relevance(term_frequencies(tokens))
-
-        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
-        assert resumed.crawler.config.score_backend == "python"
-        assert resumed.pages_fetched() == MAX_PAGES
-        assert resumed.trace.fetched_urls == reference_batched.trace.fetched_urls
-        assert resumed.trace.failed_urls == reference_batched.trace.failed_urls
-        assert resumed.trace.distillations == reference_batched.trace.distillations
-        for got, want in zip(
-            resumed.trace.relevance_series(), reference_batched.trace.relevance_series()
+        before = directory_bytes(path)
+        with pytest.raises(
+            StorageError, match=f"format 2; this build reads format {FORMAT_VERSION}"
         ):
-            assert got == pytest.approx(want, abs=1e-9)
-        resumed.database.close()
-
-    @pytest.mark.parametrize("fetch_mode", ["threaded", "async"])
-    def test_pickled_configs_with_deleted_fields_resume(
-        self, checkpoint_system, reference_batched, tmp_path, monkeypatch, fetch_mode
-    ):
-        """A checkpoint from before the fetch pool, background compaction, the
-        crawler's own compaction knobs and sharded checkpoints were deleted:
-        its pickled ``CrawlerConfig`` and ``StorageConfig`` carry those
-        fields in their ``__dict__``, as that tree pickled them (``shards=0``
-        was the unset default of the removed ``REPRO_ENGINE_SHARDS``).  It
-        resumes to the uninterrupted crawl, bit for bit, whichever
-        ``fetch_mode`` it carries (the field is accepted and ignored)."""
-        storage = StorageConfig()
-        storage.__dict__.update(
-            background_compaction=True, compact_wal_bytes=32768, ops_factory=None
-        )
-        config = crawl_config("batched")
-        config.fetch_mode = fetch_mode
-        config.storage = storage
-        config.__dict__.update(
-            fetch_workers=8, compact_every=3, compact_min_garbage_ratio=0.2, shards=0
-        )
-        kill_fetcher_after(monkeypatch, 83)
-        with pytest.raises(KillSwitch):
-            checkpoint_system.crawl(
-                crawler_config=config,
-                fetch_failure_seed=FETCH_FAILURE_SEED,
-                checkpoint_dir=str(tmp_path / "crawl"),
-            )
-        monkeypatch.undo()
-        reopened, saved = CheckpointManager.load(str(tmp_path / "crawl"))
-        reopened.close()
-        assert saved.config.__dict__["fetch_workers"] == 8
-        assert saved.config.storage.__dict__["compact_wal_bytes"] == 32768
-        assert "ops_factory" in saved.config.storage.__dict__
-        assert saved.config.shards == 0
-
-        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
-        assert resumed.crawler.config.fetch_mode == fetch_mode
-        assert resumed.pages_fetched() == MAX_PAGES
-        assert_traces_match(resumed, reference_batched)
-        resumed.database.close()
-
-    def test_a_chain_that_also_kept_the_frontier_and_the_distillation_resumes(
-        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
-    ):
-        """A checkpoint written while frames also kept what the tables hold:
-        every frame carries the frontier's entries second, the base the
-        relevance map and a trace with its visits, ``fetched_urls`` and a
-        dict-backed ``last_distillation``, and each delta the relevance
-        and visit tails and the distillation made since the save before.
-        As the parent's saves did once its deltas outweighed its base, the
-        third save writes a fresh base and starts a new chain, so the
-        chain resumed from starts mid-crawl.  The extra sections are
-        skipped: the resume rebuilds the same state from the tables, and
-        the crawl it continues is the uninterrupted one."""
-        snapshot, delta = CrawlEngine.state_snapshot, CrawlEngine.state_delta
-        checkpoint = Database.checkpoint
-        written = {
-            "frontier": None, "distillations": 0, "saved": None, "deltas": 0, "visits": 0,
-        }
-
-        def frontier_part(frontier, base):
-            heap = frontier.database.table("CRAWL").heap
-            entries = [
-                (
-                    entry.url, entry.oid, entry.sid, entry.relevance, entry.numtries,
-                    entry.serverload, entry.discovered, entry.lastvisited, entry.hub_score,
-                    entry.authority_score, entry.status, *heap.locate(entry.rid),
-                )
-                for entry in map(frontier.entry, frontier.known_urls())
-            ]
-            loads, watermark = dict(frontier._server_load), frontier._next_discovered
-            if base:
-                return {
-                    "fields": PARENT_ENTRY_FIELDS, "rid_file": heap.file_id,
-                    "entries": entries, "server_load": loads, "next_discovered": watermark,
-                }
-            return entries, loads, watermark  # every entry: more than changed, as a fold allows
-
-        def small_part(engine, small):
-            written["saved"] = (engine.relevance_map(), engine.trace.last_distillation)
-            return {
-                key: value for key, value in small.items()
-                if key not in ("iterations", "attached_scores")
-            }
-
-        def parent_snapshot(engine):
-            state = snapshot(engine)
-            written["frontier"] = frontier_part(engine.frontier, base=True)
-            trace = state.pop("trace")
-            trace.visits = list(engine.trace.visits)
-            written["visits"] = len(trace.visits)
-            last = engine.trace.last_distillation
-            trace.last_distillation = None if last is None else pickle.loads(pickle.dumps(last))
-            trace.__dict__["fetched_urls"] = [visit.url for visit in trace.visits]
-            written["distillations"] = trace.distillations
-            small = small_part(engine, state)
-            return {**small, "relevance": engine.relevance_map(), "trace": trace}
-
-        def parent_delta(engine):
-            written["deltas"] += 1
-            if written["deltas"] == 2:
-                return parent_snapshot(engine)  # the third save rebases
-            small, failed_urls, distillations, stagnated = delta(engine)
-            visits = engine.trace.visits[written["visits"]:]
-            written["visits"] = len(engine.trace.visits)
-            written["frontier"] = frontier_part(engine.frontier, base=False)
-            relevance = list(engine.relevance_map().items())
-            last = engine.trace.last_distillation
-            if distillations == written["distillations"]:
-                last = None
-            written["distillations"] = distillations
-            return (
-                small_part(engine, small), relevance[len(relevance) - len(visits):], visits,
-                failed_urls, distillations, stagnated, last,
-            )
-
-        def parent_checkpoint(database, app_state=None, frames=None):
-            ((frame_no, (kind, part, *rest)),) = frames.items()
-            if kind == "delta" and isinstance(part, dict):
-                # The rebase: a base in a delta's place starts the chain.
-                # app_state.chain is the manager's own list, so its later
-                # saves extend the new chain.
-                kind = "base"
-                del app_state.chain[:-1]
-            frames = {frame_no: (kind, written["frontier"], part, *rest)}
-            return checkpoint(database, app_state=app_state, frames=frames)
-
-        monkeypatch.setattr(CrawlEngine, "state_snapshot", parent_snapshot)
-        monkeypatch.setattr(CrawlEngine, "state_delta", parent_delta)
-        monkeypatch.setattr(Database, "checkpoint", parent_checkpoint)
-        kill_fetcher_after(monkeypatch, 101)
-        with pytest.raises(KillSwitch):
-            checkpoint_system.crawl(
-                crawler_config=crawl_config("batched"),
-                fetch_failure_seed=FETCH_FAILURE_SEED,
-                checkpoint_dir=str(tmp_path / "crawl"),
-            )
-        monkeypatch.undo()
-        relevance, last = written["saved"]
-        reopened = Database.open(str(tmp_path / "crawl"), replay_wal=False)
-        chain = reopened.app_state().chain
-        frames = [reopened.read_frame(no) for no in chain]
-        reopened.close()
-        assert chain[0] == 3, chain
-        assert [len(frame) for frame in frames] == [5] * len(frames)
-        assert [frame[0] for frame in frames] == ["base"] + ["delta"] * (len(frames) - 1)
-        assert len(frames) >= 2
-        assert frames[0][2]["relevance"] and frames[0][2]["trace"].last_distillation
-        assert frames[0][2]["trace"].visits and any(frame[2][2] for frame in frames[1:])
-        assert any(frame[2][6] is not None for frame in frames[1:])
-
-        handle = checkpoint_system.resume(str(tmp_path / "crawl"))
-        assert list(handle.crawler.engine.relevance_map().items()) == list(relevance.items())
-        restored = handle.trace.last_distillation
-        assert list(restored.hub_scores.items()) == list(last.hub_scores.items())
-        assert list(restored.authority_scores.items()) == list(last.authority_scores.items())
-        assert restored.iterations == last.iterations
-        resumed = handle.run()
-        assert resumed.pages_fetched() == MAX_PAGES
-        assert_traces_match(resumed, reference_batched)
-        # The resumed saves extended the rebased chain: it still folds.
-        assert assert_restored_equals_live(handle.manager) == "delta"
-        resumed.database.close()
-
-    def test_a_chain_that_also_kept_the_visits_resumes(
-        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
-    ):
-        """A checkpoint written while frames also kept the visits CRAWL holds:
-        the base's trace carries those so far (none at page 0), and every
-        delta is the 5-tuple
-        ``(small state, visit tail, failed-URL tail, distillations,
-        stagnated)``, each visit with the ``server`` and ``out_degree``
-        fields it had then.  The visits are skipped: the resume reads
-        them back from CRAWL, the crawl it continues is the uninterrupted
-        one, and the chain its saves extend still folds."""
-        snapshot, delta = CrawlEngine.state_snapshot, CrawlEngine.state_delta
-        saved_visits = {"mark": 0}
-
-        def parent_visits(engine):
-            visits = []
-            for visit in engine.trace.visits[saved_visits["mark"]:]:
-                visit = dataclasses.replace(visit)
-                visit.__dict__.update(server=visit.url.split("/")[2], out_degree=3)
-                visits.append(visit)
-            saved_visits["mark"] = len(engine.trace.visits)
-            return visits
-
-        def parent_snapshot(engine):
-            state = snapshot(engine)
-            state["trace"].visits = parent_visits(engine)
-            return state
-
-        def parent_delta(engine):
-            small, failed_urls, distillations, stagnated = delta(engine)
-            return small, parent_visits(engine), failed_urls, distillations, stagnated
-
-        monkeypatch.setattr(CrawlEngine, "state_snapshot", parent_snapshot)
-        monkeypatch.setattr(CrawlEngine, "state_delta", parent_delta)
-        kill_fetcher_after(monkeypatch, 101)
-        with pytest.raises(KillSwitch):
-            checkpoint_system.crawl(
-                crawler_config=crawl_config("batched"),
-                fetch_failure_seed=FETCH_FAILURE_SEED,
-                checkpoint_dir=str(tmp_path / "crawl"),
-            )
-        monkeypatch.undo()
-        reopened = Database.open(str(tmp_path / "crawl"), replay_wal=False)
-        frames = [reopened.read_frame(no) for no in reopened.app_state().chain]
-        reopened.close()
-        assert [frame[0] for frame in frames] == ["base"] + ["delta"] * (len(frames) - 1)
-        assert len(frames) >= 3
-        assert [len(frame[1]) for frame in frames[1:]] == [5] * (len(frames) - 1)
-        written = [visit for frame in frames[1:] for visit in frame[1][1]]
-        assert len(written) >= 90 and all(visit.out_degree == 3 for visit in written)
-
-        handle = checkpoint_system.resume(str(tmp_path / "crawl"))
-        assert [
-            (visit.tick, visit.url, visit.relevance, visit.best_leaf_cid)
-            for visit in handle.trace.visits
-        ] == [(visit.tick, visit.url, visit.relevance, visit.best_leaf_cid) for visit in written]
-        resumed = handle.run()
-        assert resumed.pages_fetched() == MAX_PAGES
-        assert_traces_match(resumed, reference_batched)
-        assert assert_restored_equals_live(handle.manager) == "delta"
-        resumed.database.close()
+            CheckpointManager.load(str(path))
+        assert directory_bytes(path) == before
 
 
 class TestAttachedScores:
@@ -951,22 +643,17 @@ class TestCheckpointManager:
 
     def test_load_refuses_another_format_version(self, tmp_path):
         """A checkpoint in another format is refused whole, naming both versions."""
-        legacy = CrawlCheckpoint(
-            config=crawl_config("batched"), focused=True, seeds=[], good_topics=[],
-            fetch_failure_seed=0, engine_state={}, fetcher_state={}, server_rng_state={},
-        )
         newer = CheckpointHeader(
             version=FORMAT_VERSION + 1, config=crawl_config("batched"), focused=True,
             seeds=[], good_topics=[], fetch_failure_seed=0, chain=[1],
         )
-        for found, app_state in ((1, legacy), (FORMAT_VERSION + 1, newer)):
-            path = tmp_path / f"format-{found}"
-            with Database.open(path) as db:
-                db.checkpoint(app_state=app_state)
-            with pytest.raises(
-                StorageError, match=f"format {found}; this build reads format {FORMAT_VERSION}"
-            ):
-                CheckpointManager.load(str(path))
+        with Database.open(tmp_path / "db") as db:
+            db.checkpoint(app_state=newer)
+        with pytest.raises(
+            StorageError,
+            match=f"format {FORMAT_VERSION + 1}; this build reads format {FORMAT_VERSION}",
+        ):
+            CheckpointManager.load(str(tmp_path / "db"))
 
 
 def assert_restored_equals_live(manager: CheckpointManager) -> str:

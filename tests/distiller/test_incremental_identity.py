@@ -16,9 +16,7 @@ score dict into the table — lives on here as the oracle:
 (c) ``Table.update_column``'s column write equals ``update_rows`` and,
     handed a bad value or record id mid-batch, changes nothing — in
     memory, in the journal, or in what a reopened durable store holds;
-(d) a K=1 crawl killed and resumed — also from a checkpoint carrying the
-    ``delta_cache`` section older engines wrote — is the uninterrupted
-    crawl;
+(d) a K=1 crawl killed and resumed is the uninterrupted crawl;
 (e) the weight rule the kernel rests on holds on every LINK row at every
     flush point of drawn crawls (K, focus mode, failure seed, distillation
     interval), across a kill and resume, and on each shard's LINK of a
@@ -154,7 +152,7 @@ class TestSerialCrawlDistillsLikeAFullScan:
         assert trace.distillations == len(checked) >= 5
         assert checked[-1] > checked[0] > 0  # the graph grew between runs
 
-    def test_numpy_result_is_array_backed_and_a_dict_pickle_still_loads(self):
+    def test_numpy_result_is_array_backed_and_pickles(self):
         links = [Link(1, 10, 2, 20, 0.9, 0.8), Link(3, 30, 2, 20, 0.7, 0.6), Link(2, 20, 4, 40)]
         relevance = {1: 0.9, 2: 0.8, 3: 0.7, 4: 0.6}
         result = compiled_weighted_hits(compile_links(links), relevance)
@@ -163,19 +161,6 @@ class TestSerialCrawlDistillsLikeAFullScan:
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
         assert list(clone.hub_scores.items()) == list(result.hub_scores.items())
-        # What checkpoints written while they carried the last distillation
-        # hold: the three fields as the instance dict.  It must load as a
-        # dict-backed result.
-        old = DistillationResult.__new__(DistillationResult)
-        old.__dict__.update(
-            hub_scores=dict(result.hub_scores),
-            authority_scores=dict(result.authority_scores),
-            iterations=result.iterations,
-        )
-        loaded = pickle.loads(pickle.dumps(old))
-        assert loaded.dense is None
-        assert loaded == result
-        assert loaded.top_hubs(2) == result.top_hubs(2)
 
     def test_dense_ranking_breaks_ties_like_the_dict_sort(self):
         oids = [50, 40, 30, 20, 10, 60]
@@ -471,53 +456,6 @@ class TestSerialKillResume:
         self, resume_system, uninterrupted, tmp_path, monkeypatch, kill_after
     ):
         facts = killed_then_resumed(resume_system, tmp_path / "crawl", monkeypatch, kill_after)
-        assert facts == uninterrupted
-
-    @pytest.mark.parametrize("section", ["watermark", "none"])
-    def test_resumes_from_a_checkpoint_with_an_old_delta_cache_section(
-        self, resume_system, uninterrupted, tmp_path, monkeypatch, section
-    ):
-        """A checkpoint shaped like the ones engines wrote while the link
-        graph mirrored LINK's weights: every frame, base or delta, carries
-        a ``delta_cache`` section — a LINK page watermark and the record
-        ids whose weights awaited a re-read, or ``None`` (an initial
-        checkpoint, and the serial loop before it fed the cache).  The
-        section is ignored: the graph is rebuilt from the recovered LINK
-        table.
-        """
-        snapshot = CrawlEngine.state_snapshot
-        delta = CrawlEngine.state_delta
-        shapes = []
-
-        def old_section(engine):
-            if section == "none" or engine.trace.pages_fetched == 0:
-                return None
-            heap = engine.database.table("LINK").heap
-            rids = [rid for rid, _row in heap.scan()][:3]
-            return {
-                "watermark": max(heap.page_count - 1, 0),
-                "updated": [(heap.file_id, *heap.locate(rid)) for rid in rids],
-            }
-
-        def old_shape(engine):
-            state = snapshot(engine)
-            assert "delta_cache" not in state
-            state["delta_cache"] = old_section(engine)
-            shapes.append(state["delta_cache"])
-            return state
-
-        def old_delta(engine):
-            small, *tails = delta(engine)
-            assert "delta_cache" not in small
-            small["delta_cache"] = old_section(engine)
-            shapes.append(small["delta_cache"])
-            return (small, *tails)
-
-        monkeypatch.setattr(CrawlEngine, "state_snapshot", old_shape)
-        monkeypatch.setattr(CrawlEngine, "state_delta", old_delta)
-        facts = killed_then_resumed(resume_system, tmp_path / "crawl", monkeypatch, 71)
-        assert len(shapes) >= 3
-        assert any(shapes) == (section == "watermark")
         assert facts == uninterrupted
 
 

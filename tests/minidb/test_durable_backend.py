@@ -1,7 +1,6 @@
 """Durable storage: snapshot + WAL recovery, eviction flushes, I/O counters."""
 
 import os
-import zlib
 
 import pytest
 
@@ -13,9 +12,10 @@ from repro.minidb import (
     TEXT,
     make_schema,
 )
-from repro.minidb.backend import WAL_FILE
+from repro.minidb.backend import SNAPSHOT_FILE, SNAPSHOT_FORMAT, WAL_FILE
 from repro.minidb.errors import ConstraintError, StorageError
 from repro.minidb.pages import RecordId
+from repro.minidb.wal import dump_record, load_record, read_frame_at, write_frame
 from fault_injection import hard_close, truncate_tail
 
 
@@ -148,56 +148,33 @@ class TestRecovery:
         with Database.open(tmp_path / "db") as again:
             assert len(again.table("P")) == 40
 
-    def test_pre_compaction_snapshot_format_still_opens(self, tmp_path):
-        """PR-2-era snapshots store bare offsets (no frame lengths, no
-        segment epoch); the opener recovers the lengths from the frame
-        headers so an in-place upgrade needs no migration step."""
-        from repro.minidb.backend import SNAPSHOT_FILE
-        from repro.minidb.wal import dump_record, load_record, read_frame_at, write_frame
-
+    @pytest.mark.parametrize("found", [None, SNAPSHOT_FORMAT + 1])
+    def test_a_snapshot_of_another_format_is_refused_untouched(self, tmp_path, found):
+        """A snapshot without this build's format number (every one written
+        before snapshots were numbered) or with another is refused by
+        name, before the open fences, truncates or creates a file."""
         with Database.open(tmp_path / "db") as db:
             fill(db.create_table("P", people_schema()), 0, 80)
             db.checkpoint()
+            fill(db.table("P"), 80, 10)
 
         snapshot_path = tmp_path / "db" / SNAPSHOT_FILE
         with open(snapshot_path, "rb") as fh:
             meta = load_record(read_frame_at(fh, 0))
-        meta.pop("segment_epoch")
-        directory = load_record(zlib.decompress(meta["directory"]))
-        meta["directory"] = {key: offset for key, (offset, _length) in directory.items()}
+        del meta["format"]
+        if found is not None:
+            meta["format"] = found
         with open(snapshot_path, "wb") as fh:
             write_frame(fh, dump_record(meta))
+        (tmp_path / "db" / "segments.000009.dat").write_bytes(b"stale")
+        before = {entry.name: entry.read_bytes() for entry in (tmp_path / "db").iterdir()}
 
-        with Database.open(tmp_path / "db") as recovered:
-            table = recovered.table("P")
-            assert len(table) == 80
-            assert table.get_by_key((42,))[2] == "row42"
-            # And the recovered sizes feed the live/dead accounting.
-            assert recovered.io_snapshot()["segment_bytes_live"] > 0
-
-    def test_uncompressed_directory_still_opens(self, tmp_path):
-        """Snapshots used to hold the page directory as a plain dict of
-        ``(offset, length)`` entries; they open as they are."""
-        from repro.minidb.backend import SNAPSHOT_FILE
-        from repro.minidb.wal import dump_record, load_record, read_frame_at, write_frame
-
-        with Database.open(tmp_path / "db") as db:
-            fill(db.create_table("P", people_schema()), 0, 80)
-            db.checkpoint(app_state="kept")
-
-        snapshot_path = tmp_path / "db" / SNAPSHOT_FILE
-        with open(snapshot_path, "rb") as fh:
-            meta = load_record(read_frame_at(fh, 0))
-        meta["directory"] = load_record(zlib.decompress(meta["directory"]))
-        with open(snapshot_path, "wb") as fh:
-            write_frame(fh, dump_record(meta))
-
-        with Database.open(tmp_path / "db") as recovered:
-            assert recovered.app_state() == "kept"
-            assert recovered.table("P").get_by_key((42,))[2] == "row42"
-            recovered.checkpoint()
-        with Database.open(tmp_path / "db") as again:
-            assert len(again.table("P")) == 80
+        named = "an unversioned" if found is None else f"a format {found}"
+        with pytest.raises(
+            StorageError, match=f"{named} minidb snapshot; this build reads format {SNAPSHOT_FORMAT}"
+        ):
+            Database.open(tmp_path / "db")
+        assert {entry.name: entry.read_bytes() for entry in (tmp_path / "db").iterdir()} == before
 
     def test_app_state_rides_the_snapshot(self, tmp_path):
         with Database.open(tmp_path / "db") as db:

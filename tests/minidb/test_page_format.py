@@ -1,12 +1,9 @@
-"""Column-chunk pages: same placement, same rows, and the old bytes still open.
+"""Column-chunk pages: same placement, same rows, and the bytes they leave on disk.
 
-A page keeps one list per schema column since PR 20; until then it kept
-a list of row tuples, pickled that way into the segment file, and a bulk
-single-column update was journaled as one change dict per row.  Stores
-written by those commits must keep opening, so their shapes live on
-here as data: :func:`row_shaped_image` is the parent's ``Page.image()``
-and :func:`row_shaped_journal` turns today's journal records into the
-ones the parent logged for the same calls.
+A page keeps one list per schema column; its durable image is
+``(file_id, page_no, capacity, columns, used_bytes, dead slots)``, and a
+bulk single-column update is journaled as one ``("update_column", …)``
+record.  A store reopens from those bytes to the table it held.
 """
 
 import pickle
@@ -17,33 +14,6 @@ import pytest
 from repro.minidb import Database, FLOAT, INTEGER, TEXT, make_schema
 from repro.minidb.errors import StorageError
 from repro.minidb.pages import PAGE_HEADER, SLOT_OVERHEAD, Page, PageId, rid_of
-
-
-def row_shaped_image(page):
-    """``Page.image()`` as written up to commit 52d9301: slots of row tuples."""
-    rows = [None] * page.slot_count()
-    for slot, row in page.rows():
-        rows[slot] = row
-    return (
-        page.page_id.file_id,
-        page.page_id.page_no,
-        page.capacity,
-        rows,
-        page.used_bytes,
-        len(page.dead),
-    )
-
-
-def row_shaped_journal(record):
-    """A journal record as the parent commit logged the same mutation."""
-    if record[0] != "update_column":
-        return record
-    _op, table, column, page_nos, slots, values = record
-    return (
-        "update",
-        table,
-        [((page_no, slot), {column: value}) for page_no, slot, value in zip(page_nos, slots, values)],
-    )
 
 
 def facts(page):
@@ -108,31 +78,29 @@ class TestColumnChunkPage:
         assert by_rows.used_bytes == PAGE_HEADER + used
 
     @pytest.mark.parametrize("deleted", [(), (1, 3), (0, 1, 2, 3, 4)])
-    def test_both_image_shapes_load_to_the_same_page(self, deleted):
+    def test_an_image_loads_to_the_same_page(self, deleted):
         page = Page(PageId(3, 7), capacity=512)
         for k in range(5):
             page.append_row((k, float(k), f"row{k}"), 24)
         for slot in deleted:
             page.delete(slot, 24)
         page.dirty = False
-        column_shaped, row_shaped = page.image(), row_shaped_image(page)
-        assert column_shaped[3] == page.columns and column_shaped[5] == sorted(deleted)
-        assert row_shaped[3][0] == (None if 0 in deleted else (0, 0.0, "row0")) and row_shaped[5] == len(deleted)
-        from_columns, from_rows = Page.from_image(column_shaped), Page.from_image(row_shaped)
-        if len(deleted) < 5:
-            assert facts(from_columns) == facts(from_rows) == facts(page)
+        image = page.image()
+        assert image[3] == page.columns and image[5] == sorted(deleted)
+        loaded = Page.from_image(image)
+        assert facts(loaded) == facts(page)
         # The next inserts land where they would have on the original.
-        for fresh in (page, from_columns, from_rows):
+        for fresh in (page, loaded):
             slots = [fresh.append_row((9, 9.0, "new"), 24) for _ in range(3)]
             assert slots == (sorted(deleted) + [5, 6, 7])[:3]
-        assert facts(from_columns) == facts(from_rows) == facts(page)
+        assert facts(loaded) == facts(page)
 
 
 def people():
     return make_schema(("oid", INTEGER, False), ("score", FLOAT), ("name", TEXT), primary_key=["oid"])
 
 
-def mutate(database, journal=None):
+def mutate(database):
     """A checkpointed base plus a WAL tail of every bulk mutation kind."""
     table = database.create_table("P", people())
     table.create_index("p_name", ["name"], kind="hash")
@@ -140,8 +108,6 @@ def mutate(database, journal=None):
     for rid in rids[10:40:3]:
         table.delete_row(rid)
     database.checkpoint()
-    if journal is not None:  # from here on, log what the parent would have
-        table.set_journal(lambda record: journal(row_shaped_journal(record)))
     table.insert_many([(oid, None, f"late{oid}") for oid in range(300, 340)])  # reuses tombstones
     table.update_column("score", [(rid, -1.0 - table.heap.locate(rid)[1]) for rid in rids[100:220:2]])
     table.update_rows([(rid, {"name": "renamed", "score": None}) for rid in rids[50:60]])
@@ -163,36 +129,27 @@ def state(database):
     }
 
 
-class TestOldBytesStillOpen:
-    def test_a_parent_written_store_opens_to_the_same_table(self, tmp_path, monkeypatch):
-        """Row-shaped page images and a dict-per-row ``("update", …)`` log,
-        against the column-shaped images and ``("update_column", …)``
-        record the same calls write today."""
-        new = Database.open(tmp_path / "new", buffer_pool_pages=8)
-        mutate(new)
-        expected = state(new)
+class TestStoredShapes:
+    def test_a_store_reopens_to_the_same_table(self, tmp_path):
+        """Column-shaped page images under the snapshot and a log of every
+        bulk mutation kind reopen to the table that wrote them."""
+        written = Database.open(tmp_path / "db", buffer_pool_pages=8)
+        mutate(written)
+        expected = state(written)
+        del written  # abandoned: what reopens is the snapshot plus the log
 
-        old = Database.open(tmp_path / "old", buffer_pool_pages=8)
-        monkeypatch.setattr(Page, "image", row_shaped_image)
-        mutate(old, journal=old.backend.log)
-        monkeypatch.undo()
-        assert state(old) == expected
-        del new, old  # abandoned: what reopens is the snapshot plus the log
-
-        assert _wal_ops(tmp_path / "new") >= {"insert", "update", "update_column", "delete"}
-        assert "update_column" not in _wal_ops(tmp_path / "old")
-        assert _image_shapes(tmp_path / "new") == {list} and _image_shapes(tmp_path / "old") == {int}
-        for name in ("new", "old"):
-            with Database.open(tmp_path / name, buffer_pool_pages=8) as reopened:
-                assert state(reopened) == expected, name
-                # ...and keeps going: its next checkpoint writes column chunks.
-                reopened.table("P").update_column(
-                    "score", [(rid, 0.0) for rid in reopened.table("P").lookup_rids("p_name", ("n3",))]
-                )
-                reopened.checkpoint()
-                after = state(reopened)
-            with Database.open(tmp_path / name, buffer_pool_pages=8) as again:
-                assert state(again) == after
+        assert _wal_ops(tmp_path / "db") >= {"insert", "update", "update_column", "delete"}
+        assert _image_shapes(tmp_path / "db") == {list}
+        with Database.open(tmp_path / "db", buffer_pool_pages=8) as reopened:
+            assert state(reopened) == expected
+            # ...and keeps going.
+            reopened.table("P").update_column(
+                "score", [(rid, 0.0) for rid in reopened.table("P").lookup_rids("p_name", ("n3",))]
+            )
+            reopened.checkpoint()
+            after = state(reopened)
+        with Database.open(tmp_path / "db", buffer_pool_pages=8) as again:
+            assert state(again) == after
 
     def test_journal_records_keep_their_shapes(self):
         """Record ids are ints in memory; on the journal they stay ``(page_no, slot)``
