@@ -254,6 +254,10 @@ def read_checkpoint(database: Database, path: str = "") -> CrawlCheckpoint:
             f"this build reads format {FORMAT_VERSION}"
         )
     frames = [database.read_frame(frame_no) for frame_no in header.chain]
+    if any(len(frame) != 4 for frame in frames):
+        raise StorageError(
+            f"{path!r}: a checkpoint frame is not (kind, engine part, fetcher state, RNG state)"
+        )
     kinds, engine_parts, fetcher_states, rng_states = zip(*frames)
     if list(kinds) != [BASE_FRAME] + [DELTA_FRAME] * (len(frames) - 1):
         raise StorageError(f"{path!r}: the checkpoint's frame chain is not base + deltas")

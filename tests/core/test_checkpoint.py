@@ -19,6 +19,7 @@ from repro.core.checkpoint import (
     FORMAT_VERSION,
     CheckpointHeader,
     CheckpointManager,
+    CrawlCheckpoint,
     read_checkpoint,
 )
 from repro.core.config import FocusConfig, JobSpec
@@ -402,6 +403,55 @@ class TestPrefetchCrashResume:
         resumed.database.close()
 
 
+class TestInertFieldsCrashResume:
+    """Kill/resume of crawls whose config sets a field the engine ignores.
+
+    ``fetch_mode`` (the transport picks each round's fetch path) and
+    ``score_backend`` (every crawl scores with the columnar kernels) ride
+    in the pickled config of every save.  The resumed crawl keeps them and
+    equals the uninterrupted default crawl, bit for bit.
+    """
+
+    def killed_then_resumed(self, checkpoint_system, config, path, monkeypatch, kill_after):
+        kill_fetcher_after(monkeypatch, kill_after)
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=config,
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(path),
+            )
+        monkeypatch.undo()
+        return checkpoint_system.crawl(resume_from=str(path))
+
+    @pytest.mark.parametrize("fetch_mode", ["threaded", "async"])
+    def test_fetch_mode_rides_the_checkpoint(
+        self, checkpoint_system, reference_batched, tmp_path, monkeypatch, fetch_mode
+    ):
+        config = crawl_config("batched")
+        config.fetch_mode = fetch_mode
+        resumed = self.killed_then_resumed(
+            checkpoint_system, config, tmp_path / "crawl", monkeypatch, 83
+        )
+        assert resumed.crawler.config.fetch_mode == fetch_mode
+        assert resumed.pages_fetched() == MAX_PAGES
+        assert_traces_match(resumed, reference_batched)
+        resumed.database.close()
+
+    def test_a_python_score_backend_resumes_on_the_columnar_kernel(
+        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
+    ):
+        config = crawl_config("batched")
+        config.score_backend = "python"
+        # After the save at 90 pages, so the resume starts mid-crawl.
+        resumed = self.killed_then_resumed(
+            checkpoint_system, config, tmp_path / "crawl", monkeypatch, 115
+        )
+        assert resumed.crawler.config.score_backend == "python"
+        assert resumed.pages_fetched() == MAX_PAGES
+        assert_traces_match(resumed, reference_batched)
+        resumed.database.close()
+
+
 class TestRetiredFormats:
     """A store written in an earlier format is refused by name, untouched."""
 
@@ -448,6 +498,80 @@ class TestRetiredFormats:
         ):
             CheckpointManager.load(str(path))
         assert directory_bytes(path) == before
+
+    def test_a_snapshot_of_a_newer_format_is_refused(self, checkpoint_system, tmp_path):
+        path = tmp_path / "crawl"
+        self.checkpointed(checkpoint_system, path)
+        snapshot = path / SNAPSHOT_FILE
+        with open(snapshot, "rb") as fh:
+            meta = load_record(read_frame_at(fh, 0))
+        meta["format"] = SNAPSHOT_FORMAT + 1
+        with open(snapshot, "wb") as fh:
+            write_frame(fh, dump_record(meta))
+        before = directory_bytes(path)
+        for load in (CheckpointManager.load, checkpoint_system.resume):
+            with pytest.raises(
+                StorageError,
+                match=(
+                    f"a format {SNAPSHOT_FORMAT + 1} minidb snapshot; "
+                    f"this build reads format {SNAPSHOT_FORMAT}"
+                ),
+            ):
+                load(str(path))
+        assert directory_bytes(path) == before
+
+    def test_a_whole_checkpoint_record_is_refused(self, tmp_path):
+        """Format 1 pickled a whole :class:`CrawlCheckpoint` as the
+        snapshot's app state; under a current snapshot that record is
+        not a header, and nothing is read from it."""
+        record = CrawlCheckpoint(
+            config=crawl_config("batched"), focused=True, seeds=[], good_topics=[],
+            fetch_failure_seed=0, engine_state={}, fetcher_state={}, server_rng_state={},
+        )
+        with Database.open(tmp_path / "db") as db:
+            db.checkpoint(app_state=record)
+        with pytest.raises(StorageError, match="holds no crawl checkpoint to resume from"):
+            CheckpointManager.load(str(tmp_path / "db"))
+
+    def test_a_frame_of_another_shape_is_refused(
+        self, checkpoint_system, tmp_path, monkeypatch
+    ):
+        """Format 2 frames could hold a fifth item (the frontier, second);
+        under a current header such a frame is refused whole, with a
+        ``StorageError``, not unpacked."""
+        path = tmp_path / "crawl"
+        checkpoint = Database.checkpoint
+
+        def five_item_frames(database, app_state=None, frames=None):
+            frames = {no: (kind, [], *rest) for no, (kind, *rest) in frames.items()}
+            return checkpoint(database, app_state=app_state, frames=frames)
+
+        monkeypatch.setattr(Database, "checkpoint", five_item_frames)
+        self.checkpointed(checkpoint_system, path)
+        monkeypatch.undo()
+        before = directory_bytes(path)
+        with pytest.raises(StorageError, match="a checkpoint frame is not \\(kind, engine part"):
+            CheckpointManager.load(str(path))
+        assert directory_bytes(path) == before
+
+
+class TestFoldState:
+    def test_deltas_fold_oldest_first_into_the_base(self):
+        """A delta is ``(small state, failed-URL tail, distillations,
+        stagnated)``: its small state overwrites the base's, its tail
+        extends the failed URLs, and the last delta's counts win."""
+        base = {"tick": 3, "iterations": 0, "trace": CrawlTrace(failed_urls=["a"])}
+        deltas = [
+            ({"tick": 7, "iterations": 5}, ["b", "c"], 1, False),
+            ({"tick": 9}, [], 1, False),
+            ({"tick": 12}, ["d"], 2, True),
+        ]
+        folded = CrawlEngine.fold_state(base, deltas)
+        assert folded is base
+        assert folded["tick"] == 12 and folded["iterations"] == 5
+        assert folded["trace"].failed_urls == ["a", "b", "c", "d"]
+        assert (folded["trace"].distillations, folded["trace"].stagnated) == (2, True)
+        assert CrawlEngine.fold_state(base, []) is base
 
 
 class TestAttachedScores:

@@ -30,10 +30,11 @@ from repro.core.schema import create_focus_database
 from repro.core.system import FocusSystem
 from repro.crawler.focused import CrawlerConfig
 from repro.minidb import Database, FLOAT, INTEGER, TEXT, StorageConfig, make_schema
-from repro.minidb.backend import segment_file_name
+from repro.minidb.backend import SNAPSHOT_FILE, SNAPSHOT_FORMAT, segment_file_name
 from repro.minidb.compactor import Compactor
 from repro.minidb.errors import StorageError
 from repro.minidb.pages import rid_fields
+from repro.minidb.wal import load_record, read_frame_at
 from fault_injection import FaultInjector, SimulatedCrash, hard_close
 
 TORTURE_SEEDS = [
@@ -130,6 +131,23 @@ class TestCompaction:
             db.checkpoint()
             epoch = db.backend.segment_epoch
         assert segment_files(tmp_path / "db") == [segment_file_name(epoch)]
+
+    def test_a_compacting_checkpoint_names_the_format_and_the_new_epoch(self, tmp_path):
+        """The snapshot that publishes a compacted segment carries this
+        build's format number and that segment's epoch, which the next
+        open reads without a default."""
+        with open_compacting(tmp_path / "db") as db:
+            self.fill_with_garbage(db)
+            expected = table_state(db)
+            db.checkpoint()
+            epoch = db.backend.segment_epoch
+        assert epoch > 0
+        with open(tmp_path / "db" / SNAPSHOT_FILE, "rb") as fh:
+            meta = load_record(read_frame_at(fh, 0))
+        assert (meta["format"], meta["segment_epoch"]) == (SNAPSHOT_FORMAT, epoch)
+        with Database.open(str(tmp_path / "db")) as recovered:
+            assert recovered.backend.segment_epoch == epoch
+            assert table_state(recovered) == expected
 
     def test_deleted_rows_do_not_resurrect(self, tmp_path):
         with open_compacting(tmp_path / "db") as db:

@@ -176,6 +176,29 @@ class TestRecovery:
             Database.open(tmp_path / "db")
         assert {entry.name: entry.read_bytes() for entry in (tmp_path / "db").iterdir()} == before
 
+    def test_every_snapshot_names_its_format(self, tmp_path):
+        """The first checkpoint and one after a reopen both write this
+        build's format number and the segment epoch into the record."""
+
+        def snapshot_meta():
+            with open(tmp_path / "db" / SNAPSHOT_FILE, "rb") as fh:
+                return load_record(read_frame_at(fh, 0))
+
+        with Database.open(tmp_path / "db") as db:
+            fill(db.create_table("P", people_schema()), 0, 40)
+            db.checkpoint()
+        first = snapshot_meta()
+        assert (first["format"], first["segment_epoch"]) == (SNAPSHOT_FORMAT, 0)
+
+        with Database.open(tmp_path / "db") as db:
+            fill(db.table("P"), 40, 10)
+            db.checkpoint()
+        again = snapshot_meta()
+        assert (again["format"], again["segment_epoch"]) == (SNAPSHOT_FORMAT, 0)
+        assert again["epoch"] > first["epoch"]
+        with Database.open(tmp_path / "db") as db:
+            assert len(db.table("P")) == 50
+
     def test_app_state_rides_the_snapshot(self, tmp_path):
         with Database.open(tmp_path / "db") as db:
             db.create_table("P", people_schema())
