@@ -52,8 +52,7 @@ def _crawler_to_dict(config: CrawlerConfig) -> dict[str, Any]:
             "keys": [list(pair) for pair in ordering.keys],
             "buckets": [list(pair) for pair in ordering.buckets],
         }
-    storage = getattr(config, "storage", None)
-    data["storage"] = storage.to_dict() if storage is not None else None
+    data["storage"] = config.storage.to_dict() if config.storage is not None else None
     return data
 
 

@@ -1,6 +1,6 @@
 """Relational schemata for the Focus system (paper Figure 1).
 
-The crawl state lives in four tables shared by the crawler, the
+The crawl state lives in five tables shared by the crawler, the
 classifier, and the distiller:
 
 * ``CRAWL(oid, url, sid, relevance, numtries, serverload, lastvisited,
@@ -9,10 +9,12 @@ classifier, and the distiller:
   ``numtries`` the fetch attempts, ``serverload`` the lazily updated
   count of pages fetched from the same server, ``lastvisited`` the crawl
   tick of the last successful fetch, ``kcid`` the best-matching leaf
-  class, and ``status`` one of ``frontier``/``visited``/``failed``/``dead``.
+  class, and ``status`` one of ``frontier``/``visited``/``dead``.
 * ``LINK(oid_src, sid_src, oid_dst, sid_dst, wgt_fwd, wgt_rev)`` — the
   crawl graph with relevance-derived edge weights.
 * ``HUBS(oid, score)`` and ``AUTH(oid, score)`` — distillation scores.
+* ``FAILED(url)`` — one row per failed fetch attempt, in attempt order
+  (no index: a resume reads it back with one heap-order scan).
 
 The classifier's own tables (``TAXONOMY``, ``DOCUMENT``, ``STAT_<c0>``,
 ``BLOB``) are created by
@@ -26,11 +28,11 @@ from typing import Optional
 from repro.minidb import Database, FLOAT, INTEGER, StorageConfig, TEXT, make_schema
 
 #: Allowed values of CRAWL.status.
-CRAWL_STATUSES = ("frontier", "visited", "failed", "dead")
+CRAWL_STATUSES = ("frontier", "visited", "dead")
 
 
 def create_crawl_tables(database: Database) -> None:
-    """Create CRAWL, LINK, HUBS, and AUTH (idempotent)."""
+    """Create CRAWL, LINK, HUBS, AUTH and FAILED (idempotent)."""
     if not database.has_table("CRAWL"):
         database.create_table(
             "CRAWL",
@@ -80,6 +82,8 @@ def create_crawl_tables(database: Database) -> None:
                     primary_key=["oid"],
                 ),
             )
+    if not database.has_table("FAILED"):
+        database.create_table("FAILED", make_schema(("url", TEXT, False)))
 
 
 def create_focus_database(

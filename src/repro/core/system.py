@@ -547,10 +547,10 @@ class FocusSystem:
             config.max_pages = spec.max_pages
         if spec.storage is not None:
             config.storage = spec.storage
-        if getattr(spec, "cassette_path", ""):
+        if spec.cassette_path:
             config.cassette_path = spec.cassette_path
             config.cassette_mode = spec.cassette_mode
-        if getattr(config, "engine", "auto") == "sharded":
+        if config.engine == "sharded":
             return self._start_sharded(
                 spec,
                 config,

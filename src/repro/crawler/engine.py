@@ -20,10 +20,11 @@ time:
    round as array kernels, relevance and best leaf read off one
    posterior matrix (:class:`PageScorer`).  A page is classified once,
    when it is fetched: a visited URL is never checked out again;
-4. *record*: CRAWL and LINK writes buffer in memory, across rounds,
-   until the distiller or something outside the engine reads the
-   tables.  A flush goes through minidb's column-at-a-time write
-   path — one ``insert_many`` per table (the batch is transposed once;
+4. *record*: CRAWL and LINK writes, and a FAILED row per failed
+   fetch attempt, buffer in memory, across rounds, until the distiller
+   or something outside the engine reads the tables.  A flush goes
+   through minidb's column-at-a-time write path — one ``insert_many``
+   per table (the batch is transposed once;
    each page takes its rows as column slices), one ``update_rows`` for the CRAWL
    rows changed since the last flush and one ``update_column`` for the
    refreshed ``wgt_fwd`` values (:class:`BufferedLinkWriter`,
@@ -39,8 +40,8 @@ time:
    buffer.  The scores are kept, not written: nothing in the crawl
    reads HUBS or AUTH.  At each ``checkpoint_every`` boundary
    :meth:`CrawlEngine.sync` writes everything buffered — CRAWL, LINK,
-   and, if a distillation ran since their last write, HUBS and AUTH,
-   each rewritten whole (:func:`write_scores`) — and a checkpoint is
+   FAILED and, if a distillation ran since their last write, HUBS and
+   AUTH, each rewritten whole (:func:`write_scores`) — and a checkpoint is
    saved, when a checkpointer is attached; the crawl's end syncs once
    more.
 
@@ -512,8 +513,10 @@ class CrawlEngine:
         self._since_checkpoint = 0
         self._last_checkpoint_s: Optional[float] = None
         self._stagnation_misses = 0
-        #: Length of the trace's failure list at the last :meth:`mark_saved`.
-        self._saved_mark: Optional[int] = None
+        #: A row per failed fetch attempt: :meth:`_flush` writes the trace's
+        #: failed URLs past the first ``_failed_written``.
+        self._failed = database.table("FAILED")
+        self._failed_written = 0
         #: Wall-clock seconds of round processing (classify + commit) that
         #: ran while fetches were still in flight, and total round
         #: processing time — the drain's overlap instrumentation.
@@ -625,7 +628,7 @@ class CrawlEngine:
         return dict(self._relevance)
 
     def sync(self) -> None:
-        """Write every buffered change: CRAWL, LINK, HUBS and AUTH then hold the crawl as of now.
+        """Write every buffered change: the crawl tables then hold the crawl as of now.
 
         The engine calls it at each ``checkpoint_every`` boundary and at
         the crawl's end; anything that reads the tables from outside the
@@ -644,7 +647,7 @@ class CrawlEngine:
             self.stage_timings["write"] += time.perf_counter() - started
 
     def _flush(self) -> None:
-        """Write the buffered CRAWL and LINK changes.
+        """Write the buffered CRAWL and LINK changes and the failures since the last flush.
 
         The LINK rows it inserts go on to the distiller's link graph,
         once that exists (it is built from a LINK scan, which sees them).
@@ -652,6 +655,10 @@ class CrawlEngine:
         started = time.perf_counter()
         self.frontier.flush_batch()
         inserted = self._link_writer.flush()
+        failed = self.trace.failed_urls
+        if len(failed) > self._failed_written:
+            self._failed.insert_many([(url,) for url in failed[self._failed_written:]])
+            self._failed_written = len(failed)
         self.stage_timings["write"] += time.perf_counter() - started
         if self._incremental is not None:
             self._incremental.add_rows(inserted)
@@ -660,25 +667,15 @@ class CrawlEngine:
     def state_snapshot(self) -> Dict[str, object]:
         """What the engine holds that the tables do not, to continue a crawl after a restart.
 
-        Captured right after a :meth:`sync`: the small state and the
-        trace's failures and counters.  The rest is rebuilt by
+        Captured right after a :meth:`sync`, and a fixed size: counters,
+        the last distillation's iteration count and the scores
+        ``Frontier.update_scores`` attached.  The rest is rebuilt by
         :meth:`restore_state` — the visits and the frontier from CRAWL,
-        the relevance map from the visits, the last distillation from
-        HUBS and AUTH.
+        the failed URLs from FAILED, the relevance map from the visits,
+        the last distillation from HUBS and AUTH.
         """
         trace = self.trace
-        return {
-            **self._small_state(),
-            "trace": CrawlTrace(
-                failed_urls=trace.failed_urls,
-                distillations=trace.distillations,
-                stagnated=trace.stagnated,
-            ),
-        }
-
-    def _small_state(self) -> Dict[str, object]:
-        """The part of the state that does not grow: written whole every time."""
-        last = self.trace.last_distillation
+        last = trace.last_distillation
         return {
             "tick": self._tick,
             "since_distillation": self._since_distillation,
@@ -686,65 +683,33 @@ class CrawlEngine:
             "stagnation_misses": self._stagnation_misses,
             "iterations": 0 if last is None else last.iterations,
             "attached_scores": self.frontier.attached_scores(),
+            "distillations": trace.distillations,
+            "stagnated": trace.stagnated,
         }
-
-    def mark_saved(self) -> None:
-        """Start a new delta interval: the state as of now is on disk."""
-        self._saved_mark = len(self.trace.failed_urls)
-
-    def state_delta(self) -> tuple:
-        """What :meth:`state_snapshot` gained since :meth:`mark_saved`, positionally.
-
-        ``(small state, failed-URL tail, distillations, stagnated)``: the
-        failures only ever grow, so their tail is written.
-        :meth:`fold_state` applies it.
-        """
-        if self._saved_mark is None:
-            raise RuntimeError("state_delta() needs a mark_saved() to be relative to")
-        trace = self.trace
-        return (
-            self._small_state(),
-            trace.failed_urls[self._saved_mark:],
-            trace.distillations,
-            trace.stagnated,
-        )
-
-    @staticmethod
-    def fold_state(state: Dict[str, object], deltas: Sequence[tuple]) -> Dict[str, object]:
-        """Apply :meth:`state_delta` tuples, oldest first, to a :meth:`state_snapshot`.
-
-        Folds in place — into a snapshot read back from disk, never into
-        a live one, whose trace is the engine's own — and returns *state*.
-        """
-        trace: CrawlTrace = state["trace"]
-        for small, failed_urls, distillations, stagnated in deltas:
-            state.update(small)
-            trace.failed_urls.extend(failed_urls)
-            trace.distillations = distillations
-            trace.stagnated = stagnated
-        return state
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Adopt a checkpointed engine state (the database must already be recovered).
 
         The frontier and the trace's visits are rebuilt from one CRAWL
         scan (a visit is a visited row, its tick ``lastvisited``), the
-        relevance map from the visits (in visit order), and the link
-        graph from LINK; the last distillation is read back from HUBS and
-        AUTH, which the save's sync wrote, in the graph's node order —
-        the order the live result's score dicts had.
+        failed URLs from one FAILED scan (a row per attempt, in attempt
+        order), the relevance map from the visits (in visit order), and
+        the link graph from LINK; the last distillation is read back from
+        HUBS and AUTH, which the save's sync wrote, in the graph's node
+        order — the order the live result's score dicts had.
         """
         self._tick = state["tick"]
         self._since_distillation = state["since_distillation"]
         self._since_checkpoint = state["since_checkpoint"]
         self._stagnation_misses = state["stagnation_misses"]
         # The trace is shared with the driving crawler: refill it in place.
-        saved, trace = state["trace"], self.trace
+        trace = self.trace
         visits = self.frontier.restore_from_table(state["attached_scores"])
         trace.visits[:] = [PageVisit(*visit) for visit in visits]
-        trace.failed_urls[:] = saved.failed_urls
-        trace.distillations = saved.distillations
-        trace.stagnated = saved.stagnated
+        trace.failed_urls[:] = [url for (url,) in self._failed.rows()]
+        self._failed_written = len(trace.failed_urls)
+        trace.distillations = state["distillations"]
+        trace.stagnated = state["stagnated"]
         self._relevance = {url_oid(visit.url): visit.relevance for visit in trace.visits}
         # A checkpoint is taken right after a sync: its scores are on disk.
         self._unwritten_scores = None

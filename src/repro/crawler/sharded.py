@@ -986,7 +986,7 @@ def build_sharded_crawler(
     shards = config.shards
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    runner_kind = getattr(config, "shard_runner", "process") or "process"
+    runner_kind = config.shard_runner or "process"
     if runner_kind not in ("process", "inprocess"):
         raise ValueError(
             f"unknown shard_runner {runner_kind!r}; expected 'process' or 'inprocess'"

@@ -27,14 +27,6 @@ rename is the commit point; stale segment files are fenced — deleted —
 on the next open).  All file mutation goes through a pluggable
 :class:`~repro.minidb.wal.FileOps` so crash-recovery tests can inject
 faults at every individual I/O point.
-
-Beside page images the segment file carries **frames**: opaque payloads
-a coordinator stores (:meth:`DurableBackend.put_frame`) and the
-directory tracks under the reserved :data:`FRAME_FILE_ID`.  They share
-the page images' life cycle — one commit point, compaction, the
-open-time fence, the fault seam — without a file format of their own,
-but are written once and never superseded; the crawl checkpoint's
-base-plus-delta chain is stored this way.
 """
 
 from __future__ import annotations
@@ -65,15 +57,9 @@ SNAPSHOT_FILE = "snapshot.dat"
 
 #: The layout of the snapshot record and of everything it references: the
 #: compressed ``(offset, length)`` directory, the segment epoch and
-#: column-chunk page images.  A snapshot without this number, or with
-#: another, is refused at open.
-SNAPSHOT_FORMAT = 1
-
-#: Directory entries of this file id address *frames* (see
-#: :meth:`DurableBackend.put_frame`).  No table owns the id, and a frame
-#: is located, published, compacted and fenced exactly like a page image
-#: because it is one more ``PageId -> (offset, length)`` entry.
-FRAME_FILE_ID = -1
+#: column-chunk page images, every directory entry a table page's.  A
+#: snapshot without this number, or with another, is refused at open.
+SNAPSHOT_FORMAT = 2
 
 #: Segment files carry the epoch of the compaction that wrote them;
 #: epoch 0 is the database's original (never-compacted) segment file.
@@ -268,14 +254,6 @@ class DurableBackend(StorageBackend):
             for (file_id, page_no), entry in self.snapshot_meta["directory"].items():
                 self._directory[PageId(file_id, page_no)] = entry
                 self._live_bytes += entry[1]
-        frame_lengths = [
-            entry[1]
-            for page_id, entry in self._directory.items()
-            if page_id.file_id == FRAME_FILE_ID
-        ]
-        self._frames = len(frame_lengths)
-        #: Frame bytes the directory references.
-        self._frame_bytes_live = sum(frame_lengths)
 
         self._fence_stale_segments()
         self.wal = WriteAheadLog(
@@ -325,21 +303,19 @@ class DurableBackend(StorageBackend):
         self._append_image(page)
 
     def _append_image(self, page: Page) -> None:
-        self._append(page.page_id, dump_record(page.image()))
-        self._pages_flushed += 1
-
-    def _append(self, page_id: PageId, payload: bytes) -> None:
-        """Append *payload* as the latest record of directory key *page_id*."""
+        """Append *page*'s image as the latest record of its directory entry."""
+        payload = dump_record(page.image())
         self._segments.seek(0, os.SEEK_END)
         offset = write_frame(self._segments, payload)
         self._segments.flush()
         frame_len = FRAME_HEADER_SIZE + len(payload)
-        superseded = self._directory.get(page_id)
+        superseded = self._directory.get(page.page_id)
         if superseded is not None:
             self._live_bytes -= superseded[1]
-        self._directory[page_id] = (offset, frame_len)
+        self._directory[page.page_id] = (offset, frame_len)
         self._live_bytes += frame_len
         self._segment_end = offset + frame_len
+        self._pages_flushed += 1
 
     def remove_page(self, page_id: PageId) -> None:
         entry = self._directory.pop(page_id, None)
@@ -350,45 +326,7 @@ class DurableBackend(StorageBackend):
         return page_id in self._directory
 
     def page_count(self) -> int:
-        return len(self._directory) - self._frames
-
-    # -- frames ------------------------------------------------------------
-    def put_frame(self, frame_no: int, payload: bytes) -> None:
-        """Append an opaque payload as frame *frame_no*, a number not written before.
-
-        The frame is a CRC-framed record like a page image and is
-        tracked in the page directory under :data:`FRAME_FILE_ID`, so it
-        becomes durable with — and only with — the next checkpoint's
-        snapshot rename, is copied by every compaction after it, and is
-        torn-tail garbage if the process dies first.  It is not
-        WAL-logged: recovery knows exactly the frames the last snapshot
-        names.  Frames are only appended: a live frame is never
-        replaced or dropped.
-        """
-        page_id = PageId(FRAME_FILE_ID, frame_no)
-        if page_id in self._directory:
-            raise StorageError(f"frame {frame_no} is already written; frames are only appended")
-        self._append(page_id, payload)
-        self._frames += 1
-        self._frame_bytes_live += FRAME_HEADER_SIZE + len(payload)
-
-    def read_frame(self, frame_no: int) -> bytes:
-        """The payload of a live frame (CRC-verified)."""
-        entry = self._directory.get(PageId(FRAME_FILE_ID, frame_no))
-        if entry is None:
-            raise StorageError(f"no live frame {frame_no} in {self._segment_path}")
-        return read_frame_at(self._segments, entry[0])
-
-    def _page_bytes(self) -> tuple[int, int]:
-        """``(live, dead)`` bytes of page images: what the compaction policy weighs.
-
-        Live frames are left out: counted as live they would dilute
-        ``compact_min_garbage_ratio`` — the more coordinator state a
-        store carries, the more superseded page images it would
-        tolerate.  A live frame is never superseded, so every dead byte
-        is a page image's (or a crash's unpublished tail).
-        """
-        return self._live_bytes - self._frame_bytes_live, self.segment_bytes_dead
+        return len(self._directory)
 
     # -- durability --------------------------------------------------------
     @property
@@ -468,7 +406,7 @@ class DurableBackend(StorageBackend):
         new_epoch = self._snapshot_epoch + 1
         stale_segment: Optional[str] = None
         reclaimed = 0
-        if self.compactor.due(*self._page_bytes()):
+        if self.compactor.due(self._live_bytes, self.segment_bytes_dead):
             reclaimed = self.segment_bytes_dead
             stale_segment = self._segment_path
             # The segment epoch normally tracks the snapshot epoch, but a

@@ -39,7 +39,6 @@ from .pages import DEFAULT_PAGE_SIZE, check_layout, rid_of
 from .storage_config import StorageConfig
 from .table import Table
 from .types import Schema, schema_from_spec, schema_to_spec
-from .wal import dump_record, load_record
 
 
 @contextmanager
@@ -203,9 +202,7 @@ class Database:
         return plan.explain()
 
     # -- durability -------------------------------------------------------------------
-    def checkpoint(
-        self, app_state: Any = None, frames: Optional[Mapping[int, Any]] = None
-    ) -> None:
+    def checkpoint(self, app_state: Any = None) -> None:
         """Flush every dirty page and publish an atomic snapshot + fresh WAL.
 
         After a checkpoint the write-ahead log is empty; recovery cost is
@@ -216,26 +213,15 @@ class Database:
         atomic snapshot record.  Coordinators that must keep external
         state (e.g. a crawl engine's round state) consistent with the
         database ride it here: a crash either publishes both or neither,
-        so there is no window where they disagree.
-
-        It is re-pickled into every snapshot record, so state that grows
-        should ride as *frames* instead: *frames* maps caller-chosen
-        frame numbers to picklable values that are appended to the
-        segment file, tracked in the snapshot's page directory beside
-        the page images, and published by this checkpoint's rename with
-        everything else (``app_state`` then only needs to name them).
-        A frame stays — through segment compaction and across reopens,
-        readable with :meth:`read_frame` — for the life of the store:
-        frames are only appended, and a number already written is
-        refused.
+        so there is no window where they disagree.  It is re-pickled into
+        every snapshot record, so it must stay small: state that grows
+        with the work belongs in tables.
         """
         if not self.backend.persistent:
             raise StorageError(
                 "in-memory databases cannot checkpoint; create one with Database.open(path)"
             )
         self.buffer_pool.flush_all()
-        for frame_no, value in (frames or {}).items():
-            self.backend.put_frame(frame_no, dump_record(value))
         meta = self._catalog_meta()
         meta["app_state"] = app_state
         self.backend.checkpoint(meta)
@@ -244,17 +230,6 @@ class Database:
         """The opaque state stored by the last :meth:`checkpoint`, or None."""
         meta = getattr(self.backend, "snapshot_meta", None)
         return meta.get("app_state") if meta else None
-
-    def read_frame(self, frame_no: int) -> Any:
-        """The value the last checkpoint holds as frame *frame_no*."""
-        return load_record(self._frame_store().read_frame(frame_no))
-
-    def _frame_store(self) -> DurableBackend:
-        if not self.backend.persistent:
-            raise StorageError(
-                "in-memory databases keep no frames; create one with Database.open(path)"
-            )
-        return self.backend
 
     def sync_wal(self) -> None:
         """Force-fsync the WAL tail (make everything logged so far durable)."""

@@ -10,6 +10,7 @@ relevance floats as an uninterrupted run, to 1e-9 (in fact bit for bit).
 import dataclasses
 import os
 import time
+import zlib
 from types import SimpleNamespace
 
 import pytest
@@ -533,45 +534,43 @@ class TestRetiredFormats:
         with pytest.raises(StorageError, match="holds no crawl checkpoint to resume from"):
             CheckpointManager.load(str(tmp_path / "db"))
 
-    def test_a_frame_of_another_shape_is_refused(
-        self, checkpoint_system, tmp_path, monkeypatch
-    ):
-        """Format 2 frames could hold a fifth item (the frontier, second);
-        under a current header such a frame is refused whole, with a
-        ``StorageError``, not unpacked."""
+    def test_a_version_3_header_is_refused(self, tmp_path):
+        """Format 3 named a base-plus-delta frame chain from its header;
+        such a header is refused by its version before anything reads it."""
+        header = CheckpointHeader.__new__(CheckpointHeader)
+        vars(header).update(
+            version=3, config=crawl_config("batched"), focused=True, seeds=[],
+            good_topics=[], fetch_failure_seed=0, chain=[1, 2],
+        )
+        with Database.open(tmp_path / "db") as db:
+            db.checkpoint(app_state=header)
+        before = directory_bytes(tmp_path / "db")
+        with pytest.raises(StorageError, match=f"format 3; this build reads format {FORMAT_VERSION}"):
+            CheckpointManager.load(str(tmp_path / "db"))
+        assert directory_bytes(tmp_path / "db") == before
+
+    def test_a_format_1_snapshot_is_refused(self, checkpoint_system, tmp_path):
+        """A format 1 directory could address frames under file id -1;
+        such a store is refused at open, not read as pages."""
         path = tmp_path / "crawl"
-        checkpoint = Database.checkpoint
-
-        def five_item_frames(database, app_state=None, frames=None):
-            frames = {no: (kind, [], *rest) for no, (kind, *rest) in frames.items()}
-            return checkpoint(database, app_state=app_state, frames=frames)
-
-        monkeypatch.setattr(Database, "checkpoint", five_item_frames)
         self.checkpointed(checkpoint_system, path)
-        monkeypatch.undo()
+        snapshot = path / SNAPSHOT_FILE
+        with open(snapshot, "rb") as fh:
+            meta = load_record(read_frame_at(fh, 0))
+        directory = load_record(zlib.decompress(meta["directory"]))
+        directory[(-1, 1)] = next(iter(directory.values()))
+        meta["directory"] = zlib.compress(dump_record(directory))
+        meta["format"] = 1
+        with open(snapshot, "wb") as fh:
+            write_frame(fh, dump_record(meta))
         before = directory_bytes(path)
-        with pytest.raises(StorageError, match="a checkpoint frame is not \\(kind, engine part"):
-            CheckpointManager.load(str(path))
+        for load in (CheckpointManager.load, checkpoint_system.resume):
+            with pytest.raises(
+                StorageError,
+                match=f"a format 1 minidb snapshot; this build reads format {SNAPSHOT_FORMAT}",
+            ):
+                load(str(path))
         assert directory_bytes(path) == before
-
-
-class TestFoldState:
-    def test_deltas_fold_oldest_first_into_the_base(self):
-        """A delta is ``(small state, failed-URL tail, distillations,
-        stagnated)``: its small state overwrites the base's, its tail
-        extends the failed URLs, and the last delta's counts win."""
-        base = {"tick": 3, "iterations": 0, "trace": CrawlTrace(failed_urls=["a"])}
-        deltas = [
-            ({"tick": 7, "iterations": 5}, ["b", "c"], 1, False),
-            ({"tick": 9}, [], 1, False),
-            ({"tick": 12}, ["d"], 2, True),
-        ]
-        folded = CrawlEngine.fold_state(base, deltas)
-        assert folded is base
-        assert folded["tick"] == 12 and folded["iterations"] == 5
-        assert folded["trace"].failed_urls == ["a", "b", "c", "d"]
-        assert (folded["trace"].distillations, folded["trace"].stagnated) == (2, True)
-        assert CrawlEngine.fold_state(base, []) is base
 
 
 class TestAttachedScores:
@@ -621,6 +620,83 @@ class TestAttachedScores:
         assert result.pages_fetched() == MAX_PAGES
         assert_traces_match(result, reference_result)
         result.database.close()
+
+
+def failed_rows(database) -> list:
+    return [row["url"] for row in database.sql("select url from FAILED")]
+
+
+class TestFailedRows:
+    """The trace's failed URLs are FAILED's rows, one per attempt, in attempt order."""
+
+    @pytest.mark.parametrize("store", ["memory", "durable"])
+    def test_failed_holds_the_trace_failures_in_order(self, checkpoint_system, tmp_path, store):
+        handle = checkpoint_system.start(
+            JobSpec(
+                crawler=crawl_config("batched"),
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(tmp_path / "crawl") if store == "durable" else None,
+            )
+        )
+        engine = handle.crawler.engine
+        handle.step(15)
+        engine.sync()
+        early = list(handle.trace.failed_urls)
+        assert early and failed_rows(handle.database) == early
+        handle.run()
+        engine.sync()
+        failed = handle.trace.failed_urls
+        assert len(failed) > len(early) and failed[: len(early)] == early
+        assert failed_rows(handle.database) == failed
+        handle.close()
+
+    def test_failed_rows_are_written_at_flush_points_only(self, checkpoint_system, monkeypatch):
+        """Between flush points a failure waits in the trace; each flush
+        writes the ones since the last, so where the rows land depends
+        only on crawl progress."""
+        flushed = []
+        flush = CrawlEngine._flush
+
+        def recording_flush(engine):
+            flush(engine)
+            flushed.append(len(engine.trace.failed_urls))
+
+        monkeypatch.setattr(CrawlEngine, "_flush", recording_flush)
+        handle = checkpoint_system.start(
+            JobSpec(crawler=crawl_config("batched"), fetch_failure_seed=FETCH_FAILURE_SEED)
+        )
+        waited = False
+        while not handle.done:
+            handle.step(1)
+            failed = handle.trace.failed_urls
+            assert failed_rows(handle.database) == failed[: flushed[-1]]
+            waited |= len(failed) > flushed[-1]
+        assert waited and flushed[-1] == len(handle.trace.failed_urls)
+        handle.close()
+
+    def test_a_crawl_killed_between_saves_resumes_with_the_uninterrupted_failures(
+        self, checkpoint_system, reference_batched, tmp_path, monkeypatch
+    ):
+        """The failures after the last save are dropped with the WAL tail
+        and fetched again: FAILED ends as the uninterrupted crawl's."""
+        kill_fetcher_after(monkeypatch, 47)
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=crawl_config("batched"),
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(tmp_path / "crawl"),
+            )
+        monkeypatch.undo()
+        database, _saved = CheckpointManager.load(str(tmp_path / "crawl"))
+        at_save = failed_rows(database)
+        database.close()
+
+        resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
+        reference = reference_batched.trace.failed_urls
+        assert len(at_save) < len(reference) and reference[: len(at_save)] == at_save
+        assert resumed.trace.failed_urls == reference
+        assert failed_rows(resumed.database) == failed_rows(reference_batched.database) == reference
+        resumed.database.close()
 
 
 class TestCrawlArgumentGuards:
@@ -768,8 +844,11 @@ class TestCheckpointManager:
     def test_load_refuses_another_format_version(self, tmp_path):
         """A checkpoint in another format is refused whole, naming both versions."""
         newer = CheckpointHeader(
-            version=FORMAT_VERSION + 1, config=crawl_config("batched"), focused=True,
-            seeds=[], good_topics=[], fetch_failure_seed=0, chain=[1],
+            version=FORMAT_VERSION + 1,
+            checkpoint=CrawlCheckpoint(
+                config=crawl_config("batched"), focused=True, seeds=[], good_topics=[],
+                fetch_failure_seed=0, engine_state={}, fetcher_state={}, server_rng_state={},
+            ),
         )
         with Database.open(tmp_path / "db") as db:
             db.checkpoint(app_state=newer)
@@ -780,17 +859,16 @@ class TestCheckpointManager:
             CheckpointManager.load(str(tmp_path / "db"))
 
 
-def assert_restored_equals_live(manager: CheckpointManager) -> str:
-    """What a resume rebuilds from the last save equals the live crawl; returns the frame kind.
+def assert_restored_equals_live(manager: CheckpointManager) -> None:
+    """What a resume rebuilds from the last save equals the live crawl.
 
-    The engine state folded from base and deltas equals
-    ``state_snapshot()`` field for field, and a twin engine restored from
-    it over the saved tables holds the live frontier (every entry's
-    fields, ``rid`` and ``discovered`` included; the server loads; the
-    discovery watermark; the checkout order), the live relevance map and
-    the live last distillation, items in order.  The restored visits are
-    the live trace's, and so are CRAWL's visited rows ordered by
-    ``lastvisited``.  A mutation path that
+    The saved engine state equals ``state_snapshot()`` field for field,
+    and a twin engine restored from it over the saved tables holds the
+    live frontier (every entry's fields, ``rid`` and ``discovered``
+    included; the server loads; the discovery watermark; the checkout
+    order), the live relevance map, failed URLs and last distillation,
+    items in order.  The restored visits are the live trace's, and so
+    are CRAWL's visited rows ordered by ``lastvisited``.  A mutation path that
     changes an entry without writing CRAWL fails here, at the first
     checkpoint after it ran and with the field's name, not as a divergent
     crawl hundreds of pages later.
@@ -800,14 +878,7 @@ def assert_restored_equals_live(manager: CheckpointManager) -> str:
     live = engine.state_snapshot()
     assert saved.engine_state.keys() == live.keys()
     for key, value in live.items():
-        folded = saved.engine_state[key]
-        if key == "trace":
-            for field in dataclasses.fields(CrawlTrace):
-                assert getattr(folded, field.name) == getattr(value, field.name), (
-                    f"engine.trace.{field.name}"
-                )
-        else:
-            assert folded == value, f"engine.{key}"
+        assert saved.engine_state[key] == value, f"engine.{key}"
 
     frontier = engine.frontier
     twin = CrawlEngine(
@@ -833,6 +904,10 @@ def assert_restored_equals_live(manager: CheckpointManager) -> str:
     assert rebuilt.pop_batch(len(waiting) + 1) == [entry.url for entry in waiting], "checkout order"
     assert list(twin.relevance_map().items()) == list(engine.relevance_map().items()), "relevance"
     assert twin.trace.visits == engine.trace.visits, "visits"
+    assert twin.trace.failed_urls == engine.trace.failed_urls, "failed URLs"
+    assert (twin.trace.distillations, twin.trace.stagnated) == (
+        engine.trace.distillations, engine.trace.stagnated,
+    ), "distillations, stagnated"
     visited = manager.database.sql(
         "select lastvisited, url, relevance, kcid from CRAWL where status = 'visited'"
     )
@@ -849,12 +924,10 @@ def assert_restored_equals_live(manager: CheckpointManager) -> str:
             "authorities"
         )
         assert restored.iterations == last.iterations, "iterations"
-    assert twin._small_state() == engine._small_state(), "small state"
+    assert twin.state_snapshot() == live, "engine state"
     assert saved.fetcher_state == manager.fetcher.state_snapshot(), "fetcher_state"
     assert saved.server_rng_state == manager.servers.rng_state(), "server_rng_state"
     assert saved.checkpoints_saved == manager.checkpoints_saved
-    assert saved.chain == manager.chain
-    return "base" if len(manager.chain) == 1 else "delta"
 
 
 #: A boost priority above any relevance, so every boost raises and marks its entry.
@@ -884,19 +957,20 @@ def matrix_config(case: str) -> CrawlerConfig:
     return config
 
 
-class TestDeltaEqualsFull:
+class TestRestoredEqualsLive:
     @pytest.mark.parametrize(
         "case", ["batched", "serial", "async", "latency", "hard-focus"]
     )
-    def test_chain_folds_to_the_live_state_at_every_checkpoint(
+    def test_restored_state_equals_the_live_state_at_every_save(
         self, checkpoint_system, tmp_path, monkeypatch, case
     ):
         save = CheckpointManager.save
-        kinds = []
+        saves = []
 
         def checked_save(manager):
             save(manager)
-            kinds.append(assert_restored_equals_live(manager))
+            assert_restored_equals_live(manager)
+            saves.append(manager.checkpoints_saved)
 
         monkeypatch.setattr(CheckpointManager, "save", checked_save)
         real_fetch = Fetcher.fetch
@@ -908,13 +982,13 @@ class TestDeltaEqualsFull:
                 checkpoint_dir=str(tmp_path / "crawl"),
             )
         monkeypatch.setattr(Fetcher, "fetch", real_fetch)
-        before_kill = len(kinds)
+        before_kill = len(saves)
         resumed = checkpoint_system.crawl(resume_from=str(tmp_path / "crawl"))
         assert resumed.pages_fetched() == MAX_PAGES
-        # One base, at the first save; every later save, on both sides of
-        # the kill, appends a delta.
-        assert kinds == ["base"] + ["delta"] * (len(kinds) - 1)
-        assert len(kinds) - 2 >= before_kill >= 1
+        # Saves on both sides of the kill; the resumed crawl numbers its
+        # saves on from the last one it found.
+        assert len(saves) - 2 >= before_kill >= 1
+        assert saves == list(range(1, len(saves) + 1))
         if case == "hard-focus":
             assert resumed.trace.distillations >= 3 and resumed.trace.failed_urls
             frontier = resumed.crawler.frontier
@@ -931,12 +1005,13 @@ class TestCheckpointBytes:
 
     @pytest.fixture(scope="class")
     def measured(self, tmp_path_factory):
-        """One durable 1600-page crawl, every save's crawl-state bytes logged.
+        """One durable 1600-page crawl, every save's bytes logged.
 
         Segment compaction is off so the segment file only grows, and
         every dirty page is flushed just before a save starts: what the
-        save itself appends to the segment file is then its frame, and
-        ``snapshot.dat`` is the record it publishes.
+        save itself appends to the segment file is then the pages its
+        sync dirtied, and ``snapshot.dat`` is the record it publishes,
+        ``app_state`` included.
         """
         system = build_crawl_workload(seed=7, scale=1.0).system
         path = tmp_path_factory.mktemp("bytes") / "crawl"
@@ -955,8 +1030,14 @@ class TestCheckpointBytes:
             save(manager)
             appended = database.io_snapshot()["segment_bytes_total"] - before
             record = os.path.getsize(os.path.join(database.backend.path, "snapshot.dat"))
-            consolidating = len(manager.chain) == 1
-            log.append((manager.crawler.engine.trace.pages_fetched, consolidating, appended, record))
+            saved = database.app_state().checkpoint
+            state = len(
+                dump_record((saved.engine_state, saved.fetcher_state, saved.server_rng_state))
+            )
+            app_state = len(dump_record(database.app_state()))
+            log.append(
+                (manager.crawler.engine.trace.pages_fetched, (state, app_state), appended, record)
+            )
 
         CheckpointManager.save = measuring_save
         try:
@@ -971,43 +1052,41 @@ class TestCheckpointBytes:
             handle.run()
         finally:
             CheckpointManager.save = save
-        crawler = handle.crawler
-        final_state = len(dump_record(crawler.engine.state_snapshot()))
+        final_state = len(dump_record(handle.database.app_state()))
         segment_total = handle.database.io_snapshot()["segment_bytes_total"]
+        failures = len(handle.trace.failed_urls)
         handle.close()
-        return log, final_state, segment_total
+        return log, final_state, segment_total, failures
 
     def test_a_late_checkpoint_writes_what_an_early_one_does(self, measured):
-        """A save writes a delta frame, which holds the interval's failures
-        and the small state, and the snapshot record.  The record re-writes
-        the page directory whole, an entry per table page, so it grows with
-        the database: this bounds how fast."""
-        log, _final_state, _segment_total = measured
-        deltas = [
-            (pages, appended + record)
-            for pages, consolidating, appended, record in log
-            if not consolidating
-        ]
-        early = next(size for pages, size in deltas if pages >= 300)
-        late = [size for pages, size in deltas if pages <= 1500][-1]
+        """A save writes the pages its sync dirtied and the snapshot record.
+        The record re-writes the page directory whole, an entry per table
+        page, so it grows with the database: this bounds how fast."""
+        log, _final_state, _segment_total, _failures = measured
+        sizes = [(pages, appended + record) for pages, _app, appended, record in log]
+        early = next(size for pages, size in sizes if pages >= 300)
+        late = [size for pages, size in sizes if pages <= 1500][-1]
         assert late <= 1.5 * early, (early, late, log)
 
-    def test_frames_hold_no_visit(self, measured):
-        """The visits are CRAWL's visited rows: a 1 600-page crawl's frames
-        weigh under 25 kB (211 kB while every delta carried its visits)."""
-        log, _final_state, _segment_total = measured
-        assert sum(appended for _pages, _kind, appended, _record in log) <= 25_000, log
+    def test_the_app_state_stays_under_1_kB(self, measured):
+        """The failed URLs are FAILED rows: the crawl state every save
+        writes whole does not grow with the crawl.  At page 0 and at page
+        1 600 (after a couple of hundred failures) the engine, fetcher and
+        RNG states are under 1 kB together; the whole ``app_state``, the
+        crawl's constants (config, seeds) included, grows by a few bytes
+        of larger counters."""
+        log, _final_state, _segment_total, failures = measured
+        assert failures >= 100, failures
+        (first_pages, (first_state, first_app), _, _) = log[0]
+        (last_pages, (last_state, last_app), _, _) = log[-1]
+        assert (first_pages, last_pages) == (0, self.PAGES), log
+        assert first_state < 1000 and last_state < 1000, (first_state, last_state)
+        assert last_app - first_app < 64, (first_app, last_app)
 
     def test_total_checkpoint_bytes_are_bounded_by_state_plus_pages(self, measured):
-        log, final_state, segment_total = measured
-        state_bytes = sum(appended + record for _pages, _kind, appended, record in log)
-        page_images = segment_total - sum(appended for _pages, _kind, appended, _record in log)
+        log, final_state, segment_total, _failures = measured
+        state_bytes = sum(appended + record for _pages, _app, appended, record in log)
+        page_images = segment_total - sum(appended for _pages, _app, appended, _record in log)
         assert state_bytes + page_images <= 2 * (final_state + page_images), (
             state_bytes, page_images, final_state,
-        )
-        # How the bound comes about: the state only grows by appending, so
-        # one base at the first save and a delta at every later one write
-        # it once, plus the small parts each delta repeats whole.
-        assert [kind for _pages, kind, _appended, _record in log] == [True] + [False] * (
-            len(log) - 1
         )

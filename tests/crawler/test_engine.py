@@ -583,7 +583,7 @@ class TestCrossRoundPrefetch:
         engine = crawler.engine
         # Nothing reports prefetch.
         assert set(engine.pipeline_stats()) == {"fetch_overlap_ratio", "frontier"}
-        assert "prefetch" not in engine._small_state()
+        assert "prefetch" not in engine.state_snapshot()
 
     def test_prefetch_ignored_at_k1(
         self, small_web, trained_model, taxonomy, crawl_seeds

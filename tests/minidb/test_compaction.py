@@ -21,6 +21,7 @@ tier-1 run cheap.
 
 import os
 import random
+import shutil
 
 import pytest
 
@@ -270,31 +271,27 @@ class TestPolicy:
         assert not compactor.due(live_bytes=0, dead_bytes=0)
 
 
-def frames_state(database):
-    """The frame chain the header names, as a coordinator would read it back."""
-    chain = database.app_state()
-    return chain, [database.read_frame(frame_no) for frame_no in chain]
-
-
-#: The chain before and after the tortured checkpoint of the crash walks.
-OLD_CHAIN = ([1], [("base", list(range(200)))])
-NEW_CHAIN = ([1, 2], [("base", list(range(200))), ("delta", "appended")])
+#: The ``app_state`` before and after the tortured checkpoint of the crash walk.
+OLD_STATE = {"saves": 1}
+NEW_STATE = {"saves": 2}
 
 
 class TestCrashWalk:
     """Crash at *every* I/O point of a compacting checkpoint and recover.
 
-    The checkpoint carries a live frame (rewritten with the page images)
-    and appends another: whichever side of the snapshot rename the crash
-    falls on, the header and the frames it names are from one moment.
+    The checkpoint also replaces the ``app_state``: whichever side of the
+    snapshot rename the crash falls on, recovery pinned to the snapshot
+    (``replay_wal=False``, how a crawl resumes) finds the old rows and
+    ``app_state`` or the new ones, never a mix.
     """
 
     def run_workload(self, path, seed, crash_offset=None):
         """Deterministic (per seed) dirty workload + the checkpoint under test.
 
-        Returns ``(injector, database, expected_state, points)`` where
-        *expected_state* is the logical table state the recovery must
-        reproduce and *points* the number of I/O ops the tortured
+        Returns ``(injector, database, (old_state, expected_state), points)``
+        where *expected_state* is the logical table state the recovery
+        must reproduce, *old_state* the one the earlier checkpoint
+        published and *points* the number of I/O ops the tortured
         checkpoint performed (only meaningful on an uncrashed run).
         """
         rng = random.Random(seed)
@@ -303,7 +300,8 @@ class TestCrashWalk:
         table = db.create_table("T", rows_schema())
         table.insert_many([(k, float(k), f"r{k}") for k in range(100)])
         # An earlier, undisturbed checkpoint generation.
-        db.checkpoint(app_state=OLD_CHAIN[0], frames={1: OLD_CHAIN[1][0]})
+        db.checkpoint(app_state=OLD_STATE)
+        old = table_state(db)
         rids = [rid for rid, _row in table.scan()]
         for rid in rng.sample(rids, 40):
             table.update_row(rid, {"score": rng.random()})
@@ -317,31 +315,40 @@ class TestCrashWalk:
         crashed = False
         try:
             # The tortured (compacting) checkpoint.
-            db.checkpoint(app_state=NEW_CHAIN[0], frames={2: NEW_CHAIN[1][1]})
+            db.checkpoint(app_state=NEW_STATE)
         except SimulatedCrash:
             crashed = True
         assert crashed == (crash_offset is not None)
-        return injector, db, expected, injector.op_count - start
+        return injector, db, (old, expected), injector.op_count - start
 
     @pytest.mark.parametrize("seed", TORTURE_SEEDS)
     def test_recovery_from_every_io_point(self, tmp_path, seed):
         # Dry run: count the checkpoint's I/O points and pin the expected
         # state; the checkpoint must actually have compacted, or the walk
         # would torture the wrong code path.
-        injector, db, expected, points = self.run_workload(tmp_path / "dry", seed)
+        injector, db, (_old, expected), points = self.run_workload(tmp_path / "dry", seed)
         assert db.backend.compactions_run == 1
         assert table_state(db) == expected
-        assert frames_state(db) == NEW_CHAIN
+        assert db.app_state() == NEW_STATE
         assert points > 20  # flush + rewrite + snapshot + WAL + fence
         db.close()
 
-        chains = []
+        states = []
         for crash_offset in range(points):
             path = tmp_path / f"crash-{crash_offset}"
-            _, crashed_db, expected, _ = self.run_workload(
+            _, crashed_db, (old, expected), _ = self.run_workload(
                 path, seed, crash_offset=crash_offset
             )
             hard_close(crashed_db)
+            # Pinned to the snapshot, on a copy: the open discards the WAL.
+            pinned_path = tmp_path / f"pinned-{crash_offset}"
+            shutil.copytree(path, pinned_path)
+            with Database.open(str(pinned_path), replay_wal=False) as pinned:
+                state = pinned.app_state()
+                assert (table_state(pinned), state) in ((old, OLD_STATE), (expected, NEW_STATE)), (
+                    f"seed {seed}: rows and app_state disagree after I/O point {crash_offset}"
+                )
+                states.append(state)
 
             with open_compacting(path, ratio=0.0) as recovered:
                 assert table_state(recovered) == expected, (
@@ -349,22 +356,17 @@ class TestCrashWalk:
                     f"{crash_offset}"
                 )
                 assert len(segment_files(path)) == 1  # stale files fenced
-                chain = frames_state(recovered)
-                assert chain in (OLD_CHAIN, NEW_CHAIN), (
-                    f"seed {seed}: header and frames disagree after I/O point {crash_offset}"
-                )
-                chains.append(chain)
+                assert recovered.app_state() == state
                 # The survivor is fully operational: more writes, another
-                # compacting checkpoint, and the garbage is gone again —
-                # the frames, live, are not.
+                # compacting checkpoint, and the garbage is gone again.
                 recovered.table("T").insert((500 + crash_offset, 1.0, "post"))
-                recovered.checkpoint(app_state=recovered.app_state())
+                recovered.checkpoint(app_state=state)
                 snap = recovered.io_snapshot()
                 assert snap["segment_bytes_total"] <= 1.2 * snap["segment_bytes_live"]
-                assert frames_state(recovered) == chain
+                assert recovered.app_state() == state
         # Old before the snapshot rename, new from it on.
-        assert chains[0] == OLD_CHAIN and chains[-1] == NEW_CHAIN
-        assert chains == sorted(chains, key=lambda chain: len(chain[0]))
+        assert states[0] == OLD_STATE and states[-1] == NEW_STATE
+        assert states == sorted(states, key=lambda state: state["saves"])
 
 
 GOOD = "recreation/cycling"
@@ -507,18 +509,17 @@ class TestCrawlTorture:
             resumed.database.close()
 
     @pytest.mark.parametrize("seed", TORTURE_SEEDS)
-    def test_crash_inside_delta_and_compacting_checkpoints_resumes_bit_identically(
+    def test_crash_inside_plain_and_compacting_checkpoints_resumes_bit_identically(
         self, torture_system, reference_crawl, tmp_path, monkeypatch, seed
     ):
-        """The frame chain's two kinds of checkpoint after the base, crashed inside.
+        """A mid-crawl save of each kind, crashed inside.
 
-        A delta checkpoint (one frame appended) and a compacting one that
-        carries live frames into the rewritten segment file: wherever the
-        crash lands, the resume folds the previous chain or the extended
-        one and the crawl it continues is the uninterrupted crawl.
+        A plain save and a compacting one that rewrites the segment file:
+        wherever the crash lands, the resume reads the previous save or
+        the new one, and the crawl it continues is the uninterrupted crawl.
         """
         # Some checkpoints compact, most do not: on this crawl the saves are
-        # a base, three deltas and a compacting delta.
+        # four plain ones and a compacting one.
         ratio = 0.4
         save = CheckpointManager.save
         windows = []
@@ -527,9 +528,7 @@ class TestCrawlTorture:
             backend = manager.database.backend
             start, compactions = dry.op_count, backend.compactions_run
             save(manager)
-            kind = "base" if len(manager.chain) == 1 else "delta"
-            if backend.compactions_run > compactions:
-                kind = "compacting " + kind
+            kind = "compacting" if backend.compactions_run > compactions else "plain"
             windows.append((kind, start, dry.op_count))
 
         dry = FaultInjector()
@@ -542,8 +541,8 @@ class TestCrawlTorture:
 
         rng = random.Random(seed)
         crash_points = []
-        # windows[0] is the initial base of an empty crawl: skip it.
-        for wanted in ("delta", "compacting delta"):
+        # windows[0] is the initial save of an empty crawl: skip it.
+        for wanted in ("plain", "compacting"):
             start, end = next((lo, hi) for kind, lo, hi in windows[1:] if kind == wanted)
             rename = next(
                 e.index for e in dry.events[start:end] if e.kind == "replace"

@@ -8,7 +8,6 @@ from repro.minidb import (
     Database,
     FLOAT,
     INTEGER,
-    StorageConfig,
     TEXT,
     make_schema,
 )
@@ -16,7 +15,7 @@ from repro.minidb.backend import SNAPSHOT_FILE, SNAPSHOT_FORMAT, WAL_FILE
 from repro.minidb.errors import ConstraintError, StorageError
 from repro.minidb.pages import RecordId
 from repro.minidb.wal import dump_record, load_record, read_frame_at, write_frame
-from fault_injection import hard_close, truncate_tail
+from fault_injection import truncate_tail
 
 
 def people_schema():
@@ -148,11 +147,12 @@ class TestRecovery:
         with Database.open(tmp_path / "db") as again:
             assert len(again.table("P")) == 40
 
-    @pytest.mark.parametrize("found", [None, SNAPSHOT_FORMAT + 1])
+    @pytest.mark.parametrize("found", [None, 1, SNAPSHOT_FORMAT + 1])
     def test_a_snapshot_of_another_format_is_refused_untouched(self, tmp_path, found):
         """A snapshot without this build's format number (every one written
-        before snapshots were numbered) or with another is refused by
-        name, before the open fences, truncates or creates a file."""
+        before snapshots were numbered) or with another (format 1's
+        directory could address frames) is refused by name, before the
+        open fences, truncates or creates a file."""
         with Database.open(tmp_path / "db") as db:
             fill(db.create_table("P", people_schema()), 0, 80)
             db.checkpoint()
@@ -207,73 +207,6 @@ class TestRecovery:
 
         with Database.open(tmp_path / "db") as recovered:
             assert recovered.app_state() == {"round": 7, "note": "mid-crawl"}
-
-
-class TestFrames:
-    """Opaque payloads in the segment file, published with the checkpoint."""
-
-    def test_frames_ride_the_checkpoint_and_survive_a_reopen(self, tmp_path):
-        with Database.open(tmp_path / "db") as db:
-            fill(db.create_table("P", people_schema()), 0, 40)
-            db.checkpoint(app_state=[1], frames={1: ("base", list(range(500)))})
-            db.checkpoint(app_state=[1, 2], frames={2: ("delta", {"k": 1.5})})
-            assert db.read_frame(2) == ("delta", {"k": 1.5})
-
-        with Database.open(tmp_path / "db") as recovered:
-            assert recovered.app_state() == [1, 2]
-            assert recovered.read_frame(1) == ("base", list(range(500)))
-            assert recovered.read_frame(2) == ("delta", {"k": 1.5})
-            # Frames are not pages: the pool's page accounting ignores them.
-            assert recovered.buffer_pool.total_pages() == recovered.total_pages()
-
-    def test_frames_are_only_appended(self, tmp_path):
-        """A written frame number is refused, before or after a reopen; a
-        frame a crash left unpublished is not written."""
-        db = Database.open(tmp_path / "db")
-        db.checkpoint(frames={1: "one", 2: "two"})
-        with pytest.raises(StorageError, match="frame 2 is already written"):
-            db.checkpoint(frames={2: "two again"})
-        with pytest.raises(StorageError, match="no live frame 3"):
-            db.read_frame(3)
-        db.backend.put_frame(3, b"unpublished")
-        hard_close(db)
-
-        with Database.open(tmp_path / "db") as recovered:
-            assert [recovered.read_frame(n) for n in (1, 2)] == ["one", "two"]
-            with pytest.raises(StorageError, match="frame 1 is already written"):
-                recovered.checkpoint(frames={1: "one again"})
-            recovered.checkpoint(frames={3: "three"})
-            assert recovered.read_frame(3) == "three"
-
-    def test_frames_survive_compaction_without_moving_its_schedule(self, tmp_path):
-        """Live frames are copied by the rewrite; the garbage ratio that
-        schedules a rewrite weighs page images only."""
-        storage = StorageConfig(compact_every=1, compact_min_garbage_ratio=0.5)
-        with Database.open(tmp_path / "db", page_size=512, storage=storage) as db:
-            table = db.create_table("P", people_schema())
-            fill(table, 0, 60)
-            big = bytes(200_000)
-            db.checkpoint(frames={1: big})
-            db.checkpoint(frames={2: big})
-            assert db.backend.compactions_run == 0
-            # Live frames far larger than every page together do not hide
-            # superseded page images: once those outweigh the live pages,
-            # the checkpoint compacts.
-            for round_no in range(3):
-                table.update_rows(
-                    [(rid, {"score": float(round_no)}) for rid, _row in table.scan()]
-                )
-                db.checkpoint()
-            assert db.backend.compactions_run >= 1
-            assert db.read_frame(1) == db.read_frame(2) == big
-
-        with Database.open(tmp_path / "db", storage=storage) as recovered:
-            assert recovered.read_frame(1) == recovered.read_frame(2) == big
-            assert len(recovered.table("P")) == 60
-
-    def test_in_memory_databases_keep_no_frames(self):
-        with pytest.raises(StorageError, match="keep no frames"):
-            Database().read_frame(1)
 
 
 class TestEvictionAndCounters:

@@ -120,26 +120,22 @@ class TestCrashing:
 
 
 def pinned_state(db):
-    """What a coordinator resuming from the snapshot sees: rows, header, frames."""
-    chain = db.app_state()
-    return (
-        sorted(db.table("T").rows()),
-        chain,
-        [db.read_frame(frame_no) for frame_no in chain],
-    )
+    """What a coordinator resuming from the snapshot sees: rows and ``app_state``."""
+    return sorted(db.table("T").rows()), db.app_state()
 
 
-class TestFrameCrashWalk:
-    """Crash at every I/O point of a checkpoint that carries frames.
+class TestAppStateCrashWalk:
+    """Crash at every I/O point of a checkpoint whose ``app_state`` changes.
 
-    The frames are a base-plus-delta chain the ``app_state`` names, as a
-    crawl checkpoint keeps it.  Recovery pinned to the snapshot
+    The ``app_state`` stands for a crawl checkpoint's record, written
+    whole at every save.  Recovery pinned to the snapshot
     (``replay_wal=False``, how a crawl resumes) must find the previous
-    checkpoint or the new one — rows, header and every frame the header
-    names — and never a mix of the two.
+    checkpoint or the new one — rows and ``app_state`` — and never a mix
+    of the two.  ``test_compaction.py::TestCrashWalk`` walks a
+    compacting checkpoint the same way.
     """
 
-    def run_workload(self, path, kind, crash_offset=None):
+    def run_workload(self, path, crash_offset=None):
         """Returns ``(database, before, after, points)``; on a crash *after* is None."""
         injector = FaultInjector()
         db = Database.open(
@@ -147,47 +143,44 @@ class TestFrameCrashWalk:
         )
         table = db.create_table("T", simple_schema())
         table.insert_many([(k, float(k)) for k in range(60)])
-        db.checkpoint(app_state=[1], frames={1: ("base", list(range(300)))})
+        db.checkpoint(app_state={"saves": 1, "rows": 60})
         table.update_rows(
             [(rid, {"v": -1.0}) for rid, row in list(table.scan()) if row[0] % 3 == 0]
         )
-        db.checkpoint(app_state=[1, 2], frames={2: ("delta", "first")})
+        db.checkpoint(app_state={"saves": 2, "rows": 60})
         before = pinned_state(db)
         table.insert_many([(100 + k, 0.5) for k in range(20)])
         start = injector.op_count
         if crash_offset is not None:
             injector.crash_at = start + crash_offset
         try:
-            if kind == "delta":
-                db.checkpoint(app_state=[1, 2, 3], frames={3: ("delta", "second")})
-            else:  # consolidating: a fresh base starts a new chain; the old frames stay
-                db.checkpoint(app_state=[3], frames={3: ("base", list(range(400)))})
+            db.checkpoint(app_state={"saves": 3, "rows": 80})
         except SimulatedCrash:
             return db, before, None, 0
         return db, before, pinned_state(db), injector.op_count - start
 
-    @pytest.mark.parametrize("kind", ["delta", "consolidating"])
-    def test_recovery_is_the_previous_or_the_new_checkpoint(self, tmp_path, kind):
-        db, before, after, points = self.run_workload(tmp_path / "dry", kind)
-        assert before != after and points > 8  # pages + frame + snapshot + WAL
+    def test_recovery_is_the_previous_or_the_new_checkpoint(self, tmp_path):
+        db, before, after, points = self.run_workload(tmp_path / "dry")
+        assert before != after and points > 8  # pages + snapshot + WAL
         db.close()
 
         seen = []
         for crash_offset in range(points):
             path = tmp_path / f"crash-{crash_offset}"
-            crashed, _, _, _ = self.run_workload(path, kind, crash_offset=crash_offset)
+            crashed, _, _, _ = self.run_workload(path, crash_offset=crash_offset)
             hard_close(crashed)
 
             with Database.open(str(path), replay_wal=False) as recovered:
-                state = pinned_state(recovered)
-                assert state in (before, after), f"{kind}: a mix after I/O point {crash_offset}"
+                rows, app_state = state = pinned_state(recovered)
+                assert state in (before, after), f"a mix after I/O point {crash_offset}"
+                assert app_state["rows"] == len(rows)
                 seen.append(state == after)
-                # The survivor extends whichever chain it woke up with.
-                chain = recovered.app_state() + [9]
-                recovered.checkpoint(app_state=chain, frames={9: "post"})
+                # The survivor saves on from whichever checkpoint it woke up with.
+                recovered.table("T").insert((500, 5.0))
+                survivor = {"saves": app_state["saves"] + 1, "rows": len(rows) + 1}
+                recovered.checkpoint(app_state=survivor)
             with Database.open(str(path), replay_wal=False) as reopened:
-                assert reopened.app_state() == chain
-                assert pinned_state(reopened)[2][:-1] == state[2]
+                assert pinned_state(reopened) == (sorted(rows + [(500, 5.0)]), survivor)
         # The walk crossed the commit point, and never went back.
         assert seen[0] is False and seen[-1] is True
         assert seen == sorted(seen)
