@@ -29,7 +29,7 @@ from repro.classifier.training import ClassifierTrainer, ModelInstaller, Trainin
 from repro.crawler.focused import CrawlerConfig, CrawlTrace, FocusedCrawler
 from repro.crawler.monitor import CrawlMonitor
 from repro.crawler.unfocused import UnfocusedCrawler
-from repro.minidb import Database
+from repro.minidb import Database, StorageError
 from repro.minidb.database import bulk_load
 from repro.taxonomy.examples import ExampleStore, generate_examples
 from repro.taxonomy.tree import NodeMark, TopicTaxonomy
@@ -567,13 +567,16 @@ class FocusSystem:
                 path=spec.checkpoint_dir,
                 storage=config.resolve_storage(),
             )
-        if spec.checkpoint_dir is not None and database.app_state() is not None:
+        try:
+            if spec.checkpoint_dir is not None and database.app_state() is not None:
+                raise ValueError(
+                    f"{spec.checkpoint_dir!r} already holds a crawl checkpoint; "
+                    "continue it with resume(...) or point checkpoint_dir "
+                    "at a fresh directory"
+                )
+        except (ValueError, StorageError):
             database.close()
-            raise ValueError(
-                f"{spec.checkpoint_dir!r} already holds a crawl checkpoint; "
-                "continue it with resume(...) or point checkpoint_dir "
-                "at a fresh directory"
-            )
+            raise
         if not database.has_table("TAXONOMY"):
             # The crawl database also carries the classifier tables, as in the
             # paper's single-DB architecture (and so monitoring SQL can join

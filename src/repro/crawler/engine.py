@@ -20,12 +20,12 @@ time:
    round as array kernels, relevance and best leaf read off one
    posterior matrix (:class:`PageScorer`).  A page is classified once,
    when it is fetched: a visited URL is never checked out again;
-4. *record*: CRAWL and LINK writes, and a FAILED row per failed
-   fetch attempt, buffer in memory, across rounds, until the distiller
-   or something outside the engine reads the tables.  A flush goes
-   through minidb's column-at-a-time write path — one ``insert_many``
-   per table (the batch is transposed once;
-   each page takes its rows as column slices), one ``update_rows`` for the CRAWL
+4. *expand* and *record*: a page's visit, then its out-links in one
+   :meth:`Frontier.expand` pass, become CRAWL and LINK writes, and a failed
+   fetch attempt a FAILED row; they buffer in memory, across rounds, until
+   the distiller or something outside the engine reads the tables.  A flush
+   goes through minidb's column-at-a-time write path — one ``insert_many``
+   per table (each page takes its rows as column slices), one ``update_rows`` for the CRAWL
    rows changed since the last flush and one ``update_column`` for the
    refreshed ``wgt_fwd`` values (:class:`BufferedLinkWriter`,
    :meth:`Frontier.flush_batch`).  The LINK rows a flush inserts are
@@ -64,7 +64,7 @@ digests recorded from the loop it replaced).  Larger K changes the
 interleaving but, on a bounded web, converges to the same crawl set.
 
 The stage code — :class:`PageScorer`, :func:`permanent_failure`,
-:func:`link_targets`, :func:`link_row`, :func:`write_scores`,
+:func:`resolve_links`, :func:`write_scores`,
 :class:`BufferedLinkWriter`, :func:`expansion_priority` — is module
 level because the sharded engine's workers and coordinator
 (:mod:`repro.crawler.sharded`) run the same stages on their slice of a
@@ -337,49 +337,27 @@ def expansion_priority(focus_mode: str, relevance: float, hard_accepts: bool) ->
     return relevance if focus_mode != "none" else _UNFOCUSED_PRIORITY
 
 
-def link_targets(source_oid: int, out_links: Sequence[str]) -> List[Tuple[str, int, int]]:
+def resolve_links(
+    memo: Dict[str, Tuple[str, int, int]], source_oid: int, out_links: Sequence[str]
+) -> List[Tuple[str, int, int]]:
     """A page's distinct non-self out-links as ``(normalized_url, oid, sid)``, in page order.
 
     Duplicates and self-links are dropped here, once: neither can raise
-    a frontier priority or add an edge the distiller would keep.
+    a frontier priority or add an edge the distiller would keep.  *memo*,
+    one per crawl, maps a raw out-link to its triple: a pure function of
+    the URL, so a resumed crawl starts it empty.
     """
     targets: List[Tuple[str, int, int]] = []
-    seen: set[int] = set()
-    for target in out_links:
-        normalized = normalize_url(target)
-        target_oid = url_oid(normalized)
-        if target_oid in seen or target_oid == source_oid:
-            continue
-        seen.add(target_oid)
-        targets.append((normalized, target_oid, server_sid(normalized)))
+    seen = {source_oid}
+    for raw in out_links:
+        target = memo.get(raw)
+        if target is None:
+            normalized = normalize_url(raw)
+            target = memo[raw] = (normalized, url_oid(normalized), server_sid(normalized))
+        if target[1] not in seen:
+            seen.add(target[1])
+            targets.append(target)
     return targets
-
-
-def link_row(
-    frontier: Frontier,
-    source_oid: int,
-    source_sid: int,
-    target_url: str,
-    target_oid: int,
-    target_sid: int,
-    relevance: float,
-) -> tuple:
-    """One LINK row, in schema order, for an edge out of a page of *relevance*.
-
-    ``wgt_rev`` is the source's relevance (E_B).  ``wgt_fwd`` (E_F)
-    needs the *destination's* relevance: a visited destination supplies
-    its own, any other inherits the source's until it is visited —
-    edges pointing *to* a page are refreshed at the flush after it is
-    classified (:meth:`BufferedLinkWriter.refresh`).  The crawl's own
-    HITS does not read the stored weights (it takes R of both endpoints
-    from the relevance map, the same floats on every edge it scores);
-    Figure 4's SQL distillers and ``/query`` do.  *target_url* is
-    normalised, and *frontier* must own it (sharded LINK rows are routed
-    by destination for exactly this lookup).
-    """
-    entry = frontier.get_normalized(target_url)
-    forward = entry.relevance if entry is not None and entry.status == "visited" else relevance
-    return (source_oid, source_sid, target_oid, target_sid, forward, relevance)
 
 
 def write_scores(table: Table, oids: Sequence[int], scores: Sequence[float]) -> None:
@@ -526,6 +504,8 @@ class CrawlEngine:
         self._relevance: Dict[int, float] = {}
         self._scorer = PageScorer(classifier, taxonomy, config)
         self._link_writer = BufferedLinkWriter(database.table("LINK"))
+        #: Raw out-link -> ``(normalized, oid, sid)`` (:func:`resolve_links`).
+        self._link_memo: Dict[str, Tuple[str, int, int]] = {}
         #: The last distillation, until :meth:`sync` writes it to HUBS and AUTH.
         self._unwritten_scores: Optional[DistillationResult] = None
         self._incremental: Optional[IncrementalDistiller] = None
@@ -536,6 +516,7 @@ class CrawlEngine:
             "classify": 0.0,
             "write": 0.0,
             "distill": 0.0,
+            "expand": 0.0,
         }
 
     # -- shape -----------------------------------------------------------------------
@@ -659,9 +640,9 @@ class CrawlEngine:
         if len(failed) > self._failed_written:
             self._failed.insert_many([(url,) for url in failed[self._failed_written:]])
             self._failed_written = len(failed)
-        self.stage_timings["write"] += time.perf_counter() - started
         if self._incremental is not None:
             self._incremental.add_rows(inserted)
+        self.stage_timings["write"] += time.perf_counter() - started
 
     # -- checkpointing ----------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, object]:
@@ -818,8 +799,10 @@ class CrawlEngine:
         started = time.perf_counter()
         outcomes = self._scorer.classify([result for _url, result in fetched])
         self.stage_timings["classify"] += time.perf_counter() - started
+        started = time.perf_counter()
         for (url, result), outcome in zip(fetched, outcomes):
             self._commit_visit(url, result, outcome)
+        self.stage_timings["expand"] += time.perf_counter() - started
         return stop
 
     def _commit_visit(self, url: str, result: FetchResult, outcome: BatchClassification) -> None:
@@ -828,16 +811,14 @@ class CrawlEngine:
         relevance = outcome.relevance
         entry = self.frontier.record_visit(url, relevance, self._tick, kcid=outcome.best_leaf_cid)
         self._relevance[entry.oid] = relevance
-        targets = link_targets(entry.oid, result.out_links)
-        self._link_writer.add_rows(
-            [link_row(self.frontier, entry.oid, entry.sid, *target, relevance) for target in targets]
-        )
-        self._link_writer.refresh(entry.oid, relevance)
         priority = expansion_priority(
             self.config.focus_mode, relevance, self._scorer.hard_accepts(outcome)
         )
-        if priority is not None:
-            self.frontier.add_many(targets, priority)
+        targets = resolve_links(self._link_memo, entry.oid, result.out_links)
+        self._link_writer.add_rows(
+            self.frontier.expand(entry.oid, entry.sid, relevance, targets, priority)
+        )
+        self._link_writer.refresh(entry.oid, relevance)
         self.trace.visits.append(PageVisit(self._tick, url, relevance, outcome.best_leaf_cid))
         self._since_distillation += 1
         self._since_checkpoint += 1

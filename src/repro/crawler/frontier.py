@@ -172,11 +172,7 @@ class Frontier:
         return self._entries[normalize_url(url)]
 
     def get_normalized(self, normalized_url: str) -> Optional[FrontierEntry]:
-        """Entry lookup for a URL the caller has *already normalised*.
-
-        One dict probe; the hot link-recording path normalises every
-        target anyway and should not pay for it twice.
-        """
+        """Entry lookup for a URL the caller has *already normalised*: one dict probe."""
         return self._entries.get(normalized_url)
 
     # -- adding and updating ----------------------------------------------------------------
@@ -187,11 +183,8 @@ class Frontier:
         for soft focus, the relevance of the page(s) citing it.
         """
         normalized = normalize_url(url)
-        existing = self._entries.get(normalized)
-        if existing is not None:
-            self._raise_priority(existing, relevance)
-            return existing
-        return self._add_entry(normalized, url_oid(normalized), server_sid(normalized), relevance)
+        self.add_many([(normalized, url_oid(normalized), server_sid(normalized))], relevance)
+        return self._entries[normalized]
 
     def _raise_priority(self, entry: FrontierEntry, relevance: float) -> None:
         if entry.status == "frontier" and relevance > entry.relevance:
@@ -231,12 +224,11 @@ class Frontier:
         return self._url_of_oid.get(oid)
 
     def add_many(self, targets, relevance: float) -> None:
-        """Bulk :meth:`add_url` over pre-resolved ``(normalized, oid, sid)`` triples.
+        """Register pre-resolved ``(normalized, oid, sid)`` triples at priority *relevance*.
 
-        The link-recording path has already normalised and hashed every
-        out-link target; this entry point skips re-deriving them.  Per
-        target the semantics are exactly :meth:`add_url`'s (shared
-        helpers, so the two can never drift apart).
+        A new URL becomes an entry; a known unvisited one has its
+        priority raised to *relevance* if that is higher (:meth:`add_url`
+        is this for one URL).
         """
         entries = self._entries
         for normalized, oid, sid in targets:
@@ -263,6 +255,32 @@ class Frontier:
                 self._raise_priority(existing, relevance)
             else:
                 self._add_entry(normalized, oid, sid, relevance, discovered=discovered)
+
+    def expand(
+        self, source_oid: int, source_sid: int, relevance: float, targets, priority: Optional[float]
+    ) -> List[tuple]:
+        """Expand a visited page of *relevance* over its resolved out-links; returns its LINK rows.
+
+        One entry probe per ``(normalized, oid, sid)`` target gives the
+        row's ``wgt_fwd`` (E_F: the target's own relevance once visited,
+        else the page's until :meth:`BufferedLinkWriter.refresh`) and, as
+        :meth:`add_many` at *priority*, the new entry or the raise — none
+        when *priority* is None (hard focus rejected the page).
+        """
+        entries = self._entries
+        rows = []
+        for normalized, oid, sid in targets:
+            entry = entries.get(normalized)
+            forward = relevance
+            if entry is None:
+                if priority is not None:
+                    self._add_entry(normalized, oid, sid, priority)
+            elif entry.status == "visited":
+                forward = entry.relevance
+            elif priority is not None:
+                self._raise_priority(entry, priority)
+            rows.append((source_oid, source_sid, oid, sid, forward, relevance))
+        return rows
 
     def _crawl_row(self, entry: FrontierEntry) -> tuple:
         """The entry's CRAWL row, positional in the pinned schema order."""
@@ -412,7 +430,8 @@ class Frontier:
     def _push(self, entry: FrontierEntry) -> None:
         # Tie-break equal ordering keys by oid — a stable function of the
         # URL — so checkout order is independent of insertion history.
-        heapq.heappush(self._heap, (self.current_key(entry), entry.oid, entry.url))
+        key = self._entry_key(entry, self._server_load.get(entry.sid, 0))
+        heapq.heappush(self._heap, (key, entry.oid, entry.url))
 
     def _sync_row(self, entry: FrontierEntry, changes: Mapping[str, Any]) -> None:
         self._pending_changes.setdefault(entry.url, {}).update(changes)

@@ -57,29 +57,24 @@ class CrawlOrdering:
         """A fast key function over :class:`~repro.crawler.frontier.FrontierEntry`.
 
         Equivalent to ``sort_key(record)`` on the entry's record form, but
-        reads entry attributes directly and resolves buckets once, instead
-        of building an 8-field dict per heap push.  ``serverload`` is
-        passed in by the caller (it is the lazily shared per-server
+        compiled once per ordering into a single tuple expression (no
+        per-column loop, no record dict per heap push).  ``serverload``
+        is passed in by the caller (it is the lazily shared per-server
         counter, not the entry's possibly stale copy).
         """
         bucket_map = dict(self.buckets)
-        specs = tuple(
-            (column, ascending, bucket_map.get(column, 0))
-            for column, ascending in self.keys
-        )
-
-        def entry_key(entry, serverload) -> tuple:
-            parts = []
-            for column, ascending, bucket in specs:
-                value = serverload if column == "serverload" else getattr(entry, column)
-                if value is None:
-                    value = 0
-                if bucket:
-                    value = int(value) // bucket
-                parts.append(value if ascending else -value)
-            return tuple(parts)
-
-        return entry_key
+        parts = []
+        for column, ascending in self.keys:
+            value = "serverload" if column == "serverload" else f"entry.{column}"
+            value = f"(0 if {value} is None else {value})"
+            if bucket_map.get(column):
+                value = f"int({value}) // {bucket_map[column]!r}"
+            parts.append(value if ascending else f"-({value})")
+        body = "".join(part + ", " for part in parts)
+        source = f"def entry_key(entry, serverload):\n    return ({body})\n"
+        namespace: dict = {}
+        exec(source, namespace)
+        return namespace["entry_key"]
 
 
 @dataclass(frozen=True)

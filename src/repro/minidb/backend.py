@@ -57,9 +57,10 @@ SNAPSHOT_FILE = "snapshot.dat"
 
 #: The layout of the snapshot record and of everything it references: the
 #: compressed ``(offset, length)`` directory, the segment epoch and
-#: column-chunk page images, every directory entry a table page's.  A
+#: column-chunk page images, every directory entry a table page's, and the
+#: ``app_state`` pickled on its own (so an open never unpickles it).  A
 #: snapshot without this number, or with another, is refused at open.
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 
 #: Segment files carry the epoch of the compaction that wrote them;
 #: epoch 0 is the database's original (never-compacted) segment file.

@@ -39,6 +39,7 @@ from .pages import DEFAULT_PAGE_SIZE, check_layout, rid_of
 from .storage_config import StorageConfig
 from .table import Table
 from .types import Schema, schema_from_spec, schema_to_spec
+from .wal import dump_record, load_record
 
 
 @contextmanager
@@ -223,13 +224,21 @@ class Database:
             )
         self.buffer_pool.flush_all()
         meta = self._catalog_meta()
-        meta["app_state"] = app_state
+        # Pickled apart, so only app_state() unpickles it (and names the store if it fails).
+        meta["app_state"] = dump_record(app_state)
         self.backend.checkpoint(meta)
 
     def app_state(self) -> Any:
         """The opaque state stored by the last :meth:`checkpoint`, or None."""
         meta = getattr(self.backend, "snapshot_meta", None)
-        return meta.get("app_state") if meta else None
+        if not meta:
+            return None
+        try:
+            return load_record(meta["app_state"])
+        except (ImportError, AttributeError) as error:  # a class this build lacks
+            raise StorageError(
+                f"{self.backend.path} holds a checkpoint state this build cannot load: {error!r}"
+            ) from error
 
     def sync_wal(self) -> None:
         """Force-fsync the WAL tail (make everything logged so far durable)."""

@@ -281,7 +281,8 @@ class Table:
 
         for index, old_key, _new_key, rid in moves:
             index.drop_key(old_key, rid)
-        sizeof = [column.type.storage_size for column in schema.columns]
+        # Only TEXT and BLOB values are sized by a call: any other is 8 bytes, 1 when NULL.
+        sizeof = {p: schema.columns[p].type.storage_size for p in schema.varying}
         for writes, (page_id, slot) in zip(planned.values(), places):
             # Re-fetch through the pool per row: a page object cached from
             # the read pass may have been *evicted* by a later read in a
@@ -290,7 +291,11 @@ class Table:
             page = get_page(page_id)
             for position, value in writes.items():
                 column = page.columns[position]
-                page.used_bytes += sizeof[position](value) - sizeof[position](column[slot])
+                old = column[slot]
+                if position in sizeof:
+                    page.used_bytes += sizeof[position](value) - sizeof[position](old)
+                elif (old is None) is not (value is None):
+                    page.used_bytes += 7 if old is None else -7
                 column[slot] = value
             page.dirty = True
         for index, _old_key, new_key, rid in moves:

@@ -141,7 +141,7 @@ class Schema:
             for c, exact in zip(self.columns, self._exact)
         )
         #: Positions of the columns whose stored size depends on the value.
-        self._varying = tuple(
+        self.varying = tuple(
             position
             for position, c in enumerate(self.columns)
             if c.type in (ColumnType.TEXT, ColumnType.BLOB)
@@ -192,17 +192,22 @@ class Schema:
 
     def column_bytes(self, position: int, values: Sequence[Any]) -> int:
         """Total stored size in bytes of a list or tuple of a column's (validated) values."""
-        if position in self._varying:
+        if position in self.varying:
             return sum(map(self.columns[position].type.storage_size, values))
         return 8 * len(values) - 7 * values.count(None)
 
     def row_sizes(self, columns: Sequence[Sequence[Any]]) -> list[int]:
-        """Stored size of each row of a (validated) column batch."""
+        """Stored size of each row of a (validated) column batch.
+
+        Only TEXT and BLOB values are sized one by one: any other takes 8 bytes, 1 when NULL.
+        """
         sizes = [8 * len(columns)] * len(columns[0])
         for position, values in enumerate(columns):
-            if position in self._varying or None in values:
+            if position in self.varying:
                 sizeof = self.columns[position].type.storage_size
                 sizes = [size + sizeof(value) - 8 for size, value in zip(sizes, values)]
+            elif None in values:
+                sizes = [size - 7 if value is None else size for size, value in zip(sizes, values)]
         return sizes
 
     def positional(self, mapping: Mapping[str, Any]) -> list[Any]:
@@ -218,7 +223,7 @@ class Schema:
     def row_size(self, row: Sequence[Any]) -> int:
         """Approximate stored size of *row* in bytes."""
         size = 8 * len(row) - 7 * row.count(None)
-        for position in self._varying:
+        for position in self.varying:
             if row[position] is not None:
                 size += self.columns[position].type.storage_size(row[position]) - 8
         return size

@@ -9,6 +9,7 @@ relevance floats as an uninterrupted run, to 1e-9 (in fact bit for bit).
 
 import dataclasses
 import os
+import sys
 import time
 import zlib
 from types import SimpleNamespace
@@ -499,6 +500,39 @@ class TestRetiredFormats:
         ):
             CheckpointManager.load(str(path))
         assert directory_bytes(path) == before
+
+    def test_a_state_naming_a_class_this_build_lacks_is_refused_by_name(
+        self, checkpoint_system, tmp_path, monkeypatch
+    ):
+        """The store opens without unpickling its ``app_state``: a state
+        whose module is gone is refused with a StorageError naming the
+        store by every entry point, not a bare ModuleNotFoundError."""
+        path = tmp_path / "crawl"
+        self.checkpointed(checkpoint_system, path)
+        module_dir = tmp_path / "modules"
+        module_dir.mkdir()
+        (module_dir / "gone_state.py").write_text("class Gone:\n    pass\n")
+        monkeypatch.syspath_prepend(str(module_dir))
+        import gone_state
+
+        snapshot = path / SNAPSHOT_FILE
+        with open(snapshot, "rb") as fh:
+            meta = load_record(read_frame_at(fh, 0))
+        meta["app_state"] = dump_record(gone_state.Gone())
+        with open(snapshot, "wb") as fh:
+            write_frame(fh, dump_record(meta))
+        monkeypatch.delitem(sys.modules, "gone_state")
+        (module_dir / "gone_state.py").unlink()
+        for load in (CheckpointManager.load, checkpoint_system.resume):
+            with pytest.raises(StorageError, match="cannot load") as refused:
+                load(str(path))
+            assert str(path) in str(refused.value)
+        with pytest.raises(StorageError, match="cannot load"):
+            checkpoint_system.crawl(
+                crawler_config=crawl_config("batched"),
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(path),
+            )
 
     def test_a_snapshot_of_a_newer_format_is_refused(self, checkpoint_system, tmp_path):
         path = tmp_path / "crawl"

@@ -16,7 +16,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crawler.engine import expansion_priority, link_row
+from repro.crawler.engine import expansion_priority
+
+
+def link_row(
+    frontier,
+    source_oid: int,
+    source_sid: int,
+    target_url: str,
+    target_oid: int,
+    target_sid: int,
+    relevance: float,
+) -> tuple:
+    """One LINK row, in schema order, for an edge out of a page of *relevance*.
+
+    ``wgt_rev`` is the source's relevance (E_B); ``wgt_fwd`` (E_F) is the
+    destination's own once it is visited, else the source's.  The
+    engine's per-link form, before :meth:`Frontier.expand` took over:
+    *target_url* is normalised, and *frontier* must own it.
+    """
+    entry = frontier.get_normalized(target_url)
+    forward = entry.relevance if entry is not None and entry.status == "visited" else relevance
+    return (source_oid, source_sid, target_oid, target_sid, forward, relevance)
 
 
 @dataclass

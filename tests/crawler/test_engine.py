@@ -273,9 +273,10 @@ class TestScoringKernel:
             max_pages=40, distill_every=20, batch_size=8,
         )
         timings = crawler.engine.stage_timings
-        assert set(timings) == {"fetch", "classify", "write", "distill"}
+        assert set(timings) == {"fetch", "classify", "write", "distill", "expand"}
         assert timings["fetch"] > 0 and timings["classify"] > 0
         assert timings["write"] > 0 and timings["distill"] > 0
+        assert timings["expand"] > 0
 
     def test_invalid_backend_rejected(self, small_web, trained_model, taxonomy):
         with pytest.raises(ValueError):

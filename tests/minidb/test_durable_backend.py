@@ -1,6 +1,7 @@
 """Durable storage: snapshot + WAL recovery, eviction flushes, I/O counters."""
 
 import os
+import sys
 
 import pytest
 
@@ -147,7 +148,7 @@ class TestRecovery:
         with Database.open(tmp_path / "db") as again:
             assert len(again.table("P")) == 40
 
-    @pytest.mark.parametrize("found", [None, 1, SNAPSHOT_FORMAT + 1])
+    @pytest.mark.parametrize("found", [None, 1, SNAPSHOT_FORMAT - 1, SNAPSHOT_FORMAT + 1])
     def test_a_snapshot_of_another_format_is_refused_untouched(self, tmp_path, found):
         """A snapshot without this build's format number (every one written
         before snapshots were numbered) or with another (format 1's
@@ -207,6 +208,28 @@ class TestRecovery:
 
         with Database.open(tmp_path / "db") as recovered:
             assert recovered.app_state() == {"round": 7, "note": "mid-crawl"}
+
+    def test_a_state_this_build_cannot_load_is_refused_by_name(self, tmp_path, monkeypatch):
+        """The store opens without unpickling the ``app_state``; reading a
+        state whose class is gone raises a StorageError naming the store,
+        not the unpickler's ModuleNotFoundError."""
+        module_dir = tmp_path / "modules"
+        module_dir.mkdir()
+        (module_dir / "throwaway_state.py").write_text("class State:\n    round = 3\n")
+        monkeypatch.syspath_prepend(str(module_dir))
+        import throwaway_state
+
+        with Database.open(tmp_path / "db") as db:
+            fill(db.create_table("P", people_schema()), 0, 20)
+            db.checkpoint(app_state=throwaway_state.State())
+        monkeypatch.delitem(sys.modules, "throwaway_state")
+        (module_dir / "throwaway_state.py").unlink()
+
+        with Database.open(tmp_path / "db") as recovered:
+            assert len(recovered.table("P")) == 20
+            with pytest.raises(StorageError, match="cannot load") as refused:
+                recovered.app_state()
+        assert str(tmp_path / "db") in str(refused.value)
 
 
 class TestEvictionAndCounters:
