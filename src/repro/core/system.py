@@ -571,8 +571,7 @@ class FocusSystem:
             if spec.checkpoint_dir is not None and database.app_state() is not None:
                 raise ValueError(
                     f"{spec.checkpoint_dir!r} already holds a crawl checkpoint; "
-                    "continue it with resume(...) or point checkpoint_dir "
-                    "at a fresh directory"
+                    "continue it with resume(...) or point checkpoint_dir at a fresh directory"
                 )
         except (ValueError, StorageError):
             database.close()

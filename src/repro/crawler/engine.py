@@ -92,7 +92,7 @@ from repro.taxonomy.tree import TopicTaxonomy
 from repro.webgraph.fetch import Fetcher, FetchResult, FetchStatus
 from repro.webgraph.cassette import transport_for_config
 from repro.webgraph.transport import FetchTransport
-from repro.webgraph.urls import host_of, normalize_url, server_sid, url_oid
+from repro.webgraph.urls import host_of, resolve_url, url_oid
 
 from .frontier import Frontier
 from .policies import CrawlOrdering, FetchPolicy
@@ -337,23 +337,16 @@ def expansion_priority(focus_mode: str, relevance: float, hard_accepts: bool) ->
     return relevance if focus_mode != "none" else _UNFOCUSED_PRIORITY
 
 
-def resolve_links(
-    memo: Dict[str, Tuple[str, int, int]], source_oid: int, out_links: Sequence[str]
-) -> List[Tuple[str, int, int]]:
+def resolve_links(source_oid: int, out_links: Sequence[str]) -> List[Tuple[str, int, int]]:
     """A page's distinct non-self out-links as ``(normalized_url, oid, sid)``, in page order.
 
     Duplicates and self-links are dropped here, once: neither can raise
-    a frontier priority or add an edge the distiller would keep.  *memo*,
-    one per crawl, maps a raw out-link to its triple: a pure function of
-    the URL, so a resumed crawl starts it empty.
+    a frontier priority or add an edge the distiller would keep.
     """
     targets: List[Tuple[str, int, int]] = []
     seen = {source_oid}
     for raw in out_links:
-        target = memo.get(raw)
-        if target is None:
-            normalized = normalize_url(raw)
-            target = memo[raw] = (normalized, url_oid(normalized), server_sid(normalized))
+        target = resolve_url(raw)
         if target[1] not in seen:
             seen.add(target[1])
             targets.append(target)
@@ -504,8 +497,6 @@ class CrawlEngine:
         self._relevance: Dict[int, float] = {}
         self._scorer = PageScorer(classifier, taxonomy, config)
         self._link_writer = BufferedLinkWriter(database.table("LINK"))
-        #: Raw out-link -> ``(normalized, oid, sid)`` (:func:`resolve_links`).
-        self._link_memo: Dict[str, Tuple[str, int, int]] = {}
         #: The last distillation, until :meth:`sync` writes it to HUBS and AUTH.
         self._unwritten_scores: Optional[DistillationResult] = None
         self._incremental: Optional[IncrementalDistiller] = None
@@ -814,7 +805,7 @@ class CrawlEngine:
         priority = expansion_priority(
             self.config.focus_mode, relevance, self._scorer.hard_accepts(outcome)
         )
-        targets = resolve_links(self._link_memo, entry.oid, result.out_links)
+        targets = resolve_links(entry.oid, result.out_links)
         self._link_writer.add_rows(
             self.frontier.expand(entry.oid, entry.sid, relevance, targets, priority)
         )

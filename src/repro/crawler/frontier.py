@@ -183,8 +183,11 @@ class Frontier:
         for soft focus, the relevance of the page(s) citing it.
         """
         normalized = normalize_url(url)
-        self.add_many([(normalized, url_oid(normalized), server_sid(normalized))], relevance)
-        return self._entries[normalized]
+        existing = self._entries.get(normalized)
+        if existing is not None:
+            self._raise_priority(existing, relevance)
+            return existing
+        return self._add_entry(normalized, url_oid(normalized), server_sid(normalized), relevance)
 
     def _raise_priority(self, entry: FrontierEntry, relevance: float) -> None:
         if entry.status == "frontier" and relevance > entry.relevance:
@@ -224,11 +227,10 @@ class Frontier:
         return self._url_of_oid.get(oid)
 
     def add_many(self, targets, relevance: float) -> None:
-        """Register pre-resolved ``(normalized, oid, sid)`` triples at priority *relevance*.
+        """Bulk :meth:`add_url` over pre-resolved ``(normalized, oid, sid)`` triples.
 
-        A new URL becomes an entry; a known unvisited one has its
-        priority raised to *relevance* if that is higher (:meth:`add_url`
-        is this for one URL).
+        Per target the semantics are exactly :meth:`add_url`'s (shared
+        helpers, so the two can never drift apart).
         """
         entries = self._entries
         for normalized, oid, sid in targets:
@@ -261,11 +263,10 @@ class Frontier:
     ) -> List[tuple]:
         """Expand a visited page of *relevance* over its resolved out-links; returns its LINK rows.
 
-        One entry probe per ``(normalized, oid, sid)`` target gives the
-        row's ``wgt_fwd`` (E_F: the target's own relevance once visited,
-        else the page's until :meth:`BufferedLinkWriter.refresh`) and, as
-        :meth:`add_many` at *priority*, the new entry or the raise — none
-        when *priority* is None (hard focus rejected the page).
+        One entry probe per ``(normalized, oid, sid)`` target gives the row's
+        ``wgt_fwd`` (E_F: a visited target's own relevance, else the page's)
+        and, as :meth:`add_many` at *priority*, the new entry or the raise —
+        none when *priority* is None (hard focus rejected the page).
         """
         entries = self._entries
         rows = []

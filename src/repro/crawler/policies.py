@@ -14,6 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+#: The numeric ``FrontierEntry`` fields but ``rid``: the only columns an ordering may name.
+ORDERING_COLUMNS = frozenset(
+    "oid sid relevance numtries serverload discovered lastvisited hub_score authority_score".split()
+)
+
 
 @dataclass(frozen=True)
 class CrawlOrdering:
@@ -31,6 +36,13 @@ class CrawlOrdering:
     name: str
     keys: tuple[tuple[str, bool], ...]
     buckets: tuple[tuple[str, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        # compile_entry_key writes the column names into source: only these get there.
+        for column, _ in (*self.keys, *self.buckets):
+            if not (isinstance(column, str) and column in ORDERING_COLUMNS):
+                known = sorted(ORDERING_COLUMNS)
+                raise ValueError(f"unknown ordering column {column!r}; available: {known}")
 
     def sort_key(self, record: Mapping[str, Any]) -> tuple:
         """Build the comparable key for one frontier record.
@@ -68,12 +80,10 @@ class CrawlOrdering:
             value = "serverload" if column == "serverload" else f"entry.{column}"
             value = f"(0 if {value} is None else {value})"
             if bucket_map.get(column):
-                value = f"int({value}) // {bucket_map[column]!r}"
-            parts.append(value if ascending else f"-({value})")
-        body = "".join(part + ", " for part in parts)
-        source = f"def entry_key(entry, serverload):\n    return ({body})\n"
+                value = f"int({value}) // {int(bucket_map[column])}"
+            parts.append((value if ascending else f"-({value})") + ", ")
         namespace: dict = {}
-        exec(source, namespace)
+        exec(f"def entry_key(entry, serverload):\n    return ({''.join(parts)})", namespace)
         return namespace["entry_key"]
 
 

@@ -244,7 +244,6 @@ class ShardWorker:
         # The engine's own classify and record stages, run on this shard's slice.
         self._scorer = PageScorer(self.classifier, self.taxonomy, self.config)
         self._link_writer = BufferedLinkWriter(self.database.table("LINK"))
-        self._link_memo: Dict[str, Tuple[str, int, int]] = {}
         self.timings: Dict[str, float] = dict.fromkeys(_STAGES + _WORKER_PROTOCOL, 0.0)
 
     # -- message dispatch ---------------------------------------------------------
@@ -319,7 +318,7 @@ class ShardWorker:
                 relevance=outcome.relevance,
                 best_leaf=outcome.best_leaf_cid,
                 hard_accepts=self._scorer.hard_accepts(outcome),
-                targets=resolve_links(self._link_memo, entry.oid, result.out_links),
+                targets=resolve_links(entry.oid, result.out_links),
             )
         stats_after = asdict(self.fetcher.stats)
         batch.fetch_stats = {key: stats_after[key] - stats_before[key] for key in stats_after}

@@ -224,17 +224,14 @@ class Database:
             )
         self.buffer_pool.flush_all()
         meta = self._catalog_meta()
-        # Pickled apart, so only app_state() unpickles it (and names the store if it fails).
         meta["app_state"] = dump_record(app_state)
         self.backend.checkpoint(meta)
 
     def app_state(self) -> Any:
         """The opaque state stored by the last :meth:`checkpoint`, or None."""
         meta = getattr(self.backend, "snapshot_meta", None)
-        if not meta:
-            return None
         try:
-            return load_record(meta["app_state"])
+            return load_record(meta["app_state"]) if meta else None
         except (ImportError, AttributeError) as error:  # a class this build lacks
             raise StorageError(
                 f"{self.backend.path} holds a checkpoint state this build cannot load: {error!r}"

@@ -291,11 +291,10 @@ class Table:
             page = get_page(page_id)
             for position, value in writes.items():
                 column = page.columns[position]
-                old = column[slot]
                 if position in sizeof:
-                    page.used_bytes += sizeof[position](value) - sizeof[position](old)
-                elif (old is None) is not (value is None):
-                    page.used_bytes += 7 if old is None else -7
+                    page.used_bytes += sizeof[position](value) - sizeof[position](column[slot])
+                else:
+                    page.used_bytes += 7 * ((column[slot] is None) - (value is None))
                 column[slot] = value
             page.dirty = True
         for index, _old_key, new_key, rid in moves:

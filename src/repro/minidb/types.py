@@ -197,10 +197,7 @@ class Schema:
         return 8 * len(values) - 7 * values.count(None)
 
     def row_sizes(self, columns: Sequence[Sequence[Any]]) -> list[int]:
-        """Stored size of each row of a (validated) column batch.
-
-        Only TEXT and BLOB values are sized one by one: any other takes 8 bytes, 1 when NULL.
-        """
+        """Stored size of each row of a (validated) column batch; only TEXT/BLOB sizes are calls."""
         sizes = [8 * len(columns)] * len(columns[0])
         for position, values in enumerate(columns):
             if position in self.varying:

@@ -92,6 +92,14 @@ def server_sid(url_or_host: str) -> int:
     return _hash64(host.lower())
 
 
+@lru_cache(maxsize=_URL_CACHE_SIZE)
+def resolve_url(url: str) -> tuple[str, int, int]:
+    """A raw URL's ``(normalized, oid, sid)``, hashed past the caches above: this one holds them."""
+    normalized = normalize_url(url)
+    host = host_of.__wrapped__(normalized)
+    return normalized, url_oid.__wrapped__(normalized), server_sid.__wrapped__(host)
+
+
 @dataclass(frozen=True)
 class SyntheticUrl:
     """A structured synthetic URL: ``http://{host}/{path}``."""

@@ -19,14 +19,14 @@ import pytest
 from repro.core.schema import create_focus_database
 from repro.crawler.engine import BufferedLinkWriter, resolve_links
 from repro.crawler.frontier import Frontier, FrontierEntry
-from repro.crawler.policies import ORDERINGS
+from repro.crawler.policies import ORDERING_COLUMNS, ORDERINGS, CrawlOrdering
 from repro.webgraph.urls import normalize_url, server_sid, url_oid
 
 from handoff_records import link_row
 
 
 def link_targets(source_oid: int, out_links: Sequence[str]) -> List[Tuple[str, int, int]]:
-    """The engine's resolver before the memo: a page's distinct non-self out-links."""
+    """The engine's resolver before :func:`resolve_url`: a page's distinct non-self out-links."""
     targets: List[Tuple[str, int, int]] = []
     seen: set[int] = set()
     for target in out_links:
@@ -39,7 +39,7 @@ def link_targets(source_oid: int, out_links: Sequence[str]) -> List[Tuple[str, i
     return targets
 
 
-def reference_expand(frontier, memo, source, relevance, out_links, priority):
+def reference_expand(frontier, source, relevance, out_links, priority):
     """The per-link composition: rows first, then the frontier pushes."""
     targets = link_targets(source.oid, out_links)
     rows = [link_row(frontier, source.oid, source.sid, *target, relevance) for target in targets]
@@ -48,8 +48,8 @@ def reference_expand(frontier, memo, source, relevance, out_links, priority):
     return rows
 
 
-def engine_expand(frontier, memo, source, relevance, out_links, priority):
-    targets = resolve_links(memo, source.oid, out_links)
+def engine_expand(frontier, source, relevance, out_links, priority):
+    targets = resolve_links(source.oid, out_links)
     return frontier.expand(source.oid, source.sid, relevance, targets, priority)
 
 
@@ -90,7 +90,6 @@ class Side:
         self.frontier = Frontier(self.database)
         self.writer = BufferedLinkWriter(self.database.table("LINK"))
         self.expand = expand
-        self.memo: dict = {}
         self.checkouts: List[List[str]] = []
 
     def round(self, tick, k, relevance, rejected, links, second, flush) -> None:
@@ -102,7 +101,7 @@ class Side:
         page = frontier.record_visit(urls[0], relevance, tick, kcid=tick)
         out_links = [SPELLINGS[spelling](number) for number, spelling in links]
         priority = None if rejected else relevance
-        self.writer.add_rows(self.expand(frontier, self.memo, page, relevance, out_links, priority))
+        self.writer.add_rows(self.expand(frontier, page, relevance, out_links, priority))
         self.writer.refresh(page.oid, relevance)
         if len(urls) > 1 and second != "in_flight":
             frontier.record_failure(urls[1], max_retries=1, permanent=second == "dead")
@@ -138,14 +137,13 @@ class TestExpandMatchesThePerLinkReference:
         assert engine.frontier.pop_batch(100) == reference.frontier.pop_batch(100)
 
     def test_a_self_link_under_another_spelling_and_duplicates_are_dropped(self):
-        memo: dict = {}
         source = page_url(4)
         links = [SPELLINGS[1](4), SPELLINGS[2](5), page_url(5), SPELLINGS[3](6), SPELLINGS[2](4)]
-        targets = resolve_links(memo, url_oid(source), links)
+        targets = resolve_links(url_oid(source), links)
         assert targets == link_targets(url_oid(source), links)
         assert [normalized for normalized, _oid, _sid in targets] == [page_url(5), page_url(6)]
-        # Every spelling is in the memo now; resolving again gives the same triples.
-        assert resolve_links(memo, url_oid(source), links) == targets
+        # Every spelling is cached now; resolving again gives the same triples.
+        assert resolve_links(url_oid(source), links) == targets
 
     def test_a_rejected_page_records_its_links_and_enqueues_none(self):
         side = Side(engine_expand)
@@ -177,3 +175,22 @@ class TestCompiledEntryKey:
                 key = entry_key(entry, serverload)
                 assert key == ordering.sort_key(record)
                 assert list(map(type, key)) == list(map(type, ordering.sort_key(record)))
+
+    def test_ordering_columns_are_the_numeric_entry_fields(self):
+        fields = {field.name: field.type for field in dataclasses.fields(FrontierEntry)}
+        numeric = {name for name, kind in fields.items() if "str" not in kind}
+        assert ORDERING_COLUMNS == numeric - {"rid"}  # where the row is stored, not a value
+
+    @pytest.mark.parametrize(
+        "keys,buckets",
+        [
+            ((("relevance or __import__('os')", False),), ()),
+            ((("numtries", True),), (("serverload) or (0", 16),)),
+            ((("url", True),), ()),
+            (((["relevance"], True),), ()),
+        ],
+        ids=["expression-key", "expression-bucket", "text-column", "not-a-name"],
+    )
+    def test_anything_but_an_ordering_column_is_refused(self, keys, buckets):
+        with pytest.raises(ValueError, match="unknown ordering column"):
+            CrawlOrdering("hostile", keys, buckets)

@@ -425,6 +425,34 @@ class TestMistypedSpecs:
         assert call(f"{service.url}/health")["status"] == "ok"
 
 
+class TestHostileOrderings:
+    """An ordering column is a name, never code: any but a frontier column is refused unrun."""
+
+    @pytest.mark.parametrize("entry", ["JobSpec.from_dict", "POST /jobs"])
+    @pytest.mark.parametrize("section", ["keys", "buckets"])
+    def test_a_column_that_is_code_is_refused_and_never_runs(
+        self, request, tmp_path, entry, section
+    ):
+        marker = tmp_path / "ran"
+        column = f"relevance if open({str(marker)!r}, 'w') else 0"
+        ordering = {"name": "hostile", "keys": [["numtries", True]], "buckets": []}
+        ordering[section].append([column, 1 if section == "buckets" else False])
+        spec = JobSpec(max_pages=30, fetch_failure_seed=1).to_dict()
+        spec["crawler"] = {"ordering": ordering}
+        if entry == "JobSpec.from_dict":
+            with pytest.raises(ValueError, match="unknown ordering column"):
+                JobSpec.from_dict(spec)
+        else:
+            base = request.getfixturevalue("service").url
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                call(f"{base}/jobs", spec)
+            with excinfo.value as reply:
+                assert reply.code == 400
+                assert "unknown ordering column" in json.load(reply)["error"]
+            assert call(f"{base}/jobs") == []
+        assert not marker.exists()
+
+
 class RecordingConnection:
     """A socket stand-in for one canned request: records every write that reaches it."""
 

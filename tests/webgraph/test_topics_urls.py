@@ -15,6 +15,7 @@ from repro.webgraph.urls import (
     host_of,
     make_url,
     normalize_url,
+    resolve_url,
     server_sid,
     url_oid,
 )
@@ -126,3 +127,16 @@ class TestUrls:
         ]
         for url in cases:
             assert normalize_url(url) == full_parse(url), url
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "http://a.example.com/page/1.html", "HTTP://Host:80/Path#f", "http://host",
+            " http://host/a//b ", "http://a.com/x\ty", "https://Host:443/x", "http://user@Host/x",
+        ],
+    )
+    def test_resolve_url_is_normalize_oid_and_sid(self, url):
+        """Hashed past their caches, the triple is still what the three functions give."""
+        normalized = normalize_url(url)
+        assert resolve_url(url) == (normalized, url_oid(normalized), server_sid(normalized))
+        assert resolve_url(url) is resolve_url(url)
