@@ -14,16 +14,27 @@ structures and scores whole batches with vectorized kernels:
   reference path looks up per (child, term) — and ``0.0`` when *t* is
   not a feature of that node (no contribution, as in the reference's
   feature filter);
-* a batch of documents packed once into a sparse COO doc-term batch
-  (one ``np.fromiter`` for its term ids and one for its frequencies);
+* a batch of token-list documents packed once into a sparse COO
+  doc-term batch: one ``np.fromiter`` maps every token to its matrix row
+  through a per-model ``token → row`` memo (−1 outside the vocabulary; a
+  token the memo lacks costs one :func:`term_id` and one tid → row probe,
+  and the memo is cleared when it would pass ``_TOKEN_MEMO_SIZE``), then
+  one sort of the batch's ``doc · V + row`` cells, each packed with its
+  token position, counts every (document, term) pair.  Reordered by
+  first occurrence, the triples are those of the documents'
+  :func:`~repro.classifier.tokenizer.term_frequencies` dicts in their
+  own order, tokens whose tids collide merged at the first of them; no
+  per-page dict is built;
 * the Equation-2 chain rule as a running ``(docs, classes)`` posterior
   matrix, from which Equation-3 relevance (sum over good classes) and
   the best leaf (argmax over leaves, first-winner tie-breaking like the
   reference ``max``) are read off with two reductions.
 
-A call makes a fixed number of NumPy calls, whatever the count of child
-columns or nodes: the Python loops of :meth:`posterior_matrix` run over
-the model's distinct fan-outs and taxonomy levels only.  Its reductions:
+A call makes a fixed number of NumPy calls, whatever the count of
+documents, child columns or nodes: the only Python-level work per token
+is the memo lookup inside ``np.fromiter``, and the Python loops of
+:meth:`posterior_matrix` run over the model's distinct fan-outs and
+taxonomy levels only.  Its reductions:
 
 * **per-(document, child) log-likelihood sums** — one ``np.bincount``
   over the flattened ``(document, child)`` cells.  It adds each cell's
@@ -53,14 +64,18 @@ enforce 1e-9 on posteriors and relevance and identity of the best leaf.
 from __future__ import annotations
 
 from itertools import chain
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.taxonomy.tree import ROOT_CID, TopicTaxonomy
+from repro.webgraph.vocabulary import term_id
 
 from .model import _MIN_LOG, BatchClassification, HierarchicalModel
-from .tokenizer import TermFrequencies
+
+#: Entries a compiled model's token → feature-row memo may hold before it
+#: is cleared (the bound of the URL and term-id caches).
+_TOKEN_MEMO_SIZE = 1 << 17
 
 
 class CompiledHierarchicalModel:
@@ -69,7 +84,8 @@ class CompiledHierarchicalModel:
     Compilation snapshots the model statistics *and* the taxonomy's
     good/leaf marking; the crawl engine builds one per crawl run, so
     re-marking good topics between crawls (§3.7) is picked up by the
-    next run's compile.
+    next run's compile.  The packer's token memo is the one thing a call
+    changes, so an instance scores for one thread at a time.
     """
 
     def __init__(self, model: HierarchicalModel) -> None:
@@ -77,10 +93,10 @@ class CompiledHierarchicalModel:
         taxonomy: TopicTaxonomy = model.taxonomy
         # Shared vocabulary: the union of every node's feature set.
         tids = sorted({tid for node in model.nodes.values() for tid in node.feature_tids})
-        term_row = {tid: g for g, tid in enumerate(tids)}
-        #: The same mapping as a sorted array: row g holds the g-th tid, so
-        #: a searchsorted position *is* the matrix row (vectorized packing).
-        self._sorted_tids = np.array(tids, dtype=np.int64)
+        term_row = self._row_of_tid = {tid: g for g, tid in enumerate(tids)}
+        #: token → its feature row, or -1 outside the vocabulary: the
+        #: packer's memo, cleared when it would pass ``_TOKEN_MEMO_SIZE``.
+        self._row_of_token: Dict[str, int] = {}
         n_terms = len(tids)
 
         # Parent-before-child evaluation order, as in the reference path.
@@ -171,41 +187,73 @@ class CompiledHierarchicalModel:
         )
 
     # -- document packing ---------------------------------------------------------
-    def _pack(self, documents: Sequence[TermFrequencies]):
+    def _pack(self, documents: Sequence[Sequence[str]]):
         """COO doc-term batch restricted to the shared feature vocabulary.
 
-        Vocabulary filtering runs as one ``searchsorted`` over the whole
-        batch instead of a Python dict probe per term; a document's entries
-        stay in its own dict-iteration order, so packing is independent of
-        how documents are grouped into batches.
+        Each token is mapped to its feature row through the memo (a token
+        it lacks costs one :func:`term_id` and one tid → row probe), then
+        the batch's ``doc · V + row`` cells are counted by one sort.  In
+        first-occurrence order they are the ``(doc, row, freq)`` triples of
+        :func:`~repro.classifier.tokenizer.term_frequencies` filtered to the
+        vocabulary, in that dict's order: a document's terms in the order
+        they first appear, tokens whose tids collide merged at the first of
+        them.  So packing is independent of how documents are grouped into
+        batches.
         """
-        lengths = [len(document.by_tid) for document in documents]
-        total = sum(lengths)
-        tids = np.fromiter(
-            chain.from_iterable(document.by_tid.keys() for document in documents),
-            np.int64,
-            total,
-        )
-        freqs = np.fromiter(
-            chain.from_iterable(document.by_tid.values() for document in documents),
-            np.float64,
-            total,
-        )
-        doc_idx = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
-        n_vocab = len(self._sorted_tids)
-        if n_vocab == 0:
+        n_vocab = len(self._row_of_tid)
+        if not n_vocab:
             # No node has a feature: no entry survives the filter.
-            return doc_idx[:0], tids[:0], freqs[:0]
-        positions = np.searchsorted(self._sorted_tids, tids)
-        # Position n_vocab means "greater than every vocab tid"; clamp to a
-        # safe row — the equality test below rejects it regardless.
-        positions[positions == n_vocab] = 0
-        valid = self._sorted_tids[positions] == tids
-        return doc_idx[valid], positions[valid], freqs[valid]
+            none = np.empty(0, dtype=np.int64)
+            return none, none, np.empty(0, dtype=np.float64)
+        lengths = list(map(len, documents))
+        try:
+            rows = self._rows(documents, sum(lengths))
+        except KeyError:
+            self._memoise(documents)
+            rows = self._rows(documents, sum(lengths))
+        cells = np.repeat(np.arange(0, len(documents) * n_vocab, n_vocab), lengths)
+        cells += rows
+        if rows.min(initial=0) < 0:
+            cells = cells[rows >= 0]
+        # One sort of (cell, position) pairs, each packed into one int64
+        # (K · V · n stays far below 2**63), runs equal cells together with
+        # their first position leading.
+        n = len(cells)
+        keys = cells * n
+        keys += np.arange(n)
+        keys.sort()
+        cells, positions = np.divmod(keys, max(n, 1))
+        edges = np.empty(n + 1, dtype=bool)
+        edges[0] = edges[n] = True
+        np.not_equal(cells[1:], cells[:-1], out=edges[1:n])
+        bounds = np.flatnonzero(edges)
+        starts = bounds[:-1]
+        order = np.argsort(positions[starts])
+        doc_idx, term_row = np.divmod(cells[starts[order]], n_vocab)
+        counts = bounds[1:] - starts
+        return doc_idx, term_row, counts[order].astype(np.float64)
+
+    def _rows(self, documents: Sequence[Sequence[str]], total: int) -> np.ndarray:
+        """The memoised feature row of every token of the batch, in order."""
+        return np.fromiter(
+            map(self._row_of_token.__getitem__, chain.from_iterable(documents)), np.int64, total
+        )
+
+    def _memoise(self, documents: Sequence[Sequence[str]]) -> None:
+        """Memoise the batch's tokens the memo lacks; clear it first if they would pass the bound."""
+        memo = self._row_of_token
+        tokens = list(dict.fromkeys(chain.from_iterable(documents)))
+        fresh = [token for token in tokens if token not in memo]
+        if len(memo) + len(fresh) > _TOKEN_MEMO_SIZE:
+            memo.clear()
+            fresh = tokens
+        row_of = self._row_of_tid.get
+        for token in fresh:
+            memo[token] = row_of(term_id(token), -1)
 
     # -- scoring ------------------------------------------------------------------
-    def posterior_matrix(self, documents: Sequence[TermFrequencies]) -> np.ndarray:
-        """Pr[c | d] for every document × taxonomy class (Equation 2)."""
+    def posterior_matrix(self, documents: Sequence[Sequence[str]]) -> np.ndarray:
+        """Pr[c | d] for every token-list document × taxonomy class (Equation 2)."""
         n_docs = len(documents)
         posteriors = np.zeros((n_docs, self._n_classes), dtype=np.float64)
         posteriors[:, self._root_col] = 1.0
@@ -215,7 +263,7 @@ class CompiledHierarchicalModel:
         # into its flattened (document, child) cell in packing order.
         weighted = self._vectors.take(term_row, axis=0)
         weighted *= freqs[:, None]
-        cells = doc_idx[:, None] * n_children + self._child_range
+        cells = (doc_idx * n_children)[:, None] + self._child_range
         sums = np.bincount(
             cells.ravel(), weights=weighted.ravel(), minlength=n_docs * n_children
         )
@@ -234,10 +282,12 @@ class CompiledHierarchicalModel:
             posteriors[:, child_cols] = parents * conditionals.take(cols, axis=1)
         return posteriors
 
-    def classify_batch(
-        self, documents: Sequence[TermFrequencies]
-    ) -> List[BatchClassification]:
-        """Relevance and best leaf per document (the oracle: ``HierarchicalModel``, to 1e-9)."""
+    def classify_batch(self, documents: Sequence[Sequence[str]]) -> List[BatchClassification]:
+        """Relevance and best leaf per token-list document.
+
+        The oracle is ``HierarchicalModel.classify_batch`` over the
+        documents' :func:`term_frequencies`, to 1e-9.
+        """
         if not documents:
             return []
         posteriors = self.posterior_matrix(documents)
@@ -246,7 +296,4 @@ class CompiledHierarchicalModel:
         else:
             relevance = np.zeros(len(documents), dtype=np.float64)
         best = self._leaf_cids[np.argmax(posteriors[:, self._leaf_cols], axis=1)]
-        return [
-            BatchClassification(relevance=float(r), best_leaf_cid=int(b))
-            for r, b in zip(relevance, best)
-        ]
+        return list(map(BatchClassification, relevance.tolist(), best.tolist()))

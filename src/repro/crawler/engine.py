@@ -15,11 +15,14 @@ time:
    other drains through an asyncio pipeline that keeps up to
    ``max_inflight`` fetches outstanding and hands completed pages on
    while later ones are in flight — results commit in checkout order;
-3. *classify*: one :meth:`CompiledHierarchicalModel.classify_batch` pass
-   scores every fetched page — the Eq. 2 chain rule over the whole
-   round as array kernels, relevance and best leaf read off one
-   posterior matrix (:class:`PageScorer`).  A page is classified once,
-   when it is fetched: a visited URL is never checked out again;
+3. *classify*: the fetched pages' token lists go as they are to one
+   :meth:`CompiledHierarchicalModel.classify_batch` pass — every token
+   mapped to its feature row through the compiled model's memo, the
+   round's (page, term) counts taken by one sort, with no per-page term
+   dict, then the Eq. 2 chain rule over the whole round as array
+   kernels, relevance and best leaf read off one posterior matrix
+   (:class:`PageScorer`).  A page is classified once, when it is
+   fetched: a visited URL is never checked out again;
 4. *expand* and *record*: a page's visit, then its out-links in one
    :meth:`Frontier.expand` pass, become CRAWL and LINK writes, and a failed
    fetch attempt a FAILED row; they buffer in memory, across rounds, until
@@ -83,7 +86,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.classifier.compiled import CompiledHierarchicalModel
 from repro.classifier.model import BatchClassification, HierarchicalModel
-from repro.classifier.tokenizer import term_frequencies
 from repro.distiller.db_distiller import IncrementalDistiller
 from repro.distiller.hits import DistillationResult
 from repro.minidb import Database, StorageConfig
@@ -280,7 +282,7 @@ def check_ranges(config: CrawlerConfig) -> None:
 
 
 class PageScorer:
-    """The classify stage: one batch per call.
+    """The classify stage: one batch per call, the pages' token lists as fetched.
 
     Held by :class:`CrawlEngine` and by every sharded
     :class:`~repro.crawler.sharded.ShardWorker`.  Outcomes are
@@ -296,18 +298,17 @@ class PageScorer:
         self.config = config
         #: The columnar classifier, compiled on first use.  Compiled per
         #: scorer — i.e. per crawl run — so taxonomy re-marking between
-        #: crawls is always reflected; the arrays are a pure cache and are
-        #: rebuilt (identically) after a checkpoint resume.
+        #: crawls is always reflected; the arrays and the token memo are a
+        #: pure cache and are rebuilt (identically) after a checkpoint resume.
         self._compiled: Optional[CompiledHierarchicalModel] = None
 
     def classify(self, results: Sequence[FetchResult]) -> List[BatchClassification]:
-        """Score fetched pages; outcomes come back in input order."""
+        """Score fetched pages from their ``tokens``; outcomes come back in input order."""
         if not results:
             return []
         if self._compiled is None:
             self._compiled = CompiledHierarchicalModel(self.classifier)
-        documents = [term_frequencies(result.tokens) for result in results]
-        return self._compiled.classify_batch(documents)
+        return self._compiled.classify_batch([result.tokens for result in results])
 
     def hard_accepts(self, outcome: BatchClassification) -> bool:
         """The hard focus rule: the best leaf has a good ancestor (True in other modes)."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 import bisect
 from itertools import islice, repeat
 from operator import itemgetter, lt
-from typing import Any, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CatalogError, StorageError
 from .types import Schema
@@ -281,6 +281,22 @@ class HashIndex(Index):
             self._fold()
         self.probe_count += 1
         return key in self._buckets
+
+    def isdisjoint(self, keys: Collection[tuple]) -> bool:
+        """Whether no key of *keys* has an entry: one probe for a whole batch."""
+        if self._pending:
+            self._fold()
+        self.probe_count += 1
+        return self._buckets.keys().isdisjoint(keys)
+
+    def insert_new(self, keys: Sequence[tuple], rids: Sequence[int]) -> None:
+        """:meth:`insert_many` of keys no entry holds, each given once: one ``dict.update``."""
+        if self._pending:
+            self._fold()
+        if rids:
+            self._note_order(rids)
+            self._buckets.update(zip(keys, rids))
+            self._entries += len(rids)
 
     @property
     def key_count(self) -> int:

@@ -179,7 +179,7 @@ class Table:
         self.heap.check_row_size(max(sizes))
         rids = self.heap.append_columns(columns, sizes)
         if pk_index is not None:
-            pk_index.insert_many(keys, rids)
+            pk_index.insert_new(keys, rids)
         for index in self.indexes.values():
             index.defer(columns, rids)
         if self._journal is not None:
@@ -385,10 +385,15 @@ class Table:
             raise ConstraintError(
                 f"table {self.name!r}: primary key {self.schema.primary_key} cannot be NULL"
             )
+        # The whole batch at once; the loops below only name an offending
+        # key, or let a key through that another row gives up.
+        distinct = set(keys)
+        if not released and len(distinct) == len(keys) and pk_index.isdisjoint(distinct):
+            return
         for key in keys:
             if pk_index.contains(key) and key not in released:
                 raise ConstraintError(f"table {self.name!r}: duplicate primary key {key!r}")
-        if len(set(keys)) != len(keys):
+        if len(distinct) != len(keys):
             key = next(key for key, times in Counter(keys).items() if times > 1)
             raise ConstraintError(
                 f"table {self.name!r}: duplicate primary key {key!r} within batch"

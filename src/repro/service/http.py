@@ -39,8 +39,9 @@ Routes (all JSON)::
                                       and relevance floats (determinism
                                       is checkable over the wire)
 
-Errors: unknown job -> 404, bad spec/illegal transition/mutation SQL ->
-400, both as ``{"error": ...}`` bodies.
+Errors: unknown job -> 404, bad spec/illegal transition/mutation or
+failing SQL -> 400, any other failure of a request -> 500, all as
+``{"error": ...}`` bodies: no request ends without a reply.
 """
 
 from __future__ import annotations
@@ -127,6 +128,9 @@ class _CrawlRequestHandler(BaseHTTPRequestHandler):
             self._send_json({"error": str(exc.args[0] if exc.args else exc)}, 404)
         except (ValueError, RuntimeError) as exc:
             self._send_json({"error": str(exc)}, 400)
+        except Exception as exc:  # the server's own fault: a reply all the same
+            self.server.handle_error(self.request, self.client_address)  # the traceback
+            self._send_json({"error": f"internal error: {type(exc).__name__}: {exc}"}, 500)
 
     # -- verbs --------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802

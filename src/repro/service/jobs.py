@@ -65,7 +65,7 @@ from repro.core.config import JobSpec
 from repro.core.system import CrawlHandle, CrawlResult, FocusSystem, TERMINAL_STATUSES
 from repro.crawler.monitor import CrawlMonitor
 from repro.crawler.policies import FetchPolicy
-from repro.minidb import QueryError
+from repro.minidb import MiniDBError
 from repro.minidb.sql import ExplainStatement, SelectStatement, parse_sql
 
 from .pool import SharedFetchPool
@@ -398,9 +398,10 @@ class JobManager:
     def query(self, job_id: str, sql: str, limit: int = 200) -> List[dict]:
         """Run one read-only SELECT (or EXPLAIN SELECT) on the job's database.
 
-        Mutation statements (INSERT/UPDATE/DELETE) and syntax errors
-        raise :class:`ValueError`, which the HTTP layer maps to 400; the
-        result is truncated to *limit* rows.
+        Mutation statements (INSERT/UPDATE/DELETE) and any error of the
+        query's own — syntax, an unknown table, column or function — raise
+        :class:`ValueError`, which the HTTP layer maps to 400; the result
+        is truncated to *limit* rows.
         """
         if limit < 1:
             raise ValueError("limit must be >= 1")
@@ -408,17 +409,13 @@ class JobManager:
         with record.lock:
             database = self._synced_database(record)
             try:
-                statement = parse_sql(sql)
-            except QueryError as exc:
-                raise ValueError(str(exc)) from None
-            if not isinstance(statement, (SelectStatement, ExplainStatement)):
-                raise ValueError(
-                    "read-only endpoint: only SELECT (or EXPLAIN SELECT) "
-                    "statements are accepted"
-                )
-            try:
+                if not isinstance(parse_sql(sql), (SelectStatement, ExplainStatement)):
+                    raise ValueError(
+                        "read-only endpoint: only SELECT (or EXPLAIN SELECT) "
+                        "statements are accepted"
+                    )
                 rows = database.sql(sql)
-            except QueryError as exc:
+            except MiniDBError as exc:
                 raise ValueError(str(exc)) from None
             return rows[:limit]
 

@@ -1,7 +1,9 @@
 """The compiled Eq. 2 kernel in its loop form: the bit-for-bit oracle of the columnar one.
 
-:meth:`CompiledHierarchicalModel.posterior_matrix` makes a fixed number of
-NumPy calls per batch.  This is the same computation with one
+:meth:`CompiledHierarchicalModel.posterior_matrix` packs a batch of token
+lists with one sort and scores it with a fixed number of NumPy
+calls.  This is the same computation from the documents'
+:func:`term_frequencies` dicts, packed one document at a time, with one
 ``np.bincount`` per child column and one softmax pass per internal node,
 over the compiled model's own matrices.  Every posterior float of the
 columnar kernel must equal this one's (``np.array_equal``), which is
@@ -13,14 +15,20 @@ import numpy as np
 from repro.classifier.model import _MIN_LOG
 
 
+def vocabulary(compiled) -> np.ndarray:
+    """The model's feature tids, sorted: the matrix row of a tid is its position."""
+    tids = {tid for node in compiled.model.nodes.values() for tid in node.feature_tids}
+    return np.array(sorted(tids), dtype=np.int64)
+
+
 def loop_pack(compiled, documents):
-    """COO doc-term batch, one ``np.fromiter`` pair per document."""
+    """COO doc-term batch of ``TermFrequencies``, one ``np.fromiter`` pair per document."""
     empty = (
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.float64),
     )
-    vocab = compiled._sorted_tids
+    vocab = vocabulary(compiled)
     if not len(vocab) or not documents:
         return empty
     tids = np.concatenate(
@@ -40,7 +48,7 @@ def loop_pack(compiled, documents):
 
 
 def loop_posterior_matrix(compiled, documents) -> np.ndarray:
-    """Pr[c | d] per document × class: a loop per child column and per node."""
+    """Pr[c | d] per ``TermFrequencies`` document × class: a loop per child column and per node."""
     model = compiled.model
     column = compiled._column_of_cid
     n_docs = len(documents)

@@ -356,9 +356,7 @@ class TestEngineConfig:
             small_web, trained_model, taxonomy, crawl_seeds, max_pages=30, batch_size=4
         )
         assert trace.pages_fetched == 30 and trace.failed_urls
-        assert scored == [
-            term_frequencies(small_web.page(url).tokens) for url in trace.fetched_urls
-        ]
+        assert scored == [small_web.page(url).tokens for url in trace.fetched_urls]
 
 
 #: A latency transport that owes a wait on every fetch but never times

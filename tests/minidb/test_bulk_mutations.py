@@ -30,6 +30,34 @@ class TestInsertManyAtomicity:
         for i, rid in enumerate(rids):
             assert table.read(rid)[0] == i
 
+    def test_a_fresh_batch_is_checked_in_one_probe_and_posted_whole(self):
+        _, table = make_table()
+        table.insert_many([(1, 0.0, "a")])
+        index = table._pk_index
+        before = index.probe_count
+        rids = table.insert_many([(k, 0.0, "b") for k in range(2, 1502)])
+        assert index.probe_count == before + 1
+        assert len(index) == index.key_count == 1501
+        assert [table.lookup_rids(index.name, (k,)) for k in (1, 2, 1501)] == [
+            [0], [rids[0]], [rids[-1]]
+        ]
+        table.truncate()  # a score table's rewrite: the same keys again
+        assert table.insert_many([(k, 1.0, "c") for k in range(1, 1502)])
+        assert table.get_by_key((750,)) == (750, 1.0, "c")
+
+    def test_insert_many_names_the_offending_key(self):
+        _, table = make_table()
+        table.insert_many([(1, 0.0, "a"), (2, 0.0, "b")])
+        before = list(table.rows())
+        failing = {
+            "table 'T': duplicate primary key (2,)": [(5, 0.0, "x"), (2, 0.0, "y")],
+            "table 'T': duplicate primary key (6,) within batch": [(6, 0.0, "x"), (6, 0.0, "y")],
+        }
+        for message, rows in failing.items():
+            with pytest.raises(ConstraintError, match=re.escape(message)):
+                table.insert_many(rows)
+        assert list(table.rows()) == before
+
     def test_duplicate_key_within_batch_leaves_table_unchanged(self):
         _, table = make_table()
         table.insert({"k": 1, "v": 1.0, "s": "one"})

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.classifier.compiled import CompiledHierarchicalModel
-from repro.classifier.tokenizer import term_frequencies
 from repro.core.config import FocusConfig, JobSpec
 from repro.core.system import TERMINAL_STATUSES, CrawlHandle, FocusSystem
 from repro.crawler.focused import CrawlerConfig
@@ -437,10 +436,7 @@ class TestSharedModel:
         """Jobs share the trained model read-only and compile their own
         scorer from it: four threads compiling and classifying at once
         get the floats one thread gets alone."""
-        documents = [
-            term_frequencies(small_web.page(url).tokens)
-            for url in sorted(small_web.pages)[:60]
-        ]
+        documents = [small_web.page(url).tokens for url in sorted(small_web.pages)[:60]]
         expected = CompiledHierarchicalModel(trained_model).classify_batch(documents)
         threads, repeats = 4, 10
         results, errors = [], []

@@ -245,6 +245,25 @@ class TestQueryEndpoint:
     @pytest.mark.parametrize(
         "sql, error",
         [
+            ("select * from NOPE", "no table named 'NOPE'"),
+            ("explain select * from NOPE", "no table named 'NOPE'"),
+            ("select nope from CRAWL", "unknown column 'nope'"),
+            ("select frob(oid) from CRAWL", "unknown function 'frob'"),
+        ],
+        ids=["unknown-table", "explain-unknown-table", "unknown-column", "unknown-function"],
+    )
+    def test_a_query_the_database_refuses_is_400(self, finished_job, sql, error):
+        base, job_id = finished_job
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call(self.query_url(base, job_id, sql))
+        with excinfo.value as reply:
+            assert reply.code == 400
+            assert error in json.load(reply)["error"]
+        assert call(self.query_url(base, job_id, "select count(*) n from CRAWL"))[0]["n"] > 0
+
+    @pytest.mark.parametrize(
+        "sql, error",
+        [
             ("select exp(1000.0) x from CRAWL limit 1", "OverflowError"),
             ("select url + 1 x from CRAWL limit 1", "TypeError"),
             ("select oid from CRAWL where url > 3", "TypeError"),
@@ -264,6 +283,19 @@ class TestQueryEndpoint:
 
 
 class TestErrors:
+    def test_an_unexpected_failure_is_a_500_reply(self, service, monkeypatch, capsys):
+        def failing(manager, job_id):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(JobManager, "stats", failing)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            call(f"{service.url}/jobs/job-1/stats")
+        with excinfo.value as reply:
+            assert reply.code == 500
+            assert json.load(reply) == {"error": "internal error: ZeroDivisionError: boom"}
+        assert "ZeroDivisionError: boom" in capsys.readouterr().err  # the traceback is kept
+        assert call(f"{service.url}/health")["status"] == "ok"
+
     def test_unknown_job_is_404(self, service):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             call(f"{service.url}/jobs/job-9999")
@@ -389,6 +421,8 @@ MISTYPED_CRAWLERS = [
         {"transport": "http", "transport_options": {"backend": "aiohttp"}},
         "unexpected keyword argument 'backend'",
     ),
+    # Ordering keys that are not a list of pairs.
+    ({"ordering": {"name": "x", "keys": 5}}, "'int' object is not iterable"),
 ]
 
 
@@ -411,7 +445,13 @@ class TestMistypedSpecs:
     @pytest.mark.parametrize(
         "crawler,named",
         MISTYPED_CRAWLERS,
-        ids=["unknown-option", "mistyped-option", "mistyped-field", "removed-backend-option"],
+        ids=[
+            "unknown-option",
+            "mistyped-option",
+            "mistyped-field",
+            "removed-backend-option",
+            "ordering-keys-not-a-list",
+        ],
     )
     def test_mistyped_spec_is_400_and_the_service_keeps_serving(self, service, crawler, named):
         spec = JobSpec(max_pages=30).to_dict()
