@@ -9,7 +9,7 @@ The package is organised bottom-up:
 * :mod:`repro.taxonomy` — the topic tree and example documents.
 * :mod:`repro.classifier` — hierarchical naive Bayes, SingleProbe and BulkProbe.
 * :mod:`repro.distiller` — relevance-weighted HITS, in-memory and join-based.
-* :mod:`repro.crawler` — focused and unfocused crawlers, frontier policies, monitoring.
+* :mod:`repro.crawler` — the crawl engine, frontier policies, monitoring.
 * :mod:`repro.core` — the FocusSystem facade, schemata, metrics, configuration.
 * :mod:`repro.service` — the multi-tenant crawl service (job manager + HTTP API).
 * :mod:`repro.experiments` — regeneration of every figure in the paper's evaluation.
@@ -38,7 +38,7 @@ Record a real-web crawl once, replay it deterministically forever::
 
     # First run records every fetch into the cassette; later runs
     # (cassette_mode="auto") replay it with no network stack at all.
-    result = system.start(JobSpec(cassette_path="crawl.jsonl")).run()
+    result = system.start(JobSpec(crawler=CrawlerConfig(cassette_path="crawl.jsonl"))).run()
 """
 
 from .core.checkpoint import CheckpointManager, CrawlCheckpoint

@@ -27,16 +27,20 @@ link graph's node order.
 
 **One record per save.**  None of that state grows with the crawl, so
 every save writes it whole: a :class:`CheckpointHeader` — format
-version and a :class:`CrawlCheckpoint` of the crawl's constants, the
-engine state, the fetcher state and the RNG positions (about 0.5 kB
-together) — is the snapshot record's ``app_state``
+version and a :class:`CrawlCheckpoint` of the crawl's settled
+:class:`~repro.core.config.JobSpec` (topics, normalised seeds, the
+crawler config with the page budget folded in), the engine state, the
+fetcher state and the RNG positions — is the snapshot record's ``app_state``
 (:meth:`repro.minidb.Database.checkpoint`).  The snapshot rename that
 publishes the tables publishes it, so a crash can never publish crawl
 state and table state from different moments.
 
-Resume opens the database pinned to its snapshot (``replay_wal=False``
-discards the redo tail of work the engine will redo deterministically)
-and rebuilds the crawler around the record and the tables; a resumed
+Resume reads the record first, without opening the database, so a
+crawl it refuses (another format, other topics) leaves the directory
+untouched.  It then opens the database under the spec's storage policy,
+pinned to its snapshot (``replay_wal=False`` discards the redo tail of
+work the engine will redo deterministically), and rebuilds the crawler
+around the record and the tables; a resumed
 crawl then visits exactly the pages — with bit-identical relevance
 floats — that the uninterrupted crawl would have visited.  A header of
 another format version is refused by name, as the database refuses a
@@ -50,28 +54,29 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from repro.crawler.focused import CrawlerConfig, FocusedCrawler
+from repro.crawler.focused import FocusedCrawler
 from repro.minidb import Database
+from repro.minidb.database import read_app_state
 from repro.minidb.errors import StorageError
 from repro.webgraph.servers import ServerPool
 from repro.webgraph.transport import FetchTransport
 
+from .config import JobSpec
+
 #: Version of the checkpoint record: a header holding one whole
-#: :class:`CrawlCheckpoint`, with the failed URLs in FAILED.
-FORMAT_VERSION = 4
+#: :class:`CrawlCheckpoint`, whose constants are the crawl's settled JobSpec.
+FORMAT_VERSION = 5
 
 
 @dataclass
 class CrawlCheckpoint:
-    """The crawl-level state of a checkpoint: its constants and what the tables do not hold."""
+    """The crawl-level state of a checkpoint: its job and what the tables do not hold."""
 
-    config: CrawlerConfig
-    focused: bool
-    seeds: List[str]
-    good_topics: List[str]
-    fetch_failure_seed: int
+    #: The settled job: topics, normalised seeds, the crawler config with
+    #: the page budget (and for an unfocused job, its preset) folded in.
+    spec: JobSpec
     engine_state: Dict[str, Any]
     fetcher_state: Dict[str, Any]
     server_rng_state: Dict[str, Any]
@@ -93,8 +98,8 @@ class CheckpointHeader:
 class CheckpointManager:
     """Snapshots a running crawl into its (durable) database.
 
-    Attach one to a crawl by assigning it to ``engine.checkpointer`` and
-    setting ``CrawlerConfig.checkpoint_every``; the engine then calls
+    A manager attaches itself to the crawl's engine as its checkpoint
+    sink; with ``CrawlerConfig.checkpoint_every`` set, the engine then calls
     :meth:`save` after every N successful fetches, at a round boundary.
     Every save — those, interval saves, a pause's, a finished crawl's —
     first flushes the engine's write buffers (``CrawlEngine.sync``), so
@@ -105,12 +110,7 @@ class CheckpointManager:
         self,
         database: Database,
         crawler: FocusedCrawler,
-        fetcher: FetchTransport,
-        servers: ServerPool,
-        seeds: List[str],
-        good_topics: List[str],
-        fetch_failure_seed: int = 0,
-        focused: bool = True,
+        spec: JobSpec,
     ) -> None:
         if not database.backend.persistent:
             raise StorageError(
@@ -118,25 +118,18 @@ class CheckpointManager:
             )
         self.database = database
         self.crawler = crawler
-        self.fetcher = fetcher
-        self.servers = servers
-        self.seeds = list(seeds)
-        self.good_topics = list(good_topics)
-        self.fetch_failure_seed = fetch_failure_seed
-        self.focused = focused
+        #: The checkpointed fetch layer: the engine's transport (not the
+        #: bare fetcher) snapshots the whole I/O stack's RNG streams, and
+        #: the server pool the fetcher draws from has one of its own.
+        self.fetcher: FetchTransport = crawler.engine.transport
+        self.servers: ServerPool = crawler.fetcher.web.servers
+        self.spec = spec
         self.checkpoints_saved = 0
         #: Wall-clock seconds the crawl spent paused inside each
         #: :meth:`save` — the price of durability (flush + snapshot + any
         #: segment compaction), read by the benchmark.
         self.pause_log: list[float] = []
-
-    def attach(self) -> None:
-        """Register with the crawl engine as its checkpoint sink."""
-        self.crawler.engine.checkpointer = self
-
-    def continue_from(self, checkpoint: CrawlCheckpoint) -> None:
-        """Go on counting saves from where *checkpoint* left off."""
-        self.checkpoints_saved = checkpoint.checkpoints_saved
+        crawler.engine.checkpointer = self
 
     def save(self) -> None:
         """Checkpoint the database with the crawl state as of now, written whole."""
@@ -145,11 +138,7 @@ class CheckpointManager:
         engine = self.crawler.engine
         engine.sync()
         checkpoint = CrawlCheckpoint(
-            config=self.crawler.config,
-            focused=self.focused,
-            seeds=self.seeds,
-            good_topics=self.good_topics,
-            fetch_failure_seed=self.fetch_failure_seed,
+            spec=self.spec,
             engine_state=engine.state_snapshot(),
             fetcher_state=self.fetcher.state_snapshot(),
             server_rng_state=self.servers.rng_state(),
@@ -162,28 +151,33 @@ class CheckpointManager:
     def load(path: str, buffer_pool_pages: int = 256) -> tuple[Database, CrawlCheckpoint]:
         """Recover the database pinned to its last checkpoint, plus the crawl state.
 
-        Post-checkpoint WAL records are discarded (not replayed): the
-        resumed engine re-executes that work deterministically, and
-        replaying it would leave the tables ahead of the engine state.
-        The checkpointed crawl config's storage policy is re-applied by
-        the resume path.
+        The database opens under the checkpointed crawl config's storage
+        policy (buffer pool, WAL group commit, compaction), with
+        *buffer_pool_pages* as the default a policy without a pool size
+        defers to.  Post-checkpoint WAL records are discarded (not
+        replayed): the resumed engine re-executes that work
+        deterministically, and replaying it would leave the tables ahead
+        of the engine state.
         """
-        database = Database.open(path, buffer_pool_pages=buffer_pool_pages, replay_wal=False)
-        try:
-            return database, read_checkpoint(database, path)
-        except BaseException:
-            database.close()
-            raise
+        checkpoint = read_checkpoint(path)
+        database = Database.open(
+            path,
+            buffer_pool_pages=buffer_pool_pages,
+            storage=checkpoint.spec.crawler.resolve_storage(),
+            replay_wal=False,
+        )
+        return database, checkpoint
 
 
-def read_checkpoint(database: Database, path: str = "") -> CrawlCheckpoint:
-    """The crawl checkpoint *database* was last saved with.
+def read_checkpoint(path: str) -> CrawlCheckpoint:
+    """The crawl checkpoint the database at *path* was last saved with.
 
-    Raises :class:`StorageError` when the snapshot holds none, or one in
-    another format (named, with the one this build reads — a format is
-    refused whole rather than half-read).
+    Read from the snapshot without opening the database, so nothing in
+    the directory changes.  Raises :class:`StorageError` when the
+    snapshot holds none, or one in another format (named, with the one
+    this build reads — a format is refused whole rather than half-read).
     """
-    header = database.app_state()
+    header = read_app_state(path)
     if not isinstance(header, CheckpointHeader):
         raise StorageError(f"{path!r} holds no crawl checkpoint to resume from")
     if header.version != FORMAT_VERSION:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from repro.crawler.focused import CrawlerConfig
@@ -37,21 +37,16 @@ class FocusConfig:
 
     def copy_with(self, **overrides) -> "FocusConfig":
         """A shallow-copied config with the given fields replaced."""
-        from dataclasses import replace
-
-        return replace(self, **overrides)
+        return dataclasses.replace(self, **overrides)
 
 
 def _crawler_to_dict(config: CrawlerConfig) -> dict[str, Any]:
-    """Plain-data form of a CrawlerConfig (JSON-safe for HTTP job specs)."""
+    """Plain-data form of a CrawlerConfig (JSON-safe for HTTP job specs).
+
+    ``asdict`` renders an ordering as its name, keys and buckets; JSON
+    writes their pairs as arrays, which :func:`_crawler_from_dict` reads.
+    """
     data = dataclasses.asdict(config)
-    ordering = config.ordering
-    if ordering is not None:
-        data["ordering"] = {
-            "name": ordering.name,
-            "keys": [list(pair) for pair in ordering.keys],
-            "buckets": [list(pair) for pair in ordering.buckets],
-        }
     data["storage"] = config.storage.to_dict() if config.storage is not None else None
     return data
 
@@ -60,11 +55,17 @@ def _crawler_from_dict(data: Mapping[str, Any]) -> CrawlerConfig:
     kwargs = dict(data)
     ordering = kwargs.get("ordering")
     if ordering is not None:
-        kwargs["ordering"] = CrawlOrdering(
-            name=ordering["name"],
-            keys=tuple((column, bool(asc)) for column, asc in ordering["keys"]),
-            buckets=tuple((column, int(size)) for column, size in ordering.get("buckets", [])),
-        )
+        try:
+            kwargs["ordering"] = CrawlOrdering(
+                name=ordering["name"],
+                keys=tuple((column, bool(asc)) for column, asc in ordering["keys"]),
+                buckets=tuple(
+                    (column, int(size)) for column, size in ordering.get("buckets", [])
+                ),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            missing = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ValueError(f"bad crawler.ordering {ordering!r}: {missing}") from exc
     storage = kwargs.get("storage")
     if storage is not None:
         kwargs["storage"] = StorageConfig.from_dict(storage)
@@ -81,10 +82,12 @@ class JobSpec:
 
     A JobSpec is the unit of work of the crawl service: everything
     :meth:`FocusSystem.start` needs to run one crawl — topics, seeds,
-    budgets, crawler behaviour, and storage policy — in a single object
-    that round-trips through JSON (:meth:`to_dict` / :meth:`from_dict`),
-    so jobs can be submitted over the HTTP API, queued, and logged.
-    ``None`` fields defer to the owning system's configuration.
+    budgets and crawler behaviour (its storage policy and fetch cassette
+    included) — in a single object that round-trips through JSON
+    (:meth:`to_dict` / :meth:`from_dict`), so jobs can be submitted over
+    the HTTP API, queued, and logged.  ``None`` fields defer to the
+    owning system's configuration; :meth:`FocusSystem.start` settles
+    them, and a durable crawl's checkpoint holds the settled spec.
     """
 
     #: Good topics of this job; None uses the system's configured topics.
@@ -93,7 +96,8 @@ class JobSpec:
     seeds: Optional[Tuple[str, ...]] = None
     #: Page budget; None uses ``CrawlerConfig.max_pages``.
     max_pages: Optional[int] = None
-    #: Focused (classifier-guided) or the unfocused baseline.
+    #: Focused (classifier-guided) or the unfocused baseline, which crawls
+    #: with ``focus_mode="none"`` and ``distill_every=0``.
     focused: bool = True
     #: Seed of the job's transient-failure/latency streams.
     fetch_failure_seed: int = 0
@@ -101,22 +105,21 @@ class JobSpec:
     checkpoint_dir: Optional[str] = None
     #: Crawler behaviour; None copies the system's configured crawler.
     crawler: Optional[CrawlerConfig] = None
-    #: Storage policy override; None resolves from the crawler config.
-    storage: Optional[StorageConfig] = None
     #: Cap on total fetch attempts (politeness/cost budget; 0 = unlimited).
     #: Checked at round boundaries by the job manager, so a job that
     #: burns its fetch budget on failures stops even though its page
     #: budget is unmet.
     fetch_budget: int = 0
-    #: Fetch cassette (``webgraph.cassette``): empty disables; set, the
-    #: job records its fetches into this file or replays it.
-    cassette_path: str = ""
-    #: "record", "replay", or "auto" (replay iff the file exists).
-    cassette_mode: str = "auto"
     #: Optional display name (shows up in service listings).
     name: str = ""
+    #: Accepted and folded into ``crawler``, the one home of the cassette
+    #: settings: not fields of the spec.  Kept only because
+    #: ``benchmarks/suite`` passes them; ROADMAP item 1A unbinds the suite
+    #: from them, and then they go.
+    cassette_path: InitVar[str] = ""
+    cassette_mode: InitVar[str] = "auto"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, cassette_path: str, cassette_mode: str) -> None:
         # Tolerate lists/sequences at construction; store tuples so the
         # spec is hashable and safely shared.
         for attr in ("good_topics", "seeds"):
@@ -127,30 +130,24 @@ class JobSpec:
             raise ValueError("max_pages must be >= 1 (or None for the config default)")
         if self.fetch_budget < 0:
             raise ValueError("fetch_budget must be >= 0 (0 = unlimited)")
-        if self.cassette_mode not in ("auto", "record", "replay"):
-            raise ValueError(
-                f"cassette_mode must be 'auto', 'record', or 'replay', got {self.cassette_mode!r}"
+        if cassette_path:
+            crawler = dataclasses.replace(
+                self.crawler, cassette_path=cassette_path, cassette_mode=cassette_mode
             )
+            object.__setattr__(self, "crawler", crawler)
 
     def replace(self, **overrides: Any) -> "JobSpec":
         return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-safe form (refuses non-serializable storage overrides)."""
-        return {
-            "good_topics": list(self.good_topics) if self.good_topics is not None else None,
-            "seeds": list(self.seeds) if self.seeds is not None else None,
-            "max_pages": self.max_pages,
-            "focused": self.focused,
-            "fetch_failure_seed": self.fetch_failure_seed,
-            "checkpoint_dir": self.checkpoint_dir,
-            "crawler": _crawler_to_dict(self.crawler) if self.crawler is not None else None,
-            "storage": self.storage.to_dict() if self.storage is not None else None,
-            "fetch_budget": self.fetch_budget,
-            "cassette_path": self.cassette_path,
-            "cassette_mode": self.cassette_mode,
-            "name": self.name,
-        }
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        for name in ("good_topics", "seeds"):
+            if data[name] is not None:
+                data[name] = list(data[name])
+        if self.crawler is not None:
+            data["crawler"] = _crawler_to_dict(self.crawler)
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobSpec":
@@ -161,6 +158,4 @@ class JobSpec:
         kwargs = dict(data)
         if kwargs.get("crawler") is not None:
             kwargs["crawler"] = _crawler_from_dict(kwargs["crawler"])
-        if kwargs.get("storage") is not None:
-            kwargs["storage"] = StorageConfig.from_dict(kwargs["storage"])
         return cls(**kwargs)

@@ -28,7 +28,6 @@ from repro.classifier.model import HierarchicalModel
 from repro.classifier.training import ClassifierTrainer, ModelInstaller, TrainingConfig
 from repro.crawler.focused import CrawlerConfig, CrawlTrace, FocusedCrawler
 from repro.crawler.monitor import CrawlMonitor
-from repro.crawler.unfocused import UnfocusedCrawler
 from repro.minidb import Database, StorageError
 from repro.minidb.database import bulk_load
 from repro.taxonomy.examples import ExampleStore, generate_examples
@@ -38,7 +37,7 @@ from repro.webgraph.graph import SyntheticWebBuilder, WebGraph
 from repro.webgraph.urls import normalize_url
 
 from . import metrics
-from .checkpoint import CheckpointManager
+from .checkpoint import CheckpointManager, CrawlCheckpoint, read_checkpoint
 from .config import FocusConfig, JobSpec
 from .schema import create_focus_database
 
@@ -69,11 +68,9 @@ class CrawlResult:
     crawler: FocusedCrawler
     web: WebGraph
     taxonomy: TopicTaxonomy
-    seeds: List[str]
-    good_topics: List[str]
-    #: Durable home of the crawl's tables, when it had one; lets
-    #: :meth:`monitor` reopen a database that was closed after the crawl.
-    checkpoint_path: Optional[str] = None
+    #: The settled job: seeds, topics and the durable home of the crawl's
+    #: tables, if any, which lets :meth:`monitor` reopen a closed database.
+    spec: JobSpec
 
     # -- headline metrics -------------------------------------------------------------
     def harvest_rate(self, skip_first: int = 0) -> float:
@@ -92,7 +89,7 @@ class CrawlResult:
         Available only because the substrate is synthetic; the paper has no
         such oracle and relies on the classifier instead (§3.4).
         """
-        relevant = self.web.relevant_pages(self.good_topics)
+        relevant = self.web.relevant_pages(self.spec.good_topics)
         fetched = self.trace.fetched_urls
         if not fetched:
             return 0.0
@@ -108,7 +105,7 @@ class CrawlResult:
     def authority_distance_histogram(self, top_k: int = 100) -> Dict[int, int]:
         """Figure 7: shortest crawl-found distances from the seed set to the top authorities."""
         authorities = [url for url, _ in self.top_authorities(top_k)]
-        return metrics.crawl_distance_histogram(self.web, self.trace, self.seeds, authorities)
+        return metrics.crawl_distance_histogram(self.web, self.trace, self.spec.seeds, authorities)
 
     # -- monitoring ----------------------------------------------------------------------
     def monitor(self) -> CrawlMonitor:
@@ -116,7 +113,7 @@ class CrawlResult:
 
         Works on a completed job whose database handle was already
         closed (e.g. by :meth:`CrawlHandle.close` or the service's job
-        manager): a durable crawl is reopened from ``checkpoint_path``
+        manager): a durable crawl is reopened from ``spec.checkpoint_dir``
         transparently, so callers never juggle reopen-by-hand.  On an
         open one, the engine's write buffers (the hub boosts and the
         scores of a :meth:`top_hubs` that distilled) are flushed first.
@@ -127,12 +124,12 @@ class CrawlResult:
                 "inside the shard workers; it has none to monitor here"
             )
         if self.database.closed:
-            if self.checkpoint_path is None:
+            if self.spec.checkpoint_dir is None:
                 raise RuntimeError(
                     "this crawl's in-memory database was closed and it has no "
                     "checkpoint directory to reopen from"
                 )
-            self.database = Database.open(self.checkpoint_path)
+            self.database = Database.open(self.spec.checkpoint_dir)
         else:
             self.crawler.engine.sync()
         return CrawlMonitor(self.database)
@@ -191,14 +188,12 @@ class CrawlHandle:
         spec: JobSpec,
         crawler: FocusedCrawler,
         web: WebGraph,
-        seeds: List[str],
         manager: Optional[CheckpointManager] = None,
     ) -> None:
         self.system = system
         self.spec = spec
         self.crawler = crawler
         self.web = web
-        self.seeds = list(seeds)
         self.manager = manager
         self.status = "pending"
         self.error: Optional[BaseException] = None
@@ -410,9 +405,7 @@ class CrawlHandle:
             crawler=self.crawler,
             web=self.web,
             taxonomy=self.system.taxonomy,
-            seeds=list(self.seeds),
-            good_topics=list(self.system.config.good_topics),
-            checkpoint_path=self.spec.checkpoint_dir,
+            spec=self.spec,
         )
 
 
@@ -513,7 +506,9 @@ class FocusSystem:
         :class:`~repro.core.config.JobSpec` and calls ``start(...).run()``;
         the multi-tenant service submits specs and steps the handles.
         Keyword *overrides* are JobSpec field replacements for quick
-        one-off jobs (``system.start(max_pages=200)``).
+        one-off jobs (``system.start(max_pages=200)``).  The handle's
+        spec is the settled one (:meth:`_settle`); nothing the caller
+        passed in is written.
 
         *database* injects an existing database instead of creating one
         (kept out of the spec: a live handle is not serializable).
@@ -524,36 +519,12 @@ class FocusSystem:
         callable) lets the service splice its shared fetch pool around
         the job's transport stack.
         """
-        spec = spec or JobSpec()
-        if overrides:
-            spec = spec.replace(**overrides)
-        if spec.good_topics is not None and tuple(spec.good_topics) != tuple(
-            self.config.good_topics
-        ):
-            raise ValueError(
-                f"this system is trained for {tuple(self.config.good_topics)}, "
-                f"not {tuple(spec.good_topics)}; build one per topic set with "
-                "FocusSystem.from_web (the service's JobManager does this per job)"
-            )
+        spec = self._settle((spec or JobSpec()).replace(**overrides))
         if self.model is None:
             self.train()
-        # Copy the system-level crawler config (including the engine's
-        # batching knobs) so per-crawl overrides never mutate it; an
-        # explicitly supplied config is used as-is (callers own it).
-        config = spec.crawler if spec.crawler is not None else dataclasses.replace(
-            self.config.crawler
-        )
-        if spec.max_pages is not None:
-            config.max_pages = spec.max_pages
-        if spec.storage is not None:
-            config.storage = spec.storage
-        if spec.cassette_path:
-            config.cassette_path = spec.cassette_path
-            config.cassette_mode = spec.cassette_mode
-        if config.engine == "sharded":
+        if spec.crawler.engine == "sharded":
             return self._start_sharded(
                 spec,
-                config,
                 database=database,
                 private_servers=private_servers,
                 transport_wrap=transport_wrap,
@@ -565,7 +536,7 @@ class FocusSystem:
             database = create_focus_database(
                 self.config.buffer_pool_pages,
                 path=spec.checkpoint_dir,
-                storage=config.resolve_storage(),
+                storage=spec.crawler.resolve_storage(),
             )
         try:
             if spec.checkpoint_dir is not None and database.app_state() is not None:
@@ -576,57 +547,92 @@ class FocusSystem:
         except (ValueError, StorageError):
             database.close()
             raise
+        return self._arm(
+            spec, database, private_servers=private_servers, transport_wrap=transport_wrap
+        )
+
+    def _settle(self, spec: JobSpec) -> JobSpec:
+        """*spec* with nothing left to the system: what a crawl runs, and its checkpoint holds.
+
+        The topics must be this system's (its classifier is trained for
+        them); the seeds are normalised, the system's if the spec names
+        none; the crawler config is a copy — the spec's or the system's —
+        with the page budget folded in and, for an unfocused job, the
+        baseline's preset applied.
+        """
+        topics = tuple(self.config.good_topics)
+        if spec.good_topics is not None and tuple(spec.good_topics) != topics:
+            raise ValueError(
+                f"this system is trained for {topics}, not {tuple(spec.good_topics)}; "
+                "build one per topic set with FocusSystem.from_web (the service's "
+                "JobManager does this per job)"
+            )
+        crawler = spec.crawler if spec.crawler is not None else self.config.crawler
+        crawler = dataclasses.replace(crawler, transport_options=dict(crawler.transport_options))
+        if spec.max_pages is not None:
+            crawler.max_pages = spec.max_pages
+        if not spec.focused:
+            # The unfocused baseline (Figure 5a) measures relevance but
+            # never uses it: breadth-first order, no distillation.
+            crawler.focus_mode = "none"
+            crawler.distill_every = 0
+        seeds = spec.seeds if spec.seeds is not None else self.default_seeds()
+        return spec.replace(
+            good_topics=topics,
+            seeds=tuple(normalize_url(url) for url in seeds),
+            max_pages=crawler.max_pages,
+            crawler=crawler,
+        )
+
+    def _arm(
+        self,
+        spec: JobSpec,
+        database: Database,
+        checkpoint: Optional[CrawlCheckpoint] = None,
+        *,
+        private_servers: bool,
+        transport_wrap,
+    ) -> CrawlHandle:
+        """Arm a settled *spec* over *database*: seeded, or continued from *checkpoint*."""
         if not database.has_table("TAXONOMY"):
             # The crawl database also carries the classifier tables, as in the
             # paper's single-DB architecture (and so monitoring SQL can join
             # CRAWL against TAXONOMY).
             self.install_model(database)
         web = self.web.with_private_servers() if private_servers else self.web
-        # Make each crawl's transient-failure stream a deterministic function
-        # of its own seed, not of how many fetches earlier crawls performed.
-        web.servers.reseed(spec.fetch_failure_seed)
+        if checkpoint is None:
+            # Make each crawl's transient-failure stream a deterministic
+            # function of its own seed, not of how many fetches earlier
+            # crawls performed.
+            web.servers.reseed(spec.fetch_failure_seed)
+        else:
+            web.servers.restore_rng(checkpoint.server_rng_state)
         fetcher = Fetcher(web, failure_seed=spec.fetch_failure_seed)
-        crawler_cls = FocusedCrawler if spec.focused else UnfocusedCrawler
-        crawler = crawler_cls(fetcher, self.model, self.taxonomy, database, config)
+        crawler = FocusedCrawler(fetcher, self.model, self.taxonomy, database, spec.crawler)
         if transport_wrap is not None:
             crawler.engine.transport = transport_wrap(crawler.engine.transport)
-        seed_urls = [
-            normalize_url(u)
-            for u in (spec.seeds if spec.seeds is not None else self.default_seeds())
-        ]
-        crawler.add_seeds(seed_urls)
+        if checkpoint is None:
+            crawler.add_seeds(spec.seeds)
+        else:
+            # The engine rebuilt the transport stack from the checkpointed
+            # config; rewind its RNG streams (fetcher included) to the save.
+            crawler.engine.transport.restore_state(checkpoint.fetcher_state)
+            with bulk_load():
+                crawler.engine.restore_state(checkpoint.engine_state)
         manager = None
         if spec.checkpoint_dir is not None:
-            # The transport (not the bare fetcher) is the checkpointed
-            # fetch layer: it snapshots the whole I/O stack's RNG streams
-            # (for the default simulated transport the two are identical).
-            manager = CheckpointManager(
-                database,
-                crawler,
-                crawler.engine.transport,
-                web.servers,
-                seeds=seed_urls,
-                good_topics=list(self.config.good_topics),
-                fetch_failure_seed=spec.fetch_failure_seed,
-                focused=spec.focused,
-            )
-            manager.attach()
-            # An immediate checkpoint makes the crawl resumable from page
-            # zero — a kill before the first periodic save loses nothing.
-            manager.save()
-        return CrawlHandle(
-            system=self,
-            spec=spec,
-            crawler=crawler,
-            web=web,
-            seeds=seed_urls,
-            manager=manager,
-        )
+            manager = CheckpointManager(database, crawler, spec)
+            if checkpoint is None:
+                # An immediate checkpoint makes the crawl resumable from page
+                # zero — a kill before the first periodic save loses nothing.
+                manager.save()
+            else:
+                manager.checkpoints_saved = checkpoint.checkpoints_saved
+        return CrawlHandle(system=self, spec=spec, crawler=crawler, web=web, manager=manager)
 
     def _start_sharded(
         self,
         spec: JobSpec,
-        config: CrawlerConfig,
         *,
         database: Optional[Database],
         private_servers: bool,
@@ -658,19 +664,14 @@ class FocusSystem:
             web,
             self.model,
             self.taxonomy,
-            config,
-            focused=spec.focused,
+            spec.crawler,
             fetch_failure_seed=spec.fetch_failure_seed,
             buffer_pool_pages=self.config.buffer_pool_pages,
             transport_wrap=transport_wrap,
             schedule=shard_schedule,
         )
-        seed_urls = [
-            normalize_url(u)
-            for u in (spec.seeds if spec.seeds is not None else self.default_seeds())
-        ]
-        crawler.add_seeds(seed_urls)
-        return CrawlHandle(system=self, spec=spec, crawler=crawler, web=web, seeds=seed_urls)
+        crawler.add_seeds(spec.seeds)
+        return CrawlHandle(system=self, spec=spec, crawler=crawler, web=web)
 
     def resume(
         self,
@@ -682,11 +683,13 @@ class FocusSystem:
     ) -> CrawlHandle:
         """Re-arm a checkpointed crawl at *path* as a :class:`CrawlHandle`.
 
-        The system must be built over the same web (same seeds/config) as
-        the original run; everything else — tables, frontier, engine
-        counters, RNG stream positions — comes from the checkpoint.  Only
-        ``max_pages`` may be overridden (e.g. to extend a finished
-        crawl's budget); the other knobs ride inside the checkpoint.
+        The system must be built over the same web (same seeds/config)
+        and for the same topics as the original run; everything else —
+        the job, tables, frontier, engine counters, RNG stream positions
+        — comes from the checkpoint, and the database reopens under the
+        job's storage policy.  Only ``max_pages`` may be overridden (e.g.
+        to extend a finished crawl's budget).  A checkpoint this system
+        refuses is refused before anything in *path* changes.
         """
         if os.path.exists(os.path.join(path, _SHARDED_MANIFEST)):
             raise ValueError(
@@ -694,63 +697,21 @@ class FocusSystem:
                 "were removed (README, *Sharded checkpoints (removed)*) and "
                 "cannot be resumed"
             )
+        spec = read_checkpoint(path).spec.replace(checkpoint_dir=path)
+        if max_pages is not None:
+            spec = spec.replace(max_pages=max_pages)
+        spec = self._settle(spec)
+        if self.model is None:
+            self.train()
         database, checkpoint = CheckpointManager.load(
             path, buffer_pool_pages=self.config.buffer_pool_pages
         )
-        if self.model is None:
-            self.train()
-        config = checkpoint.config
-        if max_pages is not None:
-            config.max_pages = max_pages
-        # Honour the crawl's WAL group-commit and compaction policies after
-        # the reopen (the checkpoint is read from the database, so open()
-        # could not know them).  A config that names no storage resolves
-        # to the defaults plus its own wal_fsync_batch.
-        storage = config.resolve_storage()
-        if storage.wal_fsync_batch:
-            database.backend.wal.fsync_batch = storage.wal_fsync_batch
-        compactor = database.backend.compactor
-        compactor.compact_every = storage.compact_every
-        compactor.min_garbage_ratio = storage.compact_min_garbage_ratio
-        web = self.web.with_private_servers() if private_servers else self.web
-        fetcher = Fetcher(web, failure_seed=checkpoint.fetch_failure_seed)
-        web.servers.restore_rng(checkpoint.server_rng_state)
-        crawler_cls = FocusedCrawler if checkpoint.focused else UnfocusedCrawler
-        crawler = crawler_cls(fetcher, self.model, self.taxonomy, database, config)
-        if transport_wrap is not None:
-            crawler.engine.transport = transport_wrap(crawler.engine.transport)
-        # The engine rebuilt the transport stack from the checkpointed
-        # config; rewind its RNG streams (fetcher included) to the save.
-        crawler.engine.transport.restore_state(checkpoint.fetcher_state)
-        with bulk_load():
-            crawler.engine.restore_state(checkpoint.engine_state)
-        manager = CheckpointManager(
+        return self._arm(
+            spec,
             database,
-            crawler,
-            crawler.engine.transport,
-            web.servers,
-            seeds=list(checkpoint.seeds),
-            good_topics=list(checkpoint.good_topics),
-            fetch_failure_seed=checkpoint.fetch_failure_seed,
-            focused=checkpoint.focused,
-        )
-        manager.continue_from(checkpoint)
-        manager.attach()
-        spec = JobSpec(
-            seeds=tuple(checkpoint.seeds),
-            max_pages=config.max_pages,
-            focused=checkpoint.focused,
-            crawler=config,
-            fetch_failure_seed=checkpoint.fetch_failure_seed,
-            checkpoint_dir=path,
-        )
-        return CrawlHandle(
-            system=self,
-            spec=spec,
-            crawler=crawler,
-            web=web,
-            seeds=list(checkpoint.seeds),
-            manager=manager,
+            checkpoint,
+            private_servers=private_servers,
+            transport_wrap=transport_wrap,
         )
 
     def crawl(
@@ -801,7 +762,7 @@ class FocusSystem:
                 )
             return self.resume(resume_from, max_pages).run()
         spec = JobSpec(
-            seeds=tuple(seeds) if seeds is not None else None,
+            seeds=seeds,
             max_pages=max_pages,
             focused=focused,
             fetch_failure_seed=fetch_failure_seed,

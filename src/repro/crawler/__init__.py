@@ -1,4 +1,4 @@
-"""crawler: frontier management, the crawl engine, the unfocused baseline, monitoring."""
+"""crawler: frontier management, the crawl engine, monitoring."""
 
 from .engine import CrawlEngine, CrawlerConfig, CrawlTrace, PageVisit
 from .focused import FocusedCrawler
@@ -15,7 +15,6 @@ from .policies import (
     relevance_only,
 )
 from .sharded import ShardedCrawler, ShardedEngine, build_sharded_crawler
-from .unfocused import UnfocusedCrawler
 
 __all__ = [
     "CrawlEngine",
@@ -31,7 +30,6 @@ __all__ = [
     "ShardedCrawler",
     "ShardedEngine",
     "StagnationReport",
-    "UnfocusedCrawler",
     "aggressive_discovery",
     "breadth_first",
     "build_sharded_crawler",

@@ -60,9 +60,9 @@ crawl without one).  A reader's sync, and a ``checkpoint_interval_s``
 save, write the scores at a point of its own: the score rows' contents
 do not depend on it, their placement does.
 
-K is ``CrawlerConfig.batch_size``, or 1 under ``engine="serial"``: the
-paper's one-URL-at-a-time loop is this kernel at round size 1, not a
-second implementation (``tests/crawler/test_golden_k1.py`` pins it to
+K is ``CrawlerConfig.batch_size``: the paper's one-URL-at-a-time loop
+is this kernel at ``batch_size=1`` (the default), not a second
+implementation (``tests/crawler/test_golden_k1.py`` pins it to
 digests recorded from the loop it replaced).  Larger K changes the
 interleaving but, on a bounded web, converges to the same crawl set.
 
@@ -104,10 +104,10 @@ from .policies import CrawlOrdering, FetchPolicy
 _UNFOCUSED_PRIORITY = 0.0
 
 #: Engine modes accepted by ``CrawlerConfig.engine``.  "auto" and
-#: "batched" run rounds of ``batch_size``; "serial" runs rounds of 1
-#: whatever the batch size.  "sharded" must be requested explicitly (it
-#: changes the process model, not just the schedule).
-ENGINE_MODES = ("auto", "serial", "batched", "sharded")
+#: "batched" are the same: rounds of ``batch_size``.  "sharded" must be
+#: requested explicitly (it changes the process model, not just the
+#: schedule).
+ENGINE_MODES = ("auto", "batched", "sharded")
 
 #: Values ``CrawlerConfig.score_backend`` accepts (and ignores).
 SCORE_BACKENDS = ("python", "numpy")
@@ -136,7 +136,7 @@ class CrawlerConfig:
     max_retries: int = 2
     #: Give up on the whole crawl after this many consecutive frontier misses.
     stagnation_patience: int = 50
-    #: URLs checked out per engine round (K; ``engine="serial"`` pins it to 1).
+    #: URLs checked out per engine round (K; 1 is the paper's loop as written).
     batch_size: int = 1
     #: Accepted and ignored, and kept for the same reasons as ``prefetch``:
     #: the transport picks each round's fetch path (see ``_run_rounds``).
@@ -168,8 +168,7 @@ class CrawlerConfig:
     #: Strict replay raises CassetteMismatch on any request the cassette
     #: does not hold; non-strict degrades misses to NOT_FOUND.
     cassette_strict: bool = True
-    #: Engine mode: "auto"/"batched" run rounds of ``batch_size`` URLs,
-    #: "serial" rounds of one — the same kernel either way.
+    #: Engine mode: "auto"/"batched" run rounds of ``batch_size`` URLs;
     #: "sharded" partitions the crawl by host hash over N workers (see
     #: ``shards``); drive it through :meth:`FocusSystem.start`, which
     #: builds the sharded crawler in place of a :class:`CrawlEngine`.
@@ -512,11 +511,6 @@ class CrawlEngine:
         }
 
     # -- shape -----------------------------------------------------------------------
-    @property
-    def round_size(self) -> int:
-        """K: URLs checked out per round — 1 under ``engine="serial"``."""
-        return 1 if self.config.engine == "serial" else self.config.batch_size
-
     def fetch_overlap_ratio(self) -> float:
         """Fraction of round processing that ran while fetches were in flight.
 
@@ -711,7 +705,7 @@ class CrawlEngine:
         remaining = budget - self.trace.pages_fetched
         if remaining <= 0:
             return []
-        urls = self.frontier.pop_batch(min(self.round_size, remaining))
+        urls = self.frontier.pop_batch(min(self.config.batch_size, remaining))
         if not urls:
             self.trace.stagnated = True
         return urls
@@ -852,7 +846,7 @@ class CrawlEngine:
         """
         transport = self.transport
         per_server = self.fetch_policy.per_server_inflight
-        gate = asyncio.Semaphore(self.fetch_policy.effective_inflight(self.round_size))
+        gate = asyncio.Semaphore(self.fetch_policy.effective_inflight(self.config.batch_size))
         server_gates: Dict[str, asyncio.Semaphore] = {}
 
         async def wait_one(pending):

@@ -28,7 +28,7 @@ Three focus modes are supported:
   best leaf class has a good ancestor (prone to stagnation, reproduced
   for the ablation benchmark).
 * ``none``  — the unfocused baseline: relevance is measured but ignored
-  for ordering (see :mod:`repro.crawler.unfocused`).
+  for ordering (``JobSpec(focused=False)`` sets it, with ``distill_every=0``).
 """
 
 from __future__ import annotations

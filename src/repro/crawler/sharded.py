@@ -49,7 +49,7 @@ import pickle
 import time
 import traceback
 from collections import deque
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from hashlib import blake2b
 from heapq import merge
 from itertools import accumulate, count, repeat
@@ -969,20 +969,12 @@ def build_sharded_crawler(
     taxonomy: TopicTaxonomy,
     config: CrawlerConfig,
     *,
-    focused: bool = True,
     fetch_failure_seed: int = 0,
     buffer_pool_pages: int = 2048,
     transport_wrap=None,
     schedule: Optional[Callable[[List[int]], List[int]]] = None,
 ) -> ShardedCrawler:
     """Construct the shard fleet + coordinator for ``engine="sharded"``."""
-    config = replace(config)
-    if not focused:
-        # As UnfocusedCrawler does: measure relevance, never use it.
-        config.focus_mode = "none"
-        if config.ordering is None:
-            config.ordering = breadth_first()
-        config.distill_every = 0
     shards = config.shards
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")

@@ -74,6 +74,27 @@ def segment_file_name(segment_epoch: int) -> str:
     return f"segments.{segment_epoch:06d}.dat"
 
 
+def read_snapshot(path: str) -> Optional[dict[str, Any]]:
+    """The snapshot record of the database directory *path*; None when it has none.
+
+    Reads one file and writes nothing.  A snapshot of another format is
+    refused by its number; the page directory is left compressed.
+    """
+    snapshot_path = os.path.join(path, SNAPSHOT_FILE)
+    if not os.path.exists(snapshot_path):
+        return None
+    with open(snapshot_path, "rb") as fh:
+        meta = load_record(read_frame_at(fh, 0))
+    found = meta.get("format")
+    if found != SNAPSHOT_FORMAT:
+        named = "an unversioned" if found is None else f"a format {found}"
+        raise StorageError(
+            f"{snapshot_path} holds {named} minidb snapshot; "
+            f"this build reads format {SNAPSHOT_FORMAT}"
+        )
+    return meta
+
+
 class StorageBackend:
     """Where pages live when they are not resident in the buffer pool."""
 
@@ -210,17 +231,9 @@ class DurableBackend(StorageBackend):
 
         epoch = 0
         segment_epoch = 0
-        if os.path.exists(self._snapshot_path):
-            with open(self._snapshot_path, "rb") as fh:
-                self.snapshot_meta = load_record(read_frame_at(fh, 0))
-            found = self.snapshot_meta.get("format")
-            if found != SNAPSHOT_FORMAT:
-                # Refused before anything in the directory is touched.
-                named = "an unversioned" if found is None else f"a format {found}"
-                raise StorageError(
-                    f"{self._snapshot_path} holds {named} minidb snapshot; "
-                    f"this build reads format {SNAPSHOT_FORMAT}"
-                )
+        # Refused (another format) before anything in the directory is touched.
+        self.snapshot_meta = read_snapshot(self.path)
+        if self.snapshot_meta is not None:
             self.snapshot_meta["directory"] = load_record(
                 zlib.decompress(self.snapshot_meta["directory"])
             )

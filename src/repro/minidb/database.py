@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from itertools import repeat
 from typing import Any, Iterator, Mapping, Optional
 
-from .backend import DurableBackend, MemoryBackend, StorageBackend
+from .backend import DurableBackend, MemoryBackend, StorageBackend, read_snapshot
 from .buffer_pool import BufferPool, IOStats
 from .errors import CatalogError, QueryError, StorageError
 from .pages import DEFAULT_PAGE_SIZE, check_layout, rid_of
@@ -73,6 +73,25 @@ def bulk_load() -> Iterator[None]:
             gc.freeze()
             gc.unfreeze()
         gc.enable()
+
+
+def read_app_state(path: str) -> Any:
+    """The state the last :meth:`Database.checkpoint` at *path* stored, or None.
+
+    Read from the snapshot without opening the database: nothing in the
+    directory changes, so a caller can refuse what it finds first.
+    """
+    meta = read_snapshot(path)
+    return _load_app_state(meta, path) if meta else None
+
+
+def _load_app_state(meta: dict[str, Any], path: str) -> Any:
+    try:
+        return load_record(meta["app_state"])
+    except (ImportError, AttributeError) as error:  # a class this build lacks
+        raise StorageError(
+            f"{path} holds a checkpoint state this build cannot load: {error!r}"
+        ) from error
 
 
 class Database:
@@ -230,12 +249,7 @@ class Database:
     def app_state(self) -> Any:
         """The opaque state stored by the last :meth:`checkpoint`, or None."""
         meta = getattr(self.backend, "snapshot_meta", None)
-        try:
-            return load_record(meta["app_state"]) if meta else None
-        except (ImportError, AttributeError) as error:  # a class this build lacks
-            raise StorageError(
-                f"{self.backend.path} holds a checkpoint state this build cannot load: {error!r}"
-            ) from error
+        return _load_app_state(meta, self.backend.path) if meta else None
 
     def sync_wal(self) -> None:
         """Force-fsync the WAL tail (make everything logged so far durable)."""

@@ -512,7 +512,9 @@ class _AggState:
             if value is None:
                 continue
             self.counts[i] += 1
-            if isinstance(value, (int, float)):
+            if agg.func in ("sum", "avg"):
+                if not isinstance(value, (int, float)):
+                    raise QueryError(f"{agg.func}() needs numbers, not {value!r}")
                 self.sums[i] += value
             if self.mins[i] is None or value < self.mins[i]:
                 self.mins[i] = value

@@ -114,10 +114,9 @@ class FairLock:
 
 @dataclass
 class JobRecord:
-    """One submitted job: its spec, live handle, and lifecycle timestamps."""
+    """One submitted job: its live handle (which holds its spec) and lifecycle timestamps."""
 
     id: str
-    spec: JobSpec
     handle: CrawlHandle
     submitted_s: float
     finished_s: Optional[float] = None
@@ -188,9 +187,7 @@ class JobManager:
             with self._lock:
                 job_id = f"job-{self._next_id:04d}"
                 self._next_id += 1
-                record = JobRecord(
-                    id=job_id, spec=spec, handle=handle, submitted_s=time.perf_counter()
-                )
+                record = JobRecord(id=job_id, handle=handle, submitted_s=time.perf_counter())
                 self._jobs[job_id] = record
                 if not self._stop.is_set():
                     self._spawn_stepper(record)
@@ -330,7 +327,7 @@ class JobManager:
         return [
             {
                 "id": record.id,
-                "name": record.spec.name,
+                "name": record.handle.spec.name,
                 "status": record.handle.status,
                 "pages_fetched": record.handle.pages_fetched,
                 "budget": record.handle.budget,
@@ -498,7 +495,7 @@ class JobManager:
         progress = handle.progress()
         record.summary = {
             "id": record.id,
-            "name": record.spec.name,
+            "name": handle.spec.name,
             "status": handle.status,
             "pages_fetched": trace.pages_fetched,
             "budget": handle.budget,
@@ -508,7 +505,7 @@ class JobManager:
             "fetch_attempts": handle.fetch_attempts(),
             "stagnated": trace.stagnated,
             "latency_s": record.latency_s,
-            "checkpoint_dir": record.spec.checkpoint_dir,
+            "checkpoint_dir": handle.spec.checkpoint_dir,
             # The full visit record, so clients can verify determinism
             # (pages visited + relevance floats) over the wire.
             "fetched_urls": trace.fetched_urls,

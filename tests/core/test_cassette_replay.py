@@ -137,7 +137,7 @@ class TestReplayMatchesRecording:
         assert_matches_recording(batched_replay.trace, reference.trace)
         batched_replay.crawler.engine.transport.assert_exhausted()
 
-    @pytest.mark.parametrize("engine, batch_size", [("serial", 1), ("batched", 4)])
+    @pytest.mark.parametrize("engine, batch_size", [("auto", 1), ("batched", 4)])
     def test_drained_recording_replays_inline_to_the_same_crawl(
         self, cassette_system, tmp_path, drained_rounds, engine, batch_size
     ):

@@ -58,13 +58,13 @@ def build_system(web) -> FocusSystem:
     return system
 
 
-def crawl_config(engine: str) -> CrawlerConfig:
+def crawl_config(shape: str) -> CrawlerConfig:
+    """A "batched" crawl checks out 4 URLs a round, a "serial" one (the paper's loop) 1."""
     return CrawlerConfig(
         max_pages=MAX_PAGES,
         distill_every=40,
         checkpoint_every=CHECKPOINT_EVERY,
-        engine=engine,
-        batch_size=4 if engine == "batched" else 1,
+        batch_size=4 if shape == "batched" else 1,
     )
 
 
@@ -282,7 +282,7 @@ class TestCrashResume:
         reopened.close()
         # The initial save plus at least one time-triggered round save.
         assert saved.checkpoints_saved > 1
-        assert saved.config.checkpoint_interval_s == 1e-6
+        assert saved.spec.crawler.checkpoint_interval_s == 1e-6
 
         kill_fetcher_after(monkeypatch, 61)
         with pytest.raises(KillSwitch):
@@ -323,8 +323,8 @@ class TestPrefetchCrashResume:
     """
 
     @staticmethod
-    def prefetch_config(engine: str = "batched") -> CrawlerConfig:
-        config = crawl_config(engine)
+    def prefetch_config(shape: str = "batched") -> CrawlerConfig:
+        config = crawl_config(shape)
         config.prefetch = True
         return config
 
@@ -560,8 +560,8 @@ class TestRetiredFormats:
         snapshot's app state; under a current snapshot that record is
         not a header, and nothing is read from it."""
         record = CrawlCheckpoint(
-            config=crawl_config("batched"), focused=True, seeds=[], good_topics=[],
-            fetch_failure_seed=0, engine_state={}, fetcher_state={}, server_rng_state={},
+            spec=JobSpec(crawler=crawl_config("batched")),
+            engine_state={}, fetcher_state={}, server_rng_state={},
         )
         with Database.open(tmp_path / "db") as db:
             db.checkpoint(app_state=record)
@@ -580,6 +580,23 @@ class TestRetiredFormats:
             db.checkpoint(app_state=header)
         before = directory_bytes(tmp_path / "db")
         with pytest.raises(StorageError, match=f"format 3; this build reads format {FORMAT_VERSION}"):
+            CheckpointManager.load(str(tmp_path / "db"))
+        assert directory_bytes(tmp_path / "db") == before
+
+    def test_a_version_4_header_is_refused(self, tmp_path):
+        """Format 4 copied five of the job's fields into the checkpoint
+        (config, focused, seeds, good_topics, fetch_failure_seed) where
+        format 5 holds the settled JobSpec; refused by its version."""
+        checkpoint = CrawlCheckpoint.__new__(CrawlCheckpoint)
+        vars(checkpoint).update(
+            config=crawl_config("batched"), focused=True, seeds=[], good_topics=[GOOD],
+            fetch_failure_seed=0, engine_state={}, fetcher_state={}, server_rng_state={},
+            checkpoints_saved=1,
+        )
+        with Database.open(tmp_path / "db") as db:
+            db.checkpoint(app_state=CheckpointHeader(version=4, checkpoint=checkpoint))
+        before = directory_bytes(tmp_path / "db")
+        with pytest.raises(StorageError, match=f"format 4; this build reads format {FORMAT_VERSION}"):
             CheckpointManager.load(str(tmp_path / "db"))
         assert directory_bytes(tmp_path / "db") == before
 
@@ -786,6 +803,61 @@ class TestCrawlArgumentGuards:
                 checkpoint_system.crawl(resume_from=str(path))
         assert directory_bytes(path) == before
 
+    def test_resume_refuses_a_crawl_of_other_topics_untouched(
+        self, checkpoint_system, small_web, tmp_path, monkeypatch
+    ):
+        """The checkpoint holds the job's topics: a system trained for
+        others refuses it, naming both, before one byte of it changes."""
+        path = tmp_path / "crawl"
+        kill_fetcher_after(monkeypatch, 47)
+        with pytest.raises(KillSwitch):
+            checkpoint_system.crawl(
+                crawler_config=crawl_config("batched"),
+                fetch_failure_seed=FETCH_FAILURE_SEED,
+                checkpoint_dir=str(path),
+            )
+        monkeypatch.undo()
+        music = FocusSystem.from_web(
+            small_web, ["arts/music"], FocusConfig(examples_per_leaf=12, seed_count=8)
+        )
+        music.train()
+        before = directory_bytes(path)
+        for resume in (music.resume, lambda where: music.crawl(resume_from=where)):
+            with pytest.raises(ValueError) as refused:
+                resume(str(path))
+            assert "('arts/music',)" in str(refused.value)
+            assert f"('{GOOD}',)" in str(refused.value)
+        assert directory_bytes(path) == before
+
+    def test_resume_reopens_under_the_jobs_storage_policy(self, checkpoint_system, tmp_path):
+        """The buffer pool, WAL batch and compaction the crawl started with
+        are the ones it resumes with."""
+        config = crawl_config("batched")
+        config.storage = StorageConfig(
+            buffer_pool_pages=64, wal_fsync_batch=5, compact_every=3, compact_min_garbage_ratio=0.3
+        )
+        path = str(tmp_path / "crawl")
+
+        def policy(handle):
+            database = handle.database
+            compactor = database.backend.compactor
+            return (
+                database.buffer_pool.capacity_pages,
+                database.backend.wal.fsync_batch,
+                compactor.compact_every,
+                compactor.min_garbage_ratio,
+            )
+
+        started = checkpoint_system.start(
+            JobSpec(crawler=config, fetch_failure_seed=FETCH_FAILURE_SEED, checkpoint_dir=path)
+        )
+        assert policy(started) == (64, 5, 3, 0.3)
+        started.step(10)
+        started.pause()  # the save; the handle is then abandoned, never closed
+        resumed = checkpoint_system.resume(path)
+        assert policy(resumed) == (64, 5, 3, 0.3)
+        resumed.close()
+
     def test_resume_from_rejects_conflicting_arguments(self, checkpoint_system, tmp_path):
         with pytest.raises(ValueError, match="crawler_config"):
             checkpoint_system.crawl(
@@ -799,10 +871,7 @@ class TestCrawlArgumentGuards:
 class TestCheckpointManager:
     def test_requires_a_durable_database(self, checkpoint_system):
         with pytest.raises(StorageError, match="durable"):
-            CheckpointManager(
-                Database(), crawler=None, fetcher=None, servers=None,
-                seeds=[], good_topics=[],
-            )
+            CheckpointManager(Database(), crawler=None, spec=JobSpec())
 
     def test_load_refuses_a_database_without_a_checkpoint(self, tmp_path):
         with Database.open(tmp_path / "db") as db:
@@ -880,8 +949,8 @@ class TestCheckpointManager:
         newer = CheckpointHeader(
             version=FORMAT_VERSION + 1,
             checkpoint=CrawlCheckpoint(
-                config=crawl_config("batched"), focused=True, seeds=[], good_topics=[],
-                fetch_failure_seed=0, engine_state={}, fetcher_state={}, server_rng_state={},
+                spec=JobSpec(crawler=crawl_config("batched")),
+                engine_state={}, fetcher_state={}, server_rng_state={},
             ),
         )
         with Database.open(tmp_path / "db") as db:
@@ -907,7 +976,7 @@ def assert_restored_equals_live(manager: CheckpointManager) -> None:
     checkpoint after it ran and with the field's name, not as a divergent
     crawl hundreds of pages later.
     """
-    saved = read_checkpoint(manager.database)
+    saved = read_checkpoint(manager.database.backend.path)
     engine = manager.crawler.engine
     live = engine.state_snapshot()
     assert saved.engine_state.keys() == live.keys()

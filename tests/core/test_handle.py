@@ -116,6 +116,34 @@ class TestLifecycle:
             system.start(JobSpec(good_topics=("health/first_aid",), max_pages=30))
 
 
+class TestCallerObjects:
+    def test_a_callers_crawler_config_is_never_written(self, system):
+        """The unfocused preset and a page budget go into the job's own
+        copy: the caller's config still equals a fresh one, and a focused
+        crawl with it afterwards is the crawl a fresh config runs."""
+
+        def fresh():
+            return CrawlerConfig(max_pages=90, distill_every=30)
+
+        config = fresh()
+        unfocused = system.crawl(crawler_config=config, focused=False, fetch_failure_seed=3)
+        assert unfocused.crawler.config.focus_mode == "none"
+        assert unfocused.trace.distillations == 0
+        assert config == fresh()
+        system.crawl(crawler_config=config, max_pages=40, fetch_failure_seed=3)
+        assert config == fresh()
+        handle = system.start(JobSpec(crawler=config, max_pages=40, focused=False))
+        assert handle.spec.crawler is not config and handle.spec.crawler.max_pages == 40
+        assert config == fresh()
+        handle.cancel()
+
+        again = system.crawl(crawler_config=config, fetch_failure_seed=3)
+        reference = system.crawl(crawler_config=fresh(), fetch_failure_seed=3)
+        assert again.trace.distillations == reference.trace.distillations == 3
+        assert_same_crawl(again, reference)
+        assert again.trace.failed_urls == reference.trace.failed_urls
+
+
 class TestMonitorReopen:
     def test_monitor_reopens_a_closed_durable_database(self, system, tmp_path):
         path = str(tmp_path / "crawl")

@@ -5,7 +5,7 @@ import pytest
 from repro.core.schema import create_focus_database
 from repro.crawler.focused import CrawlerConfig, FocusedCrawler
 from repro.crawler.monitor import CrawlMonitor
-from repro.crawler.unfocused import UnfocusedCrawler
+from repro.crawler.policies import breadth_first
 from repro.webgraph.fetch import Fetcher
 
 GOOD = "recreation/cycling"
@@ -19,9 +19,11 @@ def make_crawler(small_web, trained_model, taxonomy, focused=True, **config_kwar
     # single-DB architecture (monitoring SQL joins CRAWL with TAXONOMY).
     ModelInstaller(database).install(trained_model)
     fetcher = Fetcher(small_web, simulate_failures=False)
+    if not focused:
+        # The unfocused baseline's preset (FocusSystem.start, focused=False).
+        config_kwargs.update(focus_mode="none", distill_every=0)
     config = CrawlerConfig(max_pages=config_kwargs.pop("max_pages", 120), **config_kwargs)
-    crawler_cls = FocusedCrawler if focused else UnfocusedCrawler
-    crawler = crawler_cls(fetcher, trained_model, taxonomy, database, config)
+    crawler = FocusedCrawler(fetcher, trained_model, taxonomy, database, config)
     return crawler, database
 
 
@@ -125,8 +127,8 @@ class TestUnfocusedCrawler:
         crawler.add_seeds(seeds)
         trace = crawler.crawl()
         assert trace.pages_fetched == 40
-        assert crawler.config.focus_mode == "none"
-        assert crawler.config.distill_every == 0
+        assert crawler.frontier.ordering == breadth_first()
+        assert trace.distillations == 0
         # Relevance is still *measured* for every page (Figure 5a needs it).
         assert all(0.0 <= v.relevance <= 1.0 for v in trace.visits)
 

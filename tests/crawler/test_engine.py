@@ -81,7 +81,7 @@ class TestSerialBatchedEquivalence:
     ):
         """``run(budget, max_rounds=1)`` stepped to completion is ``run(budget)``,
         tables included, with distillations falling between the steps."""
-        kwargs = dict(max_pages=90, distill_every=40, engine="serial")
+        kwargs = dict(max_pages=90, distill_every=40, batch_size=1)
         _, whole_db, whole = run_crawl(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
         stepped_crawler, stepped_db, stepped = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds, **{**kwargs, "max_pages": 0}
@@ -147,7 +147,7 @@ class TestIncrementalDistillation:
         """The engine runs the distiller on its own cadence; no write fires it."""
         _, database, trace = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds,
-            max_pages=100, distill_every=30, engine="serial", simulate_failures=False,
+            max_pages=100, distill_every=30, batch_size=1, simulate_failures=False,
         )
         assert len(trace.visits) >= 90
         assert trace.distillations == len(trace.visits) // 30
@@ -158,7 +158,7 @@ class TestIncrementalDistillation:
     ):
         _, database, trace = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds,
-            max_pages=60, distill_every=0, engine="serial", simulate_failures=False,
+            max_pages=60, distill_every=0, batch_size=1, simulate_failures=False,
         )
         assert len(trace.visits) == 60
         assert trace.distillations == 0
@@ -196,7 +196,6 @@ class TestHubBoost:
             # Above every relevance, so that a boost always raises a priority.
             hub_boost_priority=rng.choice([1.5, 3.0]),
             focus_mode=focus_mode,
-            engine="serial" if k == 1 else "batched",
             batch_size=k,
         )
         crawler = FocusedCrawler(
@@ -329,15 +328,12 @@ class TestEngineConfig:
         frontier = crawler.frontier
         assert priority in (frontier.entry(url).relevance for url in frontier.known_urls())
 
-    def test_round_size_is_batch_size_except_under_serial(
-        self, small_web, trained_model, taxonomy, crawl_seeds
-    ):
-        for engine, expected in (("auto", 4), ("batched", 4), ("serial", 1)):
-            crawler, _, _ = run_crawl(
-                small_web, trained_model, taxonomy, crawl_seeds,
-                max_pages=10, batch_size=4, engine=engine,
+    def test_serial_is_no_engine_mode(self, small_web, trained_model, taxonomy, crawl_seeds):
+        """A round of one is ``batch_size=1``; no engine mode pins it."""
+        with pytest.raises(ValueError, match="unknown engine mode 'serial'"):
+            run_crawl(
+                small_web, trained_model, taxonomy, crawl_seeds, max_pages=10, engine="serial"
             )
-            assert crawler.engine.round_size == expected
 
     def test_every_fetched_page_is_classified_once(
         self, small_web, trained_model, taxonomy, crawl_seeds, monkeypatch
@@ -587,7 +583,7 @@ class TestCrossRoundPrefetch:
     def test_prefetch_ignored_at_k1(
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
-        kwargs = dict(max_pages=40, distill_every=0, engine="serial")
+        kwargs = dict(max_pages=40, distill_every=0, batch_size=1)
         _, base_db, base = run_crawl(
             small_web, trained_model, taxonomy, crawl_seeds, prefetch=False, **kwargs
         )

@@ -72,7 +72,6 @@ def draw_case(k: int, seed: int):
         max_pages=max_pages,
         distill_every=rng.choice([0, rng.randrange(12, 45)]),
         checkpoint_every=rng.randrange(9, 40),
-        engine="serial" if k == 1 else "batched",
         batch_size=k,
     )
     return config, rng.randrange(8), rng.randrange(10, max_pages)
@@ -164,7 +163,7 @@ def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(
     distill_every, checkpoint_every = 40, 70
     config = CrawlerConfig(
         max_pages=150, distill_every=distill_every, checkpoint_every=checkpoint_every,
-        engine="serial",
+        batch_size=1,
     )
     handle = start(system, config, failure_seed=3)
     crawl = handle.database.table("CRAWL")
@@ -230,7 +229,7 @@ def test_crawl_holds_no_row_before_the_first_flush(system, monkeypatch):
         max_pages=120, distill_every=30, checkpoint_every=45, engine="batched", batch_size=8
     )
     handle = start(system, config, failure_seed=3)
-    assert seen[0] == [] and len(seen[1]) == len(handle.seeds)
+    assert seen[0] == [] and len(seen[1]) == len(handle.spec.seeds)
     handle.run()
     assert handle.trace.distillations >= 3 and len(seen) >= 2 * 7
     for flushed, next_seen in zip(seen[1::2], seen[2::2]):
@@ -309,7 +308,7 @@ def test_after_every_sync_hubs_and_auth_hold_the_last_distillation(
 ):
     config = CrawlerConfig(
         max_pages=200, distill_every=30, checkpoint_every=45,
-        engine="serial" if k == 1 else "batched", batch_size=k,
+        batch_size=k,
     )
     checks = check_every_sync(monkeypatch)
     single = start(system, dataclasses.replace(config), failure_seed=3)

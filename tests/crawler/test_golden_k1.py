@@ -2,7 +2,7 @@
 
 Until PR 14 ``CrawlEngine`` held a second, one-URL-at-a-time crawl loop
 (``_run_serial``) that every bit-identity pin compared the round kernel
-against.  That loop is gone — ``engine="serial"`` is the kernel at round
+against.  That loop is gone — ``batch_size=1`` is the kernel at round
 size 1 — so its behaviour lives on here as data: for each case below the
 parent commit's serial loop (python backend) produced the digests in
 ``GOLDEN``, and the kernel must reproduce them down either fetch path:
@@ -265,13 +265,12 @@ DRAINED = dict(
 @pytest.mark.parametrize(
     "overrides",
     [
-        dict(engine="serial", batch_size=8),
         dict(engine="batched", batch_size=1),
         dict(engine="batched", batch_size=1, **DRAINED),
         # The inert prefetch and fetch_mode flags, as older configs still carry them.
-        dict(engine="serial", fetch_mode="async", prefetch=True, **DRAINED),
+        dict(batch_size=1, fetch_mode="async", prefetch=True, **DRAINED),
     ],
-    ids=["serial-ignores-batch-size", "batched-k1", "async-k1", "prefetch-k1"],
+    ids=["batched-k1", "async-k1", "prefetch-k1"],
 )
 def test_every_spelling_of_k1_is_the_same_crawl(
     overrides, small_web, trained_model, taxonomy, drained_rounds

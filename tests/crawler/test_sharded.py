@@ -28,7 +28,6 @@ from repro.crawler.engine import CrawlEngine, CrawlerConfig, CrawlTrace
 from repro.crawler.focused import FocusedCrawler
 from repro.crawler.frontier import Frontier
 from repro.crawler.sharded import ShardedEngine, ShardServerPool, build_sharded_crawler
-from repro.crawler.unfocused import UnfocusedCrawler
 from repro.webgraph.fetch import Fetcher
 from repro.webgraph.urls import server_sid
 
@@ -40,22 +39,21 @@ def crawl_seeds(small_web):
     return small_web.keyword_seed_pages(GOOD, count=8)
 
 
-def run_reference(small_web, trained_model, taxonomy, seeds, *, focused=True, **kwargs):
+def run_reference(small_web, trained_model, taxonomy, seeds, **kwargs):
     """A batched-engine crawl — the bit-level reference for sharded N=1."""
     database = create_focus_database(buffer_pool_pages=512)
     ModelInstaller(database).install(trained_model)
     small_web.servers.reseed(0)
     fetcher = Fetcher(small_web, failure_seed=0)
     config = CrawlerConfig(engine="batched", **kwargs)
-    crawler_cls = FocusedCrawler if focused else UnfocusedCrawler
-    crawler = crawler_cls(fetcher, trained_model, taxonomy, database, config)
+    crawler = FocusedCrawler(fetcher, trained_model, taxonomy, database, config)
     crawler.add_seeds(seeds)
     trace = crawler.crawl()
     return crawler, database, trace
 
 
 def run_sharded(
-    small_web, trained_model, taxonomy, seeds, *, shards, focused=True,
+    small_web, trained_model, taxonomy, seeds, *, shards,
     schedule=None, **kwargs,
 ):
     config = CrawlerConfig(
@@ -63,7 +61,7 @@ def run_sharded(
     )
     crawler = build_sharded_crawler(
         small_web, trained_model, taxonomy, config,
-        focused=focused, fetch_failure_seed=0, schedule=schedule,
+        fetch_failure_seed=0, schedule=schedule,
     )
     crawler.add_seeds(seeds)
     trace = crawler.engine.run(crawler.config.max_pages)
@@ -208,13 +206,12 @@ class TestShardedMatchesBatched:
         self, small_web, trained_model, taxonomy, crawl_seeds
     ):
         """Coordinator-assigned discovery numbers keep BFS shard-invariant."""
-        kwargs = dict(max_pages=60, batch_size=8)
-        _, _, ref = run_reference(
-            small_web, trained_model, taxonomy, crawl_seeds, focused=False, **kwargs
-        )
+        # The unfocused baseline's preset (FocusSystem.start, focused=False).
+        kwargs = dict(max_pages=60, batch_size=8, focus_mode="none", distill_every=0)
+        _, _, ref = run_reference(small_web, trained_model, taxonomy, crawl_seeds, **kwargs)
         crawler, trace = run_sharded(
             small_web, trained_model, taxonomy, crawl_seeds, shards=1,
-            focused=False, **kwargs,
+            **kwargs,
         )
         try:
             assert visit_tuples(trace) == visit_tuples(ref)
@@ -222,11 +219,11 @@ class TestShardedMatchesBatched:
             crawler.shutdown()
         c2, t2 = run_sharded(
             small_web, trained_model, taxonomy, crawl_seeds, shards=2,
-            focused=False, **kwargs,
+            **kwargs,
         )
         c4, t4 = run_sharded(
             small_web, trained_model, taxonomy, crawl_seeds, shards=4,
-            focused=False, **kwargs,
+            **kwargs,
         )
         try:
             assert visit_tuples(t2) == visit_tuples(t4)

@@ -114,7 +114,7 @@ class TestSerialCrawlDistillsLikeAFullScan:
         database = create_focus_database(buffer_pool_pages=512)
         ModelInstaller(database).install(trained_model)
         small_web.servers.reseed(0)
-        config = CrawlerConfig(max_pages=150, distill_every=25, engine="serial")
+        config = CrawlerConfig(max_pages=150, distill_every=25, batch_size=1)
         crawler = FocusedCrawler(
             Fetcher(small_web, failure_seed=0), trained_model, taxonomy, database, config
         )
@@ -382,7 +382,7 @@ def serial_config():
         max_pages=MAX_PAGES,
         distill_every=20,
         checkpoint_every=25,
-        engine="serial",
+        batch_size=1,
     )
 
 
@@ -486,7 +486,6 @@ def draw_case(seed):
         focus_mode=rng.choice(["soft", "hard", "none"]),
         distill_every=rng.choice([10, 20, 30]),
         checkpoint_every=25,
-        engine="serial" if k == 1 else "batched",
         batch_size=k,
     )
     return config, rng.randrange(100), rng.randrange(20, 100)

@@ -138,6 +138,19 @@ class TestSelectExecution:
         rows = db.sql("select avg(exp(relevance)) e from CRAWL")
         assert rows[0]["e"] > 1.0
 
+    @pytest.mark.parametrize("func", ["sum", "avg"])
+    def test_sum_and_avg_over_text_are_refused(self, db, func):
+        """As ``url + 1`` is: a number over TEXT is not 0.0."""
+        with pytest.raises(QueryError, match=f"{func}\\(\\) needs numbers"):
+            db.sql(f"select {func}(url) s from CRAWL")
+        with pytest.raises(QueryError, match=f"{func}\\(\\) needs numbers"):
+            db.sql(f"select sid, {func}(status) s from CRAWL group by sid")
+
+    def test_count_min_and_max_over_text_still_answer(self, db):
+        rows = db.sql("select count(url) n, min(url) lo, max(url) hi from CRAWL")
+        urls = [f"http://s{i % 5}.example/{i}" for i in range(30)]
+        assert rows == [{"n": 30, "lo": min(urls), "hi": max(urls)}]
+
     def test_join_via_comma_from(self, db):
         rows = db.sql(
             "select CRAWL.kcid kcid, count(oid) cnt, name from CRAWL, TAXONOMY"

@@ -374,15 +374,20 @@ class TestErrors:
         assert excinfo.value.code == 400
 
 
-#: Config fields that were deleted, each under the job-spec section that held it.
+#: Config fields that were deleted, each under the job-spec section that held it
+#: (a dotted path; empty for the spec itself).
 DELETED_FIELDS = [
     ("crawler", "fetch_workers", 8),
     ("crawler", "compact_every", 3),
     ("crawler", "compact_min_garbage_ratio", 0.2),
     ("crawler", "posterior_cache_size", 4096),
     ("crawler", "record_best_leaf", True),
-    ("storage", "background_compaction", True),
-    ("storage", "compact_wal_bytes", 32768),
+    ("crawler.storage", "background_compaction", True),
+    ("crawler.storage", "compact_wal_bytes", 32768),
+    # Storage and the cassette moved into the crawler section.
+    ("", "storage", {}),
+    ("", "cassette_path", "crawl.jsonl"),
+    ("", "cassette_mode", "record"),
 ]
 
 
@@ -393,7 +398,11 @@ class TestDeletedFields:
     @pytest.mark.parametrize("section,name,value", DELETED_FIELDS)
     def test_deleted_field_is_refused_by_name(self, request, entry, section, name, value):
         spec = JobSpec(max_pages=30).to_dict()
-        spec[section] = {name: value}
+        holder = spec
+        for key in filter(None, section.split(".")):
+            holder[key] = {}
+            holder = holder[key]
+        holder[name] = value
         if entry == "JobSpec.from_dict":
             with pytest.raises(ValueError, match=name):
                 JobSpec.from_dict(spec)
@@ -423,6 +432,12 @@ MISTYPED_CRAWLERS = [
     ),
     # Ordering keys that are not a list of pairs.
     ({"ordering": {"name": "x", "keys": 5}}, "'int' object is not iterable"),
+    ({"ordering": {"keys": [["relevance", False]]}}, "missing 'name'"),
+    ({"ordering": 5}, "bad crawler.ordering 5"),
+    (
+        {"ordering": {"name": "x", "keys": [["relevance", False, 1]]}},
+        "too many values to unpack",
+    ),
 ]
 
 
@@ -451,6 +466,9 @@ class TestMistypedSpecs:
             "mistyped-field",
             "removed-backend-option",
             "ordering-keys-not-a-list",
+            "ordering-without-a-name",
+            "ordering-not-a-mapping",
+            "ordering-key-of-three",
         ],
     )
     def test_mistyped_spec_is_400_and_the_service_keeps_serving(self, service, crawler, named):

@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.crawler import CrawlerConfig
+from repro.crawler.engine import ENGINE_MODES
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 PACKAGE_DIR = pathlib.Path(repro.__file__).resolve().parent
@@ -157,6 +158,26 @@ class TestKnobs:
             "wal_fsync_batch",  # legacy; goes once ROADMAP 1A unbinds the suite
             "storage",
         )
+
+    def test_job_spec_fields_are_pinned(self):
+        """Every ``JobSpec`` field, in declaration order: storage and the
+        cassette live on the crawler config, and a new job knob is a
+        visible diff here."""
+        assert tuple(field.name for field in dataclasses.fields(repro.JobSpec)) == (
+            "good_topics",
+            "seeds",
+            "max_pages",
+            "focused",
+            "fetch_failure_seed",
+            "checkpoint_dir",
+            "crawler",
+            "fetch_budget",
+            "name",
+        )
+
+    def test_engine_modes_are_pinned(self):
+        """A round of one is ``batch_size=1``: no mode pins K."""
+        assert ENGINE_MODES == ("auto", "batched", "sharded")
 
     def test_score_backend_is_only_declared_and_validated(self):
         """The inert field cannot select a scoring path again: ``src/`` names

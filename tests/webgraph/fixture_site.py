@@ -293,7 +293,7 @@ def build_fixture_system(web=None):
 def fixture_crawler_config(
     cassette_path: str,
     cassette_mode: str = "auto",
-    engine: str = "serial",
+    engine: str = "auto",
     batch_size: int = 1,
     max_pages: int = FIXTURE_MAX_PAGES,
     **overrides,
