@@ -115,8 +115,8 @@ class CrawlResult:
         closed (e.g. by :meth:`CrawlHandle.close` or the service's job
         manager): a durable crawl is reopened from ``spec.checkpoint_dir``
         transparently, so callers never juggle reopen-by-hand.  On an
-        open one, the engine's write buffers (the hub boosts and the
-        scores of a :meth:`top_hubs` that distilled) are flushed first.
+        open one, the engine's write buffers are written first
+        (``CrawlEngine.sync``).
         """
         if getattr(self.database, "sharded", False):
             raise RuntimeError(
@@ -204,12 +204,11 @@ class CrawlHandle:
     def database(self) -> Database:
         """The job's crawl database.
 
-        The engine buffers CRAWL and LINK writes between its flush points
-        (every ``distill_every`` and ``checkpoint_every`` pages, and the
-        end of the crawl), so a direct read of those tables mid-crawl
-        lags the crawl by at most one flush interval; it writes HUBS and
-        AUTH only at a sync (every ``checkpoint_every`` pages, and the
-        end).  ``crawler.engine.sync()`` closes the gap.  :meth:`monitor`, a
+        The engine writes its tables only at a sync (seeding, every
+        ``checkpoint_every`` pages, and the end of the crawl), so a
+        direct read mid-crawl lags the crawl by at most one
+        ``checkpoint_every`` interval, or the whole crawl without one.
+        ``crawler.engine.sync()`` closes the gap.  :meth:`monitor`, a
         checkpoint, a finished crawl and the service's reads sync first.
         """
         return self.crawler.database

@@ -25,40 +25,45 @@ time:
    fetched: a visited URL is never checked out again;
 4. *expand* and *record*: a page's visit, then its out-links in one
    :meth:`Frontier.expand` pass, become CRAWL and LINK writes, and a failed
-   fetch attempt a FAILED row; they buffer in memory, across rounds, until
-   the distiller or something outside the engine reads the tables.  A flush
-   goes through minidb's column-at-a-time write path — one ``insert_many``
-   per table (each page takes its rows as column slices), one ``update_rows`` for the CRAWL
-   rows changed since the last flush and one ``update_column`` for the
-   refreshed ``wgt_fwd`` values (:class:`BufferedLinkWriter`,
-   :meth:`Frontier.flush_batch`).  The LINK rows a flush inserts are
-   also appended, in insert order, to the distiller's columnar link
-   graph — the graph holds edges only; HITS reads both edge weights
-   from the relevance map;
-5. *close*: when due, the CRAWL and LINK buffers flush and the
-   incremental distiller runs weighted HITS over its link graph
-   (:class:`~repro.distiller.db_distiller.IncrementalDistiller`); no
-   distillation re-reads the LINK table.  The top hubs' out-links are
-   read off the same graph, and the boosts they give join the CRAWL
-   buffer.  The scores are kept, not written: nothing in the crawl
-   reads HUBS or AUTH.  At each ``checkpoint_every`` boundary
-   :meth:`CrawlEngine.sync` writes everything buffered — CRAWL, LINK,
-   FAILED and, if a distillation ran since their last write, HUBS and
-   AUTH, each rewritten whole (:func:`write_scores`) — and a checkpoint is
-   saved, when a checkpointer is attached; the crawl's end syncs once
+   fetch attempt a FAILED row; they buffer in memory, across rounds,
+   until a sync.  The frontier keeps its changed entries (a CRAWL row is
+   a function of its entry), :class:`BufferedLinkWriter` the LINK rows
+   as six column lists, the trace the failed URLs: nothing per buffered
+   row for the cyclic collector to count;
+5. *close*: when due, the incremental distiller runs weighted HITS over
+   its columnar link graph
+   (:class:`~repro.distiller.db_distiller.IncrementalDistiller`), which
+   first takes the buffered LINK rows it lacks as column slices — no
+   distillation reads or writes a table.  The graph holds edges only;
+   HITS reads both edge weights from the relevance map.  The top hubs'
+   out-links are read off the same graph, and the boosts they give join
+   the CRAWL buffer.  The scores are kept, not written: nothing in the
+   crawl reads HUBS or AUTH.  At each ``checkpoint_every`` boundary
+   :meth:`CrawlEngine.sync` writes everything buffered and a checkpoint
+   is saved, when a checkpointer is attached; the crawl's end syncs once
    more.
 
-The flush points are a pure function of crawl progress — seeding, every
-``distill_every`` and ``checkpoint_every`` pages, and the end — never of
-how ``run()`` is sliced into calls or whether a checkpointer exists, so
-stepped ≡ single run and killed-and-resumed ≡ uninterrupted hold down
-to where each row lands.  A reader from outside the engine (a
-checkpoint, a monitor, a service query) calls :meth:`CrawlEngine.sync`
-first; a direct read of the tables mid-crawl lags by at most one flush
-interval (HUBS and AUTH: one ``checkpoint_every`` interval, or the whole
-crawl without one).  A reader's sync, and a ``checkpoint_interval_s``
-save, write the scores at a point of its own: the score rows' contents
-do not depend on it, their placement does.
+A sync is the engine's only write, through minidb's column-at-a-time
+write path: one ``insert_columns`` each for CRAWL and LINK (every page
+takes its rows as column slices) and one ``insert_many`` for FAILED; one
+``update_rows`` for the CRAWL rows an earlier sync wrote that changed
+since, their change sets read off the entries (:meth:`Frontier.flush_batch`);
+and the ``wgt_fwd`` of every LINK
+row into a page visited since the last sync — set in the buffer before
+the insert, and through ``link_dst`` and one ``update_column`` for rows
+an earlier sync wrote.  HUBS and AUTH are rewritten whole
+(:func:`write_scores`) if a distillation ran since their last write.
+
+The syncs are a pure function of crawl progress — seeding, every
+``checkpoint_every`` pages, and the end — never of how ``run()`` is
+sliced into calls or whether a checkpointer exists, so stepped ≡ single
+run and killed-and-resumed ≡ uninterrupted hold down to where each row
+lands.  A reader from outside the engine (a checkpoint, a monitor, a
+service query) calls :meth:`CrawlEngine.sync` first; a direct read of
+the tables mid-crawl lags by at most one ``checkpoint_every`` interval,
+or the whole crawl without one.  A reader's sync, and a
+``checkpoint_interval_s`` save, write at a point of their own: the
+rows' contents do not depend on it, their placement does.
 
 K is ``CrawlerConfig.batch_size``: the paper's one-URL-at-a-time loop
 is this kernel at ``batch_size=1`` (the default), not a second
@@ -80,9 +85,9 @@ import asyncio
 import itertools
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.classifier.compiled import CompiledHierarchicalModel
 from repro.classifier.model import BatchClassification, HierarchicalModel
@@ -365,45 +370,76 @@ def write_scores(table: Table, oids: Sequence[int], scores: Sequence[float]) -> 
 
 
 class BufferedLinkWriter:
-    """Buffered LINK writes: one bulk insert plus coalesced weight refreshes.
+    """LINK rows buffered as six column lists, written at a flush with ``wgt_fwd`` settled.
 
-    Accumulates rows until a flush, then writes one ``insert_many`` and
-    one ``update_column`` — ``wgt_fwd`` is unindexed, so the refresh of
-    every edge pointing at a freshly classified page is an in-place
-    assignment into the LINK pages' ``wgt_fwd`` column chunks, no row
-    read or rebuilt.  Refreshes are applied after the inserts, in visit
-    order.  :meth:`flush` hands back the rows it inserted, in insert
-    order, for the engine's link graph.
+    A visited page's out-links are appended to the columns
+    (:meth:`add_page`), a shard's round as whole columns
+    (:meth:`add_columns`); no row is built, so the buffer holds no
+    container per row for the cyclic collector to count.  A buffered
+    row's ``wgt_fwd`` is the one known at its expansion.  The flush sets
+    it from the pages visited since the last flush (:meth:`refresh`),
+    refreshes the rows an earlier flush wrote — one ``link_dst`` probe per
+    such page, then one ``update_column``: ``wgt_fwd`` is unindexed, so
+    that is an in-place assignment into the LINK pages' column chunks —
+    and inserts the buffer with one ``insert_columns``.  Every row thus
+    ends at the weight a write after every visit would have left.
     """
 
     def __init__(self, table: Table) -> None:
         self.table = table
-        self._rows: List[tuple] = []
-        self._refresh: "OrderedDict[int, float]" = OrderedDict()
-        # Link rows are built positionally for bulk loading; pin the order.
+        # Link rows are buffered positionally; pin the order.
         expected = ("oid_src", "sid_src", "oid_dst", "sid_dst", "wgt_fwd", "wgt_rev")
         if tuple(table.schema.column_names) != expected:
             raise ValueError(f"LINK schema order {table.schema.column_names} != {expected}")
+        #: The buffered rows, one list per LINK column in schema order.
+        self.columns: Tuple[list, ...] = ([], [], [], [], [], [])
+        #: oid -> relevance of every page visited since the last flush, in visit order.
+        self._visited: Dict[int, float] = {}
 
-    def add_rows(self, rows: Sequence[tuple]) -> None:
-        self._rows.extend(rows)
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def add_page(
+        self,
+        oid_src: int,
+        sid_src: int,
+        relevance: float,
+        targets: Sequence[Tuple[str, int, int]],
+        forward: Sequence[float],
+    ) -> None:
+        """Buffer a visited page's LINK rows: one per resolved target, its ``wgt_fwd`` given."""
+        width = len(targets)
+        self.add_columns(
+            [oid_src] * width, [sid_src] * width,
+            map(itemgetter(1), targets), map(itemgetter(2), targets),
+            forward, [relevance] * width,
+        )
+
+    def add_columns(self, *columns: Iterable) -> None:
+        """Buffer rows given as six columns of one length, in schema order."""
+        for buffered, column in zip(self.columns, columns, strict=True):
+            buffered.extend(column)
 
     def refresh(self, visited_oid: int, relevance: float) -> None:
         """Set ``wgt_fwd`` of every edge into *visited_oid* at the flush."""
-        self._refresh[visited_oid] = relevance
+        self._visited[visited_oid] = relevance
 
-    def flush(self) -> List[tuple]:
-        """Write the buffered rows and refreshes; returns the rows inserted, in order."""
-        rows, self._rows = self._rows, []
-        if rows:
-            self.table.insert_many(rows)
-        updates: Dict[int, float] = {}
-        for oid, relevance in self._refresh.items():
-            updates.update(dict.fromkeys(self.table.lookup_rids("link_dst", (oid,)), relevance))
-        if updates:
-            self.table.update_column("wgt_fwd", updates)
-        self._refresh = OrderedDict()
-        return rows
+    def flush(self) -> None:
+        """Write the buffered rows, and the refreshes of rows written before."""
+        columns, self.columns = self.columns, ([], [], [], [], [], [])
+        visited, self._visited = self._visited, {}
+        table = self.table
+        if visited and len(table):
+            updates: Dict[int, float] = {}
+            for oid, relevance in visited.items():
+                updates.update(dict.fromkeys(table.lookup_rids("link_dst", (oid,)), relevance))
+            if updates:
+                table.update_column("wgt_fwd", updates)
+        if columns[0]:
+            if visited:
+                _src, _sid, oids_dst, _sid_dst, wgt_fwd, _rev = columns
+                wgt_fwd[:] = map(visited.get, oids_dst, wgt_fwd)
+            table.insert_columns(columns)
 
 
 def _close_loop(loop: asyncio.AbstractEventLoop) -> None:
@@ -484,7 +520,7 @@ class CrawlEngine:
         self._since_checkpoint = 0
         self._last_checkpoint_s: Optional[float] = None
         self._stagnation_misses = 0
-        #: A row per failed fetch attempt: :meth:`_flush` writes the trace's
+        #: A row per failed fetch attempt: :meth:`sync` writes the trace's
         #: failed URLs past the first ``_failed_written``.
         self._failed = database.table("FAILED")
         self._failed_written = 0
@@ -497,6 +533,8 @@ class CrawlEngine:
         self._relevance: Dict[int, float] = {}
         self._scorer = PageScorer(classifier, taxonomy, config)
         self._link_writer = BufferedLinkWriter(database.table("LINK"))
+        #: How many of the writer's buffered rows the link graph holds.
+        self._graph_rows = 0
         #: The last distillation, until :meth:`sync` writes it to HUBS and AUTH.
         self._unwritten_scores: Optional[DistillationResult] = None
         self._incremental: Optional[IncrementalDistiller] = None
@@ -556,7 +594,7 @@ class CrawlEngine:
             # sliced into stepped calls keeps one timer across them.
             self._last_checkpoint_s = time.monotonic()
         # Build the link graph (one LINK scan) before this run's first
-        # flush, which then feeds it.
+        # round; distillations and syncs then feed it.
         self._incremental_distiller()
         rounds = range(max_rounds) if max_rounds is not None else itertools.count()
         self._run_rounds(budget, rounds)
@@ -565,14 +603,14 @@ class CrawlEngine:
     def run_distillation(self) -> DistillationResult:
         """Re-score hubs/authorities over the current crawl graph and boost frontier URLs.
 
-        The CRAWL and LINK buffers flush first, so the link graph holds
-        every edge.  The scores are written to HUBS and AUTH at the next
-        :meth:`sync`; the boosts are buffered CRAWL changes, written at
-        the next flush.
+        Nothing is written: the link graph first takes the LINK rows
+        buffered since it was last fed, so it holds every edge.  The
+        scores are written to HUBS and AUTH at the next :meth:`sync`; the
+        boosts are buffered CRAWL changes, written there too.
         """
-        self._flush()
         started = time.perf_counter()
         distiller = self._incremental_distiller()
+        self._feed_graph()
         # The live map is safe to hand over: distillation only reads it
         # (and the link graph relies on seeing the same dict grow).
         result = distiller.run(self._relevance, max_iterations=self.config.distill_iterations)
@@ -597,38 +635,39 @@ class CrawlEngine:
     def sync(self) -> None:
         """Write every buffered change: the crawl tables then hold the crawl as of now.
 
-        The engine calls it at each ``checkpoint_every`` boundary and at
-        the crawl's end; anything that reads the tables from outside the
-        engine mid-crawl calls it first.  HUBS and AUTH are rewritten with
-        the last distillation's scores, in graph-node order, and only if a
+        The one place the engine writes: at seeding, at each
+        ``checkpoint_every`` boundary and at the crawl's end; anything that
+        reads the tables from outside the engine mid-crawl calls it first.
+        CRAWL, LINK and FAILED take what was buffered since the last sync
+        (the link graph first takes the LINK rows it lacks: the buffer
+        empties).  HUBS and AUTH are rewritten with the last
+        distillation's scores, in graph-node order, and only if a
         distillation ran since they were last written: nothing inside the
         crawl reads them.
         """
-        self._flush()
-        result, self._unwritten_scores = self._unwritten_scores, None
-        if result is not None:
-            started = time.perf_counter()
-            oids, hubs, authorities = result.dense
-            write_scores(self.database.table("HUBS"), oids, hubs.tolist())
-            write_scores(self.database.table("AUTH"), oids, authorities.tolist())
-            self.stage_timings["write"] += time.perf_counter() - started
-
-    def _flush(self) -> None:
-        """Write the buffered CRAWL and LINK changes and the failures since the last flush.
-
-        The LINK rows it inserts go on to the distiller's link graph,
-        once that exists (it is built from a LINK scan, which sees them).
-        """
         started = time.perf_counter()
+        self._feed_graph()
         self.frontier.flush_batch()
-        inserted = self._link_writer.flush()
+        self._link_writer.flush()
+        self._graph_rows = 0
         failed = self.trace.failed_urls
         if len(failed) > self._failed_written:
             self._failed.insert_many([(url,) for url in failed[self._failed_written:]])
             self._failed_written = len(failed)
-        if self._incremental is not None:
-            self._incremental.add_rows(inserted)
+        result, self._unwritten_scores = self._unwritten_scores, None
+        if result is not None:
+            oids, hubs, authorities = result.dense
+            write_scores(self.database.table("HUBS"), oids, hubs.tolist())
+            write_scores(self.database.table("AUTH"), oids, authorities.tolist())
         self.stage_timings["write"] += time.perf_counter() - started
+
+    def _feed_graph(self) -> None:
+        """Append the buffered LINK rows the link graph lacks, in buffer order."""
+        writer, start = self._link_writer, self._graph_rows
+        if self._incremental is not None and len(writer) > start:
+            # The endpoint columns: oid_src, sid_src, oid_dst, sid_dst.
+            self._incremental.graph.add_columns(*[c[start:] for c in writer.columns[:4]])
+        self._graph_rows = len(writer)
 
     # -- checkpointing ----------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, object]:
@@ -711,7 +750,7 @@ class CrawlEngine:
         return urls
 
     def _close_round(self) -> None:
-        """Distil when due and take a ``checkpoint_every`` boundary; both flush the write buffers.
+        """Distil when due and take a ``checkpoint_every`` boundary, which syncs.
 
         Otherwise the round's writes stay buffered.
         """
@@ -801,22 +840,21 @@ class CrawlEngine:
             self.config.focus_mode, relevance, self._scorer.hard_accepts(outcome)
         )
         targets = resolve_links(entry.oid, result.out_links)
-        self._link_writer.add_rows(
-            self.frontier.expand(entry.oid, entry.sid, relevance, targets, priority)
-        )
+        forward = self.frontier.expand(relevance, targets, priority)
+        self._link_writer.add_page(entry.oid, entry.sid, relevance, targets, forward)
         self._link_writer.refresh(entry.oid, relevance)
         self.trace.visits.append(PageVisit(self._tick, url, relevance, outcome.best_leaf_cid))
         self._since_distillation += 1
         self._since_checkpoint += 1
 
     def _maybe_checkpoint(self) -> None:
-        """Flush at a ``checkpoint_every`` boundary, and save a resume point when one is due.
+        """Sync at a ``checkpoint_every`` boundary, and save a resume point when one is due.
 
         Two independent triggers for a save: every ``checkpoint_every``
         successful fetches, and every ``checkpoint_interval_s``
         wall-clock seconds — the latter bounds at-risk work when fetches
         are slow (real networks) rather than plentiful.  The boundary
-        flushes whether or not a checkpointer is attached, so where a row
+        syncs whether or not a checkpointer is attached, so where a row
         lands never depends on one.  The counter/timer reset *before*
         the save so the persisted engine state carries zero
         progress-toward-next-checkpoint, matching what a resumed engine
@@ -910,4 +948,6 @@ class CrawlEngine:
                 rho=self.config.rho,
                 max_iterations=self.config.distill_iterations,
             )
+            # Built from a LINK scan: none of the buffered rows is in it.
+            self._graph_rows = 0
         return self._incremental

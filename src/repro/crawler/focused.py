@@ -91,7 +91,7 @@ class FocusedCrawler:
     def add_seeds(self, urls: Iterable[str]) -> None:
         """Seed the crawl with the user's example URLs (the paper's D(C*)).
 
-        Seeding is a flush point: the seeds' CRAWL rows are written here,
+        Seeding is a sync: the seeds' CRAWL rows are written here,
         before round 1, so they land where they do whether or not a
         checkpointer's first save (which syncs) follows.
         """

@@ -21,10 +21,14 @@ insertion history, so crawls are reproducible under a fixed seed
 regardless of how a round interleaved its ``add_url`` calls.
 
 The frontier always buffers its CRAWL writes: in-memory entries stay
-authoritative at all times, while the table's inserts and updates
-accumulate — seeds, visits, failures and hub boosts alike — until
-:meth:`Frontier.flush_batch` writes them through one ``insert_many`` and
-one ``update_rows``.  The crawl engine flushes at its flush points
+authoritative at all times, and an entry carries every column of its
+CRAWL row (``kcid`` included), so a row is a function of its entry.
+What waits for a write is a list of the entries not yet in the table
+and a dict of the written ones changed since — entries, not change
+sets — until :meth:`Frontier.flush_batch` inserts the new ones at their
+state then (a page visited before its first write is inserted visited)
+and updates the others with change sets read off their entries.  The
+crawl engine flushes at its syncs
 (:meth:`repro.crawler.engine.CrawlEngine.sync`); anyone else driving a
 frontier flushes before reading CRAWL.
 """
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.minidb import Database
@@ -50,15 +55,21 @@ _HeapItem = Tuple[tuple, int, str]
 _CRAWL_COLUMNS = (
     "oid", "url", "sid", "relevance", "numtries", "serverload", "lastvisited", "kcid", "status",
 )
-_CRAWL_POSITION = {name: position for position, name in enumerate(_CRAWL_COLUMNS)}
+#: The CRAWL columns a change to a written row can touch.  A written row
+#: changes only while its entry is on the frontier, where a raise or a
+#: retried failure moves its priority and retries, and once more when the
+#: entry leaves it, visited or dead, which sets the rest; never after that.
+_FRONTIER_CHANGES = ("relevance", "numtries")
+_FINAL_CHANGES = ("relevance", "numtries", "serverload", "lastvisited", "kcid", "status")
 
 
-def _table_changes(changes: Mapping[str, Any]) -> Mapping[str, Any]:
-    """*changes* as CRAWL sees them: ``in_flight`` is frontier-internal,
-    and the table only knows the paper's states."""
-    if changes.get("status") == "in_flight":
-        return {**changes, "status": "frontier"}
-    return changes
+def _column(entries: List["FrontierEntry"], name: str) -> list:
+    """One CRAWL column of *entries*' rows.  ``in_flight`` is frontier-internal:
+    the table only knows the paper's states."""
+    values = list(map(attrgetter(name), entries))
+    if name == "status":
+        return ["frontier" if status == "in_flight" else status for status in values]
+    return values
 
 
 @dataclass(slots=True)
@@ -77,6 +88,8 @@ class FrontierEntry:
     authority_score: float = 0.0
     status: str = "frontier"
     rid: Optional[int] = None
+    #: The best leaf class of a visited page (CRAWL's ``kcid``).
+    kcid: Optional[int] = None
 
 
 class Frontier:
@@ -108,9 +121,10 @@ class Frontier:
         self._heap_compactions = 0
         # The next discovery number; a resume recounts it from CRAWL.
         self._next_discovered = 0
-        # CRAWL inserts and updates not yet written (see flush_batch).
+        # What flush_batch writes: the entries CRAWL does not hold yet, and
+        # the ones it holds that changed since (by URL, in first-change order).
         self._pending_new: list[FrontierEntry] = []
-        self._pending_changes: Dict[str, Dict[str, Any]] = {}
+        self._changed: Dict[str, FrontierEntry] = {}
         #: oid -> (hub, authority) of every entry :meth:`update_scores`
         #: gave a non-zero score: the one part of an entry CRAWL lacks.
         self._attached_scores: Dict[int, Tuple[float, float]] = {}
@@ -192,7 +206,7 @@ class Frontier:
     def _raise_priority(self, entry: FrontierEntry, relevance: float) -> None:
         if entry.status == "frontier" and relevance > entry.relevance:
             entry.relevance = relevance
-            self._sync_row(entry, {"relevance": relevance})
+            self._mark_changed(entry)
             self._push(entry)
 
     def _add_entry(
@@ -259,44 +273,31 @@ class Frontier:
                 self._add_entry(normalized, oid, sid, relevance, discovered=discovered)
 
     def expand(
-        self, source_oid: int, source_sid: int, relevance: float, targets, priority: Optional[float]
-    ) -> List[tuple]:
-        """Expand a visited page of *relevance* over its resolved out-links; returns its LINK rows.
+        self, relevance: float, targets, priority: Optional[float]
+    ) -> List[float]:
+        """Expand a visited page of *relevance* over its resolved out-links.
 
-        One entry probe per ``(normalized, oid, sid)`` target gives the row's
-        ``wgt_fwd`` (E_F: a visited target's own relevance, else the page's)
-        and, as :meth:`add_many` at *priority*, the new entry or the raise —
-        none when *priority* is None (hard focus rejected the page).
+        One entry probe per ``(normalized, oid, sid)`` target gives the
+        ``wgt_fwd`` of its LINK row (E_F: a visited target's own relevance,
+        else the page's) and, as :meth:`add_many` at *priority*, the new
+        entry or the raise — none when *priority* is None (hard focus
+        rejected the page).  Returns the ``wgt_fwd`` values, in target order.
         """
         entries = self._entries
-        rows = []
+        forward = []
         for normalized, oid, sid in targets:
             entry = entries.get(normalized)
-            forward = relevance
             if entry is None:
                 if priority is not None:
                     self._add_entry(normalized, oid, sid, priority)
+                forward.append(relevance)
             elif entry.status == "visited":
-                forward = entry.relevance
-            elif priority is not None:
-                self._raise_priority(entry, priority)
-            rows.append((source_oid, source_sid, oid, sid, forward, relevance))
-        return rows
-
-    def _crawl_row(self, entry: FrontierEntry) -> tuple:
-        """The entry's CRAWL row, positional in the pinned schema order."""
-        status = "frontier" if entry.status == "in_flight" else entry.status
-        return (
-            entry.oid,
-            entry.url,
-            entry.sid,
-            entry.relevance,
-            entry.numtries,
-            entry.serverload,
-            entry.lastvisited,
-            None,  # kcid: unknown until the page is classified
-            status,
-        )
+                forward.append(entry.relevance)
+            else:
+                if priority is not None:
+                    self._raise_priority(entry, priority)
+                forward.append(relevance)
+        return forward
 
     def add_seed(self, url: str) -> FrontierEntry:
         """Seeds (the examples D(C*)) enter with maximal priority."""
@@ -343,7 +344,7 @@ class Frontier:
         else:
             self._set_status(entry, "frontier")
             self._push(entry)
-        self._sync_row(entry, {"numtries": entry.numtries, "status": entry.status})
+        self._mark_changed(entry)
 
     def record_visit(
         self,
@@ -358,19 +359,10 @@ class Frontier:
         entry.relevance = relevance
         entry.numtries += 1
         entry.lastvisited = tick
+        entry.kcid = kcid
         self._server_load[entry.sid] = self._server_load.get(entry.sid, 0) + 1
         entry.serverload = self._server_load[entry.sid]
-        self._sync_row(
-            entry,
-            {
-                "relevance": relevance,
-                "numtries": entry.numtries,
-                "lastvisited": tick,
-                "kcid": kcid,
-                "status": "visited",
-                "serverload": entry.serverload,
-            },
-        )
+        self._mark_changed(entry)
         return entry
 
     # -- popping --------------------------------------------------------------------------
@@ -434,43 +426,35 @@ class Frontier:
         key = self._entry_key(entry, self._server_load.get(entry.sid, 0))
         heapq.heappush(self._heap, (key, entry.oid, entry.url))
 
-    def _sync_row(self, entry: FrontierEntry, changes: Mapping[str, Any]) -> None:
-        self._pending_changes.setdefault(entry.url, {}).update(changes)
+    def _mark_changed(self, entry: FrontierEntry) -> None:
+        """Queue a written entry's row for the next flush; a new one is inserted as it is then."""
+        if entry.rid is not None:
+            self._changed[entry.url] = entry
 
     # -- write buffering ---------------------------------------------------------------
     def flush_batch(self) -> None:
-        """Write the buffered CRAWL inserts and updates in bulk.
+        """Write the buffered CRAWL rows in bulk, each from its entry's state now.
 
-        An entry changed several times since the last flush gets one
-        update carrying its last value per column.
+        One ``insert_columns`` for the entries the table lacks, then one
+        ``update_rows`` for the changed ones it holds, each change set
+        read off the entry: :data:`_FRONTIER_CHANGES` while it is on the
+        frontier, :data:`_FINAL_CHANGES` once it is visited or dead.
         """
         crawl = self.database.table("CRAWL")
-        new_entries = self._pending_new
-        if new_entries:
-            # A new entry's row is built from its current state with its
-            # pending changes folded in (the kcid of a visit before the
-            # first flush is known only there), so nothing is left to
-            # update for it.
-            rows = []
-            for entry in new_entries:
-                row = self._crawl_row(entry)
-                changes = self._pending_changes.pop(entry.url, None)
-                if changes:
-                    row = list(row)
-                    for name, value in _table_changes(changes).items():
-                        row[_CRAWL_POSITION[name]] = value
-                rows.append(row)
-            for entry, rid in zip(new_entries, crawl.insert_many(rows)):
+        new, self._pending_new = self._pending_new, []
+        changed, self._changed = self._changed, {}
+        if new:
+            rids = crawl.insert_columns([_column(new, name) for name in _CRAWL_COLUMNS])
+            for entry, rid in zip(new, rids):
                 entry.rid = rid
-        # Every entry left here was written by an earlier flush.
-        updates = [
-            (self._entries[url].rid, _table_changes(changes))
-            for url, changes in self._pending_changes.items()
-        ]
-        if updates:
-            crawl.update_rows(updates)
-        self._pending_new = []
-        self._pending_changes = {}
+        if changed:
+            on_frontier, final = attrgetter(*_FRONTIER_CHANGES), attrgetter(*_FINAL_CHANGES)
+            crawl.update_rows([
+                (entry.rid, dict(zip(_FINAL_CHANGES, final(entry))))
+                if entry.status in ("visited", "dead")
+                else (entry.rid, dict(zip(_FRONTIER_CHANGES, on_frontier(entry))))
+                for entry in changed.values()
+            ])
 
     # -- checkpoint resume ---------------------------------------------------------------
     def attached_scores(self) -> Dict[int, Tuple[float, float]]:
@@ -510,7 +494,7 @@ class Frontier:
             hub_score, authority_score = scores.get(oid, (0.0, 0.0))
             entries[url] = FrontierEntry(
                 url, oid, sid, relevance, numtries, serverload, discovered, lastvisited,
-                hub_score, authority_score, status, rid,
+                hub_score, authority_score, status, rid, kcid,
             )
             url_of_oid[oid] = url
             if status == "visited":

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-#: The numeric ``FrontierEntry`` fields but ``rid``: the only columns an ordering may name.
+#: The numeric ``FrontierEntry`` fields but ``rid`` and ``kcid`` (a class id, unset on
+#: every frontier entry): the only columns an ordering may name.
 ORDERING_COLUMNS = frozenset(
     "oid sid relevance numtries serverload discovered lastvisited hub_score authority_score".split()
 )

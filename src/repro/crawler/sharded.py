@@ -262,7 +262,7 @@ class ShardWorker:
         op = message[0]
         if op == "seeds":
             self.frontier.add_many_discovered(message[1], 1.0)
-            self.frontier.flush_batch()  # seeding is a flush point, as in CrawlEngine
+            self.frontier.flush_batch()  # seeding writes, as CrawlEngine's sync does
             return None
         if op == "ping":  # the barrier: its reply is this shard's timings
             return dict(self.timings)
@@ -366,11 +366,9 @@ class ShardWorker:
             entry.relevance if entry is not None and entry.status == "visited" else relevance
             for entry, relevance in zip(entries, backward)
         ]
-        self._link_writer.add_rows(
-            list(zip(
-                per_link(message.src_oid, message.count), per_link(message.src_sid, message.count),
-                message.dst_oid, message.dst_sid, forward, backward,
-            ))
+        self._link_writer.add_columns(
+            per_link(message.src_oid, message.count), per_link(message.src_sid, message.count),
+            message.dst_oid, message.dst_sid, forward, backward,
         )
         self._link_writer.flush()
         self.timings["write"] += time.perf_counter() - started

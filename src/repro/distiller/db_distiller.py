@@ -22,15 +22,15 @@ Both produce the same scores as the in-memory
 edge weights LINK stores.
 
 A crawl distils through neither: :class:`IncrementalDistiller` keeps
-LINK's edges in a columnar graph, fed the rows each LINK flush inserts,
-and takes the weights from the crawl's relevance map — on the edges a
+LINK's edges in a columnar graph, fed the crawl's LINK rows as columns
+before each distillation, and takes the weights from the crawl's relevance map — on the edges a
 crawl keeps, the same floats as the stored ``wgt_fwd``/``wgt_rev``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.minidb import Database
 
@@ -263,11 +263,12 @@ class IncrementalDistiller:
     The one distill stage of every in-process crawl loop.  Its
     :class:`CompiledLinkGraph` is built from one LINK scan when the
     distiller is created — an empty table on a fresh crawl, the
-    recovered one on a resume — and from then on is handed the rows each
-    LINK flush inserts (:meth:`add_rows`), in insert order, which is heap
-    order: LINK is append-only and a bulk insert fills the last page
-    before it opens a new one.  So the graph's edges are always those of
-    a full LINK scan, in scan order.  The graph holds no weights: the
+    recovered one on a resume — and from then on its graph is handed the
+    crawl's new LINK rows as columns (:meth:`CompiledLinkGraph.add_columns`),
+    buffered or written, in insert order, which is heap order: LINK is
+    append-only and a bulk insert fills the last page before it opens a
+    new one.  So the graph's edges are always those of a full LINK scan
+    once the buffer is written, in scan order.  The graph holds no weights: the
     columnar kernels of :mod:`repro.distiller.compiled` read both from
     the relevance map, and edges, relevance and scores stay in arrays
     from the LINK append to the HUBS/AUTH write.  Scores are bit for bit
@@ -297,11 +298,6 @@ class IncrementalDistiller:
                 whole.extend(page.live(column))
         self.graph = CompiledLinkGraph()
         self.graph.add_columns(*columns)
-
-    def add_rows(self, rows: Sequence[tuple]) -> None:
-        """Fold LINK rows just inserted (tuples in schema order) into the graph."""
-        if rows:
-            self.graph.add_columns(*list(zip(*rows))[:4])
 
     def run(
         self,

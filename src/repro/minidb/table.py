@@ -2,7 +2,8 @@
 
 A :class:`Table` is the unit the rest of the system works with.  Its
 mutation API accepts either positional rows or column-name mappings.
-Rows are written one way: :meth:`Table.insert_many` and
+Rows are written one way: :meth:`Table.insert_columns` (which
+:meth:`Table.insert_many` feeds rows transposed) and
 :meth:`Table.update_rows` (and :meth:`Table.update_column`, their
 one-column form) take a batch, check all of it and then write all of
 it, so a batch that raises leaves the table and its journal untouched;
@@ -147,13 +148,7 @@ class Table:
     def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[int]:
         """Atomic bulk insert; returns the record ids of the inserted rows.
 
-        The batch is transposed once and handled a column at a time:
-        each column is validated and coerced (:meth:`Schema.validate_column`),
-        the primary key checked (NULLs, existing keys, duplicates
-        *within* the batch) and each row sized, all before any of them
-        touches the heap, so a violation anywhere in the batch leaves
-        the table unchanged.  :meth:`HeapFile.append_columns` then
-        gives every fill page its rows as one slice per column.
+        The batch is transposed once and handed to :meth:`insert_columns`.
         """
         schema = self.schema
         width = len(schema.columns)
@@ -167,10 +162,29 @@ class Table:
             raise SchemaError(f"row has {len(bad)} values, schema has {width} columns")
         # One pass per column, not zip(*rows): that makes an iterator per
         # row, a container each for the cyclic collector to count.
-        columns = [
-            schema.validate_column(position, list(map(itemgetter(position), rows)))
-            for position in range(width)
-        ]
+        return self.insert_columns([list(map(itemgetter(p), rows)) for p in range(width)])
+
+    def insert_columns(self, columns: Sequence[list]) -> list[int]:
+        """Atomic bulk insert of rows given as one list per column, in schema order.
+
+        Handled a column at a time: each column is validated and coerced
+        (:meth:`Schema.validate_column`), the primary key checked (NULLs,
+        existing keys, duplicates *within* the batch) and each row sized,
+        all before any of them touches the heap, so a violation anywhere
+        in the batch leaves the table unchanged.
+        :meth:`HeapFile.append_columns` then gives every fill page its
+        rows as one slice per column.  Returns the record ids of the
+        inserted rows.
+        """
+        schema = self.schema
+        width = len(schema.columns)
+        if len(columns) != width:
+            raise SchemaError(f"batch has {len(columns)} columns, schema has {width}")
+        if len(set(map(len, columns))) != 1:
+            raise SchemaError(f"columns of unequal length {[len(c) for c in columns]}")
+        if not columns[0]:
+            return []
+        columns = [schema.validate_column(p, values) for p, values in enumerate(columns)]
         pk_index = self._pk_index
         if pk_index is not None:
             keys = list(pk_index.keys_of(columns))

@@ -701,18 +701,18 @@ class TestFailedRows:
         assert failed_rows(handle.database) == failed
         handle.close()
 
-    def test_failed_rows_are_written_at_flush_points_only(self, checkpoint_system, monkeypatch):
-        """Between flush points a failure waits in the trace; each flush
-        writes the ones since the last, so where the rows land depends
-        only on crawl progress."""
+    def test_failed_rows_are_written_at_syncs_only(self, checkpoint_system, monkeypatch):
+        """Between syncs a failure waits in the trace, distillations
+        included; each sync writes the ones since the last, so where the
+        rows land depends only on crawl progress."""
         flushed = []
-        flush = CrawlEngine._flush
+        sync = CrawlEngine.sync
 
-        def recording_flush(engine):
-            flush(engine)
+        def recording_sync(engine):
+            sync(engine)
             flushed.append(len(engine.trace.failed_urls))
 
-        monkeypatch.setattr(CrawlEngine, "_flush", recording_flush)
+        monkeypatch.setattr(CrawlEngine, "sync", recording_sync)
         handle = checkpoint_system.start(
             JobSpec(crawler=crawl_config("batched"), fetch_failure_seed=FETCH_FAILURE_SEED)
         )

@@ -40,6 +40,11 @@ def link_row(
     return (source_oid, source_sid, target_oid, target_sid, forward, relevance)
 
 
+def link_columns(rows) -> list:
+    """LINK *rows* as the six columns a ``BufferedLinkWriter`` buffers."""
+    return [list(column) for column in zip(*rows)] if rows else [[] for _ in range(6)]
+
+
 @dataclass
 class HandoffRecord:
     """One out-link crossing (or staying within) a shard boundary."""
@@ -179,15 +184,14 @@ def apply_records(frontier, link_writer, max_retries, failures, visits, queues) 
             frontier.add_many_discovered(
                 [(op.dst_url, op.dst_oid, op.dst_sid, op.discovered)], op.priority
             )
-    link_writer.add_rows(
-        [
-            link_row(
-                frontier, record.src_oid, record.src_sid, record.dst_url,
-                record.dst_oid, record.dst_sid, record.src_relevance,
-            )
-            for record in records
-        ]
-    )
+    rows = [
+        link_row(
+            frontier, record.src_oid, record.src_sid, record.dst_url,
+            record.dst_oid, record.dst_sid, record.src_relevance,
+        )
+        for record in records
+    ]
+    link_writer.add_columns(*link_columns(rows))
     for url, _tick, relevance, _leaf, _pos in visits:
         link_writer.refresh(frontier.entry(url).oid, relevance)
     link_writer.flush()

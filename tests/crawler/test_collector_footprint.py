@@ -7,6 +7,12 @@ tables' addresses and postings cost it nothing.  A record-id type that
 is a tuple subclass (a NamedTuple) is tracked for life, one per row, and
 so is every dict keyed by it: these checks fail the moment one creeps
 back, in a memory store, a durable one, and one resumed after a kill.
+
+Nor does a crawl leave one per row it has not written yet.  Between two
+syncs the LINK rows wait as six column lists of ints and floats, and the
+changed CRAWL rows as the frontier entries themselves: a row tuple or a
+change dict per buffered row would be a container for each, alive until
+the next sync, and so would a full collection drawn into the crawl.
 """
 
 import gc
@@ -64,6 +70,39 @@ def assert_no_container_per_row(handle):
         assert seen, name
         tracked = [p for p in seen if type(p) is not int and (type(p) is not dict or gc.is_tracked(p))]
         assert not tracked, (name, tracked[:3])
+
+
+def below(roots):
+    """Every object reachable from *roots* that is not an int, float, str, None or a class."""
+    seen, stack, found = set(map(id, roots)), list(roots), []
+    while stack:
+        for child in gc.get_referents(stack.pop()):
+            if isinstance(child, (int, float, str, type(None), type)):
+                continue
+            if id(child) not in seen:
+                seen.add(id(child))
+                found.append(child)
+                stack.append(child)
+    return found
+
+
+def test_the_write_buffers_hold_no_container_per_buffered_row(system):
+    config = CrawlerConfig(max_pages=300, distill_every=20, batch_size=4)
+    handle = system.start(JobSpec(crawler=config))
+    while handle.trace.distillations < 3:
+        handle.step(1)
+    engine, frontier = handle.crawler.engine, handle.crawler.frontier
+    # Nothing written since seeding: every row below is buffered.
+    assert len(handle.database.table("LINK")) == 0
+    writer = engine._link_writer
+    assert len(writer) > 100
+    buffers = [value for name, value in vars(writer).items() if name != "table"]
+    assert {id(obj) for obj in below(buffers)} == set(map(id, writer.columns))
+    assert frontier._changed and len(frontier._pending_new) > 100
+    assert {type(obj) for obj in below([frontier._changed, frontier._pending_new])} == {
+        FrontierEntry
+    }
+    handle.close()
 
 
 def test_memory_store(system):

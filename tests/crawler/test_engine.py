@@ -174,7 +174,9 @@ class TestHubBoost:
     boost must be what the LINK table walk (``boost_hub_neighbours``, one
     ``link_src`` probe per hub) makes of a copy of the frontier taken
     just before it: the same ``(url, priority)`` everywhere, and the
-    boosted entries' CRAWL changes buffered in the same order.
+    boosted entries' CRAWL changes buffered in the same order.  A
+    distillation writes nothing, so the test syncs before it: the walk
+    then reads every edge the graph holds.
     """
 
     @pytest.mark.parametrize("k, focus_mode", [(1, "soft"), (8, "soft"), (8, "hard")])
@@ -207,7 +209,7 @@ class TestHubBoost:
         boosted = []
 
         def distil_and_compare():
-            engine._flush()  # what the distillation starts with: LINK holds every edge
+            engine.sync()  # so that LINK holds every edge the graph does
             walked = copy.deepcopy(frontier, {id(database): database})
             result = distil()
             hubs = {oid for oid, _ in result.top_hubs(config.hub_boost_top_k)}
@@ -219,8 +221,8 @@ class TestHubBoost:
                 return {url: (entry.status, entry.relevance) for url, entry in of._entries.items()}
 
             assert priorities(frontier) == priorities(walked)
-            assert list(frontier._pending_changes) == list(walked._pending_changes)
-            boosted.append(len(walked._pending_changes))
+            assert list(frontier._changed) == list(walked._changed)
+            boosted.append(len(walked._changed))
             return result
 
         engine.run_distillation = distil_and_compare

@@ -22,7 +22,7 @@ from repro.crawler.frontier import Frontier, FrontierEntry
 from repro.crawler.policies import ORDERING_COLUMNS, ORDERINGS, CrawlOrdering
 from repro.webgraph.urls import normalize_url, server_sid, url_oid
 
-from handoff_records import link_row
+from handoff_records import link_columns, link_row
 
 
 def link_targets(source_oid: int, out_links: Sequence[str]) -> List[Tuple[str, int, int]]:
@@ -39,18 +39,19 @@ def link_targets(source_oid: int, out_links: Sequence[str]) -> List[Tuple[str, i
     return targets
 
 
-def reference_expand(frontier, source, relevance, out_links, priority):
+def reference_expand(frontier, writer, source, relevance, out_links, priority):
     """The per-link composition: rows first, then the frontier pushes."""
     targets = link_targets(source.oid, out_links)
     rows = [link_row(frontier, source.oid, source.sid, *target, relevance) for target in targets]
     if priority is not None:
         frontier.add_many(targets, priority)
-    return rows
+    writer.add_columns(*link_columns(rows))
 
 
-def engine_expand(frontier, source, relevance, out_links, priority):
+def engine_expand(frontier, writer, source, relevance, out_links, priority):
     targets = resolve_links(source.oid, out_links)
-    return frontier.expand(source.oid, source.sid, relevance, targets, priority)
+    forward = frontier.expand(relevance, targets, priority)
+    writer.add_page(source.oid, source.sid, relevance, targets, forward)
 
 
 def page_url(number: int) -> str:
@@ -101,7 +102,7 @@ class Side:
         page = frontier.record_visit(urls[0], relevance, tick, kcid=tick)
         out_links = [SPELLINGS[spelling](number) for number, spelling in links]
         priority = None if rejected else relevance
-        self.writer.add_rows(self.expand(frontier, page, relevance, out_links, priority))
+        self.expand(frontier, self.writer, page, relevance, out_links, priority)
         self.writer.refresh(page.oid, relevance)
         if len(urls) > 1 and second != "in_flight":
             frontier.record_failure(urls[1], max_retries=1, permanent=second == "dead")
@@ -179,7 +180,8 @@ class TestCompiledEntryKey:
     def test_ordering_columns_are_the_numeric_entry_fields(self):
         fields = {field.name: field.type for field in dataclasses.fields(FrontierEntry)}
         numeric = {name for name, kind in fields.items() if "str" not in kind}
-        assert ORDERING_COLUMNS == numeric - {"rid"}  # where the row is stored, not a value
+        # rid: where the row is stored; kcid: a class id, and None on every unvisited entry.
+        assert ORDERING_COLUMNS == numeric - {"rid", "kcid"}
 
     @pytest.mark.parametrize(
         "keys,buckets",

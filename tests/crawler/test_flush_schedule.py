@@ -1,11 +1,10 @@
 """When a crawl writes its rows: a function of progress alone.
 
-The engine buffers CRAWL and LINK writes in memory and flushes them at
-points fixed by crawl progress — before each distillation, at each
-``checkpoint_every`` boundary, and when the crawl is over — or when a
-reader outside the engine asks (``CrawlEngine.sync``).  It keeps the
-last distillation's scores and writes them to HUBS and AUTH at a sync
-only: a ``checkpoint_every`` boundary, the end, or such a reader.  Where
+The engine buffers CRAWL, LINK and FAILED writes in memory and writes
+them at its syncs only (``CrawlEngine.sync``): at seeding, at each
+``checkpoint_every`` boundary, when the crawl is over, and when a reader
+outside the engine asks.  A distillation writes nothing.  The last
+distillation's scores go to HUBS and AUTH at those syncs too.  Where
 a row of any of the four tables lands on its heap page follows from
 those points, so it must not depend on how the crawl is driven:
 
@@ -24,8 +23,9 @@ a K=1, a K=8 and a killed-and-resumed crawl, each table holds exactly the
 last distillation's non-zero scores, one row per oid, and the union of
 the shard tables of a sharded crawl holds the coordinator's last result.
 A resume reads each score table once.  A last test pins the K=1 write
-counts: a return to one flush per round, or to a score write per
-distillation, fails here, not only on the benchmark.
+counts: a return to a write per round or per distillation, or to a
+``link_dst`` read inside a memory crawl, fails here, not only on the
+benchmark.
 """
 
 import dataclasses
@@ -157,7 +157,7 @@ def test_row_placement_does_not_depend_on_how_the_crawl_is_driven(
     assert facts(resumed) == reference, f"killed after {kill_after} fetches and resumed"
 
 
-def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(
+def test_a_k1_crawl_writes_its_tables_once_per_sync_and_never_at_a_distillation(
     system, monkeypatch
 ):
     distill_every, checkpoint_every = 40, 70
@@ -166,27 +166,42 @@ def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(
         batch_size=1,
     )
     handle = start(system, config, failure_seed=3)
-    crawl = handle.database.table("CRAWL")
-    inserts, updates = [], []
-    insert_many, update_rows = crawl.insert_many, crawl.update_rows
+    engine = handle.crawler.engine
+    # (table, method, pages fetched, inside a sync) of every CRAWL, LINK and
+    # FAILED write; a write method one of them calls is not counted again.
+    writes, in_sync, in_write = [], [], []
+    for name in ("CRAWL", "LINK", "FAILED"):
+        table = handle.database.table(name)
+        for method in ("insert_many", "insert_columns", "update_rows", "update_column"):
+            def counted(*args, _name=name, _method=method, _write=getattr(table, method)):
+                if not in_write:
+                    writes.append((_name, _method, handle.trace.pages_fetched, bool(in_sync)))
+                in_write.append(True)
+                try:
+                    return _write(*args)
+                finally:
+                    in_write.pop()
 
-    def counted_insert(rows):
-        inserts.append(len(rows))
-        return insert_many(rows)
+            setattr(table, method, counted)
+    sync, syncs = engine.sync, []
 
-    def counted_update(changes):
-        updates.append(len(changes))
-        return update_rows(changes)
+    def watched_sync():
+        in_sync.append(True)
+        try:
+            sync()
+        finally:
+            in_sync.pop()
+        syncs.append(handle.trace.pages_fetched)
 
-    crawl.insert_many, crawl.update_rows = counted_insert, counted_update
+    engine.sync = watched_sync
     rounds = {"n": 0}
-    checkout = handle.crawler.engine._checkout
+    checkout = engine._checkout
 
     def counted_checkout(budget):
         rounds["n"] += 1
         return checkout(budget)
 
-    handle.crawler.engine._checkout = counted_checkout
+    engine._checkout = counted_checkout
     write_scores, score_writes = engine_module.write_scores, []
 
     def counted_write(table, oids, scores):
@@ -197,44 +212,74 @@ def test_a_k1_crawl_writes_crawl_rows_once_per_flush_point_not_once_per_round(
     handle.run()
     pages = handle.trace.pages_fetched
     assert pages == 150 and not handle.trace.stagnated
-    # Flush points: every distillation, every checkpoint boundary, the end
-    # (here none of them coincide).
-    points = {*range(distill_every, pages + 1, distill_every)}
-    points |= {*range(checkpoint_every, pages + 1, checkpoint_every)}
-    points.add(pages)
-    assert len(points) == handle.trace.distillations + pages // checkpoint_every + 1 == 6
-    assert len(inserts) == len(points)
-    assert len(updates) <= len(points)
-    assert rounds["n"] >= pages
+    assert rounds["n"] >= pages and handle.trace.distillations == 3
+    # The syncs: every checkpoint boundary and the end (the engine's, then
+    # the handle's, which finds nothing left to write); none at a distillation.
+    assert syncs == [70, 140, 150, 150]
+    assert all(inside for *_, inside in writes)
+    for name in ("CRAWL", "LINK"):
+        inserts = [at for table, method, at, _ in writes if table == name and "insert" in method]
+        assert inserts == [70, 140, 150], name
+    failed = [at for table, method, at, _ in writes if table == "FAILED"]
+    assert failed and set(failed) <= set(syncs) and len(set(failed)) == len(failed)
+    # The wgt_fwd refresh of rows an earlier sync wrote: none at the first.
+    refreshes = [at for table, method, at, _ in writes if table == "LINK" and "update" in method]
+    assert refreshes == [140, 150]
     # Scores are written at the syncs that follow a distillation: the
     # boundary at 70 (after 40) and at 140 (after 80 and 120); not at 150.
     assert score_writes == [("HUBS", 70), ("AUTH", 70), ("HUBS", 140), ("AUTH", 140)]
     handle.close()
 
 
+def test_a_memory_crawl_reads_no_link_dst(system, monkeypatch):
+    """``wgt_fwd`` is settled as the rows are inserted, and only rows an
+    earlier sync wrote are refreshed through ``link_dst``: a memory crawl
+    writes LINK once, at its end, so it never probes that index."""
+    config = CrawlerConfig(max_pages=300, distill_every=40, batch_size=32)
+    handle = start(system, config, failure_seed=3)
+    link_dst = handle.database.table("LINK").indexes["link_dst"]
+    distil, probes = CrawlEngine.run_distillation, []
+
+    def counted(engine):
+        result = distil(engine)
+        probes.append(link_dst.probe_count)
+        return result
+
+    monkeypatch.setattr(CrawlEngine, "run_distillation", counted)
+    handle.run()
+    assert handle.trace.distillations == len(probes) >= 3
+    assert probes == [0] * len(probes) and link_dst.probe_count == 0
+    assert len(handle.database.table("LINK")) > 0
+    handle.close()
+
+
 def test_crawl_holds_no_row_before_the_first_flush(system, monkeypatch):
-    """Every CRAWL write waits in the frontier's buffer: the table is empty
-    until the crawl's first flush (seeding's), and unchanged from one
-    flush to the next."""
-    flush, seen = CrawlEngine._flush, []
+    """Every CRAWL, LINK and FAILED write waits in the engine's buffers:
+    the tables are empty until the crawl's first sync (seeding's), and
+    unchanged from one sync to the next, distillations included."""
+    sync, seen = CrawlEngine.sync, []
+
+    def tables(engine):
+        return [list(engine.database.table(name).rows()) for name in ("CRAWL", "LINK", "FAILED")]
 
     def watched(engine):
-        crawl = engine.database.table("CRAWL")
-        seen.append(list(crawl.rows()))
-        flush(engine)
-        seen.append(list(crawl.rows()))
+        seen.append(tables(engine))
+        sync(engine)
+        seen.append(tables(engine))
 
-    monkeypatch.setattr(CrawlEngine, "_flush", watched)
+    monkeypatch.setattr(CrawlEngine, "sync", watched)
     config = CrawlerConfig(
         max_pages=120, distill_every=30, checkpoint_every=45, engine="batched", batch_size=8
     )
     handle = start(system, config, failure_seed=3)
-    assert seen[0] == [] and len(seen[1]) == len(handle.spec.seeds)
+    assert seen[0] == [[], [], []] and len(seen[1][0]) == len(handle.spec.seeds)
     handle.run()
-    assert handle.trace.distillations >= 3 and len(seen) >= 2 * 7
-    for flushed, next_seen in zip(seen[1::2], seen[2::2]):
-        assert next_seen == flushed
-    assert len(seen[-1]) == len(handle.crawler.frontier.known_urls())
+    # Syncs at seeding, two checkpoint boundaries and the end (the
+    # engine's and the handle's); three distillations between them.
+    assert handle.trace.distillations == 3 and len(seen) == 2 * 5
+    for synced, next_seen in zip(seen[1::2], seen[2::2]):
+        assert next_seen == synced
+    assert all(seen[-1]) and len(seen[-1][0]) == len(handle.crawler.frontier.known_urls())
     handle.close()
 
 

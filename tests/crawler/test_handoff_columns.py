@@ -254,7 +254,7 @@ class TestVerifiedOnReceipt:
         apply.link_idx[0:2] = [1, 0]
         with pytest.raises(HandoffOrderError):
             worker.apply_round(apply)
-        assert not worker.frontier._pending_new and not worker.frontier._pending_changes
+        assert not worker.frontier._pending_new and not worker.frontier._changed
         assert worker.frontier.known_urls() == []
         assert len(worker.database.table("LINK")) == 0
 

@@ -613,7 +613,7 @@ class TestInMemoryShards:
         def logged_finish(message):
             finish_round(message)
             frontier = worker.frontier
-            flushed = not frontier._pending_new and not frontier._pending_changes
+            flushed = not frontier._pending_new and not frontier._changed
             events.append(("finish", message.round, bool(message.scores), flushed))
 
         worker.apply_round, worker.finish_round = logged_apply, logged_finish

@@ -118,6 +118,11 @@ class TestRowFedGraph:
             for link in links
         ]
 
+    @staticmethod
+    def _endpoints(rows):
+        """The four endpoint columns of LINK *rows*, as a crawl hands them to its graph."""
+        return list(zip(*rows))[:4]
+
     def test_row_fed_graph_matches_full_rebuild(self):
         rng = random.Random(7)
         database, table = self._crawl_tables()
@@ -127,7 +132,7 @@ class TestRowFedGraph:
         for _round in range(5):
             rows = self._rows(random_links(rng, 40, rng.randint(5, 60), relevance))
             table.insert_many(rows)
-            distiller.add_rows(rows)
+            distiller.graph.add_columns(*self._endpoints(rows))
             all_links.extend(Link(*row) for row in rows)
             reference = compiled_weighted_hits(compile_links(all_links), relevance)
             outcome = distiller.run(relevance, max_iterations=25)
@@ -144,12 +149,12 @@ class TestRowFedGraph:
         fed = IncrementalDistiller(database)
         rows = self._rows(random_links(rng, 30, 80, relevance))
         table.insert_many(rows)
-        fed.add_rows(rows)
+        fed.graph.add_columns(*self._endpoints(rows))
         resumed = IncrementalDistiller(database)
         rows = self._rows(random_links(rng, 30, 80, relevance))
         table.insert_many(rows)
-        fed.add_rows(rows)
-        resumed.add_rows(rows)
+        fed.graph.add_columns(*self._endpoints(rows))
+        resumed.graph.add_columns(*self._endpoints(rows))
         outcome = resumed.run(relevance)
         reference = fed.run(relevance)
         assert outcome.hub_scores == reference.hub_scores  # bit for bit

@@ -41,9 +41,9 @@ def graph_edges(distiller):
 
 
 def insert(table, distiller, rows):
-    """What a LINK flush does: insert the rows, then hand them to the graph."""
+    """What a crawl's sync does: insert the rows, and the graph takes their endpoint columns."""
     table.insert_many(rows)
-    distiller.add_rows(rows)
+    distiller.graph.add_columns(*list(zip(*rows))[:4])
 
 
 class TestRowFedGraph:
@@ -64,8 +64,7 @@ class TestRowFedGraph:
         table = database.table("LINK")
         distiller = IncrementalDistiller(database)
         rows = [link_row(1, 2, fwd=0.1), link_row(2, 3, fwd=0.2)]
-        table.insert_many(rows)
-        distiller.add_rows(rows)
+        insert(table, distiller, rows)
         relevance = {1: 0.5, 2: 0.6, 3: 0.7}
         before = distiller.run(relevance)
         rid = next(iter(table.lookup_rids("link_dst", (2,))))

@@ -18,11 +18,12 @@ score dict into the table — lives on here as the oracle:
     memory, in the journal, or in what a reopened durable store holds;
 (d) a K=1 crawl killed and resumed is the uninterrupted crawl;
 (e) the weight rule the kernel rests on holds on every LINK row at every
-    flush point of drawn crawls (K, focus mode, failure seed, distillation
+    sync of drawn crawls (K, focus mode, failure seed, distillation
     interval), across a kill and resume, and on each shard's LINK of a
-    sharded crawl; and at every distillation the crawl's graph is
-    ``compile_links`` of a full LINK scan, and the graph a distiller
-    built from the table at that moment;
+    sharded crawl; at every distillation the crawl's graph is
+    ``compile_links`` of a full LINK scan followed by the LINK rows still
+    buffered, and at every sync of a full LINK scan alone, and the graph a
+    distiller builds from the table then;
 (f) ``write_scores`` handed a graph's node list and dense scores issues
     the mutations of a truncate plus a score-dict insert: same rows, same
     record ids, same journal records.
@@ -496,23 +497,30 @@ class TestWeightRule:
     map: on every edge it scores, they are the floats LINK stores."""
 
     @pytest.mark.parametrize("seed", RULE_SEEDS)
-    def test_every_flush_and_distillation_of_a_drawn_crawl(
+    def test_every_sync_and_distillation_of_a_drawn_crawl(
         self, resume_system, tmp_path, monkeypatch, seed
     ):
         config, failure_seed, kill_after = draw_case(seed)
         sync, distil = CrawlEngine.sync, CrawlEngine.run_distillation
-        flushes = []
+        syncs = []
         distillations = []
 
         def checked_sync(engine):
             sync(engine)
-            flushes.append(assert_weight_rule(engine.database, engine._relevance))
+            syncs.append(assert_weight_rule(engine.database, engine._relevance))
+            assert not len(engine._link_writer)
+            if engine._incremental is not None:
+                graph = engine._incremental.graph
+                assert_same_arrays(graph, compile_links(full_scan_links(engine.database)))
+                assert_same_arrays(graph, IncrementalDistiller(engine.database).graph)
 
         def checked_distillation(engine):
             result = distil(engine)
             graph = engine._incremental_distiller().graph
-            assert_same_arrays(graph, compile_links(full_scan_links(engine.database)))
-            assert_same_arrays(graph, IncrementalDistiller(engine.database).graph)
+            buffered = [Link(*row) for row in zip(*engine._link_writer.columns)]
+            assert_same_arrays(
+                graph, compile_links(full_scan_links(engine.database) + buffered)
+            )
             distillations.append(len(graph))
             return result
 
@@ -522,16 +530,16 @@ class TestWeightRule:
             crawler_config=replace(config), fetch_failure_seed=failure_seed
         )
         uninterrupted = crawl_facts(result)
-        assert flushes[-1] == len(result.database.table("LINK")) > 0
+        assert syncs[-1] == len(result.database.table("LINK")) > 0
         assert result.trace.distillations == len(distillations) >= 3
         assert distillations[-1] > distillations[0]
 
-        flushes.clear()
+        syncs.clear()
         facts = killed_then_resumed(
             resume_system, tmp_path / "crawl", monkeypatch, kill_after,
             config=replace(config), failure_seed=failure_seed,
         )
-        assert flushes and facts == uninterrupted
+        assert syncs and facts == uninterrupted
 
     def test_each_shards_link_in_a_sharded_crawl(self, resume_system):
         config = CrawlerConfig(
