@@ -44,11 +44,11 @@ time:
    more.
 
 A sync is the engine's only write, through minidb's column-at-a-time
-write path: one ``insert_columns`` each for CRAWL and LINK (every page
-takes its rows as column slices) and one ``insert_many`` for FAILED; one
-``update_rows`` for the CRAWL rows an earlier sync wrote that changed
-since, their change sets read off the entries (:meth:`Frontier.flush_batch`);
-and the ``wgt_fwd`` of every LINK
+write path: one ``insert_many`` each for CRAWL, LINK and FAILED, the
+first two of a column batch (every page takes its rows as column
+slices); one ``update_rows`` for the CRAWL rows an earlier sync wrote
+that changed since, their change sets read off the entries
+(:meth:`Frontier.flush_batch`); and the ``wgt_fwd`` of every LINK
 row into a page visited since the last sync — set in the buffer before
 the insert, and through ``link_dst`` and one ``update_column`` for rows
 an earlier sync wrote.  HUBS and AUTH are rewritten whole
@@ -94,7 +94,7 @@ from repro.classifier.model import BatchClassification, HierarchicalModel
 from repro.distiller.db_distiller import IncrementalDistiller
 from repro.distiller.hits import DistillationResult
 from repro.minidb import Database, StorageConfig
-from repro.minidb.table import Table
+from repro.minidb.table import ColumnBatch, Table
 from repro.taxonomy.tree import TopicTaxonomy
 from repro.webgraph.fetch import Fetcher, FetchResult, FetchStatus
 from repro.webgraph.cassette import transport_for_config
@@ -381,8 +381,12 @@ class BufferedLinkWriter:
     refreshes the rows an earlier flush wrote — one ``link_dst`` probe per
     such page, then one ``update_column``: ``wgt_fwd`` is unindexed, so
     that is an in-place assignment into the LINK pages' column chunks —
-    and inserts the buffer with one ``insert_columns``.  Every row thus
-    ends at the weight a write after every visit would have left.
+    and inserts the buffer with one ``insert_many`` of a
+    :class:`~repro.minidb.table.ColumnBatch`.  Every row thus ends at the
+    weight a write after every visit would have left.
+
+    The link graph takes the buffered rows' endpoint columns as they
+    come (:meth:`unfed_endpoints`), so a distillation needs no table.
     """
 
     def __init__(self, table: Table) -> None:
@@ -395,9 +399,8 @@ class BufferedLinkWriter:
         self.columns: Tuple[list, ...] = ([], [], [], [], [], [])
         #: oid -> relevance of every page visited since the last flush, in visit order.
         self._visited: Dict[int, float] = {}
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
+        #: How many of the buffered rows :meth:`unfed_endpoints` has handed out.
+        self._fed = 0
 
     def add_page(
         self,
@@ -420,6 +423,12 @@ class BufferedLinkWriter:
         for buffered, column in zip(self.columns, columns, strict=True):
             buffered.extend(column)
 
+    def unfed_endpoints(self) -> List[list]:
+        """``oid_src``, ``sid_src``, ``oid_dst`` and ``sid_dst`` of the rows
+        buffered since the last call, or since the last flush."""
+        start, self._fed = self._fed, len(self.columns[0])
+        return [column[start:] for column in self.columns[:4]]
+
     def refresh(self, visited_oid: int, relevance: float) -> None:
         """Set ``wgt_fwd`` of every edge into *visited_oid* at the flush."""
         self._visited[visited_oid] = relevance
@@ -428,6 +437,7 @@ class BufferedLinkWriter:
         """Write the buffered rows, and the refreshes of rows written before."""
         columns, self.columns = self.columns, ([], [], [], [], [], [])
         visited, self._visited = self._visited, {}
+        self._fed = 0
         table = self.table
         if visited and len(table):
             updates: Dict[int, float] = {}
@@ -439,7 +449,7 @@ class BufferedLinkWriter:
             if visited:
                 _src, _sid, oids_dst, _sid_dst, wgt_fwd, _rev = columns
                 wgt_fwd[:] = map(visited.get, oids_dst, wgt_fwd)
-            table.insert_columns(columns)
+            table.insert_many(ColumnBatch(columns))
 
 
 def _close_loop(loop: asyncio.AbstractEventLoop) -> None:
@@ -533,8 +543,6 @@ class CrawlEngine:
         self._relevance: Dict[int, float] = {}
         self._scorer = PageScorer(classifier, taxonomy, config)
         self._link_writer = BufferedLinkWriter(database.table("LINK"))
-        #: How many of the writer's buffered rows the link graph holds.
-        self._graph_rows = 0
         #: The last distillation, until :meth:`sync` writes it to HUBS and AUTH.
         self._unwritten_scores: Optional[DistillationResult] = None
         self._incremental: Optional[IncrementalDistiller] = None
@@ -649,7 +657,6 @@ class CrawlEngine:
         self._feed_graph()
         self.frontier.flush_batch()
         self._link_writer.flush()
-        self._graph_rows = 0
         failed = self.trace.failed_urls
         if len(failed) > self._failed_written:
             self._failed.insert_many([(url,) for url in failed[self._failed_written:]])
@@ -663,11 +670,8 @@ class CrawlEngine:
 
     def _feed_graph(self) -> None:
         """Append the buffered LINK rows the link graph lacks, in buffer order."""
-        writer, start = self._link_writer, self._graph_rows
-        if self._incremental is not None and len(writer) > start:
-            # The endpoint columns: oid_src, sid_src, oid_dst, sid_dst.
-            self._incremental.graph.add_columns(*[c[start:] for c in writer.columns[:4]])
-        self._graph_rows = len(writer)
+        if self._incremental is not None:
+            self._incremental.graph.add_columns(*self._link_writer.unfed_endpoints())
 
     # -- checkpointing ----------------------------------------------------------------
     def state_snapshot(self) -> Dict[str, object]:
@@ -948,6 +952,6 @@ class CrawlEngine:
                 rho=self.config.rho,
                 max_iterations=self.config.distill_iterations,
             )
-            # Built from a LINK scan: none of the buffered rows is in it.
-            self._graph_rows = 0
+            # Built from a LINK scan, which none of the buffered rows is in;
+            # nothing was fed before it, so the first feed hands it them all.
         return self._incremental

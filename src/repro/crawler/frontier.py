@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.minidb import Database
+from repro.minidb import ColumnBatch, Database
 from repro.webgraph.urls import normalize_url, server_sid, url_oid
 
 from .policies import CrawlOrdering, aggressive_discovery
@@ -59,6 +59,9 @@ _CRAWL_COLUMNS = (
 #: changes only while its entry is on the frontier, where a raise or a
 #: retried failure moves its priority and retries, and once more when the
 #: entry leaves it, visited or dead, which sets the rest; never after that.
+#: A row still on the frontier gets the short set: ``status`` is indexed
+#: (``crawl_status``), and a change set naming it makes ``update_rows``
+#: read and compare that key for the row.
 _FRONTIER_CHANGES = ("relevance", "numtries")
 _FINAL_CHANGES = ("relevance", "numtries", "serverload", "lastvisited", "kcid", "status")
 
@@ -435,16 +438,17 @@ class Frontier:
     def flush_batch(self) -> None:
         """Write the buffered CRAWL rows in bulk, each from its entry's state now.
 
-        One ``insert_columns`` for the entries the table lacks, then one
-        ``update_rows`` for the changed ones it holds, each change set
-        read off the entry: :data:`_FRONTIER_CHANGES` while it is on the
-        frontier, :data:`_FINAL_CHANGES` once it is visited or dead.
+        One ``insert_many`` of a column batch for the entries the table
+        lacks, then one ``update_rows`` for the changed ones it holds,
+        each change set read off the entry: :data:`_FRONTIER_CHANGES`
+        while it is on the frontier, :data:`_FINAL_CHANGES` once it is
+        visited or dead.
         """
         crawl = self.database.table("CRAWL")
         new, self._pending_new = self._pending_new, []
         changed, self._changed = self._changed, {}
         if new:
-            rids = crawl.insert_columns([_column(new, name) for name in _CRAWL_COLUMNS])
+            rids = crawl.insert_many(ColumnBatch([_column(new, name) for name in _CRAWL_COLUMNS]))
             for entry, rid in zip(new, rids):
                 entry.rid = rid
         if changed:

@@ -45,7 +45,7 @@ from .operators import Aggregate
 from .pages import DEFAULT_PAGE_SIZE, PageId, RecordId
 from .planner import ExplainResult, Plan
 from .sql import execute_sql, parse_sql
-from .table import Table
+from .table import ColumnBatch, Table
 from .types import BLOB, FLOAT, INTEGER, TEXT, Column, ColumnType, Schema, make_schema
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "BufferPoolError",
     "CatalogError",
     "Column",
+    "ColumnBatch",
     "ColumnType",
     "Compactor",
     "ConstraintError",

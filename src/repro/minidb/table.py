@@ -2,8 +2,8 @@
 
 A :class:`Table` is the unit the rest of the system works with.  Its
 mutation API accepts either positional rows or column-name mappings.
-Rows are written one way: :meth:`Table.insert_columns` (which
-:meth:`Table.insert_many` feeds rows transposed) and
+Rows are written one way: :meth:`Table.insert_many` (rows, or a
+:class:`ColumnBatch` of one list per column) and
 :meth:`Table.update_rows` (and :meth:`Table.update_column`, their
 one-column form) take a batch, check all of it and then write all of
 it, so a batch that raises leaves the table and its journal untouched;
@@ -36,6 +36,22 @@ from .index import HashIndex, Index, build_index
 from .pages import DEFAULT_PAGE_SIZE
 from .storage import HeapFile
 from .types import Row, Schema
+
+
+class ColumnBatch:
+    """Rows given as one list per column, in schema order, for :meth:`Table.insert_many`.
+
+    A writer that keeps its rows as columns hands them over without
+    building a row; ``len()`` is the row count.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Sequence[list]) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
 
 
 class Table:
@@ -145,43 +161,41 @@ class Table:
         """Insert one row (positional or mapping form): a one-row :meth:`insert_many`."""
         return self.insert_many([values])[0]
 
-    def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[int]:
+    def insert_many(
+        self, rows: Iterable[Sequence[Any] | Mapping[str, Any]] | ColumnBatch
+    ) -> list[int]:
         """Atomic bulk insert; returns the record ids of the inserted rows.
 
-        The batch is transposed once and handed to :meth:`insert_columns`.
-        """
-        schema = self.schema
-        width = len(schema.columns)
-        rows = rows if type(rows) is list else list(rows)
-        if not rows:
-            return []
-        if not set(map(type, rows)) <= {tuple, list}:
-            rows = [schema.positional(row) if isinstance(row, Mapping) else row for row in rows]
-        if set(map(len, rows)) != {width}:
-            bad = next(row for row in rows if len(row) != width)
-            raise SchemaError(f"row has {len(bad)} values, schema has {width} columns")
-        # One pass per column, not zip(*rows): that makes an iterator per
-        # row, a container each for the cyclic collector to count.
-        return self.insert_columns([list(map(itemgetter(p), rows)) for p in range(width)])
-
-    def insert_columns(self, columns: Sequence[list]) -> list[int]:
-        """Atomic bulk insert of rows given as one list per column, in schema order.
-
-        Handled a column at a time: each column is validated and coerced
+        *rows* are positional rows or column-name mappings, transposed
+        once here, or a :class:`ColumnBatch`, taken as it is.  Handled a
+        column at a time: each column is validated and coerced
         (:meth:`Schema.validate_column`), the primary key checked (NULLs,
         existing keys, duplicates *within* the batch) and each row sized,
         all before any of them touches the heap, so a violation anywhere
         in the batch leaves the table unchanged.
         :meth:`HeapFile.append_columns` then gives every fill page its
-        rows as one slice per column.  Returns the record ids of the
-        inserted rows.
+        rows as one slice per column.
         """
         schema = self.schema
         width = len(schema.columns)
-        if len(columns) != width:
-            raise SchemaError(f"batch has {len(columns)} columns, schema has {width}")
-        if len(set(map(len, columns))) != 1:
-            raise SchemaError(f"columns of unequal length {[len(c) for c in columns]}")
+        if type(rows) is ColumnBatch:
+            columns = rows.columns
+            if len(columns) != width:
+                raise SchemaError(f"batch has {len(columns)} columns, schema has {width}")
+            if len(set(map(len, columns))) != 1:
+                raise SchemaError(f"columns of unequal length {[len(c) for c in columns]}")
+        else:
+            rows = rows if type(rows) is list else list(rows)
+            if not rows:
+                return []
+            if not set(map(type, rows)) <= {tuple, list}:
+                rows = [schema.positional(row) if isinstance(row, Mapping) else row for row in rows]
+            if set(map(len, rows)) != {width}:
+                bad = next(row for row in rows if len(row) != width)
+                raise SchemaError(f"row has {len(bad)} values, schema has {width} columns")
+            # One pass per column, not zip(*rows): that makes an iterator per
+            # row, a container each for the cyclic collector to count.
+            columns = [list(map(itemgetter(p), rows)) for p in range(width)]
         if not columns[0]:
             return []
         columns = [schema.validate_column(p, values) for p, values in enumerate(columns)]

@@ -172,7 +172,7 @@ def test_a_k1_crawl_writes_its_tables_once_per_sync_and_never_at_a_distillation(
     writes, in_sync, in_write = [], [], []
     for name in ("CRAWL", "LINK", "FAILED"):
         table = handle.database.table(name)
-        for method in ("insert_many", "insert_columns", "update_rows", "update_column"):
+        for method in ("insert_many", "update_rows", "update_column"):
             def counted(*args, _name=name, _method=method, _write=getattr(table, method)):
                 if not in_write:
                     writes.append((_name, _method, handle.trace.pages_fetched, bool(in_sync)))
@@ -220,6 +220,10 @@ def test_a_k1_crawl_writes_its_tables_once_per_sync_and_never_at_a_distillation(
     for name in ("CRAWL", "LINK"):
         inserts = [at for table, method, at, _ in writes if table == name and "insert" in method]
         assert inserts == [70, 140, 150], name
+    # The written CRAWL rows that changed since seeding's sync, and since
+    # each sync after it: one update_rows per sync, never one per row.
+    updates = [at for table, method, at, _ in writes if table == "CRAWL" and "update" in method]
+    assert updates == [70, 140, 150]
     failed = [at for table, method, at, _ in writes if table == "FAILED"]
     assert failed and set(failed) <= set(syncs) and len(set(failed)) == len(failed)
     # The wgt_fwd refresh of rows an earlier sync wrote: none at the first.

@@ -508,7 +508,7 @@ class TestWeightRule:
         def checked_sync(engine):
             sync(engine)
             syncs.append(assert_weight_rule(engine.database, engine._relevance))
-            assert not len(engine._link_writer)
+            assert not engine._link_writer.columns[0]
             if engine._incremental is not None:
                 graph = engine._incremental.graph
                 assert_same_arrays(graph, compile_links(full_scan_links(engine.database)))

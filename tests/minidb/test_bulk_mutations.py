@@ -1,10 +1,11 @@
-"""Tests for minidb's bulk mutation paths: atomic insert_many and update_rows."""
+"""Tests for minidb's bulk mutation paths: atomic insert_many (of rows or of a
+column batch) and update_rows."""
 
 import re
 
 import pytest
 
-from repro.minidb import Database, FLOAT, INTEGER, TEXT, make_schema
+from repro.minidb import ColumnBatch, Database, FLOAT, INTEGER, TEXT, make_schema
 from repro.minidb.errors import ConstraintError, SchemaError
 
 
@@ -109,6 +110,57 @@ class TestInsertManyAtomicity:
         _, table = make_table()
         assert table.insert_many([]) == []
         assert len(table) == 0
+
+
+class TestColumnBatch:
+    ROWS = [(3, 0.5, "c"), (1, 1.5, "a"), (2, 2.5, None)]
+
+    @staticmethod
+    def journaled(table):
+        journal = []
+        table.set_journal(journal.append)
+        return journal
+
+    def test_a_column_batch_inserts_what_its_rows_would(self):
+        by_rows, by_columns = make_table()[1], make_table()[1]
+        for table in (by_rows, by_columns):
+            table.create_index("t_s", ["s"], kind="hash")
+            table.insert((9, 9.0, "z"))
+        journals = [self.journaled(by_rows), self.journaled(by_columns)]
+        columns = [list(column) for column in zip(*self.ROWS)]
+        batch = ColumnBatch(columns)
+        assert len(batch) == 3
+        assert by_columns.insert_many(batch) == by_rows.insert_many(self.ROWS)
+        assert list(by_columns.rows()) == list(by_rows.rows())
+        assert journals[1] == journals[0] and len(journals[0]) == 1
+        assert by_columns.lookup_rids("t_s", ("a",)) == by_rows.lookup_rids("t_s", ("a",))
+        assert by_columns.get_by_key((2,)) == (2, 2.5, None)
+
+    def test_a_malformed_column_batch_leaves_table_and_journal_unchanged(self):
+        _, table = make_table()
+        table.insert((9, 9.0, "z"))
+        journal = self.journaled(table)
+        before = list(table.rows())
+        failing = {
+            "batch has 2 columns, schema has 3": [[1, 2], [0.0, 0.0]],
+            "columns of unequal length [2, 1, 2]": [[1, 2], [0.0], ["a", "b"]],
+            "expected FLOAT, got 'not-a-float'": [[1, 2], [0.0, "not-a-float"], ["a", "b"]],
+        }
+        for message, columns in failing.items():
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                table.insert_many(ColumnBatch(columns))
+        with pytest.raises(ConstraintError):
+            table.insert_many(ColumnBatch([[1, 9], [0.0, 0.0], ["a", "b"]]))
+        assert list(table.rows()) == before and len(table) == 1
+        assert table.get_by_key((1,)) is None
+        assert journal == []
+
+    def test_an_empty_column_batch_is_noop(self):
+        _, table = make_table()
+        journal = self.journaled(table)
+        assert len(ColumnBatch([[], [], []])) == 0
+        assert table.insert_many(ColumnBatch([[], [], []])) == []
+        assert len(table) == 0 and journal == []
 
 
 class TestUpdateRows:
