@@ -23,8 +23,9 @@ time:
    kernels, relevance and best leaf read off one posterior matrix
    (:class:`PageScorer`).  A page is classified once, when it is
    fetched: a visited URL is never checked out again;
-4. *expand* and *record*: a page's visit, then its out-links in one
-   :meth:`Frontier.expand` pass, become CRAWL and LINK writes, and a failed
+4. *expand* and *record*: a page's visit, then its raw out-links in one
+   :meth:`Frontier.expand` pass (resolved, deduplicated and probed once
+   each), become CRAWL and LINK writes, and a failed
    fetch attempt a FAILED row; they buffer in memory, across rounds,
    until a sync.  The frontier keeps its changed entries (a CRAWL row is
    a function of its entry), :class:`BufferedLinkWriter` the LINK rows
@@ -72,7 +73,7 @@ digests recorded from the loop it replaced).  Larger K changes the
 interleaving but, on a bounded web, converges to the same crawl set.
 
 The stage code — :class:`PageScorer`, :func:`permanent_failure`,
-:func:`resolve_links`, :func:`write_scores`,
+:func:`resolve_links` (the sharded workers' resolver), :func:`write_scores`,
 :class:`BufferedLinkWriter`, :func:`expansion_priority` — is module
 level because the sharded engine's workers and coordinator
 (:mod:`repro.crawler.sharded`) run the same stages on their slice of a
@@ -86,7 +87,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.classifier.compiled import CompiledHierarchicalModel
@@ -346,7 +346,8 @@ def resolve_links(source_oid: int, out_links: Sequence[str]) -> List[Tuple[str, 
     """A page's distinct non-self out-links as ``(normalized_url, oid, sid)``, in page order.
 
     Duplicates and self-links are dropped here, once: neither can raise
-    a frontier priority or add an edge the distiller would keep.
+    a frontier priority or add an edge the distiller would keep.  The
+    sharded workers' resolver; :meth:`Frontier.expand` does the same inline.
     """
     targets: List[Tuple[str, int, int]] = []
     seen = {source_oid}
@@ -403,19 +404,13 @@ class BufferedLinkWriter:
         self._fed = 0
 
     def add_page(
-        self,
-        oid_src: int,
-        sid_src: int,
-        relevance: float,
-        targets: Sequence[Tuple[str, int, int]],
-        forward: Sequence[float],
+        self, oid_src: int, sid_src: int, relevance: float, targets: Tuple[list, list, list]
     ) -> None:
-        """Buffer a visited page's LINK rows: one per resolved target, its ``wgt_fwd`` given."""
-        width = len(targets)
+        """Buffer a visited page's LINK rows from the columns :meth:`Frontier.expand` returned."""
+        oid_dst, sid_dst, wgt_fwd = targets
+        width = len(oid_dst)
         self.add_columns(
-            [oid_src] * width, [sid_src] * width,
-            map(itemgetter(1), targets), map(itemgetter(2), targets),
-            forward, [relevance] * width,
+            [oid_src] * width, [sid_src] * width, oid_dst, sid_dst, wgt_fwd, [relevance] * width
         )
 
     def add_columns(self, *columns: Iterable) -> None:
@@ -843,9 +838,8 @@ class CrawlEngine:
         priority = expansion_priority(
             self.config.focus_mode, relevance, self._scorer.hard_accepts(outcome)
         )
-        targets = resolve_links(entry.oid, result.out_links)
-        forward = self.frontier.expand(relevance, targets, priority)
-        self._link_writer.add_page(entry.oid, entry.sid, relevance, targets, forward)
+        targets = self.frontier.expand(entry.oid, relevance, result.out_links, priority)
+        self._link_writer.add_page(entry.oid, entry.sid, relevance, targets)
         self._link_writer.refresh(entry.oid, relevance)
         self.trace.visits.append(PageVisit(self._tick, url, relevance, outcome.best_leaf_cid))
         self._since_distillation += 1

@@ -20,6 +20,10 @@ function of the URL: checkout order therefore does not depend on
 insertion history, so crawls are reproducible under a fixed seed
 regardless of how a round interleaved its ``add_url`` calls.
 
+A visited page's raw out-links enter in one pass (:meth:`Frontier.expand`:
+resolved, deduplicated and probed once each).  Every way in creates an
+entry through ``_add_entry`` and raises one through ``_raise_priority``.
+
 The frontier always buffers its CRAWL writes: in-memory entries stay
 authoritative at all times, and an entry carries every column of its
 CRAWL row (``kcid`` included), so a row is a function of its entry.
@@ -41,7 +45,7 @@ from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.minidb import ColumnBatch, Database
-from repro.webgraph.urls import normalize_url, server_sid, url_oid
+from repro.webgraph.urls import normalize_url, resolve_url
 
 from .policies import CrawlOrdering, aggressive_discovery
 
@@ -199,18 +203,19 @@ class Frontier:
         ``relevance`` here is the *crawl priority* of the unvisited page —
         for soft focus, the relevance of the page(s) citing it.
         """
-        normalized = normalize_url(url)
+        normalized, oid, sid = resolve_url(url)
         existing = self._entries.get(normalized)
-        if existing is not None:
+        if existing is None:
+            return self._add_entry(normalized, oid, sid, relevance)
+        if existing.status == "frontier" and relevance > existing.relevance:
             self._raise_priority(existing, relevance)
-            return existing
-        return self._add_entry(normalized, url_oid(normalized), server_sid(normalized), relevance)
+        return existing
 
     def _raise_priority(self, entry: FrontierEntry, relevance: float) -> None:
-        if entry.status == "frontier" and relevance > entry.relevance:
-            entry.relevance = relevance
-            self._mark_changed(entry)
-            self._push(entry)
+        """Every raise: the caller checked the entry is on the frontier and *relevance* higher."""
+        entry.relevance = relevance
+        self._mark_changed(entry)
+        self._push(entry)
 
     def _add_entry(
         self,
@@ -220,23 +225,20 @@ class Frontier:
         relevance: float,
         discovered: Optional[int] = None,
     ) -> FrontierEntry:
-        entry = FrontierEntry(
-            url=normalized,
-            oid=oid,
-            sid=sid,
-            relevance=relevance,
-            serverload=self._server_load.get(sid, 0),
-            discovered=self._next_discovered if discovered is None else discovered,
-        )
+        """Create, index and push a new frontier entry (every creation path)."""
+        serverload = self._server_load.get(sid, 0)
+        if discovered is None:
+            discovered = self._next_discovered
         # Sharded checkout passes coordinator-assigned discovery numbers
         # (monotone in the global round order); keep the local counter
         # strictly ahead so the two numbering sources can never collide.
-        self._next_discovered = max(self._next_discovered + 1, entry.discovered + 1)
+        self._next_discovered = max(self._next_discovered, discovered) + 1
+        entry = FrontierEntry(normalized, oid, sid, relevance, 0, serverload, discovered)
         self._frontier_count += 1
         self._pending_new.append(entry)
         self._entries[normalized] = entry
         self._url_of_oid[oid] = normalized
-        self._push(entry)
+        heapq.heappush(self._heap, (self._entry_key(entry, serverload), oid, normalized))
         return entry
 
     def url_of_oid(self, oid: int) -> Optional[str]:
@@ -249,13 +251,7 @@ class Frontier:
         Per target the semantics are exactly :meth:`add_url`'s (shared
         helpers, so the two can never drift apart).
         """
-        entries = self._entries
-        for normalized, oid, sid in targets:
-            existing = entries.get(normalized)
-            if existing is not None:
-                self._raise_priority(existing, relevance)
-            else:
-                self._add_entry(normalized, oid, sid, relevance)
+        self.add_many_discovered(((*target, None) for target in targets), relevance)
 
     def add_many_discovered(self, targets, relevance: float) -> None:
         """:meth:`add_many` over ``(normalized, oid, sid, discovered)`` quads.
@@ -265,30 +261,40 @@ class Frontier:
         breadth-first ordering — are assigned by the coordinator over the
         round's *global* expansion order and passed through here.  Known
         targets keep their original number (exactly like ``add_many``);
-        new ones adopt the coordinator's.
+        new ones adopt the coordinator's, or the next local one for None.
         """
         entries = self._entries
         for normalized, oid, sid, discovered in targets:
             existing = entries.get(normalized)
-            if existing is not None:
-                self._raise_priority(existing, relevance)
-            else:
+            if existing is None:
                 self._add_entry(normalized, oid, sid, relevance, discovered=discovered)
+            elif existing.status == "frontier" and relevance > existing.relevance:
+                self._raise_priority(existing, relevance)
 
     def expand(
-        self, relevance: float, targets, priority: Optional[float]
-    ) -> List[float]:
-        """Expand a visited page of *relevance* over its resolved out-links.
+        self, source_oid: int, relevance: float, out_links: Iterable[str], priority: Optional[float]
+    ) -> Tuple[List[int], List[int], List[float]]:
+        """Expand a visited page of *relevance* over its raw out-links, in one pass.
 
-        One entry probe per ``(normalized, oid, sid)`` target gives the
-        ``wgt_fwd`` of its LINK row (E_F: a visited target's own relevance,
-        else the page's) and, as :meth:`add_many` at *priority*, the new
-        entry or the raise — none when *priority* is None (hard focus
-        rejected the page).  Returns the ``wgt_fwd`` values, in target order.
+        Each link is resolved (:func:`~repro.webgraph.urls.resolve_url`),
+        a duplicate or a link back to *source_oid* is dropped, and the
+        rest probe their entry once.  The probe gives the ``wgt_fwd`` of
+        the link's LINK row (E_F: a visited target's own relevance, else
+        the page's) and, as :meth:`add_many` at *priority*, the new entry
+        or the raise — none when *priority* is None (hard focus rejected
+        the page).  Returns the kept links' ``oid_dst``, ``sid_dst`` and
+        ``wgt_fwd`` columns, in page order.
         """
         entries = self._entries
-        forward = []
-        for normalized, oid, sid in targets:
+        seen = {source_oid}
+        oids, sids, forward = [], [], []
+        for link in out_links:
+            normalized, oid, sid = resolve_url(link)
+            if oid in seen:
+                continue
+            seen.add(oid)
+            oids.append(oid)
+            sids.append(sid)
             entry = entries.get(normalized)
             if entry is None:
                 if priority is not None:
@@ -297,10 +303,10 @@ class Frontier:
             elif entry.status == "visited":
                 forward.append(entry.relevance)
             else:
-                if priority is not None:
+                if priority is not None and entry.status == "frontier" and priority > entry.relevance:
                     self._raise_priority(entry, priority)
                 forward.append(relevance)
-        return forward
+        return oids, sids, forward
 
     def add_seed(self, url: str) -> FrontierEntry:
         """Seeds (the examples D(C*)) enter with maximal priority."""
@@ -309,7 +315,7 @@ class Frontier:
     def boost(self, url: str, relevance: float) -> None:
         """Raise the priority of an unvisited URL (used by hub-neighbour boosting)."""
         entry = self._entries.get(normalize_url(url))
-        if entry is not None:
+        if entry is not None and entry.status == "frontier" and relevance > entry.relevance:
             self._raise_priority(entry, relevance)
 
     def boost_oids(self, oids: Iterable[int], relevance: float) -> None:
@@ -321,7 +327,7 @@ class Frontier:
         entries, url_of_oid = self._entries, self._url_of_oid
         for oid in oids:
             entry = entries.get(url_of_oid.get(oid))
-            if entry is not None:
+            if entry is not None and entry.status == "frontier" and relevance > entry.relevance:
                 self._raise_priority(entry, relevance)
 
     def update_scores(self, url: str, hub_score: float = 0.0, authority_score: float = 0.0) -> None:

@@ -6,8 +6,12 @@ in columnar form — parallel NumPy arrays over the non-nepotistic edges,
 in LINK-heap append order — and runs each HITS half-step as a
 ``np.bincount`` scatter-add (a CSR matvec without leaving NumPy):
 
-    a  <-  F^T  (h * R[dst])        restricted to relevance > rho
+    a  <-  F^T  (h * R[dst])
     h  <-  B    (a * R[src])
+
+both over the *live* edges only, those into a page with relevance above
+rho (paper §3.7): any other edge adds exactly 0.0 in either half-step,
+so a distillation pays for its live edges, and not a bit of it changes.
 
 The edge weights are the endpoints' relevance (paper §3.7, Figure 4):
 E_F of an edge is R of the page it cites, E_B is R of the citing page.
@@ -249,6 +253,12 @@ def compiled_weighted_hits(
     initialisation (uniform hubs over link sources), same per-half-step
     L1 normalisation, same convergence test on the hub vector, same
     relevance filter.
+
+    Both half-steps run over the *live* edges (into a page with relevance
+    above *rho*), kept in append order.  Any other edge cites a page of
+    authority exactly 0.0, so it would add ``0.0 * R`` to its hub bin: no
+    partial sum changes, and the result is bit-equal to a backward step
+    over every edge (the oracle in ``tests/distiller``).
     """
     src, dst, oids = graph.arrays()
     if not len(src):
@@ -259,19 +269,14 @@ def compiled_weighted_hits(
     hubs = graph.uniform_hubs()
     authorities = np.zeros(n, dtype=np.float64)
 
-    # Forward edges: filtered once (relevance does not change across
-    # iterations), exactly as the reference pre-resolves.
-    rel_dst = rel[dst]
-    forward = rel_dst > rho
-    f_src = src[forward]
-    f_dst = dst[forward]
-    f_wgt = rel_dst[forward]
-    r_wgt = rel[src]
+    live = np.flatnonzero(rel[dst] > rho)
+    src, dst = src[live], dst[live]
+    f_wgt, r_wgt = rel[dst], rel[src]
 
     iterations_run = 0
     for _ in range(max_iterations):
         iterations_run += 1
-        new_authorities = np.bincount(f_dst, weights=hubs[f_src] * f_wgt, minlength=n)
+        new_authorities = np.bincount(dst, weights=hubs[src] * f_wgt, minlength=n)
         total = new_authorities.sum()
         if total > 0:
             new_authorities /= total

@@ -112,11 +112,14 @@ def _nonzero_scores(oids: Sequence[int], scores: np.ndarray) -> Dict[int, float]
 def _top_dense(oids: Sequence[int], scores: np.ndarray, k: int) -> list[tuple[int, float]]:
     """The k best non-zero scores, ties in dense order.
 
-    A stable descending sort over the non-zero entries: exactly the order
-    ``sorted(scores_dict.items(), key=lambda kv: -kv[1])[:k]`` gives, the
-    dict being the non-zero entries in dense order.
+    A stable descending sort over the non-zero entries at or above the
+    k-th best: exactly the order ``sorted(scores_dict.items(), key=lambda
+    kv: -kv[1])[:k]`` gives, the dict being the non-zero entries in dense order.
     """
     nonzero = np.flatnonzero(scores)
+    if 0 < k < len(nonzero):
+        values = scores[nonzero]
+        nonzero = nonzero[values >= np.partition(values, -k)[-k]]
     best = nonzero[np.argsort(-scores[nonzero], kind="stable")[:k]]
     return [(oids[index], score) for index, score in zip(best.tolist(), scores[best].tolist())]
 

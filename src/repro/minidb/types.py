@@ -190,17 +190,25 @@ class Schema:
         validate = self.columns[position].validate
         return [validate(value) for value in values]
 
+    def _ascii_text(self, position: int, values: Sequence[Any]) -> bool:
+        """Whether *values* fill a TEXT column with ASCII, no NULL: each is ``4 + len`` bytes."""
+        return self.columns[position].type is TEXT and None not in values and "".join(values).isascii()
+
     def column_bytes(self, position: int, values: Sequence[Any]) -> int:
         """Total stored size in bytes of a list or tuple of a column's (validated) values."""
+        if self._ascii_text(position, values):
+            return 4 * len(values) + sum(map(len, values))
         if position in self.varying:
             return sum(map(self.columns[position].type.storage_size, values))
         return 8 * len(values) - 7 * values.count(None)
 
     def row_sizes(self, columns: Sequence[Sequence[Any]]) -> list[int]:
-        """Stored size of each row of a (validated) column batch; only TEXT/BLOB sizes are calls."""
+        """Each row's stored size in a (validated) column batch; only BLOB, non-ASCII TEXT are calls."""
         sizes = [8 * len(columns)] * len(columns[0])
         for position, values in enumerate(columns):
-            if position in self.varying:
+            if self._ascii_text(position, values):
+                sizes = [size + len(value) - 4 for size, value in zip(sizes, values)]
+            elif position in self.varying:
                 sizeof = self.columns[position].type.storage_size
                 sizes = [size + sizeof(value) - 8 for size, value in zip(sizes, values)]
             elif None in values:

@@ -3,10 +3,11 @@
 A crawler never touches :class:`~repro.webgraph.graph.WebGraph` ground
 truth directly; it calls :meth:`Fetcher.fetch` with a URL and gets back a
 :class:`FetchResult` carrying only what an HTTP fetch plus HTML parsing
-would yield — status, tokens, out-links, and the serving host.  The
-fetcher also simulates transient server failures and dead links (404s),
-and accumulates simulated latency so experiments can report a crawl
-"timeline" without real network time.
+would yield — status, tokens, out-links (as the web stores them: the
+builder normalises them, and the crawl engine resolves every link
+itself), and the serving host.  The fetcher also simulates transient
+server failures and dead links (404s), and accumulates simulated latency
+so experiments can report a crawl "timeline" without real network time.
 
 The crawl engine reaches this class through the transport layer
 (:mod:`repro.webgraph.transport`): the default ``SimulatedTransport``
@@ -152,7 +153,7 @@ class Fetcher:
             url=normalized,
             status=FetchStatus.OK,
             tokens=list(page.tokens),
-            out_links=[normalize_url(t) for t in page.out_links],
+            out_links=list(page.out_links),
             server=page.server,
             latency_ms=latency,
         )

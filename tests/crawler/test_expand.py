@@ -4,24 +4,34 @@ The engine used to expand a page in three calls per out-link:
 ``link_targets`` (normalise, hash and dedupe), ``link_row`` (a frontier
 probe for the forward weight) and ``Frontier.add_many`` (a second probe:
 a new entry or a priority raise).  That composition lives on here as the
-oracle for :func:`resolve_links` plus :meth:`Frontier.expand`, driven
-over out-link lists nobody chose: duplicates, self-links under another
-spelling, pages hard focus rejects, and targets that are visited, in
-flight or dead.
+oracle for :meth:`Frontier.expand`, which takes a page's raw out-links
+and resolves, dedupes, probes and enqueues them in one pass.  Both are
+driven over out-link lists nobody chose: raw spellings (host case, the
+default port, duplicate slashes, a fragment), duplicates, self-links
+under another spelling, pages hard focus rejects (``priority=None``),
+and targets that are visited, in flight or dead.  After every
+expansion the two frontiers must hold the same heap tuples, the same
+changed and pending entries, and have handed out the same ``wgt_fwd``
+column.
 """
 
 import dataclasses
 from typing import List, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from repro.core.config import FocusConfig
 from repro.core.schema import create_focus_database
-from repro.crawler.engine import BufferedLinkWriter, resolve_links
+from repro.core.system import FocusSystem
+from repro.crawler.engine import BufferedLinkWriter, CrawlerConfig, resolve_links
 from repro.crawler.frontier import Frontier, FrontierEntry
 from repro.crawler.policies import ORDERING_COLUMNS, ORDERINGS, CrawlOrdering
+from repro.webgraph.graph import SyntheticWebBuilder
 from repro.webgraph.urls import normalize_url, server_sid, url_oid
 
+from conftest import GOOD_TOPIC, small_web_config
 from handoff_records import link_columns, link_row
 
 
@@ -45,13 +55,15 @@ def reference_expand(frontier, writer, source, relevance, out_links, priority):
     rows = [link_row(frontier, source.oid, source.sid, *target, relevance) for target in targets]
     if priority is not None:
         frontier.add_many(targets, priority)
-    writer.add_columns(*link_columns(rows))
+    columns = link_columns(rows)
+    writer.add_columns(*columns)
+    return columns[4]
 
 
 def engine_expand(frontier, writer, source, relevance, out_links, priority):
-    targets = resolve_links(source.oid, out_links)
-    forward = frontier.expand(relevance, targets, priority)
-    writer.add_page(source.oid, source.sid, relevance, targets, forward)
+    columns = frontier.expand(source.oid, relevance, out_links, priority)
+    writer.add_page(source.oid, source.sid, relevance, columns)
+    return columns[2]
 
 
 def page_url(number: int) -> str:
@@ -92,6 +104,9 @@ class Side:
         self.writer = BufferedLinkWriter(self.database.table("LINK"))
         self.expand = expand
         self.checkouts: List[List[str]] = []
+        #: After each expansion: its wgt_fwd column, the heap, the changed
+        #: and the pending entries, and the next discovery number.
+        self.states: List[tuple] = []
 
     def round(self, tick, k, relevance, rejected, links, second, flush) -> None:
         frontier = self.frontier
@@ -102,7 +117,14 @@ class Side:
         page = frontier.record_visit(urls[0], relevance, tick, kcid=tick)
         out_links = [SPELLINGS[spelling](number) for number, spelling in links]
         priority = None if rejected else relevance
-        self.expand(frontier, self.writer, page, relevance, out_links, priority)
+        forward = self.expand(frontier, self.writer, page, relevance, out_links, priority)
+        self.states.append((
+            list(forward),
+            list(frontier._heap),
+            [dataclasses.astuple(entry) for entry in frontier._changed.values()],
+            [dataclasses.astuple(entry) for entry in frontier._pending_new],
+            frontier._next_discovered,
+        ))
         self.writer.refresh(page.oid, relevance)
         if len(urls) > 1 and second != "in_flight":
             frontier.record_failure(urls[1], max_retries=1, permanent=second == "dead")
@@ -133,11 +155,27 @@ class TestExpandMatchesThePerLinkReference:
                 side.round(tick, *step)
         reference, engine = sides
         assert engine.checkouts == reference.checkouts
+        assert engine.states == reference.states
         # LINK rows in insert order; CRAWL rows and entries (discovered included).
         assert engine.finish() == reference.finish()
         assert engine.frontier.pop_batch(100) == reference.frontier.pop_batch(100)
 
-    def test_a_self_link_under_another_spelling_and_duplicates_are_dropped(self):
+    def test_raw_spellings_duplicates_and_self_links_resolve_once(self):
+        side = Side(engine_expand)
+        source = side.frontier.add_seed(page_url(4))
+        side.frontier.pop_batch(1)
+        side.frontier.record_visit(source.url, 0.5, 1)
+        links = [SPELLINGS[1](4), SPELLINGS[2](5), page_url(5), SPELLINGS[3](6), SPELLINGS[2](4)]
+        oids, sids, forward = side.frontier.expand(source.oid, 0.5, links, 0.5)
+        assert oids == [url_oid(page_url(5)), url_oid(page_url(6))]
+        assert sids == [server_sid(page_url(5)), server_sid(page_url(6))]
+        assert forward == [0.5, 0.5]
+        assert [entry.url for entry in side.frontier._pending_new] == [
+            page_url(4), page_url(5), page_url(6),
+        ]
+
+    def test_resolve_links_matches_the_per_link_resolver(self):
+        # The sharded workers still resolve a page's links on their own.
         source = page_url(4)
         links = [SPELLINGS[1](4), SPELLINGS[2](5), page_url(5), SPELLINGS[3](6), SPELLINGS[2](4)]
         targets = resolve_links(url_oid(source), links)
@@ -155,6 +193,45 @@ class TestExpandMatchesThePerLinkReference:
             (url_oid(page_url(1)), 0.5), (url_oid(page_url(2)), 0.5),
         ]
         assert [row[1] for row in crawl] == [page_url(0)]
+
+
+def raw_spelling(link: str) -> str:
+    """*link* as a page might spell it: shouting scheme and host, the
+    default port, a doubled slash and a fragment."""
+    parts = urlsplit(link)
+    return f"HTTP://{parts.netloc.upper()}:80/{parts.path}#top"
+
+
+def crawl_digest(result) -> tuple:
+    database = result.database
+    return (
+        list(result.trace.fetched_urls),
+        [repr(value) for value in result.trace.relevance_series()],
+        list(result.trace.failed_urls),
+        {name: list(database.table(name).rows()) for name in ("CRAWL", "LINK", "HUBS", "AUTH")},
+    )
+
+
+class TestRawLinksCrawlTheSame:
+    """The engine resolves every out-link itself, so a web whose pages spell
+    their links un-normalised is crawled exactly as the normalised one."""
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_same_digest(self, batch_size):
+        web = SyntheticWebBuilder(small_web_config()).build()
+        config = FocusConfig(good_topics=(GOOD_TOPIC,), examples_per_leaf=12, seed_count=8)
+        system = FocusSystem.from_web(web, [GOOD_TOPIC], config)
+        system.train()
+        seeds = system.default_seeds()
+        crawl = CrawlerConfig(max_pages=150, distill_every=20, batch_size=batch_size)
+        normalised = crawl_digest(system.crawl(seeds=seeds, crawler_config=crawl))
+        for page in web.pages.values():
+            raw_links = [raw_spelling(link) for link in page.out_links]
+            assert [normalize_url(link) for link in raw_links] == page.out_links
+            assert not set(raw_links) & set(page.out_links)
+            page.out_links = raw_links
+        raw = crawl_digest(system.crawl(seeds=seeds, crawler_config=crawl))
+        assert raw == normalised and len(raw[0]) == 150
 
 
 class TestCompiledEntryKey:

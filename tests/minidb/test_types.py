@@ -1,5 +1,6 @@
 """Unit tests for minidb column types, schemas, and row handling."""
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.minidb import BLOB, FLOAT, INTEGER, TEXT, Column, Database, Schema, SchemaError, make_schema
@@ -133,3 +134,50 @@ class TestSchema:
     def test_bad_column_spec_rejected(self):
         with pytest.raises(SchemaError):
             make_schema(("just_one_element",))
+
+
+#: TEXT values: ASCII only, or with characters that take 2-4 bytes in UTF-8.
+_ascii_text = st.text(st.characters(max_codepoint=127), max_size=12)
+_any_text = st.text(max_size=12)
+
+
+@st.composite
+def column_batches(draw):
+    """A nullable TEXT, BLOB and INTEGER schema with a batch of rows for it.
+
+    Each TEXT column is drawn all-ASCII or not, and each column with or
+    without NULLs, so every branch of the column-at-a-time sizing runs.
+    """
+    kinds = draw(st.lists(st.sampled_from([TEXT, BLOB, INTEGER]), min_size=1, max_size=4))
+    rows = draw(st.integers(1, 8))
+    columns = []
+    for kind in kinds:
+        if kind is TEXT:
+            values = draw(st.sampled_from([_ascii_text, _any_text]))
+        elif kind is BLOB:
+            values = st.binary(max_size=12)
+        else:
+            values = st.integers(-(2**63), 2**63)
+        if draw(st.booleans()):
+            values = st.none() | values
+        columns.append(draw(st.lists(values, min_size=rows, max_size=rows)))
+    schema = make_schema(*((f"c{i}", kind) for i, kind in enumerate(kinds)))
+    return schema, columns
+
+
+class TestColumnSizing:
+    @given(batch=column_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_sizes_equal_the_row_by_row_sizes(self, batch):
+        schema, columns = batch
+        rows = list(zip(*columns))
+        assert schema.row_sizes(columns) == [schema.row_size(row) for row in rows]
+        for position, values in enumerate(columns):
+            kind = schema.columns[position].type
+            assert schema.column_bytes(position, values) == sum(map(kind.storage_size, values))
+
+    def test_non_ascii_text_is_sized_in_utf8_bytes(self):
+        schema = make_schema(("t", TEXT))
+        assert schema.row_sizes([["ab", "é", "€"]]) == [6, 6, 7]
+        assert schema.row_sizes([["ab", "cd"]]) == [6, 6]
+        assert schema.column_bytes(0, ["ab", None]) == 7

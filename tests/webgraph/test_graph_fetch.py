@@ -9,6 +9,7 @@ failures, dead links).
 import numpy as np
 import pytest
 
+from repro.experiments.workloads import build_crawl_web
 from repro.webgraph.fetch import Fetcher, FetchStatus
 from repro.webgraph.graph import SyntheticWebBuilder, WebConfig
 from repro.webgraph.urls import normalize_url
@@ -174,3 +175,25 @@ class TestFetcher:
         url = web.pages_of_topic(GOOD)[0]
         shouting = url.replace("http://", "HTTP://")
         assert fetcher.fetch(shouting).ok
+
+
+class TestLinkContract:
+    """The fetcher hands out a page's out-links as the web stores them: the
+    builder normalises every one, dead links included, so nothing is
+    normalised per fetch (the crawl engine resolves each link anyway)."""
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0])
+    def test_every_stored_out_link_is_normalised(self, scale):
+        web = build_crawl_web(7, scale)
+        links = [link for page in web.pages.values() for link in page.out_links]
+        assert links and [link for link in links if normalize_url(link) != link] == []
+        # The dead-link rewrite ran, and its targets are normalised too.
+        dead = [link for link in links if "/dead/" in link]
+        assert dead and all(not web.has_page(link) for link in dead)
+
+    def test_a_fetch_hands_out_the_stored_links(self, web):
+        fetcher = Fetcher(web, simulate_failures=False)
+        page = web.page(web.pages_of_topic(GOOD)[0])
+        result = fetcher.fetch(page.url)
+        assert result.out_links == page.out_links
+        assert result.out_links is not page.out_links  # a copy: the crawl may keep it
